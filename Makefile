@@ -24,14 +24,16 @@ test-chaos:
 
 # Mesh suite (docs/MESH.md): device-mesh geometry + per-axis collective
 # semantics, tensor/pipeline-parallel layer bit-exactness properties,
-# the sharded data-axis gradient exchange, hybrid-mesh training
-# equivalence + elastic shrink, the `train --mesh` CLI paths, and the
-# tensor-parallel crossover benchmark with its wire-volume gates.
+# the sharded data-axis gradient exchange, the switch-composition table
+# (mesh x codec x overlap x fused x observers vs the flat reference),
+# hybrid-mesh training + elastic shrink, the `train --mesh` CLI paths,
+# and the tensor-parallel crossover benchmark with its wire-volume gates.
 test-mesh:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/cluster/test_mesh.py tests/nn/test_parallel.py \
 		tests/core/test_mesh_exchange.py \
-		tests/train/test_mesh_training.py
+		tests/train/test_mesh_training.py \
+		tests/train/test_sync_composition.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/test_cli.py -k "TestTrainMesh"
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \

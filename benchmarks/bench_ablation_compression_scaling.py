@@ -14,7 +14,6 @@ arm must match FP32 closely.
 
 import numpy as np
 
-from repro.core import Fp16Codec
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD
 from repro.report import format_table
@@ -35,24 +34,24 @@ CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 30_000, seed=8)
 STEPS = 120
 
 ARMS = [
-    ("fp32 (no compression)", None, None),
-    ("fp16 + scaling F=512", Fp16Codec(scale=512.0), None),
-    ("fp16 + scaling F=1024", Fp16Codec(scale=1024.0), None),
+    ("fp32 (no compression)", None),
+    ("fp16 + scaling F=512", "fp16:512"),
+    ("fp16 + scaling F=1024", "fp16:1024"),
     # Deflating scale emulates the naive cast's paper-scale underflow.
-    ("fp16 naive (underflow regime)", Fp16Codec(scale=1e-7), None),
+    ("fp16 naive (underflow regime)", "fp16:1e-7"),
     # The full wire stack: FP16 value traffic plus the lossless
     # delta-bitpacked index gather (PR 4) — compresses the Θ(G·K)
     # index bytes fp16 alone cannot touch, with zero numeric cost
     # beyond fp16's.
-    ("fp16+delta wire policy", None, "fp16+delta"),
+    ("fp16+delta wire policy", "fp16+delta"),
 ]
 
 
 def run_all():
     results = {}
-    for label, codec, wire_spec in ARMS:
+    for label, wire_spec in ARMS:
         cfg = TrainConfig(
-            world_size=4, batch=BatchSpec(2, 8), base_lr=0.3, codec=codec,
+            world_size=4, batch=BatchSpec(2, 8), base_lr=0.3,
             wire_codec=wire_spec,
         )
         trainer = DistributedTrainer(

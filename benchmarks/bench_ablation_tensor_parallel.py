@@ -10,10 +10,11 @@ wire bytes for both:
 
 * **flat unique** — ``G`` data-parallel ranks running the paper's
   index-allgather + value-allreduce (:class:`UniqueExchange`);
-* **mesh sharded** — a ``(1, t, G/t)`` hybrid mesh running
-  :func:`sparse_mesh_exchange` (vocab split into ``t`` ranges, each
-  range exchanged over its data subgroup) plus the tensor-axis logit
-  all-reduce of the vocab-parallel sampled softmax.
+* **mesh sharded** — a ``(1, t, G/t)`` hybrid mesh running the same
+  :class:`UniqueExchange` on its data axis (vocab split into ``t``
+  ranges by :func:`shard_sparse`, each range exchanged over its data
+  subgroup) plus the tensor-axis logit all-reduce of the vocab-parallel
+  sampled softmax.
 
 The flat exchange's allgather grows with the *world* (every rank
 contributes its token indices to everyone), while the mesh exchange
@@ -25,9 +26,9 @@ import os
 
 import numpy as np
 
-from repro.cluster import Communicator, MeshCommunicator, hybrid_mesh
+from repro.cluster import Communicator, hybrid_mesh
 from repro.core import UniqueExchange
-from repro.core.mesh_exchange import sparse_mesh_exchange
+from repro.core.mesh_exchange import shard_sparse
 from repro.nn import SparseGrad
 from repro.report import format_table
 
@@ -58,9 +59,10 @@ def flat_wire_bytes(world, grads):
 
 
 def mesh_wire_bytes(world, grads):
-    mc = MeshCommunicator(
-        Communicator(world, track_memory=False),
-        hybrid_mesh(f"pipe=1,tensor={TENSOR},data=", world),
+    mc = Communicator(
+        world,
+        track_memory=False,
+        mesh=hybrid_mesh(f"pipe=1,tensor={TENSOR},data=", world),
     )
     d = world // TENSOR
     # Same global token multiset: each data replica carries the rows of
@@ -76,15 +78,18 @@ def mesh_wire_bytes(world, grads):
         )
         for k in range(d)
     ]
-    sparse_mesh_exchange(mc, replica_grads, VOCAB, tag="embedding")
+    data = mc.axis("data")
+    UniqueExchange().exchange(
+        data, shard_sparse(replica_grads, data.groups, VOCAB), tag="embedding"
+    )
     # The price of vocab sharding: every step all-reduces the sampled
     # logits over the tensor axis (batch of t*K positions, 1+S columns).
     logits = [
         np.zeros((TENSOR * TOKENS_PER_RANK, 1 + SAMPLES), dtype=np.float32)
         for _ in range(world)
     ]
-    mc.allreduce("tensor", logits, tag="vocab_softmax.logits")
-    return mc.comm.ledger.total_wire_bytes_per_rank
+    mc.axis("tensor").allreduce(logits, tag="vocab_softmax.logits")
+    return mc.ledger.total_wire_bytes_per_rank
 
 
 def sweep():

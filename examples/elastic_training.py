@@ -6,8 +6,9 @@ hardware *will* misbehave.  This example runs the standard recovery
 pattern on the simulated cluster:
 
 1. train with periodic checkpoints;
-2. a rank dies mid-step (injected via ``FailingCommunicator``) — the
-   synchronous collective surfaces the failure to every rank;
+2. a rank dies mid-step (a one-event ``FaultPlan`` replayed by a
+   ``ChaosCommunicator``) — the synchronous collective surfaces the
+   failure to every rank;
 3. a replacement job restores the last checkpoint on fresh hardware and
    continues — bit-identical to a run that never crashed (verified).
 
@@ -19,8 +20,13 @@ import tempfile
 
 import numpy as np
 
-from repro.cluster import Communicator
-from repro.cluster.failures import FailingCommunicator, RankFailureError
+from repro.cluster import (
+    ChaosCommunicator,
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    RankFailureError,
+)
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD
 from repro.train import (
@@ -64,15 +70,19 @@ def main() -> None:
     for _ in range(TOTAL_STEPS):
         reference.train_step()
 
-    # The flaky run: rank 2 will die somewhere after step 45.
-    flaky_comm = FailingCommunicator(
-        WORLD, fail_after=10**9, failing_rank=2, track_memory=False
+    # The flaky run: rank 2 dies three collectives into step 46 (every
+    # step issues the same number of collectives).
+    per_step = len(reference.comm.ledger.events) // TOTAL_STEPS
+    crash = FaultEvent(
+        FaultKind.RANK_LOSS, collective_index=45 * per_step + 3, rank=2
+    )
+    flaky_comm = ChaosCommunicator(
+        WORLD, plan=FaultPlan([crash]), track_memory=False
     )
     victim = build_trainer(comm=flaky_comm)
     step = 0
     print(f"training {TOTAL_STEPS} steps, checkpoint every "
           f"{CHECKPOINT_EVERY}; rank 2 will fail mid-step...")
-    crash_armed = False
     try:
         while step < TOTAL_STEPS:
             victim.train_step()
@@ -81,9 +91,6 @@ def main() -> None:
                 save_checkpoint(ckpt, victim)
                 print(f"  step {step:3d}: checkpoint written "
                       f"(val ppl {perplexity(victim.evaluate()):.2f})")
-            if step == 45 and not crash_armed:
-                flaky_comm.fail_after = flaky_comm._collectives + 3
-                crash_armed = True
     except RankFailureError as exc:
         print(f"  step {step + 1:3d}: CRASH — {exc}")
 

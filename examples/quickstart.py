@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import Fp16Codec, SeedStrategy
+from repro.core import SeedStrategy
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD
 from repro.train import (
@@ -44,7 +44,7 @@ def build_trainer(use_unique: bool) -> DistributedTrainer:
         batch=BatchSpec(sequences_per_rank=2, seq_len=10),
         base_lr=0.3,
         use_unique=use_unique,
-        codec=Fp16Codec(scale=512.0) if use_unique else None,
+        wire_codec="fp16" if use_unique else None,
         seed_strategy=SeedStrategy.ZIPF_FREQ if use_unique else SeedStrategy.PER_RANK,
     )
     corpus = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 60_000, seed=0)

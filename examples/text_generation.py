@@ -12,7 +12,6 @@ Run:  python examples/text_generation.py
 
 import numpy as np
 
-from repro.core import Fp16Codec
 from repro.data import BatchSpec, CharTokenizer, encode_corpus
 from repro.optim import Adam
 from repro.train import (
@@ -64,7 +63,7 @@ def main() -> None:
     )
     cfg = TrainConfig(
         world_size=WORLD, batch=BatchSpec(4, 20), base_lr=4e-3,
-        codec=Fp16Codec(512.0),
+        wire_codec="fp16",
     )
     trainer = DistributedTrainer(
         lambda rng, rank: CharLanguageModel(

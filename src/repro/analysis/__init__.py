@@ -42,7 +42,6 @@ from .sanitizer import (
     InFlightMutationError,
     IssueOrderError,
     SanitizedFp16Codec,
-    SanitizedWorkHandle,
     Sanitizer,
     SanitizerError,
     assert_clean_retry_state,
@@ -59,7 +58,6 @@ __all__ = [
     "iter_rule_classes",
     "Sanitizer",
     "SanitizerError",
-    "SanitizedWorkHandle",
     "CollectiveMismatchError",
     "CompressionOverflowError",
     "DoubleApplyError",

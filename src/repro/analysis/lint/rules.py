@@ -34,21 +34,30 @@ __all__ = [
 
 _NUMPY_ALIASES = {"np", "numpy"}
 
-#: Collective methods of the simulated communicator (and its wrappers).
-_COLLECTIVES = {"allreduce", "allgather", "broadcast", "reduce_scatter"}
+#: Blocking entry points of the communicator's collective funnel.  Rules
+#: match on the method name, so the axis-addressed form
+#: ``comm.axis("tensor").allreduce(...)`` is covered like the flat one.
+_COLLECTIVES = {
+    "allreduce", "allgather", "broadcast", "reduce_scatter", "transfer",
+}
 
-#: Their non-blocking variants (return a WorkHandle / pending object),
+#: The non-blocking entry points (return a WorkHandle / pending object),
 #: plus the async entry points of the core layer built on them.
 _ASYNC_COLLECTIVES = {
     "iallreduce",
     "iallgather",
     "ibroadcast",
     "ireduce_scatter",
+    "issue_scheduled",
     "ibucketed_allreduce",
     "iunique_exchange",
     "iexchange",
     "iencoded_allgather",
 }
+
+#: Funnel steps with nothing for a codec to compress: a transfer has no
+#: payload and a scheduled step is costed from already-encoded sizes.
+_PRE_COSTED = {"iencoded_allgather", "issue_scheduled", "transfer"}
 
 
 def _attr_chain(node: ast.AST) -> str | None:
@@ -210,14 +219,17 @@ class CollectiveOutsideScopeRule(Rule):
         "(embedding-sync vs dense-allreduce, Tables III-V) only works if "
         "orchestration code issues communication inside "
         "`with ledger.scope(...)`. The comm substrate (cluster/, core/) "
-        "inherits the caller's scope and is exempt."
+        "and model layers (nn/) issue on behalf of whatever step called "
+        "them, inherit its scope, and are exempt — the runtime "
+        "sanitizer's require_scope check sits on the collective funnel "
+        "and covers them dynamically."
     )
 
     _CALLEES = _COLLECTIVES | _ASYNC_COLLECTIVES | {"barrier", "sync_replicas"}
 
     def applies_to(self, path: Path) -> bool:
         parts = set(path.parts)
-        return not parts & {"cluster", "core", "analysis"}
+        return not parts & {"cluster", "core", "analysis", "nn"}
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         yield from self._walk(module, module.tree, in_scope=False)
@@ -568,19 +580,20 @@ class UncodedCollectivePayloadRule(Rule):
         "corrupting the ledger's compression_factor. Route payloads via "
         "a codec/wire policy (or declare payload_bytes for pre-encoded "
         "frames). The comm substrate and the codec stack itself "
-        "(cluster/, core/, analysis/) move raw bytes by design."
+        "(cluster/, core/, analysis/) move raw bytes by design, as do "
+        "model layers (nn/), whose activations cross the tensor axis raw."
     )
 
     #: Payload-carrying entry points.  Exempt: ``iencoded_allgather``
-    #: *is* the codec path, and barrier-like calls carry no payload.
-    _CALLEES = (_COLLECTIVES | _ASYNC_COLLECTIVES) - {"iencoded_allgather"}
+    #: *is* the codec path, and pre-costed steps carry no raw payload.
+    _CALLEES = (_COLLECTIVES | _ASYNC_COLLECTIVES) - _PRE_COSTED
 
     #: Identifier fragments that signal codec-aware data flow.
     _CODED_TOKENS = ("codec", "wire", "encoded", "frame")
 
     def applies_to(self, path: Path) -> bool:
         parts = set(path.parts)
-        return not parts & {"cluster", "core", "analysis"}
+        return not parts & {"cluster", "core", "analysis", "nn"}
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

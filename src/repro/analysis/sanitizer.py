@@ -2,17 +2,20 @@
 
 Real HPC stacks catch communication bugs with MPI correctness tools and
 NCCL debug layers; the simulator's equivalent is :class:`Sanitizer`, an
-opt-in wrapper around :class:`~repro.cluster.communicator.Communicator`
-(or any of its subclasses) that validates every collective before it
-executes:
+opt-in :class:`~repro.cluster.communicator.CollectiveHook` on a
+:class:`~repro.cluster.communicator.Communicator`'s issue funnel that
+validates every collective — blocking, ``i*``, per-axis, explicitly
+scheduled — before it executes:
 
 * **rank-count agreement** — the per-rank list must carry exactly one
   array per rank;
 * **shape agreement** — allreduce/reduce_scatter/broadcast payloads must
-  be shape-identical across ranks (an allgatherv may be ragged in its
-  leading dim only).  On a real cluster a mismatch deadlocks or
-  corrupts; here it would silently skew Tables III-V;
-* **dtype agreement** — mixed dtypes across ranks mean at least one
+  be shape-identical across the ranks of a ring (an allgatherv may be
+  ragged in its leading dim only; on an axis view each subgroup is
+  checked on its own, since shards of different subgroups legitimately
+  differ).  On a real cluster a mismatch deadlocks or corrupts; here it
+  would silently skew Tables III-V;
+* **dtype agreement** — mixed dtypes within a ring mean at least one
   rank fell off the FP16/FP32 discipline of §III-C;
 * **payload hygiene** — NaN/Inf anywhere, and saturated values in FP16
   payloads (the signature of a compression-scaling overflow);
@@ -24,10 +27,10 @@ The async engine adds two failure modes, both covered here:
 * **dropped handles** — an ``i*`` collective whose
   :class:`~repro.cluster.communicator.WorkHandle` is never ``wait()``\\ ed
   leaks scratch for the rest of the run and silently omits the
-  completion from the timeline.  The sanitizer wraps every handle it
-  issues and :meth:`Sanitizer.finish` raises :class:`DroppedHandleError`
-  for any still un-awaited (the static counterpart is lint rule
-  REPRO007);
+  completion from the timeline.  The funnel's pending set knows every
+  such handle and :meth:`Sanitizer.finish` raises
+  :class:`DroppedHandleError` for any still un-awaited (the static
+  counterpart is lint rule REPRO007);
 * **cross-rank issue-order mismatch** — SPMD code that issues
   collectives in different orders on different ranks deadlocks on a
   real cluster.  Rank-local issue intents recorded via
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.communicator import Communicator, WorkHandle
+from ..cluster.communicator import CollectiveHook, Communicator
 from ..core.compression import FP16_MAX, Fp16Codec, IdentityCodec, WireCodec
 
 __all__ = [
@@ -68,7 +71,6 @@ __all__ = [
     "OpRecord",
     "SanitizedFp16Codec",
     "SanitizedWireCodec",
-    "SanitizedWorkHandle",
     "Sanitizer",
     "SanitizerError",
     "assert_clean_retry_state",
@@ -191,46 +193,15 @@ def _describe(values: np.ndarray, indices: np.ndarray) -> str:
     return pairs + extra
 
 
-class SanitizedWorkHandle:
-    """Tracking wrapper around a :class:`WorkHandle`.
-
-    Returned by the sanitizer's ``i*`` collectives; remembers whether
-    :meth:`wait` ran so :meth:`Sanitizer.finish` can name every handle
-    that was issued and then dropped.  All other attributes delegate to
-    the wrapped handle.
-    """
-
-    def __init__(self, handle: WorkHandle, record: OpRecord):
-        self._handle = handle
-        self.record = record
-
-    def __getattr__(self, name: str):
-        return getattr(self._handle, name)
-
-    def wait(self) -> list[np.ndarray]:
-        """Complete the collective (delegates to the wrapped handle)."""
-        return self._handle.wait()
-
-    def is_complete(self) -> bool:
-        """Whether the underlying work has been awaited."""
-        return self._handle.is_complete()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "complete" if self.is_complete() else "pending"
-        return (
-            f"SanitizedWorkHandle({self.record.op}"
-            f"[tag={self.record.tag!r}], {state})"
-        )
-
-
-class Sanitizer:
-    """Validating wrapper around a communicator.
+class Sanitizer(CollectiveHook):
+    """Validating hook on a communicator's collective funnel.
 
     Parameters
     ----------
     comm:
-        The communicator (or :class:`FailingCommunicator`, or another
-        wrapper) whose collectives should be checked.
+        The communicator (or :class:`~repro.cluster.failures.\
+ChaosCommunicator`) whose collectives should be checked; the sanitizer
+        appends itself to ``comm.hooks``.
     require_scope:
         When True, any collective issued while the ledger's scope stack
         is empty raises — the static counterpart is lint rule REPRO003.
@@ -242,15 +213,17 @@ class Sanitizer:
         in an FP16-compressed run, the dynamic counterpart of REPRO002.
     lockstep:
         Attach a :class:`~repro.cluster.lockstep.LockstepVerifier` to
-        the wrapped communicator: True builds one with defaults, or pass
-        a pre-configured verifier.  Its per-rank fingerprint streams are
+        the communicator: True builds one with defaults, or pass a
+        pre-configured verifier.  Its per-rank fingerprint streams are
         cross-checked by :meth:`finish` (the dynamic counterpart of
         REPRO010/011) and its buffer hashes catch in-flight mutation
         (REPRO012).
 
-    All non-collective attributes (``world_size``, ``ledger``,
-    ``devices``, ...) delegate to the wrapped communicator, so a
-    ``Sanitizer`` drops into any code that takes a ``Communicator``.
+    Every other attribute (``world_size``, ``ledger``, ``allreduce``,
+    ``axis``, ...) delegates to the communicator, so a ``Sanitizer``
+    drops into any code that takes a ``Communicator`` — and because the
+    checks sit on the funnel, collectives issued on the communicator
+    directly (or on one of its axis views) are validated just the same.
     """
 
     def __init__(
@@ -266,60 +239,99 @@ class Sanitizer:
         self.check_finite = check_finite
         self.forbid_dtypes = tuple(np.dtype(d) for d in forbid_dtypes)
         self.op_log: list[OpRecord] = []
-        self._issued_handles: list[SanitizedWorkHandle] = []
         self._rank_issue_logs: dict[int, list[OpRecord]] = {}
         self.lockstep = None
+        comm.hooks.append(self)
         if lockstep:
             from ..cluster.lockstep import LockstepVerifier
 
             if isinstance(lockstep, LockstepVerifier):
                 self.lockstep = lockstep
-                comm.verifier = lockstep
+                comm.hooks.append(lockstep)
             else:
                 self.lockstep = LockstepVerifier.attach(comm)
 
     def __getattr__(self, name: str):
         return getattr(self._comm, name)
 
+    @property
+    def mesh(self):
+        """The communicator's mesh (assignable through the sanitizer)."""
+        return self._comm.mesh
+
+    @mesh.setter
+    def mesh(self, mesh) -> None:
+        self._comm.mesh = mesh
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Sanitizer({self._comm!r})"
 
     # ------------------------------------------------------------------
-    # checks
+    # funnel hooks
     # ------------------------------------------------------------------
 
-    def _validate(
+    def pre_issue(self, comm, op: str, tag: str, arrays) -> None:
+        """Validate one collective before it touches any state."""
+        if arrays is not None:
+            world = comm.world_size
+            if len(arrays) != world:
+                raise CollectiveMismatchError(
+                    f"{op}[tag={tag!r}]: got {len(arrays)} per-rank arrays "
+                    f"for a {world}-rank communicator — on a real cluster "
+                    f"{abs(len(arrays) - world)} rank(s) would hang in this "
+                    "collective"
+                )
+            for ranks in comm.groups:
+                self._validate_ring(op, tag, arrays, ranks)
+        self._check_scope(op, tag)
+        self.op_log.append(
+            OpRecord(
+                op=op,
+                shapes=() if arrays is None else tuple(a.shape for a in arrays),
+                dtype="" if arrays is None else str(arrays[0].dtype),
+                tag=tag,
+            )
+        )
+
+    def on_barrier(self, comm, tag: str) -> None:
+        """Scope-check and log a barrier."""
+        self._check_scope("barrier", tag)
+        self.op_log.append(OpRecord("barrier", (), "", tag))
+
+    def _check_scope(self, op: str, tag: str) -> None:
+        if self.require_scope and self._comm.ledger.current_scope == "":
+            raise SanitizerError(
+                f"{op}[tag={tag!r}] issued outside any ledger scope: wrap "
+                "the call in `with comm.ledger.scope(name):` so its cost "
+                "is attributed (lint rule REPRO003)"
+            )
+
+    def _validate_ring(
         self,
         op: str,
-        arrays: Sequence[np.ndarray],
         tag: str,
-        ragged_leading: bool = False,
+        arrays: Sequence[np.ndarray],
+        ranks: Sequence[int],
     ) -> None:
-        world = self._comm.world_size
-        if len(arrays) != world:
-            raise CollectiveMismatchError(
-                f"{op}[tag={tag!r}]: got {len(arrays)} per-rank arrays for "
-                f"a {world}-rank communicator — on a real cluster "
-                f"{abs(len(arrays) - world)} rank(s) would hang in this "
-                "collective"
-            )
-        for rank, a in enumerate(arrays):
-            if not isinstance(a, np.ndarray):
+        """Type, dtype, shape and payload hygiene among one ring's ranks."""
+        for rank in ranks:
+            if not isinstance(arrays[rank], np.ndarray):
                 raise CollectiveMismatchError(
                     f"{op}[tag={tag!r}]: rank {rank} supplied "
-                    f"{type(a).__name__}, not an ndarray"
+                    f"{type(arrays[rank]).__name__}, not an ndarray"
                 )
 
-        dtypes = {a.dtype for a in arrays}
-        if len(dtypes) > 1:
-            detail = ", ".join(
-                f"rank {r}: {a.dtype}" for r, a in enumerate(arrays)
-            )
+        def per_rank(fmt) -> str:
+            return ", ".join(f"rank {r}: {fmt(arrays[r])}" for r in ranks)
+
+        first = arrays[ranks[0]]
+        dtype = first.dtype
+        if any(arrays[r].dtype != dtype for r in ranks):
             raise CollectiveMismatchError(
-                f"{op}[tag={tag!r}]: per-rank dtype mismatch ({detail}) — "
+                f"{op}[tag={tag!r}]: per-rank dtype mismatch "
+                f"({per_rank(lambda a: a.dtype)}) — "
                 "at least one rank fell off the wire-format discipline"
             )
-        dtype = arrays[0].dtype
         if dtype in self.forbid_dtypes:
             raise CollectiveMismatchError(
                 f"{op}[tag={tag!r}]: payload dtype {dtype} is forbidden on "
@@ -327,29 +339,28 @@ class Sanitizer:
                 "doubles every wire-byte count in Tables III-V)"
             )
 
-        shapes = [a.shape for a in arrays]
-        if ragged_leading:
-            trailing = {a.shape[1:] for a in arrays}
-            ndims = {a.ndim for a in arrays}
-            if len(ndims) > 1 or len(trailing) > 1:
-                detail = ", ".join(
-                    f"rank {r}: {s}" for r, s in enumerate(shapes)
-                )
+        if op == "allgather":  # allgatherv: ragged leading dim only
+            if any(
+                arrays[r].ndim != first.ndim
+                or arrays[r].shape[1:] != first.shape[1:]
+                for r in ranks
+            ):
                 raise CollectiveMismatchError(
                     f"{op}[tag={tag!r}]: per-rank shapes disagree beyond "
-                    f"the gather axis ({detail}) — allgatherv permits "
-                    "ragged leading dims only"
+                    f"the gather axis ({per_rank(lambda a: a.shape)}) — "
+                    "allgatherv permits ragged leading dims only"
                 )
-        elif len(set(shapes)) > 1:
-            detail = ", ".join(f"rank {r}: {s}" for r, s in enumerate(shapes))
+        elif any(arrays[r].shape != first.shape for r in ranks):
             raise CollectiveMismatchError(
-                f"{op}[tag={tag!r}]: per-rank shape mismatch ({detail}) — "
+                f"{op}[tag={tag!r}]: per-rank shape mismatch "
+                f"({per_rank(lambda a: a.shape)}) — "
                 "every rank must contribute the same signature or the "
                 "reduction is undefined"
             )
 
         if self.check_finite:
-            for rank, a in enumerate(arrays):
+            for rank in ranks:
+                a = arrays[rank]
                 bad = np.flatnonzero(~np.isfinite(a))
                 if bad.size:
                     raise CollectiveMismatchError(
@@ -368,132 +379,6 @@ class Sanitizer:
                             "wire; lower the scale factor"
                         )
 
-        if self.require_scope and self._comm.ledger.current_scope == "":
-            raise SanitizerError(
-                f"{op}[tag={tag!r}] issued outside any ledger scope: wrap "
-                "the call in `with comm.ledger.scope(name):` so its cost "
-                "is attributed (lint rule REPRO003)"
-            )
-
-        self.op_log.append(
-            OpRecord(
-                op=op,
-                shapes=tuple(a.shape for a in arrays),
-                dtype=str(dtype),
-                tag=tag,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # collectives (delegate after validation)
-    # ------------------------------------------------------------------
-
-    def allreduce(
-        self,
-        arrays: Sequence[np.ndarray],
-        tag: str = "",
-        payload_bytes: int | None = None,
-    ) -> list[np.ndarray]:
-        self._validate("allreduce", arrays, tag)
-        return self._comm.allreduce(arrays, tag=tag, payload_bytes=payload_bytes)
-
-    def allgather(
-        self,
-        arrays: Sequence[np.ndarray],
-        tag: str = "",
-        payload_bytes: int | None = None,
-    ) -> list[np.ndarray]:
-        self._validate("allgather", arrays, tag, ragged_leading=True)
-        return self._comm.allgather(arrays, tag=tag, payload_bytes=payload_bytes)
-
-    def broadcast(
-        self, arrays: Sequence[np.ndarray], root: int = 0, tag: str = ""
-    ) -> list[np.ndarray]:
-        self._validate("broadcast", arrays, tag)
-        return self._comm.broadcast(arrays, root=root, tag=tag)
-
-    def reduce_scatter(
-        self, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> list[np.ndarray]:
-        self._validate("reduce_scatter", arrays, tag)
-        return self._comm.reduce_scatter(arrays, tag=tag)
-
-    # Non-blocking variants validate at issue (the moment the payload
-    # hits the wire on a real stack) and wrap the returned handle so
-    # dropped work is detectable at finish().  They must be explicit
-    # methods: ``__getattr__`` delegation would hand back the raw
-    # communicator's ``i*`` and bypass every check.
-
-    def _issue_checked(self, handle: WorkHandle) -> SanitizedWorkHandle:
-        wrapped = SanitizedWorkHandle(handle, self.op_log[-1])
-        self._issued_handles.append(wrapped)
-        return wrapped
-
-    def iallreduce(
-        self,
-        arrays: Sequence[np.ndarray],
-        tag: str = "",
-        payload_bytes: int | None = None,
-        shared_result: bool = False,
-        stacked: np.ndarray | None = None,
-    ) -> SanitizedWorkHandle:
-        """Validated non-blocking allreduce; the handle is tracked."""
-        self._validate("allreduce", arrays, tag)
-        return self._issue_checked(
-            self._comm.iallreduce(
-                arrays,
-                tag=tag,
-                payload_bytes=payload_bytes,
-                shared_result=shared_result,
-                stacked=stacked,
-            )
-        )
-
-    def iallgather(
-        self,
-        arrays: Sequence[np.ndarray],
-        tag: str = "",
-        payload_bytes: int | None = None,
-        shared_result: bool = False,
-    ) -> SanitizedWorkHandle:
-        """Validated non-blocking allgather; the handle is tracked."""
-        self._validate("allgather", arrays, tag, ragged_leading=True)
-        return self._issue_checked(
-            self._comm.iallgather(
-                arrays,
-                tag=tag,
-                payload_bytes=payload_bytes,
-                shared_result=shared_result,
-            )
-        )
-
-    def ibroadcast(
-        self, arrays: Sequence[np.ndarray], root: int = 0, tag: str = ""
-    ) -> SanitizedWorkHandle:
-        """Validated non-blocking broadcast; the handle is tracked."""
-        self._validate("broadcast", arrays, tag)
-        return self._issue_checked(
-            self._comm.ibroadcast(arrays, root=root, tag=tag)
-        )
-
-    def ireduce_scatter(
-        self, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> SanitizedWorkHandle:
-        """Validated non-blocking reduce-scatter; the handle is tracked."""
-        self._validate("reduce_scatter", arrays, tag)
-        return self._issue_checked(
-            self._comm.ireduce_scatter(arrays, tag=tag)
-        )
-
-    def barrier(self, tag: str = "") -> None:
-        if self.require_scope and self._comm.ledger.current_scope == "":
-            raise SanitizerError(
-                f"barrier[tag={tag!r}] issued outside any ledger scope "
-                "(lint rule REPRO003)"
-            )
-        self.op_log.append(OpRecord("barrier", (), "", tag))
-        self._comm.barrier(tag=tag)
-
     # ------------------------------------------------------------------
     # end-of-run invariants
     # ------------------------------------------------------------------
@@ -501,14 +386,14 @@ class Sanitizer:
     def finish(self) -> list[OpRecord]:
         """End-of-run checks; returns the op log.
 
-        Raises :class:`DroppedHandleError` if any ``i*`` collective
-        issued through this sanitizer was never awaited, then verifies
-        the ledger's scope stack is balanced.
+        Raises :class:`DroppedHandleError` if any collective is still
+        in flight on the communicator (issued, never awaited), then
+        verifies the ledger's scope stack is balanced.
         """
-        dropped = [h for h in self._issued_handles if not h.is_complete()]
+        dropped = self._comm.pending_work
         if dropped:
             detail = ", ".join(
-                f"{h.record.op}[tag={h.record.tag!r}]" for h in dropped[:5]
+                f"{h.op}[tag={h.tag!r}]" for h in dropped[:5]
             )
             extra = "" if len(dropped) <= 5 else f" (+{len(dropped) - 5} more)"
             raise DroppedHandleError(

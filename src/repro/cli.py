@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use the ALLGATHER baseline instead of the "
                          "paper's unique exchange")
     p_train.add_argument("--fp16", action="store_true",
-                         help="enable FP16 compression-scaling on the wire")
+                         help="enable FP16 compression-scaling on the wire "
+                         "(sugar for an fp16 value slot in --wire-codec)")
     p_train.add_argument("--wire-codec", default=None,
                          choices=["auto", "fp16", "delta", "rle", "entropy",
                                   "none"],
@@ -73,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run dense gradient allreduces as fused "
                          "compress-reduce rings: the value codec is applied "
                          "inside the collective and partial sums travel "
-                         "compressed (bit-identical numerics; flat ring "
-                         "only, not with --mesh)")
+                         "compressed (bit-identical numerics; with --mesh "
+                         "the ring runs per data subgroup)")
     p_train.add_argument("--wire-learn", action="store_true",
                          help="after each epoch, feed measured wire "
                          "telemetry back into the adaptive selector's "
@@ -85,14 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "'G/4' or an empty value means 'whatever remains'; "
                          "the product must equal --gpus); gradient sync "
                          "runs on the data axis only and pipeline "
-                         "activation sends are charged on the pipe axis")
+                         "activation sends are charged on the pipe axis; "
+                         "composes with every other flag")
     p_train.add_argument("--seed-strategy", default="per_rank",
                          choices=[s.value for s in _seed_strategies()])
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--sanitize", action="store_true",
-                         help="wrap the communicator and codec in the "
-                         "runtime sanitizer (collective mismatch, FP16 "
-                         "overflow, and ledger-scope checking)")
+                         help="hook the runtime sanitizer onto the "
+                         "communicator and codecs (collective mismatch, "
+                         "FP16 overflow, and ledger-scope checking)")
     p_train.add_argument("--overlap", action=argparse.BooleanOptionalAction,
                          default=False,
                          help="issue gradient collectives layer-by-layer "
@@ -266,20 +268,6 @@ def _validate_train_args(args: argparse.Namespace) -> str | None:
         mesh = hybrid_mesh(args.mesh, args.gpus)
     except ValueError as exc:
         return f"--mesh {args.mesh!r} is invalid for --gpus {args.gpus}: {exc}"
-    if args.fp16 or args.wire_codec is not None:
-        return ("--mesh does not compose with --fp16/--wire-codec: the "
-                "sharded data-axis exchange carries raw values; drop the "
-                "codec flags or the mesh")
-    if args.fused_reduce:
-        return ("--fused-reduce rides the flat ring; it does not compose "
-                "with --mesh")
-    if args.overlap:
-        return ("--mesh uses the blocking sync schedule; drop --overlap "
-                "(numerics are identical either way)")
-    if args.sanitize:
-        return ("--mesh and --sanitize are mutually exclusive: the "
-                "sanitizer wraps the flat communicator API, not the "
-                "per-axis mesh collectives")
     if (args.resilient or args.fault_plan is not None) and (
         mesh.axis_size("data") == 1
     ):
@@ -290,8 +278,16 @@ def _validate_train_args(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _wire_spec(args: argparse.Namespace) -> str | None:
+    """The ``TrainConfig.wire_codec`` spec: ``--fp16`` is sugar for its value slot."""
+    spec = args.wire_codec
+    if not args.fp16 or spec == "fp16":
+        return spec
+    return "fp16" if spec in (None, "none") else f"fp16+{spec}"
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.core import Fp16Codec, SeedStrategy
+    from repro.core import SeedStrategy
     from repro.data import BatchSpec, ONE_BILLION_WORD, TIEBA, make_corpus
     from repro.optim import SGD, Adam
     from repro.train import (
@@ -314,13 +310,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     preset = ONE_BILLION_WORD if is_word else TIEBA
     corpus = make_corpus(preset.scaled(args.vocab), args.corpus_tokens,
                          seed=args.seed)
-    codec = Fp16Codec(512.0) if args.fp16 else None
     comm = None
     if args.sanitize:
-        from repro.analysis import Sanitizer, sanitize_codec
+        from repro.analysis import Sanitizer
         from repro.cluster import Communicator
 
-        codec = sanitize_codec(codec)
         comm = Sanitizer(
             Communicator(args.gpus, track_memory=False),
             require_scope=True,
@@ -336,10 +330,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         batch=BatchSpec(2, 10),
         base_lr=0.3 if is_word else 3e-3,
         use_unique=not args.baseline,
-        codec=codec,
         seed_strategy=SeedStrategy(args.seed_strategy),
         overlap=args.overlap,
-        wire_codec=args.wire_codec,
+        wire_codec=_wire_spec(args),
         wire_chunk_bytes=args.wire_chunk_bytes,
         wire_sanitize=args.sanitize,
         fused_reduce=args.fused_reduce,
@@ -394,8 +387,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         from repro.telemetry import MetricsRegistry
 
         trainer.comm.metrics = MetricsRegistry()
-    if args.verify_spmd and trainer.mesh_comm is not None:
-        trainer.mesh_comm.attach_axis_verifiers()
 
     print(f"{args.model} LM | {args.gpus} simulated GPUs | vocab {args.vocab} "
           f"| exchange: {'allgather' if args.baseline else 'unique'}"
@@ -439,9 +430,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
             print(f"lockstep: {verifier.collectives_observed} collective(s) "
                   f"fingerprint-verified across "
                   f"{len(verifier.live_ranks)} rank(s), 0 divergences")
-        if trainer.mesh_comm is not None:
-            trainer.mesh_comm.check_axes("train: end of run")
-            print("lockstep: per-axis mesh subgroups verified, 0 divergences")
+            if verifier.axis_rings:
+                print("lockstep: per-axis mesh subgroups "
+                      f"({', '.join(sorted(verifier.axis_rings))}) verified, "
+                      "0 divergences")
     if session is not None:
         summary = session.finalize()
         print(f"telemetry: {summary['steps']} steps, "

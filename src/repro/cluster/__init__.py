@@ -20,13 +20,13 @@ from .collectives import (
     ring_broadcast_time,
     ring_reduce_scatter_time,
 )
-from .communicator import Communicator, WorkHandle
+from .communicator import CollectiveHook, Communicator, WorkHandle
 from .failures import (
     ChaosCommunicator,
-    FailingCommunicator,
     FaultEvent,
     FaultKind,
     FaultPlan,
+    FaultReplay,
     RankFailureError,
     TransientLinkError,
     degrade_fabric,
@@ -37,7 +37,6 @@ from .lockstep import LockstepReport, LockstepVerifier
 from .mesh import (
     HYBRID_AXES,
     DeviceMesh,
-    MeshCommunicator,
     hybrid_mesh,
     parse_mesh_spec,
 )
@@ -62,7 +61,6 @@ from .process_group import (
     ProcessGroup,
     group_of_rank,
     partition_ranks,
-    sub_communicator,
 )
 from .timeline import (
     COMM_STREAM,
@@ -81,6 +79,7 @@ from .tracing import (
 )
 
 __all__ = [
+    "CollectiveHook",
     "Communicator",
     "WorkHandle",
     "Timeline",
@@ -91,13 +90,13 @@ __all__ = [
     "events_to_chrome",
     "LedgerResetError",
     "LedgerScopeError",
-    "FailingCommunicator",
     "RankFailureError",
     "TransientLinkError",
     "ChaosCommunicator",
     "FaultKind",
     "FaultEvent",
     "FaultPlan",
+    "FaultReplay",
     "degrade_fabric",
     "inject_straggler",
     "hierarchical_allreduce",
@@ -105,7 +104,6 @@ __all__ = [
     "LockstepVerifier",
     "LockstepReport",
     "DeviceMesh",
-    "MeshCommunicator",
     "HYBRID_AXES",
     "hybrid_mesh",
     "parse_mesh_spec",
@@ -128,7 +126,6 @@ __all__ = [
     "ProcessGroup",
     "partition_ranks",
     "group_of_rank",
-    "sub_communicator",
     "allreduce_arrays",
     "allgather_arrays",
     "broadcast_arrays",

@@ -34,24 +34,77 @@ blocks the compute streams at the collective's timeline end.  The
 blocking methods are exactly ``issue + wait``, so existing callers see
 identical numerics, ledger totals, and peak footprints.
 
+One funnel, axis-addressed
+--------------------------
+A communicator knows its :class:`~repro.cluster.mesh.DeviceMesh` (a
+plain ``Communicator(G)`` is the one-axis ``data=G`` world) and every
+collective is defined once, parameterised by the **group set it rings
+over**.  :meth:`Communicator.axis` returns a view bound to one mesh
+axis: same ledger, timeline, devices, pending set and hooks, but its
+collectives reduce independently inside each subgroup of the axis.  The
+per-rank list is always indexed by *flat* rank; disjoint subgroups run
+concurrently on disjoint links, so one collective is **one** ledger
+event and **one** timeline ticket costed on the largest subgroup's ring
+over the axis link, tagged ``axis:tag``.  An axis that spans the whole
+world *is* the communicator itself — which is why flat data-parallel
+training and a ``(1, 1, G)`` mesh are the same code path, byte for byte.
+
+Observers attach through one ordered hook protocol
+(:class:`CollectiveHook`): ``pre_issue`` before anything is touched
+(fault replay raises here; the sanitizer validates here),
+``post_issue`` once the handle exists (the lockstep verifier
+fingerprints here), ``on_wait`` and ``on_barrier``.  Because the hooks
+sit on the funnel, they see blocking, non-blocking, per-axis and
+explicitly-scheduled (:meth:`Communicator.issue_scheduled`) collectives
+alike.
+
 The API mirrors mpi4py's buffer-object conventions (`Allreduce`,
 `Allgather`, ...) in lower-case, operating on numpy arrays directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import copy
+from collections.abc import Callable, Sequence
 from contextlib import ExitStack
+from functools import lru_cache
 
 import numpy as np
 
 from . import collectives as coll
 from .device import DeviceSpec, ScopedAllocation, SimulatedDevice, TITAN_X
 from .interconnect import Interconnect, PAPER_CLUSTER_FABRIC
+from .mesh import DeviceMesh
 from .timeline import Timeline
 from .tracing import CostLedger
 
-__all__ = ["Communicator", "WorkHandle"]
+__all__ = ["CollectiveHook", "Communicator", "WorkHandle"]
+
+
+class CollectiveHook:
+    """Observer protocol of the collective funnel (all methods optional).
+
+    Hooks live in :attr:`Communicator.hooks` and run in attach order.
+    ``comm`` is the issuing communicator — the root or an
+    :meth:`Communicator.axis` view, so ``comm.groups`` / ``comm.axis_name``
+    say which rings the collective runs over.
+    """
+
+    def pre_issue(self, comm, op: str, tag: str, arrays) -> None:
+        """Before any state is touched; raising aborts the collective.
+
+        ``arrays`` is the caller's per-rank payload list (None for
+        payload-free steps such as transfers and fused ring hops).
+        """
+
+    def post_issue(self, comm, handle: "WorkHandle", arrays) -> None:
+        """After the collective is scheduled, recorded and enqueued."""
+
+    def on_wait(self, handle: "WorkHandle") -> None:
+        """First ``wait()`` of a handle, before its scratch is released."""
+
+    def on_barrier(self, comm, tag: str) -> None:
+        """Before a barrier is scheduled; raising aborts it."""
 
 
 class WorkHandle:
@@ -97,8 +150,8 @@ class WorkHandle:
         ``wait()`` returns the cached results without re-accounting.
         """
         if not self._complete:
-            if self._comm.verifier is not None:
-                self._comm.verifier.observe_wait(self)
+            for hook in self._comm.hooks:
+                hook.on_wait(self)
             self._complete = True
             self._scratch.close()
             self._comm._pending.discard(self)
@@ -117,6 +170,24 @@ class WorkHandle:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "complete" if self._complete else "pending"
         return f"WorkHandle(op={self.op!r}, tag={self.tag!r}, {state})"
+
+
+#: op -> (wire bytes per rank, alpha-beta ring time) cost models.
+_RING_COST = {
+    "allreduce": (coll.allreduce_wire_bytes, coll.ring_allreduce_time),
+    "allgather": (coll.allgather_wire_bytes, coll.ring_allgather_time),
+    "broadcast": (coll.broadcast_wire_bytes, coll.ring_broadcast_time),
+    "reduce_scatter": (
+        coll.reduce_scatter_wire_bytes, coll.ring_reduce_scatter_time,
+    ),
+}
+
+
+@lru_cache(maxsize=1024)
+def _axis_rings(mesh: DeviceMesh, axis: str, fabric: Interconnect):
+    """``(rank tuples, link)`` of one mesh axis — immutable, so memoized."""
+    groups = tuple(g.ranks for g in mesh.groups(axis))
+    return groups, mesh.axis_link(axis, fabric)
 
 
 class Communicator:
@@ -141,6 +212,11 @@ class Communicator:
         Optional shared event timeline; a fresh one is created if
         omitted.  All collectives — blocking and non-blocking — are
         scheduled onto it.
+    mesh:
+        Named-axis layout of the ranks; defaults to the one-axis
+        ``data=world_size`` world.  Assignable later (the trainer sets
+        the configured hybrid mesh on whatever communicator it is
+        given); :meth:`axis` addresses its axes.
 
     Notes
     -----
@@ -161,6 +237,7 @@ class Communicator:
         ledger: CostLedger | None = None,
         track_memory: bool = True,
         timeline: Timeline | None = None,
+        mesh: DeviceMesh | None = None,
     ):
         if world_size <= 0:
             raise ValueError(f"world_size must be positive, got {world_size}")
@@ -177,34 +254,150 @@ class Communicator:
         self.devices = [
             SimulatedDevice(device_id=r, spec=device_spec) for r in range(world_size)  # mesh-ok: one simulated device per flat rank by definition
         ]
+        self.mesh = (
+            mesh if mesh is not None else DeviceMesh(("data",), (world_size,))
+        )
+        #: The rings this communicator's collectives run over, as rank
+        #: tuples: the whole world here, one per subgroup on an
+        #: :meth:`axis` view (whose ``axis_name`` names the axis).
+        self.axis_name: str | None = None
+        self.groups: tuple[tuple[int, ...], ...] = (tuple(range(world_size)),)  # mesh-ok: the root ring is every flat rank by definition
+        self.ring_size = world_size
+        self.link = fabric.ring_link(world_size)
+        #: Ordered :class:`CollectiveHook` observers (shared with views).
+        self.hooks: list[CollectiveHook] = []
         self._pending: set[WorkHandle] = set()
-        # Hot-path caches: the ring link for this (fabric, world) pair is
-        # immutable, and the telemetry counter families resolve to the
-        # same objects on every issue — derive both once, not per call.
-        self._ring_link_cache = None
+        #: The communicator an :meth:`axis` view was taken from (None on
+        #: the root itself — a self-reference would be a cycle that only
+        #: the cyclic garbage collector could free).
+        self._view_of: Communicator | None = None
+        # Hot-path cache: the telemetry counter families resolve to the
+        # same objects on every issue — kept on the root, for all views.
         self._metric_counters = None
         #: Optional telemetry registry (set by TelemetrySession.track).
         self.metrics = None
-        #: Optional lockstep verifier (set by LockstepVerifier.attach);
-        #: observes every issue/wait/barrier for SPMD cross-checking.
-        self.verifier = None
+
+    @property
+    def mesh(self) -> DeviceMesh:
+        """The named-axis layout :meth:`axis` addresses."""
+        return self._mesh
+
+    @mesh.setter
+    def mesh(self, mesh: DeviceMesh) -> None:
+        if mesh.size != self.world_size:
+            raise ValueError(
+                f"mesh has {mesh.size} rank(s) but communicator world "
+                f"size is {self.world_size}"
+            )
+        self._mesh = mesh
+
+    def axis(self, name: str) -> "Communicator":
+        """The communicator whose collectives ring over ``name``'s subgroups.
+
+        The view shares this communicator's ledger, timeline, devices,
+        pending set and hooks; only the group set, ring size and link
+        differ.  Per-rank lists stay indexed by flat rank.  Views are
+        cheap snapshots — take one where it is used rather than holding
+        it across reconfiguration (``mesh`` / ``metrics`` assignment).
+        An axis spanning the whole world is this communicator itself.
+        """
+        root = self._root
+        groups, link = _axis_rings(root.mesh, name, root.fabric)
+        if len(groups) == 1:
+            return root
+        view = copy.copy(root)
+        view._view_of = root
+        view.axis_name = name
+        view.groups = groups
+        view.ring_size = len(groups[0])
+        view.link = link
+        return view
+
+    @property
+    def _root(self) -> "Communicator":
+        return self if self._view_of is None else self._view_of
+
+    @property
+    def verifier(self):
+        """The attached :class:`~repro.cluster.lockstep.LockstepVerifier`, if any."""
+        from .lockstep import LockstepVerifier
+
+        for hook in self.hooks:
+            if isinstance(hook, LockstepVerifier):
+                return hook
+        return None
 
     # ------------------------------------------------------------------
-    # helpers
+    # the funnel
     # ------------------------------------------------------------------
 
-    def _check_ranks(self, arrays: Sequence[np.ndarray], op: str) -> None:
-        if len(arrays) != self.world_size:
+    def by_group(
+        self, arrays: Sequence, fn: Callable[[list, int], Sequence]
+    ) -> list:
+        """Run ``fn(member_arrays, group_index)`` per ring.
+
+        Each ring's per-member results land back at the members' flat
+        ranks; with one ring this is ``fn(arrays, 0)`` itself.
+        """
+        if len(self.groups) == 1:
+            return fn(arrays, 0)
+        out: list = [None] * self.world_size
+        for i, ranks in enumerate(self.groups):
+            for r, res in zip(ranks, fn([arrays[r] for r in ranks], i)):
+                out[r] = res
+        return out
+
+    def _pre_issue(self, op: str, tag: str, arrays) -> None:
+        """Run the pre-issue hooks, then check the per-rank list length."""
+        for hook in self.hooks:
+            hook.pre_issue(self, op, tag, arrays)
+        if arrays is not None and len(arrays) != self.world_size:
             raise ValueError(
                 f"{op}: got {len(arrays)} per-rank arrays for a "
                 f"{self.world_size}-rank communicator"
             )
 
-    def _ring_link(self):
-        link = self._ring_link_cache
-        if link is None:
-            link = self._ring_link_cache = self.fabric.ring_link(self.world_size)
-        return link
+    def _ring_bytes(self, arrays: Sequence[np.ndarray], member: int = 0) -> int:
+        """Message size of the largest ring (its ``member``-th rank's array).
+
+        Reduce-family payloads are uniform within a ring but may differ
+        across rings (each model shard has its own shape); rings run
+        concurrently, so the largest one sets the cost.
+        """
+        return max(int(arrays[ranks[member]].nbytes) for ranks in self.groups)
+
+    def _ring_collective(
+        self,
+        op: str,
+        arrays: Sequence[np.ndarray],
+        tag: str,
+        numerics: Callable[[list, int], Sequence],
+        nbytes: int,
+        scratch_bytes: int,
+        payload_bytes: int | None = None,
+    ) -> WorkHandle:
+        """Issue one ring collective of ``nbytes`` messages (hooks ran).
+
+        Numerics run per ring; the single event is costed by the op's
+        wire-byte and ring-time models over this communicator's ring
+        size and link.  ``payload_bytes`` (pre-codec message size) is
+        converted the same way for measured-compression reporting.
+        """
+        n = self.ring_size
+        wire_bytes, ring_time = _RING_COST[op]
+        return self._issue(
+            op=op,
+            results=self.by_group(arrays, numerics),
+            scratch_bytes=scratch_bytes,
+            scratch_tag=f"{op}-recv:{tag}",
+            wire_bytes_per_rank=wire_bytes(n, nbytes),
+            time_s=ring_time(n, nbytes, self.link),
+            tag=tag,
+            payload_bytes_per_rank=(
+                None if payload_bytes is None else wire_bytes(n, payload_bytes)
+            ),
+            payload=arrays,
+        )
 
     def _issue(
         self,
@@ -221,10 +414,11 @@ class Communicator:
         """Common issue path: charge scratch, schedule, record, enqueue.
 
         ``payload`` is the caller's per-rank array list, forwarded (not
-        copied) to an attached :class:`~repro.cluster.lockstep.\
-LockstepVerifier` so it can fingerprint the envelope and hash the
-        in-flight buffers.
+        copied) to the ``post_issue`` hooks so a lockstep verifier can
+        fingerprint the envelope and hash the in-flight buffers.
         """
+        if self.axis_name is not None:
+            tag = f"{self.axis_name}:{tag}"
         scratch = ExitStack()
         if self.track_memory and scratch_bytes > 0:
             for dev in self.devices:
@@ -243,9 +437,10 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
             payload_bytes_per_rank=payload_bytes_per_rank,
         )
         if self.metrics is not None:
-            cached = self._metric_counters
+            root = self._root
+            cached = root._metric_counters
             if cached is None or cached[0] is not self.metrics:
-                cached = self._metric_counters = (
+                cached = root._metric_counters = (
                     self.metrics,
                     self.metrics.counter(
                         "repro_collectives_total",
@@ -264,8 +459,8 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
             self, op, results, scratch, scratch_bytes, ticket, tag
         )
         self._pending.add(handle)
-        if self.verifier is not None:
-            self.verifier.observe_issue(handle, payload)
+        for hook in self.hooks:
+            hook.post_issue(self, handle, payload)
         return handle
 
     # ------------------------------------------------------------------
@@ -278,7 +473,7 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
         tag: str = "",
         payload_bytes: int | None = None,
         shared_result: bool = False,
-        stacked: np.ndarray | None = None,
+        stacked: np.ndarray | Sequence[np.ndarray] | None = None,
     ) -> WorkHandle:
         """Non-blocking sum-allreduce; ring algorithm cost model.
 
@@ -291,36 +486,31 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
         payload size: codec layers pass it so the ledger can report the
         measured compression factor alongside the encoded wire bytes.
 
-        ``shared_result`` hands every rank the *same* result array (the
-        values are identical anyway); callers promise read-only use.
-        Accounting (scratch, wire bytes, timeline) is unchanged — only
-        host-side buffer copies are skipped.
+        ``shared_result`` hands every rank of a ring the *same* result
+        array (the values are identical anyway); callers promise
+        read-only use.  Accounting (scratch, wire bytes, timeline) is
+        unchanged — only host-side buffer copies are skipped.
 
-        ``stacked`` is the caller's assertion that ``arrays`` are, in
-        order, the rows of this one ``(world, ...)`` block — letting the
-        reduction skip restacking ``world`` views.  Bits, accounting and
-        results are identical to the unstacked call.
+        ``stacked`` is the caller's assertion that each ring's arrays
+        are, in member order, the rows of one ``(ring, ...)`` block —
+        letting the reduction skip restacking the views.  Pass one block
+        per ring (in :attr:`groups` order), or the bare block on a
+        one-ring communicator.  Bits, accounting and results are
+        identical to the unstacked call.
         """
-        self._check_ranks(arrays, "allreduce")
-        nbytes = int(arrays[0].nbytes)
-        return self._issue(
-            op="allreduce",
-            results=coll.allreduce_arrays(
-                arrays, shared_result=shared_result, stacked=stacked
-            ),
-            scratch_bytes=nbytes,
-            scratch_tag=f"allreduce-recv:{tag}",
-            wire_bytes_per_rank=coll.allreduce_wire_bytes(self.world_size, nbytes),
-            time_s=coll.ring_allreduce_time(
-                self.world_size, nbytes, self._ring_link()
-            ),
-            tag=tag,
-            payload_bytes_per_rank=(
-                None
-                if payload_bytes is None
-                else coll.allreduce_wire_bytes(self.world_size, payload_bytes)
-            ),
-            payload=arrays,
+        self._pre_issue("allreduce", tag, arrays)
+
+        def reduce(sub: list, ring: int) -> list:
+            block = stacked
+            if block is not None and not isinstance(block, np.ndarray):
+                block = block[ring]
+            return coll.allreduce_arrays(
+                sub, shared_result=shared_result, stacked=block
+            )
+
+        nbytes = self._ring_bytes(arrays)
+        return self._ring_collective(
+            "allreduce", arrays, tag, reduce, nbytes, nbytes, payload_bytes
         )
 
     def iallgather(
@@ -332,79 +522,56 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
     ) -> WorkHandle:
         """Non-blocking allgather (allgatherv).
 
-        Scratch: every rank must hold the **full gathered result** — the
-        ``Θ(G·K·D)`` footprint that limits the baseline — until
-        ``wait()``.
+        Scratch: every rank must hold the **full gathered result** of
+        its ring — the ``Θ(G·K·D)`` footprint that limits the baseline —
+        until ``wait()``.
 
         ``payload_bytes`` is the optional pre-codec (logical) max
         per-rank contribution, recorded for measured-compression
         reporting (see :meth:`iallreduce`).  ``shared_result`` is as for
-        :meth:`iallreduce`: one shared result object, read-only callers.
+        :meth:`iallreduce`: one shared result object per ring, read-only
+        callers.
         """
-        self._check_ranks(arrays, "allgather")
-        per_rank_bytes = [int(np.atleast_1d(a).nbytes) for a in arrays]
-        total_bytes = sum(per_rank_bytes)
-        max_contrib = max(per_rank_bytes)
-        return self._issue(
-            op="allgather",
-            results=coll.allgather_arrays(arrays, shared_result=shared_result),
-            scratch_bytes=total_bytes,
-            scratch_tag=f"allgather-recv:{tag}",
-            wire_bytes_per_rank=coll.allgather_wire_bytes(
-                self.world_size, max_contrib
-            ),
-            time_s=coll.ring_allgather_time(
-                self.world_size, max_contrib, self._ring_link()
-            ),
-            tag=tag,
-            payload_bytes_per_rank=(
-                None
-                if payload_bytes is None
-                else coll.allgather_wire_bytes(self.world_size, payload_bytes)
-            ),
-            payload=arrays,
+        self._pre_issue("allgather", tag, arrays)
+        contrib = [int(np.atleast_1d(a).nbytes) for a in arrays]
+        return self._ring_collective(
+            "allgather",
+            arrays,
+            tag,
+            lambda sub, _: coll.allgather_arrays(sub, shared_result=shared_result),
+            max(contrib),
+            max(sum(contrib[r] for r in ranks) for ranks in self.groups),
+            payload_bytes,
         )
 
     def ibroadcast(
         self, arrays: Sequence[np.ndarray], root: int = 0, tag: str = ""
     ) -> WorkHandle:
-        """Non-blocking broadcast of the root's array to all ranks."""
-        self._check_ranks(arrays, "broadcast")
-        nbytes = int(arrays[root].nbytes)
-        return self._issue(
-            op="broadcast",
-            results=coll.broadcast_arrays(arrays, root=root),
-            scratch_bytes=nbytes,
-            scratch_tag=f"broadcast-recv:{tag}",
-            wire_bytes_per_rank=coll.broadcast_wire_bytes(
-                self.world_size, nbytes
-            ),
-            time_s=coll.ring_broadcast_time(
-                self.world_size, nbytes, self._ring_link()
-            ),
-            tag=tag,
-            payload=arrays,
+        """Non-blocking broadcast from each ring's ``root``-th member."""
+        self._pre_issue("broadcast", tag, arrays)
+        nbytes = self._ring_bytes(arrays, member=root)
+        return self._ring_collective(
+            "broadcast",
+            arrays,
+            tag,
+            lambda sub, _: coll.broadcast_arrays(sub, root=root),
+            nbytes,
+            nbytes,
         )
 
     def ireduce_scatter(
         self, arrays: Sequence[np.ndarray], tag: str = ""
     ) -> WorkHandle:
         """Non-blocking sum-reduce + scatter of equal shards, one per rank."""
-        self._check_ranks(arrays, "reduce_scatter")
-        nbytes = int(arrays[0].nbytes)
-        return self._issue(
-            op="reduce_scatter",
-            results=coll.reduce_scatter_arrays(arrays),
-            scratch_bytes=nbytes // self.world_size,
-            scratch_tag=f"reduce_scatter-recv:{tag}",
-            wire_bytes_per_rank=coll.reduce_scatter_wire_bytes(
-                self.world_size, nbytes
-            ),
-            time_s=coll.ring_reduce_scatter_time(
-                self.world_size, nbytes, self._ring_link()
-            ),
-            tag=tag,
-            payload=arrays,
+        self._pre_issue("reduce_scatter", tag, arrays)
+        nbytes = self._ring_bytes(arrays)
+        return self._ring_collective(
+            "reduce_scatter",
+            arrays,
+            tag,
+            lambda sub, _: coll.reduce_scatter_arrays(sub),
+            nbytes,
+            nbytes // self.ring_size,
         )
 
     def issue_scheduled(
@@ -427,19 +594,19 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
         :mod:`repro.core.wire.fused` — whose numerics the caller has
         already computed and whose wire time/bytes the caller derives
         from data-dependent encoded frame sizes.  Accounting is the
-        standard :meth:`_issue` funnel: scratch charged to every device
-        until ``wait()``, one ``time_s`` collective placed on the shared
-        link (normal Timeline contention rules apply), a ledger event
-        with the encoded ``wire_bytes_per_rank`` (``payload_bytes_per_rank``
-        rides along for measured-compression reporting), collective
-        metrics counters, and lockstep-verifier observation of
-        ``payload``.  ``wait()`` advances every rank's compute clock to
-        the step's end, exactly like any other collective.
+        standard funnel: hooks, scratch charged to every device until
+        ``wait()``, one ``time_s`` collective placed on the shared link
+        (normal Timeline contention rules apply), a ledger event with
+        the encoded ``wire_bytes_per_rank`` (``payload_bytes_per_rank``
+        rides along for measured-compression reporting) and collective
+        metrics counters.  ``wait()`` advances every rank's compute
+        clock to the step's end, exactly like any other collective.
         """
         if time_s < 0:
             raise ValueError("time_s must be non-negative")
         if wire_bytes_per_rank < 0:
             raise ValueError("wire_bytes_per_rank must be non-negative")
+        self._pre_issue(op, tag, payload)
         return self._issue(
             op=op,
             results=[] if results is None else list(results),
@@ -451,6 +618,24 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
             payload_bytes_per_rank=payload_bytes_per_rank,
             payload=payload,
         )
+
+    def transfer(self, nbytes: int, tag: str = "") -> None:
+        """Charge one point-to-point transfer on this communicator's link.
+
+        Models the pipeline-parallel activation/gradient send between
+        adjacent stages of the ``pipe`` axis: every subgroup's pair
+        transfers concurrently, so one collective of the link's transfer
+        time is scheduled (and completed) and ``nbytes`` per rank is
+        recorded to the ledger under ``op="transfer"``.
+        """
+        if nbytes < 0:
+            raise ValueError(f"transfer size must be >= 0, got {nbytes}")
+        self.issue_scheduled(
+            "transfer",
+            time_s=self.link.transfer_time(nbytes),
+            wire_bytes_per_rank=int(nbytes),
+            tag=tag,
+        ).wait()
 
     # ------------------------------------------------------------------
     # blocking collectives (issue + wait; numerics and accounting are
@@ -489,8 +674,9 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
 
     def barrier(self, tag: str = "") -> None:
         """Synchronization point: latency-only, no payload."""
-        link = self._ring_link()
-        time_s = 2 * (self.world_size - 1) * link.latency
+        for hook in self.hooks:
+            hook.on_barrier(self, tag)
+        time_s = 2 * (self.ring_size - 1) * self.link.latency
         ticket = self.timeline.schedule_collective(time_s, name=f"barrier:{tag}")
         self.timeline.complete(ticket)
         self.ledger.record(
@@ -502,8 +688,6 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
             start_s=ticket.start,
             end_s=ticket.end,
         )
-        if self.verifier is not None:
-            self.verifier.observe_barrier(tag)
 
     def wait_all(self) -> int:
         """Wait every pending handle (drain the comm streams).
@@ -514,8 +698,9 @@ LockstepVerifier` so it can fingerprint the envelope and hash the
         pending = list(self._pending)
         for handle in pending:
             handle.wait()
-        if self.verifier is not None:
-            self.verifier.check("wait_all")
+        verifier = self.verifier
+        if verifier is not None:
+            verifier.check("wait_all")
         return len(pending)
 
     # ------------------------------------------------------------------

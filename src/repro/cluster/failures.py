@@ -12,21 +12,19 @@ story matters.  This module provides:
   thermally-throttled GPU, a noisy host), so the synchronous-straggler
   analysis of :mod:`repro.perf.stragglers` can be validated against a
   measured schedule rather than only the extreme-value formula;
-* :class:`FailingCommunicator` — a communicator that raises
-  :class:`RankFailureError` after a configured number of collectives,
-  simulating a node crash mid-step.  Combined with
-  :mod:`repro.train.checkpoint` this supports the standard
-  checkpoint/restart recovery pattern, tested end-to-end in
-  ``tests/cluster/test_failures.py``;
 * the **fault taxonomy** consumed by the supervised recovery loop of
   :mod:`repro.train.resilience`: :class:`TransientLinkError` (a flapping
   link — the collective succeeds if retried) vs the permanent
   :class:`RankFailureError` (the rank is gone; the world must shrink);
 * :class:`FaultPlan` / :class:`FaultEvent` — a declarative, seedable
   schedule of faults keyed by global collective index, replayed
-  deterministically by :class:`ChaosCommunicator`.  The same plan object
-  drives the chaos tests and the differential (faulted-vs-clean)
-  equivalence checks.
+  deterministically by :class:`FaultReplay`, a ``pre_issue`` hook on the
+  collective funnel that :class:`ChaosCommunicator` attaches.  The same
+  plan object drives the chaos tests and the differential
+  (faulted-vs-clean) equivalence checks; a
+  one-event plan (``RANK_LOSS`` at collective *n*) is the "node crashes
+  mid-step" scenario of the checkpoint/restart tests in
+  ``tests/cluster/test_failures.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .communicator import Communicator
+from .communicator import CollectiveHook, Communicator
 from .interconnect import Interconnect, LinkSpec
 from .timeline import Timeline
 
@@ -47,10 +45,10 @@ __all__ = [
     "inject_straggler",
     "RankFailureError",
     "TransientLinkError",
-    "FailingCommunicator",
     "FaultKind",
     "FaultEvent",
     "FaultPlan",
+    "FaultReplay",
     "ChaosCommunicator",
 ]
 
@@ -108,61 +106,6 @@ class RankFailureError(RuntimeError):
         super().__init__(
             f"rank {rank} failed during {op} (collective #{collective_index})"
         )
-
-
-class FailingCommunicator(Communicator):
-    """A communicator that kills one rank after ``fail_after`` collectives.
-
-    ``fail_after=None`` never fails (useful for parameterized tests).
-    The failure is raised *before* the doomed collective touches any
-    state, so ledger and device accounting stay consistent — exactly the
-    view a surviving scheduler would have.
-    """
-
-    def __init__(
-        self,
-        *args,
-        fail_after: int | None = None,
-        failing_rank: int = 0,
-        **kwargs,
-    ):
-        super().__init__(*args, **kwargs)
-        if fail_after is not None and fail_after < 0:
-            raise ValueError("fail_after must be non-negative")
-        if not 0 <= failing_rank < self.world_size:
-            raise ValueError("failing_rank out of range")
-        self.fail_after = fail_after
-        self.failing_rank = failing_rank
-        self._collectives = 0
-
-    def _maybe_fail(self, op: str) -> None:
-        if self.fail_after is not None and self._collectives >= self.fail_after:
-            raise RankFailureError(self.failing_rank, op, self._collectives)
-        self._collectives += 1
-
-    # The failure fires at *issue* time — a crashed rank never enqueues
-    # the collective — so both the blocking calls (issue + wait) and the
-    # async ``i*`` API observe it before any state is touched.
-
-    def iallreduce(self, arrays, tag="", **kwargs):
-        """Failure-checked non-blocking allreduce."""
-        self._maybe_fail("allreduce")
-        return super().iallreduce(arrays, tag=tag, **kwargs)
-
-    def iallgather(self, arrays, tag="", **kwargs):
-        """Failure-checked non-blocking allgather."""
-        self._maybe_fail("allgather")
-        return super().iallgather(arrays, tag=tag, **kwargs)
-
-    def ibroadcast(self, arrays, root=0, tag=""):
-        """Failure-checked non-blocking broadcast."""
-        self._maybe_fail("broadcast")
-        return super().ibroadcast(arrays, root=root, tag=tag)
-
-    def ireduce_scatter(self, arrays, tag=""):
-        """Failure-checked non-blocking reduce-scatter."""
-        self._maybe_fail("reduce_scatter")
-        return super().ireduce_scatter(arrays, tag=tag)
 
 
 class TransientLinkError(RuntimeError):
@@ -271,7 +214,7 @@ class FaultPlan:
 
     Events are kept sorted by ``collective_index``; the plan itself is
     immutable at runtime — all mutable replay state (which events have
-    fired, remaining retries) lives in :class:`ChaosCommunicator`, so
+    fired, remaining retries) lives in :class:`FaultReplay`, so
     one plan object can drive both arms of a differential test.
 
     Plans round-trip through JSON (:meth:`save` / :meth:`load`) so the
@@ -392,15 +335,18 @@ class FaultPlan:
         return f"FaultPlan(seed={self.seed}, events={kinds})"
 
 
-class ChaosCommunicator(Communicator):
-    """A communicator that replays a :class:`FaultPlan` deterministically.
+class FaultReplay(CollectiveHook):
+    """Funnel hook that replays a :class:`FaultPlan` deterministically.
 
-    Before each collective *issues* (before any state mutation — the
-    same rollback-safe point :class:`FailingCommunicator` uses), the
-    plan is consulted:
+    The plan is consulted before each collective *issues* (before any
+    state mutation — a chaotic collective never charges scratch, never
+    lands on the timeline, and never records a ledger event, so a
+    supervised retry sees clean accounting) whichever entry point
+    issued it: blocking, ``i*``, per-axis, transfer, or an explicitly
+    scheduled fused ring hop.
 
-    * due ``STRAGGLER`` events scale the rank's compute stream once and
-      the issue proceeds;
+    * due ``STRAGGLER`` events scale the rank's compute stream on
+      ``timeline`` once and the issue proceeds;
     * due ``TRANSIENT_LINK`` events with retries remaining decrement
       their budget and raise :class:`TransientLinkError` **without**
       advancing the collective counter, so the retried issue meets the
@@ -413,33 +359,30 @@ class ChaosCommunicator(Communicator):
     to assert the plan actually fired.
     """
 
-    def __init__(self, *args, plan: FaultPlan | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.plan = plan if plan is not None else FaultPlan()
-        self._collectives = 0
+    def __init__(self, plan: FaultPlan, timeline: Timeline):
+        self.plan = plan
+        self.timeline = timeline
+        #: Number of successfully issued collectives so far.
+        self.collectives_issued = 0
         self._remaining = {
             i: ev.retries
-            for i, ev in enumerate(self.plan.events)
+            for i, ev in enumerate(plan.events)
             if ev.kind is FaultKind.TRANSIENT_LINK
         }
         self._fired: set[int] = set()
         self.injected: list[tuple[int, str, FaultEvent]] = []
 
-    @property
-    def collectives_issued(self) -> int:
-        """Number of successfully issued collectives so far."""
-        return self._collectives
-
     def _consult(self, op: str, advance: bool = True) -> None:  # spmd-ok: chaos injection is deliberately rank-divergent — the plan kills/delays specific ranks by design
+        index = self.collectives_issued
         for i, ev in enumerate(self.plan.events):
             if i in self._fired:
                 continue
-            if ev.collective_index > self._collectives:
+            if ev.collective_index > index:
                 break  # events are sorted; nothing further is due yet
             if ev.kind is FaultKind.STRAGGLER:
                 self._fired.add(i)
                 inject_straggler(self.timeline, ev.rank, ev.slowdown)
-                self.injected.append((self._collectives, op, ev))
+                self.injected.append((index, op, ev))
             elif ev.kind is FaultKind.TRANSIENT_LINK:
                 remaining = self._remaining[i]
                 if remaining <= 0:
@@ -447,48 +390,58 @@ class ChaosCommunicator(Communicator):
                     continue
                 self._remaining[i] = remaining - 1
                 attempt = ev.retries - remaining + 1
-                self.injected.append((self._collectives, op, ev))
-                raise TransientLinkError(ev.rank, op, self._collectives, attempt)
+                self.injected.append((index, op, ev))
+                raise TransientLinkError(ev.rank, op, index, attempt)
             else:  # FaultKind.RANK_LOSS
                 self._fired.add(i)
-                self.injected.append((self._collectives, op, ev))
-                raise RankFailureError(ev.rank, op, self._collectives)
+                self.injected.append((index, op, ev))
+                raise RankFailureError(ev.rank, op, index)
         if advance:
-            self._collectives += 1
+            self.collectives_issued += 1
 
-    # Like FailingCommunicator, faults fire at *issue* time: a chaotic
-    # collective never charges scratch, never lands on the timeline, and
-    # never records a ledger event, so a supervised retry sees clean
-    # accounting.
+    def pre_issue(self, comm, op: str, tag: str, arrays) -> None:
+        """Consult the plan; a passing issue advances the counter."""
+        self._consult(op)
 
-    def iallreduce(self, arrays, tag="", **kwargs):
-        """Plan-checked non-blocking allreduce."""
-        self._consult("allreduce")
-        return super().iallreduce(arrays, tag=tag, **kwargs)
+    def on_barrier(self, comm, tag: str) -> None:
+        """A due ``RANK_LOSS`` fires at a barrier too.
 
-    def iallgather(self, arrays, tag="", **kwargs):
-        """Plan-checked non-blocking allgather."""
-        self._consult("allgather")
-        return super().iallgather(arrays, tag=tag, **kwargs)
-
-    def ibroadcast(self, arrays, root=0, tag=""):
-        """Plan-checked non-blocking broadcast."""
-        self._consult("broadcast")
-        return super().ibroadcast(arrays, root=root, tag=tag)
-
-    def ireduce_scatter(self, arrays, tag=""):
-        """Plan-checked non-blocking reduce-scatter."""
-        self._consult("reduce_scatter")
-        return super().ireduce_scatter(arrays, tag=tag)
-
-    def barrier(self, tag=""):
-        """Plan-checked barrier.
-
-        A due ``RANK_LOSS`` fires here too — a crashed rank never reaches
-        the barrier, so the survivors must observe the eviction rather
-        than hang.  Consulting does **not** advance the collective
-        counter: barriers are not payload collectives, and advancing
-        would shift the issue indices every existing fault plan keys on.
+        A crashed rank never reaches the barrier, so the survivors must
+        observe the eviction rather than hang.  Consulting does **not**
+        advance the collective counter: barriers are not payload
+        collectives, and advancing would shift the issue indices every
+        existing fault plan keys on.
         """
         self._consult("barrier", advance=False)
-        super().barrier(tag=tag)
+
+
+class ChaosCommunicator(Communicator):
+    """A communicator with a :class:`FaultReplay` hooked onto its funnel.
+
+    The way to attach a plan: ``ChaosCommunicator(G, plan=plan)`` is a
+    plain communicator whose first hook replays ``plan``; it overrides
+    no collective.  ``plan``, ``injected`` and ``collectives_issued``
+    read through to the replay.
+    """
+
+    def __init__(self, *args, plan: FaultPlan | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.replay = FaultReplay(
+            plan if plan is not None else FaultPlan(), self.timeline
+        )
+        self.hooks.append(self.replay)
+
+    @property
+    def plan(self) -> FaultPlan:
+        """The fault plan being replayed."""
+        return self.replay.plan
+
+    @property
+    def injected(self) -> list[tuple[int, str, FaultEvent]]:
+        """Every injection so far, as ``(collective_index, op, event)``."""
+        return self.replay.injected
+
+    @property
+    def collectives_issued(self) -> int:
+        """Number of successfully issued collectives so far."""
+        return self.replay.collectives_issued

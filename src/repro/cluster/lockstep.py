@@ -1,10 +1,18 @@
 """Dynamic SPMD lockstep verification: per-rank collective fingerprints.
 
 The static rules (REPRO010–012) prove what they can from the AST; this
-module catches the rest at runtime.  A :class:`LockstepVerifier`
-attached to a :class:`~repro.cluster.communicator.Communicator` hooks
-the single ``_issue`` funnel and fingerprints every collective **per
-rank** as ``(issue index, op, tag, shape, dtype)``.  At synchronization
+module catches the rest at runtime.  A :class:`LockstepVerifier` is a
+:class:`~repro.cluster.communicator.CollectiveHook` on the
+communicator's single issue funnel: it fingerprints every collective
+**per rank** as ``(issue index, op, tag, shape, dtype)`` — blocking,
+non-blocking, explicitly scheduled and per-axis alike.  A collective
+issued through :meth:`Communicator.axis
+<repro.cluster.communicator.Communicator.axis>` is additionally
+fingerprinted on a per-``(axis, subgroup)`` ring (one child verifier
+per subgroup, created on first use), where the payload envelope must be
+uniform *within* the subgroup; the global stream records such ops
+without their envelope, because shards of different subgroups
+legitimately differ in shape.  At synchronization
 points — ``barrier``, ``wait_all``, ``Sanitizer.finish()``, or an
 explicit :meth:`LockstepVerifier.check` — the per-rank streams are
 cross-checked: on a real cluster a rank that issued a different (or no)
@@ -34,6 +42,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .communicator import CollectiveHook
 
 __all__ = ["LockstepVerifier", "LockstepReport"]
 
@@ -83,7 +93,7 @@ class LockstepReport:
         return "\n".join(lines)
 
 
-class LockstepVerifier:
+class LockstepVerifier(CollectiveHook):
     """Cross-checks per-rank collective fingerprints at sync points.
 
     Parameters
@@ -125,12 +135,15 @@ class LockstepVerifier:
         self._inflight: dict[int, tuple[object, list[tuple]]] = {}
         #: Successfully observed collective issues.
         self.collectives_observed = 0
+        #: axis -> one child verifier per subgroup (parallels the axis
+        #: view's ``groups``), created at the axis's first collective.
+        self.axis_rings: dict[str, tuple[LockstepVerifier, ...]] = {}
 
     @classmethod
     def attach(cls, comm, **kwargs) -> "LockstepVerifier":
-        """Build a verifier for ``comm`` and install it as its observer."""
+        """Build a verifier for ``comm`` and hook it onto its funnel."""
         verifier = cls(comm.world_size, **kwargs)
-        comm.verifier = verifier
+        comm.hooks.append(verifier)
         return verifier
 
     # -- rank liveness -------------------------------------------------
@@ -168,39 +181,65 @@ class LockstepVerifier:
         stream = self._streams[rank]
         stream.append((len(stream), op, str(tag), tuple(shape), str(dtype)))
 
-    def observe_issue(self, handle, arrays) -> None:
+    def post_issue(self, comm, handle, arrays) -> None:
+        """Funnel hook: the global stream plus, on an axis view, its rings."""
+        if comm.axis_name is None:
+            self.observe_issue(handle, arrays)
+            return
+        # Shards of different subgroups legitimately differ in shape, so
+        # the global stream keeps only (op, tag); each subgroup's ring
+        # checks the envelope among its own members.
+        self.observe_issue(handle, arrays, envelope=False)
+        rings = self.axis_rings.get(comm.axis_name)
+        if rings is None:
+            rings = self.axis_rings[comm.axis_name] = tuple(
+                LockstepVerifier(len(ranks), hash_mode="off")
+                for ranks in comm.groups
+            )
+        for ring, ranks in zip(rings, comm.groups):
+            ring.observe_issue(
+                handle, None if arrays is None else [arrays[r] for r in ranks]
+            )
+
+    def observe_issue(self, handle, arrays, envelope: bool = True) -> None:
         """Fingerprint one issued collective for every live rank.
 
         ``arrays`` is the per-rank payload list handed to the ``i*``
         method (None for payload-free ops).  Signature uniformity is
         checked immediately: an op in :data:`_UNIFORM_SHAPE_OPS` with
         per-rank shapes/dtypes, or any op with per-rank dtypes, is a
-        mismatched-signature deadlock on a real cluster.
+        mismatched-signature deadlock on a real cluster.  Shapes enter
+        the fingerprint only for those ops — an allgatherv's ragged
+        per-rank counts are legal (the counts travel first).  With
+        ``envelope=False`` the buffers are still hashed but neither
+        shape nor dtype is fingerprinted or checked.
         """
         op = getattr(handle, "op", "?")
         tag = str(getattr(handle, "tag", ""))
         hashing = self.hash_mode != "off"
+        uniform_shape = op in _UNIFORM_SHAPE_OPS
         hashes: list[tuple] = []
         base = None  # (rank, shape, dtype) of the first rank with a payload
         mismatch = None
         for rank in self.live_ranks:
-            if arrays is None or rank >= len(arrays):
-                shape, dtype = (), ""
-            else:
+            shape, dtype = (), ""
+            if arrays is not None and rank < len(arrays):
                 a = arrays[rank]
                 if isinstance(a, np.ndarray):
                     if hashing:
                         hashes.append((rank, a, self._digest(a)))
                 else:
                     a = np.asarray(a)
-                shape, dtype = a.shape, str(a.dtype)
-                if base is None:
-                    base = (rank, shape, dtype)
-                elif mismatch is None and (
-                    dtype != base[2]
-                    or (op in _UNIFORM_SHAPE_OPS and shape != base[1])
-                ):
-                    mismatch = (rank, shape, dtype)
+                if envelope:
+                    dtype = str(a.dtype)
+                    if uniform_shape:
+                        shape = a.shape
+                    if base is None:
+                        base = (rank, shape, dtype)
+                    elif mismatch is None and (
+                        dtype != base[2] or shape != base[1]
+                    ):
+                        mismatch = (rank, shape, dtype)
             stream = self._streams[rank]
             stream.append((len(stream), op, tag, shape, dtype))
         self.collectives_observed += 1
@@ -217,7 +256,7 @@ class LockstepVerifier:
         if hashes:
             self._inflight[id(handle)] = (handle, hashes)
 
-    def observe_wait(self, handle) -> None:
+    def on_wait(self, handle) -> None:
         """Re-hash the handle's payload buffers; detect in-flight writes."""
         entry = self._inflight.pop(id(handle), None)
         if entry is None:
@@ -233,7 +272,7 @@ class LockstepVerifier:
                     "(static counterpart: lint rule REPRO012)"
                 )
 
-    def observe_barrier(self, tag: str = "") -> LockstepReport:
+    def on_barrier(self, comm, tag: str = "") -> LockstepReport:
         """Fingerprint a barrier and cross-check all live streams."""
         for rank in self.live_ranks:
             stream = self._streams[rank]
@@ -246,7 +285,8 @@ class LockstepVerifier:
         """Cross-check per-rank streams; raise on divergence.
 
         Compares every live rank's fingerprints beyond the already
-        verified prefix against the lowest live rank's stream.  A
+        verified prefix against the lowest live rank's stream, then
+        does the same inside every per-axis subgroup ring.  A
         content difference or a count difference raises
         ``CollectiveMismatchError`` naming the diverging rank, the issue
         index, and both call sites (tags); evicted ranks are excluded
@@ -284,6 +324,9 @@ class LockstepVerifier:
                 f"(tag={ahead[2]!r}) — on a real cluster the ranks ahead "
                 f"block forever ({detail})"
             )
+        for axis, rings in self.axis_rings.items():
+            for i, ring in enumerate(rings):
+                ring.check(f"{point}:{axis}[{i}]")
         return self._report(point)
 
     def _report(self, point: str) -> LockstepReport:

@@ -1,4 +1,4 @@
-"""Device mesh with named axes + per-axis subgroup collectives.
+"""Device mesh with named axes: the geometry per-axis collectives ring over.
 
 Megatron-LM's follow-up (PAPERS.md, 2104.04473) composes tensor,
 pipeline, and data parallelism by arranging the G GPUs in a logical
@@ -12,16 +12,15 @@ gives the simulated cluster the same substrate:
   bandwidth-hungry ``tensor`` (or ``local``) axis on intra-node links
   exactly as Megatron's topology mapping does.  Per-axis subgroups are
   ordinary :class:`~repro.cluster.process_group.ProcessGroup` objects.
-* :class:`MeshCommunicator` — per-axis collectives over a flat
-  :class:`~repro.cluster.communicator.Communicator`.  Numerics run per
-  subgroup (disjoint subgroups reduce independently) while the single
-  issue funnel of the parent communicator keeps scratch, ledger,
-  timeline, telemetry, chaos injection, and lockstep verification all
-  working unchanged.  Each axis can additionally carry its own
-  per-subgroup :class:`~repro.cluster.lockstep.LockstepVerifier` ring.
+* A :class:`~repro.cluster.communicator.Communicator` carries one mesh
+  and :meth:`~repro.cluster.communicator.Communicator.axis` binds its
+  collectives to one axis: numerics run per subgroup (disjoint
+  subgroups reduce independently) through the single issue funnel, so
+  scratch, ledger, timeline, telemetry, fault replay, sanitizing and
+  lockstep verification apply to per-axis collectives unchanged.
 
 Cost model: disjoint subgroups of one axis run concurrently on
-disjoint links (the Megatron placement assumption), so one mesh
+disjoint links (the Megatron placement assumption), so one per-axis
 collective is a single timeline event whose duration is the ring time
 of the *largest* subgroup message over the axis link — intra-node when
 every subgroup of the axis fits in a node, inter-node otherwise.
@@ -34,18 +33,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
-from . import collectives as coll
-from .communicator import Communicator, WorkHandle
 from .interconnect import Interconnect, LinkSpec
-from .lockstep import LockstepVerifier
 from .process_group import ProcessGroup
 
 __all__ = [
     "DeviceMesh",
     "HYBRID_AXES",
-    "MeshCommunicator",
     "hybrid_mesh",
     "parse_mesh_spec",
 ]
@@ -71,16 +64,10 @@ def hybrid_mesh(spec: str, world_size: int) -> "DeviceMesh":
             f"uses only {', '.join(HYBRID_AXES)} "
             "(e.g. '--mesh pipe=2,tensor=2,data=G/4')"
         )
+    # Omitted axes get size 1, so the parsed product (== world_size,
+    # checked by parse_mesh_spec) is unchanged.
     by_name = dict(zip(parsed.axis_names, parsed.axis_sizes))
-    sizes = tuple(by_name.get(n, 1) for n in HYBRID_AXES)
-    total = sizes[0] * sizes[1] * sizes[2]
-    if total != world_size:
-        raise ValueError(
-            f"mesh {spec!r} covers {total} rank(s) but the world has "
-            f"{world_size}; give the missing factor to one axis "
-            "(e.g. 'data=' to infer it)"
-        )
-    return DeviceMesh(HYBRID_AXES, sizes)
+    return DeviceMesh(HYBRID_AXES, tuple(by_name.get(n, 1) for n in HYBRID_AXES))
 
 
 def parse_mesh_spec(spec: str, world_size: int) -> "DeviceMesh":
@@ -272,8 +259,8 @@ class DeviceMesh:
         the groups partition ``range(size)`` exactly (property-tested).
 
         The mesh is frozen, so the decomposition is memoized per
-        ``(mesh, axis)`` — :class:`MeshCommunicator` asks for the same
-        grouping on every collective of every step.
+        ``(mesh, axis)`` — the communicator asks for the same grouping
+        on every collective of every step.
         """
         return _mesh_axis_groups(self, axis)
 
@@ -320,339 +307,3 @@ class DeviceMesh:
 def _mesh_axis_groups(mesh: DeviceMesh, axis: str) -> tuple[ProcessGroup, ...]:
     """Memoized :meth:`DeviceMesh.groups` (meshes are immutable)."""
     return mesh._build_groups(axis)
-
-
-class MeshCommunicator:
-    """Per-axis subgroup collectives over a flat communicator.
-
-    Each mesh collective runs its numerics independently per subgroup
-    of the named axis and issues **one** event through the parent
-    communicator's ``_issue`` funnel — so scratch charging, ledger
-    records, timeline scheduling, telemetry counters, and the global
-    lockstep stream compose without modification.  Fault injection
-    composes too: before issuing, the parent's chaos/failure hooks
-    (``_consult`` / ``_maybe_fail``) are consulted at the same
-    rollback-safe pre-issue point the flat ``i*`` methods use.
-
-    Per-rank payload envelopes legitimately differ *across* subgroups
-    (each model-parallel shard has its own shape), so mesh ops ship
-    ``payload=None`` to the global verifier — the global stream stays
-    rank-uniform — and uniformity *within* each subgroup is enforced by
-    the per-axis verifier rings installed by
-    :meth:`attach_axis_verifiers` (except for the allgatherv-style
-    ``mesh_allgather``, whose ragged member counts are legal).
-    """
-
-    def __init__(self, comm: Communicator, mesh: DeviceMesh):
-        if comm.world_size != mesh.size:
-            raise ValueError(
-                f"mesh has {mesh.size} rank(s) but communicator world "
-                f"size is {comm.world_size}"
-            )
-        self.comm = comm
-        self.mesh = mesh
-        #: axis -> per-subgroup verifiers (index parallels mesh.groups).
-        self.axis_verifiers: dict[str, tuple[LockstepVerifier, ...]] = {}
-
-    # -- composition hooks ---------------------------------------------
-
-    @property
-    def world_size(self) -> int:
-        """Total ranks (the parent communicator's world size)."""
-        return self.comm.world_size
-
-    def axis_size(self, axis: str) -> int:
-        """Ranks along ``axis`` (delegates to the mesh)."""
-        return self.mesh.axis_size(axis)
-
-    def attach_axis_verifiers(
-        self, hash_mode: str = "off", sample_bytes: int = 1024
-    ) -> dict[str, tuple[LockstepVerifier, ...]]:
-        """Install one lockstep verifier per (axis, subgroup).
-
-        Each verifier tracks its subgroup's local ranks; every mesh
-        collective on the axis appends one fingerprint per member, so
-        :meth:`check_axes` catches a shard that issued a different (or
-        no) per-axis collective — the mesh analogue of the global
-        lockstep check.
-        """
-        self.axis_verifiers = {
-            axis: tuple(
-                LockstepVerifier(
-                    g.size, hash_mode=hash_mode, sample_bytes=sample_bytes
-                )
-                for g in self.mesh.groups(axis)
-            )
-            for axis in self.mesh.axis_names
-        }
-        return self.axis_verifiers
-
-    def check_axes(self, point: str = "check") -> dict[str, int]:
-        """Cross-check every per-axis verifier ring; raise on divergence.
-
-        Returns ``{axis: verified fingerprint count}`` (the minimum
-        over the axis's subgroups), mirroring
-        :meth:`~repro.cluster.lockstep.LockstepVerifier.check`.
-        """
-        out: dict[str, int] = {}
-        for axis, verifiers in self.axis_verifiers.items():
-            verified = []
-            for i, v in enumerate(verifiers):
-                report = v.check(f"{point}:{axis}[{i}]")
-                verified.append(report.verified)
-            out[axis] = min(verified) if verified else 0
-        return out
-
-    def _observe_axis(
-        self, axis: str, op: str, tag: str, arrays: Sequence[np.ndarray]
-    ) -> None:
-        verifiers = self.axis_verifiers.get(axis)
-        if verifiers is None:
-            return
-        # mesh_allgather is an allgatherv: ragged per-member counts are
-        # legal on a real cluster (the counts travel first), so only its
-        # op/tag/dtype sequence is fingerprinted.  The reduce-family ops
-        # keep their full envelope — a shape mismatch there deadlocks.
-        uniform = op != "mesh_allgather"
-        for v, g in zip(verifiers, self.mesh.groups(axis)):
-            for local, rank in enumerate(g.ranks):
-                a = np.asarray(arrays[rank])
-                shape = a.shape if uniform else ()
-                v.record(local, op, tag, shape, str(a.dtype))
-
-    def _consult_faults(self, op: str) -> None:
-        # Duck-typed pre-issue fault hooks: ChaosCommunicator exposes
-        # _consult, FailingCommunicator exposes _maybe_fail.  Calling
-        # them here keeps fault injection composing with mesh ops even
-        # though the mesh path bypasses the flat i* overrides.
-        consult = getattr(self.comm, "_consult", None)
-        if consult is not None:
-            consult(op)
-        maybe_fail = getattr(self.comm, "_maybe_fail", None)
-        if maybe_fail is not None:
-            maybe_fail(op)
-
-    def _count_axis(self, axis: str, op: str, wire_bytes: int) -> None:
-        metrics = self.comm.metrics
-        if metrics is None:
-            return
-        metrics.counter(
-            "repro_mesh_collectives_total",
-            "Per-axis mesh collectives issued, by axis and op",
-            labelnames=("axis", "op"),
-        ).inc(axis=axis, op=op)
-        metrics.counter(
-            "repro_mesh_wire_bytes_total",
-            "Per-rank mesh wire bytes issued, by axis and op",
-            labelnames=("axis", "op"),
-        ).inc(wire_bytes, axis=axis, op=op)
-
-    def _check_ranks(self, arrays: Sequence[np.ndarray], op: str) -> None:
-        if len(arrays) != self.comm.world_size:
-            raise ValueError(
-                f"{op}: got {len(arrays)} per-rank arrays for a "
-                f"{self.comm.world_size}-rank mesh"
-            )
-
-    # -- per-axis collectives ------------------------------------------
-
-    def iallreduce(
-        self, axis: str, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> WorkHandle:
-        """Non-blocking sum-allreduce within each ``axis`` subgroup.
-
-        ``arrays`` is the full per-rank list (index = flat rank); each
-        subgroup reduces independently in subgroup-member order, so the
-        result at rank ``r`` sums exactly over ``r``'s axis peers.
-        """
-        self._check_ranks(arrays, f"mesh_allreduce[{axis}]")
-        op = "mesh_allreduce"
-        self._consult_faults(op)
-        results: list[np.ndarray] = [None] * self.comm.world_size  # type: ignore[list-item]
-        for g in self.mesh.groups(axis):
-            reduced = coll.allreduce_arrays([arrays[r] for r in g.ranks])
-            for r, out in zip(g.ranks, reduced):
-                results[r] = out
-        n = self.mesh.axis_size(axis)
-        max_bytes = max(int(np.asarray(a).nbytes) for a in arrays)
-        link = self.mesh.axis_link(axis, self.comm.fabric)
-        wire = coll.allreduce_wire_bytes(n, max_bytes)
-        self._observe_axis(axis, op, tag, arrays)
-        self._count_axis(axis, op, wire)
-        return self.comm._issue(
-            op=op,
-            results=results,
-            scratch_bytes=max_bytes,
-            scratch_tag=f"{op}-recv:{tag}",
-            wire_bytes_per_rank=wire,
-            time_s=coll.ring_allreduce_time(n, max_bytes, link),
-            tag=f"{axis}:{tag}",
-            payload=None,
-        )
-
-    def iallgather(
-        self, axis: str, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> WorkHandle:
-        """Non-blocking allgather (allgatherv) within each subgroup.
-
-        Rank ``r``'s result is the concatenation of its axis peers'
-        contributions in subgroup-member order.
-        """
-        self._check_ranks(arrays, f"mesh_allgather[{axis}]")
-        op = "mesh_allgather"
-        self._consult_faults(op)
-        results: list[np.ndarray] = [None] * self.comm.world_size  # type: ignore[list-item]
-        max_contrib = 0
-        max_total = 0
-        for g in self.mesh.groups(axis):
-            sub = [arrays[r] for r in g.ranks]
-            gathered = coll.allgather_arrays(sub)
-            for r, out in zip(g.ranks, gathered):
-                results[r] = out
-            contribs = [int(np.atleast_1d(a).nbytes) for a in sub]
-            max_contrib = max(max_contrib, max(contribs))
-            max_total = max(max_total, sum(contribs))
-        n = self.mesh.axis_size(axis)
-        link = self.mesh.axis_link(axis, self.comm.fabric)
-        wire = coll.allgather_wire_bytes(n, max_contrib)
-        self._observe_axis(axis, op, tag, arrays)
-        self._count_axis(axis, op, wire)
-        return self.comm._issue(
-            op=op,
-            results=results,
-            scratch_bytes=max_total,
-            scratch_tag=f"{op}-recv:{tag}",
-            wire_bytes_per_rank=wire,
-            time_s=coll.ring_allgather_time(n, max_contrib, link),
-            tag=f"{axis}:{tag}",
-            payload=None,
-        )
-
-    def ibroadcast(
-        self,
-        axis: str,
-        arrays: Sequence[np.ndarray],
-        root: int = 0,
-        tag: str = "",
-    ) -> WorkHandle:
-        """Non-blocking broadcast from each subgroup's ``root``-th member."""
-        self._check_ranks(arrays, f"mesh_broadcast[{axis}]")
-        op = "mesh_broadcast"
-        self._consult_faults(op)
-        results: list[np.ndarray] = [None] * self.comm.world_size  # type: ignore[list-item]
-        max_bytes = 0
-        for g in self.mesh.groups(axis):
-            sub = [arrays[r] for r in g.ranks]
-            out = coll.broadcast_arrays(sub, root=root)
-            for r, o in zip(g.ranks, out):
-                results[r] = o
-            max_bytes = max(max_bytes, int(np.asarray(sub[root]).nbytes))
-        n = self.mesh.axis_size(axis)
-        link = self.mesh.axis_link(axis, self.comm.fabric)
-        wire = coll.broadcast_wire_bytes(n, max_bytes)
-        self._observe_axis(axis, op, tag, arrays)
-        self._count_axis(axis, op, wire)
-        return self.comm._issue(
-            op=op,
-            results=results,
-            scratch_bytes=max_bytes,
-            scratch_tag=f"{op}-recv:{tag}",
-            wire_bytes_per_rank=wire,
-            time_s=coll.ring_broadcast_time(n, max_bytes, link),
-            tag=f"{axis}:{tag}",
-            payload=None,
-        )
-
-    def ireduce_scatter(
-        self, axis: str, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> WorkHandle:
-        """Non-blocking sum-reduce + scatter within each subgroup."""
-        self._check_ranks(arrays, f"mesh_reduce_scatter[{axis}]")
-        op = "mesh_reduce_scatter"
-        self._consult_faults(op)
-        results: list[np.ndarray] = [None] * self.comm.world_size  # type: ignore[list-item]
-        max_bytes = 0
-        for g in self.mesh.groups(axis):
-            sub = [arrays[r] for r in g.ranks]
-            out = coll.reduce_scatter_arrays(sub)
-            for r, o in zip(g.ranks, out):
-                results[r] = o
-            max_bytes = max(max_bytes, int(np.asarray(sub[0]).nbytes))
-        n = self.mesh.axis_size(axis)
-        link = self.mesh.axis_link(axis, self.comm.fabric)
-        wire = coll.reduce_scatter_wire_bytes(n, max_bytes)
-        self._observe_axis(axis, op, tag, arrays)
-        self._count_axis(axis, op, wire)
-        return self.comm._issue(
-            op=op,
-            results=results,
-            scratch_bytes=max_bytes // max(1, n),
-            scratch_tag=f"{op}-recv:{tag}",
-            wire_bytes_per_rank=wire,
-            time_s=coll.ring_reduce_scatter_time(n, max_bytes, link),
-            tag=f"{axis}:{tag}",
-            payload=None,
-        )
-
-    # -- blocking wrappers ---------------------------------------------
-
-    def allreduce(
-        self, axis: str, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> list[np.ndarray]:
-        """Blocking per-axis allreduce (issue + wait)."""
-        return self.iallreduce(axis, arrays, tag=tag).wait()
-
-    def allgather(
-        self, axis: str, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> list[np.ndarray]:
-        """Blocking per-axis allgather (issue + wait)."""
-        return self.iallgather(axis, arrays, tag=tag).wait()
-
-    def broadcast(
-        self,
-        axis: str,
-        arrays: Sequence[np.ndarray],
-        root: int = 0,
-        tag: str = "",
-    ) -> list[np.ndarray]:
-        """Blocking per-axis broadcast (issue + wait)."""
-        return self.ibroadcast(axis, arrays, root=root, tag=tag).wait()
-
-    def reduce_scatter(
-        self, axis: str, arrays: Sequence[np.ndarray], tag: str = ""
-    ) -> list[np.ndarray]:
-        """Blocking per-axis reduce-scatter (issue + wait)."""
-        return self.ireduce_scatter(axis, arrays, tag=tag).wait()
-
-    def transfer(self, axis: str, nbytes: int, tag: str = "") -> None:
-        """Charge one point-to-point transfer along ``axis`` (no payload).
-
-        Models the pipeline-parallel activation/gradient send between
-        adjacent stages: every subgroup's pair transfers concurrently,
-        so one timeline event of the axis link's transfer time is
-        scheduled and ``nbytes`` per rank is recorded to the ledger
-        under ``op="mesh_transfer"``.
-        """
-        if nbytes < 0:
-            raise ValueError(f"transfer size must be >= 0, got {nbytes}")
-        op = "mesh_transfer"
-        self._consult_faults(op)
-        link = self.mesh.axis_link(axis, self.comm.fabric)
-        time_s = link.transfer_time(nbytes)
-        ticket = self.comm.timeline.schedule_collective(
-            time_s, name=f"{op}:{axis}:{tag}"
-        )
-        self.comm.timeline.complete(ticket)
-        self.comm.ledger.record(
-            op=op,
-            world=self.comm.world_size,
-            wire_bytes_per_rank=int(nbytes),
-            time_s=time_s,
-            tag=f"{axis}:{tag}",
-            start_s=ticket.start,
-            end_s=ticket.end,
-        )
-        self._count_axis(axis, op, int(nbytes))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MeshCommunicator({self.mesh.describe()})"

@@ -1,11 +1,11 @@
-"""Process groups: sub-communicators over subsets of ranks.
+"""Process groups: ordered subsets of a world's ranks.
 
 The seeding technique (Section III-B of the paper) partitions the G GPUs
 into *seed groups*: GPUs in the same group draw the same sampled-softmax
 candidates.  A :class:`ProcessGroup` provides the rank-set bookkeeping
-for such partitions, and can materialize a child
-:class:`~repro.cluster.communicator.Communicator` restricted to its
-members (sharing the parent's ledger, so cost attribution stays global).
+for such partitions and for the per-axis subgroups of a
+:class:`~repro.cluster.mesh.DeviceMesh` (collectives over those run
+through :meth:`repro.cluster.communicator.Communicator.axis`).
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .communicator import Communicator
-
 __all__ = [
     "ProcessGroup",
     "group_of_rank",
     "partition_ranks",
-    "sub_communicator",
 ]
 
 
@@ -90,24 +87,3 @@ def group_of_rank(groups: Sequence[ProcessGroup], rank: int) -> int:
         if g.contains(rank):
             return i
     raise ValueError(f"rank {rank} not in any group")
-
-
-def sub_communicator(parent: Communicator, group: ProcessGroup) -> Communicator:
-    """A child communicator over ``group``'s ranks, sharing the parent ledger.
-
-    The child gets fresh device objects (memory accounting inside a
-    sub-collective is rarely the quantity of interest) but every event it
-    records lands in the parent's ledger for unified reporting.
-    """
-    if group.parent_world != parent.world_size:
-        raise ValueError(
-            f"group parent world {group.parent_world} != communicator world "
-            f"{parent.world_size}"
-        )
-    return Communicator(
-        world_size=group.size,
-        device_spec=parent.devices[0].spec,
-        fabric=parent.fabric,
-        ledger=parent.ledger,
-        track_memory=parent.track_memory,
-    )

@@ -26,11 +26,6 @@ from .complexity import (
 )
 from .compression import Fp16Codec, IdentityCodec, WireCodec, wire_bytes_ratio
 from .embedding_sync import GradientSynchronizer, concat_token_grads
-from .mesh_exchange import (
-    MeshShardLayout,
-    dense_mesh_allreduce,
-    sparse_mesh_exchange,
-)
 from .seeding import (
     SeedAssignment,
     SeedStrategy,
@@ -78,9 +73,6 @@ __all__ = [
     "wire_bytes_ratio",
     "GradientSynchronizer",
     "concat_token_grads",
-    "MeshShardLayout",
-    "dense_mesh_allreduce",
-    "sparse_mesh_exchange",
     "SeedStrategy",
     "SeedAssignment",
     "assign_seeds",

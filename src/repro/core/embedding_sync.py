@@ -11,19 +11,31 @@ one global gradient:
   :class:`~repro.core.sparse_exchange.ExchangeStrategy` — the baseline
   ALLGATHER or the paper's unique exchange.
 
-Gradients are *averaged* over ranks (the global batch is G x the local
-batch and each rank computed a mean loss), so perplexity trajectories
-are directly comparable across world sizes up to the LR scaling rule.
+Gradients are *averaged* over the data-parallel replicas (the global
+batch is d x the local batch and each replica computed a mean loss), so
+perplexity trajectories are directly comparable across world sizes up
+to the LR scaling rule.
 
-Two schedules are supported.  The default (``overlap=False``) issues and
-completes each parameter's collective before touching the next — the
-exact pre-async behaviour.  With ``overlap=True`` the synchronizer walks
-parameters in reverse registration order (the order backward produces
-gradients), *issues* every collective first — dense allreduces
-interleaved with the sparse exchanges' first stage — and only then
-drains the waits, so collectives queue up on the comm stream while
-later parameters are still being issued.  Numerics are identical either
-way; only the simulated timeline differs.
+There is one driver, over the communicator's **data axis**: ``d``
+replicas, each sharded ``S = world / d`` ways over the model axes of the
+mesh.  Every gradient is scattered to its shards
+(:mod:`repro.core.mesh_exchange`), exchanged by one data-axis
+collective, reassembled once and fanned out to the replicas.  Flat
+training is the ``S = 1`` case — scatter and reassembly are the
+identity and the data axis is the communicator itself — so a flat run,
+a ``(1, 1, G)`` mesh and a ``pipe x tensor x data`` mesh execute the
+same code, and wire codecs, the fused ring, the sanitizer and the
+lockstep verifier compose with all three.
+
+One loop, two schedules.  Blocking (``overlap=False``) is "issue one,
+drain one": each parameter's collective completes before the next is
+touched — the exact pre-async behaviour.  ``overlap=True`` is "issue
+all, then drain": parameters are walked in reverse registration order
+(the order backward produces gradients), every collective is issued
+first — dense allreduces interleaved with the sparse exchanges' first
+stage — and only then are the waits drained, so collectives queue up on
+the comm stream while later parameters are still being issued.
+Numerics are identical either way; only the simulated timeline differs.
 """
 
 from __future__ import annotations
@@ -35,11 +47,11 @@ import numpy as np
 from ..cluster.communicator import Communicator
 from ..nn.module import Module
 from ..nn.parameter import Parameter, SparseGrad
-from .compression import WireCodec
 from .mesh_exchange import (
-    MeshShardLayout,
-    dense_mesh_allreduce,
-    sparse_mesh_exchange,
+    shard_dense,
+    shard_sparse,
+    unshard_dense,
+    unshard_sparse,
 )
 from .sparse_exchange import AllGatherExchange, ExchangeStrategy
 from .wire.fused import icompressed_allreduce
@@ -71,45 +83,36 @@ def concat_token_grads(param: Parameter) -> SparseGrad | None:
 
 
 class GradientSynchronizer:
-    """Synchronize gradients across per-rank model replicas.
+    """Synchronize gradients across data-parallel model replicas.
 
     Parameters
     ----------
     comm:
-        The simulated communicator.
+        The simulated communicator.  Its mesh's ``data`` axis is the
+        ring every gradient is exchanged on; a plain ``Communicator(G)``
+        is the one-axis ``data=G`` world.
     strategy:
         Sparse-exchange strategy (default: the baseline ALLGATHER, so
         "enable the paper's technique" is an explicit, visible choice).
-    codec:
-        Optional wire codec also applied to dense allreduce traffic.
     wire:
-        Optional :class:`~repro.core.wire.policy.WirePolicy`.  When
-        ``codec`` is None its value codec (fixed or adaptively selected
-        per message) covers the dense allreduces; the sparse strategies
-        carry their own reference to the same policy for index traffic.
+        Optional :class:`~repro.core.wire.policy.WirePolicy`.  Its value
+        codec (fixed or adaptively selected per message) covers the
+        dense allreduces; the sparse strategies carry their own
+        reference to the same policy for index and value traffic.
     average:
-        Divide the summed gradient by world size (mean-of-means).  On by
-        default; turn off for sum semantics.
+        Divide the summed gradient by the data-axis size
+        (mean-of-means).  On by default; turn off for sum semantics.
     overlap:
         Use the issue-all-then-drain schedule in :meth:`sync_replicas`
         (see module docstring).  Off by default: the blocking schedule
         is the bit-exact reference, including its ledger event order.
     on_issue:
         Optional hook ``f(param_name)`` called immediately *before* each
-        parameter's collectives are issued on the overlapped path.  The
-        trainer uses it to record that parameter's slice of backward
+        parameter's collectives are issued on the overlapped schedule.
+        The trainer uses it to record that parameter's slice of backward
         compute on the timeline — the "backward produces this layer's
         gradient, then its bucket is issued" interleaving.  Ignored on
-        the blocking path.
-    mesh_comm:
-        Optional :class:`~repro.cluster.mesh.MeshCommunicator` over a
-        hybrid ``(pipe, tensor, data)`` mesh.  When set, replicas are
-        data-parallel groups (one per ``data`` coordinate, not one per
-        flat rank) and every gradient is exchanged on the **data axis
-        only** via :mod:`repro.core.mesh_exchange` — sharded over the
-        combined model axes, bit-exact to the flat path on a
-        ``(1, 1, G)`` mesh.  Incompatible with codecs, wire policies,
-        and the overlapped schedule (the mesh path is blocking).
+        the blocking schedule.
     fused_reduce:
         Route dense allreduces through the fused compress-reduce ring
         (:func:`~repro.core.wire.fused.icompressed_allreduce`): the
@@ -117,48 +120,45 @@ class GradientSynchronizer:
         compressed domain, with per-hop wire bytes on the ledger.
         Requires the resolved value codec to be summable (fp16 /
         identity / None); bit-identical numerics to the unfused path
-        by construction.  Incompatible with ``mesh_comm``.
+        by construction.  On a mesh the ring runs per data subgroup,
+        its hop plan costed on the largest subgroup and the axis link.
     """
 
     def __init__(
         self,
         comm: Communicator,
         strategy: ExchangeStrategy | None = None,
-        codec: WireCodec | None = None,
         average: bool = True,
         overlap: bool = False,
         on_issue: Callable[[str], None] | None = None,
         wire: WirePolicy | None = None,
-        mesh_comm=None,
         fused_reduce: bool = False,
     ):
         self.comm = comm
         self.strategy = strategy if strategy is not None else AllGatherExchange()
-        self.codec = codec
         self.wire = wire
         self.average = average
         self.overlap = overlap
         self.on_issue = on_issue
-        self.mesh_comm = mesh_comm
         self.fused_reduce = fused_reduce
-        self._layout = None
-        if mesh_comm is not None:
-            if codec is not None or wire is not None:
-                raise ValueError(
-                    "mesh gradient sync does not compose with codecs or "
-                    "wire policies yet; drop codec/wire or the mesh"
-                )
-            if overlap:
-                raise ValueError(
-                    "mesh gradient sync is blocking; overlap=True is not "
-                    "supported with mesh_comm"
-                )
-            if fused_reduce:
-                raise ValueError(
-                    "fused_reduce rides the flat ring; it does not "
-                    "compose with mesh_comm"
-                )
-            self._layout = MeshShardLayout(mesh_comm.mesh)
+
+    def _apply(
+        self, params: list[Parameter], reduced: np.ndarray, shared: bool
+    ) -> list[np.ndarray]:
+        """Average one reassembled result; one array per replica.
+
+        ``shared`` returns the same object for every replica (read-only
+        by the caller's promise); otherwise the replicas get disjoint
+        rows of one stacked buffer — same values as per-replica copies
+        at a fraction of the cost, and safe to scale in place.
+        """
+        if self.average:
+            reduced = reduced / len(params)
+        if shared:
+            return [reduced] * len(params)
+        stacked = np.empty((len(params),) + reduced.shape, dtype=reduced.dtype)
+        stacked[:] = reduced
+        return list(stacked)
 
     def _issue_dense(
         self, params: list[Parameter], tag: str, shared: bool = False
@@ -166,29 +166,36 @@ class GradientSynchronizer:
         """Issue one dense allreduce; return the finisher that applies it.
 
         ``shared`` applies the reduced gradient as **one array object on
-        every rank** instead of per-rank buffer copies — valid only under
-        the caller's promise that post-sync grads are read-only (the
-        trainer's fused-apply path: rank 0's optimizer consumes them,
-        every other rank's are cleared by state replication).
+        every replica** instead of per-replica buffer copies — valid
+        only under the caller's promise that post-sync grads are
+        read-only (the trainer's fused-apply path: rank 0's optimizer
+        consumes them, every other rank's are cleared by state
+        replication).
         """
+        data = self.comm.axis("data")
         grads = []
         for p in params:
             if p.grad is None:
                 raise ValueError(f"{tag}: rank missing dense grad")
             grads.append(p.grad)
-        codec = self.codec
-        if codec is None and self.wire is not None:
-            codec = self.wire.resolve_value_codec(grads, self.comm)
-        if self.fused_reduce:
+        shape, dtype = grads[0].shape, grads[0].dtype
+        arrays = shard_dense(grads, data.groups)
+        codec = (
+            None
+            if self.wire is None
+            else self.wire.resolve_value_codec(arrays, data)
+        )
+        fused = self.fused_reduce
+        if fused:
             if codec is not None and not getattr(codec, "summable", False):
                 raise ValueError(
                     f"fused_reduce needs a summable value codec (fp16 / "
                     f"identity / none); {codec.name!r} frames cannot be "
                     "summed on the wire"
                 )
-            fused_handle = icompressed_allreduce(
-                self.comm,
-                grads,
+            handle = icompressed_allreduce(
+                data,
+                arrays,
                 codec=codec,
                 tag=tag,
                 chunk_bytes=(
@@ -199,28 +206,16 @@ class GradientSynchronizer:
                     if self.wire is not None
                     else True
                 ),
-                shared_result=shared,
+                shared_result=True,
             )
-
-            def finish_fused() -> None:
-                outs = fused_handle.wait()  # already decoded per rank
-                if shared:
-                    reduced = outs[0]
-                    if self.average:
-                        reduced = reduced / self.comm.world_size
-                    for p in params:
-                        p.grad = reduced
-                    return
-                for p, out in zip(params, outs):
-                    p.grad = (
-                        out / self.comm.world_size if self.average else out
-                    )
-
-            return finish_fused
-        if codec is not None:
-            encoded = [codec.encode(g) for g in grads]
-            handle = self.comm.iallreduce(
-                encoded, tag=tag, payload_bytes=grads[0].nbytes
+        elif codec is not None:
+            handle = data.iallreduce(
+                [codec.encode(a) for a in arrays],
+                tag=tag,
+                payload_bytes=max(
+                    arrays[ranks[0]].nbytes for ranks in data.groups
+                ),
+                shared_result=True,
             )
         else:
             # The batched executor hands out per-rank grads as rank-order
@@ -230,34 +225,22 @@ class GradientSynchronizer:
             # skip restacking G views.  Bit-identical either way.
             block = getattr(params[0], "_grad_block", None)
             if block is not None and (
-                block.shape != (len(params),) + grads[0].shape
+                arrays is not grads
+                or block.shape != (len(params),) + shape
                 or any(g.base is not block for g in grads)
             ):
                 block = None
-            handle = self.comm.iallreduce(
-                grads, tag=tag, stacked=block, shared_result=shared
+            handle = data.iallreduce(
+                arrays, tag=tag, stacked=block, shared_result=True
             )
 
         def finish() -> None:
-            reduced = handle.wait()[0]
-            if codec is not None:
-                reduced = codec.decode(reduced, grads[0].dtype)
-            if self.average:
-                reduced = reduced / self.comm.world_size
-            if shared:
-                # Caller promised read-only consumption: every rank gets
-                # the same buffer, skipping world-1 copies.
-                for p in params:
-                    p.grad = reduced
-                return
-            # One stacked buffer, fanned out as disjoint per-rank views:
-            # same values as per-rank copies at a fraction of the cost.
-            stacked = np.empty(
-                (len(params),) + reduced.shape, dtype=reduced.dtype
-            )
-            stacked[:] = reduced
-            for p, row in zip(params, stacked):
-                p.grad = row
+            # One (identical) copy per shard group is all that is read.
+            reduced = unshard_dense(handle.wait(), data.groups, shape)
+            if codec is not None and not fused:  # the fused ring decodes
+                reduced = codec.decode(reduced, dtype)
+            for p, grad in zip(params, self._apply(params, reduced, shared)):
+                p.grad = grad
 
         return finish
 
@@ -266,62 +249,46 @@ class GradientSynchronizer:
     ) -> Callable[[], None]:
         """Start one sparse exchange; return the finisher that applies it.
 
-        ``shared`` hands every rank the same post-exchange
+        ``shared`` hands every replica the same post-exchange
         :class:`SparseGrad` object (read-only by the caller's promise) —
         see :meth:`_issue_dense`.
         """
+        data = self.comm.axis("data")
         grads = []
         for p in params:
             g = concat_token_grads(p)
             if g is None:
                 raise ValueError(f"{tag}: rank missing sparse grad")
             grads.append(g)
-        pending = self.strategy.iexchange(self.comm, grads, tag=tag)
+        pending = self.strategy.iexchange(
+            data,
+            shard_sparse(grads, data.groups, params[0].data.shape[0]),
+            tag=tag,
+        )
 
         def finish() -> None:
-            exchanged = pending.wait()
-            # Both strategies return one shared result object per rank;
-            # hoist the (identical) averaging out of the rank loop and
-            # fan the values out as disjoint per-rank views.
-            result_shared = all(r is exchanged[0] for r in exchanged[1:])
-            if result_shared and self.average:
-                first = exchanged[0]
-                values = first.values / self.comm.world_size
-                if shared:
-                    sg = SparseGrad._unsafe(first.indices, values)
-                    for p in params:
-                        p.sparse_grads = [sg]
-                    return
-                stacked = np.empty(
-                    (len(params),) + values.shape, dtype=values.dtype
-                )
-                stacked[:] = values
-                unsafe = SparseGrad._unsafe
-                for p, rows in zip(params, stacked):
-                    p.sparse_grads = [unsafe(first.indices, rows)]
-                return
-            for p, result in zip(params, exchanged):
-                values = (
-                    result.values / self.comm.world_size
-                    if self.average
-                    else result.values
-                )
-                p.sparse_grads = [
-                    SparseGrad(indices=result.indices, values=values)
-                ]
+            # Every rank of a shard group holds the same exchanged sum;
+            # reassemble once from the group heads, average once, and
+            # fan the values out per replica.
+            result = unshard_sparse(pending.wait(), data.groups)
+            unsafe = SparseGrad._unsafe
+            for p, values in zip(
+                params, self._apply(params, result.values, shared)
+            ):
+                p.sparse_grads = [unsafe(result.indices, values)]
 
         return finish
 
     def sync_dense(
         self, params: list[Parameter], tag: str, shared: bool = False
     ) -> None:
-        """ALLREDUCE one dense-grad parameter across ranks, in place."""
+        """ALLREDUCE one dense-grad parameter across replicas, in place."""
         self._issue_dense(params, tag, shared=shared)()
 
     def sync_sparse(
         self, params: list[Parameter], tag: str, shared: bool = False
     ) -> None:
-        """Exchange one sparse-grad parameter across ranks, in place."""
+        """Exchange one sparse-grad parameter across replicas, in place."""
         self._issue_sparse(params, tag, shared=shared)()
 
     _named_cache: tuple[tuple[int, ...], list[dict], list[str]] | None = None
@@ -355,142 +322,54 @@ class GradientSynchronizer:
     def sync_replicas(
         self, replicas: list[Module], shared_grads: bool = False
     ) -> None:
-        """Synchronize every parameter of per-rank replicas of one model.
+        """Synchronize every parameter of the data-parallel replicas.
 
-        Walks parameters by name (replicas are structurally identical);
-        a parameter is synced sparse if *any* rank produced sparse grads
-        for it this step, dense if any rank produced dense grads —
-        tied-embedding setups can hit both paths for one parameter.
+        ``replicas`` holds one model per data coordinate (one per rank
+        on a flat world).  Walks parameters by name (replicas are
+        structurally identical); a parameter is synced sparse if *any*
+        replica produced sparse grads for it this step, dense if any
+        produced dense grads — tied-embedding setups can hit both paths
+        for one parameter.
 
-        ``shared_grads`` is the caller's promise that every rank's
+        ``shared_grads`` is the caller's promise that every replica's
         post-sync gradient is consumed **read-only** (and at most once —
         the trainer's fused-apply path, where rank 0's optimizer steps
         and the rest replicate its state).  Synced values then land as
-        one shared object per parameter instead of world copies; bits
-        are identical.  Ignored on the mesh path, which rebuilds per-rank
-        buffers anyway.
+        one shared object per parameter instead of per-replica rows;
+        bits are identical.
 
-        With ``overlap=True`` this uses the issue-all-then-drain
-        schedule described in the module docstring.  With ``mesh_comm``
-        set, replicas are data-parallel groups and the exchange runs on
-        the mesh's data axis (see the class docstring).
+        Blocking, each collective is issued and drained under its
+        parameter's ledger scope before the next is touched.  With
+        ``overlap=True`` parameters are issued in *reverse* registration
+        order, so dense buckets and the sparse exchanges' index gathers
+        queue up back-to-back the way an eager DDP-style hook would
+        issue them; finishers then drain in the same order, the sparse
+        second-stage collectives (the value allreduce, which depends on
+        the gathered indices) being issued during the drain under the
+        owning parameter's scope.
         """
-        if self.mesh_comm is not None:
-            self._sync_replicas_mesh(replicas)
-            return
-        named, names = self._named_params(replicas, self.comm.world_size)
-        if self.overlap:
-            self._sync_replicas_overlapped(
-                named, names, shared_grads=shared_grads
-            )
-            return
-        for name in names:
+        named, names = self._named_params(
+            replicas, self.comm.axis("data").ring_size
+        )
+        scope = self.comm.ledger.scope
+        deferred: list[tuple[str, Callable[[], None]]] = []
+        for name in reversed(names) if self.overlap else names:
             params = [d[name] for d in named]
-            has_sparse = any(p.sparse_grads for p in params)
-            has_dense = any(p.grad is not None for p in params)
-            with self.comm.ledger.scope(name.replace("/", "-")):
-                if has_dense:
-                    self.sync_dense(
-                        params, tag=f"{name}:dense", shared=shared_grads
-                    )
-                if has_sparse:
-                    self.sync_sparse(params, tag=name, shared=shared_grads)
-
-    def _sync_replicas_overlapped(
-        self, named: list[dict], names: list[str], shared_grads: bool = False
-    ) -> None:
-        """Issue every parameter's collectives first, then drain.
-
-        Parameters are issued in *reverse* registration order — the
-        order backward produces gradients — so a timeline-carrying
-        communicator sees dense buckets and the sparse exchanges' index
-        gathers queue up back-to-back, the way an eager DDP-style hook
-        would issue them.  Finishers then drain in the same order;
-        sparse second-stage collectives (the value allreduce, which
-        depends on gathered indices) are issued during the drain, under
-        the owning parameter's ledger scope.
-        """
-        issued: list[tuple[str, Callable[[], None]]] = []
-        for name in reversed(names):
-            params = [d[name] for d in named]
-            has_sparse = any(p.sparse_grads for p in params)
-            has_dense = any(p.grad is not None for p in params)
-            if self.on_issue is not None and (has_dense or has_sparse):
+            issuers = []
+            if any(p.grad is not None for p in params):
+                issuers.append((self._issue_dense, f"{name}:dense"))
+            if any(p.sparse_grads for p in params):
+                issuers.append((self._issue_sparse, name))
+            if self.overlap and self.on_issue is not None and issuers:
                 self.on_issue(name)
             scope_name = name.replace("/", "-")
-            with self.comm.ledger.scope(scope_name):
-                if has_dense:
-                    issued.append(
-                        (
-                            scope_name,
-                            self._issue_dense(
-                                params,
-                                tag=f"{name}:dense",
-                                shared=shared_grads,
-                            ),
-                        )
-                    )
-                if has_sparse:
-                    issued.append(
-                        (
-                            scope_name,
-                            self._issue_sparse(
-                                params, tag=name, shared=shared_grads
-                            ),
-                        )
-                    )
-        for scope_name, finish in issued:
-            with self.comm.ledger.scope(scope_name):
+            with scope(scope_name):
+                for issue, tag in issuers:
+                    finish = issue(params, tag=tag, shared=shared_grads)
+                    if self.overlap:
+                        deferred.append((scope_name, finish))
+                    else:
+                        finish()
+        for scope_name, finish in deferred:
+            with scope(scope_name):
                 finish()
-
-    def _sync_replicas_mesh(self, replicas: list[Module]) -> None:
-        """Data-axis-only sync of the d data-parallel replica groups.
-
-        Dense grads go through :func:`dense_mesh_allreduce` (sharded
-        over the combined model axes); sparse grads through
-        :func:`sparse_mesh_exchange` (vocabulary row ranges per model
-        shard, uniqueness algorithm per data subgroup).  Averaging
-        divides by the data-axis size — the number of independent
-        mini-batches, identical to dividing by G on a flat world.
-        """
-        layout = self._layout
-        named, names = self._named_params(replicas, layout.data_size)
-        for name in names:
-            params = [m[name] for m in named]
-            has_sparse = any(p.sparse_grads for p in params)
-            has_dense = any(p.grad is not None for p in params)
-            with self.comm.ledger.scope(name.replace("/", "-")):
-                if has_dense:
-                    grads = []
-                    for p in params:
-                        if p.grad is None:
-                            raise ValueError(f"{name}: rank missing dense grad")
-                        grads.append(p.grad)
-                    reduced = dense_mesh_allreduce(
-                        self.mesh_comm,
-                        grads,
-                        layout=layout,
-                        tag=f"{name}:dense",
-                        average=self.average,
-                    )
-                    for p, g in zip(params, reduced):
-                        p.grad = g.astype(p.data.dtype, copy=False).copy()
-                if has_sparse:
-                    grads = []
-                    for p in params:
-                        g = concat_token_grads(p)
-                        if g is None:
-                            raise ValueError(
-                                f"{name}: rank missing sparse grad"
-                            )
-                        grads.append(g)
-                    exchanged = sparse_mesh_exchange(
-                        self.mesh_comm,
-                        grads,
-                        num_rows=params[0].data.shape[0],
-                        layout=layout,
-                        tag=name,
-                        average=self.average,
-                    )
-                    for p, result in zip(params, exchanged):
-                        p.sparse_grads = [result]

@@ -1,189 +1,111 @@
-"""Data-axis gradient exchange over a hybrid training mesh.
+"""Shard layout of the data-axis gradient sync on a hybrid mesh.
 
-On a ``(pipe, tensor, data)`` mesh the gradient synchronization of the
-paper's data-parallel recipe is restricted to the **data** axis: the
-``p*t`` model ranks of one data-parallel replica each carry a shard of
-the gradient, and only the ``d`` ranks that share a shard index reduce
-with each other.  This module provides that exchange in the simulator's
-SPMD idiom — per-replica gradients in, per-replica reduced gradients
-out — with the cost charged through
-:class:`~repro.cluster.mesh.MeshCommunicator` data-axis collectives.
+On a ``(pipe, tensor, data)`` mesh the paper's data-parallel gradient
+synchronization is restricted to the **data** axis: each of the ``d``
+data-parallel replicas is spread over ``S = pipe * tensor`` model ranks,
+every model rank carries one shard of each gradient, and only the ``d``
+ranks sharing a shard index reduce with each other.  The collectives
+and the exchange strategies themselves are axis-agnostic — they run on
+``comm.axis("data")`` exactly as they run on a flat communicator — so
+all that is mesh-specific is this module: how one replica's gradient is
+cut into per-rank shards before the data-axis collective, and how the
+per-shard results are reassembled (once) afterwards.
 
-**Bit-exactness contract** (regression-pinned by the mesh training
-tests): on a trivial mesh ``(pipe=1, tensor=1, data=G)`` both exchanges
-reproduce the flat data-parallel path bit-for-bit —
+``groups`` is always the data-axis view's ``groups``: ``S`` rank tuples
+of ``d`` members each, group index = shard index, member index = data
+coordinate.  With ``S == 1`` (flat training, or a ``(1, 1, G)`` mesh)
+every function is the identity on its input.
 
-* :func:`dense_mesh_allreduce` splits each flat gradient into ``p*t``
-  contiguous shards; each data subgroup reduces its shard in the same
-  rank order the flat allreduce uses, and
-  ``concat(array_split(x)) == x`` holds exactly, so the reassembled
-  gradient equals the flat allreduce result element-for-element.
-* :func:`sparse_mesh_exchange` shards the vocabulary into ``p*t``
-  contiguous row ranges and runs the paper's uniqueness algorithm
-  (local coalesce → index allgather → unique → aligned value
-  allreduce) per range over the data axis.  Concatenating the per-range
-  results yields globally sorted unique indices, and filtering a
-  coalesced gradient by a row range commutes with coalescing — so the
-  result matches the flat :class:`~repro.core.unique.UniqueExchange`
-  output exactly.
+**Bit-exactness** (regression-pinned by the composition table): a dense
+gradient is cut into ``S`` contiguous pieces, each data subgroup reduces
+its piece in the same rank order a flat allreduce uses, and
+``concat(array_split(x)) == x`` holds exactly.  A sparse gradient is
+cut by contiguous vocabulary row ranges; ranges ascend, so concatenating
+the per-range unique exchanges yields the globally sorted unique rows,
+and cutting a coalesced gradient by row range commutes with coalescing.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..nn.parameter import SparseGrad
 
-__all__ = [
-    "MeshShardLayout",
-    "dense_mesh_allreduce",
-    "sparse_mesh_exchange",
-]
+__all__ = ["shard_dense", "shard_sparse", "unshard_dense", "unshard_sparse"]
+
+Groups = Sequence[Sequence[int]]
 
 
-def _shard_bounds(total: int, num_shards: int) -> list[tuple[int, int]]:
-    # Mirrors repro.nn.parallel.shard_bounds without importing repro.nn
-    # machinery into the hot path: contiguous ranges, sizes differing by
-    # at most one.
-    base, extra = divmod(total, num_shards)
-    bounds, lo = [], 0
-    for j in range(num_shards):
-        hi = lo + base + (1 if j < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+def _check_replicas(grads: list, groups: Groups) -> None:
+    if len(grads) != len(groups[0]):
+        raise ValueError(
+            f"{len(grads)} replica gradients for a data axis of "
+            f"{len(groups[0])}"
+        )
 
 
-class MeshShardLayout:
-    """Rank → (shard index, data coordinate) map of a hybrid mesh.
-
-    The combined model axes (``pipe`` × ``tensor``) define ``p*t``
-    gradient shards; a rank's shard index is shared by exactly its
-    data-axis subgroup, so the per-rank arrays handed to a data-axis
-    collective are subgroup-uniform by construction.
-    """
-
-    def __init__(self, mesh):
-        names = mesh.axis_names
-        for required in ("pipe", "tensor", "data"):
-            if required not in names:
-                raise ValueError(
-                    f"mesh {mesh.describe()} lacks the {required!r} axis; "
-                    "build it with hybrid_mesh()"
-                )
-        self.mesh = mesh
-        self.data_size = mesh.axis_size("data")
-        self.num_shards = mesh.axis_size("pipe") * mesh.axis_size("tensor")
-        pipe_i = mesh.axis_index("pipe")
-        tensor_i = mesh.axis_index("tensor")
-        data_i = mesh.axis_index("data")
-        t = mesh.axis_size("tensor")
-        self.shard_of: list[int] = []
-        self.data_of: list[int] = []
-        self.rank_of: dict[tuple[int, int], int] = {}
-        for rank in range(mesh.size):  # mesh-ok: SPMD driver loop building the rank->coordinate map itself
-            c = mesh.coords(rank)
-            shard = c[pipe_i] * t + c[tensor_i]
-            self.shard_of.append(shard)
-            self.data_of.append(c[data_i])
-            self.rank_of[(shard, c[data_i])] = rank
-
-
-def dense_mesh_allreduce(
-    mesh_comm,
-    grads: list[np.ndarray],
-    layout: MeshShardLayout | None = None,
-    tag: str = "",
-    average: bool = True,
-) -> list[np.ndarray]:
-    """Reduce one dense gradient across the data axis, sharded over p*t.
-
-    ``grads`` holds one gradient per data-parallel replica (index =
-    data coordinate).  Each gradient is flattened, split into ``p*t``
-    contiguous shards, and reduced shard-wise by one data-axis
-    allreduce; the reassembled (and optionally data-averaged) gradient
-    is returned per replica.
-    """
-    layout = layout if layout is not None else MeshShardLayout(mesh_comm.mesh)
-    d = layout.data_size
-    if len(grads) != d:
-        raise ValueError(f"{len(grads)} replica grads for data axis {d}")
-    shape = grads[0].shape
-    flats = [g.ravel() for g in grads]
-    pieces = [np.array_split(f, layout.num_shards) for f in flats]
-    arrays = [
-        pieces[layout.data_of[r]][layout.shard_of[r]]
-        for r in range(mesh_comm.world_size)  # mesh-ok: assembling the full per-rank array list the SPMD collective API takes
-    ]
-    reduced = mesh_comm.allreduce("data", arrays, tag=tag)
-    out = []
-    for k in range(d):
-        full = np.concatenate(
-            [reduced[layout.rank_of[(s, k)]] for s in range(layout.num_shards)]
-        ).reshape(shape)
-        if average:
-            full = full / d
-        out.append(full)
+def shard_dense(grads: list[np.ndarray], groups: Groups) -> list[np.ndarray]:
+    """Per-flat-rank pieces of ``d`` replica gradients (index = data coord)."""
+    if len(groups) == 1:
+        return grads
+    _check_replicas(grads, groups)
+    out: list[np.ndarray] = [None] * (len(groups) * len(grads))  # type: ignore[list-item]
+    for k, grad in enumerate(grads):
+        for ranks, piece in zip(groups, np.array_split(grad.ravel(), len(groups))):
+            out[ranks[k]] = piece
     return out
 
 
-def sparse_mesh_exchange(
-    mesh_comm,
-    grads: list[SparseGrad],
-    num_rows: int,
-    layout: MeshShardLayout | None = None,
-    tag: str = "",
-    average: bool = True,
+def unshard_dense(
+    results: Sequence[np.ndarray], groups: Groups, shape: tuple[int, ...]
+) -> np.ndarray:
+    """The full reduced gradient from each shard group's (shared) result."""
+    if len(groups) == 1:
+        return results[0]
+    return np.concatenate([results[ranks[0]] for ranks in groups]).reshape(shape)
+
+
+def shard_sparse(
+    grads: list[SparseGrad], groups: Groups, num_rows: int
 ) -> list[SparseGrad]:
-    """The uniqueness exchange, vocab-sharded over p*t, data-axis only.
+    """Per-flat-rank payloads of ``d`` replica sparse gradients.
 
-    ``grads`` holds one token-level sparse gradient per data replica.
-    Each replica's contribution is locally coalesced and split into the
-    ``p*t`` contiguous vocabulary row ranges; each range runs the
-    paper's algorithm across its data subgroup — index allgather, global
-    unique, aligned scatter, value allreduce — and the per-range results
-    are concatenated back (ranges ascend, so indices come out globally
-    sorted and unique, exactly as the flat exchange produces them).
+    The one place that decides what the exchange ships: with one shard
+    the replicas' *token-level* gradients pass through untouched (the
+    paper's step 3 gathers the K-length J); with ``S > 1`` each replica
+    is locally coalesced and cut into ``S`` contiguous vocabulary row
+    ranges, so a model rank ships only its slice of the locally-unique
+    Ĵ (pre-attached as its own coalesced form — the strategies' local
+    reduce is free).
     """
-    layout = layout if layout is not None else MeshShardLayout(mesh_comm.mesh)
-    d = layout.data_size
-    if len(grads) != d:
-        raise ValueError(f"{len(grads)} replica grads for data axis {d}")
-    bounds = _shard_bounds(num_rows, layout.num_shards)
-    local = [g.coalesce() for g in grads]
-    world = mesh_comm.world_size
-
-    idx_arrays: list[np.ndarray] = [None] * world  # type: ignore[list-item]
-    val_arrays: list[np.ndarray] = [None] * world  # type: ignore[list-item]
-    for rank in range(world):  # mesh-ok: assembling the full per-rank array list the SPMD collective API takes
-        lo, hi = bounds[layout.shard_of[rank]]
-        g = local[layout.data_of[rank]]
-        mask = (g.indices >= lo) & (g.indices < hi)
-        idx_arrays[rank] = g.indices[mask].astype(np.int64)
-        val_arrays[rank] = g.values[mask]
-
-    gathered = mesh_comm.allgather("data", idx_arrays, tag=f"{tag}:indices")
-
-    aligned: list[np.ndarray] = [None] * world  # type: ignore[list-item]
-    uniques: list[np.ndarray] = [None] * world  # type: ignore[list-item]
-    dim = grads[0].dim
-    for rank in range(world):  # mesh-ok: per-rank local compute between the two SPMD collectives
-        uniq = np.unique(np.asarray(gathered[rank]).ravel())
-        vals = val_arrays[rank]
-        a = np.zeros((uniq.size, dim), dtype=vals.dtype)
-        if idx_arrays[rank].size:
-            a[np.searchsorted(uniq, idx_arrays[rank])] = vals
-        uniques[rank] = uniq
-        aligned[rank] = a
-
-    reduced = mesh_comm.allreduce("data", aligned, tag=f"{tag}:values")
-
-    out = []
-    for k in range(d):
-        ranks = [layout.rank_of[(s, k)] for s in range(layout.num_shards)]
-        indices = np.concatenate([uniques[r] for r in ranks])
-        values = np.concatenate([reduced[r] for r in ranks], axis=0)
-        if average:
-            values = values / d
-        out.append(SparseGrad(indices=indices, values=values))
+    num_shards = len(groups)
+    if num_shards == 1:
+        return grads
+    _check_replicas(grads, groups)
+    base, extra = divmod(num_rows, num_shards)
+    row_cuts = [s * base + min(s, extra) for s in range(num_shards + 1)]
+    out: list[SparseGrad] = [None] * (num_shards * len(grads))  # type: ignore[list-item]
+    for k, grad in enumerate(grads):
+        local = grad.coalesce()  # sorted unique rows: ranges are slices
+        cuts = np.searchsorted(local.indices, row_cuts)
+        for s, ranks in enumerate(groups):
+            rows = slice(cuts[s], cuts[s + 1])
+            piece = SparseGrad._unsafe(local.indices[rows], local.values[rows])
+            # A twin, not the piece itself: a self-reference would keep
+            # the slices alive until the cyclic garbage collector runs.
+            piece._coalesced = SparseGrad._unsafe(piece.indices, piece.values)
+            out[ranks[k]] = piece
     return out
+
+
+def unshard_sparse(results: Sequence[SparseGrad], groups: Groups) -> SparseGrad:
+    """The full exchanged gradient from each shard group's (shared) result."""
+    if len(groups) == 1:
+        return results[0]
+    heads = [results[ranks[0]] for ranks in groups]
+    return SparseGrad._unsafe(
+        np.concatenate([h.indices for h in heads]),
+        np.concatenate([h.values for h in heads]),
+    )

@@ -14,11 +14,15 @@ invariant).
 * :class:`UniqueExchange` — the paper's Section III-A scheme, delegating
   to :func:`repro.core.unique.unique_exchange`: Θ(G·K + Ug·D).
 
-Either can carry a :class:`~repro.core.compression.WireCodec` to apply
-the Section III-C FP16 compression to the value traffic, and/or a
-:class:`~repro.core.wire.policy.WirePolicy` routing the index gather
-through the lossless frame codecs of :mod:`repro.core.wire` (so the
-Θ(G·K) index traffic is charged at its *encoded* size).
+Either can carry a :class:`~repro.core.wire.policy.WirePolicy`: its
+value codec applies the Section III-C FP16 compression to the value
+traffic, and its index codec routes the index gather through the
+lossless frame codecs of :mod:`repro.core.wire` (so the Θ(G·K) index
+traffic is charged at its *encoded* size).
+
+Both run over whatever rings the communicator has — the whole world, or
+each data subgroup of a ``comm.axis("data")`` view — and return, per
+flat rank, that rank's ring's sum (one shared object per ring).
 
 Each strategy also exposes :meth:`ExchangeStrategy.iexchange`, the
 non-blocking form used by the overlapped synchronizer: it *issues* every
@@ -36,7 +40,6 @@ import numpy as np
 
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
-from .compression import WireCodec
 from .unique import iunique_exchange
 from .wire.policy import WirePolicy
 from .wire.transfer import iencoded_allgather
@@ -101,12 +104,7 @@ class AllGatherExchange(ExchangeStrategy):
 
     name = "allgather"
 
-    def __init__(
-        self,
-        codec: WireCodec | None = None,
-        wire: WirePolicy | None = None,
-    ):
-        self.codec = codec
+    def __init__(self, wire: WirePolicy | None = None):
         self.wire = wire
 
     def iexchange(
@@ -129,14 +127,15 @@ class AllGatherExchange(ExchangeStrategy):
         if len(dims) != 1:
             raise ValueError(f"inconsistent gradient dims across ranks: {dims}")
 
+        wire = self.wire
         index_vectors = [g.indices.astype(np.int64) for g in grads]
         # The baseline pairs index order with value rows, so the index
         # vectors must cross the wire unsorted (sorted_payload=False
         # makes the adaptive estimate honest about that).
         index_codec = (
             None
-            if self.wire is None
-            else self.wire.resolve_index_codec(
+            if wire is None
+            else wire.resolve_index_codec(
                 index_vectors, comm, sorted_payload=False
             )
         )
@@ -146,35 +145,40 @@ class AllGatherExchange(ExchangeStrategy):
                 index_vectors,
                 index_codec,
                 tag=f"{tag}:indices",
-                chunk_bytes=self.wire.chunk_bytes,
-                charge_compute=self.wire.charge_codec_compute,
+                chunk_bytes=wire.chunk_bytes,
+                charge_compute=wire.charge_codec_compute,
             )
         else:
             idx_handle = comm.iallgather(index_vectors, tag=f"{tag}:indices")
 
         def finish() -> list[SparseGrad]:
             gathered_idx = idx_handle.wait()
-            codec = self.codec
-            if codec is None and self.wire is not None:
-                codec = self.wire.resolve_value_codec(
-                    [g.values for g in grads], comm
-                )
+            values = [g.values for g in grads]
+            codec = (
+                None if wire is None else wire.resolve_value_codec(values, comm)
+            )
             if codec is not None:
-                encoded = [codec.encode(g.values) for g in grads]
                 gathered_val = comm.iallgather(
-                    encoded,
+                    [codec.encode(v) for v in values],
                     tag=f"{tag}:values",
-                    payload_bytes=max(g.values.nbytes for g in grads),
+                    payload_bytes=max(v.nbytes for v in values),
+                    shared_result=True,
                 ).wait()
-                values = codec.decode(gathered_val[0], grads[0].values.dtype)
             else:
                 gathered_val = comm.iallgather(
-                    [g.values for g in grads], tag=f"{tag}:values"
+                    values, tag=f"{tag}:values", shared_result=True
                 ).wait()
-                values = gathered_val[0]
-            result = SparseGrad(indices=gathered_idx[0], values=values)
-            # Ranks share the simulator's memory; hand each an equal view.
-            return [result for _ in range(comm.world_size)]  # mesh-ok: flat-path result fan-out, one view per rank
+
+            def result(members: list[int], ring: int) -> list[SparseGrad]:
+                head = members[0]
+                ring_values = gathered_val[head]
+                if codec is not None:
+                    ring_values = codec.decode(ring_values, values[0].dtype)
+                # Ranks share the simulator's memory; hand each an equal view.
+                one = SparseGrad(indices=gathered_idx[head], values=ring_values)
+                return [one] * len(members)
+
+            return comm.by_group(range(comm.world_size), result)  # mesh-ok: flat-rank ids, regrouped per ring by by_group
 
         return PendingSparseExchange(finish)
 
@@ -184,24 +188,19 @@ class UniqueExchange(ExchangeStrategy):
 
     name = "unique"
 
-    def __init__(
-        self,
-        codec: WireCodec | None = None,
-        wire: WirePolicy | None = None,
-    ):
-        self.codec = codec
+    def __init__(self, wire: WirePolicy | None = None):
         self.wire = wire
 
     def iexchange(
         self, comm: Communicator, grads: list[SparseGrad], tag: str = "embedding"
     ) -> PendingSparseExchange:
         """Issue the index allgather now; the value allreduce at wait."""
-        pending = iunique_exchange(
-            comm, grads, tag=tag, codec=self.codec, wire=self.wire
-        )
+        pending = iunique_exchange(comm, grads, tag=tag, wire=self.wire)
 
         def finish() -> list[SparseGrad]:
-            sparse = pending.wait().as_sparse_grad()
-            return [sparse for _ in range(comm.world_size)]  # mesh-ok: flat-path result fan-out, one view per rank
+            return comm.by_group(
+                pending.wait(),
+                lambda ring, _: [ring[0].as_sparse_grad()] * len(ring),
+            )
 
         return PendingSparseExchange(finish)

@@ -19,6 +19,12 @@ Total: Θ(G·K + Ug·D) memory and communication, where Zipf's law gives
 
 All steps are vectorized; the global ordering of Î is ascending word
 index, which every GPU derives independently and deterministically.
+
+The exchange runs over whatever rings its communicator has: the whole
+world on a flat communicator, or — on a ``comm.axis("data")`` view of a
+hybrid mesh — independently inside each data subgroup, every collective
+still being one ledger event.  Ring size and link come from the
+communicator, so nothing here knows about meshes.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import numpy as np
 
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
-from .compression import WireCodec
 from .wire.policy import WirePolicy
 from .wire.transfer import iencoded_allgather
 
@@ -58,7 +63,7 @@ def global_unique(all_indices: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniqueExchangeResult:
-    """Outcome of a unique exchange, identical on every rank.
+    """Outcome of a unique exchange, identical on every rank of a ring.
 
     Attributes
     ----------
@@ -103,7 +108,7 @@ class PendingUniqueExchange:
     stream while the caller does other work (e.g. issuing dense gradient
     buckets).  :meth:`wait` then completes the allgather, runs the
     purely-local steps 4-5, issues and completes the step-6 value
-    ALLREDUCE, and returns the :class:`UniqueExchangeResult`.
+    ALLREDUCE, and returns the :class:`UniqueExchangeResult`\\ s.
 
     The value allreduce cannot be issued earlier: its payload (the
     aligned Ug x D matrices) depends on the gathered indices.  This
@@ -114,100 +119,118 @@ class PendingUniqueExchange:
     def __init__(
         self,
         comm: Communicator,
-        grads: list[SparseGrad],
         local: list[SparseGrad],
         index_handle,
         tag: str,
-        codec: WireCodec | None,
         wire: WirePolicy | None = None,
     ):
         self._comm = comm
-        self._grads = grads
         self._local = local
         self._index_handle = index_handle
         self._tag = tag
-        self._codec = codec
         self._wire = wire
-        self._result: UniqueExchangeResult | None = None
+        self._result: list[UniqueExchangeResult] | None = None
 
     def is_complete(self) -> bool:
         """Whether :meth:`wait` has run to completion."""
         return self._result is not None
 
-    def wait(self) -> UniqueExchangeResult:
-        """Finish the exchange: steps 3 (complete) through 6."""
+    def wait(self) -> list[UniqueExchangeResult]:
+        """Finish the exchange: steps 3 (complete) through 6.
+
+        Returns one result per flat rank; the ranks of one ring share
+        one object (a flat communicator has a single ring, so every
+        entry is the same result).
+        """
         if self._result is not None:
             return self._result
+        comm = self._comm
 
         # Step 3 completes: the gathered index vector is identical on
-        # every rank, so rank 0's copy serves all.
-        all_indices = self._index_handle.wait()[0]
+        # every rank of a ring, so the first member's copy serves all.
+        gathered = self._index_handle.wait()
+        dim = self._local[0].dim
+        dtype = self._local[0].values.dtype
+        uniques: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
 
-        # Step 4: global unique filter, totally ordered (ascending).
-        global_indices = global_unique(all_indices)
-        ug = int(global_indices.size)
+        def align(local: list[SparseGrad], ring: int) -> list[np.ndarray]:
+            # Step 4: global unique filter, totally ordered (ascending).
+            global_indices = global_unique(gathered[comm.groups[ring][0]])
+            # Step 5: local scatter Ĵ -> Î positions, zero-filling missing
+            # rows.  All members' scatters run as one vectorized
+            # assignment into a stacked (ring, Ug, D) block: per-rank
+            # indices are unique, so the fancy assignment writes each
+            # (rank, row) cell at most once — value-identical to the
+            # per-rank loop.
+            cat_idx = np.concatenate([g.indices for g in local])
+            cat_val = (
+                np.concatenate([g.values for g in local])
+                if cat_idx.size
+                else np.zeros((0, dim), dtype=dtype)
+            )
+            pos = np.searchsorted(global_indices, cat_idx)
+            # Every local type must be present globally by construction.
+            assert (global_indices[pos] == cat_idx).all()
+            member_of = np.repeat(
+                np.arange(len(local)),
+                np.fromiter(
+                    (g.indices.size for g in local),
+                    dtype=np.int64,
+                    count=len(local),
+                ),
+            )
+            stacked = np.zeros(
+                (len(local), int(global_indices.size), dim), dtype=dtype
+            )
+            stacked[member_of, pos] = cat_val
+            uniques.append(global_indices)
+            blocks.append(stacked)
+            return list(stacked)
 
-        # Step 5: local scatter Ĵ -> Î positions, zero-filling missing
-        # rows.  All ranks' scatters run as one vectorized assignment
-        # into a stacked (G, Ug, D) block: per-rank indices are unique,
-        # so the fancy assignment writes each (rank, row) cell at most
-        # once — value-identical to the per-rank loop.
-        dim = self._grads[0].dim
-        dtype = self._grads[0].values.dtype
-        world = len(self._local)
-        cat_idx = np.concatenate([g.indices for g in self._local])
-        cat_val = (
-            np.concatenate([g.values for g in self._local])
-            if cat_idx.size
-            else np.zeros((0, dim), dtype=dtype)
+        scattered = comm.by_group(self._local, align)
+
+        # Step 6: allreduce the aligned Ug x D matrices, in the wire
+        # policy's value codec if it resolves one (fixed, or per
+        # message under ``auto``).  Only one (identical) copy per ring
+        # is consumed, so the per-rank fan-out is skipped on the host.
+        codec = (
+            None
+            if self._wire is None
+            else self._wire.resolve_value_codec(scattered, comm)
         )
-        pos = np.searchsorted(global_indices, cat_idx)
-        # Every local type must be present globally by construction.
-        assert (global_indices[pos] == cat_idx).all()
-        rank_of = np.repeat(
-            np.arange(world),
-            np.fromiter(
-                (g.indices.size for g in self._local),
-                dtype=np.int64,
-                count=world,
-            ),
-        )
-        stacked = np.zeros((world, ug, dim), dtype=dtype)
-        stacked[rank_of, pos] = cat_val
-        scattered = list(stacked)
-
-        # Step 6: allreduce the aligned Ug x D matrices (optionally in
-        # the codec's wire precision).  An explicit codec wins; else the
-        # wire policy may resolve one per message (``auto``).
-        codec = self._codec
-        if codec is None and self._wire is not None:
-            codec = self._wire.resolve_value_codec(scattered, self._comm)
         if codec is not None:
-            encoded = [codec.encode(m) for m in scattered]
-            reduced_wire = self._comm.iallreduce(
-                encoded,
+            reduced = comm.iallreduce(
+                [codec.encode(m) for m in scattered],
                 tag=f"{self._tag}:values",
-                payload_bytes=scattered[0].nbytes,
+                payload_bytes=max(b[0].nbytes for b in blocks),
                 shared_result=True,
-            ).wait()[0]
-            reduced = codec.decode(reduced_wire, dtype)
+            ).wait()
         else:
-            # Only rank 0's (identical) copy is consumed — skip the
-            # per-rank fan-out on the host.  ``scattered`` rows are views
-            # of the contiguous block built above; passing it avoids
-            # restacking G views.
-            reduced = self._comm.iallreduce(
+            # ``scattered`` rows are views of the contiguous blocks built
+            # above; passing them avoids restacking the views.
+            reduced = comm.iallreduce(
                 scattered,
                 tag=f"{self._tag}:values",
                 shared_result=True,
-                stacked=stacked,
-            ).wait()[0]
+                stacked=blocks,
+            ).wait()
 
-        self._result = UniqueExchangeResult(
-            global_indices=global_indices,
-            reduced_values=reduced,
-            local_unique_counts=tuple(g.indices.size for g in self._local),
-        )
+        def result(ring_reduced: list[np.ndarray], ring: int):
+            values = ring_reduced[0]
+            if codec is not None:
+                values = codec.decode(values, dtype)
+            members = comm.groups[ring]
+            one = UniqueExchangeResult(
+                global_indices=uniques[ring],
+                reduced_values=values,
+                local_unique_counts=tuple(
+                    self._local[r].indices.size for r in members
+                ),
+            )
+            return [one] * len(members)
+
+        self._result = comm.by_group(reduced, result)
         return self._result
 
 
@@ -215,7 +238,6 @@ def iunique_exchange(
     comm: Communicator,
     grads: list[SparseGrad],
     tag: str = "embedding",
-    codec: WireCodec | None = None,
     wire: WirePolicy | None = None,
 ) -> PendingUniqueExchange:
     """Start a unique exchange without blocking on its collectives.
@@ -223,7 +245,7 @@ def iunique_exchange(
     Runs steps 1-2 locally and issues the step-3 index allgather; the
     rest (steps 4-6) runs when :meth:`PendingUniqueExchange.wait` is
     called.  Parameters are as for :func:`unique_exchange`, which is
-    equivalent to ``iunique_exchange(...).wait()``.
+    ``iunique_exchange(...).wait()[0]``.
 
     When ``wire`` carries (or adaptively selects) an index codec, the
     step-3 vectors are sorted per rank and shipped as lossless frames
@@ -244,9 +266,9 @@ def iunique_exchange(
     # Steps 1-2: local unique + local reduce (per rank, on device).
     local = [local_unique_reduce(g) for g in grads]
 
-    # Step 3 issues: allgather the raw K-length index vectors.  The
-    # paper gathers token-level J (not Ĵ) — cost Θ(G·K) — so we do the
-    # same.
+    # Step 3 issues: allgather the index vectors as handed in.  The
+    # paper gathers token-level J (not Ĵ) — cost Θ(G·K) — so a caller
+    # that passes token-level gradients ships exactly that.
     index_vectors = [g.indices.astype(np.int64, copy=False) for g in grads]
     index_codec = (
         None
@@ -263,20 +285,17 @@ def iunique_exchange(
             charge_compute=wire.charge_codec_compute,
         )
     else:
-        # wait() consumes only rank 0's (identical) gathered vector.
+        # wait() consumes only each ring's first (identical) copy.
         index_handle = comm.iallgather(
             index_vectors, tag=f"{tag}:indices", shared_result=True
         )
-    return PendingUniqueExchange(
-        comm, grads, local, index_handle, tag, codec, wire=wire
-    )
+    return PendingUniqueExchange(comm, local, index_handle, tag, wire=wire)
 
 
 def unique_exchange(
     comm: Communicator,
     grads: list[SparseGrad],
     tag: str = "embedding",
-    codec: WireCodec | None = None,
     wire: WirePolicy | None = None,
 ) -> UniqueExchangeResult:
     """Run the full 7-step exchange over per-rank sparse gradients.
@@ -290,30 +309,27 @@ def unique_exchange(
         agree across ranks, token counts may differ.
     tag:
         Ledger tag distinguishing input- from output-embedding syncs.
-    codec:
-        Optional wire codec (Section III-C compression): the aligned
-        value matrices are encoded before the ALLREDUCE — summation then
-        happens on-wire in the encoded precision, as NCCL's FP16
-        allreduce does — and decoded after.  Index traffic stays int64
-        unless ``wire`` routes it through a lossless frame codec.
     wire:
         Optional :class:`~repro.core.wire.policy.WirePolicy` governing
         both collectives: its index codec (fixed or adaptively selected)
-        compresses the step-3 gather, and its value codec fills in when
-        ``codec`` is None.
+        compresses the step-3 gather, and its value codec (Section III-C
+        compression, e.g. ``WirePolicy.from_spec("fp16")``) encodes the
+        aligned value matrices before the ALLREDUCE — summation then
+        happens on-wire in the encoded precision, as NCCL's FP16
+        allreduce does — and decodes after.
 
     Returns
     -------
     UniqueExchangeResult
-        The globally-reduced update; identical content for all ranks (a
-        single object is returned since the simulator shares memory).
+        The globally-reduced update of rank 0's ring — on a flat
+        communicator, *the* result, identical for all ranks (a single
+        object is returned since the simulator shares memory).
 
     Notes
     -----
     Step 7 (application) belongs to the optimizer: with unique rows the
-    scatter-update is conflict-free.  This blocking form is exactly
-    ``iunique_exchange(...).wait()`` — the staged variant with no work
-    between issue and wait — so the two paths share one implementation
-    and stay bit-identical.
+    scatter-update is conflict-free.  This blocking form is exactly the
+    staged variant with no work between issue and wait, so the two
+    paths share one implementation and stay bit-identical.
     """
-    return iunique_exchange(comm, grads, tag=tag, codec=codec, wire=wire).wait()
+    return iunique_exchange(comm, grads, tag=tag, wire=wire).wait()[0]

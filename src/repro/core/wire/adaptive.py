@@ -146,12 +146,12 @@ class AdaptiveCodecSelector:
             return None
         if a.nbytes < self.min_bytes:
             return None
-        link = comm.fabric.ring_link(comm.world_size)
+        ring, link = comm.ring_size, comm.link
         tp = codec_throughput("fp16", self.throughputs)
         encoded = a.nbytes // 2
         if compressed_transfer_seconds(
-            a.nbytes, encoded, comm.world_size, link, tp
-        ) < _raw_seconds(a.nbytes, comm.world_size, link):
+            a.nbytes, encoded, ring, link, tp
+        ) < _raw_seconds(a.nbytes, ring, link):
             return self._fp16
         return None
 
@@ -171,16 +171,14 @@ class AdaptiveCodecSelector:
         if a.nbytes < self.min_bytes:
             return None
         probe = np.sort(a) if sorted_payload else a
-        link = comm.fabric.ring_link(comm.world_size)
-        raw_s = _raw_seconds(a.nbytes, comm.world_size, link)
+        ring, link = comm.ring_size, comm.link
+        raw_s = _raw_seconds(a.nbytes, ring, link)
         best: WireCodec | None = None
         best_s = raw_s
         for codec in self._index_candidates:
             est = codec.estimate_nbytes(probe, sample=self.sample)
             tp = codec_throughput(codec.name, self.throughputs)
-            t = compressed_transfer_seconds(
-                a.nbytes, est, comm.world_size, link, tp
-            )
+            t = compressed_transfer_seconds(a.nbytes, est, ring, link, tp)
             if t < best_s:
                 best, best_s = codec, t
         return best

@@ -44,6 +44,15 @@ the PR-2 contention rules pipeline chunk ``c+1``'s recode under chunk
 schedule is :func:`repro.perf.codec_model.fused_reduce_time`, validated
 ``≡`` the executed Timeline schedule by the wire benches.
 
+Rings.  The schedule runs over whatever rings the communicator has: on
+a ``comm.axis("data")`` view every data subgroup reduces its own
+payload (numerics per ring), while the hop plan — and therefore every
+ledger event and timeline ticket — is built once, from the ring with
+the largest message, over the view's ring size and link.  The first
+hop carries the caller's per-rank payload to the funnel's hooks, so
+fault plans, the sanitizer and the lockstep verifier see fused traffic
+like any other collective.
+
 Like everything in the simulator, numerics are eager at issue;
 :meth:`PendingFusedReduce.wait` defers the *accounting* of the final
 hops and decode so callers can overlap them with their own compute.
@@ -315,21 +324,17 @@ class PendingFusedReduce:
 
     def __init__(
         self,
-        comm,
         issued: list,
         drain_upto: list[int],
-        plan: FusedReducePlan,
+        final_decode: tuple[int, ...],
         results: list[np.ndarray],
-        throughput: CodecThroughput | None,
-        instruments: dict | None,
+        charge,
     ):
-        self._comm = comm
         self._issued = issued
         self._drain_upto = drain_upto
-        self._plan = plan
+        self._final_decode = final_decode
         self._results = results
-        self._throughput = throughput
-        self._instruments = instruments
+        self._charge = charge
         self._done = False
 
     def is_complete(self) -> bool:
@@ -349,22 +354,12 @@ class PendingFusedReduce:
         """
         if self._done:
             return self._results
-        world = self._comm.world_size
-        ins = self._instruments
         i = 0
-        for upto, lb in zip(self._drain_upto, self._plan.final_decode):
+        for upto, lb in zip(self._drain_upto, self._final_decode):
             while i < upto:
                 self._issued[i].wait()
                 i += 1
-            if self._throughput is not None and lb:
-                decode_s = self._throughput.decode_seconds(lb)
-                for rank in range(world):
-                    self._comm.timeline.record_compute(
-                        rank, decode_s, name="codec:decode"
-                    )
-                if ins is not None:
-                    ins["decode_s"].observe(decode_s, **ins["labels"])
-                    ins["decode_bytes"].inc(lb, **ins["labels"])
+            self._charge("decode", lb)
         while i < len(self._issued):
             self._issued[i].wait()
             i += 1
@@ -389,40 +384,43 @@ def _fused_reduce(
             f"got {len(arrays)} per-rank arrays for a "
             f"{comm.world_size}-rank communicator"
         )
-    world = comm.world_size
-    dtype = arrays[0].dtype
-    if not allgather and arrays[0].shape[0] % world != 0:
+    world, ring = comm.world_size, comm.ring_size
+    # Rings run concurrently: cost the one with the largest message.
+    lead = [
+        arrays[r]
+        for r in max(comm.groups, key=lambda ranks: arrays[ranks[0]].nbytes)
+    ]
+    dtype = lead[0].dtype
+    if not allgather and lead[0].shape[0] % ring != 0:
         raise ValueError(
-            f"reduce_scatter: leading dim {arrays[0].shape[0]} not "
-            f"divisible by world size {world}"
+            f"reduce_scatter: leading dim {lead[0].shape[0]} not "
+            f"divisible by world size {ring}"
         )
     plan = plan_fused_reduce(
-        arrays, codec, allgather=allgather, chunk_bytes=chunk_bytes
+        lead, codec, allgather=allgather, chunk_bytes=chunk_bytes
     )
     summable = codec is not None and getattr(codec, "summable", False)
 
-    # ---- numerics (eager, rank-order fold — see module docstring) ----
-    if summable:
-        encoded = [codec.encode(a) for a in arrays]
-        if allgather:
-            reduced_enc = allreduce_arrays(encoded, shared_result=True)[0]
-            decoded = codec.decode(reduced_enc, dtype)
-            if shared_result:
-                results = [decoded] * world
-            else:
-                stackd = np.empty((world,) + decoded.shape, dtype=dtype)
-                stackd[:] = decoded
-                results = list(stackd)
-        else:
-            shards = reduce_scatter_arrays(encoded)
-            results = [codec.decode(s, dtype) for s in shards]
-    else:
-        if allgather:
-            results = allreduce_arrays(
-                arrays, shared_result=shared_result
-            )
-        else:
-            results = reduce_scatter_arrays(arrays)
+    # ---- numerics (eager, rank-order fold per ring — see module docstring)
+    def reduce(sub: list[np.ndarray], _: int) -> list[np.ndarray]:
+        if not summable:
+            if allgather:
+                return allreduce_arrays(sub, shared_result=shared_result)
+            return reduce_scatter_arrays(sub)
+        if not allgather:
+            return [codec.decode(s, dtype) for s in reduce_scatter_arrays(sub)]
+        decoded = codec.decode(
+            allreduce_arrays(sub, shared_result=True)[0], dtype
+        )
+        if shared_result:
+            return [decoded] * len(sub)
+        stackd = np.empty((len(sub),) + decoded.shape, dtype=dtype)
+        stackd[:] = decoded
+        return list(stackd)
+
+    results = comm.by_group(
+        [codec.encode(a) for a in arrays] if summable else arrays, reduce
+    )
 
     name = codec.name if codec is not None else "raw"
     tp = (
@@ -451,8 +449,8 @@ def _fused_reduce(
             ins[f"{kind}_bytes"].inc(lb, **ins["labels"])
 
     chunks = plan.chunk_logical
-    hops = world - 1
-    link = comm.fabric.ring_link(world) if world > 1 else None
+    hops = ring - 1
+    link = comm.link
     issued: list = []
 
     def issue_hop(phase: str, c: int, h: int, eb: int, lb: int):
@@ -464,6 +462,8 @@ def _fused_reduce(
             scratch_tag=f"{op}-recv:{tag}",
             tag=f"{tag}:{phase}{h}" + (f"[{c}]" if len(chunks) > 1 else ""),
             payload_bytes_per_rank=lb,
+            # The ring's first hop shows the hooks the caller's buffers.
+            payload=None if issued else arrays,
         )
         if ins is not None:
             ins["frame_bytes"].inc(world * eb, **ins["labels"])
@@ -492,7 +492,7 @@ def _fused_reduce(
                 rs_handles[c][h] = issue_hop(
                     "rs", c, h, plan.rs_hop_bytes[c][h], lb
                 )
-        if world == 1 and plan.pre_encode[0]:
+        if ring == 1 and plan.pre_encode[0]:
             charge("encode", plan.pre_encode[0])
         if allgather and hops:
             for c, lb in enumerate(chunks):
@@ -512,7 +512,7 @@ def _fused_reduce(
                     (hops - 1) * len(chunks) + c + 1 if hops else 0
                 )
     return PendingFusedReduce(
-        comm, issued, drain_upto, plan, results, tp, ins
+        issued, drain_upto, plan.final_decode, results, charge
     )
 
 

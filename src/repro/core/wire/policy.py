@@ -21,6 +21,7 @@ Spec strings accepted by :meth:`WirePolicy.from_spec`::
     entropy       raw values, entropy-coded (Huffman) indices
     fp16+delta    both (also fp16+rle, fp16+entropy, etc.)
     auto          adaptive per-message selection for both roles
+    fp16+auto     fixed FP16 values, adaptively selected index codec
 
 All slots default to None, so a default-constructed policy is inert and
 every pre-existing code path is byte-identical with or without one.
@@ -80,12 +81,17 @@ class WirePolicy:
         parts = [p.strip() for p in spec.split("+") if p.strip()]
         if not parts:
             raise ValueError("empty wire-codec spec")
+        selector = None
         if "auto" in parts:
-            if len(parts) > 1:
-                raise ValueError("'auto' cannot be combined with other codecs")
-            return cls(
-                selector=AdaptiveCodecSelector(), chunk_bytes=chunk_bytes
-            )
+            # The selector fills every slot no fixed codec claims; only a
+            # value codec may sit beside it (the index role is auto's).
+            parts.remove("auto")
+            if any(p.partition(":")[0] not in _VALUE_SPECS for p in parts):
+                raise ValueError(
+                    "'auto' can only be combined with a value codec "
+                    "(e.g. 'fp16+auto')"
+                )
+            selector = AdaptiveCodecSelector()
         if parts == ["none"]:
             return cls(chunk_bytes=chunk_bytes)
         value: WireCodec | None = None
@@ -105,7 +111,12 @@ class WirePolicy:
                     f"unknown wire-codec {part!r}; expected none, auto, or "
                     f"'+'-joined names from: {', '.join(available_codecs())}"
                 )
-        return cls(value_codec=value, index_codec=index, chunk_bytes=chunk_bytes)
+        return cls(
+            value_codec=value,
+            index_codec=index,
+            selector=selector,
+            chunk_bytes=chunk_bytes,
+        )
 
     @property
     def is_inert(self) -> bool:

@@ -90,8 +90,8 @@ class PendingEncodedGather:
     Produced by :func:`iencoded_allgather`; :meth:`wait` completes the
     chunk collectives in issue order, charges decode compute, and
     returns the same thing a raw ``iallgather(...).wait()`` would: one
-    copy per receiving rank of the rank-order concatenation of every
-    rank's decoded vector, original element order.  Idempotent.
+    copy per receiving rank of the member-order concatenation of its
+    ring's decoded vectors, original element order.  Idempotent.
     """
 
     def __init__(
@@ -119,30 +119,42 @@ class PendingEncodedGather:
         """Complete all chunk gathers; return allgather-shaped results."""
         if self._result is not None:
             return self._result
-        world = self._comm.world_size
-        per_rank: list[list[np.ndarray]] = [[] for _ in range(world)]
+        comm = self._comm
+        world = comm.world_size
         ins = self._instruments
+        chunk_bufs = []
         for handle, sizes in zip(self._handles, self._chunk_sizes):
-            buf = handle.wait()[0]
+            chunk_bufs.append(handle.wait())
             if self._throughput is not None:
-                decoded_bytes = sum(sizes) * self._dtype.itemsize
+                # Rings decode concurrently; the fullest one sets the cost.
+                decoded_bytes = self._dtype.itemsize * max(
+                    sum(sizes[r] for r in ranks) for ranks in comm.groups
+                )
                 decode_s = self._throughput.decode_seconds(decoded_bytes)
                 for rank in range(world):
-                    self._comm.timeline.record_compute(
+                    comm.timeline.record_compute(
                         rank, decode_s, name="codec:decode"
                     )
                     if ins is not None:
                         ins["decode_s"].observe(decode_s, **ins["labels"])
                         ins["decode_bytes"].inc(decoded_bytes, **ins["labels"])
-            decoded = decode_frames(buf, self._dtype)
-            bounds = np.cumsum(sizes)[:-1]
-            for rank, part in enumerate(np.split(decoded, bounds)):
-                per_rank[rank].append(part)
-        # A raw allgather hands every receiving rank the rank-order
-        # concatenation; reassemble the chunk-interleaved wire order
-        # back into that contract so callers can swap the two freely.
-        full = np.concatenate([np.concatenate(parts) for parts in per_rank])
-        self._result = [full.copy() for _ in range(world)]
+
+        def assemble(members, ring: int) -> list[np.ndarray]:
+            # A raw allgather hands every receiving rank the rank-order
+            # concatenation; reassemble the chunk-interleaved wire order
+            # back into that contract so callers can swap the two freely.
+            per_member: list[list[np.ndarray]] = [[] for _ in members]
+            for bufs, sizes in zip(chunk_bufs, self._chunk_sizes):
+                decoded = decode_frames(bufs[members[0]], self._dtype)
+                bounds = np.cumsum([sizes[r] for r in members])[:-1]
+                for parts, part in zip(per_member, np.split(decoded, bounds)):
+                    parts.append(part)
+            full = np.concatenate(
+                [np.concatenate(parts) for parts in per_member]
+            )
+            return [full.copy() for _ in members]
+
+        self._result = comm.by_group(range(world), assemble)
         return self._result
 
 
@@ -160,7 +172,7 @@ def iencoded_allgather(
     Parameters
     ----------
     comm:
-        The communicator (or a sanitizing/chaos wrapper).  Wire bytes
+        The communicator (root or an axis view).  Wire bytes
         and transfer time are charged from the **encoded** frame sizes;
         the logical (pre-codec) bytes ride along as ``payload_bytes`` so
         the ledger can report the measured compression factor.

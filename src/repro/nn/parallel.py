@@ -4,9 +4,9 @@ Intra-layer (tensor) parallelism from Megatron-LM (PAPERS.md,
 1909.08053), expressed in the simulator's SPMD-in-one-process idiom:
 each layer holds **all** of its shards (index = tensor-parallel rank),
 exactly as the :class:`~repro.cluster.communicator.Communicator` holds
-all ranks' arrays.  Numerics are real; the optional ``mesh_comm``
-charges the tensor-axis collectives each layer implies to the ledger
-and timeline.
+all ranks' arrays.  Numerics are real; the optional ``comm`` (a
+communicator whose mesh is one tensor group) charges the tensor-axis
+collectives each layer implies to the ledger and timeline.
 
 * :class:`ColumnParallelLinear` — ``W`` split by output columns; the
   forward all-gathers shard outputs, the backward all-reduces input
@@ -74,42 +74,42 @@ def shard_bounds(total: int, num_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _tensor_allreduce(mesh_comm, arrays, tag):
+def _tensor_allreduce(comm, arrays, tag):
     """Charge + run a tensor-axis allreduce; plain python sum when offline.
 
-    Comm-substrate call: inherits the caller's ledger scope, and mesh
-    collectives carry raw values by design (no codec composition).
+    Comm-substrate call: inherits the caller's ledger scope, and layer
+    activations cross the tensor axis raw by design.
     """
-    if mesh_comm is not None:
-        return mesh_comm.allreduce("tensor", arrays, tag=tag)  # noqa: REPRO003,REPRO008
+    if comm is not None:
+        return comm.axis("tensor").allreduce(arrays, tag=tag)
     acc = arrays[0].copy()
     for a in arrays[1:]:
         acc += a
     return [acc for _ in arrays]
 
 
-def _tensor_allgather(mesh_comm, arrays, tag):
+def _tensor_allgather(comm, arrays, tag):
     """Charge a tensor-axis allgather; numerics are the caller's concat.
 
-    Comm-substrate call: inherits the caller's ledger scope, and mesh
-    collectives carry raw values by design (no codec composition).
+    Comm-substrate call: inherits the caller's ledger scope, and layer
+    activations cross the tensor axis raw by design.
     """
-    if mesh_comm is not None:
-        mesh_comm.allgather("tensor", arrays, tag=tag)  # noqa: REPRO003,REPRO008
+    if comm is not None:
+        comm.axis("tensor").allgather(arrays, tag=tag)
 
 
-def _check_mesh_comm(mesh_comm, num_shards: int) -> None:
-    if mesh_comm is None:
+def _check_comm(comm, num_shards: int) -> None:
+    if comm is None:
         return
-    if mesh_comm.mesh.axis_size("tensor") != num_shards:
+    if comm.mesh.axis_size("tensor") != num_shards:
         raise ValueError(
-            f"mesh tensor axis {mesh_comm.mesh.axis_size('tensor')} != "
+            f"mesh tensor axis {comm.mesh.axis_size('tensor')} != "
             f"{num_shards} shards"
         )
-    if mesh_comm.world_size != num_shards:
+    if comm.world_size != num_shards:
         raise ValueError(
             "tensor-parallel layers drive one tensor group: the mesh "
-            f"must be tensor-only, got {mesh_comm.mesh.describe()}"
+            f"must be tensor-only, got {comm.mesh.describe()}"
         )
 
 
@@ -130,7 +130,7 @@ class ColumnParallelLinear(Module):
         rng: np.random.Generator,
         bias: bool = True,
         dtype: np.dtype = DTYPE,
-        mesh_comm=None,
+        comm=None,
     ):
         super().__init__()
         if in_dim <= 0 or out_dim <= 0:
@@ -140,11 +140,11 @@ class ColumnParallelLinear(Module):
                 f"out_dim {out_dim} must divide evenly into "
                 f"{num_shards} column shards"
             )
-        _check_mesh_comm(mesh_comm, num_shards)
+        _check_comm(comm, num_shards)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.num_shards = num_shards
-        self._mesh_comm = mesh_comm
+        self._comm = comm
         full = init.xavier_uniform((in_dim, out_dim), rng, dtype)
         width = out_dim // num_shards
         self._weights = []
@@ -173,7 +173,7 @@ class ColumnParallelLinear(Module):
             if self._biases:
                 y += self._biases[j].data
             parts.append(y)
-        _tensor_allgather(self._mesh_comm, parts, tag="col_linear.fwd")
+        _tensor_allgather(self._comm, parts, tag="col_linear.fwd")
         return np.concatenate(parts, axis=-1), {"x": x}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
@@ -192,7 +192,7 @@ class ColumnParallelLinear(Module):
                 self._biases[j].accumulate_grad(gj.sum(axis=0))
             partials.append(gj @ w.data.T)
         reduced = _tensor_allreduce(
-            self._mesh_comm, partials, tag="col_linear.bwd"
+            self._comm, partials, tag="col_linear.bwd"
         )
         return reduced[0].reshape(x.shape)
 
@@ -213,7 +213,7 @@ class RowParallelLinear(Module):
         rng: np.random.Generator,
         bias: bool = True,
         dtype: np.dtype = DTYPE,
-        mesh_comm=None,
+        comm=None,
     ):
         super().__init__()
         if in_dim <= 0 or out_dim <= 0:
@@ -223,11 +223,11 @@ class RowParallelLinear(Module):
                 f"in_dim {in_dim} must divide evenly into "
                 f"{num_shards} row shards"
             )
-        _check_mesh_comm(mesh_comm, num_shards)
+        _check_comm(comm, num_shards)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.num_shards = num_shards
-        self._mesh_comm = mesh_comm
+        self._comm = comm
         full = init.xavier_uniform((in_dim, out_dim), rng, dtype)
         width = in_dim // num_shards
         self._weights = []
@@ -255,7 +255,7 @@ class RowParallelLinear(Module):
             for j, w in enumerate(self._weights)
         ]
         reduced = _tensor_allreduce(
-            self._mesh_comm, partials, tag="row_linear.fwd"
+            self._comm, partials, tag="row_linear.fwd"
         )
         y = reduced[0]
         if self.bias is not None:
@@ -277,7 +277,7 @@ class RowParallelLinear(Module):
             parts.append(g2d @ w.data.T)
         if self.bias is not None:
             self.bias.accumulate_grad(g2d.sum(axis=0))
-        _tensor_allgather(self._mesh_comm, parts, tag="row_linear.bwd")
+        _tensor_allgather(self._comm, parts, tag="row_linear.bwd")
         return np.concatenate(parts, axis=-1).reshape(x.shape)
 
 
@@ -298,16 +298,16 @@ class ParallelEmbedding(Module):
         num_shards: int,
         rng: np.random.Generator,
         dtype: np.dtype = DTYPE,
-        mesh_comm=None,
+        comm=None,
     ):
         super().__init__()
         if num_embeddings <= 0 or dim <= 0:
             raise ValueError("num_embeddings and dim must be positive")
-        _check_mesh_comm(mesh_comm, num_shards)
+        _check_comm(comm, num_shards)
         self.num_embeddings = num_embeddings
         self.dim = dim
         self.num_shards = num_shards
-        self._mesh_comm = mesh_comm
+        self._comm = comm
         self.bounds = shard_bounds(num_embeddings, num_shards)
         full = init.uniform(
             (num_embeddings, dim), 1.0 / np.sqrt(dim), rng, dtype
@@ -336,7 +336,7 @@ class ParallelEmbedding(Module):
             contrib[mask] = w.data[token_ids[mask] - lo]
             parts.append(contrib)
         reduced = _tensor_allreduce(
-            self._mesh_comm, parts, tag="parallel_embedding.fwd"
+            self._comm, parts, tag="parallel_embedding.fwd"
         )
         return reduced[0], {"token_ids": token_ids}
 
@@ -380,19 +380,19 @@ class VocabParallelSampledSoftmax(Module):
         num_shards: int,
         rng: np.random.Generator,
         dtype: np.dtype = DTYPE,
-        mesh_comm=None,
+        comm=None,
     ):
         super().__init__()
         if vocab_size <= 1 or hidden_dim <= 0:
             raise ValueError("bad dimensions")
         if not 0 < num_samples < vocab_size:
             raise ValueError("need 0 < num_samples < vocab_size")
-        _check_mesh_comm(mesh_comm, num_shards)
+        _check_comm(comm, num_shards)
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.num_samples = num_samples
         self.num_shards = num_shards
-        self._mesh_comm = mesh_comm
+        self._comm = comm
         self.sampler = LogUniformSampler(vocab_size)
         self.bounds = shard_bounds(vocab_size, num_shards)
         full = init.uniform(
@@ -415,7 +415,7 @@ class VocabParallelSampledSoftmax(Module):
             contrib[mask] = w.data[ids[mask] - lo]
             parts.append(contrib)
         reduced = _tensor_allreduce(
-            self._mesh_comm, parts, tag="vocab_softmax.rows"
+            self._comm, parts, tag="vocab_softmax.rows"
         )
         return reduced[0]
 
@@ -559,12 +559,12 @@ class PipelineSchedule:
 
     def record(
         self,
-        mesh_comm,
+        comm,
         axis: str = "pipe",
         activation_bytes: int = 0,
         tag: str = "step",
     ) -> float:
-        """Charge the schedule to the mesh's timeline; return the makespan.
+        """Charge the schedule to ``comm``'s timeline; return the makespan.
 
         Every rank of stage ``s`` records its bubble (fill + drain,
         ``(p-1)*(f+b)`` total) and its busy time (``m*(f+b)``), so all
@@ -572,13 +572,13 @@ class PipelineSchedule:
         the ``p-1`` stage boundaries then charges ``m`` activation
         transfers of ``activation_bytes`` on the ``axis`` link.
         """
-        mesh = mesh_comm.mesh
+        mesh = comm.mesh
         if mesh.axis_size(axis) != self.num_stages:
             raise ValueError(
                 f"mesh {axis!r} axis has {mesh.axis_size(axis)} stage(s), "
                 f"schedule has {self.num_stages}"
             )
-        timeline = mesh_comm.comm.timeline
+        timeline = comm.timeline
         axis_pos = mesh.axis_index(axis)
         per_micro = self.fwd_time_s + self.bwd_time_s
         bubble = (self.num_stages - 1) * per_micro
@@ -591,10 +591,10 @@ class PipelineSchedule:
                 )
             timeline.record_compute(rank, busy, name=f"pipe-stage:s{stage}")
         if activation_bytes > 0:
+            stage_link = comm.axis(axis)
             for boundary in range(self.num_stages - 1):
                 for micro in range(self.num_micro):
-                    mesh_comm.transfer(
-                        axis,
+                    stage_link.transfer(
                         activation_bytes,
                         tag=f"{tag}:act:{boundary}->{boundary + 1}:m{micro}",
                     )

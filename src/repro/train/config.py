@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core.compression import WireCodec
 from ..core.seeding import SeedStrategy
 from ..data.batching import BatchSpec
 
@@ -100,9 +99,10 @@ class TrainConfig:
         rate is ``base_lr * ln(nodes)`` per the paper's scaling rule.
     gpus_per_node:
         Node width for the LR rule (8 in the paper's cluster).
-    use_unique, codec, seed_strategy:
-        The three techniques: unique exchange on/off; optional FP16 wire
-        codec; sampled-softmax seed strategy (word LM only).
+    use_unique, seed_strategy:
+        Two of the three techniques: unique exchange on/off and the
+        sampled-softmax seed strategy (word LM only).  The third, FP16
+        compression on the wire, is ``wire_codec="fp16"``.
     accumulation_steps:
         Gradient-accumulation micro-steps per synchronization: the
         effective global batch becomes ``world * K * accumulation_steps``
@@ -135,11 +135,13 @@ class TrainConfig:
     wire_codec:
         Wire-compression spec handed to
         :meth:`repro.core.wire.policy.WirePolicy.from_spec` (``"auto"``,
-        ``"fp16"``, ``"delta"``, ``"rle"``, ``"fp16+delta"``, ...,
-        ``"none"``).  ``None`` (default) builds no policy at all — the
-        pre-wire behaviour, bit-and-ledger-identical to the seed.
-        Independent of ``codec``, which (if set) still wins for value
-        traffic.
+        ``"fp16"`` / ``"fp16:<scale>"``, ``"delta"``, ``"rle"``,
+        ``"fp16+delta"``, ``"fp16+auto"``, ..., ``"none"``) — the one
+        entry point for compression: the value codec covers dense
+        allreduces and the sparse exchanges' value traffic, the index
+        codec the index gather.  ``None`` (default) builds no policy at
+        all — the pre-wire behaviour, bit-and-ledger-identical to the
+        seed.
     wire_chunk_bytes:
         Chunk granularity for the pipelined index gather (logical bytes
         per rank); requires ``wire_codec``.
@@ -153,14 +155,16 @@ class TrainConfig:
         summed in the compressed domain.  Numerics are bit-identical
         to the unfused path; only the simulated schedule and ledger
         change.  Requires a summable value codec (fp16 / identity /
-        none) and does not compose with ``mesh``.
+        none).  On a mesh the ring runs per data subgroup, its hop plan
+        costed on the largest subgroup and the data-axis link.
     wire_learn:
         After each epoch, feed the measured wire telemetry back into
         the adaptive selector's throughput table
         (:meth:`repro.core.wire.adaptive.AdaptiveCodecSelector.
         learn_from_metrics`) so later crossover decisions use observed
-        bytes/sec instead of the static defaults.  Requires
-        ``wire_codec="auto"`` (only the selector consults the table).
+        bytes/sec instead of the static defaults.  Requires an
+        ``auto`` slot in ``wire_codec`` (only the selector consults the
+        table).
     mesh:
         Optional hybrid-parallelism mesh spec over the world, e.g.
         ``"pipe=2,tensor=2,data=G/4"`` (axes default to 1 when omitted;
@@ -168,12 +172,12 @@ class TrainConfig:
         keeps one model replica per **data** coordinate, restricts
         gradient sync to the data axis (sharded over pipe × tensor),
         and charges pipeline activation sends on the pipe axis.
-        ``None`` (default) is the flat data-parallel path;
-        ``"data=G"`` routes through the mesh machinery with bit-exact
-        identical numerics (regression-pinned).  A mesh does not
-        compose with ``codec``/``wire_codec`` (the sharded exchange
-        carries raw values) or ``overlap`` (the mesh sync is blocking)
-        — those combinations are rejected eagerly.
+        ``None`` (default) *is* ``"data=G"``: flat data parallelism is
+        the trivial ``(1, 1, G)`` mesh, the same code path.  Every other
+        switch (``wire_codec``, ``overlap``, ``fused_reduce``,
+        sanitizing, lockstep verification) composes with any mesh; with
+        ``pipe > 1`` the 1F1B schedule has already placed the step's
+        compute, so ``overlap`` then only changes the issue order.
     batched:
         Batched rank execution (the simulator fast path).  ``None``
         (default) auto-enables it when the replicas qualify (two or more
@@ -190,7 +194,6 @@ class TrainConfig:
     lr_decay: float = 0.9
     gpus_per_node: int = 8
     use_unique: bool = True
-    codec: WireCodec | None = None
     seed_strategy: SeedStrategy = SeedStrategy.PER_RANK
     init_seed: int = 1234
     data_seed: int = 99
@@ -239,45 +242,27 @@ class TrainConfig:
             from ..core.wire.policy import WirePolicy
 
             WirePolicy.from_spec(self.wire_codec, self.wire_chunk_bytes)
-        if self.wire_learn and self.wire_codec != "auto":
+        if self.wire_learn and "auto" not in (self.wire_codec or "").split("+"):
             raise ValueError(
                 "wire_learn feeds the adaptive selector's throughput "
-                'table; it requires wire_codec="auto"'
+                'table; it requires an "auto" slot in wire_codec'
             )
-        if self.fused_reduce and self.mesh is not None:
-            raise ValueError(
-                "fused_reduce rides the flat ring; it does not compose "
-                "with a mesh"
-            )
-        if self.mesh is not None:
-            # Same eager stance for the mesh: parse the spec (and check
-            # it against world_size) at construction time, and reject
-            # the combinations the mesh sync path cannot honour.
-            from ..cluster.mesh import hybrid_mesh
-
-            hybrid_mesh(self.mesh, self.world_size)
-            if self.codec is not None or self.wire_codec is not None:
-                raise ValueError(
-                    "mesh training does not compose with codec/wire_codec: "
-                    "the sharded data-axis exchange carries raw values; "
-                    "drop the codec or the mesh"
-                )
-            if self.overlap:
-                raise ValueError(
-                    "mesh training uses the blocking sync schedule; "
-                    "overlap=True is not supported with a mesh"
-                )
+        # Same eager stance for the mesh: parse the spec (and check it
+        # against world_size) at construction time.
+        self.device_mesh
 
     @property
     def num_nodes(self) -> int:
         return -(-self.world_size // self.gpus_per_node)
 
     @property
-    def mesh_shape(self) -> tuple[int, int, int] | None:
-        """``(pipe, tensor, data)`` sizes of the mesh, or None if flat."""
-        if self.mesh is None:
-            return None
+    def device_mesh(self):
+        """The ``(pipe, tensor, data)`` mesh; ``mesh=None`` is ``data=G``."""
         from ..cluster.mesh import hybrid_mesh
 
-        m = hybrid_mesh(self.mesh, self.world_size)
-        return (m.axis_size("pipe"), m.axis_size("tensor"), m.axis_size("data"))
+        return hybrid_mesh(self.mesh or "data=G", self.world_size)
+
+    @property
+    def mesh_shape(self) -> tuple[int, int, int] | None:
+        """``(pipe, tensor, data)`` sizes of the mesh, or None if flat."""
+        return None if self.mesh is None else self.device_mesh.axis_sizes

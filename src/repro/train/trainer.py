@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.communicator import Communicator
-from ..cluster.mesh import MeshCommunicator, hybrid_mesh
 from ..core.embedding_sync import GradientSynchronizer
 from ..core.seeding import assign_seeds
 from ..core.sparse_exchange import AllGatherExchange, UniqueExchange
@@ -115,14 +114,14 @@ class EpochStats:
 class DistributedTrainer:
     """Drive G replicas through synchronous data-parallel training.
 
-    With ``config.mesh`` set, the world is a hybrid
-    ``(pipe, tensor, data)`` mesh instead of a flat rank list: one
-    replica is kept per **data** coordinate, gradient sync runs on the
-    data axis only (sharded across the pipe × tensor model ranks via
-    :mod:`repro.core.mesh_exchange`), and — when compute accounting is
-    on and ``pipe > 1`` — each step is placed as a 1F1B pipeline
-    schedule with activation sends charged on the pipe axis.  A
-    ``(1, 1, G)`` mesh reproduces the flat path bit-for-bit.
+    The world is always a hybrid ``(pipe, tensor, data)`` mesh —
+    ``config.mesh=None`` is the trivial ``(1, 1, G)`` one, i.e. flat
+    data parallelism.  One replica is kept per **data** coordinate,
+    gradient sync runs on the data axis only (sharded across the
+    pipe × tensor model ranks via :mod:`repro.core.mesh_exchange`), and
+    — when compute accounting is on and ``pipe > 1`` — each step is
+    placed as a 1F1B pipeline schedule with activation sends charged on
+    the pipe axis.
 
     Parameters
     ----------
@@ -140,7 +139,8 @@ class DistributedTrainer:
     comm:
         Optional pre-built communicator; by default one is created with
         memory tracking **off** (accuracy runs routinely simulate more
-        ranks x batch than one host could track byte-for-byte).
+        ranks x batch than one host could track byte-for-byte).  Either
+        way the trainer sets the configured mesh on it.
     telemetry:
         Optional :class:`~repro.telemetry.TelemetrySession`; when set
         (here or later via ``session.adopt_trainer``), every optimizer
@@ -167,20 +167,12 @@ class DistributedTrainer:
         if self.comm.world_size != config.world_size:
             raise ValueError("communicator world size != config world size")
 
-        # Hybrid mesh: when configured, the world is (pipe, tensor,
-        # data) and one model replica stands for each *data* coordinate
-        # — the pipe × tensor shards of that replica live as gradient
-        # shards inside the mesh exchange, not as separate modules.
-        self.mesh = None
-        self.mesh_comm = None
-        if config.mesh is not None:
-            self.mesh = hybrid_mesh(config.mesh, config.world_size)
-            self.mesh_comm = MeshCommunicator(self.comm, self.mesh)
-        self.data_parallel = (
-            self.mesh.axis_size("data")
-            if self.mesh is not None
-            else config.world_size
-        )
+        # The world is (pipe, tensor, data) and one model replica
+        # stands for each *data* coordinate — the pipe × tensor shards
+        # of that replica live as gradient shards inside the sync, not
+        # as separate modules.
+        self.mesh = self.comm.mesh = config.device_mesh
+        self.data_parallel = self.mesh.axis_size("data")
 
         self.replicas = [
             model_factory(np.random.default_rng(config.init_seed), rank)
@@ -197,24 +189,25 @@ class DistributedTrainer:
                 wire = None  # "none": keep the pre-wire code paths
         self.wire = wire
         strategy = (
-            UniqueExchange(codec=config.codec, wire=wire)
+            UniqueExchange(wire=wire)
             if config.use_unique
-            else AllGatherExchange(codec=config.codec, wire=wire)
+            else AllGatherExchange(wire=wire)
         )
-        track_compute = config.compute_seconds_per_step is not None
+        # Backward slices are recorded per parameter only when the step's
+        # compute is placed by the flat schedule (a 1F1B pipeline has
+        # already placed all of it — see _record_step_compute).
+        slice_backward = (
+            config.overlap
+            and config.compute_seconds_per_step is not None
+            and self.mesh.axis_size("pipe") == 1
+        )
         self.synchronizer = GradientSynchronizer(
             self.comm,
             strategy=strategy,
-            codec=config.codec,
             wire=wire,
             average=True,
             overlap=config.overlap,
-            on_issue=(
-                self._record_backward_slice
-                if (config.overlap and track_compute)
-                else None
-            ),
-            mesh_comm=self.mesh_comm,
+            on_issue=self._record_backward_slice if slice_backward else None,
             fused_reduce=config.fused_reduce,
         )
         self._backward_slice_s = 0.0
@@ -304,13 +297,15 @@ class DistributedTrainer:
         :class:`~repro.nn.parallel.PipelineSchedule`: each stage works
         ``1/p`` of the model per micro-batch, accumulation steps are the
         micro-batches, and activation sends are charged on the pipe
-        axis.
+        axis.  That schedule has already placed all of the step's
+        compute, so with ``overlap=True`` no per-parameter backward
+        slices are recorded — overlap then only changes the issue order.
         """
         compute_s = self.config.compute_seconds_per_step
         if compute_s is None:
             return
-        if self.mesh is not None and self.mesh.axis_size("pipe") > 1:
-            p = self.mesh.axis_size("pipe")
+        p = self.mesh.axis_size("pipe")
+        if p > 1:
             per_stage = compute_s / p
             schedule = PipelineSchedule(
                 num_stages=p,
@@ -318,12 +313,13 @@ class DistributedTrainer:
                 fwd_time_s=per_stage * (1.0 - _BACKWARD_FRACTION),
                 bwd_time_s=per_stage * _BACKWARD_FRACTION,
             )
-            schedule.record(
-                self.mesh_comm,
-                axis="pipe",
-                activation_bytes=4 * self.config.batch.local_batch_tokens,
-                tag=f"step{self.global_step}",
-            )
+            with self.comm.ledger.scope("pipeline"):
+                schedule.record(
+                    self.comm,
+                    axis="pipe",
+                    activation_bytes=4 * self.config.batch.local_batch_tokens,
+                    tag=f"step{self.global_step}",
+                )
             return
         total = compute_s * self.config.accumulation_steps
         timeline = self.comm.timeline

@@ -85,6 +85,18 @@ class TestRepro003ScopeAttribution:
         src = "def helper(comm, xs):\n    return comm.allgather(xs)\n"
         assert ids_for(src, "core/unique.py", only="REPRO003") == []
         assert ids_for(src, "cluster/hierarchical.py", only="REPRO003") == []
+        assert ids_for(src, "nn/parallel.py", only="REPRO003") == []
+
+    def test_axis_addressed_and_scheduled_forms_recognised(self):
+        for call in (
+            'comm.axis("data").allreduce(xs)',
+            'comm.axis("pipe").transfer(4096)',
+            'comm.issue_scheduled("hop", time_s=0.0, wire_bytes_per_rank=8).wait()',
+        ):
+            src = f"def step(comm, xs):\n    {call}\n"
+            assert ids_for(src, "train/loop.py", only="REPRO003") == [
+                "REPRO003"
+            ], call
 
 
 class TestRepro004DtypeDefaults:
@@ -155,6 +167,16 @@ class TestRepro007DroppedHandle:
         src = "h = comm.ibroadcast(xs, root=0)\n"
         assert ids_for(src, only="REPRO007") == ["REPRO007"]
 
+    def test_axis_addressed_and_scheduled_drops_flagged(self):
+        src = 'def f(comm, xs):\n    comm.axis("data").iallreduce(xs)\n'
+        assert ids_for(src, only="REPRO007") == ["REPRO007"]
+        src = (
+            "def f(comm):\n"
+            '    h = comm.issue_scheduled("hop", time_s=0.0, '
+            "wire_bytes_per_rank=8)\n"
+        )
+        assert ids_for(src, only="REPRO007") == ["REPRO007"]
+
     def test_waited_handle_allowed(self):
         src = "def f(comm, xs):\n    h = comm.iallreduce(xs)\n    h.wait()\n"
         assert ids_for(src, only="REPRO007") == []
@@ -213,6 +235,16 @@ class TestRepro008UncodedPayload:
     def test_raw_payload_in_orchestration_flagged(self):
         src = "def f(comm, grads):\n    h = comm.iallgather(grads)\n    h.wait()\n"
         assert ids_for(src, "train/loop.py", only="REPRO008") == ["REPRO008"]
+
+    def test_axis_addressed_payload_flagged_pre_costed_steps_exempt(self):
+        src = (
+            "def f(comm, grads):\n"
+            '    h = comm.axis("data").iallgather(grads)\n'
+            "    h.wait()\n"
+        )
+        assert ids_for(src, "train/loop.py", only="REPRO008") == ["REPRO008"]
+        src = 'def f(comm, n):\n    comm.axis("pipe").transfer(n)\n'
+        assert ids_for(src, "train/loop.py", only="REPRO008") == []
 
     def test_bare_name_entry_point_flagged(self):
         src = "def f(comm, grads):\n    h = iexchange(comm, grads)\n    h.wait()\n"

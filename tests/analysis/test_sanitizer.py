@@ -15,7 +15,6 @@ from repro.analysis import (
     DroppedHandleError,
     IssueOrderError,
     SanitizedFp16Codec,
-    SanitizedWorkHandle,
     Sanitizer,
     SanitizerError,
     sanitize_codec,
@@ -97,6 +96,68 @@ class TestCollectiveAgreement:
         assert san.ledger.total_wire_bytes_per_rank == 0
         san.barrier(tag="sync-point")
         assert san.op_log[-1].op == "barrier"
+
+
+class TestFunnelCoverage:
+    """The checks hook the funnel, so every entry point is covered."""
+
+    @staticmethod
+    def mesh_world():
+        from repro.cluster import hybrid_mesh
+
+        comm = Communicator(
+            4, track_memory=False, mesh=hybrid_mesh("tensor=2,data=2", 4)
+        )
+        return comm, Sanitizer(comm)
+
+    def test_nan_on_a_tensor_axis_allreduce_is_flagged(self):
+        comm, san = self.mesh_world()
+        arrays = per_rank(4, (3,))
+        arrays[3][1] = np.nan
+        with pytest.raises(CollectiveMismatchError) as exc:
+            comm.axis("tensor").allreduce(arrays, tag="logits")
+        msg = str(exc.value)
+        assert "rank 3" in msg and "non-finite" in msg and "logits" in msg
+        assert comm.ledger.events == []  # rejected before any accounting
+
+    def test_shapes_are_checked_within_each_subgroup_only(self):
+        comm, san = self.mesh_world()
+        tensor = comm.axis("tensor")
+        assert tensor.groups == ((0, 2), (1, 3))
+        shards = [np.ones(2), np.ones(5), np.ones(2), np.ones(5)]
+        tensor.allreduce(shards)  # cross-group shapes legitimately differ
+        assert [rec.op for rec in san.op_log] == ["allreduce"]
+        bad = [np.ones(2), np.ones(5), np.ones(3), np.ones(5)]
+        with pytest.raises(CollectiveMismatchError, match="shape mismatch"):
+            tensor.allreduce(bad)
+        # allgatherv stays ragged-legal inside a subgroup.
+        tensor.allgather([np.ones(r + 1) for r in range(4)])
+
+    def test_explicitly_scheduled_steps_are_checked(self):
+        san = make(require_scope=True)
+        payload = per_rank(2, (4,))
+        with pytest.raises(SanitizerError, match="ledger scope"):
+            san.issue_scheduled(
+                "fused_allreduce", time_s=0.0, wire_bytes_per_rank=8,
+                payload=payload,
+            )
+        payload[1][0] = np.inf
+        with san.ledger.scope("sync"):
+            with pytest.raises(CollectiveMismatchError, match="rank 1"):
+                san.issue_scheduled(
+                    "fused_allreduce", time_s=0.0, wire_bytes_per_rank=8,
+                    payload=payload,
+                )
+
+    def test_fused_ring_payload_is_nan_checked(self):
+        from repro.core.wire import icompressed_allreduce
+
+        comm = Communicator(2, track_memory=False)
+        Sanitizer(comm)
+        arrays = per_rank(2, (8,))
+        arrays[0][3] = np.nan
+        with pytest.raises(CollectiveMismatchError, match="fused_allreduce"):
+            icompressed_allreduce(comm, arrays, tag="dense")
 
 
 class TestFp16Boundary:
@@ -183,7 +244,8 @@ class TestAsyncHandles:
         with pytest.raises(CollectiveMismatchError):
             san.iallreduce(arrays)  # validation fires at issue, not wait
         handle = san.iallreduce(per_rank(2, (3,)), tag="g")
-        assert isinstance(handle, SanitizedWorkHandle)
+        # The funnel's own pending set is what finish() inspects.
+        assert san.pending_work == (handle,)
         # Logged under the base op name so assert_same_sequence treats
         # issue+wait and blocking runs as the same sequence.
         assert san.op_log[-1].op == "allreduce"
@@ -315,7 +377,8 @@ class TestTrainerIntegration:
             batch=BatchSpec(2, 8),
             base_lr=0.1,
             use_unique=True,
-            codec=sanitize_codec(Fp16Codec(512.0)),
+            wire_codec="fp16",
+            wire_sanitize=True,
             seed_strategy=SeedStrategy.PER_RANK,
         )
         model_cfg = WordLMConfig(

@@ -38,6 +38,18 @@ class TestRankDivergentControlFlow:
         assert "rank-divergent" in findings[0].message
         assert "line 2" in findings[0].message  # names the guard
 
+    def test_axis_addressed_collective_under_rank_branch(self):
+        for call in (
+            'comm.axis("tensor").allreduce(grads)',
+            'comm.axis("pipe").transfer(4096)',
+        ):
+            src = (
+                "def step(comm, rank, grads):\n"
+                "    if rank == 0:\n"
+                f"        {call}\n"
+            )
+            assert [f.rule_id for f in lint(src)] == ["REPRO010"], call
+
     def test_early_exit_before_a_collective(self):
         src = (
             "def step(comm, rank, grads):\n"

@@ -6,10 +6,10 @@ import pytest
 from repro.cluster import (
     Communicator,
     DeviceSpec,
-    FailingCommunicator,
     RankFailureError,
     Timeline,
 )
+from ..helpers import crashing_comm
 
 BIG_DEVICE = DeviceSpec(name="roomy", memory_bytes=10**9, peak_flops=1e12)
 
@@ -157,9 +157,7 @@ class TestTimelineIntegration:
 
 class TestFailureInjection:
     def test_failure_fires_at_issue_not_wait(self):
-        comm = FailingCommunicator(
-            2, track_memory=False, fail_after=1, failing_rank=0
-        )
+        comm = crashing_comm(2, crash_at=1, rank=0, track_memory=False)
         handle = comm.iallreduce(arrays_for(2))
         with pytest.raises(RankFailureError):
             comm.iallreduce(arrays_for(2))
@@ -167,9 +165,7 @@ class TestFailureInjection:
         handle.wait()
 
     def test_blocking_calls_still_fail(self):
-        comm = FailingCommunicator(
-            2, track_memory=False, fail_after=0, failing_rank=1
-        )
+        comm = crashing_comm(2, crash_at=0, rank=1, track_memory=False)
         with pytest.raises(RankFailureError):
             comm.allgather(arrays_for(2))
 
@@ -202,9 +198,7 @@ class TestHandleEdgeCases:
 
     def test_wait_all_after_failed_issue(self):
         """A mid-issue rank failure leaves earlier handles completable."""
-        comm = FailingCommunicator(
-            2, device_spec=BIG_DEVICE, fail_after=1, failing_rank=0
-        )
+        comm = crashing_comm(2, crash_at=1, rank=0, device_spec=BIG_DEVICE)
         survivor = comm.iallreduce(arrays_for(2, (100,)))
         with pytest.raises(RankFailureError):
             comm.iallgather(arrays_for(2))
@@ -217,9 +211,7 @@ class TestHandleEdgeCases:
         """After a failure mid-issue, the pending survivor still holds its
         scratch; draining it releases everything — verified through the
         peak-footprint accounting the recovery loop relies on."""
-        comm = FailingCommunicator(
-            2, device_spec=BIG_DEVICE, fail_after=1, failing_rank=1
-        )
+        comm = crashing_comm(2, crash_at=1, rank=1, device_spec=BIG_DEVICE)
         survivor = comm.iallreduce(arrays_for(2, (100,)))
         with pytest.raises(RankFailureError):
             comm.iallreduce(arrays_for(2, (100,)))

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Communicator, ring_allreduce_time
-from repro.cluster.failures import (
-    FailingCommunicator,
-    RankFailureError,
-    degrade_fabric,
+from repro.cluster import (
+    ChaosCommunicator,
+    Communicator,
+    FaultEvent,
+    FaultKind,
+    ring_allreduce_time,
 )
+from repro.cluster.failures import RankFailureError, degrade_fabric
 from repro.cluster.interconnect import PAPER_CLUSTER_FABRIC
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD
+from ..helpers import crashing_comm
 from repro.train import (
     DistributedTrainer,
     TrainConfig,
@@ -63,8 +66,10 @@ class TestDegradedFabric:
 
 
 class TestFailingCommunicator:
+    """A node crash mid-step: a one-event ``RANK_LOSS`` fault plan."""
+
     def test_fails_after_budget(self):
-        comm = FailingCommunicator(2, fail_after=2, track_memory=False)
+        comm = crashing_comm(2, crash_at=2, track_memory=False)
         arrays = [np.ones(4) for _ in range(2)]
         comm.allreduce(arrays)
         comm.allgather(arrays)
@@ -74,26 +79,26 @@ class TestFailingCommunicator:
         assert exc.value.op == "allreduce"
 
     def test_no_budget_never_fails(self):
-        comm = FailingCommunicator(2, fail_after=None, track_memory=False)
+        comm = ChaosCommunicator(2, track_memory=False)  # empty plan
         for _ in range(10):
             comm.allreduce([np.ones(2)] * 2)
 
     def test_failure_before_state_mutation(self):
-        comm = FailingCommunicator(2, fail_after=0, track_memory=False)
+        comm = crashing_comm(2, crash_at=0, track_memory=False)
         with pytest.raises(RankFailureError):
             comm.allreduce([np.ones(2)] * 2)
         assert len(comm.ledger.events) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FailingCommunicator(2, fail_after=-1)
+            FaultEvent(FaultKind.RANK_LOSS, collective_index=-1)
         with pytest.raises(ValueError):
-            FailingCommunicator(2, failing_rank=5)
+            FaultEvent(FaultKind.RANK_LOSS, collective_index=0, rank=-1)
 
 
 class TestElasticRecovery:
     def test_crash_surfaces_from_training(self):
-        comm = FailingCommunicator(2, fail_after=3, track_memory=False)
+        comm = crashing_comm(2, crash_at=3, track_memory=False)
         tr = trainer_with(comm=comm)
         with pytest.raises(RankFailureError):
             for _ in range(10):
@@ -107,14 +112,17 @@ class TestElasticRecovery:
         for _ in range(6):
             straight.train_step()
 
-        # Interrupted run: checkpoint at step 4, crash during step 5.
-        flaky_comm = FailingCommunicator(2, fail_after=10**9, track_memory=False)
+        # Interrupted run: checkpoint at step 4, crash during step 5
+        # (two collectives into it; every step issues the same count).
+        per_step = len(straight.comm.ledger.events) // 6
+        flaky_comm = crashing_comm(
+            2, crash_at=4 * per_step + 2, track_memory=False
+        )
         victim = trainer_with(comm=flaky_comm)
         for _ in range(4):
             victim.train_step()
         ckpt = tmp_path / "elastic.npz"
         save_checkpoint(ckpt, victim)
-        flaky_comm.fail_after = flaky_comm._collectives + 2  # crash mid-step
         with pytest.raises(RankFailureError):
             victim.train_step()
 

@@ -14,7 +14,6 @@ from repro.cluster import (
     FaultPlan,
     HYBRID_AXES,
     LockstepVerifier,
-    MeshCommunicator,
     TransientLinkError,
     hybrid_mesh,
     parse_mesh_spec,
@@ -28,7 +27,12 @@ def comm(world, **kw):
 
 
 def mesh_comm(spec, world, **kw):
-    return MeshCommunicator(comm(world, **kw), hybrid_mesh(spec, world))
+    return comm(world, mesh=hybrid_mesh(spec, world), **kw)
+
+
+def ring_counts(verifier, axis):
+    """Fingerprints recorded by each subgroup ring of ``axis``."""
+    return [r.check("test").verified for r in verifier.axis_rings.get(axis, ())]
 
 
 class TestDeviceMesh:
@@ -172,13 +176,13 @@ class TestSpecParsing:
 class TestMeshCollectives:
     def test_world_size_must_match(self):
         with pytest.raises(ValueError, match="world"):
-            MeshCommunicator(comm(4), hybrid_mesh("data=G", 8))
+            comm(4, mesh=hybrid_mesh("data=G", 8))
 
     def test_allreduce_sums_per_subgroup(self):
         mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
         rng = np.random.default_rng(0)
         arrays = [rng.standard_normal((3, 2)) for _ in range(8)]
-        out = mc.allreduce("data", arrays)
+        out = mc.axis("data").allreduce(arrays)
         for g in mc.mesh.groups("data"):
             expected = sum(arrays[r] for r in g.ranks)
             for r in g.ranks:
@@ -187,7 +191,7 @@ class TestMeshCollectives:
     def test_allgather_concatenates_in_member_order(self):
         mc = mesh_comm("pipe=1,tensor=2,data=2", 4)
         arrays = [np.full(r + 1, float(r)) for r in range(4)]
-        out = mc.allgather("tensor", arrays)
+        out = mc.axis("tensor").allgather(arrays)
         for g in mc.mesh.groups("tensor"):
             expected = np.concatenate([arrays[r] for r in g.ranks])
             for r in g.ranks:
@@ -196,7 +200,7 @@ class TestMeshCollectives:
     def test_broadcast_from_subgroup_root(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
         arrays = [np.full(3, float(r)) for r in range(4)]
-        out = mc.broadcast("pipe", arrays, root=1)
+        out = mc.axis("pipe").broadcast(arrays, root=1)
         for g in mc.mesh.groups("pipe"):
             src = arrays[g.ranks[1]]
             for r in g.ranks:
@@ -205,7 +209,7 @@ class TestMeshCollectives:
     def test_reduce_scatter_splits_the_sum(self):
         mc = mesh_comm("data=G", 4)
         arrays = [np.arange(8.0) + r for r in range(4)]
-        out = mc.reduce_scatter("data", arrays)
+        out = mc.axis("data").reduce_scatter(arrays)
         total = sum(arrays)
         np.testing.assert_array_equal(
             np.concatenate([out[r] for r in range(4)]), total
@@ -214,33 +218,36 @@ class TestMeshCollectives:
     def test_trivial_axis_is_identity(self):
         mc = mesh_comm("pipe=1,tensor=1,data=G", 4)
         arrays = [np.full(2, float(r)) for r in range(4)]
-        out = mc.allreduce("tensor", arrays)
+        out = mc.axis("tensor").allreduce(arrays)
         for r in range(4):
             np.testing.assert_array_equal(out[r], arrays[r])
+        # ... and an axis spanning the world is the communicator itself.
+        assert mc.axis("data") is mc
 
     def test_single_ledger_event_per_collective(self):
         mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
-        before = len(mc.comm.ledger.events)
-        mc.allreduce("data", [np.ones(4)] * 8, tag="g")
-        events = mc.comm.ledger.events[before:]
+        before = len(mc.ledger.events)
+        mc.axis("data").allreduce([np.ones(4)] * 8, tag="g")
+        events = mc.ledger.events[before:]
         assert len(events) == 1
-        assert events[0].op == "mesh_allreduce"
+        assert events[0].op == "allreduce"
         assert events[0].tag == "data:g"
 
     def test_rank_count_checked(self):
         mc = mesh_comm("data=G", 4)
         with pytest.raises(ValueError, match="per-rank arrays"):
-            mc.allreduce("data", [np.ones(2)] * 3)
+            mc.axis("data").allreduce([np.ones(2)] * 3)
 
     def test_transfer_charges_ledger(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        mc.transfer("pipe", 1024, tag="act")
-        ev = mc.comm.ledger.events[-1]
-        assert ev.op == "mesh_transfer"
+        mc.axis("pipe").transfer(1024, tag="act")
+        ev = mc.ledger.events[-1]
+        assert ev.op == "transfer"
         assert ev.wire_bytes_per_rank == 1024
         assert ev.tag == "pipe:act"
+        assert mc.pending_work == ()
         with pytest.raises(ValueError, match=">= 0"):
-            mc.transfer("pipe", -1)
+            mc.axis("pipe").transfer(-1)
 
     @given(
         p=st.integers(1, 2),
@@ -252,12 +259,10 @@ class TestMeshCollectives:
     @settings(max_examples=30, deadline=None)
     def test_property_subgroup_sums(self, p, t, d, seed, axis):
         world = p * t * d
-        mc = MeshCommunicator(
-            comm(world), DeviceMesh(HYBRID_AXES, (p, t, d))
-        )
+        mc = comm(world, mesh=DeviceMesh(HYBRID_AXES, (p, t, d)))
         rng = np.random.default_rng(seed)
         arrays = [rng.standard_normal(5) for _ in range(world)]
-        out = mc.allreduce(axis, arrays)
+        out = mc.axis(axis).allreduce(arrays)
         for g in mc.mesh.groups(axis):
             expected = sum(arrays[r] for r in g.ranks)
             for r in g.ranks:
@@ -267,57 +272,60 @@ class TestMeshCollectives:
 class TestAxisVerifiers:
     def test_uniform_subgroups_verify_clean(self):
         mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
-        mc.attach_axis_verifiers()
-        mc.allreduce("data", [np.ones(4)] * 8, tag="g")
-        mc.allreduce("tensor", [np.ones(2)] * 8, tag="h")
-        counts = mc.check_axes("test")
-        assert counts["data"] == 1
-        assert counts["tensor"] == 1
-        assert counts["pipe"] == 0
+        verifier = LockstepVerifier.attach(mc)
+        mc.axis("data").allreduce([np.ones(4)] * 8, tag="g")
+        mc.axis("tensor").allreduce([np.ones(2)] * 8, tag="h")
+        verifier.check("test")
+        assert ring_counts(verifier, "data") == [1] * 4
+        assert ring_counts(verifier, "tensor") == [1] * 4
+        assert ring_counts(verifier, "pipe") == []
 
     def test_member_count_divergence_detected(self):
-        mc = mesh_comm("pipe=1,tensor=1,data=G", 4)
-        mc.attach_axis_verifiers()
-        mc.allreduce("data", [np.ones(2)] * 4, tag="g")
+        mc = mesh_comm("pipe=1,tensor=2,data=2", 4)
+        verifier = LockstepVerifier.attach(mc)
+        mc.axis("data").allreduce([np.ones(2)] * 4, tag="g")
         # Simulate a shard that issued one extra data-axis collective:
-        # member 2 of the single data subgroup records a fingerprint its
-        # peers never issue — on a real cluster they block forever.
-        mc.axis_verifiers["data"][0].record(
-            2, "mesh_allreduce", "extra", (2,), "float64"
+        # member 1 of the first data subgroup records a fingerprint its
+        # peer never issues — on a real cluster they block forever.
+        verifier.axis_rings["data"][0].record(
+            1, "allreduce", "extra", (2,), "float64"
         )
         with pytest.raises(CollectiveMismatchError, match="block forever"):
-            mc.check_axes("test")
+            verifier.check("test")
 
     def test_subgroup_shapes_may_differ_across_groups(self):
         # Each model-parallel shard carries its own envelope: subgroup 0
         # reduces (2, 2) while subgroup 1 reduces (3,), and both rings
-        # (plus the payload-blind global stream) stay clean.
+        # (plus the envelope-blind global stream) stay clean.
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        mc.attach_axis_verifiers()
+        verifier = LockstepVerifier.attach(mc)
         groups = mc.mesh.groups("data")
         arrays: list[np.ndarray] = [None] * 4
         for r in groups[0].ranks:
             arrays[r] = np.ones((2, 2))
         for r in groups[1].ranks:
             arrays[r] = np.ones(3)
-        mc.allreduce("data", arrays, tag="g")
-        assert mc.check_axes("test")["data"] == 1
+        mc.axis("data").allreduce(arrays, tag="g")
+        assert verifier.check("test").verified == 1
+        assert ring_counts(verifier, "data") == [1, 1]
 
     def test_ragged_allgather_is_legal(self):
         # allgatherv: member contributions may differ in length (the
-        # counts travel first on a real cluster) — must NOT diverge.
-        mc = mesh_comm("pipe=1,tensor=1,data=G", 4)
-        mc.attach_axis_verifiers()
+        # counts travel first on a real cluster) — must NOT diverge, on
+        # a subgroup ring or on the global stream of a one-ring world.
+        mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
+        verifier = LockstepVerifier.attach(mc)
         arrays = [np.arange(r + 1) for r in range(4)]
-        mc.allgather("data", arrays, tag="idx")
-        assert mc.check_axes("test")["data"] == 1
+        mc.axis("data").allgather(arrays, tag="idx")
+        mc.allgather(arrays, tag="idx")
+        assert verifier.check("test").verified == 2
+        assert ring_counts(verifier, "data") == [1, 1]
 
     def test_global_verifier_composes_with_mesh_ops(self):
-        c = comm(8)
+        c = mesh_comm("pipe=2,tensor=2,data=2", 8)
         flat = LockstepVerifier.attach(c)
-        mc = MeshCommunicator(c, hybrid_mesh("pipe=2,tensor=2,data=2", 8))
-        mc.allreduce("data", [np.ones((2, 3)) for _ in range(8)])
-        mc.allgather("tensor", [np.arange(r + 1) for r in range(8)])
+        c.axis("data").allreduce([np.ones((2, 3)) for _ in range(8)])
+        c.axis("tensor").allgather([np.arange(r + 1) for r in range(8)])
         report = flat.check("test")
         assert report.verified == 2
 
@@ -335,13 +343,21 @@ class TestFaultComposition:
             ],
             seed=0,
         )
-        c = ChaosCommunicator(4, plan=plan, track_memory=False)
-        mc = MeshCommunicator(c, hybrid_mesh("data=G", 4))
+        c = ChaosCommunicator(
+            4, plan=plan, track_memory=False,
+            mesh=hybrid_mesh("tensor=2,data=2", 4),
+        )
         with pytest.raises(TransientLinkError):
-            mc.allreduce("data", [np.ones(2)] * 4)
+            c.axis("data").allreduce([np.ones(2)] * 4)
+        assert c.ledger.events == []
+        # The retry meets an exhausted budget and goes through.
+        c.axis("data").allreduce([np.ones(2)] * 4)
+        assert c.collectives_issued == 1
 
     def test_clean_plan_leaves_numerics_alone(self):
-        c = ChaosCommunicator(4, plan=FaultPlan([]), track_memory=False)
-        mc = MeshCommunicator(c, hybrid_mesh("data=G", 4))
-        out = mc.allreduce("data", [np.ones(2)] * 4)
-        np.testing.assert_array_equal(out[0], np.full(2, 4.0))
+        c = ChaosCommunicator(
+            4, plan=FaultPlan([]), track_memory=False,
+            mesh=hybrid_mesh("tensor=2,data=2", 4),
+        )
+        out = c.axis("data").allreduce([np.ones(2)] * 4)
+        np.testing.assert_array_equal(out[0], np.full(2, 2.0))

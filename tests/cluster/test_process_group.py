@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import Communicator
+from repro.cluster import Communicator, DeviceMesh
 from repro.cluster.process_group import (
     ProcessGroup,
     group_of_rank,
     partition_ranks,
-    sub_communicator,
 )
 
 
@@ -79,16 +78,20 @@ class TestPartition:
 
 
 class TestSubCommunicator:
+    """Subgroup collectives are axis views of the one communicator."""
+
     def test_shares_parent_ledger(self):
-        parent = Communicator(8, track_memory=False)
-        group = partition_ranks(8, 2)[0]
-        child = sub_communicator(parent, group)
-        child.allreduce([np.zeros(10) for _ in range(group.size)])
+        parent = Communicator(
+            8, track_memory=False, mesh=DeviceMesh(("node", "local"), (2, 4))
+        )
+        child = parent.axis("local")
+        out = child.allreduce([np.full(10, float(r)) for r in range(8)])
+        assert child.ledger is parent.ledger
         assert len(parent.ledger.events) == 1
-        assert parent.ledger.events[0].world == group.size
+        assert parent.ledger.events[0].tag == "local:"
+        # Each node's four ranks reduced among themselves only.
+        assert out[0][0] == 0 + 1 + 2 + 3 and out[7][0] == 4 + 5 + 6 + 7
 
     def test_world_mismatch_rejected(self):
-        parent = Communicator(8, track_memory=False)
-        group = ProcessGroup(parent_world=4, ranks=(0, 1))
         with pytest.raises(ValueError):
-            sub_communicator(parent, group)
+            Communicator(8, mesh=DeviceMesh(("node", "local"), (2, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Communicator
-from repro.core.compression import Fp16Codec
+from repro.core.wire.policy import WirePolicy
 from repro.core.embedding_sync import GradientSynchronizer, concat_token_grads
 from repro.core.sparse_exchange import UniqueExchange
 from repro.nn import Embedding, Linear, Module
@@ -134,7 +134,9 @@ class TestSyncReplicas:
         c_plain = Communicator(world, track_memory=False)
         c_fp16 = Communicator(world, track_memory=False)
         GradientSynchronizer(c_plain).sync_replicas(r_plain)
-        GradientSynchronizer(c_fp16, codec=Fp16Codec(512.0)).sync_replicas(r_fp16)
+        GradientSynchronizer(
+            c_fp16, wire=WirePolicy.from_spec("fp16")
+        ).sync_replicas(r_fp16)
         assert (
             c_fp16.ledger.total_wire_bytes_per_rank
             < c_plain.ledger.total_wire_bytes_per_rank

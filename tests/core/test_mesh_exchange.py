@@ -1,22 +1,23 @@
-"""Tests for the data-axis mesh gradient exchange vs the flat path."""
+"""Tests for the data-axis gradient sync on a hybrid mesh: shard layout
+and the synchronizer's per-parameter exchange over ``S > 1`` shards."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Communicator, MeshCommunicator, hybrid_mesh
+from repro.cluster import Communicator, DeviceMesh, hybrid_mesh
+from repro.core import GradientSynchronizer, UniqueExchange
 from repro.core.mesh_exchange import (
-    MeshShardLayout,
-    dense_mesh_allreduce,
-    sparse_mesh_exchange,
+    shard_dense,
+    shard_sparse,
+    unshard_dense,
+    unshard_sparse,
 )
-from repro.core.sparse_exchange import UniqueExchange
-from repro.nn.parameter import SparseGrad
+from repro.nn.parameter import Parameter, SparseGrad
 
 
 def mesh_comm(spec, world):
-    return MeshCommunicator(
-        Communicator(world, track_memory=False), hybrid_mesh(spec, world)
+    return Communicator(
+        world, track_memory=False, mesh=hybrid_mesh(spec, world)
     )
 
 
@@ -31,100 +32,125 @@ def sparse_grads(n, vocab, tokens, dim, seed=0):
     ]
 
 
+def sync_dense(comm, grads, average=False, tag="w"):
+    """One dense parameter's replicas through the synchronizer."""
+    params = [Parameter(np.zeros_like(g)) for g in grads]
+    for p, g in zip(params, grads):
+        p.grad = g.copy()
+    GradientSynchronizer(comm, UniqueExchange(), average=average).sync_dense(
+        params, tag=tag
+    )
+    return [p.grad for p in params]
+
+
+def sync_sparse(comm, grads, vocab, average=False, tag="emb"):
+    """One embedding parameter's replicas through the synchronizer."""
+    params = [Parameter(np.zeros((vocab, g.dim))) for g in grads]
+    for p, g in zip(params, grads):
+        p.sparse_grads = [g]
+    GradientSynchronizer(comm, UniqueExchange(), average=average).sync_sparse(
+        params, tag=tag
+    )
+    return [p.sparse_grads[0] for p in params]
+
+
 class TestLayout:
     def test_shard_and_data_coordinates(self):
-        mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
-        layout = MeshShardLayout(mc.mesh)
-        assert layout.num_shards == 4
-        assert layout.data_size == 2
-        for rank in range(8):
-            shard, k = layout.shard_of[rank], layout.data_of[rank]
-            assert layout.rank_of[(shard, k)] == rank
-        # A data subgroup's members all carry the same shard index.
-        for g in mc.mesh.groups("data"):
-            assert len({layout.shard_of[r] for r in g.ranks}) == 1
+        groups = mesh_comm("pipe=2,tensor=2,data=2", 8).axis("data").groups
+        assert len(groups) == 4 and all(len(g) == 2 for g in groups)
+        rng = np.random.default_rng(0)
+        grads = [rng.standard_normal((3, 5)) for _ in range(2)]
+        pieces = shard_dense(grads, groups)
+        assert len(pieces) == 8
+        # Rank groups[s][k] carries shard s of replica k; reassembling a
+        # replica's own pieces gives its gradient back exactly.
+        for k, grad in enumerate(grads):
+            own = [None] * 8
+            for ranks in groups:
+                own[ranks[0]] = pieces[ranks[k]]
+            np.testing.assert_array_equal(
+                unshard_dense(own, groups, grad.shape), grad
+            )
+
+    def test_sparse_shards_are_coalesced_row_ranges(self):
+        groups = mesh_comm("pipe=2,tensor=2,data=2", 8).axis("data").groups
+        grads = sparse_grads(2, 21, 30, 3, seed=1)
+        pieces = shard_sparse(grads, groups, 21)
+        for k, grad in enumerate(grads):
+            own = [None] * 8
+            for ranks in groups:
+                own[ranks[0]] = pieces[ranks[k]]
+                piece = pieces[ranks[k]]
+                assert piece.coalesce().indices is piece.indices
+            whole = unshard_sparse(own, groups)
+            np.testing.assert_array_equal(
+                whole.indices, grad.coalesce().indices
+            )
+            np.testing.assert_array_equal(
+                whole.values, grad.coalesce().values
+            )
+
+    def test_one_shard_is_the_identity(self):
+        groups = Communicator(4).axis("data").groups
+        grads = sparse_grads(4, 10, 5, 2)
+        assert shard_sparse(grads, groups, 10) is grads
+        assert unshard_sparse(grads, groups) is grads[0]
 
     def test_requires_hybrid_axes(self):
-        from repro.cluster import DeviceMesh
-
-        with pytest.raises(ValueError, match="hybrid_mesh"):
-            MeshShardLayout(DeviceMesh(("node", "local"), (2, 2)))
+        # The sync rides the mesh's ``data`` axis; a mesh without one
+        # (here the hierarchical node/local layout) cannot be synced.
+        comm = Communicator(4, mesh=DeviceMesh(("node", "local"), (2, 2)))
+        with pytest.raises(ValueError, match="unknown mesh axis 'data'"):
+            sync_dense(comm, [np.ones(4)] * 4)
 
 
 class TestDenseExchange:
-    def test_trivial_mesh_matches_flat_allreduce_bitwise(self):
-        world = 4
-        mc = mesh_comm("pipe=1,tensor=1,data=G", world)
-        rng = np.random.default_rng(0)
-        grads = [rng.standard_normal((5, 3)) for _ in range(world)]
-        flat = Communicator(world, track_memory=False).allreduce(
-            [g.copy() for g in grads]
-        )
-        out = dense_mesh_allreduce(mc, grads, average=False)
-        for o, f in zip(out, flat):
-            np.testing.assert_array_equal(o, f)
-
     def test_hybrid_mesh_sums_per_data_subgroup(self):
         mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
         rng = np.random.default_rng(1)
         grads = [rng.standard_normal((4, 3)) for _ in range(2)]
-        out = dense_mesh_allreduce(mc, grads, average=False)
-        expected = grads[0] + grads[1]
+        out = sync_dense(mc, grads)
         for o in out:
-            np.testing.assert_allclose(o, expected, rtol=1e-12)
+            np.testing.assert_array_equal(o, grads[0] + grads[1])
 
     def test_average_divides_by_data_size(self):
-        mc = mesh_comm("data=G", 4)
-        grads = [np.full(6, 1.0) for _ in range(4)]
-        out = dense_mesh_allreduce(mc, grads, average=True)
+        mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
+        out = sync_dense(mc, [np.full(6, 1.0) for _ in range(2)], average=True)
         np.testing.assert_array_equal(out[0], np.ones(6))
 
     def test_replica_count_checked(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
         with pytest.raises(ValueError, match="replica"):
-            dense_mesh_allreduce(mc, [np.ones(4)] * 4)
+            sync_dense(mc, [np.ones(4)] * 4)
 
     def test_shape_preserved(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        grads = [np.ones((3, 2, 5)) for _ in range(2)]
-        out = dense_mesh_allreduce(mc, grads, average=False)
+        out = sync_dense(mc, [np.ones((3, 2, 5)) for _ in range(2)])
         assert out[0].shape == (3, 2, 5)
+
+    def test_replicas_get_disjoint_buffers(self):
+        # Post-sync grads are scaled in place (accumulation, loss
+        # scaling): rows of one block, never one shared object.
+        mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
+        out = sync_dense(mc, [np.ones(8) for _ in range(2)])
+        out[0] *= 2.0
+        np.testing.assert_array_equal(out[1], np.full(8, 2.0))
 
     def test_charges_data_axis_collective(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        dense_mesh_allreduce(mc, [np.ones(8)] * 2, tag="w")
-        ev = mc.comm.ledger.events[-1]
-        assert ev.op == "mesh_allreduce"
+        sync_dense(mc, [np.ones(8)] * 2, tag="w")
+        ev = mc.ledger.events[-1]
+        assert ev.op == "allreduce"
         assert ev.tag == "data:w"
+        # One event for both shard groups, costed on one 4-element shard.
+        assert len(mc.ledger.events) == 1
+        assert ev.wire_bytes_per_rank == 4 * 8
 
 
 class TestSparseExchange:
-    @given(
-        world=st.integers(1, 5),
-        vocab=st.integers(2, 30),
-        tokens=st.integers(1, 16),
-        seed=st.integers(0, 30),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_trivial_mesh_matches_flat_unique_exchange(
-        self, world, vocab, tokens, seed
-    ):
-        grads = sparse_grads(world, vocab, tokens, 3, seed=seed)
-        flat = UniqueExchange().exchange(
-            Communicator(world, track_memory=False), grads
-        )
-        mc = mesh_comm("pipe=1,tensor=1,data=G", world)
-        out = sparse_mesh_exchange(mc, grads, vocab, average=False)
-        for o, f in zip(out, flat):
-            np.testing.assert_array_equal(o.indices, f.indices)
-            np.testing.assert_array_equal(
-                o.to_dense(vocab), f.to_dense(vocab)
-            )
-
     def test_indices_globally_sorted_and_unique(self):
         mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
-        grads = sparse_grads(2, 40, 20, 3, seed=2)
-        out = sparse_mesh_exchange(mc, grads, 40, average=False)
+        out = sync_sparse(mc, sparse_grads(2, 40, 20, 3, seed=2), 40)
         for o in out:
             assert np.all(np.diff(o.indices) > 0)
 
@@ -132,27 +158,38 @@ class TestSparseExchange:
         vocab = 25
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
         grads = sparse_grads(2, vocab, 10, 3, seed=3)
-        out = sparse_mesh_exchange(mc, grads, vocab, average=False)
+        out = sync_sparse(mc, grads, vocab)
         expected = grads[0].to_dense(vocab) + grads[1].to_dense(vocab)
         for o in out:
             np.testing.assert_allclose(
                 o.to_dense(vocab), expected, rtol=1e-12
             )
 
+    def test_matches_flat_exchange_over_the_data_replicas(self):
+        # The sharded exchange is bit-equal to the flat one over the d
+        # replicas: row-range cuts commute with coalescing and ranges
+        # ascend, so the reassembled rows are the flat result's rows.
+        vocab = 31
+        grads = sparse_grads(3, vocab, 24, 4, seed=5)
+        flat = sync_sparse(Communicator(3, track_memory=False), grads, vocab)
+        mesh = sync_sparse(mesh_comm("pipe=2,tensor=2,data=3", 12), grads, vocab)
+        for f, m in zip(flat, mesh):
+            np.testing.assert_array_equal(m.indices, f.indices)
+            np.testing.assert_array_equal(m.values, f.values)
+
     def test_average_divides_by_data_size(self):
-        vocab = 10
-        mc = mesh_comm("data=G", 4)
+        mc = mesh_comm("tensor=2,data=2", 4)
         grads = [
             SparseGrad(indices=np.array([1]), values=np.ones((1, 2)))
-            for _ in range(4)
+            for _ in range(2)
         ]
-        out = sparse_mesh_exchange(mc, grads, vocab, average=True)
+        out = sync_sparse(mc, grads, 10, average=True)
         np.testing.assert_array_equal(out[0].values, np.ones((1, 2)))
 
     def test_replica_count_checked(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
         with pytest.raises(ValueError, match="replica"):
-            sparse_mesh_exchange(mc, sparse_grads(4, 10, 5, 2), 10)
+            sync_sparse(mc, sparse_grads(4, 10, 5, 2), 10)
 
     def test_empty_contributions_are_fine(self):
         mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
@@ -163,13 +200,14 @@ class TestSparseExchange:
             )
             for _ in range(2)
         ]
-        out = sparse_mesh_exchange(mc, grads, 20, average=False)
-        for o in out:
+        for o in sync_sparse(mc, grads, 20):
             assert o.indices.size == 0
 
     def test_uses_allgather_then_allreduce_on_data_axis(self):
         mc = mesh_comm("pipe=1,tensor=2,data=2", 4)
-        sparse_mesh_exchange(mc, sparse_grads(2, 12, 6, 2), 12, tag="emb")
-        ops = [(e.op, e.tag) for e in mc.comm.ledger.events]
-        assert ("mesh_allgather", "data:emb:indices") in ops
-        assert ("mesh_allreduce", "data:emb:values") in ops
+        sync_sparse(mc, sparse_grads(2, 12, 6, 2), 12, tag="emb")
+        ops = [(e.op, e.tag) for e in mc.ledger.events]
+        assert ops == [
+            ("allgather", "data:emb:indices"),
+            ("allreduce", "data:emb:values"),
+        ]

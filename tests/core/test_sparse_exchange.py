@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Communicator, DeviceOOMError, DeviceSpec
-from repro.core.compression import Fp16Codec
+from repro.core.wire.policy import WirePolicy
 from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
 from repro.nn.parameter import SparseGrad
 
@@ -153,7 +153,7 @@ class TestCompression:
     def test_fp16_equivalence_within_tolerance(self):
         grads = random_grads(4, 25, 16, 4, seed=4, dtype=np.float32)
         exact = UniqueExchange().exchange(comm(4), grads)
-        lossy = UniqueExchange(codec=Fp16Codec(512.0)).exchange(comm(4), grads)
+        lossy = UniqueExchange(wire=WirePolicy.from_spec("fp16")).exchange(comm(4), grads)
         np.testing.assert_allclose(
             exact[0].to_dense(25), lossy[0].to_dense(25), atol=5e-3
         )
@@ -162,7 +162,7 @@ class TestCompression:
         grads = random_grads(4, 25, 16, 4, seed=5, dtype=np.float32)
         c_plain, c_fp16 = comm(4), comm(4)
         AllGatherExchange().exchange(c_plain, grads)
-        AllGatherExchange(codec=Fp16Codec()).exchange(c_fp16, grads)
+        AllGatherExchange(wire=WirePolicy.from_spec("fp16")).exchange(c_fp16, grads)
         # Index traffic unchanged; value traffic halved.
         plain = c_plain.ledger.bytes_by_op()["allgather"]
         fp16 = c_fp16.ledger.bytes_by_op()["allgather"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Communicator
-from repro.core.compression import Fp16Codec
+from repro.core.wire.policy import WirePolicy
 from repro.core.unique import (
     iunique_exchange,
     local_unique_reduce,
@@ -132,7 +132,7 @@ class TestAsyncExchange:
         grads = random_grads(3, 20, 12, 4, seed=7)
         blocking = unique_exchange(comm(3), grads)
         pending = iunique_exchange(comm(3), grads)
-        overlapped = pending.wait()
+        overlapped = pending.wait()[0]
         np.testing.assert_array_equal(
             overlapped.global_indices, blocking.global_indices
         )
@@ -200,7 +200,7 @@ class TestExchangeCost:
         unique_exchange(
             c_fp16,
             [SparseGrad(g.indices, g.values.astype(np.float32)) for g in grads],
-            codec=Fp16Codec(scale=1024.0),
+            wire=WirePolicy.from_spec("fp16:1024"),
         )
         plain_val = c_plain.ledger.bytes_by_op()["allreduce"]
         fp16_val = c_fp16.ledger.bytes_by_op()["allreduce"]
@@ -210,7 +210,9 @@ class TestExchangeCost:
         grads = random_grads(3, 30, 20, 4, seed=6)
         grads32 = [SparseGrad(g.indices, g.values.astype(np.float32)) for g in grads]
         exact = unique_exchange(comm(3), grads32)
-        compressed = unique_exchange(comm(3), grads32, codec=Fp16Codec(512.0))
+        compressed = unique_exchange(
+            comm(3), grads32, wire=WirePolicy.from_spec("fp16")
+        )
         np.testing.assert_allclose(
             compressed.reduced_values, exact.reduced_values, rtol=0, atol=5e-3
         )

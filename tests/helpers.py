@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, crash plans."""
 
 from __future__ import annotations
 
@@ -6,7 +6,19 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.cluster import ChaosCommunicator, FaultEvent, FaultKind, FaultPlan
 from repro.nn.parameter import Parameter
+
+
+def crashing_comm(
+    world: int, crash_at: int, rank: int = 0, **kwargs
+) -> ChaosCommunicator:
+    """A communicator whose ``rank`` dies at collective ``#crash_at``.
+
+    The "node crashes mid-step" scenario as a one-event fault plan.
+    """
+    crash = FaultEvent(FaultKind.RANK_LOSS, collective_index=crash_at, rank=rank)
+    return ChaosCommunicator(world, plan=FaultPlan([crash]), **kwargs)
 
 
 def numerical_grad(

@@ -15,7 +15,7 @@ The bit-exactness properties run through the in-repo shrinking harness
 import numpy as np
 import pytest
 
-from repro.cluster import Communicator, MeshCommunicator, hybrid_mesh
+from repro.cluster import Communicator, hybrid_mesh
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.parallel import (
@@ -144,25 +144,24 @@ class TestColumnRowParallel:
 
     def test_mesh_comm_charges_tensor_collectives(self):
         world = 4
-        mc = MeshCommunicator(
-            Communicator(world, track_memory=False),
-            hybrid_mesh("tensor=G", world),
+        mc = Communicator(
+            world, track_memory=False, mesh=hybrid_mesh("tensor=G", world)
         )
         col = ColumnParallelLinear(
-            4, 8, world, np.random.default_rng(0), mesh_comm=mc
+            4, 8, world, np.random.default_rng(0), comm=mc
         )
         y, cache = col.forward(np.ones((2, 4)))
         col.backward(np.ones_like(y), cache)
-        ops = [e.op for e in mc.comm.ledger.events]
-        assert "mesh_allgather" in ops and "mesh_allreduce" in ops
+        ops = [e.op for e in mc.ledger.events]
+        assert "allgather" in ops and "allreduce" in ops
 
     def test_mesh_shard_mismatch_rejected(self):
-        mc = MeshCommunicator(
-            Communicator(4, track_memory=False), hybrid_mesh("tensor=G", 4)
+        mc = Communicator(
+            4, track_memory=False, mesh=hybrid_mesh("tensor=G", 4)
         )
         with pytest.raises(ValueError, match="shards"):
             ColumnParallelLinear(
-                4, 8, 2, np.random.default_rng(0), mesh_comm=mc
+                4, 8, 2, np.random.default_rng(0), comm=mc
             )
 
     def test_uneven_column_split_rejected(self):
@@ -279,18 +278,17 @@ class TestVocabParallelSoftmax:
 
     def test_mesh_comm_records_logit_allreduce(self):
         world = 2
-        mc = MeshCommunicator(
-            Communicator(world, track_memory=False),
-            hybrid_mesh("tensor=G", world),
+        mc = Communicator(
+            world, track_memory=False, mesh=hybrid_mesh("tensor=G", world)
         )
         layer = VocabParallelSampledSoftmax(
-            20, 4, 5, world, np.random.default_rng(0), mesh_comm=mc
+            20, 4, 5, world, np.random.default_rng(0), comm=mc
         )
         hidden = np.random.default_rng(1).standard_normal((3, 4))
         targets = np.array([0, 5, 19])
         layer.forward(hidden, targets, np.random.default_rng(2))
         assert any(
-            e.op == "mesh_allreduce" for e in mc.comm.ledger.events
+            e.op == "allreduce" for e in mc.ledger.events
         )
 
 
@@ -320,23 +318,21 @@ class TestPipelineSchedule:
 
     def test_record_charges_timeline_and_transfers(self):
         world = 4
-        mc = MeshCommunicator(
-            Communicator(world, track_memory=False),
-            hybrid_mesh("pipe=2,tensor=1,data=2", world),
+        mc = Communicator(
+            world, track_memory=False, mesh=hybrid_mesh("pipe=2,tensor=1,data=2", world)
         )
         s = PipelineSchedule(2, 4, 0.001, 0.002)
         makespan = s.record(mc, activation_bytes=1 << 20)
         assert makespan == pytest.approx(s.makespan_s)
         transfers = [
-            e for e in mc.comm.ledger.events if e.op == "mesh_transfer"
+            e for e in mc.ledger.events if e.op == "transfer"
         ]
         # (p - 1) boundaries x m micro-batches.
         assert len(transfers) == 4
 
     def test_record_rejects_stage_mismatch(self):
-        mc = MeshCommunicator(
-            Communicator(4, track_memory=False),
-            hybrid_mesh("pipe=2,tensor=1,data=2", 4),
+        mc = Communicator(
+            4, track_memory=False, mesh=hybrid_mesh("pipe=2,tensor=1,data=2", 4)
         )
         with pytest.raises(ValueError, match="stage"):
             PipelineSchedule(4, 4, 0.001, 0.002).record(mc)

@@ -371,7 +371,7 @@ class TestTrainMesh:
                    "--mesh", "pipe=2,tensor=2,data=", "--verify-spmd"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "per-axis mesh subgroups verified" in out
+        assert "per-axis mesh subgroups (data) verified" in out
 
     def test_bad_spec_is_a_parse_time_error(self, capsys):
         rc = main(self.BASE + ["--mesh", "pipe=3,data="])
@@ -384,21 +384,42 @@ class TestTrainMesh:
         assert rc == 2
         assert "training-mesh axis" in capsys.readouterr().err
 
-    def test_mesh_rejects_codec_flags(self, capsys):
-        rc = main(self.BASE + ["--mesh", "data=G", "--fp16"])
-        assert rc == 2
-        assert "raw values" in capsys.readouterr().err
-        rc = main(self.BASE + ["--mesh", "data=G", "--wire-codec", "delta"])
-        assert rc == 2
-        assert "raw values" in capsys.readouterr().err
+    def test_mesh_composes_with_codec_flags(self, capsys):
+        for flags in (["--fp16"], ["--wire-codec", "delta"],
+                      ["--fp16", "--wire-codec", "auto"]):
+            rc = main(self.BASE + ["--mesh", "tensor=2,data=2"] + flags)
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "replica divergence: 0.0e+00" in out
 
-    def test_mesh_rejects_overlap_and_sanitize(self, capsys):
-        rc = main(self.BASE + ["--mesh", "data=G", "--overlap"])
-        assert rc == 2
-        assert "--overlap" in capsys.readouterr().err
-        rc = main(self.BASE + ["--mesh", "data=G", "--sanitize"])
-        assert rc == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+    def test_mesh_composes_with_overlap_and_sanitize(self, capsys):
+        rc = main(self.BASE + ["--mesh", "tensor=2,data=2", "--overlap"])
+        assert rc == 0
+        assert "overlapped" in capsys.readouterr().out
+        rc = main(self.BASE + ["--mesh", "tensor=2,data=2", "--sanitize"])
+        assert rc == 0
+        assert "0 violations" in capsys.readouterr().out
+
+    def test_every_switch_at_once_on_a_hybrid_mesh(self, capsys):
+        rc = main(["train", "--gpus", "8", "--steps", "2", "--vocab", "60",
+                   "--corpus-tokens", "4000",
+                   "--mesh", "pipe=2,tensor=2,data=G/4", "--fp16",
+                   "--wire-codec", "delta", "--overlap", "--fused-reduce",
+                   "--sanitize", "--verify-spmd"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "replica divergence: 0.0e+00" in out
+        assert "0 violations" in out and "0 divergences" in out
+
+    def test_baseline_on_trivial_mesh_moves_the_flat_baselines_bytes(
+        self, capsys
+    ):
+        def wire_line(extra):
+            assert main(self.BASE + ["--baseline"] + extra) == 0
+            out = capsys.readouterr().out
+            return next(ln for ln in out.splitlines() if "wire MB" in ln)
+
+        assert wire_line(["--mesh", "data=G"]) == wire_line([])
 
     def test_resilient_needs_shrinkable_data_axis(self, capsys):
         rc = main(["train", "--gpus", "4", "--steps", "2", "--vocab", "60",

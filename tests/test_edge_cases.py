@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import Communicator
 from repro.core import (
     AllGatherExchange,
-    Fp16Codec,
     GradientSynchronizer,
     UniqueExchange,
+    WirePolicy,
     unique_exchange,
 )
 from repro.nn import Embedding, SparseGrad
@@ -123,7 +123,7 @@ class TestExchangeEdges:
             values=np.zeros((0, 2), np.float32),
         )
         result = unique_exchange(
-            comm(2), [empty, empty], codec=Fp16Codec(512.0)
+            comm(2), [empty, empty], wire=WirePolicy.from_spec("fp16")
         )
         assert result.num_global_unique == 0
 
@@ -177,9 +177,9 @@ class TestFuzz:
                     values=rng.standard_normal((n, dim)).astype(np.float32),
                 )
             )
-        codec = Fp16Codec(256.0) if use_codec else None
-        base = AllGatherExchange(codec=codec).exchange(comm(world), grads)
-        uniq = UniqueExchange(codec=codec).exchange(comm(world), grads)
+        wire = WirePolicy.from_spec("fp16:256") if use_codec else None
+        base = AllGatherExchange(wire=wire).exchange(comm(world), grads)
+        uniq = UniqueExchange(wire=wire).exchange(comm(world), grads)
         # fp32 accumulation order differs between the two strategies, so
         # exact runs can drift by a few ulps above 1e-6.
         atol = 2e-2 if use_codec else 1e-5

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Communicator, DeviceOOMError, DeviceSpec
-from repro.core import Fp16Codec, SeedStrategy
+from repro.core import SeedStrategy
 from repro.data import BatchSpec, ONE_BILLION_WORD, TIEBA, make_corpus
 from repro.optim import SGD, Adam
 from repro.train import (
@@ -52,7 +52,7 @@ class TestFullTrainingPipeline:
         full = make_word_trainer(
             4,
             use_unique=True,
-            codec=Fp16Codec(512.0),
+            wire_codec="fp16",
             seed_strategy=SeedStrategy.ZIPF_FREQ,
         )
         initial = perplexity(full.evaluate())
@@ -67,7 +67,7 @@ class TestFullTrainingPipeline:
     def test_techniques_move_fewer_bytes(self):
         """Headline cost claim: same training, much less traffic."""
         base = make_word_trainer(4, use_unique=False)
-        full = make_word_trainer(4, use_unique=True, codec=Fp16Codec(512.0))
+        full = make_word_trainer(4, use_unique=True, wire_codec="fp16")
         for tr in (base, full):
             for _ in range(5):
                 tr.train_step()

@@ -2,10 +2,10 @@
 
 The regression pins, per the mesh design:
 
-* **Trivial-mesh differential**: a ``(pipe=1, tensor=1, data=G)`` mesh
-  run is **bit-identical** to the flat data-parallel run — same losses,
-  same final weights — because the sharded exchanges reproduce the flat
-  reductions element-for-element.
+* **Trivial mesh**: a ``(pipe=1, tensor=1, data=G)`` mesh *is* the flat
+  data-parallel run (one code path; the bit-exactness table lives in
+  ``test_sync_composition.py``) — including the configured exchange
+  strategy, which the mesh sync once ignored.
 * **Hybrid consistency**: a ``(2, 2, 2)`` world of 8 keeps its data
   replicas bit-synchronized, verifies cleanly on every axis ring, and
   charges pipeline/tensor traffic to the shared ledger.
@@ -21,6 +21,7 @@ from repro.cluster import (
     FaultEvent,
     FaultKind,
     FaultPlan,
+    LockstepVerifier,
     TransientLinkError,
 )
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
@@ -64,25 +65,15 @@ def weights(trainer):
 
 
 class TestTrivialMeshEquivalence:
-    """(1, 1, G) must reproduce the flat path bit-for-bit."""
-
-    def test_losses_and_weights_bit_identical(self):
-        flat = word_trainer(use_unique=True)
-        mesh = word_trainer(use_unique=True, mesh="data=G")
-        flat_losses = [flat.train_step() for _ in range(4)]
-        mesh_losses = [mesh.train_step() for _ in range(4)]
-        assert mesh_losses == flat_losses
-        fw, mw = weights(flat), weights(mesh)
-        assert fw.keys() == mw.keys()
-        for name in fw:
-            np.testing.assert_array_equal(mw[name], fw[name])
+    """(1, 1, G) *is* the flat path (the composition table in
+    test_sync_composition.py pins the unique-exchange cells); these cover
+    the configured strategy on a mesh."""
 
     def test_baseline_exchange_matches_to_rounding(self):
-        # The flat ALLGATHER baseline applies duplicate token rows in
-        # arrival order; the mesh exchange coalesces per replica first.
-        # Same sums, different float addition order — allclose, not
-        # bitwise (the bitwise pin above holds for the unique path the
-        # mesh exchange mirrors).
+        # Regression: the mesh sync used to ignore use_unique=False and
+        # run (and bill) the uniqueness exchange.  The baseline on the
+        # trivial mesh is the flat baseline — weights, ledger ops and
+        # wire bytes alike.
         flat = word_trainer(use_unique=False)
         mesh = word_trainer(use_unique=False, mesh="data=G")
         for _ in range(3):
@@ -90,9 +81,28 @@ class TestTrivialMeshEquivalence:
             mesh.train_step()
         fw, mw = weights(flat), weights(mesh)
         for name in fw:
-            np.testing.assert_allclose(
-                mw[name], fw[name], rtol=1e-12, atol=1e-15
+            np.testing.assert_array_equal(mw[name], fw[name])
+        assert mesh.comm.ledger.events == flat.comm.ledger.events
+        assert "allreduce" in flat.comm.ledger.bytes_by_op()
+        assert (
+            mesh.comm.ledger.bytes_by_op() == flat.comm.ledger.bytes_by_op()
+        )
+
+    def test_baseline_on_hybrid_mesh_gathers_more_than_unique(self):
+        def gathered(use_unique):
+            tr = word_trainer(
+                world=8, use_unique=use_unique, mesh="pipe=2,tensor=2,data=G/4"
             )
+            for _ in range(2):
+                tr.train_step()
+            assert_replicas_synchronized(tr.replicas, atol=0.0)
+            return tr.comm.ledger.bytes_by_op()
+
+        base, uniq = gathered(False), gathered(True)
+        # The baseline gathers value rows; the unique path gathers
+        # indices only and allreduces the aligned rows instead.
+        assert base["allgather"] > uniq["allgather"]
+        assert uniq["allreduce"] > base["allreduce"]
 
     def test_mesh_run_keeps_replica_count(self):
         tr = word_trainer(mesh="data=G")
@@ -113,19 +123,19 @@ class TestHybridMesh:
     def test_gradient_sync_runs_on_data_axis_only(self):
         tr = word_trainer(world=8, mesh="pipe=2,tensor=2,data=")
         tr.train_step()
-        mesh_events = [
-            e for e in tr.comm.ledger.events if e.op.startswith("mesh_")
-        ]
-        assert mesh_events, "mesh path issued no mesh collectives"
-        assert all(e.tag.startswith("data:") for e in mesh_events)
+        events = tr.comm.ledger.events
+        assert events, "the sync issued no collectives"
+        assert all(e.tag.startswith("data:") for e in events)
 
     def test_per_axis_verifiers_stay_clean(self):
         tr = word_trainer(world=8, mesh="pipe=2,tensor=2,data=")
-        tr.mesh_comm.attach_axis_verifiers()
+        verifier = LockstepVerifier.attach(tr.comm)
         for _ in range(3):
             tr.train_step()
-        counts = tr.mesh_comm.check_axes("test: end of run")
-        assert counts["data"] > 0
+        verifier.check("test: end of run")
+        rings = verifier.axis_rings["data"]
+        assert len(rings) == 4
+        assert all(r.check("test").verified > 0 for r in rings)
 
     def test_differential_chaos_transient_fault_is_survivable(
         self, tmp_path
@@ -156,13 +166,20 @@ class TestHybridMesh:
             mesh="pipe=2,tensor=2,data=",
         )
         chaos_comm = ChaosCommunicator(world, plan=plan, track_memory=False)
+        verifier = LockstepVerifier.attach(chaos_comm)
         runner = ResilientRunner(
             factory, cfg, tmp_path / "ckpt.npz", comm=chaos_comm,
             checkpoint_every=3,
         )
         faulted = runner.run(4)
-        faulted.mesh_comm.check_axes("test: after chaos")
+        verifier.check("test: after chaos")
+        assert verifier.axis_rings["data"]
         assert any(e.kind == "retry" for e in runner.events)
+        # Same replay position as before the funnel hooks existed.
+        assert [(i, op) for i, op, _ in chaos_comm.injected] == [
+            (5, "allreduce")
+        ]
+        assert chaos_comm.collectives_issued == 41
 
         clean = word_trainer(world=world, mesh="pipe=2,tensor=2,data=")
         for _ in range(4):

@@ -1,10 +1,11 @@
-"""Bit-exactness and scheduling tests for overlapped training.
+"""Recorded-baseline pin and scheduling tests for overlapped training.
 
-The refactor's contract: ``overlap=True`` changes *when* collectives are
-issued (layer-by-layer during backward, drained afterwards), never *what*
-they compute.  Loss trajectories, wire bytes, and ledger event counts
-must match the blocking path bit-for-bit, while the timeline makespan
-shrinks because comm hides behind recorded backward compute.
+The contract: ``overlap=True`` changes *when* collectives are issued
+(layer-by-layer during backward, drained afterwards), never *what* they
+compute.  That overlap is bit-equal to blocking is checked, with every
+other switch, by the composition table in ``test_sync_composition.py``;
+here the blocking path is pinned to its recorded numbers and the
+timeline is shown to shrink because comm hides behind backward compute.
 """
 
 import pytest
@@ -75,21 +76,6 @@ class TestBitExactness:
         assert len(trainer.comm.ledger.events) == BASELINE_EVENTS
         assert eval_nll == BASELINE_EVAL
 
-    def test_overlapped_path_matches_recorded_baseline(self):
-        """overlap=True must be bit-exact with the same recorded run —
-        identical losses, identical bytes, identical event count."""
-        trainer = make_trainer(overlap=True, compute_seconds_per_step=1e-3)
-        losses, eval_nll = run_five_steps(trainer)
-        assert losses == BASELINE_LOSSES
-        assert trainer.comm.ledger.total_wire_bytes_per_rank == BASELINE_WIRE_BYTES
-        assert len(trainer.comm.ledger.events) == BASELINE_EVENTS
-        assert eval_nll == BASELINE_EVAL
-
-    def test_overlap_without_compute_model_still_exact(self):
-        trainer = make_trainer(overlap=True)
-        losses, _ = run_five_steps(trainer)
-        assert losses == BASELINE_LOSSES
-
 
 class TestOverlapTimeline:
     def test_overlap_shrinks_makespan(self):
@@ -124,6 +110,9 @@ class TestOverlapTimeline:
         assert (
             overlapped.comm.ledger.bytes_by_scope()
             == blocking.comm.ledger.bytes_by_scope()
+        )
+        assert len(overlapped.comm.ledger.events) == len(
+            blocking.comm.ledger.events
         )
 
     def test_compute_seconds_validation(self):

@@ -305,6 +305,35 @@ class TestDifferentialChaos:
                         f"{seed}): retries are not bit-exact",
             )
 
+    def test_transient_fault_on_a_fused_ring_hop_is_bit_exact(self, tmp_path):
+        """Fault plans see ``issue_scheduled``: a TRANSIENT_LINK landing
+        on a hop of the fused compress-reduce ring fires, is retried,
+        and leaves the weights bit-identical to the fault-free arm."""
+        cfg = TrainConfig(
+            world_size=3, batch=BatchSpec(2, 6), base_lr=0.2,
+            fused_reduce=True, wire_codec="fp16",
+        )
+        (tmp_path / "clean").mkdir()
+        baseline = runner_for(FaultPlan(), tmp_path / "clean", cfg=cfg)
+        clean = baseline.run(4)
+        ops = [e.op for e in clean.comm.ledger.events]
+        assert clean.comm.collectives_issued == len(ops)
+        hop = ops.index("fused_allreduce", len(ops) // 2)
+
+        plan = FaultPlan([
+            FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=hop,
+                       rank=1, retries=1),
+        ])
+        chaos = runner_for(plan, tmp_path, cfg=cfg)
+        faulted = chaos.run(4)
+        assert [(i, op) for i, op, _ in faulted.comm.injected] == [
+            (hop, "fused_allreduce")
+        ]
+        assert sum(e.kind == "retry" for e in chaos.events) == 1
+        clean_weights = final_weights(clean)
+        for name, data in final_weights(faulted).items():
+            np.testing.assert_array_equal(data, clean_weights[name])
+
     def test_transient_bit_exact_with_stateful_dropout_model(self, tmp_path):
         """The adversarial case for rewind: dropout RNG streams and
         carried BPTT state are both consumed mid-step."""
@@ -321,7 +350,12 @@ class TestDifferentialChaos:
             plan, tmp_path, world=2, factory=char_factory, cfg=cfg
         )
         faulted = chaos.run(5)
-        assert len(chaos.trainer.comm.injected) == 3
+        # Pinned replay positions: the funnel's pre-issue hook consults
+        # the plan at the same collective indices the per-method
+        # overrides did.
+        assert [(i, op) for i, op, _ in chaos.trainer.comm.injected] == [
+            (3, "allreduce"), (3, "allgather"), (9, "allreduce"),
+        ]
 
         (tmp_path / "clean").mkdir(exist_ok=True)
         baseline = runner_for(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.compression import Fp16Codec
 from repro.core.seeding import SeedStrategy
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD, Adam
@@ -75,7 +74,7 @@ class TestReplicaConsistency:
 
     def test_fp16_codec_keeps_replicas_synchronized(self):
         """Compression is lossy but *identical* on all ranks."""
-        tr = word_trainer(codec=Fp16Codec(512.0))
+        tr = word_trainer(wire_codec="fp16")
         for _ in range(3):
             tr.train_step()
         assert_replicas_synchronized(tr.replicas, atol=0.0)

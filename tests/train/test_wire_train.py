@@ -141,11 +141,11 @@ class TestFusedReduceTraining:
     must not move a single bit of the training trace."""
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="mesh"):
-            TrainConfig(
-                world_size=4, batch=BatchSpec(2, 6), base_lr=0.1,
-                fused_reduce=True, mesh={"data": 2, "model": 2},
-            )
+        cfg = TrainConfig(
+            world_size=4, batch=BatchSpec(2, 6), base_lr=0.1,
+            fused_reduce=True, mesh="tensor=2,data=2",
+        )
+        assert cfg.mesh_shape == (1, 2, 2)
         with pytest.raises(ValueError, match="auto"):
             TrainConfig(
                 world_size=2, batch=BatchSpec(2, 6), base_lr=0.1,
@@ -195,8 +195,12 @@ class TestFusedReduceTraining:
         from repro.core.wire import DeltaBitpackCodec
         from repro.nn.parameter import Parameter
 
+        from repro.core.wire import WirePolicy
+
         gs = GradientSynchronizer(
-            Communicator(2), codec=DeltaBitpackCodec(), fused_reduce=True
+            Communicator(2),
+            wire=WirePolicy(value_codec=DeltaBitpackCodec()),
+            fused_reduce=True,
         )
         params = [Parameter(np.ones(8, np.float32)) for _ in range(2)]
         for p in params:
@@ -204,14 +208,20 @@ class TestFusedReduceTraining:
         with pytest.raises(ValueError, match="summable"):
             gs._issue_dense(params, tag="dense")
 
-    def test_fused_reduce_does_not_compose_with_mesh(self):
-        from repro.cluster import Communicator
-        from repro.core.embedding_sync import GradientSynchronizer
-
-        with pytest.raises(ValueError, match="mesh_comm"):
-            GradientSynchronizer(
-                Communicator(4), mesh_comm=object(), fused_reduce=True
-            )
+    def test_fused_reduce_composes_with_mesh(self):
+        """The fused ring runs per data subgroup: same weights as the
+        unfused mesh run, hop events tagged on the data axis."""
+        plain = word_trainer(4, mesh="tensor=2,data=2")
+        fused = word_trainer(4, mesh="tensor=2,data=2", fused_reduce=True)
+        plain.train_epoch(max_steps=3)
+        fused.train_epoch(max_steps=3)
+        wp, wf = _weights(plain), _weights(fused)
+        for name in wp:
+            np.testing.assert_array_equal(wp[name], wf[name])
+        hops = [
+            e for e in fused.comm.ledger.events if e.op == "fused_allreduce"
+        ]
+        assert hops and all(e.tag.startswith("data:") for e in hops)
 
 
 class TestWireLearning:
