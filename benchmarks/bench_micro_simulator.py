@@ -1,7 +1,9 @@
-"""Micro-benchmark: the batched rank-execution fast path at G >= 512.
+"""Micro-benchmark: the batched rank-execution fast path.
 
-Measures the simulator's steps/sec on the Table-V miniature config
-(``bench_table5_tieba_weak_scaling``) at ``world_size=512``, three ways:
+Measures the simulator's steps/sec on the Table-V miniature char-LM
+config (``bench_table5_tieba_weak_scaling``) at ``world_size=512`` and
+on the word LM with sampled softmax (the end-to-end benchmark's
+``word_flat`` config) at ``world_size=64`` and ``128``, three ways each:
 
 * **per_rank** — the slow path: one Python forward/backward/optimizer
   pass per simulated rank (``batched=False``);
@@ -13,8 +15,8 @@ Measures the simulator's steps/sec on the Table-V miniature config
   no optimizer), the part the batched executor actually replaces.
 
 The fast path must be **bit-exact**: a differential arm re-trains
-per-rank vs batched over several seeds and asserts identical losses,
-parameters and optimizer step counts, bit for bit.
+per-rank vs batched over several seeds, for both models, and asserts
+identical losses, parameters and optimizer state, bit for bit.
 
 Headline figures land in ``results/BENCH_simulator.json`` via the
 ``bench_metrics`` fixture.  ``PRE_PR_MS_PER_STEP`` pins the measured
@@ -24,7 +26,8 @@ optimizer updates, measured on the reference box; methodology in
 ``docs/PERFORMANCE.md``) so the recorded speedup-vs-baseline survives
 later slow-path improvements.  Gates assert conservative floors —
 roughly half the speedups measured on the reference box — so CI noise
-does not flake the job; the JSON records the true measured factors.
+does not flake the job; the JSON records the true measured factors
+(the word LM's G=128 arm is recorded, not gated).
 
 Set ``REPRO_BENCH_FAST=1`` for the CI smoke mode (fewer measured steps
 and differential seeds).
@@ -35,14 +38,17 @@ import time
 
 import numpy as np
 
-from repro.data import BatchSpec, TIEBA, make_corpus
-from repro.optim import Adam
+from repro.data import ONE_BILLION_WORD, TIEBA, BatchSpec, make_corpus
+from repro.nn import FullSoftmaxLoss, SampledSoftmaxLoss, functional
+from repro.optim import SGD, Adam
 from repro.report import format_table
 from repro.train import (
     CharLanguageModel,
     CharLMConfig,
     DistributedTrainer,
     TrainConfig,
+    WordLanguageModel,
+    WordLMConfig,
 )
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
@@ -52,6 +58,16 @@ MINI_VOCAB = 150
 MINI_CFG = CharLMConfig(
     vocab_size=MINI_VOCAB, embedding_dim=8, hidden_dim=12, depth=2, dropout=0.0
 )
+
+#: ``benchmarks/e2e``'s ``word_flat`` model and batch, at two world sizes.
+WORD_VOCAB = 2000
+WORD_CFG = WordLMConfig(
+    vocab_size=WORD_VOCAB, embedding_dim=32, hidden_dim=64, projection_dim=32,
+    num_samples=128,
+)
+WORD_WORLDS = (64, 128)
+#: The gated word arm and its floor (reference box: see PERFORMANCE.md).
+WORD_GATE_WORLD, WORD_GATE = 64, 1.5
 
 #: Full-step ms/step of this exact config before the batched fast path
 #: (per-rank execution, per-parameter stacked sync, per-replica Adam).
@@ -65,7 +81,24 @@ DIFF_WORLD = 16
 DIFF_STEPS = 3
 
 
-def make_trainer(batched: bool, world: int = WORLD, seed: int = 3):
+def make_trainer(
+    batched: bool, world: int = WORLD, seed: int = 3, model: str = "char"
+):
+    if model == "word":
+        corpus = make_corpus(
+            ONE_BILLION_WORD.scaled(WORD_VOCAB), 400_000, seed=seed
+        )
+        cfg = TrainConfig(
+            world_size=world, batch=BatchSpec(4, 20), base_lr=0.3,
+            batched=batched,
+        )
+        return DistributedTrainer(
+            lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
+            lambda params, lr: SGD(params, lr),
+            corpus.train,
+            corpus.valid,
+            cfg,
+        )
     corpus = make_corpus(TIEBA.scaled(MINI_VOCAB), 20_000, seed=seed)
     cfg = TrainConfig(
         world_size=world, batch=BatchSpec(2, 8), base_lr=4e-3, batched=batched
@@ -97,10 +130,10 @@ def time_steps(trainer, n: int) -> float:
     return best
 
 
-def time_exec_phase() -> tuple[float, float]:
+def time_exec_phase(world: int = WORLD, model: str = "char") -> tuple[float, float]:
     """Seconds per rank-execution phase: (per_rank_loop, batched_step)."""
     rounds = 2 if FAST else 3
-    slow = make_trainer(batched=False)
+    slow = make_trainer(batched=False, world=world, model=model)
     slow.train_step()  # warm caches and arena-equivalents
     rngs = slow.seed_assignment.rank_generators(step=slow.data_step)
     per_rank_s = float("inf")
@@ -113,53 +146,125 @@ def time_exec_phase() -> tuple[float, float]:
         for replica in slow.replicas:
             replica.zero_grad()
 
-    fast = make_trainer(batched=True)
+    fast = make_trainer(batched=True, world=world, model=model)
     fast.train_step()
     batched_s = float("inf")
     for _ in range(rounds + 2):
         start = time.perf_counter()
-        fast.batched_executor.step(fast.batcher.step_batches(0))
+        fast.batched_executor.step(
+            fast.batcher.step_batches(0), sample_rngs=fast._sample_rngs
+        )
         batched_s = min(batched_s, time.perf_counter() - start)
         for replica in fast.replicas:
             replica.zero_grad()
     return per_rank_s, batched_s
 
 
-def differential(seed: int) -> None:
+def differential(seed: int, model: str = "char") -> None:
     """Assert per-rank and batched training are bit-identical."""
-    slow = make_trainer(batched=False, world=DIFF_WORLD, seed=seed)
-    fast = make_trainer(batched=True, world=DIFF_WORLD, seed=seed)
+    slow = make_trainer(batched=False, world=DIFF_WORLD, seed=seed, model=model)
+    fast = make_trainer(batched=True, world=DIFF_WORLD, seed=seed, model=model)
     assert fast.batched_executor is not None
     for step in range(DIFF_STEPS):
         slow_loss = slow.train_step()
         fast_loss = fast.train_step()
         assert slow_loss == fast_loss, (
-            f"seed {seed}, step {step}: losses diverged"
+            f"{model} seed {seed}, step {step}: losses diverged"
         )
     for rs, rf in zip(slow.replicas, fast.replicas):
         for (name, ps), (_, pf) in zip(
             rs.named_parameters(), rf.named_parameters()
         ):
             assert np.array_equal(ps.data, pf.data), (
-                f"seed {seed}: param {name} diverged"
+                f"{model} seed {seed}: param {name} diverged"
             )
     for os_, of in zip(slow.optimizers, fast.optimizers):
-        assert os_._t == of._t, f"seed {seed}: optimizer step count diverged"
+        ds, df = os_.state_dict(), of.state_dict()
+        assert ds.keys() == df.keys()
+        for key, value in ds.items():
+            assert np.array_equal(value, df[key]), (
+                f"{model} seed {seed}: optimizer state {key} diverged"
+            )
 
 
-def run_arms():
-    per_rank_s = time_steps(make_trainer(batched=False), MEASURE_PER_RANK)
-    batched_s = time_steps(make_trainer(batched=True), MEASURE_BATCHED)
-    exec_per_rank_s, exec_batched_s = time_exec_phase()
+def run_arms(world: int = WORLD, model: str = "char"):
+    per_rank_s = time_steps(
+        make_trainer(batched=False, world=world, model=model), MEASURE_PER_RANK
+    )
+    batched_s = time_steps(
+        make_trainer(batched=True, world=world, model=model), MEASURE_BATCHED
+    )
+    exec_per_rank_s, exec_batched_s = time_exec_phase(world, model)
     return per_rank_s, batched_s, exec_per_rank_s, exec_batched_s
 
 
+#: Loss-layer shapes ``(R, N, width, vocab, samples)`` of the end-to-end
+#: workloads; ``samples = 0`` is the char LM's full softmax.
+LOSS_SHAPES = {
+    "word_flat": (64, 80, 32, 2000, 128),
+    "word_wire": (32, 160, 32, 20_000, 512),
+    "char_batched": (512, 16, 12, 150, 0),
+}
+
+
+def time_loss_layer(R, N, width, vocab, samples) -> dict[str, float]:
+    """Forward+backward seconds of one loss layer over ``R`` replicas:
+    the per-replica loop, the stack as one block, the stack walked in
+    cache-sized blocks (what the layers do)."""
+    rng = np.random.default_rng(0)
+    hidden = rng.standard_normal((R, N, width))
+    targets = rng.integers(0, vocab, size=(R, N))
+    if samples:
+        layer = SampledSoftmaxLoss(vocab, width, samples, rng, np.float64)
+        ids = np.stack([rng.permutation(vocab)[:samples] for _ in range(R)])
+        forward = lambda r: layer.forward(
+            hidden[r], targets[r], None, sampled_ids=ids[r]
+        )
+    else:
+        layer = FullSoftmaxLoss(vocab, width, rng, np.float64)
+        forward = lambda r: layer.forward(hidden[r], targets[r])
+
+    def loop():
+        for r in range(R):
+            layer.backward(forward(r)[1])
+
+    def stacked():
+        layer.backward(forward(slice(None))[1])
+
+    def best(run) -> float:
+        seconds = float("inf")
+        for _ in range(3 if FAST else 6):
+            layer.zero_grad()
+            start = time.perf_counter()
+            run()
+            seconds = min(seconds, time.perf_counter() - start)
+        return seconds
+
+    budget = functional._BLOCK_BYTES
+    try:
+        times = {"loop": best(loop), "blocked": best(stacked)}
+        functional._BLOCK_BYTES = 1 << 40  # the whole stack in one block
+        times["one_block"] = best(stacked)
+    finally:
+        functional._BLOCK_BYTES = budget
+    return times
+
+
+def run_all_arms():
+    return (
+        run_arms(),
+        {w: run_arms(w, "word") for w in WORD_WORLDS},
+        {name: time_loss_layer(*shape) for name, shape in LOSS_SHAPES.items()},
+    )
+
+
 def test_simulator(benchmark, report, bench_metrics):
-    per_rank_s, batched_s, exec_slow_s, exec_fast_s = benchmark.pedantic(
-        run_arms, rounds=1, iterations=1
+    (per_rank_s, batched_s, exec_slow_s, exec_fast_s), word, loss = (
+        benchmark.pedantic(run_all_arms, rounds=1, iterations=1)
     )
     for seed in range(DIFF_SEEDS):
         differential(seed)
+        differential(seed, "word")
 
     speedup = per_rank_s / batched_s
     exec_speedup = exec_slow_s / exec_fast_s
@@ -204,8 +309,43 @@ def test_simulator(benchmark, report, bench_metrics):
     ).set(vs_pre_pr)
     bench_metrics.gauge(
         "repro_bench_sim_differential_seeds",
-        "Seeds over which per-rank vs batched was verified bit-exact",
+        "Seeds over which per-rank vs batched was verified bit-exact "
+        "(each model)",
     ).set(DIFF_SEEDS)
+    word_ms = bench_metrics.gauge(
+        "repro_bench_sim_word_ms_per_step",
+        "Word-LM (word_flat config) full train_step wall-clock",
+        labelnames=("world", "arm"),
+    )
+    word_ex = bench_metrics.gauge(
+        "repro_bench_sim_word_exec_ms",
+        "Word-LM rank-execution phase wall-clock (no sync/optimizer)",
+        labelnames=("world", "arm"),
+    )
+    word_speedup = bench_metrics.gauge(
+        "repro_bench_sim_word_full_step_speedup",
+        "Word-LM per_rank / batched full-step time, same tree",
+        labelnames=("world",),
+    )
+    word_exec_speedup = bench_metrics.gauge(
+        "repro_bench_sim_word_exec_speedup",
+        "Word-LM per_rank / batched rank-execution-phase time",
+        labelnames=("world",),
+    )
+    word_rows = []
+    for world, (slow_s, fast_s, ex_slow_s, ex_fast_s) in word.items():
+        for arm, step_s, exec_s in (
+            ("per_rank", slow_s, ex_slow_s),
+            ("batched", fast_s, ex_fast_s),
+        ):
+            word_ms.set(step_s * 1e3, world=str(world), arm=arm)
+            word_ex.set(exec_s * 1e3, world=str(world), arm=arm)
+            word_rows.append(
+                [f"G={world} {arm}", round(step_s * 1e3, 1),
+                 round(1.0 / step_s, 2), round(exec_s * 1e3, 1)]
+            )
+        word_speedup.set(slow_s / fast_s, world=str(world))
+        word_exec_speedup.set(ex_slow_s / ex_fast_s, world=str(world))
 
     table = format_table(
         ["arm", "full step (ms)", "steps/s", "exec phase (ms)"],
@@ -225,14 +365,49 @@ def test_simulator(benchmark, report, bench_metrics):
         ],
         title=f"Simulator fast path at G={WORLD} (Table-V mini config)",
     )
+    loss_ms = bench_metrics.gauge(
+        "repro_bench_sim_loss_layer_ms",
+        "Loss-layer forward+backward over the replica stack, by walk",
+        labelnames=("shape", "walk"),
+    )
+    for name, times in loss.items():
+        for walk, seconds in times.items():
+            loss_ms.set(seconds * 1e3, shape=name, walk=walk)
+    loss_table = format_table(
+        ["shape (R, N, width, vocab, samples)", "loop", "one block", "blocked"],
+        [
+            [
+                f"{name} {LOSS_SHAPES[name]}",
+                round(times["loop"] * 1e3, 1),
+                round(times["one_block"] * 1e3, 1),
+                round(times["blocked"] * 1e3, 1),
+            ]
+            for name, times in loss.items()
+        ],
+        title="Loss layer fwd+bwd over the replica stack (ms)",
+    )
+    word_table = format_table(
+        ["arm", "full step (ms)", "steps/s", "exec phase (ms)"],
+        word_rows,
+        title="Word LM with sampled softmax (word_flat config)",
+    )
+    word_footer = "".join(
+        f"\nG={world}: full step {slow_s / fast_s:.2f}x, "
+        f"exec phase {ex_slow_s / ex_fast_s:.2f}x"
+        for world, (slow_s, fast_s, ex_slow_s, ex_fast_s) in word.items()
+    )
     footer = (
         f"\nfull-step speedup:  {speedup:.2f}x (same tree)"
         f"\nexec-phase speedup: {exec_speedup:.2f}x"
         f"\nvs pre-fast-path baseline {PRE_PR_MS_PER_STEP:.1f} ms: "
         f"{vs_pre_pr:.2f}x"
         f"\nbit-exact differential: {DIFF_SEEDS} seeds x {DIFF_STEPS} steps"
+        " per model"
     )
-    report("micro_simulator", table + footer)
+    report(
+        "micro_simulator",
+        "\n\n".join([table + footer, word_table + word_footer, loss_table]),
+    )
 
     # Gates: conservative floors (roughly half the reference-box
     # factors) so shared-runner noise cannot flake CI; the JSON above
@@ -245,4 +420,9 @@ def test_simulator(benchmark, report, bench_metrics):
     )
     assert batched_s * 1e3 < PRE_PR_MS_PER_STEP, (
         "batched step slower than the pinned pre-fast-path baseline"
+    )
+    gated_slow_s, gated_fast_s = word[WORD_GATE_WORLD][:2]
+    assert gated_slow_s / gated_fast_s >= WORD_GATE, (
+        f"word-LM batched full step only {gated_slow_s / gated_fast_s:.2f}x "
+        f"faster than per-rank at G={WORD_GATE_WORLD}"
     )

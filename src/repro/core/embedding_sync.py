@@ -73,9 +73,7 @@ def concat_token_grads(param: Parameter) -> SparseGrad | None:
     if len(param.sparse_grads) == 1:
         s = param.sparse_grads[0]
         out = SparseGrad._unsafe(s.indices, s.values)
-        cached = getattr(s, "_coalesced", None)
-        if cached is not None:
-            out._coalesced = cached
+        out._coalesced = s._coalesced
         return out
     indices = np.concatenate([s.indices for s in param.sparse_grads])
     values = np.concatenate([s.values for s in param.sparse_grads])
@@ -179,6 +177,9 @@ class GradientSynchronizer:
                 raise ValueError(f"{tag}: rank missing dense grad")
             grads.append(p.grad)
         shape, dtype = grads[0].shape, grads[0].dtype
+        # Taken, not read: once the reduced grads are applied nothing
+        # else should keep the replicas' pre-sync block alive.
+        block, params[0]._grad_block = params[0]._grad_block, None
         arrays = shard_dense(grads, data.groups)
         codec = (
             None
@@ -223,7 +224,6 @@ class GradientSynchronizer:
             # with it; verifying every grad still aliases that block (an
             # accumulated ``old + new`` grad does not) lets the allreduce
             # skip restacking G views.  Bit-identical either way.
-            block = getattr(params[0], "_grad_block", None)
             if block is not None and (
                 arrays is not grads
                 or block.shape != (len(params),) + shape
@@ -270,12 +270,18 @@ class GradientSynchronizer:
             # Every rank of a shard group holds the same exchanged sum;
             # reassemble once from the group heads, average once, and
             # fan the values out per replica.
+            # A coalesced result (the unique exchange's) stays marked,
+            # so the optimizers do not reduce it a second time.
             result = unshard_sparse(pending.wait(), data.groups)
-            unsafe = SparseGrad._unsafe
+            grad = None
             for p, values in zip(
                 params, self._apply(params, result.values, shared)
             ):
-                p.sparse_grads = [unsafe(result.indices, values)]
+                if grad is None or grad.values is not values:
+                    grad = SparseGrad._unsafe(result.indices, values)
+                    if result.is_coalesced:
+                        grad.mark_coalesced()
+                p.sparse_grads = [grad]
 
         return finish
 

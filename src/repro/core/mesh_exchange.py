@@ -92,20 +92,24 @@ def shard_sparse(
         cuts = np.searchsorted(local.indices, row_cuts)
         for s, ranks in enumerate(groups):
             rows = slice(cuts[s], cuts[s + 1])
-            piece = SparseGrad._unsafe(local.indices[rows], local.values[rows])
-            # A twin, not the piece itself: a self-reference would keep
-            # the slices alive until the cyclic garbage collector runs.
-            piece._coalesced = SparseGrad._unsafe(piece.indices, piece.values)
-            out[ranks[k]] = piece
+            out[ranks[k]] = SparseGrad._unsafe(
+                local.indices[rows], local.values[rows]
+            ).mark_coalesced()
     return out
 
 
 def unshard_sparse(results: Sequence[SparseGrad], groups: Groups) -> SparseGrad:
-    """The full exchanged gradient from each shard group's (shared) result."""
+    """The full exchanged gradient from each shard group's (shared) result.
+
+    Shard ``s`` holds vocabulary rows ``[cut_s, cut_{s+1})`` and the cuts
+    ascend, so when every shard's result is coalesced (sorted unique —
+    the unique exchange's) their concatenation is too, and is marked so.
+    """
     if len(groups) == 1:
         return results[0]
     heads = [results[ranks[0]] for ranks in groups]
-    return SparseGrad._unsafe(
+    full = SparseGrad._unsafe(
         np.concatenate([h.indices for h in heads]),
         np.concatenate([h.values for h in heads]),
     )
+    return full.mark_coalesced() if all(h.is_coalesced for h in heads) else full

@@ -86,7 +86,10 @@ class UniqueExchangeResult:
         return int(self.global_indices.size)
 
     def as_sparse_grad(self) -> SparseGrad:
-        return SparseGrad(indices=self.global_indices, values=self.reduced_values)
+        """Î and M̂ as a gradient — already coalesced: Î is sorted unique."""
+        return SparseGrad(
+            indices=self.global_indices, values=self.reduced_values
+        ).mark_coalesced()
 
 
 def local_unique_reduce(grad: SparseGrad) -> SparseGrad:

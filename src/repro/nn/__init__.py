@@ -2,7 +2,11 @@
 LSTM and Recurrent Highway layers, full and sampled softmax losses."""
 
 from . import functional, init
-from .batched import BatchedCharLMExecutor, build_batched_executor
+from .batched import (
+    BatchedCharLMExecutor,
+    BatchedExecutor,
+    build_batched_executor,
+)
 from .dropout import Dropout
 from .dtypes import ACC_DTYPE, DTYPE
 from .embedding import Embedding
@@ -31,6 +35,7 @@ __all__ = [
     "Module",
     "Parameter",
     "SparseGrad",
+    "BatchedExecutor",
     "BatchedCharLMExecutor",
     "build_batched_executor",
     "Embedding",

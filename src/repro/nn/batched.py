@@ -2,11 +2,21 @@
 
 The simulator runs G model replicas in one host process.  The per-rank
 training loop (``for rank: replica.step(batch)``) pays G Python
-dispatches into numpy *per layer per time step* — at G≥512 the
+dispatches into numpy *per layer per time step* — at large G the
 interpreter, not BLAS, dominates wall-clock.  Data-parallel replicas
 are **identical by invariant** (same init seed, synchronized updates),
 so their forward/backward passes differ only in the batch data; the
 whole world can execute as stacked arrays with a leading rank axis.
+
+The layers themselves carry that axis (:mod:`repro.nn.lstm`,
+:mod:`~repro.nn.rhn`, :mod:`~repro.nn.embedding`,
+:mod:`~repro.nn.linear`, :mod:`~repro.nn.dropout`, both softmax
+losses): one ``forward``/``backward`` body serves the ``(B, T, ...)``
+call and the ``(R, B, T, ...)`` call, with rank 0's weights broadcast
+as the shared operand.  This module is only the **driver** around any
+model built from them: the guards that decide whether a step may stack,
+the stacked call on rank 0's module, and the fan-out of the resulting
+``(R, ...)`` gradient blocks to every replica's parameters.
 
 Bit-exactness contract
 ----------------------
@@ -19,18 +29,22 @@ as a shared 2-D operand broadcast across the rank axis:
 
 * ``np.matmul((R, n, k), (k, m))`` equals each ``(n, k) @ (k, m)``
   slice exactly (numpy dispatches the same gemm per slice, including
-  transposed-view operands);
+  transposed-view operands) — and is never rewritten as one flattened
+  gemm, whose kernel choice differs at degenerate shapes;
 * elementwise ops, gathers, reductions over the same axes, and the
   stable softmax/sigmoid forms are slice-invariant;
-* dropout masks are drawn from **each replica's own generator in rank
-  order**, consuming exactly the draws the per-rank loop would.
+* dropout masks and sampled-softmax candidates are drawn from **each
+  replica's own generator in rank order**, consuming exactly the draws
+  the per-rank loop would.
 
 Anything outside the proven envelope falls back to the per-rank loop:
 
-* replicas are not all :class:`~repro.train.char_lm.CharLanguageModel`
-  with equal configs (checked once, at build);
-* training/eval flags disagree across replicas, carried RHN states are
-  inconsistent, or batch shapes are ragged (checked per step);
+* replicas are not all the same model class — one that defines
+  ``forward_backward`` itself — with equal configs (checked once, at
+  build);
+* training/eval flags disagree across replicas, carried recurrent
+  states are inconsistent, or batch shapes are ragged (checked per
+  step);
 * replica parameters have *actually* diverged — checked on the first
   call and every ``verify_interval`` calls; a detected divergence
   disables the executor permanently (a diverged world is a bug the
@@ -40,12 +54,14 @@ Anything outside the proven envelope falls back to the per-rank loop:
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
+
 import numpy as np
 
-from .functional import sigmoid
 from .parameter import SparseGrad
 
-__all__ = ["BatchedCharLMExecutor", "build_batched_executor"]
+__all__ = ["BatchedExecutor", "BatchedCharLMExecutor", "build_batched_executor"]
 
 
 # The batched path builds thousands of SparseGrads per step from arrays
@@ -53,35 +69,45 @@ __all__ = ["BatchedCharLMExecutor", "build_batched_executor"]
 _sparse_grad = SparseGrad._unsafe
 
 
-def build_batched_executor(replicas) -> "BatchedCharLMExecutor | None":
+def build_batched_executor(replicas) -> "BatchedExecutor | None":
     """Return a batched executor for ``replicas``, or None if unsupported.
 
-    Supported: two or more :class:`~repro.train.char_lm.CharLanguageModel`
-    replicas (exact type — a subclass may override ``step``) sharing one
-    architecture config.  A single replica gains nothing from stacking.
+    Supported: two or more replicas of one model class built from the
+    replica-axis layers — a class that itself defines
+    ``forward_backward(inputs, targets, state, rngs, loss_scale)`` and
+    ``step_rng`` (exact type: a subclass may override ``step``) —
+    sharing one architecture config and statefulness.  A single replica
+    gains nothing from stacking.
     """
-    from ..train.char_lm import CharLanguageModel  # lazy: train imports nn
-
     if len(replicas) < 2:
         return None
     first = replicas[0]
-    if type(first) is not CharLanguageModel:
+    if "forward_backward" not in vars(type(first)):
         return None
     for m in replicas[1:]:
-        if type(m) is not CharLanguageModel or m.config != first.config:
+        if (
+            type(m) is not type(first)
+            or m.config != first.config
+            or m.stateful != first.stateful
+        ):
             return None
-    return BatchedCharLMExecutor(list(replicas))
+    return BatchedExecutor(list(replicas))
 
 
-class BatchedCharLMExecutor:
+def _parts(state) -> tuple[np.ndarray, ...]:
+    """A carried state as a tuple of arrays (an LSTM's ``(h, c)`` is one)."""
+    return state if isinstance(state, tuple) else (state,)
+
+
+class BatchedExecutor:
     """Execute every replica's fused forward+backward in one stacked pass.
 
-    Mirrors :meth:`repro.train.char_lm.CharLanguageModel.step` exactly,
-    with a leading rank axis ``R`` on every activation and rank 0's
-    parameters broadcast as the shared weights (valid because replicas
-    are verified equal).  Gradients are accumulated into **each**
-    replica's parameters, so gradient sync, optimizers, loss scaling and
-    telemetry all see the same state the per-rank loop would produce.
+    Calls rank 0's ``forward_backward`` with a leading rank axis ``R``
+    on every input — rank 0's parameters are the shared weights (valid
+    because replicas are verified equal).  Gradients are accumulated
+    into **each** replica's parameters, so gradient sync, optimizers,
+    loss scaling and telemetry all see the same state the per-rank loop
+    would produce.
     """
 
     #: Re-verify the replicas-equal invariant every this many calls.
@@ -97,51 +123,11 @@ class BatchedCharLMExecutor:
         self._calls = 0
         self._disabled = False
         self.fallback_reason = ""
-        # Scratch arena: transient activations are reused across steps
-        # (keyed by batch geometry) instead of reallocated — ~40 MB of
-        # per-step allocation churn at G=512 otherwise.  Buffers that
-        # outlive the call (gradients handed to parameters, dx referenced
-        # by SparseGrads until sync) are still freshly allocated.
-        self._arena_key: tuple | None = None
-        self._arena: dict[str, np.ndarray] = {}
-
-    def _buffers(self, R, B, T, H, L, D, V, dtype) -> dict[str, np.ndarray]:
-        """Persistent transient buffers for one batch geometry."""
-        key = (R, B, T, H, L, D, V, dtype)
-        if self._arena_key != key:
-            N = B * T
-            e = np.empty
-            self._arena = {
-                "x_proj": e((R, B, T, 2 * H), dtype),
-                "outputs": e((R, B, T, H), dtype),
-                "dropped": e((R, B, T, H), dtype),
-                "mask": e((R, B, T, H), dtype),
-                "h_cache": e((R, B, T, L, H), dtype),
-                "t_cache": e((R, B, T, L, H), dtype),
-                "s_in": e((R, B, T, L, H), dtype),
-                "s_a": e((R, B, H), dtype),
-                "s_b": e((R, B, H), dtype),
-                "z": e((R, B, 2 * H), dtype),
-                "hbuf": e((R, B, H), dtype),
-                "logits": e((R, N, V), dtype),
-                "shifted": e((R, N, V), dtype),
-                "probs": e((R, N, V), dtype),
-                "mx": e((R, N, 1), dtype),
-                "ssum": e((R, N, 1), dtype),
-                "dhidden": e((R, N, H), dtype),
-                "ds": e((R, B, H), dtype),
-                "dh": e((R, B, H), dtype),
-                "dtg": e((R, B, H), dtype),
-                "tmph": e((R, B, H), dtype),
-                "dsm": e((R, B, H), dtype),
-                "dz": e((R, B, 2 * H), dtype),
-                "tmp_rw": e((R, H, 2 * H), dtype),
-                "tmp_wx": e((R, D, 2 * H), dtype),
-                "tmp_b": e((R, 2 * H), dtype),
-                "tmp_dxt": e((R, B, D), dtype),
-            }
-            self._arena_key = key
-        return self._arena
+        # Module structure is fixed after construction: walk it once.
+        self._params = [list(m.parameters()) for m in replicas]
+        self._modules = [list(m.modules()) for m in replicas]
+        own = [m.step_rng for m in replicas]
+        self._own_rngs = None if own[0] is None else own
 
     @property
     def active(self) -> bool:
@@ -153,20 +139,29 @@ class BatchedCharLMExecutor:
         self.fallback_reason = reason
 
     def _replicas_equal(self) -> bool:
-        base = list(self.replicas[0].parameters())
-        for m in self.replicas[1:]:
-            for p, q in zip(base, m.parameters()):
+        base = self._params[0]
+        for params in self._params[1:]:
+            for p, q in zip(base, params):
                 if not np.array_equal(p.data, q.data):
                     return False
         return True
 
-    def step(self, batches, loss_scale: float = 1.0) -> list[float] | None:
+    def step(
+        self,
+        batches,
+        sample_rngs: Callable[[], list[np.random.Generator]] | None = None,
+        loss_scale: float = 1.0,
+    ) -> list[float] | None:
         """Run one micro-step for all ranks; per-rank losses, or None.
 
         ``batches[rank]`` is rank's local :class:`~repro.data.batching.
-        Batch`.  Returns ``None`` when this step cannot take the fast
-        path (the caller must then run the per-rank loop — no RNG or
-        gradient state has been consumed).
+        Batch`.  ``sample_rngs()`` returns this step's per-rank sample
+        generators; it is called only for models the trainer's
+        generators drive (``step_rng is None``) — building G generators
+        costs more than a small model's whole stacked pass.  Returns
+        ``None`` when this step cannot take the fast path (the caller
+        must then run the per-rank loop — no RNG or gradient state has
+        been consumed).
         """
         if self._disabled:
             return None
@@ -174,272 +169,152 @@ class BatchedCharLMExecutor:
         R = len(reps)
         if len(batches) != R:
             return None
-        m0 = reps[0]
-        training = m0.training
-        drop_training = m0.dropout.training
-        for m in reps[1:]:
-            if m.training != training or m.dropout.training != drop_training:
+        flags = [m.training for m in self._modules[0]]
+        for modules in self._modules[1:]:
+            if [m.training for m in modules] != flags:
                 return None
         shape = batches[0].inputs.shape
         for b in batches[1:]:
             if b.inputs.shape != shape or b.targets.shape != shape:
                 return None
+        m0 = reps[0]
+        carries = m0.stateful and m0.training
+        state = None
+        if carries:
+            # Stateful BPTT: the carry is per replica.
+            states = [m._state for m in reps]
+            if any((s is None) != (states[0] is None) for s in states[1:]):
+                return None  # inconsistent carry — per-rank handles it
+            if states[0] is not None:
+                parts = [_parts(s) for s in states]
+                shapes = [a.shape for a in parts[0]]
+                if any([a.shape for a in p] != shapes for p in parts[1:]):
+                    return None
+                if shapes[0][0] == shape[0]:
+                    state = tuple(np.stack(column) for column in zip(*parts))
+                    if not isinstance(states[0], tuple):
+                        state = state[0]
+                # else: batch-size change — dropped, exactly like ``step``
         if self._calls % self.verify_interval == 0 and not self._replicas_equal():
             self._disable("replica parameters diverged")
             return None
         self._calls += 1
 
-        cfg = m0.config
-        B, T = shape
-        H, L, D = cfg.hidden_dim, cfg.depth, cfg.embedding_dim
-        V = cfg.vocab_size
-
-        # -- embedding forward (gather) --------------------------------
         # Preallocate-and-assign beats np.stack's per-item overhead at
         # G=512 (same bits: row-wise copies of the same arrays).
         inputs = np.empty((R,) + shape, dtype=batches[0].inputs.dtype)
+        targets = np.empty((R,) + shape, dtype=batches[0].targets.dtype)
         for ri, b in enumerate(batches):
             inputs[ri] = b.inputs
-        if not np.issubdtype(inputs.dtype, np.integer):
-            raise ValueError("token ids must be integers")
-        if inputs.size and (
-            inputs.min() < 0 or inputs.max() >= cfg.vocab_size
-        ):
-            raise ValueError("token id out of vocabulary range")
-        emb_w = m0.embedding.weight.data
-        emb = emb_w[inputs]  # (R, B, T, D)
-        dtype = m0.rhn.w_x.data.dtype
-
-        # -- carried RHN state (stateful BPTT) -------------------------
-        state = None
-        if m0.stateful and training:
-            states = [m._state for m in reps]
-            have = states[0] is not None
-            for s in states[1:]:
-                if (s is not None) != have:
-                    return None  # inconsistent carry — per-rank handles it
-            if have:
-                if any(s.shape != states[0].shape for s in states[1:]):
-                    return None
-                if states[0].shape == (B, H):
-                    state = np.stack(states).astype(dtype)
-                elif states[0].shape[0] == B:
-                    return None  # wrong width: let the slow path raise
-                # else: batch-size change — dropped, exactly like char_lm
-
-        buf = self._buffers(R, B, T, H, L, D, V, dtype)
-        N = B * T
-
-        # -- RHN forward -----------------------------------------------
-        # Every reused buffer is written with ``out=`` through the exact
-        # op sequence of the per-rank path (same operand order, in-place
-        # only where the op reads and writes elementwise), so the arena
-        # changes allocation behaviour, never bits.
-        w_x = m0.rhn.w_x.data
-        r_w = m0.rhn.r.data
-        rwT = r_w.transpose(0, 2, 1)
-        bias = m0.rhn.bias.data
-        x_proj = np.matmul(
-            emb.reshape(R, N, D), w_x, out=buf["x_proj"].reshape(R, N, 2 * H)
-        ).reshape(R, B, T, 2 * H)
-        s = buf["s_a"]
-        s_next = buf["s_b"]
-        if state is None:
-            s[:] = 0.0
-        else:
-            s[:] = state
-        outputs = buf["outputs"]
-        h_cache = buf["h_cache"]
-        t_cache = buf["t_cache"]
-        s_in = buf["s_in"]
-        z = buf["z"]
-        hbuf = buf["hbuf"]
-        tmph = buf["tmph"]
-        for t in range(T):
-            for l in range(L):
-                np.matmul(s, r_w[l], out=z)
-                z += bias[l]
-                if l == 0:
-                    z += x_proj[:, :, t]
-                h = np.tanh(z[..., :H], out=hbuf)
-                tg = sigmoid(z[..., H:])
-                s_in[:, :, t, l] = s
-                h_cache[:, :, t, l] = h
-                t_cache[:, :, t, l] = tg
-                # s = h * tg + s * (1 - tg), same operand order as above
-                np.multiply(h, tg, out=s_next)
-                np.subtract(1.0, tg, out=tmph)
-                np.multiply(s, tmph, out=tmph)
-                s_next += tmph
-                s, s_next = s_next, s
-            outputs[:, :, t] = s
-        if m0.stateful and training:
+            targets[ri] = b.targets
+        rngs = self._own_rngs if self._own_rngs is not None else sample_rngs()
+        losses, final = m0.forward_backward(
+            inputs, targets, state, rngs, loss_scale
+        )
+        if carries:
+            finals = _parts(final)
             for ri, m in enumerate(reps):
-                m._state = s[ri].copy()
-
-        # -- dropout forward (per-replica RNG streams, rank order) -----
-        p_drop = m0.dropout.p
-        if drop_training and p_drop > 0.0:
-            keep = 1.0 - p_drop
-            mask = buf["mask"]
-            for ri, m in enumerate(reps):
-                mask[ri] = (
-                    m.dropout._rng.random((B, T, H)) < keep
-                ).astype(dtype) / keep
-            dropped = np.multiply(outputs, mask, out=buf["dropped"])
-        else:
-            mask = None
-            dropped = outputs
-
-        # -- full softmax + cross-entropy ------------------------------
-        hidden = dropped.reshape(R, N, H)
-        sm_w = m0.loss_layer.weight.data
-        sm_b = m0.loss_layer.bias.data
-        logits = np.matmul(hidden, sm_w.T, out=buf["logits"])
-        logits += sm_b
-        targets = np.empty((R, N), dtype=batches[0].targets.dtype)
-        for ri, b in enumerate(batches):
-            targets[ri] = b.targets.reshape(-1)
-        # log_softmax inlined over arena buffers: max-shift, exp, sum,
-        # log, subtract — the identical stable sequence of
-        # :func:`repro.nn.functional.log_softmax`.
-        mx = logits.max(axis=2, keepdims=True, out=buf["mx"])
-        shifted = np.subtract(logits, mx, out=buf["shifted"])
-        e = np.exp(shifted, out=buf["probs"])
-        ssum = e.sum(axis=2, keepdims=True, out=buf["ssum"])
-        np.log(ssum, out=ssum)
-        logp = np.subtract(shifted, ssum, out=shifted)
-        picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
-        losses = -picked.mean(axis=1)
-        dlogits = np.exp(logp, out=buf["probs"])
-        rank_ix = np.arange(R)[:, None]
-        row_ix = np.arange(N)[None, :]
-        dlogits[rank_ix, row_ix, targets] -= 1.0
-        dlogits /= N
-
-        # -- softmax backward ------------------------------------------
-        if loss_scale != 1.0:
-            dlogits *= loss_scale
-        # w_grads/b_grads leave this call as per-rank gradient views, so
-        # they are freshly allocated (not arena buffers).
-        w_grads = np.matmul(dlogits.transpose(0, 2, 1), hidden)
-        b_grads = dlogits.sum(axis=1)
-        dhidden = np.matmul(dlogits, sm_w, out=buf["dhidden"])
-
-        # -- dropout backward ------------------------------------------
-        ddrop = dhidden.reshape(R, B, T, H)
-        if mask is not None:
-            ddrop = np.multiply(ddrop, mask, out=ddrop)
-
-        # -- RHN backward (BPTT through time and depth) ----------------
-        dw_x = np.zeros((R, D, 2 * H), dtype)
-        dr = np.zeros((R, L, H, 2 * H), dtype)
-        dbias = np.zeros((R, L, 2 * H), dtype)
-        dx = np.empty((R, B, T, D), dtype)  # referenced by SparseGrads
-        ds = buf["ds"]
-        ds[:] = 0.0
-        dh = buf["dh"]
-        dtg = buf["dtg"]
-        tmph = buf["tmph"]
-        dsm = buf["dsm"]
-        dz = buf["dz"]
-        dz_h = dz[..., :H]
-        dz_t = dz[..., H:]
-        tmp_rw = buf["tmp_rw"]
-        tmp_wx = buf["tmp_wx"]
-        tmp_b = buf["tmp_b"]
-        tmp_dxt = buf["tmp_dxt"]
-        for t in range(T - 1, -1, -1):
-            ds += ddrop[:, :, t]
-            for l in range(L - 1, -1, -1):
-                h = h_cache[:, :, t, l]
-                tg = t_cache[:, :, t, l]
-                s_prev = s_in[:, :, t, l]
-                np.multiply(ds, tg, out=dh)
-                np.subtract(h, s_prev, out=tmph)
-                np.multiply(ds, tmph, out=dtg)
-                # dz_h = dh * dtanh(h); dz_t = dtg * dsigmoid(tg)
-                np.multiply(h, h, out=tmph)
-                np.subtract(1.0, tmph, out=tmph)
-                np.multiply(dh, tmph, out=dz_h)
-                np.subtract(1.0, tg, out=tmph)
-                np.multiply(tg, tmph, out=tmph)
-                np.multiply(dtg, tmph, out=dz_t)
-                np.matmul(s_prev.transpose(0, 2, 1), dz, out=tmp_rw)
-                dr[:, l] += tmp_rw
-                dz.sum(axis=1, out=tmp_b)
-                dbias[:, l] += tmp_b
-                # ds = ds * (1 - tg) + dz @ r_w[l].T
-                np.subtract(1.0, tg, out=tmph)
-                np.multiply(ds, tmph, out=tmph)
-                np.matmul(dz, rwT[l], out=dsm)
-                np.add(tmph, dsm, out=ds)
-                if l == 0:
-                    np.matmul(dz, w_x.T, out=tmp_dxt)
-                    dx[:, :, t] = tmp_dxt
-                    np.matmul(emb[:, :, t].transpose(0, 2, 1), dz, out=tmp_wx)
-                    dw_x += tmp_wx
-
-        # -- gradient handoff ------------------------------------------
-        # Rows of the stacked gradient blocks become each replica's
-        # dense grad directly (disjoint views; ``+`` on accumulation
-        # steps matches ``+=`` bit-for-bit).  The blocks above are fresh
-        # per call, so the views stay valid until the sync consumes them.
-        flat_ids = inputs.reshape(R, -1).astype(np.int64)
-        vals = dx.reshape(R, N, D)
-        coalesced = self._batched_coalesce(flat_ids, vals, V, dtype)
-        for ri, m in enumerate(reps):
-            for p, block in (
-                (m.loss_layer.weight, w_grads),
-                (m.loss_layer.bias, b_grads),
-                (m.rhn.w_x, dw_x),
-                (m.rhn.r, dr),
-                (m.rhn.bias, dbias),
-            ):
-                row = block[ri]
-                p.grad = row if p.grad is None else p.grad + row
-                if ri == 0:
-                    # Stacked-block hint for the dense allreduce: rows
-                    # were handed out in rank order, so the sync can
-                    # reduce over the block directly.  Accumulated grads
-                    # (``old + new``) no longer alias the block, which
-                    # the sync's identity check detects — the hint is
-                    # only valid when this micro-step owns the grad.
-                    p._grad_block = block if p.grad is row else None
-            sg = _sparse_grad(flat_ids[ri], vals[ri])
-            sg._coalesced = coalesced[ri]
-            m.embedding.weight.sparse_grads.append(sg)
-
+                own = tuple(a[ri].copy() for a in finals)
+                m._state = own if isinstance(final, tuple) else own[0]
+        for k, shared in enumerate(self._params[0]):
+            stacked, shared.stacked_grads = shared.stacked_grads, []
+            sparse = []
+            for grad in stacked:
+                if isinstance(grad, SparseGrad):
+                    sparse.append(grad)
+                else:
+                    self._fan_out_dense(k, grad)
+            if sparse:
+                self._fan_out_sparse(k, sparse)
         return [float(x) for x in losses]
 
-    @staticmethod
-    def _batched_coalesce(flat_ids, vals, vocab, dtype) -> list[SparseGrad]:
-        """All ranks' local unique-reduce (steps 1-2) in one pass.
+    def _fan_out_dense(self, k: int, block: np.ndarray) -> None:
+        """Row ``r`` of a gradient block becomes replica ``r``'s grad.
 
-        Offsetting rank ``r``'s ids by ``r * vocab`` makes the per-rank
-        id spaces disjoint, so one ``np.unique`` + one ``np.add.at``
-        computes every rank's sorted-unique types and summed rows.
-        Within a rank, tokens are visited in the same order as the
-        per-rank ``SparseGrad.coalesce``, and cross-rank rows are
-        disjoint — the per-rank results are bit-identical.  The results
-        are attached as each token-level gradient's ``_coalesced`` cache
-        for the sparse exchange to pick up.
+        Rows are disjoint views of the block (fresh per call, so they
+        stay valid until the sync consumes them); ``+`` on accumulation
+        steps matches ``accumulate_grad``'s ``+=`` bit-for-bit, cast to
+        the parameter dtype the same way.
         """
-        R, N = flat_ids.shape
+        p0 = self._params[0][k]
+        dtype = p0.data.dtype
+        owned = p0.grad is None
+        cast = block if block.dtype == dtype else block.astype(dtype)
+        for ri, params in enumerate(self._params):
+            p = params[k]
+            if p.grad is None:
+                p.grad = cast[ri]
+            else:
+                p.grad = (p.grad + block[ri]).astype(dtype, copy=False)
+        # Stacked-block hint for the dense allreduce: rows were handed
+        # out in rank order, so the sync can reduce over the block
+        # directly.  Accumulated grads (``old + new``) no longer alias
+        # the block, which the sync's identity check detects — the hint
+        # is only valid when this micro-step owns the grad.
+        p0._grad_block = cast if owned else None
+
+    def _fan_out_sparse(self, k: int, stacked: list[SparseGrad]) -> None:
+        """One token-level sparse grad per replica from ``(R, N)`` stacks.
+
+        A parameter's contributions of this micro-step (embedding rows,
+        target rows, candidate rows — all three on a tied weight) are
+        joined along the token axis in arrival order, the order the
+        sync's own concatenation would produce, so their local reduction
+        can be attached as one (lazy) ``_coalesced``.
+        """
+        if len(stacked) == 1:
+            ids, vals = stacked[0].indices, stacked[0].values
+        else:
+            ids = np.concatenate([s.indices for s in stacked], axis=1)
+            vals = np.concatenate([s.values for s in stacked], axis=1)
+        reduction = _StackedCoalesce(ids, vals, self._params[0][k].data.shape[0])
+        for ri, params in enumerate(self._params):
+            sg = _sparse_grad(ids[ri], vals[ri])
+            sg._coalesced = partial(reduction.rank, ri)
+            params[k].sparse_grads.append(sg)
+
+
+class _StackedCoalesce:
+    """All ranks' local unique-reduce (steps 1-2) in one pass, on demand.
+
+    Offsetting rank ``r``'s ids by ``r * vocab`` makes the per-rank id
+    spaces disjoint, so one ``np.unique`` + one ``np.add.at`` computes
+    every rank's sorted-unique types and summed rows.  Within a rank,
+    tokens are visited in the same order as the per-rank
+    ``SparseGrad.coalesce``, and cross-rank rows are disjoint — the
+    per-rank results are bit-identical.  Each token-level gradient gets
+    ``rank`` as its lazy ``_coalesced``: the pass runs when the sparse
+    exchange first asks for one, and never on accumulation steps, whose
+    micro-step gradients are concatenated before anything coalesces.
+    """
+
+    def __init__(self, ids: np.ndarray, vals: np.ndarray, vocab: int):
+        self._pending = (ids, vals, vocab)
+        self._reduced: list[SparseGrad] = []
+
+    def rank(self, ri: int) -> SparseGrad:
+        if self._pending is not None:
+            self._reduce(*self._pending)
+            self._pending = None
+        return self._reduced[ri]
+
+    def _reduce(self, ids: np.ndarray, vals: np.ndarray, vocab: int) -> None:
+        R, N = ids.shape
         D = vals.shape[2]
-        offset = flat_ids + (np.arange(R, dtype=np.int64) * vocab)[:, None]
+        offset = ids + (np.arange(R, dtype=np.int64) * vocab)[:, None]
         uniq, inverse = np.unique(offset.ravel(), return_inverse=True)
-        reduced = np.zeros((uniq.size, D), dtype)
+        reduced = np.zeros((uniq.size, D), vals.dtype)
         np.add.at(reduced, inverse, vals.reshape(R * N, D))
         bounds = np.searchsorted(uniq, np.arange(1, R + 1) * vocab)
-        out = []
         start = 0
         for ri in range(R):  # mesh-ok: slicing per-rank segments of one host-side reduction
             stop = int(bounds[ri])
-            out.append(
-                _sparse_grad(
-                    uniq[start:stop] - ri * vocab, reduced[start:stop]
-                )
+            self._reduced.append(
+                _sparse_grad(uniq[start:stop] - ri * vocab, reduced[start:stop])
             )
             start = stop
-        return out
+
+
+#: The executor's former, char-LM-only name (``benchmarks/e2e/tracing.py``
+#: resolves ``BatchedCharLMExecutor.step``).
+BatchedCharLMExecutor = BatchedExecutor

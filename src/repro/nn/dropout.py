@@ -25,11 +25,27 @@ class Dropout(Module):
         self.p = p
         self._rng = rng
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(
+        self,
+        x: np.ndarray,
+        rngs: np.random.Generator | list[np.random.Generator] | None = None,
+    ) -> tuple[np.ndarray, dict]:
+        """Mask ``x``.  ``rngs`` defaults to the layer's own stream; a
+        list of ``R`` generators masks ``(R, ...)`` stacked replicas,
+        each replica's mask drawn from its own generator in rank order
+        (exactly the draws ``R`` separate calls would consume)."""
         if not self.training or self.p == 0.0:
             return x, {"mask": None}
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
+        if rngs is None:
+            rngs = self._rng
+        if isinstance(rngs, np.random.Generator):
+            draws = rngs.random(x.shape)
+        else:
+            draws = np.empty(x.shape)
+            for replica, rng in zip(draws, rngs, strict=True):
+                rng.random(out=replica)
+        mask = (draws < keep).astype(x.dtype) / keep
         return x * mask, {"mask": mask}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:

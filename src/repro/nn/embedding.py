@@ -53,10 +53,14 @@ class Embedding(Module):
             name="embedding.weight",
         )
 
-    def forward(self, token_ids: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(
+        self, token_ids: np.ndarray, stacked: bool = False
+    ) -> tuple[np.ndarray, dict]:
         """Gather rows: returns ``(activations, cache)``.
 
         ``activations`` has shape ``token_ids.shape + (dim,)``.
+        ``stacked`` declares the leading axis of ``token_ids`` a replica
+        axis: backward then emits one sparse gradient per replica.
         """
         token_ids = np.asarray(token_ids)
         if not np.issubdtype(token_ids.dtype, np.integer):
@@ -66,7 +70,7 @@ class Embedding(Module):
         ):
             raise ValueError("token id out of vocabulary range")
         out = self.weight.data[token_ids]
-        return out, {"token_ids": token_ids}
+        return out, {"token_ids": token_ids, "stacked": stacked}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> None:
         """Record the sparse gradient; returns nothing (inputs are ids).
@@ -80,9 +84,10 @@ class Embedding(Module):
         expected = token_ids.shape + (self.dim,)
         if grad_out.shape != expected:
             raise ValueError(f"grad shape {grad_out.shape} != {expected}")
+        lead = token_ids.shape[:1] if cache["stacked"] else ()
         self.weight.accumulate_sparse_grad(
             SparseGrad(
-                indices=token_ids.reshape(-1).astype(np.int64),
-                values=grad_out.reshape(-1, self.dim),
+                indices=token_ids.reshape(lead + (-1,)).astype(np.int64),
+                values=grad_out.reshape(lead + (-1, self.dim)),
             )
         )

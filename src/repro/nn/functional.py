@@ -17,6 +17,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy_from_logits",
+    "replica_blocks",
     "row_matmul",
 ]
 
@@ -51,14 +52,21 @@ def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, stable for large |x| (no overflow warnings)."""
-    out = np.empty_like(x, dtype=np.result_type(x.dtype, np.float64)
-                        if x.dtype == np.float16 else x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid, stable for large |x| (no overflow warnings).
+
+    ``e = exp(-|x|)`` never overflows, and each element still takes its
+    sign's branch — ``1 / (1 + e)`` for ``x >= 0``, ``e / (1 + e)``
+    otherwise — so the result is bit-identical to evaluating the two
+    branches on boolean-masked copies, without the gather/scatter.
+    A float16 input is evaluated in float16 and returned as float64.
+    """
+    e = np.negative(x)
+    np.minimum(x, e, out=e)  # -|x|, and a NaN stays x's own NaN
+    np.exp(e, out=e)
+    denom = 1.0 + e
+    np.copyto(e, 1.0, where=x >= 0)
+    np.divide(e, denom, out=e)
+    return e.astype(np.float64) if e.dtype == np.float16 else e
 
 
 def dsigmoid(y: np.ndarray) -> np.ndarray:
@@ -91,38 +99,67 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def cross_entropy_from_logits(
-    logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
+    logits: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over rows of ``logits`` and its gradient.
 
     Parameters
     ----------
     logits:
-        ``(n, classes)`` unnormalized scores.
+        ``(n, classes)`` unnormalized scores, or ``(R, n, classes)`` for
+        ``R`` stacked replicas (each reduced on its own).
     targets:
-        ``(n,)`` integer class indices.
+        ``(n,)`` / ``(R, n)`` integer class indices.
+    out:
+        Optional array of ``logits``' shape and dtype to build
+        ``dlogits`` in.
 
     Returns
     -------
     (loss, dlogits):
-        ``loss`` is the mean negative log-likelihood in nats;
-        ``dlogits`` is ``(softmax - onehot) / n`` — the gradient of the
-        *mean* loss, so per-token scaling is consistent regardless of
-        batch shape.
+        ``loss`` is the mean negative log-likelihood in nats (a float;
+        an ``(R,)`` array when stacked); ``dlogits`` is
+        ``(softmax - onehot) / n`` — the gradient of the *mean* loss, so
+        per-token scaling is consistent regardless of batch shape.
     """
-    if logits.ndim != 2:
+    if logits.ndim not in (2, 3):
         raise ValueError("logits must be 2-D (n, classes)")
     targets = np.asarray(targets)
-    if targets.shape != (logits.shape[0],):
+    if targets.shape != logits.shape[:-1]:
         raise ValueError(
             f"targets shape {targets.shape} incompatible with logits "
             f"{logits.shape}"
         )
-    n = logits.shape[0]
-    logp = log_softmax(logits, axis=1)
-    rows = np.arange(n)
-    loss = float(-logp[rows, targets].mean())
-    dlogits = np.exp(logp)
-    dlogits[rows, targets] -= 1.0
+    n = logits.shape[-2]
+    logp = log_softmax(logits, axis=-1)
+    at = targets[..., None]
+    loss = -np.take_along_axis(logp, at, axis=-1)[..., 0].mean(axis=-1)
+    dlogits = np.exp(logp, out=out)
+    np.put_along_axis(
+        dlogits, at, np.take_along_axis(dlogits, at, axis=-1) - 1.0, axis=-1
+    )
     dlogits /= n
-    return loss, dlogits
+    return (loss if loss.ndim else float(loss)), dlogits
+
+
+#: Logits one block of stacked replicas may hold in a loss layer.  A
+#: ``(R, n, classes)`` temporary that outgrows the cache makes every
+#: elementwise pass DRAM-bound, while a single replica's slice stays
+#: cache-resident; walking the stack a few replicas at a time keeps the
+#: stacked pass on the fast side of that line at any ``R``.  (Measured
+#: optimum 256-512 KiB on the reference box; docs/PERFORMANCE.md.)
+_BLOCK_BYTES = 512 << 10
+
+
+def replica_blocks(lead: tuple[int, ...], bytes_per_replica: int) -> list:
+    """Index expressions covering a replica stack, a block at a time.
+
+    ``lead`` is ``()`` for an unstacked input — one block, the whole
+    array — or ``(R,)``: slices of as many replicas as keep
+    ``bytes_per_replica`` each within the block budget.
+    """
+    if not lead:
+        return [...]
+    step = max(1, _BLOCK_BYTES // max(1, bytes_per_replica))
+    return [slice(lo, lo + step) for lo in range(0, lead[0], step)]
+

@@ -1,7 +1,9 @@
 """Fully-connected (projection) layer.
 
 Used for the word LM's 2048 -> 512 LSTM projection and as a generic
-building block.  Operates on inputs of any leading shape ``(..., in_dim)``.
+building block.  Operates on inputs of any leading shape ``(..., in_dim)``;
+the first axis may be declared a replica axis (shared weight broadcast
+over ``R`` replicas' activations, one weight gradient per replica).
 """
 
 from __future__ import annotations
@@ -41,22 +43,27 @@ class Linear(Module):
         else:
             object.__setattr__(self, "bias", None)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(
+        self, x: np.ndarray, stacked: bool = False
+    ) -> tuple[np.ndarray, dict]:
+        """``stacked`` declares the leading axis of ``x`` a replica axis:
+        backward then emits one weight gradient per replica."""
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"input dim {x.shape[-1]} != {self.in_dim}")
         y = x @ self.weight.data
         if self.bias is not None:
             y += self.bias.data
-        return y, {"x": x}
+        return y, {"x": x, "stacked": stacked}
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         """Accumulate weight/bias grads; return gradient w.r.t. input."""
         x = cache["x"]
         if grad_out.shape != x.shape[:-1] + (self.out_dim,):
             raise ValueError(f"bad grad shape {grad_out.shape}")
-        x2d = x.reshape(-1, self.in_dim)
-        g2d = grad_out.reshape(-1, self.out_dim)
-        self.weight.accumulate_grad(x2d.T @ g2d)
+        lead = x.shape[:1] if cache["stacked"] else ()
+        rows = x.reshape(lead + (-1, self.in_dim))
+        grad_rows = grad_out.reshape(lead + (-1, self.out_dim))
+        self.weight.accumulate_grad(np.matmul(rows.swapaxes(-1, -2), grad_rows))
         if self.bias is not None:
-            self.bias.accumulate_grad(g2d.sum(axis=0))
-        return (g2d @ self.weight.data.T).reshape(x.shape)
+            self.bias.accumulate_grad(grad_rows.sum(axis=-2))
+        return np.matmul(grad_rows, self.weight.data.T).reshape(x.shape)

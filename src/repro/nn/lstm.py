@@ -97,52 +97,59 @@ class LSTM(Module):
     ) -> tuple[np.ndarray, dict]:
         """Run the sequence; returns ``(hidden_states, cache)``.
 
-        ``hidden_states`` has shape ``(B, T, H)``.  ``state`` is an
-        optional ``(h0, c0)`` carry-in of shape ``(B, H)`` each (for
-        stateful truncated BPTT across windows); the carried state is
-        treated as constant (gradients are truncated at the window edge,
-        matching standard LM training).  The final state is available in
+        ``x`` is ``(B, T, input_dim)``, or ``(R, B, T, input_dim)`` for
+        ``R`` stacked replicas sharing these weights; every shape below
+        gains the same leading ``R``.  ``hidden_states`` has shape
+        ``(B, T, H)``.  ``state`` is an optional ``(h0, c0)`` carry-in
+        of shape ``(B, H)`` each (for stateful truncated BPTT across
+        windows); the carried state is treated as constant (gradients
+        are truncated at the window edge, matching standard LM
+        training).  The final state is available in
         ``cache["final_state"]``.
         """
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise ValueError(f"expected (B, T, {self.input_dim}), got {x.shape}")
-        B, T, _ = x.shape
+        if x.ndim not in (3, 4) or x.shape[-1] != self.input_dim:
+            raise ValueError(
+                f"expected ([R,] B, T, {self.input_dim}), got {x.shape}"
+            )
+        *lead, T, _ = x.shape
+        lead = tuple(lead)  # (B,) or (R, B)
         H = self.hidden_dim
         dtype = self.w_x.data.dtype
         if state is None:
-            h_prev = np.zeros((B, H), dtype)
-            c_prev = np.zeros((B, H), dtype)
+            h_prev = np.zeros(lead + (H,), dtype)
+            c_prev = np.zeros(lead + (H,), dtype)
         else:
             h_prev, c_prev = state
-            if h_prev.shape != (B, H) or c_prev.shape != (B, H):
+            if h_prev.shape != lead + (H,) or c_prev.shape != lead + (H,):
                 raise ValueError("carried state has wrong shape")
             h_prev = h_prev.astype(dtype, copy=True)
             c_prev = c_prev.astype(dtype, copy=True)
+        h0, c0 = (h_prev if state is None else state[0]), c_prev
 
-        # Hoist the input projection out of the time loop: one big matmul.
-        x_proj = x.reshape(B * T, -1) @ self.w_x.data + self.bias.data
-        x_proj = x_proj.reshape(B, T, 4 * H)
+        # Hoist the input projection out of the time loop: one big matmul
+        # (per replica: the shared weight broadcasts over the stack).
+        rows = lead[:-1] + (lead[-1] * T,)
+        x_proj = x.reshape(rows + (-1,)) @ self.w_x.data + self.bias.data
+        x_proj = x_proj.reshape(lead + (T, 4 * H))
 
-        hs = np.empty((B, T, H), dtype)
-        gates = np.empty((B, T, 4 * H), dtype)  # post-activation i,f,g,o
-        cells = np.empty((B, T, H), dtype)
-        c_prevs = np.empty((B, T, H), dtype)
+        hs = np.empty(lead + (T, H), dtype)
+        gates = np.empty(lead + (T, 4 * H), dtype)  # post-activation i,f,g,o
+        cells = np.empty(lead + (T, H), dtype)
 
         for t in range(T):
-            z = x_proj[:, t] + h_prev @ self.w_h.data
-            i = sigmoid(z[:, :H])
-            f = sigmoid(z[:, H : 2 * H])
-            g = tanh(z[:, 2 * H : 3 * H])
-            o = sigmoid(z[:, 3 * H :])
-            c_prevs[:, t] = c_prev
+            z = x_proj[..., t, :] + h_prev @ self.w_h.data
+            i = sigmoid(z[..., :H])
+            f = sigmoid(z[..., H : 2 * H])
+            g = tanh(z[..., 2 * H : 3 * H])
+            o = sigmoid(z[..., 3 * H :])
             c = f * c_prev + i * g
             h = o * tanh(c)
-            gates[:, t, :H] = i
-            gates[:, t, H : 2 * H] = f
-            gates[:, t, 2 * H : 3 * H] = g
-            gates[:, t, 3 * H :] = o
-            cells[:, t] = c
-            hs[:, t] = h
+            gates[..., t, :H] = i
+            gates[..., t, H : 2 * H] = f
+            gates[..., t, 2 * H : 3 * H] = g
+            gates[..., t, 3 * H :] = o
+            cells[..., t, :] = c
+            hs[..., t, :] = h
             h_prev, c_prev = h, c
 
         cache = {
@@ -150,55 +157,65 @@ class LSTM(Module):
             "hs": hs,
             "gates": gates,
             "cells": cells,
-            "c_prevs": c_prevs,
-            "h0": state[0] if state is not None else np.zeros((B, H), dtype),
+            "h0": h0,
+            "c0": c0,
             "final_state": (h_prev.copy(), c_prev.copy()),
         }
         return hs, cache
 
     def backward(self, grad_hs: np.ndarray, cache: dict) -> np.ndarray:
-        """BPTT; accumulates weight grads, returns grad w.r.t. input x."""
-        x, hs = cache["x"], cache["hs"]
-        gates, cells, c_prevs = cache["gates"], cache["cells"], cache["c_prevs"]
-        B, T, H = hs.shape
-        if grad_hs.shape != (B, T, H):
-            raise ValueError(f"grad shape {grad_hs.shape} != {(B, T, H)}")
+        """BPTT; accumulates weight grads, returns grad w.r.t. input x.
 
-        dz_all = np.empty((B, T, 4 * H), hs.dtype)
-        dh_next = np.zeros((B, H), hs.dtype)
-        dc_next = np.zeros((B, H), hs.dtype)
+        Consumes ``cache``: each step's gate activations are overwritten
+        by the pre-activation gradients they produce (the window's
+        ``dz`` needs exactly their storage, and at 4H per token it is
+        the layer's largest array), so a cache serves one backward.
+        """
+        x, hs = cache["x"], cache["hs"]
+        gates, cells = cache["gates"], cache["cells"]
+        *lead, T, H = hs.shape
+        lead = tuple(lead)
+        if grad_hs.shape != hs.shape:
+            raise ValueError(f"grad shape {grad_hs.shape} != {hs.shape}")
+
+        dh_next = np.zeros(lead + (H,), hs.dtype)
+        dc_next = np.zeros(lead + (H,), hs.dtype)
         w_h = self.w_h.data
 
         for t in range(T - 1, -1, -1):
-            i = gates[:, t, :H]
-            f = gates[:, t, H : 2 * H]
-            g = gates[:, t, 2 * H : 3 * H]
-            o = gates[:, t, 3 * H :]
-            c = cells[:, t]
+            i = gates[..., t, :H]
+            f = gates[..., t, H : 2 * H]
+            g = gates[..., t, 2 * H : 3 * H]
+            o = gates[..., t, 3 * H :]
+            c = cells[..., t, :]
             tanh_c = np.tanh(c)
 
-            dh = grad_hs[:, t] + dh_next
+            dh = grad_hs[..., t, :] + dh_next
             do = dh * tanh_c
             dc = dh * o * dtanh(tanh_c) + dc_next
             di = dc * g
-            df = dc * c_prevs[:, t]
+            df = dc * (cells[..., t - 1, :] if t else cache["c0"])
             dg = dc * i
-
-            dz = dz_all[:, t]
-            dz[:, :H] = di * dsigmoid(i)
-            dz[:, H : 2 * H] = df * dsigmoid(f)
-            dz[:, 2 * H : 3 * H] = dg * dtanh(g)
-            dz[:, 3 * H :] = do * dsigmoid(o)
-
-            dh_next = dz @ w_h.T
             dc_next = dc * f
 
-        # Weight gradients as two big matmuls over the whole window.
-        dz2d = dz_all.reshape(B * T, 4 * H)
-        self.w_x.accumulate_grad(x.reshape(B * T, -1).T @ dz2d)
+            # From here on this step's gates are dead: dz takes their place.
+            dz = gates[..., t, :]
+            dz[..., :H] = di * dsigmoid(i)
+            dz[..., H : 2 * H] = df * dsigmoid(f)
+            dz[..., 2 * H : 3 * H] = dg * dtanh(g)
+            dz[..., 3 * H :] = do * dsigmoid(o)
+
+            dh_next = dz @ w_h.T
+
+        # Weight gradients as two big matmuls over the whole window
+        # (one pair per replica when stacked); ``gates`` holds dz by now.
+        rows = lead[:-1] + (lead[-1] * T,)
+        dz2d = gates.reshape(rows + (4 * H,))
+        x2d = x.reshape(rows + (-1,))
+        self.w_x.accumulate_grad(np.matmul(x2d.swapaxes(-1, -2), dz2d))
         h_prev_seq = np.concatenate(
-            [cache["h0"][:, None, :], hs[:, :-1]], axis=1
-        ).reshape(B * T, H)
-        self.w_h.accumulate_grad(h_prev_seq.T @ dz2d)
-        self.bias.accumulate_grad(dz2d.sum(axis=0))
-        return (dz2d @ self.w_x.data.T).reshape(x.shape)
+            [cache["h0"][..., None, :], hs[..., :-1, :]], axis=-2
+        ).reshape(rows + (H,))
+        self.w_h.accumulate_grad(np.matmul(h_prev_seq.swapaxes(-1, -2), dz2d))
+        self.bias.accumulate_grad(dz2d.sum(axis=-2))
+        return np.matmul(dz2d, self.w_x.data.T).reshape(x.shape)

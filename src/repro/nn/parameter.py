@@ -27,21 +27,31 @@ class SparseGrad:
     repeat (one entry per *token*, not per *type*) — duplicates must be
     **summed** on application, matching the accumulation semantics of
     embedding back-propagation described in Section II-A.
+
+    A backward pass over stacked replicas emits all of them at once:
+    ``indices`` is then ``(R, N)`` and ``values`` ``(R, N, D)``, row
+    ``r`` being replica ``r``'s ordinary gradient.  Only
+    :meth:`Parameter.accumulate_sparse_grad` accepts that form (it is
+    split per replica before anything coalesces or applies it).
     """
 
     indices: np.ndarray
     values: np.ndarray
+    #: The coalesced form when a producer already knows it (or a
+    #: zero-argument callable yielding it); see :meth:`coalesce`.  Not a
+    #: dataclass field — never part of construction or equality.
+    _coalesced = None
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices)
         self.values = np.asarray(self.values)
-        if self.indices.ndim != 1:
-            raise ValueError("indices must be 1-D")
-        if self.values.ndim != 2:
+        if self.indices.ndim not in (1, 2):
+            raise ValueError("indices must be 1-D (2-D with a replica axis)")
+        if self.values.ndim != self.indices.ndim + 1:
             raise ValueError("values must be 2-D (tokens x dim)")
-        if self.indices.shape[0] != self.values.shape[0]:
+        if self.indices.shape != self.values.shape[:-1]:
             raise ValueError(
-                f"{self.indices.shape[0]} indices vs {self.values.shape[0]} rows"
+                f"{self.indices.shape[-1]} indices vs {self.values.shape[-2]} rows"
             )
         if not np.issubdtype(self.indices.dtype, np.integer):
             raise ValueError("indices must be integers")
@@ -66,11 +76,29 @@ class SparseGrad:
 
     @property
     def dim(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.values.shape[-1])
 
     @property
     def nbytes(self) -> int:
         return int(self.indices.nbytes + self.values.nbytes)
+
+    @property
+    def is_coalesced(self) -> bool:
+        """Whether :meth:`coalesce` is already known (no reduction runs)."""
+        return self._coalesced is not None
+
+    def mark_coalesced(self) -> "SparseGrad":
+        """Declare the indices sorted ascending and unique; returns self.
+
+        Only a producer that can prove it may call this (the unique
+        exchange's result, a row-range slice of a coalesced gradient):
+        :meth:`coalesce` then hands back these very rows instead of
+        re-running ``np.unique`` + ``np.add.at`` over them.
+        """
+        # A twin, not ``self``: a self-reference would keep the arrays
+        # alive until the cyclic garbage collector runs.
+        self._coalesced = SparseGrad._unsafe(self.indices, self.values)
+        return self
 
     def coalesce(self) -> "SparseGrad":
         """Sum duplicate indices — the paper's step-2 'local reduction'.
@@ -78,11 +106,14 @@ class SparseGrad:
         Returns a new :class:`SparseGrad` whose indices are unique and
         sorted ascending.  This is the per-GPU Ui x D matrix of the
         uniqueness algorithm.  A producer that already knows the reduced
-        form (the batched executor computes all ranks' reductions in one
-        vectorized pass) may pre-attach it as ``_coalesced``; the result
-        is bit-identical either way.
+        form may pre-attach it as ``_coalesced`` — or a zero-argument
+        callable that yields it on first use (the batched executor
+        reduces all ranks in one vectorized pass, but only if somebody
+        asks); the result is bit-identical either way.
         """
-        cached = getattr(self, "_coalesced", None)
+        cached = self._coalesced
+        if callable(cached):
+            cached = self._coalesced = cached()
         if cached is not None:
             return cached
         unique, inverse = np.unique(self.indices, return_inverse=True)
@@ -112,6 +143,14 @@ class Parameter:
     receive both within one step only if it participates in both kinds
     of computation (the tied-embedding case); the optimizer applies them
     additively.
+
+    A backward pass run once over ``R`` stacked replicas (shared weights
+    broadcast over ``(R, ...)`` activations) hands in every replica's
+    gradient together: a dense ``(R, *shape)`` block, or a
+    :class:`SparseGrad` with a leading replica axis.  Those wait in
+    ``stacked_grads``, in arrival order, for the batched driver
+    (:mod:`repro.nn.batched`) to fan row ``r`` out to replica ``r``'s
+    own parameter; they never touch this parameter's ``grad``.
     """
 
     def __init__(self, data: np.ndarray, name: str = ""):
@@ -122,6 +161,11 @@ class Parameter:
         self.name = name
         self.grad: np.ndarray | None = None
         self.sparse_grads: list[SparseGrad] = []
+        self.stacked_grads: list[np.ndarray | SparseGrad] = []
+        # Set by the batched driver on rank 0's parameter: the (R, ...)
+        # block whose rows are the replicas' ``grad``, for the dense
+        # allreduce to reduce over directly (it verifies the aliasing).
+        self._grad_block: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,7 +180,10 @@ class Parameter:
         return int(self.data.nbytes)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
-        """Add a dense gradient contribution."""
+        """Add a dense gradient contribution (or park a replica block)."""
+        if grad.shape[1:] == self.data.shape and grad.ndim > self.data.ndim:
+            self.stacked_grads.append(grad)
+            return
         if grad.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} != parameter shape {self.data.shape}"
@@ -156,7 +203,10 @@ class Parameter:
             )
         if sparse.indices.size and sparse.indices.max() >= self.data.shape[0]:
             raise ValueError("sparse grad row index out of range")
-        self.sparse_grads.append(sparse)
+        if sparse.indices.ndim == 2:
+            self.stacked_grads.append(sparse)
+        else:
+            self.sparse_grads.append(sparse)
 
     def merged_sparse_grad(self) -> SparseGrad | None:
         """All sparse contributions of this step, coalesced; None if none."""
@@ -181,6 +231,8 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad = None
         self.sparse_grads = []
+        self.stacked_grads = []
+        self._grad_block = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"

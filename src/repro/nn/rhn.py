@@ -113,42 +113,51 @@ class RHN(Module):
     ) -> tuple[np.ndarray, dict]:
         """Returns ``(outputs, cache)`` with outputs of shape ``(B, T, H)``.
 
-        ``state`` is an optional ``(B, H)`` carry-in (gradient-truncated
-        at the window edge).  Final state in ``cache["final_state"]``.
+        ``x`` is ``(B, T, input_dim)``, or ``(R, B, T, input_dim)`` for
+        ``R`` stacked replicas sharing these weights; every shape then
+        gains the same leading ``R``.  ``state`` is an optional
+        ``(B, H)`` carry-in (gradient-truncated at the window edge).
+        Final state in ``cache["final_state"]``.
         """
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise ValueError(f"expected (B, T, {self.input_dim}), got {x.shape}")
-        B, T, _ = x.shape
+        if x.ndim not in (3, 4) or x.shape[-1] != self.input_dim:
+            raise ValueError(
+                f"expected ([R,] B, T, {self.input_dim}), got {x.shape}"
+            )
+        *lead, T, _ = x.shape
+        lead = tuple(lead)  # (B,) or (R, B)
         H, L = self.hidden_dim, self.depth
         dtype = self.w_x.data.dtype
         s = (
-            np.zeros((B, H), dtype)
+            np.zeros(lead + (H,), dtype)
             if state is None
             else state.astype(dtype, copy=True)
         )
-        if s.shape != (B, H):
+        if s.shape != lead + (H,):
             raise ValueError("carried state has wrong shape")
 
-        x_proj = (x.reshape(B * T, -1) @ self.w_x.data).reshape(B, T, 2 * H)
+        rows = lead[:-1] + (lead[-1] * T,)
+        x_proj = (x.reshape(rows + (-1,)) @ self.w_x.data).reshape(
+            lead + (T, 2 * H)
+        )
 
-        outputs = np.empty((B, T, H), dtype)
+        outputs = np.empty(lead + (T, H), dtype)
         # caches indexed [t][l]
-        h_cache = np.empty((B, T, L, H), dtype)
-        t_cache = np.empty((B, T, L, H), dtype)
-        s_in_cache = np.empty((B, T, L, H), dtype)
+        h_cache = np.empty(lead + (T, L, H), dtype)
+        t_cache = np.empty(lead + (T, L, H), dtype)
+        s_in_cache = np.empty(lead + (T, L, H), dtype)
 
         for t in range(T):
             for l in range(L):
                 z = s @ self.r.data[l] + self.bias.data[l]
                 if l == 0:
-                    z = z + x_proj[:, t]
-                h = tanh(z[:, :H])
-                tg = sigmoid(z[:, H:])
-                s_in_cache[:, t, l] = s
-                h_cache[:, t, l] = h
-                t_cache[:, t, l] = tg
+                    z = z + x_proj[..., t, :]
+                h = tanh(z[..., :H])
+                tg = sigmoid(z[..., H:])
+                s_in_cache[..., t, l, :] = s
+                h_cache[..., t, l, :] = h
+                t_cache[..., t, l, :] = tg
                 s = h * tg + s * (1.0 - tg)
-            outputs[:, t] = s
+            outputs[..., t, :] = s
 
         cache = {
             "x": x,
@@ -163,34 +172,36 @@ class RHN(Module):
         """BPTT through time and depth; returns grad w.r.t. input x."""
         x = cache["x"]
         h_cache, t_cache, s_in = cache["h"], cache["t"], cache["s_in"]
-        B, T, L, H = h_cache.shape
-        if grad_out.shape != (B, T, H):
-            raise ValueError(f"grad shape {grad_out.shape} != {(B, T, H)}")
+        *lead, T, L, H = h_cache.shape
+        lead = tuple(lead)
+        if grad_out.shape != lead + (T, H):
+            raise ValueError(f"grad shape {grad_out.shape} != {lead + (T, H)}")
 
-        dw_x = np.zeros_like(self.w_x.data)
-        dr = np.zeros_like(self.r.data)
-        dbias = np.zeros_like(self.bias.data)
+        replicas = lead[:-1]  # () or (R,): one weight gradient per replica
+        dw_x = np.zeros(replicas + self.w_x.shape, self.w_x.dtype)
+        dr = np.zeros(replicas + self.r.shape, self.r.dtype)
+        dbias = np.zeros(replicas + self.bias.shape, self.bias.dtype)
         dx = np.empty_like(x)
-        ds = np.zeros((B, H), x.dtype)
+        ds = np.zeros(lead + (H,), x.dtype)
 
         for t in range(T - 1, -1, -1):
-            ds = ds + grad_out[:, t]
+            ds = ds + grad_out[..., t, :]
             for l in range(L - 1, -1, -1):
-                h = h_cache[:, t, l]
-                tg = t_cache[:, t, l]
-                s_prev = s_in[:, t, l]
+                h = h_cache[..., t, l, :]
+                tg = t_cache[..., t, l, :]
+                s_prev = s_in[..., t, l, :]
                 dh = ds * tg
                 dtg = ds * (h - s_prev)
                 dz_h = dh * dtanh(h)
                 dz_t = dtg * dsigmoid(tg)
-                dz = np.concatenate([dz_h, dz_t], axis=1)
-                dr[l] += s_prev.T @ dz
-                dbias[l] += dz.sum(axis=0)
+                dz = np.concatenate([dz_h, dz_t], axis=-1)
+                dr[..., l, :, :] += np.matmul(s_prev.swapaxes(-1, -2), dz)
+                dbias[..., l, :] += dz.sum(axis=-2)
                 ds = ds * (1.0 - tg) + dz @ self.r.data[l].T
                 if l == 0:
-                    dx_proj = dz  # gradient into x_proj[:, t]
-                    dx[:, t] = dx_proj @ self.w_x.data.T
-                    dw_x += x[:, t].T @ dx_proj
+                    # dz is the gradient into x_proj[..., t, :]
+                    dx[..., t, :] = dz @ self.w_x.data.T
+                    dw_x += np.matmul(x[..., t, :].swapaxes(-1, -2), dz)
 
         self.w_x.accumulate_grad(dw_x)
         self.r.accumulate_grad(dr)

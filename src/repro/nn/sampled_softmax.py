@@ -24,7 +24,7 @@ import numpy as np
 
 from . import init
 from .dtypes import DTYPE
-from .functional import cross_entropy_from_logits
+from .functional import cross_entropy_from_logits, replica_blocks
 from .module import Module
 from .parameter import Parameter, SparseGrad
 
@@ -56,22 +56,20 @@ class LogUniformSampler:
         """Draw ``n`` unique ids (ascending order not guaranteed)."""
         if not 0 < n <= self.vocab_size:
             raise ValueError(f"cannot draw {n} unique ids from {self.vocab_size}")
-        chosen: list[int] = []
-        seen: set[int] = set()
+        chosen = np.empty(0, dtype=np.int64)
         # Rejection loop: each round draws the remaining count with the
         # inverse-CDF transform; expected rounds is O(1) for n << V.
-        while len(chosen) < n:
-            need = n - len(chosen)
+        while chosen.size < n:
+            need = n - chosen.size
             draws = np.exp(rng.random(need * 2 + 8) * self._log_range) - 1.0
             ids = np.minimum(draws.astype(np.int64), self.vocab_size - 1)
-            for k in ids:
-                ik = int(k)
-                if ik not in seen:
-                    seen.add(ik)
-                    chosen.append(ik)
-                    if len(chosen) == n:
-                        break
-        return np.asarray(chosen, dtype=np.int64)
+            # Keep each new id at its first occurrence, in draw order.
+            uniq, first = np.unique(ids, return_index=True)
+            if chosen.size:
+                first = first[~np.isin(uniq, chosen, assume_unique=True)]
+            first.sort()
+            chosen = np.concatenate([chosen, ids[first[:need]]])
+        return chosen
 
     def expected_log_count(self, ids: np.ndarray, num_samples: int) -> np.ndarray:
         """``log(P[id appears in a unique sample of size S])`` per id."""
@@ -139,53 +137,85 @@ class SampledSoftmaxLoss(Module):
         self,
         hidden: np.ndarray,
         targets: np.ndarray,
-        sample_rng: np.random.Generator,
+        sample_rng: np.random.Generator | list[np.random.Generator],
         sampled_ids: np.ndarray | None = None,
-    ) -> tuple[float, dict]:
+    ) -> tuple[float | np.ndarray, dict]:
         """Sampled-softmax mean NLL.
 
-        ``sampled_ids`` overrides the draw (used by tests and by ranks
-        sharing a seed group that pre-draw once); otherwise ``S`` unique
-        negatives are drawn from ``sample_rng``.
+        ``hidden`` is ``(N, P)`` with ``(N,)`` targets, or ``(R, N, P)``
+        with ``(R, N)`` targets for ``R`` stacked replicas sharing this
+        weight; ``sample_rng`` is then a list of the replicas' own
+        generators, each drawing its candidates in rank order (one loss
+        per replica).  ``sampled_ids`` — ``(S,)`` / ``(R, S)`` —
+        overrides the draw (used by tests and by ranks sharing a seed
+        group that pre-draw once); otherwise ``S`` unique negatives are
+        drawn from ``sample_rng``.
         """
-        if hidden.ndim != 2 or hidden.shape[1] != self.hidden_dim:
-            raise ValueError(f"hidden must be (N, {self.hidden_dim})")
+        if hidden.ndim not in (2, 3) or hidden.shape[-1] != self.hidden_dim:
+            raise ValueError(f"hidden must be ([R,] N, {self.hidden_dim})")
         targets = np.asarray(targets)
-        if targets.shape != (hidden.shape[0],):
-            raise ValueError("targets must be (N,)")
+        if targets.shape != hidden.shape[:-1]:
+            raise ValueError("targets must be ([R,] N)")
         if sampled_ids is None:
-            sampled_ids = self.sampler.sample(self.num_samples, sample_rng)
+            if hidden.ndim == 2:
+                sampled_ids = self.sampler.sample(self.num_samples, sample_rng)
+            else:
+                sampled_ids = np.stack(
+                    [
+                        self.sampler.sample(self.num_samples, rng)
+                        for rng in sample_rng
+                    ]
+                )
         else:
             sampled_ids = np.asarray(sampled_ids, dtype=np.int64)
-            if sampled_ids.ndim != 1:
-                raise ValueError("sampled_ids must be 1-D")
+        if (
+            sampled_ids.ndim != hidden.ndim - 1
+            or sampled_ids.shape[:-1] != hidden.shape[:-2]
+        ):
+            raise ValueError("sampled_ids must be 1-D ((R, S) when stacked)")
 
         E = self.weight.data
-        # Scores with the log-Q correction (subtract expected log count).
-        true_logit = (hidden * E[targets]).sum(axis=1)
-        true_logit = true_logit - self.sampler.expected_log_count(
-            targets, self.num_samples
-        )
-        samp_logits = hidden @ E[sampled_ids].T
-        samp_logits = samp_logits - self.sampler.expected_log_count(
-            sampled_ids, self.num_samples
-        )
-        # Remove accidental hits: a negative equal to the row's target
-        # would duplicate the true class.
-        hit_mask = sampled_ids[None, :] == targets[:, None]
-        samp_logits = np.where(hit_mask, -1e30, samp_logits)
+        lead, n = hidden.shape[:-2], hidden.shape[-2]
+        num_sampled = sampled_ids.shape[-1]
+        # The log-Q correction is float64, hence so are the logits.
+        blocks = replica_blocks(lead, n * (num_sampled + 1) * 8)
+        losses = np.empty(lead)
+        dlogits = np.empty(lead + (n, num_sampled + 1))
+        hit_mask = np.empty(lead + (n, num_sampled), dtype=bool)
+        for block in blocks:
+            h, t, c = hidden[block], targets[block], sampled_ids[block]
+            # Scores with the log-Q correction (subtract expected log count).
+            true_logit = (h * E[t]).sum(axis=-1)
+            true_logit = true_logit - self.sampler.expected_log_count(
+                t, self.num_samples
+            )
+            samp_logits = np.matmul(h, E[c].swapaxes(-1, -2))
+            samp_logits = samp_logits - self.sampler.expected_log_count(
+                c, self.num_samples
+            )[..., None, :]
+            # Remove accidental hits: a negative equal to the row's target
+            # would duplicate the true class.
+            hits = np.equal(
+                c[..., None, :], t[..., :, None], out=hit_mask[block]
+            )
+            samp_logits = np.where(hits, -1e30, samp_logits)
 
-        logits = np.concatenate([true_logit[:, None], samp_logits], axis=1)
-        labels = np.zeros(hidden.shape[0], dtype=np.int64)
-        loss, dlogits = cross_entropy_from_logits(logits, labels)
+            logits = np.concatenate(
+                [true_logit[..., None], samp_logits], axis=-1
+            )
+            labels = np.zeros(t.shape, dtype=np.int64)
+            losses[block], _ = cross_entropy_from_logits(
+                logits, labels, out=dlogits[block]
+            )
         cache = {
             "hidden": hidden,
             "targets": targets,
             "sampled_ids": sampled_ids,
+            "blocks": blocks,
             "dlogits": dlogits,
             "hit_mask": hit_mask,
         }
-        return loss, cache
+        return (losses if lead else float(losses)), cache
 
     def full_nll(self, hidden: np.ndarray, targets: np.ndarray) -> float:
         """Exact mean NLL over the *full* vocabulary (evaluation only).
@@ -206,22 +236,33 @@ class SampledSoftmaxLoss(Module):
         hidden = cache["hidden"]
         targets = cache["targets"]
         sampled_ids = cache["sampled_ids"]
-        dlogits = cache["dlogits"]
-        if loss_scale != 1.0:
-            dlogits = dlogits * loss_scale
-        d_true = dlogits[:, 0]
-        d_samp = np.where(cache["hit_mask"], 0.0, dlogits[:, 1:])
-
+        dlogits, hit_mask = cache["dlogits"], cache["hit_mask"]
         E = self.weight.data
-        dhidden = d_true[:, None] * E[targets] + d_samp @ E[sampled_ids]
+        dim = (self.hidden_dim,)
+        dhidden = np.empty(hidden.shape, dlogits.dtype)
+        target_rows = np.empty(targets.shape + dim, dlogits.dtype)
+        sampled_rows = np.empty(sampled_ids.shape + dim, dlogits.dtype)
+        for block in cache["blocks"]:
+            h, t, c = hidden[block], targets[block], sampled_ids[block]
+            d = dlogits[block]
+            if loss_scale != 1.0:
+                d = d * loss_scale
+            d_true = d[..., 0]
+            d_samp = np.where(hit_mask[block], 0.0, d[..., 1:])
+            np.add(
+                d_true[..., None] * E[t],
+                np.matmul(d_samp, E[c]),
+                out=dhidden[block],
+            )
+            np.multiply(d_true[..., None], h, out=target_rows[block])
+            np.matmul(d_samp.swapaxes(-1, -2), h, out=sampled_rows[block])
 
         # Sparse grads: one row per true target token, plus the shared
         # candidate rows.
         self.weight.accumulate_sparse_grad(
-            SparseGrad(indices=targets.astype(np.int64),
-                       values=d_true[:, None] * hidden)
+            SparseGrad(indices=targets.astype(np.int64), values=target_rows)
         )
         self.weight.accumulate_sparse_grad(
-            SparseGrad(indices=sampled_ids, values=d_samp.T @ hidden)
+            SparseGrad(indices=sampled_ids, values=sampled_rows)
         )
         return dhidden

@@ -312,13 +312,19 @@ class PerfModel:
         memory, or None if it fits everywhere up to the platform limit.
 
         Memory grows monotonically with the world size for every
-        technique set, so a linear scan gives the exact onset — the ``*``
-        boundary of Tables III/IV.
+        technique set, so bisecting ``is_oom`` gives the exact onset —
+        the ``*`` boundary of Tables III/IV.
         """
-        for world in range(1, self.platform.max_gpus + 1):
-            if self.is_oom(world, tech):
-                return world
-        return None
+        fits, oom = 0, self.platform.max_gpus
+        if not self.is_oom(oom, tech):
+            return None
+        while oom - fits > 1:  # fits < onset <= oom
+            middle = (fits + oom) // 2
+            if self.is_oom(middle, tech):
+                oom = middle
+            else:
+                fits = middle
+        return oom
 
     def parallel_efficiency(
         self, world: int, tech: TechniqueSet, reference_world: int = 8

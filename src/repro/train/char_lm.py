@@ -65,6 +65,43 @@ class CharLanguageModel(Module):
         """Drop the carried RHN state (start of an epoch / new stream)."""
         self._state = None
 
+    @property
+    def step_rng(self) -> np.random.Generator:
+        """This replica's own per-step random stream (the dropout masks)."""
+        return self.dropout._rng
+
+    def forward_backward(
+        self,
+        inputs: np.ndarray,
+        targets: np.ndarray,
+        state: np.ndarray | None,
+        rngs: np.random.Generator | list[np.random.Generator],
+        loss_scale: float = 1.0,
+    ):
+        """Fused forward+backward; returns ``(loss, final RHN state)``.
+
+        ``inputs``/``targets`` are one replica's ``(B, T)`` batch with
+        its dropout generator, or ``(R, B, T)`` stacks with a list of
+        ``R`` generators and an ``(R, B, H)`` state: the layers then run
+        all ``R`` replicas at once over this model's weights and leave
+        ``(R, ...)`` gradient blocks in ``stacked_grads``.
+        """
+        stacked = inputs.ndim == 3
+        emb, emb_cache = self.embedding.forward(inputs, stacked=stacked)
+        hs, rhn_cache = self.rhn.forward(emb, state=state)
+        dropped, drop_cache = self.dropout.forward(hs, rngs)
+        rows = inputs.shape[:-2] + (-1,)
+        hidden = dropped.reshape(rows + (self.config.hidden_dim,))
+        loss, loss_cache = self.loss_layer.forward(
+            hidden, targets.reshape(rows)
+        )
+        dhidden = self.loss_layer.backward(loss_cache, loss_scale=loss_scale)
+        del loss_cache  # the softmax gradient, before BPTT allocates its own
+        ddrop = self.dropout.backward(dhidden.reshape(dropped.shape), drop_cache)
+        demb = self.rhn.backward(ddrop, rhn_cache)
+        self.embedding.backward(demb, emb_cache)
+        return loss, rhn_cache["final_state"]
+
     def step(
         self,
         batch: Batch,
@@ -75,23 +112,16 @@ class CharLanguageModel(Module):
 
         Signature matches the trainer protocol shared with the word LM.
         """
-        emb, emb_cache = self.embedding.forward(batch.inputs)
         state = None
         if self.stateful and self.training:
             state = self._state
             if state is not None and state.shape[0] != batch.inputs.shape[0]:
                 state = None
-        hs, rhn_cache = self.rhn.forward(emb, state=state)
+        loss, final_state = self.forward_backward(
+            batch.inputs, batch.targets, state, self.step_rng, loss_scale
+        )
         if self.stateful and self.training:
-            self._state = rhn_cache["final_state"]
-        dropped, drop_cache = self.dropout.forward(hs)
-        hidden = dropped.reshape(-1, self.config.hidden_dim)
-        targets = batch.targets.reshape(-1)
-        loss, loss_cache = self.loss_layer.forward(hidden, targets)
-        dhidden = self.loss_layer.backward(loss_cache, loss_scale=loss_scale)
-        ddrop = self.dropout.backward(dhidden.reshape(dropped.shape), drop_cache)
-        demb = self.rhn.backward(ddrop, rhn_cache)
-        self.embedding.backward(demb, emb_cache)
+            self._state = final_state
         return loss
 
     def eval_nll(self, batches: list[Batch]) -> float:

@@ -181,10 +181,12 @@ class TrainConfig:
     batched:
         Batched rank execution (the simulator fast path).  ``None``
         (default) auto-enables it when the replicas qualify (two or more
-        flat data-parallel :class:`~repro.train.char_lm.CharLanguageModel`
-        replicas); ``False`` forces the per-rank loop; ``True`` requires
-        the fast path and raises at trainer construction if the model
-        does not support it.  Numerics are bit-identical either way
+        data-parallel replicas, on any mesh, of any model built from the
+        replica-axis layers — the word and the char LM both are);
+        ``False`` forces the per-rank loop, the fully independent
+        reference (G model steps, G optimizer steps); ``True`` requires
+        the fast path and raises at trainer construction if the replicas
+        do not support it.  Numerics are bit-identical either way
         (regression-pinned) — this knob only trades host wall-clock.
     """
 

@@ -238,9 +238,9 @@ class DistributedTrainer:
             self.batched_executor = build_batched_executor(self.replicas)
         if config.batched is True and self.batched_executor is None:
             raise ValueError(
-                "batched=True but the model does not support batched "
-                "execution (needs >=2 CharLanguageModel replicas with "
-                "identical configs)"
+                "batched=True but the replicas do not support batched "
+                "execution (needs >=2 replicas of one model built from "
+                "the replica-axis layers, with identical configs)"
             )
         # When every replica's optimizer supports state replication, a
         # fully-batched step can apply rank 0's update once and copy it,
@@ -337,6 +337,14 @@ class DistributedTrainer:
         for rank in range(self.comm.world_size):  # mesh-ok: SPMD driver loop charging every simulated rank's clock
             timeline.record_compute(rank, head, name="fwd-bwd")
 
+    def _sample_rngs(self) -> list[np.random.Generator]:
+        """Per-rank candidate-sampler generators of the current micro-step.
+
+        Stateless per call (keyed by ``data_step``), so the batched
+        executor may ask for them late, or never.
+        """
+        return self.seed_assignment.rank_generators(step=self.data_step)
+
     def train_step(self) -> float:
         """One synchronous optimizer step across all ranks.
 
@@ -358,17 +366,15 @@ class DistributedTrainer:
             if self.batched_executor is not None:
                 batched_losses = self.batched_executor.step(
                     self.batcher.step_batches(step_in_epoch),
+                    sample_rngs=self._sample_rngs,
                     loss_scale=scale,
                 )
             if batched_losses is not None:
                 losses.extend(batched_losses)
             else:
-                # Per-rank fallback.  rank_generators is stateless per
-                # call, so skipping it on batched micro-steps is safe.
+                # Per-rank fallback.
                 all_batched = False
-                sample_rngs = self.seed_assignment.rank_generators(
-                    step=self.data_step
-                )
+                sample_rngs = self._sample_rngs()
                 for rank, replica in enumerate(self.replicas):
                     batch = self.batcher.batch(rank, step_in_epoch)
                     losses.append(

@@ -80,22 +80,53 @@ class WordLanguageModel(Module):
             self._state = None
         return self._state
 
-    def _forward_hidden(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
-        emb, emb_cache = self.embedding.forward(inputs)
-        hs, lstm_cache = self.lstm.forward(
-            emb, state=self._carry_in(inputs.shape[0])
+    def _forward_hidden(
+        self, inputs: np.ndarray, state=None
+    ) -> tuple[np.ndarray, dict]:
+        stacked = inputs.ndim == 3
+        emb, emb_cache = self.embedding.forward(inputs, stacked=stacked)
+        hs, lstm_cache = self.lstm.forward(emb, state=state)
+        proj, proj_cache = self.projection.forward(hs, stacked=stacked)
+        hidden = proj.reshape(
+            inputs.shape[:-2] + (-1, self.config.projection_dim)
         )
-        if self.stateful and self.training:
-            # Truncated BPTT: carry values forward, cut the gradient.
-            self._state = lstm_cache["final_state"]
-        proj, proj_cache = self.projection.forward(hs)
-        hidden = proj.reshape(-1, self.config.projection_dim)
         return hidden, {
             "emb": emb_cache,
             "lstm": lstm_cache,
             "proj": proj_cache,
             "shape": proj.shape,
         }
+
+    #: No stream of its own: the trainer's per-rank sample generator
+    #: (the seeding technique's control point) randomises each step.
+    step_rng = None
+
+    def forward_backward(
+        self,
+        inputs: np.ndarray,
+        targets: np.ndarray,
+        state: tuple[np.ndarray, np.ndarray] | None,
+        rngs: np.random.Generator | list[np.random.Generator],
+        loss_scale: float = 1.0,
+    ):
+        """Fused forward+backward; returns ``(loss, final LSTM state)``.
+
+        ``inputs``/``targets`` are one replica's ``(B, T)`` batch with
+        its sample generator, or ``(R, B, T)`` stacks with a list of
+        ``R`` generators and ``(R, B, H)`` state parts: the layers then
+        run all ``R`` replicas at once over this model's weights and
+        leave ``(R, ...)`` gradient blocks in ``stacked_grads``.
+        """
+        hidden, caches = self._forward_hidden(inputs, state)
+        targets = targets.reshape(inputs.shape[:-2] + (-1,))
+        loss, loss_cache = self.loss_layer.forward(hidden, targets, rngs)
+        dhidden = self.loss_layer.backward(loss_cache, loss_scale=loss_scale)
+        del loss_cache  # the softmax gradient, before BPTT allocates its own
+        dproj = dhidden.reshape(caches["shape"])
+        dhs = self.projection.backward(dproj, caches["proj"])
+        demb = self.lstm.backward(dhs, caches["lstm"])
+        self.embedding.backward(demb, caches["emb"])
+        return loss, caches["lstm"]["final_state"]
 
     def step(
         self,
@@ -109,14 +140,16 @@ class WordLanguageModel(Module):
         technique's control point.  Returns the sampled-softmax training
         loss (nats/token, unscaled).
         """
-        hidden, caches = self._forward_hidden(batch.inputs)
-        targets = batch.targets.reshape(-1)
-        loss, loss_cache = self.loss_layer.forward(hidden, targets, sample_rng)
-        dhidden = self.loss_layer.backward(loss_cache, loss_scale=loss_scale)
-        dproj = dhidden.reshape(caches["shape"])
-        dhs = self.projection.backward(dproj, caches["proj"])
-        demb = self.lstm.backward(dhs, caches["lstm"])
-        self.embedding.backward(demb, caches["emb"])
+        loss, final_state = self.forward_backward(
+            batch.inputs,
+            batch.targets,
+            self._carry_in(batch.inputs.shape[0]),
+            sample_rng,
+            loss_scale,
+        )
+        if self.stateful and self.training:
+            # Truncated BPTT: carry values forward, cut the gradient.
+            self._state = final_state
         return loss
 
     def eval_nll(self, batches: list[Batch]) -> float:

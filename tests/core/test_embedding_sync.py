@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Communicator
+from repro.cluster import Communicator, DeviceMesh
 from repro.core.wire.policy import WirePolicy
 from repro.core.embedding_sync import GradientSynchronizer, concat_token_grads
-from repro.core.sparse_exchange import UniqueExchange
+from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
+from repro.optim import SGD, Adam
 from repro.nn import Embedding, Linear, Module
 from repro.nn.parameter import Parameter, SparseGrad
 
@@ -215,3 +216,82 @@ class TestSyncReplicas:
         comm = Communicator(world, track_memory=False)
         with pytest.raises(ValueError):
             GradientSynchronizer(comm).sync_replicas(replicas)
+
+
+class TestSyncedSparseGradsStayCoalesced:
+    """The unique exchange returns sorted-unique rows; the optimizers must
+    not run ``np.unique`` + ``np.add.at`` over them a second time."""
+
+    IDS = [[[3, 3, 0]], [[5, 0, 0]], [[3, 9, 11]], [[1, 1, 1]]]
+
+    def synced(self, strategy, world=4, mesh=None, seed=0):
+        replicas = make_replicas(world if mesh is None else 2, seed)
+        for r, m in enumerate(replicas):
+            run_backward(m, np.array(self.IDS[r]), seed=10 * seed + r)
+        comm = Communicator(world, track_memory=False)
+        if mesh is not None:
+            comm.mesh = DeviceMesh.from_spec(mesh, world)
+        GradientSynchronizer(comm, strategy=strategy).sync_replicas(replicas)
+        return replicas
+
+    def test_unique_exchange_result_is_marked(self):
+        for m in self.synced(UniqueExchange()):
+            (grad,) = m.emb.weight.sparse_grads
+            assert grad.is_coalesced
+            merged = m.emb.weight.merged_sparse_grad()
+            assert merged.values is grad.values  # handed back, not re-reduced
+            assert (np.diff(merged.indices) > 0).all()
+
+    def test_sharded_unique_exchange_result_is_marked(self):
+        """Row-range shards ascend and are disjoint, so their join is too."""
+        for m in self.synced(
+            UniqueExchange(), world=4, mesh="tensor=2,data=2"
+        ):
+            (grad,) = m.emb.weight.sparse_grads
+            assert grad.is_coalesced
+            assert (np.diff(grad.indices) > 0).all()
+
+    def test_baseline_exchange_still_coalesces(self):
+        """ALLGATHER rows are token-level: duplicates remain, unmarked."""
+        for m in self.synced(AllGatherExchange()):
+            (grad,) = m.emb.weight.sparse_grads
+            assert not grad.is_coalesced
+            assert grad.n_tokens == 12
+            merged = m.emb.weight.merged_sparse_grad()
+            assert merged.n_tokens == len({i for ids in self.IDS for i in ids[0]})
+            assert (np.diff(merged.indices) > 0).all()
+
+    @pytest.mark.parametrize(
+        "optimizer",
+        [
+            lambda p: SGD(p, lr=0.1),
+            lambda p: SGD(p, lr=0.1, momentum=0.9, clip_norm=0.5),
+            lambda p: Adam(p, lr=0.01, weight_decay=0.01),
+        ],
+        ids=["sgd", "sgd-momentum-clip", "adam"],
+    )
+    def test_mark_changes_no_parameter(self, optimizer):
+        marked = unmarked = None
+        for strip in (False, True):
+            replicas = make_replicas(4)
+            opts = [optimizer(list(m.parameters())) for m in replicas]
+            for step in range(3):
+                for r, m in enumerate(replicas):
+                    run_backward(m, np.array(self.IDS[(r + step) % 4]), seed=7 * step + r)
+                GradientSynchronizer(
+                    Communicator(4, track_memory=False), strategy=UniqueExchange()
+                ).sync_replicas(replicas)
+                for m in replicas:
+                    (grad,) = m.emb.weight.sparse_grads
+                    assert grad.is_coalesced
+                    if strip:
+                        del grad._coalesced
+                for opt in opts:
+                    opt.step()
+            state = [p.data.copy() for p in replicas[1].parameters()]
+            if strip:
+                unmarked = state
+            else:
+                marked = state
+        for a, b in zip(marked, unmarked, strict=True):
+            np.testing.assert_array_equal(a, b)

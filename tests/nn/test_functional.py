@@ -1,5 +1,7 @@
 """Tests for numerically-stable functional primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,55 @@ from repro.nn.functional import (
     sigmoid,
     softmax,
 )
+
+
+def masked_sigmoid(x):
+    """The boolean-mask form ``sigmoid`` replaced — kept as its reference."""
+    out = np.empty_like(
+        x,
+        dtype=np.result_type(x.dtype, np.float64)
+        if x.dtype == np.float16
+        else x.dtype,
+    )
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSigmoidIsBitIdenticalToTheMaskedForm:
+    SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0]
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 64), (64, 4, 64), (512, 2, 12)])
+    def test_contiguous_and_strided(self, dtype, shape):
+        rng = np.random.default_rng(shape[0])
+        wide = shape[:-1] + (4 * shape[-1],)
+        z = (rng.standard_normal(wide) * 6).astype(dtype)
+        z.reshape(-1)[: len(self.SPECIALS)] = self.SPECIALS
+        views = {
+            "contiguous": np.ascontiguousarray(z[..., : shape[-1]]),
+            "gate slice": z[..., : shape[-1]],
+            "inner slice": z[..., shape[-1] : 2 * shape[-1]],
+            "stepped": z[..., ::4],
+        }
+        for x in views.values():
+            before = x.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = sigmoid(x)
+            assert_same_bits(got, masked_sigmoid(x))
+            assert_same_bits(x, before)  # input untouched
+
+    def test_float16_returns_float64(self):
+        x = np.array([-3.0, 0.0, 3.0], dtype=np.float16)
+        assert sigmoid(x).dtype == np.float64
 
 
 class TestSigmoid:

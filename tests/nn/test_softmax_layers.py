@@ -95,6 +95,47 @@ class TestLogUniformSampler:
         assert (np.diff(logc) < 0).all()
         assert (logc <= 0).all()
 
+    @staticmethod
+    def looped_sample(sampler, n, rng):
+        """The per-draw dedup loop ``sample`` vectorised — its reference."""
+        chosen, seen = [], set()
+        while len(chosen) < n:
+            need = n - len(chosen)
+            draws = np.exp(rng.random(need * 2 + 8) * sampler._log_range) - 1.0
+            ids = np.minimum(draws.astype(np.int64), sampler.vocab_size - 1)
+            for k in ids:
+                if int(k) not in seen:
+                    seen.add(int(k))
+                    chosen.append(int(k))
+                    if len(chosen) == n:
+                        break
+        return np.asarray(chosen, dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "vocab,n",
+        [(2000, 128), (20_000, 512), (50, 49), (50, 1), (7, 6), (3, 2), (40, 40)],
+    )
+    def test_sample_matches_the_dedup_loop(self, vocab, n):
+        """Same ids in the same order, same generator state afterwards —
+        including ``n = V - 1`` (many rejection rounds) and ``n = 1``."""
+        sampler = LogUniformSampler(vocab)
+        for seed in range(200):
+            fast, slow = rng(seed), rng(seed)
+            got = sampler.sample(n, fast)
+            want = self.looped_sample(sampler, n, slow)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_multi_round_rejection_is_exercised(self):
+        """``n = V - 1`` cannot finish in one round of ``2n + 8`` draws."""
+        sampler = LogUniformSampler(50)
+        one_round = rng(0)
+        one_round.random(49 * 2 + 8)
+        after = rng(0)
+        sampler.sample(49, after)
+        assert after.bit_generator.state != one_round.bit_generator.state
+
     def test_invalid_requests(self):
         s = LogUniformSampler(10)
         with pytest.raises(ValueError):

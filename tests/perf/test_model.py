@@ -6,6 +6,8 @@ model is calibrated, not fitted point-by-point; see EXPERIMENTS.md for
 the paper-vs-model numbers).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.perf import (
@@ -19,6 +21,7 @@ from repro.perf import (
     PerfModel,
     TechniqueSet,
 )
+from repro.perf.hardware import PAPER_PLATFORM
 
 WORD = PerfModel(WORD_LM_1B)
 CHAR = PerfModel(CHAR_LM_1B)
@@ -248,3 +251,19 @@ class TestOOMOnset:
     def test_techniques_never_oom(self):
         assert WORD.oom_onset(ALL_TECHNIQUES) is None
         assert CHAR.oom_onset(ALL_TECHNIQUES) is None
+
+    @pytest.mark.parametrize("workload", [WORD_LM_1B, CHAR_LM_1B], ids=["word", "char"])
+    @pytest.mark.parametrize(
+        "tech", [BASELINE, ALL_TECHNIQUES], ids=["baseline", "techniques"]
+    )
+    def test_bisection_equals_the_linear_scan(self, workload, tech):
+        """``oom_onset`` bisects on the monotonicity its docstring states;
+        the scan over every world size is its reference (on a 48-GPU
+        platform, past both baseline onsets, to keep the scan cheap)."""
+        model = PerfModel(workload, replace(PAPER_PLATFORM, max_gpus=48))
+        worlds = range(1, 49)
+        oom = [model.is_oom(world, tech) for world in worlds]
+        assert oom == sorted(oom)  # monotone: never fits again after an OOM
+        scan = next((w for w, out in zip(worlds, oom) if out), None)
+        assert model.oom_onset(tech) == scan
+        assert (scan is None) == (tech is ALL_TECHNIQUES)

@@ -1,8 +1,9 @@
 """One composition table for the gradient-sync switches.
 
 Every scheduling/transport switch — mesh, wire codec, overlap, fused
-reduce, sanitizer, lockstep verifier (and, through the char LM, the
-batched executor) — changes cost and never bits.  Rather than pin the
+reduce, sanitizer, lockstep verifier and the batched executor (both
+models qualify, so every cell below stacks its replicas while its
+reference runs the per-rank loop) — changes cost and never bits.  Rather than pin the
 switches pairwise, this table draws an **all-pairs** cover of
 
     mesh ∈ {None, "data=G", "pipe=2,tensor=2,data=G/4"}
@@ -194,6 +195,28 @@ def test_cell_matches_flat_reference(cell):
         assert run(flat, flat_finish) == losses
         assert flat.comm.ledger.events == trainer.comm.ledger.events
         assert flat.comm.timeline.makespan == trainer.comm.timeline.makespan
+
+
+@pytest.mark.parametrize(
+    "mesh", FACTORS["mesh"], ids=["flat", "trivial", "hybrid"]
+)
+@pytest.mark.parametrize("overlap", FACTORS["overlap"], ids=["blocking", "overlap"])
+def test_batched_word_lm_cell(mesh, overlap):
+    """``batched=True`` is required, not hoped for: the word LM stacks on a
+    flat world and on every mesh, and no micro-step falls back."""
+    trainer, finish = build(
+        "word", WORLD, mesh=mesh, overlap=overlap, batched=True
+    )
+    losses = run(trainer, finish)
+    executor = trainer.batched_executor
+    assert len(executor.replicas) == trainer.data_parallel
+    assert executor._calls == STEPS * trainer.config.accumulation_steps
+    want_losses, want = reference("word", trainer.data_parallel)
+    assert losses == want_losses
+    assert_replicas_synchronized(trainer.replicas, atol=0.0)
+    want_params = dict(want.replicas[0].named_parameters())
+    for name, p in trainer.replicas[0].named_parameters():
+        np.testing.assert_array_equal(p.data, want_params[name].data, err_msg=name)
 
 
 def test_table_covers_every_pair_of_switch_values():
