@@ -78,11 +78,15 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Fast overlap/straggler ablations with their timeline-vs-analytic
-# acceptance gates — cheap enough to run on every CI push.
+# acceptance gates, plus the hierarchical (three ledger events == the
+# analytic model) and bucketing (latency/cast batching) ablations —
+# cheap enough to run on every CI push.
 bench-smoke:
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
 		benchmarks/bench_ablation_overlap.py \
-		benchmarks/bench_ablation_stragglers.py --benchmark-only
+		benchmarks/bench_ablation_stragglers.py \
+		benchmarks/bench_ablation_hierarchical.py \
+		benchmarks/bench_ablation_bucketing.py --benchmark-only
 
 # Wire-compression smoke: measured byte-reduction + pipeline-model +
 # bit-exactness gates of the codec stack (see docs/COMPRESSION.md).

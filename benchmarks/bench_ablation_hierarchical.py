@@ -53,6 +53,15 @@ def test_ablation_hierarchical(benchmark, report):
     out = hierarchical_allreduce(c, arrays)
     # Different reduction order than a flat sum: fp32-roundoff tolerance.
     np.testing.assert_allclose(out[0], sum(arrays), rtol=1e-3, atol=1e-5)
+    # The three per-axis ledger events *are* the analytic model.
+    assert [e.op for e in c.ledger.events] == [
+        "reduce_scatter", "allreduce", "allgather"
+    ]
+    assert sum(e.time_s for e in c.ledger.events) == (
+        hierarchical_allreduce_time(
+            world, arrays[0].nbytes, PAPER_CLUSTER_FABRIC
+        )
+    )
 
     small = hierarchical_allreduce_time(64, 1024, PAPER_CLUSTER_FABRIC)
     small_flat = ring_allreduce_time(

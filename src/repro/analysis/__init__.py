@@ -40,7 +40,6 @@ from .sanitizer import (
     DoubleApplyError,
     DroppedHandleError,
     InFlightMutationError,
-    IssueOrderError,
     SanitizedFp16Codec,
     Sanitizer,
     SanitizerError,
@@ -63,7 +62,6 @@ __all__ = [
     "DoubleApplyError",
     "DroppedHandleError",
     "InFlightMutationError",
-    "IssueOrderError",
     "SanitizedFp16Codec",
     "assert_clean_retry_state",
     "sanitize_codec",

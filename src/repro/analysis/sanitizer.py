@@ -22,7 +22,7 @@ scheduled — before it executes:
 * **scope attribution** (opt-in) — collectives must run inside a
   ``with ledger.scope(...)`` block so their cost is attributable.
 
-The async engine adds two failure modes, both covered here:
+The async engine adds one failure mode of its own, covered here:
 
 * **dropped handles** — an ``i*`` collective whose
   :class:`~repro.cluster.communicator.WorkHandle` is never ``wait()``\\ ed
@@ -30,13 +30,11 @@ The async engine adds two failure modes, both covered here:
   completion from the timeline.  The funnel's pending set knows every
   such handle and :meth:`Sanitizer.finish` raises
   :class:`DroppedHandleError` for any still un-awaited (the static
-  counterpart is lint rule REPRO007);
-* **cross-rank issue-order mismatch** — SPMD code that issues
-  collectives in different orders on different ranks deadlocks on a
-  real cluster.  Rank-local issue intents recorded via
-  :meth:`Sanitizer.declare_issue` are compared by
-  :meth:`Sanitizer.assert_uniform_issue_order`, which reports the first
-  divergence.
+  counterpart is lint rule REPRO007).
+
+Cross-rank issue-order divergence — the bug that deadlocks a real
+cluster — is the :class:`~repro.cluster.lockstep.LockstepVerifier`'s
+job (``lockstep=True``): it fingerprints what the funnel actually ran.
 
 Every violation raises a :class:`SanitizerError` subclass whose message
 names the op, the offending rank(s), and a concrete counterexample.
@@ -67,7 +65,6 @@ __all__ = [
     "DoubleApplyError",
     "DroppedHandleError",
     "InFlightMutationError",
-    "IssueOrderError",
     "OpRecord",
     "SanitizedFp16Codec",
     "SanitizedWireCodec",
@@ -109,15 +106,6 @@ class InFlightMutationError(SanitizerError):
     the NIC may read either the old or the new value.  Raised by the
     :class:`~repro.cluster.lockstep.LockstepVerifier`'s issue/wait
     buffer-hash check — the dynamic counterpart of lint rule REPRO012.
-    """
-
-
-class IssueOrderError(SanitizerError):
-    """Ranks declared collectives in different orders.
-
-    On a real cluster this deadlocks (each rank blocks in a different
-    collective); raised by
-    :meth:`Sanitizer.assert_uniform_issue_order`.
     """
 
 
@@ -174,7 +162,7 @@ def assert_clean_retry_state(replicas, comm=None) -> None:
 
 @dataclass(frozen=True)
 class OpRecord:
-    """One sanitized collective, kept for op-sequence comparison."""
+    """One sanitized collective, as :attr:`Sanitizer.op_log` keeps it."""
 
     op: str
     shapes: tuple[tuple[int, ...], ...]
@@ -239,7 +227,6 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
         self.check_finite = check_finite
         self.forbid_dtypes = tuple(np.dtype(d) for d in forbid_dtypes)
         self.op_log: list[OpRecord] = []
-        self._rank_issue_logs: dict[int, list[OpRecord]] = {}
         self.lockstep = None
         comm.hooks.append(self)
         if lockstep:
@@ -406,79 +393,6 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
         if self.lockstep is not None:
             self.lockstep.check("finish")
         return list(self.op_log)
-
-    # ------------------------------------------------------------------
-    # cross-rank issue-order checking
-    # ------------------------------------------------------------------
-
-    def declare_issue(self, rank: int, op: str, tag: str = "") -> None:
-        """Record that ``rank``'s control flow issues ``op`` next.
-
-        The simulator executes collectives once for all ranks, so
-        per-rank divergence can only come from rank-dependent control
-        flow *around* the calls.  SPMD orchestration code declares each
-        rank's intent here; :meth:`assert_uniform_issue_order` then
-        checks all ranks agree — the condition under which the single
-        shared call is actually representative of G independent
-        processes.
-        """
-        if not 0 <= rank < self._comm.world_size:
-            raise ValueError(
-                f"rank {rank} out of range for world size "
-                f"{self._comm.world_size}"
-            )
-        self._rank_issue_logs.setdefault(rank, []).append(
-            OpRecord(op=op, shapes=(), dtype="", tag=tag)
-        )
-
-    def assert_uniform_issue_order(self) -> None:
-        """Raise :class:`IssueOrderError` on the first cross-rank divergence.
-
-        Compares every declaring rank's issue sequence against the
-        lowest declaring rank's; a real cluster would deadlock at the
-        first position where two ranks enter different collectives.
-        """
-        if not self._rank_issue_logs:
-            return
-        ranks = sorted(self._rank_issue_logs)
-        base_rank = ranks[0]
-        base = self._rank_issue_logs[base_rank]
-        for rank in ranks[1:]:
-            log = self._rank_issue_logs[rank]
-            for i, (a, b) in enumerate(zip(base, log)):
-                if a != b:
-                    raise IssueOrderError(
-                        f"ranks {base_rank} and {rank} issue different "
-                        f"collectives at position {i}: "
-                        f"{a.op}[tag={a.tag!r}] vs {b.op}[tag={b.tag!r}] — "
-                        "on a real cluster both ranks would block forever "
-                        "in mismatched collectives"
-                    )
-            if len(base) != len(log):
-                raise IssueOrderError(
-                    f"ranks {base_rank} and {rank} issue different "
-                    f"collective counts: {len(base)} vs {len(log)} — the "
-                    "shorter rank would hang waiting for peers in the "
-                    "extra collective"
-                )
-
-    def assert_same_sequence(self, other: "Sanitizer") -> None:
-        """Compare two communicators' op sequences (e.g. two sub-groups).
-
-        Mirrors MPI correctness tools' cross-communicator matching: the
-        first divergence in (op, shapes, dtype) is reported with its
-        position.
-        """
-        for i, (a, b) in enumerate(zip(self.op_log, other.op_log)):
-            if a != b:
-                raise CollectiveMismatchError(
-                    f"op sequences diverge at position {i}: {a} vs {b}"
-                )
-        if len(self.op_log) != len(other.op_log):
-            raise CollectiveMismatchError(
-                f"op sequences diverge in length: {len(self.op_log)} vs "
-                f"{len(other.op_log)} collectives"
-            )
 
 
 @dataclass(frozen=True)

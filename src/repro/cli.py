@@ -57,14 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--fp16", action="store_true",
                          help="enable FP16 compression-scaling on the wire "
                          "(sugar for an fp16 value slot in --wire-codec)")
-    p_train.add_argument("--wire-codec", default=None,
-                         choices=["auto", "fp16", "delta", "rle", "entropy",
-                                  "none"],
+    p_train.add_argument("--wire-codec", default=None, metavar="SPEC",
                          help="wire-compression policy: 'fp16' compresses "
                          "value traffic, 'delta'/'rle'/'entropy' losslessly "
                          "compress the index allgather, 'auto' selects per "
                          "message from the crossover cost model, 'none' is "
-                         "the explicit uncompressed baseline")
+                         "the explicit uncompressed baseline; slots combine "
+                         "as 'fp16+entropy', 'fp16:1024', 'delta:128'")
     p_train.add_argument("--wire-chunk-bytes", type=int, default=None,
                          metavar="N",
                          help="chunk the compressed index gather into N-byte "
@@ -79,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--wire-learn", action="store_true",
                          help="after each epoch, feed measured wire "
                          "telemetry back into the adaptive selector's "
-                         "throughput table (requires --wire-codec auto)")
+                         "throughput table (requires an 'auto' slot in "
+                         "--wire-codec)")
     p_train.add_argument("--mesh", default=None, metavar="SPEC",
                          help="hybrid-parallelism mesh over the world, e.g. "
                          "'pipe=2,tensor=2,data=G/4' (axes default to 1; "
@@ -165,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="training steps for the dynamic replay")
     p_verify.add_argument("--fault-plan", default=None, metavar="FILE",
                           help="JSON FaultPlan to replay under the verifier "
-                          "(default: a demo plan with one transient link "
-                          "fault)")
+                          "(default: train --resilient's demo plan)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--static-only", action="store_true",
                           help="skip the dynamic lockstep replay")
@@ -242,34 +241,20 @@ def _cmd_zipf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_train_args(args: argparse.Namespace) -> str | None:
-    """Parse-time validation of ``train`` flag combinations.
+def _validate_train_args(args: argparse.Namespace, cfg) -> str | None:
+    """What ``TrainConfig`` cannot know about a ``train`` invocation.
 
     Returns an actionable error message, or ``None`` when the
-    combination is runnable.  Catching these before corpus/model
-    construction keeps a typo'd mesh spec or a doomed flag pairing from
-    failing minutes into a run with a library traceback.
+    combination is runnable.  Everything about the run description
+    itself (world size, wire spec, mesh) was already validated by
+    ``TrainConfig.__post_init__``.
     """
-    if args.gpus <= 0:
-        return f"--gpus must be positive, got {args.gpus}"
     if args.steps <= 0:
         return f"--steps must be positive, got {args.steps}"
-    if args.wire_chunk_bytes is not None and args.wire_codec is None:
-        return ("--wire-chunk-bytes only chunks the compressed index "
-                "gather; add --wire-codec (e.g. --wire-codec delta)")
-    if args.wire_learn and args.wire_codec != "auto":
-        return ("--wire-learn feeds the adaptive selector's throughput "
-                "table; it requires --wire-codec auto")
-    if args.mesh is None:
-        return None
-    from repro.cluster import hybrid_mesh
-
-    try:
-        mesh = hybrid_mesh(args.mesh, args.gpus)
-    except ValueError as exc:
-        return f"--mesh {args.mesh!r} is invalid for --gpus {args.gpus}: {exc}"
-    if (args.resilient or args.fault_plan is not None) and (
-        mesh.axis_size("data") == 1
+    if (
+        (args.resilient or args.fault_plan is not None)
+        and args.mesh is not None
+        and cfg.device_mesh.axis_size("data") == 1
     ):
         return (f"--resilient cannot recover on mesh {args.mesh!r}: "
                 f"rank-loss recovery collapses the data axis only, and "
@@ -301,12 +286,31 @@ def _cmd_train(args: argparse.Namespace) -> int:
         perplexity,
     )
 
-    error = _validate_train_args(args)
+    # The run description is validated (by TrainConfig itself) before
+    # any corpus or model is built, so a typo'd spec or a doomed flag
+    # pairing fails here and not minutes in with a library traceback.
+    is_word = args.model == "word"
+    try:
+        cfg = TrainConfig(
+            world_size=args.gpus,
+            batch=BatchSpec(2, 10),
+            base_lr=0.3 if is_word else 3e-3,
+            use_unique=not args.baseline,
+            seed_strategy=SeedStrategy(args.seed_strategy),
+            overlap=args.overlap,
+            wire_codec=_wire_spec(args),
+            wire_chunk_bytes=args.wire_chunk_bytes,
+            fused_reduce=args.fused_reduce,
+            wire_learn=args.wire_learn,
+            mesh=args.mesh,
+        )
+        error = _validate_train_args(args, cfg)
+    except ValueError as exc:
+        error = str(exc)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    is_word = args.model == "word"
     preset = ONE_BILLION_WORD if is_word else TIEBA
     corpus = make_corpus(preset.scaled(args.vocab), args.corpus_tokens,
                          seed=args.seed)
@@ -325,20 +329,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
         comm = Communicator(args.gpus, track_memory=False)
         LockstepVerifier.attach(comm)
-    cfg = TrainConfig(
-        world_size=args.gpus,
-        batch=BatchSpec(2, 10),
-        base_lr=0.3 if is_word else 3e-3,
-        use_unique=not args.baseline,
-        seed_strategy=SeedStrategy(args.seed_strategy),
-        overlap=args.overlap,
-        wire_codec=_wire_spec(args),
-        wire_chunk_bytes=args.wire_chunk_bytes,
-        wire_sanitize=args.sanitize,
-        fused_reduce=args.fused_reduce,
-        wire_learn=args.wire_learn,
-        mesh=args.mesh,
-    )
     if is_word:
         model_cfg = WordLMConfig(
             vocab_size=args.vocab, embedding_dim=16, hidden_dim=24,
@@ -469,7 +459,7 @@ def _run_resilient(args: argparse.Namespace, cfg, make_trainer,
             )
         plan = FaultPlan(events, seed=args.seed)
     comm = ChaosCommunicator(args.gpus, plan=plan, track_memory=False)
-    if getattr(args, "verify_spmd", False):
+    if args.verify_spmd:
         from repro.cluster import LockstepVerifier
 
         LockstepVerifier.attach(comm)
@@ -494,7 +484,9 @@ def _run_resilient(args: argparse.Namespace, cfg, make_trainer,
     print(f"simulated time: {runner.total_simulated_time():.4f}s "
           f"across {len(runner.timelines)} communicator generation(s), "
           f"{retries} retr{'y' if retries == 1 else 'ies'} charged")
-    if getattr(args, "verify_spmd", False):
+    if args.verify_spmd:
+        if trainer.comm.verifier is not None:
+            trainer.comm.verifier.check("train: end of run")
         total = sum(v.collectives_observed for v in runner.verifiers
                     if v is not None)
         print(f"lockstep: {total} collective(s) fingerprint-verified "
@@ -661,14 +653,19 @@ def _cmd_verify_spmd(args: argparse.Namespace) -> int:
     """Two-layer SPMD verification: static taint lint + dynamic lockstep.
 
     The static pass runs only the rank-divergence rules (REPRO010–012)
-    over the given paths; the dynamic pass replays a fault plan through
-    a miniature resilient training run with the
-    :class:`~repro.cluster.lockstep.LockstepVerifier` attached, so any
-    collective-sequence divergence surfaces as an immediate error
+    over the given paths; the dynamic pass *is* a miniature
+    ``train --resilient --verify-spmd`` run — a fault plan replayed with
+    the :class:`~repro.cluster.lockstep.LockstepVerifier` attached, so
+    any collective-sequence divergence surfaces as an immediate error
     instead of a simulated deadlock.  Exit code 1 on any finding or
     divergence, 0 when both layers are clean.
     """
-    from repro.analysis import LintEngine, default_rules, format_findings
+    from repro.analysis import (
+        LintEngine,
+        SanitizerError,
+        default_rules,
+        format_findings,
+    )
 
     if args.static_only and args.dynamic_only:
         print("error: --static-only and --dynamic-only are mutually "
@@ -687,81 +684,20 @@ def _cmd_verify_spmd(args: argparse.Namespace) -> int:
         if findings:
             rc = 1
     if not args.static_only:
-        rc = max(rc, _verify_spmd_dynamic(args))
+        replay = ["train", "--resilient", "--verify-spmd", "--vocab", "120",
+                  "--corpus-tokens", "8000", "--gpus", str(args.gpus),
+                  "--steps", str(args.steps), "--seed", str(args.seed)]
+        if args.fault_plan is not None:
+            replay += ["--fault-plan", args.fault_plan]
+        try:
+            dynamic = _cmd_train(build_parser().parse_args(replay))
+        except SanitizerError as exc:
+            print(f"dynamic: LOCKSTEP VIOLATION — {exc}", file=sys.stderr)
+            return 1
+        if dynamic == 0:
+            print("dynamic: lockstep OK")
+        rc = max(rc, dynamic)
     return rc
-
-
-def _verify_spmd_dynamic(args: argparse.Namespace) -> int:
-    """Replay a fault plan under the lockstep verifier (dynamic layer)."""
-    import tempfile
-
-    from repro.analysis import SanitizerError
-    from repro.cluster import (
-        ChaosCommunicator,
-        FaultEvent,
-        FaultKind,
-        FaultPlan,
-        LockstepVerifier,
-    )
-    from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
-    from repro.optim import SGD
-    from repro.train import (
-        DistributedTrainer,
-        ResilientRunner,
-        TrainConfig,
-        WordLanguageModel,
-        WordLMConfig,
-    )
-
-    if args.fault_plan is not None:
-        plan = FaultPlan.load(args.fault_plan)
-    else:
-        plan = FaultPlan(
-            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
-                        rank=min(1, args.gpus - 1))],
-            seed=args.seed,
-        )
-    comm = ChaosCommunicator(args.gpus, plan=plan, track_memory=False)
-    LockstepVerifier.attach(comm)
-    vocab = 120
-    corpus = make_corpus(ONE_BILLION_WORD.scaled(vocab), 8_000, seed=args.seed)
-    cfg = TrainConfig(world_size=args.gpus, batch=BatchSpec(2, 10),
-                      base_lr=0.3)
-    model_cfg = WordLMConfig(
-        vocab_size=vocab, embedding_dim=8, hidden_dim=12,
-        projection_dim=8, num_samples=16,
-    )
-
-    def make_trainer(run_cfg, run_comm):
-        return DistributedTrainer(
-            lambda rng, rank: WordLanguageModel(model_cfg, rng),
-            lambda params, lr: SGD(params, lr),
-            corpus.train, corpus.valid, run_cfg, comm=run_comm,
-        )
-
-    checkpoint = str(
-        Path(tempfile.mkdtemp(prefix="repro-verify-spmd-")) / "checkpoint.npz"
-    )
-    runner = ResilientRunner(
-        make_trainer, cfg, checkpoint, comm=comm,
-        checkpoint_every=max(1, args.steps // 2),
-    )
-    print(f"dynamic: replaying {len(plan)} fault(s) over {args.steps} steps "
-          f"on {args.gpus} simulated GPUs under the lockstep verifier")
-    try:
-        trainer = runner.run(args.steps)
-        final = getattr(trainer.comm, "verifier", None)
-        if final is not None:
-            final.check("verify-spmd: end of run")
-    except SanitizerError as exc:
-        print(f"dynamic: LOCKSTEP VIOLATION — {exc}", file=sys.stderr)
-        return 1
-    total = sum(v.collectives_observed for v in runner.verifiers
-                if v is not None)
-    print(f"dynamic: lockstep OK — {total} collective(s) "
-          f"fingerprint-verified across {len(runner.verifiers)} "
-          f"verifier generation(s), 0 divergences")
-    return 0
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:

@@ -17,24 +17,22 @@ tier.  This is the structure NCCL/Horovod hierarchical allreduce uses;
 the paper's flat CUDA-aware-MPI rings are the baseline it is compared
 against in ``benchmarks/bench_hierarchical.py``.
 
-The three phases are expressed over a 2-axis
+The three phases are the funnel's own collectives on a 2-axis
 :class:`~repro.cluster.mesh.DeviceMesh` ``("node", "local")``: phases 1
-and 3 run per ``local``-axis subgroup (the GPUs of one node) and phase 2
-per ``node``-axis subgroup (GPU *i* of every node) — the same grouping
-the bespoke index arithmetic used to spell out by hand.
+and 3 run on the ``local`` axis (the GPUs of one node) and phase 2 on
+the ``node`` axis (GPU *i* of every node), so each phase is one ledger
+event, one timeline collective and one hook observation.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
 
 from .collectives import (
-    allgather_arrays,
-    allreduce_arrays,
-    reduce_scatter_arrays,
     ring_allgather_time,
     ring_allreduce_time,
     ring_reduce_scatter_time,
@@ -78,72 +76,30 @@ def hierarchical_allreduce(
     """Sum-allreduce with hierarchical semantics and cost accounting.
 
     Functionally identical to :meth:`Communicator.allreduce` (every rank
-    receives the global sum); the ledger records the cheaper two-level
-    time and the reduced per-rank wire volume.  Requires the leading
-    dimension to be divisible by the node-local group size when the job
-    spans nodes (the shard constraint of phase 1).
+    receives the global sum); the ledger records the three phases, whose
+    times sum to :func:`hierarchical_allreduce_time`.  Requires the
+    leading dimension to be divisible by the node-local group size when
+    the job spans nodes (the shard constraint of phase 1).
     """
-    if len(arrays) != comm.world_size:
-        raise ValueError(
-            f"got {len(arrays)} per-rank arrays for a "
-            f"{comm.world_size}-rank communicator"
-        )
     fabric = comm.fabric
     world = comm.world_size
     local = min(world, fabric.gpus_per_node)
     nodes = fabric.num_nodes(world)
-    nbytes = int(arrays[0].nbytes)
-
     if nodes == 1:
         return comm.allreduce(arrays, tag=tag)
-
     if world % local != 0:
         raise ValueError(
             f"hierarchical allreduce needs full nodes: {world} ranks with "
             f"{local} per node"
         )
-    flat = [np.atleast_1d(a) for a in arrays]
-    if flat[0].shape[0] % local != 0:
-        raise ValueError(
-            f"leading dimension {flat[0].shape[0]} not divisible by the "
-            f"node-local group size {local}"
-        )
-
     # Rank n*local + l sits at mesh coordinate (node=n, local=l) — the
     # mesh's row-major layout matches the fabric's physical placement.
-    mesh = DeviceMesh(("node", "local"), (nodes, local))
-    buffers: list[np.ndarray] = list(flat)
-
-    # Phase 1: reduce-scatter inside each node.
-    for g in mesh.groups("local"):
-        shards = reduce_scatter_arrays([buffers[r] for r in g.ranks])
-        for r, shard in zip(g.ranks, shards):
-            buffers[r] = shard
-
-    # Phase 2: allreduce each shard index across nodes.
-    for g in mesh.groups("node"):
-        reduced = allreduce_arrays([buffers[r] for r in g.ranks])
-        for r, arr in zip(g.ranks, reduced):
-            buffers[r] = arr
-
-    # Phase 3: allgather inside each node.
-    results: list[np.ndarray] = [None] * world  # type: ignore[list-item]
-    for g in mesh.groups("local"):
-        gathered = allgather_arrays([buffers[r] for r in g.ranks])
-        for r, out in zip(g.ranks, gathered):
-            results[r] = out.reshape(arrays[r].shape)
-
-    shard_bytes = nbytes // local
-    wire = (
-        int(np.ceil((local - 1) / local * nbytes))       # phase 1
-        + int(np.ceil(2 * (nodes - 1) / nodes * shard_bytes))  # phase 2
-        + (local - 1) * shard_bytes                       # phase 3
+    # The view shares the caller's ledger, timeline, devices and hooks.
+    view = copy.copy(comm._root)
+    view.mesh = DeviceMesh(("node", "local"), (nodes, local))
+    shards = view.axis("local").reduce_scatter(
+        [np.atleast_1d(a) for a in arrays], tag=tag
     )
-    comm.ledger.record(
-        op="hierarchical_allreduce",
-        world=world,
-        wire_bytes_per_rank=wire,
-        time_s=hierarchical_allreduce_time(world, nbytes, fabric),
-        tag=tag,
-    )
-    return results
+    reduced = view.axis("node").allreduce(shards, tag=tag)
+    gathered = view.axis("local").allgather(reduced, tag=tag)
+    return [out.reshape(a.shape) for out, a in zip(gathered, arrays)]

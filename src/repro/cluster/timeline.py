@@ -192,6 +192,11 @@ class Timeline:
             self._events_cache.append(event)
         return event
 
+    def record_compute_all(self, seconds: float, name: str = "compute") -> None:
+        """:meth:`record_compute` on every rank, in rank order."""
+        for rank in range(self.world_size):  # mesh-ok: charging every rank's clock is this method's contract
+            self.record_compute(rank, seconds, name)
+
     def schedule_collective(
         self, duration: float, name: str = "", ranks: Sequence[int] | None = None
     ) -> CollectiveTicket:

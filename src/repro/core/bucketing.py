@@ -93,6 +93,44 @@ def _validate_structure(
     return n_tensors
 
 
+def _issue_bucket(
+    comm: Communicator,
+    per_rank_tensors: Sequence[Sequence[np.ndarray]],
+    bucket: Bucket,
+    codec: WireCodec | None,
+    tag: str,
+) -> WorkHandle:
+    """Flatten (and encode) one bucket on every rank; issue its allreduce."""
+    flats = []
+    for tensors in per_rank_tensors:
+        flat = np.concatenate(
+            [tensors[i].reshape(-1) for i in bucket.tensor_indices]
+        )
+        flats.append(codec.encode(flat) if codec is not None else flat)
+    return comm.iallreduce(flats, tag=tag)
+
+
+def _unflatten_bucket(
+    reduced: Sequence[np.ndarray],
+    per_rank_tensors: Sequence[Sequence[np.ndarray]],
+    bucket: Bucket,
+    codec: WireCodec | None,
+    results: list[list[np.ndarray | None]],
+) -> None:
+    """Decode one reduced bucket and slice it back into tensor shapes."""
+    for rank, tensors in enumerate(per_rank_tensors):
+        flat = reduced[rank]
+        if codec is not None:
+            flat = codec.decode(flat, tensors[0].dtype)
+        offset = 0
+        for i in bucket.tensor_indices:
+            size = tensors[i].size
+            results[rank][i] = flat[offset : offset + size].reshape(
+                tensors[i].shape
+            )
+            offset += size
+
+
 class PendingBucketedAllreduce:
     """All buckets of one fused allreduce, in flight.
 
@@ -104,13 +142,11 @@ class PendingBucketedAllreduce:
 
     def __init__(
         self,
-        comm: Communicator,
         per_rank_tensors: Sequence[Sequence[np.ndarray]],
         buckets: list[Bucket],
         handles: list[WorkHandle],
         codec: WireCodec | None,
     ):
-        self._comm = comm
         self._tensors = per_rank_tensors
         self._buckets = buckets
         self._handles = handles
@@ -128,30 +164,13 @@ class PendingBucketedAllreduce:
 
     def wait(self) -> list[list[np.ndarray]]:
         """Complete every bucket; return per-rank lists of reduced tensors."""
-        if self._result is not None:
-            return self._result
-        world = self._comm.world_size
-        n_tensors = len(self._tensors[0]) if self._tensors else 0
-        results: list[list[np.ndarray | None]] = [
-            [None] * n_tensors for _ in range(world)
-        ]
-        for bucket, handle in zip(self._buckets, self._handles):
-            reduced = handle.wait()
-            for rank in range(world):
-                flat = reduced[rank]
-                if self._codec is not None:
-                    flat = self._codec.decode(
-                        flat, self._tensors[rank][0].dtype
-                    )
-                offset = 0
-                for i in bucket.tensor_indices:
-                    shape = self._tensors[rank][i].shape
-                    size = self._tensors[rank][i].size
-                    results[rank][i] = flat[offset : offset + size].reshape(
-                        shape
-                    )
-                    offset += size
-        self._result = [list(r) for r in results]  # type: ignore[arg-type]
+        if self._result is None:
+            results = [[None] * len(t) for t in self._tensors]
+            for bucket, handle in zip(self._buckets, self._handles):
+                _unflatten_bucket(
+                    handle.wait(), self._tensors, bucket, self._codec, results
+                )
+            self._result = results
         return self._result
 
 
@@ -172,28 +191,15 @@ def ibucketed_allreduce(
 
     Parameters are as for :func:`bucketed_allreduce`.
     """
-    world = comm.world_size
-    n_tensors = _validate_structure(world, per_rank_tensors)
-    if n_tensors == 0:
-        return PendingBucketedAllreduce(comm, per_rank_tensors, [], [], codec)
-
-    sizes = [int(t.nbytes) for t in per_rank_tensors[0]]
-    buckets = plan_buckets(sizes, bucket_bytes)
-    handles: list[WorkHandle] = []
-    for b, bucket in enumerate(buckets):
-        flats = []
-        for rank in range(world):
-            flat = np.concatenate(
-                [
-                    per_rank_tensors[rank][i].reshape(-1)
-                    for i in bucket.tensor_indices
-                ]
-            )
-            flats.append(codec.encode(flat) if codec is not None else flat)
-        handles.append(comm.iallreduce(flats, tag=f"{tag}:bucket{b}"))
-    return PendingBucketedAllreduce(
-        comm, per_rank_tensors, buckets, handles, codec
+    _validate_structure(comm.world_size, per_rank_tensors)
+    buckets = plan_buckets(
+        [int(t.nbytes) for t in per_rank_tensors[0]], bucket_bytes
     )
+    handles = [
+        _issue_bucket(comm, per_rank_tensors, bucket, codec, f"{tag}:bucket{b}")
+        for b, bucket in enumerate(buckets)
+    ]
+    return PendingBucketedAllreduce(per_rank_tensors, buckets, handles, codec)
 
 
 def bucketed_allreduce(
@@ -225,35 +231,16 @@ def bucketed_allreduce(
     -------
     Per-rank lists of reduced tensors, same structure as the input.
     """
-    world = comm.world_size
-    n_tensors = _validate_structure(world, per_rank_tensors)
-    if n_tensors == 0:
-        return [[] for _ in range(world)]
-
-    sizes = [int(t.nbytes) for t in per_rank_tensors[0]]
-    buckets = plan_buckets(sizes, bucket_bytes)
-    results: list[list[np.ndarray | None]] = [
-        [None] * n_tensors for _ in range(world)
-    ]
+    n_tensors = _validate_structure(comm.world_size, per_rank_tensors)
+    buckets = plan_buckets(
+        [int(t.nbytes) for t in per_rank_tensors[0]], bucket_bytes
+    )
+    results = [[None] * n_tensors for _ in per_rank_tensors]
     for b, bucket in enumerate(buckets):
-        flats = []
-        for rank in range(world):
-            flat = np.concatenate(
-                [
-                    per_rank_tensors[rank][i].reshape(-1)
-                    for i in bucket.tensor_indices
-                ]
-            )
-            flats.append(codec.encode(flat) if codec is not None else flat)
-        reduced = comm.iallreduce(flats, tag=f"{tag}:bucket{b}").wait()
-        for rank in range(world):
-            flat = reduced[rank]
-            if codec is not None:
-                flat = codec.decode(flat, per_rank_tensors[rank][0].dtype)
-            offset = 0
-            for i in bucket.tensor_indices:
-                shape = per_rank_tensors[rank][i].shape
-                size = per_rank_tensors[rank][i].size
-                results[rank][i] = flat[offset : offset + size].reshape(shape)
-                offset += size
-    return [list(r) for r in results]  # type: ignore[arg-type]
+        handle = _issue_bucket(
+            comm, per_rank_tensors, bucket, codec, f"{tag}:bucket{b}"
+        )
+        _unflatten_bucket(
+            handle.wait(), per_rank_tensors, bucket, codec, results
+        )
+    return results

@@ -442,8 +442,7 @@ def _fused_reduce(
             tp.encode_seconds(lb) if kind == "encode"
             else tp.decode_seconds(lb)
         )
-        for rank in range(world):
-            comm.timeline.record_compute(rank, secs, name=f"codec:{kind}")
+        comm.timeline.record_compute_all(secs, name=f"codec:{kind}")
         if ins is not None:
             ins[f"{kind}_s"].observe(secs, **ins["labels"])
             ins[f"{kind}_bytes"].inc(lb, **ins["labels"])

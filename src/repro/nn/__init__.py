@@ -23,7 +23,6 @@ from .parallel import (
 )
 from .parameter import Parameter, SparseGrad
 from .rhn import RHN
-from .stacked import StackedLSTM
 from .sampled_softmax import LogUniformSampler, SampledSoftmaxLoss
 from .softmax import FullSoftmaxLoss
 
@@ -42,7 +41,6 @@ __all__ = [
     "Linear",
     "LSTM",
     "RHN",
-    "StackedLSTM",
     "Dropout",
     "FullSoftmaxLoss",
     "SampledSoftmaxLoss",

@@ -94,7 +94,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable log-softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+    # Overflowed logits are the dynamic loss scaler's signal: inf - inf
+    # is the NaN it skips the step on, not a condition to warn about.
+    with np.errstate(invalid="ignore"):
+        shifted = logits - logits.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 

@@ -255,7 +255,10 @@ class SampledSoftmaxLoss(Module):
                 out=dhidden[block],
             )
             np.multiply(d_true[..., None], h, out=target_rows[block])
-            np.matmul(d_samp.swapaxes(-1, -2), h, out=sampled_rows[block])
+            # Non-finite d_samp (an overflowed step the loss scaler will
+            # skip) flows through as NaN rows rather than a warning.
+            with np.errstate(invalid="ignore"):
+                np.matmul(d_samp.swapaxes(-1, -2), h, out=sampled_rows[block])
 
         # Sparse grads: one row per true target token, plus the shared
         # candidate rows.

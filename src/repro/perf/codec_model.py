@@ -298,10 +298,9 @@ def timeline_pipelined_transfer(
     start = timeline.mark()
     tickets = []
     for c, (lb, eb) in enumerate(zip(logical, encoded)):
-        for rank in range(world):
-            timeline.record_compute(
-                rank, throughput.encode_seconds(lb), name="codec:encode"
-            )
+        timeline.record_compute_all(
+            throughput.encode_seconds(lb), name="codec:encode"
+        )
         tickets.append(
             timeline.schedule_collective(
                 ring_allgather_time(world, eb, link), name=f"chunk{c}"
@@ -309,10 +308,9 @@ def timeline_pipelined_transfer(
         )
     for lb, ticket in zip(logical, tickets):
         timeline.complete(ticket)
-        for rank in range(world):
-            timeline.record_compute(
-                rank, throughput.decode_seconds(world * lb), name="codec:decode"
-            )
+        timeline.record_compute_all(
+            throughput.decode_seconds(world * lb), name="codec:decode"
+        )
     return timeline.elapsed_since(start)
 
 
@@ -496,8 +494,7 @@ def timeline_fused_reduce(
             throughput.encode_seconds(lb) if kind == "encode"
             else throughput.decode_seconds(lb)
         )
-        for rank in range(world):
-            timeline.record_compute(rank, secs, name=f"codec:{kind}")
+        timeline.record_compute_all(secs, name=f"codec:{kind}")
 
     tickets: list = []
     completed: set[int] = set()
@@ -551,8 +548,7 @@ def timeline_fused_reduce(
             i += 1
         if throughput is not None and lb:
             secs = throughput.decode_seconds(lb)
-            for rank in range(world):
-                timeline.record_compute(rank, secs, name="codec:decode")
+            timeline.record_compute_all(secs, name="codec:decode")
     while i < len(tickets):
         complete(i)
         i += 1

@@ -91,18 +91,15 @@ def timeline_overlapped_time(
     tail = overlap_fraction * cost.compute
     trailing = cost.local_update + cost.overhead + cost.cast_overhead
 
-    for rank in range(world):
-        timeline.record_compute(rank, head, name="backward:head")
+    timeline.record_compute_all(head, name="backward:head")
     tickets = [
         timeline.schedule_collective(comm / n_buckets, name=f"bucket{i}")
         for i in range(n_buckets)
     ]
-    for rank in range(world):
-        timeline.record_compute(rank, tail, name="backward:tail")
+    timeline.record_compute_all(tail, name="backward:tail")
     for ticket in tickets:
         timeline.complete(ticket)
-    for rank in range(world):
-        timeline.record_compute(rank, trailing, name="update")
+    timeline.record_compute_all(trailing, name="update")
     return timeline.elapsed_since(start)
 
 

@@ -90,8 +90,7 @@ def timeline_synchronous_step(
         raise ValueError("n_steps must be positive")
     start = timeline.mark()
     for step in range(n_steps):
-        for rank in range(timeline.world_size):  # mesh-ok: SPMD driver loop charging every simulated rank's clock
-            timeline.record_compute(rank, compute_s, name=f"step{step}")
+        timeline.record_compute_all(compute_s, name=f"step{step}")
         if comm_s > 0:
             timeline.complete(
                 timeline.schedule_collective(comm_s, name=f"sync{step}")

@@ -259,10 +259,9 @@ class ServingEngine:
             self.telemetry.record_event(
                 "rank_loss", step=len(sched.events), detail=f"rank {err.rank}"
             )
-        for r in range(self.comm.world_size):  # mesh-ok: failover stall charges every surviving clock
-            self.comm.timeline.record_compute(
-                r, self.config.failover_s, name="serve:failover"
-            )
+        self.comm.timeline.record_compute_all(
+            self.config.failover_s, name="serve:failover"
+        )
 
     # ------------------------------------------------------------------
     # the decode loop
@@ -298,12 +297,10 @@ class ServingEngine:
                 attempts += 1
                 if attempts > self.config.max_transient_retries:
                     raise
-                for r in range(self.comm.world_size):  # mesh-ok: backoff stalls every simulated clock
-                    self.comm.timeline.record_compute(
-                        r,
-                        attempts * self.config.retry_backoff_s,
-                        name="serve:retry-backoff",
-                    )
+                self.comm.timeline.record_compute_all(
+                    attempts * self.config.retry_backoff_s,
+                    name="serve:retry-backoff",
+                )
             except RankFailureError as err:
                 self._handle_rank_loss(err, self._states)
                 raise _StepAborted() from err

@@ -145,9 +145,6 @@ class TrainConfig:
     wire_chunk_bytes:
         Chunk granularity for the pipelined index gather (logical bytes
         per rank); requires ``wire_codec``.
-    wire_sanitize:
-        Wrap the policy's codecs with the runtime sanitizer's checking
-        variants (bit-exact roundtrip / FP16 overflow detection).
     fused_reduce:
         Run dense gradient allreduces as fused compress-reduce rings
         (:func:`repro.core.wire.fused.icompressed_allreduce`): the
@@ -207,7 +204,6 @@ class TrainConfig:
     compute_seconds_per_step: float | None = None
     wire_codec: str | None = None
     wire_chunk_bytes: int | None = None
-    wire_sanitize: bool = False
     fused_reduce: bool = False
     wire_learn: bool = False
     mesh: str | None = None

@@ -305,8 +305,7 @@ class ResilientRunner:
         )
         t = self.trainer
         name = f"retry-backoff:{fault.op}"
-        for rank in range(t.comm.world_size):  # mesh-ok: backoff stalls every simulated rank's clock
-            t.comm.timeline.record_compute(rank, backoff_s, name=name)
+        t.comm.timeline.record_compute_all(backoff_s, name=name)
         with t.comm.ledger.scope("recovery"):
             t.comm.ledger.record(
                 op="retry_backoff",
@@ -418,10 +417,9 @@ class ResilientRunner:
         """Write the rolling checkpoint and charge its cost to the timeline."""
         t = self.trainer
         save_checkpoint(self.checkpoint_path, t)
-        for rank in range(t.comm.world_size):  # mesh-ok: checkpoint write stalls every simulated rank's clock
-            t.comm.timeline.record_compute(
-                rank, self.checkpoint_cost_s, name="checkpoint"
-            )
+        t.comm.timeline.record_compute_all(
+            self.checkpoint_cost_s, name="checkpoint"
+        )
         self._note("checkpoint", t.global_step, detail)
 
     @property

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis.sanitizer import Sanitizer
 from ..cluster.communicator import Communicator
 from ..core.embedding_sync import GradientSynchronizer
 from ..core.seeding import assign_seeds
@@ -183,8 +184,8 @@ class DistributedTrainer:
             wire = WirePolicy.from_spec(
                 config.wire_codec, config.wire_chunk_bytes
             )
-            if config.wire_sanitize:
-                wire = wire.sanitized()
+            if any(isinstance(h, Sanitizer) for h in self.comm.hooks):
+                wire = wire.sanitized()  # a sanitized run checks its codecs too
             if wire.is_inert:
                 wire = None  # "none": keep the pre-wire code paths
         self.wire = wire
@@ -279,11 +280,9 @@ class DistributedTrainer:
         gradient "costs" compute immediately before its collective is
         issued.
         """
-        timeline = self.comm.timeline
-        for rank in range(self.comm.world_size):  # mesh-ok: SPMD driver loop charging every simulated rank's clock
-            timeline.record_compute(
-                rank, self._backward_slice_s, name=f"bwd:{name}"
-            )
+        self.comm.timeline.record_compute_all(
+            self._backward_slice_s, name=f"bwd:{name}"
+        )
 
     def _record_step_compute(self) -> None:
         """Place this step's compute on the timeline (pre-sync part).
@@ -322,7 +321,6 @@ class DistributedTrainer:
                 )
             return
         total = compute_s * self.config.accumulation_steps
-        timeline = self.comm.timeline
         head = total
         if self.config.overlap:
             n_sync = sum(
@@ -334,8 +332,7 @@ class DistributedTrainer:
                 backward = total * _BACKWARD_FRACTION
                 self._backward_slice_s = backward / n_sync
                 head = total - backward
-        for rank in range(self.comm.world_size):  # mesh-ok: SPMD driver loop charging every simulated rank's clock
-            timeline.record_compute(rank, head, name="fwd-bwd")
+        self.comm.timeline.record_compute_all(head, name="fwd-bwd")
 
     def _sample_rngs(self) -> list[np.random.Generator]:
         """Per-rank candidate-sampler generators of the current micro-step.

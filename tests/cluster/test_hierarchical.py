@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Communicator
+from repro.cluster import Communicator, LockstepVerifier
 from repro.cluster.hierarchical import (
     hierarchical_allreduce,
     hierarchical_allreduce_time,
 )
 from repro.cluster.interconnect import Interconnect, PAPER_CLUSTER_FABRIC
-from repro.cluster.collectives import ring_allreduce_time
+from repro.cluster.collectives import (
+    ring_allgather_time,
+    ring_allreduce_time,
+    ring_reduce_scatter_time,
+)
 
 FABRIC4 = Interconnect(gpus_per_node=4)
 
@@ -38,10 +42,16 @@ class TestSemantics:
         assert c.ledger.events[-1].op == "allreduce"
 
     def test_multi_node_records_hierarchical_op(self):
+        """Three plain per-axis events, tagged by the axis they ran on."""
         world = 8
         c = comm(world)
-        hierarchical_allreduce(c, [np.ones(8) for _ in range(world)])
-        assert c.ledger.events[-1].op == "hierarchical_allreduce"
+        hierarchical_allreduce(c, [np.ones(8) for _ in range(world)], tag="g")
+        assert [(e.op, e.tag) for e in c.ledger.events] == [
+            ("reduce_scatter", "local:g"),
+            ("allreduce", "node:g"),
+            ("allgather", "local:g"),
+        ]
+        assert c.mesh.axis_names == ("data",)  # caller's mesh untouched
 
     def test_shape_preserved(self):
         world = 8
@@ -113,6 +123,41 @@ class TestCostModel:
             == c_flat.ledger.total_wire_bytes_per_rank
         )
         assert c_hier.ledger.total_time_s < c_flat.ledger.total_time_s
+
+    @pytest.mark.parametrize("world", [16, 64])
+    def test_phase_events_sum_to_the_model_exactly(self, world):
+        """The funnel's three events *are* the analytic model: same
+        terms, same order, on the same links — and every observer on
+        the communicator sees each phase."""
+        fabric = PAPER_CLUSTER_FABRIC
+        c = Communicator(world, track_memory=False)
+        verifier = LockstepVerifier.attach(c)
+        arrays = [np.ones((1 << 10, 3), np.float32) for _ in range(world)]
+        out = hierarchical_allreduce(c, arrays)
+        np.testing.assert_array_equal(out[world - 1], world * arrays[0])
+
+        scatter, reduce, gather = c.ledger.events
+        nbytes = arrays[0].nbytes
+        local, nodes = fabric.gpus_per_node, world // fabric.gpus_per_node
+        assert scatter.time_s + reduce.time_s + gather.time_s == (
+            hierarchical_allreduce_time(world, nbytes, fabric)
+        )
+        assert scatter.time_s == ring_reduce_scatter_time(
+            local, nbytes, fabric.intra_node
+        )
+        assert reduce.time_s == ring_allreduce_time(
+            nodes, nbytes // local, fabric.inter_node
+        )
+        assert gather.time_s == ring_allgather_time(
+            local, nbytes // local, fabric.intra_node
+        )
+        assert c.timeline.makespan == c.ledger.total_time_s
+
+        assert verifier.collectives_observed == 3
+        assert {k: len(v) for k, v in verifier.axis_rings.items()} == {
+            "local": nodes, "node": local,
+        }
+        verifier.check("end")
 
     def test_invalid_world(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,23 @@ class TestComputeStream:
         tl.record_compute(2, 2.0)
         assert tl.compute_clock[2] == 3.0
 
+    def test_record_compute_all_is_the_rank_order_loop(self):
+        """Same clocks, busy totals and journal as the spelled-out loop,
+        with one rank stretched by an injected straggler."""
+        looped = inject_straggler(Timeline(4), 2, 1.7)
+        charged = inject_straggler(Timeline(4), 2, 1.7)
+        for tl in (looped, charged):
+            tl.record_compute(1, 0.3, name="skew")
+            tl.complete(tl.schedule_collective(0.25, name="ar"))
+        for rank in range(4):
+            looped.record_compute(rank, 0.4, name="bwd")
+        assert charged.record_compute_all(0.4, name="bwd") is None
+        assert charged.compute_clock == looped.compute_clock
+        assert charged._busy_compute == looped._busy_compute
+        assert charged._journal == looped._journal
+        assert charged.events == looped.events
+        assert charged.makespan == looped.makespan
+
     def test_inject_straggler_rejects_speedup(self):
         with pytest.raises(ValueError):
             inject_straggler(Timeline(2), 0, 0.5)

@@ -2,14 +2,13 @@
 
 Forward/backward must accept any positive (B, T, dims) combination,
 return correctly-shaped outputs, produce finite values, and accumulate
-gradients for every parameter — across LSTM, RHN and the stacked
-variant.
+gradients for every parameter — across LSTM and RHN.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import LSTM, RHN, StackedLSTM
+from repro.nn import LSTM, RHN
 
 dims = st.integers(1, 6)
 
@@ -57,25 +56,6 @@ class TestRHNFuzz:
         dx = rhn.backward(rng.standard_normal((b, t, h)), cache)
         assert dx.shape == x.shape
         assert np.isfinite(dx).all()
-
-
-class TestStackedFuzz:
-    @given(
-        layers=st.integers(1, 3),
-        b=st.integers(1, 3),
-        t=st.integers(1, 4),
-        seed=st.integers(0, 30),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_forward_backward_shapes(self, layers, b, t, seed):
-        rng = np.random.default_rng(seed)
-        stack = StackedLSTM(3, 4, layers, rng)
-        x = rng.standard_normal((b, t, 3))
-        out, cache = stack.forward(x)
-        assert out.shape == (b, t, 4)
-        dx = stack.backward(rng.standard_normal((b, t, 4)), cache)
-        assert dx.shape == x.shape
-        assert len(cache["final_state"]) == layers
 
 
 class TestStateCarryFuzz:

@@ -181,15 +181,44 @@ class TestWireCodecFlags:
         assert args.wire_chunk_bytes is None
 
     def test_spec_choices(self):
-        for spec in ("auto", "fp16", "delta", "rle", "none"):
+        """The parser carries no codec list of its own: any string is a
+        spec, and ``WirePolicy.from_spec`` (via TrainConfig) judges it."""
+        for spec in ("auto", "fp16", "delta", "rle", "none", "fp16+entropy"):
             assert (
                 build_parser()
                 .parse_args(["train", "--wire-codec", spec])
                 .wire_codec
                 == spec
             )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--wire-codec", "gzip"])
+
+    SMALL = ["train", "--gpus", "2", "--steps", "3", "--vocab", "80",
+             "--corpus-tokens", "5000"]
+
+    def test_composite_spec_trains(self, capsys):
+        """The word_wire benchmark workload's own spec."""
+        assert main(self.SMALL + ["--wire-codec", "fp16+entropy"]) == 0
+        out = capsys.readouterr().out
+        assert "wire: fp16+entropy" in out
+        assert "index compression:" in out
+
+    def test_wire_learn_needs_an_auto_slot_not_the_bare_spec(self, capsys):
+        rc = main(self.SMALL + ["--wire-codec", "fp16+auto", "--wire-learn"])
+        assert rc == 0
+        assert "wire-learn" in capsys.readouterr().out
+        rc = main(self.SMALL + ["--wire-codec", "delta", "--wire-learn"])
+        assert rc == 2
+        assert '"auto" slot' in capsys.readouterr().err
+
+    def test_unknown_spec_exits_2_before_any_corpus_is_built(
+        self, capsys, monkeypatch
+    ):
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("corpus built before flag validation")
+
+        monkeypatch.setattr("repro.data.make_corpus", no_corpus)
+        assert main(self.SMALL + ["--wire-codec", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown wire-codec 'bogus'")
 
     def test_train_with_delta_reports_measured_compression(self, capsys):
         rc = main(
@@ -377,7 +406,7 @@ class TestTrainMesh:
         rc = main(self.BASE + ["--mesh", "pipe=3,data="])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--mesh" in err and "does not divide" in err
+        assert err.startswith("error:") and "does not divide" in err
 
     def test_unknown_axis_rejected(self, capsys):
         rc = main(self.BASE + ["--mesh", "node=2,local=2"])
@@ -439,7 +468,7 @@ class TestTrainMesh:
     def test_nonpositive_counts_rejected(self, capsys):
         rc = main(["train", "--gpus", "0", "--steps", "2"])
         assert rc == 2
-        assert "--gpus" in capsys.readouterr().err
+        assert "world_size must be positive" in capsys.readouterr().err
         rc = main(["train", "--gpus", "2", "--steps", "0"])
         assert rc == 2
         assert "--steps" in capsys.readouterr().err
@@ -448,7 +477,7 @@ class TestTrainMesh:
         rc = main(["train", "--gpus", "2", "--steps", "2",
                    "--wire-chunk-bytes", "4096"])
         assert rc == 2
-        assert "--wire-codec" in capsys.readouterr().err
+        assert "requires wire_codec" in capsys.readouterr().err
 
 
 class TestServeBench:

@@ -107,7 +107,9 @@ class TestDynamicScaling:
         tr = make_trainer(loss_scale="dynamic")
         for replica in tr.replicas:
             replica.projection.weight.data[0, 0] = np.inf
+        s0 = tr.scaler.scale
         tr.train_step()
+        assert tr.skipped_steps == 1 and tr.scaler.scale == s0 / 2
         for replica in tr.replicas:
             replica.projection.weight.data[0, 0] = 0.0
         for _ in range(2):

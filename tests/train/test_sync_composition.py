@@ -101,7 +101,6 @@ def build(model, world, observer="plain", **overrides):
     finish = lambda: None
     if observer == "sanitize":
         comm = Sanitizer(comm, require_scope=True, lockstep=True)
-        overrides["wire_sanitize"] = overrides.get("wire_codec") is not None
         finish = comm.finish
     elif observer == "verify-spmd":
         verifier = LockstepVerifier.attach(comm)
@@ -172,6 +171,12 @@ def test_cell_matches_flat_reference(cell):
         mesh=mesh, wire_codec=codec, overlap=overlap, fused_reduce=fused
     )
     trainer, finish = build(model, WORLD, observer, **switches)
+    if observer == "sanitize" and codec is not None:
+        # No config knob: the sanitizer on the funnel is what makes the
+        # policy's codecs the checking variants.
+        codecs = [trainer.wire.value_codec, trainer.wire.index_codec]
+        names = [type(c).__name__ for c in codecs if c is not None]
+        assert names and all(n.startswith("Sanitized") for n in names)
     losses = run(trainer, finish)
     want_losses, want = reference(model, trainer.data_parallel)
 

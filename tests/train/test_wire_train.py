@@ -26,7 +26,7 @@ WORD_CFG = WordLMConfig(
 CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
 
 
-def word_trainer(world=4, **cfg_overrides):
+def word_trainer(world=4, comm=None, **cfg_overrides):
     cfg = TrainConfig(
         world_size=world,
         batch=BatchSpec(2, 6),
@@ -39,6 +39,7 @@ def word_trainer(world=4, **cfg_overrides):
         CORPUS.train,
         CORPUS.valid,
         cfg,
+        comm=comm,
     )
 
 
@@ -89,10 +90,16 @@ class TestWireTrainerThreading:
         assert t.wire.chunk_bytes == 2048
 
     def test_sanitized_policy(self):
-        from repro.analysis.sanitizer import SanitizedWireCodec
+        from repro.analysis.sanitizer import SanitizedWireCodec, Sanitizer
+        from repro.cluster import Communicator
 
-        t = word_trainer(2, wire_codec="delta", wire_sanitize=True)
+        comm = Sanitizer(Communicator(2, track_memory=False))
+        t = word_trainer(2, comm=comm, wire_codec="delta")
         assert isinstance(t.wire.index_codec, SanitizedWireCodec)
+        assert not isinstance(
+            word_trainer(2, wire_codec="delta").wire.index_codec,
+            SanitizedWireCodec,
+        )
 
 
 class TestBitExactTraining:
