@@ -29,6 +29,16 @@ roughly half the speedups measured on the reference box — so CI noise
 does not flake the job; the JSON records the true measured factors
 (the word LM's G=128 arm is recorded, not gated).
 
+A fourth arm times the **gradient sync** alone on the end-to-end
+benchmark's ``word_wire`` shape (G=32, 20k vocabulary, ``fp16+entropy``
+wire codec, fused reduce, overlap) — the host cost of the wire path,
+``repro_bench_sim_sync_host_ms`` — with its own differential: losses
+within the FP16 wire tolerance of the uncompressed blocking reference,
+replicas synchronized, and ledger wire bytes equal to the per-rank loop
+of the same config.  Beside it, the dense vs populated-rows allreduce
+fold (``repro_bench_sim_fold_ms``) on the end-to-end exchange shapes:
+the measurement behind ``RESTRICTED_FOLD_MIN_SKIPPED``.
+
 Set ``REPRO_BENCH_FAST=1`` for the CI smoke mode (fewer measured steps
 and differential seeds).
 """
@@ -38,6 +48,7 @@ import time
 
 import numpy as np
 
+from repro.cluster import collectives
 from repro.data import ONE_BILLION_WORD, TIEBA, BatchSpec, make_corpus
 from repro.nn import FullSoftmaxLoss, SampledSoftmaxLoss, functional
 from repro.optim import SGD, Adam
@@ -49,6 +60,7 @@ from repro.train import (
     TrainConfig,
     WordLanguageModel,
     WordLMConfig,
+    assert_replicas_synchronized,
 )
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
@@ -250,21 +262,123 @@ def time_loss_layer(R, N, width, vocab, samples) -> dict[str, float]:
     return times
 
 
+#: ``benchmarks/e2e``'s ``word_wire`` model, batch and switches.
+WIRE_CFG = WordLMConfig(
+    vocab_size=20_000, embedding_dim=32, hidden_dim=16, projection_dim=32,
+    num_samples=512,
+)
+WIRE_WORLD = 32
+WIRE_SWITCHES = dict(wire_codec="fp16+entropy", fused_reduce=True, overlap=True)
+#: Declared tolerance of the FP16 wire (``word_wire``'s ``loss_rtol``).
+WIRE_LOSS_RTOL = 1e-4
+WIRE_DIFF_WORLD = 8
+
+
+def make_wire_trainer(world: int, seed: int = 3, **overrides):
+    corpus = make_corpus(ONE_BILLION_WORD.scaled(20_000), 400_000, seed=seed)
+    cfg = TrainConfig(
+        world_size=world, batch=BatchSpec(8, 20), base_lr=0.3, **overrides
+    )
+    return DistributedTrainer(
+        lambda rng, rank: WordLanguageModel(WIRE_CFG, rng),
+        lambda params, lr: SGD(params, lr),
+        corpus.train,
+        corpus.valid,
+        cfg,
+    )
+
+
+def time_wire_sync() -> tuple[float, float]:
+    """Best seconds of (``sync_replicas``, the whole step) on ``word_wire``."""
+    trainer = make_wire_trainer(WIRE_WORLD, **WIRE_SWITCHES)
+    sync = trainer.synchronizer.sync_replicas
+    spent = []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        sync(*args, **kwargs)
+        spent.append(time.perf_counter() - start)
+
+    trainer.synchronizer.sync_replicas = timed
+    step_s = time_steps(trainer, MEASURE_BATCHED)
+    return min(spent[WARMUP_STEPS:]), step_s
+
+
+def wire_differential(seed: int) -> None:
+    """The wire switches change cost, not what is learned or shipped."""
+    wire = make_wire_trainer(WIRE_DIFF_WORLD, seed, **WIRE_SWITCHES)
+    loop = make_wire_trainer(
+        WIRE_DIFF_WORLD, seed, batched=False, **WIRE_SWITCHES
+    )
+    plain = make_wire_trainer(WIRE_DIFF_WORLD, seed, batched=False)
+    for step in range(DIFF_STEPS):
+        got, same, want = (t.train_step() for t in (wire, loop, plain))
+        assert got == same, f"wire seed {seed}, step {step}: batched != loop"
+        assert abs(got - want) <= WIRE_LOSS_RTOL * abs(want), (
+            f"wire seed {seed}, step {step}: loss {got!r} outside the FP16 "
+            f"tolerance of the uncompressed reference {want!r}"
+        )
+    assert_replicas_synchronized(wire.replicas)
+    assert (
+        wire.comm.ledger.total_wire_bytes_per_rank
+        == loop.comm.ledger.total_wire_bytes_per_rank
+    ), f"wire seed {seed}: ledger wire bytes differ from the per-rank loop"
+
+
+#: Unique-exchange blocks ``(R, Ug, mean K, D)`` of the end-to-end
+#: workloads (float64 without a codec, float16 on ``word_wire``).
+FOLD_SHAPES = {
+    "char_batched": (512, 150, 10, 8, np.float64),
+    "mesh_hybrid": (16, 443, 70, 32, np.float64),
+    "word_flat_in": (64, 303, 24, 32, np.float64),
+    "word_flat_out": (64, 1665, 136, 32, np.float64),
+    "word_wire_in": (32, 525, 59, 32, np.float16),
+    "word_wire_out": (32, 6923, 529, 32, np.float16),
+    "word_wire_out_f64": (32, 6923, 529, 32, np.float64),
+}
+
+
+def time_folds(R, Ug, K, D, dtype) -> dict[str, float]:
+    """Seconds of the dense and the populated-rows fold of one block."""
+    rng = np.random.default_rng(0)
+    block = np.zeros((R, Ug, D), dtype=dtype)
+    rows = [np.sort(rng.choice(Ug, size=K, replace=False)) for _ in range(R)]
+    for member, held in enumerate(rows):
+        block[member, held] = rng.standard_normal((K, D))
+    folds = {
+        "dense": lambda: np.add.reduce(block, axis=0),
+        "restricted": lambda: collectives._restricted_fold(block, rows),
+    }
+    assert folds["dense"]().tobytes() == folds["restricted"]().tobytes()
+    times = {}
+    for name, fold in folds.items():
+        times[name] = float("inf")
+        for _ in range(3 if FAST else 10):
+            start = time.perf_counter()
+            fold()
+            times[name] = min(times[name], time.perf_counter() - start)
+    return times
+
+
 def run_all_arms():
     return (
         run_arms(),
         {w: run_arms(w, "word") for w in WORD_WORLDS},
         {name: time_loss_layer(*shape) for name, shape in LOSS_SHAPES.items()},
+        time_wire_sync(),
+        {name: time_folds(*shape) for name, shape in FOLD_SHAPES.items()},
     )
 
 
 def test_simulator(benchmark, report, bench_metrics):
-    (per_rank_s, batched_s, exec_slow_s, exec_fast_s), word, loss = (
-        benchmark.pedantic(run_all_arms, rounds=1, iterations=1)
-    )
+    (
+        (per_rank_s, batched_s, exec_slow_s, exec_fast_s), word, loss,
+        (wire_sync_s, wire_step_s), folds,
+    ) = benchmark.pedantic(run_all_arms, rounds=1, iterations=1)
     for seed in range(DIFF_SEEDS):
         differential(seed)
         differential(seed, "word")
+        wire_differential(seed)
 
     speedup = per_rank_s / batched_s
     exec_speedup = exec_slow_s / exec_fast_s
@@ -386,6 +500,48 @@ def test_simulator(benchmark, report, bench_metrics):
         ],
         title="Loss layer fwd+bwd over the replica stack (ms)",
     )
+    bench_metrics.gauge(
+        "repro_bench_sim_sync_host_ms",
+        "sync_replicas wall-clock on the word_wire shape (G=32, "
+        "fp16+entropy, fused reduce, overlap)",
+    ).set(wire_sync_s * 1e3)
+    bench_metrics.gauge(
+        "repro_bench_sim_wire_ms_per_step",
+        "Full train_step wall-clock on the word_wire shape",
+    ).set(wire_step_s * 1e3)
+    fold_ms = bench_metrics.gauge(
+        "repro_bench_sim_fold_ms",
+        "Rank-order allreduce fold of one unique-exchange block, by fold",
+        labelnames=("shape", "fold"),
+    )
+    for name, times in folds.items():
+        for fold, seconds in times.items():
+            fold_ms.set(seconds * 1e3, shape=name, fold=fold)
+    fold_table = format_table(
+        ["shape (R, Ug, mean K, D)", "dtype", "skipped / member", "dense",
+         "restricted"],
+        [
+            [
+                f"{name} {(R, Ug, K, D)}",
+                np.dtype(dtype).name,
+                (Ug - K) * D,
+                round(folds[name]["dense"] * 1e3, 2),
+                round(folds[name]["restricted"] * 1e3, 2),
+            ]
+            for name, (R, Ug, K, D, dtype) in FOLD_SHAPES.items()
+        ],
+        title="Allreduce fold of a zero-padded exchange block (ms; the "
+        f"populated-rows fold runs from "
+        f"{collectives.RESTRICTED_FOLD_MIN_SKIPPED} skipped elements)",
+    )
+    wire_footer = (
+        f"word_wire shape (G={WIRE_WORLD}, fp16+entropy, fused, overlap): "
+        f"sync_replicas {wire_sync_s * 1e3:.1f} ms of a "
+        f"{wire_step_s * 1e3:.1f} ms step; differential {DIFF_SEEDS} seeds "
+        f"x {DIFF_STEPS} steps at G={WIRE_DIFF_WORLD} (FP16 tolerance "
+        f"{WIRE_LOSS_RTOL:g} vs the uncompressed blocking reference, equal "
+        "ledger bytes vs the per-rank loop)"
+    )
     word_table = format_table(
         ["arm", "full step (ms)", "steps/s", "exec phase (ms)"],
         word_rows,
@@ -406,7 +562,10 @@ def test_simulator(benchmark, report, bench_metrics):
     )
     report(
         "micro_simulator",
-        "\n\n".join([table + footer, word_table + word_footer, loss_table]),
+        "\n\n".join([
+            table + footer, word_table + word_footer, loss_table,
+            fold_table + "\n" + wire_footer,
+        ]),
     )
 
     # Gates: conservative floors (roughly half the reference-box

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.cluster import Communicator
 from repro.cluster.interconnect import LinkSpec
+from repro.core.compression import Fp16Codec
 from repro.core.wire import (
     DeltaBitpackCodec,
     EntropyCodec,
@@ -224,7 +225,9 @@ def test_wire_compression(benchmark, report, bench_metrics):
         "repro_bench_bit_exact", "1 when delta training matched baseline"
     ).set(int(exact))
     # Host-measured codec throughput, published via the perf-layer hook.
-    for codec in (DeltaBitpackCodec(), RunLengthCodec()):
+    for codec in (
+        DeltaBitpackCodec(), RunLengthCodec(), EntropyCodec(), Fp16Codec()
+    ):
         calibrate_codec_throughput(
             codec, nbytes=1 << 20, repeats=2, registry=bench_metrics
         )
@@ -288,8 +291,14 @@ def fused_step_time_sweep():
     """
     rows = []
     wins = []
+    host_wins = []
+    break_even = []
     worst_rel = 0.0
     tp = codec_throughput("fp16")
+    # ZipCCL's question: does the win survive the codec's real cost?
+    # Re-cost the fused plan with this host's measured FP16 throughput,
+    # and find the codec speed (encode, decode 2x that) where it ties raw.
+    host_tp = calibrate_codec_throughput(Fp16Codec(), nbytes=1 << 20, repeats=2)
     for workload, world in FUSED_CONFIGS:
         dense_bytes = int(workload.dense_param_count) * 4
         link = PAPER_PLATFORM.fabric.ring_link(world)
@@ -307,15 +316,27 @@ def fused_step_time_sweep():
             worst_rel = max(worst_rel, abs(replay - analytic) / analytic)
         win = raw_t / fused_t
         wins.append(win)
+        host_t = fused_reduce_time(fp16_plan, link, host_tp)
+        host_wins.append(raw_t / host_t)
+        lo, hi = 1e6, 1e13  # encode bytes/s bracketing the tie
+        for _ in range(60):
+            mid = (lo * hi) ** 0.5
+            tied = fused_reduce_time(
+                fp16_plan, link, CodecThroughput(mid, 2 * mid)
+            )
+            lo, hi = (lo, mid) if tied < raw_t else (mid, hi)
+        break_even.append(hi)
         rows.append(
             [workload.name, world, f"{dense_bytes / 1e6:.0f} MB",
-             f"{raw_t * 1e3:.1f}", f"{fused_t * 1e3:.1f}", f"{win:.2f}x"]
+             f"{raw_t * 1e3:.1f}", f"{fused_t * 1e3:.1f}", f"{win:.2f}x",
+             f"{host_t * 1e3:.1f}", f"{raw_t / host_t:.2f}x",
+             f"{hi / 1e9:.1f} GB/s"]
         )
-    return rows, wins, worst_rel
+    return rows, wins, worst_rel, host_wins, break_even
 
 
 def test_wire(benchmark, report, bench_metrics):
-    rows, wins, worst_rel = benchmark.pedantic(
+    rows, wins, worst_rel, host_wins, break_even = benchmark.pedantic(
         fused_step_time_sweep, rounds=1, iterations=1
     )
 
@@ -323,15 +344,30 @@ def test_wire(benchmark, report, bench_metrics):
         "repro_bench_fused_reduce_win",
         "Raw/fused dense-allreduce time ratio", labelnames=("workload",),
     )
-    for (workload, world), win in zip(FUSED_CONFIGS, wins):
+    host_gauge = bench_metrics.gauge(
+        "repro_bench_fused_reduce_win_host_codec",
+        "Raw/fused ratio with the FP16 codec at this host's measured speed",
+        labelnames=("workload",),
+    )
+    even_gauge = bench_metrics.gauge(
+        "repro_bench_fused_break_even_encode_bps",
+        "FP16 encode bytes/s (decode 2x) at which fused ties raw",
+        labelnames=("workload",),
+    )
+    for (workload, world), win, host_win, even in zip(
+        FUSED_CONFIGS, wins, host_wins, break_even
+    ):
         win_gauge.set(win, workload=workload.name)
+        host_gauge.set(host_win, workload=workload.name)
+        even_gauge.set(even, workload=workload.name)
     bench_metrics.gauge(
         "repro_bench_fused_recurrence_rel_err",
         "Worst fused recurrence-vs-timeline relative error",
     ).set(worst_rel)
 
     table = format_table(
-        ["workload", "GPUs", "dense grad", "raw ms", "fused fp16 ms", "win"],
+        ["workload", "GPUs", "dense grad", "raw ms", "fused fp16 ms", "win",
+         "at host codec speed ms", "win", "break-even encode"],
         rows,
         title="Fused compress-reduce: dense-gradient ring allreduce on the "
         "paper platform (analytic plans, Timeline-verified)",

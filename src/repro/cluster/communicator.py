@@ -66,13 +66,18 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Callable, Sequence
-from contextlib import ExitStack
 from functools import lru_cache
 
 import numpy as np
 
 from . import collectives as coll
-from .device import DeviceSpec, ScopedAllocation, SimulatedDevice, TITAN_X
+from .device import (
+    TITAN_X,
+    DeviceSpec,
+    SimulatedDevice,
+    charge_group,
+    release_group,
+)
 from .interconnect import Interconnect, PAPER_CLUSTER_FABRIC
 from .mesh import DeviceMesh
 from .timeline import Timeline
@@ -127,8 +132,8 @@ class WorkHandle:
         comm: "Communicator",
         op: str,
         results: list[np.ndarray],
-        scratch: ExitStack,
         scratch_bytes: int,
+        charged: bool,
         ticket,
         tag: str,
     ):
@@ -136,8 +141,9 @@ class WorkHandle:
         self.op = op
         self.tag = tag
         self._results = results
-        self._scratch = scratch
         self.scratch_bytes = scratch_bytes
+        #: Whether ``scratch_bytes`` sits on the devices until ``wait()``.
+        self._charged = charged
         self.ticket = ticket
         self._complete = False
 
@@ -153,7 +159,8 @@ class WorkHandle:
             for hook in self._comm.hooks:
                 hook.on_wait(self)
             self._complete = True
-            self._scratch.close()
+            if self._charged:
+                release_group(self._comm.devices, self.scratch_bytes)
             self._comm._pending.discard(self)
             if self.ticket is not None:
                 self._comm.timeline.complete(self.ticket)
@@ -419,12 +426,9 @@ class Communicator:
         """
         if self.axis_name is not None:
             tag = f"{self.axis_name}:{tag}"
-        scratch = ExitStack()
-        if self.track_memory and scratch_bytes > 0:
-            for dev in self.devices:
-                scratch.enter_context(
-                    ScopedAllocation(dev, scratch_bytes, scratch_tag)
-                )
+        charged = self.track_memory and scratch_bytes > 0
+        if charged:
+            charge_group(self.devices, scratch_bytes, scratch_tag)
         ticket = self.timeline.schedule_collective(time_s, name=f"{op}:{tag}")
         self.ledger.record(
             op=op,
@@ -456,7 +460,7 @@ class Communicator:
             cached[1].inc(op=op)
             cached[2].inc(wire_bytes_per_rank, op=op)
         handle = WorkHandle(
-            self, op, results, scratch, scratch_bytes, ticket, tag
+            self, op, results, scratch_bytes, charged, ticket, tag
         )
         self._pending.add(handle)
         for hook in self.hooks:
@@ -474,6 +478,7 @@ class Communicator:
         payload_bytes: int | None = None,
         shared_result: bool = False,
         stacked: np.ndarray | Sequence[np.ndarray] | None = None,
+        rows: Sequence | None = None,
     ) -> WorkHandle:
         """Non-blocking sum-allreduce; ring algorithm cost model.
 
@@ -497,15 +502,23 @@ class Communicator:
         per ring (in :attr:`groups` order), or the bare block on a
         one-ring communicator.  Bits, accounting and results are
         identical to the unstacked call.
+
+        ``rows`` rides with ``stacked``, in the same per-ring form: for
+        each member, the sorted unique leading-axis rows outside which
+        its array is ``+0`` (the unique exchange's zero-padded
+        matrices), so the fold can skip them — see
+        :func:`~repro.cluster.collectives.allreduce_arrays`.  Hooks and
+        accounting still see the full per-rank arrays.
         """
         self._pre_issue("allreduce", tag, arrays)
 
         def reduce(sub: list, ring: int) -> list:
-            block = stacked
+            block, held = stacked, rows
             if block is not None and not isinstance(block, np.ndarray):
                 block = block[ring]
+                held = None if rows is None else rows[ring]
             return coll.allreduce_arrays(
-                sub, shared_result=shared_result, stacked=block
+                sub, shared_result=shared_result, stacked=block, rows=held
             )
 
         nbytes = self._ring_bytes(arrays)

@@ -26,6 +26,8 @@ __all__ = [
     "SimulatedDevice",
     "TITAN_X",
     "V100",
+    "charge_group",
+    "release_group",
 ]
 
 
@@ -218,3 +220,28 @@ class ScopedAllocation:
         if self._handle is not None:
             self._device.free(self._handle)
             self._handle = None
+
+
+def charge_group(devices: list[SimulatedDevice], nbytes: int, tag: str = "") -> None:
+    """Charge ``nbytes`` to every device, all or nothing.
+
+    A collective's scratch is one buffer of the same size on every
+    participant, live from issue to ``wait()``: it needs no per-device
+    handle, only the footprint and the high-water mark.  Capacity is
+    checked on the whole group first, so a :class:`DeviceOOMError`
+    (naming the lowest rank that does not fit) leaves no device charged.
+    """
+    for dev in devices:
+        if dev.bytes_in_use + nbytes > dev.spec.memory_bytes:
+            raise DeviceOOMError(dev, nbytes, tag)
+    for dev in devices:
+        dev.bytes_in_use = used = dev.bytes_in_use + nbytes
+        if used > dev.peak_bytes:
+            dev.peak_bytes = used
+
+
+def release_group(devices: list[SimulatedDevice], nbytes: int) -> None:
+    """Undo one :func:`charge_group` of ``nbytes``."""
+    for dev in devices:
+        dev.bytes_in_use -= nbytes
+        assert dev.bytes_in_use >= 0, "allocator accounting went negative"

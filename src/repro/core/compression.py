@@ -14,11 +14,19 @@ experiments are real IEEE-754 rounding, not a model of it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FP16_MAX", "WireCodec", "IdentityCodec", "Fp16Codec", "wire_bytes_ratio"]
+__all__ = [
+    "FP16_MAX",
+    "WireCodec",
+    "IdentityCodec",
+    "Fp16Codec",
+    "encode_stacked",
+    "wire_bytes_ratio",
+]
 
 #: Largest finite FP16 value; encodes saturate rather than produce inf.
 FP16_MAX = float(np.finfo(np.float16).max)
@@ -53,6 +61,15 @@ class WireCodec:
 
     def decode(self, arr: np.ndarray, dtype: np.dtype) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def encode_many(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """One encoded array per input — what a gather ships per member.
+
+        Equal, byte for byte, to ``[encode(a) for a in arrays]``; a codec
+        whose set-up amortizes over members (the entropy coder's width
+        classification and bit-pack) overrides this instead of ``encode``.
+        """
+        return [self.encode(a) for a in arrays]
 
     @property
     def name(self) -> str:
@@ -134,6 +151,25 @@ class Fp16Codec(WireCodec):
     def wire_dtype(self, dtype: np.dtype) -> np.dtype | None:
         """Everything leaves as FP16."""
         return np.dtype(np.float16)
+
+
+def encode_stacked(
+    codec: WireCodec,
+    arrays: Sequence[np.ndarray],
+    stacked: np.ndarray | None,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Every rank's value encode, as ``(per-rank arrays, their block)``.
+
+    Value codecs are elementwise, so when the caller holds the ranks'
+    arrays as the rows of one ``(world, ...)`` block (``stacked``, as for
+    :func:`~repro.cluster.collectives.allreduce_arrays`) a single
+    ``encode`` of the block is the per-rank encodes, already stacked for
+    the reduction.  Without a block it is the per-rank loop.
+    """
+    if stacked is None:
+        return codec.encode_many(arrays), None
+    wire = codec.encode(stacked)
+    return list(wire), wire
 
 
 def wire_bytes_ratio(

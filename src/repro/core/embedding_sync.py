@@ -47,6 +47,7 @@ import numpy as np
 from ..cluster.communicator import Communicator
 from ..nn.module import Module
 from ..nn.parameter import Parameter, SparseGrad
+from .compression import encode_stacked
 from .mesh_exchange import (
     shard_dense,
     shard_sparse,
@@ -181,6 +182,18 @@ class GradientSynchronizer:
         # else should keep the replicas' pre-sync block alive.
         block, params[0]._grad_block = params[0]._grad_block, None
         arrays = shard_dense(grads, data.groups)
+        # The batched executor hands out per-rank grads as rank-order
+        # rows of one contiguous block and marks rank 0's parameter with
+        # it; verifying every grad still aliases that block (an
+        # accumulated ``old + new`` grad does not) lets the codec encode
+        # it in one call and the allreduce skip restacking G views.
+        # Bit-identical either way.
+        if block is not None and (
+            arrays is not grads
+            or block.shape != (len(params),) + shape
+            or any(g.base is not block for g in grads)
+        ):
+            block = None
         codec = (
             None
             if self.wire is None
@@ -208,30 +221,21 @@ class GradientSynchronizer:
                     else True
                 ),
                 shared_result=True,
-            )
-        elif codec is not None:
-            handle = data.iallreduce(
-                [codec.encode(a) for a in arrays],
-                tag=tag,
-                payload_bytes=max(
-                    arrays[ranks[0]].nbytes for ranks in data.groups
-                ),
-                shared_result=True,
+                stacked=block,
             )
         else:
-            # The batched executor hands out per-rank grads as rank-order
-            # rows of one contiguous block and marks rank 0's parameter
-            # with it; verifying every grad still aliases that block (an
-            # accumulated ``old + new`` grad does not) lets the allreduce
-            # skip restacking G views.  Bit-identical either way.
-            if block is not None and (
-                arrays is not grads
-                or block.shape != (len(params),) + shape
-                or any(g.base is not block for g in grads)
-            ):
-                block = None
+            payload_bytes = None
+            if codec is not None:
+                payload_bytes = max(
+                    arrays[ranks[0]].nbytes for ranks in data.groups
+                )
+                arrays, block = encode_stacked(codec, arrays, block)
             handle = data.iallreduce(
-                arrays, tag=tag, stacked=block, shared_result=True
+                arrays,
+                tag=tag,
+                payload_bytes=payload_bytes,
+                stacked=block,
+                shared_result=True,
             )
 
         def finish() -> None:

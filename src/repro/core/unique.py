@@ -154,18 +154,30 @@ class PendingUniqueExchange:
         gathered = self._index_handle.wait()
         dim = self._local[0].dim
         dtype = self._local[0].values.dtype
-        uniques: list[np.ndarray] = []
+        # Step 4: global unique filter, totally ordered (ascending).
+        uniques = [global_unique(gathered[ranks[0]]) for ranks in comm.groups]
+        # The value codec of step 6, if the wire policy resolves one
+        # (fixed, or per message under ``auto``) — from the aligned
+        # matrix's shape and dtype alone, before any matrix exists.
+        codec = (
+            None
+            if self._wire is None
+            else self._wire.resolve_value_codec(
+                [np.empty((uniques[0].size, dim), dtype=dtype)], comm
+            )
+        )
         blocks: list[np.ndarray] = []
+        held: list[list[np.ndarray]] = []
 
         def align(local: list[SparseGrad], ring: int) -> list[np.ndarray]:
-            # Step 4: global unique filter, totally ordered (ascending).
-            global_indices = global_unique(gathered[comm.groups[ring][0]])
             # Step 5: local scatter Ĵ -> Î positions, zero-filling missing
             # rows.  All members' scatters run as one vectorized
             # assignment into a stacked (ring, Ug, D) block: per-rank
             # indices are unique, so the fancy assignment writes each
             # (rank, row) cell at most once — value-identical to the
             # per-rank loop.
+            global_indices = uniques[ring]
+            counts = [g.indices.size for g in local]
             cat_idx = np.concatenate([g.indices for g in local])
             cat_val = (
                 np.concatenate([g.values for g in local])
@@ -175,49 +187,40 @@ class PendingUniqueExchange:
             pos = np.searchsorted(global_indices, cat_idx)
             # Every local type must be present globally by construction.
             assert (global_indices[pos] == cat_idx).all()
-            member_of = np.repeat(
-                np.arange(len(local)),
-                np.fromiter(
-                    (g.indices.size for g in local),
-                    dtype=np.int64,
-                    count=len(local),
-                ),
-            )
+            if codec is not None:
+                # Value codecs are elementwise with encode(0) == +0, so
+                # encoding the K populated rows once and scattering them
+                # into a zeroed wire-dtype block is, bit for bit, the
+                # per-rank encode of each zero-padded Ug x D matrix.
+                cat_val = codec.encode(cat_val)
             stacked = np.zeros(
-                (len(local), int(global_indices.size), dim), dtype=dtype
+                (len(local), int(global_indices.size), dim),
+                dtype=cat_val.dtype,
             )
-            stacked[member_of, pos] = cat_val
-            uniques.append(global_indices)
+            stacked[np.repeat(np.arange(len(local)), counts), pos] = cat_val
             blocks.append(stacked)
+            held.append(np.split(pos, np.cumsum(counts)[:-1]))
             return list(stacked)
 
         scattered = comm.by_group(self._local, align)
 
-        # Step 6: allreduce the aligned Ug x D matrices, in the wire
-        # policy's value codec if it resolves one (fixed, or per
-        # message under ``auto``).  Only one (identical) copy per ring
-        # is consumed, so the per-rank fan-out is skipped on the host.
-        codec = (
-            None
-            if self._wire is None
-            else self._wire.resolve_value_codec(scattered, comm)
-        )
-        if codec is not None:
-            reduced = comm.iallreduce(
-                [codec.encode(m) for m in scattered],
-                tag=f"{self._tag}:values",
-                payload_bytes=max(b[0].nbytes for b in blocks),
-                shared_result=True,
-            ).wait()
-        else:
-            # ``scattered`` rows are views of the contiguous blocks built
-            # above; passing them avoids restacking the views.
-            reduced = comm.iallreduce(
-                scattered,
-                tag=f"{self._tag}:values",
-                shared_result=True,
-                stacked=blocks,
-            ).wait()
+        # Step 6: allreduce the aligned Ug x D matrices in the wire
+        # dtype.  They are views of the blocks built above, populated
+        # only where ``held`` says, so the reduction neither restacks
+        # them nor folds their padding; one (identical) copy per ring is
+        # consumed, so the per-rank fan-out is skipped on the host.
+        reduced = comm.iallreduce(
+            scattered,
+            tag=f"{self._tag}:values",
+            payload_bytes=(
+                None
+                if codec is None
+                else max(u.size for u in uniques) * dim * dtype.itemsize
+            ),
+            shared_result=True,
+            stacked=blocks,
+            rows=held,
+        ).wait()
 
         def result(ring_reduced: list[np.ndarray], ring: int):
             values = ring_reduced[0]

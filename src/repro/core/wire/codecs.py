@@ -53,6 +53,7 @@ allgather must not, since index order pairs with value rows).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -94,6 +95,8 @@ _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 _U64_ONE = np.uint64(1)
 _U64_ZERO = np.uint64(0)
 _U64_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: 2**0 .. 2**63: a value's bit_length is how many of these it reaches.
+_POW2 = _U64_ONE << np.arange(64, dtype=np.uint64)
 
 
 def _check_input(arr: np.ndarray) -> np.dtype:
@@ -182,6 +185,23 @@ class LosslessIntCodec(WireCodec):
         """Frames are always byte streams."""
         return np.dtype(np.uint8)
 
+    def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
+        """Cheap encoded-size estimate from a strided sorted sample.
+
+        Used by the adaptive selector's crossover model.  Sampling every
+        ``stride``-th element of the sorted input multiplies typical
+        deltas by ``stride``, so the estimate is conservative (it
+        over-states the encoded size); the hard raw-fallback bound caps
+        it either way.
+        """
+        _check_input(arr)
+        if arr.size <= 1:
+            return FRAME_HEADER_BYTES + arr.nbytes
+        stride = max(1, arr.size // sample)
+        probe = np.sort(arr[::stride])
+        est = self.encode(probe).size / probe.size * arr.size
+        return int(min(est, FRAME_HEADER_BYTES + arr.nbytes))
+
 
 class DeltaBitpackCodec(LosslessIntCodec):
     """Sort-free delta + per-block bit-packing (the unique-index codec).
@@ -231,23 +251,6 @@ class DeltaBitpackCodec(LosslessIntCodec):
         if len(payload) >= arr.nbytes:
             return _raw_frame(arr, dtype)
         return _frame_bytes(_KIND_DELTA, dtype, n, payload)
-
-    def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
-        """Cheap encoded-size estimate from a strided sorted sample.
-
-        Used by the adaptive selector's crossover model.  Sampling every
-        ``stride``-th element of the sorted input multiplies typical
-        deltas by ``stride``, so the estimate is conservative (it
-        over-states the encoded size); the hard raw-fallback bound caps
-        it either way.
-        """
-        _check_input(arr)
-        if arr.size <= 1:
-            return FRAME_HEADER_BYTES + arr.nbytes
-        stride = max(1, arr.size // sample)
-        probe = np.sort(arr[::stride])
-        est = self.encode(probe).size / probe.size * arr.size
-        return int(min(est, FRAME_HEADER_BYTES + arr.nbytes))
 
 
 class RunLengthCodec(LosslessIntCodec):
@@ -303,12 +306,7 @@ class RunLengthCodec(LosslessIntCodec):
 
 def _delta_bit_lengths(zz: np.ndarray) -> np.ndarray:
     """Per-delta ``bit_length`` (0..64) of zigzagged uint64 deltas."""
-    bits = np.unpackbits(
-        zz.astype(">u8", copy=False).view(np.uint8).reshape(-1, 8), axis=1
-    )
-    widths = (64 - bits.argmax(axis=1)).astype(np.uint8)
-    widths[zz == _U64_ZERO] = 0  # argmax of an all-zero row is 0, not 64
-    return widths
+    return np.searchsorted(_POW2, zz, side="right").astype(np.uint8)
 
 
 def _huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -318,28 +316,24 @@ def _huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     identical inputs yield identical tables on every rank.  A lone
     symbol gets length 1 (the code ``0``).
     """
-    syms = np.flatnonzero(counts)
-    lengths = np.zeros(counts.size, dtype=np.uint8)
-    if syms.size == 0:
-        return lengths
-    if syms.size == 1:
+    syms = np.flatnonzero(counts).tolist()
+    lengths = [0] * counts.size
+    if len(syms) == 1:
         lengths[syms[0]] = 1
-        return lengths
     heap: list[tuple[int, int, list[int]]] = [
-        (int(counts[s]), i, [int(s)]) for i, s in enumerate(syms)
+        (int(counts[s]), i, [s]) for i, s in enumerate(syms)
     ]
     heapq.heapify(heap)
     tie = len(heap)
     while len(heap) > 1:
         fa, _, sa = heapq.heappop(heap)
         fb, _, sb = heapq.heappop(heap)
-        for s in sa:
+        merged = sa + sb
+        for s in merged:
             lengths[s] += 1
-        for s in sb:
-            lengths[s] += 1
-        heapq.heappush(heap, (fa + fb, tie, sa + sb))
+        heapq.heappush(heap, (fa + fb, tie, merged))
         tie += 1
-    return lengths
+    return np.array(lengths, dtype=np.uint8)
 
 
 def _canonical_code_table(
@@ -391,66 +385,99 @@ class EntropyCodec(LosslessIntCodec):
 
     def encode(self, arr: np.ndarray) -> np.ndarray:
         """Encode one index vector into a self-delimiting uint8 frame."""
-        dtype = _check_input(arr)
-        n = arr.size
-        if n == 0:
-            return _frame_bytes(_KIND_ENTROPY, dtype, 0, b"")
-        if n == 1:
-            # No deltas to code; the 81-byte payload floor always loses.
-            return _raw_frame(arr, dtype)
-        v, zz = _modular_deltas(arr)
-        widths = _delta_bit_lengths(zz)
-        counts = np.bincount(widths, minlength=_N_WIDTH_SYMBOLS)
-        lengths = _huffman_code_lengths(counts)
-        codes = np.zeros(_N_WIDTH_SYMBOLS, dtype=np.uint64)
-        for sym, _length, code in _canonical_code_table(lengths):
-            codes[sym] = code
-        w64 = widths.astype(np.int64)
-        per_delta_bits = lengths[widths].astype(np.int64) + np.maximum(
-            w64 - 1, 0
-        )
-        offsets = np.zeros(per_delta_bits.size, dtype=np.int64)
-        np.cumsum(per_delta_bits[:-1], out=offsets[1:])
-        total_bits = int(per_delta_bits.sum())
-        bits = np.zeros(total_bits, dtype=np.uint8)
-        for sym in np.flatnonzero(counts):
-            mask = widths == sym
-            off = offsets[mask]
-            length = int(lengths[sym])
-            code = int(codes[sym])
-            for j in range(length):
-                if (code >> (length - 1 - j)) & 1:
-                    bits[off + j] = 1
-            if sym > 1:
-                vals = zz[mask]
-                for j in range(int(sym) - 1):
-                    bits[off + length + j] = (
-                        (vals >> np.uint64(int(sym) - 2 - j)) & _U64_ONE
-                    ).astype(np.uint8)
-        payload = (
-            np.array([v[0]], dtype="<i8").tobytes()
-            + lengths.tobytes()
-            + int(total_bits).to_bytes(8, "little")
-            + np.packbits(bits).tobytes()
-        )
-        if len(payload) >= arr.nbytes:
-            return _raw_frame(arr, dtype)
-        return _frame_bytes(_KIND_ENTROPY, dtype, n, payload)
+        return self.encode_many([arr])[0]
 
-    def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
-        """Cheap encoded-size estimate from a strided sorted sample.
+    def encode_many(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Encode every member of a gather in one pass; one frame each.
 
-        Same conservative construction as the delta codec's estimator:
-        striding a sorted vector multiplies typical deltas by the
-        stride, over-stating widths and therefore the coded size.
+        The members' zigzag deltas are classified, coded and bit-packed
+        as one concatenated run — each member keeps its own Huffman
+        table, and a pad word byte-aligns its bits so the single
+        ``packbits`` splits back into per-member payloads.
         """
-        _check_input(arr)
-        if arr.size <= 1:
-            return FRAME_HEADER_BYTES + arr.nbytes
-        stride = max(1, arr.size // sample)
-        probe = np.sort(arr[::stride])
-        est = self.encode(probe).size / probe.size * arr.size
-        return int(min(est, FRAME_HEADER_BYTES + arr.nbytes))
+        frames: list[np.ndarray | None] = []
+        coded: list[int] = []  # members with at least one delta
+        for m, arr in enumerate(arrays):
+            dtype = _check_input(arr)
+            if arr.size == 0:
+                frames.append(_frame_bytes(_KIND_ENTROPY, dtype, 0, b""))
+            elif arr.size == 1:
+                # No deltas to code; the 81-byte payload floor always loses.
+                frames.append(_raw_frame(arr, dtype))
+            else:
+                frames.append(None)
+                coded.append(m)
+        if not coded:
+            return frames
+        sizes = np.array([arrays[m].size for m in coded], dtype=np.int64)
+        u = np.concatenate(
+            [arrays[m].astype(np.int64, copy=False) for m in coded]
+        ).view(np.uint64)
+        firsts = np.cumsum(sizes) - sizes  # each member's first value in u
+        keep = np.ones(u.size, dtype=bool)
+        keep[firsts] = False  # a delta never spans two members
+        du = (u[1:] - u[:-1])[keep[1:]]  # wraps mod 2**64, as _modular_deltas
+        zz = _zigzag(du.view(np.int64))
+        widths = _delta_bit_lengths(zz)
+        starts = firsts - np.arange(sizes.size)  # first delta of each member
+        member = np.repeat(np.arange(sizes.size), sizes - 1)
+        counts = np.bincount(
+            member * _N_WIDTH_SYMBOLS + widths,
+            minlength=sizes.size * _N_WIDTH_SYMBOLS,
+        ).reshape(-1, _N_WIDTH_SYMBOLS)
+        lengths = np.zeros(counts.shape, dtype=np.uint8)
+        codes = np.zeros(counts.shape, dtype=np.uint64)
+        for r, row in enumerate(counts):
+            lengths[r] = _huffman_code_lengths(row)
+            for sym, _length, code in _canonical_code_table(lengths[r]):
+                codes[r, sym] = code
+        # One word per delta: its width's code, then the width-1 low
+        # bits (the top bit is implied).  A word past 64 bits (a maximal
+        # int64 span under a deep code) splits into code and low bits.
+        code_bits = lengths[member, widths].astype(np.int64)
+        low_bits = np.maximum(widths, 1).astype(np.int64) - 1
+        low_u = low_bits.astype(np.uint64)
+        low = zz & ((_U64_ONE << low_u) - _U64_ONE)
+        wide = code_bits + low_bits > 64
+        slots = 1 + wide
+        # Word slots in stream order, one pad slot closing each member.
+        at = np.cumsum(slots) - slots + member
+        words = np.zeros(int(slots.sum()) + sizes.size, dtype=np.uint64)
+        nbits = np.zeros(words.size, dtype=np.int64)
+        code = codes[member, widths]
+        words[at] = np.where(wide, code, (code << low_u) | low)
+        nbits[at] = np.where(wide, code_bits, code_bits + low_bits)
+        words[at[wide] + 1] = low[wide]
+        nbits[at[wide] + 1] = low_bits[wide]
+        total_bits = np.add.reduceat(code_bits + low_bits, starts)
+        pads = np.append(at[starts[1:]] - 1, words.size - 1)
+        nbits[pads] = -total_bits % 8
+        # Emit every word's low ``nbits`` with one unpack / select / pack,
+        # over no more bytes per word than the longest word needs.
+        span = max(1, -(-int(nbits.max()) // 8))
+        bits = np.unpackbits(
+            words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - span:],
+            axis=1,
+        )
+        packed = np.packbits(
+            bits[np.arange(8 * span) >= (8 * span - nbits)[:, None]]
+        )
+        ends = np.cumsum((total_bits + 7) // 8)
+        for r, m in enumerate(coded):
+            arr = arrays[m]
+            payload = (
+                u[firsts[r]:firsts[r] + 1].astype("<u8").tobytes()
+                + lengths[r].tobytes()
+                + int(total_bits[r]).to_bytes(8, "little")
+                + packed[ends[r - 1] if r else 0:ends[r]].tobytes()
+            )
+            if len(payload) >= arr.nbytes:
+                frames[m] = _raw_frame(arr, arr.dtype)
+            else:
+                frames[m] = _frame_bytes(
+                    _KIND_ENTROPY, arr.dtype, arr.size, payload
+                )
+        return frames
 
 
 def _decode_delta_payload(
@@ -463,15 +490,27 @@ def _decode_delta_payload(
         raise ValueError(f"corrupt delta frame: block size {block}")
     first = np.frombuffer(raw, dtype="<i8", count=1, offset=offset)
     offset += 8
-    deltas = np.empty(n - 1, dtype=np.uint64)
+    # Walk the block headers before allocating: the count is only
+    # trusted once every block's width byte and packed bits lie inside
+    # the buffer (each block costs at least its width byte).
+    blocks: list[tuple[int, int, np.ndarray]] = []
     done = 0
     while done < n - 1:
         blk_n = min(block, n - 1 - done)
-        width = raw[offset]
-        offset += 1
+        width = raw[offset] if offset < len(raw) else 65
         nbytes = (blk_n * width + 7) // 8
-        packed = np.frombuffer(raw, dtype=np.uint8, count=nbytes, offset=offset)
-        offset += nbytes
+        if width > 64 or offset + 1 + nbytes > len(raw):
+            raise ValueError(
+                f"corrupt delta frame: block of {blk_n} deltas at byte "
+                f"{offset} does not fit the buffer ({n} elements claimed)"
+            )
+        packed = np.frombuffer(raw, np.uint8, count=nbytes, offset=offset + 1)
+        blocks.append((blk_n, width, packed))
+        offset += 1 + nbytes
+        done += blk_n
+    deltas = np.empty(n - 1, dtype=np.uint64)
+    done = 0
+    for blk_n, width, packed in blocks:
         deltas[done:done + blk_n] = _unpack_low_bits(packed, blk_n, width)
         done += blk_n
     u = np.empty(n, dtype=np.uint64)
@@ -486,10 +525,21 @@ def _decode_rle_payload(raw: bytes, offset: int, n: int) -> tuple[np.ndarray, in
     """Decode a run-length payload; return (uint64 values, new offset)."""
     n_runs = int.from_bytes(raw[offset:offset + 8], "little")
     offset += 8
+    if n_runs < 1 or offset + 16 * n_runs > len(raw):
+        raise ValueError(
+            f"corrupt rle frame: {n_runs} runs do not fit the "
+            f"{max(len(raw) - offset, 0)} payload bytes left"
+        )
     starts = np.frombuffer(raw, dtype="<i8", count=n_runs, offset=offset)
     offset += 8 * n_runs
     lengths = np.frombuffer(raw, dtype="<u8", count=n_runs, offset=offset)
     offset += 8 * n_runs
+    # Runs may legitimately expand without bound, but they must add up:
+    # the scatter below indexes by their running sum.
+    if 0 in lengths or sum(lengths.tolist()) != n:
+        raise ValueError(
+            f"corrupt rle frame: run lengths do not sum to {n} elements"
+        )
     su = starts.astype(np.int64).view(np.uint64)
     lu = lengths.astype(np.uint64)
     steps = np.ones(n, dtype=np.uint64)
@@ -498,6 +548,12 @@ def _decode_rle_payload(raw: bytes, offset: int, n: int) -> tuple[np.ndarray, in
         firsts = np.cumsum(lu)[:-1].astype(np.intp)
         steps[firsts] = su[1:] - (su[:-1] + lu[:-1] - _U64_ONE)
     return np.cumsum(steps), offset
+
+
+#: Most bits the entropy decoder's first-level table probe resolves.
+_PROBE_BITS = 12
+#: Bytes the entropy decoder pulls into its bit window per refill.
+_REFILL_BYTES = 16
 
 
 def _decode_entropy_payload(
@@ -512,51 +568,75 @@ def _decode_entropy_payload(
     offset += _N_WIDTH_SYMBOLS
     nbits = int.from_bytes(raw[offset:offset + 8], "little")
     offset += 8
-    nbytes = (nbits + 7) // 8
-    packed = np.frombuffer(raw, dtype=np.uint8, count=nbytes, offset=offset)
-    offset += nbytes
-    codebook = {
-        (length, code): sym
-        for sym, length, code in _canonical_code_table(lengths)
-    }
-    if n > 1 and not codebook:
+    end = offset + (nbits + 7) // 8
+    # Every delta costs at least one code bit: a count the stream cannot
+    # hold is corrupt, and must not size an allocation.
+    if end > len(raw) or n - 1 > nbits:
+        raise ValueError(
+            f"corrupt entropy frame: {n} elements / {nbits} stream bits "
+            f"do not fit the {len(raw) - offset} payload bytes left"
+        )
+    table = _canonical_code_table(lengths)
+    if n > 1 and not table:
         raise ValueError("corrupt entropy frame: empty codebook")
-    bits = np.unpackbits(packed, count=nbits).tolist() if nbits else []
-    zz = np.empty(n - 1, dtype=np.uint64)
-    pos = 0
-    lookup = codebook.get
-    for i in range(n - 1):
-        code = 0
-        length = 0
-        while True:
-            if pos >= nbits:
+    # A width-``sym`` delta is an implied top bit over ``sym - 1`` low
+    # bits: per symbol, (bits to consume, low-bit mask, top bit).
+    def entry(sym: int, length: int) -> tuple[int, int, int]:
+        top = 1 << (sym - 1) if sym else 0
+        return length + max(sym - 1, 0), max(top - 1, 0), top
+
+    # First level: the next ``probe_bits`` bits index straight to the
+    # entry of every code that short; longer codes (and only those) go
+    # through the (length, code) dict.  Filled longest first, so the
+    # shortest matching prefix wins a slot.
+    max_len = max((length for _, length, _ in table), default=0)
+    probe_bits = max(1, min(max_len, _PROBE_BITS))
+    probe_mask = (1 << probe_bits) - 1
+    probe: list = [None] * (1 << probe_bits)
+    deep: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for sym, length, code in reversed(table):
+        if length > probe_bits:
+            deep[(length, code)] = entry(sym, length)
+        elif code < 1 << length:
+            pad = probe_bits - length
+            probe[code << pad:(code + 1) << pad] = [entry(sym, length)] * (1 << pad)
+    # The window holds the stream's next ``avail`` bits and is topped up
+    # a few bytes at a time — shifting the whole stream as one big
+    # integer would make the decode quadratic.  Past the stream's end it
+    # reads zeros; ``pos`` against ``nbits`` reports any overrun.
+    low_water = max_len + 64
+    window = avail = pos = 0
+    zz: list[int] = []
+    for _ in range(n - 1):
+        while avail < low_water:
+            chunk = raw[offset:min(offset + _REFILL_BYTES, end)]
+            offset += len(chunk)
+            window = (
+                (window & ((1 << avail) - 1)) << 8 * _REFILL_BYTES
+            ) | int.from_bytes(chunk.ljust(_REFILL_BYTES, b"\0"), "big")
+            avail += 8 * _REFILL_BYTES
+        hit = probe[(window >> (avail - probe_bits)) & probe_mask]
+        if hit is None:
+            for k in range(probe_bits + 1, max_len + 1):
+                hit = deep.get((k, (window >> (avail - k)) & ((1 << k) - 1)))
+                if hit is not None:
+                    break
+            else:  # no code matches: the stream runs out first
                 raise ValueError("corrupt entropy frame: truncated bitstream")
-            code = (code << 1) | bits[pos]
-            pos += 1
-            length += 1
-            sym = lookup((length, code))
-            if sym is not None:
-                break
-        if sym == 0:
-            zz[i] = 0
-        else:
-            val = 1
-            for _ in range(sym - 1):
-                if pos >= nbits:
-                    raise ValueError(
-                        "corrupt entropy frame: truncated bitstream"
-                    )
-                val = (val << 1) | bits[pos]
-                pos += 1
-            zz[i] = val
+        take, mask, top = hit
+        pos += take
+        avail -= take
+        zz.append(((window >> avail) & mask) | top)
+    if pos > nbits:
+        raise ValueError("corrupt entropy frame: truncated bitstream")
     if pos != nbits:
         raise ValueError("corrupt entropy frame: trailing bits")
     u = np.empty(n, dtype=np.uint64)
     u[0] = first.astype(np.int64)[0:1].view(np.uint64)[0]
     if n > 1:
-        np.cumsum(_unzigzag(zz), out=u[1:])
+        np.cumsum(_unzigzag(np.array(zz, dtype=np.uint64)), out=u[1:])
         u[1:] += u[0]
-    return u, offset
+    return u, end
 
 
 def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -594,6 +674,11 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
             continue
         if kind == _KIND_RAW:
             count_bytes = n * want.itemsize
+            if offset + count_bytes > len(raw):
+                raise ValueError(
+                    f"corrupt raw frame: {n} elements do not fit the "
+                    f"{len(raw) - offset} payload bytes left"
+                )
             vals = np.frombuffer(
                 raw, dtype=want.newbyteorder("<"), count=n, offset=offset
             ).astype(want, copy=False)

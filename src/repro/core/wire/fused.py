@@ -66,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...cluster.collectives import allreduce_arrays, reduce_scatter_arrays
+from ..compression import encode_stacked
 from .cost import CodecThroughput, codec_throughput
 from .transfer import wire_instruments
 
@@ -184,11 +185,11 @@ def _frame_hop_sizes(
 ) -> tuple[list[list[int]], list[list[int]] | None]:
     """Measure encoded bytes of every ring hop's partial sums.
 
-    Walks each shard's accumulation chain — the partial sent at hop
-    ``h`` for shard ``j`` covers ranks ``j .. j+h-1`` — encoding every
-    in-flight partial to charge the wire what a recoding ring actually
-    ships.  Returns ``(rs[chunk][hop], ag[chunk][hop] | None)`` maxima
-    over ranks.
+    Walks the ring hop by hop — the partial sent at hop ``h`` for shard
+    ``j`` covers ranks ``j .. j+h-1`` — encoding the ``world`` in-flight
+    partials of a hop as one gather (``encode_many``) to charge the wire
+    what a recoding ring actually ships.  Returns ``(rs[chunk][hop],
+    ag[chunk][hop] | None)`` maxima over ranks.
     """
     hops = world - 1
     shard = flats[0].size // world
@@ -196,19 +197,18 @@ def _frame_hop_sizes(
     rs = [[0] * hops for _ in chunks]
     ag = [[0] * hops for _ in chunks] if allgather and hops else None
     for c in range(len(chunks)):
-        lo, hi = bounds[c], bounds[c + 1]
-        ag_max = 0
-        for j in range(world):
-            base = j * shard
-            part = flats[j][base + lo:base + hi].copy()
-            for h in range(1, world):
-                rs[c][h - 1] = max(rs[c][h - 1], int(codec.encode(part).size))
-                part += flats[(j + h) % world][base + lo:base + hi]
-            if ag is not None:
-                ag_max = max(ag_max, int(codec.encode(part).size))
+        # Shard j's piece of this chunk, as every rank holds it.
+        pieces = [
+            slice(j * shard + bounds[c], j * shard + bounds[c + 1])
+            for j in range(world)
+        ]
+        parts = [flats[j][pieces[j]].copy() for j in range(world)]
+        for h in range(1, world):
+            rs[c][h - 1] = max(f.size for f in codec.encode_many(parts))
+            for j, part in enumerate(parts):
+                part += flats[(j + h) % world][pieces[j]]
         if ag is not None:
-            for h in range(hops):
-                ag[c][h] = ag_max
+            ag[c] = [max(f.size for f in codec.encode_many(parts))] * hops
     return rs, ag
 
 
@@ -377,6 +377,7 @@ def _fused_reduce(
     throughput: CodecThroughput | None,
     charge_compute: bool,
     shared_result: bool,
+    stacked: np.ndarray | None = None,
 ) -> PendingFusedReduce:
     """Shared engine of the two fused collectives (see module docstring)."""
     if len(arrays) != comm.world_size:
@@ -400,17 +401,25 @@ def _fused_reduce(
         lead, codec, allgather=allgather, chunk_bytes=chunk_bytes
     )
     summable = codec is not None and getattr(codec, "summable", False)
+    if stacked is not None and len(comm.groups) > 1:
+        raise ValueError("stacked= describes the one ring of a flat reduce")
+    wire_arrays = arrays
+    if summable:
+        wire_arrays, stacked = encode_stacked(codec, arrays, stacked)
 
     # ---- numerics (eager, rank-order fold per ring — see module docstring)
     def reduce(sub: list[np.ndarray], _: int) -> list[np.ndarray]:
         if not summable:
             if allgather:
-                return allreduce_arrays(sub, shared_result=shared_result)
+                return allreduce_arrays(
+                    sub, shared_result=shared_result, stacked=stacked
+                )
             return reduce_scatter_arrays(sub)
         if not allgather:
             return [codec.decode(s, dtype) for s in reduce_scatter_arrays(sub)]
         decoded = codec.decode(
-            allreduce_arrays(sub, shared_result=True)[0], dtype
+            allreduce_arrays(sub, shared_result=True, stacked=stacked)[0],
+            dtype,
         )
         if shared_result:
             return [decoded] * len(sub)
@@ -418,9 +427,7 @@ def _fused_reduce(
         stackd[:] = decoded
         return list(stackd)
 
-    results = comm.by_group(
-        [codec.encode(a) for a in arrays] if summable else arrays, reduce
-    )
+    results = comm.by_group(wire_arrays, reduce)
 
     name = codec.name if codec is not None else "raw"
     tp = (
@@ -547,6 +554,7 @@ def icompressed_allreduce(
     throughput: CodecThroughput | None = None,
     charge_compute: bool = True,
     shared_result: bool = False,
+    stacked: np.ndarray | None = None,
 ) -> PendingFusedReduce:
     """Compressed ring allreduce: fused reduce-scatter + allgather.
 
@@ -555,9 +563,13 @@ def icompressed_allreduce(
     iallreduce` does).  With a summable codec the numerics equal the
     unfused encode → allreduce → decode path bit for bit; with a frame
     codec (integer payloads) or ``codec=None`` they equal the plain
-    rank-order fold bit for bit.
+    rank-order fold bit for bit.  ``stacked`` is the caller's assertion
+    that ``arrays`` are, in rank order, the rows of that one block (as
+    for :meth:`Communicator.iallreduce`, one-ring communicators only):
+    a summable codec then encodes the block in one call and the fold
+    runs on the encoded block, skipping ``world`` encodes and a restack.
     """
     return _fused_reduce(
         comm, arrays, codec, True, tag, chunk_bytes, throughput,
-        charge_compute, shared_result,
+        charge_compute, shared_result, stacked,
     )

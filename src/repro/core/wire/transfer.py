@@ -237,7 +237,7 @@ def iencoded_allgather(
                         ins["encode_bytes"].inc(
                             ch.size * itemsize, **ins["labels"]
                         )
-            frames = [codec.encode(ch) for ch in chunks]
+            frames = codec.encode_many(chunks)
             handle = comm.iallgather(
                 frames,
                 tag=f"{tag}[{c}]" if n_chunks > 1 else tag,

@@ -81,7 +81,8 @@ def calibrate_codec_throughput(
     """Measure ``codec``'s host encode/decode throughput (bytes/second).
 
     Encodes/decodes a sorted unique int64 index vector of ``nbytes``
-    (the wire payload the index codecs exist for) ``repeats`` times and
+    (the wire payload the index codecs exist for; a float32 gradient
+    for a value codec such as FP16) ``repeats`` times and
     reports logical bytes over the *best* wall-clock repeat — the
     standard way to estimate a throughput ceiling under OS noise.
 
@@ -102,9 +103,12 @@ def calibrate_codec_throughput(
         raise ValueError("repeats must be positive")
     rng = np.random.default_rng(seed)
     n = nbytes // 8
-    data = np.sort(
-        rng.choice(max(vocab, n), size=n, replace=False).astype(np.int64)
-    )
+    if getattr(codec, "lossless", False):
+        data = np.sort(
+            rng.choice(max(vocab, n), size=n, replace=False).astype(np.int64)
+        )
+    else:
+        data = rng.standard_normal(nbytes // 4).astype(np.float32)
     codec.encode(data)  # warm-up: first call pays allocator costs
     best_encode = best_decode = float("inf")
     for _ in range(repeats):

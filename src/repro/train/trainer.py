@@ -23,6 +23,7 @@ backward exactly as DDP-style gradient hooks achieve on real hardware.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -202,13 +203,17 @@ class DistributedTrainer:
             and config.compute_seconds_per_step is not None
             and self.mesh.axis_size("pipe") == 1
         )
+        # Held weakly: a bound method would tie trainer and synchronizer
+        # into a cycle, and a dropped trainer (a world of replicas) would
+        # wait for the cyclic collector instead of its last reference.
+        hook = weakref.WeakMethod(self._record_backward_slice)
         self.synchronizer = GradientSynchronizer(
             self.comm,
             strategy=strategy,
             wire=wire,
             average=True,
             overlap=config.overlap,
-            on_issue=self._record_backward_slice if slice_backward else None,
+            on_issue=(lambda name: hook()(name)) if slice_backward else None,
             fused_reduce=config.fused_reduce,
         )
         self._backward_slice_s = 0.0

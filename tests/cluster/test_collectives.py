@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.cluster import collectives as coll
 from repro.cluster.collectives import (
     allgather_arrays,
     allgather_wire_bytes,
@@ -69,6 +70,104 @@ class TestAllreduceSemantics:
     def test_allreduce_of_copies_scales(self, world, data):
         out = allreduce_arrays([data.copy() for _ in range(world)])
         np.testing.assert_allclose(out[0], data * world, rtol=1e-12)
+
+
+def sparse_block(world, ug, dim, held, dtype, seed=0):
+    """A zero-padded ``(world, ug, dim)`` block populated on ``held[m]``."""
+    rng = np.random.default_rng(seed)
+    block = np.zeros((world, ug, dim), dtype=dtype)
+    for m, rows in enumerate(held):
+        block[m, rows] = rng.standard_normal((len(rows), dim)).astype(dtype)
+    return block, [np.asarray(rows, dtype=np.intp) for rows in held]
+
+
+def random_rows(world, ug, k, seed=0):
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.choice(ug, size=k, replace=False)) for _ in range(world)]
+
+
+class TestRestrictedFold:
+    """``allreduce_arrays(stacked=, rows=)`` is the dense rank-order fold,
+    bit for bit, whichever of the two folds the block's shape selects."""
+
+    # (world, Ug, dim, K): skipped elements per member on both sides of
+    # RESTRICTED_FOLD_MIN_SKIPPED (dense: 736 / 30,720; restricted:
+    # 35,840 / 65,024).
+    SHAPES = [(5, 50, 16, 4), (4, 500, 64, 20), (4, 600, 64, 40), (6, 2048, 32, 16)]
+
+    @staticmethod
+    def both_folds(block, rows, monkeypatch):
+        """(result, whether the restricted fold ran, dense reference)."""
+        calls = []
+        real = coll._restricted_fold
+        monkeypatch.setattr(
+            coll, "_restricted_fold",
+            lambda *a: calls.append(1) or real(*a),
+        )
+        got = allreduce_arrays(
+            list(block), shared_result=True, stacked=block, rows=rows
+        )[0]
+        return got, bool(calls), np.add.reduce(block, axis=0)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_dense_fold_on_both_sides_of_the_rule(
+        self, shape, dtype, monkeypatch
+    ):
+        world, ug, dim, k = shape
+        block, rows = sparse_block(
+            world, ug, dim, random_rows(world, ug, k), dtype
+        )
+        got, restricted, want = self.both_folds(block, rows, monkeypatch)
+        assert got.tobytes() == want.tobytes()
+        skipped = (ug - k) * dim
+        assert restricted == (skipped >= coll.RESTRICTED_FOLD_MIN_SKIPPED)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_negative_zero_ends_as_the_dense_fold_leaves_it(
+        self, dtype, monkeypatch
+    ):
+        """``x + (+0) == x`` except for ``-0.0``: a skipped step may not
+        leave a ``-0.0`` behind.  Only a row every member holds may keep
+        one, and whether it does is numpy's seeding of ``add.reduce``."""
+        world, ug, dim = 4, 700, 64
+        held = random_rows(world, ug, 30, seed=1)
+        all_row, one_row, some_row, no_row = 3, 11, 17, 23
+        for m in range(world):
+            keep = set(held[m]) - {all_row, one_row, some_row, no_row}
+            held[m] = sorted(keep | {all_row})
+        held[2] = sorted(set(held[2]) | {one_row})
+        held[0] = sorted(set(held[0]) | {some_row})
+        held[2] = sorted(set(held[2]) | {some_row})
+        block, rows = sparse_block(world, ug, dim, held, dtype)
+        block[:, all_row] = -0.0       # every member: as numpy seeds it
+        block[2, one_row] = -0.0       # one member: -0.0 + (+0) = +0.0
+        block[0, some_row] = -0.0      # members 0 and 2 with a skipped
+        block[2, some_row] = -0.0      # member between: +0.0 as well
+        got, restricted, want = self.both_folds(block, rows, monkeypatch)
+        assert restricted
+        assert got.tobytes() == want.tobytes()
+        for row in (one_row, some_row, no_row):
+            assert not np.signbit(got[row]).any() and not got[row].any()
+
+    def test_saturation_and_an_empty_member(self, monkeypatch):
+        world, ug, dim = 4, 600, 64
+        held = random_rows(world, ug, 40, seed=2)
+        held[1] = []  # a member that holds nothing at all
+        held[3] = sorted(set(held[3]) | set(held[0][:5]))
+        block, rows = sparse_block(world, ug, dim, held, np.float16)
+        block[0, held[0][:5]] = 60000.0  # 60000 + 60000 saturates fp16
+        block[3, held[0][:5]] = 60000.0
+        with np.errstate(over="ignore"):
+            got, restricted, want = self.both_folds(block, rows, monkeypatch)
+        assert restricted
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got[held[0][:5]]).all()
+
+    def test_row_sets_must_match_the_ranks(self):
+        block, rows = sparse_block(4, 600, 64, random_rows(4, 600, 40), np.float32)
+        with pytest.raises(ValueError, match="row sets"):
+            allreduce_arrays(list(block), stacked=block, rows=rows[:3])
 
 
 class TestAllgatherSemantics:

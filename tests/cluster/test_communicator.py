@@ -112,6 +112,23 @@ class TestMemoryCharging:
         with pytest.raises(DeviceOOMError):
             comm.allgather(data)
 
+    def test_oom_on_one_rank_charges_no_rank(self):
+        """A collective that does not fit on rank k is all-or-nothing:
+        ranks 0..k-1 are not left holding its scratch forever."""
+        comm = Communicator(4, device_spec=SMALL_DEVICE)
+        comm.devices[2].alloc(900, tag="resident")
+        data = [np.zeros(25, np.float64) for _ in range(4)]  # 200 B each
+        with pytest.raises(DeviceOOMError) as err:
+            comm.allreduce(data)
+        assert err.value.device_id == 2  # the lowest rank that does not fit
+        assert [d.bytes_in_use for d in comm.devices] == [0, 0, 900, 0]
+        assert [d.peak_bytes for d in comm.devices] == [0, 0, 900, 0]
+        assert comm.pending_work == () and comm.ledger.events == []
+        # The next collective that fits succeeds, with the right peak.
+        comm.allreduce([d[:10] for d in data])  # 80 B each
+        assert [d.bytes_in_use for d in comm.devices] == [0, 0, 900, 0]
+        assert [d.peak_bytes for d in comm.devices] == [80, 80, 980, 80]
+
     def test_allreduce_scratch_smaller_than_allgather(self):
         """The crux of the paper: allreduce scratch stays O(message)."""
         comm_ar = Communicator(4, device_spec=SMALL_DEVICE)

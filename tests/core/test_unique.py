@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Communicator
+from repro.cluster import Communicator, collectives, hybrid_mesh
 from repro.core.wire.policy import WirePolicy
 from repro.core.unique import (
     iunique_exchange,
@@ -216,3 +216,84 @@ class TestExchangeCost:
         np.testing.assert_allclose(
             compressed.reduced_values, exact.reduced_values, rtol=0, atol=5e-3
         )
+
+
+class TestFp16ExchangeEqualsPerRankForm:
+    """The K-row encode + populated-row fold is the per-rank form, bit
+    for bit: every rank's zero-padded Ug x D matrix encoded on its own,
+    the encoded stack summed by ``np.add.reduce``."""
+
+    @staticmethod
+    def per_rank_form(data, grads, codec, tag="embedding"):
+        """Reference exchange on ``data``; one (Î, M̂) pair per ring."""
+        local = [local_unique_reduce(g) for g in grads]
+        gathered = data.iallgather(
+            [g.indices for g in grads], tag=f"{tag}:indices", shared_result=True
+        ).wait()
+        uniques = [np.unique(gathered[ranks[0]]) for ranks in data.groups]
+        encoded = [None] * len(grads)
+        for uniq, ranks in zip(uniques, data.groups):
+            for r in ranks:
+                padded = np.zeros((uniq.size, local[r].dim), dtype=np.float32)
+                padded[np.searchsorted(uniq, local[r].indices)] = local[r].values
+                encoded[r] = codec.encode(padded)
+        data.iallreduce(
+            encoded,
+            tag=f"{tag}:values",
+            payload_bytes=max(u.size for u in uniques) * local[0].dim * 4,
+            shared_result=True,
+        ).wait()
+        return [
+            (uniq, codec.decode(
+                np.add.reduce(np.stack([encoded[r] for r in ranks]), axis=0),
+                np.float32,
+            ))
+            for uniq, ranks in zip(uniques, data.groups)
+        ]
+
+    @pytest.mark.parametrize(
+        "world, mesh", [(4, None), (16, "pipe=2,tensor=2,data=4")],
+        ids=["flat", "mesh-2x2x4"],
+    )
+    def test_values_ledger_and_peak(self, world, mesh, monkeypatch):
+        rng = np.random.default_rng(8)
+        grads = [
+            SparseGrad(
+                indices=rng.zipf(1.1, 300) % 20_000,
+                values=rng.standard_normal((300, 64)).astype(np.float32),
+            )
+            for _ in range(world)
+        ]
+        # A -0.0 row on every rank, and values that saturate the wire.
+        for g in grads:
+            g.values[g.indices == g.indices[0]] = -0.0
+            g.values[0, :4] = 1e6
+        wire = WirePolicy.from_spec("fp16")
+        restricted = []
+        fold = collectives._restricted_fold
+        monkeypatch.setattr(
+            collectives, "_restricted_fold",
+            lambda *a: restricted.append(1) or fold(*a),
+        )
+        comms = []
+        for _ in range(2):
+            c = Communicator(world)
+            if mesh is not None:
+                c.mesh = hybrid_mesh(mesh, world)
+            comms.append(c)
+        with np.errstate(over="ignore"):  # saturated cells sum to inf
+            got = iunique_exchange(
+                comms[0].axis("data"), grads, wire=wire
+            ).wait()
+            want = self.per_rank_form(
+                comms[1].axis("data"), grads, wire.value_codec
+            )
+        assert len(restricted) == len(comms[0].axis("data").groups)
+        assert np.isinf(got[0].reduced_values).any()
+        for (uniq, values), ranks in zip(want, comms[1].axis("data").groups):
+            for r in ranks:
+                assert np.array_equal(got[r].global_indices, uniq)
+                assert got[r].reduced_values.dtype == np.float32
+                assert got[r].reduced_values.tobytes() == values.tobytes()
+        assert comms[0].ledger.events == comms[1].ledger.events
+        assert comms[0].peak_bytes_per_rank == comms[1].peak_bytes_per_rank > 0

@@ -248,6 +248,35 @@ class TestFusedAccounting:
                 expect = max(expect, int(codec.encode(part).size))
             assert plan.rs_hop_bytes[0][h - 1] == expect
 
+    @pytest.mark.parametrize("chunk_bytes", [None, 256])
+    @pytest.mark.parametrize("world", [2, 5, 8])
+    @pytest.mark.parametrize(
+        "codec", [DeltaBitpackCodec(), RunLengthCodec(), EntropyCodec()],
+        ids=lambda c: c.name,
+    )
+    def test_hop_major_plan_equals_the_shard_major_walk(
+        self, codec, world, chunk_bytes
+    ):
+        """One ``encode_many`` per hop measures what walking each shard's
+        accumulation chain with one ``encode`` per partial measured."""
+        arrays = [a[:world * 77] for a in _indices(world, world * 80)]
+        plan = plan_fused_reduce(arrays, codec, chunk_bytes=chunk_bytes)
+        shard, hops = arrays[0].size // world, world - 1
+        bounds = np.cumsum([0] + [b // 8 for b in plan.chunk_logical])
+        rs = [[0] * hops for _ in plan.chunk_logical]
+        ag = [[0] * hops for _ in plan.chunk_logical]
+        for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for j in range(world):
+                piece = slice(j * shard + lo, j * shard + hi)
+                part = arrays[j][piece].copy()
+                for h in range(1, world):
+                    rs[c][h - 1] = max(rs[c][h - 1], codec.encode(part).size)
+                    part += arrays[(j + h) % world][piece]
+                ag[c] = [max(ag[c][0], codec.encode(part).size)] * hops
+        assert len(plan.chunk_logical) == (1 if chunk_bytes is None else 3)
+        assert plan.rs_hop_bytes == tuple(map(tuple, rs))
+        assert plan.ag_hop_bytes == tuple(map(tuple, ag))
+
     def test_lockstep_verifier_accepts_fused_traffic(self):
         comm = Communicator(4)
         LockstepVerifier.attach(comm)

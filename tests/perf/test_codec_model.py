@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.interconnect import LinkSpec
+from repro.core.compression import Fp16Codec
 from repro.core.wire.codecs import DeltaBitpackCodec
 from repro.core.wire.cost import (
     DEFAULT_CODEC_THROUGHPUTS,
@@ -28,6 +29,7 @@ from repro.perf import (
     timeline_pipelined_transfer,
     uniform_fused_plan,
 )
+from repro.telemetry import MetricsRegistry
 
 LINK = LinkSpec(bandwidth=16e9, latency=5e-6)
 TP = CodecThroughput(encode_bps=50e9, decode_bps=80e9)
@@ -131,6 +133,17 @@ class TestCalibration:
             DeltaBitpackCodec(), nbytes=64 << 10, repeats=1
         )
         assert tp.encode_bps > 0 and tp.decode_bps > 0
+
+    def test_value_codec_is_calibrated_on_a_float_payload(self):
+        """FP16 has no integer payload: it is timed on a float32 gradient
+        and published like the index codecs."""
+        registry = MetricsRegistry()
+        tp = calibrate_codec_throughput(
+            Fp16Codec(), nbytes=64 << 10, repeats=1, registry=registry
+        )
+        assert tp.encode_bps > 0 and tp.decode_bps > 0
+        gauge = registry.get("repro_codec_calibrated_bps")
+        assert gauge.value(codec="fp16", direction="encode") == tp.encode_bps
 
     def test_calibration_validation(self):
         with pytest.raises(ValueError, match="nbytes"):

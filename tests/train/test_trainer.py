@@ -1,5 +1,8 @@
 """Tests for the SPMD distributed trainer."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,26 @@ class TestTraining:
         tr = word_trainer(world=2)
         with pytest.raises(ValueError):
             tr.train_epoch(max_steps=0)
+
+    def test_dropped_overlap_trainer_dies_with_its_last_reference(self):
+        """The backward-slice hook must not tie trainer and synchronizer
+        into a cycle: a world of replicas would then wait for the cyclic
+        collector (and pile up between collections)."""
+        gc.collect()
+        gc.disable()
+        try:
+            tr = word_trainer(
+                world=2, overlap=True, compute_seconds_per_step=0.01
+            )
+            tr.train_step()
+            assert any(
+                e.name.startswith("bwd:") for e in tr.comm.timeline.events
+            )
+            ref = weakref.ref(tr)
+            del tr
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSeeding:
