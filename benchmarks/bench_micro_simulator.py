@@ -5,12 +5,11 @@ config (``bench_table5_tieba_weak_scaling``) at ``world_size=512`` and
 on the word LM with sampled softmax (the end-to-end benchmark's
 ``word_flat`` config) at ``world_size=64`` and ``128``, three ways each:
 
-* **per_rank** — the slow path: one Python forward/backward/optimizer
-  pass per simulated rank (``batched=False``);
+* **per_rank** — the slow path: one Python forward/backward pass per
+  simulated rank (``batched=False``);
 * **batched** — the fast path: all ranks' numpy work stacked along a
   leading rank axis (``batched=True``), with stacked-block gradient
-  sync, shared post-sync gradients and group-pooled optimizer
-  replication;
+  sync (both arms bind one parameter set and take one optimizer step);
 * **exec phase** — the two rank-execution loops in isolation (no sync,
   no optimizer), the part the batched executor actually replaces.
 
@@ -190,13 +189,12 @@ def differential(seed: int, model: str = "char") -> None:
             assert np.array_equal(ps.data, pf.data), (
                 f"{model} seed {seed}: param {name} diverged"
             )
-    for os_, of in zip(slow.optimizers, fast.optimizers):
-        ds, df = os_.state_dict(), of.state_dict()
-        assert ds.keys() == df.keys()
-        for key, value in ds.items():
-            assert np.array_equal(value, df[key]), (
-                f"{model} seed {seed}: optimizer state {key} diverged"
-            )
+    ds, df = slow.optimizer.state_dict(), fast.optimizer.state_dict()
+    assert ds.keys() == df.keys()
+    for key, value in ds.items():
+        assert np.array_equal(value, df[key]), (
+            f"{model} seed {seed}: optimizer state {key} diverged"
+        )
 
 
 def run_arms(world: int = WORLD, model: str = "char"):

@@ -141,35 +141,22 @@ class GradientSynchronizer:
         self.on_issue = on_issue
         self.fused_reduce = fused_reduce
 
-    def _apply(
-        self, params: list[Parameter], reduced: np.ndarray, shared: bool
-    ) -> list[np.ndarray]:
-        """Average one reassembled result; one array per replica.
+    def _apply(self, reduced: np.ndarray, world: int) -> np.ndarray:
+        """Average one reassembled result over the ``world`` replicas.
 
-        ``shared`` returns the same object for every replica (read-only
-        by the caller's promise); otherwise the replicas get disjoint
-        rows of one stacked buffer — same values as per-replica copies
-        at a fraction of the cost, and safe to scale in place.
+        Every replica receives this one array: the ranks of a
+        synchronous step hold equal gradients, so there is one result
+        and whoever applies it reads it once.
         """
-        if self.average:
-            reduced = reduced / len(params)
-        if shared:
-            return [reduced] * len(params)
-        stacked = np.empty((len(params),) + reduced.shape, dtype=reduced.dtype)
-        stacked[:] = reduced
-        return list(stacked)
+        return reduced / world if self.average else reduced
 
     def _issue_dense(
-        self, params: list[Parameter], tag: str, shared: bool = False
+        self, params: list[Parameter], tag: str
     ) -> Callable[[], None]:
         """Issue one dense allreduce; return the finisher that applies it.
 
-        ``shared`` applies the reduced gradient as **one array object on
-        every replica** instead of per-replica buffer copies — valid
-        only under the caller's promise that post-sync grads are
-        read-only (the trainer's fused-apply path: rank 0's optimizer
-        consumes them, every other rank's are cleared by state
-        replication).
+        The reduced gradient lands as **one array object on every
+        replica** (see :meth:`_apply`).
         """
         data = self.comm.axis("data")
         grads = []
@@ -243,19 +230,19 @@ class GradientSynchronizer:
             reduced = unshard_dense(handle.wait(), data.groups, shape)
             if codec is not None and not fused:  # the fused ring decodes
                 reduced = codec.decode(reduced, dtype)
-            for p, grad in zip(params, self._apply(params, reduced, shared)):
+            grad = self._apply(reduced, len(params))
+            for p in params:
                 p.grad = grad
 
         return finish
 
     def _issue_sparse(
-        self, params: list[Parameter], tag: str, shared: bool = False
+        self, params: list[Parameter], tag: str
     ) -> Callable[[], None]:
         """Start one sparse exchange; return the finisher that applies it.
 
-        ``shared`` hands every replica the same post-exchange
-        :class:`SparseGrad` object (read-only by the caller's promise) —
-        see :meth:`_issue_dense`.
+        Every replica receives the same post-exchange
+        :class:`SparseGrad` object — see :meth:`_issue_dense`.
         """
         data = self.comm.axis("data")
         grads = []
@@ -272,34 +259,27 @@ class GradientSynchronizer:
 
         def finish() -> None:
             # Every rank of a shard group holds the same exchanged sum;
-            # reassemble once from the group heads, average once, and
-            # fan the values out per replica.
+            # reassemble once from the group heads and average once.
             # A coalesced result (the unique exchange's) stays marked,
-            # so the optimizers do not reduce it a second time.
+            # so the optimizer does not reduce it a second time.
             result = unshard_sparse(pending.wait(), data.groups)
-            grad = None
-            for p, values in zip(
-                params, self._apply(params, result.values, shared)
-            ):
-                if grad is None or grad.values is not values:
-                    grad = SparseGrad._unsafe(result.indices, values)
-                    if result.is_coalesced:
-                        grad.mark_coalesced()
+            grad = SparseGrad._unsafe(
+                result.indices, self._apply(result.values, len(params))
+            )
+            if result.is_coalesced:
+                grad.mark_coalesced()
+            for p in params:
                 p.sparse_grads = [grad]
 
         return finish
 
-    def sync_dense(
-        self, params: list[Parameter], tag: str, shared: bool = False
-    ) -> None:
+    def sync_dense(self, params: list[Parameter], tag: str) -> None:
         """ALLREDUCE one dense-grad parameter across replicas, in place."""
-        self._issue_dense(params, tag, shared=shared)()
+        self._issue_dense(params, tag)()
 
-    def sync_sparse(
-        self, params: list[Parameter], tag: str, shared: bool = False
-    ) -> None:
+    def sync_sparse(self, params: list[Parameter], tag: str) -> None:
         """Exchange one sparse-grad parameter across replicas, in place."""
-        self._issue_sparse(params, tag, shared=shared)()
+        self._issue_sparse(params, tag)()
 
     _named_cache: tuple[tuple[int, ...], list[dict], list[str]] | None = None
 
@@ -329,9 +309,7 @@ class GradientSynchronizer:
         self._named_cache = (key, named, names)
         return named, names
 
-    def sync_replicas(
-        self, replicas: list[Module], shared_grads: bool = False
-    ) -> None:
+    def sync_replicas(self, replicas: list[Module]) -> None:
         """Synchronize every parameter of the data-parallel replicas.
 
         ``replicas`` holds one model per data coordinate (one per rank
@@ -341,12 +319,10 @@ class GradientSynchronizer:
         produced dense grads — tied-embedding setups can hit both paths
         for one parameter.
 
-        ``shared_grads`` is the caller's promise that every replica's
-        post-sync gradient is consumed **read-only** (and at most once —
-        the trainer's fused-apply path, where rank 0's optimizer steps
-        and the rest replicate its state).  Synced values then land as
-        one shared object per parameter instead of per-replica rows;
-        bits are identical.
+        Each synced value lands as **one object** on every replica's
+        parameter, not as per-replica copies: a consumer that scales or
+        unscales the result does so once (through any one replica), and
+        independent optimizers may each read it.
 
         Blocking, each collective is issued and drained under its
         parameter's ledger scope before the next is touched.  With
@@ -375,7 +351,7 @@ class GradientSynchronizer:
             scope_name = name.replace("/", "-")
             with scope(scope_name):
                 for issue, tag in issuers:
-                    finish = issue(params, tag=tag, shared=shared_grads)
+                    finish = issue(params, tag=tag)
                     if self.overlap:
                         deferred.append((scope_name, finish))
                     else:

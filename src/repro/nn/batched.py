@@ -4,9 +4,10 @@ The simulator runs G model replicas in one host process.  The per-rank
 training loop (``for rank: replica.step(batch)``) pays G Python
 dispatches into numpy *per layer per time step* — at large G the
 interpreter, not BLAS, dominates wall-clock.  Data-parallel replicas
-are **identical by invariant** (same init seed, synchronized updates),
-so their forward/backward passes differ only in the batch data; the
-whole world can execute as stacked arrays with a leading rank axis.
+are **one set of weights** (the trainer binds every replica to replica
+0's parameter arrays), so their forward/backward passes differ only in
+the batch data; the whole world can execute as stacked arrays with a
+leading rank axis.
 
 The layers themselves carry that axis (:mod:`repro.nn.lstm`,
 :mod:`~repro.nn.rhn`, :mod:`~repro.nn.embedding`,
@@ -45,11 +46,11 @@ Anything outside the proven envelope falls back to the per-rank loop:
 * training/eval flags disagree across replicas, carried recurrent
   states are inconsistent, or batch shapes are ragged (checked per
   step);
-* replica parameters have *actually* diverged — checked on the first
-  call and every ``verify_interval`` calls; a detected divergence
-  disables the executor permanently (a diverged world is a bug the
-  slow path and the epoch-end sync assertion will surface, not a state
-  the fast path should silently average away).
+* a replica's parameter no longer binds rank 0's array — an identity
+  check per step, no array is read; a rebound ``p.data`` disables the
+  executor permanently (an un-shared world is a bug the slow path and
+  ``assert_replicas_synchronized`` will surface, not a state the fast
+  path should silently run on rank 0's weights).
 """
 
 from __future__ import annotations
@@ -104,17 +105,12 @@ class BatchedExecutor:
 
     Calls rank 0's ``forward_backward`` with a leading rank axis ``R``
     on every input — rank 0's parameters are the shared weights (valid
-    because replicas are verified equal).  Gradients are accumulated
-    into **each** replica's parameters, so gradient sync, optimizers,
-    loss scaling and telemetry all see the same state the per-rank loop
-    would produce.
+    because every replica binds the same arrays; replicas that do not —
+    a hand-built list — never take the fast path).  Gradients are
+    accumulated into **each** replica's parameters, so gradient sync,
+    the optimizer, loss scaling and telemetry all see the same state the
+    per-rank loop would produce.
     """
-
-    #: Re-verify the replicas-equal invariant every this many calls.
-    #: The invariant is maintained by construction (synchronized grads +
-    #: identical updates); the check is a cheap tripwire, not a gate on
-    #: every step.
-    verify_interval = 16
 
     def __init__(self, replicas):
         if len(replicas) < 2:
@@ -125,6 +121,7 @@ class BatchedExecutor:
         self.fallback_reason = ""
         # Module structure is fixed after construction: walk it once.
         self._params = [list(m.parameters()) for m in replicas]
+        self._other_params = [p for ps in self._params[1:] for p in ps]
         self._modules = [list(m.modules()) for m in replicas]
         own = [m.step_rng for m in replicas]
         self._own_rngs = None if own[0] is None else own
@@ -138,13 +135,10 @@ class BatchedExecutor:
         self._disabled = True
         self.fallback_reason = reason
 
-    def _replicas_equal(self) -> bool:
-        base = self._params[0]
-        for params in self._params[1:]:
-            for p, q in zip(base, params):
-                if not np.array_equal(p.data, q.data):
-                    return False
-        return True
+    def _shares_storage(self) -> bool:
+        """Whether every replica's parameters still bind rank 0's arrays."""
+        base = [p.data for p in self._params[0]] * (len(self._params) - 1)
+        return all(p.data is data for p, data in zip(self._other_params, base))
 
     def step(
         self,
@@ -195,8 +189,10 @@ class BatchedExecutor:
                     if not isinstance(states[0], tuple):
                         state = state[0]
                 # else: batch-size change — dropped, exactly like ``step``
-        if self._calls % self.verify_interval == 0 and not self._replicas_equal():
-            self._disable("replica parameters diverged")
+        if not self._shares_storage():
+            self._disable(
+                "a replica's parameters diverged from rank 0's storage"
+            )
             return None
         self._calls += 1
 

@@ -118,6 +118,9 @@ class Module:
 
         Names and shapes must match exactly — a checkpoint from a
         different architecture is an error, not a silent partial load.
+        Values are written **into** the existing arrays (cast to their
+        dtype), so everything that binds them — data-parallel replicas
+        sharing one parameter set, a decoder's alias — sees the load.
         """
         params = dict(self.named_parameters())
         if set(state) != set(params):
@@ -128,13 +131,13 @@ class Module:
                 f"unexpected {sorted(extra)}"
             )
         for name, data in state.items():
-            p = params[name]
-            if data.shape != p.data.shape:
+            if data.shape != params[name].data.shape:
                 raise ValueError(
                     f"{name}: checkpoint shape {data.shape} != "
-                    f"parameter shape {p.data.shape}"
+                    f"parameter shape {params[name].data.shape}"
                 )
-            p.data = data.astype(p.data.dtype, copy=True)
+        for name, data in state.items():
+            params[name].data[...] = data
 
     def rng_state(self) -> dict:
         """Bit-generator states of every stateful RNG stream in the tree.

@@ -77,8 +77,6 @@ class Adam:
     def load_state_dict(self, state: dict) -> None:
         self.lr = float(state["lr"])
         self._t = int(state["t"])
-        # Rebinds the moment arrays below, orphaning any pooled views.
-        self._state_epoch += 1
         for i in range(len(self.params)):
             m, v = state[f"m{i}"], state[f"v{i}"]
             if m.shape != self._m[i].shape or v.shape != self._v[i].shape:
@@ -87,238 +85,6 @@ class Adam:
             self._v[i] = v.copy()
             if self._row_t[i] is not None:
                 self._row_t[i] = state[f"row_t{i}"].copy()
-
-    # Pooled-replication state (see :meth:`_pool_storage`):
-    _flat_data: np.ndarray | None = None
-    _flat_state: np.ndarray | None = None
-    _flat_rows: np.ndarray | None = None
-    _flat_views: tuple | None = None
-    _pool_failed: bool = False
-    # Bumped whenever this optimizer rebinds its own state arrays
-    # (``load_state_dict``); lets :meth:`_pooled` validate the moment
-    # views in O(1) instead of per-array identity checks.  Parameter
-    # ``data`` rebinds happen outside the optimizer (module checkpoint
-    # loads), so those stay identity-checked.
-    _state_epoch: int = 0
-    _pooled_epoch: int = -1
-
-    def _pool_storage(self, backing: tuple | None = None) -> bool:
-        """Repack parameters and moments as views of flat buffers.
-
-        Replication then costs two or three large ``np.copyto`` calls
-        instead of ~3 per parameter — the difference between O(params)
-        Python dispatches and O(1) at G=512.  Values are preserved
-        exactly (the views alias fresh contiguous storage holding the
-        same bits); in-place updates (``step``, grad application) work
-        unchanged.  Requires a uniform floating dtype across parameters;
-        otherwise pooling is permanently skipped and the per-array copy
-        path is used.
-
-        ``backing`` optionally supplies the ``(data, state, rows)`` flat
-        buffers to pack into — :meth:`replicate_group` passes rows of one
-        group-wide block so a whole replica set replicates with three
-        bulk copies total.
-        """
-        dtype = self.params[0].data.dtype
-        if any(p.data.dtype != dtype for p in self.params):
-            self._pool_failed = True
-            return False
-        total = sum(p.data.size for p in self.params)
-        n_rows = sum(rt.size for rt in self._row_t if rt is not None)
-        if backing is not None:
-            flat_data, flat_state, flat_rows = backing
-        else:
-            flat_data = np.empty(total, dtype)
-            flat_state = np.empty(2 * total, dtype)
-            flat_rows = np.empty(n_rows, np.int64) if n_rows else None
-        off = row_off = 0
-        for i, p in enumerate(self.params):
-            n = p.data.size
-            dv = flat_data[off : off + n].reshape(p.data.shape)
-            dv[...] = p.data
-            p.data = dv
-            mv = flat_state[2 * off : 2 * off + n].reshape(p.data.shape)
-            mv[...] = self._m[i]
-            self._m[i] = mv
-            vv = flat_state[2 * off + n : 2 * off + 2 * n].reshape(
-                p.data.shape
-            )
-            vv[...] = self._v[i]
-            self._v[i] = vv
-            off += n
-            rt = self._row_t[i]
-            if rt is not None:
-                rv = flat_rows[row_off : row_off + rt.size]
-                rv[...] = rt
-                self._row_t[i] = rv
-                row_off += rt.size
-        self._flat_data = flat_data
-        self._flat_state = flat_state
-        self._flat_rows = flat_rows
-        self._flat_views = tuple(p.data for p in self.params)
-        self._pooled_epoch = self._state_epoch
-        return True
-
-    def _pooled(self) -> bool:
-        """Whether the flat buffers still back every live array.
-
-        Checkpoint loads rebind arrays, silently orphaning the views.
-        The optimizer's own rebinds (``load_state_dict``) are caught by
-        the epoch counter; parameter ``data`` rebinds (module checkpoint
-        loads) by per-parameter identity.  Verified on every replication,
-        repacked when broken.
-        """
-        if self._flat_data is None or self._pooled_epoch != self._state_epoch:
-            return False
-        views = self._flat_views
-        for i, p in enumerate(self.params):
-            if p.data is not views[i]:
-                return False
-        return True
-
-    def replicate_from(self, other: "Adam") -> None:
-        """Copy ``other``'s parameters and full optimizer state in place.
-
-        Fast-path finisher for batched data-parallel execution: after
-        gradient sync all replicas hold bit-identical gradients, so one
-        ``step()`` on rank 0 plus a state copy to every other replica is
-        bit-for-bit equivalent to stepping each optimizer independently
-        — without paying the per-replica Python update loop.  Copies go
-        through ``np.copyto`` so every array object (aliased by model
-        weights and checkpoints) keeps its identity.  Grads are cleared
-        to mirror what this optimizer's own ``step()`` would have done.
-
-        Both sides are lazily repacked onto flat storage
-        (:meth:`_pool_storage`) so steady-state replication is a few
-        bulk copies; any externally rebound array (checkpoint load)
-        triggers a repack, never a stale copy.
-        """
-        if getattr(self, "_replicate_checked", None) is not other:
-            if len(self.params) != len(other.params):
-                raise ValueError(
-                    "optimizers hold different parameter counts"
-                )
-            for i, (p, q) in enumerate(zip(self.params, other.params)):
-                if p.data.shape != q.data.shape:
-                    raise ValueError(f"parameter {i} has mismatched shape")
-            self._replicate_checked = other
-        self.lr = other.lr
-        self._t = other._t
-        if not self._pool_failed:
-            if (self._pooled() or self._pool_storage()) and (
-                other._pooled() or other._pool_storage()
-            ):
-                np.copyto(self._flat_data, other._flat_data)
-                np.copyto(self._flat_state, other._flat_state)
-                if self._flat_rows is not None:
-                    np.copyto(self._flat_rows, other._flat_rows)
-                for p in self.params:
-                    p.zero_grad()
-                return
-        copyto = np.copyto
-        m, v, row_t = self._m, self._v, self._row_t
-        om, ov, orow_t = other._m, other._v, other._row_t
-        for i, (p, q) in enumerate(zip(self.params, other.params)):
-            copyto(p.data, q.data)
-            copyto(m[i], om[i])
-            copyto(v[i], ov[i])
-            rt = row_t[i]
-            if rt is not None:
-                copyto(rt, orow_t[i])
-            p.zero_grad()
-
-    _group_cache: tuple | None = None
-
-    @classmethod
-    def _pool_group(cls, optimizers: list["Adam"]) -> tuple | None:
-        """Pool every optimizer's storage onto rows of one group block.
-
-        Validates that the group is structurally identical (same shapes,
-        one dtype), then repacks each optimizer via :meth:`_pool_storage`
-        with its row of the shared ``(R, ...)`` buffers as backing.
-        Returns the cache tuple for :meth:`replicate_group`, or ``None``
-        when the group cannot pool.
-        """
-        src = optimizers[0]
-        dtype = src.params[0].data.dtype
-        if dtype.kind != "f":
-            return None
-        shapes = [p.data.shape for p in src.params]
-        for o in optimizers:
-            if len(o.params) != len(shapes) or any(
-                p.data.shape != s or p.data.dtype != dtype
-                for p, s in zip(o.params, shapes)
-            ):
-                return None
-        total = sum(p.data.size for p in src.params)
-        n_rows = sum(rt.size for rt in src._row_t if rt is not None)
-        world = len(optimizers)
-        mega_data = np.empty((world, total), dtype)
-        mega_state = np.empty((world, 2 * total), dtype)
-        mega_rows = np.empty((world, n_rows), np.int64) if n_rows else None
-        for i, o in enumerate(optimizers):
-            rows = None if mega_rows is None else mega_rows[i]
-            if not o._pool_storage(backing=(mega_data[i], mega_state[i], rows)):
-                return None
-        flats = tuple(o._flat_data for o in optimizers)
-        return (
-            tuple(map(id, optimizers)),
-            flats,
-            mega_data,
-            mega_state,
-            mega_rows,
-        )
-
-    @classmethod
-    def replicate_group(cls, optimizers: list["Adam"]) -> bool:
-        """Replicate optimizer 0 onto the whole group in O(1) bulk copies.
-
-        Semantically identical to calling
-        ``o.replicate_from(optimizers[0])`` for every other member —
-        same bits, grads cleared the same way — but the per-optimizer
-        flat buffers are themselves rows of one group-wide block, so the
-        entire fan-out is three broadcast copies regardless of group
-        size.  Storage identity is re-verified every call (checkpoint
-        loads rebind arrays) and the group lazily re-pooled when broken.
-
-        Returns ``False`` when the group cannot take the pooled path
-        (mixed optimizer types, non-float or mixed dtypes, mismatched
-        shapes); the caller then falls back to pairwise
-        ``replicate_from``, which reports precise errors.
-        """
-        if len(optimizers) <= 1:
-            return True
-        src = optimizers[0]
-        if any(type(o) is not cls for o in optimizers):
-            return False
-        if any(o._pool_failed for o in optimizers):
-            return False
-        cache = src._group_cache
-        key = tuple(map(id, optimizers))
-        if (
-            cache is None
-            or cache[0] != key
-            or not all(
-                o._flat_data is f and o._pooled()
-                for o, f in zip(optimizers, cache[1])
-            )
-        ):
-            cache = cls._pool_group(optimizers)
-            if cache is None:
-                return False
-            src._group_cache = cache
-        _key, _flats, mega_data, mega_state, mega_rows = cache
-        mega_data[1:] = mega_data[0]
-        mega_state[1:] = mega_state[0]
-        if mega_rows is not None:
-            mega_rows[1:] = mega_rows[0]
-        lr, t = src.lr, src._t
-        for o in optimizers[1:]:
-            o.lr = lr
-            o._t = t
-            for p in o.params:
-                p.zero_grad()
-        return True
 
     def state_bytes(self) -> int:
         """Optimizer-state memory footprint (two moments per parameter)."""

@@ -86,8 +86,10 @@ class MasterWeightOptimizer:
                 )
             live.zero_grad()
         self.inner.step()
+        # Written in place: the live arrays may be bound by more than
+        # one module (the trainer's data-parallel replicas).
         for live, master in zip(self.params, self.masters):
-            live.data = master.data.astype(live.data.dtype)
+            live.data[...] = master.data
 
     def state_dict(self) -> dict:
         """Inner-optimizer state plus the master copies."""
@@ -109,4 +111,4 @@ class MasterWeightOptimizer:
             if data.shape != master.data.shape:
                 raise ValueError(f"master {i} has the wrong shape")
             master.data = data.copy()
-            live.data = master.data.astype(live.data.dtype)
+            live.data[...] = master.data

@@ -92,48 +92,6 @@ class SGD:
                 sq += float((merged.values.astype(ACC_DTYPE) ** 2).sum())
         return float(np.sqrt(sq))
 
-    def replicate_from(self, other: "SGD") -> None:
-        """Copy what ``other``'s step just changed, then clear own grads.
-
-        Fast-path finisher for batched data-parallel execution: after
-        gradient sync every replica holds the same gradients, so one
-        ``step()`` on rank 0 plus this copy is bit-for-bit what stepping
-        this optimizer independently would produce.  Which entries the
-        step wrote is read off this optimizer's *own* pending gradients
-        — the whole array (and velocity) for a dense-grad parameter,
-        only the touched rows for a sparse-grad one (the whole array
-        again once most rows are touched); a parameter with no gradient
-        this step is left alone.
-        """
-        if len(self.params) != len(other.params):
-            raise ValueError("optimizers hold different parameter counts")
-        self.lr = other.lr
-        for i, (p, q) in enumerate(zip(self.params, other.params)):
-            if p.data.shape != q.data.shape:
-                raise ValueError(f"parameter {i} has mismatched shape")
-            if p.grad is not None:
-                rows = None
-            elif p.sparse_grads:
-                rows = p.sparse_grads[0].indices
-                if len(p.sparse_grads) > 1:
-                    rows = np.concatenate([s.indices for s in p.sparse_grads])
-                # Past about a quarter of the rows, one contiguous copy
-                # beats the gather + scatter (equal bits: the untouched
-                # rows already agree).
-                if 4 * rows.size >= p.data.shape[0]:
-                    rows = None
-            else:
-                continue
-            pairs = [(p.data, q.data)]
-            if self._velocity is not None:
-                pairs.append((self._velocity[i], other._velocity[i]))
-            for mine, theirs in pairs:
-                if rows is None:
-                    np.copyto(mine, theirs)
-                else:
-                    mine[rows] = theirs[rows]
-            p.zero_grad()
-
     def step(self) -> None:
         """Apply one update from the accumulated gradients, then clear them."""
         scale = 1.0

@@ -1,10 +1,10 @@
 """Checkpointing: persist and resume distributed training runs.
 
-Because the SPMD trainer keeps all replicas bit-identical (the core
-sync invariant), a checkpoint stores **one** copy of the model and
-optimizer state plus the trainer's step counter; loading restores every
-rank from it — the same single-writer scheme real data-parallel trainers
-use.
+The SPMD trainer's replicas bind one set of parameter arrays and share
+one optimizer, so a checkpoint stores **one** copy of the model and
+optimizer state plus the trainer's step counter, and loading writes that
+copy back in place — the same single-writer scheme real data-parallel
+trainers use.  What is per rank (module RNG streams) is stored per rank.
 
 Format: a single ``.npz`` with namespaced arrays (``model/<param>``,
 ``optim/<key>``, ``meta/...``), portable and dependency-free.
@@ -155,7 +155,7 @@ def save_checkpoint(path: str | pathlib.Path, trainer: DistributedTrainer) -> No
     }
     for name, data in trainer.replicas[0].state_dict().items():
         arrays[f"model/{name}"] = data
-    opt_state = trainer.optimizers[0].state_dict()
+    opt_state = trainer.optimizer.state_dict()
     for key, value in opt_state.items():
         if value is None:
             continue  # absent optional hyper-parameters (e.g. clip_norm)
@@ -183,7 +183,7 @@ def load_checkpoint(
     trainer: DistributedTrainer,
     elastic: bool = False,
 ) -> int:
-    """Restore every replica and optimizer from ``path``.
+    """Restore model, optimizer and per-replica streams from ``path``.
 
     The trainer must be built with the same architecture; by default the
     world size must match too.  With ``elastic=True`` a *smaller* world
@@ -242,10 +242,9 @@ def load_checkpoint(
             group_of_rank = data["rng/group_of_rank"].copy()
             seed_of_group = data["rng/seed_of_group"].copy()
 
-    for replica in trainer.replicas:
-        replica.load_state_dict(model_state)
-    for opt in trainer.optimizers:
-        opt.load_state_dict(opt_state)
+    # In place, once: every replica binds replica 0's arrays.
+    trainer.replicas[0].load_state_dict(model_state)
+    trainer.optimizer.load_state_dict(opt_state)
     trainer.global_step = global_step
     trainer.data_step = data_step
     trainer.epochs_done = epochs_done

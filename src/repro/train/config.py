@@ -180,11 +180,14 @@ class TrainConfig:
         (default) auto-enables it when the replicas qualify (two or more
         data-parallel replicas, on any mesh, of any model built from the
         replica-axis layers — the word and the char LM both are);
-        ``False`` forces the per-rank loop, the fully independent
-        reference (G model steps, G optimizer steps); ``True`` requires
-        the fast path and raises at trainer construction if the replicas
-        do not support it.  Numerics are bit-identical either way
-        (regression-pinned) — this knob only trades host wall-clock.
+        ``False`` forces the per-rank loop (G model steps, one after
+        another, each on its own batch and streams) — the reference the
+        stacked pass is pinned against; ``True`` requires the fast path
+        and raises at trainer construction if the replicas do not
+        support it.  Either way the replicas bind one parameter set and
+        one optimizer applies the synced gradient once.  Numerics are
+        bit-identical either way (regression-pinned) — this knob only
+        trades host wall-clock.
     """
 
     world_size: int

@@ -402,7 +402,7 @@ class ResilientRunner:
     # ------------------------------------------------------------------
 
     def _apply_lr(self) -> None:
-        """Set this step's learning rate on every optimizer.
+        """Set this step's learning rate on the optimizer.
 
         The base schedule comes from the (possibly rebuilt) trainer —
         whose ``ln(nodes)`` factor tracks the current world — times the
@@ -410,8 +410,7 @@ class ResilientRunner:
         """
         t = self.trainer
         lr = t.schedule.lr_at_epoch(t.epochs_done) * self._lr_scale
-        for opt in t.optimizers:
-            opt.lr = lr
+        t.optimizer.lr = lr
 
     def _save_checkpoint(self, detail: str) -> None:
         """Write the rolling checkpoint and charge its cost to the timeline."""

@@ -5,6 +5,11 @@ data-parallel training exactly as Section II-B describes: each rank
 computes forward/backward on its own local batch, then all gradients are
 synchronized — dense ones by ALLREDUCE, embedding ones by the configured
 exchange strategy — and each rank applies the identical update locally.
+Identical updates to identical replicas are one update: the replicas
+bind **one** set of parameter arrays and the trainer holds **one**
+optimizer over them, so host memory and optimizer time do not grow with
+G.  What differs per rank stays per rank — gradients before the sync,
+dropout and sampler streams, carried BPTT state, the data shard.
 
 Every accuracy number produced here is *real* (actual gradient descent
 on actual Zipfian data); only memory/time accounting is simulated.
@@ -62,16 +67,41 @@ __all__ = [
 _BACKWARD_FRACTION = 2.0 / 3.0
 
 
+def _array_divergence(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest absolute difference of two arrays, compared by bit pattern.
+
+    Zero means the same bits, NaNs included.  Where bits differ and the
+    distance is undefined (a NaN facing a number) it is ``inf`` — never
+    the ``0.0`` that ``max(0.0, nan)`` would report.
+    """
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return float("inf")
+    bits = f"u{a.dtype.itemsize}"
+    differ = a.view(bits) != b.view(bits)
+    if not differ.any():
+        return 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        worst = float(np.abs(a[differ] - b[differ]).max())
+    # +0.0 against -0.0 is a bit difference at distance zero: still > 0.
+    return max(worst, 5e-324) if worst == worst else float("inf")
+
+
 def max_replica_divergence(replicas: list[Module]) -> float:
-    """Largest absolute parameter difference between any replica and rank 0."""
+    """Largest absolute parameter difference between any replica and rank 0.
+
+    Parameters bound to rank 0's own array (a trainer's replicas) are
+    equal by identity and are not read, so the check costs O(params) on
+    a shared world; replica lists that do not share are compared bit
+    for bit (see :func:`_array_divergence`).
+    """
     if len(replicas) < 2:
         return 0.0
     base = dict(replicas[0].named_parameters())
     worst = 0.0
     for other in replicas[1:]:
         for name, p in other.named_parameters():
-            diff = float(np.abs(p.data - base[name].data).max())
-            worst = max(worst, diff)
+            if p.data is not base[name].data:
+                worst = max(worst, _array_divergence(p.data, base[name].data))
     return worst
 
 
@@ -129,11 +159,16 @@ class DistributedTrainer:
     ----------
     model_factory:
         ``f(init_rng, rank) -> Module``; called once per rank with an
-        identically-seeded init generator (replicas must start equal —
-        per-rank extras like dropout streams may key off ``rank``).
+        identically-seeded init generator.  Replicas must start equal
+        (per-rank extras like dropout streams may key off ``rank``): a
+        replica whose initial parameters differ from replica 0's by one
+        bit is a ``ValueError``, and every replica is then bound to
+        replica 0's parameter arrays.
     optimizer_factory:
         ``f(params, lr) -> optimizer`` with a mutable ``lr`` attribute
-        and a ``step()`` method.
+        and a ``step()`` method that updates ``p.data`` **in place** and
+        clears the gradients it consumed.  Called once, over replica 0's
+        parameters: the one optimizer is ``trainer.optimizer``.
     train_tokens, valid_tokens:
         Token-id streams.
     config:
@@ -176,10 +211,7 @@ class DistributedTrainer:
         self.mesh = self.comm.mesh = config.device_mesh
         self.data_parallel = self.mesh.axis_size("data")
 
-        self.replicas = [
-            model_factory(np.random.default_rng(config.init_seed), rank)
-            for rank in range(self.data_parallel)  # mesh-ok: one replica per data-parallel group by construction
-        ]
+        self.replicas = self._build_replicas(model_factory)
         wire = None
         if config.wire_codec is not None:
             wire = WirePolicy.from_spec(
@@ -229,10 +261,16 @@ class DistributedTrainer:
         self.schedule = EpochDecaySchedule.for_cluster(
             config.base_lr, config.num_nodes, decay=config.lr_decay
         )
-        self.optimizers = [
-            optimizer_factory(list(r.parameters()), self.schedule.initial_lr)
-            for r in self.replicas
+        # Post-sync gradients are read off replica 0 (every replica holds
+        # the same result objects) and applied once, to the storage all
+        # replicas bind; the other replicas' slots are then only cleared.
+        self._params = list(self.replicas[0].parameters())
+        self._other_params = [
+            p for r in self.replicas[1:] for p in r.parameters()
         ]
+        self.optimizer = optimizer_factory(
+            self._params, self.schedule.initial_lr
+        )
         self.seed_assignment = assign_seeds(
             config.seed_strategy, self.data_parallel, base_seed=config.data_seed
         )
@@ -248,13 +286,6 @@ class DistributedTrainer:
                 "execution (needs >=2 replicas of one model built from "
                 "the replica-axis layers, with identical configs)"
             )
-        # When every replica's optimizer supports state replication, a
-        # fully-batched step can apply rank 0's update once and copy it,
-        # instead of re-running the identical update per replica.
-        self._fused_apply = all(
-            callable(getattr(opt, "replicate_from", None))
-            for opt in self.optimizers
-        )
         self.scaler: StaticLossScaler | None
         if config.loss_scale is None:
             self.scaler = None
@@ -272,6 +303,42 @@ class DistributedTrainer:
             telemetry.adopt_trainer(self)
 
     # ------------------------------------------------------------------
+
+    def _build_replicas(self, model_factory) -> list[Module]:
+        """One module per data coordinate, all bound to replica 0's arrays.
+
+        Every replica comes from ``model_factory`` (its streams, carried
+        state and gradient slots are its own), is checked bit-equal to
+        replica 0 and gives up its parameter arrays for replica 0's
+        before the next one is built — host parameter memory is one
+        model plus the one under construction, whatever the world size.
+        """
+        def build(rank: int) -> Module:
+            return model_factory(
+                np.random.default_rng(self.config.init_seed), rank
+            )
+
+        replicas = [build(0)]
+        base = list(replicas[0].named_parameters())
+        for rank in range(1, self.data_parallel):  # mesh-ok: one replica per data-parallel group by construction
+            model = build(rank)
+            for (name, p), (base_name, shared) in zip(
+                model.named_parameters(), base, strict=True
+            ):
+                if (
+                    name != base_name
+                    or _array_divergence(p.data, shared.data) != 0.0
+                ):
+                    raise ValueError(
+                        f"model_factory built replica {rank} with a "
+                        f"{name!r} that differs from replica 0's "
+                        f"{base_name!r}: replicas must start equal (key "
+                        "per-rank extras such as dropout streams off "
+                        "``rank``, never the initial weights)"
+                    )
+                p.data = shared.data
+            replicas.append(model)
+        return replicas
 
     def evaluate(self) -> float:
         """Validation NLL (nats/token) of the (synchronized) model."""
@@ -361,7 +428,6 @@ class DistributedTrainer:
         accum = self.config.accumulation_steps
         scale = self.scaler.scale if self.scaler is not None else 1.0
         losses = []
-        all_batched = self.batched_executor is not None
         for _ in range(accum):
             step_in_epoch = self.data_step % self.batcher.steps_per_epoch
             batched_losses = None
@@ -375,7 +441,6 @@ class DistributedTrainer:
                 losses.extend(batched_losses)
             else:
                 # Per-rank fallback.
-                all_batched = False
                 sample_rngs = self._sample_rngs()
                 for rank, replica in enumerate(self.replicas):
                     batch = self.batcher.batch(rank, step_in_epoch)
@@ -386,57 +451,25 @@ class DistributedTrainer:
                     )
             self.data_step += 1
         self._record_step_compute()
-        # When the fused apply will consume post-sync grads exactly once
-        # (rank 0 steps, the rest replicate its state) and nothing else
-        # mutates them afterwards (no accumulation rescale, no loss-scale
-        # unscale), synced grads can be shared objects across ranks —
-        # same bits, world-1 fewer buffer copies per parameter.
-        shared_grads = (
-            all_batched
-            and self._fused_apply
-            and accum == 1
-            and self.scaler is None
-        )
         with self.comm.ledger.scope("sync"):
-            self.synchronizer.sync_replicas(
-                self.replicas, shared_grads=shared_grads
-            )
+            self.synchronizer.sync_replicas(self.replicas)
         if accum > 1:
             self._scale_grads(1.0 / accum)
         skipped = False
         if self.scaler is not None:
-            self.scaler.unscale_grads(
-                [p for r in self.replicas for p in r.parameters()]
-            )
-            overflow = not all(
-                grads_are_finite(list(r.parameters())) for r in self.replicas
-            )
+            self.scaler.unscale_grads(self._params)
+            overflow = not grads_are_finite(self._params)
             self.scaler.update(overflow)
             if overflow:
-                # Skip the poisoned update (standard AMP behaviour);
-                # replicas stay synchronized because all skip together.
-                for replica in self.replicas:
-                    replica.zero_grad()
+                # Skip the poisoned update (standard AMP behaviour).
+                for p in self._params:
+                    p.zero_grad()
                 self.skipped_steps += 1
                 skipped = True
         if not skipped:
-            if all_batched and self._fused_apply:
-                # Post-sync gradients are identical across replicas, so
-                # one real update + state replication is bit-equivalent
-                # to G independent (identical) updates.  A homogeneous
-                # optimizer group replicates in bulk (``replicate_group``
-                # pools every replica's state onto one block); otherwise
-                # fall back to pairwise replication.
-                self.optimizers[0].step()
-                group = getattr(
-                    type(self.optimizers[0]), "replicate_group", None
-                )
-                if group is None or not group(self.optimizers):
-                    for opt in self.optimizers[1:]:
-                        opt.replicate_from(self.optimizers[0])
-            else:
-                for opt in self.optimizers:
-                    opt.step()
+            self.optimizer.step()
+        for p in self._other_params:
+            p.zero_grad()
         self.global_step += 1
         mean_loss = float(np.mean(losses))
         if telemetry is not None:
@@ -459,12 +492,11 @@ class DistributedTrainer:
 
     def _scale_grads(self, factor: float) -> None:
         """Scale every synchronized gradient in place (micro-batch mean)."""
-        for replica in self.replicas:
-            for p in replica.parameters():
-                if p.grad is not None:
-                    p.grad *= factor
-                for s in p.sparse_grads:
-                    s.values *= factor
+        for p in self._params:
+            if p.grad is not None:
+                p.grad *= factor
+            for s in p.sparse_grads:
+                s.values *= factor
 
     def train_epoch(
         self,
@@ -487,8 +519,7 @@ class DistributedTrainer:
                 raise ValueError("max_steps must be positive")
             steps = min(steps, max_steps)
         lr = self.schedule.lr_at_epoch(epoch)
-        for opt in self.optimizers:
-            opt.lr = lr
+        self.optimizer.lr = lr
         self.batcher.set_epoch(epoch)
         # Stateful models restart their carried BPTT state each epoch
         # (the underlying token streams restart too).

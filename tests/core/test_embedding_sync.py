@@ -281,11 +281,12 @@ class TestSyncedSparseGradsStayCoalesced:
                 GradientSynchronizer(
                     Communicator(4, track_memory=False), strategy=UniqueExchange()
                 ).sync_replicas(replicas)
-                for m in replicas:
-                    (grad,) = m.emb.weight.sparse_grads
-                    assert grad.is_coalesced
-                    if strip:
-                        del grad._coalesced
+                (grad,) = replicas[0].emb.weight.sparse_grads
+                assert grad.is_coalesced
+                for m in replicas:  # one result object on every replica
+                    assert m.emb.weight.sparse_grads[0] is grad
+                if strip:
+                    del grad._coalesced
                 for opt in opts:
                     opt.step()
             state = [p.data.copy() for p in replicas[1].parameters()]

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference gradient checking, crash plans."""
+"""Shared test utilities: gradient checking, crash plans, state comparison."""
 
 from __future__ import annotations
 
@@ -8,6 +8,18 @@ import numpy as np
 
 from repro.cluster import ChaosCommunicator, FaultEvent, FaultKind, FaultPlan
 from repro.nn.parameter import Parameter
+
+
+def assert_same_state(got: dict, want: dict, what: str = "state") -> None:
+    """Two ``state_dict()``s agree bit for bit, key for key."""
+    assert got.keys() == want.keys(), what
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(
+                got[key], value, err_msg=f"{what} {key}"
+            )
+        else:
+            assert got[key] == value, f"{what} {key}"
 
 
 def crashing_comm(

@@ -68,6 +68,26 @@ class TestSemantics:
         np.testing.assert_allclose(p.data[2].astype(np.float64), -1.0)
         np.testing.assert_allclose(p.data[[0, 1, 3]].astype(np.float64), 0.0)
 
+    def test_live_arrays_are_updated_in_place(self):
+        """The trainer's data-parallel replicas all bind the live arrays:
+        a step or a restore that rebound ``p.data`` would leave every
+        replica but one on the old weights."""
+        p = fp16_param((3, 2))
+        live = p.data
+        opt = MasterWeightOptimizer(
+            [p], lambda params, lr: SGD(params, lr), lr=0.5
+        )
+        saved = opt.state_dict()
+        p.accumulate_grad(np.ones((3, 2), np.float16))
+        opt.step()
+        assert p.data is live and live.dtype == np.float16
+        np.testing.assert_array_equal(
+            live, opt.masters[0].data.astype(np.float16)
+        )
+        opt.load_state_dict(saved)
+        assert p.data is live
+        np.testing.assert_array_equal(live, saved["master0"].astype(np.float16))
+
     def test_live_grads_cleared(self):
         p = fp16_param(3)
         opt = MasterWeightOptimizer(

@@ -2,12 +2,11 @@
 
 The simulator fast path (:mod:`repro.nn.batched`) stacks all replicas'
 forward/backward along a leading rank axis — through the same layer
-bodies the per-rank call runs — and, when every micro-step of an
-optimizer step took the fast path, applies rank 0's optimizer update
-once and replicates the state.  Its contract is **bit-for-bit**
-equivalence with the per-rank loop, for every model built from the
-replica-axis layers (the word LM with sampled softmax and the char LM
-with dropout both run here): losses, parameters, optimizer state,
+bodies the per-rank call runs — over the one parameter set every
+replica binds.  Its contract is **bit-for-bit** equivalence with the
+per-rank loop, for every model built from the replica-axis layers (the
+word LM with sampled softmax and the char LM with dropout both run
+here): losses, parameters, optimizer state,
 dropout and candidate-sampler RNG consumption, carried BPTT state and
 the communication ledger must all match exactly, across seeds.  Anything
 weaker would make a "performance" toggle silently change training
@@ -25,6 +24,8 @@ from repro.train.char_lm import CharLanguageModel
 from repro.train.config import CharLMConfig, TrainConfig, WordLMConfig
 from repro.train.trainer import DistributedTrainer, max_replica_divergence
 from repro.train.word_lm import WordLanguageModel
+
+from ..helpers import assert_same_state
 
 MODEL_CFG = CharLMConfig(
     vocab_size=61, embedding_dim=7, hidden_dim=11, depth=3, dropout=0.2
@@ -64,7 +65,7 @@ def _make_trainer(batched, seed, model="char", word_cfg=WORD_CFG, **overrides):
         def factory(init_rng, rank):
             return WordLanguageModel(word_cfg, init_rng, stateful=True)
 
-        # Odd seeds also cover the momentum buffers' replication.
+        # Odd seeds also cover the momentum buffers.
         optimizer = lambda p, lr: SGD(p, lr, momentum=0.5 * (seed % 2))
 
     trainer = DistributedTrainer(factory, optimizer, train, valid, cfg)
@@ -101,15 +102,9 @@ def _assert_identical(fast, slow):
             for a, b in zip(sa, sb, strict=True):
                 assert np.array_equal(a, b)
         assert ra.rng_state() == rb.rng_state()
-    for oa, ob in zip(fast.optimizers, slow.optimizers):
-        da, db = oa.state_dict(), ob.state_dict()
-        assert da.keys() == db.keys()
-        for key in da:
-            va, vb = da[key], db[key]
-            if isinstance(va, np.ndarray):
-                assert np.array_equal(va, vb), key
-            else:
-                assert va == vb, key
+    assert_same_state(
+        fast.optimizer.state_dict(), slow.optimizer.state_dict(), "optimizer"
+    )
     assert max_replica_divergence(fast.replicas) == 0.0
     # Candidate draws: the word LM's fast path must have consumed each
     # rank's sample generator exactly as far as the loop did (the char
@@ -146,8 +141,9 @@ def test_batched_matches_per_rank_loop(model, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_word_lm_shared_grads_and_row_replication(seed):
-    """No accumulation, no scaler: synced grads are shared objects and the
-    SGD fan-out copies rows — 3 steps, tied embeddings on odd seeds."""
+    """No accumulation, no scaler: nothing touches the synced grads (one
+    object on every replica) between the sync and the one SGD step over
+    the shared rows — 3 steps, tied embeddings on odd seeds."""
     cfg = WORD_CFG
     if seed % 2:
         cfg = WordLMConfig(
@@ -254,20 +250,20 @@ def test_word_lm_auto_enables_flat_and_on_a_mesh():
 
 
 def test_executor_disables_on_divergence():
+    """The storage tripwire: the fast path runs every rank on rank 0's
+    weights, so one replica bound to another array — even an equal one —
+    disables it on the next step, with the reason recorded."""
     for model in MODELS:
         t = _make_trainer(True, 5, model)
         ex = t.batched_executor
         t.train_step()
-        assert ex.active
-        # Corrupt one replica past the sync invariant; the next
-        # verification window must trip the tripwire and fall back
-        # permanently.
-        next(iter(t.replicas[1].parameters())).data += 1.0
-        ex._calls = 0  # force the verification window
-        for _ in range(2):
-            t.train_step()
-        assert not ex.active
+        assert ex.active and ex._calls == 1
+        p = next(iter(t.replicas[1].parameters()))
+        p.data = p.data.copy()
+        t.train_step()  # falls back to the per-rank loop, permanently
+        assert not ex.active and ex._calls == 1
         assert "diverged" in ex.fallback_reason
+        assert ex.step(t.batcher.step_batches(0), t._sample_rngs) is None
 
 
 def test_ragged_batches_fall_back():

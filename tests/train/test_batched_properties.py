@@ -24,6 +24,7 @@ from repro.train.config import CharLMConfig, TrainConfig, WordLMConfig
 from repro.train.trainer import DistributedTrainer
 from repro.train.word_lm import WordLanguageModel
 
+from ..helpers import assert_same_state
 from ..proptest import run_property
 
 N_CASES = 200
@@ -158,14 +159,9 @@ def prop_batched_is_bit_exact(params: dict, rng: np.random.Generator) -> None:
         if ra._state is not None:
             # (h, c) for the LSTM, one array for the RHN
             assert np.array_equal(ra._state, rb._state), "carried state"
-    for oa, ob in zip(fast.optimizers, slow.optimizers):
-        da, db = oa.state_dict(), ob.state_dict()
-        for key in da:
-            va, vb = da[key], db[key]
-            if isinstance(va, np.ndarray):
-                assert np.array_equal(va, vb), f"opt state {key}"
-            else:
-                assert va == vb, f"opt state {key}"
+    assert_same_state(
+        fast.optimizer.state_dict(), slow.optimizer.state_dict(), "opt state"
+    )
     # Dropout generators must have consumed identical draws: the next
     # value from every replica's stream must agree between the paths.
     if params.get("dropout_x10", 0) > 0:

@@ -57,6 +57,29 @@ class TestModuleStateDict:
         m.load_state_dict(state)
         assert m.weight.data.any()
 
+    def test_load_writes_in_place(self):
+        """Whatever binds the parameter arrays — another replica, a
+        decoder's alias — must see the load: same objects, new values,
+        cast to the parameter's dtype."""
+        m = Linear(3, 4, np.random.default_rng(0), dtype=np.float32)
+        weight, bias = m.weight.data, m.bias.data
+        state = {k: v.astype(np.float64) + 1.0 for k, v in m.state_dict().items()}
+        m.load_state_dict(state)
+        assert m.weight.data is weight and m.bias.data is bias
+        assert weight.dtype == np.float32
+        np.testing.assert_array_equal(
+            weight, state["weight"].astype(np.float32)
+        )
+
+    def test_rejected_state_changes_nothing(self):
+        m = Linear(3, 4, np.random.default_rng(0))
+        before = m.state_dict()
+        bad = {"weight": np.zeros((3, 4)), "bias": np.zeros(9)}
+        with pytest.raises(ValueError):
+            m.load_state_dict(bad)
+        for name, data in m.state_dict().items():
+            np.testing.assert_array_equal(data, before[name])
+
     def test_state_is_a_copy(self):
         m = Linear(3, 4, np.random.default_rng(0))
         state = m.state_dict()
@@ -238,10 +261,45 @@ class TestCheckpointRoundtrip:
             load_checkpoint(ckpt, word_trainer())
 
     def test_diverged_replicas_refuse_to_checkpoint(self, tmp_path):
+        """A replica whose ``p.data`` was rebound no longer trains the
+        shared model; checkpointing would silently pick one of two."""
         tr = word_trainer()
-        tr.replicas[1].embedding.weight.data[0, 0] += 1.0
+        weight = tr.replicas[1].embedding.weight
+        weight.data = weight.data.copy()
+        save_checkpoint(tmp_path / "equal.npz", tr)  # rebound but bit-equal
+        weight.data[0, 0] += 1.0
         with pytest.raises(AssertionError):
             save_checkpoint(tmp_path / "bad.npz", tr)
+
+    def test_nan_in_a_rebound_replica_refuses_to_checkpoint(self, tmp_path):
+        """``max(0.0, nan) == 0.0`` used to let this checkpoint through."""
+        tr = word_trainer()
+        weight = tr.replicas[1].embedding.weight
+        weight.data = weight.data.copy()
+        weight.data[0, 0] = np.nan
+        with pytest.raises(AssertionError):
+            save_checkpoint(tmp_path / "nan.npz", tr)
+
+    @pytest.mark.parametrize("make", [word_trainer, char_trainer])
+    def test_load_keeps_replicas_on_one_parameter_set(self, tmp_path, make):
+        tr = make(world=3)
+        tr.train_step()
+        ckpt = tmp_path / "shared.npz"
+        save_checkpoint(ckpt, tr)
+        fresh = make(world=3)
+        arrays = [p.data for p in fresh.replicas[0].parameters()]
+        load_checkpoint(ckpt, fresh)
+        for replica in fresh.replicas:
+            for p, data in zip(replica.parameters(), arrays, strict=True):
+                assert p.data is data
+        for (n, a), (_, b) in zip(
+            tr.replicas[0].named_parameters(),
+            fresh.replicas[2].named_parameters(),
+        ):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert fresh.batched_executor.step(
+            fresh.batcher.step_batches(0), sample_rngs=fresh._sample_rngs
+        ) is not None  # the load did not trip the storage tripwire
 
 
 class TestRngLimbEncoding:

@@ -243,6 +243,27 @@ class TestElasticShrink:
         }
         assert generations == {0, 1}
 
+    @pytest.mark.parametrize("factory", [word_factory, char_factory])
+    def test_shrunken_world_binds_one_parameter_set(self, tmp_path, factory):
+        """The rebuilt trainer restores from the checkpoint in place:
+        the survivors still bind replica 0's arrays (and so still take
+        the batched fast path) after the world changed under them."""
+        plan = FaultPlan(
+            [FaultEvent(FaultKind.RANK_LOSS, collective_index=9, rank=1)]
+        )
+        runner = runner_for(
+            plan, tmp_path, world=4, factory=factory, cfg=word_config(4),
+            checkpoint_every=2,
+        )
+        first = runner.trainer
+        trainer = runner.run(6)
+        assert trainer is not first and len(trainer.replicas) == 3
+        base = list(trainer.replicas[0].parameters())
+        for replica in trainer.replicas[1:]:
+            for p, shared in zip(replica.parameters(), base, strict=True):
+                assert p.data is shared.data
+        assert trainer.batched_executor.active
+
     def test_world_of_one_cannot_shrink(self, tmp_path):
         plan = FaultPlan(
             [FaultEvent(FaultKind.RANK_LOSS, collective_index=0, rank=0)]

@@ -82,13 +82,65 @@ class TestReplicaConsistency:
             tr.train_step()
         assert_replicas_synchronized(tr.replicas, atol=0.0)
 
+    @staticmethod
+    def unshared_pair():
+        """Two hand-built equal models, each with its own arrays."""
+        return [
+            WordLanguageModel(WORD_CFG, np.random.default_rng(7))
+            for _ in range(2)
+        ]
+
     def test_divergence_helper(self):
-        tr = word_trainer(world=2)
-        assert max_replica_divergence(tr.replicas) == 0.0
-        tr.replicas[1].embedding.weight.data[0, 0] += 1.0
-        assert max_replica_divergence(tr.replicas) == pytest.approx(1.0)
+        pair = self.unshared_pair()
+        assert max_replica_divergence(pair) == 0.0
+        pair[1].embedding.weight.data[0, 0] += 1.0
+        assert max_replica_divergence(pair) == pytest.approx(1.0)
         with pytest.raises(AssertionError):
-            assert_replicas_synchronized(tr.replicas)
+            assert_replicas_synchronized(pair)
+
+    def test_divergence_helper_sees_nan(self):
+        """``max(0.0, nan)`` is ``0.0``: a NaN facing a number must not
+        read as agreement; the same NaN on both sides is agreement."""
+        pair = self.unshared_pair()
+        pair[1].embedding.weight.data[3, 1] = np.nan
+        assert max_replica_divergence(pair) == np.inf
+        with pytest.raises(AssertionError):
+            assert_replicas_synchronized(pair)
+        pair[0].embedding.weight.data[3, 1] = np.nan
+        assert max_replica_divergence(pair) == 0.0
+
+    def test_divergence_helper_compares_bits(self):
+        pair = self.unshared_pair()
+        pair[0].embedding.weight.data[0, 0] = 0.0
+        pair[1].embedding.weight.data[0, 0] = -0.0
+        assert max_replica_divergence(pair) > 0.0
+
+    def test_shared_world_is_compared_by_identity(self):
+        """A trainer's replicas bind replica 0's arrays: zero divergence
+        without reading them — so a rebound array is what diverges."""
+        tr = word_trainer(world=3)
+        for name, p in tr.replicas[2].named_parameters():
+            assert p.data is dict(tr.replicas[0].named_parameters())[name].data
+        tr.replicas[0].embedding.weight.data[0, 0] = np.nan  # all see it
+        assert max_replica_divergence(tr.replicas) == 0.0
+        weight = tr.replicas[1].embedding.weight
+        weight.data = weight.data.copy()
+        weight.data[0, 0] = 1.0
+        assert max_replica_divergence(tr.replicas) == np.inf
+
+    def test_unequal_factory_is_a_typed_error(self):
+        """Replicas must start equal; a factory that seeds the weights
+        off ``rank`` used to train G different models silently."""
+        with pytest.raises(ValueError, match="embedding.weight.*start equal"):
+            DistributedTrainer(
+                lambda rng, rank: WordLanguageModel(
+                    WORD_CFG, np.random.default_rng(rank)
+                ),
+                lambda params, lr: SGD(params, lr),
+                CORPUS.train,
+                CORPUS.valid,
+                TrainConfig(world_size=2, batch=BatchSpec(2, 6), base_lr=0.2),
+            )
 
 
 class TestExchangeEquivalence:
@@ -120,7 +172,7 @@ class TestTraining:
         s0 = tr.train_epoch(max_steps=2)
         s1 = tr.train_epoch(max_steps=2)
         assert s1.lr == pytest.approx(s0.lr * 0.9)
-        assert tr.optimizers[0].lr == s1.lr
+        assert tr.optimizer.lr == s1.lr
 
     def test_eval_points_recorded(self):
         tr = word_trainer(world=2)
