@@ -14,7 +14,10 @@ Gates (regressions fail the benchmark):
 * tokens must be identical between the two (scheduling is not allowed
   to change numerics);
 * p99 TTFT must stay under a generous ceiling derived from the naive
-  arm — batching that *worsens* tail admission latency is a regression.
+  arm — batching that *worsens* tail admission latency is a regression;
+* the engine enters ``decoder.step`` exactly once per decode step, and
+  prefill's lock-step replay enters ``decoder.advance`` fewer times
+  than it folds tokens (counts, not clocks — no host-time floor).
 
 Set ``REPRO_BENCH_FAST=1`` for the CI smoke mode (fewer requests).
 """
@@ -73,20 +76,47 @@ def make_decoder():
     return WordLMDecoder(WordLanguageModel(MODEL, np.random.default_rng(0)))
 
 
+class CallCounts:
+    """A decoder seen from the engine: its entries and the rows they carry.
+
+    ``step`` delegates to the wrapped decoder, whose own ``advance`` it
+    uses, so ``advance_calls`` / ``advance_rows`` count prefill alone —
+    one row of one ``advance`` call is one prefill token.
+    """
+
+    def __init__(self, decoder):
+        self._decoder = decoder
+        self.step_calls = self.advance_calls = self.advance_rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._decoder, name)
+
+    def step(self, x, states):
+        self.step_calls += 1
+        return self._decoder.step(x, states)
+
+    def advance(self, x, states):
+        self.advance_calls += 1
+        self.advance_rows += x.shape[0]
+        return self._decoder.advance(x, states)
+
+
 def run_arms():
     requests = generate_traffic(TRAFFIC)
     naive = naive_serve(make_decoder(), requests, CONFIG)
-    continuous = {
-        world: ServingEngine(
-            make_decoder(), Communicator(world), CONFIG
+    continuous, counts = {}, {}
+    for world in WORLDS:
+        counts[world] = CallCounts(make_decoder())
+        continuous[world] = ServingEngine(
+            counts[world], Communicator(world), CONFIG
         ).run(requests)
-        for world in WORLDS
-    }
-    return naive, continuous
+    return naive, continuous, counts
 
 
 def test_serving(benchmark, report, bench_metrics):
-    naive, continuous = benchmark.pedantic(run_arms, rounds=1, iterations=1)
+    naive, continuous, counts = benchmark.pedantic(
+        run_arms, rounds=1, iterations=1
+    )
 
     # ------------------------------------------------------------------
     # gates
@@ -107,6 +137,16 @@ def test_serving(benchmark, report, bench_metrics):
         assert p99 < naive_p99, (
             f"world {world}: p99 TTFT {p99:.4f}s regressed past the naive "
             f"arm's {naive_p99:.4f}s"
+        )
+        # Regrouping gates: each piece of decoder work is done once.
+        calls = counts[world]
+        assert calls.step_calls == rep.decode_steps, (
+            f"world {world}: {calls.step_calls} decoder.step calls for "
+            f"{rep.decode_steps} decode steps"
+        )
+        assert calls.advance_calls < calls.advance_rows, (
+            f"world {world}: prefill made {calls.advance_calls} advance "
+            f"calls for {calls.advance_rows} tokens — no replay shared one"
         )
 
     # ------------------------------------------------------------------
@@ -164,4 +204,15 @@ def test_serving(benchmark, report, bench_metrics):
         "repro_bench_serve_speedup",
         "Naive / continuous makespan at the widest world",
     ).set(naive.makespan_s / widest.makespan_s)
+    calls = counts[max(WORLDS)]
+    bench_metrics.gauge(
+        "repro_bench_serve_decoder_step_calls_per_decode_step",
+        "decoder.step calls per decode step at the widest world (1.0: "
+        "one call over all active rows)",
+    ).set(calls.step_calls / widest.decode_steps)
+    bench_metrics.gauge(
+        "repro_bench_serve_prefill_advance_calls_per_prefill_token",
+        "decoder.advance calls per prefill token at the widest world "
+        "(below 1.0: lock-step replays share calls)",
+    ).set(calls.advance_calls / calls.advance_rows)
     assert widest_summary["total_tokens"] == naive.total_tokens

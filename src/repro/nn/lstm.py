@@ -82,12 +82,12 @@ class LSTM(Module):
             raise ValueError("state shape does not match the batch")
         z = row_matmul(x, self.w_x.data) + self.bias.data
         z += row_matmul(h_prev, self.w_h.data)
-        i = sigmoid(z[:, :H])
-        f = sigmoid(z[:, H : 2 * H])
+        # One sigmoid over all four blocks: elementwise, so i/f/o are the
+        # bits of three strided calls; the unused g block costs less than one.
+        gates = sigmoid(z)
         g = tanh(z[:, 2 * H : 3 * H])
-        o = sigmoid(z[:, 3 * H :])
-        c = f * c_prev + i * g
-        h = o * tanh(c)
+        c = gates[:, H : 2 * H] * c_prev + gates[:, :H] * g
+        h = gates[:, 3 * H :] * tanh(c)
         return h, (h, c)
 
     def forward(

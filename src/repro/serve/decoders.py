@@ -5,14 +5,16 @@ A decoder adapts a trained model to the serving engine's protocol:
 * ``vocab_size`` / ``embedding_weight`` — the ``(V, D)`` input
   embedding the replica-sharded lookup gathers rows from;
 * ``init_state()`` — a fresh per-request state, a tuple of 1-D rows;
-* ``step(x, states)`` — one decode time step over a batch: ``(B, D)``
-  embedded rows plus stacked states in, ``(B, V)`` logits plus new
-  states out.
+* ``advance(x, states)`` — the recurrent update of one time step over
+  a batch: ``(B, D)`` embedded rows plus stacked states in, new states
+  out.  Prefill folds prompts through this alone;
+* ``step(x, states)`` — one decode time step: ``advance`` plus the
+  logit head, returning ``(B, V)`` logits and the new states.
 
 The load-bearing property is **batch invariance**: row ``r`` of every
-``step`` output is a pure function of row ``r`` of its inputs, bitwise,
-whatever the batch composition.  BLAS gemm does *not* provide this (its
-blocking depends on ``B``), so all matmuls run through
+``advance`` / ``step`` output is a pure function of row ``r`` of its
+inputs, bitwise, whatever the batch composition.  BLAS gemm does *not*
+provide this (its blocking depends on ``B``), so all matmuls run through
 :func:`repro.nn.functional.row_matmul` via the ``step`` kernels on
 :class:`~repro.nn.lstm.LSTM` and :class:`~repro.nn.rhn.RHN`.  That is
 what makes continuous batching a pure scheduling optimization — the
@@ -36,15 +38,17 @@ from ..train.word_lm import WordLanguageModel
 __all__ = [
     "CharLMDecoder",
     "WordLMDecoder",
+    "fold_histories",
     "sample_token",
     "stack_states",
-    "unstack_state",
 ]
 
 
-def stack_states(
-    rows: list[tuple[np.ndarray, ...]],
-) -> tuple[np.ndarray, ...]:
+#: One request's state rows, or the same components batched ``(B, ...)``.
+States = tuple[np.ndarray, ...]
+
+
+def stack_states(rows: list[States]) -> States:
     """Stack per-request state rows into batched ``(B, ...)`` components."""
     if not rows:
         raise ValueError("cannot stack an empty state batch")
@@ -54,11 +58,31 @@ def stack_states(
     )
 
 
-def unstack_state(
-    states: tuple[np.ndarray, ...], index: int
-) -> tuple[np.ndarray, ...]:
-    """Extract request ``index``'s rows from batched state components."""
-    return tuple(np.array(part[index], copy=True) for part in states)
+def fold_histories(decoder, histories) -> States:
+    """Fold each token history into a fresh state, all of them in lock step.
+
+    Step ``t`` advances every history that has a ``t``-th token in one
+    ``decoder.advance`` call; histories are walked longest first, so the
+    live rows are always a prefix slice.  Batch invariance makes row
+    ``i`` of each returned component bit-identical to folding
+    ``histories[i]`` alone; an empty history yields ``init_state()``.
+    """
+    order = sorted(range(len(histories)), key=lambda i: -len(histories[i]))
+    lengths = np.array([len(histories[i]) for i in order])
+    ids = np.zeros((len(order), lengths[0]), dtype=np.int64)
+    for row, i in zip(ids, order):
+        row[: len(histories[i])] = histories[i]
+    embedded = decoder.embedding_weight[ids]
+    states = stack_states([decoder.init_state()] * len(order))
+    for t in range(lengths[0]):
+        live = int((lengths > t).sum())
+        advanced = decoder.advance(
+            embedded[:live, t], tuple(part[:live] for part in states)
+        )
+        for part, rows in zip(states, advanced):
+            part[:live] = rows
+    unsort = np.argsort(order)
+    return tuple(part[unsort] for part in states)
 
 
 def sample_token(
@@ -113,12 +137,14 @@ class WordLMDecoder:
         zero = np.zeros(self._hidden, dtype)
         return (zero, zero.copy())
 
-    def step(
-        self, x: np.ndarray, states: tuple[np.ndarray, ...]
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def advance(self, x: np.ndarray, states: States) -> States:
+        """Fold one embedded row per request into its ``(h, c)``."""
+        return self.model.lstm.step(x, states)[1]
+
+    def step(self, x: np.ndarray, states: States) -> tuple[np.ndarray, States]:
         """One decode step: embedded rows in, full-vocab logits out."""
-        h, new_state = self.model.lstm.step(x, states)
-        proj = row_matmul(h, self.model.projection.weight.data)
+        new_state = self.advance(x, states)
+        proj = row_matmul(new_state[0], self.model.projection.weight.data)
         if self.model.projection.bias is not None:
             proj = proj + self.model.projection.bias.data
         logits = row_matmul(proj, self.model.loss_layer.weight.data.T)
@@ -148,13 +174,15 @@ class CharLMDecoder:
         """Zero ``s`` row for a fresh request."""
         return (np.zeros(self._hidden, self.embedding_weight.dtype),)
 
-    def step(
-        self, x: np.ndarray, states: tuple[np.ndarray, ...]
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def advance(self, x: np.ndarray, states: States) -> States:
+        """Fold one embedded row per request into its ``s``."""
+        return (self.model.rhn.step(x, states[0])[0],)
+
+    def step(self, x: np.ndarray, states: States) -> tuple[np.ndarray, States]:
         """One decode step: embedded rows in, full-vocab logits out."""
-        s, _ = self.model.rhn.step(x, states[0])
+        new_state = self.advance(x, states)
         logits = (
-            row_matmul(s, self.model.loss_layer.weight.data.T)
+            row_matmul(new_state[0], self.model.loss_layer.weight.data.T)
             + self.model.loss_layer.bias.data
         )
-        return logits, (s,)
+        return logits, new_state

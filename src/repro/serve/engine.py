@@ -6,9 +6,12 @@ multi-GPU replica group:
 
 * the :class:`~repro.serve.scheduler.ContinuousBatchingScheduler`
   re-forms the active batch at every decode-step boundary;
-* per-request recurrent states live in the
+* per-request recurrent states live in the slot arena of the
   :class:`~repro.serve.state_cache.RecurrentStateCache` — pinned while
   active, speculative (evictable, recomputable) while queued;
+* each piece of decoder work happens once: a decode step is one
+  ``decoder.step`` call over every active row, and prefill folds the
+  waiting prompts in lock step through the head-less ``decoder.advance``;
 * each step's embedding rows come from the replica-sharded
   :func:`~repro.serve.embedding.sharded_embedding_lookup`, so decode
   collectives land on the Timeline and charge the CostLedger exactly
@@ -42,11 +45,11 @@ import numpy as np
 
 from ..cluster.communicator import Communicator
 from ..cluster.failures import RankFailureError, TransientLinkError
-from .decoders import sample_token, stack_states, unstack_state
+from .decoders import fold_histories, sample_token, stack_states
 from .embedding import sharded_embedding_lookup
 from .metrics import ServingReport
 from .request import CompletedRequest, ServeRequest
-from .scheduler import ContinuousBatchingScheduler, TrackedRequest
+from .scheduler import ContinuousBatchingScheduler
 from .state_cache import RecurrentStateCache
 
 __all__ = ["ServeConfig", "ServingEngine", "naive_serve"]
@@ -137,6 +140,7 @@ class ServingEngine:
         self._comm_factory = comm_factory
         self.cache = RecurrentStateCache(
             self.config.cache_budget_bytes,
+            decoder.init_state(),
             comm.devices if comm.track_memory else None,
         )
         self.scheduler: ContinuousBatchingScheduler | None = None
@@ -172,17 +176,21 @@ class ServingEngine:
     # state management
     # ------------------------------------------------------------------
 
-    def _replay_state(self, tokens: list[int]) -> tuple[np.ndarray, ...]:
-        """Fold tokens into a fresh state through the batch-invariant kernel.
+    def _replay(self, rids: list[int]) -> None:
+        """Fold each request's token history into its slot, in one lock step.
 
-        Local compute only (replicated weights need no collective for a
-        single row); the simulated cost is charged by the caller.
+        Local compute only; the simulated cost is charged by the caller,
+        per request.  A request that was refused, or evicted by a later
+        put of the same pass, holds no slot and is skipped.
         """
-        states = stack_states([self.decoder.init_state()])
-        for token in tokens:
-            x = self.decoder.embedding_weight[int(token)][np.newaxis, :]
-            _, states = self.decoder.step(x, states)
-        return unstack_state(states, 0)
+        resident = [
+            (entry.slot, self.scheduler.records[rid].consumed_tokens[:-1])
+            for rid in rids
+            if (entry := self.cache.peek(rid)) is not None
+        ]
+        if resident:
+            slots, histories = zip(*resident)
+            self.cache.store(list(slots), fold_histories(self.decoder, histories))
 
     def _charge_prefill(self, n_tokens: int) -> None:
         rank = self._admissions % self.comm.world_size
@@ -192,46 +200,44 @@ class ServingEngine:
                 rank, n_tokens * self.config.prefill_token_s, name="serve:prefill"
             )
 
-    def _admit(self, rec: TrackedRequest) -> tuple[np.ndarray, ...]:
-        """Produce the admitted request's state: cache hit or replay."""
-        rid = rec.request.request_id
-        consumed = rec.consumed_tokens
-        folded = consumed[:-1]
-        entry = self.cache.get(rid)
-        if entry is not None and entry.n_consumed == len(folded):
-            self.cache.pin(rid)
-            return entry.state
-        if entry is not None:
-            self.cache.release(rid)
-        state = self._replay_state(folded)
-        self._charge_prefill(len(folded))
-        if entry is not None or rid in self._speculated or rec.readmissions:
-            self.recomputes += 1
-        self.cache.put(rid, state, len(folded), pinned=True)
-        return state
+    def _admit(self, admitted: list[int]) -> None:
+        """Pin each admitted request's state: cache hit or replay."""
+        misses = []
+        for rid in admitted:
+            rec = self.scheduler.records[rid]
+            n_folded = rec.n_consumed - 1
+            entry = self.cache.get(rid)
+            if entry is not None and entry.n_consumed == n_folded:
+                self.cache.pin(rid)
+                continue
+            if entry is not None:
+                self.cache.release(rid)
+            self._charge_prefill(n_folded)
+            if entry is not None or rid in self._speculated or rec.readmissions:
+                self.recomputes += 1
+            self.cache.put(rid, n_folded, pinned=True)
+            misses.append(rid)
+        self._replay(misses)
 
     def _speculative_prefill(self, now: float) -> None:
         """Prefill arrived-but-queued requests into the evictable cache."""
         sched = self.scheduler
-        for rid in sched.queued_ids():
-            rec = sched.records[rid]
-            if rec.request.arrival_s > now:
-                continue
+        fresh = []
+        for rid in sched.arrived_ids(now):
             if rid in self._speculated or rid in self.cache:
                 continue
             self._speculated.add(rid)
-            folded = rec.consumed_tokens[:-1]
-            state = self._replay_state(folded)
-            self._charge_prefill(len(folded))
-            self.cache.put(rid, state, len(folded), pinned=False)
+            n_folded = sched.records[rid].n_consumed - 1
+            self._charge_prefill(n_folded)
+            self.cache.put(rid, n_folded, pinned=False)
+            fresh.append(rid)
+        self._replay(fresh)
 
     # ------------------------------------------------------------------
     # fault handling
     # ------------------------------------------------------------------
 
-    def _handle_rank_loss(
-        self, err: RankFailureError, states: dict[int, tuple[np.ndarray, ...]]
-    ) -> None:
+    def _handle_rank_loss(self, err: RankFailureError) -> None:
         """Shrink the world, re-admit the dead replica's requests."""
         new_world = self.comm.world_size - 1
         if new_world < 1:
@@ -242,7 +248,6 @@ class ServingEngine:
         for rid in reversed(shard):  # reversed: inserts at head keep order
             sched.readmit(rid, now)
             self.cache.release(rid)
-            states.pop(rid, None)
         self._time_base += self.comm.timeline.makespan
         factory = self._comm_factory
         if factory is None:
@@ -278,10 +283,7 @@ class ServingEngine:
         """The step's sharded embedding gather, with transient retries."""
         sched = self.scheduler
         ids_per_rank = [
-            np.asarray(
-                [sched.records[rid].consumed_tokens[-1] for rid in shard],
-                dtype=np.int64,
-            )
+            np.array([sched.records[rid].last_token for rid in shard], dtype=np.int64)
             for shard in shards
         ]
         attempts = 0
@@ -302,7 +304,7 @@ class ServingEngine:
                     name="serve:retry-backoff",
                 )
             except RankFailureError as err:
-                self._handle_rank_loss(err, self._states)
+                self._handle_rank_loss(err)
                 raise _StepAborted() from err
 
     def run(self, requests: list[ServeRequest]) -> ServingReport:
@@ -311,15 +313,25 @@ class ServingEngine:
         Terminates when every request is finished or dropped; raises
         ``RuntimeError`` past ``config.max_steps`` (a scheduling bug,
         not a load condition — the step count is bounded by total
-        tokens plus idle hops).
+        tokens plus idle hops).  The stream is validated before any work:
+        a prompt id or ``eos_token`` outside the vocabulary is a
+        ``ValueError`` naming the request.
         """
         config = self.config
+        vocab = self.decoder.vocab_size
+        for req in requests:
+            ids = req.prompt
+            if req.eos_token is not None:
+                ids = np.append(ids, req.eos_token)
+            if ids.min() < 0 or ids.max() >= vocab:
+                raise ValueError(
+                    f"request {req.request_id}: prompt ids and eos_token "
+                    f"must be in [0, {vocab})"
+                )
         sched = ContinuousBatchingScheduler(
             requests, config.max_batch, drop_expired=config.drop_expired
         )
         self.scheduler = sched
-        states: dict[int, tuple[np.ndarray, ...]] = {}
-        self._states = states
         decode_steps = 0
         loop_iterations = 0
         while not sched.done:
@@ -332,8 +344,8 @@ class ServingEngine:
             admitted, _dropped = sched.poll(now)
             for rid in _dropped:
                 self.cache.release(rid)
-            for rid in admitted:
-                states[rid] = self._admit(sched.records[rid])
+            if admitted:
+                self._admit(admitted)
             if not sched.active:
                 next_arrival = sched.next_arrival_s(now)
                 if next_arrival is None:
@@ -350,41 +362,35 @@ class ServingEngine:
             except _StepAborted:
                 continue
             decode_steps += 1
-            for r, shard in enumerate(shards):  # mesh-ok: SPMD driver runs every rank's shard
-                if not shard:
-                    continue
-                batched = stack_states([states[rid] for rid in shard])
-                logits, new_states = self.decoder.step(rows_per_rank[r], batched)
-                event = self.comm.timeline.record_compute(
-                    r, len(shard) * config.decode_token_s, name="serve:decode"
-                )
-                emit_s = self._time_base + event.end
-                for j, rid in enumerate(shard):
-                    rec = sched.records[rid]
-                    position = len(rec.emitted)
-                    rng = (
-                        None
-                        if config.temperature == 0.0
-                        else np.random.default_rng((config.seed, rid, position))
+            # One kernel call over every active row, rank-major; the
+            # simulated cost below is still charged to each rank's shard.
+            order = [rid for shard in shards for rid in shard]
+            entries = [self.cache.peek(rid) for rid in order]
+            slots = [entry.slot for entry in entries]
+            logits, new_states = self.decoder.step(
+                np.concatenate(rows_per_rank), self.cache.rows(slots)
+            )
+            self.cache.store(slots, new_states)
+            if config.temperature == 0.0:
+                tokens = np.argmax(logits, axis=1).tolist()
+            else:
+                tokens = []
+                for row, rid in zip(logits, order):
+                    position = len(sched.records[rid].emitted)
+                    rng = np.random.default_rng((config.seed, rid, position))
+                    tokens.append(sample_token(row, rng, config.temperature))
+            emit_s = []
+            for r, shard in enumerate(shards):  # mesh-ok: SPMD driver charges every rank's shard
+                if shard:
+                    event = self.comm.timeline.record_compute(
+                        r, len(shard) * config.decode_token_s, name="serve:decode"
                     )
-                    token = sample_token(
-                        logits[j], rng, temperature=config.temperature
-                    )
-                    reason = sched.record_token(rid, token, emit_s)
-                    if reason is not None:
-                        self.cache.release(rid)
-                        del states[rid]
-                    else:
-                        row = unstack_state(new_states, j)
-                        states[rid] = row
-                        entry = self.cache.peek(rid)
-                        if entry is not None:
-                            entry.state = row
-                            entry.n_consumed += 1
-                        else:  # pragma: no cover - pinned entries stay resident
-                            self.cache.put(
-                                rid, row, len(rec.consumed_tokens) - 1, pinned=True
-                            )
+                    emit_s += [self._time_base + event.end] * len(shard)
+            for rid, entry, token, at_s in zip(order, entries, tokens, emit_s):
+                if sched.record_token(rid, token, at_s) is not None:
+                    self.cache.release(rid)
+                else:
+                    entry.n_consumed += 1
             if self.telemetry is not None:
                 self.telemetry.record_step(
                     step=decode_steps,

@@ -76,9 +76,9 @@ class ServeRequest:
         object.__setattr__(self, "prompt", prompt)
         if self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive")
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
-        if self.slo_s <= 0:
+        if not 0 <= self.arrival_s < float("inf"):  # NaN fails both sides
+            raise ValueError("arrival_s must be finite and non-negative")
+        if not self.slo_s > 0:  # NaN included
             raise ValueError("slo_s must be positive")
 
     @property

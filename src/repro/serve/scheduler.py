@@ -27,6 +27,7 @@ property asserts over: a request may leave the system only through a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .request import RequestState, ServeRequest
 
@@ -50,6 +51,16 @@ class TrackedRequest:
         """Prompt plus emissions — the decoder-visible token history."""
         return list(self.request.prompt) + self.emitted
 
+    @property
+    def n_consumed(self) -> int:
+        """``len(consumed_tokens)`` without building the list."""
+        return self.request.prompt.size + len(self.emitted)
+
+    @property
+    def last_token(self) -> int:
+        """``consumed_tokens[-1]``: the next decode step's input."""
+        return self.emitted[-1] if self.emitted else int(self.request.prompt[-1])
+
 
 class ContinuousBatchingScheduler:
     """Admission queue + active set over a stream of requests.
@@ -65,6 +76,12 @@ class ContinuousBatchingScheduler:
         The SLO deadline policy: when True, queued requests whose age
         exceeds their SLO budget are dropped at poll time (with an
         ``slo_expired`` event); when False they wait indefinitely.
+
+    Queue invariant: readmitted requests (which arrived before the
+    ``now`` of their readmission) sit ahead of the never-admitted ones,
+    which are in arrival order.  While ``now`` never decreases between
+    calls, the arrived requests are therefore a *prefix* of the queue:
+    every walk stops at the first future arrival — the next arrival.
     """
 
     def __init__(
@@ -103,14 +120,15 @@ class ContinuousBatchingScheduler:
         """Requests still waiting (arrived or future), in queue order."""
         return tuple(self._queue)
 
+    def arrived_ids(self, now: float) -> list[int]:
+        """The queue's arrived prefix (see the class invariant)."""
+        arrived = lambda rid: self.records[rid].request.arrival_s <= now
+        return list(takewhile(arrived, self._queue))
+
     def next_arrival_s(self, now: float) -> float | None:
         """Earliest future arrival among queued requests, if any."""
-        future = [
-            self.records[i].request.arrival_s
-            for i in self._queue
-            if self.records[i].request.arrival_s > now
-        ]
-        return min(future) if future else None
+        arrivals = (self.records[rid].request.arrival_s for rid in self._queue)
+        return next((at_s for at_s in arrivals if at_s > now), None)
 
     # ------------------------------------------------------------------
     # transitions
@@ -125,28 +143,26 @@ class ContinuousBatchingScheduler:
         """
         dropped: list[int] = []
         if self.drop_expired:
-            for rid in list(self._queue):
+            dropped = [
+                rid
+                for rid in self.arrived_ids(now)
+                if self.records[rid].request.deadline_s < now
+            ]
+            for rid in dropped:
+                self._queue.remove(rid)
                 rec = self.records[rid]
-                if rec.request.arrival_s <= now and rec.request.deadline_s < now:
-                    self._queue.remove(rid)
-                    rec.state = RequestState.DROPPED
-                    rec.finish_reason = "slo_expired"
-                    rec.finish_s = now
-                    self.dropped.append(rid)
-                    self.events.append(("slo_expired", rid, now))
-                    dropped.append(rid)
-        admitted: list[int] = []
-        for rid in list(self._queue):
-            if len(self.active) >= self.max_batch:
-                break
-            rec = self.records[rid]
-            if rec.request.arrival_s > now:
-                continue
-            self._queue.remove(rid)
-            rec.state = RequestState.ACTIVE
+                rec.state = RequestState.DROPPED
+                rec.finish_reason = "slo_expired"
+                rec.finish_s = now
+                self.dropped.append(rid)
+                self.events.append(("slo_expired", rid, now))
+        free = max(self.max_batch - len(self.active), 0)
+        admitted = self.arrived_ids(now)[:free] if free else []
+        for rid in admitted:
+            self.records[rid].state = RequestState.ACTIVE
             self.active.append(rid)
             self.events.append(("admit", rid, now))
-            admitted.append(rid)
+        del self._queue[: len(admitted)]
         return admitted, dropped
 
     def record_token(self, rid: int, token: int, now: float) -> str | None:

@@ -16,6 +16,11 @@ The cache holds both kinds:
   recomputed from the request's token history on admission (bit-exact,
   because the decode kernel is batch-invariant).
 
+The states live in a slot-indexed **arena** — one ``(capacity, ...)``
+array per state component — and an entry holds a slot, not arrays:
+admit, hit, evict and release are slot assignments, and a decode step
+is one fancy-index gather and scatter (``rows`` / ``store``).
+
 Every resident byte is charged to the simulated devices (tag
 ``serve-cache:<rid>``), so serving memory shows up in the same
 ``peak_bytes`` accounting the training paths use; every admit / evict /
@@ -44,16 +49,15 @@ class CacheOverflowError(MemoryError):
 
 @dataclass
 class CacheEntry:
-    """One resident recurrent state.
+    """One resident recurrent state: row ``slot`` of every arena component.
 
     ``n_consumed`` counts the tokens folded into the state (prompt plus
     emitted), so a hit can verify the state is current before reuse.
     """
 
     request_id: int
-    state: tuple[np.ndarray, ...]
+    slot: int
     n_consumed: int
-    nbytes: int
     pinned: bool = False
     handles: list[tuple[object, int]] = field(default_factory=list, repr=False)
 
@@ -64,11 +68,14 @@ class RecurrentStateCache:
     Parameters
     ----------
     budget_bytes:
-        Total resident-state budget.  Eviction reclaims unpinned entries
-        least-recently-used until a put fits; a put that cannot fit even
-        after evicting everything unpinned raises
+        Total resident-state budget; the arena has one slot per state
+        that fits.  Eviction reclaims unpinned entries least-recently-used
+        until a slot is free; a put that still finds none raises
         :class:`CacheOverflowError` when pinned, and is refused (entry
         not cached, ``"refused"`` event) when speculative.
+    state_like:
+        One request's state (the decoder's ``init_state()``): fixes each
+        arena component's row shape and dtype.
     devices:
         Optional simulated devices to charge resident bytes to (each
         entry is replicated to every device, matching the simulator's
@@ -76,10 +83,16 @@ class RecurrentStateCache:
         property tests).
     """
 
-    def __init__(self, budget_bytes: int, devices=None):
+    def __init__(self, budget_bytes: int, state_like, devices=None):
         if budget_bytes <= 0:
             raise ValueError("budget_bytes must be positive")
         self.budget_bytes = int(budget_bytes)
+        self.state_nbytes = int(sum(row.nbytes for row in state_like))
+        capacity = self.budget_bytes // self.state_nbytes
+        self.arena = tuple(
+            np.zeros((capacity,) + row.shape, row.dtype) for row in state_like
+        )
+        self._free = list(range(capacity - 1, -1, -1))  # pop() hands out slot 0 first
         self.devices = list(devices) if devices is not None else []
         self._entries: dict[int, CacheEntry] = {}  # insertion = LRU order
         self.events: list[tuple[str, int]] = []
@@ -94,12 +107,12 @@ class RecurrentStateCache:
     @property
     def resident_bytes(self) -> int:
         """Total bytes currently held."""
-        return sum(e.nbytes for e in self._entries.values())
+        return len(self._entries) * self.state_nbytes
 
     @property
     def pinned_bytes(self) -> int:
         """Bytes held by pinned (active-batch) entries."""
-        return sum(e.nbytes for e in self._entries.values() if e.pinned)
+        return sum(e.pinned for e in self._entries.values()) * self.state_nbytes
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -108,64 +121,59 @@ class RecurrentStateCache:
         return request_id in self._entries
 
     def _charge(self, entry: CacheEntry) -> None:
+        tag = f"serve-cache:{entry.request_id}"
         for dev in self.devices:
-            handle = dev.alloc(entry.nbytes, tag=f"serve-cache:{entry.request_id}")
-            entry.handles.append((dev, handle))
+            entry.handles.append((dev, dev.alloc(self.state_nbytes, tag=tag)))
 
     def _discharge(self, entry: CacheEntry) -> None:
         for dev, handle in entry.handles:
             dev.free(handle)
         entry.handles.clear()
 
+    def rows(self, slots: list[int]) -> tuple[np.ndarray, ...]:
+        """Gather the batched ``(len(slots), ...)`` states of ``slots``."""
+        return tuple(part[slots] for part in self.arena)
+
+    def store(self, slots: list[int], states: tuple[np.ndarray, ...]) -> None:
+        """Scatter batched states back into ``slots``, row for row."""
+        for part, rows in zip(self.arena, states):
+            part[slots] = rows
+
     # ------------------------------------------------------------------
     # core operations
     # ------------------------------------------------------------------
 
     def put(
-        self,
-        request_id: int,
-        state: tuple[np.ndarray, ...],
-        n_consumed: int,
-        pinned: bool = False,
-    ) -> bool:
-        """Insert or replace a request's state; returns residency.
+        self, request_id: int, n_consumed: int, pinned: bool = False
+    ) -> CacheEntry | None:
+        """Assign the request a slot (replacing any it held); returns its entry.
 
-        Evicts LRU unpinned entries until the state fits.  A pinned put
-        that still cannot fit raises :class:`CacheOverflowError`; an
-        unpinned one is refused and ``False`` returned.
+        The caller writes the state into the slot (:meth:`store`).
+        Evicts LRU unpinned entries until a slot is free; a pinned put
+        that still finds none raises :class:`CacheOverflowError`, an
+        unpinned one is refused and ``None`` returned.
         """
         self.release(request_id, _event=False)
-        nbytes = int(sum(np.asarray(a).nbytes for a in state))
-        while (
-            self.resident_bytes + nbytes > self.budget_bytes
-            and self._evict_lru() is not None
-        ):
+        while not self._free and self._evict_lru() is not None:
             pass
-        if self.resident_bytes + nbytes > self.budget_bytes:
+        if not self._free:
             if pinned:
                 raise CacheOverflowError(
-                    f"pinned state for request {request_id} ({nbytes} B) "
-                    f"exceeds the remaining budget "
-                    f"({self.budget_bytes - self.resident_bytes} B unpinned-free)"
+                    f"pinned state for request {request_id} needs a slot, "
+                    f"and all {len(self._entries)} hold pinned states"
                 )
             self.events.append(("refused", request_id))
-            return False
-        entry = CacheEntry(
-            request_id=request_id,
-            state=tuple(state),
-            n_consumed=int(n_consumed),
-            nbytes=nbytes,
-            pinned=pinned,
-        )
+            return None
+        entry = CacheEntry(request_id, self._free.pop(), int(n_consumed), pinned)
         self._charge(entry)
         self._entries[request_id] = entry
         self.events.append(("admit", request_id))
-        return True
+        return entry
 
     def peek(self, request_id: int) -> CacheEntry | None:
         """Look up a state without touching LRU order or hit statistics.
 
-        The engine's in-place per-step state update uses this: pinned
+        The engine's per-step read of the active rows' slots: pinned
         entries are not eviction candidates, so refreshing their LRU
         position would only distort the hit/miss accounting.
         """
@@ -201,6 +209,7 @@ class RecurrentStateCache:
         if entry is None:
             return
         self._discharge(entry)
+        self._free.append(entry.slot)
         if _event:
             self.events.append(("release", request_id))
 
@@ -210,6 +219,7 @@ class RecurrentStateCache:
             if not entry.pinned:
                 del self._entries[request_id]
                 self._discharge(entry)
+                self._free.append(entry.slot)
                 self.evictions += 1
                 self.events.append(("evict", request_id))
                 return request_id

@@ -87,7 +87,8 @@ class CountingDecoder:
         self.embedding_weight = np.arange(
             vocab_size * dim, dtype=np.float64
         ).reshape(vocab_size, dim)
-        self.steps_taken = 0
+        self.step_calls = 0
+        self.advance_calls = 0  # includes the one inside every step
 
     @property
     def state_nbytes(self) -> int:
@@ -96,11 +97,14 @@ class CountingDecoder:
     def init_state(self):
         return (np.zeros(1, dtype=np.float64),)
 
+    def advance(self, x, states):
+        self.advance_calls += 1
+        return (states[0] + 1.0,)
+
     def step(self, x, states):
-        count = states[0]
-        new = count + 1.0
+        self.step_calls += 1
+        (new,) = self.advance(x, states)
         batch = x.shape[0]
-        self.steps_taken += batch
         logits = np.zeros((batch, self.vocab_size))
         idx = (new[:, 0].astype(np.int64) + x[:, 0].astype(np.int64)) % (
             self.vocab_size

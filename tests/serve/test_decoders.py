@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.communicator import Communicator
 from repro.serve import sample_token, sharded_embedding_lookup
-from repro.serve.decoders import stack_states, unstack_state
+from repro.serve.decoders import fold_histories, stack_states
 
 from .helpers import make_char_decoder, make_word_decoder
 
@@ -24,19 +24,12 @@ class TestStackUnstack:
         stacked = stack_states(rows)
         assert stacked[0].shape == (3, 4)
         for i, row in enumerate(rows):
-            out = unstack_state(stacked, i)
-            np.testing.assert_array_equal(out[0], row[0])
-            np.testing.assert_array_equal(out[1], row[1])
+            np.testing.assert_array_equal(stacked[0][i], row[0])
+            np.testing.assert_array_equal(stacked[1][i], row[1])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             stack_states([])
-
-    def test_unstack_copies(self):
-        stacked = stack_states([(np.zeros(2),)])
-        row = unstack_state(stacked, 0)
-        row[0][:] = 7.0
-        assert stacked[0][0, 0] == 0.0
 
 
 class TestSampleToken:
@@ -86,7 +79,7 @@ class TestBatchInvariance:
         rows = [decoder.init_state() for _ in range(n)]
         # fold one warmup step so states are non-trivial
         _, warm = decoder.step(x, stack_states(rows))
-        warm_rows = [unstack_state(warm, i) for i in range(n)]
+        warm_rows = [tuple(part[i] for part in warm) for i in range(n)]
 
         x2 = random_rows(decoder, n, rng)
         ref_logits, ref_states = decoder.step(x2, stack_states(warm_rows))
@@ -102,11 +95,10 @@ class TestBatchInvariance:
                 np.testing.assert_array_equal(
                     logits[pos], ref_logits[member], strict=True
                 )
-                for part, ref_part in zip(
-                    unstack_state(states, pos),
-                    unstack_state(ref_states, member),
-                ):
-                    np.testing.assert_array_equal(part, ref_part, strict=True)
+                for part, ref_part in zip(states, ref_states):
+                    np.testing.assert_array_equal(
+                        part[pos], ref_part[member], strict=True
+                    )
 
     def test_multi_step_trajectory_schedule_independent(self, make_decoder):
         # Decoding a request alone vs inside changing batches must give
@@ -133,10 +125,50 @@ class TestBatchInvariance:
                 ]
             )
             _, new = decoder.step(x, batch)
-            state = unstack_state(new, 1)
+            state = tuple(part[1] for part in new)
 
-        for part, ref in zip(state, unstack_state(solo, 0)):
-            np.testing.assert_array_equal(part, ref, strict=True)
+        for part, ref in zip(state, solo):
+            np.testing.assert_array_equal(part, ref[0], strict=True)
+
+
+@pytest.mark.parametrize(
+    "make_decoder", [make_word_decoder, make_char_decoder],
+    ids=["word-lstm", "char-rhn"],
+)
+class TestAdvanceAndLockStepReplay:
+    """Prefill's kernels change no bit against one-token ``step`` replay."""
+
+    def test_advance_is_steps_state(self, make_decoder):
+        decoder = make_decoder()
+        rng = np.random.default_rng(6)
+        states = stack_states([decoder.init_state() for _ in range(4)])
+        for _ in range(3):
+            x = random_rows(decoder, 4, rng)
+            _, stepped = decoder.step(x, states)
+            advanced = decoder.advance(x, states)
+            for part, ref in zip(advanced, stepped):
+                np.testing.assert_array_equal(part, ref, strict=True)
+            states = stepped
+
+    def test_fold_histories_equals_per_request_replay(self, make_decoder):
+        decoder = make_decoder()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            # length 0 is a one-token prompt: nothing to fold
+            lengths = rng.integers(0, 9, size=int(rng.integers(1, 8)))
+            histories = [
+                rng.integers(0, decoder.vocab_size, size=n).tolist()
+                for n in lengths
+            ]
+            folded = fold_histories(decoder, histories)
+            for i, history in enumerate(histories):
+                # naive_serve's prefill: one request, one token, step()
+                solo = stack_states([decoder.init_state()])
+                for token in history:
+                    x = decoder.embedding_weight[token][np.newaxis, :]
+                    _, solo = decoder.step(x, solo)
+                for part, ref in zip(folded, solo):
+                    np.testing.assert_array_equal(part[i], ref[0], strict=True)
 
 
 class TestShardedEmbeddingLookup:

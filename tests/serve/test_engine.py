@@ -53,6 +53,76 @@ class TestConfigValidation:
             ServingEngine(decoder, Communicator(2), config)
 
 
+class TestHostileStream:
+    """Bad ids and times fail up front and typed, not as a wrong answer."""
+
+    @staticmethod
+    def serve(prompt, **kwargs):
+        engine = ServingEngine(make_word_decoder(), Communicator(2))  # 50 words
+        good = ServeRequest(7, np.array([3, 4]), 3)
+        engine.run([good, ServeRequest(8, np.array(prompt), 3, **kwargs)])
+
+    def test_negative_prompt_id_rejected(self):
+        # was served as the last vocabulary row: same tokens as [3, 49]
+        with pytest.raises(ValueError, match="request 8"):
+            self.serve([3, -1])
+
+    def test_out_of_vocab_prompt_id_rejected(self):
+        # was an IndexError five frames down in the sharded lookup
+        with pytest.raises(ValueError, match="request 8"):
+            self.serve([50, 3])
+
+    def test_out_of_vocab_eos_rejected(self):
+        with pytest.raises(ValueError, match="request 8"):
+            self.serve([3, 4], eos_token=50)
+
+    def test_stream_validated_before_any_work(self):
+        engine = ServingEngine(make_word_decoder(), Communicator(2))
+        with pytest.raises(ValueError):
+            engine.run(
+                [ServeRequest(0, np.array([3]), 3), ServeRequest(1, np.array([-1]), 3)]
+            )
+        assert engine.scheduler is None and engine.comm.timeline.makespan == 0.0
+
+    def test_nan_arrival_rejected(self):
+        with pytest.raises(ValueError, match="arrival_s"):
+            ServeRequest(0, np.array([3]), 3, arrival_s=float("nan"))
+
+    def test_infinite_arrival_rejected(self):
+        # was accepted, and the report's makespan_s came out inf
+        with pytest.raises(ValueError, match="arrival_s"):
+            ServeRequest(0, np.array([3]), 3, arrival_s=float("inf"))
+
+    def test_nan_slo_rejected(self):
+        with pytest.raises(ValueError, match="slo_s"):
+            ServeRequest(0, np.array([3]), 3, slo_s=float("nan"))
+
+
+class TestDecoderWorkDoneOnce:
+    """Call counts, not clocks: one step per decode step, none in prefill."""
+
+    def test_step_calls_equal_decode_steps(self):
+        decoder = CountingDecoder()
+        rng = np.random.default_rng(11)
+        requests = [
+            ServeRequest(
+                request_id=rid,
+                prompt=rng.integers(0, 16, size=int(rng.integers(1, 7))),
+                max_new_tokens=int(rng.integers(1, 6)),
+                arrival_s=float(rng.uniform(0.0, 0.05)),
+            )
+            for rid in range(20)
+        ]
+        config = pressure_config(max_batch=4)
+        report = ServingEngine(decoder, Communicator(3), config).run(requests)
+        assert report.decode_steps < report.total_tokens  # rows shared steps
+        # every step call is a decode step, so prefill never called step
+        assert decoder.step_calls == report.decode_steps
+        prefill_calls = decoder.advance_calls - decoder.step_calls
+        prefill_tokens = sum(r.prompt.size - 1 for r in requests)
+        assert 0 < prefill_calls < prefill_tokens  # lock step shared calls too
+
+
 class TestReport:
     def test_metrics_internally_consistent(self):
         decoder = make_word_decoder()

@@ -7,8 +7,9 @@ case costs microseconds, not model math:
 1. **No silent drops** — every admitted request reaches exactly one
    terminal state, and every drop has a recorded ``slo_expired`` event.
 2. **Eviction safety** — the cache never evicts a pinned (active-batch)
-   entry, and residency never exceeds the budget, under random
-   put/get/pin/unpin/release plans.
+   entry or reassigns its arena slot, no two residents share a slot,
+   and residency never exceeds the budget, under random
+   put/get/pin/unpin/release/rank-loss plans.
 3. **Token conservation** — total decoded tokens equals the sum of
    per-request emissions, under random arrival plans and fault
    injection (rank loss mid-flight included).
@@ -113,7 +114,7 @@ class TestNoSilentDrops:
 
 
 class TestEvictionSafety:
-    """Property 2: pinned entries survive any random cache plan."""
+    """Property 2: pinned entries and their arena slots survive any plan."""
 
     @staticmethod
     def gen(rng):
@@ -126,49 +127,69 @@ class TestEvictionSafety:
     @staticmethod
     def prop(params, rng):
         budget = params["budget_states"] * 8
-        cache = RecurrentStateCache(budget)
-        pinned: set[int] = set()
+        cache = RecurrentStateCache(budget, (np.zeros(1),))
+        pinned: dict[int, int] = {}  # request id -> the slot it was pinned in
         resident: set[int] = set()
         for _ in range(params["n_ops"]):
             rid = int(rng.integers(0, params["id_space"]))
             op = rng.random()
             if op < 0.4:
                 want_pin = rng.random() < 0.3
-                if want_pin and (len(pinned - {rid}) + 1) * 8 > budget:
+                if want_pin and (len(pinned.keys() - {rid}) + 1) * 8 > budget:
                     want_pin = False  # a legal driver never over-pins
-                ok = cache.put(
-                    rid, (np.array([float(rid)]),), n_consumed=1, pinned=want_pin
-                )
-                if ok:
+                pinned.pop(rid, None)  # a put replaces: the old slot is freed
+                entry = cache.put(rid, n_consumed=1, pinned=want_pin)
+                if entry is not None:
+                    cache.store([entry.slot], (np.array([[float(rid)]]),))
                     resident.add(rid)
-                    (pinned.add if want_pin else pinned.discard)(rid)
+                    if want_pin:
+                        pinned[rid] = entry.slot
                 else:
                     assert not want_pin  # only unpinned puts may be refused
                     resident.discard(rid)
-                    pinned.discard(rid)
             elif op < 0.6:
                 entry = cache.get(rid)
                 assert (entry is not None) == (rid in resident)
             elif op < 0.75 and rid in resident:
                 cache.pin(rid)
-                pinned.add(rid)
-            elif op < 0.9 and rid in resident:
+                pinned[rid] = cache.peek(rid).slot
+            elif op < 0.85 and rid in resident:
                 cache.unpin(rid)
-                pinned.discard(rid)
-            else:
+                pinned.pop(rid, None)
+            elif op < 0.95:
                 cache.release(rid)
                 resident.discard(rid)
-                pinned.discard(rid)
+                pinned.pop(rid, None)
+            else:
+                # rank loss: the dead replica's request goes, the rest re-charge
+                cache.release(rid)
+                resident.discard(rid)
+                pinned.pop(rid, None)
+                cache.rebind(None)
 
             # puts may have evicted unpinned entries: sync the shadow set
             resident = {r for r in resident if r in cache}
 
             # the invariants under test
             assert cache.resident_bytes <= budget
-            for pinned_id in pinned:
+            for pinned_id, slot in pinned.items():
                 assert pinned_id in cache, (
                     f"pinned request {pinned_id} was evicted"
                 )
+                assert cache.peek(pinned_id).slot == slot, (
+                    f"pinned request {pinned_id} changed slot"
+                )
+            entries = [cache.peek(r) for r in resident]
+            assert len(entries) == len(cache)
+            slots = [e.slot for e in entries]
+            assert len(set(slots)) == len(slots), "two residents share a slot"
+            assert all(0 <= slot < params["budget_states"] for slot in slots)
+            # nobody else wrote into a resident's rows
+            (rows,) = cache.rows(slots)
+            assert rows[:, 0].tolist() == [float(e.request_id) for e in entries]
+            assert cache.resident_bytes == sum(
+                part[e.slot].nbytes for e in entries for part in cache.arena
+            )
         for kind, rid in cache.events:
             if kind == "evict":
                 assert rid is not None  # evictions are always recorded
@@ -178,9 +199,9 @@ class TestEvictionSafety:
 
     def test_pinned_entries_survive_under_minimal_budget(self):
         # Directed worst case: budget exactly one state, pinned occupant.
-        cache = RecurrentStateCache(8)
-        cache.put(0, (np.array([0.0]),), 1, pinned=True)
-        assert not cache.put(1, (np.array([1.0]),), 1)
+        cache = RecurrentStateCache(8, (np.zeros(1),))
+        cache.put(0, 1, pinned=True)
+        assert not cache.put(1, 1)
         assert 0 in cache and cache.evictions == 0
 
 

@@ -143,3 +143,89 @@ class TestReadmission:
         sched.poll(0.0)
         with pytest.raises(ValueError):
             sched.readmit(1, 0.1)
+
+
+class BruteForceScheduler(ContinuousBatchingScheduler):
+    """The queue walks as full scans: no prefix invariant assumed."""
+
+    def arrived_ids(self, now):
+        return [
+            rid for rid in self._queue
+            if self.records[rid].request.arrival_s <= now
+        ]
+
+    def next_arrival_s(self, now):
+        future = [
+            self.records[rid].request.arrival_s
+            for rid in self._queue
+            if self.records[rid].request.arrival_s > now
+        ]
+        return min(future) if future else None
+
+    def poll(self, now):
+        dropped, admitted = [], []
+        for rid in list(self._queue):
+            rec = self.records[rid]
+            if (
+                self.drop_expired
+                and rec.request.arrival_s <= now
+                and rec.request.deadline_s < now
+            ):
+                self._queue.remove(rid)
+                rec.state = RequestState.DROPPED
+                rec.finish_reason = "slo_expired"
+                rec.finish_s = now
+                self.dropped.append(rid)
+                self.events.append(("slo_expired", rid, now))
+                dropped.append(rid)
+        for rid in list(self._queue):
+            if len(self.active) >= self.max_batch:
+                break
+            rec = self.records[rid]
+            if rec.request.arrival_s > now:
+                continue
+            self._queue.remove(rid)
+            rec.state = RequestState.ACTIVE
+            self.active.append(rid)
+            self.events.append(("admit", rid, now))
+            admitted.append(rid)
+        return admitted, dropped
+
+
+class TestArrivedPrefixInvariant:
+    def test_events_equal_brute_force_scan(self):
+        # Random plans with a non-decreasing clock, retirements and
+        # readmissions: stopping at the first future arrival must make
+        # every decision the full scan makes.
+        for case in range(100):
+            rng = np.random.default_rng((404, case))
+            requests = [
+                req(
+                    rid,
+                    arrival=float(rng.uniform(0.0, 1.0)),
+                    max_new=int(rng.integers(1, 5)),
+                    slo=float(rng.uniform(0.05, 0.5)) if rng.random() < 0.5 else float("inf"),
+                )
+                for rid in range(int(rng.integers(1, 20)))
+            ]
+            kwargs = dict(
+                max_batch=int(rng.integers(1, 5)), drop_expired=bool(rng.random() < 0.5)
+            )
+            fast = ContinuousBatchingScheduler(requests, **kwargs)
+            brute = BruteForceScheduler(requests, **kwargs)
+            now = 0.0
+            while not fast.done:
+                now += float(rng.exponential(0.05))
+                assert fast.poll(now) == brute.poll(now)
+                assert fast.arrived_ids(now) == brute.arrived_ids(now)
+                assert fast.next_arrival_s(now) == brute.next_arrival_s(now)
+                for rid in list(fast.active):
+                    roll = rng.random()
+                    if roll < 0.6:
+                        for sched in (fast, brute):
+                            sched.record_token(rid, 0, now)
+                    elif roll < 0.75:
+                        for sched in (fast, brute):
+                            sched.readmit(rid, now)
+                assert fast.queued_ids() == brute.queued_ids()
+            assert fast.events == brute.events and brute.done
