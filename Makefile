@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos test-mesh test-telemetry test-serve lint verify-spmd bench bench-smoke bench-wire bench-serve bench-sim examples results clean
+.PHONY: install test test-chaos test-mesh test-telemetry test-serve lint verify-spmd bench bench-smoke bench-wire bench-serve bench-sim dead-code examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -23,14 +23,14 @@ test-chaos:
 		tests/train/test_resilience.py
 
 # Mesh suite (docs/MESH.md): device-mesh geometry + per-axis collective
-# semantics, tensor/pipeline-parallel layer bit-exactness properties,
-# the sharded data-axis gradient exchange, the switch-composition table
-# (mesh x codec x overlap x fused x observers vs the flat reference),
-# hybrid-mesh training + elastic shrink, the `train --mesh` CLI paths,
-# and the tensor-parallel crossover benchmark with its wire-volume gates.
+# semantics, the 1F1B pipeline schedule, the sharded data-axis gradient
+# exchange, the switch-composition table (mesh x codec x overlap x fused
+# x observers vs the flat reference), hybrid-mesh training + elastic
+# shrink, the `train --mesh` CLI paths, and the tensor-parallel
+# crossover benchmark with its wire-volume gates.
 test-mesh:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
-		tests/cluster/test_mesh.py tests/nn/test_parallel.py \
+		tests/cluster/test_mesh.py tests/cluster/test_pipeline.py \
 		tests/core/test_mesh_exchange.py \
 		tests/train/test_mesh_training.py \
 		tests/train/test_sync_composition.py
@@ -105,6 +105,35 @@ bench-sim:
 bench-serve:
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
 		benchmarks/bench_serving.py --benchmark-only
+
+# Dead-code report (not in CI): every src/repro function that no entry
+# point enters — each example, the CLI subcommands, the five e2e
+# workloads and every bench in fast mode, one process each because the
+# profile hook never sees child processes.  The benches run with
+# --benchmark-disable: a timed run pauses the hook; they still rewrite
+# benchmarks/results/ as the other fast-mode targets do.
+DEAD_DIR ?= .dead-code
+DEAD = PYTHONPATH=src $(PYTHON) tools/check_coverage.py --functions $(DEAD_DIR)/entered.log --
+dead-code:
+	rm -rf $(DEAD_DIR) && mkdir -p $(DEAD_DIR)
+	for ex in examples/*.py; do $(DEAD) $$ex > /dev/null || exit 1; done
+	$(DEAD) -m repro.cli zipf --tokens 20000 > /dev/null
+	$(DEAD) -m repro.cli train --gpus 2 --steps 3 --corpus-tokens 6000 > /dev/null
+	$(DEAD) -m repro.cli train --model char --gpus 2 --steps 3 --corpus-tokens 40000 --fp16 --overlap > /dev/null
+	$(DEAD) -m repro.cli train --gpus 8 --steps 3 --corpus-tokens 6000 --mesh pipe=2,tensor=2,data=2 --wire-codec fp16+entropy --wire-chunk-bytes 4096 --fused-reduce --sanitize --verify-spmd --telemetry-dir $(DEAD_DIR)/tel > /dev/null
+	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --resilient --baseline --wire-codec auto --wire-learn --seed-strategy zipf_freq > /dev/null
+	$(DEAD) -m repro.cli trace $(DEAD_DIR)/tel > /dev/null
+	for t in 3 4 5; do $(DEAD) -m repro.cli perf --table $$t > /dev/null || exit 1; done
+	$(DEAD) -m repro.cli generate --steps 5 --length 10 > /dev/null
+	$(DEAD) -m repro.cli example > /dev/null
+	$(DEAD) -m repro.cli lint src/repro > /dev/null
+	$(DEAD) -m repro.cli verify-spmd src/repro benchmarks > /dev/null
+	$(DEAD) -m repro.cli serve-bench --requests 8 > /dev/null
+	for w in word_flat char_batched word_wire mesh_hybrid serve_burst; do \
+		$(DEAD) benchmarks/e2e/run.py --workload $$w --smoke > /dev/null || exit 1; done
+	for b in benchmarks/bench_*.py; do \
+		REPRO_BENCH_FAST=1 $(DEAD) -m pytest -q -p no:cacheprovider $$b --benchmark-disable > /dev/null || exit 1; done
+	PYTHONPATH=src $(PYTHON) tools/check_coverage.py --functions $(DEAD_DIR)/entered.log
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done

@@ -5,7 +5,14 @@ overhead across its >20 tensors.  Bucketing fuses them: latency (and
 per-bucket casts) are paid once per bucket.  This bench measures the
 modeled step time of the char LM's dense gradients exchanged per-tensor
 vs bucketed at several bucket sizes, on the paper's 64-GPU fabric.
+
+Set ``REPRO_BENCH_FAST=1`` for the CI smoke mode: the inventory's
+hidden size shrinks 8x so all ranks' tensors fit a small box; both
+gates and the FP16 correctness check still run.
 """
+
+import os
+import resource
 
 import numpy as np
 
@@ -14,14 +21,22 @@ from repro.core.bucketing import bucketed_allreduce, plan_buckets
 from repro.core.compression import Fp16Codec
 from repro.report import format_table
 
+FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
+#: The char LM's RHN hidden size; the smoke mode's 224 keeps the 8 ranks'
+#: copies of the inventory at ~35 MB instead of ~2 GB.
+HIDDEN = 224 if FAST else 1792
+
 #: A char-LM-like tensor inventory: 10 RHN micro-layers x (recurrent
-#: weight + bias) plus embedding/softmax — 24 tensors, ~213M params total.
+#: weight + bias) plus embedding/softmax — 24 tensors, ~65M params at
+#: full size.
 TENSOR_SHAPES = (
-    [(1792, 3584)] * 10          # recurrent weights
-    + [(3584,)] * 10             # biases
-    + [(128, 3584), (98, 128), (98, 1792), (98,)]
+    [(HIDDEN, 2 * HIDDEN)] * 10          # recurrent weights
+    + [(2 * HIDDEN,)] * 10               # biases
+    + [(128, 2 * HIDDEN), (98, 128), (98, HIDDEN), (98,)]
 )
 WORLD = 8
+#: Smoke-mode ceiling on the process's peak RSS (``ru_maxrss``, KiB).
+FAST_PEAK_RSS_KIB = 2 << 20
 
 
 def make_tensors(seed=0):
@@ -75,3 +90,6 @@ def test_ablation_bucketing(benchmark, report):
     # Fusing must reduce both collective count and modeled time.
     assert rows[1][1] < rows[0][1]
     assert best_ms <= per_tensor_ms
+    if FAST:
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert peak_kib < FAST_PEAK_RSS_KIB, f"peak RSS {peak_kib} KiB"

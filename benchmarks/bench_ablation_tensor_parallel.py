@@ -13,8 +13,9 @@ wire bytes for both:
 * **mesh sharded** — a ``(1, t, G/t)`` hybrid mesh running the same
   :class:`UniqueExchange` on its data axis (vocab split into ``t``
   ranges by :func:`shard_sparse`, each range exchanged over its data
-  subgroup) plus the tensor-axis logit all-reduce of the vocab-parallel
-  sampled softmax.
+  subgroup) plus the tensor-axis all-reduce of a logit-shaped block:
+  the per-step price a vocab-parallel sampled softmax would pay.  No
+  sharded layer runs; only the collectives it implies are charged.
 
 The flat exchange's allgather grows with the *world* (every rank
 contributes its token indices to everyone), while the mesh exchange

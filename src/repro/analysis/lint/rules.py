@@ -49,7 +49,6 @@ _ASYNC_COLLECTIVES = {
     "ibroadcast",
     "ireduce_scatter",
     "issue_scheduled",
-    "ibucketed_allreduce",
     "iunique_exchange",
     "iexchange",
     "iencoded_allgather",

@@ -268,7 +268,7 @@ class CostLedger:
         events by default).  1.0 means nothing was compressed — events
         recorded without an explicit payload count as uncompressed.
         This is the *measured*, data-dependent figure, as opposed to a
-        codec's nominal :func:`~repro.core.compression.wire_bytes_ratio`.
+        codec's nominal dtype ratio.
         """
         wire = logical = 0
         for e in self.events:

@@ -24,7 +24,7 @@ from .complexity import (
     unique_wins_comm,
     worked_example_256_gpus,
 )
-from .compression import Fp16Codec, IdentityCodec, WireCodec, wire_bytes_ratio
+from .compression import Fp16Codec, IdentityCodec, WireCodec
 from .embedding_sync import GradientSynchronizer, concat_token_grads
 from .seeding import (
     SeedAssignment,
@@ -38,7 +38,6 @@ from .sparse_exchange import AllGatherExchange, ExchangeStrategy, UniqueExchange
 from .unique import UniqueExchangeResult, local_unique_reduce, unique_exchange
 from .wire import (
     AdaptiveCodecSelector,
-    CodecPipeline,
     DeltaBitpackCodec,
     LosslessIntCodec,
     RunLengthCodec,
@@ -70,7 +69,6 @@ __all__ = [
     "WireCodec",
     "IdentityCodec",
     "Fp16Codec",
-    "wire_bytes_ratio",
     "GradientSynchronizer",
     "concat_token_grads",
     "SeedStrategy",
@@ -86,7 +84,6 @@ __all__ = [
     "unique_exchange",
     "local_unique_reduce",
     "AdaptiveCodecSelector",
-    "CodecPipeline",
     "DeltaBitpackCodec",
     "LosslessIntCodec",
     "RunLengthCodec",

@@ -9,14 +9,8 @@ latency is paid per bucket instead of per tensor, and casts batch.
 :func:`plan_buckets` groups tensors greedily in order (preserving
 backward-completion order so overlap remains possible);
 :func:`bucketed_allreduce` executes the fused exchange over the
-simulated communicator, bucket by bucket (issue + wait);
-:func:`ibucketed_allreduce` is the overlapped variant — every bucket is
-*issued* as soon as it is formed (the way DDP issues a bucket the
-moment backward fills it) and the returned
-:class:`PendingBucketedAllreduce` defers all waits, so bucket ``i``'s
-collective rides the comm stream while bucket ``i+1`` is still being
-flattened.  An ablation bench compares per-tensor vs bucketed latency
-on the paper's fabric.
+simulated communicator, bucket by bucket (issue + wait).  An ablation
+bench compares per-tensor vs bucketed latency on the paper's fabric.
 """
 
 from __future__ import annotations
@@ -26,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.communicator import Communicator, WorkHandle
+from ..cluster.communicator import Communicator
 from .compression import WireCodec
 
 __all__ = [
     "Bucket",
-    "PendingBucketedAllreduce",
     "bucketed_allreduce",
-    "ibucketed_allreduce",
     "plan_buckets",
 ]
 
@@ -93,115 +85,6 @@ def _validate_structure(
     return n_tensors
 
 
-def _issue_bucket(
-    comm: Communicator,
-    per_rank_tensors: Sequence[Sequence[np.ndarray]],
-    bucket: Bucket,
-    codec: WireCodec | None,
-    tag: str,
-) -> WorkHandle:
-    """Flatten (and encode) one bucket on every rank; issue its allreduce."""
-    flats = []
-    for tensors in per_rank_tensors:
-        flat = np.concatenate(
-            [tensors[i].reshape(-1) for i in bucket.tensor_indices]
-        )
-        flats.append(codec.encode(flat) if codec is not None else flat)
-    return comm.iallreduce(flats, tag=tag)
-
-
-def _unflatten_bucket(
-    reduced: Sequence[np.ndarray],
-    per_rank_tensors: Sequence[Sequence[np.ndarray]],
-    bucket: Bucket,
-    codec: WireCodec | None,
-    results: list[list[np.ndarray | None]],
-) -> None:
-    """Decode one reduced bucket and slice it back into tensor shapes."""
-    for rank, tensors in enumerate(per_rank_tensors):
-        flat = reduced[rank]
-        if codec is not None:
-            flat = codec.decode(flat, tensors[0].dtype)
-        offset = 0
-        for i in bucket.tensor_indices:
-            size = tensors[i].size
-            results[rank][i] = flat[offset : offset + size].reshape(
-                tensors[i].shape
-            )
-            offset += size
-
-
-class PendingBucketedAllreduce:
-    """All buckets of one fused allreduce, in flight.
-
-    Produced by :func:`ibucketed_allreduce`.  Holds one
-    :class:`~repro.cluster.communicator.WorkHandle` per bucket;
-    :meth:`wait` completes them in issue order and unflattens the
-    reduced buckets back into the original per-rank tensor structure.
-    """
-
-    def __init__(
-        self,
-        per_rank_tensors: Sequence[Sequence[np.ndarray]],
-        buckets: list[Bucket],
-        handles: list[WorkHandle],
-        codec: WireCodec | None,
-    ):
-        self._tensors = per_rank_tensors
-        self._buckets = buckets
-        self._handles = handles
-        self._codec = codec
-        self._result: list[list[np.ndarray]] | None = None
-
-    @property
-    def handles(self) -> tuple[WorkHandle, ...]:
-        """The per-bucket work handles, in issue order."""
-        return tuple(self._handles)
-
-    def is_complete(self) -> bool:
-        """Whether every bucket's handle has been awaited."""
-        return all(h.is_complete() for h in self._handles)
-
-    def wait(self) -> list[list[np.ndarray]]:
-        """Complete every bucket; return per-rank lists of reduced tensors."""
-        if self._result is None:
-            results = [[None] * len(t) for t in self._tensors]
-            for bucket, handle in zip(self._buckets, self._handles):
-                _unflatten_bucket(
-                    handle.wait(), self._tensors, bucket, self._codec, results
-                )
-            self._result = results
-        return self._result
-
-
-def ibucketed_allreduce(
-    comm: Communicator,
-    per_rank_tensors: Sequence[Sequence[np.ndarray]],
-    bucket_bytes: int = 4 * 1024 * 1024,
-    codec: WireCodec | None = None,
-    tag: str = "bucketed",
-) -> PendingBucketedAllreduce:
-    """Issue a fused allreduce bucket-by-bucket without waiting.
-
-    Each bucket's ``iallreduce`` is issued the moment the bucket is
-    flattened (and encoded), so its collective occupies the comm stream
-    while later buckets — in a real run, later backward layers — are
-    still producing.  All waits are deferred to the returned pending
-    object, which also unflattens results back to tensor structure.
-
-    Parameters are as for :func:`bucketed_allreduce`.
-    """
-    _validate_structure(comm.world_size, per_rank_tensors)
-    buckets = plan_buckets(
-        [int(t.nbytes) for t in per_rank_tensors[0]], bucket_bytes
-    )
-    handles = [
-        _issue_bucket(comm, per_rank_tensors, bucket, codec, f"{tag}:bucket{b}")
-        for b, bucket in enumerate(buckets)
-    ]
-    return PendingBucketedAllreduce(per_rank_tensors, buckets, handles, codec)
-
-
 def bucketed_allreduce(
     comm: Communicator,
     per_rank_tensors: Sequence[Sequence[np.ndarray]],
@@ -212,9 +95,7 @@ def bucketed_allreduce(
     """Sum-allreduce a list of tensors per rank, fused into buckets.
 
     The blocking schedule: each bucket is issued and awaited before the
-    next is formed, so at most one bucket's scratch is ever live — the
-    exact pre-async behaviour (and memory profile).  Use
-    :func:`ibucketed_allreduce` for the overlapped schedule.
+    next is formed, so at most one bucket's scratch is ever live.
 
     Parameters
     ----------
@@ -237,10 +118,22 @@ def bucketed_allreduce(
     )
     results = [[None] * n_tensors for _ in per_rank_tensors]
     for b, bucket in enumerate(buckets):
-        handle = _issue_bucket(
-            comm, per_rank_tensors, bucket, codec, f"{tag}:bucket{b}"
-        )
-        _unflatten_bucket(
-            handle.wait(), per_rank_tensors, bucket, codec, results
-        )
+        flats = []
+        for tensors in per_rank_tensors:
+            flat = np.concatenate(
+                [tensors[i].reshape(-1) for i in bucket.tensor_indices]
+            )
+            flats.append(codec.encode(flat) if codec is not None else flat)
+        reduced = comm.iallreduce(flats, tag=f"{tag}:bucket{b}").wait()
+        for rank, tensors in enumerate(per_rank_tensors):
+            flat = reduced[rank]
+            if codec is not None:
+                flat = codec.decode(flat, tensors[0].dtype)
+            offset = 0
+            for i in bucket.tensor_indices:
+                size = tensors[i].size
+                results[rank][i] = flat[offset : offset + size].reshape(
+                    tensors[i].shape
+                )
+                offset += size
     return results

@@ -25,7 +25,6 @@ __all__ = [
     "IdentityCodec",
     "Fp16Codec",
     "encode_stacked",
-    "wire_bytes_ratio",
 ]
 
 #: Largest finite FP16 value; encodes saturate rather than produce inf.
@@ -42,7 +41,7 @@ class WireCodec:
 
     #: True when the encoded size depends on the payload's *values*
     #: rather than only its dtype/shape — such codecs have no constant
-    #: wire ratio and :func:`wire_bytes_ratio` needs a sample.
+    #: wire ratio.
     data_dependent: bool = False
 
     #: True when encoded tensors may be **summed in the wire domain**:
@@ -78,8 +77,8 @@ class WireCodec:
     def wire_dtype(self, dtype: np.dtype) -> np.dtype | None:
         """Dtype of ``encode`` output for a ``dtype`` input; None if unknown.
 
-        Lets :class:`repro.core.wire.registry.CodecPipeline` chain
-        decodes without materializing intermediate arrays first.
+        Summable codecs must report it: a fused reduction sizes its
+        wire-domain hops from it (:mod:`repro.core.wire.fused`).
         """
         return None
 
@@ -170,34 +169,3 @@ def encode_stacked(
         return codec.encode_many(arrays), None
     wire = codec.encode(stacked)
     return list(wire), wire
-
-
-def wire_bytes_ratio(
-    codec: WireCodec,
-    dtype: np.dtype = np.dtype(np.float32),
-    sample: np.ndarray | None = None,
-) -> float:
-    """Wire-bytes fraction relative to sending raw tensors.
-
-    For dtype-determined codecs (identity, FP16) the ratio is a constant
-    of the formats — 0.5 for FP16 over FP32, the paper's "reduces
-    communication by 50%" — and a 1-element probe suffices.
-
-    For *data-dependent* codecs (the lossless integer codecs of
-    :mod:`repro.core.wire`) there is no constant: a sorted Zipf index
-    vector may shrink 8x while adversarial data hits the raw-fallback
-    bound.  Pass a representative ``sample`` and the **measured** ratio
-    ``encode(sample).nbytes / sample.nbytes`` is returned; calling
-    without one raises instead of reporting a fictitious constant.
-    """
-    if sample is not None:
-        if sample.size == 0:
-            raise ValueError("sample must be non-empty to measure a ratio")
-        return codec.encode(sample).nbytes / sample.nbytes
-    if getattr(codec, "data_dependent", False):
-        raise ValueError(
-            f"codec {codec.name!r} has a data-dependent wire ratio; pass "
-            "a representative sample array to measure it"
-        )
-    probe = np.zeros(1, dtype=dtype)
-    return codec.encode(probe).itemsize / probe.itemsize

@@ -6,16 +6,15 @@ into a registry of codecs with distinct roles:
 * :mod:`~repro.core.wire.codecs` — lossless, self-delimiting integer
   frame codecs (delta-bitpack, run-length, canonical-Huffman entropy)
   for the uniqueness exchange's Θ(G·K) index ALLGATHER;
-* :mod:`~repro.core.wire.registry` — name -> codec factories and the
-  composable :class:`CodecPipeline`;
+* :mod:`~repro.core.wire.registry` — name -> codec factories;
 * :mod:`~repro.core.wire.cost` — per-codec throughput constants and the
   compression crossover inequality;
 * :mod:`~repro.core.wire.adaptive` — per-message codec selection from
   size, dtype, and a sampled compressibility estimate;
 * :mod:`~repro.core.wire.transfer` — the chunked encoded allgather that
   pipelines encode/transmit/decode on the two-stream timeline;
-* :mod:`~repro.core.wire.fused` — fused compress-reduce collectives
-  (compressed ring reduce-scatter / allreduce with per-hop recoding);
+* :mod:`~repro.core.wire.fused` — the fused compress-reduce collective
+  (compressed ring allreduce with per-hop recoding);
 * :mod:`~repro.core.wire.policy` — the :class:`WirePolicy` object the
   trainer/CLI hand down (``--wire-codec``, ``--wire-chunk-bytes``).
 
@@ -37,7 +36,6 @@ from .cost import (
     CodecThroughput,
     codec_throughput,
     compressed_transfer_seconds,
-    compression_wins,
     slowest_throughput,
     throughput_from_metrics,
 )
@@ -45,16 +43,14 @@ from .fused import (
     FusedReducePlan,
     PendingFusedReduce,
     icompressed_allreduce,
-    icompressed_reduce_scatter,
     plan_fused_reduce,
 )
 from .policy import WirePolicy
-from .registry import CodecPipeline, available_codecs, make_codec, register_codec
+from .registry import available_codecs, make_codec, register_codec
 from .transfer import PendingEncodedGather, iencoded_allgather, wire_instruments
 
 __all__ = [
     "AdaptiveCodecSelector",
-    "CodecPipeline",
     "CodecThroughput",
     "DEFAULT_CODEC_THROUGHPUTS",
     "DELTA_BLOCK",
@@ -70,10 +66,8 @@ __all__ = [
     "available_codecs",
     "codec_throughput",
     "compressed_transfer_seconds",
-    "compression_wins",
     "decode_frames",
     "icompressed_allreduce",
-    "icompressed_reduce_scatter",
     "iencoded_allgather",
     "plan_fused_reduce",
     "slowest_throughput",

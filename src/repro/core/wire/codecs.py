@@ -181,10 +181,6 @@ class LosslessIntCodec(WireCodec):
         """Decode a (possibly multi-frame) uint8 buffer back to indices."""
         return decode_frames(arr, dtype)
 
-    def wire_dtype(self, dtype: np.dtype) -> np.dtype:
-        """Frames are always byte streams."""
-        return np.dtype(np.uint8)
-
     def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
         """Cheap encoded-size estimate from a strided sorted sample.
 

@@ -19,8 +19,8 @@ holds the primitive pieces shared by the selector (which must live in
   cluster.  :func:`repro.perf.codec_model.calibrate_codec_throughput`
   measures the host-numpy values when a table should reflect wall-clock
   reality instead;
-* :func:`compressed_transfer_seconds` / :func:`compression_wins` — the
-  serial (unpipelined) crossover inequality
+* :func:`compressed_transfer_seconds` — the serial (unpipelined) side
+  of the crossover inequality
   ``encode + transfer(encoded) + decode < transfer(raw)``.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_CODEC_THROUGHPUTS",
     "codec_throughput",
     "compressed_transfer_seconds",
-    "compression_wins",
     "slowest_throughput",
     "throughput_from_metrics",
 ]
@@ -187,22 +186,4 @@ def compressed_transfer_seconds(
         throughput.encode_seconds(logical_bytes)
         + ring_allgather_time(world, encoded_bytes, link)
         + throughput.decode_seconds(world * logical_bytes)
-    )
-
-
-@lru_cache(maxsize=4096)
-def compression_wins(
-    logical_bytes: int,
-    encoded_bytes: int,
-    world: int,
-    link: LinkSpec,
-    throughput: CodecThroughput,
-) -> bool:
-    """Whether encoding beats shipping raw bytes, codec cost included."""
-    raw = ring_allgather_time(world, logical_bytes, link)
-    return (
-        compressed_transfer_seconds(
-            logical_bytes, encoded_bytes, world, link, throughput
-        )
-        < raw
     )

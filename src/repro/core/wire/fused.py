@@ -1,15 +1,12 @@
-"""Fused compressed reduction collectives (compress-reduce, ZipCCL-style).
+"""Fused compressed ring allreduce (compress-reduce, ZipCCL-style).
 
-PR 4's wire stack compresses payloads *outside* the collective: encode,
-allgather the frames, decode.  For reductions that is the wrong shape —
-a ring reduce-scatter moves *partial sums*, and what can be compressed
-is each hop's partial, not the caller's input.  This module fuses the
-codec into the ring schedule:
-
-* :func:`icompressed_reduce_scatter` — chunked ring reduce-scatter with
-  per-hop compression;
-* :func:`icompressed_allreduce` — compressed ring allreduce
-  (reduce-scatter phase + allgather phase over encoded reduced shards).
+The wire stack's encoded allgather compresses payloads *outside* the
+collective: encode, allgather the frames, decode.  For reductions that
+is the wrong shape — a ring reduce-scatter moves *partial sums*, and
+what can be compressed is each hop's partial, not the caller's input.
+:func:`icompressed_allreduce` fuses the codec into the ring schedule: a
+chunked reduce-scatter phase with per-hop compression, then an
+allgather phase over the encoded reduced shards.
 
 Two codec regimes, selected by :attr:`WireCodec.summable
 <repro.core.compression.WireCodec.summable>`:
@@ -29,8 +26,8 @@ Two codec regimes, selected by :attr:`WireCodec.summable
 
 ``codec=None`` runs the same chunked hop schedule on raw bytes — the
 accounting baseline whose makespan equals the classic ring cost models
-(summing ``G-1`` hops of ``α + shard/β`` reproduces
-:func:`~repro.cluster.collectives.ring_reduce_scatter_time` exactly).
+(summing ``2(G-1)`` hops of ``α + shard/β`` reproduces
+:func:`~repro.cluster.collectives.ring_allreduce_time` exactly).
 
 Accounting.  Every hop is one explicitly-costed collective step through
 :meth:`Communicator.issue_scheduled
@@ -65,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster.collectives import allreduce_arrays, reduce_scatter_arrays
+from ...cluster.collectives import allreduce_arrays
 from ..compression import encode_stacked
 from .cost import CodecThroughput, codec_throughput
 from .transfer import wire_instruments
@@ -74,7 +71,6 @@ __all__ = [
     "FusedReducePlan",
     "PendingFusedReduce",
     "icompressed_allreduce",
-    "icompressed_reduce_scatter",
     "plan_fused_reduce",
 ]
 
@@ -84,7 +80,7 @@ class FusedReducePlan:
     """The data-dependent schedule of one fused compressed reduction.
 
     Byte-level description shared by three consumers that must agree
-    exactly: the live collectives here (which execute it on the
+    exactly: the live collective here (which executes it on the
     communicator), :func:`repro.perf.codec_model.fused_reduce_time`
     (the closed-form makespan recurrence), and
     :func:`repro.perf.codec_model.timeline_fused_reduce` (the same
@@ -97,9 +93,6 @@ class FusedReducePlan:
     """
 
     world: int
-    #: True for the compressed allreduce (reduce-scatter + allgather
-    #: phases); False for reduce-scatter only.
-    allgather: bool
     #: True when the schedule decodes + re-encodes at hop boundaries
     #: (frame codecs); False for summable/raw wire-domain reduction.
     hop_recode: bool
@@ -112,9 +105,8 @@ class FusedReducePlan:
     #: Encoded wire bytes of each reduce-scatter hop, ``[chunk][hop]``,
     #: max over ranks; ``world - 1`` hops per chunk.
     rs_hop_bytes: tuple[tuple[int, ...], ...]
-    #: Encoded wire bytes of each allgather hop, ``[chunk][hop]``;
-    #: None when ``allgather`` is False.
-    ag_hop_bytes: tuple[tuple[int, ...], ...] | None
+    #: Encoded wire bytes of each allgather hop, ``[chunk][hop]``.
+    ag_hop_bytes: tuple[tuple[int, ...], ...]
     #: Logical bytes decoded on each rank at drain, per chunk.
     final_decode: tuple[int, ...]
 
@@ -129,14 +121,10 @@ class FusedReducePlan:
             ("rs_hop_bytes", self.rs_hop_bytes),
             ("ag_hop_bytes", self.ag_hop_bytes),
         ):
-            if rows is None:
-                continue
             if len(rows) != n or any(len(row) != hops for row in rows):
                 raise ValueError(
                     f"{name} must hold {n} chunks x {hops} hops"
                 )
-        if self.allgather and self.ag_hop_bytes is None and hops:
-            raise ValueError("allgather plan needs ag_hop_bytes")
         if len(self.pre_encode) != n or len(self.final_decode) != n:
             raise ValueError(
                 "pre_encode/final_decode must have one entry per chunk"
@@ -181,21 +169,20 @@ def _frame_hop_sizes(
     codec,
     world: int,
     chunks: list[int],
-    allgather: bool,
-) -> tuple[list[list[int]], list[list[int]] | None]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """Measure encoded bytes of every ring hop's partial sums.
 
     Walks the ring hop by hop — the partial sent at hop ``h`` for shard
     ``j`` covers ranks ``j .. j+h-1`` — encoding the ``world`` in-flight
     partials of a hop as one gather (``encode_many``) to charge the wire
     what a recoding ring actually ships.  Returns ``(rs[chunk][hop],
-    ag[chunk][hop] | None)`` maxima over ranks.
+    ag[chunk][hop])`` maxima over ranks.
     """
     hops = world - 1
     shard = flats[0].size // world
     bounds = np.concatenate(([0], np.cumsum(chunks))).astype(np.intp)
     rs = [[0] * hops for _ in chunks]
-    ag = [[0] * hops for _ in chunks] if allgather and hops else None
+    ag = [[0] * hops for _ in chunks]
     for c in range(len(chunks)):
         # Shard j's piece of this chunk, as every rank holds it.
         pieces = [
@@ -207,7 +194,7 @@ def _frame_hop_sizes(
             rs[c][h - 1] = max(f.size for f in codec.encode_many(parts))
             for j, part in enumerate(parts):
                 part += flats[(j + h) % world][pieces[j]]
-        if ag is not None:
+        if hops:
             ag[c] = [max(f.size for f in codec.encode_many(parts))] * hops
     return rs, ag
 
@@ -215,10 +202,9 @@ def _frame_hop_sizes(
 def plan_fused_reduce(
     arrays: Sequence[np.ndarray],
     codec,
-    allgather: bool = True,
     chunk_bytes: int | None = None,
 ) -> FusedReducePlan:
-    """Build the byte-level schedule for one fused reduction.
+    """Build the byte-level schedule for one fused allreduce.
 
     ``codec`` may be None (raw ring), a summable value codec, or a
     lossless integer frame codec (hop recoding).  See the module
@@ -257,33 +243,21 @@ def plan_fused_reduce(
         hop_row = [
             tuple(n * wire_item for _ in range(hops)) for n in chunks
         ]
-        rs_hop = tuple(hop_row)
-        ag_hop = tuple(hop_row) if allgather else None
-        pre = tuple(world * lb for lb in chunk_logical)
-        final = tuple(
-            (world * lb if allgather else lb) for lb in chunk_logical
-        )
+        rs_hop = ag_hop = tuple(hop_row)
+        pre = final = tuple(world * lb for lb in chunk_logical)
     elif recode:
-        rs, ag = _frame_hop_sizes(flats, codec, world, chunks, allgather)
+        rs, ag = _frame_hop_sizes(flats, codec, world, chunks)
         rs_hop = tuple(tuple(row) for row in rs)
-        ag_hop = (
-            tuple(tuple(row) for row in ag) if ag is not None
-            else ((tuple(),) * len(chunks) if allgather else None)
-        )
+        ag_hop = tuple(tuple(row) for row in ag)
         pre = tuple(chunk_logical)
-        # Allreduce: decode the world-1 foreign reduced-shard frames at
-        # drain (the own shard is raw after the last hop's add, which
-        # is charged at the pre-allgather recode).  Reduce-scatter:
-        # decode the last incoming partial.
-        final = tuple(
-            ((world - 1) * lb if allgather else lb) for lb in chunk_logical
-        )
+        # Decode the world-1 foreign reduced-shard frames at drain (the
+        # own shard is raw after the last hop's add, which is charged at
+        # the pre-allgather recode).
+        final = tuple((world - 1) * lb for lb in chunk_logical)
     else:  # raw
         hop_row = [tuple(n * itemsize for _ in range(hops)) for n in chunks]
-        rs_hop = tuple(hop_row)
-        ag_hop = tuple(hop_row) if allgather else None
-        pre = tuple(0 for _ in chunks)
-        final = tuple(0 for _ in chunks)
+        rs_hop = ag_hop = tuple(hop_row)
+        pre = final = tuple(0 for _ in chunks)
     if world == 1:
         # Degenerate ring: no hops; the codec roundtrip (if any) is
         # still charged so G=1 matches the unfused encode/decode path.
@@ -295,15 +269,13 @@ def plan_fused_reduce(
             pre = (0,)
             final = (0,)
         return FusedReducePlan(
-            world=1, allgather=allgather, hop_recode=False,
+            world=1, hop_recode=False,
             chunk_logical=(flats[0].size * itemsize,),
-            pre_encode=pre, rs_hop_bytes=((),),
-            ag_hop_bytes=((),) if allgather else None,
+            pre_encode=pre, rs_hop_bytes=((),), ag_hop_bytes=((),),
             final_decode=final,
         )
     return FusedReducePlan(
         world=world,
-        allgather=allgather,
         hop_recode=recode,
         chunk_logical=chunk_logical,
         pre_encode=pre,
@@ -314,7 +286,7 @@ def plan_fused_reduce(
 
 
 class PendingFusedReduce:
-    """An in-flight fused compressed reduction.
+    """An in-flight fused compressed allreduce.
 
     The intermediate hops were issued (and, for recoding rings, waited)
     eagerly — what remains at :meth:`wait` is completing each chunk's
@@ -367,19 +339,30 @@ class PendingFusedReduce:
         return self._results
 
 
-def _fused_reduce(
+def icompressed_allreduce(
     comm,
     arrays: Sequence[np.ndarray],
-    codec,
-    allgather: bool,
-    tag: str,
-    chunk_bytes: int | None,
-    throughput: CodecThroughput | None,
-    charge_compute: bool,
-    shared_result: bool,
+    codec=None,
+    tag: str = "",
+    chunk_bytes: int | None = None,
+    throughput: CodecThroughput | None = None,
+    charge_compute: bool = True,
+    shared_result: bool = False,
     stacked: np.ndarray | None = None,
 ) -> PendingFusedReduce:
-    """Shared engine of the two fused collectives (see module docstring)."""
+    """Compressed ring allreduce: fused reduce-scatter + allgather.
+
+    ``wait()`` returns decoded per-rank sums (``shared_result`` hands
+    every rank the same read-only array, as :meth:`Communicator.
+    iallreduce` does).  With a summable codec the numerics equal the
+    unfused encode → allreduce → decode path bit for bit; with a frame
+    codec (integer payloads) or ``codec=None`` they equal the plain
+    rank-order fold bit for bit.  ``stacked`` is the caller's assertion
+    that ``arrays`` are, in rank order, the rows of that one block (as
+    for :meth:`Communicator.iallreduce`, one-ring communicators only):
+    a summable codec then encodes the block in one call and the fold
+    runs on the encoded block, skipping ``world`` encodes and a restack.
+    """
     if len(arrays) != comm.world_size:
         raise ValueError(
             f"got {len(arrays)} per-rank arrays for a "
@@ -392,14 +375,7 @@ def _fused_reduce(
         for r in max(comm.groups, key=lambda ranks: arrays[ranks[0]].nbytes)
     ]
     dtype = lead[0].dtype
-    if not allgather and lead[0].shape[0] % ring != 0:
-        raise ValueError(
-            f"reduce_scatter: leading dim {lead[0].shape[0]} not "
-            f"divisible by world size {ring}"
-        )
-    plan = plan_fused_reduce(
-        lead, codec, allgather=allgather, chunk_bytes=chunk_bytes
-    )
+    plan = plan_fused_reduce(lead, codec, chunk_bytes=chunk_bytes)
     summable = codec is not None and getattr(codec, "summable", False)
     if stacked is not None and len(comm.groups) > 1:
         raise ValueError("stacked= describes the one ring of a flat reduce")
@@ -410,13 +386,9 @@ def _fused_reduce(
     # ---- numerics (eager, rank-order fold per ring — see module docstring)
     def reduce(sub: list[np.ndarray], _: int) -> list[np.ndarray]:
         if not summable:
-            if allgather:
-                return allreduce_arrays(
-                    sub, shared_result=shared_result, stacked=stacked
-                )
-            return reduce_scatter_arrays(sub)
-        if not allgather:
-            return [codec.decode(s, dtype) for s in reduce_scatter_arrays(sub)]
+            return allreduce_arrays(
+                sub, shared_result=shared_result, stacked=stacked
+            )
         decoded = codec.decode(
             allreduce_arrays(sub, shared_result=True, stacked=stacked)[0],
             dtype,
@@ -440,7 +412,7 @@ def _fused_reduce(
         if codec is not None
         else None
     )
-    op = "fused_allreduce" if allgather else "fused_reduce_scatter"
+    op = "fused_allreduce"
 
     def charge(kind: str, lb: int) -> None:
         if tp is None or lb == 0:
@@ -500,7 +472,7 @@ def _fused_reduce(
                 )
         if ring == 1 and plan.pre_encode[0]:
             charge("encode", plan.pre_encode[0])
-        if allgather and hops:
+        if hops:
             for c, lb in enumerate(chunks):
                 if plan.hop_recode:
                     rs_handles[c][hops - 1].wait()
@@ -509,67 +481,6 @@ def _fused_reduce(
                 for h in range(hops):
                     issue_hop("ag", c, h, plan.ag_hop_bytes[c][h], lb)
                 drain_upto[c] = len(issued)
-        else:
-            # RS-only (or G=1): chunk c drains at its last RS hop; the
-            # hop-major issue order means that cut covers every earlier
-            # chunk's hops of the same round too (ends are monotone).
-            for c in range(len(chunks)):
-                drain_upto[c] = (
-                    (hops - 1) * len(chunks) + c + 1 if hops else 0
-                )
     return PendingFusedReduce(
         issued, drain_upto, plan.final_decode, results, charge
-    )
-
-
-def icompressed_reduce_scatter(
-    comm,
-    arrays: Sequence[np.ndarray],
-    codec=None,
-    tag: str = "",
-    chunk_bytes: int | None = None,
-    throughput: CodecThroughput | None = None,
-    charge_compute: bool = True,
-) -> PendingFusedReduce:
-    """Chunked ring reduce-scatter with in-collective compression.
-
-    Result contract matches :meth:`Communicator.ireduce_scatter`: rank
-    ``r`` receives the ``r``-th equal leading-axis shard of the
-    rank-order sum.  ``chunk_bytes`` splits each *shard* into pipeline
-    chunks of at most that many logical bytes.  See the module
-    docstring for codec regimes and accounting.
-    """
-    return _fused_reduce(
-        comm, arrays, codec, False, tag, chunk_bytes, throughput,
-        charge_compute, shared_result=False,
-    )
-
-
-def icompressed_allreduce(
-    comm,
-    arrays: Sequence[np.ndarray],
-    codec=None,
-    tag: str = "",
-    chunk_bytes: int | None = None,
-    throughput: CodecThroughput | None = None,
-    charge_compute: bool = True,
-    shared_result: bool = False,
-    stacked: np.ndarray | None = None,
-) -> PendingFusedReduce:
-    """Compressed ring allreduce: fused reduce-scatter + allgather.
-
-    ``wait()`` returns decoded per-rank sums (``shared_result`` hands
-    every rank the same read-only array, as :meth:`Communicator.
-    iallreduce` does).  With a summable codec the numerics equal the
-    unfused encode → allreduce → decode path bit for bit; with a frame
-    codec (integer payloads) or ``codec=None`` they equal the plain
-    rank-order fold bit for bit.  ``stacked`` is the caller's assertion
-    that ``arrays`` are, in rank order, the rows of that one block (as
-    for :meth:`Communicator.iallreduce`, one-ring communicators only):
-    a summable codec then encodes the block in one call and the fold
-    runs on the encoded block, skipping ``world`` encodes and a restack.
-    """
-    return _fused_reduce(
-        comm, arrays, codec, True, tag, chunk_bytes, throughput,
-        charge_compute, shared_result, stacked,
     )

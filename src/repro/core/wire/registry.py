@@ -1,29 +1,20 @@
-"""Codec registry and composable codec pipelines.
+"""Codec registry: short stable names to codec factories.
 
 The registry maps short stable names ("identity", "fp16", "delta",
 "rle") to codec factories, so configuration layers (``TrainConfig``,
 the CLI's ``--wire-codec``) can name codecs without importing them.
 Specs support a single numeric argument after a colon — ``"fp16:256"``
 builds ``Fp16Codec(256.0)``, ``"delta:128"`` a 128-delta-block packer.
-
-:class:`CodecPipeline` composes codecs into one :class:`WireCodec`:
-``encode`` applies the stages left to right, ``decode`` unwinds them
-right to left.  Chaining decode requires knowing each intermediate
-dtype, which is why :meth:`WireCodec.wire_dtype` exists — every stage
-except the last must report its output dtype.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-import numpy as np
-
 from ..compression import Fp16Codec, IdentityCodec, WireCodec
 from .codecs import DeltaBitpackCodec, EntropyCodec, RunLengthCodec
 
 __all__ = [
-    "CodecPipeline",
     "available_codecs",
     "make_codec",
     "register_codec",
@@ -81,61 +72,3 @@ register_codec("delta", lambda block=None: (
 ))
 register_codec("rle", RunLengthCodec)
 register_codec("entropy", EntropyCodec)
-
-
-class CodecPipeline(WireCodec):
-    """Compose codecs: encode left-to-right, decode right-to-left.
-
-    Every stage except the last must implement
-    :meth:`WireCodec.wire_dtype` (return a non-None dtype), so the
-    pipeline can reconstruct the intermediate dtypes a chained decode
-    needs.  The pipeline is lossless iff every stage is, and
-    data-dependent if any stage is.
-    """
-
-    def __init__(self, stages: list[WireCodec] | tuple[WireCodec, ...]):
-        if not stages:
-            raise ValueError("a codec pipeline needs at least one stage")
-        self.stages = tuple(stages)
-        self.lossless = all(s.lossless for s in self.stages)
-        self.data_dependent = any(s.data_dependent for s in self.stages)
-        # Wire-domain summation survives composition only if every
-        # stage's slots stay positional; any frame stage breaks it.
-        self.summable = all(
-            getattr(s, "summable", False) for s in self.stages
-        )
-
-    @property
-    def name(self) -> str:
-        """Stage names joined with '+' (ledger-scope safe)."""
-        return "+".join(s.name for s in self.stages)
-
-    def wire_dtype(self, dtype: np.dtype) -> np.dtype | None:
-        """Output dtype of the full chain; None if any stage is opaque."""
-        current: np.dtype | None = np.dtype(dtype)
-        for stage in self.stages:
-            if current is None:
-                return None
-            current = stage.wire_dtype(current)
-        return current
-
-    def encode(self, arr: np.ndarray) -> np.ndarray:
-        """Run the payload through every stage in order."""
-        for stage in self.stages:
-            arr = stage.encode(arr)
-        return arr
-
-    def decode(self, arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        """Unwind the stages, reconstructing intermediate dtypes."""
-        dtypes: list[np.dtype] = [np.dtype(dtype)]
-        for stage in self.stages[:-1]:
-            nxt = stage.wire_dtype(dtypes[-1])
-            if nxt is None:
-                raise ValueError(
-                    f"pipeline stage {stage.name!r} does not report its "
-                    "wire dtype; a chained decode cannot be reconstructed"
-                )
-            dtypes.append(nxt)
-        for stage, stage_dtype in zip(reversed(self.stages), reversed(dtypes)):
-            arr = stage.decode(arr, stage_dtype)
-        return arr

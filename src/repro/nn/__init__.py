@@ -13,14 +13,6 @@ from .embedding import Embedding
 from .linear import Linear
 from .lstm import LSTM
 from .module import Module
-from .parallel import (
-    ColumnParallelLinear,
-    ParallelEmbedding,
-    PipelineSchedule,
-    RowParallelLinear,
-    VocabParallelSampledSoftmax,
-    shard_bounds,
-)
 from .parameter import Parameter, SparseGrad
 from .rhn import RHN
 from .sampled_softmax import LogUniformSampler, SampledSoftmaxLoss
@@ -45,10 +37,4 @@ __all__ = [
     "FullSoftmaxLoss",
     "SampledSoftmaxLoss",
     "LogUniformSampler",
-    "ColumnParallelLinear",
-    "RowParallelLinear",
-    "ParallelEmbedding",
-    "VocabParallelSampledSoftmax",
-    "PipelineSchedule",
-    "shard_bounds",
 ]

@@ -8,8 +8,6 @@ layer.  This module adds the perf-layer pieces:
   encode/decode bytes-per-second on this host (the deterministic
   :data:`~repro.core.wire.cost.DEFAULT_CODEC_THROUGHPUTS` model the
   simulated accelerator instead, and are what simulated timelines use);
-* :func:`serial_transfer_time` — encode, ship, decode, strictly in
-  sequence (the unpipelined baseline);
 * :func:`pipelined_transfer_time` — the **analytic makespan** of the
   chunked schedule :func:`repro.core.wire.transfer.iencoded_allgather`
   actually executes, derived from the Timeline contention rules;
@@ -52,7 +50,6 @@ from ..cluster.interconnect import LinkSpec
 from ..cluster.timeline import Timeline
 from ..core.wire.cost import (
     CodecThroughput,
-    compressed_transfer_seconds,
     throughput_from_metrics,
 )
 from ..core.wire.fused import FusedReducePlan
@@ -62,7 +59,6 @@ __all__ = [
     "calibrate_codec_throughput",
     "fused_reduce_time",
     "pipelined_transfer_time",
-    "serial_transfer_time",
     "throughput_from_metrics",
     "timeline_fused_reduce",
     "timeline_pipelined_transfer",
@@ -133,24 +129,6 @@ def calibrate_codec_throughput(
     return result
 
 
-def serial_transfer_time(
-    logical_bytes: int,
-    encoded_bytes: int,
-    world: int,
-    link: LinkSpec,
-    throughput: CodecThroughput,
-) -> float:
-    """Unpipelined encode → allgather → decode seconds (the baseline).
-
-    Alias of :func:`repro.core.wire.cost.compressed_transfer_seconds`,
-    re-exported here so the perf layer's serial and pipelined figures
-    come from one module.
-    """
-    return compressed_transfer_seconds(
-        logical_bytes, encoded_bytes, world, link, throughput
-    )
-
-
 def _chunk_plan(
     logical_bytes: int,
     chunk_bytes: int | None,
@@ -207,7 +185,8 @@ def pipelined_transfer_time(
         Per-rank pre-codec contribution.
     chunk_bytes:
         Pipeline granularity; None (or >= ``logical_bytes``) degenerates
-        to the serial schedule for a single chunk.
+        to the serial schedule for a single chunk
+        (:func:`repro.core.wire.cost.compressed_transfer_seconds`).
     encoded_ratio:
         Compression factor ``logical / encoded`` (>= 1 when the codec
         shrinks), applied per chunk when ``encoded_chunk_bytes`` is not
@@ -324,7 +303,6 @@ def uniform_fused_plan(
     *,
     encoded_ratio: float = 1.0,
     chunk_bytes: int | None = None,
-    allgather: bool = True,
     hop_recode: bool = False,
     charge_codec: bool = True,
 ) -> FusedReducePlan:
@@ -352,11 +330,9 @@ def uniform_fused_plan(
     if world == 1:
         chg = logical_bytes if charge_codec and not hop_recode else 0
         return FusedReducePlan(
-            world=1, allgather=allgather, hop_recode=False,
+            world=1, hop_recode=False,
             chunk_logical=(logical_bytes,), pre_encode=(chg,),
-            rs_hop_bytes=((),),
-            ag_hop_bytes=((),) if allgather else None,
-            final_decode=(chg,),
+            rs_hop_bytes=((),), ag_hop_bytes=((),), final_decode=(chg,),
         )
     shard = -(-logical_bytes // world)
     if chunk_bytes is None or chunk_bytes >= shard:
@@ -379,22 +355,16 @@ def uniform_fused_plan(
         recode = False
     elif hop_recode:
         pre = tuple(chunks)
-        final = tuple(
-            ((world - 1) * lb if allgather else lb) for lb in chunks
-        )
+        final = tuple((world - 1) * lb for lb in chunks)
         recode = True
     else:
         pre = tuple(world * lb for lb in chunks)
-        final = tuple(
-            (world * lb if allgather else lb) for lb in chunks
-        )
+        final = pre
         recode = False
     return FusedReducePlan(
-        world=world, allgather=allgather, hop_recode=recode,
+        world=world, hop_recode=recode,
         chunk_logical=tuple(chunks), pre_encode=pre,
-        rs_hop_bytes=rs_hop,
-        ag_hop_bytes=rs_hop if allgather else None,
-        final_decode=final,
+        rs_hop_bytes=rs_hop, ag_hop_bytes=rs_hop, final_decode=final,
     )
 
 
@@ -407,9 +377,8 @@ def fused_reduce_time(
     """Closed-form makespan of one fused compressed reduction.
 
     Replays, in plain arithmetic, **exactly** the schedule
-    :func:`repro.core.wire.fused.icompressed_allreduce` /
-    :func:`~repro.core.wire.fused.icompressed_reduce_scatter` put on
-    the Timeline for ``plan`` — same hop-major issue order, same eager
+    :func:`repro.core.wire.fused.icompressed_allreduce` puts on the
+    Timeline for ``plan`` — same hop-major issue order, same eager
     recode waits, same drain cuts — so for an unscaled timeline the
     result equals :func:`timeline_fused_reduce` *exactly*, not merely
     within tolerance (the wire benches gate at ``1e-9`` relative).
@@ -449,7 +418,7 @@ def fused_reduce_time(
     if world == 1:
         compute += enc_s(plan.pre_encode[0])
     last_end = [0.0] * len(chunks)
-    if plan.allgather and hops:
+    if hops:
         for c, lb in enumerate(chunks):
             if plan.hop_recode:
                 compute = max(compute, rs_end[c][hops - 1])
@@ -461,9 +430,6 @@ def fused_reduce_time(
                     plan.ag_hop_bytes[c][h]
                 )
             last_end[c] = link_free
-    elif hops:
-        for c in range(len(chunks)):
-            last_end[c] = rs_end[c][hops - 1]
     for c, lb in enumerate(plan.final_decode):
         compute = max(compute, last_end[c])
         compute += dec_s(lb)
@@ -528,7 +494,7 @@ def timeline_fused_reduce(
     if world == 1:
         charge("encode", plan.pre_encode[0])
     drain_upto = [0] * len(chunks)
-    if plan.allgather and hops:
+    if hops:
         for c, lb in enumerate(chunks):
             if plan.hop_recode:
                 complete(rs_idx[c][hops - 1])
@@ -542,9 +508,6 @@ def timeline_fused_reduce(
                     )
                 )
             drain_upto[c] = len(tickets)
-    elif hops:
-        for c in range(len(chunks)):
-            drain_upto[c] = (hops - 1) * len(chunks) + c + 1
     i = 0
     for upto, lb in zip(drain_upto, plan.final_decode):
         while i < upto:

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..analysis.sanitizer import Sanitizer
 from ..cluster.communicator import Communicator
+from ..cluster.pipeline import PipelineSchedule
 from ..core.embedding_sync import GradientSynchronizer
 from ..core.seeding import assign_seeds
 from ..core.sparse_exchange import AllGatherExchange, UniqueExchange
@@ -48,7 +49,6 @@ from ..optim.loss_scaler import (
     StaticLossScaler,
     grads_are_finite,
 )
-from ..nn.parallel import PipelineSchedule
 from ..optim.lr_schedule import EpochDecaySchedule
 from .config import TrainConfig
 from .metrics import perplexity
@@ -365,7 +365,7 @@ class DistributedTrainer:
         slice-by-slice by :meth:`_record_backward_slice` as their
         collectives are issued.  On a mesh with ``pipe > 1`` the step is
         instead placed as a GPipe-style 1F1B
-        :class:`~repro.nn.parallel.PipelineSchedule`: each stage works
+        :class:`~repro.cluster.pipeline.PipelineSchedule`: each stage works
         ``1/p`` of the model per micro-batch, accumulation steps are the
         micro-batches, and activation sends are charged on the pipe
         axis.  That schedule has already placed all of the step's

@@ -85,7 +85,7 @@ class TestRepro003ScopeAttribution:
         src = "def helper(comm, xs):\n    return comm.allgather(xs)\n"
         assert ids_for(src, "core/unique.py", only="REPRO003") == []
         assert ids_for(src, "cluster/hierarchical.py", only="REPRO003") == []
-        assert ids_for(src, "nn/parallel.py", only="REPRO003") == []
+        assert ids_for(src, "nn/layer.py", only="REPRO003") == []
 
     def test_axis_addressed_and_scheduled_forms_recognised(self):
         for call in (
@@ -221,7 +221,7 @@ class TestRepro007DroppedHandle:
         assert ids_for(src, only="REPRO007") == ["REPRO007"]
 
     def test_high_level_issue_helpers_covered(self):
-        src = "def f(comm, grads):\n    ibucketed_allreduce(comm, grads)\n"
+        src = "def f(comm, grads):\n    iunique_exchange(comm, grads)\n"
         assert ids_for(src, only="REPRO007") == ["REPRO007"]
         src = "def f(s, comm, grads):\n    s.iexchange(comm, grads)\n"
         assert ids_for(src, only="REPRO007") == ["REPRO007"]

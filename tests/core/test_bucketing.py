@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Communicator
-from repro.core.bucketing import (
-    bucketed_allreduce,
-    ibucketed_allreduce,
-    plan_buckets,
-)
+from repro.core.bucketing import bucketed_allreduce, plan_buckets
 from repro.core.compression import Fp16Codec
 
 
@@ -151,68 +147,3 @@ class TestBucketedAllreduce:
                 comm(world), [[np.ones(3)], [np.ones(3), np.ones(3)]]
             )  # count mismatch
 
-
-class TestAsyncBucketedAllreduce:
-    def make_tensors(self, world, shapes, seed=0):
-        rng = np.random.default_rng(seed)
-        return [
-            [rng.standard_normal(s) for s in shapes] for _ in range(world)
-        ]
-
-    def test_matches_blocking_result(self):
-        world = 3
-        shapes = [(4,), (2, 3), (5,)]
-        tensors = self.make_tensors(world, shapes)
-        blocking = bucketed_allreduce(comm(world), tensors, bucket_bytes=64)
-        pending = ibucketed_allreduce(comm(world), tensors, bucket_bytes=64)
-        overlapped = pending.wait()
-        for r in range(world):
-            for i in range(len(shapes)):
-                np.testing.assert_array_equal(overlapped[r][i], blocking[r][i])
-
-    def test_all_buckets_issued_before_wait(self):
-        world = 2
-        tensors = self.make_tensors(world, [(8,)] * 4)
-        c = comm(world)
-        pending = ibucketed_allreduce(c, tensors, bucket_bytes=8 * 8)
-        assert len(pending.handles) == 4
-        assert len(c.pending_work) == 4
-        assert not pending.is_complete()
-        pending.wait()
-        assert pending.is_complete()
-        assert c.pending_work == ()
-
-    def test_buckets_serialize_on_link_in_issue_order(self):
-        world = 2
-        tensors = self.make_tensors(world, [(8,)] * 3)
-        c = comm(world)
-        pending = ibucketed_allreduce(c, tensors, bucket_bytes=8 * 8)
-        starts = [h.ticket.start for h in pending.handles]
-        ends = [h.ticket.end for h in pending.handles]
-        assert starts == sorted(starts)
-        assert starts[1:] == ends[:-1]
-        pending.wait()
-
-    def test_wait_is_idempotent(self):
-        world = 2
-        tensors = self.make_tensors(world, [(4,)])
-        pending = ibucketed_allreduce(comm(world), tensors)
-        assert pending.wait() is pending.wait()
-
-    def test_empty_tensor_list(self):
-        pending = ibucketed_allreduce(comm(2), [[], []])
-        assert pending.is_complete()
-        assert pending.wait() == [[], []]
-
-    def test_codec_round_trip(self):
-        world = 2
-        tensors = [
-            [t.astype(np.float32) for t in rank]
-            for rank in self.make_tensors(world, [(32,), (32,)])
-        ]
-        pending = ibucketed_allreduce(
-            comm(world), tensors, bucket_bytes=10**6, codec=Fp16Codec(512.0)
-        )
-        out = pending.wait()
-        expected = tensors[0][0] + tensors[1][0]
-        np.testing.assert_allclose(out[0][0], expected, atol=5e-3)

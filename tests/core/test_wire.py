@@ -1,7 +1,7 @@
 """Tests for the pluggable wire-compression stack (repro.core.wire).
 
-Covers the lossless frame codecs, the registry/spec layer, pipeline
-composition, the adaptive selector, the WirePolicy configuration
+Covers the lossless frame codecs, the registry/spec layer, the
+adaptive selector, the WirePolicy configuration
 object, and the chunked encoded allgather — including the central
 contract: swapping ``iencoded_allgather`` for a raw ``iallgather``
 never changes a single decoded bit, only the wire bytes charged.
@@ -15,7 +15,6 @@ from repro.core.compression import Fp16Codec, IdentityCodec
 from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
 from repro.core.wire import (
     AdaptiveCodecSelector,
-    CodecPipeline,
     DeltaBitpackCodec,
     RunLengthCodec,
     WirePolicy,
@@ -149,34 +148,6 @@ class TestRegistry:
         for bad in ("", "a/b", "a+b", "a:b"):
             with pytest.raises(ValueError, match="invalid"):
                 register_codec(bad, DeltaBitpackCodec)
-
-
-class TestCodecPipeline:
-    def test_single_stage_behaves_like_the_stage(self):
-        pipe = CodecPipeline([DeltaBitpackCodec()])
-        vec = np.array([1, 5, 2], dtype=np.int64)
-        np.testing.assert_array_equal(
-            pipe.decode(pipe.encode(vec), np.int64), vec
-        )
-        assert pipe.name == "delta"
-        assert pipe.lossless and pipe.data_dependent
-
-    def test_identity_then_delta_chains(self):
-        pipe = CodecPipeline([IdentityCodec(), DeltaBitpackCodec()])
-        vec = np.arange(100, dtype=np.int64)
-        np.testing.assert_array_equal(
-            pipe.decode(pipe.encode(vec), np.int64), vec
-        )
-        assert pipe.name == "identity+delta"
-        assert pipe.wire_dtype(np.dtype(np.int64)) == np.uint8
-
-    def test_lossy_stage_makes_pipeline_lossy(self):
-        pipe = CodecPipeline([Fp16Codec()])
-        assert not pipe.lossless
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="at least one stage"):
-            CodecPipeline([])
 
 
 class TestAdaptiveSelector:

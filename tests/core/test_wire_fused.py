@@ -19,12 +19,7 @@ Three contracts are pinned here:
 import numpy as np
 import pytest
 
-from repro.cluster.collectives import (
-    allreduce_arrays,
-    reduce_scatter_arrays,
-    ring_allreduce_time,
-    ring_reduce_scatter_time,
-)
+from repro.cluster.collectives import allreduce_arrays, ring_allreduce_time
 from repro.cluster.communicator import Communicator
 from repro.cluster.lockstep import LockstepVerifier
 from repro.core.compression import Fp16Codec
@@ -33,7 +28,6 @@ from repro.core.wire import (
     EntropyCodec,
     RunLengthCodec,
     icompressed_allreduce,
-    icompressed_reduce_scatter,
     plan_fused_reduce,
 )
 from repro.core.wire.cost import codec_throughput
@@ -88,30 +82,6 @@ class TestFusedNumerics:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    def test_reduce_scatter_shards_match_reference(self):
-        codec = Fp16Codec()
-        arrays = [
-            RNG.standard_normal((8, 3)).astype(np.float32) for _ in range(4)
-        ]
-        comm = Communicator(4)
-        got = icompressed_reduce_scatter(
-            comm, [a.copy() for a in arrays], codec=codec
-        ).wait()
-        shards = reduce_scatter_arrays([codec.encode(a) for a in arrays])
-        want = [codec.decode(s, np.dtype(np.float32)) for s in shards]
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-    def test_frame_codec_reduce_scatter_matches_integer_fold(self):
-        arrays = _indices(4, 16)
-        comm = Communicator(4)
-        got = icompressed_reduce_scatter(
-            comm, [a.copy() for a in arrays], codec=EntropyCodec()
-        ).wait()
-        want = reduce_scatter_arrays([a.copy() for a in arrays])
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
     def test_chunked_pipeline_is_bit_identical_to_unchunked(self):
         arrays = _indices(4, 4096)
         comm = Communicator(4)
@@ -152,12 +122,6 @@ class TestFusedNumerics:
             empt = [np.zeros(0, dtype=dtype) for _ in range(4)]
             got = icompressed_allreduce(comm, empt, codec=codec).wait()
             assert all(g.size == 0 and g.dtype == dtype for g in got)
-            comm = Communicator(4)
-            got = icompressed_reduce_scatter(
-                comm, [np.zeros(0, dtype=dtype) for _ in range(4)],
-                codec=codec,
-            ).wait()
-            assert all(g.size == 0 for g in got)
 
     def test_wait_is_idempotent(self):
         comm = Communicator(4)
@@ -185,12 +149,22 @@ class TestFusedValidation:
         with pytest.raises(ValueError, match="lossy"):
             plan_fused_reduce(_indices(4, 16), Lossy())
 
-    def test_reduce_scatter_checks_divisibility(self):
-        comm = Communicator(4)
-        with pytest.raises(ValueError, match="divisible"):
-            icompressed_reduce_scatter(
-                comm, [np.zeros(7, np.float32) for _ in range(4)]
-            )
+    def test_ragged_payload_is_padded_not_rejected(self):
+        """A length that does not divide into ``world`` shards is padded
+        for the hop plan only; every regime still returns the fold."""
+        fp16 = Fp16Codec()
+        floats, ints = _floats(4, 7), _indices(4, 7)
+        fp16_fold = allreduce_arrays([fp16.encode(a) for a in floats])[0]
+        for codec, arrays, want in (
+            (None, floats, allreduce_arrays(floats)[0]),
+            (fp16, floats, fp16.decode(fp16_fold, np.dtype(np.float32))),
+            (EntropyCodec(), ints, allreduce_arrays(ints)[0]),
+        ):
+            got = icompressed_allreduce(
+                Communicator(4), [a.copy() for a in arrays], codec=codec
+            ).wait()
+            for g in got:
+                assert np.array_equal(g, want)
 
     def test_world_size_mismatch_rejected(self):
         comm = Communicator(4)
@@ -207,12 +181,6 @@ class TestFusedAccounting:
         icompressed_allreduce(comm, [a.copy() for a in arrays]).wait()
         assert comm.timeline.elapsed_since(t0) == pytest.approx(
             ring_allreduce_time(8, arrays[0].nbytes, link), rel=1e-12
-        )
-        comm = Communicator(8)
-        t0 = comm.timeline.mark()
-        icompressed_reduce_scatter(comm, [a.copy() for a in arrays]).wait()
-        assert comm.timeline.elapsed_since(t0) == pytest.approx(
-            ring_reduce_scatter_time(8, arrays[0].nbytes, link), rel=1e-12
         )
 
     def test_ledger_charges_encoded_bytes_under_fused_scope(self):
@@ -291,9 +259,9 @@ class TestFusedScheduleEquivalence:
 
     @pytest.mark.parametrize("world", [2, 4, 8])
     @pytest.mark.parametrize("chunk_bytes", [None, 1024])
-    @pytest.mark.parametrize("allgather", [True, False])
+    @pytest.mark.parametrize("charge_compute", [True, False])
     def test_live_elapsed_equals_recurrence(
-        self, world, chunk_bytes, allgather
+        self, world, chunk_bytes, charge_compute
     ):
         cases = [
             (None, _floats(world, 2048)),
@@ -303,19 +271,17 @@ class TestFusedScheduleEquivalence:
         for codec, arrays in cases:
             comm = Communicator(world)
             plan = plan_fused_reduce(
-                [a.copy() for a in arrays], codec,
-                allgather=allgather, chunk_bytes=chunk_bytes,
+                [a.copy() for a in arrays], codec, chunk_bytes=chunk_bytes
             )
             link = comm.fabric.ring_link(world)
-            tp = codec_throughput(codec.name) if codec is not None else None
-            fn = (
-                icompressed_allreduce if allgather
-                else icompressed_reduce_scatter
+            tp = (
+                codec_throughput(codec.name)
+                if codec is not None and charge_compute else None
             )
             t0 = comm.timeline.mark()
-            fn(
+            icompressed_allreduce(
                 comm, [a.copy() for a in arrays], codec=codec,
-                chunk_bytes=chunk_bytes,
+                chunk_bytes=chunk_bytes, charge_compute=charge_compute,
             ).wait()
             live = comm.timeline.elapsed_since(t0)
             analytic = fused_reduce_time(plan, link, tp)

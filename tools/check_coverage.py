@@ -30,12 +30,27 @@ Usage::
         --target src/repro/train/resilience.py \
         --min-percent 90 \
         tests/train/test_resilience.py
+
+``--functions LOG`` is the dead-code mode.  With a command after ``--``
+(a script path or ``-m module``, plus its arguments) it runs that entry
+point in-process under a ``sys.setprofile`` hook and appends every
+target function it entered to ``LOG``; without one it lists the target
+functions (``--target`` defaults to ``src/repro``) that no logged run
+entered.  Run each entry point in its own invocation: the hook never
+sees child processes.  ``make dead-code`` drives it over every entry
+point::
+
+    PYTHONPATH=src python tools/check_coverage.py --functions LOG -- \
+        -m repro.cli train --gpus 2 --steps 3 --corpus-tokens 6000
+    PYTHONPATH=src python tools/check_coverage.py --functions LOG
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
+import runpy
 import sys
 import threading
 
@@ -123,6 +138,58 @@ def run_with_trace(
     return int(rc), executed
 
 
+def record_functions(log: str, command: list[str]) -> int:
+    """Run ``command`` under a profile hook; append entered code to ``log``."""
+    entered: set = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    module = command[1] if command[0] == "-m" else None
+    sys.argv = command[1:] if module else command
+    if module is None:
+        sys.path.insert(0, os.path.dirname(os.path.abspath(command[0])))
+    rc = 0
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        if module:
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
+        else:
+            runpy.run_path(command[0], run_name="__main__")
+    except SystemExit as exc:
+        rc = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    with open(log, "a") as out:
+        for code in entered:
+            out.write(f"{os.path.realpath(code.co_filename)}:{code.co_firstlineno}\n")
+    return rc
+
+
+def never_entered(log: str, targets: list[pathlib.Path]) -> int:
+    """Print every function of ``targets`` that no run in ``log`` entered."""
+    seen = set(pathlib.Path(log).read_text().split())
+    dead = 0
+    for path in targets:
+        real = os.path.realpath(path)
+
+        def visit(code) -> None:
+            nonlocal dead
+            for const in code.co_consts:
+                if hasattr(const, "co_qualname") and not const.co_name.startswith("<"):
+                    if f"{real}:{const.co_firstlineno}" not in seen:
+                        print(f"{path}:{const.co_firstlineno} {const.co_qualname}")
+                        dead += 1
+                    visit(const)
+
+        visit(compile(path.read_text(), str(path), "exec"))
+    print(f"dead-code: {dead} function(s) never entered", file=sys.stderr)
+    return 0
+
+
 def _format_runs(missed: list[int], limit: int = 20) -> str:
     """Collapse sorted line numbers into ``a-b`` run notation."""
     runs: list[tuple[int, int]] = []
@@ -152,18 +219,29 @@ def main(argv: list[str] | None = None) -> int:
         help="fail below this aggregate line-coverage percentage",
     )
     parser.add_argument(
-        "tests", nargs="*", default=["tests/train/test_resilience.py"],
-        help="pytest arguments selecting the measuring suite",
+        "--functions", metavar="LOG", default=None,
+        help="dead-code mode: record the functions a command after '--' "
+        "enters into LOG, or with no command list those never entered",
+    )
+    parser.add_argument(
+        "tests", nargs="*", default=None,
+        help="pytest arguments selecting the measuring suite "
+        "(default: tests/train/test_resilience.py)",
     )
     args = parser.parse_args(argv)
+    if args.functions and args.tests:
+        return record_functions(args.functions, args.tests)
 
-    specs = args.target or ["src/repro/train/resilience.py"]
+    default = "src/repro" if args.functions else "src/repro/train/resilience.py"
+    specs = args.target or [default]
     missing = [s for s in specs if not pathlib.Path(s).exists()]
     if missing:
         print(f"coverage: target {', '.join(missing)} does not exist",
               file=sys.stderr)
         return 2
     targets = expand_targets(specs)
+    if args.functions:
+        return never_entered(args.functions, targets)
     want: dict[pathlib.Path, set[int]] = {}
     for t in targets:
         lines = executable_lines(t)
@@ -173,7 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         print("coverage: no executable lines in any target", file=sys.stderr)
         return 2
 
-    rc, executed = run_with_trace(list(want), ["-q", *args.tests])
+    tests = args.tests or ["tests/train/test_resilience.py"]
+    rc, executed = run_with_trace(list(want), ["-q", *tests])
     if rc != 0:
         print(f"coverage: measuring suite failed (pytest rc={rc})",
               file=sys.stderr)
