@@ -36,8 +36,12 @@ def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     This kernel restores the invariant by computing each output row as
     an independent vector-matrix product, making the result a pure
-    function of the row's values.  O(B) small gemv calls instead of one
-    gemm: decode-sized (``B <= max_batch``) workloads only.
+    function of the row's values.  It is one stacked ``(B, 1, H) @
+    (H, K)`` matmul: numpy issues one gemv per stacked row on the same
+    operands as ``x[r] @ w`` (bitwise; ``tests/nn/test_functional.py``
+    keeps the per-row loop as the reference), without a Python loop.
+    O(B) small gemv calls instead of one gemm: decode-sized
+    (``B <= max_batch``) workloads only.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -45,10 +49,7 @@ def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"row_matmul expects (B, H) @ (H, K); got {x.shape} @ {w.shape}"
         )
-    out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
-    for r in range(x.shape[0]):
-        out[r] = x[r] @ w
-    return out
+    return np.matmul(x[:, None, :], w)[:, 0, :]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -57,16 +58,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ``e = exp(-|x|)`` never overflows, and each element still takes its
     sign's branch — ``1 / (1 + e)`` for ``x >= 0``, ``e / (1 + e)``
     otherwise — so the result is bit-identical to evaluating the two
-    branches on boolean-masked copies, without the gather/scatter.
+    branches on boolean-masked copies, without the gather/scatter: the
+    numerator ``exp(min(x, 0))`` is exactly ``1`` on the first branch
+    (±0 included) and exactly ``e`` on the second (NaN keeps x's NaN).
     A float16 input is evaluated in float16 and returned as float64.
     """
-    e = np.negative(x)
-    np.minimum(x, e, out=e)  # -|x|, and a NaN stays x's own NaN
-    np.exp(e, out=e)
-    denom = 1.0 + e
-    np.copyto(e, 1.0, where=x >= 0)
-    np.divide(e, denom, out=e)
-    return e.astype(np.float64) if e.dtype == np.float16 else e
+    denom = np.negative(x)
+    np.minimum(x, denom, out=denom)  # -|x|, and a NaN stays x's own NaN
+    np.exp(denom, out=denom)
+    denom += 1.0
+    out = np.minimum(x, 0)
+    np.exp(out, out=out)
+    np.divide(out, denom, out=out)
+    return out.astype(np.float64) if out.dtype == np.float16 else out
 
 
 def dsigmoid(y: np.ndarray) -> np.ndarray:

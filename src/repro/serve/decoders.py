@@ -58,23 +58,32 @@ def stack_states(rows: list[States]) -> States:
     )
 
 
-def fold_histories(decoder, histories) -> States:
-    """Fold each token history into a fresh state, all of them in lock step.
+def fold_histories(decoder, histories, start: States | None = None) -> States:
+    """Fold each token history into its start state, all of them in lock step.
 
+    ``start`` holds one batched start row per history (it is not
+    written to); ``None`` starts every history from ``init_state()``.
     Step ``t`` advances every history that has a ``t``-th token in one
     ``decoder.advance`` call; histories are walked longest first, so the
     live rows are always a prefix slice.  Batch invariance makes row
     ``i`` of each returned component bit-identical to folding
-    ``histories[i]`` alone; an empty history yields ``init_state()``.
+    ``histories[i]`` alone; an empty history yields its start row, and
+    no histories yield zero-row components.
     """
-    order = sorted(range(len(histories)), key=lambda i: -len(histories[i]))
-    lengths = np.array([len(histories[i]) for i in order])
-    ids = np.zeros((len(order), lengths[0]), dtype=np.int64)
+    n = len(histories)
+    if start is None:
+        start = tuple(
+            np.broadcast_to(row, (n,) + row.shape) for row in decoder.init_state()
+        )
+    order = sorted(range(n), key=lambda i: -len(histories[i]))
+    lengths = np.array([len(histories[i]) for i in order], dtype=np.int64)
+    steps = int(lengths.max(initial=0))
+    ids = np.zeros((n, steps), dtype=np.int64)
     for row, i in zip(ids, order):
         row[: len(histories[i])] = histories[i]
     embedded = decoder.embedding_weight[ids]
-    states = stack_states([decoder.init_state()] * len(order))
-    for t in range(lengths[0]):
+    states = tuple(part[order] for part in start)
+    for t in range(steps):
         live = int((lengths > t).sum())
         advanced = decoder.advance(
             embedded[:live, t], tuple(part[:live] for part in states)

@@ -14,7 +14,8 @@ per-step id multiset is heavily duplicated, and the uniqueness dance of
 3. each rank contributes the embedding rows of *its* contiguous shard
    of Î (``np.array_split`` bounds, deterministic);
 4. allgather the row shards — rank order restores ascending Î order;
-5. each rank gathers its own rows by ``searchsorted`` into Î.
+5. the gathered ids (step 1's result, rank order) find their rows by one
+   ``searchsorted`` into Î, and each rank reads its own slice.
 
 The result is bitwise equal to the local gather ``weight[ids]`` (pure
 row copies, no arithmetic), so the lookup is invisible to the
@@ -23,6 +24,8 @@ which is the point.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,29 +72,40 @@ def sharded_embedding_lookup(
         if ids.ndim != 1:
             raise ValueError("id vectors must be 1-D")
 
+    world = comm.world_size
     with comm.ledger.scope("serve-embed"):
         # Step 1: index-only gather, Θ(G·K) — raw int64, wire == payload.
+        # Every rank reads the one shared result; nothing writes to it.
         id_payload_bytes = max(ids.nbytes for ids in ids_per_rank)
-        all_ids = comm.allgather(
+        all_ids = comm.iallgather(
             ids_per_rank,
             tag=f"serve-ids:{tag}",
             payload_bytes=id_payload_bytes,
-        )[0]
+            shared_result=True,
+        ).wait()[0]
 
         # Step 2: every rank derives the same sorted global type set.
         global_ids = global_unique(all_ids)
 
-        # Step 3: contiguous Î shards, one per rank (may be empty).
-        shards = np.array_split(global_ids, comm.world_size)
-        contributions = [weight[shard] for shard in shards]
+        # Step 3: contiguous Î shards, one per rank (may be empty), on
+        # np.array_split's bounds: the first ``extra`` shards hold one more.
+        each, extra = divmod(global_ids.size, world)
+        bounds = [r * each + min(r, extra) for r in range(world + 1)]
+        contributions = [
+            weight[global_ids[lo:hi]] for lo, hi in zip(bounds, bounds[1:])
+        ]
 
         # Step 4: gather the row shards; rank-order concat == Î order.
         row_payload_bytes = max(c.nbytes for c in contributions)
-        rows = comm.allgather(
+        rows = comm.iallgather(
             contributions,
             tag=f"serve-rows:{tag}",
             payload_bytes=row_payload_bytes,
-        )[0]
+            shared_result=True,
+        ).wait()[0]
 
-    # Step 5: local searchsorted gather — pure row copies, bit-exact.
-    return [rows[np.searchsorted(global_ids, ids)] for ids in ids_per_rank]
+    # Step 5: one local searchsorted gather over the gathered ids (rank
+    # order), split back per rank — pure row copies, bit-exact.
+    gathered = rows[np.searchsorted(global_ids, all_ids)]
+    ends = accumulate(ids.size for ids in ids_per_rank)
+    return [gathered[end - ids.size : end] for ids, end in zip(ids_per_rank, ends)]

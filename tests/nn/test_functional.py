@@ -12,9 +12,57 @@ from repro.nn.functional import (
     dsigmoid,
     dtanh,
     log_softmax,
+    row_matmul,
     sigmoid,
     softmax,
 )
+
+
+def looped_row_matmul(x, w):
+    """The per-row gemv loop ``row_matmul`` replaced — kept as its reference."""
+    out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
+    for r in range(x.shape[0]):
+        out[r] = x[r] @ w
+    return out
+
+
+#: Operand layouts: C order, Fortran order, a transposed view of the
+#: other order, and negative-stride views along each axis.
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+    "rows reversed": lambda a: a[::-1],
+    "columns reversed": lambda a: np.ascontiguousarray(a[:, ::-1])[:, ::-1],
+}
+
+
+class TestRowMatmulIsTheRowLoop:
+    @given(
+        dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+        batch=st.sampled_from([0, 1, 2, 3, 8, 64]),
+        inner=st.sampled_from([1, 5, 32, 64]),
+        outer=st.sampled_from([1, 7, 256]),
+        x_layout=st.sampled_from(sorted(LAYOUTS)),
+        w_layout=st.sampled_from(sorted(LAYOUTS)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_per_row_gemv(
+        self, dtype, batch, inner, outer, x_layout, w_layout, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = LAYOUTS[x_layout](rng.standard_normal((batch, inner)).astype(dtype))
+        w = LAYOUTS[w_layout](rng.standard_normal((inner, outer)).astype(dtype))
+        got = row_matmul(x, w)
+        want = looped_row_matmul(x, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            row_matmul(np.zeros((2, 3)), np.zeros((4, 5)))
+        with pytest.raises(ValueError):
+            row_matmul(np.zeros(3), np.zeros((3, 5)))
 
 
 def masked_sigmoid(x):

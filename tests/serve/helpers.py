@@ -88,7 +88,10 @@ class CountingDecoder:
             vocab_size * dim, dtype=np.float64
         ).reshape(vocab_size, dim)
         self.step_calls = 0
-        self.advance_calls = 0  # includes the one inside every step
+        # Prefill alone: ``step`` folds its row without entering ``advance``,
+        # so one ``advance`` row is one prefill token.
+        self.advance_calls = 0
+        self.advance_rows = 0
 
     @property
     def state_nbytes(self) -> int:
@@ -99,11 +102,12 @@ class CountingDecoder:
 
     def advance(self, x, states):
         self.advance_calls += 1
+        self.advance_rows += x.shape[0]
         return (states[0] + 1.0,)
 
     def step(self, x, states):
         self.step_calls += 1
-        (new,) = self.advance(x, states)
+        new = states[0] + 1.0
         batch = x.shape[0]
         logits = np.zeros((batch, self.vocab_size))
         idx = (new[:, 0].astype(np.int64) + x[:, 0].astype(np.int64)) % (

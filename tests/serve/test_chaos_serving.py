@@ -18,6 +18,7 @@ from repro.cluster.failures import (
     FaultPlan,
 )
 from repro.serve import ServingEngine, percentile
+from repro.serve.decoders import fold_histories
 from repro.telemetry import TelemetrySession
 
 from .helpers import make_word_decoder, pressure_config, pressure_traffic
@@ -100,6 +101,32 @@ class TestRankLoss:
         _, chaotic, _ = run_pair(rank_loss_plan())
         # readmitted requests replay their token history on re-admission
         assert chaotic.recomputes >= chaotic.readmissions >= 1
+
+    def test_readmitted_state_is_the_full_fold(self):
+        # A readmitted request folds only its emitted suffix on top of its
+        # prompt-table row; the slot must hold, bitwise, the fold of its
+        # whole history from a fresh state.
+        decoder = make_word_decoder()
+        engine = ServingEngine(
+            decoder, ChaosCommunicator(WORLD, plan=rank_loss_plan()),
+            pressure_config(),
+        )
+        replay, checked = engine._replay, []
+
+        def checked_replay(rids):
+            replay(rids)
+            for rid in rids:
+                rec, entry = engine.scheduler.records[rid], engine.cache.peek(rid)
+                if entry is None or not rec.emitted:
+                    continue
+                full = fold_histories(decoder, [rec.consumed_tokens[:-1]])
+                for part, ref in zip(engine.cache.rows([entry.slot]), full):
+                    np.testing.assert_array_equal(part, ref, strict=True)
+                checked.append(rid)
+
+        engine._replay = checked_replay
+        report = engine.run(pressure_traffic(n=24))
+        assert report.readmissions >= 1 and checked
 
     def test_world_of_one_rank_loss_is_fatal(self):
         from repro.cluster.failures import RankFailureError

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.communicator import Communicator
+from repro.core.unique import global_unique
 from repro.serve import sample_token, sharded_embedding_lookup
 from repro.serve.decoders import fold_histories, stack_states
 
@@ -13,6 +14,29 @@ from .helpers import make_char_decoder, make_word_decoder
 def random_rows(decoder, n, rng):
     ids = rng.integers(0, decoder.vocab_size, size=n)
     return decoder.embedding_weight[ids]
+
+
+def blocking_per_rank_lookup(comm, weight, ids_per_rank, tag):
+    """The sharded lookup in its first form — kept as the accounting reference.
+
+    Blocking allgathers with per-rank result copies, ``np.array_split``
+    shards, and one ``searchsorted`` per rank.
+    """
+    with comm.ledger.scope("serve-embed"):
+        all_ids = comm.allgather(
+            ids_per_rank,
+            tag=f"serve-ids:{tag}",
+            payload_bytes=max(ids.nbytes for ids in ids_per_rank),
+        )[0]
+        global_ids = global_unique(all_ids)
+        shards = np.array_split(global_ids, comm.world_size)
+        contributions = [weight[shard] for shard in shards]
+        rows = comm.allgather(
+            contributions,
+            tag=f"serve-rows:{tag}",
+            payload_bytes=max(c.nbytes for c in contributions),
+        )[0]
+    return [rows[np.searchsorted(global_ids, ids)] for ids in ids_per_rank]
 
 
 class TestStackUnstack:
@@ -170,6 +194,40 @@ class TestAdvanceAndLockStepReplay:
                 for part, ref in zip(folded, solo):
                     np.testing.assert_array_equal(part[i], ref[0], strict=True)
 
+    def test_suffix_fold_from_a_folded_start_equals_full_fold(self, make_decoder):
+        # A readmitted request folds its emitted suffix on top of its
+        # prompt-table row; that must be the fold of the whole history.
+        decoder = make_decoder()
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            n = int(rng.integers(1, 7))
+            prefixes = [
+                rng.integers(0, decoder.vocab_size, size=k).tolist()
+                for k in rng.integers(0, 8, size=n)
+            ]
+            suffixes = [
+                rng.integers(0, decoder.vocab_size, size=k).tolist()
+                for k in rng.integers(0, 6, size=n)
+            ]
+            table = fold_histories(decoder, prefixes)
+            before = [part.copy() for part in table]
+            got = fold_histories(decoder, suffixes, table)
+            want = fold_histories(
+                decoder, [p + s for p, s in zip(prefixes, suffixes)]
+            )
+            for part, ref, kept, orig in zip(got, want, table, before):
+                np.testing.assert_array_equal(part, ref, strict=True)
+                np.testing.assert_array_equal(kept, orig, strict=True)
+
+    def test_no_histories_fold_to_zero_rows(self, make_decoder):
+        decoder = make_decoder()
+        empty = tuple(part[:0] for part in stack_states([decoder.init_state()]))
+        for start in (None, empty):
+            folded = fold_histories(decoder, [], start)
+            for part, row in zip(folded, decoder.init_state(), strict=True):
+                assert part.shape == (0,) + row.shape
+                assert part.dtype == row.dtype
+
 
 class TestShardedEmbeddingLookup:
     def test_bitwise_equal_to_direct_gather(self):
@@ -210,6 +268,38 @@ class TestShardedEmbeddingLookup:
             sharded_embedding_lookup(
                 comm, decoder.embedding_weight, [np.array([1], dtype=np.int64)]
             )
+
+    @pytest.mark.parametrize("world", [1, 2, 3, 5])
+    def test_accounting_equals_the_blocking_per_rank_form(self, world):
+        # Shared results, arithmetic shard bounds and one searchsorted
+        # are host glue: ledger, timeline and device peaks must not move.
+        decoder = make_word_decoder()
+        weight = decoder.embedding_weight
+        rng = np.random.default_rng(world)
+        fast = Communicator(world, track_memory=True)
+        reference = Communicator(world, track_memory=True)
+        for step in range(6):
+            ids_per_rank = [
+                rng.integers(0, decoder.vocab_size, size=k).astype(np.int64)
+                for k in rng.integers(0, 4, size=world)
+            ]
+            got = sharded_embedding_lookup(
+                fast, weight, ids_per_rank, tag=f"step{step}"
+            )
+            want = blocking_per_rank_lookup(
+                reference, weight, ids_per_rank, tag=f"step{step}"
+            )
+            for out, ref in zip(got, want, strict=True):
+                np.testing.assert_array_equal(out, ref, strict=True)
+        assert fast.ledger.events == reference.ledger.events
+        assert (
+            fast.ledger.total_wire_bytes_per_rank
+            == reference.ledger.total_wire_bytes_per_rank
+        )
+        assert fast.timeline.events == reference.timeline.events
+        assert [d.peak_bytes for d in fast.devices] == [
+            d.peak_bytes for d in reference.devices
+        ]
 
     def test_collectives_land_on_ledger(self):
         decoder = make_word_decoder()

@@ -98,29 +98,53 @@ class TestHostileStream:
             ServeRequest(0, np.array([3]), 3, slo_s=float("nan"))
 
 
+def random_requests(n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        ServeRequest(
+            request_id=rid,
+            prompt=rng.integers(0, 16, size=int(rng.integers(1, 7))),
+            max_new_tokens=int(rng.integers(1, 6)),
+            arrival_s=float(rng.uniform(0.0, 0.05)),
+        )
+        for rid in range(n)
+    ]
+
+
 class TestDecoderWorkDoneOnce:
     """Call counts, not clocks: one step per decode step, none in prefill."""
 
     def test_step_calls_equal_decode_steps(self):
         decoder = CountingDecoder()
-        rng = np.random.default_rng(11)
-        requests = [
-            ServeRequest(
-                request_id=rid,
-                prompt=rng.integers(0, 16, size=int(rng.integers(1, 7))),
-                max_new_tokens=int(rng.integers(1, 6)),
-                arrival_s=float(rng.uniform(0.0, 0.05)),
-            )
-            for rid in range(20)
-        ]
+        requests = random_requests(20, seed=11)
         config = pressure_config(max_batch=4)
         report = ServingEngine(decoder, Communicator(3), config).run(requests)
         assert report.decode_steps < report.total_tokens  # rows shared steps
         # every step call is a decode step, so prefill never called step
         assert decoder.step_calls == report.decode_steps
-        prefill_calls = decoder.advance_calls - decoder.step_calls
         prefill_tokens = sum(r.prompt.size - 1 for r in requests)
-        assert 0 < prefill_calls < prefill_tokens  # lock step shared calls too
+        assert 0 < decoder.advance_calls < prefill_tokens  # lock step shared calls
+
+    @pytest.mark.parametrize("budget_states", [4, 64])
+    def test_each_prompt_token_folded_once_per_run(self, budget_states):
+        # Admission misses, speculative prefills and recomputes after
+        # eviction all copy the run's prompt-table row: with no
+        # readmission, the fold is every prompt token exactly once.
+        decoder = CountingDecoder()
+        requests = random_requests(40, seed=12)
+        config = pressure_config(
+            max_batch=3, cache_budget_bytes=budget_states * decoder.state_nbytes
+        )
+        report = ServingEngine(decoder, Communicator(2), config).run(requests)
+        assert report.readmissions == 0
+        assert (report.recomputes > 0) == (budget_states == 4)
+        assert decoder.advance_rows == sum(r.prompt.size - 1 for r in requests)
+
+    def test_empty_stream(self):
+        decoder = CountingDecoder()
+        report = ServingEngine(decoder, Communicator(2)).run([])
+        assert report.requests == () and report.decode_steps == 0
+        assert decoder.advance_calls == decoder.step_calls == 0
 
 
 class TestReport:
