@@ -107,28 +107,35 @@ bench-serve:
 		benchmarks/bench_serving.py --benchmark-only
 
 # Dead-code report (not in CI): every src/repro function that no entry
-# point enters — each example, the CLI subcommands, the five e2e
-# workloads and every bench in fast mode, one process each because the
-# profile hook never sees child processes.  The benches run with
-# --benchmark-disable: a timed run pauses the hook; they still rewrite
-# benchmarks/results/ as the other fast-mode targets do.
+# point enters — each example, the CLI subcommands (train and
+# serve-bench also replay a fault plan written into $(DEAD_DIR)), the
+# five e2e workloads and every bench in fast mode, one process each
+# because the profile hook never sees child processes.  The benches run
+# with --benchmark-disable: a timed run pauses the hook; they still
+# rewrite benchmarks/results/ as the other fast-mode targets do.
 DEAD_DIR ?= .dead-code
 DEAD = PYTHONPATH=src $(PYTHON) tools/check_coverage.py --functions $(DEAD_DIR)/entered.log --
+DEAD_PLAN = {"events": [{"kind": "transient_link", "collective_index": 2}, {"kind": "straggler", "collective_index": 3, "slowdown": 1.5}, {"kind": "rank_loss", "collective_index": 10}]}
 dead-code:
 	rm -rf $(DEAD_DIR) && mkdir -p $(DEAD_DIR)
+	printf '%s\n' '$(DEAD_PLAN)' > $(DEAD_DIR)/plan.json
 	for ex in examples/*.py; do $(DEAD) $$ex > /dev/null || exit 1; done
 	$(DEAD) -m repro.cli zipf --tokens 20000 > /dev/null
 	$(DEAD) -m repro.cli train --gpus 2 --steps 3 --corpus-tokens 6000 > /dev/null
 	$(DEAD) -m repro.cli train --model char --gpus 2 --steps 3 --corpus-tokens 40000 --fp16 --overlap > /dev/null
 	$(DEAD) -m repro.cli train --gpus 8 --steps 3 --corpus-tokens 6000 --mesh pipe=2,tensor=2,data=2 --wire-codec fp16+entropy --wire-chunk-bytes 4096 --fused-reduce --sanitize --verify-spmd --telemetry-dir $(DEAD_DIR)/tel > /dev/null
-	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --resilient --baseline --wire-codec auto --wire-learn --seed-strategy zipf_freq > /dev/null
+	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --resilient --baseline --wire-codec auto --seed-strategy zipf_freq > /dev/null
+	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --fault-plan $(DEAD_DIR)/plan.json --telemetry-dir $(DEAD_DIR)/tel-chaos > /dev/null
 	$(DEAD) -m repro.cli trace $(DEAD_DIR)/tel > /dev/null
 	for t in 3 4 5; do $(DEAD) -m repro.cli perf --table $$t > /dev/null || exit 1; done
 	$(DEAD) -m repro.cli generate --steps 5 --length 10 > /dev/null
 	$(DEAD) -m repro.cli example > /dev/null
 	$(DEAD) -m repro.cli lint src/repro > /dev/null
+	$(DEAD) -m repro.cli lint --list-rules > /dev/null
 	$(DEAD) -m repro.cli verify-spmd src/repro benchmarks > /dev/null
 	$(DEAD) -m repro.cli serve-bench --requests 8 > /dev/null
+	$(DEAD) -m repro.cli serve-bench --model char --requests 8 --slo 0.05 > /dev/null
+	$(DEAD) -m repro.cli serve-bench --requests 8 --fault-plan $(DEAD_DIR)/plan.json --telemetry-dir $(DEAD_DIR)/tel-serve > /dev/null
 	for w in word_flat char_batched word_wire mesh_hybrid serve_burst; do \
 		$(DEAD) benchmarks/e2e/run.py --workload $$w --smoke > /dev/null || exit 1; done
 	for b in benchmarks/bench_*.py; do \

@@ -8,8 +8,8 @@ compute-rich char LM could hide essentially all of its communication.
 
 Each analytic figure is cross-checked against the two-stream timeline:
 ``timeline_overlapped_time`` actually schedules head compute, per-bucket
-collectives on the shared link, tail compute, and the completion
-barrier, and must land within 5% of the closed form (in practice they
+collectives on the shared link, tail compute, and the final drain of
+every collective, and must land within 5% of the closed form (in practice they
 agree to machine precision).
 
 Set ``REPRO_BENCH_FAST=1`` for the CI smoke mode (fewer GPU counts).

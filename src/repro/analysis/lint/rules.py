@@ -37,16 +37,13 @@ _NUMPY_ALIASES = {"np", "numpy"}
 #: Blocking entry points of the communicator's collective funnel.  Rules
 #: match on the method name, so the axis-addressed form
 #: ``comm.axis("tensor").allreduce(...)`` is covered like the flat one.
-_COLLECTIVES = {
-    "allreduce", "allgather", "broadcast", "reduce_scatter", "transfer",
-}
+_COLLECTIVES = {"allreduce", "allgather", "reduce_scatter", "transfer"}
 
 #: The non-blocking entry points (return a WorkHandle / pending object),
 #: plus the async entry points of the core layer built on them.
 _ASYNC_COLLECTIVES = {
     "iallreduce",
     "iallgather",
-    "ibroadcast",
     "ireduce_scatter",
     "issue_scheduled",
     "iunique_exchange",
@@ -224,7 +221,7 @@ class CollectiveOutsideScopeRule(Rule):
         "and covers them dynamically."
     )
 
-    _CALLEES = _COLLECTIVES | _ASYNC_COLLECTIVES | {"barrier", "sync_replicas"}
+    _CALLEES = _COLLECTIVES | _ASYNC_COLLECTIVES | {"sync_replicas"}
 
     def applies_to(self, path: Path) -> bool:
         parts = set(path.parts)

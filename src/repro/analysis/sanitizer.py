@@ -9,7 +9,7 @@ scheduled — before it executes:
 
 * **rank-count agreement** — the per-rank list must carry exactly one
   array per rank;
-* **shape agreement** — allreduce/reduce_scatter/broadcast payloads must
+* **shape agreement** — allreduce/reduce_scatter payloads must
   be shape-identical across the ranks of a ring (an allgatherv may be
   ragged in its leading dim only; on an axis view each subgroup is
   checked on its own, since shards of different subgroups legitimately
@@ -279,11 +279,6 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
                 tag=tag,
             )
         )
-
-    def on_barrier(self, comm, tag: str) -> None:
-        """Scope-check and log a barrier."""
-        self._check_scope("barrier", tag)
-        self.op_log.append(OpRecord("barrier", (), "", tag))
 
     def _check_scope(self, op: str, tag: str) -> None:
         if self.require_scope and self._comm.ledger.current_scope == "":

@@ -139,13 +139,6 @@ class CallGraph:
             else:
                 self._collect(child, class_name=class_name, prefix=prefix)
 
-    def scope_for(self, node: ast.AST) -> FunctionScope | None:
-        """The scope whose ``def`` is exactly ``node`` (or the module)."""
-        for scope in self.scopes:
-            if scope.node is node:
-                return scope
-        return None
-
     def resolve(
         self, call: ast.Call, caller: FunctionScope
     ) -> FunctionScope | None:

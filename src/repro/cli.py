@@ -75,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "inside the collective and partial sums travel "
                          "compressed (bit-identical numerics; with --mesh "
                          "the ring runs per data subgroup)")
-    p_train.add_argument("--wire-learn", action="store_true",
-                         help="after each epoch, feed measured wire "
-                         "telemetry back into the adaptive selector's "
-                         "throughput table (requires an 'auto' slot in "
-                         "--wire-codec)")
     p_train.add_argument("--mesh", default=None, metavar="SPEC",
                          help="hybrid-parallelism mesh over the world, e.g. "
                          "'pipe=2,tensor=2,data=G/4' (axes default to 1; "
@@ -117,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attach the lockstep verifier to the "
                          "communicator: every collective's (op, tag, shape, "
                          "dtype) fingerprint is cross-checked across ranks "
-                         "at barrier/wait points, converting would-be "
+                         "at wait points, converting would-be "
                          "deadlocks into immediate diagnostics")
     p_train.add_argument("--telemetry-dir", default=None, metavar="DIR",
                          help="stream per-step JSONL, Prometheus/JSON "
@@ -251,8 +246,11 @@ def _validate_train_args(args: argparse.Namespace, cfg) -> str | None:
     """
     if args.steps <= 0:
         return f"--steps must be positive, got {args.steps}"
+    resilient = args.resilient or args.fault_plan is not None
+    if resilient and args.sanitize:
+        return "--resilient and --sanitize are mutually exclusive"
     if (
-        (args.resilient or args.fault_plan is not None)
+        resilient
         and args.mesh is not None
         and cfg.device_mesh.axis_size("data") == 1
     ):
@@ -301,7 +299,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             wire_codec=_wire_spec(args),
             wire_chunk_bytes=args.wire_chunk_bytes,
             fused_reduce=args.fused_reduce,
-            wire_learn=args.wire_learn,
             mesh=args.mesh,
         )
         error = _validate_train_args(args, cfg)
@@ -363,27 +360,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
         session = TelemetrySession(args.telemetry_dir)
 
     if args.resilient or args.fault_plan is not None:
-        if args.sanitize:
-            print("error: --resilient and --sanitize are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
         return _run_resilient(args, cfg, make_trainer, session)
 
     trainer = make_trainer(cfg, comm)
     if session is not None:
         session.adopt_trainer(trainer)
-    elif args.wire_learn:
-        # Learning needs the wire metrics even without a telemetry dir.
-        from repro.telemetry import MetricsRegistry
-
-        trainer.comm.metrics = MetricsRegistry()
 
     print(f"{args.model} LM | {args.gpus} simulated GPUs | vocab {args.vocab} "
           f"| exchange: {'allgather' if args.baseline else 'unique'}"
           f"{' + fp16' if args.fp16 else ''}"
           f"{f' | wire: {args.wire_codec}' if args.wire_codec else ''}"
           f"{' | fused-reduce' if args.fused_reduce else ''}"
-          f"{' | wire-learn' if args.wire_learn else ''}"
           f"{f' | mesh: {args.mesh}' if args.mesh else ''}"
           f"{' | overlapped' if args.overlap else ''}"
           f"{' | sanitized' if args.sanitize else ''}"
@@ -400,15 +387,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.wire_codec:
         factor = trainer.comm.ledger.compression_factor(":indices")
         print(f"index compression: {factor:.2f}x (measured, logical/wire)")
-    if args.wire_learn:
-        learned = trainer.learn_wire_throughputs()
-        if not learned:
-            print("learned: no encoded wire traffic this run "
-                  "(selector kept its prior throughput table)")
-        for cname in sorted(learned):
-            tp = learned[cname]
-            print(f"learned {cname}: encode {tp.encode_bps / 1e6:.1f} MB/s, "
-                  f"decode {tp.decode_bps / 1e6:.1f} MB/s")
     print(f"replica divergence: {max_replica_divergence(trainer.replicas):.1e}")
     if args.sanitize:
         op_log = trainer.comm.finish()

@@ -10,14 +10,11 @@ from .collectives import (
     allgather_wire_bytes,
     allreduce_arrays,
     allreduce_wire_bytes,
-    broadcast_arrays,
-    broadcast_wire_bytes,
     recursive_doubling_allreduce_time,
     reduce_scatter_arrays,
     reduce_scatter_wire_bytes,
     ring_allgather_time,
     ring_allreduce_time,
-    ring_broadcast_time,
     ring_reduce_scatter_time,
 )
 from .communicator import CollectiveHook, Communicator, WorkHandle
@@ -128,15 +125,12 @@ __all__ = [
     "group_of_rank",
     "allreduce_arrays",
     "allgather_arrays",
-    "broadcast_arrays",
     "reduce_scatter_arrays",
     "allreduce_wire_bytes",
     "allgather_wire_bytes",
     "reduce_scatter_wire_bytes",
-    "broadcast_wire_bytes",
     "ring_allreduce_time",
     "ring_allgather_time",
     "ring_reduce_scatter_time",
-    "ring_broadcast_time",
     "recursive_doubling_allreduce_time",
 ]

@@ -31,7 +31,6 @@ Collective         Ring cost (time)
 allreduce          ``2 (G-1)/G * n / beta  +  2 (G-1) alpha``
 reduce-scatter     ``(G-1)/G * n / beta  +  (G-1) alpha``
 allgather          ``(G-1) * n / beta  +  (G-1) alpha``
-broadcast          ``n / beta * (G-1)/G  +  (G-1) alpha``  (scatter+allgather)
 =================  =====================================================
 """
 
@@ -48,17 +47,14 @@ from .interconnect import LinkSpec
 __all__ = [
     "allreduce_arrays",
     "allgather_arrays",
-    "broadcast_arrays",
     "reduce_scatter_arrays",
     "ring_allreduce_time",
     "ring_allgather_time",
     "ring_reduce_scatter_time",
-    "ring_broadcast_time",
     "recursive_doubling_allreduce_time",
     "allreduce_wire_bytes",
     "allgather_wire_bytes",
     "reduce_scatter_wire_bytes",
-    "broadcast_wire_bytes",
 ]
 
 
@@ -93,7 +89,6 @@ RESTRICTED_FOLD_MIN_SKIPPED = 32768
 
 def allreduce_arrays(
     arrays: Sequence[np.ndarray],
-    shared_result: bool = False,
     stacked: np.ndarray | None = None,
     rows: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
@@ -101,11 +96,9 @@ def allreduce_arrays(
 
     The reduction is performed in rank order, which is deterministic —
     matching NCCL's behaviour of a fixed reduction order along the ring.
-    Each returned array is an independent copy (ranks own their buffers),
-    unless ``shared_result`` is set: then every rank receives the *same*
-    array object — a host-side optimization for callers that treat the
-    (identical-on-every-rank) result as read-only, skipping ``world``
-    buffer copies.
+    The sum is identical on every rank, so every rank receives the *same*
+    array object, read-only (``writeable=False``): a caller that writes
+    to it fails loudly instead of corrupting the other ranks' results.
 
     ``stacked`` lets a caller that already holds the per-rank inputs as
     rows of one contiguous ``(world, ...)`` block (the batched executor's
@@ -152,9 +145,7 @@ def allreduce_arrays(
         total = arrays[0].copy()
         for arr in arrays[1:]:
             total += arr
-    if shared_result:
-        return [total] * len(arrays)
-    return _fan_out(total, len(arrays))
+    return _shared(total, len(arrays))
 
 
 def _restricted_fold(
@@ -185,28 +176,19 @@ def _restricted_fold(
     return total
 
 
-def _fan_out(result: np.ndarray, world: int) -> list[np.ndarray]:
-    """Per-rank buffers of one shared result via a single allocation.
-
-    Rows of one ``(world, ...)`` block are handed out as disjoint views:
-    each rank can mutate its own buffer freely, and the simulator pays
-    one allocation + one broadcast copy instead of ``world`` of each.
-    """
-    stacked = np.empty((world,) + result.shape, dtype=result.dtype)
-    stacked[:] = result
-    return list(stacked)
+def _shared(result: np.ndarray, world: int) -> list[np.ndarray]:
+    """One read-only result object for each of ``world`` ranks."""
+    result.flags.writeable = False
+    return [result] * world
 
 
-def allgather_arrays(
-    arrays: Sequence[np.ndarray], shared_result: bool = False
-) -> list[np.ndarray]:
+def allgather_arrays(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Allgather: every rank receives the rank-order concatenation.
 
     Per-rank contributions must agree in dtype and trailing dimensions but
     may differ in leading length (an allgatherv), which the uniqueness
     algorithm relies on when ranks hold different numbers of local types.
-    ``shared_result`` returns one shared (read-only by convention) array
-    object for all ranks instead of per-rank copies — see
+    Every rank receives the same read-only object, as for
     :func:`allreduce_arrays`.
     """
     if len(arrays) == 0:
@@ -224,19 +206,7 @@ def allgather_arrays(
                 f"rank 0 {trailing}"
             )
     gathered = np.concatenate([np.atleast_1d(a) for a in arrays], axis=0)
-    if shared_result:
-        return [gathered] * len(arrays)
-    return _fan_out(gathered, len(arrays))
-
-
-def broadcast_arrays(
-    arrays: Sequence[np.ndarray], root: int = 0
-) -> list[np.ndarray]:
-    """Broadcast the root rank's array to all ranks."""
-    if not 0 <= root < len(arrays):
-        raise ValueError(f"broadcast: root {root} out of range 0..{len(arrays) - 1}")
-    src = arrays[root]
-    return _fan_out(src, len(arrays))
+    return _shared(gathered, len(arrays))
 
 
 def reduce_scatter_arrays(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -287,15 +257,6 @@ def reduce_scatter_wire_bytes(world: int, nbytes: int) -> int:
     return math.ceil((world - 1) / world * nbytes)
 
 
-@lru_cache(maxsize=4096)
-def broadcast_wire_bytes(world: int, nbytes: int) -> int:
-    """Bytes the root effectively injects for a scatter+allgather broadcast."""
-    _check_world(world)
-    if world == 1:
-        return 0
-    return nbytes
-
-
 def _check_world(world: int) -> None:
     if world <= 0:
         raise ValueError(f"world size must be positive, got {world}")
@@ -338,17 +299,6 @@ def ring_reduce_scatter_time(world: int, nbytes: int, link: LinkSpec) -> float:
     if world == 1:
         return 0.0
     bw_term = (world - 1) / world * nbytes / link.bandwidth
-    lat_term = (world - 1) * link.latency
-    return bw_term + lat_term
-
-
-@lru_cache(maxsize=4096)
-def ring_broadcast_time(world: int, nbytes: int, link: LinkSpec) -> float:
-    """Scatter + ring-allgather broadcast (van de Geijn), pipelined."""
-    _check_world(world)
-    if world == 1:
-        return 0.0
-    bw_term = 2 * (world - 1) / world * nbytes / link.bandwidth
     lat_term = (world - 1) * link.latency
     return bw_term + lat_term
 

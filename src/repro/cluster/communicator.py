@@ -24,7 +24,7 @@ what a real cluster would have moved and held:
 Async engine
 ------------
 Every collective has a non-blocking ``i*`` variant (``iallreduce``,
-``iallgather``, ``ibroadcast``, ``ireduce_scatter``) returning a
+``iallgather``, ``ireduce_scatter``) returning a
 :class:`WorkHandle` — the same issue/wait split PyTorch ``ProcessGroup``
 and Horovod expose.  Issue computes the numerics eagerly (the simulator
 is deterministic, so results cannot depend on wait order — bit-exactness
@@ -33,6 +33,11 @@ the collective on the comm stream; ``wait()`` releases the scratch and
 blocks the compute streams at the collective's timeline end.  The
 blocking methods are exactly ``issue + wait``, so existing callers see
 identical numerics, ledger totals, and peak footprints.
+
+An allreduce or allgather result is identical on every rank of a ring,
+so every member receives the **same** array object, read-only
+(``writeable=False``): a caller that writes to it fails loudly instead
+of corrupting the other ranks' results.
 
 One funnel, axis-addressed
 --------------------------
@@ -53,7 +58,7 @@ Observers attach through one ordered hook protocol
 (:class:`CollectiveHook`): ``pre_issue`` before anything is touched
 (fault replay raises here; the sanitizer validates here),
 ``post_issue`` once the handle exists (the lockstep verifier
-fingerprints here), ``on_wait`` and ``on_barrier``.  Because the hooks
+fingerprints here) and ``on_wait``.  Because the hooks
 sit on the funnel, they see blocking, non-blocking, per-axis and
 explicitly-scheduled (:meth:`Communicator.issue_scheduled`) collectives
 alike.
@@ -107,9 +112,6 @@ class CollectiveHook:
 
     def on_wait(self, handle: "WorkHandle") -> None:
         """First ``wait()`` of a handle, before its scratch is released."""
-
-    def on_barrier(self, comm, tag: str) -> None:
-        """Before a barrier is scheduled; raising aborts it."""
 
 
 class WorkHandle:
@@ -166,14 +168,6 @@ class WorkHandle:
                 self._comm.timeline.complete(self.ticket)
         return self._results
 
-    def is_complete(self) -> bool:
-        """Whether :meth:`wait` has already been called.
-
-        The simulator has no true concurrency: completion is observed,
-        never polled, so this reports the handle's await state.
-        """
-        return self._complete
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "complete" if self._complete else "pending"
         return f"WorkHandle(op={self.op!r}, tag={self.tag!r}, {state})"
@@ -183,7 +177,6 @@ class WorkHandle:
 _RING_COST = {
     "allreduce": (coll.allreduce_wire_bytes, coll.ring_allreduce_time),
     "allgather": (coll.allgather_wire_bytes, coll.ring_allgather_time),
-    "broadcast": (coll.broadcast_wire_bytes, coll.ring_broadcast_time),
     "reduce_scatter": (
         coll.reduce_scatter_wire_bytes, coll.ring_reduce_scatter_time,
     ),
@@ -364,14 +357,14 @@ class Communicator:
                 f"{self.world_size}-rank communicator"
             )
 
-    def _ring_bytes(self, arrays: Sequence[np.ndarray], member: int = 0) -> int:
-        """Message size of the largest ring (its ``member``-th rank's array).
+    def _ring_bytes(self, arrays: Sequence[np.ndarray]) -> int:
+        """Message size of the largest ring (its first rank's array).
 
         Reduce-family payloads are uniform within a ring but may differ
         across rings (each model shard has its own shape); rings run
         concurrently, so the largest one sets the cost.
         """
-        return max(int(arrays[ranks[member]].nbytes) for ranks in self.groups)
+        return max(int(arrays[ranks[0]].nbytes) for ranks in self.groups)
 
     def _ring_collective(
         self,
@@ -476,7 +469,6 @@ class Communicator:
         arrays: Sequence[np.ndarray],
         tag: str = "",
         payload_bytes: int | None = None,
-        shared_result: bool = False,
         stacked: np.ndarray | Sequence[np.ndarray] | None = None,
         rows: Sequence | None = None,
     ) -> WorkHandle:
@@ -491,10 +483,8 @@ class Communicator:
         payload size: codec layers pass it so the ledger can report the
         measured compression factor alongside the encoded wire bytes.
 
-        ``shared_result`` hands every rank of a ring the *same* result
-        array (the values are identical anyway); callers promise
-        read-only use.  Accounting (scratch, wire bytes, timeline) is
-        unchanged — only host-side buffer copies are skipped.
+        Every rank of a ring receives that ring's one read-only sum (see
+        the module docstring).
 
         ``stacked`` is the caller's assertion that each ring's arrays
         are, in member order, the rows of one ``(ring, ...)`` block —
@@ -517,9 +507,7 @@ class Communicator:
             if block is not None and not isinstance(block, np.ndarray):
                 block = block[ring]
                 held = None if rows is None else rows[ring]
-            return coll.allreduce_arrays(
-                sub, shared_result=shared_result, stacked=block, rows=held
-            )
+            return coll.allreduce_arrays(sub, stacked=block, rows=held)
 
         nbytes = self._ring_bytes(arrays)
         return self._ring_collective(
@@ -531,7 +519,6 @@ class Communicator:
         arrays: Sequence[np.ndarray],
         tag: str = "",
         payload_bytes: int | None = None,
-        shared_result: bool = False,
     ) -> WorkHandle:
         """Non-blocking allgather (allgatherv).
 
@@ -541,9 +528,8 @@ class Communicator:
 
         ``payload_bytes`` is the optional pre-codec (logical) max
         per-rank contribution, recorded for measured-compression
-        reporting (see :meth:`iallreduce`).  ``shared_result`` is as for
-        :meth:`iallreduce`: one shared result object per ring, read-only
-        callers.
+        reporting (see :meth:`iallreduce`).  Every rank of a ring
+        receives that ring's one read-only concatenation.
         """
         self._pre_issue("allgather", tag, arrays)
         contrib = [int(np.atleast_1d(a).nbytes) for a in arrays]
@@ -551,25 +537,10 @@ class Communicator:
             "allgather",
             arrays,
             tag,
-            lambda sub, _: coll.allgather_arrays(sub, shared_result=shared_result),
+            lambda sub, _: coll.allgather_arrays(sub),
             max(contrib),
             max(sum(contrib[r] for r in ranks) for ranks in self.groups),
             payload_bytes,
-        )
-
-    def ibroadcast(
-        self, arrays: Sequence[np.ndarray], root: int = 0, tag: str = ""
-    ) -> WorkHandle:
-        """Non-blocking broadcast from each ring's ``root``-th member."""
-        self._pre_issue("broadcast", tag, arrays)
-        nbytes = self._ring_bytes(arrays, member=root)
-        return self._ring_collective(
-            "broadcast",
-            arrays,
-            tag,
-            lambda sub, _: coll.broadcast_arrays(sub, root=root),
-            nbytes,
-            nbytes,
         )
 
     def ireduce_scatter(
@@ -673,34 +644,11 @@ class Communicator:
         """Allgather (allgatherv) across ranks."""
         return self.iallgather(arrays, tag=tag, payload_bytes=payload_bytes).wait()
 
-    def broadcast(
-        self, arrays: Sequence[np.ndarray], root: int = 0, tag: str = ""
-    ) -> list[np.ndarray]:
-        """Broadcast the root's array to all ranks."""
-        return self.ibroadcast(arrays, root=root, tag=tag).wait()
-
     def reduce_scatter(
         self, arrays: Sequence[np.ndarray], tag: str = ""
     ) -> list[np.ndarray]:
         """Sum-reduce then scatter equal shards, one per rank."""
         return self.ireduce_scatter(arrays, tag=tag).wait()
-
-    def barrier(self, tag: str = "") -> None:
-        """Synchronization point: latency-only, no payload."""
-        for hook in self.hooks:
-            hook.on_barrier(self, tag)
-        time_s = 2 * (self.ring_size - 1) * self.link.latency
-        ticket = self.timeline.schedule_collective(time_s, name=f"barrier:{tag}")
-        self.timeline.complete(ticket)
-        self.ledger.record(
-            op="barrier",
-            world=self.world_size,
-            wire_bytes_per_rank=0,
-            time_s=time_s,
-            tag=tag,
-            start_s=ticket.start,
-            end_s=ticket.end,
-        )
 
     def wait_all(self) -> int:
         """Wait every pending handle (drain the comm streams).

@@ -372,7 +372,8 @@ class FaultReplay(CollectiveHook):
         self._fired: set[int] = set()
         self.injected: list[tuple[int, str, FaultEvent]] = []
 
-    def _consult(self, op: str, advance: bool = True) -> None:  # spmd-ok: chaos injection is deliberately rank-divergent — the plan kills/delays specific ranks by design
+    def pre_issue(self, comm, op: str, tag: str, arrays) -> None:  # spmd-ok: chaos injection is deliberately rank-divergent — the plan kills/delays specific ranks by design
+        """Consult the plan; a passing issue advances the counter."""
         index = self.collectives_issued
         for i, ev in enumerate(self.plan.events):
             if i in self._fired:
@@ -396,23 +397,7 @@ class FaultReplay(CollectiveHook):
                 self._fired.add(i)
                 self.injected.append((index, op, ev))
                 raise RankFailureError(ev.rank, op, index)
-        if advance:
-            self.collectives_issued += 1
-
-    def pre_issue(self, comm, op: str, tag: str, arrays) -> None:
-        """Consult the plan; a passing issue advances the counter."""
-        self._consult(op)
-
-    def on_barrier(self, comm, tag: str) -> None:
-        """A due ``RANK_LOSS`` fires at a barrier too.
-
-        A crashed rank never reaches the barrier, so the survivors must
-        observe the eviction rather than hang.  Consulting does **not**
-        advance the collective counter: barriers are not payload
-        collectives, and advancing would shift the issue indices every
-        existing fault plan keys on.
-        """
-        self._consult("barrier", advance=False)
+        self.collectives_issued += 1
 
 
 class ChaosCommunicator(Communicator):

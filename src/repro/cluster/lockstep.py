@@ -13,8 +13,8 @@ per subgroup, created on first use), where the payload envelope must be
 uniform *within* the subgroup; the global stream records such ops
 without their envelope, because shards of different subgroups
 legitimately differ in shape.  At synchronization
-points — ``barrier``, ``wait_all``, ``Sanitizer.finish()``, or an
-explicit :meth:`LockstepVerifier.check` — the per-rank streams are
+points — ``wait_all``, ``Sanitizer.finish()``, or an explicit
+:meth:`LockstepVerifier.check` — the per-rank streams are
 cross-checked: on a real cluster a rank that issued a different (or no)
 collective would deadlock the job silently; here it becomes an immediate
 :class:`~repro.analysis.sanitizer.CollectiveMismatchError` with a
@@ -48,7 +48,7 @@ from .communicator import CollectiveHook
 __all__ = ["LockstepVerifier", "LockstepReport"]
 
 #: Collectives whose payload envelope must match on every rank.
-_UNIFORM_SHAPE_OPS = frozenset({"allreduce", "reduce_scatter", "broadcast"})
+_UNIFORM_SHAPE_OPS = frozenset({"allreduce", "reduce_scatter"})
 
 _HASH_MODES = ("off", "sample", "full")
 
@@ -221,6 +221,7 @@ class LockstepVerifier(CollectiveHook):
         hashes: list[tuple] = []
         base = None  # (rank, shape, dtype) of the first rank with a payload
         mismatch = None
+        seen_dtype = name = None  # str(dtype) is costly; ranks share one
         for rank in self.live_ranks:
             shape, dtype = (), ""
             if arrays is not None and rank < len(arrays):
@@ -231,7 +232,9 @@ class LockstepVerifier(CollectiveHook):
                 else:
                     a = np.asarray(a)
                 if envelope:
-                    dtype = str(a.dtype)
+                    if a.dtype is not seen_dtype:
+                        seen_dtype, name = a.dtype, str(a.dtype)
+                    dtype = name
                     if uniform_shape:
                         shape = a.shape
                     if base is None:
@@ -271,13 +274,6 @@ class LockstepVerifier(CollectiveHook):
                     "— wait() before writing, or stage into a copy "
                     "(static counterpart: lint rule REPRO012)"
                 )
-
-    def on_barrier(self, comm, tag: str = "") -> LockstepReport:
-        """Fingerprint a barrier and cross-check all live streams."""
-        for rank in self.live_ranks:
-            stream = self._streams[rank]
-            stream.append((len(stream), "barrier", str(tag), (), ""))
-        return self.check(f"barrier:{tag or '-'}")
 
     # -- cross-rank verification --------------------------------------
 
@@ -366,8 +362,8 @@ class LockstepVerifier(CollectiveHook):
         if self.hash_mode == "sample" and flat.nbytes > 2 * self.sample_bytes:
             k = max(1, self.sample_bytes // max(1, flat.itemsize))
             # Chain head and tail through one CRC — no concatenation copy.
-            return zlib.crc32(flat[-k:].tobytes(), zlib.crc32(flat[:k].tobytes()))
-        return zlib.crc32(flat.tobytes())
+            return zlib.crc32(flat[-k:], zlib.crc32(flat[:k]))
+        return zlib.crc32(flat)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -351,32 +351,6 @@ class Timeline:
         busiest = max(self._busy_compute, default=0.0)
         return max(0.0, self.makespan - busiest)
 
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-
-    def to_chrome_trace(
-        self,
-        pid_base: int = 0,
-        time_offset_s: float = 0.0,
-        generation: int | None = None,
-    ) -> list[dict]:
-        """Export the schedule in Chrome trace-event format.
-
-        One ``pid`` per rank, one ``tid`` per stream, so the two-stream
-        structure renders as paired tracks in ``chrome://tracing``.
-        ``pid_base``/``time_offset_s``/``generation`` support the merged
-        multi-generation exporter in :mod:`repro.telemetry.spans`.
-        The trace rows are built on demand from the compact journal —
-        nothing is materialized while the simulation is running.
-        """
-        return events_to_chrome(
-            self.events,
-            pid_base=pid_base,
-            time_offset_s=time_offset_s,
-            generation=generation,
-        )
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world_size:
             raise ValueError(
@@ -398,6 +372,8 @@ def events_to_chrome(
 ) -> list[dict]:
     """Render timeline events as Chrome ``X`` blocks (pid=rank, tid=stream).
 
+    One ``pid`` per rank, one ``tid`` per stream, so the two-stream
+    structure renders as paired tracks in ``chrome://tracing``.
     Module-level so the merged exporter in :mod:`repro.telemetry.spans`
     can render events deserialised from a trace-parts file without
     reconstructing a live :class:`Timeline`.

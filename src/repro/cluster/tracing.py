@@ -126,7 +126,6 @@ class CostLedger:
         self._bytes_by_op: defaultdict[str, int] = defaultdict(int)
         self._time_by_op: defaultdict[str, float] = defaultdict(float)
         self._bytes_by_scope: defaultdict[str, int] = defaultdict(int)
-        self._time_by_scope: defaultdict[str, float] = defaultdict(float)
         for e in self.events:
             self._accumulate(e)
 
@@ -136,7 +135,6 @@ class CostLedger:
         self._bytes_by_op[e.op] += e.wire_bytes_per_rank
         self._time_by_op[e.op] += e.time_s
         self._bytes_by_scope[e.scope] += e.wire_bytes_per_rank
-        self._time_by_scope[e.scope] += e.time_s
 
     def record(
         self,
@@ -175,7 +173,6 @@ class CostLedger:
         self._bytes_by_op[op] += wire_bytes_per_rank
         self._time_by_op[op] += time_s
         self._bytes_by_scope[scope] += wire_bytes_per_rank
-        self._time_by_scope[scope] += time_s
         return event
 
     # -- scopes -------------------------------------------------------------
@@ -183,10 +180,6 @@ class CostLedger:
     @property
     def current_scope(self) -> str:
         return self._scope_str
-
-    @property
-    def scope_depth(self) -> int:
-        return len(self._scope_stack)
 
     def scope(self, name: str) -> "_LedgerScope":
         """Context manager attributing enclosed events to ``name``."""
@@ -258,9 +251,6 @@ class CostLedger:
     def bytes_by_scope(self) -> dict[str, int]:
         return dict(self._bytes_by_scope)
 
-    def time_by_scope(self) -> dict[str, float]:
-        return dict(self._time_by_scope)
-
     def compression_factor(self, tag_contains: str = "") -> float:
         """Measured byte reduction, ``logical / wire``, over matching events.
 
@@ -297,7 +287,6 @@ class CostLedger:
         self._bytes_by_op.clear()
         self._time_by_op.clear()
         self._bytes_by_scope.clear()
-        self._time_by_scope.clear()
         self._generation += 1
 
     def snapshot(self) -> "LedgerSnapshot":
@@ -348,8 +337,8 @@ class CostLedger:
         Each collective involves every rank of its recorded world, so
         each event emits one ``X`` block *per participating rank* at
         ``pid = pid_base + rank`` — matching the one-pid-per-rank
-        convention of :meth:`Timeline.to_chrome_trace` instead of the
-        old behaviour of collapsing all ranks onto ``pid=0/tid=0``.
+        convention of :func:`~repro.cluster.timeline.events_to_chrome`
+        instead of collapsing all ranks onto ``pid=0/tid=0``.
 
         Events that were placed on a timeline keep their scheduled
         issue/complete interval; unscheduled events are laid end-to-end
@@ -427,13 +416,6 @@ class CostLedger:
                 )
             trace = meta + trace
         return trace
-
-    def write_chrome_trace(self, path) -> None:
-        """Write the chrome trace JSON to ``path``."""
-        import json
-
-        with open(path, "w") as f:
-            json.dump(self.to_chrome_trace(), f)
 
 
 @dataclass(frozen=True)

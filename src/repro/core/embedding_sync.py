@@ -98,9 +98,6 @@ class GradientSynchronizer:
         codec (fixed or adaptively selected per message) covers the
         dense allreduces; the sparse strategies carry their own
         reference to the same policy for index and value traffic.
-    average:
-        Divide the summed gradient by the data-axis size
-        (mean-of-means).  On by default; turn off for sum semantics.
     overlap:
         Use the issue-all-then-drain schedule in :meth:`sync_replicas`
         (see module docstring).  Off by default: the blocking schedule
@@ -127,7 +124,6 @@ class GradientSynchronizer:
         self,
         comm: Communicator,
         strategy: ExchangeStrategy | None = None,
-        average: bool = True,
         overlap: bool = False,
         on_issue: Callable[[str], None] | None = None,
         wire: WirePolicy | None = None,
@@ -136,27 +132,18 @@ class GradientSynchronizer:
         self.comm = comm
         self.strategy = strategy if strategy is not None else AllGatherExchange()
         self.wire = wire
-        self.average = average
         self.overlap = overlap
         self.on_issue = on_issue
         self.fused_reduce = fused_reduce
-
-    def _apply(self, reduced: np.ndarray, world: int) -> np.ndarray:
-        """Average one reassembled result over the ``world`` replicas.
-
-        Every replica receives this one array: the ranks of a
-        synchronous step hold equal gradients, so there is one result
-        and whoever applies it reads it once.
-        """
-        return reduced / world if self.average else reduced
 
     def _issue_dense(
         self, params: list[Parameter], tag: str
     ) -> Callable[[], None]:
         """Issue one dense allreduce; return the finisher that applies it.
 
-        The reduced gradient lands as **one array object on every
-        replica** (see :meth:`_apply`).
+        The averaged gradient lands as **one array object on every
+        replica**: the ranks of a synchronous step hold equal gradients,
+        so there is one result and whoever applies it reads it once.
         """
         data = self.comm.axis("data")
         grads = []
@@ -207,7 +194,6 @@ class GradientSynchronizer:
                     if self.wire is not None
                     else True
                 ),
-                shared_result=True,
                 stacked=block,
             )
         else:
@@ -222,15 +208,14 @@ class GradientSynchronizer:
                 tag=tag,
                 payload_bytes=payload_bytes,
                 stacked=block,
-                shared_result=True,
             )
 
         def finish() -> None:
-            # One (identical) copy per shard group is all that is read.
+            # Each shard group's one shared result is read once.
             reduced = unshard_dense(handle.wait(), data.groups, shape)
             if codec is not None and not fused:  # the fused ring decodes
                 reduced = codec.decode(reduced, dtype)
-            grad = self._apply(reduced, len(params))
+            grad = reduced / len(params)
             for p in params:
                 p.grad = grad
 
@@ -264,7 +249,7 @@ class GradientSynchronizer:
             # so the optimizer does not reduce it a second time.
             result = unshard_sparse(pending.wait(), data.groups)
             grad = SparseGrad._unsafe(
-                result.indices, self._apply(result.values, len(params))
+                result.indices, result.values / len(params)
             )
             if result.is_coalesced:
                 grad.mark_coalesced()

@@ -65,10 +65,6 @@ class PendingSparseExchange:
         self._finish = finish
         self._result: list[SparseGrad] | None = None
 
-    def is_complete(self) -> bool:
-        """Whether :meth:`wait` has run to completion."""
-        return self._result is not None
-
     def wait(self) -> list[SparseGrad]:
         """Complete the exchange; return the summed grad per rank."""
         if self._result is None:
@@ -162,12 +158,9 @@ class AllGatherExchange(ExchangeStrategy):
                     [codec.encode(v) for v in values],
                     tag=f"{tag}:values",
                     payload_bytes=max(v.nbytes for v in values),
-                    shared_result=True,
                 ).wait()
             else:
-                gathered_val = comm.iallgather(
-                    values, tag=f"{tag}:values", shared_result=True
-                ).wait()
+                gathered_val = comm.iallgather(values, tag=f"{tag}:values").wait()
 
             def result(members: list[int], ring: int) -> list[SparseGrad]:
                 head = members[0]

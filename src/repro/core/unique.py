@@ -134,10 +134,6 @@ class PendingUniqueExchange:
         self._wire = wire
         self._result: list[UniqueExchangeResult] | None = None
 
-    def is_complete(self) -> bool:
-        """Whether :meth:`wait` has run to completion."""
-        return self._result is not None
-
     def wait(self) -> list[UniqueExchangeResult]:
         """Finish the exchange: steps 3 (complete) through 6.
 
@@ -149,8 +145,8 @@ class PendingUniqueExchange:
             return self._result
         comm = self._comm
 
-        # Step 3 completes: the gathered index vector is identical on
-        # every rank of a ring, so the first member's copy serves all.
+        # Step 3 completes: every member of a ring holds the ring's one
+        # gathered index vector.
         gathered = self._index_handle.wait()
         dim = self._local[0].dim
         dtype = self._local[0].values.dtype
@@ -207,8 +203,7 @@ class PendingUniqueExchange:
         # Step 6: allreduce the aligned Ug x D matrices in the wire
         # dtype.  They are views of the blocks built above, populated
         # only where ``held`` says, so the reduction neither restacks
-        # them nor folds their padding; one (identical) copy per ring is
-        # consumed, so the per-rank fan-out is skipped on the host.
+        # them nor folds their padding.
         reduced = comm.iallreduce(
             scattered,
             tag=f"{self._tag}:values",
@@ -217,7 +212,6 @@ class PendingUniqueExchange:
                 if codec is None
                 else max(u.size for u in uniques) * dim * dtype.itemsize
             ),
-            shared_result=True,
             stacked=blocks,
             rows=held,
         ).wait()
@@ -291,10 +285,7 @@ def iunique_exchange(
             charge_compute=wire.charge_codec_compute,
         )
     else:
-        # wait() consumes only each ring's first (identical) copy.
-        index_handle = comm.iallgather(
-            index_vectors, tag=f"{tag}:indices", shared_result=True
-        )
+        index_handle = comm.iallgather(index_vectors, tag=f"{tag}:indices")
     return PendingUniqueExchange(comm, local, index_handle, tag, wire=wire)
 
 

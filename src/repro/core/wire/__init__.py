@@ -37,7 +37,6 @@ from .cost import (
     codec_throughput,
     compressed_transfer_seconds,
     slowest_throughput,
-    throughput_from_metrics,
 )
 from .fused import (
     FusedReducePlan,
@@ -71,7 +70,6 @@ __all__ = [
     "iencoded_allgather",
     "plan_fused_reduce",
     "slowest_throughput",
-    "throughput_from_metrics",
     "wire_instruments",
     "make_codec",
     "register_codec",

@@ -18,16 +18,6 @@ Selection is made once per collective from the **full per-rank list**
 (never per rank): all ranks must put the same wire dtype on a
 collective or the run desynchronizes — the runtime sanitizer's dtype
 uniformity check enforces exactly that.
-
-The throughput table the crossover test consults can be **learned**:
-:meth:`AdaptiveCodecSelector.learn_from_metrics` folds the measured
-bytes-per-second of PR-5's ``wire_instruments`` telemetry (via
-:func:`repro.core.wire.cost.throughput_from_metrics`) back into
-``throughputs``, replacing the static defaults with what this run's
-codecs actually achieved.  Learning must stay **rank-deterministic**:
-in the SPMD simulator every rank reads the same registry, so every
-rank learns the same table and keeps picking the same codec — the
-lockstep differential tests pin this.
 """
 
 from __future__ import annotations
@@ -42,11 +32,9 @@ from ...cluster.interconnect import LinkSpec
 from ..compression import Fp16Codec, WireCodec
 from .codecs import DeltaBitpackCodec, EntropyCodec, RunLengthCodec
 from .cost import (
-    DEFAULT_CODEC_THROUGHPUTS,
     CodecThroughput,
     codec_throughput,
     compressed_transfer_seconds,
-    throughput_from_metrics,
 )
 
 __all__ = ["AdaptiveCodecSelector"]
@@ -92,45 +80,6 @@ class AdaptiveCodecSelector:
     def name(self) -> str:
         """Spec-style name ("auto")."""
         return "auto"
-
-    def learn_from_metrics(
-        self, registry, codec_names: Sequence[str] | None = None
-    ) -> dict[str, CodecThroughput]:
-        """Feed measured wire telemetry back into the throughput table.
-
-        For each candidate codec name (every codec this selector can
-        pick, unless ``codec_names`` narrows it), recover the measured
-        bytes-per-second from the ``repro_wire_*`` counters/histograms
-        the wire layer recorded into ``registry``, and install it in
-        ``self.throughputs`` — seeded from a copy of the previous table
-        (or :data:`~repro.core.wire.cost.DEFAULT_CODEC_THROUGHPUTS`) so
-        codecs that saw no traffic keep their prior estimates.  Returns
-        the dict of entries actually learned this call.
-
-        Deterministic across ranks by construction: the simulator's
-        single metrics registry is shared SPMD state, so the learned
-        table — and therefore every subsequent :meth:`select_value` /
-        :meth:`select_index` decision — is identical on all ranks.
-        """
-        if codec_names is None:
-            codec_names = tuple(
-                c.name for c in self._index_candidates
-            ) + (self._fp16.name,)
-        table = dict(
-            self.throughputs
-            if self.throughputs is not None
-            else DEFAULT_CODEC_THROUGHPUTS
-        )
-        learned: dict[str, CodecThroughput] = {}
-        for name in codec_names:
-            try:
-                tp = throughput_from_metrics(registry, name)
-            except (ValueError, KeyError):
-                continue  # codec recorded no traffic this run
-            table[name] = tp
-            learned[name] = tp
-        self.throughputs = table
-        return learned
 
     def select_value(
         self, arrays: Sequence[np.ndarray], comm

@@ -38,7 +38,6 @@ __all__ = [
     "codec_throughput",
     "compressed_transfer_seconds",
     "slowest_throughput",
-    "throughput_from_metrics",
 ]
 
 
@@ -121,47 +120,6 @@ def codec_throughput(
         if not table:
             table = DEFAULT_CODEC_THROUGHPUTS
         return slowest_throughput(table)
-
-
-def throughput_from_metrics(registry, codec_name: str) -> CodecThroughput:
-    """Recover a codec's effective throughput from run telemetry.
-
-    Divides the ``repro_wire_encode_bytes_total`` /
-    ``repro_wire_decode_bytes_total`` counters by the summed
-    ``repro_wire_*_seconds`` histograms that the wire layer
-    (:func:`repro.core.wire.transfer.iencoded_allgather` and the fused
-    collectives of :mod:`repro.core.wire.fused`) records for
-    ``codec_name`` — i.e. the *measured* bytes-per-second of what
-    actually ran, the profile-driven input ZipCCL-style codec selection
-    wants instead of a modelled constant.  Also re-exported as
-    :func:`repro.perf.throughput_from_metrics`; the implementation lives
-    here so :meth:`AdaptiveCodecSelector.learn_from_metrics
-    <repro.core.wire.adaptive.AdaptiveCodecSelector.learn_from_metrics>`
-    can feed the measurement back without ``core`` importing ``perf``.
-
-    Raises :class:`ValueError` when the run recorded no encode or
-    decode activity for the codec.
-    """
-    encode_bytes = registry.get("repro_wire_encode_bytes_total").value(
-        codec=codec_name
-    )
-    decode_bytes = registry.get("repro_wire_decode_bytes_total").value(
-        codec=codec_name
-    )
-    encode_s = registry.get("repro_wire_encode_seconds").value(
-        codec=codec_name
-    ).sum
-    decode_s = registry.get("repro_wire_decode_seconds").value(
-        codec=codec_name
-    ).sum
-    if encode_s <= 0 or decode_s <= 0:
-        raise ValueError(
-            f"no recorded encode/decode activity for codec {codec_name!r}"
-        )
-    return CodecThroughput(
-        encode_bps=encode_bytes / encode_s,
-        decode_bps=decode_bytes / decode_s,
-    )
 
 
 @lru_cache(maxsize=4096)

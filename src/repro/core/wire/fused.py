@@ -309,10 +309,6 @@ class PendingFusedReduce:
         self._charge = charge
         self._done = False
 
-    def is_complete(self) -> bool:
-        """Whether :meth:`wait` has run to completion."""
-        return self._done
-
     def wait(self) -> list[np.ndarray]:
         """Drain the final hops, charge final decodes, return results.
 
@@ -347,14 +343,13 @@ def icompressed_allreduce(
     chunk_bytes: int | None = None,
     throughput: CodecThroughput | None = None,
     charge_compute: bool = True,
-    shared_result: bool = False,
     stacked: np.ndarray | None = None,
 ) -> PendingFusedReduce:
     """Compressed ring allreduce: fused reduce-scatter + allgather.
 
-    ``wait()`` returns decoded per-rank sums (``shared_result`` hands
-    every rank the same read-only array, as :meth:`Communicator.
-    iallreduce` does).  With a summable codec the numerics equal the
+    ``wait()`` returns the decoded sum of each ring, one read-only
+    object for all its members, as :meth:`Communicator.iallreduce`
+    does.  With a summable codec the numerics equal the
     unfused encode → allreduce → decode path bit for bit; with a frame
     codec (integer payloads) or ``codec=None`` they equal the plain
     rank-order fold bit for bit.  ``stacked`` is the caller's assertion
@@ -385,19 +380,12 @@ def icompressed_allreduce(
 
     # ---- numerics (eager, rank-order fold per ring — see module docstring)
     def reduce(sub: list[np.ndarray], _: int) -> list[np.ndarray]:
+        summed = allreduce_arrays(sub, stacked=stacked)
         if not summable:
-            return allreduce_arrays(
-                sub, shared_result=shared_result, stacked=stacked
-            )
-        decoded = codec.decode(
-            allreduce_arrays(sub, shared_result=True, stacked=stacked)[0],
-            dtype,
-        )
-        if shared_result:
-            return [decoded] * len(sub)
-        stackd = np.empty((len(sub),) + decoded.shape, dtype=dtype)
-        stackd[:] = decoded
-        return list(stackd)
+            return summed
+        decoded = codec.decode(summed[0], dtype)
+        decoded.flags.writeable = False
+        return [decoded] * len(sub)
 
     results = comm.by_group(wire_arrays, reduce)
 

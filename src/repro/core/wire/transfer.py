@@ -42,9 +42,7 @@ def wire_instruments(metrics, codec_name: str):
     Returns a dict of bound metric handles — encode/decode/transfer
     seconds histograms and encode/decode/frame byte counters, all
     labelled ``codec=<name>`` — or ``None`` when the communicator
-    carries no registry.  The histograms feed
-    :func:`repro.perf.codec_model.throughput_from_metrics`, which
-    recovers effective bytes-per-second from what actually ran.
+    carries no registry.
     """
     if metrics is None:
         return None
@@ -89,9 +87,10 @@ class PendingEncodedGather:
 
     Produced by :func:`iencoded_allgather`; :meth:`wait` completes the
     chunk collectives in issue order, charges decode compute, and
-    returns the same thing a raw ``iallgather(...).wait()`` would: one
-    copy per receiving rank of the member-order concatenation of its
-    ring's decoded vectors, original element order.  Idempotent.
+    returns the same thing a raw ``iallgather(...).wait()`` would: for
+    every member of a ring, that ring's one read-only member-order
+    concatenation of its decoded vectors, original element order.
+    Idempotent.
     """
 
     def __init__(
@@ -110,10 +109,6 @@ class PendingEncodedGather:
         self._throughput = throughput
         self._instruments = instruments
         self._result: list[np.ndarray] | None = None
-
-    def is_complete(self) -> bool:
-        """Whether :meth:`wait` has run to completion."""
-        return self._result is not None
 
     def wait(self) -> list[np.ndarray]:
         """Complete all chunk gathers; return allgather-shaped results."""
@@ -152,7 +147,8 @@ class PendingEncodedGather:
             full = np.concatenate(
                 [np.concatenate(parts) for parts in per_member]
             )
-            return [full.copy() for _ in members]
+            full.flags.writeable = False
+            return [full] * len(members)
 
         self._result = comm.by_group(range(world), assemble)
         return self._result

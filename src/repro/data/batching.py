@@ -161,9 +161,6 @@ class ShardedBatcher:
         """All ranks' batches for one step, index = rank."""
         return [self.batch(r, step) for r in range(self.world_size)]  # mesh-ok: the batcher's world IS the data-parallel degree
 
-    def global_tokens_per_step(self) -> int:
-        return self.spec.global_batch_tokens(self.world_size)
-
 
 def make_eval_batches(
     tokens: np.ndarray, spec: BatchSpec, max_batches: int | None = None

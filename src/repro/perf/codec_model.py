@@ -48,10 +48,7 @@ import numpy as np
 from ..cluster.collectives import ring_allgather_time
 from ..cluster.interconnect import LinkSpec
 from ..cluster.timeline import Timeline
-from ..core.wire.cost import (
-    CodecThroughput,
-    throughput_from_metrics,
-)
+from ..core.wire.cost import CodecThroughput
 from ..core.wire.fused import FusedReducePlan
 
 __all__ = [
@@ -59,7 +56,6 @@ __all__ = [
     "calibrate_codec_throughput",
     "fused_reduce_time",
     "pipelined_transfer_time",
-    "throughput_from_metrics",
     "timeline_fused_reduce",
     "timeline_pipelined_transfer",
     "uniform_fused_plan",

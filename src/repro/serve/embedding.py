@@ -75,13 +75,11 @@ def sharded_embedding_lookup(
     world = comm.world_size
     with comm.ledger.scope("serve-embed"):
         # Step 1: index-only gather, Θ(G·K) — raw int64, wire == payload.
-        # Every rank reads the one shared result; nothing writes to it.
         id_payload_bytes = max(ids.nbytes for ids in ids_per_rank)
         all_ids = comm.iallgather(
             ids_per_rank,
             tag=f"serve-ids:{tag}",
             payload_bytes=id_payload_bytes,
-            shared_result=True,
         ).wait()[0]
 
         # Step 2: every rank derives the same sorted global type set.
@@ -101,7 +99,6 @@ def sharded_embedding_lookup(
             contributions,
             tag=f"serve-rows:{tag}",
             payload_bytes=row_payload_bytes,
-            shared_result=True,
         ).wait()[0]
 
     # Step 5: one local searchsorted gather over the gathered ids (rank

@@ -69,9 +69,7 @@ class ServeConfig:
 
     ``prefill_token_s`` / ``decode_token_s`` are the simulated compute
     charges per token (prefill replay vs. batched decode); they shape
-    the timeline, never the numerics.  ``speculative_prefill`` prefills
-    arrived-but-queued requests into the (evictable) cache so admission
-    is a hit instead of a replay.
+    the timeline, never the numerics.
     """
 
     max_batch: int = 8
@@ -79,7 +77,6 @@ class ServeConfig:
     seed: int = 0
     drop_expired: bool = True
     cache_budget_bytes: int = 1 << 22
-    speculative_prefill: bool = True
     prefill_token_s: float = 1e-4
     decode_token_s: float = 2e-4
     failover_s: float = 5e-3
@@ -396,8 +393,7 @@ class ServingEngine:
                     continue  # deadline policy just drained the queue
                 self._advance_to(next_arrival)
                 continue
-            if config.speculative_prefill:
-                self._speculative_prefill(now)
+            self._speculative_prefill(now)
 
             shards = self._shards(list(sched.active))
             step_start = self.now_s

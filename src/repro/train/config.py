@@ -154,14 +154,6 @@ class TrainConfig:
         change.  Requires a summable value codec (fp16 / identity /
         none).  On a mesh the ring runs per data subgroup, its hop plan
         costed on the largest subgroup and the data-axis link.
-    wire_learn:
-        After each epoch, feed the measured wire telemetry back into
-        the adaptive selector's throughput table
-        (:meth:`repro.core.wire.adaptive.AdaptiveCodecSelector.
-        learn_from_metrics`) so later crossover decisions use observed
-        bytes/sec instead of the static defaults.  Requires an
-        ``auto`` slot in ``wire_codec`` (only the selector consults the
-        table).
     mesh:
         Optional hybrid-parallelism mesh spec over the world, e.g.
         ``"pipe=2,tensor=2,data=G/4"`` (axes default to 1 when omitted;
@@ -208,7 +200,6 @@ class TrainConfig:
     wire_codec: str | None = None
     wire_chunk_bytes: int | None = None
     fused_reduce: bool = False
-    wire_learn: bool = False
     mesh: str | None = None
     batched: bool | None = None
 
@@ -243,11 +234,6 @@ class TrainConfig:
             from ..core.wire.policy import WirePolicy
 
             WirePolicy.from_spec(self.wire_codec, self.wire_chunk_bytes)
-        if self.wire_learn and "auto" not in (self.wire_codec or "").split("+"):
-            raise ValueError(
-                "wire_learn feeds the adaptive selector's throughput "
-                'table; it requires an "auto" slot in wire_codec'
-            )
         # Same eager stance for the mesh: parse the spec (and check it
         # against world_size) at construction time.
         self.device_mesh

@@ -243,7 +243,6 @@ class DistributedTrainer:
             self.comm,
             strategy=strategy,
             wire=wire,
-            average=True,
             overlap=config.overlap,
             on_issue=(lambda name: hook()(name)) if slice_backward else None,
             fused_reduce=config.fused_reduce,
@@ -540,25 +539,7 @@ class DistributedTrainer:
         stats.mean_train_loss = loss_sum / steps
         self.history.append(stats)
         self.epochs_done = epoch + 1
-        if self.config.wire_learn:
-            self.learn_wire_throughputs()
         return stats
-
-    def learn_wire_throughputs(self):
-        """Fold measured wire telemetry into the adaptive selector.
-
-        Calls :meth:`repro.core.wire.adaptive.AdaptiveCodecSelector.
-        learn_from_metrics` with the communicator's metrics registry so
-        the selector's crossover tests use this run's observed codec
-        bytes/sec instead of the static defaults.  A no-op (returning
-        ``{}``) when there is no adaptive selector or no registry —
-        there is then no table to learn, and nothing to read it.
-        """
-        selector = self.wire.selector if self.wire is not None else None
-        registry = getattr(self.comm, "metrics", None)
-        if selector is None or registry is None:
-            return {}
-        return selector.learn_from_metrics(registry)
 
     def fit(
         self,

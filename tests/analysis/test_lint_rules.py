@@ -164,7 +164,7 @@ class TestRepro007DroppedHandle:
         assert ids_for(src, only="REPRO007") == ["REPRO007"]
 
     def test_module_level_drop_flagged(self):
-        src = "h = comm.ibroadcast(xs, root=0)\n"
+        src = "h = comm.ireduce_scatter(xs)\n"
         assert ids_for(src, only="REPRO007") == ["REPRO007"]
 
     def test_axis_addressed_and_scheduled_drops_flagged(self):

@@ -93,8 +93,9 @@ class TestCollectiveAgreement:
         san = make()
         assert san.world_size == 2
         assert san.ledger.total_wire_bytes_per_rank == 0
-        san.barrier(tag="sync-point")
-        assert san.op_log[-1].op == "barrier"
+        san.reduce_scatter(per_rank(2, (2,)), tag="sync-point")
+        assert san.op_log[-1].op == "reduce_scatter"
+        assert san.wait_all() == 0
 
 
 class TestFunnelCoverage:
@@ -230,10 +231,10 @@ class TestLedgerInvariants:
         with san.ledger.scope("sync"):
             san.allreduce(per_rank(2, (2,)))  # attributed: fine
 
-    def test_require_scope_covers_barrier(self):
+    def test_require_scope_covers_scheduled_steps(self):
         san = make(require_scope=True)
-        with pytest.raises(SanitizerError, match="barrier"):
-            san.barrier()
+        with pytest.raises(SanitizerError, match="transfer"):
+            san.transfer(8)
 
 
 class TestAsyncHandles:
@@ -279,8 +280,6 @@ class TestAsyncHandles:
         for issue in (san.iallreduce, san.ireduce_scatter):
             with pytest.raises(CollectiveMismatchError):
                 issue(bad)
-        with pytest.raises(CollectiveMismatchError):
-            san.ibroadcast(bad, root=0)
         trailing_bad = [
             np.zeros((2, 3), np.float32),
             np.zeros((2, 4), np.float32),

@@ -103,7 +103,7 @@ class TestRankDivergentControlFlow:
             "def replay(comm, fault_plan, grads):\n"
             "    for ev in fault_plan.events:\n"
             "        if ev:\n"
-            "            comm.barrier()\n"
+            "            comm.wait_all()\n"
         )
         assert ids(src) == ["REPRO010"]
 
@@ -182,7 +182,7 @@ class TestInFlightBufferMutation:
     def test_method_mutation_between_issue_and_wait(self):
         src = (
             "def overlap(comm, grads, buf):\n"
-            "    h = comm.ibroadcast([buf], root=0)\n"
+            "    h = comm.iallgather([buf])\n"
             "    buf.fill(0.0)\n"
             "    h.wait()\n"
         )

@@ -181,13 +181,12 @@ class TestChaosCommunicator:
         comm = ChaosCommunicator(2, plan=plan, track_memory=False)
         comm.allreduce(arrays_for(2))
         with pytest.raises(RankFailureError):
-            comm.broadcast(arrays_for(2), root=0)
-        assert comm.injected[0][1] == "broadcast"
+            comm.reduce_scatter(arrays_for(2))
+        assert comm.injected[0][1] == "reduce_scatter"
 
-    def test_all_four_ops_are_plan_checked(self):
+    def test_every_op_is_plan_checked(self):
         arrays = arrays_for(2)
-        for op_name in ("allreduce", "allgather", "broadcast",
-                        "reduce_scatter"):
+        for op_name in ("allreduce", "allgather", "reduce_scatter"):
             plan = FaultPlan(
                 [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=0)]
             )

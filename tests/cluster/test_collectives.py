@@ -11,13 +11,11 @@ from repro.cluster.collectives import (
     allgather_wire_bytes,
     allreduce_arrays,
     allreduce_wire_bytes,
-    broadcast_arrays,
     recursive_doubling_allreduce_time,
     reduce_scatter_arrays,
     reduce_scatter_wire_bytes,
     ring_allgather_time,
     ring_allreduce_time,
-    ring_broadcast_time,
     ring_reduce_scatter_time,
 )
 from repro.cluster.interconnect import LinkSpec
@@ -39,11 +37,12 @@ class TestAllreduceSemantics:
         for o in out:
             np.testing.assert_allclose(o, expected)
 
-    def test_outputs_are_independent_buffers(self):
+    def test_outputs_are_one_read_only_buffer(self):
         arrays = per_rank(2, (2,))
         out = allreduce_arrays(arrays)
-        out[0][0] = 999.0
-        assert out[1][0] != 999.0
+        assert out[0] is out[1]
+        with pytest.raises(ValueError, match="read-only"):
+            out[0][0] = 999.0
 
     def test_single_rank_identity(self):
         arrays = per_rank(1, (5,))
@@ -104,9 +103,7 @@ class TestRestrictedFold:
             coll, "_restricted_fold",
             lambda *a: calls.append(1) or real(*a),
         )
-        got = allreduce_arrays(
-            list(block), shared_result=True, stacked=block, rows=rows
-        )[0]
+        got = allreduce_arrays(list(block), stacked=block, rows=rows)[0]
         return got, bool(calls), np.add.reduce(block, axis=0)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32])
@@ -192,18 +189,6 @@ class TestAllgatherSemantics:
         np.testing.assert_allclose(out[0], [1.0, 2.0])
 
 
-class TestBroadcastSemantics:
-    def test_root_value_everywhere(self):
-        arrays = per_rank(3, (4,))
-        out = broadcast_arrays(arrays, root=1)
-        for o in out:
-            np.testing.assert_allclose(o, arrays[1])
-
-    def test_bad_root_rejected(self):
-        with pytest.raises(ValueError):
-            broadcast_arrays(per_rank(2, (1,)), root=5)
-
-
 class TestReduceScatterSemantics:
     def test_shards_partition_the_sum(self):
         arrays = per_rank(4, (8, 2))
@@ -255,7 +240,6 @@ class TestTimeModels:
             ring_allreduce_time,
             ring_allgather_time,
             ring_reduce_scatter_time,
-            ring_broadcast_time,
             recursive_doubling_allreduce_time,
         ):
             assert f(1, 10**9, LINK) == 0.0

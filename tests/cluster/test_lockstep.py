@@ -8,7 +8,7 @@ The headline invariants:
 * a buffer mutated between ``i*`` issue and ``wait()`` raises
   :class:`InFlightMutationError` (the runtime twin of lint REPRO012);
 * a rank evicted by the recovery loop is a *missing participant*, never
-  a divergence — chaos-plan rank loss at a barrier surfaces as
+  a divergence — chaos-plan rank loss at a collective surfaces as
   :class:`RankFailureError` plus an eviction report, not a hang;
 * attaching the verifier is a **bit-exact no-op** on a clean run: same
   weights, same ledger, same timeline as the unverified twin.
@@ -30,7 +30,6 @@ from repro.cluster import (
     FaultPlan,
     LockstepVerifier,
     RankFailureError,
-    TransientLinkError,
 )
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD
@@ -125,8 +124,8 @@ class TestHandBuiltDivergence:
         verifier = LockstepVerifier(3)
         for rank in range(3):
             verifier.record(rank, "allreduce", tag="t0")
-        verifier.record(0, "barrier")
-        verifier.record(1, "barrier")
+        verifier.record(0, "allreduce", tag="t1")
+        verifier.record(1, "allreduce", tag="t1")
         with pytest.raises(CollectiveMismatchError) as exc:
             verifier.check("wait_all")
         msg = str(exc.value)
@@ -141,7 +140,7 @@ class TestHandBuiltDivergence:
         report = verifier.check("mid")
         assert report.verified == 1
         for rank in range(2):
-            verifier.record(rank, "barrier")
+            verifier.record(rank, "allgather", tag="b")
         report = verifier.check("end")
         assert report.verified == 2
         assert report.counts == (2, 2)
@@ -155,21 +154,20 @@ class TestCommunicatorHooks:
         comm.allreduce(arrays_for(2))
         handle = comm.iallgather(arrays_for(2, seed=1))
         handle.wait()
-        comm.barrier(tag="epoch")
         assert verifier.collectives_observed == 2
         report = verifier.check("end")
-        # 2 collectives + 1 barrier fingerprint per rank, all verified.
-        assert report.counts == (3, 3)
-        assert report.verified == 3
+        # 2 collective fingerprints per rank, all verified.
+        assert report.counts == (2, 2)
+        assert report.verified == 2
 
-    def test_barrier_cross_checks_streams(self):
+    def test_wait_all_cross_checks_streams(self):
         comm = Communicator(2, track_memory=False)
         verifier = LockstepVerifier.attach(comm)
         comm.allreduce(arrays_for(2))
         # Simulate rank 1 skipping a collective rank 0 issued.
         verifier.record(0, "allreduce", tag="divergent")
-        with pytest.raises(CollectiveMismatchError):
-            comm.barrier()
+        with pytest.raises(CollectiveMismatchError, match="wait_all"):
+            comm.wait_all()
 
     def test_mismatched_signature_raises_at_issue(self):
         # The functional collectives pre-validate allreduce shapes, so
@@ -251,10 +249,10 @@ class TestEviction:
         assert "rank 2: missing participant" in text
         assert "elastic world shrink" in text
 
-    def test_barrier_under_chaos_evicts_instead_of_hanging(self):
-        # Satellite: a rank killed by the fault plan between issue and
-        # barrier must surface as an eviction error at the barrier —
-        # never as a silent hang waiting for the dead participant.
+    def test_rank_loss_under_chaos_evicts_instead_of_hanging(self):
+        # A rank killed by the fault plan must surface as an eviction
+        # error at the next collective — never as a silent hang waiting
+        # for the dead participant.
         plan = FaultPlan(
             [FaultEvent(FaultKind.RANK_LOSS, collective_index=2, rank=1)]
         )
@@ -263,30 +261,13 @@ class TestEviction:
         comm.allreduce(arrays_for(3))
         comm.allreduce(arrays_for(3, seed=1))
         with pytest.raises(RankFailureError) as exc:
-            comm.barrier(tag="sync")
+            comm.allreduce(arrays_for(3, seed=2), tag="sync")
         assert exc.value.rank == 1
         verifier.mark_failed(exc.value.rank, str(exc.value))
         report = verifier.check("post-failure")
         assert verifier.collectives_observed == 2
         assert report.evicted[0][0] == 1
         assert "rank 1: missing participant" in report.describe()
-
-    def test_barrier_is_plan_checked_but_does_not_advance_indices(self):
-        # Barriers consult the plan (so due faults fire there instead of
-        # hanging) but must not advance the collective counter, or every
-        # pre-existing plan's collective_index targeting would shift.
-        plan = FaultPlan(
-            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=1)]
-        )
-        comm = ChaosCommunicator(2, plan=plan, track_memory=False)
-        comm.allreduce(arrays_for(2))
-        assert comm.collectives_issued == 1
-        with pytest.raises(TransientLinkError):
-            comm.barrier()  # the due event fires here, not silently later
-        assert comm.collectives_issued == 1  # counter frozen by the barrier
-        comm.barrier()  # retry budget exhausted: goes through
-        comm.allreduce(arrays_for(2, seed=1))
-        assert comm.collectives_issued == 2
 
 
 class TestDifferentialNoOp:

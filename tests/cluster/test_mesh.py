@@ -197,15 +197,6 @@ class TestMeshCollectives:
             for r in g.ranks:
                 np.testing.assert_array_equal(out[r], expected)
 
-    def test_broadcast_from_subgroup_root(self):
-        mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        arrays = [np.full(3, float(r)) for r in range(4)]
-        out = mc.axis("pipe").broadcast(arrays, root=1)
-        for g in mc.mesh.groups("pipe"):
-            src = arrays[g.ranks[1]]
-            for r in g.ranks:
-                np.testing.assert_array_equal(out[r], src)
-
     def test_reduce_scatter_splits_the_sum(self):
         mc = mesh_comm("data=G", 4)
         arrays = [np.arange(8.0) + r for r in range(4)]

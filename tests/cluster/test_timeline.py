@@ -6,6 +6,7 @@ from repro.cluster import (
     COMM_STREAM,
     COMPUTE_STREAM,
     Timeline,
+    events_to_chrome,
     inject_straggler,
 )
 
@@ -148,7 +149,7 @@ class TestChromeTrace:
         tl = Timeline(2)
         tl.record_compute(1, 1.0, name="bwd")
         tl.schedule_collective(0.5, name="ar")
-        trace = tl.to_chrome_trace()
+        trace = events_to_chrome(tl.events)
         compute = [t for t in trace if t["cat"] == COMPUTE_STREAM]
         comm = [t for t in trace if t["cat"] == COMM_STREAM]
         assert len(compute) == 1 and compute[0]["pid"] == 1
@@ -159,5 +160,5 @@ class TestChromeTrace:
     def test_trace_durations_microseconds(self):
         tl = Timeline(1)
         tl.record_compute(0, 0.002)
-        (entry,) = tl.to_chrome_trace()
+        (entry,) = events_to_chrome(tl.events)
         assert entry["dur"] == pytest.approx(2000.0)

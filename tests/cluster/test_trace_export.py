@@ -120,7 +120,7 @@ class TestChromeTrace:
         comm.allreduce([np.ones(8) for _ in range(4)], tag="grads")
         comm.allgather([np.ones(4) for _ in range(4)])
         path = tmp_path / "trace.json"
-        comm.ledger.write_chrome_trace(path)
+        path.write_text(json.dumps(comm.ledger.to_chrome_trace()))
         loaded = json.loads(path.read_text())
         events = _x_events(loaded)
         # 2 collectives x 4 ranks, plus 2 metadata events per rank.

@@ -85,19 +85,6 @@ class TestSyncReplicas:
             replicas[0].lin.weight.grad, np.mean(locals_, axis=0), rtol=1e-12
         )
 
-    def test_sum_semantics(self):
-        world = 2
-        replicas = make_replicas(world)
-        locals_ = []
-        for r, m in enumerate(replicas):
-            run_backward(m, np.array([[0, 1]]), seed=r)
-            locals_.append(m.lin.weight.grad.copy())
-        comm = Communicator(world, track_memory=False)
-        GradientSynchronizer(comm, average=False).sync_replicas(replicas)
-        np.testing.assert_allclose(
-            replicas[0].lin.weight.grad, np.sum(locals_, axis=0), rtol=1e-12
-        )
-
     def test_sparse_average_matches_dense_reference(self):
         world = 3
         replicas = make_replicas(world)

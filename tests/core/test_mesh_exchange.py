@@ -32,25 +32,21 @@ def sparse_grads(n, vocab, tokens, dim, seed=0):
     ]
 
 
-def sync_dense(comm, grads, average=False, tag="w"):
+def sync_dense(comm, grads, tag="w"):
     """One dense parameter's replicas through the synchronizer."""
     params = [Parameter(np.zeros_like(g)) for g in grads]
     for p, g in zip(params, grads):
         p.grad = g.copy()
-    GradientSynchronizer(comm, UniqueExchange(), average=average).sync_dense(
-        params, tag=tag
-    )
+    GradientSynchronizer(comm, UniqueExchange()).sync_dense(params, tag=tag)
     return [p.grad for p in params]
 
 
-def sync_sparse(comm, grads, vocab, average=False, tag="emb"):
+def sync_sparse(comm, grads, vocab, tag="emb"):
     """One embedding parameter's replicas through the synchronizer."""
     params = [Parameter(np.zeros((vocab, g.dim))) for g in grads]
     for p, g in zip(params, grads):
         p.sparse_grads = [g]
-    GradientSynchronizer(comm, UniqueExchange(), average=average).sync_sparse(
-        params, tag=tag
-    )
+    GradientSynchronizer(comm, UniqueExchange()).sync_sparse(params, tag=tag)
     return [p.sparse_grads[0] for p in params]
 
 
@@ -111,11 +107,11 @@ class TestDenseExchange:
         grads = [rng.standard_normal((4, 3)) for _ in range(2)]
         out = sync_dense(mc, grads)
         for o in out:
-            np.testing.assert_array_equal(o, grads[0] + grads[1])
+            np.testing.assert_array_equal(o, (grads[0] + grads[1]) / 2)
 
     def test_average_divides_by_data_size(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        out = sync_dense(mc, [np.full(6, 1.0) for _ in range(2)], average=True)
+        out = sync_dense(mc, [np.full(6, 1.0) for _ in range(2)])
         np.testing.assert_array_equal(out[0], np.ones(6))
 
     def test_replica_count_checked(self):
@@ -132,9 +128,9 @@ class TestDenseExchange:
         # Equal by construction, so there is one array: whoever scales
         # it in place (accumulation, loss scaling) does so once.
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        out = sync_dense(mc, [np.ones(8) for _ in range(2)])
+        out = sync_dense(mc, [np.full(8, 3.0) for _ in range(2)])
         assert out[1] is out[0]
-        np.testing.assert_array_equal(out[0], np.full(8, 2.0))
+        np.testing.assert_array_equal(out[0], np.full(8, 3.0))
 
     def test_charges_data_axis_collective(self):
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
@@ -159,7 +155,7 @@ class TestSparseExchange:
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
         grads = sparse_grads(2, vocab, 10, 3, seed=3)
         out = sync_sparse(mc, grads, vocab)
-        expected = grads[0].to_dense(vocab) + grads[1].to_dense(vocab)
+        expected = (grads[0].to_dense(vocab) + grads[1].to_dense(vocab)) / 2
         for o in out:
             np.testing.assert_allclose(
                 o.to_dense(vocab), expected, rtol=1e-12
@@ -183,7 +179,7 @@ class TestSparseExchange:
             SparseGrad(indices=np.array([1]), values=np.ones((1, 2)))
             for _ in range(2)
         ]
-        out = sync_sparse(mc, grads, 10, average=True)
+        out = sync_sparse(mc, grads, 10)
         np.testing.assert_array_equal(out[0].values, np.ones((1, 2)))
 
     def test_replica_count_checked(self):

@@ -64,7 +64,7 @@ class TestFusedNumerics:
             comm, [a.copy() for a in arrays], codec=codec
         ).wait()
         encoded = [codec.encode(a) for a in arrays]
-        reduced = allreduce_arrays(encoded, shared_result=True)[0]
+        reduced = allreduce_arrays(encoded)[0]
         want = codec.decode(reduced, np.dtype(np.float32))
         for g in got:
             assert np.array_equal(g, want)
@@ -94,14 +94,6 @@ class TestFusedNumerics:
         want = allreduce_arrays([a.copy() for a in arrays])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-
-    def test_shared_result_hands_one_object_to_every_rank(self):
-        arrays = _floats(4, 64)
-        comm = Communicator(4)
-        got = icompressed_allreduce(
-            comm, arrays, codec=Fp16Codec(), shared_result=True
-        ).wait()
-        assert all(g is got[0] for g in got[1:])
 
     def test_world_one_is_a_codec_roundtrip(self):
         a = RNG.standard_normal(48).astype(np.float32)

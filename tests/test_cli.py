@@ -157,15 +157,20 @@ class TestResilientTraining:
         out = capsys.readouterr().out
         assert "final world: 1" in out
 
-    def test_resilient_rejects_sanitize(self, capsys):
-        rc = main(
-            [
-                "train", "--gpus", "2", "--steps", "3", "--vocab", "80",
-                "--corpus-tokens", "5000", "--resilient", "--sanitize",
-            ]
-        )
-        assert rc == 2
-        assert "mutually" in capsys.readouterr().err
+    def test_resilient_rejects_sanitize(self, capsys, monkeypatch, tmp_path):
+        """Refused like every other doomed pairing: before any corpus is
+        built, whether --resilient is explicit or implied by a plan."""
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("corpus built before flag validation")
+
+        monkeypatch.setattr("repro.data.make_corpus", no_corpus)
+        base = ["train", "--gpus", "2", "--steps", "3", "--vocab", "80",
+                "--corpus-tokens", "5000", "--sanitize"]
+        for flags in (["--resilient"],
+                      ["--fault-plan", str(tmp_path / "plan.json")]):
+            assert main(base + flags) == 2
+            assert "mutually" in capsys.readouterr().err
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["train"])
@@ -200,14 +205,6 @@ class TestWireCodecFlags:
         out = capsys.readouterr().out
         assert "wire: fp16+entropy" in out
         assert "index compression:" in out
-
-    def test_wire_learn_needs_an_auto_slot_not_the_bare_spec(self, capsys):
-        rc = main(self.SMALL + ["--wire-codec", "fp16+auto", "--wire-learn"])
-        assert rc == 0
-        assert "wire-learn" in capsys.readouterr().out
-        rc = main(self.SMALL + ["--wire-codec", "delta", "--wire-learn"])
-        assert rc == 2
-        assert '"auto" slot' in capsys.readouterr().err
 
     def test_unknown_spec_exits_2_before_any_corpus_is_built(
         self, capsys, monkeypatch

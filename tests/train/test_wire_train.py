@@ -153,11 +153,6 @@ class TestFusedReduceTraining:
             fused_reduce=True, mesh="tensor=2,data=2",
         )
         assert cfg.mesh_shape == (1, 2, 2)
-        with pytest.raises(ValueError, match="auto"):
-            TrainConfig(
-                world_size=2, batch=BatchSpec(2, 6), base_lr=0.1,
-                wire_learn=True, wire_codec="delta",
-            )
 
     @pytest.mark.parametrize("spec", [None, "fp16"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -229,55 +224,3 @@ class TestFusedReduceTraining:
             e for e in fused.comm.ledger.events if e.op == "fused_allreduce"
         ]
         assert hops and all(e.tag.startswith("data:") for e in hops)
-
-
-class TestWireLearning:
-    """--wire-learn: the trainer folds measured wire telemetry back
-    into the adaptive selector's throughput table after each epoch."""
-
-    def test_learning_requires_auto_selector(self):
-        with pytest.raises(ValueError, match="auto"):
-            TrainConfig(
-                world_size=2, batch=BatchSpec(2, 6), base_lr=0.1,
-                wire_learn=True, wire_codec="fp16",
-            )
-
-    def test_learn_is_noop_without_metrics(self):
-        t = word_trainer(2, wire_codec="auto", wire_learn=True)
-        assert t.learn_wire_throughputs() == {}
-
-    def test_trainer_learns_from_attached_registry(self):
-        from repro.core.wire import EntropyCodec, iencoded_allgather
-        from repro.core.wire.cost import CodecThroughput
-        from repro.telemetry import MetricsRegistry
-
-        t = word_trainer(2, wire_codec="auto", wire_learn=True)
-        t.comm.metrics = MetricsRegistry()
-        rng = np.random.default_rng(5)
-        vecs = [
-            np.sort(rng.choice(100_000, 4096, replace=False)).astype(
-                np.int64
-            )
-            for _ in range(2)
-        ]
-        iencoded_allgather(
-            t.comm, vecs, EntropyCodec(),
-            throughput=CodecThroughput(encode_bps=1e9, decode_bps=2e9),
-        ).wait()
-        learned = t.learn_wire_throughputs()
-        assert set(learned) == {"entropy"}
-        assert learned["entropy"].encode_bps == pytest.approx(1e9, abs=1.0)
-        assert t.wire.selector.throughputs["entropy"] == learned["entropy"]
-
-    def test_epoch_end_learning_runs_with_telemetry(self):
-        from repro.telemetry import MetricsRegistry
-
-        t = word_trainer(2, wire_codec="auto", wire_learn=True)
-        t.comm.metrics = MetricsRegistry()
-        t.train_epoch(max_steps=2)
-        # The selector's table exists and still contains every default
-        # codec entry — learning never drops unmeasured codecs.
-        table = t.wire.selector.throughputs
-        if table is not None:
-            for name in ("fp16", "delta", "rle", "entropy"):
-                assert name in table
