@@ -42,10 +42,6 @@ _PROPAGATING_BUILTINS = frozenset({
     "str", "sum", "tuple", "zip",
 })
 
-#: FaultPlan accessors whose items identify specific ranks.
-_PLAN_EVENT_ATTRS = frozenset({
-    "events", "transient_events", "permanent_events",
-})
 
 _MAX_LOCAL_PASSES = 20
 _MAX_GLOBAL_PASSES = 10
@@ -77,7 +73,7 @@ def _base_ident(node: ast.expr) -> str | None:
 
 def is_plan_events_access(node: ast.Attribute) -> bool:
     """Whether ``node`` reads a FaultPlan's event list (``*plan.events``)."""
-    if node.attr not in _PLAN_EVENT_ATTRS:
+    if node.attr != "events":
         return False
     base = _base_ident(node.value)
     return base is not None and base.endswith("plan")

@@ -221,10 +221,15 @@ def _cmd_zipf(args: argparse.Namespace) -> int:
     )
     from repro.report import format_series
 
+    start = 512  # the curve's first point; the fit needs a second one
+    if args.tokens <= start:
+        print(f"error: --tokens must exceed {start}, got {args.tokens}",
+              file=sys.stderr)
+        return 2
     preset = PRESETS[args.dataset]
     scaled = preset.scaled(min(preset.vocab_size, max(2, args.tokens // 5)))
     corpus = make_corpus(scaled, args.tokens, seed=args.seed)
-    ns, us = type_token_curve(corpus.tokens, num_points=12)
+    ns, us = type_token_curve(corpus.tokens, num_points=12, start=start)
     fit = fit_heaps_law(ns, us)
     print(format_series(args.dataset, ns.tolist(), us.tolist()))
     print(
@@ -271,7 +276,14 @@ def _wire_spec(args: argparse.Namespace) -> str | None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.core import SeedStrategy
-    from repro.data import BatchSpec, ONE_BILLION_WORD, TIEBA, make_corpus
+    from repro.data import (
+        ONE_BILLION_WORD,
+        TIEBA,
+        BatchSpec,
+        ShardedBatcher,
+        make_corpus,
+        make_eval_batches,
+    )
     from repro.optim import SGD, Adam
     from repro.train import (
         CharLanguageModel,
@@ -284,9 +296,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         perplexity,
     )
 
-    # The run description is validated (by TrainConfig itself) before
-    # any corpus or model is built, so a typo'd spec or a doomed flag
-    # pairing fails here and not minutes in with a library traceback.
+    # The run description, the model and the corpus are validated
+    # before any model is built, so a typo'd spec, a doomed flag pairing
+    # or a corpus too short for one step fails here with one line and
+    # not minutes in with a library traceback.
     is_word = args.model == "word"
     try:
         cfg = TrainConfig(
@@ -302,15 +315,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
             mesh=args.mesh,
         )
         error = _validate_train_args(args, cfg)
+        if error is None:
+            preset = (ONE_BILLION_WORD if is_word else TIEBA).scaled(args.vocab)
+            if is_word:
+                model_cfg = WordLMConfig(
+                    vocab_size=args.vocab, embedding_dim=16, hidden_dim=24,
+                    projection_dim=16, num_samples=min(32, args.vocab - 1),
+                )
+            else:
+                model_cfg = CharLMConfig(
+                    vocab_size=args.vocab, embedding_dim=12, hidden_dim=16,
+                    depth=2, dropout=0.0,
+                )
+            corpus = make_corpus(preset, args.corpus_tokens, seed=args.seed)
+            # The trainer's batchers refuse a split too short for a step.
+            ShardedBatcher(
+                corpus.train, cfg.batch, cfg.device_mesh.axis_size("data")
+            )
+            make_eval_batches(corpus.valid, cfg.batch, max_batches=1)
     except ValueError as exc:
         error = str(exc)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    preset = ONE_BILLION_WORD if is_word else TIEBA
-    corpus = make_corpus(preset.scaled(args.vocab), args.corpus_tokens,
-                         seed=args.seed)
     comm = None
     if args.sanitize:
         from repro.analysis import Sanitizer
@@ -327,11 +355,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         comm = Communicator(args.gpus, track_memory=False)
         LockstepVerifier.attach(comm)
     if is_word:
-        model_cfg = WordLMConfig(
-            vocab_size=args.vocab, embedding_dim=16, hidden_dim=24,
-            projection_dim=16, num_samples=min(32, args.vocab - 1),
-        )
-
         def make_trainer(run_cfg, run_comm):
             return DistributedTrainer(
                 lambda rng, rank: WordLanguageModel(model_cfg, rng),
@@ -339,11 +362,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 corpus.train, corpus.valid, run_cfg, comm=run_comm,
             )
     else:
-        model_cfg = CharLMConfig(
-            vocab_size=args.vocab, embedding_dim=12, hidden_dim=16,
-            depth=2, dropout=0.0,
-        )
-
         def make_trainer(run_cfg, run_comm):
             return DistributedTrainer(
                 lambda rng, rank: CharLanguageModel(
@@ -691,77 +709,77 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.cluster.failures import ChaosCommunicator, FaultPlan
     from repro.serve import (
         ArrivalSpec,
+        CharLMDecoder,
         ServeConfig,
         ServingEngine,
         TrafficConfig,
+        WordLMDecoder,
         generate_traffic,
         naive_serve,
         report_to_registry,
     )
     from repro.telemetry import MetricsRegistry, TelemetrySession
+    from repro.train.char_lm import CharLanguageModel
+    from repro.train.config import CharLMConfig, WordLMConfig
+    from repro.train.word_lm import WordLanguageModel
 
-    rng = np.random.default_rng(args.seed)
-    if args.model == "word":
-        from repro.train.config import WordLMConfig
-        from repro.train.word_lm import WordLanguageModel
-        from repro.serve import WordLMDecoder
-
-        model_config = WordLMConfig(
-            vocab_size=args.vocab,
-            embedding_dim=32,
-            hidden_dim=64,
-            projection_dim=32,
-            num_samples=16,
-        )
-        def make_decoder():
-            return WordLMDecoder(
-                WordLanguageModel(model_config, np.random.default_rng(args.seed))
+    # Every config is built (and so validated) before any model is
+    # built or request served: a bad argument exits 2 with one line.
+    try:
+        if args.model == "word":
+            model_config = WordLMConfig(
+                vocab_size=args.vocab,
+                embedding_dim=32,
+                hidden_dim=64,
+                projection_dim=32,
+                num_samples=16,
             )
-    else:
-        from repro.train.config import CharLMConfig
-        from repro.train.char_lm import CharLanguageModel
-        from repro.serve import CharLMDecoder
-
-        model_config = CharLMConfig(
-            vocab_size=args.vocab,
-            embedding_dim=16,
-            hidden_dim=48,
-            depth=3,
-            dropout=0.0,
-        )
-        def make_decoder():
-            return CharLMDecoder(
-                CharLanguageModel(model_config, np.random.default_rng(args.seed))
+        else:
+            model_config = CharLMConfig(
+                vocab_size=args.vocab,
+                embedding_dim=16,
+                hidden_dim=48,
+                depth=3,
+                dropout=0.0,
             )
+        traffic = TrafficConfig(
+            num_requests=args.requests,
+            vocab_size=args.vocab,
+            prompt_pool=max(8, args.requests // 4),
+            arrivals=ArrivalSpec(
+                calm_rate=50.0, burst_rate=500.0, mean_calm_s=0.1,
+                mean_burst_s=0.05,
+            ),
+            slo_s=args.slo if args.slo is not None else float("inf"),
+            seed=args.seed,
+        )
+        config = ServeConfig(
+            max_batch=args.max_batch,
+            temperature=args.temperature,
+            seed=args.seed,
+            drop_expired=args.slo is not None,
+            cache_budget_bytes=(
+                args.cache_budget if args.cache_budget is not None else 1 << 22
+            ),
+            decode_token_s=2e-3,
+            prefill_token_s=5e-4,
+        )
+        if args.fault_plan is not None:
+            plan = FaultPlan.load(args.fault_plan)
+            comm = ChaosCommunicator(args.gpus, plan=plan)
+        else:
+            comm = Communicator(args.gpus)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    traffic = TrafficConfig(
-        num_requests=args.requests,
-        vocab_size=args.vocab,
-        prompt_pool=max(8, args.requests // 4),
-        arrivals=ArrivalSpec(
-            calm_rate=50.0, burst_rate=500.0, mean_calm_s=0.1, mean_burst_s=0.05
-        ),
-        slo_s=args.slo if args.slo is not None else float("inf"),
-        seed=args.seed,
-    )
+    def make_decoder():
+        rng = np.random.default_rng(args.seed)
+        if args.model == "word":
+            return WordLMDecoder(WordLanguageModel(model_config, rng))
+        return CharLMDecoder(CharLanguageModel(model_config, rng))
+
     requests = generate_traffic(traffic)
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        temperature=args.temperature,
-        seed=args.seed,
-        drop_expired=args.slo is not None,
-        cache_budget_bytes=(
-            args.cache_budget if args.cache_budget is not None else 1 << 22
-        ),
-        decode_token_s=2e-3,
-        prefill_token_s=5e-4,
-    )
-
-    if args.fault_plan is not None:
-        plan = FaultPlan.load(args.fault_plan)
-        comm = ChaosCommunicator(args.gpus, plan=plan)
-    else:
-        comm = Communicator(args.gpus)
 
     session = None
     if args.telemetry_dir is not None:

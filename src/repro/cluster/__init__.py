@@ -42,7 +42,6 @@ from .device import (
     V100,
     DeviceOOMError,
     DeviceSpec,
-    ScopedAllocation,
     SimulatedDevice,
 )
 from .interconnect import (
@@ -56,7 +55,6 @@ from .interconnect import (
 )
 from .process_group import (
     ProcessGroup,
-    group_of_rank,
     partition_ranks,
 )
 from .timeline import (
@@ -70,7 +68,6 @@ from .timeline import (
 from .tracing import (
     CommEvent,
     CostLedger,
-    LedgerResetError,
     LedgerScopeError,
     LedgerSnapshot,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "COMPUTE_STREAM",
     "COMM_STREAM",
     "events_to_chrome",
-    "LedgerResetError",
     "LedgerScopeError",
     "RankFailureError",
     "TransientLinkError",
@@ -110,7 +106,6 @@ __all__ = [
     "DeviceOOMError",
     "DeviceSpec",
     "SimulatedDevice",
-    "ScopedAllocation",
     "TITAN_X",
     "V100",
     "Interconnect",
@@ -122,7 +117,6 @@ __all__ = [
     "V100_FABRIC",
     "ProcessGroup",
     "partition_ranks",
-    "group_of_rank",
     "allreduce_arrays",
     "allgather_arrays",
     "reduce_scatter_arrays",

@@ -674,18 +674,6 @@ class Communicator:
         return tuple(self._pending)
 
     @property
-    def in_flight_scratch_bytes(self) -> int:
-        """Scratch bytes currently charged *per rank* by pending async work.
-
-        Every collective charges its scratch to all devices, so this is
-        the per-device (not summed-over-devices) in-flight footprint.
-        Zero when ``track_memory`` is off or nothing is pending.
-        """
-        if not self.track_memory:
-            return 0
-        return sum(h.scratch_bytes for h in self._pending)
-
-    @property
     def peak_bytes_per_rank(self) -> int:
         """Maximum peak footprint over all devices.
 
@@ -695,27 +683,6 @@ class Communicator:
         buffers until completion.
         """
         return max(dev.peak_bytes for dev in self.devices)
-
-    def reset_peaks(self) -> int:
-        """Reset every device's high-water mark; report in-flight scratch.
-
-        Each device's peak is reset to its *current* footprint — which
-        still contains the scratch of any pending (issued, un-awaited)
-        async collectives, since those buffers remain live until their
-        handle's ``wait()``.  A post-reset ``peak_bytes_per_rank`` is
-        therefore never smaller than the in-flight async scratch.
-
-        Returns
-        -------
-        int
-            The per-rank in-flight scratch bytes still charged at reset
-            time (``in_flight_scratch_bytes``), so callers measuring
-            "peak since reset" can see how much of the floor is pending
-            async work rather than persistent tensors.
-        """
-        for dev in self.devices:
-            dev.reset_peak()
-        return self.in_flight_scratch_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -22,7 +22,6 @@ __all__ = [
     "Allocation",
     "DeviceOOMError",
     "DeviceSpec",
-    "ScopedAllocation",
     "SimulatedDevice",
     "TITAN_X",
     "V100",
@@ -89,11 +88,6 @@ class DeviceSpec:
             raise ValueError("achieved_fraction must be in (0, 1]")
         if self.memory_bandwidth <= 0:
             raise ValueError("memory_bandwidth must be positive")
-
-    @property
-    def sustained_flops(self) -> float:
-        """Realistic FLOP/s = peak * achieved fraction."""
-        return self.peak_flops * self.achieved_fraction
 
 
 #: The GPU used throughout the paper's evaluation (Table II).
@@ -177,49 +171,6 @@ class SimulatedDevice:
         alloc.freed = True
         self.bytes_in_use -= alloc.nbytes
         assert self.bytes_in_use >= 0, "allocator accounting went negative"
-
-    def live_allocations(self) -> list[Allocation]:
-        """Snapshot of currently live allocations (debugging / leak tests)."""
-        return list(self._live.values())
-
-    @property
-    def bytes_free(self) -> int:
-        return self.spec.memory_bytes - self.bytes_in_use
-
-    def would_fit(self, nbytes: int) -> bool:
-        """Check whether an allocation of ``nbytes`` would succeed."""
-        return nbytes >= 0 and self.bytes_in_use + nbytes <= self.spec.memory_bytes
-
-    def reset_peak(self) -> None:
-        """Reset the high-water mark to the current footprint."""
-        self.peak_bytes = self.bytes_in_use
-
-
-class ScopedAllocation:
-    """Context manager charging a temporary buffer for the enclosed block.
-
-    Collectives use this for their scratch space so that footprint spikes
-    (the quantity that OOMs the baseline) register in ``peak_bytes`` even
-    though the buffer is released before the call returns::
-
-        with ScopedAllocation(device, nbytes, tag="allgather-recv"):
-            ...  # do the exchange
-    """
-
-    def __init__(self, device: SimulatedDevice, nbytes: int, tag: str = ""):
-        self._device = device
-        self._nbytes = nbytes
-        self._tag = tag
-        self._handle: int | None = None
-
-    def __enter__(self) -> "ScopedAllocation":
-        self._handle = self._device.alloc(self._nbytes, self._tag)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._handle is not None:
-            self._device.free(self._handle)
-            self._handle = None
 
 
 def charge_group(devices: list[SimulatedDevice], nbytes: int, tag: str = "") -> None:

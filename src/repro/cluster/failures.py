@@ -306,25 +306,6 @@ class FaultPlan:
         """Read a plan previously written by :meth:`save`."""
         return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
 
-    def transient_events(self) -> tuple[FaultEvent, ...]:
-        """The ``TRANSIENT_LINK`` subset, in schedule order."""
-        return tuple(e for e in self.events if e.kind is FaultKind.TRANSIENT_LINK)
-
-    def permanent_events(self) -> tuple[FaultEvent, ...]:
-        """The ``RANK_LOSS`` subset, in schedule order."""
-        return tuple(e for e in self.events if e.kind is FaultKind.RANK_LOSS)
-
-    def only_transient(self) -> "FaultPlan":
-        """A copy of the plan with permanent rank losses stripped.
-
-        Used by the differential tests: a transient-only plan must leave
-        the final weights bit-identical to a fault-free run.
-        """
-        return FaultPlan(
-            [e for e in self.events if e.kind is not FaultKind.RANK_LOSS],
-            seed=self.seed,
-        )
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -405,8 +386,8 @@ class ChaosCommunicator(Communicator):
 
     The way to attach a plan: ``ChaosCommunicator(G, plan=plan)`` is a
     plain communicator whose first hook replays ``plan``; it overrides
-    no collective.  ``plan``, ``injected`` and ``collectives_issued``
-    read through to the replay.
+    no collective.  Its :attr:`replay` holds the plan, the injections
+    and the issued-collective count.
     """
 
     def __init__(self, *args, plan: FaultPlan | None = None, **kwargs):
@@ -415,18 +396,3 @@ class ChaosCommunicator(Communicator):
             plan if plan is not None else FaultPlan(), self.timeline
         )
         self.hooks.append(self.replay)
-
-    @property
-    def plan(self) -> FaultPlan:
-        """The fault plan being replayed."""
-        return self.replay.plan
-
-    @property
-    def injected(self) -> list[tuple[int, str, FaultEvent]]:
-        """Every injection so far, as ``(collective_index, op, event)``."""
-        return self.replay.injected
-
-    @property
-    def collectives_issued(self) -> int:
-        """Number of successfully issued collectives so far."""
-        return self.replay.collectives_issued

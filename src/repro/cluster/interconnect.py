@@ -114,12 +114,6 @@ class Interconnect:
             return self.inter_node
         return self.intra_node
 
-    def link_between(self, rank_a: int, rank_b: int) -> LinkSpec:
-        """Point-to-point link between two specific ranks."""
-        if self.node_of(rank_a) == self.node_of(rank_b):
-            return self.intra_node
-        return self.inter_node
-
 
 #: The exact fabric of the paper's 50-node evaluation cluster.
 PAPER_CLUSTER_FABRIC = Interconnect(

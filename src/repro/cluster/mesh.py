@@ -180,11 +180,6 @@ class DeviceMesh:
             if size <= 0:
                 raise ValueError(f"axis {name!r} must be positive, got {size}")
 
-    @classmethod
-    def from_spec(cls, spec: str, world_size: int) -> "DeviceMesh":
-        """Alias for :func:`parse_mesh_spec` (spec string → mesh)."""
-        return parse_mesh_spec(spec, world_size)
-
     # -- shape ---------------------------------------------------------
 
     @property
@@ -277,13 +272,6 @@ class DeviceMesh:
                 ranks.append(self.rank_at(coords))
             out.append(ProcessGroup(parent_world=self.size, ranks=tuple(ranks)))
         return tuple(out)
-
-    def group_of(self, axis: str, rank: int) -> ProcessGroup:
-        """The ``axis`` subgroup containing ``rank``."""
-        for g in self.groups(axis):
-            if g.contains(rank):
-                return g
-        raise ValueError(f"rank {rank} not on mesh {self}")
 
     def axis_link(self, axis: str, fabric: Interconnect) -> LinkSpec:
         """The link an ``axis`` ring runs on, from the fabric topology.

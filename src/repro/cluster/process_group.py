@@ -10,12 +10,10 @@ through :meth:`repro.cluster.communicator.Communicator.axis`).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
     "ProcessGroup",
-    "group_of_rank",
     "partition_ranks",
 ]
 
@@ -42,18 +40,6 @@ class ProcessGroup:
     def size(self) -> int:
         return len(self.ranks)
 
-    def contains(self, rank: int) -> bool:
-        return rank in self.ranks
-
-    def local_rank(self, global_rank: int) -> int:
-        """Position of ``global_rank`` inside this group."""
-        try:
-            return self.ranks.index(global_rank)
-        except ValueError:
-            raise ValueError(
-                f"rank {global_rank} is not a member of group {self.ranks}"
-            ) from None
-
 
 def partition_ranks(world_size: int, num_groups: int) -> list[ProcessGroup]:
     """Split ``world_size`` ranks into ``num_groups`` contiguous groups.
@@ -79,11 +65,3 @@ def partition_ranks(world_size: int, num_groups: int) -> list[ProcessGroup]:
         start += size
     assert start == world_size
     return groups
-
-
-def group_of_rank(groups: Sequence[ProcessGroup], rank: int) -> int:
-    """Index of the group containing ``rank``; raises if not found."""
-    for i, g in enumerate(groups):
-        if g.contains(rank):
-            return i
-    raise ValueError(f"rank {rank} not in any group")

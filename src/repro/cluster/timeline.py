@@ -341,16 +341,6 @@ class Timeline:
             return self._busy_comm[rank]
         return 0.0
 
-    def exposed_comm_time(self) -> float:
-        """Comm seconds *not* hidden behind compute, over the whole run.
-
-        The difference between the makespan and the busiest compute
-        stream: with perfect overlap it is zero; with no compute
-        recorded it equals the serialized comm span.
-        """
-        busiest = max(self._busy_compute, default=0.0)
-        return max(0.0, self.makespan - busiest)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world_size:
             raise ValueError(

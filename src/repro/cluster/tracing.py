@@ -34,7 +34,6 @@ from typing import NamedTuple
 __all__ = [
     "CommEvent",
     "CostLedger",
-    "LedgerResetError",
     "LedgerScopeError",
     "LedgerSnapshot",
 ]
@@ -47,17 +46,6 @@ class LedgerScopeError(RuntimeError):
     stack means every subsequent event would be charged to the wrong
     phase, which is exactly the kind of bookkeeping bug the analysis
     tooling exists to catch.
-    """
-
-
-class LedgerResetError(RuntimeError):
-    """A snapshot from before a :meth:`CostLedger.reset` was diffed.
-
-    ``delta_since`` across a reset used to return *negative* totals
-    (the post-reset ledger holds fewer events than the snapshot), which
-    silently corrupted per-step byte/time deltas.  Each reset bumps the
-    ledger's generation; mixing snapshots across generations now raises
-    instead.
     """
 
 
@@ -115,7 +103,6 @@ class CostLedger:
 
     events: list[CommEvent] = field(default_factory=list)
     _scope_stack: list[str] = field(default_factory=list)
-    _generation: int = 0
 
     def __post_init__(self) -> None:
         # Seed the running totals from any pre-filled events (the merged
@@ -269,26 +256,6 @@ class CostLedger:
             return 1.0
         return logical / wire
 
-    @property
-    def generation(self) -> int:
-        """Number of :meth:`reset` calls so far; stamps every snapshot."""
-        return self._generation
-
-    def reset(self) -> None:
-        """Drop all events (scope stack is preserved).
-
-        Bumps the ledger generation so snapshots taken before the reset
-        cannot be diffed against post-reset totals (see
-        :class:`LedgerResetError`).
-        """
-        self.events.clear()
-        self._total_wire = 0
-        self._total_time = 0.0
-        self._bytes_by_op.clear()
-        self._time_by_op.clear()
-        self._bytes_by_scope.clear()
-        self._generation += 1
-
     def snapshot(self) -> "LedgerSnapshot":
         """Immutable point-in-time totals, for before/after deltas.
 
@@ -298,31 +265,15 @@ class CostLedger:
             n_events=len(self.events),
             wire_bytes_per_rank=self._total_wire,
             time_s=self._total_time,
-            generation=self._generation,
         )
 
     def delta_since(self, snap: "LedgerSnapshot") -> "LedgerSnapshot":
-        """Totals accumulated since ``snap`` was taken.  O(1).
-
-        Raises
-        ------
-        LedgerResetError
-            If the ledger was :meth:`reset` after ``snap`` was taken —
-            the difference would be meaningless (typically negative).
-        """
-        if snap.generation != self._generation:
-            raise LedgerResetError(
-                f"snapshot from ledger generation {snap.generation} diffed "
-                f"against generation {self._generation}: the ledger was "
-                f"reset() in between, so the delta is undefined"
-            )
+        """Totals accumulated since ``snap`` was taken.  O(1)."""
         return LedgerSnapshot(
             n_events=len(self.events) - snap.n_events,
             wire_bytes_per_rank=self._total_wire - snap.wire_bytes_per_rank,
             time_s=self._total_time - snap.time_s,
-            generation=self._generation,
         )
-
 
     def to_chrome_trace(
         self,
@@ -420,17 +371,11 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class LedgerSnapshot:
-    """Frozen totals of a :class:`CostLedger` at one instant.
-
-    ``generation`` records how many times the ledger had been
-    :meth:`~CostLedger.reset` when the snapshot was taken; diffing
-    snapshots across a reset raises :class:`LedgerResetError`.
-    """
+    """Frozen totals of a :class:`CostLedger` at one instant."""
 
     n_events: int
     wire_bytes_per_rank: int
     time_s: float
-    generation: int = 0
 
 
 class _LedgerScope:

@@ -50,8 +50,7 @@ class WireCodec:
     #: well-defined elementwise reduction — the same reduction the
     #: unfused encode→allreduce→decode path already performs.  The
     #: self-delimiting frame codecs are NOT summable — adding two
-    #: bitstreams is meaningless — so fused reductions must
-    #: decode/re-encode at each hop boundary instead (see
+    #: bitstreams is meaningless — so fused reductions refuse them (see
     #: :mod:`repro.core.wire.fused`).
     summable: bool = False
 

@@ -175,12 +175,6 @@ class GradientSynchronizer:
         )
         fused = self.fused_reduce
         if fused:
-            if codec is not None and not getattr(codec, "summable", False):
-                raise ValueError(
-                    f"fused_reduce needs a summable value codec (fp16 / "
-                    f"identity / none); {codec.name!r} frames cannot be "
-                    "summed on the wire"
-                )
             handle = icompressed_allreduce(
                 data,
                 arrays,
@@ -257,14 +251,6 @@ class GradientSynchronizer:
                 p.sparse_grads = [grad]
 
         return finish
-
-    def sync_dense(self, params: list[Parameter], tag: str) -> None:
-        """ALLREDUCE one dense-grad parameter across replicas, in place."""
-        self._issue_dense(params, tag)()
-
-    def sync_sparse(self, params: list[Parameter], tag: str) -> None:
-        """Exchange one sparse-grad parameter across replicas, in place."""
-        self._issue_sparse(params, tag)()
 
     _named_cache: tuple[tuple[int, ...], list[dict], list[str]] | None = None
 

@@ -14,7 +14,7 @@ into a registry of codecs with distinct roles:
 * :mod:`~repro.core.wire.transfer` — the chunked encoded allgather that
   pipelines encode/transmit/decode on the two-stream timeline;
 * :mod:`~repro.core.wire.fused` — the fused compress-reduce collective
-  (compressed ring allreduce with per-hop recoding);
+  (compressed ring allreduce, summed in the wire domain);
 * :mod:`~repro.core.wire.policy` — the :class:`WirePolicy` object the
   trainer/CLI hand down (``--wire-codec``, ``--wire-chunk-bytes``).
 

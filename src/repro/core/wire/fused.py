@@ -8,21 +8,16 @@ what can be compressed is each hop's partial, not the caller's input.
 chunked reduce-scatter phase with per-hop compression, then an
 allgather phase over the encoded reduced shards.
 
-Two codec regimes, selected by :attr:`WireCodec.summable
-<repro.core.compression.WireCodec.summable>`:
-
-* **Summable value codecs** (identity, FP16): ``encode`` maps elements
-  to fixed-position numeric slots, so partials are reduced *in the
-  compressed domain* — each rank encodes its contribution once, hops
-  add wire tensors directly, and one decode at the end recovers the
-  result.  Numerics are identical to the unfused
-  encode → allreduce → decode path by construction: the reduction is
-  the same rank-order wire-domain fold.
-* **Frame codecs** (delta, rle, entropy — *not* summable: adding two
-  bitstreams is meaningless): the ring **recodes at every hop
-  boundary** — decode the incoming partial, add, re-encode for the next
-  hop.  Only integer payloads are accepted; integer addition is exact,
-  so the result is bit-identical to the plain rank-order fold.
+The codec must be **summable** (:attr:`WireCodec.summable
+<repro.core.compression.WireCodec.summable>`: identity, FP16): ``encode``
+maps elements to fixed-position numeric slots, so partials are reduced
+*in the compressed domain* — each rank encodes its contribution once,
+hops add wire tensors directly, and one decode at the end recovers the
+result.  Numerics are identical to the unfused encode → allreduce →
+decode path by construction: the reduction is the same rank-order
+wire-domain fold.  Frame codecs (delta, rle, entropy) are refused:
+adding two bitstreams is meaningless, and the gradient sync only ever
+reduces float values — integer index sets are gathered, never reduced.
 
 ``codec=None`` runs the same chunked hop schedule on raw bytes — the
 accounting baseline whose makespan equals the classic ring cost models
@@ -32,14 +27,13 @@ accounting baseline whose makespan equals the classic ring cost models
 Accounting.  Every hop is one explicitly-costed collective step through
 :meth:`Communicator.issue_scheduled
 <repro.cluster.communicator.Communicator.issue_scheduled>`: the ledger
-is charged the **encoded** hop bytes (data-dependent for frame codecs —
-each hop's partial sums are actually encoded to measure them), with the
-logical chunk bytes riding along for measured-compression reporting;
-encode/decode compute lands on every rank's Timeline compute stream, so
-the PR-2 contention rules pipeline chunk ``c+1``'s recode under chunk
-``c``'s transfer with no special machinery.  The analytic twin of this
-schedule is :func:`repro.perf.codec_model.fused_reduce_time`, validated
-``≡`` the executed Timeline schedule by the wire benches.
+is charged the **encoded** hop bytes, with the logical chunk bytes
+riding along for measured-compression reporting; encode/decode compute
+lands on every rank's Timeline compute stream, so the contention rules
+pipeline chunk ``c+1``'s encode under chunk ``c``'s transfer with no
+special machinery.  The analytic twin of this schedule is
+:func:`repro.perf.codec_model.fused_reduce_time`, validated ``≡`` the
+executed Timeline schedule by the wire benches.
 
 Rings.  The schedule runs over whatever rings the communicator has: on
 a ``comm.axis("data")`` view every data subgroup reduces its own
@@ -93,14 +87,10 @@ class FusedReducePlan:
     """
 
     world: int
-    #: True when the schedule decodes + re-encodes at hop boundaries
-    #: (frame codecs); False for summable/raw wire-domain reduction.
-    hop_recode: bool
     #: Logical bytes of one shard piece, per chunk.
     chunk_logical: tuple[int, ...]
     #: Logical bytes encoded on each rank before a chunk's first hop
-    #: (summable: the chunk's slice of all ``world`` shards; recode:
-    #: the first partial, one shard piece; raw: 0).
+    #: (summable: the chunk's slice of all ``world`` shards; raw: 0).
     pre_encode: tuple[int, ...]
     #: Encoded wire bytes of each reduce-scatter hop, ``[chunk][hop]``,
     #: max over ranks; ``world - 1`` hops per chunk.
@@ -146,59 +136,6 @@ def _chunk_elems(shard_elems: int, itemsize: int, chunk_bytes: int | None):
     return counts
 
 
-def _flat_padded(arrays: Sequence[np.ndarray], world: int) -> list[np.ndarray]:
-    """Flatten each rank's array, zero-padding to a world multiple.
-
-    Padding mirrors what a real ring implementation does to get equal
-    shards; it affects accounting (shard sizes, encoded partials) only —
-    results are always computed from the unpadded inputs.
-    """
-    total = int(arrays[0].size)
-    pad = (-total) % world
-    out = []
-    for a in arrays:
-        flat = np.ascontiguousarray(a).reshape(-1)
-        if pad:
-            flat = np.concatenate([flat, np.zeros(pad, dtype=a.dtype)])
-        out.append(flat)
-    return out
-
-
-def _frame_hop_sizes(
-    flats: list[np.ndarray],
-    codec,
-    world: int,
-    chunks: list[int],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Measure encoded bytes of every ring hop's partial sums.
-
-    Walks the ring hop by hop — the partial sent at hop ``h`` for shard
-    ``j`` covers ranks ``j .. j+h-1`` — encoding the ``world`` in-flight
-    partials of a hop as one gather (``encode_many``) to charge the wire
-    what a recoding ring actually ships.  Returns ``(rs[chunk][hop],
-    ag[chunk][hop])`` maxima over ranks.
-    """
-    hops = world - 1
-    shard = flats[0].size // world
-    bounds = np.concatenate(([0], np.cumsum(chunks))).astype(np.intp)
-    rs = [[0] * hops for _ in chunks]
-    ag = [[0] * hops for _ in chunks]
-    for c in range(len(chunks)):
-        # Shard j's piece of this chunk, as every rank holds it.
-        pieces = [
-            slice(j * shard + bounds[c], j * shard + bounds[c + 1])
-            for j in range(world)
-        ]
-        parts = [flats[j][pieces[j]].copy() for j in range(world)]
-        for h in range(1, world):
-            rs[c][h - 1] = max(f.size for f in codec.encode_many(parts))
-            for j, part in enumerate(parts):
-                part += flats[(j + h) % world][pieces[j]]
-        if hops:
-            ag[c] = [max(f.size for f in codec.encode_many(parts))] * hops
-    return rs, ag
-
-
 def plan_fused_reduce(
     arrays: Sequence[np.ndarray],
     codec,
@@ -206,92 +143,59 @@ def plan_fused_reduce(
 ) -> FusedReducePlan:
     """Build the byte-level schedule for one fused allreduce.
 
-    ``codec`` may be None (raw ring), a summable value codec, or a
-    lossless integer frame codec (hop recoding).  See the module
-    docstring for the validation rules each regime imposes.
+    ``codec`` may be None (raw ring) or a summable value codec; any
+    other codec raises ``ValueError``.
     """
     world = len(arrays)
     dtype = arrays[0].dtype
-    itemsize = dtype.itemsize
-    summable = codec is not None and getattr(codec, "summable", False)
-    recode = codec is not None and not summable
-    if recode:
-        if not getattr(codec, "lossless", False):
+    itemsize = wire_item = dtype.itemsize
+    if codec is not None:
+        if not getattr(codec, "summable", False):
             raise ValueError(
-                f"codec {codec.name!r} is lossy and not summable: it can "
-                "neither be reduced in the compressed domain nor recoded "
-                "exactly at hop boundaries"
+                "a fused reduction needs a summable codec (identity, fp16) "
+                f"or codec=None; {codec.name!r} is not summable"
             )
-        if dtype not in (np.dtype(np.int32), np.dtype(np.int64)):
-            raise ValueError(
-                "index frames are not summable on the wire and cannot "
-                f"carry {dtype} payloads through a fused reduction; use a "
-                "summable value codec (fp16/identity) or codec=None"
-            )
-    flats = _flat_padded(arrays, world)
-    shard_elems = flats[0].size // world
-    chunks = _chunk_elems(shard_elems, itemsize, chunk_bytes)
-    chunk_logical = tuple(n * itemsize for n in chunks)
-    hops = world - 1
-    if summable:
         wire_dt = codec.wire_dtype(dtype)
         if wire_dt is None:
             raise ValueError(
                 f"summable codec {codec.name!r} must report wire_dtype"
             )
         wire_item = np.dtype(wire_dt).itemsize
-        hop_row = [
-            tuple(n * wire_item for _ in range(hops)) for n in chunks
-        ]
-        rs_hop = ag_hop = tuple(hop_row)
-        pre = final = tuple(world * lb for lb in chunk_logical)
-    elif recode:
-        rs, ag = _frame_hop_sizes(flats, codec, world, chunks)
-        rs_hop = tuple(tuple(row) for row in rs)
-        ag_hop = tuple(tuple(row) for row in ag)
-        pre = tuple(chunk_logical)
-        # Decode the world-1 foreign reduced-shard frames at drain (the
-        # own shard is raw after the last hop's add, which is charged at
-        # the pre-allgather recode).
-        final = tuple((world - 1) * lb for lb in chunk_logical)
-    else:  # raw
-        hop_row = [tuple(n * itemsize for _ in range(hops)) for n in chunks]
-        rs_hop = ag_hop = tuple(hop_row)
-        pre = final = tuple(0 for _ in chunks)
+    # A real ring zero-pads to a world multiple to get equal shards; the
+    # padding affects accounting only, never the results.
+    padded = arrays[0].size + (-arrays[0].size) % world
+    chunks = _chunk_elems(padded // world, itemsize, chunk_bytes)
     if world == 1:
         # Degenerate ring: no hops; the codec roundtrip (if any) is
         # still charged so G=1 matches the unfused encode/decode path.
-        if summable:
-            lb = flats[0].size * itemsize
-            pre = (lb,)
-            final = (lb,)
-        else:
-            pre = (0,)
-            final = (0,)
+        lb = padded * itemsize
+        coded = (lb if codec is not None else 0,)
         return FusedReducePlan(
-            world=1, hop_recode=False,
-            chunk_logical=(flats[0].size * itemsize,),
-            pre_encode=pre, rs_hop_bytes=((),), ag_hop_bytes=((),),
-            final_decode=final,
+            world=1, chunk_logical=(lb,), pre_encode=coded,
+            rs_hop_bytes=((),), ag_hop_bytes=((),), final_decode=coded,
         )
+    chunk_logical = tuple(n * itemsize for n in chunks)
+    hop_bytes = tuple((n * wire_item,) * (world - 1) for n in chunks)
+    coded = tuple(
+        world * lb if codec is not None else 0 for lb in chunk_logical
+    )
     return FusedReducePlan(
         world=world,
-        hop_recode=recode,
         chunk_logical=chunk_logical,
-        pre_encode=pre,
-        rs_hop_bytes=rs_hop,
-        ag_hop_bytes=ag_hop,
-        final_decode=final,
+        pre_encode=coded,
+        rs_hop_bytes=hop_bytes,
+        ag_hop_bytes=hop_bytes,
+        final_decode=coded,
     )
 
 
 class PendingFusedReduce:
     """An in-flight fused compressed allreduce.
 
-    The intermediate hops were issued (and, for recoding rings, waited)
-    eagerly — what remains at :meth:`wait` is completing each chunk's
-    final hop ticket, charging the final decode compute, and handing
-    back the per-rank results.  Idempotent, like every handle here.
+    The intermediate hops were issued eagerly — what remains at
+    :meth:`wait` is completing each chunk's final hop ticket, charging
+    the final decode compute, and handing back the per-rank results.
+    Idempotent, like every handle here.
     """
 
     def __init__(
@@ -316,21 +220,18 @@ class PendingFusedReduce:
         point before that chunk's decode is charged — link end times
         are monotone in issue order, so chunk ``c``'s decode overlaps
         the still-in-flight transfers of chunks ``> c``, exactly as the
-        analytic recurrence assumes.  ``wait()`` on already-completed
-        hop handles (the recoding ring waits intermediates eagerly) is
-        an idempotent no-op.
+        analytic recurrence assumes.
         """
         if self._done:
             return self._results
         i = 0
         for upto, lb in zip(self._drain_upto, self._final_decode):
-            while i < upto:
-                self._issued[i].wait()
-                i += 1
+            for handle in self._issued[i:upto]:
+                handle.wait()
+            i = upto
             self._charge("decode", lb)
-        while i < len(self._issued):
-            self._issued[i].wait()
-            i += 1
+        for handle in self._issued[i:]:
+            handle.wait()
         self._done = True
         return self._results
 
@@ -350,9 +251,10 @@ def icompressed_allreduce(
     ``wait()`` returns the decoded sum of each ring, one read-only
     object for all its members, as :meth:`Communicator.iallreduce`
     does.  With a summable codec the numerics equal the
-    unfused encode → allreduce → decode path bit for bit; with a frame
-    codec (integer payloads) or ``codec=None`` they equal the plain
-    rank-order fold bit for bit.  ``stacked`` is the caller's assertion
+    unfused encode → allreduce → decode path bit for bit; with
+    ``codec=None`` they equal the plain rank-order fold bit for bit.  A
+    codec that is not summable raises ``ValueError`` before anything is
+    issued.  ``stacked`` is the caller's assertion
     that ``arrays`` are, in rank order, the rows of that one block (as
     for :meth:`Communicator.iallreduce`, one-ring communicators only):
     a summable codec then encodes the block in one call and the fold
@@ -371,17 +273,16 @@ def icompressed_allreduce(
     ]
     dtype = lead[0].dtype
     plan = plan_fused_reduce(lead, codec, chunk_bytes=chunk_bytes)
-    summable = codec is not None and getattr(codec, "summable", False)
     if stacked is not None and len(comm.groups) > 1:
         raise ValueError("stacked= describes the one ring of a flat reduce")
     wire_arrays = arrays
-    if summable:
+    if codec is not None:
         wire_arrays, stacked = encode_stacked(codec, arrays, stacked)
 
     # ---- numerics (eager, rank-order fold per ring — see module docstring)
     def reduce(sub: list[np.ndarray], _: int) -> list[np.ndarray]:
         summed = allreduce_arrays(sub, stacked=stacked)
-        if not summable:
+        if codec is None:
             return summed
         decoded = codec.decode(summed[0], dtype)
         decoded.flags.writeable = False
@@ -439,33 +340,21 @@ def icompressed_allreduce(
                     ticket.end - ticket.start, **ins["labels"]
                 )
         issued.append(handle)
-        return handle
 
     drain_upto = [0] * len(chunks)
     ledger_scope = comm.ledger.scope(f"fused-{name}")
     with ledger_scope:
-        # Reduce-scatter phase, hop-major: chunk c+1's (re)encode
-        # overlaps chunk c's transfer under the Timeline rules.
-        rs_handles: list[list] = [[None] * hops for _ in chunks]
+        # Reduce-scatter phase, hop-major: chunk c+1's encode overlaps
+        # chunk c's transfer under the Timeline rules.
         for h in range(hops):
             for c, lb in enumerate(chunks):
                 if h == 0:
                     charge("encode", plan.pre_encode[c])
-                elif plan.hop_recode:
-                    rs_handles[c][h - 1].wait()
-                    charge("decode", lb)
-                    charge("encode", lb)
-                rs_handles[c][h] = issue_hop(
-                    "rs", c, h, plan.rs_hop_bytes[c][h], lb
-                )
+                issue_hop("rs", c, h, plan.rs_hop_bytes[c][h], lb)
         if ring == 1 and plan.pre_encode[0]:
             charge("encode", plan.pre_encode[0])
         if hops:
             for c, lb in enumerate(chunks):
-                if plan.hop_recode:
-                    rs_handles[c][hops - 1].wait()
-                    charge("decode", lb)
-                    charge("encode", lb)
                 for h in range(hops):
                     issue_hop("ag", c, h, plan.ag_hop_bytes[c][h], lb)
                 drain_upto[c] = len(issued)

@@ -208,10 +208,6 @@ class SyntheticCorpus:
     train: np.ndarray
     valid: np.ndarray
 
-    @property
-    def n_tokens(self) -> int:
-        return int(self.tokens.size)
-
 
 def make_corpus(
     preset: DatasetPreset, n_tokens: int, seed: int = 0

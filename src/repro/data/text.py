@@ -87,12 +87,6 @@ class TextCorpus:
         """Ids back to text (diagnostics and sampling demos)."""
         return sep.join(self.itos[int(i)] for i in np.asarray(ids).reshape(-1))
 
-    def coverage(self) -> float:
-        """Fraction of the stream covered by in-vocabulary types."""
-        if self.tokens.size == 0:
-            raise ValueError("empty corpus")
-        return float((self.tokens != self.unk_id).mean())
-
 
 def encode_corpus(
     text: str,

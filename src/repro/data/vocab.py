@@ -111,19 +111,6 @@ class Vocabulary:
         encoded = self.encode(tokens)
         return float((encoded != self.unk_id).mean())
 
-    def frequency_probs(self) -> np.ndarray:
-        """Empirical unigram distribution over vocabulary ids.
-
-        The ``<unk>`` slot gets the leftover mass implied by its zero
-        stored count (i.e. zero here; callers wanting OOV mass should
-        re-encode a stream).  Used by the Zipf-frequency seeding strategy
-        and the log-uniform candidate sampler calibration.
-        """
-        total = self.counts.sum()
-        if total == 0:
-            raise ValueError("vocabulary has no counts")
-        return self.counts / total
-
 
 def coverage_of_top_k(counts: np.ndarray, k: int) -> float:
     """Fraction of running text the top-``k`` most frequent types cover.

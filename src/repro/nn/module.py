@@ -175,9 +175,5 @@ class Module:
                 raise ValueError(f"module at {path!r} has no RNG stream")
             rng.bit_generator.state = copy.deepcopy(state)
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count (the paper's char model: 213M)."""
-        return sum(p.data.size for p in self.parameters())
-
     def parameter_bytes(self) -> int:
         return sum(p.nbytes for p in self.parameters())

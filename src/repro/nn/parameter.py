@@ -79,10 +79,6 @@ class SparseGrad:
         return int(self.values.shape[-1])
 
     @property
-    def nbytes(self) -> int:
-        return int(self.indices.nbytes + self.values.nbytes)
-
-    @property
     def is_coalesced(self) -> bool:
         """Whether :meth:`coalesce` is already known (no reduction runs)."""
         return self._coalesced is not None
@@ -217,16 +213,6 @@ class Parameter:
         indices = np.concatenate([s.indices for s in self.sparse_grads])
         values = np.concatenate([s.values for s in self.sparse_grads])
         return SparseGrad(indices, values).coalesce()
-
-    def full_grad(self) -> np.ndarray:
-        """Dense + densified-sparse gradient (reference/tests; O(V*D))."""
-        total = (
-            np.zeros_like(self.data) if self.grad is None else self.grad.copy()
-        )
-        merged = self.merged_sparse_grad()
-        if merged is not None:
-            np.add.at(total, merged.indices, merged.values)
-        return total
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -86,10 +86,6 @@ class Adam:
             if self._row_t[i] is not None:
                 self._row_t[i] = state[f"row_t{i}"].copy()
 
-    def state_bytes(self) -> int:
-        """Optimizer-state memory footprint (two moments per parameter)."""
-        return sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v))
-
     def step(self) -> None:
         """Apply one Adam update from accumulated grads, then clear them."""
         self._t += 1

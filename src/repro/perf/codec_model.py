@@ -299,7 +299,6 @@ def uniform_fused_plan(
     *,
     encoded_ratio: float = 1.0,
     chunk_bytes: int | None = None,
-    hop_recode: bool = False,
     charge_codec: bool = True,
 ) -> FusedReducePlan:
     """Build a :class:`~repro.core.wire.fused.FusedReducePlan` from
@@ -324,9 +323,9 @@ def uniform_fused_plan(
     if encoded_ratio <= 0:
         raise ValueError("encoded_ratio must be positive")
     if world == 1:
-        chg = logical_bytes if charge_codec and not hop_recode else 0
+        chg = logical_bytes if charge_codec else 0
         return FusedReducePlan(
-            world=1, hop_recode=False,
+            world=1,
             chunk_logical=(logical_bytes,), pre_encode=(chg,),
             rs_hop_bytes=((),), ag_hop_bytes=((),), final_decode=(chg,),
         )
@@ -344,23 +343,12 @@ def uniform_fused_plan(
         (lb if not charge_codec else max(1, round(lb / encoded_ratio)))
         for lb in chunks
     ]
-    rs_hop = tuple(tuple(eb for _ in range(hops)) for eb in enc)
-    if not charge_codec:
-        pre = tuple(0 for _ in chunks)
-        final = tuple(0 for _ in chunks)
-        recode = False
-    elif hop_recode:
-        pre = tuple(chunks)
-        final = tuple((world - 1) * lb for lb in chunks)
-        recode = True
-    else:
-        pre = tuple(world * lb for lb in chunks)
-        final = pre
-        recode = False
+    hop_bytes = tuple(tuple(eb for _ in range(hops)) for eb in enc)
+    coded = tuple(world * lb if charge_codec else 0 for lb in chunks)
     return FusedReducePlan(
-        world=world, hop_recode=recode,
-        chunk_logical=tuple(chunks), pre_encode=pre,
-        rs_hop_bytes=rs_hop, ag_hop_bytes=rs_hop, final_decode=final,
+        world=world,
+        chunk_logical=tuple(chunks), pre_encode=coded,
+        rs_hop_bytes=hop_bytes, ag_hop_bytes=hop_bytes, final_decode=coded,
     )
 
 
@@ -374,10 +362,10 @@ def fused_reduce_time(
 
     Replays, in plain arithmetic, **exactly** the schedule
     :func:`repro.core.wire.fused.icompressed_allreduce` puts on the
-    Timeline for ``plan`` — same hop-major issue order, same eager
-    recode waits, same drain cuts — so for an unscaled timeline the
-    result equals :func:`timeline_fused_reduce` *exactly*, not merely
-    within tolerance (the wire benches gate at ``1e-9`` relative).
+    Timeline for ``plan`` — same hop-major issue order, same drain
+    cuts — so for an unscaled timeline the result equals
+    :func:`timeline_fused_reduce` *exactly*, not merely within
+    tolerance (the wire benches gate at ``1e-9`` relative).
     Ranks are uniform: one compute clock stands for all, and a
     collective's start is ``max(compute, link_free)`` (the Timeline's
     extra ``_max_comm`` term never exceeds ``link_free``).
@@ -399,27 +387,17 @@ def fused_reduce_time(
 
     compute = 0.0
     link_free = 0.0
-    rs_end = [[0.0] * hops for _ in chunks]
     for h in range(hops):
-        for c, lb in enumerate(chunks):
+        for c in range(len(chunks)):
             if h == 0:
                 compute += enc_s(plan.pre_encode[c])
-            elif plan.hop_recode:
-                compute = max(compute, rs_end[c][h - 1])
-                compute += dec_s(lb)
-                compute += enc_s(lb)
             start = max(compute, link_free)
             link_free = start + link.transfer_time(plan.rs_hop_bytes[c][h])
-            rs_end[c][h] = link_free
     if world == 1:
         compute += enc_s(plan.pre_encode[0])
     last_end = [0.0] * len(chunks)
     if hops:
-        for c, lb in enumerate(chunks):
-            if plan.hop_recode:
-                compute = max(compute, rs_end[c][hops - 1])
-                compute += dec_s(lb)
-                compute += enc_s(lb)
+        for c in range(len(chunks)):
             for h in range(hops):
                 start = max(compute, link_free)
                 link_free = start + link.transfer_time(
@@ -441,9 +419,9 @@ def timeline_fused_reduce(
     """Measure a fused reduction by *executing* its schedule.
 
     Plays ``plan`` onto a real :class:`~repro.cluster.timeline.Timeline`
-    with the same issue order, eager recode completions and drain cuts
-    as the live collectives, and returns the measured makespan — the
-    executed half of the :func:`fused_reduce_time` cross-check.
+    with the same issue order and drain cuts as the live collectives,
+    and returns the measured makespan — the executed half of the
+    :func:`fused_reduce_time` cross-check.
     """
     world, hops = plan.world, plan.world - 1
     chunks = plan.chunk_logical
@@ -463,39 +441,21 @@ def timeline_fused_reduce(
         timeline.record_compute_all(secs, name=f"codec:{kind}")
 
     tickets: list = []
-    completed: set[int] = set()
-
-    def complete(i: int) -> None:
-        if i in completed:
-            return
-        timeline.complete(tickets[i])
-        completed.add(i)
-
-    rs_idx = [[0] * hops for _ in chunks]
     for h in range(hops):
-        for c, lb in enumerate(chunks):
+        for c in range(len(chunks)):
             if h == 0:
                 charge("encode", plan.pre_encode[c])
-            elif plan.hop_recode:
-                complete(rs_idx[c][h - 1])
-                charge("decode", lb)
-                charge("encode", lb)
             tickets.append(
                 timeline.schedule_collective(
                     link.transfer_time(plan.rs_hop_bytes[c][h]),
                     name=f"fused:rs{h}[{c}]",
                 )
             )
-            rs_idx[c][h] = len(tickets) - 1
     if world == 1:
         charge("encode", plan.pre_encode[0])
     drain_upto = [0] * len(chunks)
     if hops:
-        for c, lb in enumerate(chunks):
-            if plan.hop_recode:
-                complete(rs_idx[c][hops - 1])
-                charge("decode", lb)
-                charge("encode", lb)
+        for c in range(len(chunks)):
             for h in range(hops):
                 tickets.append(
                     timeline.schedule_collective(
@@ -506,13 +466,10 @@ def timeline_fused_reduce(
             drain_upto[c] = len(tickets)
     i = 0
     for upto, lb in zip(drain_upto, plan.final_decode):
-        while i < upto:
-            complete(i)
-            i += 1
-        if throughput is not None and lb:
-            secs = throughput.decode_seconds(lb)
-            timeline.record_compute_all(secs, name="codec:decode")
-    while i < len(tickets):
-        complete(i)
-        i += 1
+        for ticket in tickets[i:upto]:
+            timeline.complete(ticket)
+        i = upto
+        charge("decode", lb)
+    for ticket in tickets[i:]:
+        timeline.complete(ticket)
     return timeline.elapsed_since(start)

@@ -7,9 +7,9 @@ in the queue compete for device memory with states of the active batch.
 The cache holds both kinds:
 
 * **pinned** entries belong to requests currently in the active batch;
-  they are never eviction candidates (the scheduler unpins on retire or
-  preemption) — the invariant the property suite drives 200 random
-  plans against;
+  they are never eviction candidates (the scheduler releases them on
+  retire or preemption) — the invariant the property suite drives 200
+  random plans against;
 * **unpinned** entries are speculative: prefilled-ahead queued requests
   keep their state here so admission is instant on a hit; under budget
   pressure they are evicted least-recently-used and transparently
@@ -109,11 +109,6 @@ class RecurrentStateCache:
         """Total bytes currently held."""
         return len(self._entries) * self.state_nbytes
 
-    @property
-    def pinned_bytes(self) -> int:
-        """Bytes held by pinned (active-batch) entries."""
-        return sum(e.pinned for e in self._entries.values()) * self.state_nbytes
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -198,10 +193,6 @@ class RecurrentStateCache:
     def pin(self, request_id: int) -> None:
         """Mark a resident entry as active-batch (never evictable)."""
         self._entries[request_id].pinned = True
-
-    def unpin(self, request_id: int) -> None:
-        """Return a resident entry to the evictable pool."""
-        self._entries[request_id].pinned = False
 
     def release(self, request_id: int, _event: bool = True) -> None:
         """Drop a request's state outright (retire, drop, or rank loss)."""

@@ -136,11 +136,6 @@ class Gauge(_Metric):
         """Replace the series value."""
         self._series[self._key(labels)] = value
 
-    def add(self, amount: float, **labels: object) -> None:
-        """Shift the series value by ``amount`` (may be negative)."""
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
-
     def value(self, **labels: object) -> float:
         """Current value for the series selected by ``labels``."""
         return self._series.get(self._key(labels), 0)

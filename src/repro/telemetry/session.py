@@ -194,10 +194,6 @@ class TelemetrySession:
             for ledger, timeline, label in self._tracked
         ]
 
-    def merged_trace(self) -> List[dict]:
-        """The merged multi-generation chrome trace (see spans module)."""
-        return merged_trace(self.parts())
-
     def finalize(self) -> dict:
         """Freeze run-total gauges from the ledgers and write all exports.
 

@@ -157,8 +157,6 @@ def save_checkpoint(path: str | pathlib.Path, trainer: DistributedTrainer) -> No
         arrays[f"model/{name}"] = data
     opt_state = trainer.optimizer.state_dict()
     for key, value in opt_state.items():
-        if value is None:
-            continue  # absent optional hyper-parameters (e.g. clip_norm)
         arrays[f"optim/{key}"] = np.asarray(value)
     if trainer.scaler is not None:
         arrays["scaler/scale"] = np.array(trainer.scaler.scale)
@@ -216,6 +214,13 @@ def load_checkpoint(
             for key in data.files
             if key.startswith("model/")
         }
+        if "optim/clip_norm" in data.files:
+            # Written by a run that set the removed gradient clip:
+            # resuming it unclipped would change the training silently.
+            raise ValueError(
+                "checkpoint key 'optim/clip_norm' holds a gradient clip, "
+                "which SGD no longer applies; it cannot be resumed"
+            )
         opt_state = {
             key[len("optim/"):]: data[key]
             for key in data.files

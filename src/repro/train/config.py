@@ -1,12 +1,13 @@
 """Model and training configuration dataclasses.
 
 The paper-scale architectures (Section IV-B) are provided as presets;
-experiments at simulator scale use shrunk copies via ``scaled``.
+experiments at simulator scale use shrunk copies via
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.seeding import SeedStrategy
 from ..data.batching import BatchSpec
@@ -52,10 +53,6 @@ class WordLMConfig:
                 "tied embeddings require embedding_dim == projection_dim"
             )
 
-    def scaled(self, **overrides: int) -> "WordLMConfig":
-        """A shrunk copy for simulator-scale experiments."""
-        return replace(self, **overrides)
-
 
 @dataclass(frozen=True)
 class CharLMConfig:
@@ -73,9 +70,6 @@ class CharLMConfig:
             raise ValueError("all dimensions must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-
-    def scaled(self, **overrides: int | float) -> "CharLMConfig":
-        return replace(self, **overrides)
 
 
 #: Paper-scale presets (Section IV-B).
@@ -119,8 +113,6 @@ class TrainConfig:
         keeps fully deterministic streams.
     init_seed, data_seed:
         Model-init and sampling seeds (replicas share ``init_seed``).
-    clip_norm:
-        Optional global-norm gradient clip.
     overlap:
         Drive gradient sync on the overlapped (issue-all-then-drain)
         schedule: backward compute is recorded layer-by-layer on the
@@ -191,7 +183,6 @@ class TrainConfig:
     seed_strategy: SeedStrategy = SeedStrategy.PER_RANK
     init_seed: int = 1234
     data_seed: int = 99
-    clip_norm: float | None = None
     accumulation_steps: int = 1
     loss_scale: float | str | None = None
     shuffle_seed: int | None = None

@@ -36,13 +36,6 @@ class BucketReport:
     def perplexity(self) -> tuple[float, ...]:
         return tuple(float(np.exp(x)) for x in self.nll)
 
-    @property
-    def overall_nll(self) -> float:
-        total = sum(self.token_counts)
-        return float(
-            sum(n * c for n, c in zip(self.nll, self.token_counts)) / total
-        )
-
 
 def frequency_buckets(vocab_size: int, n_buckets: int) -> np.ndarray:
     """Log-spaced id boundaries over a frequency-ranked vocabulary.

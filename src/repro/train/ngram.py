@@ -146,15 +146,6 @@ class NGramModel:
             )
         return p
 
-    def next_token_distribution(self, context: np.ndarray) -> np.ndarray:
-        """Full P(. | context) — for sampling and sanity checks."""
-        context = np.asarray(context, dtype=np.int64)
-        ctx = np.tile(
-            context[-(self.order - 1):] if self.order > 1 else np.zeros(0, np.int64),
-            (self.vocab_size, 1),
-        )
-        return self.prob(ctx, np.arange(self.vocab_size))
-
     # -- evaluation -------------------------------------------------------------
 
     def nll(self, tokens: np.ndarray) -> float:

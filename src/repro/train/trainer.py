@@ -136,12 +136,6 @@ class EpochStats:
     eval_points: list[EvalPoint] = field(default_factory=list)
     unique_fractions: list[float] = field(default_factory=list)
 
-    @property
-    def final_perplexity(self) -> float:
-        if not self.eval_points:
-            raise ValueError("epoch has no evaluation points")
-        return self.eval_points[-1].perplexity
-
 
 class DistributedTrainer:
     """Drive G replicas through synchronous data-parallel training.
@@ -540,48 +534,3 @@ class DistributedTrainer:
         self.history.append(stats)
         self.epochs_done = epoch + 1
         return stats
-
-    def fit(
-        self,
-        epochs: int,
-        target_perplexity: float | None = None,
-        patience: int | None = None,
-        max_steps_per_epoch: int | None = None,
-        evals_per_epoch: int = 2,
-        min_delta: float = 1e-4,
-    ) -> list[EpochStats]:
-        """Train up to ``epochs`` epochs with optional early stopping.
-
-        Stops early when validation perplexity reaches
-        ``target_perplexity``, or fails to improve by at least a
-        ``min_delta`` *fraction* for ``patience`` consecutive epochs.
-        Returns the epoch history of this call.
-        """
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if target_perplexity is not None and target_perplexity < 1.0:
-            raise ValueError("target_perplexity must be >= 1")
-        if patience is not None and patience <= 0:
-            raise ValueError("patience must be positive")
-        if not 0 <= min_delta < 1:
-            raise ValueError("min_delta must be in [0, 1)")
-        run: list[EpochStats] = []
-        best = float("inf")
-        stale = 0
-        for _ in range(epochs):
-            stats = self.train_epoch(
-                max_steps=max_steps_per_epoch, evals_per_epoch=evals_per_epoch
-            )
-            run.append(stats)
-            ppl = stats.final_perplexity
-            if target_perplexity is not None and ppl <= target_perplexity:
-                break
-            if patience is not None:
-                if ppl < best * (1.0 - min_delta):
-                    best, stale = ppl, 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
-            best = min(best, ppl)
-        return run

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    COMPUTE_STREAM,
     Communicator,
     DeviceSpec,
     RankFailureError,
@@ -73,16 +74,16 @@ class TestScratchLifetime:
         comm = Communicator(2, device_spec=BIG_DEVICE)
         h1 = comm.iallreduce(arrays_for(2, (100,)))  # 800 B recv scratch
         h2 = comm.iallgather(arrays_for(2, (50,)))  # 2*400 B gathered
-        assert comm.in_flight_scratch_bytes == 800 + 800
+        assert all(d.bytes_in_use == 800 + 800 for d in comm.devices)
         h1.wait()
-        assert comm.in_flight_scratch_bytes == 800
+        assert all(d.bytes_in_use == 800 for d in comm.devices)
         h2.wait()
-        assert comm.in_flight_scratch_bytes == 0
+        assert all(d.bytes_in_use == 0 for d in comm.devices)
 
     def test_in_flight_scratch_zero_without_tracking(self):
         comm = Communicator(2, track_memory=False)
         handle = comm.iallreduce(arrays_for(2))
-        assert comm.in_flight_scratch_bytes == 0
+        assert all(d.bytes_in_use == 0 for d in comm.devices)
         handle.wait()
 
     def test_overlapped_issues_stack_scratch(self):
@@ -98,16 +99,6 @@ class TestScratchLifetime:
         h2.wait()
         assert blocking.peak_bytes_per_rank == 800
         assert overlapped.peak_bytes_per_rank == 1600
-
-    def test_reset_peaks_reports_in_flight_scratch(self):
-        comm = Communicator(2, device_spec=BIG_DEVICE)
-        handle = comm.iallreduce(arrays_for(2, (100,)))
-        assert comm.reset_peaks() == 800
-        # The floor after reset is the still-pending scratch.
-        assert comm.peak_bytes_per_rank == 800
-        handle.wait()
-        assert comm.reset_peaks() == 0
-        assert comm.peak_bytes_per_rank == 0
 
 
 class TestTimelineIntegration:
@@ -134,7 +125,9 @@ class TestTimelineIntegration:
         for rank in range(2):
             comm.timeline.record_compute(rank, span * 10)
         handle.wait()
-        assert comm.timeline.exposed_comm_time() == 0.0
+        assert comm.timeline.makespan == comm.timeline.busy_time(
+            0, COMPUTE_STREAM
+        )
 
     def test_ledger_events_carry_schedule(self):
         comm = Communicator(2, track_memory=False)
@@ -215,10 +208,9 @@ class TestHandleEdgeCases:
             comm.iallreduce(arrays_for(2, (100,)))
         # Only the survivor's recv buffer is charged: the doomed
         # collective died before touching any state.
-        assert comm.in_flight_scratch_bytes == 800
+        assert all(d.bytes_in_use == 800 for d in comm.devices)
         assert comm.peak_bytes_per_rank == 800
         comm.wait_all()
-        assert comm.in_flight_scratch_bytes == 0
-        assert comm.reset_peaks() == 0
-        assert comm.peak_bytes_per_rank == 0
+        assert all(d.bytes_in_use == 0 for d in comm.devices)
+        assert comm.peak_bytes_per_rank == 800
         assert survivor.wait() is survivor.wait()

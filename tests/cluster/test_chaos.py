@@ -13,6 +13,8 @@ from repro.cluster import (
     TransientLinkError,
 )
 
+from ..helpers import only_transient, permanent_events, transient_events
+
 
 def arrays_for(world, shape=(4,), seed=0):
     rng = np.random.default_rng(seed)
@@ -65,10 +67,10 @@ class TestFaultPlan:
             ],
             seed=11,
         )
-        assert len(plan.transient_events()) == 1
-        assert len(plan.permanent_events()) == 1
-        stripped = plan.only_transient()
-        assert stripped.permanent_events() == ()
+        assert len(transient_events(plan)) == 1
+        assert len(permanent_events(plan)) == 1
+        stripped = only_transient(plan)
+        assert permanent_events(stripped) == ()
         assert len(stripped) == 2
         assert stripped.seed == 11
 
@@ -96,7 +98,7 @@ class TestFaultPlan:
                 seed=seed, world_size=4, num_collectives=40,
                 n_transient=0, n_rank_loss=1,
             )
-            (loss,) = plan.permanent_events()
+            (loss,) = permanent_events(plan)
             assert 20 <= loss.collective_index < 40
 
     def test_random_validation(self):
@@ -114,8 +116,8 @@ class TestChaosCommunicator:
         np.testing.assert_array_equal(
             chaos.allreduce(arrays)[0], plain.allreduce(arrays)[0]
         )
-        assert chaos.collectives_issued == 1
-        assert chaos.injected == []
+        assert chaos.replay.collectives_issued == 1
+        assert chaos.replay.injected == []
 
     def test_transient_fires_retries_times_then_succeeds(self):
         plan = FaultPlan(
@@ -131,10 +133,10 @@ class TestChaosCommunicator:
             assert exc.value.attempt == attempt
             assert exc.value.rank == 1
             # A faulted issue does not advance the collective counter.
-            assert comm.collectives_issued == 1
+            assert comm.replay.collectives_issued == 1
         comm.allreduce(arrays)  # budget exhausted: goes through
-        assert comm.collectives_issued == 2
-        assert len(comm.injected) == 2
+        assert comm.replay.collectives_issued == 2
+        assert len(comm.replay.injected) == 2
 
     def test_rank_loss_fires_once(self):
         plan = FaultPlan(
@@ -146,7 +148,7 @@ class TestChaosCommunicator:
         assert exc.value.rank == 1
         # The permanent event fired; subsequent issues are clean.
         comm.allgather(arrays_for(2))
-        assert comm.collectives_issued == 1
+        assert comm.replay.collectives_issued == 1
 
     def test_straggler_scales_timeline_without_raising(self):
         plan = FaultPlan(
@@ -156,8 +158,8 @@ class TestChaosCommunicator:
         comm = ChaosCommunicator(2, plan=plan, track_memory=False)
         comm.allreduce(arrays_for(2))
         assert comm.timeline.compute_scale[1] == 2.5
-        assert len(comm.injected) == 1
-        assert comm.collectives_issued == 1
+        assert len(comm.replay.injected) == 1
+        assert comm.replay.collectives_issued == 1
 
     def test_fault_fires_before_any_state_mutation(self):
         plan = FaultPlan(
@@ -182,7 +184,7 @@ class TestChaosCommunicator:
         comm.allreduce(arrays_for(2))
         with pytest.raises(RankFailureError):
             comm.reduce_scatter(arrays_for(2))
-        assert comm.injected[0][1] == "reduce_scatter"
+        assert comm.replay.injected[0][1] == "reduce_scatter"
 
     def test_every_op_is_plan_checked(self):
         arrays = arrays_for(2)

@@ -150,12 +150,6 @@ class TestMemoryCharging:
         comm.allgather(data)  # would OOM if charged
         assert comm.peak_bytes_per_rank == 0
 
-    def test_reset_peaks(self):
-        comm = Communicator(2, device_spec=SMALL_DEVICE)
-        comm.allreduce(arrays_for(2))
-        comm.reset_peaks()
-        assert comm.peak_bytes_per_rank == 0
-
 
 class TestReadOnlyResults:
     """An allreduce or allgather result is identical on every rank of a

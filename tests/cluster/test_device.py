@@ -8,8 +8,9 @@ from repro.cluster.device import (
     V100,
     DeviceOOMError,
     DeviceSpec,
-    ScopedAllocation,
     SimulatedDevice,
+    charge_group,
+    release_group,
 )
 
 
@@ -28,10 +29,6 @@ class TestDeviceSpec:
     def test_v100_matches_prior_work(self):
         assert V100.memory_bytes == 16 * 1024**3
         assert V100.peak_flops == pytest.approx(125e12)
-
-    def test_sustained_flops(self):
-        spec = DeviceSpec("x", 1, 10e12, achieved_fraction=0.4)
-        assert spec.sustained_flops == pytest.approx(4e12)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -68,7 +65,7 @@ class TestAllocator:
     def test_exact_fit_allowed(self):
         dev = make_device(100)
         dev.alloc(100)
-        assert dev.bytes_free == 0
+        assert dev.bytes_in_use == dev.spec.memory_bytes
 
     def test_oom_does_not_charge(self):
         dev = make_device(100)
@@ -102,27 +99,6 @@ class TestAllocator:
         assert dev.peak_bytes == 90
         assert dev.bytes_in_use == 0
 
-    def test_reset_peak(self):
-        dev = make_device(100)
-        h = dev.alloc(50)
-        dev.free(h)
-        dev.reset_peak()
-        assert dev.peak_bytes == 0
-
-    def test_would_fit(self):
-        dev = make_device(100)
-        dev.alloc(70)
-        assert dev.would_fit(30)
-        assert not dev.would_fit(31)
-        assert not dev.would_fit(-1)
-
-    def test_live_allocations_snapshot(self):
-        dev = make_device(100)
-        dev.alloc(10, tag="x")
-        dev.alloc(20, tag="y")
-        tags = {a.tag for a in dev.live_allocations()}
-        assert tags == {"x", "y"}
-
     @given(
         sizes=st.lists(st.integers(min_value=0, max_value=50), max_size=20)
     )
@@ -135,24 +111,19 @@ class TestAllocator:
         assert dev.peak_bytes <= sum(sizes)
 
 
-class TestScopedAllocation:
-    def test_charges_during_scope_only(self):
-        dev = make_device(100)
-        with ScopedAllocation(dev, 60, "tmp"):
-            assert dev.bytes_in_use == 60
-        assert dev.bytes_in_use == 0
-        assert dev.peak_bytes == 60
+class TestChargeGroup:
+    """A collective's scratch: one charge on every device of the group."""
 
-    def test_released_on_exception(self):
-        dev = make_device(100)
-        with pytest.raises(RuntimeError):
-            with ScopedAllocation(dev, 60):
-                raise RuntimeError("boom")
-        assert dev.bytes_in_use == 0
+    def test_charges_until_release(self):
+        devs = [make_device(100), make_device(100)]
+        charge_group(devs, 60, "tmp")
+        assert [d.bytes_in_use for d in devs] == [60, 60]
+        release_group(devs, 60)
+        assert [d.bytes_in_use for d in devs] == [0, 0]
+        assert [d.peak_bytes for d in devs] == [60, 60]
 
-    def test_scope_can_oom(self):
-        dev = make_device(50)
+    def test_oom_charges_no_device(self):
+        devs = [make_device(100), make_device(50)]
         with pytest.raises(DeviceOOMError):
-            with ScopedAllocation(dev, 60):
-                pass
-        assert dev.bytes_in_use == 0
+            charge_group(devs, 60)
+        assert [d.bytes_in_use for d in devs] == [0, 0]

@@ -61,11 +61,6 @@ class TestTopology:
         assert fab.ring_link(16) is fab.inter_node
         assert fab.spans_nodes(16)
 
-    def test_link_between_ranks(self):
-        fab = Interconnect(gpus_per_node=4)
-        assert fab.link_between(0, 3) is fab.intra_node
-        assert fab.link_between(3, 4) is fab.inter_node
-
     def test_invalid_inputs(self):
         fab = Interconnect(gpus_per_node=4)
         with pytest.raises(ValueError):

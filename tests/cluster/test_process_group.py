@@ -5,25 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster import Communicator, DeviceMesh
-from repro.cluster.process_group import (
-    ProcessGroup,
-    group_of_rank,
-    partition_ranks,
-)
+from repro.cluster.process_group import ProcessGroup, partition_ranks
 
 
 class TestProcessGroup:
     def test_basic_properties(self):
         g = ProcessGroup(parent_world=8, ranks=(2, 3, 5))
         assert g.size == 3
-        assert g.contains(3)
-        assert not g.contains(4)
-        assert g.local_rank(5) == 2
-
-    def test_local_rank_of_non_member_raises(self):
-        g = ProcessGroup(parent_world=8, ranks=(0, 1))
-        with pytest.raises(ValueError):
-            g.local_rank(7)
+        assert g.ranks == (2, 3, 5)
+        assert g.parent_world == 8
 
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(ValueError):
@@ -68,13 +58,6 @@ class TestPartition:
         assert sorted(all_ranks) == list(range(world))
         sizes = [g.size for g in groups]
         assert max(sizes) - min(sizes) <= 1
-
-    def test_group_of_rank(self):
-        groups = partition_ranks(6, 2)
-        assert group_of_rank(groups, 0) == 0
-        assert group_of_rank(groups, 5) == 1
-        with pytest.raises(ValueError):
-            group_of_rank(groups, 9)
 
 
 class TestSubCommunicator:

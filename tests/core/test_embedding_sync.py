@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Communicator, DeviceMesh
+from repro.cluster import Communicator, parse_mesh_spec
 from repro.core.wire.policy import WirePolicy
 from repro.core.embedding_sync import GradientSynchronizer, concat_token_grads
 from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
@@ -217,7 +217,7 @@ class TestSyncedSparseGradsStayCoalesced:
             run_backward(m, np.array(self.IDS[r]), seed=10 * seed + r)
         comm = Communicator(world, track_memory=False)
         if mesh is not None:
-            comm.mesh = DeviceMesh.from_spec(mesh, world)
+            comm.mesh = parse_mesh_spec(mesh, world)
         GradientSynchronizer(comm, strategy=strategy).sync_replicas(replicas)
         return replicas
 
@@ -252,10 +252,10 @@ class TestSyncedSparseGradsStayCoalesced:
         "optimizer",
         [
             lambda p: SGD(p, lr=0.1),
-            lambda p: SGD(p, lr=0.1, momentum=0.9, clip_norm=0.5),
+            lambda p: SGD(p, lr=0.1, momentum=0.9),
             lambda p: Adam(p, lr=0.01, weight_decay=0.01),
         ],
-        ids=["sgd", "sgd-momentum-clip", "adam"],
+        ids=["sgd", "sgd-momentum", "adam"],
     )
     def test_mark_changes_no_parameter(self, optimizer):
         marked = unmarked = None

@@ -37,7 +37,7 @@ def sync_dense(comm, grads, tag="w"):
     params = [Parameter(np.zeros_like(g)) for g in grads]
     for p, g in zip(params, grads):
         p.grad = g.copy()
-    GradientSynchronizer(comm, UniqueExchange()).sync_dense(params, tag=tag)
+    GradientSynchronizer(comm, UniqueExchange())._issue_dense(params, tag)()
     return [p.grad for p in params]
 
 
@@ -46,7 +46,7 @@ def sync_sparse(comm, grads, vocab, tag="emb"):
     params = [Parameter(np.zeros((vocab, g.dim))) for g in grads]
     for p, g in zip(params, grads):
         p.sparse_grads = [g]
-    GradientSynchronizer(comm, UniqueExchange()).sync_sparse(params, tag=tag)
+    GradientSynchronizer(comm, UniqueExchange())._issue_sparse(params, tag)()
     return [p.sparse_grads[0] for p in params]
 
 

@@ -98,4 +98,4 @@ class TestHeapsCalibration:
         """The Figure-1 gap: U is far below N at scale."""
         corpus = make_corpus(ONE_BILLION_WORD.scaled(100_000), 200_000, seed=5)
         u = np.unique(corpus.tokens).size
-        assert u < corpus.n_tokens / 5
+        assert u < corpus.tokens.size / 5

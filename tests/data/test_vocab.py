@@ -89,9 +89,3 @@ class TestZipfCoverage:
             coverage_of_top_k(np.array([0.0, 0.0]), 1)
         with pytest.raises(ValueError):
             coverage_of_top_k(np.array([-1.0, 1.0]), 1)
-
-    def test_frequency_probs(self):
-        v = Vocabulary.from_counts(np.array([1, 2]), np.array([3, 1]))
-        probs = v.frequency_probs()
-        assert probs.sum() == pytest.approx(1.0)
-        assert probs[0] == pytest.approx(0.75)

@@ -1,4 +1,4 @@
-"""Shared test utilities: gradient checking, crash plans, state comparison."""
+"""Shared test utilities: gradient checking, fault plans, state comparison."""
 
 from __future__ import annotations
 
@@ -31,6 +31,25 @@ def crashing_comm(
     """
     crash = FaultEvent(FaultKind.RANK_LOSS, collective_index=crash_at, rank=rank)
     return ChaosCommunicator(world, plan=FaultPlan([crash]), **kwargs)
+
+
+def transient_events(plan: FaultPlan) -> tuple[FaultEvent, ...]:
+    """The plan's ``TRANSIENT_LINK`` events, in schedule order."""
+    return tuple(e for e in plan.events if e.kind is FaultKind.TRANSIENT_LINK)
+
+
+def permanent_events(plan: FaultPlan) -> tuple[FaultEvent, ...]:
+    """The plan's ``RANK_LOSS`` events, in schedule order."""
+    return tuple(e for e in plan.events if e.kind is FaultKind.RANK_LOSS)
+
+
+def only_transient(plan: FaultPlan) -> FaultPlan:
+    """A copy of ``plan`` without its rank losses: a transient-only plan
+    must leave the final weights bit-identical to a fault-free run."""
+    return FaultPlan(
+        [e for e in plan.events if e.kind is not FaultKind.RANK_LOSS],
+        seed=plan.seed,
+    )
 
 
 def numerical_grad(

@@ -70,10 +70,6 @@ class TestSparseGrad:
             g.to_dense(10), g.coalesce().to_dense(10), rtol=1e-12, atol=1e-12
         )
 
-    def test_nbytes(self):
-        g = sparse([1, 2], values=np.zeros((2, 3), np.float32))
-        assert g.nbytes == 2 * 8 + 2 * 3 * 4
-
 
 class TestParameter:
     def test_requires_float(self):
@@ -113,14 +109,6 @@ class TestParameter:
         p = Parameter(np.zeros((5, 2)))
         with pytest.raises(ValueError):
             p.accumulate_sparse_grad(sparse([5]))
-
-    def test_full_grad_combines_dense_and_sparse(self):
-        p = Parameter(np.zeros((3, 2)))
-        p.accumulate_grad(np.full((3, 2), 0.5))
-        p.accumulate_sparse_grad(sparse([2], values=np.array([[1.0, 1.0]])))
-        full = p.full_grad()
-        np.testing.assert_allclose(full[2], [1.5, 1.5])
-        np.testing.assert_allclose(full[0], [0.5, 0.5])
 
     def test_zero_grad_clears_everything(self):
         p = Parameter(np.zeros((3, 2)))

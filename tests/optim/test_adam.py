@@ -34,11 +34,6 @@ class TestDense:
         opt.step()
         assert p.data[0] == pytest.approx(0.95)
 
-    def test_state_bytes(self):
-        p = Parameter(np.zeros((10, 10)))
-        opt = Adam([p], lr=0.1)
-        assert opt.state_bytes() == 2 * p.nbytes
-
 
 class TestLazySparse:
     def test_untouched_rows_unchanged(self):

@@ -29,6 +29,13 @@ class TestDenseUpdates:
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, 1.0)
 
+    def test_large_gradients_are_not_clipped(self):
+        """The paper trains unclipped: a norm-5 gradient applies in full."""
+        p = Parameter(np.zeros(2))
+        p.accumulate_grad(np.array([3.0, 4.0]))
+        SGD([p], lr=1.0).step()
+        np.testing.assert_allclose(p.data, [-3.0, -4.0])
+
 
 class TestSparseUpdates:
     def test_duplicate_rows_summed_once(self):
@@ -52,26 +59,6 @@ class TestSparseUpdates:
         np.testing.assert_allclose(p_sparse.data, p_dense.data, rtol=1e-12)
 
 
-class TestClipping:
-    def test_clip_rescales_large_gradients(self):
-        p = Parameter(np.zeros(2))
-        p.accumulate_grad(np.array([3.0, 4.0]))  # norm 5
-        SGD([p], lr=1.0, clip_norm=1.0).step()
-        np.testing.assert_allclose(np.linalg.norm(p.data), 1.0, rtol=1e-6)
-
-    def test_clip_leaves_small_gradients(self):
-        p = Parameter(np.zeros(2))
-        p.accumulate_grad(np.array([0.3, 0.4]))
-        SGD([p], lr=1.0, clip_norm=1.0).step()
-        np.testing.assert_allclose(p.data, [-0.3, -0.4])
-
-    def test_clip_covers_sparse_grads(self):
-        p = Parameter(np.zeros((3, 1)))
-        p.accumulate_sparse_grad(sparse([0], [[30.0]]))
-        SGD([p], lr=1.0, clip_norm=3.0).step()
-        assert abs(p.data[0, 0]) == pytest.approx(3.0, rel=1e-6)
-
-
 class TestValidation:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +67,3 @@ class TestValidation:
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError):
             SGD([Parameter(np.zeros(1))], lr=0.0)
-
-    def test_nonpositive_clip_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, clip_norm=0.0)

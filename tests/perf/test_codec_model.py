@@ -227,22 +227,21 @@ class TestFusedRecurrence:
     @pytest.mark.parametrize("world", [1, 2, 4, 16])
     @pytest.mark.parametrize("chunk", [None, 64 << 10])
     @pytest.mark.parametrize("charge_codec", [True, False])
-    @pytest.mark.parametrize("hop_recode", [False, True])
     def test_recurrence_matches_timeline_replay(
-        self, world, chunk, charge_codec, hop_recode
+        self, world, chunk, charge_codec
     ):
         plan = uniform_fused_plan(
             4 << 20, world, encoded_ratio=3.0, chunk_bytes=chunk,
-            hop_recode=hop_recode, charge_codec=charge_codec,
+            charge_codec=charge_codec,
         )
         analytic = fused_reduce_time(plan, FUSED_LINK, TP)
         replay = timeline_fused_reduce(plan, FUSED_LINK, TP)
         assert analytic == pytest.approx(replay, rel=1e-9)
-        if world > 1 or (charge_codec and not hop_recode):
+        if world > 1 or charge_codec:
             assert analytic > 0
         else:
-            # Degenerate single-rank ring: a frame codec (or the raw
-            # ring) never touches the payload, so nothing is charged.
+            # Degenerate single-rank raw ring: nothing touches the
+            # payload, so nothing is charged.
             assert analytic == 0.0
 
     def test_raw_plan_matches_classic_ring_models(self):
@@ -271,16 +270,6 @@ class TestFusedRecurrence:
             arrays[0].nbytes, world, encoded_ratio=2.0, chunk_bytes=2048
         )
         assert measured == uniform
-
-    def test_recode_plan_ships_partials_not_totals(self):
-        plan = uniform_fused_plan(
-            1 << 20, 8, encoded_ratio=4.0, hop_recode=True
-        )
-        summable = uniform_fused_plan(1 << 20, 8, encoded_ratio=4.0)
-        # Recode decodes only the (world-1)-hop accumulated shard;
-        # summable decodes the whole gathered payload.
-        assert sum(plan.final_decode) < sum(summable.final_decode)
-        assert plan.hop_recode and not summable.hop_recode
 
     def test_chunking_pipelines_the_fused_ring(self):
         big = uniform_fused_plan(64 << 20, 16, encoded_ratio=2.0)

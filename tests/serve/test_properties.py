@@ -9,7 +9,7 @@ case costs microseconds, not model math:
 2. **Eviction safety** — the cache never evicts a pinned (active-batch)
    entry or reassigns its arena slot, no two residents share a slot,
    and residency never exceeds the budget, under random
-   put/get/pin/unpin/release/rank-loss plans.
+   put/get/pin/release/rank-loss plans.
 3. **Token conservation** — total decoded tokens equals the sum of
    per-request emissions, under random arrival plans and fault
    injection (rank loss mid-flight included).
@@ -153,9 +153,6 @@ class TestEvictionSafety:
             elif op < 0.75 and rid in resident:
                 cache.pin(rid)
                 pinned[rid] = cache.peek(rid).slot
-            elif op < 0.85 and rid in resident:
-                cache.unpin(rid)
-                pinned.pop(rid, None)
             elif op < 0.95:
                 cache.release(rid)
                 resident.discard(rid)

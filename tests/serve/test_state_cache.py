@@ -106,23 +106,6 @@ class TestEviction:
         with pytest.raises(CacheOverflowError):
             cache.put(3, 1, pinned=True)
 
-    def test_unpin_reopens_eviction(self):
-        cache = make_cache(2 * STATE_BYTES)
-        cache.put(1, 1, pinned=True)
-        cache.put(2, 1, pinned=True)
-        cache.unpin(1)
-        assert cache.put(3, 1)
-        assert 1 not in cache
-
-    def test_pinned_bytes_tracked(self):
-        cache = make_cache(1024)
-        cache.put(1, 1, pinned=True)
-        cache.put(2, 1)
-        assert cache.pinned_bytes == STATE_BYTES
-        assert cache.resident_bytes == 2 * STATE_BYTES
-        cache.pin(2)
-        assert cache.pinned_bytes == 2 * STATE_BYTES
-
 
 class TestDeviceCharging:
     def test_alloc_and_free_on_devices(self):

@@ -55,11 +55,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_add_and_read(self):
+    def test_set_replaces_and_reads(self):
         g = Gauge("scale")
         g.set(256.0)
         assert g.value() == 256.0
-        g.add(-128.0)
+        g.set(128.0)
         assert g.value() == 128.0
 
     def test_unset_series_reads_zero(self):

@@ -531,3 +531,27 @@ class TestServeBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "2 generation(s)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve-bench", "--max-batch", "0"],
+        ["serve-bench", "--slo", "-1"],
+        ["serve-bench", "--cache-budget", "0"],
+        ["serve-bench", "--gpus", "0"],
+        ["serve-bench", "--requests", "-1"],
+        ["serve-bench", "--vocab", "10"],
+        ["zipf", "--tokens", "0"],
+        ["train", "--vocab", "1"],
+        ["train", "--corpus-tokens", "50"],
+    ],
+    ids=" ".join,
+)
+def test_bad_argument_exits_2_with_one_error_line(capsys, argv):
+    """A bad value is a usage error, reported before any work starts."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

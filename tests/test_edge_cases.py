@@ -147,7 +147,7 @@ class TestSynchronizerEdges:
                 )
             params.append(p)
         sync = GradientSynchronizer(comm(2), strategy=UniqueExchange())
-        sync.sync_sparse(params, tag="t")
+        sync._issue_sparse(params, "t")()
         merged = params[1].merged_sparse_grad()
         np.testing.assert_allclose(merged.to_dense(6)[1], [0.5, 0.5])
 

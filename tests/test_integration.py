@@ -58,8 +58,8 @@ class TestFullTrainingPipeline:
         initial = perplexity(full.evaluate())
         for tr in (base, full):
             tr.train_epoch(max_steps=50, evals_per_epoch=1)
-        p_base = base.history[-1].final_perplexity
-        p_full = full.history[-1].final_perplexity
+        p_base = base.history[-1].eval_points[-1].perplexity
+        p_full = full.history[-1].eval_points[-1].perplexity
         assert p_full == pytest.approx(p_base, rel=0.05)
         # Both actually learned something.
         assert p_full < initial * 0.9
@@ -116,7 +116,7 @@ class TestFullTrainingPipeline:
         )
         before = perplexity(tr.evaluate())
         tr.train_epoch(max_steps=40, evals_per_epoch=1)
-        after = tr.history[-1].final_perplexity
+        after = tr.history[-1].eval_points[-1].perplexity
         assert after < before
         assert_replicas_synchronized(tr.replicas, atol=0.0)
 

@@ -6,7 +6,7 @@ draws world size, architecture, batch shape, dropout probability (i.e.
 per-replica RNG stream consumption), statefulness, accumulation, loss
 scale and overlap mode; the word-LM arm adds widths down to 1, sampled
 softmax sizes from 1 to V-1, every seed strategy, tied embeddings and
-SGD with or without momentum and clipping.  The property is
+SGD with or without momentum.  The property is
 **bit-for-bit identity** of losses, every replica's parameters, the
 carried BPTT state and the full optimizer state.  Driven by
 :mod:`tests.proptest` (shrinks integer parameters on failure and names
@@ -68,7 +68,6 @@ def gen_word_case(rng: np.random.Generator) -> dict:
         strategy=int(rng.integers(0, len(STRATEGIES))),
         tied=bool(rng.integers(0, 2)),
         momentum=bool(rng.integers(0, 2)),
-        clipped=bool(rng.integers(0, 2)),
     )
     return case
 
@@ -117,10 +116,7 @@ def _build(params: dict, batched: bool) -> DistributedTrainer:
                 model_cfg, init_rng, stateful=params["stateful"]
             ),
             lambda p, lr: SGD(
-                p,
-                lr,
-                momentum=0.9 if params["momentum"] else 0.0,
-                clip_norm=0.05 if params["clipped"] else None,
+                p, lr, momentum=0.9 if params["momentum"] else 0.0
             ),
             train,
             valid,

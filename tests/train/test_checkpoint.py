@@ -118,12 +118,12 @@ class TestModuleStateDict:
 class TestOptimizerStateDict:
     def test_sgd_roundtrip(self):
         p = Parameter(np.zeros(2))
-        opt = SGD([p], lr=0.5, clip_norm=2.0)
+        opt = SGD([p], lr=0.5, momentum=0.9)
         state = opt.state_dict()
-        opt2 = SGD([p], lr=0.1)
+        opt2 = SGD([p], lr=0.1, momentum=0.9)
         opt2.load_state_dict(state)
         assert opt2.lr == 0.5
-        assert opt2.clip_norm == 2.0
+        assert opt2.momentum == 0.9
 
     def test_adam_roundtrip_preserves_moments(self):
         p = Parameter(np.zeros((3, 2)))
@@ -494,3 +494,47 @@ class TestElasticLoad:
         save_checkpoint(ckpt, tr)
         fresh = word_trainer(world=2, seed_offset=9)
         assert load_checkpoint(ckpt, fresh, elastic=True) == 1
+
+
+class TestRemovedClip:
+    """SGD no longer clips; a checkpoint of a clipped run must not resume
+    unclipped without a word."""
+
+    def test_clipped_checkpoint_is_refused_by_key(self, tmp_path):
+        tr = word_trainer()
+        tr.train_step()
+        ckpt = tmp_path / "modern.npz"
+        save_checkpoint(ckpt, tr)
+        with np.load(ckpt) as data:
+            arrays = {k: data[k] for k in data.files}
+        # What a run that set a clip used to write next to the lr.
+        arrays["optim/clip_norm"] = np.array(0.25)
+        clipped = tmp_path / "clipped.npz"
+        np.savez(clipped, **arrays)
+
+        fresh = word_trainer(seed_offset=9)
+        before = {
+            n: p.data.copy() for n, p in fresh.replicas[0].named_parameters()
+        }
+        with pytest.raises(ValueError, match="optim/clip_norm"):
+            load_checkpoint(clipped, fresh)
+        assert fresh.global_step == 0
+        for n, p in fresh.replicas[0].named_parameters():
+            np.testing.assert_array_equal(p.data, before[n], err_msg=n)
+
+    def test_unclipped_checkpoint_loads_unchanged(self, tmp_path):
+        tr = word_trainer()
+        for _ in range(2):
+            tr.train_step()
+        ckpt = tmp_path / "plain.npz"
+        save_checkpoint(ckpt, tr)
+        with np.load(ckpt) as data:
+            assert "optim/clip_norm" not in data.files
+        fresh = word_trainer(seed_offset=9)
+        assert load_checkpoint(ckpt, fresh) == 2
+        assert fresh.optimizer.lr == tr.optimizer.lr
+        for (n, a), (_, b) in zip(
+            tr.replicas[0].named_parameters(),
+            fresh.replicas[0].named_parameters(),
+        ):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=n)

@@ -1,24 +1,10 @@
-"""Tests for SGD momentum and the trainer's fit() driver."""
+"""Tests for SGD momentum."""
 
 import numpy as np
 import pytest
 
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.nn.parameter import Parameter, SparseGrad
 from repro.optim import SGD
-from repro.train import (
-    DistributedTrainer,
-    TrainConfig,
-    WordLanguageModel,
-    WordLMConfig,
-)
-
-VOCAB = 60
-MODEL = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
-    num_samples=8,
-)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
 
 
 class TestMomentum:
@@ -84,47 +70,3 @@ class TestMomentum:
             SGD([Parameter(np.zeros(1))], lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             SGD([Parameter(np.zeros(1))], lr=0.1, momentum=-0.1)
-
-
-class TestFit:
-    def make_trainer(self):
-        cfg = TrainConfig(world_size=2, batch=BatchSpec(2, 6), base_lr=0.3)
-        return DistributedTrainer(
-            lambda rng, rank: WordLanguageModel(MODEL, rng),
-            lambda params, lr: SGD(params, lr),
-            CORPUS.train, CORPUS.valid, cfg,
-        )
-
-    def test_runs_requested_epochs(self):
-        tr = self.make_trainer()
-        run = tr.fit(epochs=2, max_steps_per_epoch=4, evals_per_epoch=1)
-        assert len(run) == 2
-        assert tr.epochs_done == 2
-
-    def test_target_perplexity_stops_early(self):
-        tr = self.make_trainer()
-        run = tr.fit(
-            epochs=50,
-            target_perplexity=1e6,  # trivially reached after epoch 1
-            max_steps_per_epoch=2,
-            evals_per_epoch=1,
-        )
-        assert len(run) == 1
-
-    def test_patience_stops_on_plateau(self):
-        tr = self.make_trainer()
-        # lr so small that perplexity barely moves -> plateau quickly.
-        tr.schedule = type(tr.schedule)(initial_lr=1e-12, decay=0.9)
-        run = tr.fit(
-            epochs=20, patience=2, max_steps_per_epoch=2, evals_per_epoch=1
-        )
-        assert len(run) < 20
-
-    def test_validation(self):
-        tr = self.make_trainer()
-        with pytest.raises(ValueError):
-            tr.fit(epochs=0)
-        with pytest.raises(ValueError):
-            tr.fit(epochs=1, target_perplexity=0.5)
-        with pytest.raises(ValueError):
-            tr.fit(epochs=1, patience=0)

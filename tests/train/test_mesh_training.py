@@ -176,10 +176,10 @@ class TestHybridMesh:
         assert verifier.axis_rings["data"]
         assert any(e.kind == "retry" for e in runner.events)
         # Same replay position as before the funnel hooks existed.
-        assert [(i, op) for i, op, _ in chaos_comm.injected] == [
+        assert [(i, op) for i, op, _ in chaos_comm.replay.injected] == [
             (5, "allreduce")
         ]
-        assert chaos_comm.collectives_issued == 41
+        assert chaos_comm.replay.collectives_issued == 41
 
         clean = word_trainer(world=world, mesh="pipe=2,tensor=2,data=")
         for _ in range(4):

@@ -1,5 +1,7 @@
 """Tests for the word and char LM assemblies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def word_model(seed=0):
 
 
 def char_model(seed=0, dropout=0.0):
-    cfg = CHAR_CFG.scaled(dropout=dropout)
+    cfg = replace(CHAR_CFG, dropout=dropout)
     return CharLanguageModel(
         cfg, np.random.default_rng(seed), dropout_rng=np.random.default_rng(1)
     )

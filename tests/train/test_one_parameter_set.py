@@ -11,7 +11,7 @@ trainer must match them in losses, parameters, optimizer state, RNG
 streams and the ledger's logical bytes, on both rank-execution paths.
 
 This is also where "equals an independent step" lives for SGD with and
-without momentum/clipping and for Adam, now that neither optimizer has
+without momentum and for Adam, now that neither optimizer has
 a replication method of its own to test.
 
 The second half pins what the sharing buys: host parameter memory that
@@ -68,10 +68,8 @@ def char_model(rng, rank):
 #: name -> (model factory, optimizer factory, base lr)
 WORKLOADS = {
     "word-sgd": (word_model, lambda p, lr: SGD(p, lr), 0.2),
-    "word-sgd-momentum-clip": (
-        word_model,
-        lambda p, lr: SGD(p, lr, momentum=0.9, clip_norm=0.05),
-        0.2,
+    "word-sgd-momentum": (
+        word_model, lambda p, lr: SGD(p, lr, momentum=0.9), 0.2,
     ),
     "char-adam": (
         char_model, lambda p, lr: Adam(p, lr, weight_decay=0.01), 2e-3,

@@ -10,6 +10,7 @@ timeline is shown to shrink because comm hides behind backward compute.
 
 import pytest
 
+from repro.cluster import COMPUTE_STREAM
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD
 from repro.train import (
@@ -97,9 +98,15 @@ class TestOverlapTimeline:
         overlapped = make_trainer(overlap=True, compute_seconds_per_step=1e-3)
         run_five_steps(blocking)
         run_five_steps(overlapped)
-        assert (
-            overlapped.comm.timeline.exposed_comm_time()
-            < blocking.comm.timeline.exposed_comm_time()
+
+        def exposed(tl):  # comm seconds past the busiest compute stream
+            busiest = max(
+                tl.busy_time(r, COMPUTE_STREAM) for r in range(tl.world_size)
+            )
+            return tl.makespan - busiest
+
+        assert exposed(overlapped.comm.timeline) < exposed(
+            blocking.comm.timeline
         )
 
     def test_ledger_scope_attribution_unchanged(self):

@@ -305,12 +305,12 @@ class TestDifferentialChaos:
         plan = FaultPlan.random(
             seed=seed, world_size=3, num_collectives=25,
             n_transient=2, n_rank_loss=0,
-        ).only_transient()
+        )
         # Budget above the plan's worst case (2 events x <=3 retries can
         # stack at one index) so no transient escalates to an eviction.
         chaos = runner_for(plan, tmp_path, base_backoff_s=0.1, max_retries=8)
         faulted = chaos.run(6)
-        assert len(chaos.trainer.comm.injected) > 0, (
+        assert len(chaos.trainer.comm.replay.injected) > 0, (
             "plan injected nothing; differential arm is vacuous"
         )
 
@@ -338,7 +338,7 @@ class TestDifferentialChaos:
         baseline = runner_for(FaultPlan(), tmp_path / "clean", cfg=cfg)
         clean = baseline.run(4)
         ops = [e.op for e in clean.comm.ledger.events]
-        assert clean.comm.collectives_issued == len(ops)
+        assert clean.comm.replay.collectives_issued == len(ops)
         hop = ops.index("fused_allreduce", len(ops) // 2)
 
         plan = FaultPlan([
@@ -347,7 +347,7 @@ class TestDifferentialChaos:
         ])
         chaos = runner_for(plan, tmp_path, cfg=cfg)
         faulted = chaos.run(4)
-        assert [(i, op) for i, op, _ in faulted.comm.injected] == [
+        assert [(i, op) for i, op, _ in faulted.comm.replay.injected] == [
             (hop, "fused_allreduce")
         ]
         assert sum(e.kind == "retry" for e in chaos.events) == 1
@@ -374,7 +374,7 @@ class TestDifferentialChaos:
         # Pinned replay positions: the funnel's pre-issue hook consults
         # the plan at the same collective indices the per-method
         # overrides did.
-        assert [(i, op) for i, op, _ in chaos.trainer.comm.injected] == [
+        assert [(i, op) for i, op, _ in chaos.trainer.comm.replay.injected] == [
             (3, "allreduce"), (3, "allgather"), (9, "allreduce"),
         ]
 

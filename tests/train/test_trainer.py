@@ -165,7 +165,7 @@ class TestTraining:
         tr = word_trainer(world=2)
         start = np.exp(tr.evaluate())
         stats = tr.train_epoch(max_steps=40, evals_per_epoch=1)
-        assert stats.final_perplexity < start
+        assert stats.eval_points[-1].perplexity < start
 
     def test_lr_schedule_applied_per_epoch(self):
         tr = word_trainer(world=2, lr_decay=0.9)
