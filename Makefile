@@ -137,6 +137,7 @@ dead-code:
 	$(DEAD) -m repro.cli serve-bench --requests 8 > /dev/null
 	$(DEAD) -m repro.cli serve-bench --model char --requests 8 --slo 0.05 > /dev/null
 	$(DEAD) -m repro.cli serve-bench --requests 8 --fault-plan $(DEAD_DIR)/plan.json --telemetry-dir $(DEAD_DIR)/tel-serve > /dev/null
+	$(DEAD) -m repro.cli trace $(DEAD_DIR)/tel-serve > /dev/null
 	for w in word_flat char_batched word_wire mesh_hybrid serve_burst; do \
 		$(DEAD) benchmarks/e2e/run.py --workload $$w --smoke > /dev/null || exit 1; done
 	for b in benchmarks/bench_*.py; do \

@@ -214,7 +214,7 @@ class CollectiveOutsideScopeRule(Rule):
         "The per-phase cost attribution behind the paper's analysis "
         "(embedding-sync vs dense-allreduce, Tables III-V) only works if "
         "orchestration code issues communication inside "
-        "`with ledger.scope(...)`. The comm substrate (cluster/, core/) "
+        "`with timeline.scope(...)`. The comm substrate (cluster/, core/) "
         "and model layers (nn/) issue on behalf of whatever step called "
         "them, inherit its scope, and are exempt — the runtime "
         "sanitizer's require_scope check sits on the collective funnel "
@@ -253,7 +253,7 @@ class CollectiveOutsideScopeRule(Rule):
                 module,
                 node,
                 f"`.{node.func.attr}(...)` issued outside any "
-                "`with ledger.scope(...)` block: its cost lands in the "
+                "`with timeline.scope(...)` block: its cost lands in the "
                 "unattributed bucket",
             )
         for child in ast.iter_child_nodes(node):

@@ -20,7 +20,7 @@ scheduled — before it executes:
 * **payload hygiene** — NaN/Inf anywhere, and saturated values in FP16
   payloads (the signature of a compression-scaling overflow);
 * **scope attribution** (opt-in) — collectives must run inside a
-  ``with ledger.scope(...)`` block so their cost is attributable.
+  ``with timeline.scope(...)`` block so their cost is attributable.
 
 The async engine adds one failure mode of its own, covered here:
 
@@ -281,10 +281,10 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
         )
 
     def _check_scope(self, op: str, tag: str) -> None:
-        if self.require_scope and self._comm.ledger.current_scope == "":
+        if self.require_scope and self._comm.timeline.current_scope == "":
             raise SanitizerError(
                 f"{op}[tag={tag!r}] issued outside any ledger scope: wrap "
-                "the call in `with comm.ledger.scope(name):` so its cost "
+                "the call in `with comm.timeline.scope(name):` so its cost "
                 "is attributed (lint rule REPRO003)"
             )
 
@@ -384,7 +384,7 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
                 "to every device and their completion never reaches the "
                 "timeline (lint rule REPRO007)"
             )
-        self._comm.ledger.assert_balanced()
+        self._comm.timeline.assert_balanced()
         if self.lockstep is not None:
             self.lockstep.check("finish")
         return list(self.op_log)

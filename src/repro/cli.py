@@ -826,9 +826,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     Re-merges the generation parts into one chrome trace, validates its
     structure (distinct pid/tid tracks, no negative timestamps, no
     same-track overlaps), and verifies that the Prometheus text export,
-    the JSON export, and the ledger totals recomputed from the trace
-    parts agree **exactly** — any drift between the three is a
-    telemetry bug, not measurement noise.
+    the JSON export, and the totals recomputed from the trace parts'
+    collective records agree **exactly** — any drift between the three
+    is a telemetry bug, not measurement noise.
     """
     import json
 
@@ -849,8 +849,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: {parts_file} not found (was the run started with "
               f"train --telemetry-dir?)", file=sys.stderr)
         return 2
-    with open(parts_file) as f:
-        parts = parts_from_json(json.load(f))
+    try:
+        with open(parts_file) as f:
+            parts = parts_from_json(json.load(f))
+    except ValueError as exc:  # not JSON, another version, missing keys
+        print(f"error: {parts_file}: {exc}", file=sys.stderr)
+        return 2
     trace = merged_trace(parts)
     try:
         summary = validate_chrome_trace(trace)

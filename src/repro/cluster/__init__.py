@@ -60,17 +60,13 @@ from .process_group import (
 from .timeline import (
     COMM_STREAM,
     COMPUTE_STREAM,
-    CollectiveTicket,
+    CollectiveRecord,
+    LedgerScopeError,
     Timeline,
     TimelineEvent,
     events_to_chrome,
 )
-from .tracing import (
-    CommEvent,
-    CostLedger,
-    LedgerScopeError,
-    LedgerSnapshot,
-)
+from .tracing import CostLedger, LedgerSnapshot
 
 __all__ = [
     "CollectiveHook",
@@ -78,7 +74,7 @@ __all__ = [
     "WorkHandle",
     "Timeline",
     "TimelineEvent",
-    "CollectiveTicket",
+    "CollectiveRecord",
     "COMPUTE_STREAM",
     "COMM_STREAM",
     "events_to_chrome",
@@ -100,7 +96,6 @@ __all__ = [
     "HYBRID_AXES",
     "hybrid_mesh",
     "parse_mesh_spec",
-    "CommEvent",
     "CostLedger",
     "LedgerSnapshot",
     "DeviceOOMError",

@@ -8,18 +8,19 @@ Python process and the training loop advances them together.  A
 collective therefore takes a *list* of per-rank arrays (index = rank)
 and returns the per-rank results, instead of being called once per MPI
 process.  This keeps the numerics bit-exact and the control flow
-single-threaded, while the ledger and the per-device allocators capture
+single-threaded, while the timeline and the per-device allocators capture
 what a real cluster would have moved and held:
 
 * each collective charges its **scratch buffers** to every participating
   :class:`~repro.cluster.device.SimulatedDevice` for the duration of the
   call — an ALLGATHER of dense gradients really does spike every GPU by
   ``G*K*D`` floats, which is how the baseline OOMs in Tables III/IV;
-* each collective records **wire bytes per rank** and **alpha-beta model
-  time** to the :class:`~repro.cluster.tracing.CostLedger`;
 * each collective is placed on the per-rank
-  :class:`~repro.cluster.timeline.Timeline`, so overlapped schedules
-  produce a measured makespan instead of a summed phase list.
+  :class:`~repro.cluster.timeline.Timeline` as **one** record carrying
+  its **wire bytes per rank** and **alpha-beta model time**, so
+  overlapped schedules produce a measured makespan instead of a summed
+  phase list; :attr:`Communicator.ledger` is the read-only
+  :class:`~repro.cluster.tracing.CostLedger` view of those records.
 
 Async engine
 ------------
@@ -28,11 +29,11 @@ Every collective has a non-blocking ``i*`` variant (``iallreduce``,
 :class:`WorkHandle` — the same issue/wait split PyTorch ``ProcessGroup``
 and Horovod expose.  Issue computes the numerics eagerly (the simulator
 is deterministic, so results cannot depend on wait order — bit-exactness
-by construction), charges scratch, appends the ledger event, and places
-the collective on the comm stream; ``wait()`` releases the scratch and
+by construction), charges scratch, and records the collective on the
+comm stream; ``wait()`` releases the scratch and
 blocks the compute streams at the collective's timeline end.  The
 blocking methods are exactly ``issue + wait``, so existing callers see
-identical numerics, ledger totals, and peak footprints.
+identical numerics, cost totals, and peak footprints.
 
 An allreduce or allgather result is identical on every rank of a ring,
 so every member receives the **same** array object, read-only
@@ -45,11 +46,11 @@ A communicator knows its :class:`~repro.cluster.mesh.DeviceMesh` (a
 plain ``Communicator(G)`` is the one-axis ``data=G`` world) and every
 collective is defined once, parameterised by the **group set it rings
 over**.  :meth:`Communicator.axis` returns a view bound to one mesh
-axis: same ledger, timeline, devices, pending set and hooks, but its
+axis: same timeline, devices, pending set and hooks, but its
 collectives reduce independently inside each subgroup of the axis.  The
 per-rank list is always indexed by *flat* rank; disjoint subgroups run
-concurrently on disjoint links, so one collective is **one** ledger
-event and **one** timeline ticket costed on the largest subgroup's ring
+concurrently on disjoint links, so one collective is **one** timeline
+record costed on the largest subgroup's ring
 over the axis link, tagged ``axis:tag``.  An axis that spans the whole
 world *is* the communicator itself — which is why flat data-parallel
 training and a ``(1, 1, G)`` mesh are the same code path, byte for byte.
@@ -85,7 +86,7 @@ from .device import (
 )
 from .interconnect import Interconnect, PAPER_CLUSTER_FABRIC
 from .mesh import DeviceMesh
-from .timeline import Timeline
+from .timeline import CollectiveRecord, Timeline
 from .tracing import CostLedger
 
 __all__ = ["CollectiveHook", "Communicator", "WorkHandle"]
@@ -132,16 +133,13 @@ class WorkHandle:
     def __init__(
         self,
         comm: "Communicator",
-        op: str,
         results: list[np.ndarray],
         scratch_bytes: int,
         charged: bool,
-        ticket,
-        tag: str,
+        ticket: CollectiveRecord,
     ):
         self._comm = comm
-        self.op = op
-        self.tag = tag
+        self.op, self.tag = ticket.op, ticket.tag
         self._results = results
         self.scratch_bytes = scratch_bytes
         #: Whether ``scratch_bytes`` sits on the devices until ``wait()``.
@@ -164,8 +162,7 @@ class WorkHandle:
             if self._charged:
                 release_group(self._comm.devices, self.scratch_bytes)
             self._comm._pending.discard(self)
-            if self.ticket is not None:
-                self._comm.timeline.complete(self.ticket)
+            self._comm.timeline.complete(self.ticket)
         return self._results
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -202,16 +199,10 @@ class Communicator:
     fabric:
         Interconnect topology; defaults to the paper's PCIe + FDR-IB
         cluster with 8 GPUs per node.
-    ledger:
-        Optional shared cost ledger; a fresh one is created if omitted.
     track_memory:
         When False, scratch-buffer charging is skipped (useful for pure
         accuracy experiments where OOM modelling is irrelevant and the
         simulated ``world`` exceeds what a 12 GB card could hold).
-    timeline:
-        Optional shared event timeline; a fresh one is created if
-        omitted.  All collectives — blocking and non-blocking — are
-        scheduled onto it.
     mesh:
         Named-axis layout of the ranks; defaults to the one-axis
         ``data=world_size`` world.  Assignable later (the trainer sets
@@ -220,13 +211,12 @@ class Communicator:
 
     Notes
     -----
+    Every collective — blocking and non-blocking — is recorded on
+    :attr:`timeline`; :attr:`ledger` is the read-only cost view of it.
     The ``metrics`` attribute is ``None`` by default; a
     :class:`~repro.telemetry.TelemetrySession` sets it to its
     :class:`~repro.telemetry.MetricsRegistry` via ``track()``, after
-    which every issued collective also increments the
-    ``repro_collectives_total`` / ``repro_collective_wire_bytes_total``
-    counter families (labelled by op) and the wire layer records its
-    per-codec histograms.
+    which the wire layer records its per-codec histograms.
     """
 
     def __init__(
@@ -234,23 +224,16 @@ class Communicator:
         world_size: int,
         device_spec: DeviceSpec = TITAN_X,
         fabric: Interconnect = PAPER_CLUSTER_FABRIC,
-        ledger: CostLedger | None = None,
         track_memory: bool = True,
-        timeline: Timeline | None = None,
         mesh: DeviceMesh | None = None,
     ):
         if world_size <= 0:
             raise ValueError(f"world_size must be positive, got {world_size}")
         self.world_size = world_size
         self.fabric = fabric
-        self.ledger = ledger if ledger is not None else CostLedger()
         self.track_memory = track_memory
-        self.timeline = timeline if timeline is not None else Timeline(world_size)
-        if self.timeline.world_size != world_size:
-            raise ValueError(
-                f"timeline world size {self.timeline.world_size} != "
-                f"communicator world size {world_size}"
-            )
+        self.timeline = Timeline(world_size)
+        self.ledger = CostLedger(self.timeline)
         self.devices = [
             SimulatedDevice(device_id=r, spec=device_spec) for r in range(world_size)  # mesh-ok: one simulated device per flat rank by definition
         ]
@@ -271,9 +254,6 @@ class Communicator:
         #: the root itself — a self-reference would be a cycle that only
         #: the cyclic garbage collector could free).
         self._view_of: Communicator | None = None
-        # Hot-path cache: the telemetry counter families resolve to the
-        # same objects on every issue — kept on the root, for all views.
-        self._metric_counters = None
         #: Optional telemetry registry (set by TelemetrySession.track).
         self.metrics = None
 
@@ -294,7 +274,7 @@ class Communicator:
     def axis(self, name: str) -> "Communicator":
         """The communicator whose collectives ring over ``name``'s subgroups.
 
-        The view shares this communicator's ledger, timeline, devices,
+        The view shares this communicator's timeline, devices,
         pending set and hooks; only the group set, ring size and link
         differ.  Per-rank lists stay indexed by flat rank.  Views are
         cheap snapshots — take one where it is used rather than holding
@@ -411,7 +391,7 @@ class Communicator:
         payload_bytes_per_rank: int | None = None,
         payload: Sequence[np.ndarray] | None = None,
     ) -> WorkHandle:
-        """Common issue path: charge scratch, schedule, record, enqueue.
+        """Common issue path: charge scratch, record, enqueue.
 
         ``payload`` is the caller's per-rank array list, forwarded (not
         copied) to the ``post_issue`` hooks so a lockstep verifier can
@@ -422,39 +402,14 @@ class Communicator:
         charged = self.track_memory and scratch_bytes > 0
         if charged:
             charge_group(self.devices, scratch_bytes, scratch_tag)
-        ticket = self.timeline.schedule_collective(time_s, name=f"{op}:{tag}")
-        self.ledger.record(
+        ticket = self.timeline.schedule_collective(
+            time_s,
+            tag,
             op=op,
-            world=self.world_size,
             wire_bytes_per_rank=wire_bytes_per_rank,
-            time_s=time_s,
-            tag=tag,
-            start_s=ticket.start,
-            end_s=ticket.end,
             payload_bytes_per_rank=payload_bytes_per_rank,
         )
-        if self.metrics is not None:
-            root = self._root
-            cached = root._metric_counters
-            if cached is None or cached[0] is not self.metrics:
-                cached = root._metric_counters = (
-                    self.metrics,
-                    self.metrics.counter(
-                        "repro_collectives_total",
-                        "Collectives issued, by op",
-                        labelnames=("op",),
-                    ),
-                    self.metrics.counter(
-                        "repro_collective_wire_bytes_total",
-                        "Per-rank wire bytes issued, by op",
-                        labelnames=("op",),
-                    ),
-                )
-            cached[1].inc(op=op)
-            cached[2].inc(wire_bytes_per_rank, op=op)
-        handle = WorkHandle(
-            self, op, results, scratch_bytes, charged, ticket, tag
-        )
+        handle = WorkHandle(self, results, scratch_bytes, charged, ticket)
         self._pending.add(handle)
         for hook in self.hooks:
             hook.post_issue(self, handle, payload)
@@ -580,11 +535,11 @@ class Communicator:
         from data-dependent encoded frame sizes.  Accounting is the
         standard funnel: hooks, scratch charged to every device until
         ``wait()``, one ``time_s`` collective placed on the shared link
-        (normal Timeline contention rules apply), a ledger event with
-        the encoded ``wire_bytes_per_rank`` (``payload_bytes_per_rank``
-        rides along for measured-compression reporting) and collective
-        metrics counters.  ``wait()`` advances every rank's compute
-        clock to the step's end, exactly like any other collective.
+        (normal Timeline contention rules apply) and recorded with the
+        encoded ``wire_bytes_per_rank`` (``payload_bytes_per_rank``
+        rides along for measured-compression reporting).  ``wait()``
+        advances every rank's compute clock to the step's end, exactly
+        like any other collective.
         """
         if time_s < 0:
             raise ValueError("time_s must be non-negative")
@@ -610,7 +565,7 @@ class Communicator:
         adjacent stages of the ``pipe`` axis: every subgroup's pair
         transfers concurrently, so one collective of the link's transfer
         time is scheduled (and completed) and ``nbytes`` per rank is
-        recorded to the ledger under ``op="transfer"``.
+        recorded under ``op="transfer"``.
         """
         if nbytes < 0:
             raise ValueError(f"transfer size must be >= 0, got {nbytes}")

@@ -320,9 +320,9 @@ class FaultReplay(CollectiveHook):
     """Funnel hook that replays a :class:`FaultPlan` deterministically.
 
     The plan is consulted before each collective *issues* (before any
-    state mutation — a chaotic collective never charges scratch, never
-    lands on the timeline, and never records a ledger event, so a
-    supervised retry sees clean accounting) whichever entry point
+    state mutation — a chaotic collective never charges scratch and
+    never lands on the timeline, so a supervised retry sees clean
+    accounting) whichever entry point
     issued it: blocking, ``i*``, per-axis, transfer, or an explicitly
     scheduled fused ring hop.
 

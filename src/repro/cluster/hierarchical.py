@@ -94,7 +94,7 @@ def hierarchical_allreduce(
         )
     # Rank n*local + l sits at mesh coordinate (node=n, local=l) — the
     # mesh's row-major layout matches the fabric's physical placement.
-    # The view shares the caller's ledger, timeline, devices and hooks.
+    # The view shares the caller's timeline, devices and hooks.
     view = copy.copy(comm._root)
     view.mesh = DeviceMesh(("node", "local"), (nodes, local))
     shards = view.axis("local").reduce_scatter(

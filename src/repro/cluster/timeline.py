@@ -32,33 +32,41 @@ Durations come from the caller — the communicator passes the existing
 :class:`~repro.cluster.interconnect.LinkSpec` alpha-beta cost models —
 so the timeline adds *ordering*, never new cost constants.
 
+A collective is written down once, as a :class:`CollectiveRecord`
+(op, tag, cost scope, bytes, time, placement), so the timeline also
+keeps the *scope* stack that attributes cost to phases and the O(1)
+running cost totals; :class:`~repro.cluster.tracing.CostLedger` is a
+read-only view of them.
+
 Performance notes
 -----------------
 The append paths are hot at large ``G`` (a G=512 training step issues
 collectives whose naive bookkeeping would build 512 event objects and
 re-scan 512-entry clock lists each).  Three measures keep them cheap:
 
-* :class:`TimelineEvent` is a ``NamedTuple`` (tuple-backed, no
-  per-instance ``__dict__``);
-* all-rank collectives are journaled as **one** compact record and only
-  expanded into per-participant events lazily when :attr:`Timeline.events`
-  (or a chrome trace) is actually read;
-* running maxima (``makespan``) and per-rank busy totals are maintained
-  incrementally, so measurement queries never scan the event journal.
+* :class:`TimelineEvent` and :class:`CollectiveRecord` are
+  ``NamedTuple`` classes (tuple-backed, no per-instance ``__dict__``);
+* a collective is journaled as **one** record for all its participants
+  and only expanded into per-participant events lazily when
+  :attr:`Timeline.events` (or a chrome trace) is actually read;
+* running maxima (``makespan``), per-rank busy totals and the cost
+  totals are maintained incrementally, so measurement queries never
+  scan the event journal.
 
 See ``docs/PERFORMANCE.md`` for the profile-before/after methodology.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
     "COMPUTE_STREAM",
     "COMM_STREAM",
-    "CollectiveTicket",
+    "CollectiveRecord",
+    "LedgerScopeError",
     "Timeline",
     "TimelineEvent",
     "events_to_chrome",
@@ -90,32 +98,68 @@ class TimelineEvent(NamedTuple):
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class CollectiveTicket:
-    """The scheduled placement of one collective on the comm streams.
+class LedgerScopeError(RuntimeError):
+    """Unbalanced or mismatched cost-scope push/pop.
 
-    Returned by :meth:`Timeline.schedule_collective`; passed back to
-    :meth:`Timeline.complete` when the issuing code ``wait()``\\ s.
+    Raised instead of silently corrupting attribution: an unbalanced
+    stack means every subsequent collective would be charged to the
+    wrong phase, which is exactly the kind of bookkeeping bug the
+    analysis tooling exists to catch.
     """
 
-    index: int
-    name: str
-    start: float
-    end: float
 
+class CollectiveRecord(NamedTuple):
+    """One collective, all participants: the only record of it.
 
-class _CollectiveRecord(NamedTuple):
-    """Compact journal entry: one collective, all participants.
-
-    ``ranks`` is ``None`` for the common all-ranks case — the expansion
-    to per-participant :class:`TimelineEvent` rows happens lazily in
-    :meth:`Timeline._materialize_events`.
+    Returned by :meth:`Timeline.schedule_collective`; it is the ticket
+    :meth:`Timeline.complete` takes.  ``time_s`` is the caller's cost as
+    given (``end - start`` may round differently).  Payload bytes are
+    ``-1`` when not recorded; ``ranks`` is ``None`` for all ranks.
     """
 
-    name: str
+    op: str
+    tag: str
+    scope: str
+    world: int
+    wire_bytes_per_rank: int
+    payload_bytes_per_rank: int
+    time_s: float
     start: float
     end: float
     ranks: tuple[int, ...] | None
+
+    @property
+    def name(self) -> str:
+        """Comm-stream label: ``op:tag``, or the tag of an op-less replay."""
+        return f"{self.op}:{self.tag}" if self.op else self.tag
+
+    @property
+    def duration(self) -> float:
+        """Interval length on the comm stream (``end - start``)."""
+        return self.end - self.start
+
+    @property
+    def logical_bytes_per_rank(self) -> int:
+        """Pre-codec payload bytes (wire bytes when not recorded); the
+        measured compression factor is ``logical / wire``."""
+        if self.payload_bytes_per_rank >= 0:
+            return self.payload_bytes_per_rank
+        return self.wire_bytes_per_rank
+
+
+class _Scope:
+    """Context manager of :meth:`Timeline.scope`."""
+
+    def __init__(self, timeline: "Timeline", name: str):
+        self._timeline = timeline
+        self._name = name
+
+    def __enter__(self) -> "Timeline":
+        self._timeline.push_scope(self._name)
+        return self._timeline
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._timeline.pop_scope(expected=self._name)
 
 
 class Timeline:
@@ -142,8 +186,7 @@ class Timeline:
         self.comm_clock = [0.0] * world_size
         self.compute_scale = [1.0] * world_size
         self._link_free = 0.0
-        self._next_index = 0
-        # Journal: TimelineEvent for compute, _CollectiveRecord for
+        # Journal: TimelineEvent for compute, CollectiveRecord for
         # collectives; expanded lazily by the ``events`` property.
         self._journal: list = []
         self._events_cache: list[TimelineEvent] | None = []
@@ -152,6 +195,16 @@ class Timeline:
         self._max_comm = 0.0
         self._busy_compute = [0.0] * world_size
         self._busy_comm = [0.0] * world_size
+        self._scope_stack: list[str] = []
+        self._scope_str = ""
+        # Running cost totals of the collective records (read through
+        # the CostLedger view).
+        self._n_collectives = 0
+        self._total_wire = 0
+        self._total_time = 0.0
+        self._bytes_by_op: defaultdict[str, int] = defaultdict(int)
+        self._time_by_op: defaultdict[str, float] = defaultdict(float)
+        self._bytes_by_scope: defaultdict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     # stream advancement
@@ -198,8 +251,15 @@ class Timeline:
             self.record_compute(rank, seconds, name)
 
     def schedule_collective(
-        self, duration: float, name: str = "", ranks: Sequence[int] | None = None
-    ) -> CollectiveTicket:
+        self,
+        duration: float,
+        name: str = "",
+        ranks: Sequence[int] | None = None,
+        *,
+        op: str = "",
+        wire_bytes_per_rank: int = 0,
+        payload_bytes_per_rank: int | None = None,
+    ) -> CollectiveRecord:
         """Place one collective of ``duration`` seconds on the comm streams.
 
         The start time honours the contention rules in the module
@@ -208,9 +268,19 @@ class Timeline:
         comm streams, and no earlier than the shared link frees up.
         The collective's completion does **not** block compute — call
         :meth:`complete` when the issuing code waits on its handle.
+
+        ``name`` is the tag; the communicator also passes ``op`` and the
+        byte counts (a bare call, as the ``perf`` replays make, records
+        an op-less collective).  Nothing is touched until all is valid.
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
+        if wire_bytes_per_rank < 0:
+            raise ValueError("wire_bytes_per_rank must be non-negative")
+        if payload_bytes_per_rank is None:
+            payload_bytes_per_rank = -1
+        elif payload_bytes_per_rank < 0:
+            raise ValueError("payload_bytes_per_rank must be non-negative")
         comm_clock = self.comm_clock
         if ranks is None:
             # Fast path for the common all-ranks collective: running
@@ -250,16 +320,31 @@ class Timeline:
         if end > self._max_comm:
             self._max_comm = end
         self._link_free = end
-        self._journal.append(
-            _CollectiveRecord(name or "collective", start, end, participants)
+        scope = self._scope_str
+        record = CollectiveRecord(
+            op,
+            name if op else name or "collective",
+            scope,
+            self.world_size if participants is None else len(participants),
+            wire_bytes_per_rank,
+            payload_bytes_per_rank,
+            duration,
+            start,
+            end,
+            participants,
         )
+        self._journal.append(record)
         self._events_cache = None
-        ticket = CollectiveTicket(self._next_index, name, start, end)
-        self._next_index += 1
-        return ticket
+        self._n_collectives += 1
+        self._total_wire += wire_bytes_per_rank
+        self._total_time += duration
+        self._bytes_by_op[op] += wire_bytes_per_rank
+        self._time_by_op[op] += duration
+        self._bytes_by_scope[scope] += wire_bytes_per_rank
+        return record
 
     def complete(
-        self, ticket: CollectiveTicket, ranks: Sequence[int] | None = None
+        self, ticket: CollectiveRecord, ranks: Sequence[int] | None = None
     ) -> float:
         """Block compute streams until ``ticket``'s collective finishes.
 
@@ -283,8 +368,72 @@ class Timeline:
         return end
 
     # ------------------------------------------------------------------
+    # cost scopes
+    # ------------------------------------------------------------------
+
+    @property
+    def current_scope(self) -> str:
+        """The open scopes, outermost first, joined by ``/``."""
+        return self._scope_str
+
+    def scope(self, name: str) -> _Scope:
+        """Context manager charging enclosed collectives to ``name``."""
+        return _Scope(self, name)
+
+    def push_scope(self, name: str) -> None:
+        """Enter a named scope (prefer the :meth:`scope` context manager)."""
+        if "/" in name:
+            raise LedgerScopeError("scope names must not contain '/'")
+        stack = self._scope_stack
+        stack.append(name)
+        self._scope_str = name if len(stack) == 1 else self._scope_str + "/" + name
+
+    def pop_scope(self, expected: str | None = None) -> str:
+        """Leave the innermost scope, optionally checking its name.
+
+        Raises
+        ------
+        LedgerScopeError
+            If no scope is open (pop-on-empty), or ``expected`` is given
+            and does not match the innermost open scope.
+        """
+        if not self._scope_stack:
+            raise LedgerScopeError(
+                "pop_scope on an empty scope stack: every pop must match a "
+                "prior push (did an earlier scope exit twice?)"
+            )
+        top = self._scope_stack[-1]
+        if expected is not None and top != expected:
+            raise LedgerScopeError(
+                f"mismatched scope nesting: tried to close {expected!r} "
+                f"but the innermost open scope is {top!r} "
+                f"(open stack: {self._scope_str!r})"
+            )
+        popped = self._scope_stack.pop()
+        self._scope_str = "/".join(self._scope_stack)
+        return popped
+
+    def assert_balanced(self) -> None:
+        """Raise :class:`LedgerScopeError` if any scope is still open.
+
+        Call at the end of a run (the sanitizer does this) to catch a
+        ``push_scope`` that never popped — collectives issued afterwards
+        would be silently mis-attributed.
+        """
+        if self._scope_stack:
+            raise LedgerScopeError(
+                f"unbalanced scopes at end of run: {self._scope_str!r} "
+                f"still open ({len(self._scope_stack)} unpopped push(es))"
+            )
+
+    # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
+
+    @property
+    def collectives(self) -> list[CollectiveRecord]:
+        """Every collective record, in issue order (a journal scan)."""
+        return [e for e in self._journal if type(e) is CollectiveRecord]
 
     @property
     def events(self) -> list[TimelineEvent]:
@@ -294,25 +443,18 @@ class Timeline:
         the next collective is scheduled; treat the returned list as
         read-only.
         """
-        cache = self._events_cache
-        if cache is None:
-            cache = self._materialize_events()
-            self._events_cache = cache
-        return cache
-
-    def _materialize_events(self) -> list[TimelineEvent]:
-        out: list[TimelineEvent] = []
-        world = range(self.world_size)  # mesh-ok: expanding all-rank collectives into per-rank rows
-        for entry in self._journal:
-            if type(entry) is TimelineEvent:
-                out.append(entry)
-            else:
-                name, start, end, ranks = entry
-                for r in (world if ranks is None else ranks):  # mesh-ok: expanding an all-rank collective into per-rank rows
-                    out.append(
-                        TimelineEvent(r, COMM_STREAM, name, start, end)
-                    )
-        return out
+        if self._events_cache is None:
+            out: list[TimelineEvent] = []
+            world = range(self.world_size)  # mesh-ok: expanding all-rank collectives into per-rank rows
+            for entry in self._journal:
+                if type(entry) is TimelineEvent:
+                    out.append(entry)
+                    continue
+                name, start, end = entry.name, entry.start, entry.end
+                for r in world if entry.ranks is None else entry.ranks:  # mesh-ok: expanding an all-rank collective into per-rank rows
+                    out.append(TimelineEvent(r, COMM_STREAM, name, start, end))
+            self._events_cache = out
+        return self._events_cache
 
     @property
     def makespan(self) -> float:
@@ -355,7 +497,7 @@ class Timeline:
 
 
 def events_to_chrome(
-    events: Sequence[TimelineEvent],
+    events: Sequence[TimelineEvent | CollectiveRecord],
     pid_base: int = 0,
     time_offset_s: float = 0.0,
     generation: int | None = None,
@@ -363,26 +505,39 @@ def events_to_chrome(
     """Render timeline events as Chrome ``X`` blocks (pid=rank, tid=stream).
 
     One ``pid`` per rank, one ``tid`` per stream, so the two-stream
-    structure renders as paired tracks in ``chrome://tracing``.
-    Module-level so the merged exporter in :mod:`repro.telemetry.spans`
-    can render events deserialised from a trace-parts file without
-    reconstructing a live :class:`Timeline`.
+    structure renders as paired tracks in ``chrome://tracing``.  A
+    :class:`CollectiveRecord` renders as one comm block per participant
+    whose ``args`` carry its op, scope and wire bytes.  Module-level so
+    the merged exporter in :mod:`repro.telemetry.spans` can render
+    records deserialised from a trace-parts file without reconstructing
+    a live :class:`Timeline`.
     """
     trace = []
     for e in events:
-        args: dict = {"stream": e.stream}
+        if type(e) is CollectiveRecord:
+            stream = COMM_STREAM
+            ranks = range(e.world) if e.ranks is None else e.ranks  # mesh-ok: an all-rank record spans every flat rank
+            args: dict = {
+                "stream": stream,
+                "op": e.op,
+                "scope": e.scope,
+                "wire_bytes_per_rank": e.wire_bytes_per_rank,
+            }
+        else:
+            stream, ranks, args = e.stream, (e.rank,), {"stream": e.stream}
         if generation is not None:
             args["generation"] = generation
-        trace.append(
-            {
-                "name": e.name,
-                "cat": e.stream,
-                "ph": "X",
-                "ts": (e.start + time_offset_s) * 1e6,
-                "dur": e.duration * 1e6,
-                "pid": pid_base + e.rank,
-                "tid": 0 if e.stream == COMPUTE_STREAM else 1,
-                "args": args,
-            }
-        )
+        for r in ranks:
+            trace.append(
+                {
+                    "name": e.name,
+                    "cat": stream,
+                    "ph": "X",
+                    "ts": (e.start + time_offset_s) * 1e6,
+                    "dur": e.duration * 1e6,
+                    "pid": pid_base + r,
+                    "tid": 0 if stream == COMPUTE_STREAM else 1,
+                    "args": args,
+                }
+            )
     return trace

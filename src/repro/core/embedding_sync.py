@@ -296,7 +296,7 @@ class GradientSynchronizer:
         independent optimizers may each read it.
 
         Blocking, each collective is issued and drained under its
-        parameter's ledger scope before the next is touched.  With
+        parameter's cost scope before the next is touched.  With
         ``overlap=True`` parameters are issued in *reverse* registration
         order, so dense buckets and the sparse exchanges' index gathers
         queue up back-to-back the way an eager DDP-style hook would
@@ -308,7 +308,7 @@ class GradientSynchronizer:
         named, names = self._named_params(
             replicas, self.comm.axis("data").ring_size
         )
-        scope = self.comm.ledger.scope
+        scope = self.comm.timeline.scope
         deferred: list[tuple[str, Callable[[], None]]] = []
         for name in reversed(names) if self.overlap else names:
             params = [d[name] for d in named]

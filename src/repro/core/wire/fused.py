@@ -342,8 +342,8 @@ def icompressed_allreduce(
         issued.append(handle)
 
     drain_upto = [0] * len(chunks)
-    ledger_scope = comm.ledger.scope(f"fused-{name}")
-    with ledger_scope:
+    cost_scope = comm.timeline.scope(f"fused-{name}")
+    with cost_scope:
         # Reduce-scatter phase, hop-major: chunk c+1's encode overlaps
         # chunk c's transfer under the Timeline rules.
         for h in range(hops):

@@ -217,7 +217,7 @@ def iencoded_allgather(
     ins = wire_instruments(getattr(comm, "metrics", None), codec.name)
     handles = []
     chunk_sizes: list[list[int]] = []
-    with comm.ledger.scope(f"wire-{codec.name}"):
+    with comm.timeline.scope(f"wire-{codec.name}"):
         for c in range(n_chunks):
             lo, hi = c * elems, (c + 1) * elems
             chunks = [a[lo:hi] for a in arrays]

@@ -73,7 +73,7 @@ def sharded_embedding_lookup(
             raise ValueError("id vectors must be 1-D")
 
     world = comm.world_size
-    with comm.ledger.scope("serve-embed"):
+    with comm.timeline.scope("serve-embed"):
         # Step 1: index-only gather, Θ(G·K) — raw int64, wire == payload.
         id_payload_bytes = max(ids.nbytes for ids in ids_per_rank)
         all_ids = comm.iallgather(

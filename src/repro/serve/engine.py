@@ -16,8 +16,7 @@ multi-GPU replica group:
   (admission miss, speculative, or recompute) copies into its slot;
 * each step's embedding rows come from the replica-sharded
   :func:`~repro.serve.embedding.sharded_embedding_lookup`, so decode
-  collectives land on the Timeline and charge the CostLedger exactly
-  like training traffic;
+  collectives land on the Timeline exactly like training traffic;
 * simulated time *is* the timeline makespan: idle gaps advance the
   compute clocks to the next arrival, decode work is charged per rank,
   and request latencies are read off the schedule.
@@ -25,9 +24,10 @@ multi-GPU replica group:
 Fault handling composes with :class:`~repro.cluster.failures.\
 ChaosCommunicator`: transient link faults retry the step's collectives
 with charged backoff; a rank loss rebuilds the communicator one rank
-smaller (a new *generation*, same ledger), re-admits the lost replica's
-in-flight requests at the queue head (emitted tokens are kept — only
-the decoder state is recomputed), and carries the clock forward.
+smaller (a new *generation* with its own timeline), re-admits the lost
+replica's in-flight requests at the queue head (emitted tokens are kept
+— only the decoder state is recomputed), and carries the clock and the
+wire total forward.
 
 Determinism
 -----------
@@ -118,10 +118,10 @@ class ServingEngine:
         Optional :class:`~repro.telemetry.TelemetrySession`; each
         communicator generation is tracked, and every decode step emits
         a step record.
-    comm_factory:
-        ``f(world_size, ledger) -> Communicator`` used to rebuild after
-        a rank loss; defaults to a plain :class:`Communicator` sharing
-        the current ledger (wire totals accumulate across generations).
+
+    A rank loss rebuilds a plain :class:`Communicator` one rank smaller;
+    the engine carries the earlier generations' makespan and wire bytes
+    forward itself.
     """
 
     def __init__(
@@ -130,7 +130,6 @@ class ServingEngine:
         comm: Communicator,
         config: ServeConfig | None = None,
         telemetry=None,
-        comm_factory=None,
     ):
         self.decoder = decoder
         self.comm = comm
@@ -142,7 +141,6 @@ class ServingEngine:
                 f"{self.config.cache_budget_bytes} B"
             )
         self.telemetry = telemetry
-        self._comm_factory = comm_factory
         self.cache = RecurrentStateCache(
             self.config.cache_budget_bytes,
             decoder.init_state(),
@@ -152,6 +150,7 @@ class ServingEngine:
         self.generations = 1
         self.recomputes = 0
         self._time_base = 0.0
+        self._wire_base = 0
         self._admissions = 0
         self._speculated: set[int] = set()
         self._prompt_row: dict[int, int] = {}  # request id -> table row
@@ -289,12 +288,10 @@ class ServingEngine:
             sched.readmit(rid, now)
             self.cache.release(rid)
         self._time_base += self.comm.timeline.makespan
-        factory = self._comm_factory
-        if factory is None:
-            factory = lambda world, ledger: Communicator(
-                world, ledger=ledger, track_memory=self.comm.track_memory
-            )
-        self.comm = factory(new_world, self.comm.ledger)
+        self._wire_base += self.comm.ledger.total_wire_bytes_per_rank
+        self.comm = Communicator(
+            new_world, track_memory=self.comm.track_memory
+        )
         self.generations += 1
         self.cache.rebind(self.comm.devices if self.comm.track_memory else None)
         if self.telemetry is not None:
@@ -459,7 +456,9 @@ class ServingEngine:
         return ServingReport(
             requests=tuple(records),
             makespan_s=self.now_s,
-            wire_bytes_per_rank=self.comm.ledger.total_wire_bytes_per_rank,
+            wire_bytes_per_rank=(
+                self._wire_base + self.comm.ledger.total_wire_bytes_per_rank
+            ),
             decode_steps=decode_steps,
             generations=self.generations,
             readmissions=sum(r.readmissions for r in sched.records.values()),

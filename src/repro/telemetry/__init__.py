@@ -3,9 +3,9 @@
 The observability layer over every subsystem of the reproduction: a
 Prometheus-style :class:`MetricsRegistry` (counters, gauges, labelled
 histograms), text/JSON exporters that agree exactly, a span API that
-merges :class:`~repro.cluster.tracing.CostLedger` scopes, the
-two-stream :class:`~repro.cluster.timeline.Timeline` schedule, and
-resilience generations into one multi-pid chrome trace, and a
+merges each generation's two-stream
+:class:`~repro.cluster.timeline.Timeline` schedule and collective
+records into one multi-pid chrome trace, and a
 :class:`TelemetrySession` that streams per-step JSONL from training
 runs.  See ``docs/OBSERVABILITY.md``.
 """
@@ -31,7 +31,6 @@ from .session import TelemetrySession, run_totals_from_parts
 from .spans import (
     COMM_TID,
     COMPUTE_TID,
-    LEDGER_TID,
     GenerationPart,
     TraceValidationError,
     merged_trace,
@@ -50,7 +49,6 @@ __all__ = [
     "GenerationPart",
     "Histogram",
     "HistogramValue",
-    "LEDGER_TID",
     "MetricError",
     "MetricsRegistry",
     "TelemetrySession",

@@ -5,14 +5,15 @@ everything it wants measured:
 
 * ``track(comm)`` points the communicator's ``metrics`` attribute at the
   session registry (the wire layer feeds per-codec histograms through
-  it) and retains the communicator's ledger/timeline pair as one
-  *generation* of the merged trace;
+  it) and retains the communicator's timeline as one *generation* of
+  the merged trace;
 * ``record_step(...)`` streams one JSON object per optimizer step to
   ``steps.jsonl`` and updates the step counters/histograms;
 * ``record_event(...)`` does the same for recovery events
   (``events.jsonl``);
-* ``finalize()`` computes the run-total gauges *directly from the
-  ledgers* (so the exports agree with ledger totals exactly), writes
+* ``finalize()`` computes the run-total gauges and the per-op
+  collective counters *directly from each generation's collective
+  records* (so the exports agree with those totals exactly), writes
   ``metrics.prom`` / ``metrics.json`` / ``trace.json`` /
   ``trace_parts.json``, and returns a summary dict.
 
@@ -42,18 +43,19 @@ def run_totals_from_parts(parts: List[GenerationPart]) -> dict:
 
     Used both by :meth:`TelemetrySession.finalize` (to set the run
     gauges) and by ``repro.cli trace`` (to verify the written exports
-    against the ledger) — sharing one implementation, with one float
-    summation order, is what makes "agrees exactly" achievable.
+    against the trace parts) — sharing one implementation, with one
+    float summation order, is what makes "agrees exactly" achievable.
+    ``comm_time_s`` sums collective time only.
     """
     wire_bytes = 0
     logical_bytes = 0
     comm_time_s = 0.0
     simulated_s = 0.0
     for part in parts:
-        for e in part.ledger_events:
+        for e in part.collectives:
             wire_bytes += e.wire_bytes_per_rank
             logical_bytes += e.logical_bytes_per_rank
-        comm_time_s += sum(e.time_s for e in part.ledger_events)
+        comm_time_s += sum(e.time_s for e in part.collectives)
         simulated_s += part.span_s
     factor = 1.0 if wire_bytes == 0 else logical_bytes / wire_bytes
     return {
@@ -126,14 +128,9 @@ class TelemetrySession:
         Each tracked communicator becomes one *generation* in the merged
         trace (a resilient run tracks every rebuilt communicator).
         """
-        try:
-            comm.metrics = self.registry
-        except AttributeError:  # exotic wrappers without settable attrs
-            pass
-        ledger = getattr(comm, "ledger", None)
-        timeline = getattr(comm, "timeline", None)
+        comm.metrics = self.registry
         self._tracked.append(
-            (ledger, timeline, label or f"gen{len(self._tracked)}")
+            (comm.timeline, label or f"gen{len(self._tracked)}")
         )
 
     def adopt_trainer(self, trainer) -> None:
@@ -190,12 +187,12 @@ class TelemetrySession:
     def parts(self) -> List[GenerationPart]:
         """Generation parts captured from every tracked communicator."""
         return [
-            GenerationPart.from_run(ledger, timeline, label=label)
-            for ledger, timeline, label in self._tracked
+            GenerationPart.from_run(timeline, label=label)
+            for timeline, label in self._tracked
         ]
 
     def finalize(self) -> dict:
-        """Freeze run-total gauges from the ledgers and write all exports.
+        """Freeze run-total gauges and op counters; write all exports.
 
         Idempotent per session directory; returns a summary dict with
         the totals, the trace validation summary, and the files written.
@@ -203,6 +200,25 @@ class TelemetrySession:
         parts = self.parts()
         totals = run_totals_from_parts(parts)
         reg = self.registry
+        by_op: dict = {}
+        for part in parts:
+            for e in part.collectives:
+                calls, wire = by_op.get(e.op, (0, 0))
+                by_op[e.op] = (calls + 1, wire + e.wire_bytes_per_rank)
+        calls_total = reg.counter(
+            "repro_collectives_total", "Collectives issued, by op",
+            labelnames=("op",),
+        )
+        wire_total = reg.counter(
+            "repro_collective_wire_bytes_total",
+            "Per-rank wire bytes issued, by op",
+            labelnames=("op",),
+        )
+        for op, (calls, wire) in by_op.items():
+            # Raise each counter to its record total: finalize stays
+            # idempotent.
+            calls_total.inc(calls - calls_total.value(op=op), op=op)
+            wire_total.inc(wire - wire_total.value(op=op), op=op)
         reg.gauge(
             "repro_run_wire_bytes_per_rank",
             "Run-total per-rank wire bytes (exact ledger total)",

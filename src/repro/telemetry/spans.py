@@ -1,26 +1,24 @@
 """Merged multi-pid chrome-trace export across generations and streams.
 
-The repo has three span sources that previously exported through
-incompatible conventions:
+A run's spans come from one source per communicator generation: its
+:class:`~repro.cluster.timeline.Timeline`, whose compute-stream events
+and collective records (op, tag, scope, wire bytes, placement) are the
+only record of the run's schedule and cost.  A
+:class:`~repro.train.resilience.ResilientRunner` or a serving engine
+that loses a rank has one timeline *per generation* (the world may
+shrink between generations).
 
-* :class:`~repro.cluster.timeline.Timeline` — compute/comm stream
-  intervals, one pid per rank, tid 0/1;
-* :class:`~repro.cluster.tracing.CostLedger` — collective cost events
-  with scopes and wire bytes;
-* :class:`~repro.train.resilience.ResilientRunner` — one
-  timeline/ledger pair *per communicator generation* (the world may
-  shrink between generations).
+This module merges them into **one** chrome trace: generation ``g``
+with world size ``W_g`` occupies a contiguous pid block after all
+earlier generations, each rank contributes a compute track (tid 0) and
+a comm track (tid 1) whose blocks carry the collective's op, scope and
+wire bytes in their ``args``, and generations are laid out end-to-end
+in time (offset by the cumulative span of earlier generations) so the
+merged view reads as one continuous run.
 
-This module merges all three into **one** chrome trace: generation
-``g`` with world size ``W_g`` occupies a contiguous pid block after all
-earlier generations, each rank contributes a compute track (tid 0), a
-comm track (tid 1), and a ledger track (tid 2), and generations are laid
-out end-to-end in time (offset by the cumulative span of earlier
-generations) so the merged view reads as one continuous run.
-
-Traces can round-trip through JSON ("trace parts") so ``repro.cli
-trace`` can re-merge and validate a run recorded by an earlier
-process.
+Traces can round-trip through JSON ("trace parts", format version 2:
+one row per compute event and one per collective) so ``repro.cli
+trace`` can re-merge and validate a run recorded by an earlier process.
 """
 
 from __future__ import annotations
@@ -29,13 +27,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from ..cluster.timeline import TimelineEvent, events_to_chrome
-from ..cluster.tracing import CommEvent, CostLedger
+from ..cluster.timeline import (
+    COMPUTE_STREAM,
+    CollectiveRecord,
+    TimelineEvent,
+    events_to_chrome,
+)
 
 __all__ = [
     "COMPUTE_TID",
     "COMM_TID",
-    "LEDGER_TID",
     "GenerationPart",
     "TraceValidationError",
     "merged_trace",
@@ -45,12 +46,14 @@ __all__ = [
     "write_trace",
 ]
 
-#: Thread ids of the three per-rank tracks in the merged trace.
+#: Thread ids of the two per-rank tracks in the merged trace.
 COMPUTE_TID = 0
 COMM_TID = 1
-LEDGER_TID = 2
 
-_TID_NAMES = {COMPUTE_TID: "compute", COMM_TID: "comm", LEDGER_TID: "ledger"}
+_TID_NAMES = {COMPUTE_TID: "compute", COMM_TID: "comm"}
+
+#: Format version of a trace-parts file; any other version is refused.
+_PARTS_VERSION = 2
 
 
 class TraceValidationError(RuntimeError):
@@ -64,76 +67,54 @@ class TraceValidationError(RuntimeError):
 
 @dataclass
 class GenerationPart:
-    """Span data of one communicator generation, as plain events.
+    """Span data of one communicator generation, as plain records.
 
-    Holding event lists (rather than live ``Timeline``/``CostLedger``
-    objects) keeps parts JSON-serialisable, so a trace recorded by
-    ``train --telemetry-dir`` can be merged later by ``repro.cli
-    trace`` in a different process.
+    Holding record lists (rather than a live ``Timeline``) keeps parts
+    JSON-serialisable, so a trace recorded by ``train --telemetry-dir``
+    can be merged later by ``repro.cli trace`` in a different process.
     """
 
     world_size: int
-    timeline_events: List[TimelineEvent] = field(default_factory=list)
-    ledger_events: List[CommEvent] = field(default_factory=list)
+    compute_events: List[TimelineEvent] = field(default_factory=list)
+    collectives: List[CollectiveRecord] = field(default_factory=list)
     label: str = ""
 
     @classmethod
-    def from_run(cls, ledger, timeline, label: str = "") -> "GenerationPart":
-        """Capture a live ledger/timeline pair (either may be ``None``)."""
-        world = 0
-        if timeline is not None:
-            world = timeline.world_size
-        elif ledger is not None and ledger.events:
-            world = max(e.world for e in ledger.events)
+    def from_run(cls, timeline, label: str = "") -> "GenerationPart":
+        """Capture a live timeline (``None`` gives an empty world-1 part)."""
+        if timeline is None:
+            return cls(world_size=1, label=label)
         return cls(
-            world_size=max(world, 1),
-            timeline_events=list(timeline.events) if timeline is not None else [],
-            ledger_events=list(ledger.events) if ledger is not None else [],
+            world_size=timeline.world_size,
+            compute_events=[
+                e for e in timeline.events if e.stream == COMPUTE_STREAM
+            ],
+            collectives=timeline.collectives,
             label=label,
         )
 
     @property
     def span_s(self) -> float:
         """Latest event end in this generation (its time footprint)."""
-        span = 0.0
-        for e in self.timeline_events:
-            span = max(span, e.end)
-        clock = 0.0
-        for e in self.ledger_events:
-            if e.has_schedule:
-                span = max(span, e.end_s)
-                clock = max(clock, e.end_s)
-            else:
-                clock += e.time_s
-                span = max(span, clock)
-        return span
+        ends = [e.end for e in self.compute_events]
+        ends += [e.end for e in self.collectives]
+        return max(ends, default=0.0)
 
 
 def parts_to_json(parts: Sequence[GenerationPart]) -> dict:
     """Serialise generation parts for a trace-parts file."""
     return {
-        "version": 1,
+        "version": _PARTS_VERSION,
         "generations": [
             {
                 "world_size": p.world_size,
                 "label": p.label,
-                "timeline_events": [
-                    [e.rank, e.stream, e.name, e.start, e.end]
-                    for e in p.timeline_events
+                "compute_events": [
+                    [e.rank, e.name, e.start, e.end] for e in p.compute_events
                 ],
-                "ledger_events": [
-                    {
-                        "op": e.op,
-                        "world": e.world,
-                        "wire_bytes_per_rank": e.wire_bytes_per_rank,
-                        "time_s": e.time_s,
-                        "tag": e.tag,
-                        "scope": e.scope,
-                        "start_s": e.start_s,
-                        "end_s": e.end_s,
-                        "payload_bytes_per_rank": e.payload_bytes_per_rank,
-                    }
-                    for e in p.ledger_events
+                "collectives": [
+                    [*e[:-1], None if e.ranks is None else list(e.ranks)]
+                    for e in p.collectives
                 ],
             }
             for p in parts
@@ -141,24 +122,42 @@ def parts_to_json(parts: Sequence[GenerationPart]) -> dict:
     }
 
 
-def parts_from_json(obj: dict) -> List[GenerationPart]:
-    """Inverse of :func:`parts_to_json` (accepts a dict or a JSON string)."""
+def parts_from_json(obj) -> List[GenerationPart]:
+    """Inverse of :func:`parts_to_json` (accepts a dict or a JSON string).
+
+    Raises ``ValueError`` — naming the problem — for a file of another
+    format version (version 1 held one row per rank per collective and
+    a second, ledger copy of every collective) or one with missing keys.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    parts = []
-    for g in obj["generations"]:
-        parts.append(
+    version = obj.get("version") if isinstance(obj, dict) else None
+    if version != _PARTS_VERSION:
+        raise ValueError(
+            f"trace parts version {version!r} is not supported: this "
+            f"build reads version {_PARTS_VERSION} (re-record the run)"
+        )
+    try:
+        return [
             GenerationPart(
                 world_size=int(g["world_size"]),
-                timeline_events=[
-                    TimelineEvent(int(r), stream, name, float(s), float(e))
-                    for r, stream, name, s, e in g["timeline_events"]
+                compute_events=[
+                    TimelineEvent(int(r), "compute", name, float(s), float(e))
+                    for r, name, s, e in g["compute_events"]
                 ],
-                ledger_events=[CommEvent(**e) for e in g["ledger_events"]],
+                collectives=[
+                    CollectiveRecord(
+                        *row[:-1],
+                        None if row[-1] is None else tuple(row[-1]),
+                    )
+                    for row in g["collectives"]
+                ],
                 label=g.get("label", ""),
             )
-        )
-    return parts
+            for g in obj["generations"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"trace parts: malformed ({exc!r})") from None
 
 
 def merged_trace(
@@ -166,12 +165,13 @@ def merged_trace(
     metadata: bool = True,
     serialize_generations: bool = True,
 ) -> List[dict]:
-    """Merge every generation's streams + ledger into one chrome trace.
+    """Merge every generation's compute and comm streams into one trace.
 
     Generation ``g`` gets pids ``[sum(W_0..W_{g-1}), ...)`` — one per
-    rank — with tids 0/1/2 for compute/comm/ledger, and is shifted in
-    time past all earlier generations when ``serialize_generations`` is
-    true (a resilient run's generations are sequential in real time).
+    rank — with tids 0/1 for compute/comm, and is shifted in time past
+    all earlier generations when ``serialize_generations`` is true (a
+    resilient run's generations are sequential in real time).  Each
+    collective is one comm block per participating rank.
     """
     trace: List[dict] = []
     pid_base = 0
@@ -198,19 +198,9 @@ def merged_trace(
                     )
         trace.extend(
             events_to_chrome(
-                part.timeline_events,
+                [*part.compute_events, *part.collectives],
                 pid_base=pid_base,
                 time_offset_s=offset_s,
-                generation=g,
-            )
-        )
-        ledger = CostLedger(events=list(part.ledger_events))
-        trace.extend(
-            ledger.to_chrome_trace(
-                pid_base=pid_base,
-                tid=LEDGER_TID,
-                time_offset_s=offset_s,
-                metadata=False,
                 generation=g,
             )
         )

@@ -157,8 +157,6 @@ class ResilientRunner:
         self.trainer = trainer_factory(config, initial_comm)
         #: Timelines of every communicator generation (initial + rebuilds).
         self.timelines = [initial_comm.timeline]
-        #: Ledgers of every communicator generation (parallel list).
-        self.ledgers = [initial_comm.ledger]
         #: Lockstep verifiers per generation (None where not attached).
         self.verifiers = [getattr(initial_comm, "verifier", None)]
         self.events: list[RecoveryEvent] = []
@@ -292,28 +290,20 @@ class ResilientRunner:
         assert_clean_retry_state(t.replicas, t.comm)
 
     def _charge_backoff(self, fault: TransientLinkError) -> float:
-        """Charge this attempt's backoff to the timeline and ledger.
+        """Charge this attempt's backoff to every rank's compute stream.
 
         Returns the simulated seconds charged.  Every rank waits (the
         collective is synchronous — nobody proceeds until the retry), so
-        the backoff lands on every compute stream and in the ledger
-        under the ``recovery`` scope.
+        the backoff lands on every compute stream as one
+        ``retry-backoff:<op>`` event; no collective is recorded.
         """
         backoff_s = min(
             self.base_backoff_s * self.backoff_factor ** (self._attempts - 1),
             self.max_backoff_s,
         )
-        t = self.trainer
-        name = f"retry-backoff:{fault.op}"
-        t.comm.timeline.record_compute_all(backoff_s, name=name)
-        with t.comm.ledger.scope("recovery"):
-            t.comm.ledger.record(
-                op="retry_backoff",
-                world=t.comm.world_size,
-                wire_bytes_per_rank=0,
-                time_s=backoff_s,
-                tag=fault.op,
-            )
+        self.trainer.comm.timeline.record_compute_all(
+            backoff_s, name=f"retry-backoff:{fault.op}"
+        )
         return backoff_s
 
     # ------------------------------------------------------------------
@@ -380,7 +370,6 @@ class ResilientRunner:
                 sample_bytes=old_verifier.sample_bytes,
             )
         self.timelines.append(comm.timeline)
-        self.ledgers.append(comm.ledger)
         self.verifiers.append(getattr(comm, "verifier", None))
         trainer = self.trainer_factory(new_config, comm)
         load_checkpoint(self.checkpoint_path, trainer, elastic=True)
@@ -435,10 +424,8 @@ class ResilientRunner:
         from ..telemetry.spans import GenerationPart
 
         return [
-            GenerationPart.from_run(ledger, timeline, label=f"gen{g}")
-            for g, (ledger, timeline) in enumerate(
-                zip(self.ledgers, self.timelines)
-            )
+            GenerationPart.from_run(timeline, label=f"gen{g}")
+            for g, timeline in enumerate(self.timelines)
         ]
 
     def chrome_trace(self) -> list[dict]:
@@ -446,7 +433,7 @@ class ResilientRunner:
 
         Uses the :mod:`repro.telemetry.spans` exporter: generation ``g``
         occupies its own pid block (one pid per rank, tids for
-        compute/comm/ledger) shifted past all earlier generations in
+        compute/comm) shifted past all earlier generations in
         time, and every event is annotated with its ``generation``
         (0 = the initial communicator) so retries, backoff, checkpoint
         writes, and the post-shrink schedule are all visible in one

@@ -377,7 +377,7 @@ class DistributedTrainer:
                 fwd_time_s=per_stage * (1.0 - _BACKWARD_FRACTION),
                 bwd_time_s=per_stage * _BACKWARD_FRACTION,
             )
-            with self.comm.ledger.scope("pipeline"):
+            with self.comm.timeline.scope("pipeline"):
                 schedule.record(
                     self.comm,
                     axis="pipe",
@@ -444,7 +444,7 @@ class DistributedTrainer:
                     )
             self.data_step += 1
         self._record_step_compute()
-        with self.comm.ledger.scope("sync"):
+        with self.comm.timeline.scope("sync"):
             self.synchronizer.sync_replicas(self.replicas)
         if accum > 1:
             self._scale_grads(1.0 / accum)

@@ -142,7 +142,7 @@ class TestFunnelCoverage:
                 payload=payload,
             )
         payload[1][0] = np.inf
-        with san.ledger.scope("sync"):
+        with san.timeline.scope("sync"):
             with pytest.raises(CollectiveMismatchError, match="rank 1"):
                 san.issue_scheduled(
                     "fused_allreduce", time_s=0.0, wire_bytes_per_rank=8,
@@ -212,14 +212,14 @@ class TestFp16Boundary:
 class TestLedgerInvariants:
     def test_unbalanced_scope_detected_at_finish(self):
         san = make()
-        san.ledger.push_scope("epoch")
+        san.timeline.push_scope("epoch")
         san.allreduce(per_rank(2, (2,)))
         with pytest.raises(LedgerScopeError, match="'epoch' still open"):
             san.finish()
 
     def test_balanced_run_finishes_with_op_log(self):
         san = make()
-        with san.ledger.scope("sync"):
+        with san.timeline.scope("sync"):
             san.allreduce(per_rank(2, (2,)))
         log = san.finish()
         assert [r.op for r in log] == ["allreduce"]
@@ -228,7 +228,7 @@ class TestLedgerInvariants:
         san = make(require_scope=True)
         with pytest.raises(SanitizerError, match="REPRO003"):
             san.allreduce(per_rank(2, (2,)))
-        with san.ledger.scope("sync"):
+        with san.timeline.scope("sync"):
             san.allreduce(per_rank(2, (2,)))  # attributed: fine
 
     def test_require_scope_covers_scheduled_steps(self):
@@ -269,7 +269,7 @@ class TestAsyncHandles:
 
     def test_dropped_handle_checked_before_ledger_balance(self):
         san = make()
-        san.ledger.push_scope("open")
+        san.timeline.push_scope("open")
         san.iallreduce(per_rank(2, (2,)))
         with pytest.raises(DroppedHandleError):
             san.finish()

@@ -1,118 +1,183 @@
-"""Tests for the cost ledger."""
+"""Tests for the Timeline's cost scopes and totals, and the CostLedger view."""
 
 import pytest
 
-from repro.cluster.tracing import CostLedger, LedgerScopeError
+from repro.cluster.timeline import LedgerScopeError, Timeline
+from repro.cluster.tracing import CostLedger
+
+
+def record(tl, op, wire, time_s, tag="", payload=None):
+    """One collective of ``op`` on ``tl``: ``wire`` bytes per rank."""
+    return tl.schedule_collective(
+        time_s, tag, op=op, wire_bytes_per_rank=wire,
+        payload_bytes_per_rank=payload,
+    )
 
 
 class TestRecording:
     def test_totals_accumulate(self):
-        ledger = CostLedger()
-        ledger.record("allreduce", 4, 100, 0.5)
-        ledger.record("allgather", 4, 300, 1.5)
+        tl = Timeline(4)
+        record(tl, "allreduce", 100, 0.5)
+        record(tl, "allgather", 300, 1.5)
+        ledger = CostLedger(tl)
         assert ledger.total_wire_bytes_per_rank == 400
         assert ledger.total_time_s == pytest.approx(2.0)
 
     def test_by_op_views(self):
-        ledger = CostLedger()
-        ledger.record("allreduce", 2, 10, 0.1)
-        ledger.record("allreduce", 2, 20, 0.2)
-        ledger.record("allgather", 2, 5, 0.05)
+        tl = Timeline(2)
+        record(tl, "allreduce", 10, 0.1)
+        record(tl, "allreduce", 20, 0.2)
+        record(tl, "allgather", 5, 0.05)
+        ledger = CostLedger(tl)
         assert ledger.bytes_by_op() == {"allreduce": 30, "allgather": 5}
         assert ledger.time_by_op()["allreduce"] == pytest.approx(0.3)
 
     def test_negative_values_rejected(self):
-        ledger = CostLedger()
+        tl = Timeline(1)
         with pytest.raises(ValueError):
-            ledger.record("x", 1, -1, 0.0)
+            record(tl, "x", -1, 0.0)
         with pytest.raises(ValueError):
-            ledger.record("x", 1, 0, -0.1)
+            record(tl, "x", 0, -0.1)
+        with pytest.raises(ValueError):
+            record(tl, "x", 0, 0.0, payload=-1)
+
+    def test_rejected_record_leaves_totals_unchanged(self):
+        tl = Timeline(2)
+        record(tl, "allreduce", 10, 0.5)
+        ledger = CostLedger(tl)
+        before = (ledger.snapshot(), ledger.bytes_by_op(), tl.makespan)
+        with pytest.raises(ValueError):
+            record(tl, "allreduce", -1, 0.5)
+        with pytest.raises(ValueError):
+            record(tl, "allreduce", 10, 0.5, payload=-3)
+        assert (ledger.snapshot(), ledger.bytes_by_op(), tl.makespan) == before
+        assert len(ledger.events) == 1
+
+    def test_time_s_is_stored_as_given(self):
+        """The record keeps the caller's time, not ``end - start``."""
+        tl = Timeline(1)
+        tl.record_compute(0, 0.1)
+        event = record(tl, "allreduce", 8, 0.2)
+        assert event.time_s == 0.2
+        assert CostLedger(tl).total_time_s == 0.2
+
+    def test_compression_factor_filters_by_tag(self):
+        tl = Timeline(2)
+        record(tl, "allgather", 10, 0.1, tag="emb:indices", payload=40)
+        record(tl, "allreduce", 50, 0.1, tag="dense")
+        ledger = CostLedger(tl)
+        assert ledger.compression_factor(":indices") == 4.0
+        assert ledger.compression_factor() == 90 / 60
+        assert ledger.compression_factor("absent") == 1.0
+
+    def test_replay_records_are_named_by_their_tag(self):
+        tl = Timeline(2)
+        tl.schedule_collective(0.5, name="bucket0")
+        tl.schedule_collective(0.5)
+        record(tl, "allreduce", 8, 0.5)
+        assert [e.name for e in tl.collectives] == [
+            "bucket0", "collective", "allreduce:",
+        ]
 
 
 class TestScopes:
     def test_nested_scope_names(self):
-        ledger = CostLedger()
-        with ledger.scope("step"):
-            with ledger.scope("embedding"):
-                ledger.record("allgather", 2, 7, 0.0)
-        assert ledger.events[0].scope == "step/embedding"
+        tl = Timeline(2)
+        with tl.scope("step"):
+            with tl.scope("embedding"):
+                record(tl, "allgather", 7, 0.0)
+        assert CostLedger(tl).events[0].scope == "step/embedding"
 
     def test_bytes_by_scope(self):
-        ledger = CostLedger()
-        with ledger.scope("dense"):
-            ledger.record("allreduce", 2, 100, 0.1)
-        with ledger.scope("sparse"):
-            ledger.record("allreduce", 2, 7, 0.1)
-        by_scope = ledger.bytes_by_scope()
+        tl = Timeline(2)
+        with tl.scope("dense"):
+            record(tl, "allreduce", 100, 0.1)
+        with tl.scope("sparse"):
+            record(tl, "allreduce", 7, 0.1)
+        by_scope = CostLedger(tl).bytes_by_scope()
         assert by_scope["dense"] == 100
         assert by_scope["sparse"] == 7
 
     def test_scope_restored_after_exception(self):
-        ledger = CostLedger()
+        tl = Timeline(1)
         with pytest.raises(RuntimeError):
-            with ledger.scope("x"):
+            with tl.scope("x"):
                 raise RuntimeError
-        assert ledger.current_scope == ""
+        assert tl.current_scope == ""
 
     def test_slash_in_scope_name_rejected(self):
-        ledger = CostLedger()
-        with pytest.raises(ValueError):
-            with ledger.scope("a/b"):
+        tl = Timeline(1)
+        with pytest.raises(LedgerScopeError):
+            with tl.scope("a/b"):
                 pass
+        assert tl.current_scope == ""
 
 
 class TestScopeBalance:
     def test_pop_on_empty_raises(self):
-        ledger = CostLedger()
+        tl = Timeline(1)
         with pytest.raises(LedgerScopeError, match="empty scope stack"):
-            ledger.pop_scope()
+            tl.pop_scope()
 
     def test_mismatched_pop_raises_with_both_names(self):
-        ledger = CostLedger()
-        ledger.push_scope("outer")
-        ledger.push_scope("inner")
+        tl = Timeline(1)
+        tl.push_scope("outer")
+        tl.push_scope("inner")
         with pytest.raises(LedgerScopeError, match="'outer'.*'inner'"):
-            ledger.pop_scope(expected="outer")
+            tl.pop_scope(expected="outer")
         # the stack is left untouched by the failed pop
-        assert ledger.current_scope == "outer/inner"
+        assert tl.current_scope == "outer/inner"
 
     def test_nested_push_pop_balanced(self):
-        ledger = CostLedger()
-        ledger.push_scope("a")
-        ledger.push_scope("b")
-        assert ledger.pop_scope(expected="b") == "b"
-        assert ledger.pop_scope(expected="a") == "a"
-        ledger.assert_balanced()
+        tl = Timeline(1)
+        tl.push_scope("a")
+        tl.push_scope("b")
+        assert tl.pop_scope(expected="b") == "b"
+        assert tl.pop_scope(expected="a") == "a"
+        tl.assert_balanced()
 
     def test_assert_balanced_flags_open_scope(self):
-        ledger = CostLedger()
-        ledger.push_scope("leaked")
+        tl = Timeline(1)
+        tl.push_scope("leaked")
         with pytest.raises(LedgerScopeError, match="'leaked' still open"):
-            ledger.assert_balanced()
+            tl.assert_balanced()
 
     def test_double_exit_detected(self):
         """A scope context that exits twice is a pop-on-empty, not an
         AssertionError (asserts vanish under ``python -O``)."""
-        ledger = CostLedger()
-        cm = ledger.scope("once")
+        tl = Timeline(1)
+        cm = tl.scope("once")
         cm.__enter__()
         cm.__exit__(None, None, None)
         with pytest.raises(LedgerScopeError):
             cm.__exit__(None, None, None)
 
     def test_slash_in_push_scope_rejected(self):
-        ledger = CostLedger()
+        tl = Timeline(1)
         with pytest.raises(LedgerScopeError):
-            ledger.push_scope("a/b")
+            tl.push_scope("a/b")
 
 
 class TestSnapshots:
     def test_delta_since(self):
-        ledger = CostLedger()
-        ledger.record("a", 1, 10, 1.0)
+        tl = Timeline(1)
+        ledger = CostLedger(tl)
+        record(tl, "a", 10, 1.0)
         snap = ledger.snapshot()
-        ledger.record("b", 1, 5, 0.25)
+        record(tl, "b", 5, 0.25)
         delta = ledger.delta_since(snap)
         assert delta.n_events == 1
         assert delta.wire_bytes_per_rank == 5
         assert delta.time_s == pytest.approx(0.25)
+
+    def test_snapshot_does_not_scan_the_journal(self):
+        """The per-step queries read running totals, never the journal."""
+        tl = Timeline(2)
+        ledger = CostLedger(tl)
+        record(tl, "a", 10, 1.0)
+        tl._journal = None  # any scan would now raise
+        snap = ledger.snapshot()
+        assert snap.n_events == 1 and snap.wire_bytes_per_rank == 10
+        assert ledger.delta_since(snap).n_events == 0
+        assert ledger.total_time_s == 1.0
+        assert ledger.bytes_by_scope() == {"": 10}

@@ -19,7 +19,7 @@ from repro.cluster.failures import (
 )
 from repro.serve import ServingEngine, percentile
 from repro.serve.decoders import fold_histories
-from repro.telemetry import TelemetrySession
+from repro.telemetry import TelemetrySession, run_totals_from_parts
 
 from .helpers import make_word_decoder, pressure_config, pressure_traffic
 
@@ -159,3 +159,17 @@ class TestChaosTelemetry:
         assert "rank_loss" in events
         labels = [part.label for part in session.parts()]
         assert "serve-gen0" in labels and "serve-gen1" in labels
+
+    def test_run_wire_total_matches_the_report_after_rank_loss(self):
+        """Each generation's part holds only its own collectives, so the
+        telemetry total equals the report's cross-generation figure."""
+        session = TelemetrySession()
+        report = ServingEngine(
+            make_word_decoder(),
+            ChaosCommunicator(WORLD, plan=rank_loss_plan()),
+            pressure_config(),
+            telemetry=session,
+        ).run(pressure_traffic(n=24))
+        assert report.generations == 2
+        totals = run_totals_from_parts(session.parts())
+        assert totals["wire_bytes_per_rank"] == report.wire_bytes_per_rank

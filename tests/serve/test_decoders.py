@@ -22,7 +22,7 @@ def blocking_per_rank_lookup(comm, weight, ids_per_rank, tag):
     Blocking allgathers with per-rank result copies, ``np.array_split``
     shards, and one ``searchsorted`` per rank.
     """
-    with comm.ledger.scope("serve-embed"):
+    with comm.timeline.scope("serve-embed"):
         all_ids = comm.allgather(
             ids_per_rank,
             tag=f"serve-ids:{tag}",

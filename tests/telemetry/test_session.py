@@ -104,13 +104,16 @@ class TestTrainerIntegration:
         cfg = TrainConfig(world_size=2, batch=BatchSpec(2, 6), base_lr=0.2)
         trainer = make_trainer(cfg, telemetry=session)
         trainer.train_step()
+        session.finalize()
+        session.finalize()  # idempotent: the counters are record totals
         reg = session.registry
         ledger = trainer.comm.ledger
         by_op = {}
         for e in ledger.events:
-            by_op[e.op] = by_op.get(e.op, 0) + e.wire_bytes_per_rank
-        for op, wire in by_op.items():
-            assert reg.get("repro_collectives_total").value(op=op) > 0
+            calls, wire = by_op.get(e.op, (0, 0))
+            by_op[e.op] = (calls + 1, wire + e.wire_bytes_per_rank)
+        for op, (calls, wire) in by_op.items():
+            assert reg.get("repro_collectives_total").value(op=op) == calls
             assert reg.get(
                 "repro_collective_wire_bytes_total"
             ).value(op=op) == wire
@@ -138,7 +141,7 @@ class TestFinalize:
     def make_session(self, tmp_path=None):
         session = TelemetrySession(tmp_path)
         comm = Communicator(2, track_memory=False)
-        with comm.ledger.scope("sync"):
+        with comm.timeline.scope("sync"):
             comm.allreduce([np.ones(64, dtype=np.float32)] * 2, tag="grads")
         session.track(comm)
         session.record_step(step=0, loss=2.0, step_time_s=0.1)

@@ -11,12 +11,10 @@ import json
 import pytest
 
 from repro.cluster import Communicator
-from repro.cluster.timeline import TimelineEvent
-from repro.cluster.tracing import CommEvent
+from repro.cluster.timeline import CollectiveRecord, TimelineEvent
 from repro.telemetry import (
     COMM_TID,
     COMPUTE_TID,
-    LEDGER_TID,
     GenerationPart,
     TraceValidationError,
     merged_trace,
@@ -28,27 +26,26 @@ from repro.telemetry import (
 
 
 def two_generation_parts():
-    """World 3 that shrinks to world 2, each with timeline + ledger data."""
+    """World 3 that shrinks to world 2, each with compute + collectives."""
     gen0 = GenerationPart(
         world_size=3,
-        timeline_events=[
+        compute_events=[
             TimelineEvent(r, "compute", "fwd", 0.0, 1.0 + r) for r in range(3)
-        ] + [
-            TimelineEvent(r, "comm", "allreduce", 3.0, 4.0) for r in range(3)
         ],
-        ledger_events=[
-            CommEvent("allreduce", 3, 100, 1.0, tag="grads", scope="sync",
-                      start_s=3.0, end_s=4.0),
+        collectives=[
+            CollectiveRecord("allreduce", "grads", "sync", 3, 100, -1, 1.0,
+                             3.0, 4.0, None),
         ],
         label="gen0",
     )
     gen1 = GenerationPart(
         world_size=2,
-        timeline_events=[
+        compute_events=[
             TimelineEvent(r, "compute", "fwd", 0.0, 2.0) for r in range(2)
         ],
-        ledger_events=[
-            CommEvent("allgather", 2, 50, 0.5, start_s=2.0, end_s=2.5),
+        collectives=[
+            CollectiveRecord("allgather", "", "", 2, 50, -1, 0.5, 2.0, 2.5,
+                             (0, 1)),
         ],
         label="gen1",
     )
@@ -73,11 +70,9 @@ class TestMergedTrace:
         for e in trace:
             by_name.setdefault(e["name"], set()).add(e["tid"])
         assert by_name["fwd"] == {COMPUTE_TID}
-        assert by_name["allreduce"] <= {COMM_TID, LEDGER_TID}
-        ledger_events = [e for e in trace if e["tid"] == LEDGER_TID]
-        assert {e["name"] for e in ledger_events} == {
-            "allreduce [grads]", "allgather",
-        }
+        comm = [e for e in trace if e["tid"] == COMM_TID]
+        assert {e["name"] for e in comm} == {"allreduce:grads", "allgather:"}
+        assert {e["args"]["scope"] for e in comm} == {"sync", ""}
 
     def test_generations_serialize_in_time(self):
         parts = two_generation_parts()
@@ -109,20 +104,20 @@ class TestMergedTrace:
             "gen1 rank 0", "gen1 rank 1",
         }
         thread_names = [e for e in trace if e["name"] == "thread_name"]
-        # 3 tracks per rank, 5 ranks across the two generations.
-        assert len(thread_names) == 15
+        # 2 tracks per rank, 5 ranks across the two generations.
+        assert len(thread_names) == 10
         assert {e["args"]["name"] for e in thread_names} == {
-            "compute", "comm", "ledger",
+            "compute", "comm",
         }
 
     def test_validator_summary(self):
         summary = validate_chrome_trace(merged_trace(two_generation_parts()))
         assert summary["pids"] == [0, 1, 2, 3, 4]
         assert summary["generations"] == [0, 1]
-        # gen0: 6 timeline + 3 per-rank ledger blocks; gen1: 2 + 2.
-        assert summary["events"] == 13
-        # gen0: compute+comm+ledger x 3 ranks; gen1: compute+ledger x 2.
-        assert summary["tracks"] == 13
+        # gen0: 3 compute + 3 per-rank comm blocks; gen1: 2 + 2.
+        assert summary["events"] == 10
+        # compute+comm x 3 ranks, then x 2 ranks.
+        assert summary["tracks"] == 10
 
     def test_empty_parts(self):
         assert merged_trace([]) == []
@@ -142,8 +137,17 @@ class TestPartsJsonRoundTrip:
         parts = parts_from_json(parts_to_json(two_generation_parts()))
         assert parts[0].world_size == 3
         assert parts[1].label == "gen1"
-        assert parts[0].ledger_events[0].tag == "grads"
-        assert parts[0].ledger_events[0].has_schedule
+        assert parts == two_generation_parts()
+        assert parts[0].collectives[0].tag == "grads"
+        assert parts[1].collectives[0].ranks == (0, 1)
+
+    def test_other_versions_are_refused_by_name(self):
+        blob = parts_to_json(two_generation_parts())
+        assert blob["version"] == 2
+        for version in (1, 3, None):
+            blob["version"] = version
+            with pytest.raises(ValueError, match=f"version {version!r}"):
+                parts_from_json(blob)
 
     def test_write_trace(self, tmp_path):
         trace = merged_trace(two_generation_parts())
@@ -193,15 +197,14 @@ class TestFromRun:
 
         comm = Communicator(2, track_memory=False)
         comm.allreduce([np.ones(8), np.ones(8)], tag="grads")
-        part = GenerationPart.from_run(comm.ledger, comm.timeline, "gen0")
+        part = GenerationPart.from_run(comm.timeline, "gen0")
         assert part.world_size == 2
-        assert part.ledger_events and part.timeline_events
+        assert part.collectives == comm.ledger.events
+        assert part.compute_events == []
         assert part.span_s == pytest.approx(comm.timeline.makespan)
 
     def test_none_timeline_infers_world_from_ledger(self):
-        part = GenerationPart.from_run(
-            None, None, "x"
-        )
+        part = GenerationPart.from_run(None, "x")
         assert part.world_size == 1 and part.span_s == 0.0
 
 
@@ -267,7 +270,7 @@ class TestResilientOverlappedRun:
         for e in x_events(trace):
             tids_by_pid.setdefault(e["pid"], set()).add(e["tid"])
         for pid in (0, 1, 2):  # generation 0's full world
-            assert tids_by_pid[pid] == {COMPUTE_TID, COMM_TID, LEDGER_TID}
+            assert tids_by_pid[pid] == {COMPUTE_TID, COMM_TID}
 
     def test_runner_chrome_trace_is_the_merged_view(self, runner):
         assert runner.chrome_trace() == merged_trace(runner.generation_parts())

@@ -321,6 +321,32 @@ class TestTelemetry:
         assert rc == 2
         assert "trace_parts.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json {",
+            "[]",
+            '{"generations": []}',
+            '{"version": 3, "generations": []}',
+            '{"version": 1, "generations": [{"world_size": 2}]}',
+            '{"version": 2}',
+            '{"version": 2, "generations": [{"world_size": 2}]}',
+            '{"version": 2, "generations": [{"world_size": 2, '
+            '"compute_events": [[0, "x"]], "collectives": []}]}',
+        ],
+        ids=[
+            "not-json", "not-an-object", "no-version", "unknown-version",
+            "version-1", "no-generations", "missing-keys", "short-row",
+        ],
+    )
+    def test_trace_bad_parts_file_exits_2(self, capsys, tmp_path, text):
+        (tmp_path / "trace_parts.json").write_text(text)
+        assert main(["trace", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestVerifySpmd:
     def test_parser_defaults(self):

@@ -138,7 +138,7 @@ class MaterialisedRanks:
                     )
                 )
             self.data_step += 1
-        with self.comm.ledger.scope("sync"):
+        with self.comm.timeline.scope("sync"):
             self.sync.sync_replicas(self.models)
         # The synced result is one object on every rank: whatever
         # rescales it does so once, through any one rank's parameters.

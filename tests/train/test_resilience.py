@@ -140,6 +140,18 @@ class TestRunnerBasics:
         assert runner.total_simulated_time() > 0
 
 
+def rank0_backoffs(trainer):
+    """Rank 0's charged backoff durations, in order.
+
+    A compute event stores its start and end, so a duration read back
+    can differ from the charged seconds in the last bit.
+    """
+    return [
+        e.duration for e in trainer.comm.timeline.events
+        if e.rank == 0 and e.name.startswith("retry-backoff:")
+    ]
+
+
 class TestTransientRecovery:
     def test_retry_with_backoff_charged_to_timeline_and_ledger(
         self, tmp_path
@@ -159,11 +171,11 @@ class TestTransientRecovery:
             if e["name"].startswith("retry-backoff:")
         ]
         assert len(backoff_events) == 2 * 3  # per attempt, per rank
-        ledger_backoffs = [
-            e for e in trainer.comm.ledger.events if e.op == "retry_backoff"
-        ]
-        assert [e.time_s for e in ledger_backoffs] == [0.5, 1.0]
-        assert all(e.scope == "recovery" for e in ledger_backoffs)
+        assert rank0_backoffs(trainer) == pytest.approx([0.5, 1.0])
+        # Backoff is compute time only: no collective records it.
+        assert {e.op for e in trainer.comm.ledger.events} <= {
+            "allreduce", "allgather", "reduce_scatter",
+        }
         assert_replicas_synchronized(trainer.replicas, atol=0.0)
 
     def test_backoff_is_capped(self, tmp_path):
@@ -176,11 +188,7 @@ class TestTransientRecovery:
             max_backoff_s=5.0, max_retries=4,
         )
         trainer = runner.run(3)
-        ledger_backoffs = [
-            e.time_s for e in trainer.comm.ledger.events
-            if e.op == "retry_backoff"
-        ]
-        assert ledger_backoffs == [1.0, 5.0, 5.0]
+        assert rank0_backoffs(trainer) == pytest.approx([1.0, 5.0, 5.0])
 
     def test_rewind_restores_loss_scaler_state(self, tmp_path):
         """A rewound step must also roll back the dynamic scaler's
