@@ -22,7 +22,8 @@ simulated multi-GPU cluster:
   traces, and per-step JSONL sessions;
 * :mod:`repro.serve` — the inference serving path: continuous batching,
   per-request state caching, replica-sharded embedding lookup, and
-  Zipfian/bursty traffic over the simulated cluster.
+  Zipfian/bursty traffic over the simulated cluster;
+* :mod:`repro.errors` — ``ReproError``, the root of every exception.
 """
 
 from . import (

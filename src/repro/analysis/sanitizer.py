@@ -58,6 +58,7 @@ import numpy as np
 
 from ..cluster.communicator import CollectiveHook, Communicator
 from ..core.compression import FP16_MAX, Fp16Codec, IdentityCodec, WireCodec
+from ..errors import ReproError
 
 __all__ = [
     "CollectiveMismatchError",
@@ -78,7 +79,7 @@ __all__ = [
 _MAX_EXAMPLES = 5
 
 
-class SanitizerError(RuntimeError):
+class SanitizerError(ReproError, RuntimeError):
     """Base class for everything the sanitizer detects."""
 
 

@@ -205,6 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int = 2) -> int:
+    """Print one ``error: ...`` line to stderr; return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _seed_strategies():
     from repro.core.seeding import SeedStrategy
 
@@ -223,9 +229,7 @@ def _cmd_zipf(args: argparse.Namespace) -> int:
 
     start = 512  # the curve's first point; the fit needs a second one
     if args.tokens <= start:
-        print(f"error: --tokens must exceed {start}, got {args.tokens}",
-              file=sys.stderr)
-        return 2
+        return _fail(f"--tokens must exceed {start}, got {args.tokens}")
     preset = PRESETS[args.dataset]
     scaled = preset.scaled(min(preset.vocab_size, max(2, args.tokens // 5)))
     corpus = make_corpus(scaled, args.tokens, seed=args.seed)
@@ -241,29 +245,32 @@ def _cmd_zipf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_train_args(args: argparse.Namespace, cfg) -> str | None:
+def _validate_train_args(args: argparse.Namespace, cfg) -> None:
     """What ``TrainConfig`` cannot know about a ``train`` invocation.
 
-    Returns an actionable error message, or ``None`` when the
-    combination is runnable.  Everything about the run description
-    itself (world size, wire spec, mesh) was already validated by
-    ``TrainConfig.__post_init__``.
+    Raises a :class:`~repro.errors.ConfigError` with an actionable
+    message unless the combination is runnable.  Everything about the
+    run description itself (world size, wire spec, mesh) was already
+    validated by ``TrainConfig.__post_init__``.
     """
+    from repro.errors import ConfigError
+
     if args.steps <= 0:
-        return f"--steps must be positive, got {args.steps}"
+        raise ConfigError(f"--steps must be positive, got {args.steps}")
     resilient = args.resilient or args.fault_plan is not None
     if resilient and args.sanitize:
-        return "--resilient and --sanitize are mutually exclusive"
+        raise ConfigError("--resilient and --sanitize are mutually exclusive")
     if (
         resilient
         and args.mesh is not None
         and cfg.device_mesh.axis_size("data") == 1
     ):
-        return (f"--resilient cannot recover on mesh {args.mesh!r}: "
-                f"rank-loss recovery collapses the data axis only, and "
-                f"data=1 leaves nothing to collapse; use data>=2 or drop "
-                f"--resilient")
-    return None
+        raise ConfigError(
+            f"--resilient cannot recover on mesh {args.mesh!r}: "
+            f"rank-loss recovery collapses the data axis only, and "
+            f"data=1 leaves nothing to collapse; use data>=2 or drop "
+            f"--resilient"
+        )
 
 
 def _wire_spec(args: argparse.Namespace) -> str | None:
@@ -314,30 +321,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
             fused_reduce=args.fused_reduce,
             mesh=args.mesh,
         )
-        error = _validate_train_args(args, cfg)
-        if error is None:
-            preset = (ONE_BILLION_WORD if is_word else TIEBA).scaled(args.vocab)
-            if is_word:
-                model_cfg = WordLMConfig(
-                    vocab_size=args.vocab, embedding_dim=16, hidden_dim=24,
-                    projection_dim=16, num_samples=min(32, args.vocab - 1),
-                )
-            else:
-                model_cfg = CharLMConfig(
-                    vocab_size=args.vocab, embedding_dim=12, hidden_dim=16,
-                    depth=2, dropout=0.0,
-                )
-            corpus = make_corpus(preset, args.corpus_tokens, seed=args.seed)
-            # The trainer's batchers refuse a split too short for a step.
-            ShardedBatcher(
-                corpus.train, cfg.batch, cfg.device_mesh.axis_size("data")
+        _validate_train_args(args, cfg)
+        preset = (ONE_BILLION_WORD if is_word else TIEBA).scaled(args.vocab)
+        if is_word:
+            model_cfg = WordLMConfig(
+                vocab_size=args.vocab, embedding_dim=16, hidden_dim=24,
+                projection_dim=16, num_samples=min(32, args.vocab - 1),
             )
-            make_eval_batches(corpus.valid, cfg.batch, max_batches=1)
+        else:
+            model_cfg = CharLMConfig(
+                vocab_size=args.vocab, embedding_dim=12, hidden_dim=16,
+                depth=2, dropout=0.0,
+            )
+        corpus = make_corpus(preset, args.corpus_tokens, seed=args.seed)
+        # The trainer's batchers refuse a split too short for a step.
+        ShardedBatcher(corpus.train, cfg.batch, cfg.device_mesh.axis_size("data"))
+        make_eval_batches(corpus.valid, cfg.batch, max_batches=1)
     except ValueError as exc:
-        error = str(exc)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
 
     comm = None
     if args.sanitize:
@@ -631,12 +632,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         engine = LintEngine(default_rules(only))
     except ValueError as exc:
         known = ", ".join(cls.rule_id for cls in iter_rule_classes())
-        print(f"error: {exc} (known rules: {known})", file=sys.stderr)
-        return 2
+        return _fail(f"{exc} (known rules: {known})")
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
-        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
+        return _fail(f"no such path: {', '.join(missing)}")
     findings = engine.lint_paths(args.paths)
     print(format_findings(findings))
     return 1 if findings else 0
@@ -664,16 +663,12 @@ def _cmd_verify_spmd(args: argparse.Namespace) -> int:
     )
 
     if args.static_only and args.dynamic_only:
-        print("error: --static-only and --dynamic-only are mutually "
-              "exclusive", file=sys.stderr)
-        return 2
+        return _fail("--static-only and --dynamic-only are mutually exclusive")
     rc = 0
     if not args.dynamic_only:
         missing = [p for p in args.paths if not Path(p).exists()]
         if missing:
-            print(f"error: no such path: {', '.join(missing)}",
-                  file=sys.stderr)
-            return 2
+            return _fail(f"no such path: {', '.join(missing)}")
         findings = LintEngine(default_rules(_SPMD_RULES)).lint_paths(args.paths)
         print(f"static ({', '.join(_SPMD_RULES)} over "
               f"{', '.join(args.paths)}): {format_findings(findings)}")
@@ -707,6 +702,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     """
     from repro.cluster.communicator import Communicator
     from repro.cluster.failures import ChaosCommunicator, FaultPlan
+    from repro.errors import ConfigError
     from repro.serve import (
         ArrivalSpec,
         CharLMDecoder,
@@ -770,8 +766,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         else:
             comm = Communicator(args.gpus)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
 
     def make_decoder():
         rng = np.random.default_rng(args.seed)
@@ -784,7 +779,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     session = None
     if args.telemetry_dir is not None:
         session = TelemetrySession(directory=Path(args.telemetry_dir))
-    engine = ServingEngine(make_decoder(), comm, config, telemetry=session)
+    try:  # the budget is checked against the decoder's state size
+        engine = ServingEngine(make_decoder(), comm, config, telemetry=session)
+    except ConfigError as exc:
+        return _fail(str(exc))
     report = engine.run(requests)
     registry = session.registry if session is not None else MetricsRegistry()
     summary = report_to_registry(report, registry)
@@ -846,21 +844,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     directory = Path(args.telemetry_dir)
     parts_file = directory / "trace_parts.json"
     if not parts_file.exists():
-        print(f"error: {parts_file} not found (was the run started with "
-              f"train --telemetry-dir?)", file=sys.stderr)
-        return 2
+        return _fail(f"{parts_file} not found (was the run started with "
+                     f"train --telemetry-dir?)")
     try:
         with open(parts_file) as f:
             parts = parts_from_json(json.load(f))
     except ValueError as exc:  # not JSON, another version, missing keys
-        print(f"error: {parts_file}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"{parts_file}: {exc}")
     trace = merged_trace(parts)
     try:
         summary = validate_chrome_trace(trace)
     except TraceValidationError as exc:
-        print(f"error: invalid merged trace: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"invalid merged trace: {exc}", code=1)
     out = Path(args.out) if args.out is not None else directory / "trace.json"
     write_trace(out, trace)
     print(f"merged trace: {summary['events']} events on "
@@ -879,9 +874,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # sample sets, which must match key-for-key and value-for-value.
     if prom_flat != json_flat:
         diff = set(prom_flat.items()) ^ set(json_flat.items())
-        print(f"error: Prometheus and JSON exports disagree on "
-              f"{len(diff)} sample(s)", file=sys.stderr)
-        return 1
+        return _fail(f"Prometheus and JSON exports disagree on "
+                     f"{len(diff)} sample(s)", code=1)
     totals = run_totals_from_parts(parts)
     checks = {
         "repro_run_wire_bytes_per_rank": totals["wire_bytes_per_rank"],
@@ -892,9 +886,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     for name, expected in checks.items():
         exported = json_flat.get((name, (), "value"))
         if exported != expected:
-            print(f"error: {name} export {exported!r} != ledger total "
-                  f"{expected!r}", file=sys.stderr)
-            return 1
+            return _fail(f"{name} export {exported!r} != ledger total "
+                         f"{expected!r}", code=1)
     print(f"exports: prometheus == json ({len(json_flat)} samples), "
           f"ledger totals agree exactly "
           f"(wire {totals['wire_bytes_per_rank']} B/rank, "

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import ReproError
+
 __all__ = [
     "Allocation",
     "DeviceOOMError",
@@ -30,7 +32,7 @@ __all__ = [
 ]
 
 
-class DeviceOOMError(MemoryError):
+class DeviceOOMError(ReproError, MemoryError):
     """Raised when an allocation would exceed a device's memory capacity.
 
     Mirrors a CUDA out-of-memory abort.  The message records the device,

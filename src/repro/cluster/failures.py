@@ -39,6 +39,7 @@ import numpy as np
 from .communicator import CollectiveHook, Communicator
 from .interconnect import Interconnect, LinkSpec
 from .timeline import Timeline
+from ..errors import FormatError, ReproError
 
 __all__ = [
     "degrade_fabric",
@@ -92,7 +93,7 @@ def inject_straggler(
     return timeline
 
 
-class RankFailureError(RuntimeError):
+class RankFailureError(ReproError, RuntimeError):
     """A simulated rank crashed during a collective.
 
     Synchronous collectives are all-or-nothing: when one rank dies, every
@@ -108,7 +109,7 @@ class RankFailureError(RuntimeError):
         )
 
 
-class TransientLinkError(RuntimeError):
+class TransientLinkError(ReproError, RuntimeError):
     """A link flapped during a collective; a retry may succeed.
 
     The *transient* half of the fault taxonomy.  Unlike
@@ -291,11 +292,14 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            events=[FaultEvent.from_dict(e) for e in data.get("events", [])],
-            seed=int(data.get("seed", 0)),
-        )
+        """Inverse of :meth:`to_dict`; malformed input is a ``FormatError``."""
+        try:
+            return cls(
+                events=[FaultEvent.from_dict(e) for e in data.get("events", [])],
+                seed=int(data.get("seed", 0)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise FormatError(f"malformed fault plan: {err!r}") from err
 
     def save(self, path: str | pathlib.Path) -> None:
         """Write the plan as JSON to ``path``."""
@@ -304,7 +308,10 @@ class FaultPlan:
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "FaultPlan":
         """Read a plan previously written by :meth:`save`."""
-        return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
+        except json.JSONDecodeError as err:
+            raise FormatError(f"fault plan {path} is not JSON: {err}") from err
 
     def __len__(self) -> int:
         return len(self.events)

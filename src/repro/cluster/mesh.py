@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from ..errors import ConfigError
 from .interconnect import Interconnect, LinkSpec
 from .process_group import ProcessGroup
 
@@ -59,7 +60,7 @@ def hybrid_mesh(spec: str, world_size: int) -> "DeviceMesh":
     parsed = parse_mesh_spec(spec, world_size)
     unknown = [n for n in parsed.axis_names if n not in HYBRID_AXES]
     if unknown:
-        raise ValueError(
+        raise ConfigError(
             f"unknown training-mesh axis(es) {unknown}: a training mesh "
             f"uses only {', '.join(HYBRID_AXES)} "
             "(e.g. '--mesh pipe=2,tensor=2,data=G/4')"
@@ -79,13 +80,13 @@ def parse_mesh_spec(spec: str, world_size: int) -> "DeviceMesh":
     axis product must equal ``world_size``.
     """
     if not spec.strip():
-        raise ValueError("empty mesh spec")
+        raise ConfigError("empty mesh spec")
     names: list[str] = []
     sizes: list[int | None] = []
     for part in spec.split(","):
         part = part.strip()
         if "=" not in part:
-            raise ValueError(
+            raise ConfigError(
                 f"bad mesh axis {part!r}: expected '<name>=<size>' "
                 "(e.g. 'tensor=4', 'data=G/8')"
             )
@@ -93,9 +94,9 @@ def parse_mesh_spec(spec: str, world_size: int) -> "DeviceMesh":
         name = name.strip()
         value = value.strip()
         if not name:
-            raise ValueError(f"bad mesh axis {part!r}: empty axis name")
+            raise ConfigError(f"bad mesh axis {part!r}: empty axis name")
         if name in names:
-            raise ValueError(f"duplicate mesh axis {name!r}")
+            raise ConfigError(f"duplicate mesh axis {name!r}")
         names.append(name)
         if not value:
             sizes.append(None)
@@ -104,12 +105,12 @@ def parse_mesh_spec(spec: str, world_size: int) -> "DeviceMesh":
         elif value.startswith("G/"):
             divisor = value[2:]
             if not divisor.isdigit() or int(divisor) <= 0:
-                raise ValueError(
+                raise ConfigError(
                     f"bad mesh axis {part!r}: expected 'G/<positive int>'"
                 )
             div = int(divisor)
             if world_size % div != 0:
-                raise ValueError(
+                raise ConfigError(
                     f"mesh axis {name!r}: G/{div} does not divide "
                     f"world size {world_size}"
                 )
@@ -117,25 +118,25 @@ def parse_mesh_spec(spec: str, world_size: int) -> "DeviceMesh":
         elif value.lstrip("-").isdigit():
             size = int(value)
             if size <= 0:
-                raise ValueError(
+                raise ConfigError(
                     f"mesh axis {name!r} must be positive, got {size}"
                 )
             sizes.append(size)
         else:
-            raise ValueError(
+            raise ConfigError(
                 f"bad mesh axis {part!r}: size must be an integer, "
                 "'G', or 'G/<int>'"
             )
     inferred = [i for i, s in enumerate(sizes) if s is None]
     if len(inferred) > 1:
-        raise ValueError("at most one mesh axis may omit its size")
+        raise ConfigError("at most one mesh axis may omit its size")
     known = 1
     for s in sizes:
         if s is not None:
             known *= s
     if inferred:
         if world_size % known != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"cannot infer axis {names[inferred[0]]!r}: known axes "
                 f"product {known} does not divide world size {world_size}"
             )
@@ -144,7 +145,7 @@ def parse_mesh_spec(spec: str, world_size: int) -> "DeviceMesh":
     for s in sizes:
         total *= s  # type: ignore[operator]
     if total != world_size:
-        raise ValueError(
+        raise ConfigError(
             f"mesh {spec!r} has {total} rank(s) but the world has "
             f"{world_size}; axis sizes must multiply to the world size"
         )

@@ -62,6 +62,8 @@ from collections import defaultdict
 from collections.abc import Sequence
 from typing import NamedTuple
 
+from ..errors import ReproError
+
 __all__ = [
     "COMPUTE_STREAM",
     "COMM_STREAM",
@@ -98,7 +100,7 @@ class TimelineEvent(NamedTuple):
         return self.end - self.start
 
 
-class LedgerScopeError(RuntimeError):
+class LedgerScopeError(ReproError, RuntimeError):
     """Unbalanced or mismatched cost-scope push/pop.
 
     Raised instead of silently corrupting attribution: an unbalanced

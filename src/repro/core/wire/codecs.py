@@ -57,6 +57,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ...errors import FormatError
 from ..compression import WireCodec
 
 __all__ = [
@@ -480,10 +481,12 @@ def _decode_delta_payload(
     raw: bytes, offset: int, n: int
 ) -> tuple[np.ndarray, int]:
     """Decode a delta-bitpack payload; return (uint64 values, new offset)."""
+    if offset + 12 > len(raw):
+        raise FormatError("corrupt delta frame: truncated payload header")
     block = int.from_bytes(raw[offset:offset + 4], "little")
     offset += 4
     if block <= 0:
-        raise ValueError(f"corrupt delta frame: block size {block}")
+        raise FormatError(f"corrupt delta frame: block size {block}")
     first = np.frombuffer(raw, dtype="<i8", count=1, offset=offset)
     offset += 8
     # Walk the block headers before allocating: the count is only
@@ -496,7 +499,7 @@ def _decode_delta_payload(
         width = raw[offset] if offset < len(raw) else 65
         nbytes = (blk_n * width + 7) // 8
         if width > 64 or offset + 1 + nbytes > len(raw):
-            raise ValueError(
+            raise FormatError(
                 f"corrupt delta frame: block of {blk_n} deltas at byte "
                 f"{offset} does not fit the buffer ({n} elements claimed)"
             )
@@ -522,7 +525,7 @@ def _decode_rle_payload(raw: bytes, offset: int, n: int) -> tuple[np.ndarray, in
     n_runs = int.from_bytes(raw[offset:offset + 8], "little")
     offset += 8
     if n_runs < 1 or offset + 16 * n_runs > len(raw):
-        raise ValueError(
+        raise FormatError(
             f"corrupt rle frame: {n_runs} runs do not fit the "
             f"{max(len(raw) - offset, 0)} payload bytes left"
         )
@@ -533,7 +536,7 @@ def _decode_rle_payload(raw: bytes, offset: int, n: int) -> tuple[np.ndarray, in
     # Runs may legitimately expand without bound, but they must add up:
     # the scatter below indexes by their running sum.
     if 0 in lengths or sum(lengths.tolist()) != n:
-        raise ValueError(
+        raise FormatError(
             f"corrupt rle frame: run lengths do not sum to {n} elements"
         )
     su = starts.astype(np.int64).view(np.uint64)
@@ -556,6 +559,8 @@ def _decode_entropy_payload(
     raw: bytes, offset: int, n: int
 ) -> tuple[np.ndarray, int]:
     """Decode an entropy payload; return (uint64 values, new offset)."""
+    if offset + 16 + _N_WIDTH_SYMBOLS > len(raw):
+        raise FormatError("corrupt entropy frame: truncated payload header")
     first = np.frombuffer(raw, dtype="<i8", count=1, offset=offset)
     offset += 8
     lengths = np.frombuffer(
@@ -568,13 +573,13 @@ def _decode_entropy_payload(
     # Every delta costs at least one code bit: a count the stream cannot
     # hold is corrupt, and must not size an allocation.
     if end > len(raw) or n - 1 > nbits:
-        raise ValueError(
+        raise FormatError(
             f"corrupt entropy frame: {n} elements / {nbits} stream bits "
             f"do not fit the {len(raw) - offset} payload bytes left"
         )
     table = _canonical_code_table(lengths)
     if n > 1 and not table:
-        raise ValueError("corrupt entropy frame: empty codebook")
+        raise FormatError("corrupt entropy frame: empty codebook")
     # A width-``sym`` delta is an implied top bit over ``sym - 1`` low
     # bits: per symbol, (bits to consume, low-bit mask, top bit).
     def entry(sym: int, length: int) -> tuple[int, int, int]:
@@ -618,15 +623,15 @@ def _decode_entropy_payload(
                 if hit is not None:
                     break
             else:  # no code matches: the stream runs out first
-                raise ValueError("corrupt entropy frame: truncated bitstream")
+                raise FormatError("corrupt entropy frame: truncated bitstream")
         take, mask, top = hit
         pos += take
         avail -= take
         zz.append(((window >> avail) & mask) | top)
     if pos > nbits:
-        raise ValueError("corrupt entropy frame: truncated bitstream")
+        raise FormatError("corrupt entropy frame: truncated bitstream")
     if pos != nbits:
-        raise ValueError("corrupt entropy frame: trailing bits")
+        raise FormatError("corrupt entropy frame: trailing bits")
     u = np.empty(n, dtype=np.uint64)
     u[0] = first.astype(np.int64)[0:1].view(np.uint64)[0]
     if n > 1:
@@ -642,7 +647,8 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
     the result is the rank-order concatenation of the original vectors.
     ``dtype`` must match the dtype recorded in every frame — a mismatch
     means the caller lost track of what was encoded, which is an error,
-    not a cast.
+    not a cast.  Bytes that are not a well-formed frame sequence raise
+    :class:`~repro.errors.FormatError`.
     """
     if arr.dtype != np.uint8:
         raise ValueError(f"expected a uint8 frame buffer, got {arr.dtype}")
@@ -654,13 +660,13 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
     offset = 0
     while offset < len(raw):
         if offset + FRAME_HEADER_BYTES > len(raw):
-            raise ValueError("truncated frame header")
+            raise FormatError("truncated frame header")
         kind = raw[offset]
         frame_dtype = _CODE_DTYPES.get(raw[offset + 1])
         if frame_dtype is None:
-            raise ValueError(f"unknown frame dtype code {raw[offset + 1]}")
+            raise FormatError(f"unknown frame dtype code {raw[offset + 1]}")
         if frame_dtype != want:
-            raise ValueError(
+            raise FormatError(
                 f"frame holds {frame_dtype} but decode asked for {want}"
             )
         n = int.from_bytes(raw[offset + 2:offset + 10], "little")
@@ -671,7 +677,7 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
         if kind == _KIND_RAW:
             count_bytes = n * want.itemsize
             if offset + count_bytes > len(raw):
-                raise ValueError(
+                raise FormatError(
                     f"corrupt raw frame: {n} elements do not fit the "
                     f"{len(raw) - offset} payload bytes left"
                 )
@@ -689,7 +695,7 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
             u, offset = _decode_entropy_payload(raw, offset, n)
             vals = u.view(np.int64).astype(want, copy=False)
         else:
-            raise ValueError(f"unknown frame kind {kind}")
+            raise FormatError(f"unknown frame kind {kind}")
         parts.append(np.ascontiguousarray(vals))
     if not parts:
         return np.zeros(0, dtype=want)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ...errors import ConfigError
 from ..compression import WireCodec
 from .adaptive import AdaptiveCodecSelector
 from .registry import available_codecs, make_codec
@@ -80,14 +81,14 @@ class WirePolicy:
         """Build a policy from a ``--wire-codec`` spec string."""
         parts = [p.strip() for p in spec.split("+") if p.strip()]
         if not parts:
-            raise ValueError("empty wire-codec spec")
+            raise ConfigError("empty wire-codec spec")
         selector = None
         if "auto" in parts:
             # The selector fills every slot no fixed codec claims; only a
             # value codec may sit beside it (the index role is auto's).
             parts.remove("auto")
             if any(p.partition(":")[0] not in _VALUE_SPECS for p in parts):
-                raise ValueError(
+                raise ConfigError(
                     "'auto' can only be combined with a value codec "
                     "(e.g. 'fp16+auto')"
                 )
@@ -100,14 +101,14 @@ class WirePolicy:
             base = part.partition(":")[0]
             if base in _VALUE_SPECS:
                 if value is not None:
-                    raise ValueError(f"duplicate value codec in spec {spec!r}")
+                    raise ConfigError(f"duplicate value codec in spec {spec!r}")
                 value = make_codec(part)
             elif base in _INDEX_SPECS:
                 if index is not None:
-                    raise ValueError(f"duplicate index codec in spec {spec!r}")
+                    raise ConfigError(f"duplicate index codec in spec {spec!r}")
                 index = make_codec(part)
             else:
-                raise ValueError(
+                raise ConfigError(
                     f"unknown wire-codec {part!r}; expected none, auto, or "
                     f"'+'-joined names from: {', '.join(available_codecs())}"
                 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from ...errors import ConfigError
 from ..compression import Fp16Codec, IdentityCodec, WireCodec
 from .codecs import DeltaBitpackCodec, EntropyCodec, RunLengthCodec
 
@@ -48,21 +49,21 @@ def make_codec(spec: str) -> WireCodec:
     """Build a codec from a spec string: ``name`` or ``name:number``.
 
     The optional numeric argument is passed positionally to the factory
-    (``fp16``'s scale, ``delta``'s block size).
+    (``fp16``'s scale, ``delta``'s block size).  An unknown name or a
+    bad argument is a :class:`~repro.errors.ConfigError`.
     """
     name, _, arg = spec.partition(":")
     factory = _REGISTRY.get(name)
     if factory is None:
-        raise ValueError(
+        raise ConfigError(
             f"unknown codec {name!r}; available: {', '.join(available_codecs())}"
         )
     if not arg:
         return factory()
     try:
-        value: float | int = int(arg)
-    except ValueError:
-        value = float(arg)
-    return factory(value)
+        return factory(int(arg) if arg.lstrip("-").isdigit() else float(arg))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 register_codec("identity", IdentityCodec)

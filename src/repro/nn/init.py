@@ -22,7 +22,7 @@ def uniform(
     """U(-scale, scale) initialization (TF 1.x default for embeddings)."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return rng.uniform(-scale, scale, size=shape).astype(dtype)
+    return rng.uniform(-scale, scale, size=shape).astype(dtype, copy=False)
 
 
 def xavier_uniform(
@@ -34,7 +34,7 @@ def xavier_uniform(
         raise ValueError("xavier_uniform expects a 2-D shape")
     fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
 
 
 def orthogonal(
@@ -50,7 +50,7 @@ def orthogonal(
     q *= np.sign(np.diag(r))  # make the decomposition unique
     if rows < cols:
         q = q.T
-    return (gain * q[:rows, :cols]).astype(dtype)
+    return (gain * q[:rows, :cols]).astype(dtype, copy=False)
 
 
 def zeros(shape: tuple[int, ...], dtype: np.dtype = DTYPE) -> np.ndarray:

@@ -47,6 +47,7 @@ import numpy as np
 
 from ..cluster.communicator import Communicator
 from ..cluster.failures import RankFailureError, TransientLinkError
+from ..errors import ConfigError
 from .decoders import fold_histories, sample_token, stack_states
 from .embedding import sharded_embedding_lookup
 from .metrics import ServingReport
@@ -86,19 +87,15 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+            raise ConfigError("max_batch must be positive")
         if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+            raise ConfigError("temperature must be non-negative")
         if self.cache_budget_bytes <= 0:
-            raise ValueError("cache_budget_bytes must be positive")
+            raise ConfigError("cache_budget_bytes must be positive")
         if min(self.prefill_token_s, self.decode_token_s) < 0:
-            raise ValueError("per-token costs must be non-negative")
+            raise ConfigError("per-token costs must be non-negative")
         if self.max_transient_retries < 1 or self.max_steps < 1:
-            raise ValueError("retry and step limits must be positive")
-
-
-class _StepAborted(Exception):
-    """Internal: a rank loss aborted the current decode step pre-emission."""
+            raise ConfigError("retry and step limits must be positive")
 
 
 class ServingEngine:
@@ -135,7 +132,7 @@ class ServingEngine:
         self.comm = comm
         self.config = config if config is not None else ServeConfig()
         if self.config.max_batch * decoder.state_nbytes > self.config.cache_budget_bytes:
-            raise ValueError(
+            raise ConfigError(
                 "cache budget cannot hold a full active batch: "
                 f"{self.config.max_batch} x {decoder.state_nbytes} B > "
                 f"{self.config.cache_budget_bytes} B"
@@ -316,8 +313,9 @@ class ServingEngine:
 
     def _lookup_rows(
         self, shards: list[list[int]], step: int
-    ) -> list[np.ndarray]:
-        """The step's sharded embedding gather, with transient retries."""
+    ) -> list[np.ndarray] | None:
+        """The step's sharded embedding gather, with transient retries;
+        ``None`` when a rank loss aborted the step before any emission."""
         sched = self.scheduler
         ids_per_rank = [
             np.array([sched.records[rid].last_token for rid in shard], dtype=np.int64)
@@ -342,7 +340,7 @@ class ServingEngine:
                 )
             except RankFailureError as err:
                 self._handle_rank_loss(err)
-                raise _StepAborted() from err
+                return None
 
     def run(self, requests: list[ServeRequest]) -> ServingReport:
         """Serve the stream to completion; returns the outcome report.
@@ -352,7 +350,8 @@ class ServingEngine:
         not a load condition — the step count is bounded by total
         tokens plus idle hops).  The stream is validated before any work:
         a prompt id or ``eos_token`` outside the vocabulary is a
-        ``ValueError`` naming the request.
+        :class:`~repro.errors.ConfigError` naming the request, and so
+        are duplicate request ids.
         """
         config = self.config
         vocab = self.decoder.vocab_size
@@ -361,7 +360,7 @@ class ServingEngine:
             if req.eos_token is not None:
                 ids = np.append(ids, req.eos_token)
             if ids.min() < 0 or ids.max() >= vocab:
-                raise ValueError(
+                raise ConfigError(
                     f"request {req.request_id}: prompt ids and eos_token "
                     f"must be in [0, {vocab})"
                 )
@@ -394,9 +393,8 @@ class ServingEngine:
 
             shards = self._shards(list(sched.active))
             step_start = self.now_s
-            try:
-                rows_per_rank = self._lookup_rows(shards, decode_steps)
-            except _StepAborted:
+            rows_per_rank = self._lookup_rows(shards, decode_steps)
+            if rows_per_rank is None:
                 continue
             decode_steps += 1
             # One kernel call over every active row, rank-major; the

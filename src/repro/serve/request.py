@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
+
 __all__ = ["RequestState", "ServeRequest", "CompletedRequest"]
 
 
@@ -72,14 +74,14 @@ class ServeRequest:
     def __post_init__(self) -> None:
         prompt = np.asarray(self.prompt, dtype=np.int64)
         if prompt.ndim != 1 or prompt.size == 0:
-            raise ValueError("prompt must be a non-empty 1-D token vector")
+            raise ConfigError("prompt must be a non-empty 1-D token vector")
         object.__setattr__(self, "prompt", prompt)
         if self.max_new_tokens <= 0:
-            raise ValueError("max_new_tokens must be positive")
+            raise ConfigError("max_new_tokens must be positive")
         if not 0 <= self.arrival_s < float("inf"):  # NaN fails both sides
-            raise ValueError("arrival_s must be finite and non-negative")
+            raise ConfigError("arrival_s must be finite and non-negative")
         if not self.slo_s > 0:  # NaN included
-            raise ValueError("slo_s must be positive")
+            raise ConfigError("slo_s must be positive")
 
     @property
     def deadline_s(self) -> float:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import takewhile
 
+from ..errors import ConfigError
 from .request import RequestState, ServeRequest
 
 __all__ = ["ContinuousBatchingScheduler", "TrackedRequest"]
@@ -94,7 +95,7 @@ class ContinuousBatchingScheduler:
             raise ValueError("max_batch must be positive")
         ids = [r.request_id for r in requests]
         if len(set(ids)) != len(ids):
-            raise ValueError("request ids must be unique")
+            raise ConfigError("request ids must be unique")
         self.max_batch = max_batch
         self.drop_expired = drop_expired
         self.records: dict[int, TrackedRequest] = {

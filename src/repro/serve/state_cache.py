@@ -34,10 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ReproError
+
 __all__ = ["CacheEntry", "CacheOverflowError", "RecurrentStateCache"]
 
 
-class CacheOverflowError(MemoryError):
+class CacheOverflowError(ReproError, MemoryError):
     """Raised when pinned entries alone exceed the cache budget.
 
     Pinned state cannot be evicted, so this is a configuration error:

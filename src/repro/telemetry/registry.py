@@ -27,6 +27,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from ..errors import ReproError
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -48,7 +50,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class MetricError(ValueError):
+class MetricError(ReproError, ValueError):
     """Raised on invalid metric names, labels, or update arguments."""
 
 

@@ -33,6 +33,7 @@ from ..cluster.timeline import (
     TimelineEvent,
     events_to_chrome,
 )
+from ..errors import FormatError, ReproError
 
 __all__ = [
     "COMPUTE_TID",
@@ -56,7 +57,7 @@ _TID_NAMES = {COMPUTE_TID: "compute", COMM_TID: "comm"}
 _PARTS_VERSION = 2
 
 
-class TraceValidationError(RuntimeError):
+class TraceValidationError(ReproError, RuntimeError):
     """A merged chrome trace violated a structural invariant.
 
     Raised for negative timestamps/durations or overlapping ``X``
@@ -125,39 +126,40 @@ def parts_to_json(parts: Sequence[GenerationPart]) -> dict:
 def parts_from_json(obj) -> List[GenerationPart]:
     """Inverse of :func:`parts_to_json` (accepts a dict or a JSON string).
 
-    Raises ``ValueError`` — naming the problem — for a file of another
-    format version (version 1 held one row per rank per collective and
-    a second, ledger copy of every collective) or one with missing keys.
+    Raises :class:`~repro.errors.FormatError` — naming the problem — for
+    text that is not JSON, a file of another format version (version 1
+    held one row per rank per collective and a second, ledger copy of
+    every collective) or one with missing keys.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    version = obj.get("version") if isinstance(obj, dict) else None
-    if version != _PARTS_VERSION:
-        raise ValueError(
-            f"trace parts version {version!r} is not supported: this "
-            f"build reads version {_PARTS_VERSION} (re-record the run)"
-        )
     try:
-        return [
-            GenerationPart(
-                world_size=int(g["world_size"]),
-                compute_events=[
-                    TimelineEvent(int(r), "compute", name, float(s), float(e))
-                    for r, name, s, e in g["compute_events"]
-                ],
-                collectives=[
-                    CollectiveRecord(
-                        *row[:-1],
-                        None if row[-1] is None else tuple(row[-1]),
-                    )
-                    for row in g["collectives"]
-                ],
-                label=g.get("label", ""),
-            )
-            for g in obj["generations"]
-        ]
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        version = obj.get("version") if isinstance(obj, dict) else None
+        if version == _PARTS_VERSION:
+            return [
+                GenerationPart(
+                    world_size=int(g["world_size"]),
+                    compute_events=[
+                        TimelineEvent(int(r), "compute", name, float(s), float(e))
+                        for r, name, s, e in g["compute_events"]
+                    ],
+                    collectives=[
+                        CollectiveRecord(
+                            *row[:-1],
+                            None if row[-1] is None else tuple(row[-1]),
+                        )
+                        for row in g["collectives"]
+                    ],
+                    label=g.get("label", ""),
+                )
+                for g in obj["generations"]
+            ]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"trace parts: malformed ({exc!r})") from None
+        raise FormatError(f"trace parts: malformed ({exc!r})") from None
+    raise FormatError(
+        f"trace parts version {version!r} is not supported: this "
+        f"build reads version {_PARTS_VERSION} (re-record the run)"
+    )
 
 
 def merged_trace(

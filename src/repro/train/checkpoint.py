@@ -37,10 +37,12 @@ skipped because the shrunken trainer derives its own for the new world.
 from __future__ import annotations
 
 import pathlib
+import zipfile
 
 import numpy as np
 
 from ..core.seeding import SeedAssignment, SeedStrategy
+from ..errors import FormatError
 from .trainer import DistributedTrainer
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -80,7 +82,7 @@ def _encode_rng_state(state: dict) -> np.ndarray:
 def _decode_rng_state(limbs: np.ndarray) -> dict:
     """Inverse of :func:`_encode_rng_state`."""
     if limbs.shape != (6,):
-        raise ValueError(f"expected 6 uint64 limbs, got shape {limbs.shape}")
+        raise FormatError(f"expected 6 uint64 limbs, got shape {limbs.shape}")
     vals = [int(v) for v in limbs]
     return {
         "bit_generator": "PCG64",
@@ -120,7 +122,7 @@ def _check_mesh_compatibility(
     if cfg_shape is None:
         cfg_shape = (1, 1, trainer.config.world_size)
     if saved_shape[:2] != cfg_shape[:2]:
-        raise ValueError(
+        raise FormatError(
             f"checkpoint was written on a (pipe={saved_shape[0]}, "
             f"tensor={saved_shape[1]}) mesh but the trainer has "
             f"(pipe={cfg_shape[0]}, tensor={cfg_shape[1]}): model shards "
@@ -129,7 +131,7 @@ def _check_mesh_compatibility(
             f"with elastic=True)"
         )
     if not elastic and saved_shape[2] != cfg_shape[2]:
-        raise ValueError(
+        raise FormatError(
             f"checkpoint has data={saved_shape[2]} replica groups, "
             f"trainer has data={cfg_shape[2]}; pass elastic=True to "
             f"shrink the data axis"
@@ -189,63 +191,83 @@ def load_checkpoint(
     re-index densely, new rank ``r`` adopting saved replica ``r``'s RNG
     streams, and the saved seed assignment is skipped because the
     shrunken trainer derives its own.  Returns the restored global step.
+
+    A file the trainer cannot resume is a :class:`~repro.errors.FormatError`,
+    raised before the trainer is touched.
     """
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["meta/version"])
-        if version not in (1, _FORMAT_VERSION):
-            raise ValueError(f"unsupported checkpoint version {version}")
-        world = int(data["meta/world_size"])
-        if not elastic and world != trainer.config.world_size:
-            raise ValueError(
-                f"checkpoint was written at world size {world}, trainer "
-                f"has {trainer.config.world_size}"
-            )
-        if elastic and trainer.config.world_size > world:
-            raise ValueError(
-                f"elastic load cannot grow the world: checkpoint has "
-                f"{world} ranks, trainer wants {trainer.config.world_size}"
-            )
-        saved_mesh = (
-            str(data["meta/mesh"]) if "meta/mesh" in data.files else ""
-        )
-        _check_mesh_compatibility(saved_mesh, world, trainer, elastic)
-        model_state = {
-            key[len("model/"):]: data[key]
-            for key in data.files
-            if key.startswith("model/")
-        }
-        if "optim/clip_norm" in data.files:
-            # Written by a run that set the removed gradient clip:
-            # resuming it unclipped would change the training silently.
-            raise ValueError(
-                "checkpoint key 'optim/clip_norm' holds a gradient clip, "
-                "which SGD no longer applies; it cannot be resumed"
-            )
-        opt_state = {
-            key[len("optim/"):]: data[key]
-            for key in data.files
-            if key.startswith("optim/")
-        }
-        # Scalars round-trip as 0-d arrays; optimizers expect numbers.
-        opt_state = {
-            k: (v.item() if v.ndim == 0 else v) for k, v in opt_state.items()
-        }
-        global_step = int(data["meta/global_step"])
-        data_step = int(data["meta/data_step"])
-        epochs_done = int(data["meta/epochs_done"])
-        rng_streams: dict[int, dict[str, dict]] = {}
-        has_rng = version >= 2
-        if has_rng:
-            for key in data.files:
-                if not key.startswith("rng/replica"):
-                    continue
-                rank_str, _, mod_path = key[len("rng/replica"):].partition("/")
-                rng_streams.setdefault(int(rank_str), {})[mod_path] = (
-                    _decode_rng_state(data[key])
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["meta/version"])
+            if version not in (1, _FORMAT_VERSION):
+                raise FormatError(f"unsupported checkpoint version {version}")
+            world = int(data["meta/world_size"])
+            if not elastic and world != trainer.config.world_size:
+                raise FormatError(
+                    f"checkpoint was written at world size {world}, trainer "
+                    f"has {trainer.config.world_size}"
                 )
-            strategy = SeedStrategy(str(data["rng/strategy"]))
-            group_of_rank = data["rng/group_of_rank"].copy()
-            seed_of_group = data["rng/seed_of_group"].copy()
+            if elastic and trainer.config.world_size > world:
+                raise FormatError(
+                    f"elastic load cannot grow the world: checkpoint has "
+                    f"{world} ranks, trainer wants {trainer.config.world_size}"
+                )
+            saved_mesh = (
+                str(data["meta/mesh"]) if "meta/mesh" in data.files else ""
+            )
+            _check_mesh_compatibility(saved_mesh, world, trainer, elastic)
+            model_state = {
+                key[len("model/"):]: data[key]
+                for key in data.files
+                if key.startswith("model/")
+            }
+            if "optim/clip_norm" in data.files:
+                # Written by a run that set the removed gradient clip:
+                # resuming it unclipped would change the training silently.
+                raise FormatError(
+                    "checkpoint key 'optim/clip_norm' holds a gradient clip, "
+                    "which SGD no longer applies; it cannot be resumed"
+                )
+            opt_state = {
+                key[len("optim/"):]: data[key]
+                for key in data.files
+                if key.startswith("optim/")
+            }
+            # Scalars round-trip as 0-d arrays; optimizers expect numbers.
+            opt_state = {
+                k: (v.item() if v.ndim == 0 else v) for k, v in opt_state.items()
+            }
+            global_step = int(data["meta/global_step"])
+            data_step = int(data["meta/data_step"])
+            epochs_done = int(data["meta/epochs_done"])
+            rng_streams: dict[int, dict[str, dict]] = {}
+            has_rng = version >= 2
+            if has_rng:
+                for key in data.files:
+                    if not key.startswith("rng/replica"):
+                        continue
+                    rank_str, _, mod_path = key[len("rng/replica"):].partition("/")
+                    rng_streams.setdefault(int(rank_str), {})[mod_path] = (
+                        _decode_rng_state(data[key])
+                    )
+                strategy = SeedStrategy(str(data["rng/strategy"]))
+                group_of_rank = data["rng/group_of_rank"].copy()
+                seed_of_group = data["rng/seed_of_group"].copy()
+            scaler_scale = clean_steps = skipped_steps = None
+            if "scaler/scale" in data.files:
+                if trainer.scaler is None:
+                    raise FormatError(
+                        "checkpoint carries loss-scaler state but the trainer "
+                        "was built without a scaler"
+                    )
+                scaler_scale = float(data["scaler/scale"])
+                if "scaler/clean_steps" in data.files:
+                    clean_steps = int(data["scaler/clean_steps"])
+                skipped_steps = int(data["scaler/skipped_steps"])
+    except FormatError:
+        raise
+    except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as err:
+        # Not an .npz, a missing key, a value of the wrong shape or type.
+        raise FormatError(f"malformed checkpoint {path}: {err!r}") from err
 
     # In place, once: every replica binds replica 0's arrays.
     trainer.replicas[0].load_state_dict(model_state)
@@ -262,17 +284,9 @@ def load_checkpoint(
                 group_of_rank=group_of_rank,
                 seed_of_group=seed_of_group,
             )
-    with np.load(path, allow_pickle=False) as data:
-        if "scaler/scale" in data.files:
-            if trainer.scaler is None:
-                raise ValueError(
-                    "checkpoint carries loss-scaler state but the trainer "
-                    "was built without a scaler"
-                )
-            trainer.scaler._scale = float(data["scaler/scale"])
-            if "scaler/clean_steps" in data.files and hasattr(
-                trainer.scaler, "_clean_steps"
-            ):
-                trainer.scaler._clean_steps = int(data["scaler/clean_steps"])
-            trainer.skipped_steps = int(data["scaler/skipped_steps"])
+    if scaler_scale is not None:
+        trainer.scaler._scale = scaler_scale
+        if clean_steps is not None and hasattr(trainer.scaler, "_clean_steps"):
+            trainer.scaler._clean_steps = clean_steps
+        trainer.skipped_steps = skipped_steps
     return global_step

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from ..core.seeding import SeedStrategy
 from ..data.batching import BatchSpec
+from ..errors import ConfigError
 
 __all__ = [
     "WordLMConfig",
@@ -45,11 +46,11 @@ class WordLMConfig:
             self.vocab_size, self.embedding_dim, self.hidden_dim,
             self.projection_dim, self.num_samples,
         ) <= 0:
-            raise ValueError("all dimensions must be positive")
+            raise ConfigError("all dimensions must be positive")
         if self.num_samples >= self.vocab_size:
-            raise ValueError("num_samples must be below vocab_size")
+            raise ConfigError("num_samples must be below vocab_size")
         if self.tie_embeddings and self.embedding_dim != self.projection_dim:
-            raise ValueError(
+            raise ConfigError(
                 "tied embeddings require embedding_dim == projection_dim"
             )
 
@@ -67,9 +68,9 @@ class CharLMConfig:
 
     def __post_init__(self) -> None:
         if min(self.vocab_size, self.embedding_dim, self.hidden_dim, self.depth) <= 0:
-            raise ValueError("all dimensions must be positive")
+            raise ConfigError("all dimensions must be positive")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ConfigError("dropout must be in [0, 1)")
 
 
 #: Paper-scale presets (Section IV-B).
@@ -199,26 +200,26 @@ class TrainConfig:
             self.compute_seconds_per_step is not None
             and self.compute_seconds_per_step <= 0
         ):
-            raise ValueError("compute_seconds_per_step must be positive")
+            raise ConfigError("compute_seconds_per_step must be positive")
         if self.world_size <= 0:
-            raise ValueError("world_size must be positive")
+            raise ConfigError("world_size must be positive")
         if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+            raise ConfigError("base_lr must be positive")
         if self.gpus_per_node <= 0:
-            raise ValueError("gpus_per_node must be positive")
+            raise ConfigError("gpus_per_node must be positive")
         if self.accumulation_steps <= 0:
-            raise ValueError("accumulation_steps must be positive")
+            raise ConfigError("accumulation_steps must be positive")
         if isinstance(self.loss_scale, str) and self.loss_scale != "dynamic":
-            raise ValueError(
+            raise ConfigError(
                 "loss_scale must be a float, 'dynamic', or None"
             )
         if isinstance(self.loss_scale, (int, float)) and self.loss_scale < 1:
-            raise ValueError("static loss_scale must be >= 1")
+            raise ConfigError("static loss_scale must be >= 1")
         if self.wire_chunk_bytes is not None:
             if self.wire_chunk_bytes <= 0:
-                raise ValueError("wire_chunk_bytes must be positive")
+                raise ConfigError("wire_chunk_bytes must be positive")
             if self.wire_codec is None:
-                raise ValueError("wire_chunk_bytes requires wire_codec")
+                raise ConfigError("wire_chunk_bytes requires wire_codec")
         if self.wire_codec is not None:
             # Validate the spec eagerly: a typo should fail at config
             # construction, not three epochs into a run.

@@ -64,7 +64,7 @@ class TestSemantics:
         rows_per_gpu=st.integers(1, 4),
         seed=st.integers(0, 20),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_property_equals_sum(self, nodes, rows_per_gpu, seed):
         local = 4
         world = nodes * local

@@ -86,7 +86,7 @@ class TestDeviceMesh:
         d=st.integers(1, 3),
         axis=st.sampled_from(HYBRID_AXES),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_groups_partition_ranks_exactly(self, p, t, d, axis):
         m = DeviceMesh(HYBRID_AXES, (p, t, d))
         groups = m.groups(axis)
@@ -102,7 +102,7 @@ class TestDeviceMesh:
         d=st.integers(1, 3),
         axis=st.sampled_from(HYBRID_AXES),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_group_members_agree_on_other_coords(self, p, t, d, axis):
         m = DeviceMesh(HYBRID_AXES, (p, t, d))
         i = m.axis_index(axis)
@@ -239,7 +239,7 @@ class TestMeshCollectives:
         seed=st.integers(0, 20),
         axis=st.sampled_from(HYBRID_AXES),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_property_subgroup_sums(self, p, t, d, seed, axis):
         world = p * t * d
         mc = comm(world, mesh=DeviceMesh(HYBRID_AXES, (p, t, d)))

@@ -1,9 +1,5 @@
-"""Seeded randomized property tests for the two core techniques.
-
-Driven by the in-repo :mod:`tests.proptest` helper (no external
-property-testing dependency): 200 random cases per property, shrinking
-by halving on failure, and a reproducing ``seed=/case=`` pair in every
-failure message.
+"""Property tests for the two core techniques (``hypothesis``, 200
+examples each, under the suite's derandomized profile).
 
 Properties
 ----------
@@ -19,60 +15,53 @@ Properties
 """
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Communicator
 from repro.core.compression import FP16_MAX, Fp16Codec
 from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
 from repro.nn.parameter import SparseGrad
 
-from ..proptest import run_property
-
 N_CASES = 200
 
 _DTYPES = (np.float32, np.float64)
 
 
-# ---------------------------------------------------------------------------
-# Property 1: unique exchange ≡ dense allgather exchange, bit for bit.
-# ---------------------------------------------------------------------------
-
-
-def _gen_exchange_case(rng):
-    return {
-        "world": int(rng.integers(1, 6)),
-        "vocab": int(rng.integers(2, 65)),
-        "tokens": int(rng.integers(1, 33)),
-        "dim": int(rng.integers(1, 9)),
-        "dtype_index": int(rng.integers(0, len(_DTYPES))),
-    }
-
-
-def _integer_valued_grads(params, rng):
+def _integer_valued_grads(world, vocab, tokens, dim, dtype, rng):
     """Per-rank SparseGrads whose float values are small exact integers."""
-    dtype = _DTYPES[params["dtype_index"]]
     return [
         SparseGrad(
-            indices=rng.integers(0, params["vocab"], params["tokens"]),
-            values=rng.integers(
-                -4, 5, (params["tokens"], params["dim"])
-            ).astype(dtype),
+            indices=rng.integers(0, vocab, tokens),
+            values=rng.integers(-4, 5, (tokens, dim)).astype(dtype),
         )
-        for _ in range(params["world"])
+        for _ in range(world)
     ]
 
 
-def _prop_exchange_equivalence(params, rng):
-    grads = _integer_valued_grads(params, rng)
+@given(
+    world=st.integers(1, 5),
+    vocab=st.integers(2, 64),
+    tokens=st.integers(1, 32),
+    dim=st.integers(1, 8),
+    dtype=st.sampled_from(_DTYPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=N_CASES)
+def test_unique_exchange_matches_allgather_bit_for_bit(
+    world, vocab, tokens, dim, dtype, seed
+):
+    grads = _integer_valued_grads(
+        world, vocab, tokens, dim, dtype, np.random.default_rng(seed)
+    )
     dense = AllGatherExchange().exchange(
-        Communicator(params["world"], track_memory=False), grads
+        Communicator(world, track_memory=False), grads
     )
     unique = UniqueExchange().exchange(
-        Communicator(params["world"], track_memory=False), grads
+        Communicator(world, track_memory=False), grads
     )
-    for rank in range(params["world"]):
-        lhs = dense[rank].to_dense(params["vocab"])
-        rhs = unique[rank].to_dense(params["vocab"])
+    for rank in range(world):
+        lhs = dense[rank].to_dense(vocab)
+        rhs = unique[rank].to_dense(vocab)
         assert lhs.dtype == rhs.dtype, (lhs.dtype, rhs.dtype)
         assert np.array_equal(lhs, rhs), (
             f"rank {rank}: unique exchange diverged from allgather by "
@@ -80,37 +69,18 @@ def _prop_exchange_equivalence(params, rng):
         )
 
 
-def test_unique_exchange_matches_allgather_bit_for_bit():
-    assert (
-        run_property(
-            _prop_exchange_equivalence,
-            _gen_exchange_case,
-            n_cases=N_CASES,
-            seed=0,
-        )
-        == N_CASES
-    )
-
-
-# ---------------------------------------------------------------------------
-# Property 2: FP16 codec round-trip error within the rounding bound.
-# ---------------------------------------------------------------------------
-
-
-def _gen_codec_case(rng):
-    return {
-        "n": int(rng.integers(1, 257)),
-        "scale_exp": int(rng.integers(1, 11)),
-        "dtype_index": int(rng.integers(0, len(_DTYPES))),
-    }
-
-
-def _prop_codec_roundtrip(params, rng):
-    dtype = _DTYPES[params["dtype_index"]]
-    scale = 2.0 ** params["scale_exp"]
+@given(
+    n=st.integers(1, 256),
+    scale_exp=st.integers(1, 10),
+    dtype=st.sampled_from(_DTYPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=N_CASES)
+def test_fp16_codec_roundtrip_error_bound(n, scale_exp, dtype, seed):
+    scale = 2.0**scale_exp
     # Bounded away from the saturation clip so the error is pure rounding.
     bound = FP16_MAX / scale * 0.99
-    x = (rng.uniform(-bound, bound, params["n"])).astype(dtype)
+    x = np.random.default_rng(seed).uniform(-bound, bound, n).astype(dtype)
     codec = Fp16Codec(scale=scale)
     wire = codec.encode(x)
     assert wire.dtype == np.float16
@@ -125,63 +95,3 @@ def _prop_codec_roundtrip(params, rng):
         f"round-trip error {error[worst]} exceeds bound {tolerance[worst]} "
         f"at x={x[worst]} (scale={scale})"
     )
-
-
-def test_fp16_codec_roundtrip_error_bound():
-    assert (
-        run_property(
-            _prop_codec_roundtrip, _gen_codec_case, n_cases=N_CASES, seed=0
-        )
-        == N_CASES
-    )
-
-
-# ---------------------------------------------------------------------------
-# Meta-tests: the helper itself reports seeds and shrinks failures.
-# ---------------------------------------------------------------------------
-
-
-def test_failure_reports_reproducing_seed_and_shrinks():
-    def gen(rng):
-        return {"n": int(rng.integers(50, 200)), "label": "fixed"}
-
-    def prop(params, rng):
-        assert params["n"] < 5, f"n={params['n']} too big"
-
-    with pytest.raises(AssertionError) as excinfo:
-        run_property(prop, gen, n_cases=10, seed=7)
-    message = str(excinfo.value)
-    assert "seed=7" in message
-    assert "case=0" in message
-    assert "shrunk params" in message
-    # Halving stops at the smallest still-failing value: 5 <= n < 10.
-    shrunk = eval(message.split("shrunk params ")[1].split(";")[0])
-    assert 5 <= shrunk["n"] < 10
-    assert shrunk["label"] == "fixed"
-
-
-def test_shrinking_skips_out_of_domain_candidates():
-    def gen(rng):
-        return {"n": 64}
-
-    def prop(params, rng):
-        if params["n"] < 8:
-            raise ValueError("out of domain")
-        assert params["n"] < 8
-
-    with pytest.raises(AssertionError) as excinfo:
-        run_property(prop, gen, n_cases=1, seed=0)
-    shrunk = eval(str(excinfo.value).split("shrunk params ")[1].split(";")[0])
-    assert shrunk["n"] == 8
-
-
-def test_passing_property_runs_all_cases():
-    count = run_property(
-        lambda params, rng: None, lambda rng: {"n": 1}, n_cases=25, seed=3
-    )
-    assert count == 25
-
-
-def test_rejects_nonpositive_case_count():
-    with pytest.raises(ValueError):
-        run_property(lambda p, r: None, lambda r: {}, n_cases=0)

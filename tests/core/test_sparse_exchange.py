@@ -35,7 +35,7 @@ class TestEquivalence:
         tokens=st.integers(1, 20),
         seed=st.integers(0, 50),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_same_applied_update(self, world, vocab, tokens, seed):
         grads = random_grads(world, vocab, tokens, 3, seed=seed)
         base = AllGatherExchange().exchange(comm(world), grads)

@@ -117,7 +117,7 @@ class TestExchangeCorrectness:
         tokens=st.integers(1, 25),
         seed=st.integers(0, 100),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_property_equivalence_with_dense(self, world, vocab, tokens, seed):
         grads = random_grads(world, vocab, tokens, 2, seed=seed)
         result = unique_exchange(comm(world), grads)

@@ -1,7 +1,6 @@
-"""Seeded randomized property tests for the lossless index codecs.
-
-Driven by :mod:`tests.proptest` (200 cases per property, shrink on
-failure).  Two properties per codec, per the wire-stack contract:
+"""Property tests for the lossless index codecs (``hypothesis``, 200
+examples per property).  Two properties per codec, per the wire-stack
+contract:
 
 * **Bit-exact roundtrip** — ``decode(encode(x)) == x`` for any 1-D
   int32/int64 vector: sorted or unsorted, empty, single-element,
@@ -19,12 +18,14 @@ Two more cover the batched and the hostile side: ``encode_many`` over a
 gather's members equals the per-member ``encode`` byte for byte (and
 the entropy frames equal a per-bit reference coder kept here), and any
 1-2-bit flip or truncation of a mixed multi-frame buffer either decodes
-or raises ``ValueError`` — never a ``MemoryError``, ``IndexError`` or
+or raises :class:`~repro.errors.FormatError` — never an untyped
+``ValueError``, nor a ``MemoryError``, ``IndexError`` or
 ``OverflowError`` from a count the payload cannot hold.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.wire import codecs
 from repro.core.wire.codecs import (
@@ -34,32 +35,28 @@ from repro.core.wire.codecs import (
     RunLengthCodec,
     decode_frames,
 )
-
-from ..proptest import run_property
+from repro.errors import FormatError
 
 N_CASES = 200
 
-_DTYPES = (np.int32, np.int64)
+#: One drawn case: a vector's length, dtype and shape family, a delta
+#: block size, and the seed of the vector's values.
+VECTOR_CASE = dict(
+    n=st.integers(0, 512),
+    dtype=st.sampled_from((np.int32, np.int64)),
+    shape_kind=st.integers(0, 4),
+    block=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
-def _gen_vector_case(rng):
-    return {
-        "n": int(rng.integers(0, 513)),
-        "dtype_index": int(rng.integers(0, len(_DTYPES))),
-        "shape_kind": int(rng.integers(0, 5)),
-        "block": int(rng.integers(1, 257)),
-    }
-
-
-def _make_vector(params: dict, rng) -> np.ndarray:
-    """One random index vector in the shape family ``shape_kind`` picks:
+def _make_vector(n: int, dtype, kind: int, rng) -> np.ndarray:
+    """One random index vector in the shape family ``kind`` picks:
     0 = sorted unique Zipf-ish draws, 1 = unsorted draws with
     duplicates, 2 = dense ranges (run-heavy), 3 = full-dtype-range
     extremes (maximal deltas), 4 = constant (all-duplicate)."""
-    dtype = np.dtype(_DTYPES[params["dtype_index"]])
-    n = params["n"]
+    dtype = np.dtype(dtype)
     info = np.iinfo(dtype)
-    kind = params["shape_kind"]
     if kind == 0:
         v = np.unique(rng.integers(0, 100_000, n).astype(dtype))
     elif kind == 1:
@@ -76,65 +73,53 @@ def _make_vector(params: dict, rng) -> np.ndarray:
     return v
 
 
-def _codecs(params: dict):
-    return (
-        DeltaBitpackCodec(block=params["block"]),
-        RunLengthCodec(),
-        EntropyCodec(),
-    )
-
-
-def _prop_roundtrip(params: dict, rng) -> None:
-    vec = _make_vector(params, rng)
-    for codec in _codecs(params):
-        frame = codec.encode(vec)
-        assert frame.dtype == np.uint8, f"{codec.name}: frame not uint8"
-        back = codec.decode(frame, vec.dtype)
-        assert back.dtype == vec.dtype, (
-            f"{codec.name}: dtype {back.dtype} != {vec.dtype}"
-        )
-        assert np.array_equal(back, vec), (
-            f"{codec.name}: roundtrip mismatch on {vec.dtype} shape-kind "
-            f"{params['shape_kind']}"
-        )
-
-
-def _prop_size_bound(params: dict, rng) -> None:
-    vec = _make_vector(params, rng)
-    for codec in _codecs(params):
-        frame = codec.encode(vec)
-        assert frame.nbytes <= vec.nbytes + FRAME_HEADER_BYTES, (
-            f"{codec.name}: {frame.nbytes} bytes for a {vec.nbytes}-byte "
-            "input exceeds the raw-fallback bound"
-        )
-
-
-def _prop_concatenation(params: dict, rng) -> None:
-    world = 1 + params["shape_kind"]  # reuse the shrinkable small int
-    vecs = [_make_vector(params, rng) for _ in range(world)]
-    for codec in _codecs(params):
-        buf = np.concatenate([codec.encode(v) for v in vecs])
-        got = decode_frames(buf, vecs[0].dtype)
-        assert np.array_equal(got, np.concatenate(vecs)), (
-            f"{codec.name}: concatenated frames did not decode to the "
-            "rank-order concatenation"
-        )
+def _codecs(block: int):
+    return (DeltaBitpackCodec(block=block), RunLengthCodec(), EntropyCodec())
 
 
 class TestLosslessRoundtripProperty:
-    def test_roundtrip_bit_exact(self):
-        assert run_property(_prop_roundtrip, _gen_vector_case, N_CASES) == N_CASES
+    @given(**VECTOR_CASE)
+    @settings(max_examples=N_CASES)
+    def test_roundtrip_bit_exact(self, n, dtype, shape_kind, block, seed):
+        vec = _make_vector(n, dtype, shape_kind, np.random.default_rng(seed))
+        for codec in _codecs(block):
+            frame = codec.encode(vec)
+            assert frame.dtype == np.uint8, f"{codec.name}: frame not uint8"
+            back = codec.decode(frame, vec.dtype)
+            assert back.dtype == vec.dtype, (
+                f"{codec.name}: dtype {back.dtype} != {vec.dtype}"
+            )
+            assert np.array_equal(back, vec), (
+                f"{codec.name}: roundtrip mismatch on {vec.dtype} shape-kind "
+                f"{shape_kind}"
+            )
 
-    def test_encoded_size_bounded(self):
-        assert (
-            run_property(_prop_size_bound, _gen_vector_case, N_CASES) == N_CASES
-        )
+    @given(**VECTOR_CASE)
+    @settings(max_examples=N_CASES)
+    def test_encoded_size_bounded(self, n, dtype, shape_kind, block, seed):
+        vec = _make_vector(n, dtype, shape_kind, np.random.default_rng(seed))
+        for codec in _codecs(block):
+            frame = codec.encode(vec)
+            assert frame.nbytes <= vec.nbytes + FRAME_HEADER_BYTES, (
+                f"{codec.name}: {frame.nbytes} bytes for a {vec.nbytes}-byte "
+                "input exceeds the raw-fallback bound"
+            )
 
-    def test_frame_concatenation_composes(self):
-        assert (
-            run_property(_prop_concatenation, _gen_vector_case, N_CASES)
-            == N_CASES
-        )
+    @given(**VECTOR_CASE)
+    @settings(max_examples=N_CASES)
+    def test_frame_concatenation_composes(
+        self, n, dtype, shape_kind, block, seed
+    ):
+        rng = np.random.default_rng(seed)
+        world = 1 + shape_kind  # reuse the small int
+        vecs = [_make_vector(n, dtype, shape_kind, rng) for _ in range(world)]
+        for codec in _codecs(block):
+            buf = np.concatenate([codec.encode(v) for v in vecs])
+            got = decode_frames(buf, vecs[0].dtype)
+            assert np.array_equal(got, np.concatenate(vecs)), (
+                f"{codec.name}: concatenated frames did not decode to the "
+                "rank-order concatenation"
+            )
 
 
 def reference_entropy_frame(arr: np.ndarray) -> bytes:
@@ -208,26 +193,23 @@ _EDGE_MEMBERS = [
 ]
 
 
-def _prop_encode_many(params: dict, rng) -> None:
-    members = [
-        _make_vector(dict(params, n=int(rng.integers(0, params["n"] + 1))), rng)
-        for _ in range(1 + params["shape_kind"])
-    ]
-    for codec in _codecs(params):
-        frames = codec.encode_many(members)
-        assert [f.tobytes() for f in frames] == [
-            codec.encode(m).tobytes() for m in members
-        ], f"{codec.name}: encode_many differs from per-member encode"
-    assert [f.tobytes() for f in EntropyCodec().encode_many(members)] == [
-        reference_entropy_frame(m) for m in members
-    ], "entropy frames differ from the per-bit reference coder"
-
-
 class TestEncodeMany:
-    def test_equals_per_member_encode(self):
-        assert (
-            run_property(_prop_encode_many, _gen_vector_case, N_CASES) == N_CASES
-        )
+    @given(**VECTOR_CASE)
+    @settings(max_examples=N_CASES)
+    def test_equals_per_member_encode(self, n, dtype, shape_kind, block, seed):
+        rng = np.random.default_rng(seed)
+        members = [
+            _make_vector(int(rng.integers(0, n + 1)), dtype, shape_kind, rng)
+            for _ in range(1 + shape_kind)
+        ]
+        for codec in _codecs(block):
+            frames = codec.encode_many(members)
+            assert [f.tobytes() for f in frames] == [
+                codec.encode(m).tobytes() for m in members
+            ], f"{codec.name}: encode_many differs from per-member encode"
+        assert [f.tobytes() for f in EntropyCodec().encode_many(members)] == [
+            reference_entropy_frame(m) for m in members
+        ], "entropy frames differ from the per-bit reference coder"
 
     @pytest.mark.parametrize(
         "members",
@@ -289,55 +271,58 @@ def _mixed_buffer(rng) -> tuple[bytes, list[tuple[int, int, int]]]:
     return np.concatenate(frames).tobytes(), list(zip([0] + ends, ends, kinds))
 
 
-def _gen_mutation_case(rng):
-    return {
-        "flips": int(rng.integers(0, 3)),       # 0 = truncation only
-        "high_bit": int(rng.integers(0, 2)),    # aim a flip at a count field
-        "cut": int(rng.integers(0, 2)),
-    }
-
-
-def _prop_mutation(params: dict, rng) -> None:
-    original, frames = _mixed_buffer(np.random.default_rng(11))
-    buf = bytearray(original)
-    for flip in range(params["flips"]):
-        if flip == 0 and params["high_bit"]:
-            # A high bit of some frame's element count (bytes 2..9).
-            offset = frames[int(rng.integers(0, len(frames)))][0]
-            byte, bit = offset + int(rng.integers(5, 10)), int(rng.integers(0, 8))
-        else:
-            byte, bit = int(rng.integers(0, len(buf))), int(rng.integers(0, 8))
-        buf[byte] ^= 1 << bit
-    if params["cut"] or not params["flips"]:
-        del buf[int(rng.integers(0, len(buf))):]
-    # Runs (and zero-width delta blocks under a grown block size) may
-    # legitimately expand without bound: a count past the cap whose
-    # sizing field was hit too is a valid huge frame, not a corrupt one.
-    cap = 64 * len(original)
-    for offset, end, kind in frames:
-        count = int.from_bytes(buf[offset + 2:offset + 10], "little")
-        # what sizes the expansion: the block-size field / the run table
-        sizing = slice(offset + 10, offset + 14 if kind == codecs._KIND_DELTA else end)
-        if (
-            count > cap
-            and kind in (codecs._KIND_DELTA, codecs._KIND_RLE)
-            and buf[sizing] != original[sizing]
-        ):
-            return
-    try:
-        out = decode_frames(np.frombuffer(bytes(buf), dtype=np.uint8), np.int64)
-    except ValueError:
-        return
-    except (MemoryError, IndexError, OverflowError) as err:
-        raise AssertionError(
-            f"decode_frames leaked {type(err).__name__}: {err}"
-        ) from err
-    assert out.dtype == np.int64 and out.ndim == 1
+MIXED_BUFFER = _mixed_buffer(np.random.default_rng(11))
 
 
 class TestHostileFrames:
-    def test_mutations_decode_or_raise_value_error(self):
-        assert run_property(_prop_mutation, _gen_mutation_case, 1500) == 1500
+    @given(
+        flips=st.integers(0, 2),  # 0 = truncation only
+        high_bit=st.booleans(),  # aim the first flip at a count field
+        cut=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=1500)
+    def test_mutations_decode_or_raise_value_error(
+        self, flips, high_bit, cut, seed
+    ):
+        rng = np.random.default_rng(seed)
+        original, frames = MIXED_BUFFER
+        buf = bytearray(original)
+        for flip in range(flips):
+            if flip == 0 and high_bit:
+                # A high bit of some frame's element count (bytes 2..9).
+                offset = frames[int(rng.integers(0, len(frames)))][0]
+                byte = offset + int(rng.integers(5, 10))
+            else:
+                byte = int(rng.integers(0, len(buf)))
+            buf[byte] ^= 1 << int(rng.integers(0, 8))
+        if cut or not flips:
+            del buf[int(rng.integers(0, len(buf))):]
+        # Runs (and zero-width delta blocks under a grown block size) may
+        # legitimately expand without bound: a count past the cap whose
+        # sizing field was hit too is a valid huge frame, not a corrupt one.
+        cap = 64 * len(original)
+        for offset, end, kind in frames:
+            count = int.from_bytes(buf[offset + 2:offset + 10], "little")
+            # what sizes the expansion: the block-size field / the run table
+            sizing = slice(
+                offset + 10, offset + 14 if kind == codecs._KIND_DELTA else end
+            )
+            if (
+                count > cap
+                and kind in (codecs._KIND_DELTA, codecs._KIND_RLE)
+                and buf[sizing] != original[sizing]
+            ):
+                return
+        try:
+            out = decode_frames(np.frombuffer(bytes(buf), dtype=np.uint8), np.int64)
+        except FormatError:
+            return
+        except (ValueError, MemoryError, IndexError, OverflowError) as err:
+            raise AssertionError(
+                f"decode_frames leaked {type(err).__name__}: {err}"
+            ) from err
+        assert out.dtype == np.int64 and out.ndim == 1
 
     @pytest.mark.parametrize(
         "codec", [DeltaBitpackCodec(), RunLengthCodec(), EntropyCodec()],

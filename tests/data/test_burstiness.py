@@ -89,7 +89,7 @@ class TestBatchDuplication:
         p=st.floats(0.0, 0.8),
         seed=st.integers(0, 30),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_duplication_at_least_one(self, p, seed):
         toks = make_bursty_tokens(
             dist(200), 2000, np.random.default_rng(seed), p_repeat=p

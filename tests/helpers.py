@@ -7,7 +7,6 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.cluster import ChaosCommunicator, FaultEvent, FaultKind, FaultPlan
-from repro.nn.parameter import Parameter
 
 
 def assert_same_state(got: dict, want: dict, what: str = "state") -> None:
@@ -72,15 +71,3 @@ def numerical_grad(
         gflat[i] = (f_plus - f_minus) / (2 * eps)
     return grad
 
-
-def check_param_grad(
-    f: Callable[[], float],
-    param: Parameter,
-    analytic: np.ndarray,
-    eps: float = 1e-6,
-    rtol: float = 1e-5,
-    atol: float = 1e-7,
-) -> None:
-    """Assert the analytic gradient of ``param`` matches finite differences."""
-    numeric = numerical_grad(f, param.data, eps=eps)
-    np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)

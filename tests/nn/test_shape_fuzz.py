@@ -21,7 +21,7 @@ class TestLSTMFuzz:
         h=dims,
         seed=st.integers(0, 50),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_forward_backward_shapes(self, b, t, i, h, seed):
         rng = np.random.default_rng(seed)
         lstm = LSTM(i, h, rng)
@@ -45,7 +45,7 @@ class TestRHNFuzz:
         depth=st.integers(1, 4),
         seed=st.integers(0, 50),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_forward_backward_shapes(self, b, t, i, h, depth, seed):
         rng = np.random.default_rng(seed)
         rhn = RHN(i, h, depth, rng)
@@ -63,7 +63,7 @@ class TestStateCarryFuzz:
         split=st.integers(1, 5),
         seed=st.integers(0, 30),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_lstm_split_invariance(self, split, seed):
         """Splitting any sequence at any point and carrying state must
         reproduce the unsplit forward exactly."""

@@ -18,7 +18,7 @@ worlds = st.integers(1, 200)
 
 class TestMonotonicity:
     @given(g1=st.integers(1, 64), g2=st.integers(1, 64))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_technique_epoch_hours_decrease_with_gpus(self, g1, g2):
         """Within the paper's evaluated range (<= 64 GPUs), adding GPUs
         never makes an epoch meaningfully slower with the techniques.
@@ -36,7 +36,7 @@ class TestMonotonicity:
         ) * 1.05
 
     @given(g=worlds)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_baseline_never_cheaper_than_uniqueness(self, g):
         """Uniqueness alone (no cast overheads) strictly dominates the
         baseline at every scale.  The FULL stack can lose at trivial G
@@ -78,7 +78,7 @@ class TestStructuralBounds:
             assert ug <= g * workload.local_batch_tokens
 
     @given(g=st.integers(2, 200))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_seeding_never_increases_output_rows(self, g):
         model = PerfModel(WORD_LM_1B)
         seeded = model.unique_output_rows(g, seeding=True)
@@ -86,7 +86,7 @@ class TestStructuralBounds:
         assert seeded <= unseeded + 1e-9
 
     @given(g=worlds)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_iteration_cost_components_nonnegative(self, g):
         for workload in WORKLOADS:
             for tech in (BASELINE, UNIQUE_ONLY, ALL_TECHNIQUES):
@@ -103,14 +103,14 @@ class TestStructuralBounds:
                     assert value >= 0
 
     @given(g=st.integers(8, 200))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_efficiency_in_unit_interval(self, g):
         model = PerfModel(CHAR_LM_1B)
         eff = model.parallel_efficiency(g, ALL_TECHNIQUES)
         assert 0 < eff <= 1.05  # tiny tolerance for single-node boundary
 
     @given(g=worlds)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_compression_never_increases_word_lm_time(self, g):
         """For the word LM (no cast-overhead penalty) compression can
         only shrink wire terms."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.communicator import Communicator
+from repro.errors import ConfigError
 from repro.serve import (
     ServeConfig,
     ServeRequest,
@@ -53,6 +54,27 @@ class TestConfigValidation:
             ServingEngine(decoder, Communicator(2), config)
 
 
+def serve_scripted(*requests, budget=1 << 22):
+    """Serve on the 16-id scripted decoder (8-byte states, batch of 8)."""
+    config = ServeConfig(max_batch=8, cache_budget_bytes=budget)
+    ServingEngine(CountingDecoder(), Communicator(2), config).run(list(requests))
+
+
+#: Every serving input error, each a value the caller chose.
+INPUT_ERRORS = {
+    "prompt-id-past-vocab": lambda: serve_scripted(ServeRequest(0, [16, 3], 3)),
+    "negative-prompt-id": lambda: serve_scripted(ServeRequest(0, [3, -1], 3)),
+    "eos-past-vocab": lambda: serve_scripted(ServeRequest(0, [3], 3, eos_token=16)),
+    "nan-arrival": lambda: ServeRequest(0, [3], 3, arrival_s=float("nan")),
+    "inf-arrival": lambda: ServeRequest(0, [3], 3, arrival_s=float("inf")),
+    "nan-slo": lambda: ServeRequest(0, [3], 3, slo_s=float("nan")),
+    "empty-prompt": lambda: ServeRequest(0, [], 3),
+    "zero-max-new-tokens": lambda: ServeRequest(0, [3], 0),
+    "duplicate-ids": lambda: serve_scripted(*[ServeRequest(0, [3], 3)] * 2),
+    "budget-below-batch": lambda: serve_scripted(budget=7 * 8),
+}
+
+
 class TestHostileStream:
     """Bad ids and times fail up front and typed, not as a wrong answer."""
 
@@ -96,6 +118,11 @@ class TestHostileStream:
     def test_nan_slo_rejected(self):
         with pytest.raises(ValueError, match="slo_s"):
             ServeRequest(0, np.array([3]), 3, slo_s=float("nan"))
+
+    @pytest.mark.parametrize("bad", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+    def test_input_errors_are_config_errors(self, bad):
+        with pytest.raises(ConfigError):
+            bad()
 
 
 def random_requests(n, seed):

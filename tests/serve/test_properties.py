@@ -1,8 +1,9 @@
-"""Property suites (200 seeded cases each) over the serving control plane.
+"""Property suites (200 ``hypothesis`` examples each) over the serving
+control plane.
 
-Three invariants from the issue, driven through ``tests/proptest.py``
-with the scripted :class:`~tests.serve.helpers.CountingDecoder` so each
-case costs microseconds, not model math:
+Three invariants, driven with the scripted
+:class:`~tests.serve.helpers.CountingDecoder` so each example costs
+microseconds, not model math:
 
 1. **No silent drops** — every admitted request reaches exactly one
    terminal state, and every drop has a recorded ``slo_expired`` event.
@@ -16,6 +17,7 @@ case costs microseconds, not model math:
 """
 
 import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.cluster.communicator import Communicator
 from repro.cluster.failures import ChaosCommunicator, FaultPlan
@@ -26,7 +28,6 @@ from repro.serve import (
     ServingEngine,
 )
 
-from ..proptest import run_property
 from .helpers import CountingDecoder
 
 N_CASES = 200
@@ -48,13 +49,12 @@ def random_requests(rng, n, with_slo=False):
     return requests
 
 
-def build_engine(rng, params, plan=None):
-    world = params["world"]
+def build_engine(rng, world, max_batch, budget_states, drop=True, plan=None):
     config = ServeConfig(
-        max_batch=params["max_batch"],
+        max_batch=max_batch,
         seed=int(rng.integers(0, 2**31)),
-        drop_expired=params.get("drop", True),
-        cache_budget_bytes=params["budget_states"] * 8,
+        drop_expired=drop,
+        cache_budget_bytes=budget_states * 8,
         decode_token_s=5e-3,
         prefill_token_s=2e-3,
     )
@@ -68,22 +68,19 @@ def build_engine(rng, params, plan=None):
 class TestNoSilentDrops:
     """Property 1: admitted requests never vanish without an event."""
 
-    @staticmethod
-    def gen(rng):
-        return {
-            "n": int(rng.integers(1, 16)),
-            "world": int(rng.integers(1, 4)),
-            "max_batch": int(rng.integers(1, 5)),
-            "budget_states": int(rng.integers(5, 40)),
-            "drop": bool(rng.random() < 0.7),
-        }
-
-    @staticmethod
-    def prop(params, rng):
-        if params["budget_states"] < params["max_batch"]:
-            raise ValueError("budget below active batch")
-        requests = random_requests(rng, params["n"], with_slo=True)
-        engine = build_engine(rng, params)
+    @given(
+        n=st.integers(1, 15),
+        world=st.integers(1, 3),
+        max_batch=st.integers(1, 4),
+        budget_states=st.integers(5, 39),
+        drop=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=N_CASES)
+    def test_property(self, n, world, max_batch, budget_states, drop, seed):
+        rng = np.random.default_rng(seed)
+        requests = random_requests(rng, n, with_slo=True)
+        engine = build_engine(rng, world, max_batch, budget_states, drop)
         report = engine.run(requests)
         sched = engine.scheduler
 
@@ -100,7 +97,7 @@ class TestNoSilentDrops:
             rid for kind, rid, _ in sched.events if kind == "slo_expired"
         }
         assert dropped == expiry_events
-        if not params["drop"]:
+        if not drop:
             assert not dropped
         for record in report.requests:
             if record.dropped:
@@ -109,29 +106,25 @@ class TestNoSilentDrops:
                 assert record.finish_reason in ("eos", "length")
                 assert len(record.tokens) >= 1
 
-    def test_property(self):
-        assert run_property(self.prop, self.gen, n_cases=N_CASES, seed=101) == N_CASES
-
 
 class TestEvictionSafety:
     """Property 2: pinned entries and their arena slots survive any plan."""
 
-    @staticmethod
-    def gen(rng):
-        return {
-            "budget_states": int(rng.integers(1, 12)),
-            "n_ops": int(rng.integers(1, 120)),
-            "id_space": int(rng.integers(1, 20)),
-        }
-
-    @staticmethod
-    def prop(params, rng):
-        budget = params["budget_states"] * 8
+    @given(
+        budget_states=st.integers(1, 11),
+        n_ops=st.integers(1, 119),
+        id_space=st.integers(1, 19),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=N_CASES)
+    def test_property(self, budget_states, n_ops, id_space, seed):
+        rng = np.random.default_rng(seed)
+        budget = budget_states * 8
         cache = RecurrentStateCache(budget, (np.zeros(1),))
         pinned: dict[int, int] = {}  # request id -> the slot it was pinned in
         resident: set[int] = set()
-        for _ in range(params["n_ops"]):
-            rid = int(rng.integers(0, params["id_space"]))
+        for _ in range(n_ops):
+            rid = int(rng.integers(0, id_space))
             op = rng.random()
             if op < 0.4:
                 want_pin = rng.random() < 0.3
@@ -180,7 +173,7 @@ class TestEvictionSafety:
             assert len(entries) == len(cache)
             slots = [e.slot for e in entries]
             assert len(set(slots)) == len(slots), "two residents share a slot"
-            assert all(0 <= slot < params["budget_states"] for slot in slots)
+            assert all(0 <= slot < budget_states for slot in slots)
             # nobody else wrote into a resident's rows
             (rows,) = cache.rows(slots)
             assert rows[:, 0].tolist() == [float(e.request_id) for e in entries]
@@ -190,9 +183,6 @@ class TestEvictionSafety:
         for kind, rid in cache.events:
             if kind == "evict":
                 assert rid is not None  # evictions are always recorded
-
-    def test_property(self):
-        assert run_property(self.prop, self.gen, n_cases=N_CASES, seed=202) == N_CASES
 
     def test_pinned_entries_survive_under_minimal_budget(self):
         # Directed worst case: budget exactly one state, pinned occupant.
@@ -205,35 +195,32 @@ class TestEvictionSafety:
 class TestTokenConservation:
     """Property 3: Σ per-request emissions == total under random plans."""
 
-    @staticmethod
-    def gen(rng):
-        n_loss = int(rng.integers(0, 2))
-        return {
-            "n": int(rng.integers(1, 14)),
-            "world": int(rng.integers(2, 4)) if n_loss else int(rng.integers(1, 4)),
-            "max_batch": int(rng.integers(1, 5)),
-            "budget_states": int(rng.integers(5, 40)),
-            "n_transient": int(rng.integers(0, 3)),
-            "n_loss": n_loss,
-        }
-
-    @staticmethod
-    def prop(params, rng):
-        if params["budget_states"] < params["max_batch"]:
-            raise ValueError("budget below active batch")
-        if params["n_loss"] and params["world"] < 2:
-            raise ValueError("rank loss needs a shrinkable world")
-        requests = random_requests(rng, params["n"])
+    @given(
+        n=st.integers(1, 13),
+        world=st.integers(1, 3),
+        n_loss=st.integers(0, 1),
+        max_batch=st.integers(1, 4),
+        budget_states=st.integers(5, 39),
+        n_transient=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=N_CASES)
+    def test_property(
+        self, n, world, n_loss, max_batch, budget_states, n_transient, seed
+    ):
+        assume(world > n_loss)  # a rank loss needs a world it can shrink
+        rng = np.random.default_rng(seed)
+        requests = random_requests(rng, n)
         plan = None
-        if params["n_transient"] or params["n_loss"]:
+        if n_transient or n_loss:
             plan = FaultPlan.random(
                 seed=int(rng.integers(0, 2**31)),
-                world_size=params["world"],
+                world_size=world,
                 num_collectives=40,
-                n_transient=params["n_transient"],
-                n_rank_loss=params["n_loss"],
+                n_transient=n_transient,
+                n_rank_loss=n_loss,
             )
-        engine = build_engine(rng, params, plan=plan)
+        engine = build_engine(rng, world, max_batch, budget_states, plan=plan)
         report = engine.run(requests)
 
         expected = {r.request_id: r.max_new_tokens for r in requests}
@@ -249,8 +236,5 @@ class TestTokenConservation:
             times = record.token_times_s
             assert all(b >= a for a, b in zip(times, times[1:]))
             assert times[0] >= record.arrival_s
-        if params["n_loss"]:
+        if n_loss:
             assert engine.generations >= 1  # recovery path did not wedge
-
-    def test_property(self):
-        assert run_property(self.prop, self.gen, n_cases=N_CASES, seed=303) == N_CASES

@@ -581,3 +581,9 @@ def test_bad_argument_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_cache_budget_below_one_batch_exits_2(capsys):
+    assert main(["serve-bench", "--cache-budget", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cache budget cannot hold") and err.count("\n") == 1

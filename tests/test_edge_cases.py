@@ -161,7 +161,7 @@ class TestFuzz:
         seed=st.integers(0, 99),
         use_codec=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_exchange_equivalence_fuzz(
         self, world, vocab, dim, token_counts, seed, use_codec
     ):
@@ -191,7 +191,7 @@ class TestFuzz:
         data=st.data(),
         world=st.integers(2, 4),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_trainer_invariants_fuzz(self, data, world):
         """Random miniature configs: replicas always end synchronized and
         losses are always finite."""

@@ -1,6 +1,6 @@
-"""Seeded randomized property test for the batched execution fast path.
+"""Property test for the batched execution fast path (``hypothesis``).
 
-200 random configurations per model each train a few steps twice: once
+200 drawn configurations per model each train a few steps twice: once
 with ``batched=True`` and once with ``batched=False``.  The char-LM arm
 draws world size, architecture, batch shape, dropout probability (i.e.
 per-replica RNG stream consumption), statefulness, accumulation, loss
@@ -8,12 +8,11 @@ scale and overlap mode; the word-LM arm adds widths down to 1, sampled
 softmax sizes from 1 to V-1, every seed strategy, tied embeddings and
 SGD with or without momentum.  The property is
 **bit-for-bit identity** of losses, every replica's parameters, the
-carried BPTT state and the full optimizer state.  Driven by
-:mod:`tests.proptest` (shrinks integer parameters on failure and names
-the reproducing ``seed=/case=`` pair).
+carried BPTT state and the full optimizer state.
 """
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.core.seeding import SeedStrategy
 from repro.data.batching import BatchSpec
@@ -25,57 +24,52 @@ from repro.train.trainer import DistributedTrainer
 from repro.train.word_lm import WordLanguageModel
 
 from ..helpers import assert_same_state
-from ..proptest import run_property
 
 N_CASES = 200
 
+#: What both models draw: world, batch shape, accumulation, steps,
+#: statefulness, loss scale, overlap mode and the two seeds.
+_COMMON = dict(
+    world=st.integers(2, 6),
+    seqs=st.integers(1, 3),
+    seq_len=st.integers(2, 6),
+    accum=st.integers(1, 2),
+    steps=st.integers(1, 3),
+    stateful=st.booleans(),
+    scaled=st.booleans(),
+    overlap=st.booleans(),
+    init_seed=st.integers(0, 2**31 - 1),
+    data_seed=st.integers(0, 2**31 - 1),
+)
 
-def gen_case(rng: np.random.Generator) -> dict:
-    overlap = bool(rng.integers(0, 2))
-    return {
-        "world": int(rng.integers(2, 7)),
-        "vocab": int(rng.integers(12, 80)),
-        "emb": int(rng.integers(2, 10)),
-        "hidden": int(rng.integers(2, 14)),
-        "depth": int(rng.integers(1, 4)),
-        "seqs": int(rng.integers(1, 4)),
-        "seq_len": int(rng.integers(2, 7)),
-        "accum": int(rng.integers(1, 3)),
-        "steps": int(rng.integers(1, 4)),
-        "dropout_x10": int(rng.integers(0, 6)),  # 0.0 .. 0.5
-        "stateful": bool(rng.integers(0, 2)),
-        "scaled": bool(rng.integers(0, 2)),
-        "overlap": overlap,
-        "init_seed": int(rng.integers(0, 2**31)),
-        "data_seed": int(rng.integers(0, 2**31)),
-    }
+CHAR_CASE = st.fixed_dictionaries(dict(
+    _COMMON,
+    vocab=st.integers(12, 79),
+    emb=st.integers(2, 9),
+    hidden=st.integers(2, 13),
+    depth=st.integers(1, 3),
+    dropout_x10=st.integers(0, 5),  # 0.0 .. 0.5
+))
 
-
-STRATEGIES = list(SeedStrategy)
-
-
-def gen_word_case(rng: np.random.Generator) -> dict:
-    case = gen_case(rng)
-    del case["depth"], case["dropout_x10"]
-    case.update(
-        vocab=int(rng.integers(3, 40)),
-        emb=int(rng.integers(1, 8)),
-        hidden=int(rng.integers(1, 10)),
-        proj=int(rng.integers(1, 8)),
-        # 1 .. V-1 once taken modulo (vocab - 1) in _build, so that
-        # shrinking vocab keeps the case inside the layer's domain.
-        samples=int(rng.integers(0, 40)),
-        strategy=int(rng.integers(0, len(STRATEGIES))),
-        tied=bool(rng.integers(0, 2)),
-        momentum=bool(rng.integers(0, 2)),
-    )
-    return case
+WORD_CASE = st.fixed_dictionaries(dict(
+    _COMMON,
+    vocab=st.integers(3, 39),
+    emb=st.integers(1, 7),
+    hidden=st.integers(1, 9),
+    proj=st.integers(1, 7),
+    # 1 .. V-1 once taken modulo (vocab - 1) in _build, so that
+    # shrinking vocab keeps the case inside the layer's domain.
+    samples=st.integers(0, 39),
+    strategy=st.sampled_from(list(SeedStrategy)),
+    tied=st.booleans(),
+    momentum=st.booleans(),
+))
 
 
 def _build(params: dict, batched: bool) -> DistributedTrainer:
     word = "proj" in params
     if word:
-        vocab = max(3, params["vocab"])
+        vocab = params["vocab"]
         model_cfg = WordLMConfig(
             vocab_size=vocab,
             # A tied output embedding is the input embedding: one width.
@@ -97,7 +91,7 @@ def _build(params: dict, batched: bool) -> DistributedTrainer:
         world_size=params["world"],
         batch=BatchSpec(params["seqs"], params["seq_len"]),
         base_lr=0.2 if word else 3e-3,
-        seed_strategy=STRATEGIES[params["strategy"]] if word else SeedStrategy.PER_RANK,
+        seed_strategy=params["strategy"] if word else SeedStrategy.PER_RANK,
         init_seed=params["init_seed"],
         data_seed=params["data_seed"],
         accumulation_steps=params["accum"],
@@ -136,7 +130,7 @@ def _build(params: dict, batched: bool) -> DistributedTrainer:
     )
 
 
-def prop_batched_is_bit_exact(params: dict, rng: np.random.Generator) -> None:
+def assert_batched_is_bit_exact(params: dict) -> None:
     fast = _build(params, batched=True)
     slow = _build(params, batched=False)
     assert fast.batched_executor is not None
@@ -167,15 +161,13 @@ def prop_batched_is_bit_exact(params: dict, rng: np.random.Generator) -> None:
             ), "dropout RNG streams desynchronized"
 
 
-def test_batched_execution_property():
-    assert (
-        run_property(prop_batched_is_bit_exact, gen_case, n_cases=N_CASES)
-        == N_CASES
-    )
+@given(params=CHAR_CASE)
+@settings(max_examples=N_CASES)
+def test_batched_execution_property(params):
+    assert_batched_is_bit_exact(params)
 
 
-def test_batched_execution_property_word_lm():
-    assert (
-        run_property(prop_batched_is_bit_exact, gen_word_case, n_cases=N_CASES)
-        == N_CASES
-    )
+@given(params=WORD_CASE)
+@settings(max_examples=N_CASES)
+def test_batched_execution_property_word_lm(params):
+    assert_batched_is_bit_exact(params)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
+from repro.errors import FormatError
 from repro.nn import Linear, Module, Parameter
 from repro.optim import SGD, Adam
 from repro.train import (
@@ -538,3 +539,25 @@ class TestRemovedClip:
             fresh.replicas[0].named_parameters(),
         ):
             np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+
+
+#: Ways a checkpoint file can be unreadable, each applied to a real one.
+DAMAGE = {
+    "empty": lambda path: path.write_bytes(b""),
+    "not-an-npz": lambda path: path.write_bytes(b"global_step: 3"),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:2000]),
+    "missing-keys": lambda path: np.savez(path, **{"meta/version": np.array(2)}),
+    "version-3": lambda path: np.savez(path, **{"meta/version": np.array(3)}),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE)
+def test_unreadable_checkpoint_is_a_format_error(tmp_path, damage):
+    save_checkpoint(tmp_path / "c.npz", word_trainer())
+    damage(tmp_path / "c.npz")
+    fresh = word_trainer(seed_offset=9)
+    before = [p.data.copy() for p in fresh.replicas[0].parameters()]
+    with pytest.raises(FormatError):
+        load_checkpoint(tmp_path / "c.npz", fresh)
+    for p, old in zip(fresh.replicas[0].parameters(), before):
+        np.testing.assert_array_equal(p.data, old)

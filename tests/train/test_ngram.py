@@ -133,7 +133,7 @@ class TestEvaluation:
         order=st.integers(1, 3),
         seed=st.integers(0, 20),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_probabilities_valid_fuzz(self, order, seed):
         rng = np.random.default_rng(seed)
         tokens = rng.integers(0, 10, 500)
