@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cluster.collectives import FusedRun
 from ..cluster.communicator import CollectiveHook, Communicator
 from ..core.compression import FP16_MAX, Fp16Codec, IdentityCodec, WireCodec
 from ..errors import ReproError
@@ -270,7 +271,23 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
                     "collective"
                 )
             for ranks in comm.groups:
-                self._validate_ring(op, tag, arrays, ranks)
+                head = arrays[ranks[0]]
+                if not isinstance(head, FusedRun):
+                    self._validate_ring(op, tag, arrays, ranks)
+                    continue
+                # A fused run is checked member by member, by name.
+                if any(
+                    not isinstance(arrays[r], FusedRun)
+                    or arrays[r].keys() != head.keys()
+                    for r in ranks
+                ):
+                    raise CollectiveMismatchError(
+                        f"{op}[tag={tag!r}]: ranks {list(ranks)} bring "
+                        "fused runs of different members"
+                    )
+                for name in head:
+                    member = {r: arrays[r][name] for r in ranks}
+                    self._validate_ring(op, f"{tag}[{name}]", member, ranks)
         self._check_scope(op, tag)
         self.op_log.append(
             OpRecord(

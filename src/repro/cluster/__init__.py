@@ -6,6 +6,7 @@ ledger — the substrate on which the paper's distributed training runs.
 """
 
 from .collectives import (
+    FusedRun,
     allgather_arrays,
     allgather_wire_bytes,
     allreduce_arrays,
@@ -112,6 +113,7 @@ __all__ = [
     "V100_FABRIC",
     "ProcessGroup",
     "partition_ranks",
+    "FusedRun",
     "allreduce_arrays",
     "allgather_arrays",
     "reduce_scatter_arrays",

@@ -45,6 +45,7 @@ import numpy as np
 from .interconnect import LinkSpec
 
 __all__ = [
+    "FusedRun",
     "allreduce_arrays",
     "allgather_arrays",
     "reduce_scatter_arrays",
@@ -87,9 +88,40 @@ def _check_uniform(arrays: Sequence[np.ndarray], op: str) -> None:
 RESTRICTED_FOLD_MIN_SKIPPED = 32768
 
 
+class FusedRun(dict):
+    """One rank's payload of a fused allreduce: named members of one dtype.
+
+    Reduced as the flat concatenation of its members (``size`` and
+    ``nbytes`` are that message's) without ever building it.  ``shape``
+    is the tuple of member shapes: the envelope ranks must match.
+    """
+
+    @property
+    def dtype(self) -> np.dtype:
+        dtypes = {m.dtype for m in self.values()}
+        if len(dtypes) != 1:
+            raise ValueError(
+                "a fused run needs at least one member, all of one dtype; "
+                f"got {sorted(map(str, dtypes))}"
+            )
+        return dtypes.pop()
+
+    @property
+    def shape(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(m.shape for m in self.values())
+
+    @property
+    def size(self) -> int:
+        return sum(m.size for m in self.values())
+
+    @property
+    def nbytes(self) -> int:
+        return sum(m.nbytes for m in self.values())
+
+
 def allreduce_arrays(
-    arrays: Sequence[np.ndarray],
-    stacked: np.ndarray | None = None,
+    arrays: Sequence[np.ndarray] | Sequence[FusedRun],
+    stacked: np.ndarray | dict[str, np.ndarray] | None = None,
     rows: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Sum-allreduce: every rank receives the elementwise sum of all inputs.
@@ -114,7 +146,13 @@ def allreduce_arrays(
     unique exchange.  The same rank-order fold may then skip the
     ``x + (+0)`` steps; the result is bit-identical (see
     :func:`_restricted_fold`), only cheaper on sparse blocks.
+
+    When every rank brings a :class:`FusedRun`, each member is folded
+    alone into its slice of one flat result — bit-identical to reducing
+    the members one by one — and ``stacked`` maps member names to blocks.
     """
+    if arrays and isinstance(arrays[0], FusedRun):
+        return _shared(_fold_run(arrays, stacked or {}), len(arrays))
     _check_uniform(arrays, "allreduce")
     # Accumulate in the input dtype to mirror on-wire reduction precision.
     # np.add.reduce over a stacked leading axis accumulates element-wise
@@ -146,6 +184,24 @@ def allreduce_arrays(
         for arr in arrays[1:]:
             total += arr
     return _shared(total, len(arrays))
+
+
+def _fold_run(
+    runs: Sequence[FusedRun], blocks: dict[str, np.ndarray]
+) -> np.ndarray:
+    """Every member's rank-order sum, in its slice of one flat array."""
+    head = runs[0]
+    total = np.empty(head.size, head.dtype)
+    if any(run.keys() != head.keys() for run in runs):
+        raise ValueError(f"allreduce: every rank must bring members {list(head)}")
+    offset = 0
+    for name, member in head.items():
+        summed = allreduce_arrays(
+            [run[name] for run in runs], stacked=blocks.get(name)
+        )[0]
+        total[offset : offset + member.size] = summed.ravel()
+        offset += member.size
+    return total
 
 
 def _restricted_fold(

@@ -424,7 +424,7 @@ class Communicator:
         arrays: Sequence[np.ndarray],
         tag: str = "",
         payload_bytes: int | None = None,
-        stacked: np.ndarray | Sequence[np.ndarray] | None = None,
+        stacked: Sequence[np.ndarray] | dict[str, np.ndarray] | None = None,
         rows: Sequence | None = None,
     ) -> WorkHandle:
         """Non-blocking sum-allreduce; ring algorithm cost model.
@@ -444,9 +444,8 @@ class Communicator:
         ``stacked`` is the caller's assertion that each ring's arrays
         are, in member order, the rows of one ``(ring, ...)`` block —
         letting the reduction skip restacking the views.  Pass one block
-        per ring (in :attr:`groups` order), or the bare block on a
-        one-ring communicator.  Bits, accounting and results are
-        identical to the unstacked call.
+        per ring, in :attr:`groups` order.  Bits, accounting and results
+        are identical to the unstacked call.
 
         ``rows`` rides with ``stacked``, in the same per-ring form: for
         each member, the sorted unique leading-axis rows outside which
@@ -454,15 +453,18 @@ class Communicator:
         matrices), so the fold can skip them — see
         :func:`~repro.cluster.collectives.allreduce_arrays`.  Hooks and
         accounting still see the full per-rank arrays.
+
+        Ranks may bring :class:`~repro.cluster.collectives.FusedRun`
+        payloads (``stacked`` then maps member names to blocks): one
+        record per run, whose ring receives its flat sum.
         """
         self._pre_issue("allreduce", tag, arrays)
 
         def reduce(sub: list, ring: int) -> list:
-            block, held = stacked, rows
-            if block is not None and not isinstance(block, np.ndarray):
-                block = block[ring]
-                held = None if rows is None else rows[ring]
-            return coll.allreduce_arrays(sub, stacked=block, rows=held)
+            if stacked is None or isinstance(stacked, dict):
+                return coll.allreduce_arrays(sub, stacked=stacked)
+            held = None if rows is None else rows[ring]
+            return coll.allreduce_arrays(sub, stacked=stacked[ring], rows=held)
 
         nbytes = self._ring_bytes(arrays)
         return self._ring_collective(

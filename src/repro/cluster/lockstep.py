@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collectives import FusedRun
 from .communicator import CollectiveHook
 
 __all__ = ["LockstepVerifier", "LockstepReport"]
@@ -226,7 +227,7 @@ class LockstepVerifier(CollectiveHook):
             shape, dtype = (), ""
             if arrays is not None and rank < len(arrays):
                 a = arrays[rank]
-                if isinstance(a, np.ndarray):
+                if isinstance(a, (np.ndarray, FusedRun)):
                     if hashing:
                         hashes.append((rank, a, self._digest(a)))
                 else:
@@ -354,7 +355,11 @@ class LockstepVerifier(CollectiveHook):
 
     # -- buffer hashing ------------------------------------------------
 
-    def _digest(self, array: np.ndarray) -> int:
+    def _digest(self, array: np.ndarray | FusedRun, crc: int = 0) -> int:
+        if isinstance(array, FusedRun):  # member by member, one chain
+            for member in array.values():
+                crc = self._digest(member, crc)
+            return crc
         if array.flags.c_contiguous:
             flat = array.reshape(-1)
         else:
@@ -362,8 +367,8 @@ class LockstepVerifier(CollectiveHook):
         if self.hash_mode == "sample" and flat.nbytes > 2 * self.sample_bytes:
             k = max(1, self.sample_bytes // max(1, flat.itemsize))
             # Chain head and tail through one CRC — no concatenation copy.
-            return zlib.crc32(flat[-k:], zlib.crc32(flat[:k]))
-        return zlib.crc32(flat)
+            return zlib.crc32(flat[-k:], zlib.crc32(flat[:k], crc))
+        return zlib.crc32(flat, crc)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

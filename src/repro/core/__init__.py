@@ -8,7 +8,6 @@ package generalizes III-C into a pluggable codec stack, adding lossless
 delta-bitpack/run-length frame codecs for the Θ(G·K) index gather.
 """
 
-from .bucketing import Bucket, bucketed_allreduce, plan_buckets
 from .complexity import (
     PAPER_ALPHA,
     PAPER_HEAPS_COEFF,
@@ -50,9 +49,6 @@ from .wire import (
 )
 
 __all__ = [
-    "Bucket",
-    "bucketed_allreduce",
-    "plan_buckets",
     "breakeven_unique_rows",
     "crossover_duplication_factor",
     "unique_wins_comm",

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cluster.collectives import FusedRun
+
 __all__ = [
     "FP16_MAX",
     "WireCodec",
@@ -153,18 +155,24 @@ class Fp16Codec(WireCodec):
 
 def encode_stacked(
     codec: WireCodec,
-    arrays: Sequence[np.ndarray],
-    stacked: np.ndarray | None,
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Every rank's value encode, as ``(per-rank arrays, their block)``.
+    arrays: Sequence[np.ndarray] | Sequence[FusedRun],
+    stacked: dict[str, np.ndarray] | None,
+) -> tuple[list, dict[str, np.ndarray] | None]:
+    """Every rank's value encode, as ``(per-rank payloads, their blocks)``.
 
-    Value codecs are elementwise, so when the caller holds the ranks'
-    arrays as the rows of one ``(world, ...)`` block (``stacked``, as for
-    :func:`~repro.cluster.collectives.allreduce_arrays`) a single
-    ``encode`` of the block is the per-rank encodes, already stacked for
-    the reduction.  Without a block it is the per-rank loop.
+    Value codecs are elementwise, so a fused-run member the caller holds
+    as the rows of one ``(world, ...)`` block (``stacked`` maps names to
+    blocks, as for :func:`~repro.cluster.collectives.allreduce_arrays`)
+    is encoded in one call: the per-rank encodes, already stacked for
+    the reduction.  Everything else is the per-rank loop.
     """
-    if stacked is None:
+    if not isinstance(arrays[0], FusedRun):
         return codec.encode_many(arrays), None
-    wire = codec.encode(stacked)
-    return list(wire), wire
+    blocks = {n: codec.encode(b) for n, b in (stacked or {}).items()}
+    return [
+        FusedRun(
+            (n, blocks[n][r] if n in blocks else codec.encode(a))
+            for n, a in run.items()
+        )
+        for r, run in enumerate(arrays)
+    ], blocks or None

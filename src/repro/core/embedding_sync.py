@@ -27,12 +27,13 @@ a ``(1, 1, G)`` mesh and a ``pipe x tensor x data`` mesh execute the
 same code, and wire codecs, the fused ring, the sanitizer and the
 lockstep verifier compose with all three.
 
-One loop, two schedules.  Blocking (``overlap=False``) is "issue one,
-drain one": each parameter's collective completes before the next is
-touched — the exact pre-async behaviour.  ``overlap=True`` is "issue
-all, then drain": parameters are walked in reverse registration order
-(the order backward produces gradients), every collective is issued
-first — dense allreduces interleaved with the sparse exchanges' first
+One loop, two schedules, and one fused allreduce per maximal run of
+consecutive dense-only parameters (§V-B: latency per run, not per
+tensor).  Blocking (``overlap=False``) is "issue one, drain one": each
+collective completes before the next is issued.  ``overlap=True`` is
+"issue all, then drain": parameters are walked in reverse registration
+order (the order backward produces gradients), every collective is
+issued first — dense runs interleaved with the sparse exchanges' first
 stage — and only then are the waits drained, so collectives queue up on
 the comm stream while later parameters are still being issued.
 Numerics are identical either way; only the simulated timeline differs.
@@ -44,6 +45,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from ..cluster.collectives import FusedRun
 from ..cluster.communicator import Communicator
 from ..nn.module import Module
 from ..nn.parameter import Parameter, SparseGrad
@@ -95,20 +97,21 @@ class GradientSynchronizer:
         "enable the paper's technique" is an explicit, visible choice).
     wire:
         Optional :class:`~repro.core.wire.policy.WirePolicy`.  Its value
-        codec (fixed or adaptively selected per message) covers the
-        dense allreduces; the sparse strategies carry their own
-        reference to the same policy for index and value traffic.
+        codec (fixed or adaptively selected per message; a dense run is
+        one message) covers the dense allreduces; the sparse strategies
+        carry their own reference to the same policy for index and value
+        traffic.
     overlap:
         Use the issue-all-then-drain schedule in :meth:`sync_replicas`
         (see module docstring).  Off by default: the blocking schedule
         is the bit-exact reference, including its ledger event order.
     on_issue:
-        Optional hook ``f(param_name)`` called immediately *before* each
-        parameter's collectives are issued on the overlapped schedule.
+        Optional hook ``f(param_name)`` called as the overlapped schedule
+        reaches each parameter, before any collective it starts or ends.
         The trainer uses it to record that parameter's slice of backward
         compute on the timeline — the "backward produces this layer's
-        gradient, then its bucket is issued" interleaving.  Ignored on
-        the blocking schedule.
+        gradient, then its run is issued" interleaving.  Ignored on the
+        blocking schedule.
     fused_reduce:
         Route dense allreduces through the fused compress-reduce ring
         (:func:`~repro.core.wire.fused.icompressed_allreduce`): the
@@ -137,37 +140,42 @@ class GradientSynchronizer:
         self.fused_reduce = fused_reduce
 
     def _issue_dense(
-        self, params: list[Parameter], tag: str
+        self, run: dict[str, list[Parameter]], tag: str
     ) -> Callable[[], None]:
-        """Issue one dense allreduce; return the finisher that applies it.
+        """Issue one fused allreduce of a dense run; return its finisher.
 
-        The averaged gradient lands as **one array object on every
+        ``run`` maps member names to their replicas' parameters; each
+        replica's grads travel as one
+        :class:`~repro.cluster.collectives.FusedRun`, folded member by
+        member into one flat sum — nothing is staged.  The averaged
+        gradient lands as **one array object per member on every
         replica**: the ranks of a synchronous step hold equal gradients,
         so there is one result and whoever applies it reads it once.
         """
         data = self.comm.axis("data")
-        grads = []
-        for p in params:
-            if p.grad is None:
-                raise ValueError(f"{tag}: rank missing dense grad")
-            grads.append(p.grad)
-        shape, dtype = grads[0].shape, grads[0].dtype
-        # Taken, not read: once the reduced grads are applied nothing
-        # else should keep the replicas' pre-sync block alive.
-        block, params[0]._grad_block = params[0]._grad_block, None
-        arrays = shard_dense(grads, data.groups)
-        # The batched executor hands out per-rank grads as rank-order
-        # rows of one contiguous block and marks rank 0's parameter with
-        # it; verifying every grad still aliases that block (an
-        # accumulated ``old + new`` grad does not) lets the codec encode
-        # it in one call and the allreduce skip restacking G views.
-        # Bit-identical either way.
-        if block is not None and (
-            arrays is not grads
-            or block.shape != (len(params),) + shape
-            or any(g.base is not block for g in grads)
-        ):
-            block = None
+        grads: dict[str, list[np.ndarray]] = {}
+        blocks: dict[str, np.ndarray] = {}
+        for name, params in run.items():
+            if any(p.grad is None for p in params):
+                raise ValueError(f"{name}:dense: rank missing dense grad")
+            grads[name] = [p.grad for p in params]
+            # The batched executor marks rank 0's parameter with the
+            # block whose rank-order rows are the grads; taken, not read,
+            # so nothing keeps it alive past the sync.  An accumulated
+            # ``old + new`` grad no longer aliases it.  Bit-identical
+            # either way; with it the fold skips restacking G views.
+            block, params[0]._grad_block = params[0]._grad_block, None
+            if (
+                block is not None
+                and block.shape == (len(params),) + params[0].grad.shape
+                and all(g.base is block for g in grads[name])
+            ):
+                blocks[name] = block
+        runs = [FusedRun(zip(grads, row)) for row in zip(*grads.values())]
+        layout = [(m.shape, m.size) for m in runs[0].values()]
+        dtype = runs[0].dtype
+        arrays = shard_dense(runs, data.groups)
+        stacked = blocks if blocks and arrays is runs else None
         codec = (
             None
             if self.wire is None
@@ -188,7 +196,7 @@ class GradientSynchronizer:
                     if self.wire is not None
                     else True
                 ),
-                stacked=block,
+                stacked=stacked,
             )
         else:
             payload_bytes = None
@@ -196,22 +204,25 @@ class GradientSynchronizer:
                 payload_bytes = max(
                     arrays[ranks[0]].nbytes for ranks in data.groups
                 )
-                arrays, block = encode_stacked(codec, arrays, block)
+                arrays, stacked = encode_stacked(codec, arrays, stacked)
             handle = data.iallreduce(
                 arrays,
                 tag=tag,
                 payload_bytes=payload_bytes,
-                stacked=block,
+                stacked=stacked,
             )
 
         def finish() -> None:
             # Each shard group's one shared result is read once.
-            reduced = unshard_dense(handle.wait(), data.groups, shape)
+            reduced = unshard_dense(handle.wait(), data.groups)
             if codec is not None and not fused:  # the fused ring decodes
                 reduced = codec.decode(reduced, dtype)
-            grad = reduced / len(params)
-            for p in params:
-                p.grad = grad
+            flat, offset = reduced / len(runs), 0
+            for params, (shape, size) in zip(run.values(), layout):
+                grad = flat[offset : offset + size].reshape(shape)
+                offset += size
+                for p in params:
+                    p.grad = grad
 
         return finish
 
@@ -290,43 +301,70 @@ class GradientSynchronizer:
         produced dense grads — tied-embedding setups can hit both paths
         for one parameter.
 
+        Each maximal run of consecutive dense-only parameters of one
+        dtype, in walk order, is **one** fused allreduce, tagged and
+        scoped with its members' names joined by ``+`` in registration
+        order.  A parameter with a sparse exchange ends the run; its own
+        dense grad (a tied embedding's) is a run of one.
+
         Each synced value lands as **one object** on every replica's
         parameter, not as per-replica copies: a consumer that scales or
         unscales the result does so once (through any one replica), and
         independent optimizers may each read it.
 
         Blocking, each collective is issued and drained under its
-        parameter's cost scope before the next is touched.  With
-        ``overlap=True`` parameters are issued in *reverse* registration
-        order, so dense buckets and the sparse exchanges' index gathers
-        queue up back-to-back the way an eager DDP-style hook would
-        issue them; finishers then drain in the same order, the sparse
-        second-stage collectives (the value allreduce, which depends on
-        the gathered indices) being issued during the drain under the
-        owning parameter's scope.
+        scope before the next is touched.  With ``overlap=True``
+        parameters are walked in *reverse* registration order, so dense
+        runs and the sparse exchanges' index gathers queue up
+        back-to-back the way an eager DDP-style hook would issue them;
+        finishers then drain in the same order, the sparse second-stage
+        collectives (the value allreduce, which depends on the gathered
+        indices) being issued during the drain under the owning
+        parameter's scope.
         """
         named, names = self._named_params(
             replicas, self.comm.axis("data").ring_size
         )
         scope = self.comm.timeline.scope
         deferred: list[tuple[str, Callable[[], None]]] = []
+        run: dict[str, list[Parameter]] = {}
+
+        def issue(label: str, issuer, members, tag: str) -> None:
+            scope_name = label.replace("/", "-")
+            with scope(scope_name):
+                finish = issuer(members, tag=tag)
+                if not self.overlap:
+                    finish()
+                    return
+            deferred.append((scope_name, finish))
+
+        def flush() -> None:
+            if run:
+                # Laid out and named in registration order on either
+                # schedule, so both bill the same scopes.
+                members = dict(reversed(run.items()) if self.overlap else run)
+                label = "+".join(members)
+                issue(label, self._issue_dense, members, f"{label}:dense")
+                run.clear()
+
         for name in reversed(names) if self.overlap else names:
             params = [d[name] for d in named]
-            issuers = []
-            if any(p.grad is not None for p in params):
-                issuers.append((self._issue_dense, f"{name}:dense"))
-            if any(p.sparse_grads for p in params):
-                issuers.append((self._issue_sparse, name))
-            if self.overlap and self.on_issue is not None and issuers:
+            dense = any(p.grad is not None for p in params)
+            sparse = any(p.sparse_grads for p in params)
+            if not (dense or sparse):
+                continue
+            if sparse or (
+                run and next(iter(run.values()))[0].dtype != params[0].dtype
+            ):
+                flush()
+            if self.overlap and self.on_issue is not None:
                 self.on_issue(name)
-            scope_name = name.replace("/", "-")
-            with scope(scope_name):
-                for issue, tag in issuers:
-                    finish = issue(params, tag=tag)
-                    if self.overlap:
-                        deferred.append((scope_name, finish))
-                    else:
-                        finish()
+            if dense:
+                run[name] = params
+            if sparse:
+                flush()  # a tied parameter's dense grad: a run of one
+                issue(name, self._issue_sparse, params, name)
+        flush()
         for scope_name, finish in deferred:
             with scope(scope_name):
                 finish()

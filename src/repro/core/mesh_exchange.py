@@ -16,10 +16,11 @@ of ``d`` members each, group index = shard index, member index = data
 coordinate.  With ``S == 1`` (flat training, or a ``(1, 1, G)`` mesh)
 every function is the identity on its input.
 
-**Bit-exactness** (regression-pinned by the composition table): a dense
-gradient is cut into ``S`` contiguous pieces, each data subgroup reduces
-its piece in the same rank order a flat allreduce uses, and
-``concat(array_split(x)) == x`` holds exactly.  A sparse gradient is
+**Bit-exactness** (regression-pinned by the composition table): a run
+of dense gradients is cut into ``S`` contiguous pieces of its flat
+concatenation, each data subgroup reduces its piece in the same rank
+order a flat allreduce uses, and ``concat(array_split(x)) == x`` holds
+exactly.  A sparse gradient is
 cut by contiguous vocabulary row ranges; ranges ascend, so concatenating
 the per-range unique exchanges yields the globally sorted unique rows,
 and cutting a coalesced gradient by row range commutes with coalescing.
@@ -31,6 +32,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..cluster.collectives import FusedRun
 from ..nn.parameter import SparseGrad
 
 __all__ = ["shard_dense", "shard_sparse", "unshard_dense", "unshard_sparse"]
@@ -46,25 +48,30 @@ def _check_replicas(grads: list, groups: Groups) -> None:
         )
 
 
-def shard_dense(grads: list[np.ndarray], groups: Groups) -> list[np.ndarray]:
-    """Per-flat-rank pieces of ``d`` replica gradients (index = data coord)."""
+def shard_dense(grads: list[FusedRun], groups: Groups) -> list[FusedRun]:
+    """Per-flat-rank pieces of ``d`` replica runs (index = data coord):
+    ``np.array_split``'s cuts, as runs of member views (none is copied)."""
     if len(groups) == 1:
         return grads
     _check_replicas(grads, groups)
-    out: list[np.ndarray] = [None] * (len(groups) * len(grads))  # type: ignore[list-item]
-    for k, grad in enumerate(grads):
-        for ranks, piece in zip(groups, np.array_split(grad.ravel(), len(groups))):
-            out[ranks[k]] = piece
+    base, extra = divmod(grads[0].size, len(groups))
+    cuts = [s * base + min(s, extra) for s in range(len(groups) + 1)]
+    out: list[FusedRun] = [None] * (len(groups) * len(grads))  # type: ignore[list-item]
+    for k, run in enumerate(grads):
+        starts = np.cumsum([0] + [m.size for m in run.values()])
+        for s, ranks in enumerate(groups):
+            out[ranks[k]] = FusedRun(
+                (n, m.ravel()[max(cuts[s] - at, 0) : max(cuts[s + 1] - at, 0)])
+                for (n, m), at in zip(run.items(), starts)
+            )
     return out
 
 
-def unshard_dense(
-    results: Sequence[np.ndarray], groups: Groups, shape: tuple[int, ...]
-) -> np.ndarray:
-    """The full reduced gradient from each shard group's (shared) result."""
+def unshard_dense(results: Sequence[np.ndarray], groups: Groups) -> np.ndarray:
+    """The flat reduced run from each shard group's (shared) result."""
     if len(groups) == 1:
         return results[0]
-    return np.concatenate([results[ranks[0]] for ranks in groups]).reshape(shape)
+    return np.concatenate([results[ranks[0]] for ranks in groups])
 
 
 def shard_sparse(

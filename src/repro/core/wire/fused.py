@@ -244,7 +244,7 @@ def icompressed_allreduce(
     chunk_bytes: int | None = None,
     throughput: CodecThroughput | None = None,
     charge_compute: bool = True,
-    stacked: np.ndarray | None = None,
+    stacked: dict[str, np.ndarray] | None = None,
 ) -> PendingFusedReduce:
     """Compressed ring allreduce: fused reduce-scatter + allgather.
 
@@ -254,11 +254,10 @@ def icompressed_allreduce(
     unfused encode → allreduce → decode path bit for bit; with
     ``codec=None`` they equal the plain rank-order fold bit for bit.  A
     codec that is not summable raises ``ValueError`` before anything is
-    issued.  ``stacked`` is the caller's assertion
-    that ``arrays`` are, in rank order, the rows of that one block (as
-    for :meth:`Communicator.iallreduce`, one-ring communicators only):
-    a summable codec then encodes the block in one call and the fold
-    runs on the encoded block, skipping ``world`` encodes and a restack.
+    issued.  Ranks may bring :class:`~repro.cluster.collectives.FusedRun`
+    payloads, whose ``stacked`` member blocks (one-ring communicators
+    only, as for :meth:`Communicator.iallreduce`) a summable codec
+    encodes in one call each, the fold then skipping a restack.
     """
     if len(arrays) != comm.world_size:
         raise ValueError(

@@ -342,8 +342,8 @@ class DistributedTrainer:
 
         Installed as the synchronizer's ``on_issue`` hook when overlap
         and compute accounting are both enabled, so each layer's
-        gradient "costs" compute immediately before its collective is
-        issued.
+        gradient "costs" compute before the collective carrying it (its
+        dense run, or its sparse exchange) is issued.
         """
         self.comm.timeline.record_compute_all(
             self._backward_slice_s, name=f"bwd:{name}"

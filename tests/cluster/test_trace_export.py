@@ -204,10 +204,10 @@ class TestResilientOverlapMeshTrace:
             )
 
         plan = FaultPlan([
-            FaultEvent(FaultKind.STRAGGLER, collective_index=2, rank=1,
+            FaultEvent(FaultKind.STRAGGLER, collective_index=1, rank=1,
                        slowdown=3.0),
-            FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=5, rank=3),
-            FaultEvent(FaultKind.RANK_LOSS, collective_index=30, rank=2),
+            FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=1, rank=3),
+            FaultEvent(FaultKind.RANK_LOSS, collective_index=14, rank=2),
         ])
         session = TelemetrySession()
         runner = ResilientRunner(

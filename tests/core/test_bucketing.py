@@ -1,149 +1,255 @@
-"""Tests for gradient bucketing."""
+"""Tests for gradient bucketing: one fused allreduce per dense run.
+
+There is no bucket-size budget.  The synchronizer cuts its walk into
+maximal runs of consecutive dense-only parameters (a parameter with a
+sparse exchange ends a run) and reduces each run as one collective whose
+ranks bring :class:`~repro.cluster.collectives.FusedRun` payloads.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Communicator
-from repro.core.bucketing import bucketed_allreduce, plan_buckets
-from repro.core.compression import Fp16Codec
+from repro.analysis.sanitizer import CollectiveMismatchError, Sanitizer
+from repro.cluster import (
+    Communicator,
+    FusedRun,
+    allreduce_arrays,
+    ring_allreduce_time,
+)
+from repro.core.compression import Fp16Codec, encode_stacked
+from repro.core.embedding_sync import GradientSynchronizer
+from repro.nn import Module, Parameter, SparseGrad
 
 
 def comm(world=4):
     return Communicator(world, track_memory=False)
 
 
+class Toy(Module):
+    """Parameters ``p0`` .. whose grads follow ``kinds``.
+
+    ``d`` dense, ``s`` sparse, ``t`` tied (dense and sparse), ``-`` no
+    gradient this step; ``z`` a zero-size and ``f`` a float32 dense
+    parameter.
+    """
+
+    def __init__(self, kinds, rng):
+        super().__init__()
+        for i, kind in enumerate(kinds):
+            shape = (0, 3) if kind == "z" else (5, 3)
+            dtype = np.float32 if kind == "f" else np.float64
+            p = Parameter(np.zeros(shape, dtype))
+            if kind in "dtzf":
+                p.grad = rng.standard_normal(shape).astype(dtype)
+            if kind in "st":
+                p.sparse_grads = [
+                    SparseGrad(np.array([i % 5, 1]), rng.standard_normal((2, 3)))
+                ]
+            setattr(self, f"p{i}", p)
+
+
+def dense_runs(kinds, world=2, overlap=False):
+    """The member lists of the dense records one sync of ``kinds`` makes."""
+    c = comm(world)
+    replicas = [Toy(kinds, np.random.default_rng(r)) for r in range(world)]
+    GradientSynchronizer(c, overlap=overlap).sync_replicas(replicas)
+    return [
+        e.tag[: -len(":dense")].split("+")
+        for e in c.ledger.events
+        if e.tag.endswith(":dense")
+    ]
+
+
 class TestPlanBuckets:
     def test_greedy_grouping(self):
-        buckets = plan_buckets([100, 100, 100], bucket_bytes=250)
-        assert [b.tensor_indices for b in buckets] == [(0, 1), (2,)]
-        assert buckets[0].nbytes == 200
-
-    def test_oversized_tensor_gets_own_bucket(self):
-        buckets = plan_buckets([1000, 10], bucket_bytes=100)
-        assert [b.tensor_indices for b in buckets] == [(0,), (1,)]
+        assert dense_runs("ddsdd") == [["p0", "p1"], ["p3", "p4"]]
 
     def test_order_preserved(self):
-        buckets = plan_buckets([10, 20, 30, 40], bucket_bytes=35)
-        flat = [i for b in buckets for i in b.tensor_indices]
-        assert flat == [0, 1, 2, 3]
+        for overlap in (False, True):
+            # Either schedule lays a run out in registration order.
+            runs = dense_runs("dddsd-d", overlap=overlap)
+            assert sorted(runs) == [["p0", "p1", "p2"], ["p4", "p6"]]
 
     def test_empty_input(self):
-        assert plan_buckets([], 100) == []
-
-    def test_single_oversized_tensor_is_one_bucket(self):
-        (bucket,) = plan_buckets([10_000], bucket_bytes=64)
-        assert bucket.tensor_indices == (0,)
-        assert bucket.nbytes == 10_000
-
-    def test_tensor_exactly_bucket_bytes_fills_one_bucket(self):
-        buckets = plan_buckets([100, 1], bucket_bytes=100)
-        assert [b.tensor_indices for b in buckets] == [(0,), (1,)]
+        c = comm(2)
+        GradientSynchronizer(c).sync_replicas(
+            [Toy("--", np.random.default_rng(r)) for r in range(2)]
+        )
+        assert c.ledger.events == []
 
     def test_zero_byte_tensors_never_force_split(self):
-        buckets = plan_buckets([50, 0, 0, 50, 0], bucket_bytes=100)
-        assert [b.tensor_indices for b in buckets] == [(0, 1, 2, 3, 4)]
-        assert buckets[0].nbytes == 100
+        assert dense_runs("dzzdz") == [["p0", "p1", "p2", "p3", "p4"]]
 
     def test_all_zero_byte_tensors_fit_one_bucket(self):
-        buckets = plan_buckets([0, 0, 0], bucket_bytes=1)
-        assert [b.tensor_indices for b in buckets] == [(0, 1, 2)]
-        assert buckets[0].nbytes == 0
+        assert dense_runs("zzz") == [["p0", "p1", "p2"]]
 
-    def test_zero_byte_tensor_after_full_bucket(self):
-        """A zero-byte tensor lands in the already-full bucket (adding it
-        cannot exceed the budget) rather than opening a new one."""
-        buckets = plan_buckets([100, 0], bucket_bytes=100)
-        assert [b.tensor_indices for b in buckets] == [(0, 1)]
+    def test_dtype_change_ends_the_run(self):
+        """A run is one flat message of one dtype."""
+        assert dense_runs("ddffd") == [["p0", "p1"], ["p2", "p3"], ["p4"]]
 
-    @given(
-        sizes=st.lists(st.integers(0, 500), max_size=30),
-        bucket=st.integers(1, 1000),
-    )
-    @settings(max_examples=60)
-    def test_property_partition(self, sizes, bucket):
-        buckets = plan_buckets(sizes, bucket)
-        flat = [i for b in buckets for i in b.tensor_indices]
-        assert flat == list(range(len(sizes)))
-        for b in buckets:
-            # Either within the budget, or a single oversized tensor.
-            assert b.nbytes <= bucket or len(b.tensor_indices) == 1
+    def test_tied_parameter_ends_the_run(self):
+        """A tied embedding's dense grad is a run of its own."""
+        assert dense_runs("ddtd") == [["p0", "p1"], ["p2"], ["p3"]]
+
+    @given(kinds=st.text(alphabet="dst-", max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_property_partition(self, kinds):
+        runs = dense_runs(kinds)
+        # Runs partition the dense grads in walk order ...
+        assert [n for run in runs for n in run] == [
+            f"p{i}" for i, k in enumerate(kinds) if k in "dt"
+        ]
+        # ... and are maximal: only a sparse exchange (a tied parameter
+        # at either end, or a sparse one between) separates two runs.
+        for prev, run in zip(runs, runs[1:]):
+            gap = kinds[int(prev[-1][1:]) : int(run[0][1:]) + 1]
+            assert set(gap) & set("st")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_buckets([10], 0)
-        with pytest.raises(ValueError):
-            plan_buckets([-1], 10)
+        rng = np.random.default_rng(0)
+        replicas = [Toy("dd", rng), Toy("ddd", rng)]
+        with pytest.raises(ValueError, match="structurally identical"):
+            GradientSynchronizer(comm(2)).sync_replicas(replicas)
+        with pytest.raises(ValueError, match="replicas for world size"):
+            GradientSynchronizer(comm(3)).sync_replicas(replicas)
+
+
+def make_runs(world, shapes, seed=0, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return [
+        FusedRun(
+            (f"t{i}", rng.standard_normal(s).astype(dtype))
+            for i, s in enumerate(shapes)
+        )
+        for _ in range(world)
+    ]
+
+
+def per_tensor(runs):
+    """The per-tensor reference: each member folded alone, concatenated."""
+    return np.concatenate([
+        allreduce_arrays([run[name] for run in runs])[0].ravel()
+        for name in runs[0]
+    ])
 
 
 class TestBucketedAllreduce:
-    def make_tensors(self, world, shapes, seed=0):
-        rng = np.random.default_rng(seed)
-        return [
-            [rng.standard_normal(s) for s in shapes] for _ in range(world)
-        ]
-
     def test_matches_per_tensor_allreduce(self):
-        world = 3
-        shapes = [(4,), (2, 3), (5,), (1, 1)]
-        tensors = self.make_tensors(world, shapes)
-        out = bucketed_allreduce(comm(world), tensors, bucket_bytes=64)
-        for i in range(len(shapes)):
-            expected = sum(tensors[r][i] for r in range(world))
-            for r in range(world):
-                np.testing.assert_allclose(out[r][i], expected, rtol=1e-12)
+        # Size-1 members, odd sizes, and both fold regimes (2 and 3 ranks).
+        for world in (2, 3, 5):
+            runs = make_runs(world, [(4,), (2, 3), (5,), (1, 1)], seed=world)
+            runs[0]["t1"][0, 0] = -0.0
+            out = comm(world).allreduce(runs)
+            assert all(o is out[0] for o in out)
+            assert not out[0].flags.writeable
+            assert out[0].tobytes() == per_tensor(runs).tobytes()
+
+    def test_stacked_blocks_fold_like_the_rows(self):
+        world = 4
+        blocks = {
+            "a": np.random.default_rng(0).standard_normal((world, 3, 2)),
+            "b": np.random.default_rng(1).standard_normal((world, 7)),
+        }
+        runs = [FusedRun((n, b[r]) for n, b in blocks.items()) for r in range(world)]
+        out = comm(world).allreduce(runs)  # no hint: members are stacked
+        hinted = comm(world).iallreduce(runs, stacked=blocks).wait()
+        assert hinted[0].tobytes() == out[0].tobytes() == per_tensor(runs).tobytes()
 
     def test_fewer_collectives_than_tensors(self):
-        world = 2
-        shapes = [(8,)] * 10
-        tensors = self.make_tensors(world, shapes)
-        c = comm(world)
-        bucketed_allreduce(c, tensors, bucket_bytes=8 * 8 * 4)
-        assert len(c.ledger.events) < 10
+        c = comm(2)
+        c.allreduce(make_runs(2, [(8,)] * 10))
+        assert len(c.ledger.events) == 1
 
     def test_latency_amortized(self):
-        """Bucketing pays (G-1) latency hops per bucket, not per tensor."""
+        """One run pays the 2 (G-1) latency hops once, not per tensor."""
         world = 8
-        shapes = [(16,)] * 20
-        tensors = self.make_tensors(world, shapes)
-        c_bucketed = comm(world)
-        bucketed_allreduce(c_bucketed, tensors, bucket_bytes=10**6)
+        runs = make_runs(world, [(16,)] * 20)
+        c_fused = comm(world)
+        c_fused.allreduce(runs, tag="run")
         c_per_tensor = comm(world)
-        for i in range(20):
-            c_per_tensor.allreduce([tensors[r][i] for r in range(world)])
-        assert c_bucketed.ledger.total_time_s < c_per_tensor.ledger.total_time_s
+        for name in runs[0]:
+            c_per_tensor.allreduce([run[name] for run in runs])
+        assert c_fused.ledger.total_time_s < c_per_tensor.ledger.total_time_s
+        (event,) = c_fused.ledger.events
+        assert event.time_s == ring_allreduce_time(
+            world, 20 * 16 * 8, c_fused.link
+        )
 
     def test_codec_applied_per_bucket(self):
+        """The FP16 codec encodes every member; the run sums in FP16."""
         world = 2
-        shapes = [(64,), (64,)]
-        tensors = [
-            [t.astype(np.float32) for t in rank_tensors]
-            for rank_tensors in self.make_tensors(world, shapes)
-        ]
+        runs = make_runs(world, [(64,), (64,)], dtype=np.float32)
+        codec = Fp16Codec(512.0)
+        wire, _ = encode_stacked(codec, runs, None)
+        assert all(m.dtype == np.float16 for run in wire for m in run.values())
         c = comm(world)
-        out = bucketed_allreduce(
-            c, tensors, bucket_bytes=10**6, codec=Fp16Codec(512.0)
+        out = codec.decode(c.allreduce(wire)[0], np.float32)
+        np.testing.assert_allclose(
+            out[:64], runs[0]["t0"] + runs[1]["t0"], atol=5e-3
         )
-        expected = tensors[0][0] + tensors[1][0]
-        np.testing.assert_allclose(out[0][0], expected, atol=5e-3)
         # Wire bytes halved relative to fp32.
-        fp32_bytes = 2 * 64 * 4  # message bytes of the fused fp32 bucket
-        assert c.ledger.events[0].wire_bytes_per_rank < fp32_bytes
+        assert c.ledger.events[0].wire_bytes_per_rank < 2 * 64 * 4
 
     def test_empty_tensor_list(self):
-        out = bucketed_allreduce(comm(2), [[], []])
-        assert out == [[], []]
+        c = comm(2)
+        with pytest.raises(ValueError, match="at least one member"):
+            c.allreduce([FusedRun(), FusedRun()])
+        assert c.ledger.events == []
 
     def test_structure_validation(self):
         world = 2
         with pytest.raises(ValueError):
-            bucketed_allreduce(comm(world), [[np.ones(3)]])  # wrong rank count
-        with pytest.raises(ValueError):
-            bucketed_allreduce(
-                comm(world), [[np.ones(3)], [np.ones(4)]]
-            )  # shape mismatch
-        with pytest.raises(ValueError):
-            bucketed_allreduce(
-                comm(world), [[np.ones(3)], [np.ones(3), np.ones(3)]]
-            )  # count mismatch
+            comm(world).allreduce(make_runs(1, [(3,)]))  # wrong rank count
+        with pytest.raises(ValueError, match="rank 1 has shape"):
+            comm(world).allreduce(
+                [FusedRun(a=np.ones(3)), FusedRun(a=np.ones(4))]
+            )
+        with pytest.raises(ValueError, match="members"):
+            comm(world).allreduce(
+                [FusedRun(a=np.ones(3)), FusedRun(a=np.ones(3), b=np.ones(3))]
+            )
+        with pytest.raises(ValueError, match="float32"):
+            comm(world).allreduce(
+                [FusedRun(a=np.ones(3), b=np.ones(2, np.float32))] * 2
+            )
 
+
+class TestHooksSeeMembers:
+    def test_sanitizer_names_the_member_holding_a_nan(self):
+        world = 3
+        runs = make_runs(world, [(4,), (2, 2), (3,)])
+        runs[1]["t1"][1, 0] = np.nan
+        c = comm(world)
+        Sanitizer(c)
+        with pytest.raises(CollectiveMismatchError) as err:
+            c.allreduce(runs, tag="t0+t1+t2:dense")
+        assert "[t1]" in str(err.value) and "rank 1" in str(err.value)
+        assert "non-finite" in str(err.value)
+        assert c.ledger.events == []
+
+    def test_sanitizer_rejects_mismatched_members(self):
+        c = comm(2)
+        Sanitizer(c)
+        with pytest.raises(CollectiveMismatchError, match="members"):
+            c.allreduce([FusedRun(a=np.ones(2)), FusedRun(b=np.ones(2))])
+
+    def test_verifier_hashes_every_member(self):
+        from repro.analysis.sanitizer import InFlightMutationError
+        from repro.cluster import LockstepVerifier
+
+        world = 2
+        runs = make_runs(world, [(4,), (3,)])
+        c = comm(world)
+        LockstepVerifier.attach(c, hash_mode="full")
+        handle = c.iallreduce(runs)
+        runs[1]["t1"][2] += 1.0  # spmd-ok: deliberate race in a member
+        with pytest.raises(InFlightMutationError):
+            handle.wait()
+
+    def test_fault_replay_counts_a_run_once(self):
+        from repro.cluster import ChaosCommunicator
+
+        c = ChaosCommunicator(2, track_memory=False)
+        c.allreduce(make_runs(2, [(4,)] * 6))
+        assert c.replay.collectives_issued == 1

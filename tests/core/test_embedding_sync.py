@@ -110,7 +110,10 @@ class TestSyncReplicas:
         GradientSynchronizer(comm).sync_replicas(replicas)
         scopes = set(comm.ledger.bytes_by_scope())
         assert any("emb.weight" in s for s in scopes)
-        assert any("lin.weight" in s for s in scopes)
+        # The dense run is one record, named by its members.
+        assert "lin.weight+lin.bias" in scopes
+        dense = [e for e in comm.ledger.events if e.tag.endswith(":dense")]
+        assert [e.tag for e in dense] == ["lin.weight+lin.bias:dense"]
 
     def test_codec_applies_to_dense_traffic(self):
         world = 2

@@ -4,7 +4,7 @@ and the synchronizer's per-parameter exchange over ``S > 1`` shards."""
 import numpy as np
 import pytest
 
-from repro.cluster import Communicator, DeviceMesh, hybrid_mesh
+from repro.cluster import Communicator, DeviceMesh, FusedRun, hybrid_mesh
 from repro.core import GradientSynchronizer, UniqueExchange
 from repro.core.mesh_exchange import (
     shard_dense,
@@ -37,7 +37,9 @@ def sync_dense(comm, grads, tag="w"):
     params = [Parameter(np.zeros_like(g)) for g in grads]
     for p, g in zip(params, grads):
         p.grad = g.copy()
-    GradientSynchronizer(comm, UniqueExchange())._issue_dense(params, tag)()
+    GradientSynchronizer(comm, UniqueExchange())._issue_dense(
+        {"w": params}, tag
+    )()
     return [p.grad for p in params]
 
 
@@ -55,17 +57,24 @@ class TestLayout:
         groups = mesh_comm("pipe=2,tensor=2,data=2", 8).axis("data").groups
         assert len(groups) == 4 and all(len(g) == 2 for g in groups)
         rng = np.random.default_rng(0)
-        grads = [rng.standard_normal((3, 5)) for _ in range(2)]
+        grads = [
+            FusedRun(a=rng.standard_normal((3, 5)), b=rng.standard_normal(2))
+            for _ in range(2)
+        ]
         pieces = shard_dense(grads, groups)
         assert len(pieces) == 8
-        # Rank groups[s][k] carries shard s of replica k; reassembling a
-        # replica's own pieces gives its gradient back exactly.
+        # Rank groups[s][k] carries shard s of replica k — views of the
+        # run's members, cut as one flat vector; reassembling a replica's
+        # own pieces gives its flat run back exactly.
         for k, grad in enumerate(grads):
             own = [None] * 8
             for ranks in groups:
-                own[ranks[0]] = pieces[ranks[k]]
+                piece = pieces[ranks[k]]
+                assert all(m.base is not None for m in piece.values())
+                own[ranks[0]] = np.concatenate(list(piece.values()))
             np.testing.assert_array_equal(
-                unshard_dense(own, groups, grad.shape), grad
+                unshard_dense(own, groups),
+                np.concatenate([grad["a"].ravel(), grad["b"]]),
             )
 
     def test_sparse_shards_are_coalesced_row_ranges(self):

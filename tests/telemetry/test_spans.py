@@ -245,9 +245,9 @@ class TestResilientOverlappedRun:
             )
 
         plan = FaultPlan([
-            FaultEvent(FaultKind.STRAGGLER, collective_index=2, rank=1,
+            FaultEvent(FaultKind.STRAGGLER, collective_index=1, rank=1,
                        slowdown=3.0),
-            FaultEvent(FaultKind.RANK_LOSS, collective_index=30, rank=2),
+            FaultEvent(FaultKind.RANK_LOSS, collective_index=16, rank=2),
         ])
         comm = ChaosCommunicator(3, plan=plan, track_memory=False)
         runner = ResilientRunner(

@@ -147,7 +147,7 @@ class TestHybridMesh:
         plan = FaultPlan(
             [
                 FaultEvent(
-                    FaultKind.TRANSIENT_LINK, collective_index=5,
+                    FaultKind.TRANSIENT_LINK, collective_index=2,
                     rank=3, retries=1,
                 )
             ],
@@ -175,11 +175,12 @@ class TestHybridMesh:
         verifier.check("test: after chaos")
         assert verifier.axis_rings["data"]
         assert any(e.kind == "retry" for e in runner.events)
-        # Same replay position as before the funnel hooks existed.
+        # Pinned replay position: the step's one dense run (its
+        # projection.weight member), five collectives per step.
         assert [(i, op) for i, op, _ in chaos_comm.replay.injected] == [
-            (5, "allreduce")
+            (2, "allreduce")
         ]
-        assert chaos_comm.replay.collectives_issued == 41
+        assert chaos_comm.replay.collectives_issued == 22
 
         clean = word_trainer(world=world, mesh="pipe=2,tensor=2,data=")
         for _ in range(4):
@@ -271,7 +272,7 @@ class TestElasticMeshShrink:
 
     def test_rank_loss_collapses_data_axis(self, tmp_path):
         plan = FaultPlan(
-            [FaultEvent(FaultKind.RANK_LOSS, collective_index=9, rank=7)]
+            [FaultEvent(FaultKind.RANK_LOSS, collective_index=5, rank=7)]
         )
         runner = self.runner(
             tmp_path, plan, world=8, mesh="pipe=2,tensor=2,data=2"
@@ -286,7 +287,7 @@ class TestElasticMeshShrink:
 
     def test_data_axis_of_one_refuses_to_shrink(self, tmp_path):
         plan = FaultPlan(
-            [FaultEvent(FaultKind.RANK_LOSS, collective_index=3, rank=0)]
+            [FaultEvent(FaultKind.RANK_LOSS, collective_index=2, rank=0)]
         )
         runner = self.runner(
             tmp_path, plan, world=4, mesh="pipe=2,tensor=2,data=1"

@@ -157,7 +157,7 @@ class TestTransientRecovery:
         self, tmp_path
     ):
         plan = FaultPlan(
-            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=4,
+            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
                         rank=1, retries=2)]
         )
         runner = runner_for(plan, tmp_path, base_backoff_s=0.5)
@@ -199,7 +199,7 @@ class TestTransientRecovery:
             loss_scale="dynamic",
         )
         plan = FaultPlan(
-            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=5,
+            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
                         retries=2)]
         )
         chaos = runner_for(plan, tmp_path, world=2, cfg=cfg)
@@ -219,7 +219,7 @@ class TestTransientRecovery:
 
     def test_exhausted_retries_escalate_to_eviction(self, tmp_path):
         plan = FaultPlan(
-            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=4,
+            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
                         rank=2, retries=50)]
         )
         runner = runner_for(plan, tmp_path, max_retries=2)
@@ -234,7 +234,7 @@ class TestTransientRecovery:
 class TestElasticShrink:
     def test_rank_loss_shrinks_world_and_resumes(self, tmp_path):
         plan = FaultPlan(
-            [FaultEvent(FaultKind.RANK_LOSS, collective_index=9, rank=2)]
+            [FaultEvent(FaultKind.RANK_LOSS, collective_index=5, rank=2)]
         )
         runner = runner_for(plan, tmp_path, checkpoint_every=2)
         trainer = runner.run(6)
@@ -257,7 +257,7 @@ class TestElasticShrink:
         the survivors still bind replica 0's arrays (and so still take
         the batched fast path) after the world changed under them."""
         plan = FaultPlan(
-            [FaultEvent(FaultKind.RANK_LOSS, collective_index=9, rank=1)]
+            [FaultEvent(FaultKind.RANK_LOSS, collective_index=5, rank=1)]
         )
         runner = runner_for(
             plan, tmp_path, world=4, factory=factory, cfg=word_config(4),
@@ -286,11 +286,11 @@ class TestElasticShrink:
         trace and the final replicas are bit-identical."""
         plan = FaultPlan(
             [
-                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=3,
+                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
                            rank=1, retries=1),
-                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=8,
+                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=4,
                            rank=0, retries=2),
-                FaultEvent(FaultKind.RANK_LOSS, collective_index=20,
+                FaultEvent(FaultKind.RANK_LOSS, collective_index=11,
                            rank=2),
             ],
             seed=0,
@@ -369,9 +369,9 @@ class TestDifferentialChaos:
         cfg = TrainConfig(world_size=2, batch=BatchSpec(2, 6), base_lr=2e-3)
         plan = FaultPlan(
             [
-                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=3,
+                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
                            retries=2),
-                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=9,
+                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=4,
                            rank=1, retries=1),
             ]
         )
@@ -379,11 +379,10 @@ class TestDifferentialChaos:
             plan, tmp_path, world=2, factory=char_factory, cfg=cfg
         )
         faulted = chaos.run(5)
-        # Pinned replay positions: the funnel's pre-issue hook consults
-        # the plan at the same collective indices the per-method
-        # overrides did.
+        # Pinned replay positions: the dense run (rhn.r, then
+        # loss_layer.bias), the retry's embedding gather, the run again.
         assert [(i, op) for i, op, _ in chaos.trainer.comm.replay.injected] == [
-            (3, "allreduce"), (3, "allgather"), (9, "allreduce"),
+            (2, "allreduce"), (2, "allgather"), (4, "allreduce"),
         ]
 
         (tmp_path / "clean").mkdir(exist_ok=True)

@@ -208,7 +208,7 @@ class TestFusedReduceTraining:
         for p in params:
             p.grad = np.ones(8, np.float32)
         with pytest.raises(ValueError, match="summable"):
-            gs._issue_dense(params, tag="dense")
+            gs._issue_dense({"w": params}, tag="dense")
 
     def test_fused_reduce_composes_with_mesh(self):
         """The fused ring runs per data subgroup: same weights as the
