@@ -39,9 +39,10 @@ test-mesh:
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
 		benchmarks/bench_ablation_tensor_parallel.py --benchmark-only
 
-# Telemetry suite: registry/exporter semantics, merged-trace validity
-# (per-rank pid/tid tracks, no negative or overlapping timestamps), the
-# exporter-agreement CLI check, and the trace-accounting regressions.
+# Telemetry suite: registry and JSON-export semantics, merged-trace
+# validity (per-rank pid/tid tracks, no negative or overlapping
+# timestamps), the CLI check that metrics.json's run totals equal the
+# ledger totals exactly, and the trace-accounting regressions.
 test-telemetry:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/telemetry tests/cluster/test_trace_export.py \

@@ -32,7 +32,6 @@ from repro.core.compression import Fp16Codec
 from repro.core.wire import (
     DeltaBitpackCodec,
     EntropyCodec,
-    RunLengthCodec,
     iencoded_allgather,
 )
 from repro.core.wire.cost import codec_throughput
@@ -102,9 +101,6 @@ def byte_sweep():
             factor, logical, wire = measure_reduction(
                 world, tokens, DeltaBitpackCodec()
             )
-            rle_factor, _, _ = measure_reduction(
-                world, tokens, RunLengthCodec()
-            )
             ent_factor, _, _ = measure_reduction(
                 world, tokens, EntropyCodec()
             )
@@ -113,8 +109,7 @@ def byte_sweep():
             )
             rows.append(
                 [world, tokens, int(mean_k), f"{logical / 1024:.1f}",
-                 f"{wire / 1024:.1f}", f"{factor:.2f}x", f"{rle_factor:.2f}x",
-                 f"{ent_factor:.2f}x"]
+                 f"{wire / 1024:.1f}", f"{factor:.2f}x", f"{ent_factor:.2f}x"]
             )
             if world == 128 and tokens == PAPER_BATCH:
                 paper_factor = factor
@@ -225,16 +220,14 @@ def test_wire_compression(benchmark, report, bench_metrics):
         "repro_bench_bit_exact", "1 when delta training matched baseline"
     ).set(int(exact))
     # Host-measured codec throughput, published via the perf-layer hook.
-    for codec in (
-        DeltaBitpackCodec(), RunLengthCodec(), EntropyCodec(), Fp16Codec()
-    ):
+    for codec in (DeltaBitpackCodec(), EntropyCodec(), Fp16Codec()):
         calibrate_codec_throughput(
             codec, nbytes=1 << 20, repeats=2, registry=bench_metrics
         )
 
     sweep = format_table(
         ["GPUs", "tokens/rank", "mean K", "logical KiB", "wire KiB",
-         "delta", "rle", "entropy"],
+         "delta", "entropy"],
         sweep_rows,
         title="Unique-index ALLGATHER wire reduction (1B-Word Zipf, "
         f"vocab {VOCAB:,}; measured from the cost ledger)",

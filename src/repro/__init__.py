@@ -18,7 +18,7 @@ simulated multi-GPU cluster:
 * :mod:`repro.analysis` — correctness tooling: the REPRO lint rules and
   the runtime collective/compression sanitizer;
 * :mod:`repro.telemetry` — the unified observability layer: metrics
-  registry, Prometheus/JSON exporters, merged multi-generation chrome
+  registry, one exact JSON export, merged multi-generation chrome
   traces, and per-step JSONL sessions;
 * :mod:`repro.serve` — the inference serving path: continuous batching,
   per-request state caching, replica-sharded embedding lookup, and

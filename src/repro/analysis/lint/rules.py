@@ -660,12 +660,12 @@ class TelemetryBypassRule(Rule):
     title = "reporting bypasses the telemetry registry"
     rationale = (
         "The unified telemetry layer only gives one consistent answer "
-        "(Prometheus text == JSON == ledger totals, exactly) if every "
+        "(metrics.json == ledger totals, exactly) if every "
         "number flows through a MetricsRegistry. Raw sys.stdout/stderr "
         "writes sidestep the structured JSONL stream, poking a metric's "
-        "._series internals dodges label validation and the exporters' "
+        "._series internals dodges label validation and the export's "
         "canonical ordering, and a Counter/Gauge/Histogram constructed "
-        "outside a registry is invisible to every exporter. Ask the "
+        "outside a registry is invisible to the export. Ask the "
         "registry (registry.counter(...).inc()) instead."
     )
 
@@ -692,7 +692,7 @@ class TelemetryBypassRule(Rule):
                         f"`{chain}(...)` in library code: emit through a "
                         "TelemetrySession (record_step/record_event) or "
                         "return the text — raw stream writes bypass the "
-                        "structured JSONL telemetry the exporters audit",
+                        "structured JSONL telemetry the export audits",
                     )
                 elif self._bare_metric_ctor(node, metric_names, chain):
                     name = chain or node.func.id  # type: ignore[union-attr]
@@ -700,7 +700,7 @@ class TelemetryBypassRule(Rule):
                         module,
                         node,
                         f"`{name}(...)` constructed outside a registry: "
-                        "metrics minted by hand never reach the exporters "
+                        "metrics minted by hand never reach the export "
                         "— use registry.counter/gauge/histogram so the "
                         "family is collected and name-collision checked",
                     )
@@ -713,7 +713,7 @@ class TelemetryBypassRule(Rule):
                     node,
                     "`._series` touched outside repro.telemetry: the "
                     "per-label-set state is private — read via .value() "
-                    "or export via to_json/to_prometheus_text",
+                    "or export via to_json",
                 )
 
     @classmethod

@@ -195,9 +195,6 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
     require_scope:
         When True, any collective issued while the ledger's scope stack
         is empty raises — the static counterpart is lint rule REPRO003.
-    check_finite:
-        Scan every payload for NaN/Inf (and FP16 saturation).  On by
-        default; the scan is O(payload) like the collective itself.
     forbid_dtypes:
         Dtypes that must never cross the wire — e.g. ``(np.float64,)``
         in an FP16-compressed run, the dynamic counterpart of REPRO002.
@@ -220,13 +217,11 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
         self,
         comm: Communicator,
         require_scope: bool = False,
-        check_finite: bool = True,
         forbid_dtypes: Sequence[np.dtype | type | str] = (),
         lockstep=False,
     ):
         self._comm = comm
         self.require_scope = require_scope
-        self.check_finite = check_finite
         self.forbid_dtypes = tuple(np.dtype(d) for d in forbid_dtypes)
         self.op_log: list[OpRecord] = []
         self.lockstep = None
@@ -358,26 +353,25 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
                 "reduction is undefined"
             )
 
-        if self.check_finite:
-            for rank in ranks:
-                a = arrays[rank]
-                bad = np.flatnonzero(~np.isfinite(a))
-                if bad.size:
-                    raise CollectiveMismatchError(
-                        f"{op}[tag={tag!r}]: rank {rank} payload contains "
-                        f"{bad.size} non-finite value(s): "
-                        f"{_describe(a, bad)}"
+        for rank in ranks:
+            a = arrays[rank]
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                raise CollectiveMismatchError(
+                    f"{op}[tag={tag!r}]: rank {rank} payload contains "
+                    f"{bad.size} non-finite value(s): "
+                    f"{_describe(a, bad)}"
+                )
+            if a.dtype == np.float16:
+                sat = np.flatnonzero(np.abs(a) >= FP16_MAX)
+                if sat.size:
+                    raise CompressionOverflowError(
+                        f"{op}[tag={tag!r}]: rank {rank} FP16 payload "
+                        f"holds {sat.size} saturated value(s) "
+                        f"(|x| >= {FP16_MAX}): {_describe(a, sat)} — "
+                        "compression-scaling overflowed before the "
+                        "wire; lower the scale factor"
                     )
-                if a.dtype == np.float16:
-                    sat = np.flatnonzero(np.abs(a) >= FP16_MAX)
-                    if sat.size:
-                        raise CompressionOverflowError(
-                            f"{op}[tag={tag!r}]: rank {rank} FP16 payload "
-                            f"holds {sat.size} saturated value(s) "
-                            f"(|x| >= {FP16_MAX}): {_describe(a, sat)} — "
-                            "compression-scaling overflowed before the "
-                            "wire; lower the scale factor"
-                        )
 
     # ------------------------------------------------------------------
     # end-of-run invariants
@@ -500,9 +494,9 @@ class SanitizedWireCodec(WireCodec):
         """Delegates to the wrapped codec."""
         return self._inner.wire_dtype(dtype)
 
-    def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
+    def estimate_nbytes(self, arr: np.ndarray) -> int:
         """Delegates to the wrapped codec's size estimator."""
-        return self._inner.estimate_nbytes(arr, sample=sample)
+        return self._inner.estimate_nbytes(arr)
 
     def encode(self, arr: np.ndarray) -> np.ndarray:
         """Encode, then verify the frame decodes back bit-for-bit."""

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(sugar for an fp16 value slot in --wire-codec)")
     p_train.add_argument("--wire-codec", default=None, metavar="SPEC",
                          help="wire-compression policy: 'fp16' compresses "
-                         "value traffic, 'delta'/'rle'/'entropy' losslessly "
+                         "value traffic, 'delta'/'entropy' losslessly "
                          "compress the index allgather, 'auto' selects per "
                          "message from the crossover cost model, 'none' is "
                          "the explicit uncompressed baseline; slots combine "
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "at wait points, converting would-be "
                          "deadlocks into immediate diagnostics")
     p_train.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                         help="stream per-step JSONL, Prometheus/JSON "
-                         "metric exports, and merged chrome traces into "
+                         help="stream per-step JSONL, the JSON metrics "
+                         "export, and merged chrome traces into "
                          "DIR (see docs/OBSERVABILITY.md); inspect with "
                          "the 'trace' subcommand")
 
@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "ChaosCommunicator during serving")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                         help="stream per-decode-step JSONL and metric "
-                         "exports into DIR")
+                         help="stream per-decode-step JSONL and the JSON "
+                         "metrics export into DIR")
 
     p_trace = sub.add_parser(
         "trace", help="merge and validate the traces of a telemetry dir"
@@ -823,10 +823,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     Re-merges the generation parts into one chrome trace, validates its
     structure (distinct pid/tid tracks, no negative timestamps, no
-    same-track overlaps), and verifies that the Prometheus text export,
-    the JSON export, and the totals recomputed from the trace parts'
-    collective records agree **exactly** — any drift between the three
-    is a telemetry bug, not measurement noise.
+    same-track overlaps), and verifies that the run totals in the JSON
+    export equal the totals recomputed from the trace parts' collective
+    records **exactly** — any drift between the two is a telemetry bug,
+    not measurement noise.
     """
     import json
 
@@ -834,7 +834,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         TraceValidationError,
         flatten_samples,
         merged_trace,
-        parse_prometheus_text,
         parts_from_json,
         run_totals_from_parts,
         validate_chrome_trace,
@@ -862,20 +861,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           f"{summary['tracks']} tracks ({len(summary['pids'])} pids, "
           f"generations {summary['generations']}) -> {out}")
 
-    prom_file = directory / "metrics.prom"
     json_file = directory / "metrics.json"
-    if not (prom_file.exists() and json_file.exists()):
+    if not json_file.exists():
         print("exports: not found, skipping agreement check")
         return 0
-    with open(json_file) as f:
-        json_flat = flatten_samples(json.load(f))
-    prom_flat = flatten_samples(parse_prometheus_text(prom_file.read_text()))
-    # Prometheus exposition carries no help-only families; compare the
-    # sample sets, which must match key-for-key and value-for-value.
-    if prom_flat != json_flat:
-        diff = set(prom_flat.items()) ^ set(json_flat.items())
-        return _fail(f"Prometheus and JSON exports disagree on "
-                     f"{len(diff)} sample(s)", code=1)
+    try:
+        with open(json_file) as f:
+            json_flat = flatten_samples(json.load(f))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # not JSON (e.g. a truncated file), or not a metrics export
+        return _fail(f"{json_file}: malformed metrics export ({exc!r})")
     totals = run_totals_from_parts(parts)
     checks = {
         "repro_run_wire_bytes_per_rank": totals["wire_bytes_per_rank"],
@@ -888,7 +883,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if exported != expected:
             return _fail(f"{name} export {exported!r} != ledger total "
                          f"{expected!r}", code=1)
-    print(f"exports: prometheus == json ({len(json_flat)} samples), "
+    print(f"exports: metrics.json ({len(json_flat)} samples), "
           f"ledger totals agree exactly "
           f"(wire {totals['wire_bytes_per_rank']} B/rank, "
           f"compression {totals['compression_factor']:.3f}x, "

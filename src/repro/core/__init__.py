@@ -39,13 +39,11 @@ from .wire import (
     AdaptiveCodecSelector,
     DeltaBitpackCodec,
     LosslessIntCodec,
-    RunLengthCodec,
     WirePolicy,
     available_codecs,
     decode_frames,
     iencoded_allgather,
     make_codec,
-    register_codec,
 )
 
 __all__ = [
@@ -82,11 +80,9 @@ __all__ = [
     "AdaptiveCodecSelector",
     "DeltaBitpackCodec",
     "LosslessIntCodec",
-    "RunLengthCodec",
     "WirePolicy",
     "available_codecs",
     "decode_frames",
     "iencoded_allgather",
     "make_codec",
-    "register_codec",
 ]

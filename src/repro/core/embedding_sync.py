@@ -191,11 +191,6 @@ class GradientSynchronizer:
                 chunk_bytes=(
                     self.wire.chunk_bytes if self.wire is not None else None
                 ),
-                charge_compute=(
-                    self.wire.charge_codec_compute
-                    if self.wire is not None
-                    else True
-                ),
                 stacked=stacked,
             )
         else:

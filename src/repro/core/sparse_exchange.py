@@ -142,7 +142,6 @@ class AllGatherExchange(ExchangeStrategy):
                 index_codec,
                 tag=f"{tag}:indices",
                 chunk_bytes=wire.chunk_bytes,
-                charge_compute=wire.charge_codec_compute,
             )
         else:
             idx_handle = comm.iallgather(index_vectors, tag=f"{tag}:indices")

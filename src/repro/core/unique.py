@@ -282,7 +282,6 @@ def iunique_exchange(
             index_codec,
             tag=f"{tag}:indices",
             chunk_bytes=wire.chunk_bytes,
-            charge_compute=wire.charge_codec_compute,
         )
     else:
         index_handle = comm.iallgather(index_vectors, tag=f"{tag}:indices")

@@ -1,12 +1,12 @@
 """Pluggable wire-compression stack for the simulated comm layer.
 
 Generalizes the single §III-C :class:`~repro.core.compression.Fp16Codec`
-into a registry of codecs with distinct roles:
+into a table of codecs with distinct roles:
 
 * :mod:`~repro.core.wire.codecs` — lossless, self-delimiting integer
-  frame codecs (delta-bitpack, run-length, canonical-Huffman entropy)
-  for the uniqueness exchange's Θ(G·K) index ALLGATHER;
-* :mod:`~repro.core.wire.registry` — name -> codec factories;
+  frame codecs (delta-bitpack, canonical-Huffman entropy) for the
+  uniqueness exchange's Θ(G·K) index ALLGATHER;
+* :mod:`~repro.core.wire.registry` — the fixed name -> codec table;
 * :mod:`~repro.core.wire.cost` — per-codec throughput constants and the
   compression crossover inequality;
 * :mod:`~repro.core.wire.adaptive` — per-message codec selection from
@@ -28,7 +28,6 @@ from .codecs import (
     DeltaBitpackCodec,
     EntropyCodec,
     LosslessIntCodec,
-    RunLengthCodec,
     decode_frames,
 )
 from .cost import (
@@ -45,7 +44,7 @@ from .fused import (
     plan_fused_reduce,
 )
 from .policy import WirePolicy
-from .registry import available_codecs, make_codec, register_codec
+from .registry import available_codecs, make_codec
 from .transfer import PendingEncodedGather, iencoded_allgather, wire_instruments
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "LosslessIntCodec",
     "PendingEncodedGather",
     "PendingFusedReduce",
-    "RunLengthCodec",
     "WirePolicy",
     "available_codecs",
     "codec_throughput",
@@ -72,5 +70,4 @@ __all__ = [
     "slowest_throughput",
     "wire_instruments",
     "make_codec",
-    "register_codec",
 ]

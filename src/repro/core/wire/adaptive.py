@@ -1,10 +1,10 @@
 """Adaptive per-message codec selection from the crossover cost model.
 
 ``--wire-codec=auto`` routes every collective's payload through
-:class:`AdaptiveCodecSelector`, which picks identity / FP16 /
-delta-bitpack / run-length per message from three cheap signals:
+:class:`AdaptiveCodecSelector`, which picks raw / FP16 / delta-bitpack
+/ entropy per message from three cheap signals:
 
-* **message size** — below ``min_bytes`` the link's latency term
+* **message size** — below 4 KiB per rank the link's latency term
   dominates and codec overhead can only lose;
 * **dtype** — float payloads can take the FP16 value codec (summable on
   the wire, so valid under an allreduce); integer index payloads take a
@@ -23,14 +23,14 @@ uniformity check enforces exactly that.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ...cluster.collectives import ring_allgather_time
 from ...cluster.interconnect import LinkSpec
 from ..compression import Fp16Codec, WireCodec
-from .codecs import DeltaBitpackCodec, EntropyCodec, RunLengthCodec
+from .codecs import DeltaBitpackCodec, EntropyCodec
 from .cost import (
     CodecThroughput,
     codec_throughput,
@@ -39,6 +39,15 @@ from .cost import (
 
 __all__ = ["AdaptiveCodecSelector"]
 
+#: Per-rank messages smaller than this are never encoded —
+#: latency-bound transfers cannot amortize codec overhead.
+_MIN_BYTES = 4096
+
+#: The FP16 value codec (default compression-scaling factor).
+_FP16 = Fp16Codec()
+#: The lossless index codecs ``auto`` probes, in tie-break order.
+_INDEX_CANDIDATES: tuple[WireCodec, ...] = (DeltaBitpackCodec(), EntropyCodec())
+
 
 @dataclass
 class AdaptiveCodecSelector:
@@ -46,35 +55,13 @@ class AdaptiveCodecSelector:
 
     Parameters
     ----------
-    min_bytes:
-        Messages smaller than this (per rank) are never encoded —
-        latency-bound transfers cannot amortize codec overhead.
-    scale:
-        Compression-scaling factor for the FP16 value codec.
-    sample:
-        Elements probed by the index codecs' size estimators.
     throughputs:
         Optional calibrated throughput table (``codec.name`` ->
         :class:`~repro.core.wire.cost.CodecThroughput`); defaults to the
         deterministic constants.
     """
 
-    min_bytes: int = 4096
-    scale: float = 512.0
-    sample: int = 1024
     throughputs: dict[str, CodecThroughput] | None = None
-    _fp16: Fp16Codec = field(init=False, repr=False)
-    _index_candidates: tuple[WireCodec, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.min_bytes < 0:
-            raise ValueError("min_bytes must be non-negative")
-        self._fp16 = Fp16Codec(self.scale)
-        self._index_candidates = (
-            DeltaBitpackCodec(),
-            RunLengthCodec(),
-            EntropyCodec(),
-        )
 
     @property
     def name(self) -> str:
@@ -93,7 +80,7 @@ class AdaptiveCodecSelector:
         a = arrays[0]
         if not np.issubdtype(a.dtype, np.floating) or a.dtype == np.float16:
             return None
-        if a.nbytes < self.min_bytes:
+        if a.nbytes < _MIN_BYTES:
             return None
         ring, link = comm.ring_size, comm.link
         tp = codec_throughput("fp16", self.throughputs)
@@ -101,7 +88,7 @@ class AdaptiveCodecSelector:
         if compressed_transfer_seconds(
             a.nbytes, encoded, ring, link, tp
         ) < _raw_seconds(a.nbytes, ring, link):
-            return self._fp16
+            return _FP16
         return None
 
     def select_index(
@@ -117,15 +104,15 @@ class AdaptiveCodecSelector:
         a = max(arrays, key=lambda x: x.nbytes)
         if a.dtype not in (np.dtype(np.int32), np.dtype(np.int64)):
             return None
-        if a.nbytes < self.min_bytes:
+        if a.nbytes < _MIN_BYTES:
             return None
         probe = np.sort(a) if sorted_payload else a
         ring, link = comm.ring_size, comm.link
         raw_s = _raw_seconds(a.nbytes, ring, link)
         best: WireCodec | None = None
         best_s = raw_s
-        for codec in self._index_candidates:
-            est = codec.estimate_nbytes(probe, sample=self.sample)
+        for codec in _INDEX_CANDIDATES:
+            est = codec.estimate_nbytes(probe)
             tp = codec_throughput(codec.name, self.throughputs)
             t = compressed_transfer_seconds(a.nbytes, est, ring, link, tp)
             if t < best_s:

@@ -3,17 +3,17 @@
 The paper's §III-C compression halves *value* traffic with FP16, but the
 Θ(G·K) index ALLGATHER of the uniqueness exchange (§III-A) still ships
 raw int64 word indices.  Sorted unique Zipf indices are extremely
-compressible: consecutive deltas are tiny (most fit in a few bits) and
-dense index ranges collapse into runs.  The codecs here exploit exactly
-that, with **bit-exact** roundtrip guarantees — ``decode(encode(x))``
-equals ``x`` bit for bit, for any 1-D int32/int64 input, sorted or not.
+compressible: consecutive deltas are tiny (most fit in a few bits).
+The codecs here exploit exactly that, with **bit-exact** roundtrip
+guarantees — ``decode(encode(x))`` equals ``x`` bit for bit, for any
+1-D int32/int64 input, sorted or not.
 
 Frame format
 ------------
 Every ``encode`` produces a *self-delimiting* uint8 frame::
 
-    byte 0      frame kind (1 = raw, 2 = delta-bitpack, 3 = run-length,
-                4 = entropy)
+    byte 0      frame kind (1 = raw, 2 = delta-bitpack, 4 = entropy;
+                3, a retired run-length kind, is rejected)
     byte 1      dtype code (0 = int32, 1 = int64)
     bytes 2-9   element count n (u64, little-endian)
     payload     kind-specific, parseable given the header
@@ -36,8 +36,6 @@ Payloads
   ``DeltaBitpackCodec(block=...)`` produced them.  Deltas are taken in
   modular uint64 arithmetic, so unsorted inputs and maximal-span int64
   pairs (``[int64.min, int64.max]``) roundtrip exactly.
-* **run-length** — ``(start, length)`` pairs for maximal runs of
-  consecutive ``+1`` increments; ideal for dense index ranges.
 * **entropy** — canonical Huffman over the *bit-widths* of the zigzag
   modular deltas, followed by each delta's raw low bits (top bit
   implicit).  Width symbols concentrate the skew of a Zipf-sorted index
@@ -66,7 +64,6 @@ __all__ = [
     "DeltaBitpackCodec",
     "EntropyCodec",
     "LosslessIntCodec",
-    "RunLengthCodec",
     "decode_frames",
 ]
 
@@ -81,9 +78,11 @@ FRAME_HEADER_BYTES = 10
 #: than 1% width-byte overhead.
 DELTA_BLOCK = 128
 
+#: Elements the size estimator probes (see ``estimate_nbytes``).
+_ESTIMATE_SAMPLE = 1024
+
 _KIND_RAW = 1
 _KIND_DELTA = 2
-_KIND_RLE = 3
 _KIND_ENTROPY = 4
 
 #: Width symbols for the entropy codec: bit_length of a zigzag delta,
@@ -182,19 +181,19 @@ class LosslessIntCodec(WireCodec):
         """Decode a (possibly multi-frame) uint8 buffer back to indices."""
         return decode_frames(arr, dtype)
 
-    def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
+    def estimate_nbytes(self, arr: np.ndarray) -> int:
         """Cheap encoded-size estimate from a strided sorted sample.
 
         Used by the adaptive selector's crossover model.  Sampling every
-        ``stride``-th element of the sorted input multiplies typical
-        deltas by ``stride``, so the estimate is conservative (it
-        over-states the encoded size); the hard raw-fallback bound caps
-        it either way.
+        ``stride``-th element (about ``_ESTIMATE_SAMPLE`` of them) of the
+        sorted input multiplies typical deltas by ``stride``, so the
+        estimate is conservative (it over-states the encoded size); the
+        hard raw-fallback bound caps it either way.
         """
         _check_input(arr)
         if arr.size <= 1:
             return FRAME_HEADER_BYTES + arr.nbytes
-        stride = max(1, arr.size // sample)
+        stride = max(1, arr.size // _ESTIMATE_SAMPLE)
         probe = np.sort(arr[::stride])
         est = self.encode(probe).size / probe.size * arr.size
         return int(min(est, FRAME_HEADER_BYTES + arr.nbytes))
@@ -248,57 +247,6 @@ class DeltaBitpackCodec(LosslessIntCodec):
         if len(payload) >= arr.nbytes:
             return _raw_frame(arr, dtype)
         return _frame_bytes(_KIND_DELTA, dtype, n, payload)
-
-
-class RunLengthCodec(LosslessIntCodec):
-    """Run-length codec for contiguous index ranges.
-
-    Encodes maximal runs of consecutive ``+1`` increments as
-    ``(start, length)`` pairs — 16 bytes per run regardless of run
-    length, so dense index ranges (e.g. a saturated vocabulary head)
-    collapse to almost nothing.  Falls back to a raw frame when the
-    input is run-poor.
-    """
-
-    @property
-    def name(self) -> str:
-        """Short stable name used in registries and ledger scopes."""
-        return "rle"
-
-    def encode(self, arr: np.ndarray) -> np.ndarray:
-        """Encode one index vector into a self-delimiting uint8 frame."""
-        dtype = _check_input(arr)
-        n = arr.size
-        if n == 0:
-            return _frame_bytes(_KIND_RLE, dtype, 0, b"")
-        v = np.ascontiguousarray(arr.astype(np.int64, copy=False))
-        u = v.view(np.uint64)
-        breaks = np.flatnonzero((u[1:] - u[:-1]) != _U64_ONE)
-        run_starts = np.concatenate(([0], breaks + 1))
-        run_lengths = np.diff(np.concatenate((run_starts, [n])))
-        n_runs = run_starts.size
-        payload_size = 8 + 16 * n_runs
-        if payload_size >= arr.nbytes:
-            return _raw_frame(arr, dtype)
-        payload = (
-            int(n_runs).to_bytes(8, "little")
-            + v[run_starts].astype("<i8", copy=False).tobytes()
-            + run_lengths.astype("<u8").tobytes()
-        )
-        return _frame_bytes(_KIND_RLE, dtype, n, payload)
-
-    def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
-        """Cheap encoded-size estimate from a contiguous prefix slice.
-
-        A strided sample would destroy runs, so the run density is
-        measured on ``arr[:sample]`` and extrapolated.
-        """
-        _check_input(arr)
-        if arr.size <= 1:
-            return FRAME_HEADER_BYTES + arr.nbytes
-        probe = np.sort(arr[: int(sample)])
-        est = self.encode(probe).size / probe.size * arr.size
-        return int(min(est, FRAME_HEADER_BYTES + arr.nbytes))
 
 
 def _delta_bit_lengths(zz: np.ndarray) -> np.ndarray:
@@ -520,35 +468,6 @@ def _decode_delta_payload(
     return u, offset
 
 
-def _decode_rle_payload(raw: bytes, offset: int, n: int) -> tuple[np.ndarray, int]:
-    """Decode a run-length payload; return (uint64 values, new offset)."""
-    n_runs = int.from_bytes(raw[offset:offset + 8], "little")
-    offset += 8
-    if n_runs < 1 or offset + 16 * n_runs > len(raw):
-        raise FormatError(
-            f"corrupt rle frame: {n_runs} runs do not fit the "
-            f"{max(len(raw) - offset, 0)} payload bytes left"
-        )
-    starts = np.frombuffer(raw, dtype="<i8", count=n_runs, offset=offset)
-    offset += 8 * n_runs
-    lengths = np.frombuffer(raw, dtype="<u8", count=n_runs, offset=offset)
-    offset += 8 * n_runs
-    # Runs may legitimately expand without bound, but they must add up:
-    # the scatter below indexes by their running sum.
-    if 0 in lengths or sum(lengths.tolist()) != n:
-        raise FormatError(
-            f"corrupt rle frame: run lengths do not sum to {n} elements"
-        )
-    su = starts.astype(np.int64).view(np.uint64)
-    lu = lengths.astype(np.uint64)
-    steps = np.ones(n, dtype=np.uint64)
-    steps[0] = su[0]
-    if n_runs > 1:
-        firsts = np.cumsum(lu)[:-1].astype(np.intp)
-        steps[firsts] = su[1:] - (su[:-1] + lu[:-1] - _U64_ONE)
-    return np.cumsum(steps), offset
-
-
 #: Most bits the entropy decoder's first-level table probe resolves.
 _PROBE_BITS = 12
 #: Bytes the entropy decoder pulls into its bit window per refill.
@@ -687,9 +606,6 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
             offset += count_bytes
         elif kind == _KIND_DELTA:
             u, offset = _decode_delta_payload(raw, offset, n)
-            vals = u.view(np.int64).astype(want, copy=False)
-        elif kind == _KIND_RLE:
-            u, offset = _decode_rle_payload(raw, offset, n)
             vals = u.view(np.int64).astype(want, copy=False)
         elif kind == _KIND_ENTROPY:
             u, offset = _decode_entropy_payload(raw, offset, n)

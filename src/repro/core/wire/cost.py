@@ -68,7 +68,7 @@ class CodecThroughput:
 
 #: Modeled accelerator kernel throughputs, keyed by ``codec.name``.
 #: Identity is a device copy; FP16 is one memory-bound vectorized cast;
-#: the frame codecs sit in the range nvcomp-style delta/bitpack/RLE
+#: the frame codecs sit in the range nvcomp-style delta/bitpack
 #: cascades report on data-center GPUs — fast enough that against a
 #: 16 GB/s inter-node link the codec is never the bottleneck for
 #: bandwidth-bound messages, which is the regime where lossless
@@ -77,7 +77,6 @@ DEFAULT_CODEC_THROUGHPUTS: dict[str, CodecThroughput] = {
     "identity": CodecThroughput(encode_bps=400e9, decode_bps=400e9),
     "fp16": CodecThroughput(encode_bps=150e9, decode_bps=200e9),
     "delta": CodecThroughput(encode_bps=50e9, decode_bps=80e9),
-    "rle": CodecThroughput(encode_bps=80e9, decode_bps=100e9),
     "entropy": CodecThroughput(encode_bps=30e9, decode_bps=40e9),
 }
 
@@ -104,14 +103,12 @@ def codec_throughput(
 ) -> CodecThroughput:
     """Look up a codec's throughput, falling back to the slowest entry.
 
-    Unknown codecs (e.g. a user-registered one) inherit the slowest
-    entry of the table actually in use rather than raising — an
-    unmeasured codec should look expensive, not free.  Before the fix
-    this fell back to ``DEFAULT_CODEC_THROUGHPUTS["delta"]`` even when a
-    *calibrated* table was supplied, silently crediting unknown codecs
-    with accelerator-class default speed instead of the calibrated
-    table's own worst case.  An empty calibrated table degrades to the
-    slowest default.
+    A codec missing from the table in use (e.g. one a partial
+    calibration did not measure) inherits that table's slowest entry
+    rather than raising — an unmeasured codec should look expensive,
+    not free, so a *calibrated* table never credits it with the
+    accelerator-class defaults.  An empty calibrated table degrades to
+    the slowest default.
     """
     table = DEFAULT_CODEC_THROUGHPUTS if throughputs is None else throughputs
     try:

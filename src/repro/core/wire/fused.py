@@ -15,7 +15,7 @@ maps elements to fixed-position numeric slots, so partials are reduced
 hops add wire tensors directly, and one decode at the end recovers the
 result.  Numerics are identical to the unfused encode → allreduce →
 decode path by construction: the reduction is the same rank-order
-wire-domain fold.  Frame codecs (delta, rle, entropy) are refused:
+wire-domain fold.  Frame codecs (delta, entropy) are refused:
 adding two bitstreams is meaningless, and the gradient sync only ever
 reduces float values — integer index sets are gathered, never reduced.
 
@@ -243,7 +243,6 @@ def icompressed_allreduce(
     tag: str = "",
     chunk_bytes: int | None = None,
     throughput: CodecThroughput | None = None,
-    charge_compute: bool = True,
     stacked: dict[str, np.ndarray] | None = None,
 ) -> PendingFusedReduce:
     """Compressed ring allreduce: fused reduce-scatter + allgather.
@@ -292,7 +291,7 @@ def icompressed_allreduce(
     name = codec.name if codec is not None else "raw"
     tp = (
         (throughput if throughput is not None else codec_throughput(name))
-        if charge_compute and codec is not None
+        if codec is not None
         else None
     )
     ins = (
@@ -333,11 +332,9 @@ def icompressed_allreduce(
         )
         if ins is not None:
             ins["frame_bytes"].inc(world * eb, **ins["labels"])
-            ticket = getattr(handle, "ticket", None)
-            if ticket is not None:
-                ins["transfer_s"].observe(
-                    ticket.end - ticket.start, **ins["labels"]
-                )
+            ins["transfer_s"].observe(
+                handle.ticket.end - handle.ticket.start, **ins["labels"]
+            )
         issued.append(handle)
 
     drain_upto = [0] * len(chunks)

@@ -17,9 +17,8 @@ Spec strings accepted by :meth:`WirePolicy.from_spec`::
     none          no compression anywhere (explicit baseline)
     fp16          FP16 value traffic, raw indices (the paper's §III-C)
     delta         raw values, delta-bitpacked indices
-    rle           raw values, run-length indices
     entropy       raw values, entropy-coded (Huffman) indices
-    fp16+delta    both (also fp16+rle, fp16+entropy, etc.)
+    fp16+delta    both (also fp16+entropy, identity+delta, etc.)
     auto          adaptive per-message selection for both roles
     fp16+auto     fixed FP16 values, adaptively selected index codec
 
@@ -42,7 +41,7 @@ from .registry import available_codecs, make_codec
 __all__ = ["WirePolicy"]
 
 _VALUE_SPECS = {"identity", "fp16"}
-_INDEX_SPECS = {"delta", "rle", "entropy"}
+_INDEX_SPECS = {"delta", "entropy"}
 
 
 @dataclass(frozen=True)
@@ -59,16 +58,15 @@ class WirePolicy:
     chunk_bytes:
         Chunk size (logical bytes per rank) for the pipelined index
         gather; None disables chunking.
-    charge_codec_compute:
-        Record encode/decode time on the simulated compute streams
-        (default).  Off gives pure byte accounting.
+
+    Encode/decode time is charged to the simulated compute streams at
+    the codec's throughput.
     """
 
     value_codec: WireCodec | None = None
     index_codec: WireCodec | None = None
     selector: AdaptiveCodecSelector | None = None
     chunk_bytes: int | None = None
-    charge_codec_compute: bool = True
 
     def __post_init__(self) -> None:
         if self.chunk_bytes is not None and self.chunk_bytes <= 0:

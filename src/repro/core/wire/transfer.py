@@ -99,7 +99,7 @@ class PendingEncodedGather:
         handles: list,
         chunk_sizes: list[list[int]],
         dtype: np.dtype,
-        throughput: CodecThroughput | None,
+        throughput: CodecThroughput,
         instruments: dict | None = None,
     ):
         self._comm = comm
@@ -120,19 +120,18 @@ class PendingEncodedGather:
         chunk_bufs = []
         for handle, sizes in zip(self._handles, self._chunk_sizes):
             chunk_bufs.append(handle.wait())
-            if self._throughput is not None:
-                # Rings decode concurrently; the fullest one sets the cost.
-                decoded_bytes = self._dtype.itemsize * max(
-                    sum(sizes[r] for r in ranks) for ranks in comm.groups
+            # Rings decode concurrently; the fullest one sets the cost.
+            decoded_bytes = self._dtype.itemsize * max(
+                sum(sizes[r] for r in ranks) for ranks in comm.groups
+            )
+            decode_s = self._throughput.decode_seconds(decoded_bytes)
+            for rank in range(world):
+                comm.timeline.record_compute(
+                    rank, decode_s, name="codec:decode"
                 )
-                decode_s = self._throughput.decode_seconds(decoded_bytes)
-                for rank in range(world):
-                    comm.timeline.record_compute(
-                        rank, decode_s, name="codec:decode"
-                    )
-                    if ins is not None:
-                        ins["decode_s"].observe(decode_s, **ins["labels"])
-                        ins["decode_bytes"].inc(decoded_bytes, **ins["labels"])
+                if ins is not None:
+                    ins["decode_s"].observe(decode_s, **ins["labels"])
+                    ins["decode_bytes"].inc(decoded_bytes, **ins["labels"])
 
         def assemble(members, ring: int) -> list[np.ndarray]:
             # A raw allgather hands every receiving rank the rank-order
@@ -161,7 +160,6 @@ def iencoded_allgather(
     tag: str = "",
     chunk_bytes: int | None = None,
     throughput: CodecThroughput | None = None,
-    charge_compute: bool = True,
 ) -> PendingEncodedGather:
     """Issue a chunked, codec-encoded allgather of per-rank index vectors.
 
@@ -189,9 +187,6 @@ def iencoded_allgather(
         Codec throughput used to charge encode/decode compute; defaults
         to the :data:`~repro.core.wire.cost.DEFAULT_CODEC_THROUGHPUTS`
         entry for ``codec.name``.
-    charge_compute:
-        When False, no codec compute is recorded on the timeline (pure
-        byte-accounting mode).
     """
     if len(arrays) != comm.world_size:
         raise ValueError(
@@ -208,11 +203,7 @@ def iencoded_allgather(
     else:
         elems = max(1, max_len)
     n_chunks = max(1, -(-max_len // elems))
-    tp = (
-        (throughput if throughput is not None else codec_throughput(codec.name))
-        if charge_compute
-        else None
-    )
+    tp = throughput if throughput is not None else codec_throughput(codec.name)
 
     ins = wire_instruments(getattr(comm, "metrics", None), codec.name)
     handles = []
@@ -222,17 +213,16 @@ def iencoded_allgather(
             lo, hi = c * elems, (c + 1) * elems
             chunks = [a[lo:hi] for a in arrays]
             sizes = [int(ch.size) for ch in chunks]
-            if tp is not None:
-                for rank, ch in enumerate(chunks):
-                    encode_s = tp.encode_seconds(ch.size * itemsize)
-                    comm.timeline.record_compute(
-                        rank, encode_s, name="codec:encode"
+            for rank, ch in enumerate(chunks):
+                encode_s = tp.encode_seconds(ch.size * itemsize)
+                comm.timeline.record_compute(
+                    rank, encode_s, name="codec:encode"
+                )
+                if ins is not None:
+                    ins["encode_s"].observe(encode_s, **ins["labels"])
+                    ins["encode_bytes"].inc(
+                        ch.size * itemsize, **ins["labels"]
                     )
-                    if ins is not None:
-                        ins["encode_s"].observe(encode_s, **ins["labels"])
-                        ins["encode_bytes"].inc(
-                            ch.size * itemsize, **ins["labels"]
-                        )
             frames = codec.encode_many(chunks)
             handle = comm.iallgather(
                 frames,
@@ -243,11 +233,9 @@ def iencoded_allgather(
                 ins["frame_bytes"].inc(
                     sum(len(f) for f in frames), **ins["labels"]
                 )
-                ticket = getattr(handle, "ticket", None)
-                if ticket is not None:
-                    ins["transfer_s"].observe(
-                        ticket.end - ticket.start, **ins["labels"]
-                    )
+                ins["transfer_s"].observe(
+                    handle.ticket.end - handle.ticket.start, **ins["labels"]
+                )
             handles.append(handle)
             chunk_sizes.append(sizes)
     return PendingEncodedGather(comm, handles, chunk_sizes, dtype, tp, ins)

@@ -371,8 +371,8 @@ def fused_reduce_time(
     extra ``_max_comm`` term never exceeds ``link_free``).
 
     ``throughput=None`` evaluates the schedule with codec charges
-    suppressed, matching ``charge_compute=False`` (or ``codec=None``)
-    on the live path.  Memoized: plans, links and throughputs are all
+    suppressed, matching ``codec=None`` (the raw ring) on the live
+    path.  Memoized: plans, links and throughputs are all
     frozen/hashable and bench sweeps repeat keys heavily.
     """
     world, hops = plan.world, plan.world - 1

@@ -63,6 +63,14 @@ __all__ = ["ServeConfig", "ServingEngine", "naive_serve"]
 #: dozen rows keep the fold's temporaries cache-sized.
 _FOLD_BLOCK_BYTES = 128 << 10
 
+#: Simulated seconds every surviving rank pays to rebuild the group
+#: after a rank loss.
+_FAILOVER_S = 5e-3
+#: A transient link fault is retried up to this many times, the
+#: ``k``-th retry after ``k * _RETRY_BACKOFF_S`` simulated seconds.
+_MAX_TRANSIENT_RETRIES = 8
+_RETRY_BACKOFF_S = 1e-3
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -80,9 +88,6 @@ class ServeConfig:
     cache_budget_bytes: int = 1 << 22
     prefill_token_s: float = 1e-4
     decode_token_s: float = 2e-4
-    failover_s: float = 5e-3
-    retry_backoff_s: float = 1e-3
-    max_transient_retries: int = 8
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -94,8 +99,8 @@ class ServeConfig:
             raise ConfigError("cache_budget_bytes must be positive")
         if min(self.prefill_token_s, self.decode_token_s) < 0:
             raise ConfigError("per-token costs must be non-negative")
-        if self.max_transient_retries < 1 or self.max_steps < 1:
-            raise ConfigError("retry and step limits must be positive")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be positive")
 
 
 class ServingEngine:
@@ -299,7 +304,7 @@ class ServingEngine:
                 "rank_loss", step=len(sched.events), detail=f"rank {err.rank}"
             )
         self.comm.timeline.record_compute_all(
-            self.config.failover_s, name="serve:failover"
+            _FAILOVER_S, name="serve:failover"
         )
 
     # ------------------------------------------------------------------
@@ -332,10 +337,10 @@ class ServingEngine:
                 )
             except TransientLinkError:
                 attempts += 1
-                if attempts > self.config.max_transient_retries:
+                if attempts > _MAX_TRANSIENT_RETRIES:
                     raise
                 self.comm.timeline.record_compute_all(
-                    attempts * self.config.retry_backoff_s,
+                    attempts * _RETRY_BACKOFF_S,
                     name="serve:retry-backoff",
                 )
             except RankFailureError as err:

@@ -2,9 +2,9 @@
 
 The engine produces a :class:`ServingReport` — immutable per-request
 records plus run-level accounting — and
-:func:`report_to_registry` projects it into the PR-5
-:class:`~repro.telemetry.MetricsRegistry` so the standard exporters
-(``metrics.prom`` / ``metrics.json``) carry the serving story:
+:func:`report_to_registry` projects it into the run's
+:class:`~repro.telemetry.MetricsRegistry` so the one metrics export
+(``metrics.json``) carries the serving story:
 
 * ``repro_serve_ttft_seconds`` / ``repro_serve_token_latency_seconds``
   histograms (per-request first-token and inter-token gaps);

@@ -2,7 +2,7 @@
 
 The observability layer over every subsystem of the reproduction: a
 Prometheus-style :class:`MetricsRegistry` (counters, gauges, labelled
-histograms), text/JSON exporters that agree exactly, a span API that
+histograms), one exact JSON export (``metrics.json``), a span API that
 merges each generation's two-stream
 :class:`~repro.cluster.timeline.Timeline` schedule and collective
 records into one multi-pid chrome trace, and a
@@ -14,9 +14,7 @@ from .exporters import (
     collect,
     flatten_samples,
     format_value,
-    parse_prometheus_text,
     to_json,
-    to_prometheus_text,
 )
 from .registry import (
     DEFAULT_BUCKETS,
@@ -57,12 +55,10 @@ __all__ = [
     "flatten_samples",
     "format_value",
     "merged_trace",
-    "parse_prometheus_text",
     "parts_from_json",
     "parts_to_json",
     "run_totals_from_parts",
     "to_json",
-    "to_prometheus_text",
     "validate_chrome_trace",
     "write_trace",
 ]

@@ -1,14 +1,15 @@
-"""Prometheus-text and JSON exporters for a :class:`MetricsRegistry`.
+"""JSON exporter for a :class:`MetricsRegistry`.
 
-Both exporters walk the registry through the same :func:`collect`
-snapshot and format floats with ``repr`` (shortest round-trip form), so
-parsing either export recovers bit-identical values — the acceptance
-gate for the telemetry layer is *exact* agreement between the two, not
-agreement within a tolerance.
+:func:`to_json` is the one metrics export (``metrics.json``).  Floats
+keep their exact value through ``json`` (shortest round-trip ``repr``),
+and bucket bounds are rendered by :func:`format_value`, so reading the
+file back recovers every sample bit-identically — the acceptance gate
+for the telemetry layer is *exact* agreement with the ledger totals,
+not agreement within a tolerance.
 
-:func:`parse_prometheus_text` inverts :func:`to_prometheus_text` back
-into the :func:`to_json` structure, which is how the ``repro.cli
-trace`` subcommand (and the tests) prove the two exports agree.
+:func:`flatten_samples` turns an export into a canonical
+``{(name, labels, field): value}`` map, which is how the ``repro.cli
+trace`` subcommand (and the tests) compare it against those totals.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from .registry import Counter, Gauge, Histogram, MetricError, MetricsRegistry
+from .registry import Histogram, MetricsRegistry
 
 __all__ = [
     "collect",
     "flatten_samples",
     "format_value",
-    "parse_prometheus_text",
     "to_json",
-    "to_prometheus_text",
 ]
 
 
@@ -41,19 +40,8 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    as_float = float(text)
-    if as_float.is_integer() and "." not in text and "e" not in text.lower():
-        return int(text)
-    return as_float
-
-
 def collect(registry: MetricsRegistry) -> List[dict]:
-    """Snapshot every family into plain dicts (shared by both exporters)."""
+    """Snapshot every family into plain dicts."""
     out: List[dict] = []
     for metric in registry:
         entry: Dict[str, object] = {
@@ -88,151 +76,11 @@ def to_json(registry: MetricsRegistry) -> dict:
     return {"metrics": collect(registry)}
 
 
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _label_str(labels: Dict[str, str], extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label(str(v))}"' for k, v in labels.items()]
-    if extra:
-        parts.append(extra)
-    if not parts:
-        return ""
-    return "{" + ",".join(parts) + "}"
-
-
-def to_prometheus_text(registry: MetricsRegistry) -> str:
-    """Prometheus text exposition format (0.0.4) for the registry."""
-    lines: List[str] = []
-    for family in collect(registry):
-        name = family["name"]
-        if family["help"]:
-            lines.append(f"# HELP {name} {family['help']}")
-        lines.append(f"# TYPE {name} {family['type']}")
-        for sample in family["samples"]:
-            labels = sample["labels"]
-            if family["type"] == "histogram":
-                for bound, count in sample["buckets"]:
-                    le = _label_str(labels, f'le="{bound}"')
-                    lines.append(f"{name}_bucket{le} {count}")
-                lines.append(
-                    f"{name}_sum{_label_str(labels)} {format_value(sample['sum'])}"
-                )
-                lines.append(
-                    f"{name}_count{_label_str(labels)} {sample['count']}"
-                )
-            else:
-                lines.append(
-                    f"{name}{_label_str(labels)} {format_value(sample['value'])}"
-                )
-    return "\n".join(lines) + "\n"
-
-
-def _parse_labels(text: str) -> Dict[str, str]:
-    labels: Dict[str, str] = {}
-    i = 0
-    while i < len(text):
-        eq = text.index("=", i)
-        key = text[i:eq].strip().lstrip(",").strip()
-        if text[eq + 1] != '"':
-            raise MetricError(f"malformed label section {text!r}")
-        j = eq + 2
-        out: List[str] = []
-        while text[j] != '"':
-            if text[j] == "\\":
-                nxt = text[j + 1]
-                out.append({"n": "\n", "\\": "\\", '"': '"'}.get(nxt, nxt))
-                j += 2
-            else:
-                out.append(text[j])
-                j += 1
-        labels[key] = "".join(out)
-        i = j + 1
-    return labels
-
-
-def _split_sample_line(line: str):
-    if line.count("}") and "{" in line:
-        brace = line.index("{")
-        close = line.rindex("}")
-        name = line[:brace]
-        labels = _parse_labels(line[brace + 1:close])
-        value = line[close + 1:].strip()
-    else:
-        name, value = line.rsplit(None, 1)
-        labels = {}
-    return name, labels, value
-
-
-def parse_prometheus_text(text: str) -> dict:
-    """Parse :func:`to_prometheus_text` output back into the JSON shape."""
-    families: Dict[str, dict] = {}
-    order: List[str] = []
-    types: Dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, name, kind = line.split(None, 3)
-            types[name] = kind
-            families[name] = {"name": name, "type": kind, "help": "",
-                              "labelnames": None, "samples": []}
-            order.append(name)
-            continue
-        if line.startswith("# HELP "):
-            _, _, name, help_text = line.split(None, 3)
-            if name in families:
-                families[name]["help"] = help_text
-            else:
-                families[name] = {"name": name, "type": "", "help": help_text,
-                                  "labelnames": None, "samples": []}
-                order.append(name)
-            continue
-        if line.startswith("#"):
-            continue
-        name, labels, value = _split_sample_line(line)
-        base = name
-        suffix = ""
-        for candidate in ("_bucket", "_sum", "_count"):
-            if name.endswith(candidate) and name[: -len(candidate)] in types \
-                    and types[name[: -len(candidate)]] == "histogram":
-                base, suffix = name[: -len(candidate)], candidate
-                break
-        family = families.get(base)
-        if family is None:
-            raise MetricError(f"sample {name!r} precedes its # TYPE line")
-        if family["type"] == "histogram":
-            plain = {k: v for k, v in labels.items() if k != "le"}
-            sample = _find_histogram_sample(family["samples"], plain)
-            if suffix == "_bucket":
-                sample["buckets"].append([labels["le"], int(value)])
-            elif suffix == "_sum":
-                sample["sum"] = _parse_value(value)
-            elif suffix == "_count":
-                sample["count"] = int(value)
-            else:
-                raise MetricError(f"unexpected histogram series {name!r}")
-            if family["labelnames"] is None and plain:
-                family["labelnames"] = sorted(plain)
-        else:
-            family["samples"].append({"labels": labels,
-                                      "value": _parse_value(value)})
-            if family["labelnames"] is None and labels:
-                family["labelnames"] = sorted(labels)
-    for family in families.values():
-        if family["labelnames"] is None:
-            family["labelnames"] = []
-    return {"metrics": [families[name] for name in order]}
-
-
 def flatten_samples(export: dict) -> Dict[tuple, object]:
     """Canonical ``{(name, labels, field): value}`` view of an export.
 
     Label order and family ordering are erased, so two exports compare
-    equal exactly when every individual sample value matches exactly —
-    this is the comparison both the tests and ``repro.cli trace`` use
-    to assert the Prometheus and JSON exports agree.
+    equal exactly when every individual sample value matches exactly.
     """
     flat: Dict[tuple, object] = {}
     for family in export["metrics"]:
@@ -248,12 +96,3 @@ def flatten_samples(export: dict) -> Dict[tuple, object]:
             else:
                 flat[(name, labels, "value")] = sample["value"]
     return flat
-
-
-def _find_histogram_sample(samples: List[dict], labels: Dict[str, str]) -> dict:
-    for sample in samples:
-        if sample["labels"] == labels:
-            return sample
-    sample = {"labels": labels, "buckets": [], "sum": 0.0, "count": 0}
-    samples.append(sample)
-    return sample

@@ -13,9 +13,9 @@ everything it wants measured:
   (``events.jsonl``);
 * ``finalize()`` computes the run-total gauges and the per-op
   collective counters *directly from each generation's collective
-  records* (so the exports agree with those totals exactly), writes
-  ``metrics.prom`` / ``metrics.json`` / ``trace.json`` /
-  ``trace_parts.json``, and returns a summary dict.
+  records* (so the export agrees with those totals exactly), writes
+  ``metrics.json`` / ``trace.json`` / ``trace_parts.json``, and
+  returns a summary dict.
 
 Everything works with ``directory=None`` too — the registry and traces
 stay in memory, which is what the tests use.
@@ -28,7 +28,7 @@ import math
 import pathlib
 from typing import List, Optional
 
-from .exporters import to_json, to_prometheus_text
+from .exporters import to_json
 from .registry import MetricsRegistry
 from .spans import GenerationPart, merged_trace, parts_to_json, validate_chrome_trace
 
@@ -255,9 +255,6 @@ class TelemetrySession:
             "directory": str(self.directory) if self.directory else None,
         }
         if self.directory is not None:
-            (self.directory / "metrics.prom").write_text(
-                to_prometheus_text(reg)
-            )
             with open(self.directory / "metrics.json", "w") as f:
                 json.dump(to_json(reg), f, indent=2)
             with open(self.directory / "trace_parts.json", "w") as f:

@@ -165,15 +165,14 @@ def parts_from_json(obj) -> List[GenerationPart]:
 def merged_trace(
     parts: Sequence[GenerationPart],
     metadata: bool = True,
-    serialize_generations: bool = True,
 ) -> List[dict]:
     """Merge every generation's compute and comm streams into one trace.
 
     Generation ``g`` gets pids ``[sum(W_0..W_{g-1}), ...)`` — one per
     rank — with tids 0/1 for compute/comm, and is shifted in time past
-    all earlier generations when ``serialize_generations`` is true (a
-    resilient run's generations are sequential in real time).  Each
-    collective is one comm block per participating rank.
+    all earlier generations (a resilient run's generations are
+    sequential in real time).  Each collective is one comm block per
+    participating rank.
     """
     trace: List[dict] = []
     pid_base = 0
@@ -207,8 +206,7 @@ def merged_trace(
             )
         )
         pid_base += part.world_size
-        if serialize_generations:
-            offset_s += part.span_s
+        offset_s += part.span_s
     return trace
 
 

@@ -89,9 +89,10 @@ class TrainConfig:
     batch:
         Per-rank batch shape (the paper: 32 seqs x 20 for word LM,
         128 x 150 for char LM).
-    base_lr, lr_decay:
-        Base learning rate and per-epoch decay; the effective initial
-        rate is ``base_lr * ln(nodes)`` per the paper's scaling rule.
+    base_lr:
+        Base learning rate; the effective initial rate is
+        ``base_lr * ln(nodes)`` per the paper's scaling rule, decayed
+        0.9x per epoch (:meth:`repro.optim.EpochDecaySchedule.for_cluster`).
     gpus_per_node:
         Node width for the LR rule (8 in the paper's cluster).
     use_unique, seed_strategy:
@@ -128,7 +129,7 @@ class TrainConfig:
     wire_codec:
         Wire-compression spec handed to
         :meth:`repro.core.wire.policy.WirePolicy.from_spec` (``"auto"``,
-        ``"fp16"`` / ``"fp16:<scale>"``, ``"delta"``, ``"rle"``,
+        ``"fp16"`` / ``"fp16:<scale>"``, ``"delta"``, ``"entropy"``,
         ``"fp16+delta"``, ``"fp16+auto"``, ..., ``"none"``) — the one
         entry point for compression: the value codec covers dense
         allreduces and the sparse exchanges' value traffic, the index
@@ -178,7 +179,6 @@ class TrainConfig:
     world_size: int
     batch: BatchSpec
     base_lr: float
-    lr_decay: float = 0.9
     gpus_per_node: int = 8
     use_unique: bool = True
     seed_strategy: SeedStrategy = SeedStrategy.PER_RANK

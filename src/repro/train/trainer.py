@@ -252,7 +252,7 @@ class DistributedTrainer:
             valid_tokens, config.batch, max_batches=8
         )
         self.schedule = EpochDecaySchedule.for_cluster(
-            config.base_lr, config.num_nodes, decay=config.lr_decay
+            config.base_lr, config.num_nodes
         )
         # Post-sync gradients are read off replica 0 (every replica holds
         # the same result objects) and applied once, to the storage all

@@ -447,9 +447,9 @@ class TestSanitizedWireCodec:
 
     def test_decode_dtype_check(self):
         from repro.analysis.sanitizer import SanitizedWireCodec
-        from repro.core.wire import RunLengthCodec
+        from repro.core.wire import EntropyCodec
 
-        wrapped = SanitizedWireCodec(RunLengthCodec())
+        wrapped = SanitizedWireCodec(EntropyCodec())
         frame = wrapped.encode(np.arange(64, dtype=np.int64))
         with pytest.raises((CollectiveMismatchError, ValueError)):
             wrapped.decode(frame, np.int32)

@@ -1,6 +1,6 @@
 """Tests for the pluggable wire-compression stack (repro.core.wire).
 
-Covers the lossless frame codecs, the registry/spec layer, the
+Covers the lossless frame codecs, the codec-table/spec layer, the
 adaptive selector, the WirePolicy configuration
 object, and the chunked encoded allgather — including the central
 contract: swapping ``iencoded_allgather`` for a raw ``iallgather``
@@ -15,16 +15,17 @@ from repro.core.compression import Fp16Codec, IdentityCodec
 from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
 from repro.core.wire import (
     AdaptiveCodecSelector,
+    DEFAULT_CODEC_THROUGHPUTS,
     DeltaBitpackCodec,
-    RunLengthCodec,
+    EntropyCodec,
     WirePolicy,
     available_codecs,
     decode_frames,
     iencoded_allgather,
     make_codec,
-    register_codec,
 )
 from repro.core.wire.codecs import FRAME_HEADER_BYTES
+from repro.errors import ConfigError
 from repro.nn.parameter import SparseGrad
 
 
@@ -33,7 +34,7 @@ def comm(world=4, **kw):
     return Communicator(world, **kw)
 
 
-CODECS = [DeltaBitpackCodec(), RunLengthCodec()]
+CODECS = [DeltaBitpackCodec(), EntropyCodec()]
 CODEC_IDS = [c.name for c in CODECS]
 
 EDGE_VECTORS = [
@@ -77,14 +78,6 @@ class TestLosslessCodecs:
             DeltaBitpackCodec().decode(frame, np.int64), idx
         )
 
-    def test_rle_collapses_dense_ranges(self):
-        idx = np.arange(10_000, dtype=np.int64)
-        frame = RunLengthCodec().encode(idx)
-        assert frame.nbytes < 100  # one run: ~34 bytes
-        np.testing.assert_array_equal(
-            RunLengthCodec().decode(frame, np.int64), idx
-        )
-
     def test_frames_survive_concatenation(self):
         """The allgatherv composition property decode_frames relies on."""
         codec = DeltaBitpackCodec()
@@ -99,7 +92,7 @@ class TestLosslessCodecs:
         )
 
     def test_mixed_codec_frames_decode_together(self):
-        a = RunLengthCodec().encode(np.arange(64, dtype=np.int64))
+        a = EntropyCodec().encode(np.arange(64, dtype=np.int64))
         b = DeltaBitpackCodec().encode(np.array([9, 1, 5], dtype=np.int64))
         np.testing.assert_array_equal(
             decode_frames(np.concatenate([a, b]), np.int64),
@@ -129,7 +122,12 @@ class TestLosslessCodecs:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"identity", "fp16", "delta", "rle"} <= set(available_codecs())
+        assert available_codecs() == ("delta", "entropy", "fp16", "identity")
+
+    def test_spec_table_and_throughput_table_name_the_same_codecs(self):
+        assert set(available_codecs()) == set(DEFAULT_CODEC_THROUGHPUTS)
+        for name in available_codecs():
+            assert make_codec(name).name == name
 
     def test_make_codec_with_argument(self):
         assert make_codec("delta:128").block == 128
@@ -140,19 +138,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown codec"):
             make_codec("zstd")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_codec("delta", DeltaBitpackCodec)
-
-    def test_reserved_characters_rejected(self):
-        for bad in ("", "a/b", "a+b", "a:b"):
-            with pytest.raises(ValueError, match="invalid"):
-                register_codec(bad, DeltaBitpackCodec)
+    def test_retired_rle_spec_is_a_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            WirePolicy.from_spec("rle")
+        assert "delta, entropy, fp16, identity" in str(err.value)
+        with pytest.raises(ConfigError, match="delta, entropy, fp16, identity"):
+            make_codec("rle")
 
 
 class TestAdaptiveSelector:
     def test_small_messages_never_encoded(self):
-        sel = AdaptiveCodecSelector(min_bytes=4096)
+        sel = AdaptiveCodecSelector()
         c = comm(4)
         tiny = [np.arange(8, dtype=np.int64)] * 4
         assert sel.select_index(tiny, c) is None
@@ -170,12 +166,20 @@ class TestAdaptiveSelector:
         picked = sel.select_index(idx, c, sorted_payload=True)
         assert picked is not None and picked.lossless
 
-    def test_dense_ranges_prefer_rle(self):
-        sel = AdaptiveCodecSelector()
-        picked = sel.select_index(
-            [np.arange(65_536, dtype=np.int64)] * 4, comm(4)
-        )
-        assert picked is not None and picked.name == "rle"
+    def test_auto_probes_only_delta_and_entropy(self, monkeypatch):
+        probed = []
+        for cls in (DeltaBitpackCodec, EntropyCodec):
+            real = cls.estimate_nbytes
+
+            def spy(self, arr, real=real):
+                probed.append(self.name)
+                return real(self, arr)
+
+            monkeypatch.setattr(cls, "estimate_nbytes", spy)
+        idx = [np.arange(65_536, dtype=np.int64)] * 4
+        picked = AdaptiveCodecSelector().select_index(idx, comm(4))
+        assert probed == ["delta", "entropy"]
+        assert picked is not None and picked.name in probed
 
     def test_large_float_values_pick_fp16(self):
         sel = AdaptiveCodecSelector()
@@ -211,7 +215,7 @@ class TestWirePolicy:
         with pytest.raises(ValueError, match="duplicate value"):
             WirePolicy.from_spec("fp16+identity")
         with pytest.raises(ValueError, match="duplicate index"):
-            WirePolicy.from_spec("delta+rle")
+            WirePolicy.from_spec("delta+entropy")
         with pytest.raises(ValueError, match="unknown wire-codec"):
             WirePolicy.from_spec("gzip")
         with pytest.raises(ValueError, match="empty"):
@@ -223,7 +227,7 @@ class TestWirePolicy:
         assert WirePolicy.from_spec("delta", chunk_bytes=512).chunk_bytes == 512
 
     def test_fixed_slot_wins_over_selector(self):
-        fixed = RunLengthCodec()
+        fixed = EntropyCodec()
         p = WirePolicy(index_codec=fixed, selector=AdaptiveCodecSelector())
         got = p.resolve_index_codec([np.arange(4, dtype=np.int64)], comm(2))
         assert got is fixed
@@ -291,6 +295,22 @@ class TestEncodedAllgather:
                 comm(4), self._vectors(2), DeltaBitpackCodec()
             )
 
+    def test_one_transfer_observation_per_chunk_collective(self):
+        from repro.telemetry import MetricsRegistry
+
+        c = comm(4)
+        c.metrics = MetricsRegistry()
+        iencoded_allgather(
+            c, self._vectors(4), DeltaBitpackCodec(), tag="idx",
+            chunk_bytes=1024,
+        ).wait()
+        chunks = [r for r in c.timeline.collectives if r.tag.startswith("idx[")]
+        assert len(chunks) > 1
+        transfer = c.metrics.get("repro_wire_transfer_seconds")
+        observed = transfer.value(codec="delta")
+        assert observed.count == len(chunks)
+        assert observed.sum == sum(r.end - r.start for r in chunks)
+
     def test_chunking_charges_codec_compute_on_the_timeline(self):
         c = comm(2)
         iencoded_allgather(
@@ -313,7 +333,7 @@ def _grads(world, vocab=3000, tokens=512, dim=4, seed=3):
 class TestExchangeWithWirePolicy:
     """A wire policy must change bytes on the wire, never the numerics."""
 
-    @pytest.mark.parametrize("spec", ["delta", "rle", "delta:128"])
+    @pytest.mark.parametrize("spec", ["delta", "entropy", "delta:128"])
     @pytest.mark.parametrize("strategy_cls", [UniqueExchange, AllGatherExchange])
     def test_lossless_policy_is_bit_exact(self, spec, strategy_cls):
         grads = _grads(4)
@@ -373,10 +393,8 @@ class TestZeroLengthPayloads:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_empty_vector_roundtrips_every_frame_codec(self, dtype):
-        from repro.core.wire import EntropyCodec
-
         empty = np.zeros(0, dtype=dtype)
-        for codec in (DeltaBitpackCodec(), RunLengthCodec(), EntropyCodec()):
+        for codec in (DeltaBitpackCodec(), EntropyCodec()):
             frame = codec.encode(empty)
             assert frame.dtype == np.uint8
             back = codec.decode(frame, empty.dtype)
@@ -405,7 +423,7 @@ class TestZeroLengthPayloads:
         ]
         raw = comm(world).iallgather(list(vecs), tag="mix").wait()
         enc = iencoded_allgather(
-            comm(world), list(vecs), RunLengthCodec(), tag="mix"
+            comm(world), list(vecs), EntropyCodec(), tag="mix"
         ).wait()
         for r, e in zip(raw, enc):
             np.testing.assert_array_equal(e, r)
@@ -419,20 +437,28 @@ class TestSelectorLearning:
 
     def test_learned_table_changes_selection(self):
         """A glacial table entry must steer the crossover away from the
-        codec the defaults would have picked."""
+        codec the defaults would have picked: on sorted unique word ids
+        the defaults pick delta, and a calibrated table that measured
+        delta as glacial hands the message to entropy."""
         from repro.core.wire.cost import CodecThroughput
 
         c = comm(4)
-        idx = [np.arange(65_536, dtype=np.int64)] * 4
+        idx = [
+            np.sort(
+                np.random.default_rng(r).choice(100_000, 8192, replace=False)
+            ).astype(np.int64)
+            for r in range(4)
+        ]
         default_pick = AdaptiveCodecSelector().select_index(idx, c)
-        assert default_pick is not None and default_pick.name == "rle"
+        assert default_pick is not None and default_pick.name == "delta"
         crippled = AdaptiveCodecSelector(
-            throughputs={
-                "rle": CodecThroughput(encode_bps=1e3, decode_bps=1e3)
-            }
+            throughputs=dict(
+                DEFAULT_CODEC_THROUGHPUTS,
+                delta=CodecThroughput(encode_bps=1e3, decode_bps=1e3),
+            )
         )
         slow_pick = crippled.select_index(idx, c)
-        assert slow_pick is None or slow_pick.name != "rle"
+        assert slow_pick is not None and slow_pick.name == "entropy"
 
     def test_cross_rank_determinism_under_lockstep(self):
         """One selector per simulated rank, all reading the same table,

@@ -32,7 +32,6 @@ from repro.core.wire.codecs import (
     FRAME_HEADER_BYTES,
     DeltaBitpackCodec,
     EntropyCodec,
-    RunLengthCodec,
     decode_frames,
 )
 from repro.errors import FormatError
@@ -74,7 +73,7 @@ def _make_vector(n: int, dtype, kind: int, rng) -> np.ndarray:
 
 
 def _codecs(block: int):
-    return (DeltaBitpackCodec(block=block), RunLengthCodec(), EntropyCodec())
+    return (DeltaBitpackCodec(block=block), EntropyCodec())
 
 
 class TestLosslessRoundtripProperty:
@@ -224,7 +223,7 @@ class TestEncodeMany:
         ids=["edges-int64", "edges-int32", "deep-codes", "32x672", "32x160"],
     )
     def test_edge_members_and_gather_shapes(self, members):
-        for codec in (DeltaBitpackCodec(), RunLengthCodec(), EntropyCodec()):
+        for codec in (DeltaBitpackCodec(), EntropyCodec()):
             frames = codec.encode_many(members)
             assert [f.tobytes() for f in frames] == [
                 codec.encode(m).tobytes() for m in members
@@ -252,20 +251,19 @@ class TestEncodeMany:
 # ---------------------------------------------------------------------------
 
 def _mixed_buffer(rng) -> tuple[bytes, list[tuple[int, int, int]]]:
-    """Raw, delta, rle and entropy frames back to back (int64), with each
+    """Raw, delta and entropy frames back to back (int64), with each
     frame's ``(offset, end, kind)``."""
     vectors = [
         rng.integers(_I64.min, _I64.max, 40, dtype=np.int64),       # raw
         np.unique(rng.integers(0, 50_000, 300)).astype(np.int64),   # delta
-        np.concatenate([np.arange(100), np.arange(500, 640)]),      # rle
         np.sort(rng.zipf(1.2, size=400) % 20_000).astype(np.int64),  # entropy
         np.full(300, 4, dtype=np.int64),                # zero-width delta
     ]
-    encoders = [DeltaBitpackCodec(), DeltaBitpackCodec(), RunLengthCodec(),
-                EntropyCodec(), DeltaBitpackCodec()]
+    encoders = [DeltaBitpackCodec(), DeltaBitpackCodec(), EntropyCodec(),
+                DeltaBitpackCodec()]
     frames = [c.encode(v.astype(np.int64)) for c, v in zip(encoders, vectors)]
     kinds = [int(f[0]) for f in frames]
-    assert kinds == [codecs._KIND_RAW, codecs._KIND_DELTA, codecs._KIND_RLE,
+    assert kinds == [codecs._KIND_RAW, codecs._KIND_DELTA,
                      codecs._KIND_ENTROPY, codecs._KIND_DELTA]
     ends = np.cumsum([f.size for f in frames]).tolist()
     return np.concatenate(frames).tobytes(), list(zip([0] + ends, ends, kinds))
@@ -298,19 +296,16 @@ class TestHostileFrames:
             buf[byte] ^= 1 << int(rng.integers(0, 8))
         if cut or not flips:
             del buf[int(rng.integers(0, len(buf))):]
-        # Runs (and zero-width delta blocks under a grown block size) may
-        # legitimately expand without bound: a count past the cap whose
-        # sizing field was hit too is a valid huge frame, not a corrupt one.
+        # Zero-width delta blocks under a grown block size may legitimately
+        # expand without bound: a count past the cap whose block-size
+        # field was hit too is a valid huge frame, not a corrupt one.
         cap = 64 * len(original)
-        for offset, end, kind in frames:
+        for offset, _end, kind in frames:
             count = int.from_bytes(buf[offset + 2:offset + 10], "little")
-            # what sizes the expansion: the block-size field / the run table
-            sizing = slice(
-                offset + 10, offset + 14 if kind == codecs._KIND_DELTA else end
-            )
+            sizing = slice(offset + 10, offset + 14)
             if (
                 count > cap
-                and kind in (codecs._KIND_DELTA, codecs._KIND_RLE)
+                and kind == codecs._KIND_DELTA
                 and buf[sizing] != original[sizing]
             ):
                 return
@@ -325,7 +320,7 @@ class TestHostileFrames:
         assert out.dtype == np.int64 and out.ndim == 1
 
     @pytest.mark.parametrize(
-        "codec", [DeltaBitpackCodec(), RunLengthCodec(), EntropyCodec()],
+        "codec", [DeltaBitpackCodec(), EntropyCodec()],
         ids=lambda c: c.name,
     )
     def test_high_count_bit_is_a_value_error(self, codec):
@@ -338,6 +333,14 @@ class TestHostileFrames:
         assert frame[0] != codecs._KIND_RAW
         frame[9] ^= 0x40  # bit 62 of the u64 count
         with pytest.raises(ValueError, match="corrupt"):
+            decode_frames(frame, np.int64)
+
+    def test_retired_rle_kind_is_a_format_error(self):
+        """Kind byte 3 carried run-length frames; no codec writes it now."""
+        frame = DeltaBitpackCodec().encode(np.arange(64, dtype=np.int64)).copy()
+        assert frame[0] == codecs._KIND_DELTA
+        frame[0] = 3
+        with pytest.raises(FormatError, match="unknown frame kind 3"):
             decode_frames(frame, np.int64)
 
     def test_oversized_raw_count_is_a_value_error(self):

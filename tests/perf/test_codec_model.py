@@ -167,10 +167,10 @@ class TestThroughputFallback:
     def test_calibrated_table_falls_back_to_its_own_slowest(self):
         calibrated = {
             "delta": CodecThroughput(encode_bps=9e9, decode_bps=9e9),
-            "rle": CodecThroughput(encode_bps=1e9, decode_bps=2e9),
+            "entropy": CodecThroughput(encode_bps=1e9, decode_bps=2e9),
         }
         tp = codec_throughput("nonesuch", calibrated)
-        assert tp == calibrated["rle"]
+        assert tp == calibrated["entropy"]
         assert tp != DEFAULT_CODEC_THROUGHPUTS["delta"]
 
     def test_asymmetric_codec_ranked_by_bottleneck_direction(self):

@@ -16,7 +16,12 @@ from repro.serve import (
     percentile,
     report_to_registry,
 )
-from repro.telemetry import MetricsRegistry, TelemetrySession, to_prometheus_text
+from repro.telemetry import (
+    MetricsRegistry,
+    TelemetrySession,
+    flatten_samples,
+    to_json,
+)
 
 from .helpers import (
     CountingDecoder,
@@ -37,7 +42,7 @@ class TestConfigValidation:
             {"temperature": -0.1},
             {"cache_budget_bytes": 0},
             {"decode_token_s": -1.0},
-            {"max_transient_retries": 0},
+            {"prefill_token_s": -1.0},
             {"max_steps": 0},
         ],
     )
@@ -319,10 +324,17 @@ class TestTelemetry:
         assert len(steps) == report.decode_steps
         assert all("active" in s and "sim_time_s" in s for s in steps)
 
-        prom = (tmp_path / "metrics.prom").read_text()
-        assert "repro_serve_ttft_seconds" in prom
-        assert "repro_serve_p99_ttft_seconds" in prom
-        assert "repro_serve_requests_total" in prom
+        assert not (tmp_path / "metrics.prom").exists()
+        names = {
+            name for name, _, _ in flatten_samples(
+                json.loads((tmp_path / "metrics.json").read_text())
+            )
+        }
+        assert {
+            "repro_serve_ttft_seconds",
+            "repro_serve_p99_ttft_seconds",
+            "repro_serve_requests_total",
+        } <= names
         assert summary["p99_ttft_s"] >= summary["p50_ttft_s"]
 
     def test_report_to_registry_values(self):
@@ -332,9 +344,14 @@ class TestTelemetry:
         ).run(pressure_traffic(n=8))
         registry = MetricsRegistry()
         summary = report_to_registry(report, registry)
-        rendered = to_prometheus_text(registry)
-        assert 'outcome="length"' in rendered or 'outcome="eos"' in rendered
-        assert "repro_serve_tokens_total" in rendered
+        flat = flatten_samples(to_json(registry))
+        outcomes = {
+            dict(labels).get("outcome")
+            for name, labels, _ in flat
+            if name == "repro_serve_requests_total"
+        }
+        assert outcomes & {"length", "eos"}
+        assert any(name == "repro_serve_tokens_total" for name, _, _ in flat)
         assert summary["total_tokens"] == report.total_tokens
 
     def test_cache_eviction_counts_exported(self):
@@ -348,7 +365,8 @@ class TestTelemetry:
         assert report.cache_stats["evictions"] > 0
         registry = MetricsRegistry()
         report_to_registry(report, registry)
-        assert 'kind="evict"' in to_prometheus_text(registry)
+        flat = flatten_samples(to_json(registry))
+        assert any(("kind", "evict") in labels for _, labels, _ in flat)
 
 
 class TestPercentile:

@@ -1,7 +1,7 @@
-"""Exact-agreement tests for the Prometheus-text and JSON exporters.
+"""Exactness tests for the JSON metrics export.
 
-The acceptance gate is equality, not tolerance: parsing the text export
-must recover every sample value bit-identically to the JSON export.
+The acceptance gate is equality, not tolerance: reading ``metrics.json``
+back must recover every sample value bit-identically.
 """
 
 import json
@@ -11,9 +11,7 @@ from repro.telemetry import (
     MetricsRegistry,
     flatten_samples,
     format_value,
-    parse_prometheus_text,
     to_json,
-    to_prometheus_text,
 )
 
 
@@ -21,7 +19,7 @@ def populated_registry():
     reg = MetricsRegistry()
     c = reg.counter("repro_bytes_total", "Total bytes", labelnames=("codec",))
     c.inc(123456789, codec="delta")
-    c.inc(0.1 + 0.2, codec="rle")  # a float that needs repr round-trip
+    c.inc(0.1 + 0.2, codec="entropy")  # a float that needs repr round-trip
     g = reg.gauge("repro_scale", "Loss scale")
     g.set(1024)
     h = reg.histogram(
@@ -64,44 +62,16 @@ class TestJsonExport:
 
     def test_json_round_trip_preserves_floats(self):
         export = to_json(populated_registry())
-        assert json.loads(json.dumps(export)) == export
-
-
-class TestPrometheusText:
-    def test_help_type_and_sample_lines(self):
-        text = to_prometheus_text(populated_registry())
-        assert "# HELP repro_bytes_total Total bytes" in text
-        assert "# TYPE repro_bytes_total counter" in text
-        assert 'repro_bytes_total{codec="delta"} 123456789' in text
-        assert 'repro_t_seconds_bucket{phase="train",le="+Inf"} 4' in text
-        assert 'repro_t_seconds_count{phase="train"} 4' in text
-        assert "repro_scale 1024" in text
-
-    def test_label_values_escaped(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total", labelnames=("tag",)).inc(
-            1, tag='quo"te\\back\nline'
-        )
-        text = to_prometheus_text(reg)
-        assert '\\"' in text and "\\\\" in text and "\\n" in text
-        flat = flatten_samples(parse_prometheus_text(text))
-        assert flat[("x_total", (("tag", 'quo"te\\back\nline'),), "value")] == 1
-
-    def test_parse_inverts_exactly(self):
-        reg = populated_registry()
-        parsed = parse_prometheus_text(to_prometheus_text(reg))
-        assert flatten_samples(parsed) == flatten_samples(to_json(reg))
-
-    def test_exports_agree_after_json_round_trip(self):
-        """The on-disk comparison `repro.cli trace` performs."""
-        reg = populated_registry()
-        from_disk = json.loads(json.dumps(to_json(reg)))
-        assert flatten_samples(parse_prometheus_text(
-            to_prometheus_text(reg)
-        )) == flatten_samples(from_disk)
+        from_disk = json.loads(json.dumps(export))
+        assert from_disk == export
+        # the flattened view `repro.cli trace` compares, read off the file
+        flat = flatten_samples(from_disk)
+        assert flat[("repro_bytes_total", (("codec", "entropy"),), "value")] \
+            == 0.1 + 0.2
+        assert flat[("repro_t_seconds", (("phase", "train"),), "bucket:+Inf")] \
+            == 4
 
     def test_empty_registry(self):
         reg = MetricsRegistry()
-        assert to_prometheus_text(reg) == "\n"
         assert to_json(reg) == {"metrics": []}
-        assert flatten_samples(parse_prometheus_text("\n")) == {}
+        assert flatten_samples(to_json(reg)) == {}

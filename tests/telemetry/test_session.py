@@ -2,8 +2,8 @@
 
 The exactness contract under test: the run-total gauges a session
 freezes at finalize come *directly from the ledgers* (same summation
-order as :func:`run_totals_from_parts`), so the written Prometheus and
-JSON exports agree with the ledger bit-for-bit.
+order as :func:`run_totals_from_parts`), so the written JSON export
+agrees with the ledger bit-for-bit.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.optim import SGD
 from repro.telemetry import (
     TelemetrySession,
     flatten_samples,
-    parse_prometheus_text,
     run_totals_from_parts,
     to_json,
 )
@@ -168,17 +167,15 @@ class TestFinalize:
     def test_finalize_writes_agreeing_exports(self, tmp_path):
         session = self.make_session(tmp_path)
         session.finalize()
-        for name in ("metrics.prom", "metrics.json", "trace.json",
+        for name in ("metrics.json", "trace.json",
                      "trace_parts.json", "summary.json"):
             assert (tmp_path / name).exists()
-        from_prom = flatten_samples(parse_prometheus_text(
-            (tmp_path / "metrics.prom").read_text()
-        ))
+        # metrics.json is the one metrics export
+        assert not (tmp_path / "metrics.prom").exists()
         from_json = flatten_samples(
             json.loads((tmp_path / "metrics.json").read_text())
         )
-        assert from_prom == from_json
-        assert from_prom == flatten_samples(to_json(session.registry))
+        assert from_json == flatten_samples(to_json(session.registry))
 
     def test_compression_factor_defaults_to_one_without_traffic(self):
         session = TelemetrySession()

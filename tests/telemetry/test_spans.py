@@ -86,14 +86,6 @@ class TestMergedTrace:
         assert gen1_start >= gen0_end - 1e-6
         assert gen1_start == pytest.approx(parts[0].span_s * 1e6)
 
-    def test_serialization_opt_out_overlaps_generations(self):
-        trace = x_events(
-            merged_trace(two_generation_parts(), serialize_generations=False)
-        )
-        assert min(
-            e["ts"] for e in trace if e["args"]["generation"] == 1
-        ) == 0.0
-
     def test_metadata_names_label_and_rank(self):
         trace = merged_trace(two_generation_parts())
         process_names = {

@@ -188,7 +188,7 @@ class TestWireCodecFlags:
     def test_spec_choices(self):
         """The parser carries no codec list of its own: any string is a
         spec, and ``WirePolicy.from_spec`` (via TrainConfig) judges it."""
-        for spec in ("auto", "fp16", "delta", "rle", "none", "fp16+entropy"):
+        for spec in ("auto", "fp16", "delta", "entropy", "none", "fp16+entropy"):
             assert (
                 build_parser()
                 .parse_args(["train", "--wire-codec", spec])
@@ -264,9 +264,10 @@ class TestTelemetry:
         tele = self.run_telemetry_train(tmp_path)
         out = capsys.readouterr().out
         assert "telemetry: 4 steps" in out
-        for name in ("steps.jsonl", "metrics.prom", "metrics.json",
+        for name in ("steps.jsonl", "metrics.json",
                      "trace.json", "trace_parts.json", "summary.json"):
             assert (tele / name).exists(), name
+        assert not (tele / "metrics.prom").exists()
         import json as _json
 
         steps = [
@@ -288,7 +289,7 @@ class TestTelemetry:
         assert rc == 0
         assert "merged trace:" in out
         assert "generations [0]" in out
-        assert "exports: prometheus == json" in out
+        assert "exports: metrics.json (" in out
         assert "ledger totals agree exactly" in out
         assert (tele / "trace.json").exists()
 
@@ -346,6 +347,22 @@ class TestTelemetry:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_trace_bad_metrics_file_exits_2(self, capsys, tmp_path):
+        tele = self.run_telemetry_train(tmp_path)
+        metrics = tele / "metrics.json"
+        text = metrics.read_text()
+        not_labels = (
+            '{"metrics": [{"name": "x", "type": "gauge", '
+            '"samples": [{"labels": [], "value": 1}]}]}'
+        )
+        for bad in (text[: len(text) // 2], "[]", "{}", not_labels):
+            metrics.write_text(bad)
+            capsys.readouterr()
+            assert main(["trace", str(tele)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "metrics.json" in err
+            assert len(err.splitlines()) == 1
 
 
 class TestVerifySpmd:
@@ -536,12 +553,24 @@ class TestServeBench:
         assert "dropped" in out
 
     def test_telemetry_dir_written(self, capsys, tmp_path):
+        import json
+
+        from repro.telemetry import flatten_samples
+
         rc = main(["serve-bench", "--requests", "8", "--gpus", "2",
                    "--vocab", "50", "--telemetry-dir", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "steps.jsonl").exists()
-        prom = (tmp_path / "metrics.prom").read_text()
-        assert "repro_serve_p99_ttft_seconds" in prom
+        assert not (tmp_path / "metrics.prom").exists()
+        flat = flatten_samples(
+            json.loads((tmp_path / "metrics.json").read_text())
+        )
+        assert any(
+            name == "repro_serve_p99_ttft_seconds" for name, _, _ in flat
+        )
+        capsys.readouterr()
+        assert main(["trace", str(tmp_path)]) == 0
+        assert "ledger totals agree exactly" in capsys.readouterr().out
 
     def test_fault_plan_served(self, capsys, tmp_path):
         import json

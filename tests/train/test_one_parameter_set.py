@@ -107,7 +107,7 @@ class MaterialisedRanks:
             for rank in range(ranks)
         ]
         lr = EpochDecaySchedule.for_cluster(
-            cfg.base_lr, cfg.num_nodes, decay=cfg.lr_decay
+            cfg.base_lr, cfg.num_nodes
         ).initial_lr
         self.optimizers = [
             optimizer(list(m.parameters()), lr) for m in self.models

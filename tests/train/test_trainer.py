@@ -168,7 +168,7 @@ class TestTraining:
         assert stats.eval_points[-1].perplexity < start
 
     def test_lr_schedule_applied_per_epoch(self):
-        tr = word_trainer(world=2, lr_decay=0.9)
+        tr = word_trainer(world=2)
         s0 = tr.train_epoch(max_steps=2)
         s1 = tr.train_epoch(max_steps=2)
         assert s1.lr == pytest.approx(s0.lr * 0.9)

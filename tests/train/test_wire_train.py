@@ -71,7 +71,7 @@ class TestConfigValidation:
             )
 
     def test_valid_specs_accepted(self):
-        for spec in ("none", "auto", "fp16", "delta", "rle", "fp16+delta"):
+        for spec in ("none", "auto", "fp16", "delta", "entropy", "fp16+delta"):
             TrainConfig(
                 world_size=2, batch=BatchSpec(2, 6), base_lr=0.1,
                 wire_codec=spec,
@@ -104,7 +104,7 @@ class TestWireTrainerThreading:
 
 class TestBitExactTraining:
     @pytest.mark.parametrize(
-        "spec,chunk", [("delta", None), ("delta", 512), ("rle", None)]
+        "spec,chunk", [("delta", None), ("delta", 512), ("entropy", None)]
     )
     def test_lossless_codec_training_is_bit_exact(self, spec, chunk):
         base = word_trainer(4)
