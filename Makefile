@@ -68,12 +68,12 @@ lint:
 
 # SPMD collective-matching verification (docs/SPMD_VERIFY.md): the
 # static REPRO010-012 taint pass over the library and benchmarks, a
-# dynamic fault-plan replay under the LockstepVerifier, and the unit
-# suites for both layers.
+# dynamic fault-plan replay under the runtime Sanitizer
+# (train --resilient --sanitize), and the unit suites for both layers.
 verify-spmd:
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify-spmd src/repro benchmarks
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
-		tests/analysis/test_spmd_rules.py tests/cluster/test_lockstep.py
+		tests/analysis/test_spmd_rules.py tests/analysis/test_sanitizer.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -124,7 +124,7 @@ dead-code:
 	$(DEAD) -m repro.cli zipf --tokens 20000 > /dev/null
 	$(DEAD) -m repro.cli train --gpus 2 --steps 3 --corpus-tokens 6000 > /dev/null
 	$(DEAD) -m repro.cli train --model char --gpus 2 --steps 3 --corpus-tokens 40000 --fp16 --overlap > /dev/null
-	$(DEAD) -m repro.cli train --gpus 8 --steps 3 --corpus-tokens 6000 --mesh pipe=2,tensor=2,data=2 --wire-codec fp16+entropy --wire-chunk-bytes 4096 --fused-reduce --sanitize --verify-spmd --telemetry-dir $(DEAD_DIR)/tel > /dev/null
+	$(DEAD) -m repro.cli train --gpus 8 --steps 3 --corpus-tokens 6000 --mesh pipe=2,tensor=2,data=2 --wire-codec fp16+entropy --wire-chunk-bytes 4096 --fused-reduce --sanitize --telemetry-dir $(DEAD_DIR)/tel > /dev/null
 	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --resilient --baseline --wire-codec auto --seed-strategy zipf_freq > /dev/null
 	$(DEAD) -m repro.cli train --model char --gpus 4 --steps 4 --corpus-tokens 40000 --resilient > /dev/null
 	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --fault-plan $(DEAD_DIR)/plan.json --telemetry-dir $(DEAD_DIR)/tel-chaos > /dev/null

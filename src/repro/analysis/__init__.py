@@ -12,17 +12,17 @@ checkers:
   built on the :mod:`repro.analysis.spmd` rank-dependence taint
   analysis), run via ``python -m repro.cli lint`` / ``make lint`` and
   enforced on ``src/repro`` itself by a tier-1 test;
-* :mod:`repro.analysis.sanitizer` — an opt-in runtime wrapper around
-  :class:`~repro.cluster.communicator.Communicator` and the FP16 wire
-  codec that detects mismatched per-rank collectives, compression
-  overflow (with a counterexample), unbalanced ledger scopes, dropped
-  async work handles, and cross-rank issue-order mismatches, run via
-  ``python -m repro.cli train --sanitize``;
+* :mod:`repro.analysis.sanitizer` — an opt-in runtime hook on the
+  :class:`~repro.cluster.communicator.Communicator`'s collective funnel,
+  plus checking FP16 and lossless wire codecs, that detects mismatched
+  per-rank collectives, compression overflow (with a counterexample),
+  unbalanced ledger scopes, dropped async work handles, and buffers
+  written while their collective is in flight, run via ``python -m
+  repro.cli train --sanitize``;
 * :mod:`repro.analysis.spmd` — the interprocedural call-graph + taint
-  layer behind rules REPRO010–012 and ``python -m repro.cli
-  verify-spmd`` (its dynamic twin, the
-  :class:`~repro.cluster.lockstep.LockstepVerifier`, lives in
-  :mod:`repro.cluster` to avoid an import cycle).
+  layer behind rules REPRO010–012 and the static half of ``python -m
+  repro.cli verify-spmd`` (its dynamic half is a sanitized
+  ``train --resilient`` run).
 """
 
 from .lint import (

@@ -217,8 +217,8 @@ class CollectiveOutsideScopeRule(Rule):
         "`with timeline.scope(...)`. The comm substrate (cluster/, core/) "
         "and model layers (nn/) issue on behalf of whatever step called "
         "them, inherit its scope, and are exempt — the runtime "
-        "sanitizer's require_scope check sits on the collective funnel "
-        "and covers them dynamically."
+        "sanitizer's scope check sits on the collective funnel and "
+        "covers them dynamically."
     )
 
     _CALLEES = _COLLECTIVES | _ASYNC_COLLECTIVES | {"sync_replicas"}

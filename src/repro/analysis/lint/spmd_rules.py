@@ -275,8 +275,9 @@ class TaintedCollectiveSignatureRule(_SpmdRule):
     rationale = (
         "Matching is by (op, tag, shape, dtype): a tag or payload "
         "shape computed from the rank means every rank shows up to a "
-        "*different* collective — mismatched-signature deadlock, the "
-        "failure the LockstepVerifier catches at runtime. Per-rank "
+        "*different* collective — mismatched-signature deadlock. At "
+        "runtime the Sanitizer rejects a payload whose shape or dtype "
+        "differs across a ring (CollectiveMismatchError). Per-rank "
         "payload *values* are fine (that is the data); per-rank "
         "*envelopes* are not."
     )
@@ -373,8 +374,8 @@ class InFlightBufferMutationRule(_SpmdRule):
         "An `i*` collective captures its payload by reference; writing "
         "to the array before wait() races the (simulated) transfer — on "
         "real hardware the NIC may read either value. The runtime "
-        "counterpart is the LockstepVerifier's issue/wait buffer-hash "
-        "check (InFlightMutationError)."
+        "counterpart is the Sanitizer's issue/wait buffer-hash check "
+        "(InFlightMutationError)."
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:

@@ -19,10 +19,10 @@ scheduled — before it executes:
   rank fell off the FP16/FP32 discipline of §III-C;
 * **payload hygiene** — NaN/Inf anywhere, and saturated values in FP16
   payloads (the signature of a compression-scaling overflow);
-* **scope attribution** (opt-in) — collectives must run inside a
+* **scope attribution** — collectives must run inside a
   ``with timeline.scope(...)`` block so their cost is attributable.
 
-The async engine adds one failure mode of its own, covered here:
+The async engine adds two failure modes of its own, covered here:
 
 * **dropped handles** — an ``i*`` collective whose
   :class:`~repro.cluster.communicator.WorkHandle` is never ``wait()``\\ ed
@@ -30,11 +30,18 @@ The async engine adds one failure mode of its own, covered here:
   completion from the timeline.  The funnel's pending set knows every
   such handle and :meth:`Sanitizer.finish` raises
   :class:`DroppedHandleError` for any still un-awaited (the static
-  counterpart is lint rule REPRO007).
+  counterpart is lint rule REPRO007);
+* **in-flight mutation** — every payload buffer is hashed when its
+  collective is issued and re-hashed at its first ``wait()``; a write in
+  between raises :class:`InFlightMutationError` (the static counterpart
+  is lint rule REPRO012).  Buffers longer than two
+  :data:`SAMPLE_BYTES` windows are hashed on their head and tail only,
+  and a fused run member by member.
 
 Cross-rank issue-order divergence — the bug that deadlocks a real
-cluster — is the :class:`~repro.cluster.lockstep.LockstepVerifier`'s
-job (``lockstep=True``): it fingerprints what the funnel actually ran.
+cluster — cannot happen here: one funnel call carries every rank's
+payload, and the communicator refuses a per-rank list that is not
+``world_size`` long, so no rank can issue a collective the others skip.
 
 Every violation raises a :class:`SanitizerError` subclass whose message
 names the op, the offending rank(s), and a concrete counterexample.
@@ -51,6 +58,7 @@ is roundtripped and compared bit-for-bit against the input.
 
 from __future__ import annotations
 
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -67,7 +75,7 @@ __all__ = [
     "DoubleApplyError",
     "DroppedHandleError",
     "InFlightMutationError",
-    "OpRecord",
+    "SAMPLE_BYTES",
     "SanitizedFp16Codec",
     "SanitizedWireCodec",
     "Sanitizer",
@@ -78,6 +86,9 @@ __all__ = [
 
 #: How many offending elements a counterexample report shows.
 _MAX_EXAMPLES = 5
+
+#: Bytes hashed at each end of a payload buffer by the in-flight check.
+SAMPLE_BYTES = 1024
 
 
 class SanitizerError(ReproError, RuntimeError):
@@ -106,8 +117,8 @@ class InFlightMutationError(SanitizerError):
 
     The collective captured the payload by reference; on real hardware
     the NIC may read either the old or the new value.  Raised by the
-    :class:`~repro.cluster.lockstep.LockstepVerifier`'s issue/wait
-    buffer-hash check — the dynamic counterpart of lint rule REPRO012.
+    :class:`Sanitizer`'s issue/wait buffer-hash check at ``wait()`` —
+    the dynamic counterpart of lint rule REPRO012.
     """
 
 
@@ -162,16 +173,6 @@ def assert_clean_retry_state(replicas, comm=None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class OpRecord:
-    """One sanitized collective, as :attr:`Sanitizer.op_log` keeps it."""
-
-    op: str
-    shapes: tuple[tuple[int, ...], ...]
-    dtype: str
-    tag: str
-
-
 def _describe(values: np.ndarray, indices: np.ndarray) -> str:
     shown = indices[:_MAX_EXAMPLES]
     pairs = ", ".join(
@@ -186,69 +187,31 @@ def _describe(values: np.ndarray, indices: np.ndarray) -> str:
 class Sanitizer(CollectiveHook):
     """Validating hook on a communicator's collective funnel.
 
-    Parameters
-    ----------
-    comm:
-        The communicator (or :class:`~repro.cluster.failures.\
-ChaosCommunicator`) whose collectives should be checked; the sanitizer
-        appends itself to ``comm.hooks``.
-    require_scope:
-        When True, any collective issued while the ledger's scope stack
-        is empty raises — the static counterpart is lint rule REPRO003.
-    forbid_dtypes:
-        Dtypes that must never cross the wire — e.g. ``(np.float64,)``
-        in an FP16-compressed run, the dynamic counterpart of REPRO002.
-    lockstep:
-        Attach a :class:`~repro.cluster.lockstep.LockstepVerifier` to
-        the communicator: True builds one with defaults, or pass a
-        pre-configured verifier.  Its per-rank fingerprint streams are
-        cross-checked by :meth:`finish` (the dynamic counterpart of
-        REPRO010/011) and its buffer hashes catch in-flight mutation
-        (REPRO012).
-
-    Every other attribute (``world_size``, ``ledger``, ``allreduce``,
-    ``axis``, ...) delegates to the communicator, so a ``Sanitizer``
-    drops into any code that takes a ``Communicator`` — and because the
-    checks sit on the funnel, collectives issued on the communicator
-    directly (or on one of its axis views) are validated just the same.
+    ``Sanitizer(comm)`` appends itself to ``comm.hooks`` (a
+    :class:`~repro.cluster.failures.ChaosCommunicator` works the same);
+    from then on every collective issued on ``comm`` or on one of its
+    axis views is checked.  :meth:`attach` moves it onto another
+    communicator — the recovery loop's next generation keeps the same
+    sanitizer and its :attr:`collectives_checked` count.
     """
 
-    def __init__(
-        self,
-        comm: Communicator,
-        require_scope: bool = False,
-        forbid_dtypes: Sequence[np.dtype | type | str] = (),
-        lockstep=False,
-    ):
-        self._comm = comm
-        self.require_scope = require_scope
-        self.forbid_dtypes = tuple(np.dtype(d) for d in forbid_dtypes)
-        self.op_log: list[OpRecord] = []
-        self.lockstep = None
+    def __init__(self, comm: Communicator):
+        self.comm: Communicator | None = None
+        #: Collectives that passed the issue-time checks.
+        self.collectives_checked = 0
+        #: id(handle) -> [(rank, buffer, digest), ...] until first wait.
+        self._inflight: dict[int, list[tuple]] = {}
+        self.attach(comm)
+
+    def attach(self, comm: Communicator) -> None:
+        """Hook onto ``comm``'s funnel, leaving the previous one's."""
+        if self.comm is not None:
+            self.comm.hooks.remove(self)
         comm.hooks.append(self)
-        if lockstep:
-            from ..cluster.lockstep import LockstepVerifier
-
-            if isinstance(lockstep, LockstepVerifier):
-                self.lockstep = lockstep
-                comm.hooks.append(lockstep)
-            else:
-                self.lockstep = LockstepVerifier.attach(comm)
-
-    def __getattr__(self, name: str):
-        return getattr(self._comm, name)
-
-    @property
-    def mesh(self):
-        """The communicator's mesh (assignable through the sanitizer)."""
-        return self._comm.mesh
-
-    @mesh.setter
-    def mesh(self, mesh) -> None:
-        self._comm.mesh = mesh
+        self.comm = comm
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Sanitizer({self._comm!r})"
+        return f"Sanitizer({self.comm!r})"
 
     # ------------------------------------------------------------------
     # funnel hooks
@@ -283,23 +246,32 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
                 for name in head:
                     member = {r: arrays[r][name] for r in ranks}
                     self._validate_ring(op, f"{tag}[{name}]", member, ranks)
-        self._check_scope(op, tag)
-        self.op_log.append(
-            OpRecord(
-                op=op,
-                shapes=() if arrays is None else tuple(a.shape for a in arrays),
-                dtype="" if arrays is None else str(arrays[0].dtype),
-                tag=tag,
-            )
-        )
-
-    def _check_scope(self, op: str, tag: str) -> None:
-        if self.require_scope and self._comm.timeline.current_scope == "":
+        if comm.timeline.current_scope == "":
             raise SanitizerError(
                 f"{op}[tag={tag!r}] issued outside any ledger scope: wrap "
                 "the call in `with comm.timeline.scope(name):` so its cost "
                 "is attributed (lint rule REPRO003)"
             )
+        self.collectives_checked += 1
+
+    def post_issue(self, comm, handle, arrays) -> None:
+        """Hash every payload buffer the issued collective captured."""
+        if arrays is not None:
+            self._inflight[id(handle)] = [
+                (rank, a, _digest(a)) for rank, a in enumerate(arrays)
+            ]
+
+    def on_wait(self, handle) -> None:
+        """Re-hash the handle's payload buffers; a change is a race."""
+        for rank, array, digest in self._inflight.pop(id(handle), ()):
+            if _digest(array) != digest:
+                raise InFlightMutationError(
+                    f"rank {rank}'s buffer for `{handle.op}` "
+                    f"(tag={handle.tag!r}) was mutated between issue and "
+                    "wait(): the in-flight transfer may read either value "
+                    "— wait() before writing, or stage into a copy "
+                    "(static counterpart: lint rule REPRO012)"
+                )
 
     def _validate_ring(
         self,
@@ -326,12 +298,6 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
                 f"{op}[tag={tag!r}]: per-rank dtype mismatch "
                 f"({per_rank(lambda a: a.dtype)}) — "
                 "at least one rank fell off the wire-format discipline"
-            )
-        if dtype in self.forbid_dtypes:
-            raise CollectiveMismatchError(
-                f"{op}[tag={tag!r}]: payload dtype {dtype} is forbidden on "
-                "this communicator (float64 on an FP16/FP32 comm path "
-                "doubles every wire-byte count in Tables III-V)"
             )
 
         if op == "allgather":  # allgatherv: ragged leading dim only
@@ -377,14 +343,14 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
     # end-of-run invariants
     # ------------------------------------------------------------------
 
-    def finish(self) -> list[OpRecord]:
-        """End-of-run checks; returns the op log.
+    def finish(self) -> None:
+        """End-of-run checks on the communicator it is attached to.
 
         Raises :class:`DroppedHandleError` if any collective is still
-        in flight on the communicator (issued, never awaited), then
-        verifies the ledger's scope stack is balanced.
+        in flight (issued, never awaited), then verifies the ledger's
+        scope stack is balanced.
         """
-        dropped = self._comm.pending_work
+        dropped = self.comm.pending_work
         if dropped:
             detail = ", ".join(
                 f"{h.op}[tag={h.tag!r}]" for h in dropped[:5]
@@ -396,10 +362,21 @@ ChaosCommunicator`) whose collectives should be checked; the sanitizer
                 "to every device and their completion never reaches the "
                 "timeline (lint rule REPRO007)"
             )
-        self._comm.timeline.assert_balanced()
-        if self.lockstep is not None:
-            self.lockstep.check("finish")
-        return list(self.op_log)
+        self.comm.timeline.assert_balanced()
+
+
+def _digest(array: np.ndarray | FusedRun, crc: int = 0) -> int:
+    """CRC of a buffer's head and tail windows (all of a short one)."""
+    if isinstance(array, FusedRun):  # member by member, one chain
+        for member in array.values():
+            crc = _digest(member, crc)
+        return crc
+    flat = np.ascontiguousarray(array).reshape(-1)
+    if flat.nbytes > 2 * SAMPLE_BYTES:
+        k = max(1, SAMPLE_BYTES // flat.itemsize)
+        # Chain head and tail through one CRC — no concatenation copy.
+        return zlib.crc32(flat[-k:], zlib.crc32(flat[:k], crc))
+    return zlib.crc32(flat, crc)
 
 
 @dataclass(frozen=True)

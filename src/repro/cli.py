@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--sanitize", action="store_true",
                          help="hook the runtime sanitizer onto the "
                          "communicator and codecs (collective mismatch, "
-                         "FP16 overflow, and ledger-scope checking)")
+                         "FP16 overflow, ledger-scope, dropped-handle and "
+                         "in-flight buffer checking); composes with "
+                         "--resilient and --fault-plan")
     p_train.add_argument("--overlap", action=argparse.BooleanOptionalAction,
                          default=False,
                          help="issue gradient collectives layer-by-layer "
@@ -106,14 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "a file a demo plan with two transient link "
                          "faults and one rank loss is injected")
     p_train.add_argument("--checkpoint", default=None, metavar="FILE",
-                         help="checkpoint path for --resilient runs "
-                         "(default: a temporary file)")
-    p_train.add_argument("--verify-spmd", action="store_true",
-                         help="attach the lockstep verifier to the "
-                         "communicator: every collective's (op, tag, shape, "
-                         "dtype) fingerprint is cross-checked across ranks "
-                         "at wait points, converting would-be "
-                         "deadlocks into immediate diagnostics")
+                         help="checkpoint path for --resilient / "
+                         "--fault-plan runs (default: a temporary file)")
     p_train.add_argument("--telemetry-dir", default=None, metavar="DIR",
                          help="stream per-step JSONL, the JSON metrics "
                          "export, and merged chrome traces into "
@@ -148,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify-spmd",
         help="two-layer SPMD collective-matching verification: static "
-        "rank-divergence lint (REPRO010-012) plus a dynamic lockstep "
-        "replay of a fault plan under the LockstepVerifier",
+        "rank-divergence lint (REPRO010-012) plus a dynamic replay of "
+        "a fault plan under the runtime sanitizer",
     )
     p_verify.add_argument("paths", nargs="*", default=["src/repro"],
                           help="files or directories for the static pass "
@@ -159,11 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--steps", type=int, default=8,
                           help="training steps for the dynamic replay")
     p_verify.add_argument("--fault-plan", default=None, metavar="FILE",
-                          help="JSON FaultPlan to replay under the verifier "
-                          "(default: train --resilient's demo plan)")
+                          help="JSON FaultPlan to replay under the "
+                          "sanitizer (default: train --resilient's demo "
+                          "plan)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--static-only", action="store_true",
-                          help="skip the dynamic lockstep replay")
+                          help="skip the dynamic sanitized replay")
     p_verify.add_argument("--dynamic-only", action="store_true",
                           help="skip the static taint lint")
 
@@ -258,8 +255,11 @@ def _validate_train_args(args: argparse.Namespace, cfg) -> None:
     if args.steps <= 0:
         raise ConfigError(f"--steps must be positive, got {args.steps}")
     resilient = args.resilient or args.fault_plan is not None
-    if resilient and args.sanitize:
-        raise ConfigError("--resilient and --sanitize are mutually exclusive")
+    if args.checkpoint is not None and not resilient:
+        raise ConfigError(
+            "--checkpoint is only written by --resilient / --fault-plan "
+            "runs; add --resilient or drop --checkpoint"
+        )
     if (
         resilient
         and args.mesh is not None
@@ -279,6 +279,23 @@ def _wire_spec(args: argparse.Namespace) -> str | None:
     if not args.fp16 or spec == "fp16":
         return spec
     return "fp16" if spec in (None, "none") else f"fp16+{spec}"
+
+
+def _sanitizer(args: argparse.Namespace, comm):
+    """With ``--sanitize``, the Sanitizer hooked onto ``comm``; else None."""
+    if not args.sanitize:
+        return None
+    from repro.analysis import Sanitizer
+
+    return Sanitizer(comm)
+
+
+def _finish_sanitizer(sanitizer) -> None:
+    """Run the end-of-run checks and print the sanitizer line."""
+    if sanitizer is not None:
+        sanitizer.finish()
+        print(f"sanitizer: {sanitizer.collectives_checked} collectives "
+              "checked, 0 violations")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -340,21 +357,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    comm = None
-    if args.sanitize:
-        from repro.analysis import Sanitizer
-        from repro.cluster import Communicator
-
-        comm = Sanitizer(
-            Communicator(args.gpus, track_memory=False),
-            require_scope=True,
-            lockstep=args.verify_spmd,
-        )
-    elif args.verify_spmd and not (args.resilient or args.fault_plan):
-        from repro.cluster import Communicator, LockstepVerifier
-
-        comm = Communicator(args.gpus, track_memory=False)
-        LockstepVerifier.attach(comm)
     if is_word:
         def make_trainer(run_cfg, run_comm):
             return DistributedTrainer(
@@ -381,6 +383,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.resilient or args.fault_plan is not None:
         return _run_resilient(args, cfg, make_trainer, session)
 
+    from repro.cluster import Communicator
+
+    comm = Communicator(args.gpus, track_memory=False)
+    sanitizer = _sanitizer(args, comm)
     trainer = make_trainer(cfg, comm)
     if session is not None:
         session.adopt_trainer(trainer)
@@ -392,8 +398,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
           f"{' | fused-reduce' if args.fused_reduce else ''}"
           f"{f' | mesh: {args.mesh}' if args.mesh else ''}"
           f"{' | overlapped' if args.overlap else ''}"
-          f"{' | sanitized' if args.sanitize else ''}"
-          f"{' | lockstep-verified' if args.verify_spmd else ''}")
+          f"{' | sanitized' if args.sanitize else ''}")
     print(f"initial val ppl: {perplexity(trainer.evaluate()):.2f}")
     for step in range(args.steps):
         loss = trainer.train_step()
@@ -407,20 +412,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         factor = trainer.comm.ledger.compression_factor(":indices")
         print(f"index compression: {factor:.2f}x (measured, logical/wire)")
     print(f"replica divergence: {max_replica_divergence(trainer.replicas):.1e}")
-    if args.sanitize:
-        op_log = trainer.comm.finish()
-        print(f"sanitizer: {len(op_log)} collectives checked, 0 violations")
-    if args.verify_spmd:
-        verifier = getattr(trainer.comm, "verifier", None)
-        if verifier is not None:
-            verifier.check("train: end of run")
-            print(f"lockstep: {verifier.collectives_observed} collective(s) "
-                  f"fingerprint-verified across "
-                  f"{len(verifier.live_ranks)} rank(s), 0 divergences")
-            if verifier.axis_rings:
-                print("lockstep: per-axis mesh subgroups "
-                      f"({', '.join(sorted(verifier.axis_rings))}) verified, "
-                      "0 divergences")
+    _finish_sanitizer(sanitizer)
     if session is not None:
         summary = session.finalize()
         print(f"telemetry: {summary['steps']} steps, "
@@ -456,10 +448,7 @@ def _run_resilient(args: argparse.Namespace, cfg, make_trainer,
             )
         plan = FaultPlan(events, seed=args.seed)
     comm = ChaosCommunicator(args.gpus, plan=plan, track_memory=False)
-    if args.verify_spmd:
-        from repro.cluster import LockstepVerifier
-
-        LockstepVerifier.attach(comm)
+    sanitizer = _sanitizer(args, comm)
     checkpoint = args.checkpoint or str(
         Path(tempfile.mkdtemp(prefix="repro-resilient-")) / "checkpoint.npz"
     )
@@ -469,7 +458,8 @@ def _run_resilient(args: argparse.Namespace, cfg, make_trainer,
         telemetry=session,
     )
     print(f"resilient {args.model} LM | {args.gpus} simulated GPUs | "
-          f"{len(plan)} scheduled fault(s) | checkpoint: {checkpoint}")
+          f"{len(plan)} scheduled fault(s) | checkpoint: {checkpoint}"
+          f"{' | sanitized' if sanitizer is not None else ''}")
     trainer = runner.run(args.steps)
     for event in runner.events:
         print(f"  [{event.kind:>17}] step {event.global_step:4d}  {event.detail}")
@@ -481,14 +471,7 @@ def _run_resilient(args: argparse.Namespace, cfg, make_trainer,
     print(f"simulated time: {runner.total_simulated_time():.4f}s "
           f"across {len(runner.timelines)} communicator generation(s), "
           f"{retries} retr{'y' if retries == 1 else 'ies'} charged")
-    if args.verify_spmd:
-        if trainer.comm.verifier is not None:
-            trainer.comm.verifier.check("train: end of run")
-        total = sum(v.collectives_observed for v in runner.verifiers
-                    if v is not None)
-        print(f"lockstep: {total} collective(s) fingerprint-verified "
-              f"across {len(runner.verifiers)} verifier generation(s), "
-              f"0 divergences")
+    _finish_sanitizer(sanitizer)
     if session is not None:
         summary = session.finalize()
         print(f"telemetry: {summary['steps']} steps, "
@@ -581,6 +564,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         generate,
     )
 
+    # Sampling arguments are checked before the training steps run.
+    if args.temperature <= 0:
+        return _fail(f"--temperature must be positive, got {args.temperature}")
+    if args.length < 0:
+        return _fail(f"--length must be non-negative, got {args.length}")
+    if not args.prompt:
+        return _fail("--prompt must be non-empty")
     corpus = encode_corpus(_SAMPLE_TEXT * 12, tokenizer=CharTokenizer())
     split = int(corpus.tokens.size * 0.95)
     cfg = TrainConfig(world_size=2, batch=BatchSpec(4, 16), base_lr=4e-3)
@@ -645,15 +635,15 @@ _SPMD_RULES = ["REPRO010", "REPRO011", "REPRO012"]
 
 
 def _cmd_verify_spmd(args: argparse.Namespace) -> int:
-    """Two-layer SPMD verification: static taint lint + dynamic lockstep.
+    """Two-layer SPMD verification: static taint lint + sanitized replay.
 
     The static pass runs only the rank-divergence rules (REPRO010–012)
     over the given paths; the dynamic pass *is* a miniature
-    ``train --resilient --verify-spmd`` run — a fault plan replayed with
-    the :class:`~repro.cluster.lockstep.LockstepVerifier` attached, so
-    any collective-sequence divergence surfaces as an immediate error
-    instead of a simulated deadlock.  Exit code 1 on any finding or
-    divergence, 0 when both layers are clean.
+    ``train --resilient --sanitize`` run — a fault plan replayed with
+    the :class:`~repro.analysis.sanitizer.Sanitizer` on the funnel, so a
+    mismatched envelope or an in-flight buffer write surfaces as an
+    immediate error.  Exit code 1 on any finding or violation, 0 when
+    both layers are clean.
     """
     from repro.analysis import (
         LintEngine,
@@ -675,7 +665,7 @@ def _cmd_verify_spmd(args: argparse.Namespace) -> int:
         if findings:
             rc = 1
     if not args.static_only:
-        replay = ["train", "--resilient", "--verify-spmd", "--vocab", "120",
+        replay = ["train", "--resilient", "--sanitize", "--vocab", "120",
                   "--corpus-tokens", "8000", "--gpus", str(args.gpus),
                   "--steps", str(args.steps), "--seed", str(args.seed)]
         if args.fault_plan is not None:
@@ -683,10 +673,10 @@ def _cmd_verify_spmd(args: argparse.Namespace) -> int:
         try:
             dynamic = _cmd_train(build_parser().parse_args(replay))
         except SanitizerError as exc:
-            print(f"dynamic: LOCKSTEP VIOLATION — {exc}", file=sys.stderr)
+            print(f"dynamic: SANITIZER VIOLATION — {exc}", file=sys.stderr)
             return 1
         if dynamic == 0:
-            print("dynamic: lockstep OK")
+            print("dynamic: sanitizer OK")
         rc = max(rc, dynamic)
     return rc
 

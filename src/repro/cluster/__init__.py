@@ -31,7 +31,6 @@ from .failures import (
     inject_straggler,
 )
 from .hierarchical import hierarchical_allreduce, hierarchical_allreduce_time
-from .lockstep import LockstepReport, LockstepVerifier
 from .mesh import (
     HYBRID_AXES,
     DeviceMesh,
@@ -91,8 +90,6 @@ __all__ = [
     "inject_straggler",
     "hierarchical_allreduce",
     "hierarchical_allreduce_time",
-    "LockstepVerifier",
-    "LockstepReport",
     "DeviceMesh",
     "HYBRID_AXES",
     "hybrid_mesh",

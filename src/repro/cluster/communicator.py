@@ -58,8 +58,9 @@ training and a ``(1, 1, G)`` mesh are the same code path, byte for byte.
 Observers attach through one ordered hook protocol
 (:class:`CollectiveHook`): ``pre_issue`` before anything is touched
 (fault replay raises here; the sanitizer validates here),
-``post_issue`` once the handle exists (the lockstep verifier
-fingerprints here) and ``on_wait``.  Because the hooks
+``post_issue`` once the handle exists and ``on_wait`` (the sanitizer
+hashes the payload buffers at the one and re-checks them at the
+other).  Because the hooks
 sit on the funnel, they see blocking, non-blocking, per-axis and
 explicitly-scheduled (:meth:`Communicator.issue_scheduled`) collectives
 alike.
@@ -297,16 +298,6 @@ class Communicator:
     def _root(self) -> "Communicator":
         return self if self._view_of is None else self._view_of
 
-    @property
-    def verifier(self):
-        """The attached :class:`~repro.cluster.lockstep.LockstepVerifier`, if any."""
-        from .lockstep import LockstepVerifier
-
-        for hook in self.hooks:
-            if isinstance(hook, LockstepVerifier):
-                return hook
-        return None
-
     # ------------------------------------------------------------------
     # the funnel
     # ------------------------------------------------------------------
@@ -394,8 +385,8 @@ class Communicator:
         """Common issue path: charge scratch, record, enqueue.
 
         ``payload`` is the caller's per-rank array list, forwarded (not
-        copied) to the ``post_issue`` hooks so a lockstep verifier can
-        fingerprint the envelope and hash the in-flight buffers.
+        copied) to the ``post_issue`` hooks so a sanitizer can hash the
+        in-flight buffers.
         """
         if self.axis_name is not None:
             tag = f"{self.axis_name}:{tag}"
@@ -616,9 +607,6 @@ class Communicator:
         pending = list(self._pending)
         for handle in pending:
             handle.wait()
-        verifier = self.verifier
-        if verifier is not None:
-            verifier.check("wait_all")
         return len(pending)
 
     # ------------------------------------------------------------------

@@ -16,8 +16,8 @@ gives the simulated cluster the same substrate:
   and :meth:`~repro.cluster.communicator.Communicator.axis` binds its
   collectives to one axis: numerics run per subgroup (disjoint
   subgroups reduce independently) through the single issue funnel, so
-  scratch, ledger, timeline, telemetry, fault replay, sanitizing and
-  lockstep verification apply to per-axis collectives unchanged.
+  scratch, ledger, timeline, telemetry, fault replay and sanitizing
+  apply to per-axis collectives unchanged.
 
 Cost model: disjoint subgroups of one axis run concurrently on
 disjoint links (the Megatron placement assumption), so one per-axis

@@ -24,8 +24,8 @@ collective, reassembled once and fanned out to the replicas.  Flat
 training is the ``S = 1`` case — scatter and reassembly are the
 identity and the data axis is the communicator itself — so a flat run,
 a ``(1, 1, G)`` mesh and a ``pipe x tensor x data`` mesh execute the
-same code, and wire codecs, the fused ring, the sanitizer and the
-lockstep verifier compose with all three.
+same code, and wire codecs, the fused ring and the sanitizer compose
+with all three.
 
 One loop, two schedules, and one fused allreduce per maximal run of
 consecutive dense-only parameters (§V-B: latency per run, not per

@@ -41,8 +41,8 @@ payload (numerics per ring), while the hop plan — and therefore every
 ledger event and timeline ticket — is built once, from the ring with
 the largest message, over the view's ring size and link.  The first
 hop carries the caller's per-rank payload to the funnel's hooks, so
-fault plans, the sanitizer and the lockstep verifier see fused traffic
-like any other collective.
+fault plans and the sanitizer see fused traffic like any other
+collective.
 
 Like everything in the simulator, numerics are eager at issue;
 :meth:`PendingFusedReduce.wait` defers the *accounting* of the final

@@ -158,7 +158,7 @@ class TrainConfig:
         ``None`` (default) *is* ``"data=G"``: flat data parallelism is
         the trivial ``(1, 1, G)`` mesh, the same code path.  Every other
         switch (``wire_codec``, ``overlap``, ``fused_reduce``,
-        sanitizing, lockstep verification) composes with any mesh; with
+        sanitizing) composes with any mesh; with
         ``pipe > 1`` the 1F1B schedule has already placed the step's
         compute, so ``overlap`` then only changes the issue order.
     batched:

@@ -26,8 +26,10 @@ membership changes), built on the simulator's fault taxonomy
   learning rate is rescaled by the global-batch ratio (the linear
   scaling rule — per-rank batch is preserved), and training resumes from
   the last checkpoint with bit-exact replica resync via the v2
-  checkpoint format.  Transient faults that exhaust their retry budget
-  escalate to eviction of the afflicted rank.
+  checkpoint format.  A :class:`~repro.analysis.sanitizer.Sanitizer`
+  on the old communicator moves onto the new one.  Transient faults
+  that exhaust their retry budget escalate to eviction of the afflicted
+  rank.
 
 Checkpoints are written on a cadence chosen by the Young/Daly cost model
 (:mod:`repro.perf.checkpoint_overhead`) from the configured MTBF,
@@ -45,7 +47,7 @@ import pathlib
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from ..analysis.sanitizer import assert_clean_retry_state
+from ..analysis.sanitizer import Sanitizer, assert_clean_retry_state
 from ..cluster.communicator import Communicator
 from ..cluster.failures import RankFailureError, TransientLinkError
 from ..perf.checkpoint_overhead import optimal_checkpoint_steps
@@ -157,8 +159,6 @@ class ResilientRunner:
         self.trainer = trainer_factory(config, initial_comm)
         #: Timelines of every communicator generation (initial + rebuilds).
         self.timelines = [initial_comm.timeline]
-        #: Lockstep verifiers per generation (None where not attached).
-        self.verifiers = [getattr(initial_comm, "verifier", None)]
         self.events: list[RecoveryEvent] = []
         self.losses: list[float] = []
         self.telemetry = telemetry
@@ -352,25 +352,17 @@ class ResilientRunner:
             new_mesh = old_config.mesh
         if new_world < 1:
             raise RankFailureError(failed_rank, "recovery", -1)
-        old_verifier = getattr(self.trainer.comm, "verifier", None)
-        if old_verifier is not None:
-            old_verifier.mark_failed(
-                failed_rank, "rank loss (elastic world shrink)"
-            )
-        self.trainer.comm.wait_all()
+        old_comm = self.trainer.comm
+        old_comm.wait_all()
         self._lr_scale *= new_world / old_config.world_size
         new_config = replace(old_config, world_size=new_world, mesh=new_mesh)
         comm = self.comm_factory(new_world)
-        if old_verifier is not None and getattr(comm, "verifier", None) is None:
-            from ..cluster.lockstep import LockstepVerifier
-
-            LockstepVerifier.attach(
-                comm,
-                hash_mode=old_verifier.hash_mode,
-                sample_bytes=old_verifier.sample_bytes,
-            )
+        # The run's sanitizer follows it onto the new generation, before
+        # the trainer is built so the trainer still sanitizes its codecs.
+        for hook in list(old_comm.hooks):
+            if isinstance(hook, Sanitizer):
+                hook.attach(comm)
         self.timelines.append(comm.timeline)
-        self.verifiers.append(getattr(comm, "verifier", None))
         trainer = self.trainer_factory(new_config, comm)
         load_checkpoint(self.checkpoint_path, trainer, elastic=True)
         self.trainer = trainer

@@ -2,8 +2,9 @@
 
 Each test injects one of the failure modes the paper's comm layer must
 never hit — mismatched per-rank collectives, FP16 compression-scaling
-overflow, unbalanced ledger scopes — and asserts the sanitizer reports
-it with rank/op context and a usable counterexample.
+overflow, unbalanced ledger scopes, dropped handles, buffers written
+while in flight — and asserts the sanitizer reports it with rank/op
+context and a usable counterexample.
 """
 
 import numpy as np
@@ -13,17 +14,28 @@ from repro.analysis import (
     CollectiveMismatchError,
     CompressionOverflowError,
     DroppedHandleError,
+    InFlightMutationError,
     SanitizedFp16Codec,
     Sanitizer,
     SanitizerError,
     sanitize_codec,
 )
-from repro.cluster import Communicator, LedgerScopeError
+from repro.cluster import (
+    ChaosCommunicator,
+    Communicator,
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    FusedRun,
+    LedgerScopeError,
+)
 from repro.core.compression import FP16_MAX, Fp16Codec, IdentityCodec
 
 
-def make(world=2, **kw):
-    return Sanitizer(Communicator(world, track_memory=False), **kw)
+def make(world=2):
+    """A communicator and the sanitizer hooked onto its funnel."""
+    comm = Communicator(world, track_memory=False)
+    return comm, Sanitizer(comm)
 
 
 def per_rank(world, shape, dtype=np.float32, fill=1.0):
@@ -32,70 +44,72 @@ def per_rank(world, shape, dtype=np.float32, fill=1.0):
 
 class TestCollectiveAgreement:
     def test_clean_allreduce_passes_and_matches_unwrapped(self):
-        san = make()
+        comm, san = make()
         arrays = [np.arange(4, dtype=np.float32) * (r + 1) for r in range(2)]
-        out = san.allreduce([a.copy() for a in arrays], tag="g")
+        with comm.timeline.scope("sync"):
+            out = comm.allreduce([a.copy() for a in arrays], tag="g")
         ref = Communicator(2, track_memory=False).allreduce(
             [a.copy() for a in arrays], tag="g"
         )
         for o, r in zip(out, ref):
             np.testing.assert_array_equal(o, r)
-        assert [rec.op for rec in san.op_log] == ["allreduce"]
+        assert san.collectives_checked == 1
 
     def test_mismatched_shapes_reported_with_rank_and_op(self):
-        san = make()
+        comm, _ = make()
         bad = [np.zeros((3,), np.float32), np.zeros((4,), np.float32)]
         with pytest.raises(CollectiveMismatchError) as exc:
-            san.allreduce(bad, tag="grads")
+            comm.allreduce(bad, tag="grads")
         msg = str(exc.value)
         assert "allreduce" in msg
         assert "rank 0: (3,)" in msg and "rank 1: (4,)" in msg
 
     def test_mismatched_dtypes_reported(self):
-        san = make()
+        comm, _ = make()
         bad = [np.zeros(3, np.float32), np.zeros(3, np.float64)]
         with pytest.raises(CollectiveMismatchError, match="dtype mismatch"):
-            san.allreduce(bad)
+            comm.allreduce(bad)
 
     def test_wrong_rank_count_reported(self):
-        san = make(world=4)
+        comm, _ = make(world=4)
         with pytest.raises(CollectiveMismatchError, match="hang"):
-            san.allreduce(per_rank(3, (2,)))
-
-    def test_forbidden_dtype_reported(self):
-        san = make(forbid_dtypes=(np.float64,))
-        with pytest.raises(CollectiveMismatchError, match="float64"):
-            san.allreduce(per_rank(2, (2,), dtype=np.float64))
+            comm.allreduce(per_rank(3, (2,)))
 
     def test_nan_payload_reported_with_rank_and_index(self):
-        san = make()
+        comm, _ = make()
         arrays = per_rank(2, (5,))
         arrays[1][3] = np.nan
         with pytest.raises(CollectiveMismatchError) as exc:
-            san.allreduce(arrays, tag="t")
+            comm.allreduce(arrays, tag="t")
         assert "rank 1" in str(exc.value) and "[3]" in str(exc.value)
 
     def test_allgatherv_ragged_leading_dim_allowed(self):
-        san = make()
+        comm, _ = make()
         ragged = [
             np.zeros((2, 3), np.float32),
             np.zeros((5, 3), np.float32),
         ]
-        assert len(san.allgather(ragged)) == 2
+        with comm.timeline.scope("gather"):
+            assert len(comm.allgather(ragged)) == 2
 
     def test_allgather_trailing_dim_mismatch_rejected(self):
-        san = make()
+        comm, _ = make()
         bad = [np.zeros((2, 3), np.float32), np.zeros((2, 4), np.float32)]
         with pytest.raises(CollectiveMismatchError, match="gather axis"):
-            san.allgather(bad)
+            comm.allgather(bad)
 
-    def test_delegation_exposes_communicator_surface(self):
-        san = make()
-        assert san.world_size == 2
-        assert san.ledger.total_wire_bytes_per_rank == 0
-        san.reduce_scatter(per_rank(2, (2,)), tag="sync-point")
-        assert san.op_log[-1].op == "reduce_scatter"
-        assert san.wait_all() == 0
+    def test_attach_moves_the_hook_between_communicators(self):
+        comm, san = make()
+        with comm.timeline.scope("sync"):
+            comm.reduce_scatter(per_rank(2, (2,)), tag="sync-point")
+        other = Communicator(2, track_memory=False)
+        san.attach(other)
+        assert san not in comm.hooks and other.hooks == [san]
+        assert san.comm is other
+        with pytest.raises(SanitizerError, match="ledger scope"):
+            other.allreduce(per_rank(2, (2,)))
+        comm.allreduce(per_rank(2, (2,)))  # no longer checked
+        assert san.collectives_checked == 1
 
 
 class TestFunnelCoverage:
@@ -125,26 +139,30 @@ class TestFunnelCoverage:
         tensor = comm.axis("tensor")
         assert tensor.groups == ((0, 2), (1, 3))
         shards = [np.ones(2), np.ones(5), np.ones(2), np.ones(5)]
-        tensor.allreduce(shards)  # cross-group shapes legitimately differ
-        assert [rec.op for rec in san.op_log] == ["allreduce"]
-        bad = [np.ones(2), np.ones(5), np.ones(3), np.ones(5)]
-        with pytest.raises(CollectiveMismatchError, match="shape mismatch"):
-            tensor.allreduce(bad)
-        # allgatherv stays ragged-legal inside a subgroup.
-        tensor.allgather([np.ones(r + 1) for r in range(4)])
+        with comm.timeline.scope("tensor"):
+            # cross-group shapes legitimately differ
+            tensor.allreduce(shards)
+            assert san.collectives_checked == 1
+            bad = [np.ones(2), np.ones(5), np.ones(3), np.ones(5)]
+            with pytest.raises(
+                CollectiveMismatchError, match="shape mismatch"
+            ):
+                tensor.allreduce(bad)
+            # allgatherv stays ragged-legal inside a subgroup.
+            tensor.allgather([np.ones(r + 1) for r in range(4)])
 
     def test_explicitly_scheduled_steps_are_checked(self):
-        san = make(require_scope=True)
+        comm, _ = make()
         payload = per_rank(2, (4,))
         with pytest.raises(SanitizerError, match="ledger scope"):
-            san.issue_scheduled(
+            comm.issue_scheduled(
                 "fused_allreduce", time_s=0.0, wire_bytes_per_rank=8,
                 payload=payload,
             )
         payload[1][0] = np.inf
-        with san.timeline.scope("sync"):
+        with comm.timeline.scope("sync"):
             with pytest.raises(CollectiveMismatchError, match="rank 1"):
-                san.issue_scheduled(
+                comm.issue_scheduled(
                     "fused_allreduce", time_s=0.0, wire_bytes_per_rank=8,
                     payload=payload,
                 )
@@ -167,9 +185,9 @@ class TestFp16Boundary:
         codec = Fp16Codec(scale=1024.0)
         grads = [np.full(4, 10.0, np.float32), np.full(4, 100.0, np.float32)]
         wire = [codec.encode(g) for g in grads]  # rank 1 saturates silently
-        san = make()
+        comm, _ = make()
         with pytest.raises(CompressionOverflowError) as exc:
-            san.allreduce(wire, tag="fp16-grads")
+            comm.allreduce(wire, tag="fp16-grads")
         msg = str(exc.value)
         assert "allreduce" in msg and "rank 1" in msg
         assert "lower the scale" in msg
@@ -211,56 +229,59 @@ class TestFp16Boundary:
 
 class TestLedgerInvariants:
     def test_unbalanced_scope_detected_at_finish(self):
-        san = make()
-        san.timeline.push_scope("epoch")
-        san.allreduce(per_rank(2, (2,)))
+        comm, san = make()
+        comm.timeline.push_scope("epoch")
+        comm.allreduce(per_rank(2, (2,)))
         with pytest.raises(LedgerScopeError, match="'epoch' still open"):
             san.finish()
 
-    def test_balanced_run_finishes_with_op_log(self):
-        san = make()
-        with san.timeline.scope("sync"):
-            san.allreduce(per_rank(2, (2,)))
-        log = san.finish()
-        assert [r.op for r in log] == ["allreduce"]
+    def test_balanced_run_finishes_and_counts(self):
+        comm, san = make()
+        with comm.timeline.scope("sync"):
+            comm.allreduce(per_rank(2, (2,)))
+        san.finish()
+        assert san.collectives_checked == 1
 
-    def test_require_scope_rejects_unattributed_collective(self):
-        san = make(require_scope=True)
+    def test_scope_check_rejects_unattributed_collective(self):
+        comm, san = make()
         with pytest.raises(SanitizerError, match="REPRO003"):
-            san.allreduce(per_rank(2, (2,)))
-        with san.timeline.scope("sync"):
-            san.allreduce(per_rank(2, (2,)))  # attributed: fine
+            comm.allreduce(per_rank(2, (2,)))
+        assert comm.ledger.events == []  # rejected before any accounting
+        with comm.timeline.scope("sync"):
+            comm.allreduce(per_rank(2, (2,)))  # attributed: fine
+        assert san.collectives_checked == 1
 
-    def test_require_scope_covers_scheduled_steps(self):
-        san = make(require_scope=True)
+    def test_scope_check_covers_scheduled_steps(self):
+        comm, _ = make()
         with pytest.raises(SanitizerError, match="transfer"):
-            san.transfer(8)
+            comm.transfer(8)
 
 
 class TestAsyncHandles:
     def test_issued_handles_are_wrapped_and_checked(self):
-        san = make()
+        comm, san = make()
         arrays = [np.zeros((3,), np.float32), np.zeros((4,), np.float32)]
         with pytest.raises(CollectiveMismatchError):
-            san.iallreduce(arrays)  # validation fires at issue, not wait
-        handle = san.iallreduce(per_rank(2, (3,)), tag="g")
+            comm.iallreduce(arrays)  # validation fires at issue, not wait
+        with comm.timeline.scope("sync"):
+            handle = comm.iallreduce(per_rank(2, (3,)), tag="g")
         # The funnel's own pending set is what finish() inspects.
-        assert san.pending_work == (handle,)
-        # Logged under the base op name, so issue+wait and blocking
-        # runs leave the same op_log.
-        assert san.op_log[-1].op == "allreduce"
+        assert comm.pending_work == (handle,)
+        assert san.collectives_checked == 1
         handle.wait()
 
     def test_waited_handle_passes_finish(self):
-        san = make()
-        san.iallreduce(per_rank(2, (2,)), tag="g").wait()
+        comm, san = make()
+        with comm.timeline.scope("sync"):
+            comm.iallreduce(per_rank(2, (2,)), tag="g").wait()
         san.finish()
 
     def test_dropped_handle_reported_at_finish(self):
         """The async-engine fault the lint rule REPRO007 catches
         statically, caught here at runtime: issue without wait."""
-        san = make()
-        san.iallreduce(per_rank(2, (2,)), tag="grads:lin")  # never waited
+        comm, san = make()
+        with comm.timeline.scope("sync"):
+            comm.iallreduce(per_rank(2, (2,)), tag="grads:lin")  # never waited
         with pytest.raises(DroppedHandleError) as exc:
             san.finish()
         msg = str(exc.value)
@@ -268,16 +289,16 @@ class TestAsyncHandles:
         assert "REPRO007" in msg
 
     def test_dropped_handle_checked_before_ledger_balance(self):
-        san = make()
-        san.timeline.push_scope("open")
-        san.iallreduce(per_rank(2, (2,)))
+        comm, san = make()
+        comm.timeline.push_scope("open")
+        comm.iallreduce(per_rank(2, (2,)))
         with pytest.raises(DroppedHandleError):
             san.finish()
 
     def test_all_async_ops_validated(self):
-        san = make()
+        comm, _ = make()
         bad = [np.zeros(3, np.float32), np.zeros(3, np.float64)]
-        for issue in (san.iallreduce, san.ireduce_scatter):
+        for issue in (comm.iallreduce, comm.ireduce_scatter):
             with pytest.raises(CollectiveMismatchError):
                 issue(bad)
         trailing_bad = [
@@ -285,9 +306,53 @@ class TestAsyncHandles:
             np.zeros((2, 4), np.float32),
         ]
         with pytest.raises(CollectiveMismatchError):
-            san.iallgather(trailing_bad)
-        for h in san.pending_work:
-            h.wait()
+            comm.iallgather(trailing_bad)
+        assert comm.pending_work == ()
+
+
+class TestInFlightMutation:
+    """A buffer written between an ``i*`` issue and its wait (REPRO012)."""
+
+    @staticmethod
+    def issue(shape=(8,)):
+        comm, san = make()
+        rng = np.random.default_rng(0)
+        arrays = [rng.standard_normal(shape) for _ in range(2)]
+        with comm.timeline.scope("sync"):
+            handle = comm.iallreduce(arrays, tag="grads")
+        return san, arrays, handle
+
+    def test_write_between_issue_and_wait_raises(self):
+        _, arrays, handle = self.issue()
+        arrays[0][1] = 99.0  # spmd-ok: deliberate race to prove detection
+        with pytest.raises(InFlightMutationError) as exc:
+            handle.wait()
+        msg = str(exc.value)
+        assert "rank 0" in msg and "mutated between issue and wait" in msg
+        assert "REPRO012" in msg
+
+    def test_clean_wait_passes_and_clears_inflight(self):
+        san, _, handle = self.issue()
+        handle.wait()
+        assert san._inflight == {}
+        handle.wait()  # idempotent: second wait never re-checks
+        san.finish()
+
+    def test_tail_write_is_caught(self):
+        # Well past two sample windows: only the head and tail are hashed.
+        san, arrays, handle = self.issue(shape=(4096,))
+        arrays[1][-1] = 123.0  # spmd-ok: tail write inside the sample window
+        with pytest.raises(InFlightMutationError, match="rank 1"):
+            handle.wait()
+
+    def test_fused_run_member_write_is_caught(self):
+        comm, _ = make()
+        runs = [FusedRun(a=np.ones(4), b=np.ones(3)) for _ in range(2)]
+        with comm.timeline.scope("sync"):
+            handle = comm.iallreduce(runs, tag="a+b:dense")
+        runs[1]["b"][2] += 1.0  # spmd-ok: deliberate race in a member
+        with pytest.raises(InFlightMutationError, match="rank 1"):
+            handle.wait()
 
 
 class TestTrainerIntegration:
@@ -306,7 +371,7 @@ class TestTrainerIntegration:
         )
 
         corpus = make_corpus(ONE_BILLION_WORD.scaled(40), 3000, seed=0)
-        san = make(world=2, require_scope=True)
+        comm, san = make(world=2)
         cfg = TrainConfig(
             world_size=2,
             batch=BatchSpec(2, 8),
@@ -322,13 +387,78 @@ class TestTrainerIntegration:
         trainer = DistributedTrainer(
             lambda rng, rank: WordLanguageModel(model_cfg, rng),
             lambda params, lr: SGD(params, lr),
-            corpus.train, corpus.valid, cfg, comm=san,
+            corpus.train, corpus.valid, cfg, comm=comm,
         )
         for _ in range(3):
             trainer.train_step()
-        log = san.finish()
-        assert len(log) > 0
+        san.finish()
+        assert san.collectives_checked > 0
         assert max_replica_divergence(trainer.replicas) == 0.0
+
+
+class TestResilientComposition:
+    """A sanitizer rides the recovery loop across the world shrink."""
+
+    @staticmethod
+    def run(tmp_path, sanitize):
+        from repro.data import ONE_BILLION_WORD, BatchSpec, make_corpus
+        from repro.optim import SGD
+        from repro.train import (
+            DistributedTrainer,
+            ResilientRunner,
+            TrainConfig,
+            WordLanguageModel,
+            WordLMConfig,
+        )
+
+        model_cfg = WordLMConfig(
+            vocab_size=60, embedding_dim=6, hidden_dim=8, projection_dim=6,
+            num_samples=8,
+        )
+        corpus = make_corpus(ONE_BILLION_WORD.scaled(60), 6000, seed=0)
+
+        def factory(cfg, comm):
+            return DistributedTrainer(
+                lambda rng, rank: WordLanguageModel(model_cfg, rng),
+                lambda params, lr: SGD(params, lr),
+                corpus.train, corpus.valid, cfg, comm=comm,
+            )
+
+        # train --resilient's demo plan at world 3, 6 steps: two
+        # transient link faults, then the last rank is lost.
+        plan = FaultPlan([
+            FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2, rank=1),
+            FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=7,
+                       rank=0, retries=2),
+            FaultEvent(FaultKind.RANK_LOSS, collective_index=18, rank=2),
+        ])
+        comm = ChaosCommunicator(3, plan=plan, track_memory=False)
+        san = Sanitizer(comm) if sanitize else None
+        runner = ResilientRunner(
+            factory,
+            TrainConfig(world_size=3, batch=BatchSpec(2, 6), base_lr=0.2),
+            tmp_path / f"ckpt-{sanitize}.npz",
+            comm=comm, checkpoint_every=2,
+        )
+        return runner, runner.run(6), san
+
+    def test_sanitized_run_survives_rank_loss_bit_identically(self, tmp_path):
+        runner, trainer, san = self.run(tmp_path, sanitize=True)
+        assert trainer.config.world_size == 2
+        assert any(e.kind == "rank-loss" for e in runner.events)
+        assert trainer.comm.hooks == [san] and san.comm is trainer.comm
+        san.finish()
+        assert san.collectives_checked > 0
+
+        _, twin, _ = self.run(tmp_path, sanitize=False)
+        want = dict(twin.replicas[0].named_parameters())
+        for name, p in trainer.replicas[0].named_parameters():
+            np.testing.assert_array_equal(p.data, want[name].data, err_msg=name)
+        assert (
+            trainer.comm.ledger.total_wire_bytes_per_rank
+            == twin.comm.ledger.total_wire_bytes_per_rank
+        )
+        assert trainer.comm.timeline.makespan == twin.comm.timeline.makespan
 
 
 class TestNoDoubleApplyInvariant:

@@ -303,8 +303,8 @@ class TestSelfAnalysis:
         # The acceptance gate: src, benchmarks, tools, and the test
         # suite itself are clean under REPRO010-012, modulo the two
         # documented `# spmd-ok` sites (chaos injection and supervisor
-        # rank validation) and the deliberate races in the lockstep
-        # verifier's own tests.
+        # rank validation) and the deliberate races in the sanitizer's
+        # in-flight mutation tests.
         engine = LintEngine(default_rules(SPMD_RULES))
         findings = engine.lint_paths(["src", "benchmarks", "tools", "tests"])
         assert findings == [], "\n".join(f.render() for f in findings)

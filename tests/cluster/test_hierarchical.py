@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Communicator, LockstepVerifier
+from repro.analysis import Sanitizer
+from repro.cluster import Communicator
 from repro.cluster.hierarchical import (
     hierarchical_allreduce,
     hierarchical_allreduce_time,
@@ -131,9 +132,10 @@ class TestCostModel:
         the communicator sees each phase."""
         fabric = PAPER_CLUSTER_FABRIC
         c = Communicator(world, track_memory=False)
-        verifier = LockstepVerifier.attach(c)
+        san = Sanitizer(c)
         arrays = [np.ones((1 << 10, 3), np.float32) for _ in range(world)]
-        out = hierarchical_allreduce(c, arrays)
+        with c.timeline.scope("sync"):
+            out = hierarchical_allreduce(c, arrays)
         np.testing.assert_array_equal(out[world - 1], world * arrays[0])
 
         scatter, reduce, gather = c.ledger.events
@@ -153,11 +155,8 @@ class TestCostModel:
         )
         assert c.timeline.makespan == c.ledger.total_time_s
 
-        assert verifier.collectives_observed == 3
-        assert {k: len(v) for k, v in verifier.axis_rings.items()} == {
-            "local": nodes, "node": local,
-        }
-        verifier.check("end")
+        assert san.collectives_checked == 3
+        san.finish()
 
     def test_invalid_world(self):
         with pytest.raises(ValueError):

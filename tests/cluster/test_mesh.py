@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.sanitizer import CollectiveMismatchError
+from repro.analysis.sanitizer import Sanitizer
 from repro.cluster import (
     ChaosCommunicator,
     Communicator,
@@ -13,7 +13,6 @@ from repro.cluster import (
     FaultKind,
     FaultPlan,
     HYBRID_AXES,
-    LockstepVerifier,
     TransientLinkError,
     hybrid_mesh,
     parse_mesh_spec,
@@ -28,11 +27,6 @@ def comm(world, **kw):
 
 def mesh_comm(spec, world, **kw):
     return comm(world, mesh=hybrid_mesh(spec, world), **kw)
-
-
-def ring_counts(verifier, axis):
-    """Fingerprints recorded by each subgroup ring of ``axis``."""
-    return [r.check("test").verified for r in verifier.axis_rings.get(axis, ())]
 
 
 class TestDeviceMesh:
@@ -253,64 +247,55 @@ class TestMeshCollectives:
 
 
 class TestAxisVerifiers:
+    """The sanitizer on the funnel checks every axis view's rings."""
+
     def test_uniform_subgroups_verify_clean(self):
         mc = mesh_comm("pipe=2,tensor=2,data=2", 8)
-        verifier = LockstepVerifier.attach(mc)
-        mc.axis("data").allreduce([np.ones(4)] * 8, tag="g")
-        mc.axis("tensor").allreduce([np.ones(2)] * 8, tag="h")
-        verifier.check("test")
-        assert ring_counts(verifier, "data") == [1] * 4
-        assert ring_counts(verifier, "tensor") == [1] * 4
-        assert ring_counts(verifier, "pipe") == []
-
-    def test_member_count_divergence_detected(self):
-        mc = mesh_comm("pipe=1,tensor=2,data=2", 4)
-        verifier = LockstepVerifier.attach(mc)
-        mc.axis("data").allreduce([np.ones(2)] * 4, tag="g")
-        # Simulate a shard that issued one extra data-axis collective:
-        # member 1 of the first data subgroup records a fingerprint its
-        # peer never issues — on a real cluster they block forever.
-        verifier.axis_rings["data"][0].record(
-            1, "allreduce", "extra", (2,), "float64"
-        )
-        with pytest.raises(CollectiveMismatchError, match="block forever"):
-            verifier.check("test")
+        san = Sanitizer(mc)
+        with mc.timeline.scope("sync"):
+            mc.axis("data").allreduce([np.ones(4)] * 8, tag="g")
+            mc.axis("tensor").allreduce([np.ones(2)] * 8, tag="h")
+        san.finish()
+        assert san.collectives_checked == 2
 
     def test_subgroup_shapes_may_differ_across_groups(self):
         # Each model-parallel shard carries its own envelope: subgroup 0
-        # reduces (2, 2) while subgroup 1 reduces (3,), and both rings
-        # (plus the envelope-blind global stream) stay clean.
+        # reduces (2, 2) while subgroup 1 reduces (3,), and each ring is
+        # checked among its own members only.
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        verifier = LockstepVerifier.attach(mc)
+        san = Sanitizer(mc)
         groups = mc.mesh.groups("data")
         arrays: list[np.ndarray] = [None] * 4
         for r in groups[0].ranks:
             arrays[r] = np.ones((2, 2))
         for r in groups[1].ranks:
             arrays[r] = np.ones(3)
-        mc.axis("data").allreduce(arrays, tag="g")
-        assert verifier.check("test").verified == 1
-        assert ring_counts(verifier, "data") == [1, 1]
+        with mc.timeline.scope("sync"):
+            mc.axis("data").allreduce(arrays, tag="g")
+        san.finish()
+        assert san.collectives_checked == 1
 
     def test_ragged_allgather_is_legal(self):
         # allgatherv: member contributions may differ in length (the
-        # counts travel first on a real cluster) — must NOT diverge, on
-        # a subgroup ring or on the global stream of a one-ring world.
+        # counts travel first on a real cluster), on a subgroup ring or
+        # on the one ring of the whole world.
         mc = mesh_comm("pipe=2,tensor=1,data=2", 4)
-        verifier = LockstepVerifier.attach(mc)
+        san = Sanitizer(mc)
         arrays = [np.arange(r + 1) for r in range(4)]
-        mc.axis("data").allgather(arrays, tag="idx")
-        mc.allgather(arrays, tag="idx")
-        assert verifier.check("test").verified == 2
-        assert ring_counts(verifier, "data") == [1, 1]
+        with mc.timeline.scope("gather"):
+            mc.axis("data").allgather(arrays, tag="idx")
+            mc.allgather(arrays, tag="idx")
+        san.finish()
+        assert san.collectives_checked == 2
 
     def test_global_verifier_composes_with_mesh_ops(self):
         c = mesh_comm("pipe=2,tensor=2,data=2", 8)
-        flat = LockstepVerifier.attach(c)
-        c.axis("data").allreduce([np.ones((2, 3)) for _ in range(8)])
-        c.axis("tensor").allgather([np.arange(r + 1) for r in range(8)])
-        report = flat.check("test")
-        assert report.verified == 2
+        san = Sanitizer(c)
+        with c.timeline.scope("sync"):
+            c.axis("data").allreduce([np.ones((2, 3)) for _ in range(8)])
+            c.axis("tensor").allgather([np.arange(r + 1) for r in range(8)])
+        san.finish()
+        assert san.collectives_checked == 2
 
 
 class TestFaultComposition:

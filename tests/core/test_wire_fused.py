@@ -18,9 +18,9 @@ Three contracts are pinned here:
 import numpy as np
 import pytest
 
+from repro.analysis import Sanitizer
 from repro.cluster.collectives import allreduce_arrays, ring_allreduce_time
 from repro.cluster.communicator import CollectiveHook, Communicator
-from repro.cluster.lockstep import LockstepVerifier
 from repro.core.compression import Fp16Codec
 from repro.core.wire import (
     DeltaBitpackCodec,
@@ -217,13 +217,15 @@ class TestFusedAccounting:
         assert observed.count == len(hops)
         assert observed.sum == sum(r.end - r.start for r in hops)
 
-    def test_lockstep_verifier_accepts_fused_traffic(self):
+    def test_sanitizer_accepts_fused_traffic(self):
         comm = Communicator(4)
-        LockstepVerifier.attach(comm)
-        icompressed_allreduce(
-            comm, _floats(4, 256), codec=Fp16Codec(), chunk_bytes=512
-        ).wait()
-        comm.verifier.check("fused: end")
+        san = Sanitizer(comm)
+        with comm.timeline.scope("fused"):
+            icompressed_allreduce(
+                comm, _floats(4, 256), codec=Fp16Codec(), chunk_bytes=512
+            ).wait()
+        san.finish()
+        assert san.collectives_checked > 0
 
 
 class TestFusedScheduleEquivalence:

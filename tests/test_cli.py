@@ -157,20 +157,43 @@ class TestResilientTraining:
         out = capsys.readouterr().out
         assert "final world: 1" in out
 
-    def test_resilient_rejects_sanitize(self, capsys, monkeypatch, tmp_path):
-        """Refused like every other doomed pairing: before any corpus is
-        built, whether --resilient is explicit or implied by a plan."""
+    def test_resilient_composes_with_sanitize(self, capsys, tmp_path):
+        """The sanitizer rides the recovery loop, whether --resilient is
+        explicit (the demo plan's rank loss shrinks the world) or
+        implied by a plan file."""
+        from repro.cluster import FaultEvent, FaultKind, FaultPlan
+
+        plan_file = tmp_path / "plan.json"
+        FaultPlan(
+            [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
+                        rank=1, retries=1)],
+        ).save(plan_file)
+        base = ["train", "--gpus", "3", "--steps", "4", "--vocab", "80",
+                "--corpus-tokens", "5000", "--sanitize"]
+        for flags, world in ((["--resilient"], 2),
+                             (["--fault-plan", str(plan_file)], 3)):
+            assert main(base + flags) == 0
+            out = capsys.readouterr().out
+            assert "| sanitized" in out
+            assert f"final world: {world}" in out
+            assert "collectives checked, 0 violations" in out
+
+    def test_checkpoint_without_resilient_rejected(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """Nothing would write the file: refused before any corpus is
+        built, with one error line."""
 
         def no_corpus(*args, **kwargs):
             raise AssertionError("corpus built before flag validation")
 
         monkeypatch.setattr("repro.data.make_corpus", no_corpus)
-        base = ["train", "--gpus", "2", "--steps", "3", "--vocab", "80",
-                "--corpus-tokens", "5000", "--sanitize"]
-        for flags in (["--resilient"],
-                      ["--fault-plan", str(tmp_path / "plan.json")]):
-            assert main(base + flags) == 2
-            assert "mutually" in capsys.readouterr().err
+        ckpt = tmp_path / "ckpt.npz"
+        assert main(["train", "--steps", "2", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--checkpoint" in err
+        assert len(err.splitlines()) == 1
+        assert not ckpt.exists()
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["train"])
@@ -410,16 +433,14 @@ class TestVerifySpmd:
                    "--steps", "2"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "lockstep OK" in out
-        assert "0 divergences" in out
+        assert "sanitizer OK" in out
+        assert "0 violations" in out
 
-    def test_train_verify_spmd_flag(self, capsys):
-        rc = main(["train", "--gpus", "2", "--steps", "2", "--vocab", "60",
-                   "--corpus-tokens", "4000", "--verify-spmd"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "lockstep-verified" in out
-        assert "fingerprint-verified" in out
+    def test_train_no_longer_accepts_verify_spmd(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--verify-spmd"])
+        assert exc.value.code == 2
+        assert "--verify-spmd" in capsys.readouterr().err
 
 
 class TestTrainMesh:
@@ -437,10 +458,10 @@ class TestTrainMesh:
     def test_hybrid_mesh_with_axis_verification(self, capsys):
         rc = main(["train", "--gpus", "8", "--steps", "2", "--vocab", "60",
                    "--corpus-tokens", "4000",
-                   "--mesh", "pipe=2,tensor=2,data=", "--verify-spmd"])
+                   "--mesh", "pipe=2,tensor=2,data=", "--sanitize"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "per-axis mesh subgroups (data) verified" in out
+        assert "collectives checked, 0 violations" in out
 
     def test_bad_spec_is_a_parse_time_error(self, capsys):
         rc = main(self.BASE + ["--mesh", "pipe=3,data="])
@@ -474,11 +495,11 @@ class TestTrainMesh:
                    "--corpus-tokens", "4000",
                    "--mesh", "pipe=2,tensor=2,data=G/4", "--fp16",
                    "--wire-codec", "delta", "--overlap", "--fused-reduce",
-                   "--sanitize", "--verify-spmd"])
+                   "--sanitize"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "replica divergence: 0.0e+00" in out
-        assert "0 violations" in out and "0 divergences" in out
+        assert "0 violations" in out
 
     def test_baseline_on_trivial_mesh_moves_the_flat_baselines_bytes(
         self, capsys
@@ -600,13 +621,17 @@ class TestServeBench:
         ["zipf", "--tokens", "0"],
         ["train", "--vocab", "1"],
         ["train", "--corpus-tokens", "50"],
+        ["generate", "--temperature", "0"],
+        ["generate", "--length", "-3"],
+        ["generate", "--prompt", ""],
     ],
     ids=" ".join,
 )
 def test_bad_argument_exits_2_with_one_error_line(capsys, argv):
     """A bad value is a usage error, reported before any work starts."""
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing ran: no training, no report
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -7,7 +7,7 @@ The regression pins, per the mesh design:
   ``test_sync_composition.py``) — including the configured exchange
   strategy, which the mesh sync once ignored.
 * **Hybrid consistency**: a ``(2, 2, 2)`` world of 8 keeps its data
-  replicas bit-synchronized, verifies cleanly on every axis ring, and
+  replicas bit-synchronized, sanitizes cleanly on every axis ring, and
   charges pipeline/tensor traffic to the shared ledger.
 * **Elastic mesh shrink**: a rank loss collapses the data axis only
   (``(p, t, d) -> (p, t, d-1)``); ``data=1`` refuses to shrink.
@@ -16,12 +16,12 @@ The regression pins, per the mesh design:
 import numpy as np
 import pytest
 
+from repro.analysis import Sanitizer
 from repro.cluster import (
     ChaosCommunicator,
     FaultEvent,
     FaultKind,
     FaultPlan,
-    LockstepVerifier,
     TransientLinkError,
 )
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
@@ -129,18 +129,17 @@ class TestHybridMesh:
 
     def test_per_axis_verifiers_stay_clean(self):
         tr = word_trainer(world=8, mesh="pipe=2,tensor=2,data=")
-        verifier = LockstepVerifier.attach(tr.comm)
+        san = Sanitizer(tr.comm)
         for _ in range(3):
             tr.train_step()
-        verifier.check("test: end of run")
-        rings = verifier.axis_rings["data"]
-        assert len(rings) == 4
-        assert all(r.check("test").verified > 0 for r in rings)
+        san.finish()
+        assert san.collectives_checked == len(tr.comm.ledger.events) > 0
+        assert len(tr.comm.axis("data").groups) == 4
 
     def test_differential_chaos_transient_fault_is_survivable(
         self, tmp_path
     ):
-        """Acceptance: hybrid mesh + per-axis verifiers + chaos plan —
+        """Acceptance: hybrid mesh + sanitizer + chaos plan —
         a retried transient fault leaves the weights bit-identical to
         the fault-free arm."""
         world = 8
@@ -166,14 +165,14 @@ class TestHybridMesh:
             mesh="pipe=2,tensor=2,data=",
         )
         chaos_comm = ChaosCommunicator(world, plan=plan, track_memory=False)
-        verifier = LockstepVerifier.attach(chaos_comm)
+        san = Sanitizer(chaos_comm)
         runner = ResilientRunner(
             factory, cfg, tmp_path / "ckpt.npz", comm=chaos_comm,
             checkpoint_every=3,
         )
         faulted = runner.run(4)
-        verifier.check("test: after chaos")
-        assert verifier.axis_rings["data"]
+        san.finish()
+        assert san.collectives_checked > 0
         assert any(e.kind == "retry" for e in runner.events)
         # Pinned replay position: the step's one dense run (its
         # projection.weight member), five collectives per step.

@@ -1,14 +1,14 @@
 """One composition table for the gradient-sync switches.
 
 Every scheduling/transport switch — mesh, wire codec, overlap, fused
-reduce, sanitizer, lockstep verifier and the batched executor (both
-models qualify, so every cell below stacks its replicas while its
-reference runs the per-rank loop) — changes cost and never bits.  Rather than pin the
+reduce, sanitizer and the batched executor (both models qualify, so
+every cell below stacks its replicas while its reference runs the
+per-rank loop) — changes cost and never bits.  Rather than pin the
 switches pairwise, this table draws an **all-pairs** cover of
 
     mesh ∈ {None, "data=G", "pipe=2,tensor=2,data=G/4"}
   × wire_codec ∈ {None, "delta", "fp16", "fp16+entropy"}
-  × overlap × fused_reduce × observer ∈ {plain, sanitize, verify-spmd}
+  × overlap × fused_reduce × observer ∈ {plain, sanitize}
   × model ∈ {word, char}
 
 (plus the everything-at-once cell) and checks each cell against a single
@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import Sanitizer
-from repro.cluster import Communicator, LockstepVerifier
+from repro.cluster import Communicator
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD, Adam
 from repro.train import (
@@ -53,7 +53,7 @@ FACTORS = {
     "wire_codec": (None, "delta", "fp16", "fp16+entropy"),
     "overlap": (False, True),
     "fused_reduce": (False, True),
-    "observer": ("plain", "sanitize", "verify-spmd"),
+    "observer": ("plain", "sanitize"),
     "model": ("word", "char"),
 }
 EVERYTHING = (HYBRID, "fp16+entropy", True, True, "sanitize", "word")
@@ -100,11 +100,7 @@ def build(model, world, observer="plain", **overrides):
     comm = Communicator(world, track_memory=False)
     finish = lambda: None
     if observer == "sanitize":
-        comm = Sanitizer(comm, require_scope=True, lockstep=True)
-        finish = comm.finish
-    elif observer == "verify-spmd":
-        verifier = LockstepVerifier.attach(comm)
-        finish = lambda: verifier.check("end of run")
+        finish = Sanitizer(comm).finish
     cfg = TrainConfig(
         world_size=world,
         batch=BatchSpec(2, 6),

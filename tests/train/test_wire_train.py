@@ -93,7 +93,8 @@ class TestWireTrainerThreading:
         from repro.analysis.sanitizer import SanitizedWireCodec, Sanitizer
         from repro.cluster import Communicator
 
-        comm = Sanitizer(Communicator(2, track_memory=False))
+        comm = Communicator(2, track_memory=False)
+        Sanitizer(comm)
         t = word_trainer(2, comm=comm, wire_codec="delta")
         assert isinstance(t.wire.index_codec, SanitizedWireCodec)
         assert not isinstance(
