@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos test-mesh test-telemetry test-serve lint verify-spmd bench bench-smoke bench-wire bench-serve bench-sim dead-code examples results clean
+.PHONY: install test test-chaos test-mesh test-telemetry test-serve lint sanitize paper bench bench-smoke bench-wire bench-serve bench-sim dead-code examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -66,14 +66,26 @@ test-serve:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint src/repro
 
-# SPMD collective-matching verification (docs/SPMD_VERIFY.md): the
-# static REPRO010-012 taint pass over the library and benchmarks, a
-# dynamic fault-plan replay under the runtime Sanitizer
-# (train --resilient --sanitize), and the unit suites for both layers.
-verify-spmd:
-	PYTHONPATH=src $(PYTHON) -m repro.cli verify-spmd src/repro benchmarks
-	PYTHONPATH=src $(PYTHON) -m pytest -q \
-		tests/analysis/test_spmd_rules.py tests/analysis/test_sanitizer.py
+# Runtime checker (docs/CORRECTNESS.md): the Sanitizer's unit suite,
+# then a sanitized resilient run whose demo fault plan retries two
+# transient link faults and shrinks the world once under the checker.
+sanitize:
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/analysis/test_sanitizer.py
+	PYTHONPATH=src $(PYTHON) -m repro.cli train --gpus 3 --steps 8 \
+		--resilient --sanitize
+
+# The paper's figures and tables as a regression gate: the 12 benches
+# that check them run at full size (REPRO_BENCH_FAST cleared), keep
+# every shape assertion, and must rewrite their committed result files
+# byte for byte.
+PAPER_BENCHES = fig1_types_vs_tokens fig5_word_lm_accuracy fig6_ablation \
+	fig7_seeding fig8_char_lm_accuracy table1_datasets \
+	table3_word_lm_time table4_char_lm_time table5_tieba_weak_scaling \
+	amazon_comparison memory_worked_example ablation_compression_scaling
+paper:
+	PYTHONPATH=src REPRO_BENCH_FAST= $(PYTHON) -m pytest -q -p no:cacheprovider \
+		$(PAPER_BENCHES:%=benchmarks/bench_%.py) --benchmark-disable
+	git diff --exit-code benchmarks/results/
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -134,7 +146,6 @@ dead-code:
 	$(DEAD) -m repro.cli example > /dev/null
 	$(DEAD) -m repro.cli lint src/repro > /dev/null
 	$(DEAD) -m repro.cli lint --list-rules > /dev/null
-	$(DEAD) -m repro.cli verify-spmd src/repro benchmarks > /dev/null
 	$(DEAD) -m repro.cli serve-bench --requests 8 > /dev/null
 	$(DEAD) -m repro.cli serve-bench --model char --requests 8 --slo 0.05 > /dev/null
 	$(DEAD) -m repro.cli serve-bench --requests 8 --fault-plan $(DEAD_DIR)/plan.json --telemetry-dir $(DEAD_DIR)/tel-serve > /dev/null

@@ -17,8 +17,7 @@ from .engine import (
     register,
 )
 from . import rules  # noqa: F401  (import registers the rule set)
-from . import spmd_rules  # noqa: F401  (registers REPRO010-012)
-from . import mesh_rules  # noqa: F401  (registers REPRO013)
+from . import mesh_rules  # noqa: F401  (registers REPRO010)
 
 __all__ = [
     "PARSE_ERROR_ID",
@@ -32,5 +31,4 @@ __all__ = [
     "register",
     "mesh_rules",
     "rules",
-    "spmd_rules",
 ]

@@ -84,7 +84,7 @@ class ModuleSource:
     @classmethod
     def parse(cls, path: Path, text: str | None = None) -> "ModuleSource":
         if text is None:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
         return cls(path=path, text=text, tree=tree, noqa=_scan_noqa(text))
 
@@ -219,16 +219,14 @@ class LintEngine:
         try:
             module = ModuleSource.parse(p)
         except SyntaxError as exc:
-            return [
-                Finding(
-                    path=str(p),
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    rule_id=PARSE_ERROR_ID,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ]
-        return self.lint_module(module)
+            line, col = exc.lineno or 1, (exc.offset or 1) - 1
+            message = f"file does not parse: {exc.msg}"
+        except UnicodeDecodeError as exc:
+            line, col = 1, 0
+            message = f"file is not UTF-8: {exc.reason} at byte {exc.start}"
+        else:
+            return self.lint_module(module)
+        return [Finding(str(p), line, col, PARSE_ERROR_ID, message)]
 
     def lint_paths(self, paths: Iterable[str | Path]) -> list[Finding]:
         findings: list[Finding] = []

@@ -1,4 +1,4 @@
-"""Mesh-discipline rule, ``REPRO013``.
+"""Mesh-discipline rule, ``REPRO010``.
 
 With the :mod:`repro.cluster.mesh` abstraction in place, code that
 partitions or enumerates ranks by hand — ``range(world_size)`` and
@@ -6,7 +6,7 @@ friends — is a liability: it bakes in the flat-world assumption that a
 hybrid ``(pipe, tensor, data)`` run breaks, and it duplicates the
 axis→rank arithmetic :meth:`~repro.cluster.mesh.DeviceMesh.groups`
 already centralizes (row-major, last axis fastest — easy to get wrong
-by hand).  ``REPRO013`` flags every ``range(...)`` whose bound is
+by hand).  ``REPRO010`` flags every ``range(...)`` whose bound is
 derived from a ``world_size`` so new code reaches for the mesh instead.
 
 Escape hatch
@@ -14,9 +14,9 @@ Escape hatch
 Plenty of rank loops are *legitimately* flat: SPMD driver loops that
 charge every simulated rank, per-rank device construction, supervisor
 bookkeeping.  Annotate those with ``# mesh-ok: <reason>`` on the
-flagged line (or the enclosing ``def`` line) — like ``# spmd-ok``, the
-marker documents *why* the flat enumeration is correct.  The bare
-``# noqa: REPRO013`` also works but records nothing.
+flagged line (or the enclosing ``def`` line); the marker documents
+*why* the flat enumeration is correct.  The bare
+``# noqa: REPRO010`` also works but records nothing.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def _def_lines(tree: ast.Module) -> dict[int, tuple[int, int]]:
 
 @register
 class MeshRankLoopRule(Rule):
-    """REPRO013: rank partitioning belongs to the device mesh."""
+    """REPRO010: rank partitioning belongs to the device mesh."""
 
-    rule_id = "REPRO013"
+    rule_id = "REPRO010"
     title = "hand-rolled rank enumeration outside the device mesh"
     rationale = (
         "`range(world_size)` hard-codes the flat-world rank layout; on a "

@@ -1,9 +1,7 @@
 """The core rule set, ``REPRO001``–``REPRO009``.
 
-The SPMD collective-matching rules ``REPRO010``–``REPRO012`` live in
-:mod:`.spmd_rules` (they need the taint layer of
-:mod:`repro.analysis.spmd`).  Definitions here are kept sorted by rule
-id — registration order is the registry's iteration order, and the
+The mesh rule ``REPRO010`` lives in :mod:`.mesh_rules`.  Definitions
+here are kept sorted by rule id — registration order is the registry's iteration order, and the
 ID-ordering test in ``tests/analysis/test_lint_engine.py`` enforces it.
 
 Each rule guards an invariant the paper's experiments depend on; the

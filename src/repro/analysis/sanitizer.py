@@ -33,8 +33,7 @@ The async engine adds two failure modes of its own, covered here:
   counterpart is lint rule REPRO007);
 * **in-flight mutation** — every payload buffer is hashed when its
   collective is issued and re-hashed at its first ``wait()``; a write in
-  between raises :class:`InFlightMutationError` (the static counterpart
-  is lint rule REPRO012).  Buffers longer than two
+  between raises :class:`InFlightMutationError`.  Buffers longer than two
   :data:`SAMPLE_BYTES` windows are hashed on their head and tail only,
   and a fused run member by member.
 
@@ -117,8 +116,7 @@ class InFlightMutationError(SanitizerError):
 
     The collective captured the payload by reference; on real hardware
     the NIC may read either the old or the new value.  Raised by the
-    :class:`Sanitizer`'s issue/wait buffer-hash check at ``wait()`` —
-    the dynamic counterpart of lint rule REPRO012.
+    :class:`Sanitizer`'s issue/wait buffer-hash check at ``wait()``.
     """
 
 
@@ -269,8 +267,7 @@ class Sanitizer(CollectiveHook):
                     f"rank {rank}'s buffer for `{handle.op}` "
                     f"(tag={handle.tag!r}) was mutated between issue and "
                     "wait(): the in-flight transfer may read either value "
-                    "— wait() before writing, or stage into a copy "
-                    "(static counterpart: lint rule REPRO012)"
+                    "— wait() before writing, or stage into a copy"
                 )
 
     def _validate_ring(

@@ -10,8 +10,6 @@ Subcommands::
     python -m repro.cli serve-bench [--model word --gpus 4 --requests 48
                                      --slo 0.5 --fault-plan plan.json]
     python -m repro.cli trace    TELEMETRY_DIR [--out trace.json]
-    python -m repro.cli verify-spmd [paths ... --gpus 4 --steps 8
-                                     --fault-plan plan.json]
 
 Every command prints the same rows the corresponding paper table or
 figure reports; heavy lifting is delegated to the library so the CLI is
@@ -141,29 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--list-rules", action="store_true",
                         help="describe the registered rules and exit")
 
-    p_verify = sub.add_parser(
-        "verify-spmd",
-        help="two-layer SPMD collective-matching verification: static "
-        "rank-divergence lint (REPRO010-012) plus a dynamic replay of "
-        "a fault plan under the runtime sanitizer",
-    )
-    p_verify.add_argument("paths", nargs="*", default=["src/repro"],
-                          help="files or directories for the static pass "
-                          "(default: src/repro)")
-    p_verify.add_argument("--gpus", type=int, default=4,
-                          help="world size for the dynamic replay")
-    p_verify.add_argument("--steps", type=int, default=8,
-                          help="training steps for the dynamic replay")
-    p_verify.add_argument("--fault-plan", default=None, metavar="FILE",
-                          help="JSON FaultPlan to replay under the "
-                          "sanitizer (default: train --resilient's demo "
-                          "plan)")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--static-only", action="store_true",
-                          help="skip the dynamic sanitized replay")
-    p_verify.add_argument("--dynamic-only", action="store_true",
-                          help="skip the static taint lint")
-
     p_serve = sub.add_parser(
         "serve-bench",
         help="continuous-batching inference benchmark: Zipfian/bursty "
@@ -242,13 +217,43 @@ def _cmd_zipf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_train_args(args: argparse.Namespace, cfg) -> None:
+def _load_fault_plan(path: str, world_size: int):
+    """The ``--fault-plan`` file at ``path``, checked against ``--gpus``.
+
+    A missing or unreadable file and an event naming a rank outside the
+    ``world_size``-rank world raise a :class:`~repro.errors.ConfigError`;
+    a file that is not a plan raises ``FaultPlan.load``'s
+    :class:`~repro.errors.FormatError`.
+    """
+    from repro.cluster import FaultPlan
+    from repro.errors import ConfigError
+
+    try:
+        plan = FaultPlan.load(path)
+    except OSError as exc:
+        raise ConfigError(
+            f"--fault-plan {path}: {exc.strerror or exc}"
+        ) from exc
+    for event in plan.events:
+        if event.rank >= world_size:
+            raise ConfigError(
+                f"--fault-plan {path}: the {event.kind.value} event at "
+                f"collective {event.collective_index} names rank "
+                f"{event.rank}, but --gpus {world_size} has ranks "
+                f"0..{world_size - 1}"
+            )
+    return plan
+
+
+def _validate_train_args(args: argparse.Namespace, cfg):
     """What ``TrainConfig`` cannot know about a ``train`` invocation.
 
-    Raises a :class:`~repro.errors.ConfigError` with an actionable
-    message unless the combination is runnable.  Everything about the
-    run description itself (world size, wire spec, mesh) was already
-    validated by ``TrainConfig.__post_init__``.
+    Raises a :class:`~repro.errors.ConfigError` (or a ``FormatError``
+    for a malformed ``--fault-plan``) with an actionable message unless
+    the combination is runnable, and returns the loaded fault plan (None
+    without ``--fault-plan``).  Everything about the run description
+    itself (world size, wire spec, mesh) was already validated by
+    ``TrainConfig.__post_init__``.
     """
     from repro.errors import ConfigError
 
@@ -271,6 +276,9 @@ def _validate_train_args(args: argparse.Namespace, cfg) -> None:
             f"data=1 leaves nothing to collapse; use data>=2 or drop "
             f"--resilient"
         )
+    if args.fault_plan is None:
+        return None
+    return _load_fault_plan(args.fault_plan, args.gpus)
 
 
 def _wire_spec(args: argparse.Namespace) -> str | None:
@@ -338,7 +346,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             fused_reduce=args.fused_reduce,
             mesh=args.mesh,
         )
-        _validate_train_args(args, cfg)
+        plan = _validate_train_args(args, cfg)
         preset = (ONE_BILLION_WORD if is_word else TIEBA).scaled(args.vocab)
         if is_word:
             model_cfg = WordLMConfig(
@@ -380,8 +388,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
         session = TelemetrySession(args.telemetry_dir)
 
-    if args.resilient or args.fault_plan is not None:
-        return _run_resilient(args, cfg, make_trainer, session)
+    if args.resilient or plan is not None:
+        return _run_resilient(args, cfg, make_trainer, plan, session)
 
     from repro.cluster import Communicator
 
@@ -421,17 +429,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_resilient(args: argparse.Namespace, cfg, make_trainer,
+def _run_resilient(args: argparse.Namespace, cfg, make_trainer, plan,
                    session=None) -> int:
-    """The ``train --resilient`` path: supervised recovery over a fault plan."""
+    """The ``train --resilient`` path: supervised recovery over a fault plan.
+
+    ``plan`` is the validated ``--fault-plan``, or None for the demo plan.
+    """
     import tempfile
 
     from repro.cluster import ChaosCommunicator, FaultEvent, FaultKind, FaultPlan
     from repro.train import ResilientRunner, max_replica_divergence, perplexity
 
-    if args.fault_plan is not None:
-        plan = FaultPlan.load(args.fault_plan)
-    else:
+    if plan is None:
         # Demo plan: two transient link faults early, one permanent rank
         # loss mid-run (skipped on a single-GPU world, which cannot shrink).
         events = [
@@ -631,56 +640,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-_SPMD_RULES = ["REPRO010", "REPRO011", "REPRO012"]
-
-
-def _cmd_verify_spmd(args: argparse.Namespace) -> int:
-    """Two-layer SPMD verification: static taint lint + sanitized replay.
-
-    The static pass runs only the rank-divergence rules (REPRO010–012)
-    over the given paths; the dynamic pass *is* a miniature
-    ``train --resilient --sanitize`` run — a fault plan replayed with
-    the :class:`~repro.analysis.sanitizer.Sanitizer` on the funnel, so a
-    mismatched envelope or an in-flight buffer write surfaces as an
-    immediate error.  Exit code 1 on any finding or violation, 0 when
-    both layers are clean.
-    """
-    from repro.analysis import (
-        LintEngine,
-        SanitizerError,
-        default_rules,
-        format_findings,
-    )
-
-    if args.static_only and args.dynamic_only:
-        return _fail("--static-only and --dynamic-only are mutually exclusive")
-    rc = 0
-    if not args.dynamic_only:
-        missing = [p for p in args.paths if not Path(p).exists()]
-        if missing:
-            return _fail(f"no such path: {', '.join(missing)}")
-        findings = LintEngine(default_rules(_SPMD_RULES)).lint_paths(args.paths)
-        print(f"static ({', '.join(_SPMD_RULES)} over "
-              f"{', '.join(args.paths)}): {format_findings(findings)}")
-        if findings:
-            rc = 1
-    if not args.static_only:
-        replay = ["train", "--resilient", "--sanitize", "--vocab", "120",
-                  "--corpus-tokens", "8000", "--gpus", str(args.gpus),
-                  "--steps", str(args.steps), "--seed", str(args.seed)]
-        if args.fault_plan is not None:
-            replay += ["--fault-plan", args.fault_plan]
-        try:
-            dynamic = _cmd_train(build_parser().parse_args(replay))
-        except SanitizerError as exc:
-            print(f"dynamic: SANITIZER VIOLATION — {exc}", file=sys.stderr)
-            return 1
-        if dynamic == 0:
-            print("dynamic: sanitizer OK")
-        rc = max(rc, dynamic)
-    return rc
-
-
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     """Serve a deterministic traffic stream; print the latency story.
 
@@ -691,7 +650,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     goodput under SLO, and the cache/recovery counters.
     """
     from repro.cluster.communicator import Communicator
-    from repro.cluster.failures import ChaosCommunicator, FaultPlan
+    from repro.cluster.failures import ChaosCommunicator
     from repro.errors import ConfigError
     from repro.serve import (
         ArrivalSpec,
@@ -751,7 +710,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             prefill_token_s=5e-4,
         )
         if args.fault_plan is not None:
-            plan = FaultPlan.load(args.fault_plan)
+            plan = _load_fault_plan(args.fault_plan, args.gpus)
             comm = ChaosCommunicator(args.gpus, plan=plan)
         else:
             comm = Communicator(args.gpus)
@@ -889,7 +848,6 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "example": _cmd_example,
     "lint": _cmd_lint,
-    "verify-spmd": _cmd_verify_spmd,
     "serve-bench": _cmd_serve_bench,
     "trace": _cmd_trace,
 }

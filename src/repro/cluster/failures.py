@@ -292,10 +292,17 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; malformed input is a ``FormatError``."""
+        """Inverse of :meth:`to_dict`; malformed input is a ``FormatError``.
+
+        ``events`` is required and ``seed`` optional; any other key means
+        the input is not a plan.
+        """
         try:
+            unknown = sorted(set(data) - {"seed", "events"})
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
             return cls(
-                events=[FaultEvent.from_dict(e) for e in data.get("events", [])],
+                events=[FaultEvent.from_dict(e) for e in data["events"]],
                 seed=int(data.get("seed", 0)),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as err:
@@ -360,7 +367,7 @@ class FaultReplay(CollectiveHook):
         self._fired: set[int] = set()
         self.injected: list[tuple[int, str, FaultEvent]] = []
 
-    def pre_issue(self, comm, op: str, tag: str, arrays) -> None:  # spmd-ok: chaos injection is deliberately rank-divergent — the plan kills/delays specific ranks by design
+    def pre_issue(self, comm, op: str, tag: str, arrays) -> None:
         """Consult the plan; a passing issue advances the counter."""
         index = self.collectives_issued
         for i, ev in enumerate(self.plan.events):

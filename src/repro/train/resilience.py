@@ -328,7 +328,7 @@ class ResilientRunner:
         instead of silently re-cutting model shards.
         """
         old_config = self.trainer.config
-        if not 0 <= failed_rank < old_config.world_size:  # spmd-ok: supervisor-side validation — the failed rank's identity is the input, not divergent control flow
+        if not 0 <= failed_rank < old_config.world_size:
             raise ValueError(
                 f"failed_rank {failed_rank} out of range for world "
                 f"{old_config.world_size}"

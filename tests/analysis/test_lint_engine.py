@@ -22,10 +22,13 @@ class TestEngine:
         assert findings[0].path == "mod.py"
 
     def test_syntax_error_becomes_parse_finding(self, tmp_path):
-        bad = tmp_path / "broken.py"
-        bad.write_text("def f(:\n")
-        findings = LintEngine().lint_file(bad)
-        assert [f.rule_id for f in findings] == [PARSE_ERROR_ID]
+        # A syntax error, and a UTF-16 file that is not UTF-8 at all.
+        for name, data in (("broken.py", b"def f(:\n"),
+                           ("utf16.py", b"\xff\xfex\x00=\x001\x00")):
+            bad = tmp_path / name
+            bad.write_bytes(data)
+            findings = LintEngine().lint_file(bad)
+            assert [f.rule_id for f in findings] == [PARSE_ERROR_ID]
 
     def test_directory_walk_skips_pycache(self, tmp_path):
         (tmp_path / "pkg").mkdir()
@@ -61,11 +64,11 @@ class TestNoqa:
 class TestRegistry:
     def test_default_rules_cover_the_documented_set(self):
         ids = [r.rule_id for r in default_rules()]
-        assert ids == [f"REPRO{i:03d}" for i in range(1, 14)]
+        assert ids == [f"REPRO{i:03d}" for i in range(1, 11)]
 
     def test_registry_is_id_ordered_with_no_gaps_or_duplicates(self):
         # Registration order == definition order; keeping it sorted
-        # (and dense) is what lets the docs say "REPRO001-REPRO012"
+        # (and dense) is what lets the docs say "REPRO001-REPRO010"
         # and the engine docstring pick a non-clashing example id.
         ids = [rid for rid in RULE_REGISTRY if rid.startswith("REPRO")]
         assert ids == sorted(ids), "rule definitions drifted out of ID order"

@@ -311,7 +311,7 @@ class TestAsyncHandles:
 
 
 class TestInFlightMutation:
-    """A buffer written between an ``i*`` issue and its wait (REPRO012)."""
+    """A buffer written between an ``i*`` issue and its wait."""
 
     @staticmethod
     def issue(shape=(8,)):
@@ -324,12 +324,12 @@ class TestInFlightMutation:
 
     def test_write_between_issue_and_wait_raises(self):
         _, arrays, handle = self.issue()
-        arrays[0][1] = 99.0  # spmd-ok: deliberate race to prove detection
+        arrays[0][1] = 99.0
         with pytest.raises(InFlightMutationError) as exc:
             handle.wait()
         msg = str(exc.value)
         assert "rank 0" in msg and "mutated between issue and wait" in msg
-        assert "REPRO012" in msg
+        assert "wait() before writing" in msg
 
     def test_clean_wait_passes_and_clears_inflight(self):
         san, _, handle = self.issue()
@@ -341,7 +341,7 @@ class TestInFlightMutation:
     def test_tail_write_is_caught(self):
         # Well past two sample windows: only the head and tail are hashed.
         san, arrays, handle = self.issue(shape=(4096,))
-        arrays[1][-1] = 123.0  # spmd-ok: tail write inside the sample window
+        arrays[1][-1] = 123.0
         with pytest.raises(InFlightMutationError, match="rank 1"):
             handle.wait()
 
@@ -350,7 +350,7 @@ class TestInFlightMutation:
         runs = [FusedRun(a=np.ones(4), b=np.ones(3)) for _ in range(2)]
         with comm.timeline.scope("sync"):
             handle = comm.iallreduce(runs, tag="a+b:dense")
-        runs[1]["b"][2] += 1.0  # spmd-ok: deliberate race in a member
+        runs[1]["b"][2] += 1.0
         with pytest.raises(InFlightMutationError, match="rank 1"):
             handle.wait()
 

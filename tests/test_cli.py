@@ -388,61 +388,6 @@ class TestTelemetry:
             assert len(err.splitlines()) == 1
 
 
-class TestVerifySpmd:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["verify-spmd"])
-        assert args.paths == ["src/repro"]
-        assert args.gpus == 4 and args.steps == 8
-        assert not args.static_only and not args.dynamic_only
-
-    def test_static_pass_on_clean_source(self, capsys, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text(
-            "def step(comm, world, grads):\n"
-            "    for rank in range(world):\n"
-            "        grads[rank] *= 1.0 / world\n"
-            "    comm.allreduce(grads)\n"
-        )
-        rc = main(["verify-spmd", str(clean), "--static-only"])
-        assert rc == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_static_pass_flags_divergent_mutant(self, capsys, tmp_path):
-        mutant = tmp_path / "mutant.py"
-        mutant.write_text(
-            "def step(comm, rank, grads):\n"
-            "    if rank == 0:\n"
-            "        comm.allreduce(grads)\n"
-        )
-        rc = main(["verify-spmd", str(mutant), "--static-only"])
-        assert rc == 1
-        assert "REPRO010" in capsys.readouterr().out
-
-    def test_missing_path_errors(self, capsys, tmp_path):
-        rc = main(["verify-spmd", str(tmp_path / "nope.py"), "--static-only"])
-        assert rc == 2
-        assert "no such path" in capsys.readouterr().err
-
-    def test_exclusive_layer_flags_rejected(self, capsys):
-        rc = main(["verify-spmd", "--static-only", "--dynamic-only"])
-        assert rc == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_dynamic_replay_smoke(self, capsys):
-        rc = main(["verify-spmd", "--dynamic-only", "--gpus", "2",
-                   "--steps", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "sanitizer OK" in out
-        assert "0 violations" in out
-
-    def test_train_no_longer_accepts_verify_spmd(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--verify-spmd"])
-        assert exc.value.code == 2
-        assert "--verify-spmd" in capsys.readouterr().err
-
-
 class TestTrainMesh:
     """`train --mesh`: parse-time validation and end-to-end smoke."""
 
@@ -635,6 +580,52 @@ def test_bad_argument_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+BAD_FAULT_PLANS = {
+    "missing": None,
+    "not-json": "seed: 0",
+    "rank-outside-world": '{"events": [{"kind": "rank_loss", '
+                          '"collective_index": 3, "rank": 9}]}',
+    "not-a-plan": '{"not": "a plan"}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--gpus", "2", "--steps", "4"],
+        ["serve-bench", "--gpus", "2", "--requests", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_fault_plan_exits_2_before_any_model_is_built(
+    capsys, monkeypatch, tmp_path, argv
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("corpus or model built before the plan check")
+
+    monkeypatch.setattr("repro.data.make_corpus", no_work)
+    monkeypatch.setattr("repro.train.word_lm.WordLanguageModel", no_work)
+    for name, text in BAD_FAULT_PLANS.items():
+        plan_file = tmp_path / f"{name}.json"
+        if text is not None:
+            plan_file.write_text(text)
+        assert main(argv + ["--fault-plan", str(plan_file)]) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "", name
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, name
+
+
+def test_retired_spmd_surface_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-spmd"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify-spmd'" in capsys.readouterr().err
+    assert main(["lint", "--rules", "REPRO011"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown rule ids: ['REPRO011']")
+    assert err.rstrip().endswith("REPRO009, REPRO010)")
 
 
 def test_cache_budget_below_one_batch_exits_2(capsys):

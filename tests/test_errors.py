@@ -86,6 +86,7 @@ FORMAT_ERRORS = {
     "delta-payload-cut": lambda: decode_frames(DELTA[:15], np.int64),
     "entropy-payload-cut": lambda: decode_frames(ENTROPY[:40], np.int64),
     "plan-not-an-object": lambda: FaultPlan.from_dict([]),
+    "plan-not-a-plan": lambda: FaultPlan.from_dict({"not": "a plan"}),
     "plan-missing-key": lambda: plan({"kind": "rank_loss"}),
     "plan-unknown-kind": lambda: plan({"kind": "meteor", "collective_index": 0}),
     "plan-bad-event": lambda: plan({"kind": "rank_loss", "collective_index": -1}),
