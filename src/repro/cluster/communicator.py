@@ -415,7 +415,7 @@ class Communicator:
         arrays: Sequence[np.ndarray],
         tag: str = "",
         payload_bytes: int | None = None,
-        stacked: Sequence[np.ndarray] | dict[str, np.ndarray] | None = None,
+        stacked: Sequence | None = None,
         rows: Sequence | None = None,
     ) -> WorkHandle:
         """Non-blocking sum-allreduce; ring algorithm cost model.
@@ -446,16 +446,18 @@ class Communicator:
         accounting still see the full per-rank arrays.
 
         Ranks may bring :class:`~repro.cluster.collectives.FusedRun`
-        payloads (``stacked`` then maps member names to blocks): one
-        record per run, whose ring receives its flat sum.
+        payloads: one record per run, whose ring receives its flat sum.
+        Each ring's ``stacked`` and ``rows`` entries are then dicts from
+        member names to that member's block and row sets.
         """
         self._pre_issue("allreduce", tag, arrays)
 
         def reduce(sub: list, ring: int) -> list:
-            if stacked is None or isinstance(stacked, dict):
-                return coll.allreduce_arrays(sub, stacked=stacked)
-            held = None if rows is None else rows[ring]
-            return coll.allreduce_arrays(sub, stacked=stacked[ring], rows=held)
+            return coll.allreduce_arrays(
+                sub,
+                stacked=None if stacked is None else stacked[ring],
+                rows=None if rows is None else rows[ring],
+            )
 
         nbytes = self._ring_bytes(arrays)
         return self._ring_collective(

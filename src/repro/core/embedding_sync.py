@@ -27,21 +27,30 @@ a ``(1, 1, G)`` mesh and a ``pipe x tensor x data`` mesh execute the
 same code, and wire codecs, the fused ring and the sanitizer compose
 with all three.
 
-One loop, two schedules, and one fused allreduce per maximal run of
-consecutive dense-only parameters (§V-B: latency per run, not per
-tensor).  Blocking (``overlap=False``) is "issue one, drain one": each
-collective completes before the next is issued.  ``overlap=True`` is
-"issue all, then drain": parameters are walked in reverse registration
-order (the order backward produces gradients), every collective is
-issued first — dense runs interleaved with the sparse exchanges' first
-stage — and only then are the waits drained, so collectives queue up on
-the comm stream while later parameters are still being issued.
-Numerics are identical either way; only the simulated timeline differs.
+One loop, two schedules.  Each maximal run of consecutive dense-only
+parameters is one allreduce payload (§V-B: latency per run, not per
+tensor), and so is each unique exchange's step-6 value matrix.
+Blocking (``overlap=False``) is "issue one, drain one": each index
+gather completes before the next collective is issued, and then the
+step's allreduce payloads go as **one stage** — packed, in registration
+order, into as few allreduces as the step's own largest scratch allows
+(see :func:`_pack`), each paying the ring's ``2(G-1)α`` latency once.
+``overlap=True`` is "issue all, then drain": parameters are walked in
+reverse registration order (the order backward produces gradients),
+every collective whose payload exists is issued first — dense runs
+interleaved with the sparse exchanges' index gathers — and only then
+are the waits drained, each value matrix being issued alone as its
+gather drains, so collectives queue up on the comm stream while later
+parameters are still being issued.  Packing would hold a dense run back
+until a gather drained, so the overlapped schedule issues each payload
+alone.  Numerics are identical either way — every member of a pack is
+folded alone — only the simulated timeline differs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +58,7 @@ from ..cluster.collectives import FusedRun
 from ..cluster.communicator import Communicator
 from ..nn.module import Module
 from ..nn.parameter import Parameter, SparseGrad
-from .compression import encode_stacked
+from .compression import WireCodec, encode_stacked
 from .mesh_exchange import (
     shard_dense,
     shard_sparse,
@@ -57,6 +66,7 @@ from .mesh_exchange import (
     unshard_sparse,
 )
 from .sparse_exchange import AllGatherExchange, ExchangeStrategy
+from .unique import StagedValues
 from .wire.fused import icompressed_allreduce
 from .wire.policy import WirePolicy
 
@@ -81,6 +91,70 @@ def concat_token_grads(param: Parameter) -> SparseGrad | None:
     indices = np.concatenate([s.indices for s in param.sparse_grads])
     values = np.concatenate([s.values for s in param.sparse_grads])
     return SparseGrad(indices=indices, values=values)
+
+
+@dataclass
+class _Allreduce:
+    """One allreduce payload of a sync step, as it would go alone.
+
+    ``build()`` returns ``(arrays, stacked, rows)``: one
+    :class:`~repro.cluster.collectives.FusedRun` per flat rank (in the
+    wire dtype ``dtype`` unless the fused ring encodes it) and, per
+    ring, the member blocks and row sets the fold may use.  A value
+    matrix is built only then, so a step holds the matrices of the
+    allreduce it is sending, not all of them.  ``ring_bytes`` and
+    ``logical_bytes`` are each ring's per-rank message as sent and
+    before the value codec.  ``values`` marks a unique exchange's value
+    matrices (else a dense run), and ``charged`` is the largest per-rank
+    scratch the payload's own collectives charge — its index gather's
+    too; 0 on the fused ring, whose hop buffers are not sized here.
+    ``finish`` lands the per-rank sums.
+    """
+
+    scope: str
+    tag: str
+    build: Callable[[], tuple[list[FusedRun], list[dict], list[dict]]]
+    dtype: np.dtype
+    codec: WireCodec | None
+    values: bool
+    ring_bytes: tuple[int, ...]
+    logical_bytes: tuple[int, ...]
+    fused: bool
+    charged: int
+    finish: Callable[[list[np.ndarray]], None]
+
+
+def _pack(payloads: list[_Allreduce]) -> list[list[_Allreduce]]:
+    """One step's allreduce payloads, packed next-fit in their order.
+
+    Packing is what value matrices do: a payload joins the open pack
+    only if it or the pack's last payload is a value matrix, so two
+    dense runs the walk cut apart (a tied parameter's own dense grad, a
+    baseline exchange between them) stay apart.  A pack also closes
+    when the next payload differs from it in dtype, value codec or
+    transport (the fused ring carries each dense run alone), or when
+    adding the payload would take the pack's per-rank bytes past the
+    largest scratch any single collective of the step charges.  So
+    packing never raises the step's peak footprint, and the cap comes
+    from the step itself.
+    """
+    cap = max((p.charged for p in payloads), default=0)
+    packs: list[list[_Allreduce]] = []
+    for p in payloads:
+        last = packs[-1] if packs else []
+        rings = zip(p.ring_bytes, *(q.ring_bytes for q in last))
+        if (
+            last
+            and (p.values or last[-1].values)
+            and not (p.fused or last[0].fused)
+            and p.dtype == last[0].dtype
+            and p.codec == last[0].codec
+            and max(map(sum, rings)) <= cap
+        ):
+            last.append(p)
+        else:
+            packs.append([p])
+    return packs
 
 
 class GradientSynchronizer:
@@ -142,7 +216,30 @@ class GradientSynchronizer:
     def _issue_dense(
         self, run: dict[str, list[Parameter]], tag: str
     ) -> Callable[[], None]:
-        """Issue one fused allreduce of a dense run; return its finisher.
+        """Issue one dense run's allreduce alone; return its finisher."""
+        return self._issue([self._dense(run, tag, tag)])
+
+    def _issue_sparse(
+        self, params: list[Parameter], tag: str
+    ) -> Callable[[], None]:
+        """Start one sparse exchange; return the finisher that applies it.
+
+        The finisher issues the exchange's value allreduce (if it has
+        one) alone, as soon as the index gather has drained.
+        """
+        stage = self._exchange(params, tag)
+
+        def finish() -> None:
+            values = stage()
+            if values is not None:
+                self._issue([values])()
+
+        return finish
+
+    def _dense(
+        self, run: dict[str, list[Parameter]], tag: str, scope: str
+    ) -> _Allreduce:
+        """The allreduce payload of one dense run, ready to issue.
 
         ``run`` maps member names to their replicas' parameters; each
         replica's grads travel as one
@@ -181,35 +278,15 @@ class GradientSynchronizer:
             if self.wire is None
             else self.wire.resolve_value_codec(arrays, data)
         )
+        logical = tuple(arrays[ranks[0]].nbytes for ranks in data.groups)
         fused = self.fused_reduce
-        if fused:
-            handle = icompressed_allreduce(
-                data,
-                arrays,
-                codec=codec,
-                tag=tag,
-                chunk_bytes=(
-                    self.wire.chunk_bytes if self.wire is not None else None
-                ),
-                stacked=stacked,
-            )
-        else:
-            payload_bytes = None
-            if codec is not None:
-                payload_bytes = max(
-                    arrays[ranks[0]].nbytes for ranks in data.groups
-                )
-                arrays, stacked = encode_stacked(codec, arrays, stacked)
-            handle = data.iallreduce(
-                arrays,
-                tag=tag,
-                payload_bytes=payload_bytes,
-                stacked=stacked,
-            )
+        if codec is not None and not fused:  # the fused ring encodes
+            arrays, stacked = encode_stacked(codec, arrays, stacked)
+        sizes = tuple(arrays[ranks[0]].nbytes for ranks in data.groups)
 
-        def finish() -> None:
+        def finish(sums: list[np.ndarray]) -> None:
             # Each shard group's one shared result is read once.
-            reduced = unshard_dense(handle.wait(), data.groups)
+            reduced = unshard_dense(sums, data.groups)
             if codec is not None and not fused:  # the fused ring decodes
                 reduced = codec.decode(reduced, dtype)
             flat, offset = reduced / len(runs), 0
@@ -219,15 +296,154 @@ class GradientSynchronizer:
                 for p in params:
                     p.grad = grad
 
+        rings = len(data.groups)
+        return _Allreduce(
+            scope=scope,
+            tag=tag,
+            build=lambda: (arrays, [stacked or {}] * rings, [{}] * rings),
+            dtype=arrays[0].dtype,
+            codec=codec,
+            values=False,
+            ring_bytes=sizes,
+            logical_bytes=logical,
+            fused=fused,
+            charged=0 if fused else max(sizes),
+            finish=finish,
+        )
+
+    def _values(
+        self, params: list[Parameter], scope: str, staged: StagedValues
+    ) -> _Allreduce:
+        """The allreduce payload of one exchange's staged value matrices.
+
+        Each rank brings its aligned matrix as the one member
+        ``"{name}:values"`` — apart from a tied parameter's dense member
+        of the same name — with its ring's block and row sets, so the
+        fold restacks nothing and skips the zero padding.
+        """
+        data = self.comm.axis("data")
+        key = staged.tag
+        shapes: list[tuple[int, ...]] = []
+
+        def build() -> tuple[list[FusedRun], list[dict], list[dict]]:
+            arrays, blocks, rows = staged.align()
+            shapes.extend(b.shape[1:] for b in blocks)
+            return (
+                [FusedRun({key: a}) for a in arrays],
+                [{key: b} for b in blocks],
+                [{key: r} for r in rows],
+            )
+
+        def finish(sums: list[np.ndarray]) -> None:
+            self._apply_sparse(
+                params,
+                staged.complete(
+                    data.by_group(
+                        sums,
+                        lambda ring, i: [ring[0].reshape(shapes[i])]
+                        * len(ring),
+                    )
+                ),
+            )
+
+        return _Allreduce(
+            scope=scope,
+            tag=key,
+            build=build,
+            dtype=staged.dtype,
+            codec=staged.codec,
+            values=True,
+            ring_bytes=staged.ring_bytes,
+            logical_bytes=staged.logical_bytes,
+            fused=False,
+            charged=max(staged.gather_scratch, *staged.ring_bytes),
+            finish=finish,
+        )
+
+    def _issue(self, pack: list[_Allreduce]) -> Callable[[], None]:
+        """Issue one allreduce of ``pack``'s payloads; return its finisher.
+
+        A lone payload keeps its own tag; a pack is tagged with its
+        members' tags joined by ``+``.  Ranks bring the members of every
+        payload as one :class:`~repro.cluster.collectives.FusedRun`, each
+        ring's blocks and row sets as dicts; every member is folded
+        alone, so a packed payload's sum is its lone sum, bit for bit.
+        """
+        data = self.comm.axis("data")
+        groups = data.groups
+        head = pack[0]
+        parts = [p.build() for p in pack]
+        if head.fused:  # the fused ring carries one dense run
+            (arrays, stacked, _), = parts
+            handle = icompressed_allreduce(
+                data,
+                arrays,
+                codec=head.codec,
+                tag=head.tag,
+                chunk_bytes=(
+                    self.wire.chunk_bytes if self.wire is not None else None
+                ),
+                stacked=stacked[0] or None,
+            )
+            return lambda: head.finish(handle.wait())
+        if len(pack) == 1:
+            (arrays, stacked, rows), = parts
+        else:
+            arrays = [
+                FusedRun(kv for run in runs for kv in run.items())
+                for runs in zip(*(a for a, _, _ in parts))
+            ]
+            stacked = [
+                {k: v for _, s, _ in parts for k, v in s[i].items()}
+                for i in range(len(groups))
+            ]
+            rows = [
+                {k: v for _, _, r in parts for k, v in r[i].items()}
+                for i in range(len(groups))
+            ]
+        handle = data.iallreduce(
+            arrays,
+            tag="+".join(p.tag for p in pack),
+            payload_bytes=(
+                None
+                if head.codec is None
+                else max(
+                    sum(p.logical_bytes[i] for p in pack)
+                    for i in range(len(groups))
+                )
+            ),
+            stacked=stacked,
+            rows=rows,
+        )
+
+        # Each payload's size in each ring; the built matrices are not
+        # kept past the issue.
+        sizes = [[a[ranks[0]].size for ranks in groups] for a, _, _ in parts]
+
+        def finish() -> None:
+            sums = handle.wait()
+            offsets = [0] * len(groups)
+            for p, ring_sizes in zip(pack, sizes):
+                # This payload's slice of each ring's one shared sum.
+                cut = []
+                for i, (ranks, size) in enumerate(zip(groups, ring_sizes)):
+                    cut.append(sums[ranks[0]][offsets[i] : offsets[i] + size])
+                    offsets[i] += size
+                p.finish(
+                    data.by_group(sums, lambda ring, i: [cut[i]] * len(ring))
+                )
+
         return finish
 
-    def _issue_sparse(
+    def _exchange(
         self, params: list[Parameter], tag: str
-    ) -> Callable[[], None]:
-        """Start one sparse exchange; return the finisher that applies it.
+    ) -> Callable[[], _Allreduce | None]:
+        """Start one sparse exchange; return its stager.
 
-        Every replica receives the same post-exchange
-        :class:`SparseGrad` object — see :meth:`_issue_dense`.
+        The stager finishes everything before the exchange's value
+        allreduce and returns that allreduce's payload, or — for a
+        strategy that ends on no allreduce — completes the exchange,
+        applies it and returns None.
         """
         data = self.comm.axis("data")
         grads = []
@@ -242,23 +458,34 @@ class GradientSynchronizer:
             tag=tag,
         )
 
-        def finish() -> None:
-            # Every rank of a shard group holds the same exchanged sum;
-            # reassemble once from the group heads and average once.
-            # A coalesced result (the unique exchange's) stays marked,
-            # so the optimizer does not reduce it a second time.
-            result = unshard_sparse(pending.wait(), data.groups)
-            grad = SparseGrad._unsafe(
-                result.indices, result.values / len(params)
-            )
-            if result.is_coalesced:
-                grad.mark_coalesced()
-            for p in params:
-                p.sparse_grads = [grad]
+        def stage() -> _Allreduce | None:
+            staged = pending.stage()
+            if staged is not None:
+                return self._values(params, tag.replace("/", "-"), staged)
+            self._apply_sparse(params, pending.wait())
+            return None
 
-        return finish
+        return stage
 
-    _named_cache: tuple[tuple[int, ...], list[dict], list[str]] | None = None
+    def _apply_sparse(
+        self, params: list[Parameter], results: list[SparseGrad]
+    ) -> None:
+        """Land one exchange's per-rank results on every replica.
+
+        Every replica receives the same averaged :class:`SparseGrad`
+        object — see :meth:`_dense`.  Every rank of a shard group holds
+        the same exchanged sum; reassemble once from the group heads
+        and average once.  A coalesced result (the unique exchange's)
+        stays marked, so the optimizer does not reduce it a second time.
+        """
+        result = unshard_sparse(results, self.comm.axis("data").groups)
+        grad = SparseGrad._unsafe(result.indices, result.values / len(params))
+        if result.is_coalesced:
+            grad.mark_coalesced()
+        for p in params:
+            p.sparse_grads = [grad]
+
+    _named_cache: tuple[tuple[Module, ...], list[dict], list[str]] | None = None
 
     def _named_params(
         self, replicas: list[Module], world: int
@@ -268,11 +495,16 @@ class GradientSynchronizer:
         Walking ``named_parameters`` over every replica costs a module
         tree traversal per rank per sync — a real hot path at large G.
         Module structure is fixed after construction, so the walk is
-        memoized per replica-identity list.
+        memoized per replica list.  The memo holds the modules and
+        matches them by identity: an ``id`` alone may be reused by a
+        new module once the old one is freed.
         """
         cached = self._named_cache
-        key = tuple(id(r) for r in replicas)
-        if cached is not None and cached[0] == key:
+        if (
+            cached is not None
+            and len(cached[0]) == len(replicas)
+            and all(a is b for a, b in zip(cached[0], replicas))
+        ):
             return cached[1], cached[2]
         if len(replicas) != world:
             raise ValueError(
@@ -283,7 +515,7 @@ class GradientSynchronizer:
         for d in named[1:]:
             if list(d.keys()) != names:
                 raise ValueError("replicas are not structurally identical")
-        self._named_cache = (key, named, names)
+        self._named_cache = (tuple(replicas), named, names)
         return named, names
 
     def sync_replicas(self, replicas: list[Module]) -> None:
@@ -297,41 +529,39 @@ class GradientSynchronizer:
         for one parameter.
 
         Each maximal run of consecutive dense-only parameters of one
-        dtype, in walk order, is **one** fused allreduce, tagged and
+        dtype, in walk order, is **one** allreduce payload, tagged and
         scoped with its members' names joined by ``+`` in registration
         order.  A parameter with a sparse exchange ends the run; its own
-        dense grad (a tied embedding's) is a run of one.
+        dense grad (a tied embedding's) is a run of one.  The unique
+        exchange's value matrices are a payload too (tag
+        ``"{name}:values"``), staged once the exchange's index gather
+        has drained.
 
         Each synced value lands as **one object** on every replica's
         parameter, not as per-replica copies: a consumer that scales or
         unscales the result does so once (through any one replica), and
         independent optimizers may each read it.
 
-        Blocking, each collective is issued and drained under its
-        scope before the next is touched.  With ``overlap=True``
-        parameters are walked in *reverse* registration order, so dense
-        runs and the sparse exchanges' index gathers queue up
+        Blocking, every index gather is issued and drained under its
+        parameter's scope in walk order, and then the step's allreduce
+        payloads go as **one stage**: packed in registration order,
+        next-fit, into as few allreduces as :func:`_pack` allows, each
+        issued and drained before the next.  With ``overlap=True``
+        parameters are walked in *reverse* registration order and each
+        allreduce is issued alone as soon as its payload exists, so
+        dense runs and the sparse exchanges' index gathers queue up
         back-to-back the way an eager DDP-style hook would issue them;
-        finishers then drain in the same order, the sparse second-stage
-        collectives (the value allreduce, which depends on the gathered
-        indices) being issued during the drain under the owning
-        parameter's scope.
+        finishers then drain in the same order, each value allreduce
+        (which depends on the gathered indices) being issued during the
+        drain under the owning parameter's scope.
         """
         named, names = self._named_params(
             replicas, self.comm.axis("data").ring_size
         )
         scope = self.comm.timeline.scope
         deferred: list[tuple[str, Callable[[], None]]] = []
+        payloads: list[_Allreduce] = []  # blocking: the one stage
         run: dict[str, list[Parameter]] = {}
-
-        def issue(label: str, issuer, members, tag: str) -> None:
-            scope_name = label.replace("/", "-")
-            with scope(scope_name):
-                finish = issuer(members, tag=tag)
-                if not self.overlap:
-                    finish()
-                    return
-            deferred.append((scope_name, finish))
 
         def flush() -> None:
             if run:
@@ -339,7 +569,15 @@ class GradientSynchronizer:
                 # schedule, so both bill the same scopes.
                 members = dict(reversed(run.items()) if self.overlap else run)
                 label = "+".join(members)
-                issue(label, self._issue_dense, members, f"{label}:dense")
+                scope_name = label.replace("/", "-")
+                if self.overlap:
+                    with scope(scope_name):
+                        finish = self._issue_dense(members, f"{label}:dense")
+                    deferred.append((scope_name, finish))
+                else:
+                    payloads.append(
+                        self._dense(members, f"{label}:dense", scope_name)
+                    )
                 run.clear()
 
         for name in reversed(names) if self.overlap else names:
@@ -358,8 +596,24 @@ class GradientSynchronizer:
                 run[name] = params
             if sparse:
                 flush()  # a tied parameter's dense grad: a run of one
-                issue(name, self._issue_sparse, params, name)
+                scope_name = name.replace("/", "-")
+                with scope(scope_name):
+                    if self.overlap:
+                        finish = self._issue_sparse(params, name)
+                        deferred.append((scope_name, finish))
+                    else:
+                        values = self._exchange(params, name)()
+                        if values is not None:
+                            payloads.append(values)
         flush()
+        # Popped as they go, so each pack's pre-sync grads and matrices
+        # are freed before the next pack's are built.
+        packs = _pack(payloads)
+        payloads.clear()
+        while packs:
+            pack = packs.pop(0)
+            with scope("+".join(p.scope for p in pack)):
+                self._issue(pack)()
         for scope_name, finish in deferred:
             with scope(scope_name):
                 finish()

@@ -35,12 +35,13 @@ overlapped runs stay bit-identical.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
-from .unique import iunique_exchange
+from .unique import StagedValues, iunique_exchange
 from .wire.policy import WirePolicy
 from .wire.transfer import iencoded_allgather
 
@@ -59,11 +60,30 @@ class PendingSparseExchange:
     the collectives that could be issued eagerly already have been; the
     finisher completes them (and any dependent collectives) and builds
     the per-rank result list.  ``wait`` is idempotent.
+
+    A strategy whose last collective is a value allreduce also passes a
+    ``stage`` closure, so a caller may own that allreduce — see
+    :meth:`stage`.
     """
 
-    def __init__(self, finish: Callable[[], list[SparseGrad]]):
+    def __init__(
+        self,
+        finish: Callable[[], list[SparseGrad]],
+        stage: Callable[[], StagedValues] | None = None,
+    ):
         self._finish = finish
+        self._stage = stage
         self._result: list[SparseGrad] | None = None
+
+    def stage(self) -> StagedValues | None:
+        """Run the exchange up to its value allreduce; return that payload.
+
+        None when the strategy ends on no allreduce: call :meth:`wait`.
+        Otherwise the caller reduces the payload (alone or packed with
+        other allreduces) and hands the per-rank sums to its
+        ``complete``, which returns the summed grad per rank.
+        """
+        return None if self._stage is None else self._stage()
 
     def wait(self) -> list[SparseGrad]:
         """Complete the exchange; return the summed grad per rank."""
@@ -186,13 +206,23 @@ class UniqueExchange(ExchangeStrategy):
     def iexchange(
         self, comm: Communicator, grads: list[SparseGrad], tag: str = "embedding"
     ) -> PendingSparseExchange:
-        """Issue the index allgather now; the value allreduce at wait."""
+        """Issue the index allgather now; the value allreduce at wait.
+
+        The pending exchange can also :meth:`~PendingSparseExchange.stage`
+        its value matrices for a caller that owns the allreduce.
+        """
         pending = iunique_exchange(comm, grads, tag=tag, wire=self.wire)
 
-        def finish() -> list[SparseGrad]:
+        def as_grads(results) -> list[SparseGrad]:
             return comm.by_group(
-                pending.wait(),
+                results,
                 lambda ring, _: [ring[0].as_sparse_grad()] * len(ring),
             )
 
-        return PendingSparseExchange(finish)
+        def stage() -> StagedValues:
+            staged = pending.stage()
+            return replace(
+                staged, complete=lambda sums: as_grads(staged.complete(sums))
+            )
+
+        return PendingSparseExchange(lambda: as_grads(pending.wait()), stage)

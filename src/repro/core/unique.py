@@ -29,17 +29,20 @@ communicator, so nothing here knows about meshes.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
+from .compression import WireCodec
 from .wire.policy import WirePolicy
 from .wire.transfer import iencoded_allgather
 
 __all__ = [
     "PendingUniqueExchange",
+    "StagedValues",
     "UniqueExchangeResult",
     "global_unique",
     "iunique_exchange",
@@ -102,6 +105,36 @@ def local_unique_reduce(grad: SparseGrad) -> SparseGrad:
     return grad.coalesce()
 
 
+@dataclass(frozen=True)
+class StagedValues:
+    """Step 6's payload: one exchange's value matrices, sized but unbuilt.
+
+    ``align()`` runs step 5 and returns ``(arrays, blocks, rows)``:
+    ``arrays[r]`` is flat rank ``r``'s Ug x D matrix in the wire dtype
+    ``dtype``, a view of its ring's ``(ring, Ug, D)`` block ``blocks[i]``
+    (rings in ``comm.groups`` order) that is ``+0`` outside the rows
+    ``rows[i][m]`` of its member index ``m``.  Whoever allreduces them
+    (alone, or packed with other payloads of the step) hands the
+    per-rank sums to :attr:`complete`, which decodes them and returns
+    the exchange's results.  The matrices are built on demand, so a
+    caller packing several allreduces holds only the ones it is
+    about to send.
+
+    ``ring_bytes`` and ``logical_bytes`` are each ring's per-rank matrix
+    size as sent and before the value codec; ``gather_scratch`` is the
+    largest per-rank scratch the step-3 gather charged.
+    """
+
+    tag: str
+    codec: WireCodec | None
+    dtype: np.dtype
+    ring_bytes: tuple[int, ...]
+    logical_bytes: tuple[int, ...]
+    gather_scratch: int
+    align: Callable[[], tuple[list, list, list]]
+    complete: Callable[[Sequence[np.ndarray]], list]
+
+
 class PendingUniqueExchange:
     """A unique exchange in flight, staged around its two collectives.
 
@@ -109,9 +142,13 @@ class PendingUniqueExchange:
     unique + local reduce) eagerly and *issues* the step-3 index
     ALLGATHER before returning — so the index traffic rides the comm
     stream while the caller does other work (e.g. issuing dense gradient
-    buckets).  :meth:`wait` then completes the allgather, runs the
-    purely-local steps 4-5, issues and completes the step-6 value
-    ALLREDUCE, and returns the :class:`UniqueExchangeResult`\\ s.
+    buckets).  :meth:`stage` then completes the allgather and runs the
+    purely-local step 4, returning the step-6 payload, whose ``align()``
+    runs step 5; :meth:`wait` is :meth:`stage`, the value ALLREDUCE of
+    that payload on its own, and its completion into
+    :class:`UniqueExchangeResult`\\ s.  A caller with other allreduces
+    in the same step (the gradient synchronizer) takes the payload from
+    :meth:`stage` and may pack it with them.
 
     The value allreduce cannot be issued earlier: its payload (the
     aligned Ug x D matrices) depends on the gathered indices.  This
@@ -134,15 +171,11 @@ class PendingUniqueExchange:
         self._wire = wire
         self._result: list[UniqueExchangeResult] | None = None
 
-    def wait(self) -> list[UniqueExchangeResult]:
-        """Finish the exchange: steps 3 (complete) through 6.
+    def stage(self) -> StagedValues:
+        """Steps 3 (complete) and 4: the value allreduce's payload.
 
-        Returns one result per flat rank; the ranks of one ring share
-        one object (a flat communicator has a single ring, so every
-        entry is the same result).
+        Its ``align()`` runs step 5, building the matrices.
         """
-        if self._result is not None:
-            return self._result
         comm = self._comm
 
         # Step 3 completes: every member of a ring holds the ring's one
@@ -162,59 +195,49 @@ class PendingUniqueExchange:
                 [np.empty((uniques[0].size, dim), dtype=dtype)], comm
             )
         )
-        blocks: list[np.ndarray] = []
-        held: list[list[np.ndarray]] = []
+        wire = np.dtype(dtype) if codec is None else codec.wire_dtype(dtype)
 
-        def align(local: list[SparseGrad], ring: int) -> list[np.ndarray]:
-            # Step 5: local scatter Ĵ -> Î positions, zero-filling missing
-            # rows.  All members' scatters run as one vectorized
-            # assignment into a stacked (ring, Ug, D) block: per-rank
-            # indices are unique, so the fancy assignment writes each
-            # (rank, row) cell at most once — value-identical to the
-            # per-rank loop.
-            global_indices = uniques[ring]
-            counts = [g.indices.size for g in local]
-            cat_idx = np.concatenate([g.indices for g in local])
-            cat_val = (
-                np.concatenate([g.values for g in local])
-                if cat_idx.size
-                else np.zeros((0, dim), dtype=dtype)
-            )
-            pos = np.searchsorted(global_indices, cat_idx)
-            # Every local type must be present globally by construction.
-            assert (global_indices[pos] == cat_idx).all()
-            if codec is not None:
-                # Value codecs are elementwise with encode(0) == +0, so
-                # encoding the K populated rows once and scattering them
-                # into a zeroed wire-dtype block is, bit for bit, the
-                # per-rank encode of each zero-padded Ug x D matrix.
-                cat_val = codec.encode(cat_val)
-            stacked = np.zeros(
-                (len(local), int(global_indices.size), dim),
-                dtype=cat_val.dtype,
-            )
-            stacked[np.repeat(np.arange(len(local)), counts), pos] = cat_val
-            blocks.append(stacked)
-            held.append(np.split(pos, np.cumsum(counts)[:-1]))
-            return list(stacked)
+        def align() -> tuple[list, list, list]:
+            blocks: list[np.ndarray] = []
+            held: list[list[np.ndarray]] = []
 
-        scattered = comm.by_group(self._local, align)
+            def scatter(local: list[SparseGrad], ring: int) -> list:
+                # Step 5: local scatter Ĵ -> Î positions, zero-filling
+                # missing rows.  All members' scatters run as one
+                # vectorized assignment into a stacked (ring, Ug, D)
+                # block: per-rank indices are unique, so the fancy
+                # assignment writes each (rank, row) cell at most once —
+                # value-identical to the per-rank loop.
+                global_indices = uniques[ring]
+                counts = [g.indices.size for g in local]
+                cat_idx = np.concatenate([g.indices for g in local])
+                cat_val = (
+                    np.concatenate([g.values for g in local])
+                    if cat_idx.size
+                    else np.zeros((0, dim), dtype=dtype)
+                )
+                pos = np.searchsorted(global_indices, cat_idx)
+                # Every local type must be present globally by
+                # construction.
+                assert (global_indices[pos] == cat_idx).all()
+                if codec is not None:
+                    # Value codecs are elementwise with encode(0) == +0,
+                    # so encoding the K populated rows once and
+                    # scattering them into a zeroed wire-dtype block is,
+                    # bit for bit, the per-rank encode of each
+                    # zero-padded Ug x D matrix.
+                    cat_val = codec.encode(cat_val)
+                stacked = np.zeros(
+                    (len(local), int(global_indices.size), dim), dtype=wire
+                )
+                stacked[np.repeat(np.arange(len(local)), counts), pos] = (
+                    cat_val
+                )
+                blocks.append(stacked)
+                held.append(np.split(pos, np.cumsum(counts)[:-1]))
+                return list(stacked)
 
-        # Step 6: allreduce the aligned Ug x D matrices in the wire
-        # dtype.  They are views of the blocks built above, populated
-        # only where ``held`` says, so the reduction neither restacks
-        # them nor folds their padding.
-        reduced = comm.iallreduce(
-            scattered,
-            tag=f"{self._tag}:values",
-            payload_bytes=(
-                None
-                if codec is None
-                else max(u.size for u in uniques) * dim * dtype.itemsize
-            ),
-            stacked=blocks,
-            rows=held,
-        ).wait()
+            return comm.by_group(self._local, scatter), blocks, held
 
         def result(ring_reduced: list[np.ndarray], ring: int):
             values = ring_reduced[0]
@@ -230,8 +253,48 @@ class PendingUniqueExchange:
             )
             return [one] * len(members)
 
-        self._result = comm.by_group(reduced, result)
-        return self._result
+        def complete(reduced: Sequence[np.ndarray]):
+            self._result = comm.by_group(reduced, result)
+            return self._result
+
+        return StagedValues(
+            tag=f"{self._tag}:values",
+            codec=codec,
+            dtype=wire,
+            ring_bytes=tuple(u.size * dim * wire.itemsize for u in uniques),
+            logical_bytes=tuple(
+                u.size * dim * dtype.itemsize for u in uniques
+            ),
+            gather_scratch=self._index_handle.scratch_bytes,
+            align=align,
+            complete=complete,
+        )
+
+    def wait(self) -> list[UniqueExchangeResult]:
+        """Finish the exchange: steps 3 (complete) through 6.
+
+        Returns one result per flat rank; the ranks of one ring share
+        one object (a flat communicator has a single ring, so every
+        entry is the same result).
+        """
+        if self._result is not None:
+            return self._result
+        staged = self.stage()
+        arrays, blocks, rows = staged.align()
+        # Step 6: allreduce the aligned Ug x D matrices in the wire
+        # dtype.  They are views of the blocks, populated only where
+        # ``rows`` says, so the reduction neither restacks them nor
+        # folds their padding.
+        reduced = self._comm.iallreduce(
+            arrays,
+            tag=staged.tag,
+            payload_bytes=(
+                None if staged.codec is None else max(staged.logical_bytes)
+            ),
+            stacked=blocks,
+            rows=rows,
+        ).wait()
+        return staged.complete(reduced)
 
 
 def iunique_exchange(

@@ -110,6 +110,11 @@ class PendingEncodedGather:
         self._instruments = instruments
         self._result: list[np.ndarray] | None = None
 
+    @property
+    def scratch_bytes(self) -> int:
+        """The largest per-rank scratch one chunk gather charges."""
+        return max(h.scratch_bytes for h in self._handles)
+
     def wait(self) -> list[np.ndarray]:
         """Complete all chunk gathers; return allgather-shaped results."""
         if self._result is not None:

@@ -91,7 +91,8 @@ class TestRestrictedFold:
 
     # (world, Ug, dim, K): skipped elements per member on both sides of
     # RESTRICTED_FOLD_MIN_SKIPPED (dense: 736 / 30,720; restricted:
-    # 35,840 / 65,024).
+    # 35,840 / 65,024) and, for float16, of
+    # RESTRICTED_FOLD_MIN_SKIPPED_FP16 (dense: 736; restricted: the rest).
     SHAPES = [(5, 50, 16, 4), (4, 500, 64, 20), (4, 600, 64, 40), (6, 2048, 32, 16)]
 
     @staticmethod
@@ -118,7 +119,24 @@ class TestRestrictedFold:
         got, restricted, want = self.both_folds(block, rows, monkeypatch)
         assert got.tobytes() == want.tobytes()
         skipped = (ug - k) * dim
-        assert restricted == (skipped >= coll.RESTRICTED_FOLD_MIN_SKIPPED)
+        threshold = (
+            coll.RESTRICTED_FOLD_MIN_SKIPPED_FP16
+            if dtype == np.float16
+            else coll.RESTRICTED_FOLD_MIN_SKIPPED
+        )
+        assert restricted == (skipped >= threshold)
+
+    def test_float16_block_takes_the_restricted_fold(self, monkeypatch):
+        """word_wire's input-embedding value matrix: 13,696 skipped
+        elements per member, under the float32 rule but past float16's,
+        whose dense fold numpy runs in software."""
+        world, ug, dim = 32, 538, 32
+        block, rows = sparse_block(
+            world, ug, dim, random_rows(world, ug, 110, seed=3), np.float16
+        )
+        got, restricted, want = self.both_folds(block, rows, monkeypatch)
+        assert restricted
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32])
     def test_negative_zero_ends_as_the_dense_fold_leaves_it(

@@ -153,7 +153,7 @@ class TestBucketedAllreduce:
         }
         runs = [FusedRun((n, b[r]) for n, b in blocks.items()) for r in range(world)]
         out = comm(world).allreduce(runs)  # no hint: members are stacked
-        hinted = comm(world).iallreduce(runs, stacked=blocks).wait()
+        hinted = comm(world).iallreduce(runs, stacked=[blocks]).wait()
         assert hinted[0].tobytes() == out[0].tobytes() == per_tensor(runs).tobytes()
 
     def test_fewer_collectives_than_tensors(self):

@@ -207,6 +207,23 @@ class TestSyncReplicas:
         with pytest.raises(ValueError):
             GradientSynchronizer(comm).sync_replicas(replicas)
 
+    def test_fresh_replicas_are_synced_when_ids_are_reused(self):
+        """A new replica list is walked afresh, even when its modules
+        take the ids of freed ones: the memo matches modules, not ids."""
+
+        class One(Module):
+            def __init__(self, grad):
+                super().__init__()
+                self.w = Parameter(np.zeros(1))
+                self.w.grad = np.array([grad])
+
+        sync = GradientSynchronizer(Communicator(2, track_memory=False))
+        for i in range(5):
+            replicas = [One(1.0 + i), One(3.0 + i)]
+            sync.sync_replicas(replicas)
+            assert [m.w.grad[0] for m in replicas] == [2.0 + i, 2.0 + i], i
+            del replicas  # freed: the next round's modules may reuse ids
+
 
 class TestSyncedSparseGradsStayCoalesced:
     """The unique exchange returns sorted-unique rows; the optimizers must
