@@ -10,12 +10,14 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Chaos suite: fault-plan replay, differential (faulted-vs-clean)
-# equivalence over 5 fixed seeds, the resilience benchmark smoke, and a
-# 90% line-coverage floor on the recovery loop (stdlib-only tracer).
+# Chaos suite: fault-plan replay, transient-fault runs against the
+# written-out reference over 5 fixed seeds, the conformance lattice
+# (its transient cells), the resilience benchmark smoke, and a 90%
+# line-coverage floor on the recovery loop (stdlib-only tracer).
 test-chaos:
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
-		tests/cluster/test_chaos.py tests/train/test_resilience.py
+		tests/cluster/test_chaos.py tests/train/test_resilience.py \
+		tests/conformance
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
 		benchmarks/bench_resilience_overhead.py --benchmark-only
 	PYTHONPATH=src $(PYTHON) tools/check_coverage.py \
@@ -24,15 +26,16 @@ test-chaos:
 
 # Mesh suite (docs/MESH.md): device-mesh geometry + per-axis collective
 # semantics, the 1F1B pipeline schedule, the sharded data-axis gradient
-# exchange, the switch-composition table (mesh x codec x overlap x fused
-# x observers vs the flat reference), hybrid-mesh training + elastic
-# shrink, the `train --mesh` CLI paths, and the tensor-parallel
-# crossover benchmark with its wire-volume gates.
+# exchange, the conformance lattice (mesh among every other switch vs
+# the written-out reference; docs/CORRECTNESS.md) and the trivial mesh's
+# cost table, hybrid-mesh training + elastic shrink, the `train --mesh`
+# CLI paths, and the tensor-parallel crossover benchmark with its
+# wire-volume gates.
 test-mesh:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/cluster/test_mesh.py tests/cluster/test_pipeline.py \
 		tests/core/test_mesh_exchange.py \
-		tests/train/test_mesh_training.py \
+		tests/train/test_mesh_training.py tests/conformance \
 		tests/train/test_sync_composition.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/test_cli.py -k "TestTrainMesh"

@@ -30,6 +30,7 @@ story matters.  This module provides:
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -39,7 +40,7 @@ import numpy as np
 from .communicator import CollectiveHook, Communicator
 from .interconnect import Interconnect, LinkSpec
 from .timeline import Timeline
-from ..errors import FormatError, ReproError
+from ..errors import ConfigError, FormatError, ReproError
 
 __all__ = [
     "degrade_fabric",
@@ -179,14 +180,28 @@ class FaultEvent:
     slowdown: float = 1.0
 
     def __post_init__(self):
+        for name in ("collective_index", "rank", "retries"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
         if self.collective_index < 0:
-            raise ValueError("collective_index must be non-negative")
+            raise ConfigError("collective_index must be non-negative")
         if self.rank < 0:
-            raise ValueError("rank must be non-negative")
+            raise ConfigError("rank must be non-negative")
         if self.kind is FaultKind.TRANSIENT_LINK and self.retries < 1:
-            raise ValueError("transient events need retries >= 1")
-        if self.kind is FaultKind.STRAGGLER and self.slowdown < 1.0:
-            raise ValueError("straggler slowdown must be >= 1")
+            raise ConfigError("transient events need retries >= 1")
+        # ``not >=`` also refuses NaN; an infinite factor would make every
+        # simulated second after the event infinite.
+        if (
+            not isinstance(self.slowdown, (int, float))
+            or isinstance(self.slowdown, bool)
+            or not math.isfinite(self.slowdown)
+            or not self.slowdown >= 1.0
+        ):
+            raise ConfigError(
+                f"slowdown must be a finite number >= 1, got {self.slowdown!r}"
+            )
 
     def to_dict(self) -> dict:
         """JSON-serializable representation (used by :class:`FaultPlan`)."""
@@ -200,14 +215,30 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultEvent":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Fields are taken as written: a count that is not a JSON integer
+        (``1.5``, ``true``, ``"0"``) is refused, never coerced, and so is
+        a key that is not a field.
+        """
+        unknown = sorted(set(data) - _EVENT_KEYS)
+        if unknown:
+            raise ValueError(f"unknown event keys {unknown}")
         return cls(
             kind=FaultKind(data["kind"]),
-            collective_index=int(data["collective_index"]),
-            rank=int(data.get("rank", 0)),
-            retries=int(data.get("retries", 1)),
-            slowdown=float(data.get("slowdown", 1.0)),
+            collective_index=data["collective_index"],
+            rank=data.get("rank", 0),
+            retries=data.get("retries", 1),
+            slowdown=data.get("slowdown", 1.0),
         )
+
+
+_EVENT_KEYS = {"kind", "collective_index", "rank", "retries", "slowdown"}
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class FaultPlan:
@@ -301,9 +332,12 @@ class FaultPlan:
             unknown = sorted(set(data) - {"seed", "events"})
             if unknown:
                 raise ValueError(f"unknown keys {unknown}")
+            seed = data.get("seed", 0)
+            if not _is_int(seed):
+                raise ValueError(f"seed must be an integer, got {seed!r}")
             return cls(
                 events=[FaultEvent.from_dict(e) for e in data["events"]],
-                seed=int(data.get("seed", 0)),
+                seed=seed,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise FormatError(f"malformed fault plan: {err!r}") from err
@@ -316,9 +350,11 @@ class FaultPlan:
     def load(cls, path: str | pathlib.Path) -> "FaultPlan":
         """Read a plan previously written by :meth:`save`."""
         try:
-            return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
-        except json.JSONDecodeError as err:
+            text = pathlib.Path(path).read_text(encoding="utf-8")
+            data = json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
             raise FormatError(f"fault plan {path} is not JSON: {err}") from err
+        return cls.from_dict(data)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -454,7 +454,10 @@ class GradientSynchronizer:
             grads.append(g)
         pending = self.strategy.iexchange(
             data,
-            shard_sparse(grads, data.groups, params[0].data.shape[0]),
+            shard_sparse(
+                grads, data.groups, params[0].data.shape[0],
+                coalesce=self.strategy.reduces_locally,
+            ),
             tag=tag,
         )
 

@@ -24,6 +24,8 @@ exactly.  A sparse gradient is
 cut by contiguous vocabulary row ranges; ranges ascend, so concatenating
 the per-range unique exchanges yields the globally sorted unique rows,
 and cutting a coalesced gradient by row range commutes with coalescing.
+A strategy that ships token-level rows (the allgather baseline) gets its
+range's tokens in arrival order, so each row sums as on a flat world.
 """
 
 from __future__ import annotations
@@ -75,17 +77,21 @@ def unshard_dense(results: Sequence[np.ndarray], groups: Groups) -> np.ndarray:
 
 
 def shard_sparse(
-    grads: list[SparseGrad], groups: Groups, num_rows: int
+    grads: list[SparseGrad], groups: Groups, num_rows: int,
+    coalesce: bool = True,
 ) -> list[SparseGrad]:
     """Per-flat-rank payloads of ``d`` replica sparse gradients.
 
     The one place that decides what the exchange ships: with one shard
     the replicas' *token-level* gradients pass through untouched (the
     paper's step 3 gathers the K-length J); with ``S > 1`` each replica
-    is locally coalesced and cut into ``S`` contiguous vocabulary row
-    ranges, so a model rank ships only its slice of the locally-unique
-    Ĵ (pre-attached as its own coalesced form — the strategies' local
-    reduce is free).
+    is cut into ``S`` contiguous vocabulary row ranges.  With
+    ``coalesce`` (a strategy that reduces locally) each replica is
+    coalesced first, so a model rank ships only its slice of the
+    locally-unique Ĵ (pre-attached as its own coalesced form — the
+    strategies' local reduce is free); without it a model rank ships
+    its range's token-level rows in arrival order, so every row sums in
+    the order the flat exchange sums it.
     """
     num_shards = len(groups)
     if num_shards == 1:
@@ -95,13 +101,21 @@ def shard_sparse(
     row_cuts = [s * base + min(s, extra) for s in range(num_shards + 1)]
     out: list[SparseGrad] = [None] * (num_shards * len(grads))  # type: ignore[list-item]
     for k, grad in enumerate(grads):
-        local = grad.coalesce()  # sorted unique rows: ranges are slices
-        cuts = np.searchsorted(local.indices, row_cuts)
+        if coalesce:
+            local = grad.coalesce()  # sorted unique rows: ranges are slices
+            cuts = np.searchsorted(local.indices, row_cuts)
+            for s, ranks in enumerate(groups):
+                rows = slice(cuts[s], cuts[s + 1])
+                out[ranks[k]] = SparseGrad._unsafe(
+                    local.indices[rows], local.values[rows]
+                ).mark_coalesced()
+            continue
+        shard = np.searchsorted(row_cuts, grad.indices, side="right") - 1
         for s, ranks in enumerate(groups):
-            rows = slice(cuts[s], cuts[s + 1])
+            keep = shard == s
             out[ranks[k]] = SparseGrad._unsafe(
-                local.indices[rows], local.values[rows]
-            ).mark_coalesced()
+                grad.indices[keep], grad.values[keep]
+            )
     return out
 
 

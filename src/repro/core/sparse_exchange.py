@@ -98,6 +98,13 @@ class ExchangeStrategy:
     #: Short name used in ledgers and benchmark tables.
     name: str = "abstract"
 
+    #: Whether the strategy reduces each rank's duplicate rows before
+    #: anything crosses the wire (the unique exchange's steps 1-2).  A
+    #: mesh hands such a strategy each replica's locally-coalesced rows;
+    #: one that ships token-level rows gets them token-level, so its
+    #: per-row sum runs in the flat world's order.
+    reduces_locally: bool = True
+
     def exchange(
         self, comm: Communicator, grads: list[SparseGrad], tag: str = "embedding"
     ) -> list[SparseGrad]:
@@ -119,6 +126,7 @@ class AllGatherExchange(ExchangeStrategy):
     """
 
     name = "allgather"
+    reduces_locally = False
 
     def __init__(self, wire: WirePolicy | None = None):
         self.wire = wire

@@ -5,6 +5,7 @@ from . import functional, init
 from .batched import (
     BatchedCharLMExecutor,
     BatchedExecutor,
+    ReplicaMismatchError,
     build_batched_executor,
 )
 from .dropout import Dropout
@@ -28,6 +29,7 @@ __all__ = [
     "SparseGrad",
     "BatchedExecutor",
     "BatchedCharLMExecutor",
+    "ReplicaMismatchError",
     "build_batched_executor",
     "Embedding",
     "Linear",

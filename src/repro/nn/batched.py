@@ -38,19 +38,20 @@ as a shared 2-D operand broadcast across the rank axis:
   replica's own generator in rank order**, consuming exactly the draws
   the per-rank loop would.
 
-Anything outside the proven envelope falls back to the per-rank loop:
+Whether a world stacks is decided once, when the executor is built:
 
-* replicas are not all the same model class — one that defines
-  ``forward_backward`` itself — with equal configs (checked once, at
-  build);
-* training/eval flags disagree across replicas, carried recurrent
-  states are inconsistent, or batch shapes are ragged (checked per
-  step);
-* a replica's parameter no longer binds rank 0's array — an identity
-  check per step, no array is read; a rebound ``p.data`` disables the
-  executor permanently (an un-shared world is a bug the slow path and
-  ``assert_replicas_synchronized`` will surface, not a state the fast
-  path should silently run on rank 0's weights).
+* replicas must all be the same model class — one that defines
+  ``forward_backward`` itself — with equal configs, and there must be
+  two or more of them; otherwise no executor is built and the trainer
+  runs the per-rank loop for the whole run.
+
+Past that point a step never falls back.  A world that leaves the
+proven envelope mid-run — a batch count that is not the replica count,
+ragged batch shapes, training/eval flags that disagree across replicas,
+an inconsistent carried state, or a replica whose parameter no longer
+binds rank 0's array (a rebound ``p.data``) — is a bug, and the step
+raises :class:`ReplicaMismatchError` naming the replica before any RNG
+or gradient state is consumed.
 """
 
 from __future__ import annotations
@@ -60,9 +61,20 @@ from functools import partial
 
 import numpy as np
 
+from ..errors import ReproError
 from .parameter import SparseGrad
 
-__all__ = ["BatchedExecutor", "BatchedCharLMExecutor", "build_batched_executor"]
+__all__ = [
+    "BatchedExecutor",
+    "BatchedCharLMExecutor",
+    "ReplicaMismatchError",
+    "build_batched_executor",
+]
+
+
+class ReplicaMismatchError(ReproError, RuntimeError):
+    """A replica left the stacked step's envelope mid-run (see the
+    module docstring); the message names the replica."""
 
 
 # The batched path builds thousands of SparseGrads per step from arrays
@@ -105,11 +117,10 @@ class BatchedExecutor:
 
     Calls rank 0's ``forward_backward`` with a leading rank axis ``R``
     on every input — rank 0's parameters are the shared weights (valid
-    because every replica binds the same arrays; replicas that do not —
-    a hand-built list — never take the fast path).  Gradients are
-    accumulated into **each** replica's parameters, so gradient sync,
-    the optimizer, loss scaling and telemetry all see the same state the
-    per-rank loop would produce.
+    because every replica binds the same arrays, which each step
+    checks).  Gradients are accumulated into **each** replica's
+    parameters, so gradient sync, the optimizer, loss scaling and
+    telemetry all see the same state the per-rank loop would produce.
     """
 
     def __init__(self, replicas):
@@ -117,8 +128,6 @@ class BatchedExecutor:
             raise ValueError("batched execution needs at least two replicas")
         self.replicas = replicas
         self._calls = 0
-        self._disabled = False
-        self.fallback_reason = ""
         # Module structure is fixed after construction: walk it once.
         self._params = [list(m.parameters()) for m in replicas]
         self._other_params = [p for ps in self._params[1:] for p in ps]
@@ -126,74 +135,85 @@ class BatchedExecutor:
         own = [m.step_rng for m in replicas]
         self._own_rngs = None if own[0] is None else own
 
-    @property
-    def active(self) -> bool:
-        """False once the executor has permanently disabled itself."""
-        return not self._disabled
+    def _check_shared_storage(self) -> None:
+        """Every replica's parameters must still bind rank 0's arrays.
 
-    def _disable(self, reason: str) -> None:
-        self._disabled = True
-        self.fallback_reason = reason
-
-    def _shares_storage(self) -> bool:
-        """Whether every replica's parameters still bind rank 0's arrays."""
-        base = [p.data for p in self._params[0]] * (len(self._params) - 1)
-        return all(p.data is data for p, data in zip(self._other_params, base))
+        An identity check per parameter (no array is read) over one flat
+        list; the offending replica is looked for only once it failed.
+        """
+        base = [p.data for p in self._params[0]]
+        if all(
+            p.data is data
+            for p, data in zip(self._other_params, base * (len(self._params) - 1))
+        ):
+            return
+        for ri, params in enumerate(self._params[1:], start=1):
+            for k, (p, data) in enumerate(zip(params, base)):
+                if p.data is not data:
+                    raise ReplicaMismatchError(
+                        f"replica {ri}: parameter #{k} no longer binds "
+                        "replica 0's array (its p.data was rebound); the "
+                        "stacked step would run it on replica 0's weights"
+                    )
 
     def step(
         self,
         batches,
         sample_rngs: Callable[[], list[np.random.Generator]] | None = None,
         loss_scale: float = 1.0,
-    ) -> list[float] | None:
-        """Run one micro-step for all ranks; per-rank losses, or None.
+    ) -> list[float]:
+        """Run one micro-step for all ranks; the per-rank losses.
 
         ``batches[rank]`` is rank's local :class:`~repro.data.batching.
         Batch`.  ``sample_rngs()`` returns this step's per-rank sample
         generators; it is called only for models the trainer's
         generators drive (``step_rng is None``) — building G generators
-        costs more than a small model's whole stacked pass.  Returns
-        ``None`` when this step cannot take the fast path (the caller
-        must then run the per-rank loop — no RNG or gradient state has
-        been consumed).
+        costs more than a small model's whole stacked pass.  A world
+        that cannot stack raises :class:`ReplicaMismatchError` before
+        any RNG or gradient state has been consumed.
         """
-        if self._disabled:
-            return None
         reps = self.replicas
         R = len(reps)
         if len(batches) != R:
-            return None
+            raise ReplicaMismatchError(
+                f"{len(batches)} batches for {R} replicas: replica "
+                f"{min(len(batches), R)} has no partner"
+            )
         flags = [m.training for m in self._modules[0]]
-        for modules in self._modules[1:]:
+        for ri, modules in enumerate(self._modules[1:], start=1):
             if [m.training for m in modules] != flags:
-                return None
+                raise ReplicaMismatchError(
+                    f"replica {ri}: train/eval flags differ from replica 0's"
+                )
         shape = batches[0].inputs.shape
-        for b in batches[1:]:
+        for ri, b in enumerate(batches[1:], start=1):
             if b.inputs.shape != shape or b.targets.shape != shape:
-                return None
+                raise ReplicaMismatchError(
+                    f"replica {ri}: batch shape {b.inputs.shape} is not "
+                    f"replica 0's {shape}"
+                )
         m0 = reps[0]
         carries = m0.stateful and m0.training
         state = None
         if carries:
             # Stateful BPTT: the carry is per replica.
             states = [m._state for m in reps]
-            if any((s is None) != (states[0] is None) for s in states[1:]):
-                return None  # inconsistent carry — per-rank handles it
-            if states[0] is not None:
-                parts = [_parts(s) for s in states]
-                shapes = [a.shape for a in parts[0]]
-                if any([a.shape for a in p] != shapes for p in parts[1:]):
-                    return None
-                if shapes[0][0] == shape[0]:
-                    state = tuple(np.stack(column) for column in zip(*parts))
-                    if not isinstance(states[0], tuple):
-                        state = state[0]
-                # else: batch-size change — dropped, exactly like ``step``
-        if not self._shares_storage():
-            self._disable(
-                "a replica's parameters diverged from rank 0's storage"
-            )
-            return None
+            parts = None if states[0] is None else [_parts(s) for s in states]
+            shapes = None if parts is None else [a.shape for a in parts[0]]
+            for ri, s in enumerate(states[1:], start=1):
+                if (s is None) != (parts is None) or (
+                    parts is not None and [a.shape for a in parts[ri]] != shapes
+                ):
+                    raise ReplicaMismatchError(
+                        f"replica {ri}: carried state is inconsistent "
+                        "with replica 0's"
+                    )
+            if parts is not None and parts[0][0].shape[0] == shape[0]:
+                state = tuple(np.stack(column) for column in zip(*parts))
+                if not isinstance(states[0], tuple):
+                    state = state[0]
+            # else: batch-size change — dropped, exactly like ``step``
+        self._check_shared_storage()
         self._calls += 1
 
         # Preallocate-and-assign beats np.stack's per-item overhead at

@@ -24,6 +24,7 @@ trace`` can re-merge and validate a run recorded by an earlier process.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -123,38 +124,95 @@ def parts_to_json(parts: Sequence[GenerationPart]) -> dict:
     }
 
 
+#: The largest world a trace-parts file may declare: far past any
+#: simulated run, small enough that merging its tracks cannot exhaust
+#: the host.
+_MAX_WORLD = 1 << 16
+
+
+def _count(value, low: int, high: int | None = None) -> int:
+    """An integer (never a bool) in ``[low, high)``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        raise ValueError(f"{value} is outside [{low}, {high})")
+    return value
+
+
+def _seconds(value) -> float:
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"expected a finite time, got {value!r}")
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _interval(start, end) -> tuple[float, float]:
+    start, end = _seconds(start), _seconds(end)
+    if end < start:
+        raise ValueError(f"interval ends at {end} before it starts at {start}")
+    return start, end
+
+
+def _generation(g: dict) -> GenerationPart:
+    """One generation of a version-2 file, every field checked: ranks
+    inside the generation's world, finite ordered times, typed counts."""
+    world = _count(g["world_size"], 1, _MAX_WORLD + 1)
+    compute = [
+        TimelineEvent(
+            _count(r, 0, world), "compute", _text(name), *_interval(s, e)
+        )
+        for r, name, s, e in g["compute_events"]
+    ]
+    collectives = []
+    for row in g["collectives"]:
+        if not isinstance(row, list) or len(row) != len(CollectiveRecord._fields):
+            raise ValueError(f"not a {len(CollectiveRecord._fields)}-field row")
+        op, tag, scope, ring, wire, payload, time_s, start, end, ranks = row
+        if ranks is not None:
+            if not isinstance(ranks, list):
+                raise ValueError(f"ranks must be a list, got {ranks!r}")
+            ranks = tuple(_count(r, 0, world) for r in ranks)
+        collectives.append(
+            CollectiveRecord(
+                _text(op), _text(tag), _text(scope), _count(ring, 1, world + 1),
+                _count(wire, 0), _count(payload, -1), _seconds(time_s),
+                *_interval(start, end), ranks,
+            )
+        )
+    return GenerationPart(
+        world_size=world,
+        compute_events=compute,
+        collectives=collectives,
+        label=_text(g.get("label", "")),
+    )
+
+
 def parts_from_json(obj) -> List[GenerationPart]:
     """Inverse of :func:`parts_to_json` (accepts a dict or a JSON string).
 
     Raises :class:`~repro.errors.FormatError` — naming the problem — for
     text that is not JSON, a file of another format version (version 1
     held one row per rank per collective and a second, ledger copy of
-    every collective) or one with missing keys.
+    every collective), missing keys, or a value the run could not have
+    written: a rank outside its generation's world, a world size below 1,
+    a non-finite or reversed time, a count that is not an integer.
     """
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
         version = obj.get("version") if isinstance(obj, dict) else None
         if version == _PARTS_VERSION:
-            return [
-                GenerationPart(
-                    world_size=int(g["world_size"]),
-                    compute_events=[
-                        TimelineEvent(int(r), "compute", name, float(s), float(e))
-                        for r, name, s, e in g["compute_events"]
-                    ],
-                    collectives=[
-                        CollectiveRecord(
-                            *row[:-1],
-                            None if row[-1] is None else tuple(row[-1]),
-                        )
-                        for row in g["collectives"]
-                    ],
-                    label=g.get("label", ""),
-                )
-                for g in obj["generations"]
-            ]
-    except (KeyError, TypeError, ValueError) as exc:
+            return [_generation(g) for g in obj["generations"]]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"trace parts: malformed ({exc!r})") from None
     raise FormatError(
         f"trace parts version {version!r} is not supported: this "

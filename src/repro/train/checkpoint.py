@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import pathlib
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -81,9 +82,13 @@ def _encode_rng_state(state: dict) -> np.ndarray:
 
 def _decode_rng_state(limbs: np.ndarray) -> dict:
     """Inverse of :func:`_encode_rng_state`."""
-    if limbs.shape != (6,):
-        raise FormatError(f"expected 6 uint64 limbs, got shape {limbs.shape}")
+    if limbs.shape != (6,) or limbs.dtype != np.uint64:
+        raise FormatError(
+            f"expected 6 uint64 limbs, got {limbs.dtype} of shape {limbs.shape}"
+        )
     vals = [int(v) for v in limbs]
+    if vals[4] > 1 or vals[5] >= 1 << 32:
+        raise FormatError("the buffered-draw limbs are out of range")
     return {
         "bit_generator": "PCG64",
         "state": {
@@ -178,6 +183,173 @@ def save_checkpoint(path: str | pathlib.Path, trainer: DistributedTrainer) -> No
     np.savez(path, **arrays)
 
 
+def _scalar(data, key: str, kinds: str, minimum: int | None = None):
+    """The 0-d array ``key`` as a Python value whose dtype kind is one
+    of ``kinds`` (``"iu"`` integers, ``"f"`` floats, ``"U"`` text)."""
+    arr = data[key]
+    if arr.shape != () or arr.dtype.kind not in kinds:
+        raise FormatError(
+            f"{key} must be a scalar of dtype kind {kinds!r}, got "
+            f"{arr.dtype} of shape {arr.shape}"
+        )
+    value = arr.item()
+    if minimum is not None and value < minimum:
+        raise FormatError(f"{key} must be >= {minimum}, got {value}")
+    if arr.dtype.kind == "f" and not np.isfinite(value):
+        raise FormatError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _matching(saved: dict, want: dict, what: str) -> None:
+    """``saved`` arrays have ``want``'s keys, shapes and dtype kinds, and
+    hold no non-finite float."""
+    if set(saved) != set(want):
+        raise FormatError(
+            f"{what} state mismatch: missing {sorted(set(want) - set(saved))}, "
+            f"unexpected {sorted(set(saved) - set(want))}"
+        )
+    for key, value in want.items():
+        got, value = saved[key], np.asarray(value)
+        if got.shape != value.shape or got.dtype.kind != value.dtype.kind:
+            raise FormatError(
+                f"{what} {key!r}: checkpoint holds {got.dtype} {got.shape}, "
+                f"the trainer {value.dtype} {value.shape}"
+            )
+        if got.dtype.kind == "f" and not np.isfinite(got).all():
+            raise FormatError(f"{what} {key!r} holds a non-finite value")
+
+
+def _read_checkpoint(data, trainer: DistributedTrainer, elastic: bool) -> dict:
+    """Every array of ``data`` checked against ``trainer``, untouched."""
+    for key, value in data.items():
+        if not isinstance(value, np.ndarray):
+            raise FormatError(f"checkpoint member {key!r} is not an array")
+    version = _scalar(data, "meta/version", "iu")
+    if version not in (1, _FORMAT_VERSION):
+        raise FormatError(f"unsupported checkpoint version {version}")
+    world = _scalar(data, "meta/world_size", "iu", minimum=1)
+    if not elastic and world != trainer.config.world_size:
+        raise FormatError(
+            f"checkpoint was written at world size {world}, trainer "
+            f"has {trainer.config.world_size}"
+        )
+    if elastic and trainer.config.world_size > world:
+        raise FormatError(
+            f"elastic load cannot grow the world: checkpoint has "
+            f"{world} ranks, trainer wants {trainer.config.world_size}"
+        )
+    saved_mesh = _scalar(data, "meta/mesh", "U") if "meta/mesh" in data else ""
+    _check_mesh_compatibility(saved_mesh, world, trainer, elastic)
+    if "optim/clip_norm" in data:
+        # Written by a run that set the removed gradient clip:
+        # resuming it unclipped would change the training silently.
+        raise FormatError(
+            "checkpoint key 'optim/clip_norm' holds a gradient clip, "
+            "which SGD no longer applies; it cannot be resumed"
+        )
+    out: dict = {
+        key: _scalar(data, f"meta/{key}", "iu", minimum=0)
+        for key in ("global_step", "data_step", "epochs_done")
+    }
+    spaces: dict[str, dict] = {"model": {}, "optim": {}, "scaler": {}, "rng": {}}
+    for key, value in data.items():
+        space, _, name = key.partition("/")
+        if space != "meta":
+            if space not in spaces:
+                raise FormatError(f"unexpected checkpoint key {key!r}")
+            spaces[space][name] = value
+    out["model"] = spaces["model"]
+    _matching(
+        out["model"],
+        {n: p.data for n, p in trainer.replicas[0].named_parameters()},
+        "model",
+    )
+    _matching(spaces["optim"], trainer.optimizer.state_dict(), "optimizer")
+    # Scalars round-trip as 0-d arrays; optimizers expect numbers.
+    out["optim"] = {
+        k: (v.item() if v.ndim == 0 else v) for k, v in spaces["optim"].items()
+    }
+    out["rng"] = _read_rng(data, spaces["rng"], version, trainer, elastic)
+    out["scaler"] = None
+    if spaces["scaler"]:
+        if trainer.scaler is None:
+            raise FormatError(
+                "checkpoint carries loss-scaler state but the trainer "
+                "was built without a scaler"
+            )
+        unknown = set(spaces["scaler"]) - {"scale", "clean_steps", "skipped_steps"}
+        if unknown:
+            raise FormatError(f"unexpected scaler keys {sorted(unknown)}")
+        clean = None
+        if "scaler/clean_steps" in data:
+            clean = _scalar(data, "scaler/clean_steps", "iu", minimum=0)
+        scale = _scalar(data, "scaler/scale", "f")
+        if not scale > 0:
+            raise FormatError(f"scaler/scale must be positive, got {scale}")
+        out["scaler"] = (
+            scale, clean, _scalar(data, "scaler/skipped_steps", "iu", minimum=0)
+        )
+    return out
+
+
+def _read_rng(data, saved: dict, version: int, trainer, elastic: bool):
+    """The v2 seed assignment and per-replica streams (None for v1).
+
+    Every replica of the trainer must find exactly its own stream paths;
+    saved replicas past the trainer's are only allowed on an elastic
+    load (they are the lost ranks').
+    """
+    if version < 2:
+        if saved:
+            raise FormatError("a version-1 checkpoint carries no rng/ arrays")
+        return None
+    strategy = SeedStrategy(_scalar(data, "rng/strategy", "U"))
+    groups = saved.pop("group_of_rank")
+    seeds = saved.pop("seed_of_group")
+    del saved["strategy"]
+    if seeds.ndim != 1 or seeds.dtype.kind != "u" or seeds.size == 0:
+        raise FormatError("rng/seed_of_group must be a non-empty uint vector")
+    if (
+        groups.ndim != 1
+        or groups.dtype.kind not in "iu"
+        or (groups.size and not 0 <= groups.min() <= groups.max() < seeds.size)
+    ):
+        raise FormatError(
+            "rng/group_of_rank must be a vector of seed-group indices"
+        )
+    if not elastic and groups.size != trainer.data_parallel:
+        raise FormatError(
+            f"rng/group_of_rank has {groups.size} ranks, the trainer "
+            f"{trainer.data_parallel}"
+        )
+    streams: dict[int, dict[str, dict]] = {}
+    for key, limbs in saved.items():
+        replica, _, mod_path = key.partition("/")
+        rank = replica[len("replica"):]
+        if not replica.startswith("replica") or not rank.isdigit():
+            raise FormatError(f"unexpected checkpoint key 'rng/{key}'")
+        streams.setdefault(int(rank), {})[mod_path] = _decode_rng_state(limbs)
+    for rank in streams:
+        if rank >= len(trainer.replicas) and not elastic:
+            raise FormatError(
+                f"checkpoint holds streams of replica {rank}, the trainer "
+                f"has {len(trainer.replicas)} replicas"
+            )
+    for rank, replica in enumerate(trainer.replicas):
+        want = set(replica.rng_state())
+        if set(streams.get(rank, {})) != want:
+            raise FormatError(
+                f"replica {rank}: checkpoint streams "
+                f"{sorted(streams.get(rank, {}))}, the model's {sorted(want)}"
+            )
+    assignment = SeedAssignment(
+        strategy=strategy,
+        group_of_rank=groups.copy(),
+        seed_of_group=seeds.copy(),
+    )
+    return assignment, streams
+
+
 def load_checkpoint(
     path: str | pathlib.Path,
     trainer: DistributedTrainer,
@@ -193,100 +365,44 @@ def load_checkpoint(
     shrunken trainer derives its own.  Returns the restored global step.
 
     A file the trainer cannot resume is a :class:`~repro.errors.FormatError`,
-    raised before the trainer is touched.
+    raised before the trainer is touched: every archive member's CRC is
+    checked first, then every array against the trainer (keys, shapes,
+    dtype kinds, finite floats, counter ranges, seed-group indices, the
+    replicas' stream paths).
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["meta/version"])
-            if version not in (1, _FORMAT_VERSION):
-                raise FormatError(f"unsupported checkpoint version {version}")
-            world = int(data["meta/world_size"])
-            if not elastic and world != trainer.config.world_size:
-                raise FormatError(
-                    f"checkpoint was written at world size {world}, trainer "
-                    f"has {trainer.config.world_size}"
-                )
-            if elastic and trainer.config.world_size > world:
-                raise FormatError(
-                    f"elastic load cannot grow the world: checkpoint has "
-                    f"{world} ranks, trainer wants {trainer.config.world_size}"
-                )
-            saved_mesh = (
-                str(data["meta/mesh"]) if "meta/mesh" in data.files else ""
-            )
-            _check_mesh_compatibility(saved_mesh, world, trainer, elastic)
-            model_state = {
-                key[len("model/"):]: data[key]
-                for key in data.files
-                if key.startswith("model/")
-            }
-            if "optim/clip_norm" in data.files:
-                # Written by a run that set the removed gradient clip:
-                # resuming it unclipped would change the training silently.
-                raise FormatError(
-                    "checkpoint key 'optim/clip_norm' holds a gradient clip, "
-                    "which SGD no longer applies; it cannot be resumed"
-                )
-            opt_state = {
-                key[len("optim/"):]: data[key]
-                for key in data.files
-                if key.startswith("optim/")
-            }
-            # Scalars round-trip as 0-d arrays; optimizers expect numbers.
-            opt_state = {
-                k: (v.item() if v.ndim == 0 else v) for k, v in opt_state.items()
-            }
-            global_step = int(data["meta/global_step"])
-            data_step = int(data["meta/data_step"])
-            epochs_done = int(data["meta/epochs_done"])
-            rng_streams: dict[int, dict[str, dict]] = {}
-            has_rng = version >= 2
-            if has_rng:
-                for key in data.files:
-                    if not key.startswith("rng/replica"):
-                        continue
-                    rank_str, _, mod_path = key[len("rng/replica"):].partition("/")
-                    rng_streams.setdefault(int(rank_str), {})[mod_path] = (
-                        _decode_rng_state(data[key])
-                    )
-                strategy = SeedStrategy(str(data["rng/strategy"]))
-                group_of_rank = data["rng/group_of_rank"].copy()
-                seed_of_group = data["rng/seed_of_group"].copy()
-            scaler_scale = clean_steps = skipped_steps = None
-            if "scaler/scale" in data.files:
-                if trainer.scaler is None:
-                    raise FormatError(
-                        "checkpoint carries loss-scaler state but the trainer "
-                        "was built without a scaler"
-                    )
-                scaler_scale = float(data["scaler/scale"])
-                if "scaler/clean_steps" in data.files:
-                    clean_steps = int(data["scaler/clean_steps"])
-                skipped_steps = int(data["scaler/skipped_steps"])
+        with zipfile.ZipFile(path) as archive:
+            corrupt = archive.testzip()
+        if corrupt is not None:
+            raise FormatError(f"checkpoint {path}: member {corrupt!r} is corrupt")
+        with np.load(path, allow_pickle=False) as npz:
+            data = {key: npz[key] for key in npz.files}
+        state = _read_checkpoint(data, trainer, elastic)
     except FormatError:
         raise
-    except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as err:
+    except (
+        KeyError, ValueError, TypeError, EOFError, OSError, zlib.error,
+        NotImplementedError, zipfile.BadZipFile,
+    ) as err:
         # Not an .npz, a missing key, a value of the wrong shape or type.
         raise FormatError(f"malformed checkpoint {path}: {err!r}") from err
 
     # In place, once: every replica binds replica 0's arrays.
-    trainer.replicas[0].load_state_dict(model_state)
-    trainer.optimizer.load_state_dict(opt_state)
-    trainer.global_step = global_step
-    trainer.data_step = data_step
-    trainer.epochs_done = epochs_done
-    if has_rng:
+    trainer.replicas[0].load_state_dict(state["model"])
+    trainer.optimizer.load_state_dict(state["optim"])
+    trainer.global_step = state["global_step"]
+    trainer.data_step = state["data_step"]
+    trainer.epochs_done = state["epochs_done"]
+    if state["rng"] is not None:
+        assignment, streams = state["rng"]
         for rank, replica in enumerate(trainer.replicas):
-            replica.set_rng_state(rng_streams.get(rank, {}))
+            replica.set_rng_state(streams.get(rank, {}))
         if not elastic:
-            trainer.seed_assignment = SeedAssignment(
-                strategy=strategy,
-                group_of_rank=group_of_rank,
-                seed_of_group=seed_of_group,
-            )
-    if scaler_scale is not None:
-        trainer.scaler._scale = scaler_scale
+            trainer.seed_assignment = assignment
+    if state["scaler"] is not None:
+        scale, clean_steps, skipped_steps = state["scaler"]
+        trainer.scaler._scale = scale
         if clean_steps is not None and hasattr(trainer.scaler, "_clean_steps"):
             trainer.scaler._clean_steps = clean_steps
         trainer.skipped_steps = skipped_steps
-    return global_step
+    return state["global_step"]

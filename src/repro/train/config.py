@@ -108,7 +108,11 @@ class TrainConfig:
         Loss scaling (Section III-C): a float for a static scale (the
         paper uses 256/512/1024), the string ``"dynamic"`` for the
         adaptive scaler (overflowing steps are skipped and the scale
-        backs off), or ``None`` to disable.
+        backs off), or ``None`` to disable.  Not with a wire spec that
+        may send FP16 (``fp16``, ``auto``): the FP16 wire scales by its
+        own compression factor ``F``, and the gradients it receives are
+        already loss-scaled, so the two factors would compound past the
+        FP16 range.
     shuffle_seed:
         When set, the batcher reshuffles its segment->stream assignment
         every epoch with this seed (identical on all ranks); ``None``
@@ -162,18 +166,18 @@ class TrainConfig:
         ``pipe > 1`` the 1F1B schedule has already placed the step's
         compute, so ``overlap`` then only changes the issue order.
     batched:
-        Batched rank execution (the simulator fast path).  ``None``
-        (default) auto-enables it when the replicas qualify (two or more
-        data-parallel replicas, on any mesh, of any model built from the
-        replica-axis layers — the word and the char LM both are);
-        ``False`` forces the per-rank loop (G model steps, one after
-        another, each on its own batch and streams) — the reference the
-        stacked pass is pinned against; ``True`` requires the fast path
-        and raises at trainer construction if the replicas do not
-        support it.  Either way the replicas bind one parameter set and
-        one optimizer applies the synced gradient once.  Numerics are
-        bit-identical either way (regression-pinned) — this knob only
-        trades host wall-clock.
+        Batched rank execution (the simulator fast path), decided once
+        at trainer construction.  ``True`` (default) stacks every
+        data-parallel replica's work into one pass when the replicas
+        qualify — two or more of one model class that defines
+        ``forward_backward`` (the word and the char LM both do), on any
+        mesh — and runs the per-rank loop otherwise; a stacked run never
+        falls back mid-run.  ``False`` always runs the per-rank loop (G
+        model steps, one after another, each on its own batch and
+        streams): the reference the stacked pass is pinned against.
+        Either way the replicas bind one parameter set and one optimizer
+        applies the synced gradient once.  Numerics are bit-identical
+        either way — this knob only trades host wall-clock.
     """
 
     world_size: int
@@ -193,9 +197,13 @@ class TrainConfig:
     wire_chunk_bytes: int | None = None
     fused_reduce: bool = False
     mesh: str | None = None
-    batched: bool | None = None
+    batched: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.batched, bool):
+            raise ConfigError(
+                f"batched must be True or False, got {self.batched!r}"
+            )
         if (
             self.compute_seconds_per_step is not None
             and self.compute_seconds_per_step <= 0
@@ -223,9 +231,22 @@ class TrainConfig:
         if self.wire_codec is not None:
             # Validate the spec eagerly: a typo should fail at config
             # construction, not three epochs into a run.
+            from ..core.compression import Fp16Codec
             from ..core.wire.policy import WirePolicy
 
-            WirePolicy.from_spec(self.wire_codec, self.wire_chunk_bytes)
+            policy = WirePolicy.from_spec(
+                self.wire_codec, self.wire_chunk_bytes
+            )
+            if self.loss_scale is not None and (
+                isinstance(policy.value_codec, Fp16Codec)
+                or policy.selector is not None
+            ):
+                raise ConfigError(
+                    f"loss_scale={self.loss_scale!r} with wire_codec="
+                    f"{self.wire_codec!r}: the FP16 wire applies its own "
+                    "compression scale to already loss-scaled gradients; "
+                    "use one of the two"
+                )
         # Same eager stance for the mesh: parse the spec (and check it
         # against world_size) at construction time.
         self.device_mesh

@@ -114,6 +114,28 @@ def assert_replicas_synchronized(replicas: list[Module], atol: float = 0.0) -> N
         )
 
 
+def _stacked_micro_step(trainer, window: int, scale: float) -> list[float]:
+    """One micro-step of every rank as one stacked pass."""
+    return trainer.batched_executor.step(
+        trainer.batcher.step_batches(window),
+        sample_rngs=trainer._sample_rngs,
+        loss_scale=scale,
+    )
+
+
+def _per_rank_micro_step(trainer, window: int, scale: float) -> list[float]:
+    """One micro-step as G model steps, one after another: the reference
+    the stacked pass is pinned against."""
+    sample_rngs = trainer._sample_rngs()
+    return [
+        replica.step(
+            trainer.batcher.batch(rank, window), sample_rngs[rank],
+            loss_scale=scale,
+        )
+        for rank, replica in enumerate(trainer.replicas)
+    ]
+
+
 @dataclass(frozen=True)
 class EvalPoint:
     """One validation measurement along training."""
@@ -268,17 +290,19 @@ class DistributedTrainer:
             config.seed_strategy, self.data_parallel, base_seed=config.data_seed
         )
         # Simulator fast path: run all replicas' numpy work as one
-        # stacked pass (bit-identical to the per-rank loop).  Orthogonal
-        # to sync scheduling — overlap/mesh/codec configs still qualify.
-        self.batched_executor = None
-        if config.batched is not False:
-            self.batched_executor = build_batched_executor(self.replicas)
-        if config.batched is True and self.batched_executor is None:
-            raise ValueError(
-                "batched=True but the replicas do not support batched "
-                "execution (needs >=2 replicas of one model built from "
-                "the replica-axis layers, with identical configs)"
-            )
+        # stacked pass (bit-identical to the per-rank loop), decided here
+        # for the whole run.  Orthogonal to sync scheduling — overlap,
+        # mesh and codec configs all stack.
+        self.batched_executor = (
+            build_batched_executor(self.replicas) if config.batched else None
+        )
+        # A plain function, not a bound method: a trainer must not hold
+        # a reference cycle through itself (see ``_record_backward_slice``).
+        self._micro_step = (
+            _per_rank_micro_step
+            if self.batched_executor is None
+            else _stacked_micro_step
+        )
         self.scaler: StaticLossScaler | None
         if config.loss_scale is None:
             self.scaler = None
@@ -422,26 +446,8 @@ class DistributedTrainer:
         scale = self.scaler.scale if self.scaler is not None else 1.0
         losses = []
         for _ in range(accum):
-            step_in_epoch = self.data_step % self.batcher.steps_per_epoch
-            batched_losses = None
-            if self.batched_executor is not None:
-                batched_losses = self.batched_executor.step(
-                    self.batcher.step_batches(step_in_epoch),
-                    sample_rngs=self._sample_rngs,
-                    loss_scale=scale,
-                )
-            if batched_losses is not None:
-                losses.extend(batched_losses)
-            else:
-                # Per-rank fallback.
-                sample_rngs = self._sample_rngs()
-                for rank, replica in enumerate(self.replicas):
-                    batch = self.batcher.batch(rank, step_in_epoch)
-                    losses.append(
-                        replica.step(
-                            batch, sample_rngs[rank], loss_scale=scale
-                        )
-                    )
+            window = self.data_step % self.batcher.steps_per_epoch
+            losses.extend(self._micro_step(self, window, scale))
             self.data_step += 1
         self._record_step_compute()
         with self.comm.timeline.scope("sync"):

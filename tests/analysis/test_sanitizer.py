@@ -31,6 +31,8 @@ from repro.cluster import (
 )
 from repro.core.compression import FP16_MAX, Fp16Codec, IdentityCodec
 
+from ..conformance.cells import conform
+
 
 def make(world=2):
     """A communicator and the sanitizer hooked onto its funnel."""
@@ -358,42 +360,9 @@ class TestInFlightMutation:
 class TestTrainerIntegration:
     def test_sanitized_fp16_training_runs_clean(self):
         """A short sanitized FP16 run: every collective validated, all
-        scopes balanced, replicas still bit-identical."""
-        from repro.core import SeedStrategy
-        from repro.data import ONE_BILLION_WORD, BatchSpec, make_corpus
-        from repro.optim import SGD
-        from repro.train import (
-            DistributedTrainer,
-            TrainConfig,
-            WordLanguageModel,
-            WordLMConfig,
-            max_replica_divergence,
-        )
-
-        corpus = make_corpus(ONE_BILLION_WORD.scaled(40), 3000, seed=0)
-        comm, san = make(world=2)
-        cfg = TrainConfig(
-            world_size=2,
-            batch=BatchSpec(2, 8),
-            base_lr=0.1,
-            use_unique=True,
-            wire_codec="fp16",
-            seed_strategy=SeedStrategy.PER_RANK,
-        )
-        model_cfg = WordLMConfig(
-            vocab_size=40, embedding_dim=8, hidden_dim=12,
-            projection_dim=8, num_samples=16,
-        )
-        trainer = DistributedTrainer(
-            lambda rng, rank: WordLanguageModel(model_cfg, rng),
-            lambda params, lr: SGD(params, lr),
-            corpus.train, corpus.valid, cfg, comm=comm,
-        )
-        for _ in range(3):
-            trainer.train_step()
-        san.finish()
-        assert san.collectives_checked > 0
-        assert max_replica_divergence(trainer.replicas) == 0.0
+        scopes balanced, replicas still bit-identical (a conformance
+        cell, which checks all three)."""
+        conform(observer="sanitize", wire_codec="fp16", world_size=2)
 
 
 class TestResilientComposition:

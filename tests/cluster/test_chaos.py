@@ -12,6 +12,7 @@ from repro.cluster import (
     RankFailureError,
     TransientLinkError,
 )
+from repro.errors import ConfigError
 
 from ..helpers import only_transient, permanent_events, transient_events
 
@@ -31,6 +32,13 @@ class TestFaultEvent:
             FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=0, retries=0)
         with pytest.raises(ValueError):
             FaultEvent(FaultKind.STRAGGLER, collective_index=0, slowdown=0.5)
+        for slowdown in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="finite"):
+                FaultEvent(
+                    FaultKind.STRAGGLER, collective_index=0, slowdown=slowdown
+                )
+        with pytest.raises(ConfigError, match="integer"):
+            FaultEvent(FaultKind.RANK_LOSS, collective_index=1.5)
 
     def test_dict_roundtrip(self):
         ev = FaultEvent(

@@ -5,41 +5,20 @@ import pytest
 
 from repro.cluster import (
     ChaosCommunicator,
-    Communicator,
     FaultEvent,
     FaultKind,
     ring_allreduce_time,
 )
 from repro.cluster.failures import RankFailureError, degrade_fabric
 from repro.cluster.interconnect import PAPER_CLUSTER_FABRIC
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
-from repro.optim import SGD
-from ..helpers import crashing_comm
-from repro.train import (
-    DistributedTrainer,
-    TrainConfig,
-    WordLanguageModel,
-    WordLMConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.train import load_checkpoint, save_checkpoint
 
-VOCAB = 60
-MODEL = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
-    num_samples=8,
-)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
+from ..conformance.reference import word_trainer
+from ..helpers import assert_same_state, crashing_comm
 
 
 def trainer_with(comm=None, world=2):
-    cfg = TrainConfig(world_size=world, batch=BatchSpec(2, 6), base_lr=0.2)
-    return DistributedTrainer(
-        lambda rng, rank: WordLanguageModel(MODEL, rng),
-        lambda params, lr: SGD(params, lr),
-        CORPUS.train, CORPUS.valid, cfg,
-        comm=comm,
-    )
+    return word_trainer(world, comm)
 
 
 class TestDegradedFabric:
@@ -132,8 +111,6 @@ class TestElasticRecovery:
         for _ in range(2):
             revived.train_step()
 
-        for (n, a), (_, b) in zip(
-            straight.replicas[0].named_parameters(),
-            revived.replicas[0].named_parameters(),
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert_same_state(
+            straight.replicas[0].state_dict(), revived.replicas[0].state_dict()
+        )

@@ -1,0 +1,164 @@
+"""The one written-out reference: G unshared models, G optimizers.
+
+``DistributedTrainer`` binds every replica to one parameter set and
+steps one optimizer.  What that stands for — G models, G optimizers,
+every one stepping — is written out here from public pieces only:
+``model.step`` per rank, a blocking codec-free ``sync_replicas`` on a
+flat world, then every optimizer steps.  It follows ``use_unique``,
+``seed_strategy``, ``accumulation_steps`` and ``loss_scale`` (skipped
+overflow steps included); no scheduling or transport switch exists
+here.  The model and optimizer factories the trainers under test use
+live here too.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from repro.cluster import Communicator
+from repro.core.embedding_sync import GradientSynchronizer
+from repro.core.seeding import assign_seeds
+from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
+from repro.data import BatchSpec, ONE_BILLION_WORD, ShardedBatcher, make_corpus
+from repro.optim import SGD, Adam, DynamicLossScaler, EpochDecaySchedule
+from repro.optim import StaticLossScaler
+from repro.optim.loss_scaler import grads_are_finite
+from repro.train import (
+    CharLanguageModel,
+    CharLMConfig,
+    DistributedTrainer,
+    TrainConfig,
+    WordLanguageModel,
+    WordLMConfig,
+)
+
+from ..helpers import assert_same_state
+
+VOCAB = 60
+BATCH = BatchSpec(2, 6)
+CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
+WORD_CFG = WordLMConfig(
+    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
+    num_samples=8,
+)
+TIED_CFG = dataclasses.replace(WORD_CFG, tie_embeddings=True)
+CHAR_CFG = CharLMConfig(
+    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, depth=2, dropout=0.2
+)
+
+#: name -> ``f(init_rng, rank)``: stateful models, so BPTT state carries.
+MODELS = {
+    "word": lambda rng, rank: WordLanguageModel(WORD_CFG, rng, stateful=True),
+    "tied": lambda rng, rank: WordLanguageModel(TIED_CFG, rng, stateful=True),
+    "char": lambda rng, rank: CharLanguageModel(
+        CHAR_CFG, rng, dropout_rng=np.random.default_rng(rank), stateful=True
+    ),
+}
+#: name -> (``f(params, lr)``, base lr).
+OPTIMIZERS = {
+    "sgd": (lambda p, lr: SGD(p, lr), 0.2),
+    "momentum": (lambda p, lr: SGD(p, lr, momentum=0.9), 0.2),
+    "adam": (lambda p, lr: Adam(p, lr, weight_decay=0.01), 2e-3),
+}
+
+
+def word_trainer(world=4, comm=None, **overrides) -> DistributedTrainer:
+    """The stateless word LM on plain SGD, the trainer most tests share."""
+    cfg = TrainConfig(world_size=world, batch=BATCH, base_lr=0.2, **overrides)
+    return DistributedTrainer(
+        lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
+        lambda params, lr: SGD(params, lr),
+        CORPUS.train, CORPUS.valid, cfg, comm=comm,
+    )
+
+
+class MaterialisedRanks:
+    """G unshared models, G optimizers, and the step that drives them.
+
+    ``cfg`` is flat: its ``world_size`` is the rank count.
+    """
+
+    def __init__(self, model: str, optimizer: str, cfg: TrainConfig):
+        if cfg.mesh is not None:
+            raise ValueError("the reference runs on a flat world")
+        self.cfg = cfg
+        ranks = cfg.world_size
+        self.comm = Communicator(ranks, track_memory=False)
+        self.models = [
+            MODELS[model](np.random.default_rng(cfg.init_seed), rank)
+            for rank in range(ranks)
+        ]
+        lr = EpochDecaySchedule.for_cluster(cfg.base_lr, cfg.num_nodes).initial_lr
+        self.optimizers = [
+            OPTIMIZERS[optimizer][0](list(m.parameters()), lr)
+            for m in self.models
+        ]
+        self.batcher = ShardedBatcher(
+            CORPUS.train, cfg.batch, ranks, shuffle_seed=cfg.shuffle_seed
+        )
+        self.seeds = assign_seeds(cfg.seed_strategy, ranks, base_seed=cfg.data_seed)
+        exchange = UniqueExchange() if cfg.use_unique else AllGatherExchange()
+        self.sync = GradientSynchronizer(self.comm, strategy=exchange)
+        self.scaler = (
+            None if cfg.loss_scale is None
+            else DynamicLossScaler() if cfg.loss_scale == "dynamic"
+            else StaticLossScaler(float(cfg.loss_scale))
+        )
+        self.data_step = 0
+
+    def step(self) -> float:
+        scale = self.scaler.scale if self.scaler else 1.0
+        losses = []
+        for _ in range(self.cfg.accumulation_steps):
+            rngs = self.seeds.rank_generators(step=self.data_step)
+            window = self.data_step % self.batcher.steps_per_epoch
+            for rank, model in enumerate(self.models):
+                losses.append(
+                    model.step(
+                        self.batcher.batch(rank, window), rngs[rank],
+                        loss_scale=scale,
+                    )
+                )
+            self.data_step += 1
+        with self.comm.timeline.scope("sync"):
+            self.sync.sync_replicas(self.models)
+        # The synced result is one object on every rank: whatever
+        # rescales it does so once, through any one rank's parameters.
+        synced = list(self.models[0].parameters())
+        if self.cfg.accumulation_steps > 1:
+            for p in synced:
+                if p.grad is not None:
+                    p.grad *= 1.0 / self.cfg.accumulation_steps
+                for s in p.sparse_grads:
+                    s.values *= 1.0 / self.cfg.accumulation_steps
+        overflow = False
+        if self.scaler:
+            self.scaler.unscale_grads(synced)
+            overflow = not grads_are_finite(synced)
+            self.scaler.update(overflow)
+        for model, optimizer in zip(self.models, self.optimizers):
+            if overflow:
+                model.zero_grad()
+            else:
+                optimizer.step()
+        return float(np.mean(losses))
+
+
+_runs = {}
+
+
+def reference_run(model: str, optimizer: str, cfg: TrainConfig, steps: int):
+    """``(losses, ranks)`` of ``steps`` reference steps (memoized), the G
+    materialised ranks checked bit-equal among themselves."""
+    key = (model, optimizer, cfg, steps)
+    if key not in _runs:
+        ranks = MaterialisedRanks(model, optimizer, cfg)
+        losses = [ranks.step() for _ in range(steps)]
+        first, first_opt = ranks.models[0], ranks.optimizers[0]
+        for other, opt in zip(ranks.models[1:], ranks.optimizers[1:]):
+            for p, q in zip(other.parameters(), first.parameters(), strict=True):
+                assert p.data is not q.data  # really G parameter sets
+            assert_same_state(other.state_dict(), first.state_dict(), "rank")
+            assert_same_state(opt.state_dict(), first_opt.state_dict(), "opt")
+        _runs[key] = (losses, ranks)
+    return _runs[key]

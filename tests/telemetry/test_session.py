@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Communicator
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
+from repro.data import BatchSpec
 from repro.optim import SGD
 from repro.telemetry import (
     TelemetrySession,
@@ -21,19 +21,9 @@ from repro.telemetry import (
     run_totals_from_parts,
     to_json,
 )
-from repro.train import (
-    DistributedTrainer,
-    TrainConfig,
-    WordLanguageModel,
-    WordLMConfig,
-)
+from repro.train import DistributedTrainer, TrainConfig, WordLanguageModel
 
-VOCAB = 60
-MODEL = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
-    num_samples=8,
-)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
+from ..conformance.reference import CORPUS, WORD_CFG as MODEL
 
 
 def make_trainer(cfg, telemetry=None):

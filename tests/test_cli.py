@@ -357,10 +357,16 @@ class TestTelemetry:
             '{"version": 2, "generations": [{"world_size": 2}]}',
             '{"version": 2, "generations": [{"world_size": 2, '
             '"compute_events": [[0, "x"]], "collectives": []}]}',
+            '{"version": 2, "generations": [{"world_size": 2, '
+            '"compute_events": [], "collectives": [["allreduce", "t", "s", '
+            '2, 8, 8, 0.1, 0.0, 0.1, [0, 2]]]}]}',
+            '{"version": 2, "generations": [{"world_size": 0, '
+            '"compute_events": [], "collectives": []}]}',
         ],
         ids=[
             "not-json", "not-an-object", "no-version", "unknown-version",
             "version-1", "no-generations", "missing-keys", "short-row",
+            "rank-outside-world", "world-size-zero",
         ],
     )
     def test_trace_bad_parts_file_exits_2(self, capsys, tmp_path, text):
@@ -588,6 +594,16 @@ BAD_FAULT_PLANS = {
     "rank-outside-world": '{"events": [{"kind": "rank_loss", '
                           '"collective_index": 3, "rank": 9}]}',
     "not-a-plan": '{"not": "a plan"}',
+    "infinite-slowdown": '{"events": [{"kind": "straggler", '
+                         '"collective_index": 1, "slowdown": Infinity}]}',
+    "nan-slowdown": '{"events": [{"kind": "straggler", '
+                    '"collective_index": 1, "slowdown": NaN}]}',
+    "fractional-index": '{"events": [{"kind": "rank_loss", '
+                        '"collective_index": 1.5}]}',
+    "boolean-index": '{"events": [{"kind": "rank_loss", '
+                     '"collective_index": true}]}',
+    "string-rank": '{"events": [{"kind": "rank_loss", '
+                   '"collective_index": 1, "rank": "0"}]}',
 }
 
 

@@ -29,6 +29,7 @@ BUILTIN_BASES = {
     "CacheOverflowError": MemoryError, "RankFailureError": RuntimeError,
     "TransientLinkError": RuntimeError, "LedgerScopeError": RuntimeError,
     "DeviceOOMError": MemoryError, "SanitizerError": RuntimeError,
+    "ReplicaMismatchError": RuntimeError,
     "ConfigError": ValueError, "FormatError": ValueError,
 }
 
@@ -79,6 +80,13 @@ def plan(*events):
     return FaultPlan.from_dict({"events": list(events)})
 
 
+def event(kind="rank_loss", collective_index=0, **fields):
+    """A one-event plan to read, as a thunk."""
+    return lambda: plan(
+        dict(kind=kind, collective_index=collective_index, **fields)
+    )
+
+
 FORMAT_ERRORS = {
     "frame-header-cut": lambda: decode_frames(DELTA[:5], np.int64),
     "frame-kind": lambda: decode_frames(np.r_[np.uint8(9), DELTA[1:]], np.int64),
@@ -90,9 +98,24 @@ FORMAT_ERRORS = {
     "plan-missing-key": lambda: plan({"kind": "rank_loss"}),
     "plan-unknown-kind": lambda: plan({"kind": "meteor", "collective_index": 0}),
     "plan-bad-event": lambda: plan({"kind": "rank_loss", "collective_index": -1}),
+    "plan-infinite-slowdown": event("straggler", slowdown=float("inf")),
+    "plan-nan-slowdown": event("straggler", slowdown=float("nan")),
+    "plan-fractional-index": event(collective_index=1.5),
+    "plan-boolean-index": event(collective_index=True),
+    "plan-string-rank": event(rank="0"),
+    "plan-unknown-event-key": event(when=3),
     "parts-not-json": lambda: parts_from_json("{"),
     "parts-version": lambda: parts_from_json({"version": 1}),
     "parts-missing-keys": lambda: parts_from_json({"version": 2, "generations": [{}]}),
+    "parts-rank-outside-world": lambda: parts_from_json({
+        "version": 2, "generations": [{"world_size": 2, "collectives": [],
+                                       "compute_events": [[2, "x", 0, 1]]}],
+    }),
+    "parts-world-size-zero": lambda: parts_from_json({
+        "version": 2, "generations": [
+            {"world_size": 0, "compute_events": [], "collectives": []}
+        ],
+    }),
 }
 
 

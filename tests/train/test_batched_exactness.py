@@ -1,142 +1,67 @@
 """Regression pin: batched rank execution is bit-identical to the loop.
 
-The simulator fast path (:mod:`repro.nn.batched`) stacks all replicas'
-forward/backward along a leading rank axis — through the same layer
-bodies the per-rank call runs — over the one parameter set every
-replica binds.  Its contract is **bit-for-bit** equivalence with the
-per-rank loop, for every model built from the replica-axis layers (the
-word LM with sampled softmax and the char LM with dropout both run
-here): losses, parameters, optimizer state,
-dropout and candidate-sampler RNG consumption, carried BPTT state and
-the communication ledger must all match exactly, across seeds.  Anything
-weaker would make a "performance" toggle silently change training
-results.
+The stacked fast path (:mod:`repro.nn.batched`) and the per-rank loop
+are both checked against the one reference of :mod:`tests.conformance`,
+across seeds.  Pairwise here: what the reference does not model (whole
+epochs with evaluation, float32 weights) and the decide-once contract —
+the executor is built or not with the trainer, and a world that leaves
+its envelope mid-run raises a :class:`ReplicaMismatchError` naming the
+replica instead of falling back.
 """
 
 import numpy as np
 import pytest
 
 from repro.data.batching import BatchSpec
+from repro.nn import ReplicaMismatchError
 from repro.nn.batched import build_batched_executor
-from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
 from repro.train.char_lm import CharLanguageModel
-from repro.train.config import CharLMConfig, TrainConfig, WordLMConfig
-from repro.train.trainer import DistributedTrainer, max_replica_divergence
+from repro.train.config import TrainConfig
+from repro.train.trainer import DistributedTrainer
 from repro.train.word_lm import WordLanguageModel
 
+from ..conformance.cells import conform
+from ..conformance.reference import CHAR_CFG, MODELS, OPTIMIZERS, WORD_CFG
 from ..helpers import assert_same_state
 
-MODEL_CFG = CharLMConfig(
-    vocab_size=61, embedding_dim=7, hidden_dim=11, depth=3, dropout=0.2
-)
-WORD_CFG = WordLMConfig(
-    vocab_size=61, embedding_dim=7, hidden_dim=11, projection_dim=5,
-    num_samples=9,
-)
-MODELS = ("char", "word")
+MODELS_UNDER_TEST = ("char", "word")
 
 
-def _make_trainer(batched, seed, model="char", word_cfg=WORD_CFG, **overrides):
+def _make_trainer(seed, model="char", **overrides):
     rng = np.random.default_rng(seed)
-    train = rng.integers(0, MODEL_CFG.vocab_size, size=6000).astype(np.int64)
-    valid = rng.integers(0, MODEL_CFG.vocab_size, size=900).astype(np.int64)
+    tokens = rng.integers(0, WORD_CFG.vocab_size, size=6000).astype(np.int64)
+    optimizer = "adam" if model == "char" else "sgd"
+    make_optimizer, base_lr = OPTIMIZERS[optimizer]
     cfg = TrainConfig(
-        world_size=overrides.pop("world_size", 4),
-        batch=BatchSpec(3, 5),
-        base_lr=4e-3 if model == "char" else 0.2,
-        init_seed=seed,
-        data_seed=seed + 1,
-        batched=batched,
-        **overrides,
+        world_size=overrides.pop("world_size", 4), batch=BatchSpec(3, 5),
+        base_lr=base_lr, init_seed=seed, data_seed=seed + 1, **overrides,
+    )
+    return DistributedTrainer(
+        MODELS[model], make_optimizer, tokens, tokens[:900], cfg
     )
 
-    if model == "char":
-        def factory(init_rng, rank):
-            return CharLanguageModel(
-                MODEL_CFG,
-                init_rng,
-                dropout_rng=np.random.default_rng((seed, rank)),
-                stateful=True,
-            )
 
-        optimizer = lambda p, lr: Adam(p, lr)
-    else:
-        def factory(init_rng, rank):
-            return WordLanguageModel(word_cfg, init_rng, stateful=True)
-
-        # Odd seeds also cover the momentum buffers.
-        optimizer = lambda p, lr: SGD(p, lr, momentum=0.5 * (seed % 2))
-
-    trainer = DistributedTrainer(factory, optimizer, train, valid, cfg)
-    # Keep every sample generator the trainer hands out, so the test can
-    # compare how far each was consumed.
-    trainer.sample_rngs_seen = []
-    make = trainer._sample_rngs
-
-    def recording():
-        rngs = make()
-        trainer.sample_rngs_seen.append(rngs)
-        return rngs
-
-    trainer._sample_rngs = recording
-    return trainer
-
-
-def _states(model):
-    state = model._state
-    if state is None:
-        return None
-    return state if isinstance(state, tuple) else (state,)
-
-
-def _assert_identical(fast, slow):
-    for ra, rb in zip(fast.replicas, slow.replicas):
-        for (name, pa), (_, pb) in zip(
-            ra.named_parameters(), rb.named_parameters()
-        ):
-            assert np.array_equal(pa.data, pb.data), name
-        sa, sb = _states(ra), _states(rb)
-        assert (sa is None) == (sb is None)
-        if sa is not None:
-            for a, b in zip(sa, sb, strict=True):
-                assert np.array_equal(a, b)
-        assert ra.rng_state() == rb.rng_state()
-    assert_same_state(
-        fast.optimizer.state_dict(), slow.optimizer.state_dict(), "optimizer"
-    )
-    assert max_replica_divergence(fast.replicas) == 0.0
-    # Candidate draws: the word LM's fast path must have consumed each
-    # rank's sample generator exactly as far as the loop did (the char
-    # LM's never asks for them).
-    if isinstance(fast.replicas[0], WordLanguageModel):
-        assert len(fast.sample_rngs_seen) == len(slow.sample_rngs_seen)
-        for fa, sl in zip(fast.sample_rngs_seen, slow.sample_rngs_seen):
-            for ga, gb in zip(fa, sl, strict=True):
-                assert ga.bit_generator.state == gb.bit_generator.state
-    else:
-        assert not fast.sample_rngs_seen
-    # Same collectives in the same order: each event carries its wire
-    # bytes, its logical (pre-codec) payload bytes and its simulated time.
-    assert fast.comm.ledger.events == slow.comm.ledger.events
+def _conform_both_paths(**cell):
+    """The cell on the stacked and the per-rank path; both trainers."""
+    return [conform(batched=batched, **cell) for batched in (True, False)]
 
 
 @pytest.mark.parametrize(
     "model,seed",
-    [(m, s) for m in MODELS for s in range(5)],
-    ids=[str(s) if m == "char" else f"{m}-{s}" for m in MODELS for s in range(5)],
+    [(m, s) for m in MODELS_UNDER_TEST for s in range(5)],
+    ids=[
+        str(s) if m == "char" else f"{m}-{s}"
+        for m in MODELS_UNDER_TEST for s in range(5)
+    ],
 )
 def test_batched_matches_per_rank_loop(model, seed):
-    """Five-seed differential: losses + full state identical after 8 steps."""
-    fast = _make_trainer(True, seed, model, accumulation_steps=2)
-    slow = _make_trainer(False, seed, model, accumulation_steps=2)
-    assert fast.batched_executor is not None
-    assert slow.batched_executor is None
-    fast_losses = [fast.train_step() for _ in range(8)]
-    slow_losses = [slow.train_step() for _ in range(8)]
-    assert fast_losses == slow_losses
-    assert fast.batched_executor._calls == 16  # no micro-step fell back
-    _assert_identical(fast, slow)
+    """Five seeds, 8 steps of 2 micro-steps; odd word seeds add momentum."""
+    optimizer = "adam" if model == "char" else ("sgd", "momentum")[seed % 2]
+    _conform_both_paths(
+        model=model, optimizer=optimizer, accumulation_steps=2,
+        world_size=4, init_seed=seed, data_seed=seed + 1, steps=8,
+    )
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -144,34 +69,20 @@ def test_word_lm_shared_grads_and_row_replication(seed):
     """No accumulation, no scaler: nothing touches the synced grads (one
     object on every replica) between the sync and the one SGD step over
     the shared rows — 3 steps, tied embeddings on odd seeds."""
-    cfg = WORD_CFG
-    if seed % 2:
-        cfg = WordLMConfig(
-            vocab_size=61, embedding_dim=7, hidden_dim=11, projection_dim=7,
-            num_samples=9, tie_embeddings=True,
-        )
-    fast = _make_trainer(True, seed, "word", cfg, world_size=5)
-    slow = _make_trainer(False, seed, "word", cfg, world_size=5)
-    assert [fast.train_step() for _ in range(3)] == [
-        slow.train_step() for _ in range(3)
-    ]
-    _assert_identical(fast, slow)
+    _conform_both_paths(
+        model=("word", "tied")[seed % 2], world_size=5, init_seed=seed,
+        data_seed=seed + 1,
+    )
 
 
 def test_batched_matches_under_overlap_and_loss_scale():
-    for model in MODELS:
-        kwargs = dict(
-            overlap=True, compute_seconds_per_step=1e-3, loss_scale=256.0
+    for model in MODELS_UNDER_TEST:
+        fast, slow = _conform_both_paths(
+            model=model, optimizer="adam" if model == "char" else "sgd",
+            overlap=True, loss_scale=256.0, world_size=4, steps=5,
         )
-        fast = _make_trainer(True, 11, model, **kwargs)
-        slow = _make_trainer(False, 11, model, **kwargs)
-        assert [fast.train_step() for _ in range(5)] == [
-            slow.train_step() for _ in range(5)
-        ]
-        _assert_identical(fast, slow)
-        # The overlapped schedule's *ledger* must agree too: the fast
-        # path only changes host wall-clock, never simulated cost
-        # accounting.
+        # The overlapped schedule's cost must agree too: the fast path
+        # only changes host wall-clock, never simulated cost accounting.
         assert (
             fast.comm.ledger.total_wire_bytes_per_rank
             == slow.comm.ledger.total_wire_bytes_per_rank
@@ -181,16 +92,21 @@ def test_batched_matches_under_overlap_and_loss_scale():
 
 def test_batched_epoch_with_evals_matches():
     """Full epoch incl. eval (training-flag flips) stays bit-exact."""
-    for model in MODELS:
-        fast = _make_trainer(True, 21, model)
-        slow = _make_trainer(False, 21, model)
+    for model in MODELS_UNDER_TEST:
+        fast = _make_trainer(21, model)
+        slow = _make_trainer(21, model, batched=False)
         sa = fast.train_epoch(max_steps=6, evals_per_epoch=2)
         sb = slow.train_epoch(max_steps=6, evals_per_epoch=2)
         assert sa.mean_train_loss == sb.mean_train_loss
         assert [e.nll for e in sa.eval_points] == [
             e.nll for e in sb.eval_points
         ]
-        _assert_identical(fast, slow)
+        for ra, rb in zip(fast.replicas, slow.replicas):
+            assert_same_state(ra.state_dict(), rb.state_dict())
+            assert ra.rng_state() == rb.rng_state()
+        assert_same_state(
+            fast.optimizer.state_dict(), slow.optimizer.state_dict()
+        )
 
 
 def test_word_lm_float32_matches():
@@ -198,7 +114,7 @@ def test_word_lm_float32_matches():
     fan-out must cast and accumulate exactly as ``accumulate_grad``."""
     def build(batched):
         rng = np.random.default_rng(3)
-        tokens = rng.integers(0, 61, size=4000).astype(np.int64)
+        tokens = rng.integers(0, WORD_CFG.vocab_size, size=4000).astype(np.int64)
         cfg = TrainConfig(
             world_size=3, batch=BatchSpec(2, 4), base_lr=0.2,
             accumulation_steps=2, batched=batched,
@@ -221,90 +137,92 @@ def test_word_lm_float32_matches():
 
 
 def test_batched_true_requires_support():
-    with pytest.raises(ValueError, match="batched"):
-        _make_trainer(True, 3, world_size=1)
+    """``batched=True`` stacks only a world that qualifies; one replica
+    runs the loop for the whole run, without an error (``conform``
+    checks the executor is built exactly when ``d > 1``)."""
+    for model in MODELS_UNDER_TEST:
+        conform(model=model, batched=True, world_size=1)
 
 
 def test_batched_false_disables():
-    for model in MODELS:
-        assert _make_trainer(False, 3, model).batched_executor is None
+    for model in MODELS_UNDER_TEST:
+        conform(model=model, batched=False)
+
+
+def test_batched_takes_two_values():
+    with pytest.raises(ValueError, match="batched"):
+        _make_trainer(3, batched=None)
 
 
 def test_single_replica_has_no_executor():
-    for model in MODELS:
-        t = _make_trainer(None, 3, model, world_size=1)
-        assert t.batched_executor is None
-        t.train_step()  # per-rank loop still works
+    for model in MODELS_UNDER_TEST:
+        conform(model=model, world_size=1)
 
 
 def test_word_lm_auto_enables_flat_and_on_a_mesh():
-    flat = _make_trainer(None, 3, "word")
-    assert flat.batched_executor is not None
-    mesh = _make_trainer(
-        None, 3, "word", world_size=8, mesh="pipe=2,tensor=2,data=2"
-    )
-    assert mesh.batched_executor is not None
+    conform(world_size=4)
+    mesh = conform(world_size=8, mesh="pipe=2,tensor=2,data=2", steps=1)
     assert len(mesh.batched_executor.replicas) == 2
-    mesh.train_step()
-    assert mesh.batched_executor._calls == 1
 
 
-def test_executor_disables_on_divergence():
+def _refused(trainer, batches, replica):
+    """The step raises naming ``replica`` and consumes nothing."""
+    ex = trainer.batched_executor
+    calls, streams = ex._calls, [r.rng_state() for r in trainer.replicas]
+    with pytest.raises(ReplicaMismatchError, match=f"replica {replica}"):
+        ex.step(batches, trainer._sample_rngs)
+    assert ex._calls == calls
+    assert [r.rng_state() for r in trainer.replicas] == streams
+
+
+def test_executor_raises_on_divergence():
     """The storage tripwire: the fast path runs every rank on rank 0's
     weights, so one replica bound to another array — even an equal one —
-    disables it on the next step, with the reason recorded."""
-    for model in MODELS:
-        t = _make_trainer(True, 5, model)
-        ex = t.batched_executor
+    is refused on the next step, naming the replica."""
+    for model in MODELS_UNDER_TEST:
+        t = _make_trainer(5, model)
         t.train_step()
-        assert ex.active and ex._calls == 1
         p = next(iter(t.replicas[1].parameters()))
         p.data = p.data.copy()
-        t.train_step()  # falls back to the per-rank loop, permanently
-        assert not ex.active and ex._calls == 1
-        assert "diverged" in ex.fallback_reason
-        assert ex.step(t.batcher.step_batches(0), t._sample_rngs) is None
+        _refused(t, t.batcher.step_batches(1), 1)
+        with pytest.raises(ReplicaMismatchError):
+            t.train_step()
 
 
-def test_ragged_batches_fall_back():
-    for model in MODELS:
-        t = _make_trainer(True, 6, model)
-        ex = t.batched_executor
-        batches = t.batcher.step_batches(0)
-        short = batches[0].__class__(
-            inputs=batches[0].inputs[:, :-1], targets=batches[0].targets[:, :-1]
+def test_ragged_batches_raise():
+    for model in MODELS_UNDER_TEST:
+        t = _make_trainer(6, model)
+        batches = list(t.batcher.step_batches(0))
+        short = batches[2].__class__(
+            inputs=batches[2].inputs[:, :-1], targets=batches[2].targets[:, :-1]
         )
-        assert ex.step([short] + list(batches[1:]), t._sample_rngs) is None
-        assert ex.active  # per-step fallback, not a permanent disable
-        assert not t.sample_rngs_seen  # nothing was drawn, or even built
+        _refused(t, batches[:2] + [short] + batches[3:], 2)
+        _refused(t, batches[:3], 3)  # a batch count that is not the world's
 
 
-def test_inconsistent_flags_and_carry_fall_back():
-    for model in MODELS:
-        t = _make_trainer(True, 7, model)
-        ex = t.batched_executor
+def test_inconsistent_flags_and_carry_raise():
+    for model in MODELS_UNDER_TEST:
+        t = _make_trainer(7, model)
         t.train_step()
         batches = t.batcher.step_batches(1)
-        # One replica alone in eval mode.
-        t.replicas[2].eval()
-        assert ex.step(batches, t._sample_rngs) is None
+        t.replicas[2].eval()  # one replica alone in eval mode
+        _refused(t, batches, 2)
         t.replicas[2].train()
-        # One replica alone without a carried state.
         kept = t.replicas[1]._state
-        t.replicas[1].reset_state()
-        assert ex.step(batches, t._sample_rngs) is None
+        t.replicas[1].reset_state()  # one replica alone without a carry
+        _refused(t, batches, 1)
         t.replicas[1]._state = kept
-        assert ex.step(batches, t._sample_rngs) is not None
-        assert ex.active
+        assert len(t.batched_executor.step(batches, t._sample_rngs)) == 4
 
 
 def test_build_rejects_mixed_configs():
-    other_cfg = CharLMConfig(
+    rng = np.random.default_rng
+    other_cfg = CHAR_CFG.__class__(
         vocab_size=61, embedding_dim=7, hidden_dim=13, depth=3, dropout=0.2
     )
-    a = CharLanguageModel(MODEL_CFG, np.random.default_rng(0))
-    b = CharLanguageModel(other_cfg, np.random.default_rng(0))
-    w = WordLanguageModel(WORD_CFG, np.random.default_rng(0))
+    a = CharLanguageModel(CHAR_CFG, rng(0))
+    b = CharLanguageModel(other_cfg, rng(0))
+    w = WordLanguageModel(WORD_CFG, rng(0))
     assert build_batched_executor([a, b]) is None
     assert build_batched_executor([a, w]) is None
     assert build_batched_executor([a]) is None
@@ -313,7 +231,6 @@ def test_build_rejects_mixed_configs():
     class Tweaked(WordLanguageModel):  # may override step: not the exact type
         pass
 
-    rng = np.random.default_rng
     assert build_batched_executor([Tweaked(WORD_CFG, rng(0)) for _ in "ab"]) is None
     stateful = WordLanguageModel(WORD_CFG, rng(0), stateful=True)
     assert build_batched_executor([w, stateful]) is None

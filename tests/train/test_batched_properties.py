@@ -23,6 +23,7 @@ from repro.train.config import CharLMConfig, TrainConfig, WordLMConfig
 from repro.train.trainer import DistributedTrainer
 from repro.train.word_lm import WordLanguageModel
 
+from ..conformance.cells import carried
 from ..helpers import assert_same_state
 
 N_CASES = 200
@@ -139,16 +140,11 @@ def assert_batched_is_bit_exact(params: dict) -> None:
     assert fast_losses == slow_losses, "losses diverged"
     assert (
         fast.batched_executor._calls == params["steps"] * params["accum"]
-    ), "a micro-step fell back to the per-rank loop"
+    ), "a micro-step did not run stacked"
     for ra, rb in zip(fast.replicas, slow.replicas):
-        for (name, pa), (_, pb) in zip(
-            ra.named_parameters(), rb.named_parameters()
-        ):
-            assert np.array_equal(pa.data, pb.data), f"param {name}"
-        assert (ra._state is None) == (rb._state is None), "state presence"
-        if ra._state is not None:
-            # (h, c) for the LSTM, one array for the RHN
-            assert np.array_equal(ra._state, rb._state), "carried state"
+        assert_same_state(ra.state_dict(), rb.state_dict(), "params")
+        for a, b in zip(carried(ra), carried(rb), strict=True):
+            assert np.array_equal(a, b), "carried state"
     assert_same_state(
         fast.optimizer.state_dict(), slow.optimizer.state_dict(), "opt state"
     )

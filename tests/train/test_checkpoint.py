@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
+from repro.data import BatchSpec
 from repro.errors import FormatError
 from repro.nn import Linear, Module, Parameter
 from repro.optim import SGD, Adam
@@ -13,34 +13,30 @@ from repro.train import (
     DistributedTrainer,
     TrainConfig,
     WordLanguageModel,
-    WordLMConfig,
     load_checkpoint,
     save_checkpoint,
 )
 
-VOCAB = 60
-WORD_CFG = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6, num_samples=8
-)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
+from ..conformance.reference import CORPUS, VOCAB, WORD_CFG
+from ..helpers import assert_same_state
 
 
-def word_trainer(world=2, seed_offset=0):
+def word_trainer(world=2, seed_offset=0, momentum=0.0):
     cfg = TrainConfig(
         world_size=world, batch=BatchSpec(2, 6), base_lr=0.2,
         init_seed=1234 + seed_offset,
     )
     return DistributedTrainer(
         lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
-        lambda params, lr: SGD(params, lr),
+        lambda params, lr: SGD(params, lr, momentum=momentum),
         CORPUS.train, CORPUS.valid, cfg,
     )
 
 
-def char_trainer(world=2):
+def char_trainer(world=2, dropout=0.0):
     cfg = TrainConfig(world_size=world, batch=BatchSpec(2, 6), base_lr=1e-3)
     mcfg = CharLMConfig(vocab_size=VOCAB, embedding_dim=6, hidden_dim=8,
-                        depth=2, dropout=0.0)
+                        depth=2, dropout=dropout)
     return DistributedTrainer(
         lambda rng, rank: CharLanguageModel(
             mcfg, rng, dropout_rng=np.random.default_rng(rank)
@@ -171,11 +167,9 @@ class TestCheckpointRoundtrip:
         for _ in range(4):
             straight.train_step()
             fresh.train_step()
-        for (n, a), (_, b) in zip(
-            straight.replicas[0].named_parameters(),
-            fresh.replicas[0].named_parameters(),
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert_same_state(
+            straight.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+        )
 
     def test_adam_trainer_resume(self, tmp_path):
         tr = char_trainer()
@@ -240,11 +234,9 @@ class TestCheckpointRoundtrip:
         # Continuation is bit-identical.
         tr.train_step()
         fresh.train_step()
-        for (n, a), (_, b) in zip(
-            tr.replicas[0].named_parameters(),
-            fresh.replicas[0].named_parameters(),
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert_same_state(
+            tr.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+        )
 
     def test_scaler_checkpoint_requires_scaler_trainer(self, tmp_path):
         cfg = TrainConfig(
@@ -293,11 +285,9 @@ class TestCheckpointRoundtrip:
         for replica in fresh.replicas:
             for p, data in zip(replica.parameters(), arrays, strict=True):
                 assert p.data is data
-        for (n, a), (_, b) in zip(
-            tr.replicas[0].named_parameters(),
-            fresh.replicas[2].named_parameters(),
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert_same_state(
+            tr.replicas[0].state_dict(), fresh.replicas[2].state_dict()
+        )
         assert fresh.batched_executor.step(
             fresh.batcher.step_batches(0), sample_rngs=fresh._sample_rngs
         ) is not None  # the load did not trip the storage tripwire
@@ -335,16 +325,7 @@ class TestRngLimbEncoding:
 def dropout_trainer(world=2):
     """A char trainer whose steps consume per-replica dropout streams —
     the case checkpoint v1 could not resume bit-exactly."""
-    cfg = TrainConfig(world_size=world, batch=BatchSpec(2, 6), base_lr=1e-3)
-    mcfg = CharLMConfig(vocab_size=VOCAB, embedding_dim=6, hidden_dim=8,
-                        depth=2, dropout=0.25)
-    return DistributedTrainer(
-        lambda rng, rank: CharLanguageModel(
-            mcfg, rng, dropout_rng=np.random.default_rng(rank)
-        ),
-        lambda params, lr: Adam(params, lr),
-        CORPUS.train, CORPUS.valid, cfg,
-    )
+    return char_trainer(world, dropout=0.25)
 
 
 class TestCheckpointV2:
@@ -375,11 +356,9 @@ class TestCheckpointV2:
         for _ in range(2):
             straight.train_step()
             fresh.train_step()
-        for (n, a), (_, b) in zip(
-            straight.replicas[0].named_parameters(),
-            fresh.replicas[0].named_parameters(),
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert_same_state(
+            straight.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+        )
 
     def test_per_replica_streams_saved_separately(self, tmp_path):
         tr = dropout_trainer(world=3)
@@ -433,11 +412,9 @@ class TestCheckpointV2:
         before_streams = [r.rng_state() for r in fresh.replicas]
         assert load_checkpoint(v1, fresh) == 2
         assert fresh.global_step == 2
-        for (n, a), (_, b) in zip(
-            tr.replicas[0].named_parameters(),
-            fresh.replicas[0].named_parameters(),
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert_same_state(
+            tr.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+        )
         # v1 carries no streams: the trainer keeps its own.
         assert [r.rng_state() for r in fresh.replicas] == before_streams
 
@@ -534,28 +511,49 @@ class TestRemovedClip:
         fresh = word_trainer(seed_offset=9)
         assert load_checkpoint(ckpt, fresh) == 2
         assert fresh.optimizer.lr == tr.optimizer.lr
-        for (n, a), (_, b) in zip(
-            tr.replicas[0].named_parameters(),
-            fresh.replicas[0].named_parameters(),
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert_same_state(
+            tr.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+        )
 
 
-#: Ways a checkpoint file can be unreadable, each applied to a real one.
+def rewrite(**changes):
+    """Damage that rewrites arrays by key (None drops the key)."""
+    def damage(path):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        for key, value in changes.items():
+            if value is None:
+                del arrays[key]
+            else:
+                arrays[key] = value
+        np.savez(path, **arrays)
+
+    return damage
+
+
+#: Ways a checkpoint file can be unresumable, each applied to a real one
+#: of a momentum-SGD run.
 DAMAGE = {
     "empty": lambda path: path.write_bytes(b""),
     "not-an-npz": lambda path: path.write_bytes(b"global_step: 3"),
     "truncated": lambda path: path.write_bytes(path.read_bytes()[:2000]),
     "missing-keys": lambda path: np.savez(path, **{"meta/version": np.array(2)}),
     "version-3": lambda path: np.savez(path, **{"meta/version": np.array(3)}),
+    "model-shape": rewrite(**{"model/embedding.weight": np.zeros((3, 3))}),
+    "model-missing": rewrite(**{"model/embedding.weight": None}),
+    "optim-shape": rewrite(**{"optim/velocity0": np.zeros(2)}),
+    "negative-data-step": rewrite(**{"meta/data_step": np.array(-5)}),
+    "seed-groups-length": rewrite(
+        **{"rng/group_of_rank": np.zeros(5, np.int64)}
+    ),
 }
 
 
 @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE)
 def test_unreadable_checkpoint_is_a_format_error(tmp_path, damage):
-    save_checkpoint(tmp_path / "c.npz", word_trainer())
+    save_checkpoint(tmp_path / "c.npz", word_trainer(momentum=0.9))
     damage(tmp_path / "c.npz")
-    fresh = word_trainer(seed_offset=9)
+    fresh = word_trainer(seed_offset=9, momentum=0.9)
     before = [p.data.copy() for p in fresh.replicas[0].parameters()]
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "c.npz", fresh)

@@ -3,33 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
-from repro.optim import SGD
-from repro.train import (
-    DistributedTrainer,
-    TrainConfig,
-    WordLanguageModel,
-    WordLMConfig,
-    assert_replicas_synchronized,
-)
+from repro.errors import ConfigError
+from repro.train import assert_replicas_synchronized
 
-VOCAB = 60
-MODEL = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
-    num_samples=8,
-)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
+from ..conformance.reference import word_trainer
 
 
-def make_trainer(loss_scale=None):
-    cfg = TrainConfig(
-        world_size=2, batch=BatchSpec(2, 6), base_lr=0.2, loss_scale=loss_scale
-    )
-    return DistributedTrainer(
-        lambda rng, rank: WordLanguageModel(MODEL, rng),
-        lambda params, lr: SGD(params, lr),
-        CORPUS.train, CORPUS.valid, cfg,
-    )
+def make_trainer(loss_scale=None, **overrides):
+    return word_trainer(2, loss_scale=loss_scale, **overrides)
 
 
 class TestConfig:
@@ -42,6 +23,12 @@ class TestConfig:
             make_trainer(loss_scale="adaptive")
         with pytest.raises(ValueError):
             make_trainer(loss_scale=0.5)
+
+    @pytest.mark.parametrize("spec", ["fp16", "fp16:1024+delta", "auto"])
+    def test_fp16_wire_refuses_a_loss_scale(self, spec):
+        """The FP16 wire's own compression scale would compound it."""
+        with pytest.raises(ConfigError, match="loss_scale"):
+            make_trainer(loss_scale=256.0, wire_codec=spec)
 
 
 class TestStaticScaling:

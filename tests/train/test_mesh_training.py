@@ -3,9 +3,9 @@
 The regression pins, per the mesh design:
 
 * **Trivial mesh**: a ``(pipe=1, tensor=1, data=G)`` mesh *is* the flat
-  data-parallel run (one code path; the bit-exactness table lives in
-  ``test_sync_composition.py``) — including the configured exchange
-  strategy, which the mesh sync once ignored.
+  data-parallel run (one code path; the bit-exactness cells live in
+  ``tests/conformance``) — including the configured exchange strategy,
+  which the mesh sync once ignored.
 * **Hybrid consistency**: a ``(2, 2, 2)`` world of 8 keeps its data
   replicas bit-synchronized, sanitizes cleanly on every axis ring, and
   charges pipeline/tensor traffic to the shared ledger.
@@ -24,44 +24,17 @@ from repro.cluster import (
     FaultPlan,
     TransientLinkError,
 )
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
-from repro.optim import SGD
 from repro.train import (
-    DistributedTrainer,
     ResilientRunner,
     TrainConfig,
-    WordLanguageModel,
-    WordLMConfig,
     assert_replicas_synchronized,
     load_checkpoint,
     save_checkpoint,
 )
 
-VOCAB = 60
-WORD_CFG = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
-    num_samples=8,
-)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
-
-
-def word_trainer(world=4, comm=None, **cfg_overrides):
-    cfg = TrainConfig(
-        world_size=world, batch=BatchSpec(2, 6), base_lr=0.2,
-        **cfg_overrides,
-    )
-    return DistributedTrainer(
-        lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
-        lambda params, lr: SGD(params, lr),
-        CORPUS.train, CORPUS.valid, cfg, comm=comm,
-    )
-
-
-def weights(trainer):
-    return {
-        name: p.data.copy()
-        for name, p in trainer.replicas[0].named_parameters()
-    }
+from ..conformance.cells import conform
+from ..conformance.reference import BATCH, word_trainer
+from ..helpers import assert_same_state
 
 
 class TestTrivialMeshEquivalence:
@@ -72,23 +45,14 @@ class TestTrivialMeshEquivalence:
     def test_baseline_exchange_matches_to_rounding(self):
         # Regression: the mesh sync used to ignore use_unique=False and
         # run (and bill) the uniqueness exchange.  The baseline on the
-        # trivial mesh is the flat baseline — weights, ledger ops and
-        # wire bytes alike.
-        flat = word_trainer(use_unique=False)
-        mesh = word_trainer(use_unique=False, mesh="data=G")
-        for _ in range(3):
-            flat.train_step()
-            mesh.train_step()
-        fw, mw = weights(flat), weights(mesh)
-        for name in fw:
-            np.testing.assert_array_equal(mw[name], fw[name])
-        assert mesh.comm.ledger.events == flat.comm.ledger.events
-        assert "allreduce" in flat.comm.ledger.bytes_by_op()
-        assert (
-            mesh.comm.ledger.bytes_by_op() == flat.comm.ledger.bytes_by_op()
-        )
+        # trivial mesh is the flat baseline — weights and the ledger's
+        # ops, bytes and seconds alike (the conformance ledger class).
+        mesh = conform(use_unique=False, mesh="data=G", world_size=4)
+        assert "allreduce" in mesh.comm.ledger.bytes_by_op()
 
     def test_baseline_on_hybrid_mesh_gathers_more_than_unique(self):
+        # The baseline ships token-level rows (in the flat order, so it
+        # stays bit-exact); the unique path ships locally-unique ones.
         def gathered(use_unique):
             tr = word_trainer(
                 world=8, use_unique=use_unique, mesh="pipe=2,tensor=2,data=G/4"
@@ -136,68 +100,22 @@ class TestHybridMesh:
         assert san.collectives_checked == len(tr.comm.ledger.events) > 0
         assert len(tr.comm.axis("data").groups) == 4
 
-    def test_differential_chaos_transient_fault_is_survivable(
-        self, tmp_path
-    ):
-        """Acceptance: hybrid mesh + sanitizer + chaos plan —
-        a retried transient fault leaves the weights bit-identical to
-        the fault-free arm."""
-        world = 8
-        plan = FaultPlan(
-            [
-                FaultEvent(
-                    FaultKind.TRANSIENT_LINK, collective_index=2,
-                    rank=3, retries=1,
-                )
-            ],
-            seed=0,
+    def test_differential_chaos_transient_fault_is_survivable(self):
+        """Acceptance: hybrid mesh + sanitizer + chaos plan — a retried
+        transient fault leaves the run where the reference puts it."""
+        plan = FaultPlan([FaultEvent(FaultKind.TRANSIENT_LINK, 2, rank=3)])
+        faulted = conform(
+            plan=plan, mesh="pipe=2,tensor=2,data=", observer="sanitize",
+            compute_seconds_per_step=None, steps=4,
         )
-
-        def factory(cfg, comm):
-            return DistributedTrainer(
-                lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
-                lambda params, lr: SGD(params, lr),
-                CORPUS.train, CORPUS.valid, cfg, comm=comm,
-            )
-
-        cfg = TrainConfig(
-            world_size=world, batch=BatchSpec(2, 6), base_lr=0.2,
-            mesh="pipe=2,tensor=2,data=",
-        )
-        chaos_comm = ChaosCommunicator(world, plan=plan, track_memory=False)
-        san = Sanitizer(chaos_comm)
-        runner = ResilientRunner(
-            factory, cfg, tmp_path / "ckpt.npz", comm=chaos_comm,
-            checkpoint_every=3,
-        )
-        faulted = runner.run(4)
-        san.finish()
-        assert san.collectives_checked > 0
-        assert any(e.kind == "retry" for e in runner.events)
+        replay = faulted.comm.replay
         # Pinned replay position: the step's one dense run (its
         # projection.weight member), five collectives per step.
-        assert [(i, op) for i, op, _ in chaos_comm.replay.injected] == [
-            (2, "allreduce")
-        ]
-        assert chaos_comm.replay.collectives_issued == 22
-
-        clean = word_trainer(world=world, mesh="pipe=2,tensor=2,data=")
-        for _ in range(4):
-            clean.train_step()
-        fw, cw = weights(faulted), weights(clean)
-        for name in cw:
-            np.testing.assert_array_equal(fw[name], cw[name])
+        assert [(i, op) for i, op, _ in replay.injected] == [(2, "allreduce")]
+        assert replay.collectives_issued == 22
 
     def test_transient_fault_fires_through_mesh_collectives(self):
-        plan = FaultPlan(
-            [
-                FaultEvent(
-                    FaultKind.TRANSIENT_LINK, collective_index=0,
-                    rank=0, retries=1,
-                )
-            ],
-            seed=0,
-        )
+        plan = FaultPlan([FaultEvent(FaultKind.TRANSIENT_LINK, 0)])
         comm = ChaosCommunicator(8, plan=plan, track_memory=False)
         tr = word_trainer(world=8, comm=comm, mesh="pipe=2,tensor=2,data=")
         with pytest.raises(TransientLinkError):
@@ -212,9 +130,9 @@ class TestMeshCheckpoint:
         fresh = word_trainer(world=8, mesh="pipe=2,tensor=2,data=")
         step = load_checkpoint(tmp_path / "c.npz", fresh)
         assert step == 1
-        fw, tw = weights(fresh), weights(tr)
-        for name in tw:
-            np.testing.assert_array_equal(fw[name], tw[name])
+        assert_same_state(
+            fresh.replicas[0].state_dict(), tr.replicas[0].state_dict()
+        )
 
     def test_model_axes_must_match(self, tmp_path):
         tr = word_trainer(world=8, mesh="pipe=2,tensor=2,data=")
@@ -251,22 +169,11 @@ class TestMeshCheckpoint:
 
 class TestElasticMeshShrink:
     def runner(self, tmp_path, plan, world, mesh):
-        cfg = TrainConfig(
-            world_size=world, batch=BatchSpec(2, 6), base_lr=0.2,
-            mesh=mesh,
-        )
-
-        def factory(cfg, comm):
-            return DistributedTrainer(
-                lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
-                lambda params, lr: SGD(params, lr),
-                CORPUS.train, CORPUS.valid, cfg, comm=comm,
-            )
-
         comm = ChaosCommunicator(world, plan=plan, track_memory=False)
         return ResilientRunner(
-            factory, cfg, tmp_path / "ckpt.npz", comm=comm,
-            checkpoint_every=2,
+            lambda cfg, comm: word_trainer(cfg.world_size, comm, mesh=cfg.mesh),
+            TrainConfig(world_size=world, batch=BATCH, base_lr=0.2, mesh=mesh),
+            tmp_path / "ckpt.npz", comm=comm, checkpoint_every=2,
         )
 
     def test_rank_loss_collapses_data_axis(self, tmp_path):

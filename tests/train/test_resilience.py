@@ -4,9 +4,9 @@ The headline invariants, per the resilience design:
 
 * **Transient-only differential**: replaying a fault plan containing only
   transient link faults through :class:`ResilientRunner` must leave the
-  final weights **bit-identical** to a fault-free run — a retried step
-  consumes exactly the randomness and data the never-faulted step would
-  have.
+  run **bit-identical** to the written-out reference of
+  ``tests/conformance`` — a retried step consumes exactly the randomness
+  and data the never-faulted step would have.
 * **Elastic differential**: a plan with a permanent rank loss completes
   end-to-end (world shrinks, checkpoint resume, LR rescale) with
   bit-identical replicas and a perplexity in the same regime as the
@@ -18,38 +18,26 @@ import pytest
 
 from repro.cluster import (
     ChaosCommunicator,
-    Communicator,
     FaultEvent,
     FaultKind,
     FaultPlan,
     RankFailureError,
 )
-from repro.data import BatchSpec, ONE_BILLION_WORD, TIEBA, make_corpus
-from repro.optim import SGD, Adam
+from repro.data import BatchSpec
+from repro.optim import SGD
 from repro.perf import optimal_checkpoint_steps
 from repro.train import (
-    CharLanguageModel,
-    CharLMConfig,
     DistributedTrainer,
     ResilientRunner,
     TrainConfig,
     WordLanguageModel,
-    WordLMConfig,
     assert_replicas_synchronized,
     perplexity,
 )
 
-VOCAB = 60
-WORD_MODEL = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
-    num_samples=8,
-)
-WORD_CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
-
-CHAR_MODEL = CharLMConfig(
-    vocab_size=40, embedding_dim=6, hidden_dim=8, depth=2, dropout=0.2
-)
-CHAR_CORPUS = make_corpus(TIEBA.scaled(40), 30_000, seed=1)
+from ..conformance.cells import conform
+from ..conformance.reference import CORPUS, MODELS, OPTIMIZERS, WORD_CFG
+from ..helpers import assert_same_state
 
 #: The chaos suite replays these fixed seeds (``make test-chaos``).
 CHAOS_SEEDS = (0, 1, 2, 3, 4)
@@ -57,21 +45,17 @@ CHAOS_SEEDS = (0, 1, 2, 3, 4)
 
 def word_factory(cfg, comm):
     return DistributedTrainer(
-        lambda rng, rank: WordLanguageModel(WORD_MODEL, rng),
+        lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
         lambda params, lr: SGD(params, lr),
-        WORD_CORPUS.train, WORD_CORPUS.valid, cfg, comm=comm,
+        CORPUS.train, CORPUS.valid, cfg, comm=comm,
     )
 
 
 def char_factory(cfg, comm):
+    """The stateful dropout char LM of the conformance lattice, on Adam."""
     return DistributedTrainer(
-        lambda rng, rank: CharLanguageModel(
-            CHAR_MODEL, rng,
-            dropout_rng=np.random.default_rng(rank),
-            stateful=True,
-        ),
-        lambda params, lr: Adam(params, lr),
-        CHAR_CORPUS.train, CHAR_CORPUS.valid, cfg, comm=comm,
+        MODELS["char"], OPTIMIZERS["adam"][0], CORPUS.train, CORPUS.valid,
+        cfg, comm=comm,
     )
 
 
@@ -86,13 +70,6 @@ def runner_for(plan, tmp_path, world=3, factory=word_factory, cfg=None, **kw):
     return ResilientRunner(
         factory, cfg, tmp_path / "ckpt.npz", comm=comm, **kw
     )
-
-
-def final_weights(trainer):
-    return {
-        name: param.data.copy()
-        for name, param in trainer.replicas[0].named_parameters()
-    }
 
 
 class TestRunnerBasics:
@@ -190,32 +167,15 @@ class TestTransientRecovery:
         trainer = runner.run(3)
         assert rank0_backoffs(trainer) == pytest.approx([1.0, 5.0, 5.0])
 
-    def test_rewind_restores_loss_scaler_state(self, tmp_path):
+    def test_rewind_restores_loss_scaler_state(self):
         """A rewound step must also roll back the dynamic scaler's
         counters, or the faulted arm grows its scale on a different
-        cadence and diverges."""
-        cfg = TrainConfig(
-            world_size=2, batch=BatchSpec(2, 6), base_lr=0.2,
-            loss_scale="dynamic",
-        )
+        cadence and diverges (``conform`` checks the scale too)."""
         plan = FaultPlan(
             [FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
                         retries=2)]
         )
-        chaos = runner_for(plan, tmp_path, world=2, cfg=cfg)
-        faulted = chaos.run(5)
-
-        (tmp_path / "clean").mkdir(exist_ok=True)
-        baseline = runner_for(FaultPlan(), tmp_path / "clean", world=2,
-                              cfg=cfg)
-        clean = baseline.run(5)
-
-        assert faulted.scaler.scale == clean.scaler.scale
-        clean_weights = final_weights(clean)
-        for name, data in final_weights(faulted).items():
-            np.testing.assert_array_equal(
-                data, clean_weights[name], err_msg=name
-            )
+        conform(plan=plan, world_size=2, loss_scale="dynamic", steps=5)
 
     def test_exhausted_retries_escalate_to_eviction(self, tmp_path):
         plan = FaultPlan(
@@ -270,7 +230,10 @@ class TestElasticShrink:
         for replica in trainer.replicas[1:]:
             for p, shared in zip(replica.parameters(), base, strict=True):
                 assert p.data is shared.data
-        assert trainer.batched_executor.active
+        executor = trainer.batched_executor
+        calls = executor._calls
+        trainer.train_step()  # a rebound replica would be refused here
+        assert executor._calls == calls + 1
 
     def test_world_of_one_cannot_shrink(self, tmp_path):
         plan = FaultPlan(
@@ -306,97 +269,49 @@ class TestElasticShrink:
 
 
 class TestDifferentialChaos:
-    """Same plan, two arms: chaos vs fault-free."""
+    """Faulted runs against the reference (transient faults) or the
+    fault-free run (elastic shrink)."""
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_transient_only_plan_is_bit_exact(self, tmp_path, seed):
-        plan = FaultPlan.random(
-            seed=seed, world_size=3, num_collectives=25,
-            n_transient=2, n_rank_loss=0,
-        )
-        # Budget above the plan's worst case (2 events x <=3 retries can
-        # stack at one index) so no transient escalates to an eviction.
-        chaos = runner_for(plan, tmp_path, base_backoff_s=0.1, max_retries=8)
-        faulted = chaos.run(6)
-        assert len(chaos.trainer.comm.replay.injected) > 0, (
-            "plan injected nothing; differential arm is vacuous"
-        )
+    def test_transient_only_plan_is_bit_exact(self, seed):
+        plan = FaultPlan.random(seed, world_size=3, num_collectives=25)
+        conform(plan=plan, world_size=3, steps=6)
 
-        baseline = runner_for(FaultPlan(), tmp_path / "clean")
-        (tmp_path / "clean").mkdir(exist_ok=True)
-        clean = baseline.run(6)
-
-        clean_weights = final_weights(clean)
-        for name, data in final_weights(faulted).items():
-            np.testing.assert_array_equal(
-                data, clean_weights[name],
-                err_msg=f"{name} diverged under transient faults (seed "
-                        f"{seed}): retries are not bit-exact",
-            )
-
-    def test_transient_fault_on_a_fused_ring_hop_is_bit_exact(self, tmp_path):
+    def test_transient_fault_on_a_fused_ring_hop_is_bit_exact(self):
         """Fault plans see ``issue_scheduled``: a TRANSIENT_LINK landing
         on a hop of the fused compress-reduce ring fires, is retried,
         and leaves the weights bit-identical to the fault-free arm."""
-        cfg = TrainConfig(
-            world_size=3, batch=BatchSpec(2, 6), base_lr=0.2,
-            fused_reduce=True, wire_codec="fp16",
-        )
-        (tmp_path / "clean").mkdir()
-        baseline = runner_for(FaultPlan(), tmp_path / "clean", cfg=cfg)
-        clean = baseline.run(4)
+        cell = dict(world_size=3, fused_reduce=True, wire_codec="fp16", steps=4)
+        clean = conform(**cell)
         ops = [e.op for e in clean.comm.ledger.events]
-        assert clean.comm.replay.collectives_issued == len(ops)
         hop = ops.index("fused_allreduce", len(ops) // 2)
-
         plan = FaultPlan([
             FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=hop,
                        rank=1, retries=1),
         ])
-        chaos = runner_for(plan, tmp_path, cfg=cfg)
-        faulted = chaos.run(4)
+        faulted = conform(plan=plan, **cell)
         assert [(i, op) for i, op, _ in faulted.comm.replay.injected] == [
             (hop, "fused_allreduce")
         ]
-        assert sum(e.kind == "retry" for e in chaos.events) == 1
-        clean_weights = final_weights(clean)
-        for name, data in final_weights(faulted).items():
-            np.testing.assert_array_equal(data, clean_weights[name])
+        assert_same_state(
+            faulted.replicas[0].state_dict(), clean.replicas[0].state_dict()
+        )
 
-    def test_transient_bit_exact_with_stateful_dropout_model(self, tmp_path):
+    def test_transient_bit_exact_with_stateful_dropout_model(self):
         """The adversarial case for rewind: dropout RNG streams and
         carried BPTT state are both consumed mid-step."""
-        cfg = TrainConfig(world_size=2, batch=BatchSpec(2, 6), base_lr=2e-3)
-        plan = FaultPlan(
-            [
-                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2,
-                           retries=2),
-                FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=4,
-                           rank=1, retries=1),
-            ]
+        plan = FaultPlan([
+            FaultEvent(FaultKind.TRANSIENT_LINK, collective_index=2, retries=2),
+            FaultEvent(FaultKind.TRANSIENT_LINK, 4, rank=1, retries=1),
+        ])
+        faulted = conform(
+            plan=plan, model="char", optimizer="adam", world_size=2, steps=5
         )
-        chaos = runner_for(
-            plan, tmp_path, world=2, factory=char_factory, cfg=cfg
-        )
-        faulted = chaos.run(5)
         # Pinned replay positions: the dense run (rhn.r, then
         # loss_layer.bias), the retry's embedding gather, the run again.
-        assert [(i, op) for i, op, _ in chaos.trainer.comm.replay.injected] == [
+        assert [(i, op) for i, op, _ in faulted.comm.replay.injected] == [
             (2, "allreduce"), (2, "allgather"), (4, "allreduce"),
         ]
-
-        (tmp_path / "clean").mkdir(exist_ok=True)
-        baseline = runner_for(
-            FaultPlan(), tmp_path / "clean", world=2, factory=char_factory,
-            cfg=cfg,
-        )
-        clean = baseline.run(5)
-
-        clean_weights = final_weights(clean)
-        for name, data in final_weights(faulted).items():
-            np.testing.assert_array_equal(
-                data, clean_weights[name], err_msg=name
-            )
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_elastic_shrink_perplexity_within_tolerance(self, tmp_path, seed):

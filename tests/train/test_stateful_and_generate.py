@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
+from repro.data import BatchSpec
 from repro.data.batching import Batch
 from repro.optim import SGD
 from repro.train import (
@@ -12,20 +12,16 @@ from repro.train import (
     DistributedTrainer,
     TrainConfig,
     WordLanguageModel,
-    WordLMConfig,
-    assert_replicas_synchronized,
     generate,
     next_token_distribution,
 )
 
-VOCAB = 60
-WORD_CFG = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6, num_samples=8
-)
+from ..conformance.cells import conform
+from ..conformance.reference import CORPUS, VOCAB, WORD_CFG
+
 CHAR_CFG = CharLMConfig(
     vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, depth=2, dropout=0.0
 )
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
 
 
 def batch(shape=(2, 5), seed=0):
@@ -86,14 +82,7 @@ class TestStatefulModels:
         assert m._state is None
 
     def test_stateful_distributed_training_stays_synchronized(self):
-        cfg = TrainConfig(world_size=3, batch=BatchSpec(2, 6), base_lr=0.2)
-        trainer = DistributedTrainer(
-            lambda rng, rank: WordLanguageModel(WORD_CFG, rng, stateful=True),
-            lambda params, lr: SGD(params, lr),
-            CORPUS.train, CORPUS.valid, cfg,
-        )
-        trainer.train_epoch(max_steps=5, evals_per_epoch=1)
-        assert_replicas_synchronized(trainer.replicas, atol=0.0)
+        conform(world_size=3, steps=5)  # a conformance cell: stateful LMs
 
     def test_trainer_resets_state_each_epoch(self):
         cfg = TrainConfig(world_size=2, batch=BatchSpec(2, 6), base_lr=0.2)

@@ -16,6 +16,8 @@ from repro.train import (
     assert_replicas_synchronized,
 )
 
+from ..conformance.cells import conform
+
 VOCAB = 60
 TIED_CFG = WordLMConfig(
     vocab_size=VOCAB, embedding_dim=8, hidden_dim=10, projection_dim=8,
@@ -130,10 +132,7 @@ class TestGradientAccumulation:
         assert tr.data_step == 3
 
     def test_replicas_stay_synchronized(self):
-        tr = self.make_trainer(2, accum=2, batch_spec=BatchSpec(2, 6))
-        for _ in range(3):
-            tr.train_step()
-        assert_replicas_synchronized(tr.replicas, atol=0.0)
+        conform(accumulation_steps=2, world_size=2)  # a conformance cell
 
     def test_accumulation_equals_larger_batch(self):
         """Two accumulated micro-batches == one batch twice as large

@@ -7,80 +7,34 @@ import numpy as np
 import pytest
 
 from repro.core.seeding import SeedStrategy
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
-from repro.optim import SGD, Adam
+from repro.data import BatchSpec
+from repro.optim import SGD
 from repro.train import (
-    CharLanguageModel,
-    CharLMConfig,
     DistributedTrainer,
     TrainConfig,
     WordLanguageModel,
-    WordLMConfig,
     assert_replicas_synchronized,
     max_replica_divergence,
 )
 
-VOCAB = 60
-WORD_CFG = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6, num_samples=8
-)
-CHAR_CFG = CharLMConfig(vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, depth=2, dropout=0.0)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
-
-
-def word_trainer(world=4, **cfg_overrides):
-    cfg = TrainConfig(
-        world_size=world,
-        batch=BatchSpec(2, 6),
-        base_lr=0.2,
-        **cfg_overrides,
-    )
-    return DistributedTrainer(
-        lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
-        lambda params, lr: SGD(params, lr),
-        CORPUS.train,
-        CORPUS.valid,
-        cfg,
-    )
-
-
-def char_trainer(world=2, **cfg_overrides):
-    cfg = TrainConfig(
-        world_size=world, batch=BatchSpec(2, 6), base_lr=1e-3, **cfg_overrides
-    )
-    return DistributedTrainer(
-        lambda rng, rank: CharLanguageModel(
-            CHAR_CFG, rng, dropout_rng=np.random.default_rng(1000 + rank)
-        ),
-        lambda params, lr: Adam(params, lr),
-        CORPUS.train,
-        CORPUS.valid,
-        cfg,
-    )
+from ..conformance.cells import conform
+from ..conformance.reference import CORPUS, WORD_CFG, word_trainer
 
 
 class TestReplicaConsistency:
     """The core invariant: replicas stay bit-identical through training."""
 
+    # Conformance cells: each also asserts the replicas bit-synchronized.
     @pytest.mark.parametrize("use_unique", [True, False])
     def test_word_lm_replicas_stay_synchronized(self, use_unique):
-        tr = word_trainer(use_unique=use_unique)
-        for _ in range(4):
-            tr.train_step()
-        assert_replicas_synchronized(tr.replicas, atol=0.0)
+        conform(use_unique=use_unique, world_size=4, steps=4)
 
     def test_char_lm_replicas_stay_synchronized(self):
-        tr = char_trainer()
-        for _ in range(4):
-            tr.train_step()
-        assert_replicas_synchronized(tr.replicas, atol=0.0)
+        conform(model="char", optimizer="adam", world_size=2, steps=4)
 
     def test_fp16_codec_keeps_replicas_synchronized(self):
         """Compression is lossy but *identical* on all ranks."""
-        tr = word_trainer(wire_codec="fp16")
-        for _ in range(3):
-            tr.train_step()
-        assert_replicas_synchronized(tr.replicas, atol=0.0)
+        conform(wire_codec="fp16", world_size=4)
 
     @staticmethod
     def unshared_pair():

@@ -2,52 +2,21 @@
 
 The acceptance property of the whole stack: a lossless wire codec on
 the unique-index ALLGATHER changes the bytes the ledger charges, and
-*nothing else* — training traces are bit-exact against the
-uncompressed baseline, step for step, weight for weight.
+*nothing else*.  The bit-exactness cells below run through the
+conformance harness (:func:`tests.conformance.cells.conform`) against
+the one written-out reference; the cost and threading checks stay
+pairwise.
 """
 
 import numpy as np
 import pytest
 
-from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
-from repro.optim import SGD
-from repro.train import (
-    DistributedTrainer,
-    TrainConfig,
-    WordLanguageModel,
-    WordLMConfig,
-)
+from repro.data import BatchSpec
+from repro.train import TrainConfig
 
-VOCAB = 60
-WORD_CFG = WordLMConfig(
-    vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, projection_dim=6,
-    num_samples=8,
-)
-CORPUS = make_corpus(ONE_BILLION_WORD.scaled(VOCAB), 6000, seed=0)
-
-
-def word_trainer(world=4, comm=None, **cfg_overrides):
-    cfg = TrainConfig(
-        world_size=world,
-        batch=BatchSpec(2, 6),
-        base_lr=0.2,
-        **cfg_overrides,
-    )
-    return DistributedTrainer(
-        lambda rng, rank: WordLanguageModel(WORD_CFG, rng),
-        lambda params, lr: SGD(params, lr),
-        CORPUS.train,
-        CORPUS.valid,
-        cfg,
-        comm=comm,
-    )
-
-
-def _weights(trainer):
-    return {
-        name: p.data.copy()
-        for name, p in trainer.replicas[0].named_parameters()
-    }
+from ..conformance.cells import conform
+from ..conformance.reference import word_trainer
+from ..helpers import assert_same_state
 
 
 class TestConfigValidation:
@@ -90,17 +59,12 @@ class TestWireTrainerThreading:
         assert t.wire.chunk_bytes == 2048
 
     def test_sanitized_policy(self):
-        from repro.analysis.sanitizer import SanitizedWireCodec, Sanitizer
-        from repro.cluster import Communicator
-
-        comm = Communicator(2, track_memory=False)
-        Sanitizer(comm)
-        t = word_trainer(2, comm=comm, wire_codec="delta")
-        assert isinstance(t.wire.index_codec, SanitizedWireCodec)
-        assert not isinstance(
-            word_trainer(2, wire_codec="delta").wire.index_codec,
-            SanitizedWireCodec,
-        )
+        """The sanitizer on the funnel is what makes the policy's codecs
+        the checking variants (``conform`` asserts that for every fixed
+        codec of a sanitized cell)."""
+        conform(observer="sanitize", wire_codec="delta", world_size=2, steps=1)
+        plain = word_trainer(2, wire_codec="delta").wire.index_codec
+        assert not type(plain).__name__.startswith("Sanitized")
 
 
 class TestBitExactTraining:
@@ -108,16 +72,7 @@ class TestBitExactTraining:
         "spec,chunk", [("delta", None), ("delta", 512), ("entropy", None)]
     )
     def test_lossless_codec_training_is_bit_exact(self, spec, chunk):
-        base = word_trainer(4)
-        wired = word_trainer(4, wire_codec=spec, wire_chunk_bytes=chunk)
-        base.train_epoch(max_steps=6)
-        wired.train_epoch(max_steps=6)
-        wb, ww = _weights(base), _weights(wired)
-        assert set(wb) == set(ww)
-        for name in wb:
-            np.testing.assert_array_equal(
-                wb[name], ww[name], err_msg=f"weight {name} diverged"
-            )
+        conform(wire_codec=spec, wire_chunk_bytes=chunk, world_size=4, steps=6)
 
     def test_delta_codec_shrinks_wire_and_reports_factor(self):
         base = word_trainer(4)
@@ -131,17 +86,9 @@ class TestBitExactTraining:
         assert wired.comm.ledger.compression_factor(":indices") > 1.0
 
     def test_explicit_none_matches_absent_policy_exactly(self):
-        plain = word_trainer(3)
-        none = word_trainer(3, wire_codec="none")
-        plain.train_epoch(max_steps=4)
-        none.train_epoch(max_steps=4)
-        assert (
-            plain.comm.ledger.total_wire_bytes_per_rank
-            == none.comm.ledger.total_wire_bytes_per_rank
-        )
-        wp, wn = _weights(plain), _weights(none)
-        for name in wp:
-            np.testing.assert_array_equal(wp[name], wn[name])
+        """``"none"`` builds no policy: the ledger equals the reference's."""
+        trainer = conform(wire_codec="none", world_size=3, steps=4)
+        assert trainer.wire is None
 
 
 class TestFusedReduceTraining:
@@ -158,39 +105,28 @@ class TestFusedReduceTraining:
     @pytest.mark.parametrize("spec", [None, "fp16"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_fused_reduce_training_is_bit_exact(self, spec, seed):
-        """5-seed differential: fused on/off, identical weights."""
-        kw = {} if spec is None else {"wire_codec": spec}
-        plain = word_trainer(4, init_seed=seed, data_seed=seed, **kw)
-        fused = word_trainer(
-            4, init_seed=seed, data_seed=seed, fused_reduce=True, **kw
-        )
-        plain.train_epoch(max_steps=4)
-        fused.train_epoch(max_steps=4)
-        wp, wf = _weights(plain), _weights(fused)
-        assert set(wp) == set(wf)
-        for name in wp:
-            np.testing.assert_array_equal(
-                wp[name], wf[name], err_msg=f"weight {name} diverged"
+        """5-seed differential: fused on/off, identical weights (fp16
+        cells are only within rtol of the raw reference, so the two arms
+        are also held to each other)."""
+        plain, fused = [
+            conform(
+                fused_reduce=on, wire_codec=spec, init_seed=seed,
+                data_seed=seed, world_size=4, steps=4,
             )
+            for on in (False, True)
+        ]
+        assert_same_state(
+            fused.replicas[0].state_dict(), plain.replicas[0].state_dict()
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_fused_fp16_matches_uncompressed_trace(self, seed):
-        """5-seed differential against the raw uncompressed baseline.
-
-        The fp16 value codec only engages above the selector-free
-        policy's size floor; at this model size every dense gradient is
-        below it, so the fused fp16 run must equal the raw run exactly
-        (and the fused machinery adds no numerical noise of its own).
-        """
-        base = word_trainer(4, init_seed=seed, data_seed=seed)
-        fused = word_trainer(
-            4, init_seed=seed, data_seed=seed, fused_reduce=True
+        """The fused ring without a codec adds no numerical noise of its
+        own: bit-equal to the raw reference."""
+        conform(
+            fused_reduce=True, init_seed=seed, data_seed=seed, world_size=4,
+            steps=4,
         )
-        base.train_epoch(max_steps=4)
-        fused.train_epoch(max_steps=4)
-        wb, wf = _weights(base), _weights(fused)
-        for name in wb:
-            np.testing.assert_array_equal(wb[name], wf[name])
 
     def test_fused_reduce_rejects_frame_codec_on_dense_grads(self):
         from repro.cluster import Communicator
@@ -212,15 +148,9 @@ class TestFusedReduceTraining:
             gs._issue_dense({"w": params}, tag="dense")
 
     def test_fused_reduce_composes_with_mesh(self):
-        """The fused ring runs per data subgroup: same weights as the
-        unfused mesh run, hop events tagged on the data axis."""
-        plain = word_trainer(4, mesh="tensor=2,data=2")
-        fused = word_trainer(4, mesh="tensor=2,data=2", fused_reduce=True)
-        plain.train_epoch(max_steps=3)
-        fused.train_epoch(max_steps=3)
-        wp, wf = _weights(plain), _weights(fused)
-        for name in wp:
-            np.testing.assert_array_equal(wp[name], wf[name])
+        """The fused ring runs per data subgroup: the reference's weights,
+        hop events tagged on the data axis."""
+        fused = conform(mesh="tensor=2,data=2", world_size=4, fused_reduce=True)
         hops = [
             e for e in fused.comm.ledger.events if e.op == "fused_allreduce"
         ]
