@@ -91,7 +91,9 @@ def shard_sparse(
     locally-unique Ĵ (pre-attached as its own coalesced form — the
     strategies' local reduce is free); without it a model rank ships
     its range's token-level rows in arrival order, so every row sums in
-    the order the flat exchange sums it.
+    the order the flat exchange sums it.  One form cannot serve both:
+    the unique exchange gathers the indices it is handed, so token rows
+    would make a model rank gather J instead of its slice of Ĵ.
     """
     num_shards = len(groups)
     if num_shards == 1:
@@ -102,20 +104,19 @@ def shard_sparse(
     out: list[SparseGrad] = [None] * (num_shards * len(grads))  # type: ignore[list-item]
     for k, grad in enumerate(grads):
         if coalesce:
-            local = grad.coalesce()  # sorted unique rows: ranges are slices
-            cuts = np.searchsorted(local.indices, row_cuts)
-            for s, ranks in enumerate(groups):
-                rows = slice(cuts[s], cuts[s + 1])
-                out[ranks[k]] = SparseGrad._unsafe(
-                    local.indices[rows], local.values[rows]
-                ).mark_coalesced()
-            continue
-        shard = np.searchsorted(row_cuts, grad.indices, side="right") - 1
-        for s, ranks in enumerate(groups):
-            keep = shard == s
+            rows = grad.coalesce()  # sorted unique rows: a range is a slice
+            cuts = np.searchsorted(rows.indices, row_cuts)
+            parts = [slice(cuts[s], cuts[s + 1]) for s in range(num_shards)]
+        else:
+            rows = grad  # token rows in arrival order: a range is a mask
+            shard = np.searchsorted(row_cuts, grad.indices, side="right") - 1
+            parts = [shard == s for s in range(num_shards)]
+        for ranks, part in zip(groups, parts):
             out[ranks[k]] = SparseGrad._unsafe(
-                grad.indices[keep], grad.values[keep]
+                rows.indices[part], rows.values[part]
             )
+            if coalesce:
+                out[ranks[k]].mark_coalesced()
     return out
 
 

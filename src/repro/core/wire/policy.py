@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ...errors import ConfigError
-from ..compression import WireCodec
-from .adaptive import AdaptiveCodecSelector
+from ..compression import Fp16Codec, WireCodec
+from .adaptive import _FP16, AdaptiveCodecSelector
 from .registry import available_codecs, make_codec
 
 __all__ = ["WirePolicy"]
@@ -126,6 +126,16 @@ class WirePolicy:
             and self.selector is None
             and self.chunk_bytes is None
         )
+
+    @property
+    def fp16_scale(self) -> float | None:
+        """Compression factor ``F`` of the FP16 codec that may carry the
+        values (the fixed slot, else the selector's), or None."""
+        if isinstance(self.value_codec, Fp16Codec):
+            return self.value_codec.scale
+        if self.value_codec is None and self.selector is not None:
+            return _FP16.scale
+        return None
 
     def resolve_value_codec(
         self, arrays: Sequence[np.ndarray], comm

@@ -108,11 +108,11 @@ class TrainConfig:
         Loss scaling (Section III-C): a float for a static scale (the
         paper uses 256/512/1024), the string ``"dynamic"`` for the
         adaptive scaler (overflowing steps are skipped and the scale
-        backs off), or ``None`` to disable.  Not with a wire spec that
-        may send FP16 (``fp16``, ``auto``): the FP16 wire scales by its
-        own compression factor ``F``, and the gradients it receives are
-        already loss-scaled, so the two factors would compound past the
-        FP16 range.
+        backs off), or ``None`` to disable.  On a wire that may send
+        FP16 (``fp16``, ``auto``) the wire's compression factor ``F``
+        multiplies the already loss-scaled gradients, so a static scale
+        must keep ``scale * F`` within the FP16 range and a dynamic one
+        (which grows without bound) needs ``F <= 1`` (``fp16:1``).
     shuffle_seed:
         When set, the batcher reshuffles its segment->stream assignment
         every epoch with this seed (identical on all ranks); ``None``
@@ -231,21 +231,28 @@ class TrainConfig:
         if self.wire_codec is not None:
             # Validate the spec eagerly: a typo should fail at config
             # construction, not three epochs into a run.
-            from ..core.compression import Fp16Codec
+            from ..core.compression import FP16_MAX
             from ..core.wire.policy import WirePolicy
 
             policy = WirePolicy.from_spec(
                 self.wire_codec, self.wire_chunk_bytes
             )
-            if self.loss_scale is not None and (
-                isinstance(policy.value_codec, Fp16Codec)
-                or policy.selector is not None
+            wire_scale = policy.fp16_scale
+            if (
+                self.loss_scale is not None
+                and wire_scale is not None
+                and (
+                    wire_scale > 1.0
+                    if self.loss_scale == "dynamic"
+                    else self.loss_scale * wire_scale > FP16_MAX
+                )
             ):
                 raise ConfigError(
                     f"loss_scale={self.loss_scale!r} with wire_codec="
-                    f"{self.wire_codec!r}: the FP16 wire applies its own "
-                    "compression scale to already loss-scaled gradients; "
-                    "use one of the two"
+                    f"{self.wire_codec!r}: the FP16 wire scales the "
+                    f"already loss-scaled gradients by its own F="
+                    f"{wire_scale:g}, past the FP16 range; lower one of "
+                    "the two (e.g. 'fp16:1')"
                 )
         # Same eager stance for the mesh: parse the spec (and check it
         # against world_size) at construction time.

@@ -28,7 +28,7 @@ FORBIDDEN = {
     # A chunk size shapes the codec's index gather: it needs a codec.
     ("wire_codec", None, "wire_chunk_bytes", 64),
 } | {
-    # The FP16 wire's own compression scale would compound a loss scale.
+    # The FP16 wire's own F = 512 would carry a loss scale past FP16.
     ("wire_codec", spec, "loss_scale", scale)
     for spec in ("auto", "fp16+entropy", "fp16+auto")
     for scale in (256.0, "dynamic")

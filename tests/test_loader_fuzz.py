@@ -4,7 +4,8 @@ A fault plan, trace parts and a v1/v2 checkpoint written by real runs
 are mutated (a JSON node or an array replaced, dropped or added, bytes
 flipped or cut) and loaded again.  Each loads or raises a
 :class:`~repro.errors.ReproError` — never an ``IndexError``, a
-``struct.error``, an untyped ``ValueError`` or a hang — and what loads
+``struct.error``, an untyped ``ValueError`` or a hang (every input is
+small, so a hang shows as a stuck run, not a slow one) — and what loads
 works: a plan holds what was written, parts merge into one track pair
 per declared rank, a checkpoint trains a step.
 """
@@ -13,7 +14,6 @@ import copy
 import json
 import math
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -87,14 +87,12 @@ def json_mutants(draw, doc) -> str:
 
 
 def _load(load, *args):
-    """``load(*args)``, or None when it raised a ``ReproError``."""
-    start = time.perf_counter()
+    """``load(*args)``, or None when it raised a ``ReproError``; any
+    other exception propagates as the counterexample."""
     try:
         return load(*args)
     except ReproError:
         return None
-    finally:
-        assert time.perf_counter() - start < 5.0, "the load hung"
 
 
 PLAN = FaultPlan.random(3, 4, 20, n_rank_loss=1, n_straggler=1).to_dict()

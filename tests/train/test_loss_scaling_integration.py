@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.train import assert_replicas_synchronized
 
+from ..conformance.cells import conform
 from ..conformance.reference import word_trainer
 
 
@@ -24,11 +25,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_trainer(loss_scale=0.5)
 
-    @pytest.mark.parametrize("spec", ["fp16", "fp16:1024+delta", "auto"])
-    def test_fp16_wire_refuses_a_loss_scale(self, spec):
-        """The FP16 wire's own compression scale would compound it."""
+    @pytest.mark.parametrize("spec,scale", [
+        ("fp16", 256.0), ("fp16:1024+delta", 256.0), ("auto", 256.0),
+        ("fp16:2", "dynamic"), ("fp16+auto", "dynamic"),
+    ])
+    def test_fp16_wire_refuses_a_compounding_loss_scale(self, spec, scale):
+        """Loss scale times the wire's own F would leave the FP16 range."""
         with pytest.raises(ConfigError, match="loss_scale"):
-            make_trainer(loss_scale=256.0, wire_codec=spec)
+            make_trainer(loss_scale=scale, wire_codec=spec)
+
+    @pytest.mark.parametrize("spec,scale", [
+        ("fp16:1", 256.0), ("fp16:1+entropy", "dynamic"), ("fp16:1+auto", 256.0),
+    ])
+    def test_fp16_wire_takes_a_loss_scale_in_range(self, spec, scale):
+        """With ``F = 1`` the loss scale is the only one: the pair trains
+        (the fp16 class), for both models."""
+        for model in ("word", "char"):
+            conform(model=model, wire_codec=spec, loss_scale=scale)
 
 
 class TestStaticScaling:
