@@ -143,6 +143,7 @@ dead-code:
 	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --resilient --baseline --wire-codec auto --seed-strategy zipf_freq > /dev/null
 	$(DEAD) -m repro.cli train --model char --gpus 4 --steps 4 --corpus-tokens 40000 --resilient > /dev/null
 	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --fault-plan $(DEAD_DIR)/plan.json --telemetry-dir $(DEAD_DIR)/tel-chaos > /dev/null
+	$(DEAD) -m repro.cli train --gpus 8 --steps 3 --corpus-tokens 6000 --wire-codec fp16:65504 > /dev/null 2>&1; test $$? -eq 2
 	$(DEAD) -m repro.cli trace $(DEAD_DIR)/tel > /dev/null
 	for t in 3 4 5; do $(DEAD) -m repro.cli perf --table $$t > /dev/null || exit 1; done
 	$(DEAD) -m repro.cli generate --steps 5 --length 10 > /dev/null

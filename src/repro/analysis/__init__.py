@@ -2,19 +2,19 @@
 
 The paper's results hinge on communication-layer discipline that plain
 unit tests cannot see: every rank must issue bit-identical collective
-sequences, FP16 compression-scaling must not silently saturate, RNG use
+sequences, FP16 compression-scaling must not overflow unnoticed, RNG use
 must flow through explicit seeded generators, and every byte moved must
 be attributed to a ledger scope.  This package provides two complementary
 checkers:
 
 * :mod:`repro.analysis.lint` — an AST-based lint framework with
-  project-specific rules (``REPRO001``–``REPRO010``), run via
+  seven project-specific ``REPRO`` rules, run via
   ``python -m repro.cli lint`` / ``make lint`` and enforced on
   ``src/repro`` itself by a tier-1 test;
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime hook on the
   :class:`~repro.cluster.communicator.Communicator`'s collective funnel,
-  plus checking FP16 and lossless wire codecs, that detects mismatched
-  per-rank collectives, compression overflow (with a counterexample),
+  plus checking lossless wire codecs, that detects mismatched per-rank
+  collectives, non-finite payloads, collectives outside a ledger scope,
   unbalanced ledger scopes, dropped async work handles, and buffers
   written while their collective is in flight, run via ``python -m
   repro.cli train --sanitize``.
@@ -31,11 +31,9 @@ from .lint import (
 )
 from .sanitizer import (
     CollectiveMismatchError,
-    CompressionOverflowError,
     DoubleApplyError,
     DroppedHandleError,
     InFlightMutationError,
-    SanitizedFp16Codec,
     Sanitizer,
     SanitizerError,
     assert_clean_retry_state,
@@ -53,11 +51,9 @@ __all__ = [
     "Sanitizer",
     "SanitizerError",
     "CollectiveMismatchError",
-    "CompressionOverflowError",
     "DoubleApplyError",
     "DroppedHandleError",
     "InFlightMutationError",
-    "SanitizedFp16Codec",
     "assert_clean_retry_state",
     "sanitize_codec",
 ]

@@ -17,7 +17,6 @@ from .engine import (
     register,
 )
 from . import rules  # noqa: F401  (import registers the rule set)
-from . import mesh_rules  # noqa: F401  (registers REPRO010)
 
 __all__ = [
     "PARSE_ERROR_ID",
@@ -29,6 +28,5 @@ __all__ = [
     "format_findings",
     "iter_rule_classes",
     "register",
-    "mesh_rules",
     "rules",
 ]

@@ -1,8 +1,10 @@
-"""The core rule set, ``REPRO001``–``REPRO009``.
+"""The rule set: ``REPRO001``, 002, 004, 005, 006, 008 and 009.
 
-The mesh rule ``REPRO010`` lives in :mod:`.mesh_rules`.  Definitions
-here are kept sorted by rule id — registration order is the registry's iteration order, and the
-ID-ordering test in ``tests/analysis/test_lint_engine.py`` enforces it.
+Ids 003, 007 and 010–013 belong to rules retired for the runtime check
+that covers them, and are never reused.  Definitions are kept sorted by
+rule id — registration order is the registry's iteration order, and
+the ID-ordering test in ``tests/analysis/test_lint_engine.py`` enforces
+it.
 
 Each rule guards an invariant the paper's experiments depend on; the
 rationale strings say which section breaks when the rule is violated.
@@ -20,8 +22,6 @@ from .engine import Finding, ModuleSource, Rule, register
 
 __all__ = [
     "BareGlobalRngRule",
-    "CollectiveOutsideScopeRule",
-    "DroppedWorkHandleRule",
     "DtypeDefaultRule",
     "ExportsDriftRule",
     "Float64IntoCommRule",
@@ -200,62 +200,6 @@ class Float64IntoCommRule(Rule):
         ):
             return "astype(np.float64)"
         return None
-
-
-@register
-class CollectiveOutsideScopeRule(Rule):
-    """REPRO003: orchestration-level comm must run inside a ledger scope."""
-
-    rule_id = "REPRO003"
-    title = "collective outside a ledger scope"
-    rationale = (
-        "The per-phase cost attribution behind the paper's analysis "
-        "(embedding-sync vs dense-allreduce, Tables III-V) only works if "
-        "orchestration code issues communication inside "
-        "`with timeline.scope(...)`. The comm substrate (cluster/, core/) "
-        "and model layers (nn/) issue on behalf of whatever step called "
-        "them, inherit its scope, and are exempt — the runtime "
-        "sanitizer's scope check sits on the collective funnel and "
-        "covers them dynamically."
-    )
-
-    _CALLEES = _COLLECTIVES | _ASYNC_COLLECTIVES | {"sync_replicas"}
-
-    def applies_to(self, path: Path) -> bool:
-        parts = set(path.parts)
-        return not parts & {"cluster", "core", "analysis", "nn"}
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        yield from self._walk(module, module.tree, in_scope=False)
-
-    def _walk(
-        self, module: ModuleSource, node: ast.AST, in_scope: bool
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            entered = in_scope or any(
-                isinstance(item.context_expr, ast.Call)
-                and isinstance(item.context_expr.func, ast.Attribute)
-                and item.context_expr.func.attr == "scope"
-                for item in node.items
-            )
-            for child in ast.iter_child_nodes(node):
-                yield from self._walk(module, child, entered)
-            return
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._CALLEES
-            and not in_scope
-        ):
-            yield self.finding(
-                module,
-                node,
-                f"`.{node.func.attr}(...)` issued outside any "
-                "`with timeline.scope(...)` block: its cost lands in the "
-                "unattributed bucket",
-            )
-        for child in ast.iter_child_nodes(node):
-            yield from self._walk(module, child, in_scope)
 
 
 @register
@@ -451,112 +395,6 @@ class PrintInLibraryRule(Rule):
                     node,
                     "print() in library code: record to the CostLedger, "
                     "return a string, or raise — the CLI owns stdout",
-                )
-
-
-@register
-class DroppedWorkHandleRule(Rule):
-    """REPRO007: async collective work handles must be awaited."""
-
-    rule_id = "REPRO007"
-    title = "dropped async work handle"
-    rationale = (
-        "A WorkHandle from an `i*` collective that is never wait()ed "
-        "leaks its scratch allocation for the rest of the run and its "
-        "completion never reaches the timeline — overlap measurements "
-        "and peak-memory numbers both go quietly wrong. The runtime "
-        "counterpart is Sanitizer.finish()'s DroppedHandleError."
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for owner, body in self._scopes(module.tree):
-            yield from self._check_scope(module, owner, body)
-
-    @staticmethod
-    def _scopes(tree: ast.Module) -> Iterator[tuple[ast.AST, list[ast.stmt]]]:
-        """Module body plus every function body, each its own scope."""
-        yield tree, tree.body
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node, node.body
-
-    @classmethod
-    def _statements(cls, body: list[ast.stmt]) -> Iterator[ast.stmt]:
-        """Statements of one scope, not descending into nested scopes."""
-        for stmt in body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            yield stmt
-            for attr in ("body", "orelse", "finalbody"):
-                yield from cls._statements(getattr(stmt, attr, []))
-            for handler in getattr(stmt, "handlers", []):
-                yield from cls._statements(handler.body)
-
-    @staticmethod
-    def _issue_op(node: ast.AST) -> str | None:
-        """The `i*` callee name when ``node`` is an async-issue call."""
-        if not isinstance(node, ast.Call):
-            return None
-        if isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-        elif isinstance(node.func, ast.Name):
-            name = node.func.id
-        else:
-            return None
-        return name if name in _ASYNC_COLLECTIVES else None
-
-    @staticmethod
-    def _name_loaded(owner: ast.AST, name: str) -> bool:
-        """Any Load of ``name`` in the scope (closures included)."""
-        return any(
-            isinstance(node, ast.Name)
-            and node.id == name
-            and isinstance(node.ctx, ast.Load)
-            for node in ast.walk(owner)
-        )
-
-    def _check_scope(
-        self, module: ModuleSource, owner: ast.AST, body: list[ast.stmt]
-    ) -> Iterator[Finding]:
-        for stmt in self._statements(body):
-            if isinstance(stmt, ast.Expr):
-                op = self._issue_op(stmt.value)
-                if op is not None:
-                    yield self.finding(
-                        module,
-                        stmt,
-                        f"`{op}(...)` handle discarded at issue: nothing "
-                        "can ever wait() this collective — keep the "
-                        "handle, or use the blocking variant",
-                    )
-                continue
-            target = None
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-            ):
-                target = stmt.targets[0].id
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                target = stmt.target.id
-            if target is None or stmt.value is None:
-                continue
-            op = self._issue_op(stmt.value)
-            if op is None:
-                continue
-            # Conservative: any later Load of the name counts as a use
-            # (passing the handle on is assumed to lead to a wait).
-            if not self._name_loaded(owner, target):
-                yield self.finding(
-                    module,
-                    stmt,
-                    f"handle `{target}` from `{op}(...)` is never used in "
-                    "its enclosing scope: the collective is issued but "
-                    "nothing wait()s it",
                 )
 
 

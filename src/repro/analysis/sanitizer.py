@@ -17,8 +17,8 @@ scheduled — before it executes:
   would silently skew Tables III-V;
 * **dtype agreement** — mixed dtypes within a ring mean at least one
   rank fell off the FP16/FP32 discipline of §III-C;
-* **payload hygiene** — NaN/Inf anywhere, and saturated values in FP16
-  payloads (the signature of a compression-scaling overflow);
+* **payload hygiene** — NaN/Inf in any payload but an FP16 one, whose
+  inf is the wire's overflow and the trainer's post-sync check's call;
 * **scope attribution** — collectives must run inside a
   ``with timeline.scope(...)`` block so their cost is attributable.
 
@@ -29,8 +29,7 @@ The async engine adds two failure modes of its own, covered here:
   leaks scratch for the rest of the run and silently omits the
   completion from the timeline.  The funnel's pending set knows every
   such handle and :meth:`Sanitizer.finish` raises
-  :class:`DroppedHandleError` for any still un-awaited (the static
-  counterpart is lint rule REPRO007);
+  :class:`DroppedHandleError` for any still un-awaited;
 * **in-flight mutation** — every payload buffer is hashed when its
   collective is issued and re-hashed at its first ``wait()``; a write in
   between raises :class:`InFlightMutationError`.  Buffers longer than two
@@ -45,37 +44,31 @@ payload, and the communicator refuses a per-rank list that is not
 Every violation raises a :class:`SanitizerError` subclass whose message
 names the op, the offending rank(s), and a concrete counterexample.
 
-:class:`SanitizedFp16Codec` applies the same philosophy at the FP16
-down-cast boundary of :mod:`repro.core.compression`: where the stock
-codec deliberately saturates out-of-range values (the behaviour the
-accuracy experiments model), the sanitized codec *reports* them, with
-the flat indices, original values, and the largest compression-scaling
-factor that would have fit.  :class:`SanitizedWireCodec` does the same
-for the lossless integer codecs of :mod:`repro.core.wire`: every encode
-is roundtripped and compared bit-for-bit against the input.
+:class:`SanitizedWireCodec` applies the same philosophy to the
+lossless integer codecs of :mod:`repro.core.wire`: every encode is
+roundtripped and compared bit-for-bit against the input.  The FP16
+codec needs no twin: an out-of-range value encodes as ``inf``, and the
+trainer's post-sync finiteness check decides that step.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..cluster.collectives import FusedRun
 from ..cluster.communicator import CollectiveHook, Communicator
-from ..core.compression import FP16_MAX, Fp16Codec, IdentityCodec, WireCodec
+from ..core.compression import WireCodec
 from ..errors import ReproError
 
 __all__ = [
     "CollectiveMismatchError",
-    "CompressionOverflowError",
     "DoubleApplyError",
     "DroppedHandleError",
     "InFlightMutationError",
     "SAMPLE_BYTES",
-    "SanitizedFp16Codec",
     "SanitizedWireCodec",
     "Sanitizer",
     "SanitizerError",
@@ -96,10 +89,6 @@ class SanitizerError(ReproError, RuntimeError):
 
 class CollectiveMismatchError(SanitizerError):
     """Per-rank disagreement in a collective's payload list."""
-
-
-class CompressionOverflowError(SanitizerError):
-    """FP16 compression-scaling produced NaN/Inf or saturated values."""
 
 
 class DroppedHandleError(SanitizerError):
@@ -208,9 +197,6 @@ class Sanitizer(CollectiveHook):
         comm.hooks.append(self)
         self.comm = comm
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Sanitizer({self.comm!r})"
-
     # ------------------------------------------------------------------
     # funnel hooks
     # ------------------------------------------------------------------
@@ -248,7 +234,7 @@ class Sanitizer(CollectiveHook):
             raise SanitizerError(
                 f"{op}[tag={tag!r}] issued outside any ledger scope: wrap "
                 "the call in `with comm.timeline.scope(name):` so its cost "
-                "is attributed (lint rule REPRO003)"
+                "is attributed"
             )
         self.collectives_checked += 1
 
@@ -316,6 +302,10 @@ class Sanitizer(CollectiveHook):
                 "reduction is undefined"
             )
 
+        if dtype == np.float16:
+            # An inf here is the FP16 wire's overflow: the trainer's
+            # post-sync check skips that step or raises, not this scan.
+            return
         for rank in ranks:
             a = arrays[rank]
             bad = np.flatnonzero(~np.isfinite(a))
@@ -325,16 +315,6 @@ class Sanitizer(CollectiveHook):
                     f"{bad.size} non-finite value(s): "
                     f"{_describe(a, bad)}"
                 )
-            if a.dtype == np.float16:
-                sat = np.flatnonzero(np.abs(a) >= FP16_MAX)
-                if sat.size:
-                    raise CompressionOverflowError(
-                        f"{op}[tag={tag!r}]: rank {rank} FP16 payload "
-                        f"holds {sat.size} saturated value(s) "
-                        f"(|x| >= {FP16_MAX}): {_describe(a, sat)} — "
-                        "compression-scaling overflowed before the "
-                        "wire; lower the scale factor"
-                    )
 
     # ------------------------------------------------------------------
     # end-of-run invariants
@@ -357,7 +337,7 @@ class Sanitizer(CollectiveHook):
                 f"{len(dropped)} async collective(s) were issued but never "
                 f"wait()ed: {detail}{extra} — their scratch stays charged "
                 "to every device and their completion never reaches the "
-                "timeline (lint rule REPRO007)"
+                "timeline"
             )
         self.comm.timeline.assert_balanced()
 
@@ -374,54 +354,6 @@ def _digest(array: np.ndarray | FusedRun, crc: int = 0) -> int:
         # Chain head and tail through one CRC — no concatenation copy.
         return zlib.crc32(flat[-k:], zlib.crc32(flat[:k], crc))
     return zlib.crc32(flat, crc)
-
-
-@dataclass(frozen=True)
-class SanitizedFp16Codec(Fp16Codec):
-    """FP16 codec that reports overflow instead of silently saturating.
-
-    The stock :class:`Fp16Codec` clips ``arr * scale`` into the finite
-    FP16 range — the behaviour whose accuracy effects the experiments
-    measure.  This variant raises :class:`CompressionOverflowError` at
-    the down-cast boundary with a counterexample (flat indices, values,
-    and the largest scale that would have fit), so a scaling factor that
-    overflows is caught in the run that introduced it rather than as a
-    perplexity regression three tables later.
-    """
-
-    def encode(self, arr: np.ndarray) -> np.ndarray:
-        if not np.issubdtype(arr.dtype, np.floating):
-            raise ValueError("codec applies to floating-point tensors")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise CompressionOverflowError(
-                f"FP16 encode: input already holds {bad.size} non-finite "
-                f"value(s) before scaling: {_describe(arr, bad)}"
-            )
-        scaled = arr.astype(np.float64, copy=False) * self.scale
-        over = np.flatnonzero(np.abs(scaled) > FP16_MAX)
-        if over.size:
-            peak = float(np.abs(arr).max())
-            safe = FP16_MAX / peak if peak > 0 else float("inf")
-            raise CompressionOverflowError(
-                f"FP16 compression-scaling overflow: scale={self.scale} "
-                f"pushes {over.size} value(s) past the FP16 max "
-                f"({FP16_MAX}); counterexample {_describe(arr, over)} "
-                f"(scaled: {_describe(scaled, over)}). Largest safe "
-                f"scale for this tensor: {safe:.1f}"
-            )
-        return super().encode(arr)
-
-    def decode(self, arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        out = super().decode(arr, dtype)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            raise CompressionOverflowError(
-                f"FP16 decode produced {bad.size} non-finite value(s): "
-                f"{_describe(out, bad)} — the wire tensor was corrupted "
-                "or encoded without sanitizing"
-            )
-        return out
 
 
 class SanitizedWireCodec(WireCodec):
@@ -444,8 +376,7 @@ class SanitizedWireCodec(WireCodec):
         if not inner.lossless:
             raise ValueError(
                 f"SanitizedWireCodec requires a lossless codec; "
-                f"{inner.name!r} is lossy — wrap it with its own "
-                "sanitizer (e.g. SanitizedFp16Codec) instead"
+                f"{inner.name!r} is lossy"
             )
         self._inner = inner
 
@@ -501,26 +432,15 @@ class SanitizedWireCodec(WireCodec):
             )
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SanitizedWireCodec({self._inner!r})"
-
 
 def sanitize_codec(codec: WireCodec | None) -> WireCodec | None:
     """Return a checking variant of ``codec`` where one exists.
 
-    ``Fp16Codec`` gains overflow detection; lossless codecs gain the
-    bit-exact roundtrip check of :class:`SanitizedWireCodec`; the
-    identity codec and ``None`` (no compression) pass through unchanged,
-    as does a codec that is already sanitized.
+    Lossless codecs gain the bit-exact roundtrip check of
+    :class:`SanitizedWireCodec`; everything else (``None``, the identity
+    and FP16 value codecs, an already sanitized codec) passes through
+    unchanged.
     """
-    if codec is None or isinstance(
-        codec, (SanitizedFp16Codec, SanitizedWireCodec)
-    ):
+    if codec is None or isinstance(codec, SanitizedWireCodec):
         return codec
-    if isinstance(codec, Fp16Codec):
-        return SanitizedFp16Codec(scale=codec.scale)
-    if isinstance(codec, IdentityCodec):
-        return codec
-    if codec.lossless:
-        return SanitizedWireCodec(codec)
-    return codec
+    return SanitizedWireCodec(codec) if codec.lossless else codec

@@ -307,7 +307,7 @@ def _finish_sanitizer(sanitizer) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.core import SeedStrategy
+    from repro.core import CompressionOverflowError, SeedStrategy
     from repro.data import (
         ONE_BILLION_WORD,
         TIEBA,
@@ -324,8 +324,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         TrainConfig,
         WordLanguageModel,
         WordLMConfig,
-        max_replica_divergence,
-        perplexity,
     )
 
     # The run description, the model and the corpus are validated
@@ -388,10 +386,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
         session = TelemetrySession(args.telemetry_dir)
 
-    if args.resilient or plan is not None:
-        return _run_resilient(args, cfg, make_trainer, plan, session)
+    try:
+        if args.resilient or plan is not None:
+            return _run_resilient(args, cfg, make_trainer, plan, session)
+        return _run_flat(args, cfg, make_trainer, session)
+    except CompressionOverflowError as exc:
+        return _fail(str(exc))
 
+
+def _run_flat(args: argparse.Namespace, cfg, make_trainer, session) -> int:
+    """The plain ``train`` path: one communicator, no fault plan."""
     from repro.cluster import Communicator
+    from repro.train import max_replica_divergence, perplexity
 
     comm = Communicator(args.gpus, track_memory=False)
     sanitizer = _sanitizer(args, comm)

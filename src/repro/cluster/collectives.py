@@ -167,35 +167,43 @@ def allreduce_arrays(
             _fold_run(arrays, stacked or {}, rows or {}), len(arrays)
         )
     _check_uniform(arrays, "allreduce")
-    # Accumulate in the input dtype to mirror on-wire reduction precision.
-    # np.add.reduce over a stacked leading axis accumulates element-wise
-    # in index order — bit-identical to the sequential rank-order fold —
-    # except for size-1 arrays, where the reduction axis is contiguous
-    # and numpy switches to pairwise summation; keep the explicit fold
-    # for that case.
-    if len(arrays) > 2 and arrays[0].size > 1:
-        if stacked is None:
-            stacked = np.stack(arrays)
-        elif stacked.shape != (len(arrays),) + arrays[0].shape:
-            raise ValueError(
-                f"allreduce: stacked block shape {stacked.shape} does not "
-                f"match {len(arrays)} ranks of {arrays[0].shape}"
-            )
-        if rows is not None and len(rows) != len(arrays):
-            raise ValueError(
-                f"allreduce: {len(rows)} row sets for {len(arrays)} ranks"
-            )
-        if rows is not None and (
-            (stacked.shape[1] - sum(r.size for r in rows) / len(rows))
-            * stacked[0, 0].size
-        ) >= _restricted_fold_min_skipped(stacked.dtype):
-            total = _restricted_fold(stacked, rows)
+    # A float16 sum may overflow to inf (and inf - inf is nan), as a
+    # real FP16 ring's does; the trainer's post-sync finiteness check
+    # reports it, not numpy.
+    quiet = (
+        dict(over="ignore", invalid="ignore")
+        if arrays[0].dtype == np.float16 else {}
+    )
+    with np.errstate(**quiet):
+        # Accumulate in the input dtype to mirror on-wire reduction
+        # precision.  np.add.reduce over a stacked leading axis
+        # accumulates element-wise in index order — bit-identical to the
+        # sequential rank-order fold — except for size-1 arrays, where
+        # the reduction axis is contiguous and numpy switches to pairwise
+        # summation; keep the explicit fold for that case.
+        if len(arrays) > 2 and arrays[0].size > 1:
+            if stacked is None:
+                stacked = np.stack(arrays)
+            elif stacked.shape != (len(arrays),) + arrays[0].shape:
+                raise ValueError(
+                    f"allreduce: stacked block shape {stacked.shape} does not "
+                    f"match {len(arrays)} ranks of {arrays[0].shape}"
+                )
+            if rows is not None and len(rows) != len(arrays):
+                raise ValueError(
+                    f"allreduce: {len(rows)} row sets for {len(arrays)} ranks"
+                )
+            if rows is not None and (
+                (stacked.shape[1] - sum(r.size for r in rows) / len(rows))
+                * stacked[0, 0].size
+            ) >= _restricted_fold_min_skipped(stacked.dtype):
+                total = _restricted_fold(stacked, rows)
+            else:
+                total = np.add.reduce(stacked, axis=0)
         else:
-            total = np.add.reduce(stacked, axis=0)
-    else:
-        total = arrays[0].copy()
-        for arr in arrays[1:]:
-            total += arr
+            total = arrays[0].copy()
+            for arr in arrays[1:]:
+                total += arr
     return _shared(total, len(arrays))
 
 

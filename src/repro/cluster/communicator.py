@@ -127,8 +127,8 @@ class WorkHandle:
 
     A handle must be awaited exactly once before the results are used —
     dropping one leaks scratch memory and desynchronizes the timeline,
-    which is the bug class lint rule ``REPRO007`` and the runtime
-    sanitizer's dropped-handle check both target.
+    which is the bug class the runtime sanitizer's dropped-handle check
+    targets.
     """
 
     def __init__(
@@ -236,7 +236,7 @@ class Communicator:
         self.timeline = Timeline(world_size)
         self.ledger = CostLedger(self.timeline)
         self.devices = [
-            SimulatedDevice(device_id=r, spec=device_spec) for r in range(world_size)  # mesh-ok: one simulated device per flat rank by definition
+            SimulatedDevice(device_id=r, spec=device_spec) for r in range(world_size)
         ]
         self.mesh = (
             mesh if mesh is not None else DeviceMesh(("data",), (world_size,))
@@ -245,7 +245,7 @@ class Communicator:
         #: tuples: the whole world here, one per subgroup on an
         #: :meth:`axis` view (whose ``axis_name`` names the axis).
         self.axis_name: str | None = None
-        self.groups: tuple[tuple[int, ...], ...] = (tuple(range(world_size)),)  # mesh-ok: the root ring is every flat rank by definition
+        self.groups: tuple[tuple[int, ...], ...] = (tuple(range(world_size)),)
         self.ring_size = world_size
         self.link = fabric.ring_link(world_size)
         #: Ordered :class:`CollectiveHook` observers (shared with views).

@@ -83,7 +83,7 @@ class PipelineSchedule:
         per_micro = self.fwd_time_s + self.bwd_time_s
         bubble = (self.num_stages - 1) * per_micro
         busy = self.num_micro * per_micro
-        for rank in range(mesh.size):  # mesh-ok: SPMD driver loop charging every simulated rank's stage clock
+        for rank in range(mesh.size):
             stage = mesh.coords(rank)[axis_pos]
             if bubble > 0:
                 timeline.record_compute(

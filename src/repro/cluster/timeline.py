@@ -249,7 +249,7 @@ class Timeline:
 
     def record_compute_all(self, seconds: float, name: str = "compute") -> None:
         """:meth:`record_compute` on every rank, in rank order."""
-        for rank in range(self.world_size):  # mesh-ok: charging every rank's clock is this method's contract
+        for rank in range(self.world_size):
             self.record_compute(rank, seconds, name)
 
     def schedule_collective(
@@ -296,7 +296,7 @@ class Timeline:
             end = start + duration
             dur = end - start
             busy = self._busy_comm
-            for r in range(self.world_size):  # mesh-ok: default participant set is every rank; callers pass subgroups
+            for r in range(self.world_size):
                 comm_clock[r] = end
                 busy[r] += dur
             participants = None
@@ -357,7 +357,7 @@ class Timeline:
         end = ticket.end
         compute_clock = self.compute_clock
         if ranks is None:
-            for r in range(self.world_size):  # mesh-ok: default participant set is every rank; callers pass subgroups
+            for r in range(self.world_size):
                 if compute_clock[r] < end:
                     compute_clock[r] = end
         else:
@@ -447,13 +447,13 @@ class Timeline:
         """
         if self._events_cache is None:
             out: list[TimelineEvent] = []
-            world = range(self.world_size)  # mesh-ok: expanding all-rank collectives into per-rank rows
+            world = range(self.world_size)
             for entry in self._journal:
                 if type(entry) is TimelineEvent:
                     out.append(entry)
                     continue
                 name, start, end = entry.name, entry.start, entry.end
-                for r in world if entry.ranks is None else entry.ranks:  # mesh-ok: expanding an all-rank collective into per-rank rows
+                for r in world if entry.ranks is None else entry.ranks:
                     out.append(TimelineEvent(r, COMM_STREAM, name, start, end))
             self._events_cache = out
         return self._events_cache
@@ -518,7 +518,7 @@ def events_to_chrome(
     for e in events:
         if type(e) is CollectiveRecord:
             stream = COMM_STREAM
-            ranks = range(e.world) if e.ranks is None else e.ranks  # mesh-ok: an all-rank record spans every flat rank
+            ranks = range(e.world) if e.ranks is None else e.ranks
             args: dict = {
                 "stream": stream,
                 "op": e.op,

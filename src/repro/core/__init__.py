@@ -23,7 +23,12 @@ from .complexity import (
     unique_wins_comm,
     worked_example_256_gpus,
 )
-from .compression import Fp16Codec, IdentityCodec, WireCodec
+from .compression import (
+    CompressionOverflowError,
+    Fp16Codec,
+    IdentityCodec,
+    WireCodec,
+)
 from .embedding_sync import GradientSynchronizer, concat_token_grads
 from .seeding import (
     SeedAssignment,
@@ -62,6 +67,7 @@ __all__ = [
     "worked_example_256_gpus",
     "WireCodec",
     "IdentityCodec",
+    "CompressionOverflowError",
     "Fp16Codec",
     "GradientSynchronizer",
     "concat_token_grads",

@@ -9,7 +9,11 @@ is what lets the paper report indistinguishable perplexity with half the
 communication volume (e.g. word LM epoch-1 perplexity 84.12 vs 84.68).
 
 The codecs below are *actual* casts — accuracy effects in training
-experiments are real IEEE-754 rounding, not a model of it.
+experiments are real IEEE-754 rounding, not a model of it.  A value the
+scaling pushes past the FP16 range becomes ``inf``, as it would in the
+rank sum of a real FP16 ring; the trainer's post-sync finiteness check
+turns that into a skipped step (with a loss scaler) or a
+:class:`CompressionOverflowError` (without one).
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.collectives import FusedRun
+from ..errors import ReproError
 
 __all__ = [
+    "CompressionOverflowError",
     "FP16_MAX",
     "WireCodec",
     "IdentityCodec",
@@ -29,9 +35,12 @@ __all__ = [
     "encode_stacked",
 ]
 
-#: Largest finite FP16 value; encodes saturate rather than produce inf.
+#: Largest finite FP16 value; anything larger encodes as ``inf``.
 FP16_MAX = float(np.finfo(np.float16).max)
-_FP16_MAX = FP16_MAX
+
+
+class CompressionOverflowError(ReproError, RuntimeError):
+    """FP16 compression-scaling carried a gradient past the FP16 range."""
 
 
 class WireCodec:
@@ -131,11 +140,11 @@ class Fp16Codec(WireCodec):
             raise ValueError("scale must be positive")
 
     def encode(self, arr: np.ndarray) -> np.ndarray:
-        """Scale, saturate to the FP16 range, down-cast."""
+        """Scale and down-cast (IEEE: out of range becomes ``inf``)."""
         if not np.issubdtype(arr.dtype, np.floating):
             raise ValueError("codec applies to floating-point tensors")
-        scaled = np.clip(arr * self.scale, -_FP16_MAX, _FP16_MAX)
-        return scaled.astype(np.float16)
+        with np.errstate(over="ignore"):
+            return (arr * self.scale).astype(np.float16)
 
     def decode(self, arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Up-cast and undo the scaling."""

@@ -149,7 +149,7 @@ class SeedAssignment:
         """
         return [
             np.random.default_rng((self.seed_of_rank(r), step))
-            for r in range(self.world_size)  # mesh-ok: one sampler stream per flat rank by contract
+            for r in range(self.world_size)
         ]
 
 

@@ -198,7 +198,7 @@ class AllGatherExchange(ExchangeStrategy):
                 one = SparseGrad(indices=gathered_idx[head], values=ring_values)
                 return [one] * len(members)
 
-            return comm.by_group(range(comm.world_size), result)  # mesh-ok: flat-rank ids, regrouped per ring by by_group
+            return comm.by_group(range(comm.world_size), result)
 
         return PendingSparseExchange(finish)
 

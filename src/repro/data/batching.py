@@ -142,7 +142,7 @@ class ShardedBatcher:
         per_rank = self.spec.sequences_per_rank
         self._streams = [
             self._segments[order[r * per_rank : (r + 1) * per_rank]]
-            for r in range(self.world_size)  # mesh-ok: the batcher's world IS the data-parallel degree (trainer passes d)
+            for r in range(self.world_size)
         ]
 
     def batch(self, rank: int, step: int) -> Batch:
@@ -159,7 +159,7 @@ class ShardedBatcher:
 
     def step_batches(self, step: int) -> list[Batch]:
         """All ranks' batches for one step, index = rank."""
-        return [self.batch(r, step) for r in range(self.world_size)]  # mesh-ok: the batcher's world IS the data-parallel degree
+        return [self.batch(r, step) for r in range(self.world_size)]
 
 
 def make_eval_batches(

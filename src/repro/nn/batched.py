@@ -127,7 +127,6 @@ class BatchedExecutor:
         if len(replicas) < 2:
             raise ValueError("batched execution needs at least two replicas")
         self.replicas = replicas
-        self._calls = 0
         # Module structure is fixed after construction: walk it once.
         self._params = [list(m.parameters()) for m in replicas]
         self._other_params = [p for ps in self._params[1:] for p in ps]
@@ -214,7 +213,6 @@ class BatchedExecutor:
                     state = state[0]
             # else: batch-size change — dropped, exactly like ``step``
         self._check_shared_storage()
-        self._calls += 1
 
         # Preallocate-and-assign beats np.stack's per-item overhead at
         # G=512 (same bits: row-wise copies of the same arrays).
@@ -323,7 +321,7 @@ class _StackedCoalesce:
         np.add.at(reduced, inverse, vals.reshape(R * N, D))
         bounds = np.searchsorted(uniq, np.arange(1, R + 1) * vocab)
         start = 0
-        for ri in range(R):  # mesh-ok: slicing per-rank segments of one host-side reduction
+        for ri in range(R):
             stop = int(bounds[ri])
             self._reduced.append(
                 _sparse_grad(uniq[start:stop] - ri * vocab, reduced[start:stop])

@@ -1,5 +1,5 @@
 """Analytic performance model: hardware presets, memory footprints,
-iteration/epoch time, speedup and efficiency arithmetic."""
+iteration/epoch time, and the model's speedup and efficiency."""
 
 from .calibration import CalibrationResult, calibrate_workload
 from .codec_model import (
@@ -18,21 +18,7 @@ from .checkpoint_overhead import (
     optimal_checkpoint_steps,
     young_interval,
 )
-from .efficiency import (
-    parallel_efficiency,
-    scaling_speedup,
-    speedup,
-    weak_scaling_time_increase,
-)
 from .hardware import PAPER_PLATFORM, PRIOR_WORK_PLATFORM, Platform
-from .intensity import (
-    IntensityReport,
-    achieved_flops_per_gpu,
-    aggregate_achieved_flops,
-    char_lm_flops_per_iteration,
-    intensity_report,
-    word_lm_flops_per_iteration,
-)
 from .memory import FootprintBreakdown, char_lm_footprint, word_lm_footprint
 from .overlap import (
     overlap_speedup,
@@ -77,12 +63,6 @@ __all__ = [
     "daly_interval",
     "expected_overhead_fraction",
     "optimal_checkpoint_steps",
-    "IntensityReport",
-    "achieved_flops_per_gpu",
-    "aggregate_achieved_flops",
-    "word_lm_flops_per_iteration",
-    "char_lm_flops_per_iteration",
-    "intensity_report",
     "overlapped_time",
     "overlap_speedup",
     "perfect_overlap_bound",
@@ -108,8 +88,4 @@ __all__ = [
     "WORD_LM_1B",
     "CHAR_LM_1B",
     "CHAR_LM_TIEBA",
-    "speedup",
-    "parallel_efficiency",
-    "scaling_speedup",
-    "weak_scaling_time_increase",
 ]

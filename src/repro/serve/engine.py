@@ -173,7 +173,7 @@ class ServingEngine:
         """Idle the cluster until ``target_s`` (the next arrival)."""
         rel = target_s - self._time_base + 1e-9
         timeline = self.comm.timeline
-        for r in range(self.comm.world_size):  # mesh-ok: SPMD idle-advance charges every simulated clock
+        for r in range(self.comm.world_size):
             delta = rel - timeline.compute_clock[r]
             if delta > 0:
                 timeline.record_compute(
@@ -314,7 +314,7 @@ class ServingEngine:
     def _shards(self, active: list[int]) -> list[list[int]]:
         """Round-robin shard of the active set across ranks."""
         world = self.comm.world_size
-        return [active[r::world] for r in range(world)]  # mesh-ok: SPMD driver partitions the flat replica group
+        return [active[r::world] for r in range(world)]
 
     def _lookup_rows(
         self, shards: list[list[int]], step: int
@@ -420,7 +420,7 @@ class ServingEngine:
                     rng = np.random.default_rng((config.seed, rid, position))
                     tokens.append(sample_token(row, rng, config.temperature))
             emit_s = []
-            for r, shard in enumerate(shards):  # mesh-ok: SPMD driver charges every rank's shard
+            for r, shard in enumerate(shards):
                 if shard:
                     event = self.comm.timeline.record_compute(
                         r, len(shard) * config.decode_token_s, name="serve:decode"

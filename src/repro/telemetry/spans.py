@@ -238,7 +238,7 @@ def merged_trace(
     for g, part in enumerate(parts):
         if metadata:
             label = part.label or f"gen{g}"
-            for r in range(part.world_size):  # mesh-ok: one trace track per flat rank
+            for r in range(part.world_size):
                 trace.append(
                     {
                         "name": "process_name", "ph": "M",

@@ -111,8 +111,8 @@ class TrainConfig:
         backs off), or ``None`` to disable.  On a wire that may send
         FP16 (``fp16``, ``auto``) the wire's compression factor ``F``
         multiplies the already loss-scaled gradients, so a static scale
-        must keep ``scale * F`` within the FP16 range and a dynamic one
-        (which grows without bound) needs ``F <= 1`` (``fp16:1``).
+        must keep ``scale * F`` within the FP16 range; a dynamic one
+        backs off whenever the wire overflows.
     shuffle_seed:
         When set, the batcher reshuffles its segment->stream assignment
         every epoch with this seed (identical on all ranks); ``None``
@@ -238,14 +238,11 @@ class TrainConfig:
                 self.wire_codec, self.wire_chunk_bytes
             )
             wire_scale = policy.fp16_scale
+            # A dynamic scale backs off at run time; a static one cannot.
             if (
-                self.loss_scale is not None
+                isinstance(self.loss_scale, (int, float))
                 and wire_scale is not None
-                and (
-                    wire_scale > 1.0
-                    if self.loss_scale == "dynamic"
-                    else self.loss_scale * wire_scale > FP16_MAX
-                )
+                and self.loss_scale * wire_scale > FP16_MAX
             ):
                 raise ConfigError(
                     f"loss_scale={self.loss_scale!r} with wire_codec="

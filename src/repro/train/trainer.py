@@ -37,6 +37,7 @@ import numpy as np
 from ..analysis.sanitizer import Sanitizer
 from ..cluster.communicator import Communicator
 from ..cluster.pipeline import PipelineSchedule
+from ..core.compression import FP16_MAX, CompressionOverflowError
 from ..core.embedding_sync import GradientSynchronizer
 from ..core.seeding import assign_seeds
 from ..core.sparse_exchange import AllGatherExchange, UniqueExchange
@@ -337,7 +338,7 @@ class DistributedTrainer:
 
         replicas = [build(0)]
         base = list(replicas[0].named_parameters())
-        for rank in range(1, self.data_parallel):  # mesh-ok: one replica per data-parallel group by construction
+        for rank in range(1, self.data_parallel):
             model = build(rank)
             for (name, p), (base_name, shared) in zip(
                 model.named_parameters(), base, strict=True
@@ -455,6 +456,7 @@ class DistributedTrainer:
         if accum > 1:
             self._scale_grads(1.0 / accum)
         skipped = False
+        wire_scale = self.wire.fp16_scale if self.wire is not None else None
         if self.scaler is not None:
             self.scaler.unscale_grads(self._params)
             overflow = not grads_are_finite(self._params)
@@ -465,6 +467,9 @@ class DistributedTrainer:
                     p.zero_grad()
                 self.skipped_steps += 1
                 skipped = True
+        elif wire_scale is not None and not grads_are_finite(self._params):
+            # An FP16 wire's rank sum overflowed and nothing can back off.
+            raise self._overflow_error(wire_scale)
         if not skipped:
             self.optimizer.step()
         for p in self._other_params:
@@ -488,6 +493,21 @@ class DistributedTrainer:
                 world_size=self.comm.world_size,
             )
         return mean_loss
+
+    def _overflow_error(self, wire_scale: float) -> CompressionOverflowError:
+        """The typed report of a non-finite gradient after an FP16 sync."""
+        name = next(
+            n for n, p in self.replicas[0].named_parameters()
+            if not grads_are_finite([p])
+        )
+        return CompressionOverflowError(
+            f"step {self.global_step + 1}: gradient {name!r} is not finite "
+            f"after the FP16 wire's sync (data-parallel world "
+            f"{self.data_parallel}, F={wire_scale:g}): the rank sum of "
+            f"F-scaled gradients left the FP16 range (|x| <= {FP16_MAX:g}); "
+            "lower F (e.g. 'fp16:64') or set loss_scale='dynamic' to skip "
+            "and back off"
+        )
 
     def _scale_grads(self, factor: float) -> None:
         """Scale every synchronized gradient in place (micro-batch mean)."""

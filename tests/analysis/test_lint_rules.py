@@ -59,46 +59,6 @@ class TestRepro002Float64Comm:
         assert ids_for(src, only="REPRO002") == []
 
 
-class TestRepro003ScopeAttribution:
-    def test_unscoped_collective_in_orchestration_flagged(self):
-        src = "def step(comm, xs):\n    comm.allreduce(xs)\n"
-        assert ids_for(src, "train/loop.py", only="REPRO003") == ["REPRO003"]
-
-    def test_scoped_collective_allowed(self):
-        src = (
-            "def step(comm, led, xs):\n"
-            "    with led.scope('sync'):\n"
-            "        comm.allreduce(xs)\n"
-        )
-        assert ids_for(src, "train/loop.py", only="REPRO003") == []
-
-    def test_scope_covers_nested_functions_lexically(self):
-        src = (
-            "def step(comm, led, xs):\n"
-            "    with led.scope('sync'):\n"
-            "        if xs:\n"
-            "            comm.reduce_scatter(xs)\n"
-        )
-        assert ids_for(src, "train/loop.py", only="REPRO003") == []
-
-    def test_comm_substrate_exempt(self):
-        src = "def helper(comm, xs):\n    return comm.allgather(xs)\n"
-        assert ids_for(src, "core/unique.py", only="REPRO003") == []
-        assert ids_for(src, "cluster/hierarchical.py", only="REPRO003") == []
-        assert ids_for(src, "nn/layer.py", only="REPRO003") == []
-
-    def test_axis_addressed_and_scheduled_forms_recognised(self):
-        for call in (
-            'comm.axis("data").allreduce(xs)',
-            'comm.axis("pipe").transfer(4096)',
-            'comm.issue_scheduled("hop", time_s=0.0, wire_bytes_per_rank=8).wait()',
-        ):
-            src = f"def step(comm, xs):\n    {call}\n"
-            assert ids_for(src, "train/loop.py", only="REPRO003") == [
-                "REPRO003"
-            ], call
-
-
 class TestRepro004DtypeDefaults:
     def test_float64_dtype_default_in_nn_flagged(self):
         src = "def f(dtype: np.dtype = np.float64):\n    pass\n"
@@ -152,83 +112,6 @@ class TestRepro006Print:
     def test_cli_module_exempt(self):
         src = "__all__ = []\nprint('table row')\n"
         assert ids_for(src, "cli.py", only="REPRO006") == []
-
-
-class TestRepro007DroppedHandle:
-    def test_bare_expression_issue_flagged(self):
-        src = "def f(comm, xs):\n    comm.iallreduce(xs)\n"
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-
-    def test_assigned_but_never_used_flagged(self):
-        src = "def f(comm, xs):\n    h = comm.iallgather(xs)\n"
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-
-    def test_module_level_drop_flagged(self):
-        src = "h = comm.ireduce_scatter(xs)\n"
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-
-    def test_axis_addressed_and_scheduled_drops_flagged(self):
-        src = 'def f(comm, xs):\n    comm.axis("data").iallreduce(xs)\n'
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-        src = (
-            "def f(comm):\n"
-            '    h = comm.issue_scheduled("hop", time_s=0.0, '
-            "wire_bytes_per_rank=8)\n"
-        )
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-
-    def test_waited_handle_allowed(self):
-        src = "def f(comm, xs):\n    h = comm.iallreduce(xs)\n    h.wait()\n"
-        assert ids_for(src, only="REPRO007") == []
-
-    def test_inline_wait_allowed(self):
-        src = "def f(comm, xs):\n    return comm.iallreduce(xs).wait()\n"
-        assert ids_for(src, only="REPRO007") == []
-
-    def test_returned_handle_allowed(self):
-        """Returning the handle hands completion duty to the caller —
-        the issue/wait split the whole refactor exists to allow."""
-        src = "def issue(comm, xs):\n    return comm.iallreduce(xs)\n"
-        assert ids_for(src, only="REPRO007") == []
-
-    def test_appended_handle_allowed(self):
-        src = (
-            "def f(comm, buckets):\n"
-            "    handles = []\n"
-            "    for b in buckets:\n"
-            "        h = comm.iallreduce(b)\n"
-            "        handles.append(h)\n"
-            "    return handles\n"
-        )
-        assert ids_for(src, only="REPRO007") == []
-
-    def test_closure_use_counts_as_use(self):
-        src = (
-            "def f(comm, xs):\n"
-            "    h = comm.iallreduce(xs)\n"
-            "    def finish():\n"
-            "        return h.wait()\n"
-            "    return finish\n"
-        )
-        assert ids_for(src, only="REPRO007") == []
-
-    def test_drop_inside_branch_flagged(self):
-        src = (
-            "def f(comm, xs, fast):\n"
-            "    if fast:\n"
-            "        comm.ireduce_scatter(xs)\n"
-        )
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-
-    def test_high_level_issue_helpers_covered(self):
-        src = "def f(comm, grads):\n    iunique_exchange(comm, grads)\n"
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-        src = "def f(s, comm, grads):\n    s.iexchange(comm, grads)\n"
-        assert ids_for(src, only="REPRO007") == ["REPRO007"]
-
-    def test_blocking_collectives_not_this_rules_business(self):
-        src = "def f(comm, xs):\n    comm.allreduce(xs)\n"
-        assert ids_for(src, only="REPRO007") == []
 
 
 class TestRepro008UncodedPayload:

@@ -6,8 +6,8 @@ every one stepping — is written out here from public pieces only:
 ``model.step`` per rank, a blocking codec-free ``sync_replicas`` on a
 flat world, then every optimizer steps.  It follows ``use_unique``,
 ``seed_strategy``, ``accumulation_steps`` and ``loss_scale`` (skipped
-overflow steps included); no scheduling or transport switch exists
-here.  The model and optimizer factories the trainers under test use
+overflow steps included, and the steps an FP16 wire overflowed on,
+when told); no scheduling or transport switch exists here.  The model and optimizer factories the trainers under test use
 live here too.
 """
 
@@ -106,7 +106,8 @@ class MaterialisedRanks:
         )
         self.data_step = 0
 
-    def step(self) -> float:
+    def step(self, wire_overflow: bool = False) -> float:
+        """One step; ``wire_overflow`` skips it as an overflow would."""
         scale = self.scaler.scale if self.scaler else 1.0
         losses = []
         for _ in range(self.cfg.accumulation_steps):
@@ -134,7 +135,7 @@ class MaterialisedRanks:
         overflow = False
         if self.scaler:
             self.scaler.unscale_grads(synced)
-            overflow = not grads_are_finite(synced)
+            overflow = wire_overflow or not grads_are_finite(synced)
             self.scaler.update(overflow)
         for model, optimizer in zip(self.models, self.optimizers):
             if overflow:
@@ -147,13 +148,22 @@ class MaterialisedRanks:
 _runs = {}
 
 
-def reference_run(model: str, optimizer: str, cfg: TrainConfig, steps: int):
+def reference_run(
+    model: str, optimizer: str, cfg: TrainConfig, steps: int,
+    wire_overflows: frozenset = frozenset(),
+):
     """``(losses, ranks)`` of ``steps`` reference steps (memoized), the G
-    materialised ranks checked bit-equal among themselves."""
-    key = (model, optimizer, cfg, steps)
+    materialised ranks checked bit-equal among themselves.
+
+    ``wire_overflows`` are the steps (from 0) an FP16 wire overflowed
+    on: the loss scaler skips them and backs off.
+    """
+    if wire_overflows and cfg.loss_scale != "dynamic":
+        raise ValueError("only a dynamic loss scale backs off an overflow")
+    key = (model, optimizer, cfg, steps, wire_overflows)
     if key not in _runs:
         ranks = MaterialisedRanks(model, optimizer, cfg)
-        losses = [ranks.step() for _ in range(steps)]
+        losses = [ranks.step(s in wire_overflows) for s in range(steps)]
         first, first_opt = ranks.models[0], ranks.optimizers[0]
         for other, opt in zip(ranks.models[1:], ranks.optimizers[1:]):
             for p, q in zip(other.parameters(), first.parameters(), strict=True):

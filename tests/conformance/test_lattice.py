@@ -28,10 +28,10 @@ FORBIDDEN = {
     # A chunk size shapes the codec's index gather: it needs a codec.
     ("wire_codec", None, "wire_chunk_bytes", 64),
 } | {
-    # The FP16 wire's own F = 512 would carry a loss scale past FP16.
-    ("wire_codec", spec, "loss_scale", scale)
+    # The FP16 wire's own F = 512 would carry a static loss scale past
+    # FP16 (a dynamic one backs off instead).
+    ("wire_codec", spec, "loss_scale", 256.0)
     for spec in ("auto", "fp16+entropy", "fp16+auto")
-    for scale in (256.0, "dynamic")
 }
 
 #: ``TrainConfig`` fields that are not factors, and why.

@@ -59,11 +59,13 @@ class TestFp16Codec:
         err_scaled = np.abs(scaled.decode(scaled.encode(grads), np.float32) - grads).sum()
         assert err_scaled < err_naive / 10
 
-    def test_saturation_instead_of_inf(self):
+    def test_out_of_range_encodes_as_inf(self):
+        """A plain IEEE cast: no clip hides the overflow from the
+        trainer's post-sync check."""
         codec = Fp16Codec(scale=1024.0)
-        x = np.array([1e6], np.float32)
+        x = np.array([1e6, -1e6, 63.0], np.float32)
         encoded = codec.encode(x)
-        assert np.isfinite(encoded).all()
+        assert encoded.tolist() == [np.inf, -np.inf, 64512.0]
 
     def test_paper_scale_factors_accepted(self):
         for f in (256.0, 512.0, 1024.0):

@@ -78,7 +78,8 @@ def test_unique_exchange_matches_allgather_bit_for_bit(
 @settings(max_examples=N_CASES)
 def test_fp16_codec_roundtrip_error_bound(n, scale_exp, dtype, seed):
     scale = 2.0**scale_exp
-    # Bounded away from the saturation clip so the error is pure rounding.
+    # Bounded inside the FP16 range (past it, encode gives inf) so the
+    # error is pure rounding.
     bound = FP16_MAX / scale * 0.99
     x = np.random.default_rng(seed).uniform(-bound, bound, n).astype(dtype)
     codec = Fp16Codec(scale=scale)

@@ -9,6 +9,19 @@ import numpy as np
 from repro.cluster import ChaosCommunicator, FaultEvent, FaultKind, FaultPlan
 
 
+def count_calls(obj, name: str) -> list:
+    """Wrap ``obj.<name>``: every call appends to the returned list."""
+    calls = []
+    method = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return method(*args, **kwargs)
+
+    setattr(obj, name, counted)
+    return calls
+
+
 def assert_same_state(got: dict, want: dict, what: str = "state") -> None:
     """Two ``state_dict()``s agree bit for bit, key for key."""
     assert got.keys() == want.keys(), what

@@ -1,4 +1,4 @@
-"""Tests for hardware presets, footprints, and efficiency arithmetic."""
+"""Tests for hardware presets and footprints."""
 
 import pytest
 
@@ -7,10 +7,6 @@ from repro.perf import (
     PAPER_PLATFORM,
     PRIOR_WORK_PLATFORM,
     char_lm_footprint,
-    parallel_efficiency,
-    scaling_speedup,
-    speedup,
-    weak_scaling_time_increase,
     word_lm_footprint,
 )
 from repro.train.config import PAPER_CHAR_LM, PAPER_WORD_LM, WordLMConfig
@@ -77,24 +73,3 @@ class TestFootprints:
         adam = word_lm_footprint(PAPER_WORD_LM, batch, optimizer_slots=2)
         assert adam.optimizer_state == 2 * adam.parameters
         assert sgd.optimizer_state == 0
-
-
-class TestEfficiencyArithmetic:
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-        assert scaling_speedup(35.1, 4.5) == pytest.approx(7.8, abs=0.1)
-
-    def test_parallel_efficiency_paper_row(self):
-        """Table III row: 14.6h at 8 GPUs -> 8.1h at 16 is 90%."""
-        assert parallel_efficiency(14.6, 8.1, 16, 8) == pytest.approx(0.90, abs=0.01)
-
-    def test_weak_scaling_ratio(self):
-        assert weak_scaling_time_increase(27.0, 34.0) == pytest.approx(1.26, abs=0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
-        with pytest.raises(ValueError):
-            parallel_efficiency(1.0, 1.0, 4, 8)
-        with pytest.raises(ValueError):
-            weak_scaling_time_increase(-1.0, 1.0)

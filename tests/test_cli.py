@@ -240,6 +240,17 @@ class TestWireCodecFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown wire-codec 'bogus'")
 
+    def test_fp16_wire_overflow_exits_2_with_one_error_line(self, capsys):
+        """F = 65504 carries the eight-rank sum past FP16 on step 2."""
+        rc = main(["train", "--gpus", "8", "--steps", "3",
+                   "--corpus-tokens", "6000", "--wire-codec", "fp16:65504"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: step 2: gradient ")
+        assert len(err.splitlines()) == 1
+        assert "world 8, F=65504" in err
+        assert "final val ppl" not in out
+
     def test_train_with_delta_reports_measured_compression(self, capsys):
         rc = main(
             [
@@ -638,10 +649,11 @@ def test_retired_spmd_surface_is_refused(capsys):
         main(["verify-spmd"])
     assert exc.value.code == 2
     assert "invalid choice: 'verify-spmd'" in capsys.readouterr().err
-    assert main(["lint", "--rules", "REPRO011"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: unknown rule ids: ['REPRO011']")
-    assert err.rstrip().endswith("REPRO009, REPRO010)")
+    for retired in ("REPRO003", "REPRO007", "REPRO010", "REPRO011"):
+        assert main(["lint", "--rules", retired]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown rule ids: ['{retired}']")
+        assert err.rstrip().endswith("REPRO008, REPRO009)")
 
 
 def test_cache_budget_below_one_batch_exits_2(capsys):

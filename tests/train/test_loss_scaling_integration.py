@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import CompressionOverflowError
 from repro.errors import ConfigError
-from repro.train import assert_replicas_synchronized
+from repro.train import DistributedTrainer, TrainConfig, assert_replicas_synchronized
 
 from ..conformance.cells import conform
-from ..conformance.reference import word_trainer
+from ..conformance.reference import BATCH, CORPUS, MODELS, OPTIMIZERS, word_trainer
+from ..helpers import assert_same_state
 
 
 def make_trainer(loss_scale=None, **overrides):
@@ -27,19 +29,21 @@ class TestConfig:
 
     @pytest.mark.parametrize("spec,scale", [
         ("fp16", 256.0), ("fp16:1024+delta", 256.0), ("auto", 256.0),
-        ("fp16:2", "dynamic"), ("fp16+auto", "dynamic"),
     ])
     def test_fp16_wire_refuses_a_compounding_loss_scale(self, spec, scale):
-        """Loss scale times the wire's own F would leave the FP16 range."""
+        """A static loss scale times the wire's own F would leave the
+        FP16 range, and a static scale cannot back off."""
         with pytest.raises(ConfigError, match="loss_scale"):
             make_trainer(loss_scale=scale, wire_codec=spec)
 
     @pytest.mark.parametrize("spec,scale", [
         ("fp16:1", 256.0), ("fp16:1+entropy", "dynamic"), ("fp16:1+auto", 256.0),
+        ("fp16:2", "dynamic"), ("fp16+auto", "dynamic"),
     ])
     def test_fp16_wire_takes_a_loss_scale_in_range(self, spec, scale):
-        """With ``F = 1`` the loss scale is the only one: the pair trains
-        (the fp16 class), for both models."""
+        """A static scale with ``F = 1``, or a dynamic one with any F
+        (which backs off where the wire overflows): the pair trains (the
+        fp16 class), for both models."""
         for model in ("word", "char"):
             conform(model=model, wire_codec=spec, loss_scale=scale)
 
@@ -114,4 +118,82 @@ class TestDynamicScaling:
             replica.projection.weight.data[0, 0] = 0.0
         for _ in range(2):
             tr.train_step()
+        assert_replicas_synchronized(tr.replicas, atol=0.0)
+
+
+def poison_before_sync(trainer, poison):
+    """Call ``poison(step, replicas)`` on the per-rank gradients of every
+    step (from 0), just before they enter the sync."""
+    sync = trainer.synchronizer.sync_replicas
+
+    def poisoned(replicas):
+        poison(trainer.global_step, replicas)
+        sync(replicas)
+
+    trainer.synchronizer.sync_replicas = poisoned
+
+
+def params_of(trainer) -> dict:
+    return {n: p.data.copy() for n, p in trainer.replicas[0].named_parameters()}
+
+
+class TestFp16WireOverflow:
+    """An overflowing FP16 wire is decided by the one post-sync check."""
+
+    def test_unscaled_overflow_raises_before_any_update(self):
+        """Eight ranks of dense grads of 100.0 at F = 512: each rank's
+        51,200 fits FP16, their sum does not."""
+        tr = word_trainer(8, wire_codec="fp16", batched=False)
+
+        def dense_100(step, replicas):
+            for replica in replicas:
+                for p in replica.parameters():
+                    if p.grad is not None:
+                        p.grad[...] = 100.0
+
+        poison_before_sync(tr, dense_100)
+        before = params_of(tr)
+        with pytest.raises(CompressionOverflowError) as exc:
+            tr.train_step()
+        msg = str(exc.value)
+        first = next(
+            n for n, p in tr.replicas[0].named_parameters() if p.grad is not None
+        )
+        assert f"gradient {first!r}" in msg
+        assert "world 8" in msg and "F=512" in msg
+        assert tr.global_step == 0
+        assert_same_state(params_of(tr), before, "parameters")
+
+    def test_dynamic_scale_skips_the_overflowing_step_and_halves(self):
+        cfg = TrainConfig(
+            world_size=8, batch=BATCH, base_lr=0.2, loss_scale="dynamic",
+            wire_codec="fp16:2", batched=False,
+        )
+        tr = DistributedTrainer(
+            MODELS["word"], OPTIMIZERS["momentum"][0], CORPUS.train,
+            CORPUS.valid, cfg,
+        )
+
+        def one_large(step, replicas):
+            if step == 1:  # rank 3's first dense grad, on the second step
+                grad = next(
+                    p.grad for p in replicas[3].parameters() if p.grad is not None
+                )
+                grad.flat[0] = 1e6  # x F = 2 leaves the FP16 range
+
+        poison_before_sync(tr, one_large)
+        tr.train_step()
+        assert tr.skipped_steps == 0
+        scale, params = tr.scaler.scale, params_of(tr)
+        optimizer = tr.optimizer.state_dict()
+        tr.train_step()
+        assert tr.skipped_steps == 1
+        assert tr.scaler.backoff_factor == 0.5
+        assert tr.scaler.scale == scale * 0.5
+        assert_same_state(params_of(tr), params, "parameters")
+        assert_same_state(tr.optimizer.state_dict(), optimizer, "optimizer")
+        tr.train_step()
+        assert tr.skipped_steps == 1
+        moved = params_of(tr)
+        assert any(not np.array_equal(moved[n], params[n]) for n in params)
         assert_replicas_synchronized(tr.replicas, atol=0.0)
