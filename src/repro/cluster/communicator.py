@@ -166,10 +166,6 @@ class WorkHandle:
             self._comm.timeline.complete(self.ticket)
         return self._results
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "complete" if self._complete else "pending"
-        return f"WorkHandle(op={self.op!r}, tag={self.tag!r}, {state})"
-
 
 #: op -> (wire bytes per rank, alpha-beta ring time) cost models.
 _RING_COST = {
@@ -630,9 +626,3 @@ class Communicator:
         buffers until completion.
         """
         return max(dev.peak_bytes for dev in self.devices)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Communicator(world_size={self.world_size}, "
-            f"device={self.devices[0].spec.name!r})"
-        )

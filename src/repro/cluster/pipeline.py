@@ -52,11 +52,6 @@ class PipelineSchedule:
             self.fwd_time_s + self.bwd_time_s
         )
 
-    @property
-    def bubble_fraction(self) -> float:
-        """Idle share of each stage: ``(p-1) / (m+p-1)``."""
-        return (self.num_stages - 1) / (self.num_micro + self.num_stages - 1)
-
     def record(
         self,
         comm,

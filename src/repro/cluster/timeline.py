@@ -491,12 +491,6 @@ class Timeline:
                 f"rank {rank} out of range for world size {self.world_size}"
             )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Timeline(world_size={self.world_size}, "
-            f"events={len(self._journal)}, makespan={self.makespan:.3e}s)"
-        )
-
 
 def events_to_chrome(
     events: Sequence[TimelineEvent | CollectiveRecord],

@@ -17,7 +17,6 @@ from .complexity import (
     breakeven_unique_rows,
     crossover_duplication_factor,
     expected_global_unique,
-    memory_reduction_factor,
     unique_comm_bytes,
     unique_memory_bytes,
     unique_wins_comm,
@@ -62,7 +61,6 @@ __all__ = [
     "baseline_allgather_comm_bytes",
     "unique_memory_bytes",
     "unique_comm_bytes",
-    "memory_reduction_factor",
     "WorkedExample",
     "worked_example_256_gpus",
     "WireCodec",

@@ -27,7 +27,6 @@ __all__ = [
     "baseline_allgather_comm_bytes",
     "unique_memory_bytes",
     "unique_comm_bytes",
-    "memory_reduction_factor",
     "WorkedExample",
     "worked_example_256_gpus",
 ]
@@ -112,16 +111,6 @@ def unique_comm_bytes(
     idx = (G - 1) * K * idx_bytes
     val = 2 * (G - 1) / G * u_global * D * val_bytes
     return int(idx + val)
-
-
-def memory_reduction_factor(
-    G: int, K: int, D: int, u_global: float,
-    idx_bytes: int = 4, val_bytes: int = 4,
-) -> float:
-    """Baseline-over-unique per-GPU memory ratio (the paper's '256x')."""
-    return baseline_allgather_memory_bytes(G, K, D, val_bytes) / unique_memory_bytes(
-        G, K, D, u_global, idx_bytes, val_bytes
-    )
 
 
 def breakeven_unique_rows(

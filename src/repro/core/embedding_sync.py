@@ -30,11 +30,14 @@ with all three.
 One loop, two schedules.  Each maximal run of consecutive dense-only
 parameters is one allreduce payload (§V-B: latency per run, not per
 tensor), and so is each unique exchange's step-6 value matrix.
-Blocking (``overlap=False``) is "issue one, drain one": each index
-gather completes before the next collective is issued, and then the
-step's allreduce payloads go as **one stage** — packed, in registration
-order, into as few allreduces as the step's own largest scratch allows
-(see :func:`_pack`), each paying the ring's ``2(G-1)α`` latency once.
+Blocking (``overlap=False``) is "issue one, drain one", in two stages:
+**one gather stage**, then **one reduce stage**.  The unique exchanges'
+raw index gathers go first, packed into as few allgathers as the step's
+largest scratch allows (see :func:`_pack_gathers` and
+:func:`~repro.core.unique.igather_indices`), each paying the ring's
+``(G-1)α`` latency once; then the step's allreduce payloads go packed,
+in registration order, into as few allreduces as the step's own largest
+scratch allows (see :func:`_pack`), each paying ``2(G-1)α`` once.
 ``overlap=True`` is "issue all, then drain": parameters are walked in
 reverse registration order (the order backward produces gradients),
 every collective whose payload exists is issued first — dense runs
@@ -66,7 +69,7 @@ from .mesh_exchange import (
     unshard_sparse,
 )
 from .sparse_exchange import AllGatherExchange, ExchangeStrategy
-from .unique import StagedValues
+from .unique import IndexGather, StagedValues, igather_indices
 from .wire.fused import icompressed_allreduce
 from .wire.policy import WirePolicy
 
@@ -157,6 +160,27 @@ def _pack(payloads: list[_Allreduce]) -> list[list[_Allreduce]]:
     return packs
 
 
+def _pack_gathers(
+    gathers: list[tuple[str, IndexGather]], cap: int
+) -> list[list[tuple[str, IndexGather]]]:
+    """One step's ``(scope, gather)`` raw index gathers, packed next-fit.
+
+    A gather joins the open pack unless the pack's per-rank scratch
+    would pass ``cap`` — the largest scratch among the step's dense
+    runs and any single member's gather — so packing never raises the
+    step's peak footprint.
+    """
+    packs: list[list[tuple[str, IndexGather]]] = []
+    for member in gathers:
+        last = packs[-1] if packs else []
+        rings = zip(*(g.ring_scratch for _, g in [*last, member]))
+        if last and max(map(sum, rings)) <= cap:
+            last.append(member)
+        else:
+            packs.append([member])
+    return packs
+
+
 class GradientSynchronizer:
     """Synchronize gradients across data-parallel model replicas.
 
@@ -227,7 +251,7 @@ class GradientSynchronizer:
         The finisher issues the exchange's value allreduce (if it has
         one) alone, as soon as the index gather has drained.
         """
-        stage = self._exchange(params, tag)
+        stage, _ = self._exchange(params, tag)
 
         def finish() -> None:
             values = stage()
@@ -436,14 +460,17 @@ class GradientSynchronizer:
         return finish
 
     def _exchange(
-        self, params: list[Parameter], tag: str
-    ) -> Callable[[], _Allreduce | None]:
-        """Start one sparse exchange; return its stager.
+        self, params: list[Parameter], tag: str, own_gather: bool = False
+    ) -> tuple[Callable[[], _Allreduce | None], IndexGather | None]:
+        """Start one sparse exchange; return its stager and its gather.
 
         The stager finishes everything before the exchange's value
         allreduce and returns that allreduce's payload, or — for a
         strategy that ends on no allreduce — completes the exchange,
-        applies it and returns None.
+        applies it and returns None.  With ``own_gather`` a raw index
+        gather is left unissued and returned, to be issued (see
+        :func:`~repro.core.unique.igather_indices`) before the stager
+        runs; otherwise the gather is None.
         """
         data = self.comm.axis("data")
         grads = []
@@ -452,13 +479,15 @@ class GradientSynchronizer:
             if g is None:
                 raise ValueError(f"{tag}: rank missing sparse grad")
             grads.append(g)
+        num_rows = params[0].data.shape[0]
         pending = self.strategy.iexchange(
             data,
             shard_sparse(
-                grads, data.groups, params[0].data.shape[0],
+                grads, data.groups, num_rows,
                 coalesce=self.strategy.reduces_locally,
             ),
             tag=tag,
+            num_rows=num_rows if own_gather else None,
         )
 
         def stage() -> _Allreduce | None:
@@ -468,7 +497,7 @@ class GradientSynchronizer:
             self._apply_sparse(params, pending.wait())
             return None
 
-        return stage
+        return stage, pending.gather
 
     def _apply_sparse(
         self, params: list[Parameter], results: list[SparseGrad]
@@ -545,15 +574,24 @@ class GradientSynchronizer:
         unscales the result does so once (through any one replica), and
         independent optimizers may each read it.
 
-        Blocking, every index gather is issued and drained under its
-        parameter's scope in walk order, and then the step's allreduce
-        payloads go as **one stage**: packed in registration order,
-        next-fit, into as few allreduces as :func:`_pack` allows, each
-        issued and drained before the next.  With ``overlap=True``
-        parameters are walked in *reverse* registration order and each
-        allreduce is issued alone as soon as its payload exists, so
-        dense runs and the sparse exchanges' index gathers queue up
-        back-to-back the way an eager DDP-style hook would issue them;
+        Blocking, the step is **one gather stage, then one reduce
+        stage**.  The walk runs every exchange's local steps (1-2) under
+        its parameter's scope; then the unique exchanges' raw index
+        gathers go packed next-fit, in registration order, into as few
+        allgathers as :func:`_pack_gathers` allows — tagged with the
+        members' tags and scoped with their names, each joined by ``+``
+        — each issued and drained before the next.  Each exchange then
+        stages its value payload, and the step's allreduce payloads go
+        packed in registration order, next-fit, into as few allreduces
+        as :func:`_pack` allows, each issued and drained before the
+        next.  An encoded index gather, and the allgather baseline's
+        collectives, are issued and drained alone during the walk.
+
+        With ``overlap=True`` parameters are walked in *reverse*
+        registration order and each allreduce is issued alone as soon
+        as its payload exists, so dense runs and the sparse exchanges'
+        index gathers queue up back-to-back the way an eager DDP-style
+        hook would issue them;
         finishers then drain in the same order, each value allreduce
         (which depends on the gathered indices) being issued during the
         drain under the owning parameter's scope.
@@ -563,7 +601,10 @@ class GradientSynchronizer:
         )
         scope = self.comm.timeline.scope
         deferred: list[tuple[str, Callable[[], None]]] = []
-        payloads: list[_Allreduce] = []  # blocking: the one stage
+        # Blocking: the one reduce stage, in walk order — payloads, and
+        # the stagers of exchanges whose gather rides the gather stage.
+        payloads: list[_Allreduce | Callable[[], _Allreduce | None]] = []
+        gathers: list[tuple[str, IndexGather]] = []  # the one gather stage
         run: dict[str, list[Parameter]] = {}
 
         def flush() -> None:
@@ -605,10 +646,32 @@ class GradientSynchronizer:
                         finish = self._issue_sparse(params, name)
                         deferred.append((scope_name, finish))
                     else:
-                        values = self._exchange(params, name)()
-                        if values is not None:
+                        stage, gather = self._exchange(
+                            params, name, own_gather=True
+                        )
+                        if gather is not None:
+                            gathers.append((scope_name, gather))
+                            payloads.append(stage)
+                        elif (values := stage()) is not None:
                             payloads.append(values)
         flush()
+        if gathers:
+            # The gather stage, capped by the largest scratch of any
+            # single collective the step has built so far (its dense
+            # runs, an encoded exchange's payload) or would issue alone.
+            cap = max(
+                [p.charged for p in payloads if isinstance(p, _Allreduce)]
+                + [g.scratch_bytes for _, g in gathers]
+            )
+            for pack in _pack_gathers(gathers, cap):
+                with scope("+".join(s for s, _ in pack)):
+                    members = [g for _, g in pack]
+                    igather_indices(self.comm.axis("data"), members)
+                    members[0].uniques()  # drains it: step 4 for all
+            # A unique exchange always stages a value payload.
+            payloads = [
+                p if isinstance(p, _Allreduce) else p() for p in payloads
+            ]
         # Popped as they go, so each pack's pre-sync grads and matrices
         # are freed before the next pack's are built.
         packs = _pack(payloads)

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
-from .unique import StagedValues, iunique_exchange
+from .unique import IndexGather, StagedValues, iunique_exchange
 from .wire.policy import WirePolicy
 from .wire.transfer import iencoded_allgather
 
@@ -63,16 +63,21 @@ class PendingSparseExchange:
 
     A strategy whose last collective is a value allreduce also passes a
     ``stage`` closure, so a caller may own that allreduce — see
-    :meth:`stage`.
+    :meth:`stage`.  One whose index gather the caller asked to own
+    (``iexchange(..., num_rows=...)``) leaves it unissued as
+    :attr:`gather`, to be issued through
+    :func:`~repro.core.unique.igather_indices` before :meth:`stage`.
     """
 
     def __init__(
         self,
         finish: Callable[[], list[SparseGrad]],
         stage: Callable[[], StagedValues] | None = None,
+        gather: IndexGather | None = None,
     ):
         self._finish = finish
         self._stage = stage
+        self.gather = gather
         self._result: list[SparseGrad] | None = None
 
     def stage(self) -> StagedValues | None:
@@ -112,9 +117,18 @@ class ExchangeStrategy:
         return self.iexchange(comm, grads, tag=tag).wait()
 
     def iexchange(
-        self, comm: Communicator, grads: list[SparseGrad], tag: str = "embedding"
+        self,
+        comm: Communicator,
+        grads: list[SparseGrad],
+        tag: str = "embedding",
+        num_rows: int | None = None,
     ) -> PendingSparseExchange:
-        """Start the exchange without blocking; issue what can be issued."""
+        """Start the exchange without blocking; issue what can be issued.
+
+        ``num_rows`` (the embedding's row count) asks to own the raw
+        index gather; a strategy that has one leaves it unissued as the
+        pending exchange's ``gather``, any other ignores it.
+        """
         raise NotImplementedError
 
 
@@ -132,7 +146,11 @@ class AllGatherExchange(ExchangeStrategy):
         self.wire = wire
 
     def iexchange(
-        self, comm: Communicator, grads: list[SparseGrad], tag: str = "embedding"
+        self,
+        comm: Communicator,
+        grads: list[SparseGrad],
+        tag: str = "embedding",
+        num_rows: int | None = None,
     ) -> PendingSparseExchange:
         """Issue the index allgather now; the value allgather at wait.
 
@@ -212,14 +230,21 @@ class UniqueExchange(ExchangeStrategy):
         self.wire = wire
 
     def iexchange(
-        self, comm: Communicator, grads: list[SparseGrad], tag: str = "embedding"
+        self,
+        comm: Communicator,
+        grads: list[SparseGrad],
+        tag: str = "embedding",
+        num_rows: int | None = None,
     ) -> PendingSparseExchange:
         """Issue the index allgather now; the value allreduce at wait.
 
         The pending exchange can also :meth:`~PendingSparseExchange.stage`
-        its value matrices for a caller that owns the allreduce.
+        its value matrices for a caller that owns the allreduce; with
+        ``num_rows`` a raw index gather is the caller's too.
         """
-        pending = iunique_exchange(comm, grads, tag=tag, wire=self.wire)
+        pending = iunique_exchange(
+            comm, grads, tag=tag, wire=self.wire, num_rows=num_rows
+        )
 
         def as_grads(results) -> list[SparseGrad]:
             return comm.by_group(
@@ -233,4 +258,8 @@ class UniqueExchange(ExchangeStrategy):
                 staged, complete=lambda sums: as_grads(staged.complete(sums))
             )
 
-        return PendingSparseExchange(lambda: as_grads(pending.wait()), stage)
+        return PendingSparseExchange(
+            lambda: as_grads(pending.wait()),
+            stage,
+            None if pending.gather.issued else pending.gather,
+        )

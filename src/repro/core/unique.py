@@ -41,10 +41,12 @@ from .wire.policy import WirePolicy
 from .wire.transfer import iencoded_allgather
 
 __all__ = [
+    "IndexGather",
     "PendingUniqueExchange",
     "StagedValues",
     "UniqueExchangeResult",
     "global_unique",
+    "igather_indices",
     "iunique_exchange",
     "local_unique_reduce",
     "unique_exchange",
@@ -122,7 +124,7 @@ class StagedValues:
 
     ``ring_bytes`` and ``logical_bytes`` are each ring's per-rank matrix
     size as sent and before the value codec; ``gather_scratch`` is the
-    largest per-rank scratch the step-3 gather charged.
+    largest per-rank scratch the step-3 gather charges alone.
     """
 
     tag: str
@@ -135,20 +137,125 @@ class StagedValues:
     complete: Callable[[Sequence[np.ndarray]], list]
 
 
+class IndexGather:
+    """Step 3 of one unique exchange: its index vectors, to be gathered.
+
+    ``vectors[r]`` is flat rank ``r``'s ``int64`` index vector, and
+    ``num_rows`` bounds its ids (the embedding's row count; only a
+    packed gather reads it).  :func:`igather_indices` issues any number
+    of these as one allgather; :meth:`uniques` then completes it and
+    runs step 4.  ``scratch_bytes`` is the largest per-rank scratch the
+    exchange's gather charges when it goes alone, and ``ring_scratch``
+    that scratch per ring (a packed gather charges, per ring, the sum
+    of its members').
+    """
+
+    def __init__(
+        self,
+        comm: Communicator,
+        vectors: list[np.ndarray],
+        tag: str,
+        num_rows: int | None = None,
+    ):
+        self.tag = f"{tag}:indices"
+        self.vectors = vectors
+        self.num_rows = num_rows
+        self.ring_scratch = tuple(
+            sum([int(vectors[r].nbytes) for r in ranks])
+            for ranks in comm.groups
+        )
+        self.scratch_bytes = max(self.ring_scratch)
+        self._complete: Callable[[], None] | None = None
+        self._uniques: list[np.ndarray] = []
+
+    @property
+    def issued(self) -> bool:
+        """Whether a collective carrying this gather has been issued."""
+        return self._complete is not None
+
+    def uniques(self) -> list[np.ndarray]:
+        """Steps 3 (complete) and 4: Î per ring, in ``comm.groups`` order."""
+        if not self._uniques:
+            if not self.issued:
+                raise RuntimeError(f"{self.tag}: gather was never issued")
+            self._complete()
+        return self._uniques
+
+
+def _land(
+    comm: Communicator, gathers: Sequence[IndexGather], handle, offsets
+) -> None:
+    """Make ``handle``'s completion hand each of ``gathers`` its Î.
+
+    ``handle.wait()`` yields each ring's gathered vector, member ``m``'s
+    ids offset by ``offsets[m]``; the members' id ranges are disjoint
+    and ascend, so one :func:`global_unique` per ring, cut at the
+    offsets, is every member's own step 4, bit for bit.  The completer
+    holds the members' result lists, not the members, so no reference
+    cycle keeps a step's gathers alive past it.
+    """
+    results = [g._uniques for g in gathers]
+
+    def complete() -> None:
+        gathered = handle.wait()
+        for ranks in comm.groups:
+            u = global_unique(gathered[ranks[0]])
+            cuts = np.searchsorted(u, offsets[1:])
+            for out, off, part in zip(results, offsets, np.split(u, cuts)):
+                out.append(part - off if off else part)
+
+    for g in gathers:
+        g._complete = complete
+
+
+def igather_indices(
+    comm: Communicator, gathers: Sequence[IndexGather]
+) -> None:
+    """Issue step 3 of one or more unique exchanges as one allgather.
+
+    Each rank brings its members' vectors concatenated in order, member
+    ``m``'s ids offset by the row counts of the members before it, and
+    the collective is tagged with the members' tags joined by ``+``.
+    The wire model is the raw allgather's: a packed gather moves
+    ``(ring - 1) * max_r sum_m 8 K_{m,r}`` bytes per rank — never more
+    than its members' lone gathers together — and pays the ring's
+    latency once.  A lone member is gathered as it is, under its own
+    tag.  Complete it through any member's :meth:`IndexGather.uniques`.
+    """
+    offsets = [0]
+    for g in gathers[:-1]:
+        offsets.append(offsets[-1] + g.num_rows)
+    if len(gathers) == 1:
+        vectors = gathers[0].vectors
+    else:
+        vectors = [
+            np.concatenate(
+                [g.vectors[r] + off for g, off in zip(gathers, offsets)]
+            )
+            for r in range(comm.world_size)
+        ]
+    handle = comm.iallgather(vectors, tag="+".join(g.tag for g in gathers))
+    _land(comm, gathers, handle, offsets)
+
+
 class PendingUniqueExchange:
     """A unique exchange in flight, staged around its two collectives.
 
     Created by :func:`iunique_exchange`, which runs steps 1-2 (local
-    unique + local reduce) eagerly and *issues* the step-3 index
-    ALLGATHER before returning — so the index traffic rides the comm
-    stream while the caller does other work (e.g. issuing dense gradient
-    buckets).  :meth:`stage` then completes the allgather and runs the
-    purely-local step 4, returning the step-6 payload, whose ``align()``
-    runs step 5; :meth:`wait` is :meth:`stage`, the value ALLREDUCE of
-    that payload on its own, and its completion into
-    :class:`UniqueExchangeResult`\\ s.  A caller with other allreduces
-    in the same step (the gradient synchronizer) takes the payload from
-    :meth:`stage` and may pack it with them.
+    unique + local reduce) eagerly and, unless its caller owns the
+    gather, *issues* the step-3 index ALLGATHER before returning — so
+    the index traffic rides the comm stream while the caller does other
+    work (e.g. issuing dense gradient buckets).  A caller that owns the
+    gather (the gradient synchronizer's blocking schedule: one gather
+    stage, then one reduce stage) takes :attr:`gather` and issues it
+    with the step's other exchanges' as one allgather
+    (:func:`igather_indices`).  :meth:`stage` then
+    completes the allgather and runs the purely-local step 4, returning
+    the step-6 payload, whose ``align()`` runs step 5; :meth:`wait` is
+    :meth:`stage`, the value ALLREDUCE of that payload on its own, and
+    its completion into :class:`UniqueExchangeResult`\\ s.  A caller
+    with other allreduces in the same step (the gradient synchronizer)
+    takes the payload from :meth:`stage` and may pack it with them.
 
     The value allreduce cannot be issued earlier: its payload (the
     aligned Ug x D matrices) depends on the gathered indices.  This
@@ -160,13 +267,14 @@ class PendingUniqueExchange:
         self,
         comm: Communicator,
         local: list[SparseGrad],
-        index_handle,
+        gather: IndexGather,
         tag: str,
         wire: WirePolicy | None = None,
     ):
         self._comm = comm
         self._local = local
-        self._index_handle = index_handle
+        #: The step-3 gather: issued, or left for the caller to issue.
+        self.gather = gather
         self._tag = tag
         self._wire = wire
         self._result: list[UniqueExchangeResult] | None = None
@@ -178,13 +286,11 @@ class PendingUniqueExchange:
         """
         comm = self._comm
 
-        # Step 3 completes: every member of a ring holds the ring's one
-        # gathered index vector.
-        gathered = self._index_handle.wait()
+        # Steps 3 (complete) and 4: per ring, the global unique filter
+        # of the one gathered index vector, totally ordered (ascending).
+        uniques = self.gather.uniques()
         dim = self._local[0].dim
         dtype = self._local[0].values.dtype
-        # Step 4: global unique filter, totally ordered (ascending).
-        uniques = [global_unique(gathered[ranks[0]]) for ranks in comm.groups]
         # The value codec of step 6, if the wire policy resolves one
         # (fixed, or per message under ``auto``) — from the aligned
         # matrix's shape and dtype alone, before any matrix exists.
@@ -265,7 +371,7 @@ class PendingUniqueExchange:
             logical_bytes=tuple(
                 u.size * dim * dtype.itemsize for u in uniques
             ),
-            gather_scratch=self._index_handle.scratch_bytes,
+            gather_scratch=self.gather.scratch_bytes,
             align=align,
             complete=complete,
         )
@@ -302,6 +408,7 @@ def iunique_exchange(
     grads: list[SparseGrad],
     tag: str = "embedding",
     wire: WirePolicy | None = None,
+    num_rows: int | None = None,
 ) -> PendingUniqueExchange:
     """Start a unique exchange without blocking on its collectives.
 
@@ -310,13 +417,22 @@ def iunique_exchange(
     called.  Parameters are as for :func:`unique_exchange`, which is
     ``iunique_exchange(...).wait()[0]``.
 
+    ``num_rows`` (the embedding's row count, which bounds every index)
+    hands the raw gather to the caller: it is left unissued as the
+    pending exchange's :attr:`~PendingUniqueExchange.gather`, for the
+    caller to issue through :func:`igather_indices` — alone or packed
+    with other exchanges' — before it stages the values.  The gradient
+    synchronizer's blocking step is so one gather stage, then one
+    reduce stage.
+
     When ``wire`` carries (or adaptively selects) an index codec, the
     step-3 vectors are sorted per rank and shipped as lossless frames
     through :func:`~repro.core.wire.transfer.iencoded_allgather` — the
     step-4 ``np.unique`` is order-insensitive, so pre-sorting is free
     semantically and is exactly what makes consecutive deltas small.
     The ledger then charges the *encoded* bytes for the Θ(G·K) gather
-    instead of ``8·K`` per rank.
+    instead of ``8·K`` per rank.  An encoded gather is always issued
+    here, alone.
     """
     if len(grads) != comm.world_size:
         raise ValueError(
@@ -329,26 +445,29 @@ def iunique_exchange(
     # Steps 1-2: local unique + local reduce (per rank, on device).
     local = [local_unique_reduce(g) for g in grads]
 
-    # Step 3 issues: allgather the index vectors as handed in.  The
-    # paper gathers token-level J (not Ĵ) — cost Θ(G·K) — so a caller
-    # that passes token-level gradients ships exactly that.
+    # Step 3: allgather the index vectors as handed in.  The paper
+    # gathers token-level J (not Ĵ) — cost Θ(G·K) — so a caller that
+    # passes token-level gradients ships exactly that.
     index_vectors = [g.indices.astype(np.int64, copy=False) for g in grads]
+    gather = IndexGather(comm, index_vectors, tag, num_rows)
     index_codec = (
         None
         if wire is None
         else wire.resolve_index_codec(index_vectors, comm, sorted_payload=True)
     )
     if index_codec is not None:
-        index_handle = iencoded_allgather(
+        handle = iencoded_allgather(
             comm,
             [np.sort(v) for v in index_vectors],
             index_codec,
-            tag=f"{tag}:indices",
+            tag=gather.tag,
             chunk_bytes=wire.chunk_bytes,
         )
-    else:
-        index_handle = comm.iallgather(index_vectors, tag=f"{tag}:indices")
-    return PendingUniqueExchange(comm, local, index_handle, tag, wire=wire)
+        gather.scratch_bytes = handle.scratch_bytes
+        _land(comm, [gather], handle, [0])
+    elif num_rows is None:
+        igather_indices(comm, [gather])
+    return PendingUniqueExchange(comm, local, gather, tag, wire=wire)
 
 
 def unique_exchange(

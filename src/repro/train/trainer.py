@@ -308,7 +308,17 @@ class DistributedTrainer:
         if config.loss_scale is None:
             self.scaler = None
         elif config.loss_scale == "dynamic":
-            self.scaler = DynamicLossScaler()
+            wire_scale = self.wire.fp16_scale if self.wire is not None else None
+            # An FP16 wire multiplies by its own F as well: start at
+            # 1024 / F (rounded down to a power of two, at least 1), so
+            # the scaled grads cross the wire no larger than at the
+            # default 1024 without one, instead of skipping steps to
+            # back off.
+            self.scaler = DynamicLossScaler(
+                1024.0
+                if wire_scale is None
+                else 2.0 ** max(0, int(np.floor(np.log2(1024.0 / wire_scale))))
+            )
         else:
             self.scaler = StaticLossScaler(float(config.loss_scale))
         self.global_step = 0      # optimizer steps taken

@@ -10,16 +10,9 @@ class TestPipelineSchedule:
     def test_analytic_formulas(self):
         s = PipelineSchedule(4, 8, fwd_time_s=0.002, bwd_time_s=0.004)
         assert s.makespan_s == pytest.approx((8 + 3) * 0.006)
-        assert s.bubble_fraction == pytest.approx(3 / 11)
-
-    def test_more_micros_shrink_the_bubble(self):
-        small = PipelineSchedule(4, 4, 0.001, 0.002).bubble_fraction
-        large = PipelineSchedule(4, 32, 0.001, 0.002).bubble_fraction
-        assert large < small
 
     def test_single_stage_has_no_bubble(self):
         s = PipelineSchedule(1, 8, 0.001, 0.002)
-        assert s.bubble_fraction == 0.0
         assert s.makespan_s == pytest.approx(8 * 0.003)
 
     def test_validation(self):

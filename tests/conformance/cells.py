@@ -196,7 +196,11 @@ def conform(
     want_losses, want = reference_run(
         cell["model"], cell["optimizer"], ref_cfg, steps,
         skipped if lossy(cell) else frozenset(),
+        None if trainer.wire is None else trainer.wire.fp16_scale,
     )
+    if lossy(cell) and cell["loss_scale"] == "dynamic":
+        # The scale starts at 1024 / F, so an FP16 cell trains.
+        assert len(skipped) < steps, "every step overflowed"
 
     executor = trainer.batched_executor
     assert (executor is not None) == (cell["batched"] and d > 1)

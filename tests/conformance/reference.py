@@ -7,8 +7,9 @@ every one stepping — is written out here from public pieces only:
 flat world, then every optimizer steps.  It follows ``use_unique``,
 ``seed_strategy``, ``accumulation_steps`` and ``loss_scale`` (skipped
 overflow steps included, and the steps an FP16 wire overflowed on,
-when told); no scheduling or transport switch exists here.  The model and optimizer factories the trainers under test use
-live here too.
+when told, as is the F that sets a dynamic scale's start); no
+scheduling or transport switch exists here.  The model and optimizer
+factories the trainers under test use live here too.
 """
 
 import dataclasses
@@ -72,13 +73,29 @@ def word_trainer(world=4, comm=None, **overrides) -> DistributedTrainer:
     )
 
 
+def initial_dynamic_scale(wire_scale: float | None) -> float:
+    """A dynamic loss scale's start: 1024, or on an FP16 wire of factor
+    F the largest power of two not above ``1024 / F``, at least 1."""
+    if wire_scale is None:
+        return 1024.0
+    scale = 1.0
+    while 2 * scale * wire_scale <= 1024.0:
+        scale *= 2
+    return scale
+
+
 class MaterialisedRanks:
     """G unshared models, G optimizers, and the step that drives them.
 
     ``cfg`` is flat: its ``world_size`` is the rank count.
+    ``wire_scale`` is the F of the FP16 wire the run under test syncs
+    on, if any.
     """
 
-    def __init__(self, model: str, optimizer: str, cfg: TrainConfig):
+    def __init__(
+        self, model: str, optimizer: str, cfg: TrainConfig,
+        wire_scale: float | None = None,
+    ):
         if cfg.mesh is not None:
             raise ValueError("the reference runs on a flat world")
         self.cfg = cfg
@@ -101,7 +118,8 @@ class MaterialisedRanks:
         self.sync = GradientSynchronizer(self.comm, strategy=exchange)
         self.scaler = (
             None if cfg.loss_scale is None
-            else DynamicLossScaler() if cfg.loss_scale == "dynamic"
+            else DynamicLossScaler(initial_dynamic_scale(wire_scale))
+            if cfg.loss_scale == "dynamic"
             else StaticLossScaler(float(cfg.loss_scale))
         )
         self.data_step = 0
@@ -151,18 +169,20 @@ _runs = {}
 def reference_run(
     model: str, optimizer: str, cfg: TrainConfig, steps: int,
     wire_overflows: frozenset = frozenset(),
+    wire_scale: float | None = None,
 ):
     """``(losses, ranks)`` of ``steps`` reference steps (memoized), the G
     materialised ranks checked bit-equal among themselves.
 
     ``wire_overflows`` are the steps (from 0) an FP16 wire overflowed
-    on: the loss scaler skips them and backs off.
+    on: the loss scaler skips them and backs off.  ``wire_scale`` is
+    that wire's F (see :class:`MaterialisedRanks`).
     """
     if wire_overflows and cfg.loss_scale != "dynamic":
         raise ValueError("only a dynamic loss scale backs off an overflow")
-    key = (model, optimizer, cfg, steps, wire_overflows)
+    key = (model, optimizer, cfg, steps, wire_overflows, wire_scale)
     if key not in _runs:
-        ranks = MaterialisedRanks(model, optimizer, cfg)
+        ranks = MaterialisedRanks(model, optimizer, cfg, wire_scale)
         losses = [ranks.step(s in wire_overflows) for s in range(steps)]
         first, first_opt = ranks.models[0], ranks.optimizers[0]
         for other, opt in zip(ranks.models[1:], ranks.optimizers[1:]):

@@ -6,7 +6,6 @@ from repro.core.complexity import (
     baseline_allgather_comm_bytes,
     baseline_allgather_memory_bytes,
     expected_global_unique,
-    memory_reduction_factor,
     unique_comm_bytes,
     unique_memory_bytes,
     worked_example_256_gpus,

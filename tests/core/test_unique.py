@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import Communicator, collectives, hybrid_mesh
 from repro.core.wire.policy import WirePolicy
 from repro.core.unique import (
+    global_unique,
+    igather_indices,
     iunique_exchange,
     local_unique_reduce,
     unique_exchange,
@@ -166,6 +168,58 @@ class TestAsyncExchange:
     def test_validation_fires_at_issue(self):
         with pytest.raises(ValueError):
             iunique_exchange(comm(3), random_grads(2, 10, 5, 2))
+
+    @given(
+        rows=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+        tokens=st.integers(0, 12),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=40)
+    def test_packed_gather_cuts_each_members_lone_type_set(
+        self, rows, tokens, seed
+    ):
+        """A pack's one unique, cut at the row-count offsets, is each
+        member's lone step 4 bit for bit — per ring on a mesh, with
+        ragged and empty rank vectors — and its one record costs one
+        ring over each rank's members together."""
+        rng = np.random.default_rng(seed)
+        c = Communicator(8, mesh=hybrid_mesh("pipe=2,tensor=1,data=4", 8))
+        data = c.axis("data")
+        grads = [
+            [
+                SparseGrad(
+                    rng.integers(0, n, k := int(rng.integers(0, tokens + 1))),
+                    np.zeros((k, 1)),
+                )
+                for _ in range(8)
+            ]
+            for n in rows
+        ]
+        pending = [
+            iunique_exchange(data, g, tag=f"m{i}", num_rows=n)
+            for i, (g, n) in enumerate(zip(grads, rows))
+        ]
+        assert c.pending_work == ()  # the caller owns every gather
+        igather_indices(data, [p.gather for p in pending])
+        (event,) = c.ledger.events
+        assert event.tag == "data:" + "+".join(
+            f"m{i}:indices" for i in range(len(rows))
+        )
+        biggest = max(
+            sum(g[r].indices.nbytes for g in grads) for r in range(8)
+        )
+        assert event.time_s == collectives.ring_allgather_time(
+            4, biggest, data.link
+        )
+        for p, g in zip(pending, grads):
+            lone = [
+                global_unique(np.concatenate([g[r].indices for r in ranks]))
+                for ranks in data.groups
+            ]
+            got = p.gather.uniques()
+            assert [(a.dtype, a.tobytes()) for a in got] == [
+                (b.dtype, b.tobytes()) for b in lone
+            ]
 
 
 class TestExchangeCost:

@@ -164,6 +164,25 @@ class TestFp16WireOverflow:
         assert tr.global_step == 0
         assert_same_state(params_of(tr), before, "parameters")
 
+    def test_dynamic_scale_starts_inside_the_fp16_wire(self):
+        """At the default F = 512 the scale starts at 1024 / F = 2, so
+        none of the first four steps overflows and is skipped."""
+        tr = word_trainer(8, loss_scale="dynamic", wire_codec="fp16")
+        assert tr.scaler.scale == 2.0
+        for _ in range(4):
+            tr.train_step()
+        assert tr.skipped_steps == 0
+
+    @pytest.mark.parametrize(
+        "spec, scale",
+        [(None, 1024.0), ("fp16:1", 1024.0), ("fp16:100", 8.0),
+         ("fp16:65504", 1.0), ("auto", 2.0)],
+    )
+    def test_dynamic_scale_start_is_1024_over_f(self, spec, scale):
+        """Rounded down to a power of two, and never below 1."""
+        tr = word_trainer(2, loss_scale="dynamic", wire_codec=spec)
+        assert tr.scaler.scale == scale
+
     def test_dynamic_scale_skips_the_overflowing_step_and_halves(self):
         cfg = TrainConfig(
             world_size=8, batch=BATCH, base_lr=0.2, loss_scale="dynamic",

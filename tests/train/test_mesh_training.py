@@ -110,9 +110,10 @@ class TestHybridMesh:
         )
         replay = faulted.comm.replay
         # Pinned replay position: the step's one dense run (its
-        # projection.weight member), five collectives per step.
+        # projection.weight member), four collectives per step (one
+        # gather stage, then three allreduces).
         assert [(i, op) for i, op, _ in replay.injected] == [(2, "allreduce")]
-        assert replay.collectives_issued == 22
+        assert replay.collectives_issued == 18
 
     def test_transient_fault_fires_through_mesh_collectives(self):
         plan = FaultPlan([FaultEvent(FaultKind.TRANSIENT_LINK, 0)])

@@ -40,8 +40,9 @@ BASELINE_LOSSES = [
     3.9420808504201634,
 ]
 BASELINE_WIRE_BYTES = 59712
-# 5 per step: each step's five dense tensors are one fused run.
-BASELINE_EVENTS = 25
+# 4 per step: the two index gathers ride one allgather, and the five
+# dense tensors are one fused run.
+BASELINE_EVENTS = 20
 BASELINE_EVAL = 3.7978426081997867
 
 
@@ -111,17 +112,32 @@ class TestOverlapTimeline:
         )
 
     def test_ledger_scope_attribution_unchanged(self):
+        """Both schedules bill every allreduce to the same scope and move
+        the same bytes; blocking sends a step's two index gathers as one
+        allgather, billed to both members' scope."""
         blocking = make_trainer()
         overlapped = make_trainer(overlap=True)
         run_five_steps(blocking)
         run_five_steps(overlapped)
-        assert (
-            overlapped.comm.ledger.bytes_by_scope()
-            == blocking.comm.ledger.bytes_by_scope()
+
+        def by_scope(trainer, op):
+            out = {}
+            for e in trainer.comm.ledger.events:
+                if e.op == op:
+                    out[e.scope] = out.get(e.scope, 0) + e.wire_bytes_per_rank
+            return out
+
+        assert by_scope(overlapped, "allreduce") == by_scope(
+            blocking, "allreduce"
+        )
+        gathered = by_scope(blocking, "allgather")
+        assert list(gathered) == ["sync/embedding.weight+loss_layer.weight"]
+        assert sum(gathered.values()) == sum(
+            by_scope(overlapped, "allgather").values()
         )
         assert len(overlapped.comm.ledger.events) == len(
             blocking.comm.ledger.events
-        )
+        ) + 5
 
     def test_compute_seconds_validation(self):
         with pytest.raises(ValueError):

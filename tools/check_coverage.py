@@ -36,7 +36,8 @@ Usage::
 point in-process under a ``sys.setprofile`` hook and appends every
 target function it entered to ``LOG``; without one it lists the target
 functions (``--target`` defaults to ``src/repro``) that no logged run
-entered.  Run each entry point in its own invocation: the hook never
+entered, and with ``--max-dead N`` fails when there are more than
+``N``.  Run each entry point in its own invocation: the hook never
 sees child processes.  ``make dead-code`` drives it over every entry
 point::
 
@@ -169,8 +170,13 @@ def record_functions(log: str, command: list[str]) -> int:
     return rc
 
 
-def never_entered(log: str, targets: list[pathlib.Path]) -> int:
-    """Print every function of ``targets`` that no run in ``log`` entered."""
+def never_entered(
+    log: str, targets: list[pathlib.Path], ceiling: int | None = None
+) -> int:
+    """Print every function of ``targets`` that no run in ``log`` entered.
+
+    Returns 1 when there are more than ``ceiling`` of them, else 0.
+    """
     seen = set(pathlib.Path(log).read_text().split())
     dead = 0
     for path in targets:
@@ -187,6 +193,9 @@ def never_entered(log: str, targets: list[pathlib.Path]) -> int:
 
         visit(compile(path.read_text(), str(path), "exec"))
     print(f"dead-code: {dead} function(s) never entered", file=sys.stderr)
+    if ceiling is not None and dead > ceiling:
+        print(f"dead-code: more than the ceiling of {ceiling}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -224,6 +233,11 @@ def main(argv: list[str] | None = None) -> int:
         "enters into LOG, or with no command list those never entered",
     )
     parser.add_argument(
+        "--max-dead", type=int, default=None, metavar="N",
+        help="dead-code mode: fail when more than N functions were never "
+        "entered",
+    )
+    parser.add_argument(
         "tests", nargs="*", default=None,
         help="pytest arguments selecting the measuring suite "
         "(default: tests/train/test_resilience.py)",
@@ -241,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     targets = expand_targets(specs)
     if args.functions:
-        return never_entered(args.functions, targets)
+        return never_entered(args.functions, targets, args.max_dead)
     want: dict[pathlib.Path, set[int]] = {}
     for t in targets:
         lines = executable_lines(t)
