@@ -342,6 +342,7 @@ class Communicator:
         nbytes: int,
         scratch_bytes: int,
         payload_bytes: int | None = None,
+        members: Sequence[tuple[str, int]] | None = None,
     ) -> WorkHandle:
         """Issue one ring collective of ``nbytes`` messages (hooks ran).
 
@@ -364,6 +365,7 @@ class Communicator:
                 None if payload_bytes is None else wire_bytes(n, payload_bytes)
             ),
             payload=arrays,
+            members=members,
         )
 
     def _issue(
@@ -377,6 +379,7 @@ class Communicator:
         tag: str,
         payload_bytes_per_rank: int | None = None,
         payload: Sequence[np.ndarray] | None = None,
+        members: Sequence[tuple[str, int]] | None = None,
     ) -> WorkHandle:
         """Common issue path: charge scratch, record, enqueue.
 
@@ -395,6 +398,7 @@ class Communicator:
             op=op,
             wire_bytes_per_rank=wire_bytes_per_rank,
             payload_bytes_per_rank=payload_bytes_per_rank,
+            members=members,
         )
         handle = WorkHandle(self, results, scratch_bytes, charged, ticket)
         self._pending.add(handle)
@@ -413,6 +417,7 @@ class Communicator:
         payload_bytes: int | None = None,
         stacked: Sequence | None = None,
         rows: Sequence | None = None,
+        members: Sequence[tuple[str, int]] | None = None,
     ) -> WorkHandle:
         """Non-blocking sum-allreduce; ring algorithm cost model.
 
@@ -445,6 +450,10 @@ class Communicator:
         payloads: one record per run, whose ring receives its flat sum.
         Each ring's ``stacked`` and ``rows`` entries are then dicts from
         member names to that member's block and row sets.
+
+        ``members`` marks a packed message: ``(label, nbytes)`` per
+        payload, crediting its wire bytes to each payload's own scope
+        (see :meth:`~repro.cluster.timeline.Timeline.schedule_collective`).
         """
         self._pre_issue("allreduce", tag, arrays)
 
@@ -457,7 +466,8 @@ class Communicator:
 
         nbytes = self._ring_bytes(arrays)
         return self._ring_collective(
-            "allreduce", arrays, tag, reduce, nbytes, nbytes, payload_bytes
+            "allreduce", arrays, tag, reduce, nbytes, nbytes, payload_bytes,
+            members,
         )
 
     def iallgather(
@@ -465,6 +475,7 @@ class Communicator:
         arrays: Sequence[np.ndarray],
         tag: str = "",
         payload_bytes: int | None = None,
+        members: Sequence[tuple[str, int]] | None = None,
     ) -> WorkHandle:
         """Non-blocking allgather (allgatherv).
 
@@ -474,8 +485,9 @@ class Communicator:
 
         ``payload_bytes`` is the optional pre-codec (logical) max
         per-rank contribution, recorded for measured-compression
-        reporting (see :meth:`iallreduce`).  Every rank of a ring
-        receives that ring's one read-only concatenation.
+        reporting (see :meth:`iallreduce`), and ``members`` splits a
+        packed message's bytes as there.  Every rank of a ring receives
+        that ring's one read-only concatenation.
         """
         self._pre_issue("allgather", tag, arrays)
         contrib = [int(np.atleast_1d(a).nbytes) for a in arrays]
@@ -487,6 +499,7 @@ class Communicator:
             max(contrib),
             max(sum(contrib[r] for r in ranks) for ranks in self.groups),
             payload_bytes,
+            members,
         )
 
     def ireduce_scatter(

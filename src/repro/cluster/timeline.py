@@ -261,6 +261,7 @@ class Timeline:
         op: str = "",
         wire_bytes_per_rank: int = 0,
         payload_bytes_per_rank: int | None = None,
+        members: Sequence[tuple[str, int]] | None = None,
     ) -> CollectiveRecord:
         """Place one collective of ``duration`` seconds on the comm streams.
 
@@ -274,6 +275,12 @@ class Timeline:
         ``name`` is the tag; the communicator also passes ``op`` and the
         byte counts (a bare call, as the ``perf`` replays make, records
         an op-less collective).  Nothing is touched until all is valid.
+
+        ``members`` marks a packed collective: ``(label, nbytes)`` per
+        payload it carries, ``label`` the scope the payload would have
+        been issued under alone in place of the innermost open one, and
+        ``nbytes`` its per-rank message.  Its wire bytes are credited to
+        the members' scopes in proportion, not to the pack's own.
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
@@ -342,8 +349,30 @@ class Timeline:
         self._total_time += duration
         self._bytes_by_op[op] += wire_bytes_per_rank
         self._time_by_op[op] += duration
-        self._bytes_by_scope[scope] += wire_bytes_per_rank
+        if members is None:
+            self._bytes_by_scope[scope] += wire_bytes_per_rank
+        else:
+            self._credit(scope, wire_bytes_per_rank, members)
         return record
+
+    def _credit(
+        self, scope: str, wire: int, members: Sequence[tuple[str, int]]
+    ) -> None:
+        """Split one packed collective's wire bytes among its members.
+
+        Member ``m`` gets ``floor(wire * c_m / total) - floor(wire *
+        c_{m-1} / total)`` over the running sums ``c`` of the message
+        sizes, so the shares sum to ``wire`` exactly.
+        """
+        outer = scope.rpartition("/")[0]
+        total = sum(nbytes for _, nbytes in members) or 1
+        running = credited = 0
+        for label, nbytes in members:
+            running += nbytes
+            share = wire * running // total - credited
+            credited += share
+            key = f"{outer}/{label}" if outer else label
+            self._bytes_by_scope[key] += share
 
     def complete(
         self, ticket: CollectiveRecord, ranks: Sequence[int] | None = None

@@ -63,6 +63,10 @@ class CostLedger:
         return dict(self._timeline._time_by_op)
 
     def bytes_by_scope(self) -> dict[str, int]:
+        """Wire bytes per rank by scope.  A packed collective's bytes are
+        split among the scopes its members would have had alone, in
+        proportion to their per-rank messages (the total is preserved
+        exactly), so a parameter's bytes do not depend on its pack."""
         return dict(self._timeline._bytes_by_scope)
 
     def compression_factor(self, tag_contains: str = "") -> float:

@@ -38,6 +38,13 @@ largest scratch allows (see :func:`_pack_gathers` and
 ``(G-1)α`` latency once; then the step's allreduce payloads go packed,
 in registration order, into as few allreduces as the step's own largest
 scratch allows (see :func:`_pack`), each paying ``2(G-1)α`` once.
+Step 3 buys nothing when the vocabulary is small against the batch: if
+every raw gather of the step is dearer than its embedding's dense table
+(:func:`~repro.core.unique.dense_table_wins`), and the tables pack into
+no more allreduces than empty value matrices would, the step *folds*
+(:func:`_fold`) — no gather stage, each exchange's table (its rows plus
+a presence column) riding the reduce stage as its value payload, the
+same bits landing.
 ``overlap=True`` is "issue all, then drain": parameters are walked in
 reverse registration order (the order backward produces gradients),
 every collective whose payload exists is issued first — dense runs
@@ -53,7 +60,7 @@ folded alone — only the simulated timeline differs.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,7 +117,8 @@ class _Allreduce:
     before the value codec.  ``values`` marks a unique exchange's value
     matrices (else a dense run), and ``charged`` is the largest per-rank
     scratch the payload's own collectives charge — its index gather's
-    too; 0 on the fused ring, whose hop buffers are not sized here.
+    too, or for a folded table the gather's it replaces; 0 on the fused
+    ring, whose hop buffers are not sized here.
     ``finish`` lands the per-rank sums.
     """
 
@@ -179,6 +187,35 @@ def _pack_gathers(
         else:
             packs.append([member])
     return packs
+
+
+def _fold(
+    payloads: list[_Allreduce | Callable[[], _Allreduce | None]],
+    gathers: list[tuple[str, IndexGather]],
+) -> tuple[list, list[tuple[str, IndexGather]]]:
+    """The step's reduce stage with every exchange's table folded in.
+
+    Returns ``(payloads, gathers)``: every gather folded, each
+    exchange's stager replaced by its table payload and no gather left
+    — or, unchanged, the gather schedule.  A table is larger than the
+    Ug x D matrix it replaces, so it could push a pack past the cap;
+    the fold is kept only when packing the tables takes no more
+    allreduces than packing empty matrices in their place.  Next-fit
+    never takes fewer packs for larger payloads or a smaller cap, so
+    the gather schedule's reduce stage has at least as many.
+    """
+    for _, g in gathers:
+        g.folded = True
+    tables = [p if isinstance(p, _Allreduce) else p() for p in payloads]
+    empty = [
+        t if t is p else replace(t, ring_bytes=(0,) * len(t.ring_bytes))
+        for t, p in zip(tables, payloads)
+    ]
+    if len(_pack(tables)) <= len(_pack(empty)):
+        return tables, []
+    for _, g in gathers:
+        g.folded = False
+    return payloads, gathers
 
 
 class GradientSynchronizer:
@@ -438,6 +475,11 @@ class GradientSynchronizer:
             ),
             stacked=stacked,
             rows=rows,
+            members=(
+                None
+                if len(pack) == 1
+                else [(p.scope, max(p.ring_bytes)) for p in pack]
+            ),
         )
 
         # Each payload's size in each ring; the built matrices are not
@@ -586,6 +628,11 @@ class GradientSynchronizer:
         as :func:`_pack` allows, each issued and drained before the
         next.  An encoded index gather, and the allgather baseline's
         collectives, are issued and drained alone during the walk.
+        When every raw gather's table wins and the tables take no more
+        packs than empty matrices would (:func:`_fold`), the gathers
+        are folded instead of issued: there is no gather stage, and
+        each exchange stages its dense table with a presence column as
+        its ``"{name}:values"`` payload.
 
         With ``overlap=True`` parameters are walked in *reverse*
         registration order and each allreduce is issued alone as soon
@@ -655,6 +702,8 @@ class GradientSynchronizer:
                         elif (values := stage()) is not None:
                             payloads.append(values)
         flush()
+        if gathers and all(g.table_wins for _, g in gathers):
+            payloads, gathers = _fold(payloads, gathers)
         if gathers:
             # The gather stage, capped by the largest scratch of any
             # single collective the step has built so far (its dense
@@ -666,7 +715,9 @@ class GradientSynchronizer:
             for pack in _pack_gathers(gathers, cap):
                 with scope("+".join(s for s, _ in pack)):
                     members = [g for _, g in pack]
-                    igather_indices(self.comm.axis("data"), members)
+                    igather_indices(
+                        self.comm.axis("data"), members, [s for s, _ in pack]
+                    )
                     members[0].uniques()  # drains it: step 4 for all
             # A unique exchange always stages a value payload.
             payloads = [

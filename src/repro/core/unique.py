@@ -20,6 +20,14 @@ Total: Θ(G·K + Ug·D) memory and communication, where Zipf's law gives
 All steps are vectorized; the global ordering of Î is ascending word
 index, which every GPU derives independently and deterministically.
 
+Steps 3-4 buy something only while the vocabulary is large against the
+batch.  When a whole ``V x (D + 1)`` table costs no more on the wire
+than step 3's index gather (:func:`dense_table_wins`), a caller that
+owns the gather may skip it: the exchange's step-6 payload is then the
+dense table, each rank's rows scattered into it beside a presence
+column, and Î is read off the reduced presence column — the same
+result, bit for bit, with one collective fewer.
+
 The exchange runs over whatever rings its communicator has: the whole
 world on a flat communicator, or — on a ``comm.axis("data")`` view of a
 hybrid mesh — independently inside each data subgroup, every collective
@@ -34,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cluster.collectives import allgather_wire_bytes, allreduce_wire_bytes
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
 from .compression import WireCodec
@@ -45,6 +54,7 @@ __all__ = [
     "PendingUniqueExchange",
     "StagedValues",
     "UniqueExchangeResult",
+    "dense_table_wins",
     "global_unique",
     "igather_indices",
     "iunique_exchange",
@@ -107,6 +117,27 @@ def local_unique_reduce(grad: SparseGrad) -> SparseGrad:
     return grad.coalesce()
 
 
+def dense_table_wins(
+    ring: int, rows: int, dim: int, itemsize: int, vector_bytes: Sequence[int]
+) -> bool:
+    """Whether one ring's dense table is no dearer than its index gather.
+
+    The table is the embedding's ``rows x (dim + 1)`` gradient with a
+    presence column, in ``itemsize``-byte words; ``vector_bytes`` are
+    the ring's raw step-3 index vectors, one per rank.  It wins when its
+    allreduce moves no more bytes per rank than the gather,
+    ``(ring - 1) * max_r 8·K_r``, and its message is no larger than the
+    gather's scratch ``sum_r 8·K_r``.  With equal ``K_r`` the first
+    inequality implies the second (the message is then at most half the
+    scratch); the second keeps uneven ranks from raising a step's peak.
+    Integer arithmetic on sizes known before any collective.
+    """
+    table = rows * (dim + 1) * itemsize
+    return table <= sum(vector_bytes) and allreduce_wire_bytes(
+        ring, table
+    ) <= allgather_wire_bytes(ring, max(vector_bytes))
+
+
 @dataclass(frozen=True)
 class StagedValues:
     """Step 6's payload: one exchange's value matrices, sized but unbuilt.
@@ -115,7 +146,9 @@ class StagedValues:
     ``arrays[r]`` is flat rank ``r``'s Ug x D matrix in the wire dtype
     ``dtype``, a view of its ring's ``(ring, Ug, D)`` block ``blocks[i]``
     (rings in ``comm.groups`` order) that is ``+0`` outside the rows
-    ``rows[i][m]`` of its member index ``m``.  Whoever allreduces them
+    ``rows[i][m]`` of its member index ``m``.  A folded exchange's
+    matrix is instead its dense ``V x (D + 1)`` table, the last column
+    counting the ranks that hold each row.  Whoever allreduces them
     (alone, or packed with other payloads of the step) hands the
     per-rank sums to :attr:`complete`, which decodes them and returns
     the exchange's results.  The matrices are built on demand, so a
@@ -124,7 +157,8 @@ class StagedValues:
 
     ``ring_bytes`` and ``logical_bytes`` are each ring's per-rank matrix
     size as sent and before the value codec; ``gather_scratch`` is the
-    largest per-rank scratch the step-3 gather charges alone.
+    largest per-rank scratch the step-3 gather charges alone (or would
+    have, for a folded exchange, which issues none).
     """
 
     tag: str
@@ -148,7 +182,16 @@ class IndexGather:
     exchange's gather charges when it goes alone, and ``ring_scratch``
     that scratch per ring (a packed gather charges, per ring, the sum
     of its members').
+
+    ``table_wins`` says the exchange's dense table is no dearer than
+    this gather on any ring (:func:`dense_table_wins`) and its values
+    carry no codec.  A caller that owns such a gather may fold it
+    instead of issuing it — set ``folded`` — and the exchange then
+    stages its table (see :class:`PendingUniqueExchange`).
     """
+
+    table_wins: bool = False
+    folded: bool = False
 
     def __init__(
         self,
@@ -209,7 +252,9 @@ def _land(
 
 
 def igather_indices(
-    comm: Communicator, gathers: Sequence[IndexGather]
+    comm: Communicator,
+    gathers: Sequence[IndexGather],
+    labels: Sequence[str] | None = None,
 ) -> None:
     """Issue step 3 of one or more unique exchanges as one allgather.
 
@@ -221,6 +266,9 @@ def igather_indices(
     than its members' lone gathers together — and pays the ring's
     latency once.  A lone member is gathered as it is, under its own
     tag.  Complete it through any member's :meth:`IndexGather.uniques`.
+    ``labels`` name the scopes the members' shares of a packed gather's
+    bytes are credited to
+    (:meth:`~repro.cluster.tracing.CostLedger.bytes_by_scope`).
     """
     offsets = [0]
     for g in gathers[:-1]:
@@ -234,7 +282,17 @@ def igather_indices(
             )
             for r in range(comm.world_size)
         ]
-    handle = comm.iallgather(vectors, tag="+".join(g.tag for g in gathers))
+    handle = comm.iallgather(
+        vectors,
+        tag="+".join(g.tag for g in gathers),
+        members=(
+            None
+            if labels is None or len(gathers) == 1
+            else [
+                (label, g.scratch_bytes) for label, g in zip(labels, gathers)
+            ]
+        ),
+    )
     _land(comm, gathers, handle, offsets)
 
 
@@ -257,6 +315,17 @@ class PendingUniqueExchange:
     with other allreduces in the same step (the gradient synchronizer)
     takes the payload from :meth:`stage` and may pack it with them.
 
+    A caller that owns a raw gather whose table wins may fold it
+    (:attr:`IndexGather.folded`) instead of issuing it: no index traffic
+    is sent, and :meth:`stage` returns the dense-table payload at once.
+    Its ``align()`` scatters each rank's locally reduced rows into a
+    zeroed ``(ring, V, D + 1)`` block whose last column is 1 at the
+    rank's rows, with the same row sets, so every row sums the same
+    contributors in the same rank order as the Ug x D matrices would;
+    after the allreduce Î is the reduced presence column's non-zero
+    rows — ascending, as :func:`global_unique` orders it — and the
+    values are those rows of the table.
+
     The value allreduce cannot be issued earlier: its payload (the
     aligned Ug x D matrices) depends on the gathered indices.  This
     two-stage dependency is exactly why the paper's exchange overlaps
@@ -273,7 +342,8 @@ class PendingUniqueExchange:
     ):
         self._comm = comm
         self._local = local
-        #: The step-3 gather: issued, or left for the caller to issue.
+        #: The step-3 gather: issued, or left for the caller to issue
+        #: or to fold.
         self.gather = gather
         self._tag = tag
         self._wire = wire
@@ -284,6 +354,8 @@ class PendingUniqueExchange:
 
         Its ``align()`` runs step 5, building the matrices.
         """
+        if self.gather.folded:
+            return self._stage_table()
         comm = self._comm
 
         # Steps 3 (complete) and 4: per ring, the global unique filter
@@ -376,6 +448,68 @@ class PendingUniqueExchange:
             complete=complete,
         )
 
+    def _stage_table(self) -> StagedValues:
+        """The folded exchange's payload: its dense table, unbuilt."""
+        if not self.gather.table_wins:
+            raise RuntimeError(f"{self._tag}: its table does not win")
+        comm = self._comm
+        rows = self.gather.num_rows
+        dim = self._local[0].dim
+        dtype = np.dtype(self._local[0].values.dtype)
+
+        def align() -> tuple[list, list, list]:
+            blocks: list[np.ndarray] = []
+            held: list[list[np.ndarray]] = []
+
+            def scatter(local: list[SparseGrad], ring: int) -> list:
+                # Step 5 against the whole vocabulary: each rank's sorted
+                # unique Ĵ are its populated rows, so its values land as
+                # they would in the Ug x D matrix, and its presence
+                # column is 1 there.
+                counts = [g.indices.size for g in local]
+                member = np.repeat(np.arange(len(local)), counts)
+                cat_idx = np.concatenate([g.indices for g in local])
+                table = np.zeros((len(local), rows, dim + 1), dtype=dtype)
+                if cat_idx.size:
+                    table[member, cat_idx, :dim] = np.concatenate(
+                        [g.values for g in local]
+                    )
+                table[member, cat_idx, dim] = 1
+                blocks.append(table)
+                held.append([g.indices for g in local])
+                return list(table)
+
+            return comm.by_group(self._local, scatter), blocks, held
+
+        def result(ring_reduced: list[np.ndarray], ring: int):
+            table = ring_reduced[0]
+            present = np.flatnonzero(table[:, dim]).astype(np.int64)
+            members = comm.groups[ring]
+            one = UniqueExchangeResult(
+                global_indices=present,
+                reduced_values=table[present, :dim],
+                local_unique_counts=tuple(
+                    self._local[r].indices.size for r in members
+                ),
+            )
+            return [one] * len(members)
+
+        def complete(reduced: Sequence[np.ndarray]):
+            self._result = comm.by_group(reduced, result)
+            return self._result
+
+        nbytes = (rows * (dim + 1) * dtype.itemsize,) * len(comm.groups)
+        return StagedValues(
+            tag=f"{self._tag}:values",
+            codec=None,
+            dtype=dtype,
+            ring_bytes=nbytes,
+            logical_bytes=nbytes,
+            gather_scratch=self.gather.scratch_bytes,
+            align=align,
+            complete=complete,
+        )
+
     def wait(self) -> list[UniqueExchangeResult]:
         """Finish the exchange: steps 3 (complete) through 6.
 
@@ -423,7 +557,10 @@ def iunique_exchange(
     caller to issue through :func:`igather_indices` — alone or packed
     with other exchanges' — before it stages the values.  The gradient
     synchronizer's blocking step is so one gather stage, then one
-    reduce stage.
+    reduce stage.  When the values carry no codec and the dense table
+    is no dearer than the gather on every ring (:func:`dense_table_wins`)
+    the gather's ``table_wins`` is set, and the caller may fold it
+    instead of issuing it.
 
     When ``wire`` carries (or adaptively selects) an index codec, the
     step-3 vectors are sorted per rank and shipped as lossless frames
@@ -467,6 +604,22 @@ def iunique_exchange(
         _land(comm, [gather], handle, [0])
     elif num_rows is None:
         igather_indices(comm, [gather])
+    raw_values = wire is None or (
+        wire.value_codec is None and wire.selector is None
+    )
+    gather.table_wins = (
+        index_codec is None
+        and num_rows is not None
+        and raw_values
+        and all(
+            dense_table_wins(
+                len(ranks), num_rows, local[0].dim,
+                local[0].values.dtype.itemsize,
+                [index_vectors[r].nbytes for r in ranks],
+            )
+            for ranks in comm.groups
+        )
+    )
     return PendingUniqueExchange(comm, local, gather, tag, wire=wire)
 
 

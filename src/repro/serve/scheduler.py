@@ -213,10 +213,3 @@ class ContinuousBatchingScheduler:
         rec.readmissions += 1
         self._queue.insert(0, rid)
         self.events.append(("readmitted", rid, now))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ContinuousBatchingScheduler(queued={len(self._queue)}, "
-            f"active={len(self.active)}, finished={len(self.finished)}, "
-            f"dropped={len(self.dropped)})"
-        )

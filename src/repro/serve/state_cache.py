@@ -230,9 +230,3 @@ class RecurrentStateCache:
         for entry in self._entries.values():
             self._charge(entry)
         self.events.append(("rebind", -1))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RecurrentStateCache(entries={len(self._entries)}, "
-            f"resident={self.resident_bytes}/{self.budget_bytes} B)"
-        )

@@ -434,9 +434,3 @@ class ResilientRunner:
         from ..telemetry.spans import merged_trace
 
         return merged_trace(self.generation_parts())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ResilientRunner(world={self.config.world_size}, "
-            f"step={self.trainer.global_step}, events={len(self.events)})"
-        )

@@ -98,6 +98,23 @@ class TestScopes:
         assert by_scope["dense"] == 100
         assert by_scope["sparse"] == 7
 
+    def test_bytes_by_scope_splits_a_pack_exactly(self):
+        """A lone collective is credited to its scope; a packed one to
+        the scopes its members would have had alone, pro rata, with the
+        shares summing to the pack's bytes."""
+        tl = Timeline(2)
+        with tl.scope("sync"):
+            with tl.scope("a"):
+                record(tl, "allgather", 5, 0.1)
+            with tl.scope("a+b+c"):
+                tl.schedule_collective(
+                    0.1, "t", op="allreduce", wire_bytes_per_rank=100,
+                    members=[("a", 1), ("b", 1), ("c", 1)],
+                )
+        assert CostLedger(tl).bytes_by_scope() == {
+            "sync/a": 5 + 33, "sync/b": 33, "sync/c": 34,
+        }
+
     def test_scope_restored_after_exception(self):
         tl = Timeline(1)
         with pytest.raises(RuntimeError):

@@ -73,10 +73,10 @@ class TestFullTrainingPipeline:
                 tr.train_step()
 
         def embedding_bytes(tr):
-            return sum(
-                b
-                for scope, b in tr.comm.ledger.bytes_by_scope().items()
-                if "embedding" in scope or "loss_layer" in scope
+            by_scope = tr.comm.ledger.bytes_by_scope()
+            return (
+                by_scope["sync/embedding.weight"]
+                + by_scope["sync/loss_layer.weight"]
             )
 
         assert embedding_bytes(full) < embedding_bytes(base) / 2

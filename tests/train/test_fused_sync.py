@@ -174,6 +174,13 @@ def unpacked(monkeypatch):
     )
 
 
+def gathered(monkeypatch):
+    """Keep every raw index gather of a blocking step (no table fold)."""
+    monkeypatch.setattr(
+        embedding_sync, "_fold", lambda payloads, gathers: (payloads, gathers)
+    )
+
+
 @pytest.mark.parametrize("switch", sorted(SWITCHES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_fused_runs_equal_the_per_tensor_reference(model, switch):
@@ -226,13 +233,16 @@ def test_tied_parameter_brings_a_dense_member_and_a_value_matrix(
     ride one allreduce with the next run — on a hybrid mesh, one per
     data ring, each ring's members cut at its own offsets.  Every
     member lands the bits of its lone reduction, and the step's peak
-    stays the unpacked one."""
+    stays the unpacked one.  On the flat world ``p1``'s 40-row table is
+    cheaper than its gather, so it folds: the packed step sends no
+    gather, and its peak is below the unpacked gather schedule's."""
     replicas, world = 4, 4 if mesh is None else 16
     prefix = "" if mesh is None else "data:"
     landed = {}
     for packing in (True, False):
         if not packing:
             unpacked(monkeypatch)
+            gathered(monkeypatch)
         comm = Communicator(
             world, mesh=None if mesh is None else parse_mesh_spec(mesh, world)
         )
@@ -248,11 +258,18 @@ def test_tied_parameter_brings_a_dense_member_and_a_value_matrix(
             bits(models[0].p1.sparse_grads[0].values),
         )
     tags, peak, dense, values = landed[True]
-    assert tags == ["p1:indices", "p0:dense", "p1:dense+p1:values+p2:dense"]
+    folded = mesh is None
+    assert tags == ["p1:indices"] * (not folded) + [
+        "p0:dense", "p1:dense+p1:values+p2:dense"
+    ]
     assert landed[False][0] == [
         "p1:indices", "p0:dense", "p1:dense", "p1:values", "p2:dense",
     ]
-    assert (peak, dense, values) == landed[False][1:]
+    assert (dense, values) == landed[False][2:]
+    if folded:
+        assert peak < landed[False][1]
+    else:
+        assert peak == landed[False][1]
 
 
 @pytest.mark.parametrize(
@@ -273,18 +290,31 @@ def test_tied_parameter_brings_a_dense_member_and_a_value_matrix(
          "char-packed"],
 )
 def test_allreduces_per_blocking_step(model, batch, tags, monkeypatch):
-    """Packing sets the allreduce count, never the peak or the bytes."""
+    """Packing sets the allreduce count, never the peak or the bytes.
+
+    At PACKED every table is cheaper than its gather.  The word LM's
+    step folds and sends no gather, so its peak falls below the lone
+    schedule's; the char LM's table would push its one pack past the
+    cap (a second allreduce for one gather), so that step keeps it.
+    """
     packed = make_trainer(model, {}, batch, comm=Communicator(WORLD))
     for _ in range(STEPS):
         packed.train_step()
     unpacked(monkeypatch)
+    gathered(monkeypatch)
     alone = make_trainer(model, {}, batch, comm=Communicator(WORLD))
     for _ in range(STEPS):
         alone.train_step()
     want = [t.format(dense=DENSE[model]) for t in tags] * STEPS
     assert allreduce_tags(packed) == want
     assert len(allreduce_tags(alone)) == STEPS * PAYLOADS[model]
-    assert packed.comm.peak_bytes_per_rank == alone.comm.peak_bytes_per_rank
+    ops = {e.op for e in packed.comm.ledger.events}
+    folds = (model, batch) == ("word", PACKED)
+    assert ("allgather" not in ops) == folds
+    if folds:
+        assert packed.comm.peak_bytes_per_rank < alone.comm.peak_bytes_per_rank
+    else:
+        assert packed.comm.peak_bytes_per_rank == alone.comm.peak_bytes_per_rank
     ledger, base = packed.comm.ledger, alone.comm.ledger
     assert ledger.total_wire_bytes_per_rank <= base.total_wire_bytes_per_rank
     if len(want) < len(allreduce_tags(alone)):
@@ -304,9 +334,11 @@ class AllreducePayload(CollectiveHook):
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_overlap_issues_each_payload_alone(model):
+def test_overlap_issues_each_payload_alone(model, monkeypatch):
     """Where blocking packs, overlap issues at least as many allreduces
-    and moves the same logical payload bytes."""
+    and moves the same logical payload bytes (blocking keeps its
+    gathers here: overlap never folds a table)."""
+    gathered(monkeypatch)
     counted = {}
     for overlap in (False, True):
         trainer = make_trainer(model, {"overlap": overlap}, PACKED)

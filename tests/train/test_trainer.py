@@ -194,13 +194,31 @@ class TestSeeding:
             tr_diff.train_step()
 
         def out_bytes(tr):
-            return sum(
-                b
-                for scope, b in tr.comm.ledger.bytes_by_scope().items()
-                if "loss_layer" in scope
-            )
+            return tr.comm.ledger.bytes_by_scope()["sync/loss_layer.weight"]
 
         assert out_bytes(tr_same) < out_bytes(tr_diff)
+
+    def test_packed_bytes_are_credited_to_their_members(self):
+        """The two embeddings' index gathers ride one packed allgather;
+        each member is credited its own share, so the seeding strategy
+        moves the output embedding's bytes only."""
+        credited = {}
+        for strategy in (SeedStrategy.ALL_SAME, SeedStrategy.PER_RANK):
+            tr = word_trainer(world=4, seed_strategy=strategy)
+            for _ in range(2):
+                tr.train_step()
+            ledger = tr.comm.ledger
+            pack = "sync/embedding.weight+loss_layer.weight"
+            assert pack in {e.scope for e in ledger.events}
+            by_scope = ledger.bytes_by_scope()
+            assert pack not in by_scope  # split among its members
+            assert sum(by_scope.values()) == ledger.total_wire_bytes_per_rank
+            credited[strategy] = by_scope
+        same, diff = (
+            credited[s] for s in (SeedStrategy.ALL_SAME, SeedStrategy.PER_RANK)
+        )
+        assert same["sync/embedding.weight"] == diff["sync/embedding.weight"]
+        assert same["sync/loss_layer.weight"] != diff["sync/loss_layer.weight"]
 
 
 class TestValidation:
