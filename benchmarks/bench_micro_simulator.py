@@ -5,13 +5,14 @@ config (``bench_table5_tieba_weak_scaling``) at ``world_size=512`` and
 on the word LM with sampled softmax (the end-to-end benchmark's
 ``word_flat`` config) at ``world_size=64`` and ``128``, three ways each:
 
-* **per_rank** — the slow path: one Python forward/backward pass per
-  simulated rank (``batched=False``);
-* **batched** — the fast path: all ranks' numpy work stacked along a
-  leading rank axis (``batched=True``), with stacked-block gradient
-  sync (both arms bind one parameter set and take one optimizer step);
-* **exec phase** — the two rank-execution loops in isolation (no sync,
-  no optimizer), the part the batched executor actually replaces.
+* **per_rank** — the slow path: the one rank program run one rank row
+  per call, ``R`` calls a step (``batched=False``);
+* **batched** — the fast path: all ranks' rows stacked along a leading
+  rank axis in one call (``batched=True``), with stacked-block gradient
+  sync (both arms hold one model and take one optimizer step);
+* **exec phase** — the two widths' rank execution in isolation
+  (``trainer.batched_executor.step``: no sync, no optimizer), the part
+  the stack width changes.
 
 The fast path must be **bit-exact**: a differential arm re-trains
 per-rank vs batched over several seeds, for both models, and asserts
@@ -33,10 +34,11 @@ benchmark's ``word_wire`` shape (G=32, 20k vocabulary, ``fp16+entropy``
 wire codec, fused reduce, overlap) — the host cost of the wire path,
 ``repro_bench_sim_sync_host_ms`` — with its own differential: losses
 within the FP16 wire tolerance of the uncompressed blocking reference,
-replicas synchronized, and ledger wire bytes equal to the per-rank loop
-of the same config.  Beside it, the dense vs populated-rows allreduce
-fold (``repro_bench_sim_fold_ms``) on the end-to-end exchange shapes:
-the measurement behind ``RESTRICTED_FOLD_MIN_SKIPPED``.
+replicas synchronized, and ledger wire bytes equal to the
+``batched=False`` run of the same config.  Beside it, the dense vs
+populated-rows allreduce fold (``repro_bench_sim_fold_ms``) on the
+end-to-end exchange shapes: the measurement behind
+``RESTRICTED_FOLD_MIN_SKIPPED``.
 
 Set ``REPRO_BENCH_FAST=1`` for the CI smoke mode (fewer measured steps
 and differential seeds).
@@ -142,33 +144,25 @@ def time_steps(trainer, n: int) -> float:
 
 
 def time_exec_phase(world: int = WORLD, model: str = "char") -> tuple[float, float]:
-    """Seconds per rank-execution phase: (per_rank_loop, batched_step)."""
+    """Seconds per rank-execution phase: (one row per call, all rows in
+    one call) — a ``batched=False`` and a ``batched=True`` trainer's
+    ``batched_executor.step``, the same body at widths 1 and ``R``."""
     rounds = 2 if FAST else 3
-    slow = make_trainer(batched=False, world=world, model=model)
-    slow.train_step()  # warm caches and arena-equivalents
-    rngs = slow.seed_assignment.rank_generators(step=slow.data_step)
-    per_rank_s = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for rank, replica in enumerate(slow.replicas):
-            batch = slow.batcher.batch(rank, 0)
-            replica.step(batch, rngs[rank], loss_scale=1.0)
-        per_rank_s = min(per_rank_s, time.perf_counter() - start)
-        for replica in slow.replicas:
-            replica.zero_grad()
-
-    fast = make_trainer(batched=True, world=world, model=model)
-    fast.train_step()
-    batched_s = float("inf")
-    for _ in range(rounds + 2):
-        start = time.perf_counter()
-        fast.batched_executor.step(
-            fast.batcher.step_batches(0), sample_rngs=fast._sample_rngs
-        )
-        batched_s = min(batched_s, time.perf_counter() - start)
-        for replica in fast.replicas:
-            replica.zero_grad()
-    return per_rank_s, batched_s
+    best = []
+    for batched, n in ((False, rounds), (True, rounds + 2)):
+        trainer = make_trainer(batched=batched, world=world, model=model)
+        trainer.train_step()  # warm caches and arena-equivalents
+        seconds = float("inf")
+        for _ in range(n):
+            start = time.perf_counter()
+            trainer.batched_executor.step(
+                trainer.batcher.step_batches(0),
+                sample_rngs=trainer._sample_rngs,
+            )
+            seconds = min(seconds, time.perf_counter() - start)
+            trainer.model.zero_grad()
+        best.append(seconds)
+    return best[0], best[1]
 
 
 def differential(seed: int, model: str = "char") -> None:

@@ -35,7 +35,6 @@ from repro.train import (
     WordLanguageModel,
     WordLMConfig,
     load_checkpoint,
-    max_replica_divergence,
     perplexity,
     save_checkpoint,
 )
@@ -104,8 +103,8 @@ def main() -> None:
     worst = max(
         float(np.abs(a.data - b.data).max())
         for (_, a), (_, b) in zip(
-            reference.replicas[0].named_parameters(),
-            revived.replicas[0].named_parameters(),
+            reference.model.named_parameters(),
+            revived.model.named_parameters(),
         )
     )
     print(f"\nfinal val ppl: reference "
@@ -113,8 +112,6 @@ def main() -> None:
           f"{perplexity(revived.evaluate()):.3f}")
     print(f"max parameter delta vs the never-crashed run: {worst:.1e} "
           "(bit-identical recovery)")
-    print(f"replica divergence after recovery: "
-          f"{max_replica_divergence(revived.replicas):.1e}")
 
 
 if __name__ == "__main__":

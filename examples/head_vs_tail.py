@@ -52,7 +52,7 @@ def main() -> None:
             trainer.train_step()
             done += 1
         snapshots[target] = bucketed_nll(
-            trainer.replicas[0], eval_batches, n_buckets=N_BUCKETS
+            trainer.model, eval_batches, n_buckets=N_BUCKETS
         )
 
     bounds = snapshots[CHECKPOINTS[0]].boundaries

@@ -22,7 +22,6 @@ from repro.train import (
     TrainConfig,
     WordLanguageModel,
     WordLMConfig,
-    max_replica_divergence,
     perplexity,
 )
 
@@ -71,8 +70,6 @@ def main() -> None:
     ppl_after = perplexity(trainer.evaluate())
 
     print(f"\nValidation perplexity: {ppl_before:.1f} -> {ppl_after:.1f}")
-    print(f"Replica divergence across {WORLD} GPUs: "
-          f"{max_replica_divergence(trainer.replicas):.2e} (must be 0)")
 
     # Compare communication volume against the ALLGATHER baseline.
     baseline = build_trainer(use_unique=False)

@@ -87,7 +87,7 @@ def main() -> None:
     print(f"\nSampling from the model (prompt: {prompt_text!r}):\n")
     for temperature in (0.5, 1.0):
         sample = generate(
-            trainer.replicas[0], prompt, 120,
+            trainer.model, prompt, 120,
             np.random.default_rng(0), temperature=temperature,
         )
         text = corpus.decode(sample, sep="")

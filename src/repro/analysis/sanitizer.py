@@ -115,20 +115,22 @@ class DoubleApplyError(SanitizerError):
     The supervised recovery loop of :mod:`repro.train.resilience` rewinds
     a faulted step and replays it from scratch.  The replay is only
     equivalent to a clean first attempt if *nothing* from the aborted
-    attempt survives: a residual dense ``grad`` or queued sparse
-    gradient on any parameter would be *accumulated into* by the retried
-    backward pass, and the optimizer would apply the gradient twice —
-    silently, since replicas all double-apply together and stay
-    "synchronized".  Raised by :func:`assert_clean_retry_state`.
+    attempt survives: a residual dense ``grad``, queued sparse gradient
+    or pre-sync rank row on any parameter would be *accumulated into* by
+    the retried backward pass, and the optimizer would apply the
+    gradient twice — silently, since every rank double-applies together
+    and stays "synchronized".  Raised by :func:`assert_clean_retry_state`.
     """
 
 
 def assert_clean_retry_state(replicas, comm=None) -> None:
     """The no-double-apply invariant, checked before a fault retry.
 
-    Raises :class:`DoubleApplyError` if any replica still holds gradient
-    state (a dense ``grad`` or queued ``sparse_grads``) from the aborted
-    attempt, or — when ``comm`` is given — if async work is still in
+    ``replicas`` is a module list (a trainer's is its one model).
+    Raises :class:`DoubleApplyError` if any module still holds gradient
+    state (a dense ``grad``, queued ``sparse_grads`` or pre-sync rank
+    rows in ``stacked_grads``) from the aborted attempt, or — when
+    ``comm`` is given — if async work is still in
     flight (an un-awaited handle from the aborted step would complete
     into the retried one, merging two attempts' accounting).
     """
@@ -148,6 +150,13 @@ def assert_clean_retry_state(replicas, comm=None) -> None:
                     f"{name!r} still queues {len(p.sparse_grads)} sparse "
                     "gradient(s) from the aborted attempt — the retried "
                     "exchange would ship and apply them twice"
+                )
+            if p.stacked_grads:
+                raise DoubleApplyError(
+                    f"retry with residual state: rank {rank} parameter "
+                    f"{name!r} still holds pre-sync rank rows from the "
+                    "aborted attempt — the retried step would accumulate "
+                    "into them and apply the gradient twice"
                 )
     if comm is not None and comm.pending_work:
         ops = ", ".join(

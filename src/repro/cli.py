@@ -397,7 +397,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _run_flat(args: argparse.Namespace, cfg, make_trainer, session) -> int:
     """The plain ``train`` path: one communicator, no fault plan."""
     from repro.cluster import Communicator
-    from repro.train import max_replica_divergence, perplexity
+    from repro.train import perplexity
 
     comm = Communicator(args.gpus, track_memory=False)
     sanitizer = _sanitizer(args, comm)
@@ -425,7 +425,6 @@ def _run_flat(args: argparse.Namespace, cfg, make_trainer, session) -> int:
     if args.wire_codec:
         factor = trainer.comm.ledger.compression_factor(":indices")
         print(f"index compression: {factor:.2f}x (measured, logical/wire)")
-    print(f"replica divergence: {max_replica_divergence(trainer.replicas):.1e}")
     _finish_sanitizer(sanitizer)
     if session is not None:
         summary = session.finalize()
@@ -444,7 +443,7 @@ def _run_resilient(args: argparse.Namespace, cfg, make_trainer, plan,
     import tempfile
 
     from repro.cluster import ChaosCommunicator, FaultEvent, FaultKind, FaultPlan
-    from repro.train import ResilientRunner, max_replica_divergence, perplexity
+    from repro.train import ResilientRunner, perplexity
 
     if plan is None:
         # Demo plan: two transient link faults early, one permanent rank
@@ -482,7 +481,6 @@ def _run_resilient(args: argparse.Namespace, cfg, make_trainer, plan,
     print(f"final world: {trainer.config.world_size} | "
           f"final val ppl: {perplexity(trainer.evaluate()):.2f} | "
           f"lr scale: {runner.lr_scale:.3f}")
-    print(f"replica divergence: {max_replica_divergence(trainer.replicas):.1e}")
     print(f"simulated time: {runner.total_simulated_time():.4f}s "
           f"across {len(runner.timelines)} communicator generation(s), "
           f"{retries} retr{'y' if retries == 1 else 'ies'} charged")
@@ -610,7 +608,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         [corpus.stoi(c) for c in args.prompt], dtype=np.int64
     )
     sample = generate(
-        trainer.replicas[0], prompt_ids, args.length,
+        trainer.model, prompt_ids, args.length,
         np.random.default_rng(args.seed), temperature=args.temperature,
     )
     print(f"sample: {args.prompt}{corpus.decode(sample, sep='')}")

@@ -1,8 +1,10 @@
-"""Gradient synchronization orchestration for SPMD replicas.
+"""Gradient synchronization orchestration for the data-parallel ranks.
 
-The trainer holds one model replica per simulated rank.  After each
-backward pass, :class:`GradientSynchronizer` makes all replicas agree on
-one global gradient:
+The trainer holds one model; each data rank's pre-sync gradients are a
+row of that model's rank rows (:func:`~repro.nn.batched.rank_grads`).
+After each backward pass, :class:`GradientSynchronizer` reduces the
+rows of every parameter to one global gradient and lands it on the
+parameter:
 
 * parameters with **dense** grads (RNN weights, softmax bias) go through
   a plain ALLREDUCE — what vision models do, as the paper notes;
@@ -11,16 +13,16 @@ one global gradient:
   :class:`~repro.core.sparse_exchange.ExchangeStrategy` — the baseline
   ALLGATHER or the paper's unique exchange.
 
-Gradients are *averaged* over the data-parallel replicas (the global
-batch is d x the local batch and each replica computed a mean loss), so
+Gradients are *averaged* over the data-parallel ranks (the global
+batch is d x the local batch and each rank computed a mean loss), so
 perplexity trajectories are directly comparable across world sizes up
 to the LR scaling rule.
 
 There is one driver, over the communicator's **data axis**: ``d``
-replicas, each sharded ``S = world / d`` ways over the model axes of the
-mesh.  Every gradient is scattered to its shards
+ranks' gradients, each sharded ``S = world / d`` ways over the model
+axes of the mesh.  Every gradient is scattered to its shards
 (:mod:`repro.core.mesh_exchange`), exchanged by one data-axis
-collective, reassembled once and fanned out to the replicas.  Flat
+collective, reassembled once and landed as one result.  Flat
 training is the ``S = 1`` case — scatter and reassembly are the
 identity and the data axis is the communicator itself — so a flat run,
 a ``(1, 1, G)`` mesh and a ``pipe x tensor x data`` mesh execute the
@@ -66,6 +68,7 @@ import numpy as np
 
 from ..cluster.collectives import FusedRun
 from ..cluster.communicator import Communicator
+from ..nn.batched import rank_grads
 from ..nn.module import Module
 from ..nn.parameter import Parameter, SparseGrad
 from .compression import WireCodec, encode_stacked
@@ -84,7 +87,7 @@ __all__ = ["GradientSynchronizer", "concat_token_grads"]
 
 
 def concat_token_grads(param: Parameter) -> SparseGrad | None:
-    """All token-level sparse contributions of one rank, un-coalesced.
+    """All token-level sparse contributions of one module, un-coalesced.
 
     The exchange strategies receive *token-level* gradients — the
     baseline gathers all G·K rows verbatim, and the unique path performs
@@ -101,6 +104,11 @@ def concat_token_grads(param: Parameter) -> SparseGrad | None:
     indices = np.concatenate([s.indices for s in param.sparse_grads])
     values = np.concatenate([s.values for s in param.sparse_grads])
     return SparseGrad(indices=indices, values=values)
+
+
+#: One dense parameter of a sync step: its landing parameters and its
+#: ``(d, ...)`` rank block.
+_Rows = tuple[list[Parameter], np.ndarray]
 
 
 @dataclass
@@ -219,7 +227,7 @@ def _fold(
 
 
 class GradientSynchronizer:
-    """Synchronize gradients across data-parallel model replicas.
+    """Synchronize the data-parallel ranks' gradients.
 
     Parameters
     ----------
@@ -274,21 +282,19 @@ class GradientSynchronizer:
         self.on_issue = on_issue
         self.fused_reduce = fused_reduce
 
-    def _issue_dense(
-        self, run: dict[str, list[Parameter]], tag: str
-    ) -> Callable[[], None]:
+    def _issue_dense(self, run: dict[str, _Rows], tag: str) -> Callable[[], None]:
         """Issue one dense run's allreduce alone; return its finisher."""
         return self._issue([self._dense(run, tag, tag)])
 
     def _issue_sparse(
-        self, params: list[Parameter], tag: str
+        self, targets: list[Parameter], grads: list[SparseGrad], tag: str
     ) -> Callable[[], None]:
         """Start one sparse exchange; return the finisher that applies it.
 
         The finisher issues the exchange's value allreduce (if it has
         one) alone, as soon as the index gather has drained.
         """
-        stage, _ = self._exchange(params, tag)
+        stage, _ = self._exchange(targets, grads, tag)
 
         def finish() -> None:
             values = stage()
@@ -297,43 +303,25 @@ class GradientSynchronizer:
 
         return finish
 
-    def _dense(
-        self, run: dict[str, list[Parameter]], tag: str, scope: str
-    ) -> _Allreduce:
+    def _dense(self, run: dict[str, _Rows], tag: str, scope: str) -> _Allreduce:
         """The allreduce payload of one dense run, ready to issue.
 
-        ``run`` maps member names to their replicas' parameters; each
-        replica's grads travel as one
-        :class:`~repro.cluster.collectives.FusedRun`, folded member by
-        member into one flat sum — nothing is staged.  The averaged
-        gradient lands as **one array object per member on every
-        replica**: the ranks of a synchronous step hold equal gradients,
-        so there is one result and whoever applies it reads it once.
+        ``run`` maps member names to their landing parameters and their
+        ``(d, ...)`` rank blocks; row ``r`` of every block travels as
+        rank ``r``'s :class:`~repro.cluster.collectives.FusedRun`,
+        folded member by member into one flat sum straight from the
+        blocks — nothing is staged.  The averaged gradient lands as
+        **one array object per member** on every landing parameter: the
+        ranks of a synchronous step hold equal gradients, so there is
+        one result and whoever applies it reads it once.
         """
         data = self.comm.axis("data")
-        grads: dict[str, list[np.ndarray]] = {}
-        blocks: dict[str, np.ndarray] = {}
-        for name, params in run.items():
-            if any(p.grad is None for p in params):
-                raise ValueError(f"{name}:dense: rank missing dense grad")
-            grads[name] = [p.grad for p in params]
-            # The batched executor marks rank 0's parameter with the
-            # block whose rank-order rows are the grads; taken, not read,
-            # so nothing keeps it alive past the sync.  An accumulated
-            # ``old + new`` grad no longer aliases it.  Bit-identical
-            # either way; with it the fold skips restacking G views.
-            block, params[0]._grad_block = params[0]._grad_block, None
-            if (
-                block is not None
-                and block.shape == (len(params),) + params[0].grad.shape
-                and all(g.base is block for g in grads[name])
-            ):
-                blocks[name] = block
-        runs = [FusedRun(zip(grads, row)) for row in zip(*grads.values())]
+        blocks = {name: block for name, (_, block) in run.items()}
+        runs = [FusedRun(zip(blocks, row)) for row in zip(*blocks.values())]
         layout = [(m.shape, m.size) for m in runs[0].values()]
         dtype = runs[0].dtype
         arrays = shard_dense(runs, data.groups)
-        stacked = blocks if blocks and arrays is runs else None
+        stacked = blocks if arrays is runs else None
         codec = (
             None
             if self.wire is None
@@ -351,10 +339,10 @@ class GradientSynchronizer:
             if codec is not None and not fused:  # the fused ring decodes
                 reduced = codec.decode(reduced, dtype)
             flat, offset = reduced / len(runs), 0
-            for params, (shape, size) in zip(run.values(), layout):
+            for (targets, _), (shape, size) in zip(run.values(), layout):
                 grad = flat[offset : offset + size].reshape(shape)
                 offset += size
-                for p in params:
+                for p in targets:
                     p.grad = grad
 
         rings = len(data.groups)
@@ -373,7 +361,7 @@ class GradientSynchronizer:
         )
 
     def _values(
-        self, params: list[Parameter], scope: str, staged: StagedValues
+        self, targets: list[Parameter], scope: str, staged: StagedValues
     ) -> _Allreduce:
         """The allreduce payload of one exchange's staged value matrices.
 
@@ -397,7 +385,7 @@ class GradientSynchronizer:
 
         def finish(sums: list[np.ndarray]) -> None:
             self._apply_sparse(
-                params,
+                targets,
                 staged.complete(
                     data.by_group(
                         sums,
@@ -502,7 +490,11 @@ class GradientSynchronizer:
         return finish
 
     def _exchange(
-        self, params: list[Parameter], tag: str, own_gather: bool = False
+        self,
+        targets: list[Parameter],
+        grads: list[SparseGrad],
+        tag: str,
+        own_gather: bool = False,
     ) -> tuple[Callable[[], _Allreduce | None], IndexGather | None]:
         """Start one sparse exchange; return its stager and its gather.
 
@@ -512,16 +504,11 @@ class GradientSynchronizer:
         applies it and returns None.  With ``own_gather`` a raw index
         gather is left unissued and returned, to be issued (see
         :func:`~repro.core.unique.igather_indices`) before the stager
-        runs; otherwise the gather is None.
+        runs; otherwise the gather is None.  ``grads`` are the data
+        ranks' token-level gradients, in rank order.
         """
         data = self.comm.axis("data")
-        grads = []
-        for p in params:
-            g = concat_token_grads(p)
-            if g is None:
-                raise ValueError(f"{tag}: rank missing sparse grad")
-            grads.append(g)
-        num_rows = params[0].data.shape[0]
+        num_rows = targets[0].data.shape[0]
         pending = self.strategy.iexchange(
             data,
             shard_sparse(
@@ -535,72 +522,83 @@ class GradientSynchronizer:
         def stage() -> _Allreduce | None:
             staged = pending.stage()
             if staged is not None:
-                return self._values(params, tag.replace("/", "-"), staged)
-            self._apply_sparse(params, pending.wait())
+                return self._values(targets, tag.replace("/", "-"), staged)
+            self._apply_sparse(targets, pending.wait())
             return None
 
         return stage, pending.gather
 
     def _apply_sparse(
-        self, params: list[Parameter], results: list[SparseGrad]
+        self, targets: list[Parameter], results: list[SparseGrad]
     ) -> None:
-        """Land one exchange's per-rank results on every replica.
+        """Land one exchange's per-rank results on every landing parameter.
 
-        Every replica receives the same averaged :class:`SparseGrad`
-        object — see :meth:`_dense`.  Every rank of a shard group holds
-        the same exchanged sum; reassemble once from the group heads
-        and average once.  A coalesced result (the unique exchange's)
-        stays marked, so the optimizer does not reduce it a second time.
+        Each receives the same averaged :class:`SparseGrad` object — see
+        :meth:`_dense`.  Every rank of a shard group holds the same
+        exchanged sum; reassemble once from the group heads and average
+        once, over the data ranks.  A coalesced result (the unique
+        exchange's) stays marked, so the optimizer does not reduce it a
+        second time.
         """
-        result = unshard_sparse(results, self.comm.axis("data").groups)
-        grad = SparseGrad._unsafe(result.indices, result.values / len(params))
+        data = self.comm.axis("data")
+        result = unshard_sparse(results, data.groups)
+        grad = SparseGrad._unsafe(
+            result.indices, result.values / data.ring_size
+        )
         if result.is_coalesced:
             grad.mark_coalesced()
-        for p in params:
+        for p in targets:
             p.sparse_grads = [grad]
 
-    _named_cache: tuple[tuple[Module, ...], list[dict], list[str]] | None = None
+    @staticmethod
+    def _rank_rows(
+        name: str, targets: list[Parameter], ring: int
+    ) -> tuple[np.ndarray | None, list[SparseGrad] | None]:
+        """Every data rank's pre-sync gradients of one parameter.
 
-    def _named_params(
-        self, replicas: list[Module], world: int
-    ) -> tuple[list[dict], list[str]]:
-        """Validate replica structure; return per-rank name->param maps.
-
-        Walking ``named_parameters`` over every replica costs a module
-        tree traversal per rank per sync — a real hot path at large G.
-        Module structure is fixed after construction, so the walk is
-        memoized per replica list.  The memo holds the modules and
-        matches them by identity: an ``id`` alone may be reused by a
-        new module once the old one is freed.
+        Returns the ``(d, ...)`` dense block (or None) and the ``d``
+        token-level sparse gradients (or None).  A parameter the batched
+        executor ran brings its rank rows
+        (:func:`~repro.nn.batched.rank_grads`); any other brings its
+        ordinary gradients as one row.
         """
-        cached = self._named_cache
-        if (
-            cached is not None
-            and len(cached[0]) == len(replicas)
-            and all(a is b for a, b in zip(cached[0], replicas))
-        ):
-            return cached[1], cached[2]
-        if len(replicas) != world:
-            raise ValueError(
-                f"{len(replicas)} replicas for world size {world}"
-            )
-        named = [dict(r.named_parameters()) for r in replicas]
-        names = list(named[0].keys())
-        for d in named[1:]:
-            if list(d.keys()) != names:
-                raise ValueError("replicas are not structurally identical")
-        self._named_cache = (tuple(replicas), named, names)
-        return named, names
+        blocks, tokens = [], []
+        for p in targets:
+            if p.stacked_grads:
+                block, rows = rank_grads(p)
+            else:
+                block = None if p.grad is None else p.grad[None]
+                row = concat_token_grads(p)
+                rows = None if row is None else [row]
+            blocks.append(block)
+            tokens.append(rows)
+        dense = sparse = None
+        if any(b is not None for b in blocks):
+            if any(b is None for b in blocks):
+                raise ValueError(f"{name}:dense: rank missing dense grad")
+            dense = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if any(t is not None for t in tokens):
+            if any(t is None for t in tokens):
+                raise ValueError(f"{name}: rank missing sparse grad")
+            sparse = [g for rows in tokens for g in rows]
+        for rows in (dense, sparse):
+            if rows is not None and len(rows) != ring:
+                raise ValueError(
+                    f"{name}: {len(rows)} rank rows for a data axis of {ring}"
+                )
+        return dense, sparse
 
     def sync_replicas(self, replicas: list[Module]) -> None:
-        """Synchronize every parameter of the data-parallel replicas.
+        """Synchronize every parameter of the data-parallel ranks.
 
-        ``replicas`` holds one model per data coordinate (one per rank
-        on a flat world).  Walks parameters by name (replicas are
-        structurally identical); a parameter is synced sparse if *any*
-        replica produced sparse grads for it this step, dense if any
-        produced dense grads — tied-embedding setups can hit both paths
-        for one parameter.
+        ``replicas`` is either the one model the batched executor ran
+        (its parameters hold the ``d`` ranks' rank rows) or ``d``
+        structurally identical modules with ordinary gradients, one per
+        data coordinate — the thin form, whose gradients are stacked
+        into rank rows.  Walks parameters by name; a parameter is
+        synced sparse if *any* rank produced sparse grads for it this
+        step, dense if any produced dense grads — tied-embedding setups
+        can hit both paths for one parameter.
 
         Each maximal run of consecutive dense-only parameters of one
         dtype, in walk order, is **one** allreduce payload, tagged and
@@ -611,9 +609,9 @@ class GradientSynchronizer:
         ``"{name}:values"``), staged once the exchange's index gather
         has drained.
 
-        Each synced value lands as **one object** on every replica's
-        parameter, not as per-replica copies: a consumer that scales or
-        unscales the result does so once (through any one replica), and
+        Each synced value lands as **one object** on every module's
+        parameter, not as per-module copies: a consumer that scales or
+        unscales the result does so once (through any one module), and
         independent optimizers may each read it.
 
         Blocking, the step is **one gather stage, then one reduce
@@ -643,16 +641,22 @@ class GradientSynchronizer:
         (which depends on the gathered indices) being issued during the
         drain under the owning parameter's scope.
         """
-        named, names = self._named_params(
-            replicas, self.comm.axis("data").ring_size
-        )
+        ring = self.comm.axis("data").ring_size
+        if len(replicas) not in (1, ring):
+            raise ValueError(
+                f"{len(replicas)} replicas for world size {ring}"
+            )
+        named = [dict(r.named_parameters()) for r in replicas]
+        names = list(named[0])
+        if any(list(d) != names for d in named[1:]):
+            raise ValueError("replicas are not structurally identical")
         scope = self.comm.timeline.scope
         deferred: list[tuple[str, Callable[[], None]]] = []
         # Blocking: the one reduce stage, in walk order — payloads, and
         # the stagers of exchanges whose gather rides the gather stage.
         payloads: list[_Allreduce | Callable[[], _Allreduce | None]] = []
         gathers: list[tuple[str, IndexGather]] = []  # the one gather stage
-        run: dict[str, list[Parameter]] = {}
+        run: dict[str, _Rows] = {}
 
         def flush() -> None:
             if run:
@@ -672,29 +676,28 @@ class GradientSynchronizer:
                 run.clear()
 
         for name in reversed(names) if self.overlap else names:
-            params = [d[name] for d in named]
-            dense = any(p.grad is not None for p in params)
-            sparse = any(p.sparse_grads for p in params)
-            if not (dense or sparse):
+            targets = [d[name] for d in named]
+            dense, sparse = self._rank_rows(name, targets, ring)
+            if dense is None and sparse is None:
                 continue
-            if sparse or (
-                run and next(iter(run.values()))[0].dtype != params[0].dtype
+            if sparse is not None or (
+                run and next(iter(run.values()))[0][0].dtype != targets[0].dtype
             ):
                 flush()
             if self.overlap and self.on_issue is not None:
                 self.on_issue(name)
-            if dense:
-                run[name] = params
-            if sparse:
+            if dense is not None:
+                run[name] = (targets, dense)
+            if sparse is not None:
                 flush()  # a tied parameter's dense grad: a run of one
                 scope_name = name.replace("/", "-")
                 with scope(scope_name):
                     if self.overlap:
-                        finish = self._issue_sparse(params, name)
+                        finish = self._issue_sparse(targets, sparse, name)
                         deferred.append((scope_name, finish))
                     else:
                         stage, gather = self._exchange(
-                            params, name, own_gather=True
+                            targets, sparse, name, own_gather=True
                         )
                         if gather is not None:
                             gathers.append((scope_name, gather))

@@ -37,7 +37,13 @@ import numpy as np
 from ..cluster.collectives import FusedRun
 from ..nn.parameter import SparseGrad
 
-__all__ = ["shard_dense", "shard_sparse", "unshard_dense", "unshard_sparse"]
+__all__ = [
+    "row_cuts",
+    "shard_dense",
+    "shard_sparse",
+    "unshard_dense",
+    "unshard_sparse",
+]
 
 Groups = Sequence[Sequence[int]]
 
@@ -76,6 +82,13 @@ def unshard_dense(results: Sequence[np.ndarray], groups: Groups) -> np.ndarray:
     return np.concatenate([results[ranks[0]] for ranks in groups])
 
 
+def row_cuts(num_rows: int, num_shards: int) -> list[int]:
+    """Shard ``s`` holds vocabulary rows ``[cuts[s], cuts[s + 1])``:
+    ``np.array_split``'s contiguous, ascending ranges."""
+    base, extra = divmod(num_rows, num_shards)
+    return [s * base + min(s, extra) for s in range(num_shards + 1)]
+
+
 def shard_sparse(
     grads: list[SparseGrad], groups: Groups, num_rows: int,
     coalesce: bool = True,
@@ -99,17 +112,16 @@ def shard_sparse(
     if num_shards == 1:
         return grads
     _check_replicas(grads, groups)
-    base, extra = divmod(num_rows, num_shards)
-    row_cuts = [s * base + min(s, extra) for s in range(num_shards + 1)]
+    bounds = row_cuts(num_rows, num_shards)
     out: list[SparseGrad] = [None] * (num_shards * len(grads))  # type: ignore[list-item]
     for k, grad in enumerate(grads):
         if coalesce:
             rows = grad.coalesce()  # sorted unique rows: a range is a slice
-            cuts = np.searchsorted(rows.indices, row_cuts)
+            cuts = np.searchsorted(rows.indices, bounds)
             parts = [slice(cuts[s], cuts[s + 1]) for s in range(num_shards)]
         else:
             rows = grad  # token rows in arrival order: a range is a mask
-            shard = np.searchsorted(row_cuts, grad.indices, side="right") - 1
+            shard = np.searchsorted(bounds, grad.indices, side="right") - 1
             parts = [shard == s for s in range(num_shards)]
         for ranks, part in zip(groups, parts):
             out[ranks[k]] = SparseGrad._unsafe(

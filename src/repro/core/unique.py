@@ -21,8 +21,10 @@ All steps are vectorized; the global ordering of Î is ascending word
 index, which every GPU derives independently and deterministically.
 
 Steps 3-4 buy something only while the vocabulary is large against the
-batch.  When a whole ``V x (D + 1)`` table costs no more on the wire
-than step 3's index gather (:func:`dense_table_wins`), a caller that
+batch.  When a ring's whole ``rows x (D + 1)`` table — all ``V`` rows
+on a flat world, its shard's row range on a hybrid mesh — costs no
+more on the wire than step 3's index gather (:func:`dense_table_wins`)
+on every ring, a caller that
 owns the gather may skip it: the exchange's step-6 payload is then the
 dense table, each rank's rows scattered into it beside a presence
 column, and Î is read off the reduced presence column — the same
@@ -32,7 +34,9 @@ The exchange runs over whatever rings its communicator has: the whole
 world on a flat communicator, or — on a ``comm.axis("data")`` view of a
 hybrid mesh — independently inside each data subgroup, every collective
 still being one ledger event.  Ring size and link come from the
-communicator, so nothing here knows about meshes.
+communicator; ring ``s`` of ``S`` holds the rows
+:func:`~repro.core.mesh_exchange.row_cuts` gives shard ``s``, which is
+all a dense table needs to know about meshes.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from ..cluster.collectives import allgather_wire_bytes, allreduce_wire_bytes
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
 from .compression import WireCodec
+from .mesh_exchange import row_cuts
 from .wire.policy import WirePolicy
 from .wire.transfer import iencoded_allgather
 
@@ -122,8 +127,9 @@ def dense_table_wins(
 ) -> bool:
     """Whether one ring's dense table is no dearer than its index gather.
 
-    The table is the embedding's ``rows x (dim + 1)`` gradient with a
-    presence column, in ``itemsize``-byte words; ``vector_bytes`` are
+    The table is the ring's ``rows x (dim + 1)`` gradient with a
+    presence column — the rows its shard holds, the whole embedding on a
+    flat world — in ``itemsize``-byte words; ``vector_bytes`` are
     the ring's raw step-3 index vectors, one per rank.  It wins when its
     allreduce moves no more bytes per rank than the gather,
     ``(ring - 1) * max_r 8·K_r``, and its message is no larger than the
@@ -147,11 +153,11 @@ class StagedValues:
     ``dtype``, a view of its ring's ``(ring, Ug, D)`` block ``blocks[i]``
     (rings in ``comm.groups`` order) that is ``+0`` outside the rows
     ``rows[i][m]`` of its member index ``m``.  A folded exchange's
-    matrix is instead its dense ``V x (D + 1)`` table, the last column
-    counting the ranks that hold each row.  Whoever allreduces them
-    (alone, or packed with other payloads of the step) hands the
-    per-rank sums to :attr:`complete`, which decodes them and returns
-    the exchange's results.  The matrices are built on demand, so a
+    matrix is instead its ring's dense ``rows x (D + 1)`` table, the
+    last column counting the ranks that hold each row.  Whoever
+    allreduces them (alone, or packed with other payloads of the step)
+    hands the per-rank sums to :attr:`complete`, which decodes them and
+    returns the exchange's results.  The matrices are built on demand, so a
     caller packing several allreduces holds only the ones it is
     about to send.
 
@@ -324,7 +330,10 @@ class PendingUniqueExchange:
     contributors in the same rank order as the Ug x D matrices would;
     after the allreduce Î is the reduced presence column's non-zero
     rows — ascending, as :func:`global_unique` orders it — and the
-    values are those rows of the table.
+    values are those rows of the table.  On a hybrid mesh ring ``s``
+    holds only its shard's rows ``[cut_s, cut_{s+1})``
+    (:func:`~repro.core.mesh_exchange.row_cuts`): its table has those
+    rows, ids enter it less ``cut_s`` and Î leaves it plus ``cut_s``.
 
     The value allreduce cannot be issued earlier: its payload (the
     aligned Ug x D matrices) depends on the gathered indices.  This
@@ -453,7 +462,7 @@ class PendingUniqueExchange:
         if not self.gather.table_wins:
             raise RuntimeError(f"{self._tag}: its table does not win")
         comm = self._comm
-        rows = self.gather.num_rows
+        cuts = row_cuts(self.gather.num_rows, len(comm.groups))
         dim = self._local[0].dim
         dtype = np.dtype(self._local[0].values.dtype)
 
@@ -462,21 +471,24 @@ class PendingUniqueExchange:
             held: list[list[np.ndarray]] = []
 
             def scatter(local: list[SparseGrad], ring: int) -> list:
-                # Step 5 against the whole vocabulary: each rank's sorted
-                # unique Ĵ are its populated rows, so its values land as
-                # they would in the Ug x D matrix, and its presence
-                # column is 1 there.
+                # Step 5 against the ring's whole row range: each rank's
+                # sorted unique Ĵ are its populated rows, so its values
+                # land as they would in the Ug x D matrix, and its
+                # presence column is 1 there.
+                cut = cuts[ring]
                 counts = [g.indices.size for g in local]
                 member = np.repeat(np.arange(len(local)), counts)
-                cat_idx = np.concatenate([g.indices for g in local])
-                table = np.zeros((len(local), rows, dim + 1), dtype=dtype)
+                cat_idx = np.concatenate([g.indices for g in local]) - cut
+                table = np.zeros(
+                    (len(local), cuts[ring + 1] - cut, dim + 1), dtype=dtype
+                )
                 if cat_idx.size:
                     table[member, cat_idx, :dim] = np.concatenate(
                         [g.values for g in local]
                     )
                 table[member, cat_idx, dim] = 1
                 blocks.append(table)
-                held.append([g.indices for g in local])
+                held.append([g.indices - cut for g in local])
                 return list(table)
 
             return comm.by_group(self._local, scatter), blocks, held
@@ -486,7 +498,7 @@ class PendingUniqueExchange:
             present = np.flatnonzero(table[:, dim]).astype(np.int64)
             members = comm.groups[ring]
             one = UniqueExchangeResult(
-                global_indices=present,
+                global_indices=present + cuts[ring],
                 reduced_values=table[present, :dim],
                 local_unique_counts=tuple(
                     self._local[r].indices.size for r in members
@@ -498,7 +510,10 @@ class PendingUniqueExchange:
             self._result = comm.by_group(reduced, result)
             return self._result
 
-        nbytes = (rows * (dim + 1) * dtype.itemsize,) * len(comm.groups)
+        nbytes = tuple(
+            (hi - lo) * (dim + 1) * dtype.itemsize
+            for lo, hi in zip(cuts, cuts[1:])
+        )
         return StagedValues(
             tag=f"{self._tag}:values",
             codec=None,
@@ -551,8 +566,10 @@ def iunique_exchange(
     called.  Parameters are as for :func:`unique_exchange`, which is
     ``iunique_exchange(...).wait()[0]``.
 
-    ``num_rows`` (the embedding's row count, which bounds every index)
-    hands the raw gather to the caller: it is left unissued as the
+    ``num_rows`` (the embedding's row count, which bounds every index;
+    on ``S`` rings, ring ``s`` holds shard ``s``'s row range, as
+    :func:`~repro.core.mesh_exchange.shard_sparse` cuts it) hands the
+    raw gather to the caller: it is left unissued as the
     pending exchange's :attr:`~PendingUniqueExchange.gather`, for the
     caller to issue through :func:`igather_indices` — alone or packed
     with other exchanges' — before it stages the values.  The gradient
@@ -607,19 +624,26 @@ def iunique_exchange(
     raw_values = wire is None or (
         wire.value_codec is None and wire.selector is None
     )
-    gather.table_wins = (
-        index_codec is None
-        and num_rows is not None
-        and raw_values
-        and all(
+    if index_codec is None and num_rows is not None and raw_values:
+        # Ring ``s`` holds its shard's rows only (one ring: all of them);
+        # ids outside that range keep the gather, which takes any id.
+        cuts = row_cuts(num_rows, len(comm.groups))
+        gather.table_wins = all(
             dense_table_wins(
-                len(ranks), num_rows, local[0].dim,
+                len(ranks), cuts[s + 1] - cuts[s], local[0].dim,
                 local[0].values.dtype.itemsize,
                 [index_vectors[r].nbytes for r in ranks],
             )
-            for ranks in comm.groups
+            and (
+                len(comm.groups) == 1
+                or all(
+                    cuts[s] <= v.min() and v.max() < cuts[s + 1]
+                    for v in (index_vectors[r] for r in ranks)
+                    if v.size
+                )
+            )
+            for s, ranks in enumerate(comm.groups)
         )
-    )
     return PendingUniqueExchange(comm, local, gather, tag, wire=wire)
 
 

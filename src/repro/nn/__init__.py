@@ -2,12 +2,7 @@
 LSTM and Recurrent Highway layers, full and sampled softmax losses."""
 
 from . import functional, init
-from .batched import (
-    BatchedCharLMExecutor,
-    BatchedExecutor,
-    ReplicaMismatchError,
-    build_batched_executor,
-)
+from .batched import BatchedCharLMExecutor, BatchedExecutor
 from .dropout import Dropout
 from .dtypes import ACC_DTYPE, DTYPE
 from .embedding import Embedding
@@ -29,8 +24,6 @@ __all__ = [
     "SparseGrad",
     "BatchedExecutor",
     "BatchedCharLMExecutor",
-    "ReplicaMismatchError",
-    "build_batched_executor",
     "Embedding",
     "Linear",
     "LSTM",

@@ -1,31 +1,35 @@
-"""Batched SPMD rank execution: all replicas' numpy work in one pass.
+"""Rank execution: one model, R rank rows.
 
-The simulator runs G model replicas in one host process.  The per-rank
-training loop (``for rank: replica.step(batch)``) pays G Python
-dispatches into numpy *per layer per time step* — at large G the
-interpreter, not BLAS, dominates wall-clock.  Data-parallel replicas
-are **one set of weights** (the trainer binds every replica to replica
-0's parameter arrays), so their forward/backward passes differ only in
-the batch data; the whole world can execute as stacked arrays with a
-leading rank axis.
+The simulator runs the G ranks of synchronous data parallelism in one
+host process.  Their weights are one set — identical updates applied to
+identical weights — so their forward/backward passes differ only in what
+is per rank: the batch shard, the random streams and the carried BPTT
+state.  The whole data axis therefore executes as stacked arrays with a
+leading rank axis, over the one model's weights.
 
-The layers themselves carry that axis (:mod:`repro.nn.lstm`,
-:mod:`~repro.nn.rhn`, :mod:`~repro.nn.embedding`,
-:mod:`~repro.nn.linear`, :mod:`~repro.nn.dropout`, both softmax
-losses): one ``forward``/``backward`` body serves the ``(B, T, ...)``
-call and the ``(R, B, T, ...)`` call, with rank 0's weights broadcast
-as the shared operand.  This module is only the **driver** around any
-model built from them: the guards that decide whether a step may stack,
-the stacked call on rank 0's module, and the fan-out of the resulting
-``(R, ...)`` gradient blocks to every replica's parameters.
+The layers carry that axis (:mod:`repro.nn.lstm`, :mod:`~repro.nn.rhn`,
+:mod:`~repro.nn.embedding`, :mod:`~repro.nn.linear`,
+:mod:`~repro.nn.dropout`, both softmax losses): one
+``forward``/``backward`` body serves the ``(B, T, ...)`` call and the
+``(R, B, T, ...)`` call, the weights broadcast as the shared operand.
+This module is only the **executor** around any model built from them: it
+stacks the ranks' batches and carried state, calls the model's
+``forward_backward`` over ``(R', B, T)`` row ranges, and folds the
+``(R', ...)`` gradient blocks the layers park in
+``Parameter.stacked_grads`` into each parameter's **rank rows** — one
+``(R, ...)`` dense block, accumulated over micro-steps, and its
+``(R, N)`` token stacks in arrival order — which the gradient sync
+takes (:func:`rank_grads`).
 
 Bit-exactness contract
 ----------------------
-The fast path is a *scheduling* optimization, never a numerics change:
-every rank's losses, gradients, RNG stream consumption and carried
-state are **bit-for-bit identical** to the per-rank loop (regression-
-pinned by ``tests/train/test_batched_exactness.py`` and the 200-case
-property suite).  This holds because, with the replica weights entering
+Stacking is a *scheduling* choice, never a numerics change: every
+rank's losses, gradients, RNG stream consumption and carried state are
+**bit-for-bit identical** whatever the row width ``R'`` — ``R' = R``
+(one call) and ``R' = 1`` (``R`` calls) alike — and identical to ``R``
+separate ``(B, T)`` passes (pinned by ``tests/train/
+test_batched_exactness.py`` against the written-out reference of
+``tests/conformance``).  This holds because, with the weights entering
 as a shared 2-D operand broadcast across the rank axis:
 
 * ``np.matmul((R, n, k), (k, m))`` equals each ``(n, k) @ (k, m)``
@@ -35,23 +39,11 @@ as a shared 2-D operand broadcast across the rank axis:
 * elementwise ops, gathers, reductions over the same axes, and the
   stable softmax/sigmoid forms are slice-invariant;
 * dropout masks and sampled-softmax candidates are drawn from **each
-  replica's own generator in rank order**, consuming exactly the draws
-  the per-rank loop would.
-
-Whether a world stacks is decided once, when the executor is built:
-
-* replicas must all be the same model class — one that defines
-  ``forward_backward`` itself — with equal configs, and there must be
-  two or more of them; otherwise no executor is built and the trainer
-  runs the per-rank loop for the whole run.
-
-Past that point a step never falls back.  A world that leaves the
-proven envelope mid-run — a batch count that is not the replica count,
-ragged batch shapes, training/eval flags that disagree across replicas,
-an inconsistent carried state, or a replica whose parameter no longer
-binds rank 0's array (a rebound ``p.data``) — is a bug, and the step
-raises :class:`ReplicaMismatchError` naming the replica before any RNG
-or gradient state is consumed.
+  rank's own generator in rank order**, consuming exactly the draws
+  ``R`` separate passes would;
+* accumulation adds each later gradient, uncast, onto the running rows
+  in the parameter's dtype, and joins sparse tokens in arrival order —
+  what ``Parameter.accumulate_grad`` and a per-rank concatenation do.
 """
 
 from __future__ import annotations
@@ -61,20 +53,9 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import ReproError
-from .parameter import SparseGrad
+from .parameter import Parameter, SparseGrad
 
-__all__ = [
-    "BatchedExecutor",
-    "BatchedCharLMExecutor",
-    "ReplicaMismatchError",
-    "build_batched_executor",
-]
-
-
-class ReplicaMismatchError(ReproError, RuntimeError):
-    """A replica left the stacked step's envelope mid-run (see the
-    module docstring); the message names the replica."""
+__all__ = ["BatchedExecutor", "BatchedCharLMExecutor", "rank_grads"]
 
 
 # The batched path builds thousands of SparseGrads per step from arrays
@@ -82,78 +63,96 @@ class ReplicaMismatchError(ReproError, RuntimeError):
 _sparse_grad = SparseGrad._unsafe
 
 
-def build_batched_executor(replicas) -> "BatchedExecutor | None":
-    """Return a batched executor for ``replicas``, or None if unsupported.
-
-    Supported: two or more replicas of one model class built from the
-    replica-axis layers — a class that itself defines
-    ``forward_backward(inputs, targets, state, rngs, loss_scale)`` and
-    ``step_rng`` (exact type: a subclass may override ``step``) —
-    sharing one architecture config and statefulness.  A single replica
-    gains nothing from stacking.
-    """
-    if len(replicas) < 2:
-        return None
-    first = replicas[0]
-    if "forward_backward" not in vars(type(first)):
-        return None
-    for m in replicas[1:]:
-        if (
-            type(m) is not type(first)
-            or m.config != first.config
-            or m.stateful != first.stateful
-        ):
-            return None
-    return BatchedExecutor(list(replicas))
-
-
 def _parts(state) -> tuple[np.ndarray, ...]:
     """A carried state as a tuple of arrays (an LSTM's ``(h, c)`` is one)."""
     return state if isinstance(state, tuple) else (state,)
 
 
-class BatchedExecutor:
-    """Execute every replica's fused forward+backward in one stacked pass.
+def _rows(state, rows: slice):
+    """Rows ``rows`` of a stacked carried state (None stays None)."""
+    if state is None:
+        return None
+    cut = tuple(a[rows] for a in _parts(state))
+    return cut if isinstance(state, tuple) else cut[0]
 
-    Calls rank 0's ``forward_backward`` with a leading rank axis ``R``
-    on every input — rank 0's parameters are the shared weights (valid
-    because every replica binds the same arrays, which each step
-    checks).  Gradients are accumulated into **each** replica's
-    parameters, so gradient sync, the optimizer, loss scaling and
-    telemetry all see the same state the per-rank loop would produce.
+
+def _join(pieces: list):
+    """Row ranges of a stacked state, or of rank rows, joined in order."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if isinstance(pieces[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*pieces))
+    return np.concatenate(pieces)
+
+
+def _fold(p: Parameter, dense, arrivals: list):
+    """One call's dense gradients onto one row range's running block.
+
+    ``dense`` is the range's running ``(R', ...)`` block (or None);
+    ``arrivals`` are the call's ``stacked_grads`` in arrival order.
+    Returns the block and the call's ``(R', N)`` token stacks.
+    """
+    dtype = p.data.dtype
+    tokens = []
+    for grad in arrivals:
+        if isinstance(grad, SparseGrad):
+            tokens.append(grad)
+        elif dense is None:
+            dense = grad if grad.dtype == dtype else grad.astype(dtype)
+        else:
+            dense = (dense + grad).astype(dtype, copy=False)
+    return dense, tokens
+
+
+def rank_grads(p: Parameter) -> tuple[np.ndarray | None, list[SparseGrad] | None]:
+    """A parameter's pre-sync rank rows, taken off its ``stacked_grads``.
+
+    Returns the ``(R, ...)`` dense block (or None) and the ``R``
+    token-level sparse gradients (or None): each rank's tokens joined
+    in arrival order, all ranks sharing one lazy local reduction
+    (:class:`_StackedCoalesce`).
+    """
+    block, stacks = _fold(p, None, p.stacked_grads)
+    p.stacked_grads = []
+    if not stacks:
+        return block, None
+    if len(stacks) == 1:
+        ids, vals = stacks[0].indices, stacks[0].values
+    else:
+        ids = np.concatenate([s.indices for s in stacks], axis=1)
+        vals = np.concatenate([s.values for s in stacks], axis=1)
+    reduction = _StackedCoalesce(ids, vals, p.data.shape[0])
+    rows = []
+    for ri, (row_ids, row_vals) in enumerate(zip(ids, vals)):
+        row = _sparse_grad(row_ids, row_vals)
+        row._coalesced = partial(reduction.rank, ri)
+        rows.append(row)
+    return block, rows
+
+
+class BatchedExecutor:
+    """Every data rank's fused forward+backward, over one model.
+
+    Calls ``model.forward_backward`` with a leading rank axis on every
+    input, ``width`` ranks per call, and leaves each parameter's
+    gradients as rank rows in its ``stacked_grads`` (see the module
+    docstring).  What stays per rank lives here: ``rngs``, each rank's
+    own step stream for a model that owns one (``model.step_rng``), and
+    ``carry``, the one stacked carried-BPTT state whose row ``r`` is
+    rank ``r``'s.
     """
 
-    def __init__(self, replicas):
-        if len(replicas) < 2:
-            raise ValueError("batched execution needs at least two replicas")
-        self.replicas = replicas
-        # Module structure is fixed after construction: walk it once.
-        self._params = [list(m.parameters()) for m in replicas]
-        self._other_params = [p for ps in self._params[1:] for p in ps]
-        self._modules = [list(m.modules()) for m in replicas]
-        own = [m.step_rng for m in replicas]
-        self._own_rngs = None if own[0] is None else own
-
-    def _check_shared_storage(self) -> None:
-        """Every replica's parameters must still bind rank 0's arrays.
-
-        An identity check per parameter (no array is read) over one flat
-        list; the offending replica is looked for only once it failed.
-        """
-        base = [p.data for p in self._params[0]]
-        if all(
-            p.data is data
-            for p, data in zip(self._other_params, base * (len(self._params) - 1))
-        ):
-            return
-        for ri, params in enumerate(self._params[1:], start=1):
-            for k, (p, data) in enumerate(zip(params, base)):
-                if p.data is not data:
-                    raise ReplicaMismatchError(
-                        f"replica {ri}: parameter #{k} no longer binds "
-                        "replica 0's array (its p.data was rebound); the "
-                        "stacked step would run it on replica 0's weights"
-                    )
+    def __init__(
+        self,
+        model,
+        rngs: list[np.random.Generator] | None,
+        width: int,
+    ):
+        self.model = model
+        self.rngs = rngs
+        self.width = width
+        self.carry = None
+        self._params = list(model.parameters())
 
     def step(
         self,
@@ -166,54 +165,12 @@ class BatchedExecutor:
         ``batches[rank]`` is rank's local :class:`~repro.data.batching.
         Batch`.  ``sample_rngs()`` returns this step's per-rank sample
         generators; it is called only for models the trainer's
-        generators drive (``step_rng is None``) — building G generators
-        costs more than a small model's whole stacked pass.  A world
-        that cannot stack raises :class:`ReplicaMismatchError` before
-        any RNG or gradient state has been consumed.
+        generators drive (no ``rngs``) — building G generators costs
+        more than a small model's whole stacked pass.
         """
-        reps = self.replicas
-        R = len(reps)
-        if len(batches) != R:
-            raise ReplicaMismatchError(
-                f"{len(batches)} batches for {R} replicas: replica "
-                f"{min(len(batches), R)} has no partner"
-            )
-        flags = [m.training for m in self._modules[0]]
-        for ri, modules in enumerate(self._modules[1:], start=1):
-            if [m.training for m in modules] != flags:
-                raise ReplicaMismatchError(
-                    f"replica {ri}: train/eval flags differ from replica 0's"
-                )
+        model = self.model
+        R = len(batches)
         shape = batches[0].inputs.shape
-        for ri, b in enumerate(batches[1:], start=1):
-            if b.inputs.shape != shape or b.targets.shape != shape:
-                raise ReplicaMismatchError(
-                    f"replica {ri}: batch shape {b.inputs.shape} is not "
-                    f"replica 0's {shape}"
-                )
-        m0 = reps[0]
-        carries = m0.stateful and m0.training
-        state = None
-        if carries:
-            # Stateful BPTT: the carry is per replica.
-            states = [m._state for m in reps]
-            parts = None if states[0] is None else [_parts(s) for s in states]
-            shapes = None if parts is None else [a.shape for a in parts[0]]
-            for ri, s in enumerate(states[1:], start=1):
-                if (s is None) != (parts is None) or (
-                    parts is not None and [a.shape for a in parts[ri]] != shapes
-                ):
-                    raise ReplicaMismatchError(
-                        f"replica {ri}: carried state is inconsistent "
-                        "with replica 0's"
-                    )
-            if parts is not None and parts[0][0].shape[0] == shape[0]:
-                state = tuple(np.stack(column) for column in zip(*parts))
-                if not isinstance(states[0], tuple):
-                    state = state[0]
-            # else: batch-size change — dropped, exactly like ``step``
-        self._check_shared_storage()
-
         # Preallocate-and-assign beats np.stack's per-item overhead at
         # G=512 (same bits: row-wise copies of the same arrays).
         inputs = np.empty((R,) + shape, dtype=batches[0].inputs.dtype)
@@ -221,71 +178,47 @@ class BatchedExecutor:
         for ri, b in enumerate(batches):
             inputs[ri] = b.inputs
             targets[ri] = b.targets
-        rngs = self._own_rngs if self._own_rngs is not None else sample_rngs()
-        losses, final = m0.forward_backward(
-            inputs, targets, state, rngs, loss_scale
-        )
+        carries = model.stateful and model.training
+        state = self.carry if carries else None
+        if state is not None and _parts(state)[0].shape[1] != shape[0]:
+            state = None  # a batch-size change drops the carry
+        rngs = self.rngs if self.rngs is not None else sample_rngs()
+        # What earlier micro-steps left: each parameter's running dense
+        # block and its token stacks, which later tokens follow.
+        held = [_fold(p, None, p.stacked_grads) for p in self._params]
+        for p in self._params:
+            p.stacked_grads = []
+        losses, finals = [], []
+        pieces: list[list] = [[] for _ in self._params]
+        for lo in range(0, R, self.width):
+            rows = slice(lo, lo + self.width)
+            loss, final = model.forward_backward(
+                inputs[rows], targets[rows], _rows(state, rows), rngs[rows],
+                loss_scale,
+            )
+            losses.extend(float(x) for x in loss)
+            finals.append(final)
+            for p, (dense, _), out in zip(self._params, held, pieces):
+                arrivals, p.stacked_grads = p.stacked_grads, []
+                out.append(
+                    _fold(p, None if dense is None else dense[rows], arrivals)
+                )
         if carries:
-            finals = _parts(final)
-            for ri, m in enumerate(reps):
-                own = tuple(a[ri].copy() for a in finals)
-                m._state = own if isinstance(final, tuple) else own[0]
-        for k, shared in enumerate(self._params[0]):
-            stacked, shared.stacked_grads = shared.stacked_grads, []
-            sparse = []
-            for grad in stacked:
-                if isinstance(grad, SparseGrad):
-                    sparse.append(grad)
-                else:
-                    self._fan_out_dense(k, grad)
-            if sparse:
-                self._fan_out_sparse(k, sparse)
-        return [float(x) for x in losses]
-
-    def _fan_out_dense(self, k: int, block: np.ndarray) -> None:
-        """Row ``r`` of a gradient block becomes replica ``r``'s grad.
-
-        Rows are disjoint views of the block (fresh per call, so they
-        stay valid until the sync consumes them); ``+`` on accumulation
-        steps matches ``accumulate_grad``'s ``+=`` bit-for-bit, cast to
-        the parameter dtype the same way.
-        """
-        p0 = self._params[0][k]
-        dtype = p0.data.dtype
-        owned = p0.grad is None
-        cast = block if block.dtype == dtype else block.astype(dtype)
-        for ri, params in enumerate(self._params):
-            p = params[k]
-            if p.grad is None:
-                p.grad = cast[ri]
-            else:
-                p.grad = (p.grad + block[ri]).astype(dtype, copy=False)
-        # Stacked-block hint for the dense allreduce: rows were handed
-        # out in rank order, so the sync can reduce over the block
-        # directly.  Accumulated grads (``old + new``) no longer alias
-        # the block, which the sync's identity check detects — the hint
-        # is only valid when this micro-step owns the grad.
-        p0._grad_block = cast if owned else None
-
-    def _fan_out_sparse(self, k: int, stacked: list[SparseGrad]) -> None:
-        """One token-level sparse grad per replica from ``(R, N)`` stacks.
-
-        A parameter's contributions of this micro-step (embedding rows,
-        target rows, candidate rows — all three on a tied weight) are
-        joined along the token axis in arrival order, the order the
-        sync's own concatenation would produce, so their local reduction
-        can be attached as one (lazy) ``_coalesced``.
-        """
-        if len(stacked) == 1:
-            ids, vals = stacked[0].indices, stacked[0].values
-        else:
-            ids = np.concatenate([s.indices for s in stacked], axis=1)
-            vals = np.concatenate([s.values for s in stacked], axis=1)
-        reduction = _StackedCoalesce(ids, vals, self._params[0][k].data.shape[0])
-        for ri, params in enumerate(self._params):
-            sg = _sparse_grad(ids[ri], vals[ri])
-            sg._coalesced = partial(reduction.rank, ri)
-            params[k].sparse_grads.append(sg)
+            self.carry = _join(finals)
+        for p, (_, tokens), out in zip(self._params, held, pieces):
+            dense = [d for d, _ in out if d is not None]
+            if dense:
+                p.stacked_grads.append(_join(dense))
+            p.stacked_grads += tokens
+            # The calls' j-th stacks cover disjoint rows: join them.
+            for stacks in zip(*(t for _, t in out)):
+                p.stacked_grads.append(
+                    stacks[0] if len(stacks) == 1 else _sparse_grad(
+                        np.concatenate([t.indices for t in stacks]),
+                        np.concatenate([t.values for t in stacks]),
+                    )
+                )
+        return losses
 
 
 class _StackedCoalesce:
@@ -298,8 +231,8 @@ class _StackedCoalesce:
     ``SparseGrad.coalesce``, and cross-rank rows are disjoint — the
     per-rank results are bit-identical.  Each token-level gradient gets
     ``rank`` as its lazy ``_coalesced``: the pass runs when the sparse
-    exchange first asks for one, and never on accumulation steps, whose
-    micro-step gradients are concatenated before anything coalesces.
+    exchange first asks for one, and never for a strategy that ships
+    token-level rows.
     """
 
     def __init__(self, ids: np.ndarray, vals: np.ndarray, vocab: int):

@@ -8,6 +8,11 @@ training step touches only the rows of the types present in the batch).
 for an embedding; how it is exchanged across GPUs — dense ALLGATHER
 baseline vs the paper's unique-ALLREDUCE — is the core contribution,
 implemented in :mod:`repro.core`.
+
+In the SPMD trainer one :class:`Parameter` stands for its weight on
+every data rank: the ranks' pre-sync gradients are *rows* of it (its
+``stacked_grads``, one row per rank), and the synchronized gradient the
+optimizer applies is its one ``grad`` / ``sparse_grads`` result.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ class SparseGrad:
     **summed** on application, matching the accumulation semantics of
     embedding back-propagation described in Section II-A.
 
-    A backward pass over stacked replicas emits all of them at once:
+    A backward pass over ``R`` stacked ranks emits all of them at once:
     ``indices`` is then ``(R, N)`` and ``values`` ``(R, N, D)``, row
-    ``r`` being replica ``r``'s ordinary gradient.  Only
+    ``r`` being rank ``r``'s ordinary gradient.  Only
     :meth:`Parameter.accumulate_sparse_grad` accepts that form (it is
-    split per replica before anything coalesces or applies it).
+    split per rank before anything coalesces or applies it).
     """
 
     indices: np.ndarray
@@ -61,9 +66,10 @@ class SparseGrad:
         """Construct without validation — hot-path internal use only.
 
         ``__post_init__``'s dtype/shape checks cost more than the rest of
-        a per-rank loop iteration at G=512; producers whose invariants
-        hold by construction (fan-out of an already-validated exchange,
-        the batched executor's own gradients) skip them.
+        a rank's whole share of a stacked step at G=512; producers whose
+        invariants hold by construction (the result of an
+        already-validated exchange, the batched executor's rank rows)
+        skip them.
         """
         sg = cls.__new__(cls)
         sg.indices = indices
@@ -140,13 +146,15 @@ class Parameter:
     of computation (the tied-embedding case); the optimizer applies them
     additively.
 
-    A backward pass run once over ``R`` stacked replicas (shared weights
-    broadcast over ``(R, ...)`` activations) hands in every replica's
+    A backward pass run once over ``R`` stacked data ranks (the weights
+    broadcast over ``(R, ...)`` activations) hands in every rank's
     gradient together: a dense ``(R, *shape)`` block, or a
-    :class:`SparseGrad` with a leading replica axis.  Those wait in
-    ``stacked_grads``, in arrival order, for the batched driver
-    (:mod:`repro.nn.batched`) to fan row ``r`` out to replica ``r``'s
-    own parameter; they never touch this parameter's ``grad``.
+    :class:`SparseGrad` with a leading rank axis.  Those wait in
+    ``stacked_grads``, in arrival order; the batched executor
+    (:mod:`repro.nn.batched`) folds them into the parameter's **rank
+    rows** — one ``(R, *shape)`` block and its ``(R, N)`` token stacks
+    — which the gradient sync takes and reduces to the one ``grad`` /
+    ``sparse_grads`` result the optimizer applies.
     """
 
     def __init__(self, data: np.ndarray, name: str = ""):
@@ -158,10 +166,6 @@ class Parameter:
         self.grad: np.ndarray | None = None
         self.sparse_grads: list[SparseGrad] = []
         self.stacked_grads: list[np.ndarray | SparseGrad] = []
-        # Set by the batched driver on rank 0's parameter: the (R, ...)
-        # block whose rows are the replicas' ``grad``, for the dense
-        # allreduce to reduce over directly (it verifies the aliasing).
-        self._grad_block: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -176,7 +180,7 @@ class Parameter:
         return int(self.data.nbytes)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
-        """Add a dense gradient contribution (or park a replica block)."""
+        """Add a dense gradient contribution (or park a rank block)."""
         if grad.shape[1:] == self.data.shape and grad.ndim > self.data.ndim:
             self.stacked_grads.append(grad)
             return
@@ -218,7 +222,3 @@ class Parameter:
         self.grad = None
         self.sparse_grads = []
         self.stacked_grads = []
-        self._grad_block = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Parameter(name={self.name!r}, shape={self.data.shape})"

@@ -110,7 +110,7 @@ class SimulatedRun:
         )
         # Charge the persistent per-GPU residency: parameters, gradients,
         # optimizer state (these never leave device memory in a real run).
-        params = self.trainer.replicas[0].parameter_bytes()
+        params = self.trainer.model.parameter_bytes()
         self.model_bytes = params * (2 + optimizer_slots)
         for dev in self.comm.devices:
             dev.alloc(self.model_bytes, tag="model+grads+optimizer")

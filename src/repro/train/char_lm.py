@@ -31,8 +31,10 @@ class CharLanguageModel(Module):
     """Character-level LM with an RHN backbone and full softmax.
 
     ``dropout_rng`` defaults to a stream spawned from ``rng``; the SPMD
-    trainer passes per-rank streams so masks de-correlate across ranks
-    while initialization stays identical.
+    trainer takes per-rank streams from per-rank builds so masks
+    de-correlate across ranks while initialization stays identical.
+    ``stateful`` carries the RHN state across training windows; the
+    executor that runs the model holds the carry.
     """
 
     def __init__(
@@ -46,7 +48,6 @@ class CharLanguageModel(Module):
         super().__init__()
         self.config = config
         self.stateful = stateful
-        self._state: np.ndarray | None = None
         self.embedding = Embedding(
             config.vocab_size, config.embedding_dim, rng, dtype
         )
@@ -61,13 +62,9 @@ class CharLanguageModel(Module):
             config.vocab_size, config.hidden_dim, rng, dtype
         )
 
-    def reset_state(self) -> None:
-        """Drop the carried RHN state (start of an epoch / new stream)."""
-        self._state = None
-
     @property
     def step_rng(self) -> np.random.Generator:
-        """This replica's own per-step random stream (the dropout masks)."""
+        """This build's own per-step random stream (the dropout masks)."""
         return self.dropout._rng
 
     def forward_backward(
@@ -80,10 +77,10 @@ class CharLanguageModel(Module):
     ):
         """Fused forward+backward; returns ``(loss, final RHN state)``.
 
-        ``inputs``/``targets`` are one replica's ``(B, T)`` batch with
-        its dropout generator, or ``(R, B, T)`` stacks with a list of
-        ``R`` generators and an ``(R, B, H)`` state: the layers then run
-        all ``R`` replicas at once over this model's weights and leave
+        ``inputs``/``targets`` are one rank's ``(B, T)`` batch with its
+        dropout generator, or ``(R, B, T)`` stacks with a list of ``R``
+        generators and an ``(R, B, H)`` state: the layers then run all
+        ``R`` ranks at once over this model's weights and leave
         ``(R, ...)`` gradient blocks in ``stacked_grads``.
         """
         stacked = inputs.ndim == 3
@@ -101,28 +98,6 @@ class CharLanguageModel(Module):
         demb = self.rhn.backward(ddrop, rhn_cache)
         self.embedding.backward(demb, emb_cache)
         return loss, rhn_cache["final_state"]
-
-    def step(
-        self,
-        batch: Batch,
-        sample_rng: np.random.Generator | None = None,
-        loss_scale: float = 1.0,
-    ) -> float:
-        """One fused forward+backward (``sample_rng`` unused: full softmax).
-
-        Signature matches the trainer protocol shared with the word LM.
-        """
-        state = None
-        if self.stateful and self.training:
-            state = self._state
-            if state is not None and state.shape[0] != batch.inputs.shape[0]:
-                state = None
-        loss, final_state = self.forward_backward(
-            batch.inputs, batch.targets, state, self.step_rng, loss_scale
-        )
-        if self.stateful and self.training:
-            self._state = final_state
-        return loss
 
     def eval_nll(self, batches: list[Batch]) -> float:
         """Token-weighted mean NLL (nats/char) with dropout disabled."""

@@ -1,9 +1,9 @@
 """Checkpointing: persist and resume distributed training runs.
 
-The SPMD trainer's replicas bind one set of parameter arrays and share
-one optimizer, so a checkpoint stores **one** copy of the model and
-optimizer state plus the trainer's step counter, and loading writes that
-copy back in place — the same single-writer scheme real data-parallel
+The SPMD trainer holds one model and one optimizer for all its data
+ranks, so a checkpoint stores **one** copy of the model and optimizer
+state plus the trainer's step counter, and loading writes that copy
+back in place — the same single-writer scheme real data-parallel
 trainers use.  What is per rank (module RNG streams) is stored per rank.
 
 Format: a single ``.npz`` with namespaced arrays (``model/<param>``,
@@ -15,7 +15,7 @@ Version history
   *not* bit-exact for models with stateful RNG streams (dropout): the
   restarted run re-seeded the streams from scratch.
 * **v2** — adds ``rng/...`` arrays: the sampled-softmax seed assignment
-  (strategy + per-group seeds + rank->group map) and every replica's
+  (strategy + per-group seeds + rank->group map) and every data rank's
   per-module bit-generator states (PCG64, encoded as ``uint64`` limb
   arrays so ``allow_pickle=False`` still loads them).  Resume is now
   bit-exact.  v1 checkpoints still load (without RNG restore).
@@ -30,7 +30,8 @@ Elastic restarts: ``load_checkpoint(..., elastic=True)`` accepts a
 trainer whose world is *smaller* than the checkpoint's — the recovery
 path of :class:`~repro.train.resilience.ResilientRunner` after a
 permanent rank loss.  Surviving ranks re-index densely (new rank ``r``
-adopts saved replica ``r``'s streams); the saved seed assignment is
+adopts saved rank ``r``'s streams, keys ``rng/replica{r}/...``); the
+saved seed assignment is
 skipped because the shrunken trainer derives its own for the new world.
 """
 
@@ -144,14 +145,7 @@ def _check_mesh_compatibility(
 
 
 def save_checkpoint(path: str | pathlib.Path, trainer: DistributedTrainer) -> None:
-    """Write the trainer's state (rank-0 replica + optimizer) to ``path``.
-
-    Raises if replicas have drifted — checkpointing a diverged run would
-    silently pick one of several inconsistent models.
-    """
-    from .trainer import assert_replicas_synchronized
-
-    assert_replicas_synchronized(trainer.replicas, atol=0.0)
+    """Write the trainer's state (its model + optimizer) to ``path``."""
     arrays: dict[str, np.ndarray] = {
         "meta/version": np.array(_FORMAT_VERSION),
         "meta/global_step": np.array(trainer.global_step),
@@ -160,7 +154,7 @@ def save_checkpoint(path: str | pathlib.Path, trainer: DistributedTrainer) -> No
         "meta/world_size": np.array(trainer.config.world_size),
         "meta/mesh": np.array(trainer.config.mesh or ""),
     }
-    for name, data in trainer.replicas[0].state_dict().items():
+    for name, data in trainer.model.state_dict().items():
         arrays[f"model/{name}"] = data
     opt_state = trainer.optimizer.state_dict()
     for key, value in opt_state.items():
@@ -171,14 +165,14 @@ def save_checkpoint(path: str | pathlib.Path, trainer: DistributedTrainer) -> No
         if clean is not None:
             arrays["scaler/clean_steps"] = np.array(clean)
         arrays["scaler/skipped_steps"] = np.array(trainer.skipped_steps)
-    # v2: sampled-softmax seed assignment + per-replica module RNG
+    # v2: sampled-softmax seed assignment + per-rank module RNG
     # streams, so a resumed run consumes *identical* randomness.
     assignment = trainer.seed_assignment
     arrays["rng/strategy"] = np.array(assignment.strategy.value)
     arrays["rng/group_of_rank"] = np.asarray(assignment.group_of_rank)
     arrays["rng/seed_of_group"] = np.asarray(assignment.seed_of_group)
-    for rank, replica in enumerate(trainer.replicas):
-        for mod_path, state in replica.rng_state().items():
+    for rank, states in enumerate(trainer.rank_rng_state()):
+        for mod_path, state in states.items():
             arrays[f"rng/replica{rank}/{mod_path}"] = _encode_rng_state(state)
     np.savez(path, **arrays)
 
@@ -261,7 +255,7 @@ def _read_checkpoint(data, trainer: DistributedTrainer, elastic: bool) -> dict:
     out["model"] = spaces["model"]
     _matching(
         out["model"],
-        {n: p.data for n, p in trainer.replicas[0].named_parameters()},
+        {n: p.data for n, p in trainer.model.named_parameters()},
         "model",
     )
     _matching(spaces["optim"], trainer.optimizer.state_dict(), "optimizer")
@@ -293,10 +287,10 @@ def _read_checkpoint(data, trainer: DistributedTrainer, elastic: bool) -> dict:
 
 
 def _read_rng(data, saved: dict, version: int, trainer, elastic: bool):
-    """The v2 seed assignment and per-replica streams (None for v1).
+    """The v2 seed assignment and per-rank streams (None for v1).
 
-    Every replica of the trainer must find exactly its own stream paths;
-    saved replicas past the trainer's are only allowed on an elastic
+    Every data rank of the trainer must find exactly its own stream
+    paths; saved ranks past the trainer's are only allowed on an elastic
     load (they are the lost ranks').
     """
     if version < 2:
@@ -330,17 +324,16 @@ def _read_rng(data, saved: dict, version: int, trainer, elastic: bool):
             raise FormatError(f"unexpected checkpoint key 'rng/{key}'")
         streams.setdefault(int(rank), {})[mod_path] = _decode_rng_state(limbs)
     for rank in streams:
-        if rank >= len(trainer.replicas) and not elastic:
+        if rank >= trainer.data_parallel and not elastic:
             raise FormatError(
                 f"checkpoint holds streams of replica {rank}, the trainer "
-                f"has {len(trainer.replicas)} replicas"
+                f"has {trainer.data_parallel} data ranks"
             )
-    for rank, replica in enumerate(trainer.replicas):
-        want = set(replica.rng_state())
-        if set(streams.get(rank, {})) != want:
+    for rank, own in enumerate(trainer.rank_rng_state()):
+        if set(streams.get(rank, {})) != set(own):
             raise FormatError(
                 f"replica {rank}: checkpoint streams "
-                f"{sorted(streams.get(rank, {}))}, the model's {sorted(want)}"
+                f"{sorted(streams.get(rank, {}))}, the model's {sorted(own)}"
             )
     assignment = SeedAssignment(
         strategy=strategy,
@@ -355,7 +348,7 @@ def load_checkpoint(
     trainer: DistributedTrainer,
     elastic: bool = False,
 ) -> int:
-    """Restore model, optimizer and per-replica streams from ``path``.
+    """Restore model, optimizer and per-rank streams from ``path``.
 
     The trainer must be built with the same architecture; by default the
     world size must match too.  With ``elastic=True`` a *smaller* world
@@ -368,7 +361,7 @@ def load_checkpoint(
     raised before the trainer is touched: every archive member's CRC is
     checked first, then every array against the trainer (keys, shapes,
     dtype kinds, finite floats, counter ranges, seed-group indices, the
-    replicas' stream paths).
+    ranks' stream paths).
     """
     try:
         with zipfile.ZipFile(path) as archive:
@@ -387,16 +380,17 @@ def load_checkpoint(
         # Not an .npz, a missing key, a value of the wrong shape or type.
         raise FormatError(f"malformed checkpoint {path}: {err!r}") from err
 
-    # In place, once: every replica binds replica 0's arrays.
-    trainer.replicas[0].load_state_dict(state["model"])
+    # In place, once: the one model.
+    trainer.model.load_state_dict(state["model"])
     trainer.optimizer.load_state_dict(state["optim"])
     trainer.global_step = state["global_step"]
     trainer.data_step = state["data_step"]
     trainer.epochs_done = state["epochs_done"]
     if state["rng"] is not None:
         assignment, streams = state["rng"]
-        for rank, replica in enumerate(trainer.replicas):
-            replica.set_rng_state(streams.get(rank, {}))
+        trainer.set_rank_rng_state(
+            [streams.get(rank, {}) for rank in range(trainer.data_parallel)]
+        )
         if not elastic:
             trainer.seed_assignment = assignment
     if state["scaler"] is not None:

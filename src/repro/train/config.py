@@ -166,18 +166,14 @@ class TrainConfig:
         ``pipe > 1`` the 1F1B schedule has already placed the step's
         compute, so ``overlap`` then only changes the issue order.
     batched:
-        Batched rank execution (the simulator fast path), decided once
-        at trainer construction.  ``True`` (default) stacks every
-        data-parallel replica's work into one pass when the replicas
-        qualify — two or more of one model class that defines
-        ``forward_backward`` (the word and the char LM both do), on any
-        mesh — and runs the per-rank loop otherwise; a stacked run never
-        falls back mid-run.  ``False`` always runs the per-rank loop (G
-        model steps, one after another, each on its own batch and
-        streams): the reference the stacked pass is pinned against.
-        Either way the replicas bind one parameter set and one optimizer
-        applies the synced gradient once.  Numerics are bit-identical
-        either way — this knob only trades host wall-clock.
+        The rank execution's stack width, decided once at trainer
+        construction.  One program runs every data rank over the one
+        model (:class:`~repro.nn.batched.BatchedExecutor`): ``True``
+        (default) runs all ``R`` rank rows in one stacked call,
+        ``False`` runs the same body ``R`` times over one row each.
+        Numerics are bit-identical either way — this knob only trades
+        host wall-clock; it stays because the end-to-end benchmark's
+        reference configurations pin ``batched=False``.
     """
 
     world_size: int

@@ -14,7 +14,7 @@ membership changes), built on the simulator's fault taxonomy
   :class:`~repro.cluster.tracing.CostLedger` (scope ``recovery``) — never
   to wall clock; the simulator stays fast while the schedule reflects the
   lost time.  A rewind restores *all* step-consumed randomness (the data
-  cursor, every replica's module RNG streams, carried BPTT state), so a
+  cursor, every rank's module RNG streams, carried BPTT state), so a
   retried step is bit-identical to a never-faulted one — the property the
   differential chaos tests pin.  Before each retry the
   :func:`~repro.analysis.sanitizer.assert_clean_retry_state` invariant
@@ -25,7 +25,7 @@ membership changes), built on the simulator's fault taxonomy
   :class:`~repro.cluster.communicator.Communicator` is built, the
   learning rate is rescaled by the global-batch ratio (the linear
   scaling rule — per-rank batch is preserved), and training resumes from
-  the last checkpoint with bit-exact replica resync via the v2
+  the last checkpoint with bit-exact rank-stream resync via the v2
   checkpoint format.  A :class:`~repro.analysis.sanitizer.Sanitizer`
   on the old communicator moves onto the new one.  Transient faults
   that exhaust their retry budget escalate to eviction of the afflicted
@@ -53,7 +53,7 @@ from ..cluster.failures import RankFailureError, TransientLinkError
 from ..perf.checkpoint_overhead import optimal_checkpoint_steps
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig
-from .trainer import DistributedTrainer, assert_replicas_synchronized
+from .trainer import DistributedTrainer
 
 __all__ = ["RecoveryEvent", "ResilientRunner"]
 
@@ -182,7 +182,7 @@ class ResilientRunner:
         """Drive training to ``total_steps`` optimizer steps, surviving faults.
 
         Returns the (possibly rebuilt) trainer.  On return all async
-        work is drained and the replicas are verified bit-identical.
+        work is drained.
         """
         if total_steps <= 0:
             raise ValueError("total_steps must be positive")
@@ -231,7 +231,6 @@ class ResilientRunner:
                     f"periodic (every {self.checkpoint_every} steps)"
                 )
         self.trainer.comm.wait_all()
-        assert_replicas_synchronized(self.trainer.replicas, atol=0.0)
         self._save_checkpoint("final")
         return self.trainer
 
@@ -245,18 +244,16 @@ class ResilientRunner:
         The optimizer and parameters are untouched until *after* the
         gradient sync (where faults fire), so only the randomness and
         cursor state need saving: the data cursor (which also keys the
-        per-step sampled-softmax generators), every replica's stateful
-        module RNG streams, carried BPTT state, and the loss-scaler
-        counters.
+        per-step sampled-softmax generators), every rank's stateful
+        module RNG streams, the stacked carried BPTT state, and the
+        loss-scaler counters.
         """
         t = self.trainer
         snap = {
             "data_step": t.data_step,
             "skipped_steps": t.skipped_steps,
-            "rng": [r.rng_state() for r in t.replicas],
-            "carried": [
-                copy.deepcopy(getattr(r, "_state", None)) for r in t.replicas
-            ],
+            "rng": t.rank_rng_state(),
+            "carried": copy.deepcopy(t.batched_executor.carry),
             "scaler_scale": None,
             "scaler_clean": None,
         }
@@ -274,20 +271,16 @@ class ResilientRunner:
         """
         t = self.trainer
         t.comm.wait_all()
-        for r in t.replicas:
-            r.zero_grad()
+        t.model.zero_grad()
         t.data_step = snap["data_step"]
         t.skipped_steps = snap["skipped_steps"]
-        for r, streams in zip(t.replicas, snap["rng"]):
-            r.set_rng_state(streams)
-        for r, carried in zip(t.replicas, snap["carried"]):
-            if carried is not None or hasattr(r, "_state"):
-                r._state = copy.deepcopy(carried)
+        t.set_rank_rng_state(snap["rng"])
+        t.batched_executor.carry = copy.deepcopy(snap["carried"])
         if t.scaler is not None:
             t.scaler._scale = snap["scaler_scale"]
             if snap["scaler_clean"] is not None:
                 t.scaler._clean_steps = snap["scaler_clean"]
-        assert_clean_retry_state(t.replicas, t.comm)
+        assert_clean_retry_state([t.model], t.comm)
 
     def _charge_backoff(self, fault: TransientLinkError) -> float:
         """Charge this attempt's backoff to every rank's compute stream.

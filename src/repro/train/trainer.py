@@ -1,15 +1,17 @@
 """SPMD data-parallel trainer over the simulated cluster.
 
-Runs G model replicas (one per simulated GPU) through synchronous
-data-parallel training exactly as Section II-B describes: each rank
-computes forward/backward on its own local batch, then all gradients are
-synchronized — dense ones by ALLREDUCE, embedding ones by the configured
-exchange strategy — and each rank applies the identical update locally.
-Identical updates to identical replicas are one update: the replicas
-bind **one** set of parameter arrays and the trainer holds **one**
-optimizer over them, so host memory and optimizer time do not grow with
-G.  What differs per rank stays per rank — gradients before the sync,
-dropout and sampler streams, carried BPTT state, the data shard.
+Runs G simulated GPUs through synchronous data-parallel training exactly
+as Section II-B describes: each rank computes forward/backward on its
+own local batch, then all gradients are synchronized — dense ones by
+ALLREDUCE, embedding ones by the configured exchange strategy — and each
+rank applies the identical update locally.  Identical updates to
+identical weights are one model: the trainer holds **one** model and
+**one** optimizer, so host memory and optimizer time do not grow with
+G.  What differs per rank is its *rank state* — its module RNG streams
+(dropout), its row of the one stacked carried-BPTT state, its batch
+shard — and its pre-sync gradients, a row of each parameter's rank rows.
+One program executes every rank: :class:`~repro.nn.batched.
+BatchedExecutor` runs the model over ``(R', B, T)`` rank rows.
 
 Every accuracy number produced here is *real* (actual gradient descent
 on actual Zipfian data); only memory/time accounting is simulated.
@@ -43,7 +45,7 @@ from ..core.seeding import assign_seeds
 from ..core.sparse_exchange import AllGatherExchange, UniqueExchange
 from ..core.wire.policy import WirePolicy
 from ..data.batching import Batch, ShardedBatcher, make_eval_batches
-from ..nn.batched import build_batched_executor
+from ..nn.batched import BatchedExecutor
 from ..nn.module import Module
 from ..optim.loss_scaler import (
     DynamicLossScaler,
@@ -90,10 +92,11 @@ def _array_divergence(a: np.ndarray, b: np.ndarray) -> float:
 def max_replica_divergence(replicas: list[Module]) -> float:
     """Largest absolute parameter difference between any replica and rank 0.
 
-    Parameters bound to rank 0's own array (a trainer's replicas) are
-    equal by identity and are not read, so the check costs O(params) on
-    a shared world; replica lists that do not share are compared bit
-    for bit (see :func:`_array_divergence`).
+    Parameters bound to rank 0's own array are equal by identity and
+    are not read; replica lists that do not share (the G unshared
+    models a trainer stands for) are compared bit for bit (see
+    :func:`_array_divergence`).  A trainer's ``replicas`` is its one
+    model, synchronized by construction.
     """
     if len(replicas) < 2:
         return 0.0
@@ -113,28 +116,6 @@ def assert_replicas_synchronized(replicas: list[Module], atol: float = 0.0) -> N
         raise AssertionError(
             f"replicas diverged: max parameter delta {worst:.3e} > {atol:.3e}"
         )
-
-
-def _stacked_micro_step(trainer, window: int, scale: float) -> list[float]:
-    """One micro-step of every rank as one stacked pass."""
-    return trainer.batched_executor.step(
-        trainer.batcher.step_batches(window),
-        sample_rngs=trainer._sample_rngs,
-        loss_scale=scale,
-    )
-
-
-def _per_rank_micro_step(trainer, window: int, scale: float) -> list[float]:
-    """One micro-step as G model steps, one after another: the reference
-    the stacked pass is pinned against."""
-    sample_rngs = trainer._sample_rngs()
-    return [
-        replica.step(
-            trainer.batcher.batch(rank, window), sample_rngs[rank],
-            loss_scale=scale,
-        )
-        for rank, replica in enumerate(trainer.replicas)
-    ]
 
 
 @dataclass(frozen=True)
@@ -161,11 +142,11 @@ class EpochStats:
 
 
 class DistributedTrainer:
-    """Drive G replicas through synchronous data-parallel training.
+    """Drive G ranks through synchronous data-parallel training.
 
     The world is always a hybrid ``(pipe, tensor, data)`` mesh —
     ``config.mesh=None`` is the trivial ``(1, 1, G)`` one, i.e. flat
-    data parallelism.  One replica is kept per **data** coordinate,
+    data parallelism.  One rank state is kept per **data** coordinate,
     gradient sync runs on the data axis only (sharded across the
     pipe × tensor model ranks via :mod:`repro.core.mesh_exchange`), and
     — when compute accounting is on and ``pipe > 1`` — each step is
@@ -175,16 +156,18 @@ class DistributedTrainer:
     Parameters
     ----------
     model_factory:
-        ``f(init_rng, rank) -> Module``; called once per rank with an
-        identically-seeded init generator.  Replicas must start equal
-        (per-rank extras like dropout streams may key off ``rank``): a
-        replica whose initial parameters differ from replica 0's by one
-        bit is a ``ValueError``, and every replica is then bound to
-        replica 0's parameter arrays.
+        ``f(init_rng, rank) -> Module`` with an identically-seeded init
+        generator; its rank-0 build is ``trainer.model``.  A model that
+        owns module RNG streams (:meth:`~repro.nn.module.Module.rng_state`,
+        such as the char LM's dropout, which may key off ``rank``) is
+        built once per other data rank too, only to take that rank's
+        streams; each such build's parameters must equal rank 0's bit
+        for bit (``ValueError`` otherwise).  A model without streams is
+        built once.
     optimizer_factory:
         ``f(params, lr) -> optimizer`` with a mutable ``lr`` attribute
         and a ``step()`` method that updates ``p.data`` **in place** and
-        clears the gradients it consumed.  Called once, over replica 0's
+        clears the gradients it consumed.  Called once, over the model's
         parameters: the one optimizer is ``trainer.optimizer``.
     train_tokens, valid_tokens:
         Token-id streams.
@@ -221,14 +204,18 @@ class DistributedTrainer:
         if self.comm.world_size != config.world_size:
             raise ValueError("communicator world size != config world size")
 
-        # The world is (pipe, tensor, data) and one model replica
-        # stands for each *data* coordinate — the pipe × tensor shards
-        # of that replica live as gradient shards inside the sync, not
-        # as separate modules.
+        # The world is (pipe, tensor, data) and one rank state stands
+        # for each *data* coordinate — the pipe × tensor shards of the
+        # model live as gradient shards inside the sync, not as modules.
         self.mesh = self.comm.mesh = config.device_mesh
         self.data_parallel = self.mesh.axis_size("data")
 
-        self.replicas = self._build_replicas(model_factory)
+        #: ``rank_streams[r]`` holds data rank ``r``'s module RNG streams
+        #: under the model's module paths: the model itself for rank 0.
+        self.model, self.rank_streams, step_rngs = self._build(model_factory)
+        #: The world as a module list, for readers of a replica list:
+        #: the one model.
+        self.replicas = [self.model]
         wire = None
         if config.wire_codec is not None:
             wire = WirePolicy.from_spec(
@@ -253,7 +240,7 @@ class DistributedTrainer:
             and self.mesh.axis_size("pipe") == 1
         )
         # Held weakly: a bound method would tie trainer and synchronizer
-        # into a cycle, and a dropped trainer (a world of replicas) would
+        # into a cycle, and a dropped trainer (a world's rank rows) would
         # wait for the cyclic collector instead of its last reference.
         hook = weakref.WeakMethod(self._record_backward_slice)
         self.synchronizer = GradientSynchronizer(
@@ -277,32 +264,17 @@ class DistributedTrainer:
         self.schedule = EpochDecaySchedule.for_cluster(
             config.base_lr, config.num_nodes
         )
-        # Post-sync gradients are read off replica 0 (every replica holds
-        # the same result objects) and applied once, to the storage all
-        # replicas bind; the other replicas' slots are then only cleared.
-        self._params = list(self.replicas[0].parameters())
-        self._other_params = [
-            p for r in self.replicas[1:] for p in r.parameters()
-        ]
+        self._params = list(self.model.parameters())
         self.optimizer = optimizer_factory(
             self._params, self.schedule.initial_lr
         )
         self.seed_assignment = assign_seeds(
             config.seed_strategy, self.data_parallel, base_seed=config.data_seed
         )
-        # Simulator fast path: run all replicas' numpy work as one
-        # stacked pass (bit-identical to the per-rank loop), decided here
-        # for the whole run.  Orthogonal to sync scheduling — overlap,
-        # mesh and codec configs all stack.
-        self.batched_executor = (
-            build_batched_executor(self.replicas) if config.batched else None
-        )
-        # A plain function, not a bound method: a trainer must not hold
-        # a reference cycle through itself (see ``_record_backward_slice``).
-        self._micro_step = (
-            _per_rank_micro_step
-            if self.batched_executor is None
-            else _stacked_micro_step
+        # One program for every rank: all data ranks' rows in one call,
+        # or one row per call (``batched=False``; the same bits).
+        self.batched_executor = BatchedExecutor(
+            self.model, step_rngs, self.data_parallel if config.batched else 1
         )
         self.scaler: StaticLossScaler | None
         if config.loss_scale is None:
@@ -332,45 +304,64 @@ class DistributedTrainer:
 
     # ------------------------------------------------------------------
 
-    def _build_replicas(self, model_factory) -> list[Module]:
-        """One module per data coordinate, all bound to replica 0's arrays.
+    def _build(self, model_factory):
+        """``(model, rank streams, rank step streams or None)``.
 
-        Every replica comes from ``model_factory`` (its streams, carried
-        state and gradient slots are its own), is checked bit-equal to
-        replica 0 and gives up its parameter arrays for replica 0's
-        before the next one is built — host parameter memory is one
-        model plus the one under construction, whatever the world size.
+        The model is the factory's rank-0 build, and rank 0's streams
+        are its own.  A model that owns module RNG streams
+        (:meth:`~repro.nn.module.Module.rng_state`) is built once per
+        other data rank, checked bit-equal to rank 0 and dropped as soon
+        as its stream modules are taken into a parameter-free shell
+        under the same paths — host parameter memory is one model plus
+        the one under construction, whatever the world size.
         """
         def build(rank: int) -> Module:
             return model_factory(
                 np.random.default_rng(self.config.init_seed), rank
             )
 
-        replicas = [build(0)]
-        base = list(replicas[0].named_parameters())
+        model = build(0)
+        paths = list(model.rng_state())
+        streams, step_rngs = [model], [model.step_rng]
+        base = list(model.named_parameters())
         for rank in range(1, self.data_parallel):
-            model = build(rank)
+            shell = Module()
+            streams.append(shell)
+            if not paths:
+                continue
+            other = build(rank)
             for (name, p), (base_name, shared) in zip(
-                model.named_parameters(), base, strict=True
+                other.named_parameters(), base, strict=True
             ):
                 if (
                     name != base_name
                     or _array_divergence(p.data, shared.data) != 0.0
                 ):
                     raise ValueError(
-                        f"model_factory built replica {rank} with a "
-                        f"{name!r} that differs from replica 0's "
-                        f"{base_name!r}: replicas must start equal (key "
-                        "per-rank extras such as dropout streams off "
-                        "``rank``, never the initial weights)"
+                        f"model_factory built rank {rank} with a {name!r} "
+                        f"that differs from rank 0's {base_name!r}: ranks "
+                        "must start equal (key per-rank extras such as "
+                        "dropout streams off ``rank``, never the initial "
+                        "weights)"
                     )
-                p.data = shared.data
-            replicas.append(model)
-        return replicas
+            modules = dict(other.named_modules())
+            for path in paths:
+                shell.register_module(path, modules[path])
+            step_rngs.append(other.step_rng)
+        return model, streams, None if model.step_rng is None else step_rngs
+
+    def rank_rng_state(self) -> list[dict]:
+        """Every data rank's module-stream states, in rank order."""
+        return [s.rng_state() for s in self.rank_streams]
+
+    def set_rank_rng_state(self, states: list[dict]) -> None:
+        """Restore streams captured by :meth:`rank_rng_state`."""
+        for streams, saved in zip(self.rank_streams, states):
+            streams.set_rng_state(saved)
 
     def evaluate(self) -> float:
         """Validation NLL (nats/token) of the (synchronized) model."""
-        return self.replicas[0].eval_nll(self.eval_batches)
+        return self.model.eval_nll(self.eval_batches)
 
     def _record_backward_slice(self, name: str) -> None:
         """Timeline hook: one parameter's backward compute, every rank.
@@ -423,11 +414,7 @@ class DistributedTrainer:
         total = compute_s * self.config.accumulation_steps
         head = total
         if self.config.overlap:
-            n_sync = sum(
-                1
-                for _, p in self.replicas[0].named_parameters()
-                if p.grad is not None or p.sparse_grads
-            )
+            n_sync = sum(1 for p in self._params if p.stacked_grads)
             if n_sync > 0:
                 backward = total * _BACKWARD_FRACTION
                 self._backward_slice_s = backward / n_sync
@@ -458,11 +445,17 @@ class DistributedTrainer:
         losses = []
         for _ in range(accum):
             window = self.data_step % self.batcher.steps_per_epoch
-            losses.extend(self._micro_step(self, window, scale))
+            losses.extend(
+                self.batched_executor.step(
+                    self.batcher.step_batches(window),
+                    sample_rngs=self._sample_rngs,
+                    loss_scale=scale,
+                )
+            )
             self.data_step += 1
         self._record_step_compute()
         with self.comm.timeline.scope("sync"):
-            self.synchronizer.sync_replicas(self.replicas)
+            self.synchronizer.sync_replicas([self.model])
         if accum > 1:
             self._scale_grads(1.0 / accum)
         skipped = False
@@ -482,8 +475,6 @@ class DistributedTrainer:
             raise self._overflow_error(wire_scale)
         if not skipped:
             self.optimizer.step()
-        for p in self._other_params:
-            p.zero_grad()
         self.global_step += 1
         mean_loss = float(np.mean(losses))
         if telemetry is not None:
@@ -507,7 +498,7 @@ class DistributedTrainer:
     def _overflow_error(self, wire_scale: float) -> CompressionOverflowError:
         """The typed report of a non-finite gradient after an FP16 sync."""
         name = next(
-            n for n, p in self.replicas[0].named_parameters()
+            n for n, p in self.model.named_parameters()
             if not grads_are_finite([p])
         )
         return CompressionOverflowError(
@@ -535,9 +526,7 @@ class DistributedTrainer:
     ) -> EpochStats:
         """One epoch (optionally truncated) with periodic validation.
 
-        The learning rate follows the per-epoch decay schedule; replicas
-        are asserted synchronized at epoch end (cheap and catches
-        exchange bugs immediately).
+        The learning rate follows the per-epoch decay schedule.
         """
         epoch = self.epochs_done if epoch is None else epoch
         steps = max(
@@ -552,10 +541,7 @@ class DistributedTrainer:
         self.batcher.set_epoch(epoch)
         # Stateful models restart their carried BPTT state each epoch
         # (the underlying token streams restart too).
-        for replica in self.replicas:
-            reset = getattr(replica, "reset_state", None)
-            if callable(reset):
-                reset()
+        self.batched_executor.carry = None
 
         eval_every = max(1, steps // max(1, evals_per_epoch))
         stats = EpochStats(epoch=epoch, mean_train_loss=0.0, lr=lr)

@@ -6,9 +6,11 @@ projection (512) -> sampled-softmax output embedding over the 100K-word
 vocabulary with 1024 candidates per GPU.
 
 The model exposes the trainer protocol:
-``step(batch, sample_rng, loss_scale)`` runs fused forward+backward and
-returns the (unscaled) training loss; ``eval_nll(batches)`` scores
-held-out data against the full vocabulary.
+``forward_backward(inputs, targets, state, rngs, loss_scale)`` runs
+fused forward+backward over one batch or stacked rank rows and returns
+the (unscaled) training loss and the final LSTM state — the batched
+executor (:mod:`repro.nn.batched`) drives it and carries that state;
+``eval_nll(batches)`` scores held-out data against the full vocabulary.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ class WordLanguageModel(Module):
     config:
         Architecture description.
     rng:
-        Initialization generator — replicas across ranks must be built
-        with generators in identical state.
+        Initialization generator.
     dtype:
         Parameter precision (float64 default for exactness-sensitive
         invariant tests; float32 matches production realism).
+    stateful:
+        Carry the LSTM state across training windows (truncated BPTT);
+        the executor that runs the model holds the carry.
     """
 
     def __init__(
@@ -51,7 +55,6 @@ class WordLanguageModel(Module):
         super().__init__()
         self.config = config
         self.stateful = stateful
-        self._state: tuple[np.ndarray, np.ndarray] | None = None
         self.embedding = Embedding(
             config.vocab_size, config.embedding_dim, rng, dtype
         )
@@ -67,18 +70,6 @@ class WordLanguageModel(Module):
             dtype,
             weight=self.embedding.weight if config.tie_embeddings else None,
         )
-
-    def reset_state(self) -> None:
-        """Drop the carried LSTM state (start of an epoch / new stream)."""
-        self._state = None
-
-    def _carry_in(self, batch_size: int):
-        """Current carried state, discarded on a batch-shape change."""
-        if not (self.stateful and self.training):
-            return None
-        if self._state is not None and self._state[0].shape[0] != batch_size:
-            self._state = None
-        return self._state
 
     def _forward_hidden(
         self, inputs: np.ndarray, state=None
@@ -111,10 +102,10 @@ class WordLanguageModel(Module):
     ):
         """Fused forward+backward; returns ``(loss, final LSTM state)``.
 
-        ``inputs``/``targets`` are one replica's ``(B, T)`` batch with
-        its sample generator, or ``(R, B, T)`` stacks with a list of
-        ``R`` generators and ``(R, B, H)`` state parts: the layers then
-        run all ``R`` replicas at once over this model's weights and
+        ``inputs``/``targets`` are one rank's ``(B, T)`` batch with its
+        sample generator, or ``(R, B, T)`` stacks with a list of ``R``
+        generators and ``(R, B, H)`` state parts: the layers then run
+        all ``R`` ranks at once over this model's weights and
         leave ``(R, ...)`` gradient blocks in ``stacked_grads``.
         """
         hidden, caches = self._forward_hidden(inputs, state)
@@ -127,30 +118,6 @@ class WordLanguageModel(Module):
         demb = self.lstm.backward(dhs, caches["lstm"])
         self.embedding.backward(demb, caches["emb"])
         return loss, caches["lstm"]["final_state"]
-
-    def step(
-        self,
-        batch: Batch,
-        sample_rng: np.random.Generator,
-        loss_scale: float = 1.0,
-    ) -> float:
-        """One fused forward+backward; gradients accumulate in parameters.
-
-        ``sample_rng`` drives the candidate sampler — the seeding
-        technique's control point.  Returns the sampled-softmax training
-        loss (nats/token, unscaled).
-        """
-        loss, final_state = self.forward_backward(
-            batch.inputs,
-            batch.targets,
-            self._carry_in(batch.inputs.shape[0]),
-            sample_rng,
-            loss_scale,
-        )
-        if self.stateful and self.training:
-            # Truncated BPTT: carry values forward, cut the gradient.
-            self._state = final_state
-        return loss
 
     def eval_nll(self, batches: list[Batch]) -> float:
         """Token-weighted mean NLL over the full vocabulary (nats/token)."""

@@ -6,14 +6,14 @@ overrides (world size, seeds) for the named cells other files keep.
 its ``d`` data-parallel ranks (flat, ``gpus_per_node=d``), by class:
 
 * **exact** (no ``fp16`` / ``auto`` in the wire spec): losses,
-  parameters, optimizer state, loss scale, per-module RNG state and
-  carried BPTT state bit-equal;
+  parameters, optimizer state, loss scale, and every data rank's
+  per-module RNG state and carried BPTT state bit-equal;
 * **ledger** (also blocking, codec-free, unfused, fault-free, and flat
   or the trivial mesh): additionally the collective list
   ``(op, tag, scope, world, wire bytes, logical bytes, seconds)``
   equals the reference's;
-* **fp16**: losses within rtol 1e-4, loss scale, RNG state equal,
-  replicas bit-synchronized.  A step whose FP16 wire overflowed is
+* **fp16**: losses within rtol 1e-4, loss scale and every rank's RNG
+  state equal.  A step whose FP16 wire overflowed is
   skipped and backs the scale off; the reference skips the same steps,
   so any other step the cell skips, or any scale it fails to halve,
   still shows.
@@ -29,15 +29,18 @@ from repro.analysis import Sanitizer
 from repro.cluster import ChaosCommunicator, FaultEvent, FaultKind, FaultPlan
 from repro.core.seeding import SeedStrategy
 from repro.telemetry import TelemetrySession
-from repro.train import (
-    DistributedTrainer,
-    ResilientRunner,
-    TrainConfig,
-    assert_replicas_synchronized,
-)
+from repro.train import DistributedTrainer, ResilientRunner, TrainConfig
 
 from ..helpers import assert_same_state
-from .reference import BATCH, CORPUS, MODELS, OPTIMIZERS, reference_run
+from .reference import (
+    BATCH,
+    CORPUS,
+    MODELS,
+    OPTIMIZERS,
+    carried,
+    rank_carry,
+    reference_run,
+)
 
 WORLD = 8
 STEPS = 3
@@ -96,13 +99,6 @@ def in_ledger_class(cell: dict) -> bool:
 def ledger(comm) -> list:
     """(op, tag, scope, world, wire bytes, logical bytes, s) per record."""
     return [e[:5] + (e.logical_bytes_per_rank, e.time_s) for e in comm.ledger.events]
-
-
-def carried(model) -> tuple:
-    state = getattr(model, "_state", None)
-    if state is None:
-        return ()
-    return state if isinstance(state, tuple) else (state,)
 
 
 def _run(cell: dict, cfg: TrainConfig, steps: int, plan: FaultPlan | None):
@@ -203,21 +199,23 @@ def conform(
         assert len(skipped) < steps, "every step overflowed"
 
     executor = trainer.batched_executor
-    assert (executor is not None) == (cell["batched"] and d > 1)
+    assert executor.width == (d if cell["batched"] else 1)
     assert trainer.data_step == want.data_step
-    assert len(trainer.replicas) == d
-    assert_replicas_synchronized(trainer.replicas, atol=0.0)
-    for replica, model in zip(trainer.replicas, want.models):
-        assert replica.rng_state() == model.rng_state()
+    assert trainer.replicas == [trainer.model]
+    assert len(trainer.rank_streams) == d
+    assert trainer.rank_rng_state() == [m.rng_state() for m in want.models]
     if want.scaler is not None:
         assert trainer.scaler.scale == want.scaler.scale
     if lossy(cell):
         np.testing.assert_allclose(losses, want_losses, rtol=1e-4)
         return trainer
     assert losses == want_losses
-    for replica, model in zip(trainer.replicas, want.models):
-        assert_same_state(replica.state_dict(), model.state_dict(), "parameters")
-        for got, ref in zip(carried(replica), carried(model), strict=True):
+    state = trainer.model.state_dict()
+    for rank, model in enumerate(want.models):
+        assert_same_state(state, model.state_dict(), "parameters")
+        for got, ref in zip(
+            rank_carry(executor, rank), carried(want.carry[rank]), strict=True
+        ):
             np.testing.assert_array_equal(got, ref, err_msg="carried state")
     want_opt = want.optimizers[0].state_dict()
     assert_same_state(trainer.optimizer.state_dict(), want_opt, "optimizer")

@@ -1,10 +1,11 @@
 """The one written-out reference: G unshared models, G optimizers.
 
-``DistributedTrainer`` binds every replica to one parameter set and
-steps one optimizer.  What that stands for — G models, G optimizers,
-every one stepping — is written out here from public pieces only:
-``model.step`` per rank, a blocking codec-free ``sync_replicas`` on a
-flat world, then every optimizer steps.  It follows ``use_unique``,
+``DistributedTrainer`` holds one model and steps one optimizer for all
+its data ranks.  What that stands for — G models, G optimizers, every
+one stepping — is written out here from public pieces only: per rank,
+``model.forward_backward`` on its own batch, stream and carried BPTT
+state; a blocking codec-free ``sync_replicas`` on a flat world; then
+every optimizer steps.  It follows ``use_unique``,
 ``seed_strategy``, ``accumulation_steps`` and ``loss_scale`` (skipped
 overflow steps included, and the steps an FP16 wire overflowed on,
 when told, as is the F that sets a dynamic scale's start); no
@@ -73,6 +74,18 @@ def word_trainer(world=4, comm=None, **overrides) -> DistributedTrainer:
     )
 
 
+def carried(state) -> tuple:
+    """A carried BPTT state as a tuple of arrays (``()``: none)."""
+    if state is None:
+        return ()
+    return state if isinstance(state, tuple) else (state,)
+
+
+def rank_carry(executor, rank: int) -> tuple:
+    """Row ``rank`` of an executor's stacked carried state (``()``: none)."""
+    return tuple(a[rank] for a in carried(executor.carry))
+
+
 def initial_dynamic_scale(wire_scale: float | None) -> float:
     """A dynamic loss scale's start: 1024, or on an FP16 wire of factor
     F the largest power of two not above ``1024 / F``, at least 1."""
@@ -110,6 +123,8 @@ class MaterialisedRanks:
             OPTIMIZERS[optimizer][0](list(m.parameters()), lr)
             for m in self.models
         ]
+        #: Each rank's carried BPTT state (None: start fresh).
+        self.carry = [None] * ranks
         self.batcher = ShardedBatcher(
             CORPUS.train, cfg.batch, ranks, shuffle_seed=cfg.shuffle_seed
         )
@@ -132,12 +147,22 @@ class MaterialisedRanks:
             rngs = self.seeds.rank_generators(step=self.data_step)
             window = self.data_step % self.batcher.steps_per_epoch
             for rank, model in enumerate(self.models):
-                losses.append(
-                    model.step(
-                        self.batcher.batch(rank, window), rngs[rank],
-                        loss_scale=scale,
-                    )
+                batch = self.batcher.batch(rank, window)
+                state = self.carry[rank]
+                if state is not None and carried(state)[0].shape[0] != len(
+                    batch.inputs
+                ):
+                    state = None  # a batch-size change drops the carry
+                # The char LM draws its dropout masks from its own
+                # stream; the word LM's sampler is the rank's generator.
+                rng = rngs[rank] if model.step_rng is None else model.step_rng
+                loss, final = model.forward_backward(
+                    batch.inputs, batch.targets, state, rng, scale
                 )
+                losses.append(loss)
+                if model.stateful:
+                    # Truncated BPTT: carry values forward, cut the gradient.
+                    self.carry[rank] = final
             self.data_step += 1
         with self.comm.timeline.scope("sync"):
             self.sync.sync_replicas(self.models)

@@ -38,7 +38,7 @@ def sync_dense(comm, grads, tag="w"):
     for p, g in zip(params, grads):
         p.grad = g.copy()
     GradientSynchronizer(comm, UniqueExchange())._issue_dense(
-        {"w": params}, tag
+        {"w": (params, np.stack(grads))}, tag
     )()
     return [p.grad for p in params]
 
@@ -48,7 +48,9 @@ def sync_sparse(comm, grads, vocab, tag="emb"):
     params = [Parameter(np.zeros((vocab, g.dim))) for g in grads]
     for p, g in zip(params, grads):
         p.sparse_grads = [g]
-    GradientSynchronizer(comm, UniqueExchange())._issue_sparse(params, tag)()
+    GradientSynchronizer(comm, UniqueExchange())._issue_sparse(
+        params, grads, tag
+    )()
     return [p.sparse_grads[0] for p in params]
 
 

@@ -22,6 +22,18 @@ def count_calls(obj, name: str) -> list:
     return calls
 
 
+def model_step(model, batch, rng=None, loss_scale: float = 1.0) -> float:
+    """One ``(B, T)`` fused forward+backward of an LM; its loss.
+
+    ``rng`` drives the word LM's sampler; by default the model's own
+    stream (the char LM's dropout) is used.
+    """
+    rng = model.step_rng if rng is None else rng
+    return model.forward_backward(
+        batch.inputs, batch.targets, None, rng, loss_scale
+    )[0]
+
+
 def assert_same_state(got: dict, want: dict, what: str = "state") -> None:
     """Two ``state_dict()``s agree bit for bit, key for key."""
     assert got.keys() == want.keys(), what

@@ -147,7 +147,9 @@ class TestSynchronizerEdges:
                 )
             params.append(p)
         sync = GradientSynchronizer(comm(2), strategy=UniqueExchange())
-        sync._issue_sparse(params, "t")()
+        sync._issue_sparse(
+            params, [p.sparse_grads[0] for p in params], "t"
+        )()
         merged = params[1].merged_sparse_grad()
         np.testing.assert_allclose(merged.to_dense(6)[1], [0.5, 0.5])
 

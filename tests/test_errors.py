@@ -29,7 +29,7 @@ BUILTIN_BASES = {
     "CacheOverflowError": MemoryError, "RankFailureError": RuntimeError,
     "TransientLinkError": RuntimeError, "LedgerScopeError": RuntimeError,
     "DeviceOOMError": MemoryError, "SanitizerError": RuntimeError,
-    "ReplicaMismatchError": RuntimeError, "CompressionOverflowError": RuntimeError,
+    "CompressionOverflowError": RuntimeError,
     "ConfigError": ValueError, "FormatError": ValueError,
 }
 

@@ -1,28 +1,27 @@
-"""Regression pin: batched rank execution is bit-identical to the loop.
+"""Regression pin: the rank execution's stack width never changes bits.
 
-The stacked fast path (:mod:`repro.nn.batched`) and the per-rank loop
-are both checked against the one reference of :mod:`tests.conformance`,
-across seeds.  Pairwise here: what the reference does not model (whole
-epochs with evaluation, float32 weights) and the decide-once contract —
-the executor is built or not with the trainer, and a world that leaves
-its envelope mid-run raises a :class:`ReplicaMismatchError` naming the
-replica instead of falling back.
+One program runs every data rank (:mod:`repro.nn.batched`): all rank
+rows in one call (``batched=True``) or one row per call
+(``batched=False``).  Both are checked against the one reference of
+:mod:`tests.conformance`, across seeds, and against each other's
+ledgers.  Pairwise here: what the reference does not model (whole
+epochs with evaluation, float32 weights) and the executor itself —
+every rank row equal bit for bit at widths ``R`` and 1.
 """
 
 import numpy as np
 import pytest
 
-from repro.data.batching import BatchSpec
-from repro.nn import ReplicaMismatchError
-from repro.nn.batched import build_batched_executor
+from repro.data.batching import Batch, BatchSpec
+from repro.nn import BatchedExecutor
+from repro.nn.parameter import SparseGrad
 from repro.optim.sgd import SGD
-from repro.train.char_lm import CharLanguageModel
 from repro.train.config import TrainConfig
 from repro.train.trainer import DistributedTrainer
 from repro.train.word_lm import WordLanguageModel
 
-from ..conformance.cells import carried, conform
-from ..conformance.reference import CHAR_CFG, MODELS, OPTIMIZERS, WORD_CFG
+from ..conformance.cells import conform
+from ..conformance.reference import MODELS, OPTIMIZERS, WORD_CFG, rank_carry
 from ..helpers import assert_same_state
 
 MODELS_UNDER_TEST = ("char", "word")
@@ -43,10 +42,11 @@ def _make_trainer(seed, model="char", **overrides):
 
 
 def _conform_both_paths(**cell):
-    """The cell on the stacked and the per-rank path; both trainers.
+    """The cell at both stack widths; both trainers.
 
-    Beyond the cell's class, the two paths issue the same collectives in
-    the same order: tags, scopes, wire and logical bytes, simulated time.
+    Beyond the cell's class, the two widths record the same collectives
+    in the same order: tags, scopes, wire and logical bytes, simulated
+    time.
     """
     fast, slow = [conform(batched=batched, **cell) for batched in (True, False)]
     assert fast.comm.ledger.events == slow.comm.ledger.events
@@ -103,10 +103,14 @@ def test_batched_epoch_with_evals_matches():
         assert [e.nll for e in sa.eval_points] == [
             e.nll for e in sb.eval_points
         ]
-        for ra, rb in zip(fast.replicas, slow.replicas):
-            assert_same_state(ra.state_dict(), rb.state_dict())
-            assert ra.rng_state() == rb.rng_state()
-            for a, b in zip(carried(ra), carried(rb), strict=True):
+        assert_same_state(fast.model.state_dict(), slow.model.state_dict())
+        assert fast.rank_rng_state() == slow.rank_rng_state()
+        for rank in range(fast.data_parallel):
+            for a, b in zip(
+                rank_carry(fast.batched_executor, rank),
+                rank_carry(slow.batched_executor, rank),
+                strict=True,
+            ):
                 np.testing.assert_array_equal(a, b, err_msg="carried state")
         assert_same_state(
             fast.optimizer.state_dict(), slow.optimizer.state_dict()
@@ -115,8 +119,9 @@ def test_batched_epoch_with_evals_matches():
 
 
 def test_word_lm_float32_matches():
-    """float32 weights meet the loss layer's float64 gradients: the
-    fan-out must cast and accumulate exactly as ``accumulate_grad``."""
+    """float32 weights meet the loss layer's float64 gradients: the rank
+    rows must cast and accumulate exactly as ``accumulate_grad``, at
+    either width."""
     def build(batched):
         rng = np.random.default_rng(3)
         tokens = rng.integers(0, WORD_CFG.vocab_size, size=4000).astype(np.int64)
@@ -135,16 +140,15 @@ def test_word_lm_float32_matches():
         slow.train_step() for _ in range(3)
     ]
     for (name, pa), (_, pb) in zip(
-        fast.replicas[2].named_parameters(), slow.replicas[2].named_parameters()
+        fast.model.named_parameters(), slow.model.named_parameters()
     ):
         assert pa.data.dtype == np.float32
         assert np.array_equal(pa.data, pb.data), name
 
 
 def test_batched_true_requires_support():
-    """``batched=True`` stacks only a world that qualifies; one replica
-    runs the loop for the whole run, without an error (``conform``
-    checks the executor is built exactly when ``d > 1``)."""
+    """``batched=True`` on a one-rank world is one row in one call, for
+    either model (``conform`` checks the width)."""
     for model in MODELS_UNDER_TEST:
         conform(model=model, batched=True, world_size=1)
 
@@ -159,7 +163,7 @@ def test_batched_takes_two_values():
         _make_trainer(3, batched=None)
 
 
-def test_single_replica_has_no_executor():
+def test_single_rank_runs_one_row():
     for model in MODELS_UNDER_TEST:
         conform(model=model, world_size=1)
 
@@ -167,75 +171,84 @@ def test_single_replica_has_no_executor():
 def test_word_lm_auto_enables_flat_and_on_a_mesh():
     conform(world_size=4)
     mesh = conform(world_size=8, mesh="pipe=2,tensor=2,data=2", steps=1)
-    assert len(mesh.batched_executor.replicas) == 2
-
-
-def _refused(trainer, batches, replica):
-    """The step raises naming ``replica`` and consumes nothing."""
-    ex = trainer.batched_executor
-    streams = [r.rng_state() for r in trainer.replicas]
-    with pytest.raises(ReplicaMismatchError, match=f"replica {replica}"):
-        ex.step(batches, trainer._sample_rngs)
-    assert [r.rng_state() for r in trainer.replicas] == streams
-
-
-def test_executor_raises_on_divergence():
-    """The storage tripwire: the fast path runs every rank on rank 0's
-    weights, so one replica bound to another array — even an equal one —
-    is refused on the next step, naming the replica."""
-    for model in MODELS_UNDER_TEST:
-        t = _make_trainer(5, model)
-        t.train_step()
-        p = next(iter(t.replicas[1].parameters()))
-        p.data = p.data.copy()
-        _refused(t, t.batcher.step_batches(1), 1)
-        with pytest.raises(ReplicaMismatchError):
-            t.train_step()
+    assert mesh.batched_executor.width == 2
 
 
 def test_ragged_batches_raise():
+    """A ragged world cannot stack: refused before any stream, carry or
+    gradient state is consumed."""
     for model in MODELS_UNDER_TEST:
         t = _make_trainer(6, model)
-        batches = list(t.batcher.step_batches(0))
-        short = batches[2].__class__(
+        t.train_step()
+        batches = list(t.batcher.step_batches(1))
+        batches[2] = Batch(
             inputs=batches[2].inputs[:, :-1], targets=batches[2].targets[:, :-1]
         )
-        _refused(t, batches[:2] + [short] + batches[3:], 2)
-        _refused(t, batches[:3], 3)  # a batch count that is not the world's
+        streams, carry = t.rank_rng_state(), t.batched_executor.carry
+        with pytest.raises(ValueError):
+            t.batched_executor.step(batches, t._sample_rngs)
+        assert t.rank_rng_state() == streams
+        assert t.batched_executor.carry is carry
+        assert all(not p.stacked_grads for p in t.model.parameters())
 
 
-def test_inconsistent_flags_and_carry_raise():
-    for model in MODELS_UNDER_TEST:
-        t = _make_trainer(7, model)
-        t.train_step()
-        batches = t.batcher.step_batches(1)
-        t.replicas[2].eval()  # one replica alone in eval mode
-        _refused(t, batches, 2)
-        t.replicas[2].train()
-        kept = t.replicas[1]._state
-        t.replicas[1].reset_state()  # one replica alone without a carry
-        _refused(t, batches, 1)
-        t.replicas[1]._state = kept
-        assert len(t.batched_executor.step(batches, t._sample_rngs)) == 4
+def _rank_rows(model):
+    """Every parameter's rank rows as bytes, by name."""
+    out = {}
+    for name, p in model.named_parameters():
+        rows = []
+        for g in p.stacked_grads:
+            if isinstance(g, SparseGrad):
+                rows.append((g.indices.tobytes(), g.values.tobytes()))
+            else:
+                rows.append((g.dtype.str, g.tobytes()))
+        out[name] = rows
+    return out
 
 
-def test_build_rejects_mixed_configs():
-    rng = np.random.default_rng
-    other_cfg = CHAR_CFG.__class__(
-        vocab_size=61, embedding_dim=7, hidden_dim=13, depth=3, dropout=0.2
-    )
-    a = CharLanguageModel(CHAR_CFG, rng(0))
-    b = CharLanguageModel(other_cfg, rng(0))
-    w = WordLanguageModel(WORD_CFG, rng(0))
-    assert build_batched_executor([a, b]) is None
-    assert build_batched_executor([a, w]) is None
-    assert build_batched_executor([a]) is None
-    assert build_batched_executor([object(), object()]) is None
-
-    class Tweaked(WordLanguageModel):  # may override step: not the exact type
-        pass
-
-    assert build_batched_executor([Tweaked(WORD_CFG, rng(0)) for _ in "ab"]) is None
-    stateful = WordLanguageModel(WORD_CFG, rng(0), stateful=True)
-    assert build_batched_executor([w, stateful]) is None
-    assert build_batched_executor([w, WordLanguageModel(WORD_CFG, rng(0))])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", ["word", "tied", "char"])
+def test_row_width_is_bit_equal_per_row(name, dtype):
+    """Width ``R`` against width 1, three micro-steps of one stateful
+    model: losses, rank rows (accumulated dense blocks in the weights'
+    dtype, token stacks in arrival order), stream draws and the carry."""
+    R = 5
+    rng = np.random.default_rng(11)
+    tokens = rng.integers(0, WORD_CFG.vocab_size, size=(3, R, 2, 2, 6))
+    runs = []
+    for width in (R, 1):
+        builds = [
+            MODELS[name](np.random.default_rng(0), rank) for rank in range(R)
+        ]
+        model = builds[0]
+        if dtype is np.float32:
+            for p in model.parameters():
+                p.data = p.data.astype(np.float32)
+        own = None if model.step_rng is None else [b.step_rng for b in builds]
+        ex = BatchedExecutor(model, own, width)
+        losses = []
+        for step, (inputs, targets) in enumerate(tokens.swapaxes(1, 2)):
+            batches = [
+                Batch(inputs[r], targets[r]) for r in range(R)
+            ]
+            losses.append(ex.step(
+                batches,
+                lambda step=step: [
+                    np.random.default_rng([step, r]) for r in range(R)
+                ],
+                loss_scale=8.0,
+            ))
+        runs.append((
+            losses,
+            _rank_rows(model),
+            [rank_carry(ex, r) for r in range(R)],
+            None if own is None else [g.bit_generator.state for g in own],
+        ))
+    (la, ra, ca, sa), (lb, rb, cb, sb) = runs
+    assert la == lb
+    assert ra == rb
+    assert sa == sb
+    for a, b in zip(ca, cb, strict=True):
+        assert len(a) == len(b) > 0
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()

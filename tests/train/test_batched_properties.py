@@ -1,14 +1,15 @@
-"""Property test for the batched execution fast path (``hypothesis``).
+"""Property test for the rank execution's stack width (``hypothesis``).
 
 200 drawn configurations per model each train a few steps twice: once
-with ``batched=True`` and once with ``batched=False``.  The char-LM arm
-draws world size, architecture, batch shape, dropout probability (i.e.
-per-replica RNG stream consumption), statefulness, accumulation, loss
-scale and overlap mode; the word-LM arm adds widths down to 1, sampled
-softmax sizes from 1 to V-1, every seed strategy, tied embeddings and
-SGD with or without momentum.  The property is
-**bit-for-bit identity** of losses, every replica's parameters, the
-carried BPTT state and the full optimizer state.
+with ``batched=True`` (all rank rows per call) and once with
+``batched=False`` (one row per call).  The char-LM arm draws world
+size, architecture, batch shape, dropout probability (i.e. per-rank RNG
+stream consumption), statefulness, accumulation, loss scale and overlap
+mode; the word-LM arm adds widths down to 1, sampled softmax sizes from
+1 to V-1, every seed strategy, tied embeddings and SGD with or without
+momentum.  The property is **bit-for-bit identity** of losses,
+parameters, every rank's carried BPTT state and stream and the full
+optimizer state.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.train.config import CharLMConfig, TrainConfig, WordLMConfig
 from repro.train.trainer import DistributedTrainer
 from repro.train.word_lm import WordLanguageModel
 
-from ..conformance.cells import carried
+from ..conformance.reference import rank_carry
 from ..helpers import assert_same_state, count_calls
 
 N_CASES = 200
@@ -134,7 +135,6 @@ def _build(params: dict, batched: bool) -> DistributedTrainer:
 def assert_batched_is_bit_exact(params: dict) -> None:
     fast = _build(params, batched=True)
     slow = _build(params, batched=False)
-    assert fast.batched_executor is not None
     calls = count_calls(fast.batched_executor, "step")
     fast_losses = [fast.train_step() for _ in range(params["steps"])]
     slow_losses = [slow.train_step() for _ in range(params["steps"])]
@@ -142,20 +142,23 @@ def assert_batched_is_bit_exact(params: dict) -> None:
     assert len(calls) == params["steps"] * params["accum"], (
         "a micro-step did not run stacked"
     )
-    for ra, rb in zip(fast.replicas, slow.replicas):
-        assert_same_state(ra.state_dict(), rb.state_dict(), "params")
-        for a, b in zip(carried(ra), carried(rb), strict=True):
+    assert_same_state(fast.model.state_dict(), slow.model.state_dict(), "params")
+    for rank in range(fast.data_parallel):
+        for a, b in zip(
+            rank_carry(fast.batched_executor, rank),
+            rank_carry(slow.batched_executor, rank),
+            strict=True,
+        ):
             assert np.array_equal(a, b), "carried state"
     assert_same_state(
         fast.optimizer.state_dict(), slow.optimizer.state_dict(), "opt state"
     )
     # Dropout generators must have consumed identical draws: the next
-    # value from every replica's stream must agree between the paths.
+    # value from every rank's stream must agree between the widths.
     if params.get("dropout_x10", 0) > 0:
-        for ra, rb in zip(fast.replicas, slow.replicas):
-            assert (
-                ra.dropout._rng.random() == rb.dropout._rng.random()
-            ), "dropout RNG streams desynchronized"
+        assert (
+            fast.rank_rng_state() == slow.rank_rng_state()
+        ), "dropout RNG streams desynchronized"
 
 
 @given(params=CHAR_CASE)

@@ -168,7 +168,7 @@ class TestCheckpointRoundtrip:
             straight.train_step()
             fresh.train_step()
         assert_same_state(
-            straight.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+            straight.model.state_dict(), fresh.model.state_dict()
         )
 
     def test_adam_trainer_resume(self, tmp_path):
@@ -182,8 +182,8 @@ class TestCheckpointRoundtrip:
         tr.train_step()
         fresh.train_step()
         for (n, a), (_, b) in zip(
-            tr.replicas[0].named_parameters(),
-            fresh.replicas[0].named_parameters(),
+            tr.model.named_parameters(),
+            fresh.model.named_parameters(),
         ):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-12, err_msg=n)
 
@@ -194,9 +194,8 @@ class TestCheckpointRoundtrip:
         save_checkpoint(ckpt, tr)
         fresh = word_trainer(world=3, seed_offset=5)
         load_checkpoint(ckpt, fresh)
-        from repro.train import assert_replicas_synchronized
-
-        assert_replicas_synchronized(fresh.replicas, atol=0.0)
+        assert_same_state(tr.model.state_dict(), fresh.model.state_dict())
+        assert fresh.rank_rng_state() == tr.rank_rng_state()
 
     def test_world_size_mismatch_rejected(self, tmp_path):
         tr = word_trainer(world=2)
@@ -235,7 +234,7 @@ class TestCheckpointRoundtrip:
         tr.train_step()
         fresh.train_step()
         assert_same_state(
-            tr.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+            tr.model.state_dict(), fresh.model.state_dict()
         )
 
     def test_scaler_checkpoint_requires_scaler_trainer(self, tmp_path):
@@ -253,26 +252,6 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ValueError):
             load_checkpoint(ckpt, word_trainer())
 
-    def test_diverged_replicas_refuse_to_checkpoint(self, tmp_path):
-        """A replica whose ``p.data`` was rebound no longer trains the
-        shared model; checkpointing would silently pick one of two."""
-        tr = word_trainer()
-        weight = tr.replicas[1].embedding.weight
-        weight.data = weight.data.copy()
-        save_checkpoint(tmp_path / "equal.npz", tr)  # rebound but bit-equal
-        weight.data[0, 0] += 1.0
-        with pytest.raises(AssertionError):
-            save_checkpoint(tmp_path / "bad.npz", tr)
-
-    def test_nan_in_a_rebound_replica_refuses_to_checkpoint(self, tmp_path):
-        """``max(0.0, nan) == 0.0`` used to let this checkpoint through."""
-        tr = word_trainer()
-        weight = tr.replicas[1].embedding.weight
-        weight.data = weight.data.copy()
-        weight.data[0, 0] = np.nan
-        with pytest.raises(AssertionError):
-            save_checkpoint(tmp_path / "nan.npz", tr)
-
     @pytest.mark.parametrize("make", [word_trainer, char_trainer])
     def test_load_keeps_replicas_on_one_parameter_set(self, tmp_path, make):
         tr = make(world=3)
@@ -280,17 +259,16 @@ class TestCheckpointRoundtrip:
         ckpt = tmp_path / "shared.npz"
         save_checkpoint(ckpt, tr)
         fresh = make(world=3)
-        arrays = [p.data for p in fresh.replicas[0].parameters()]
+        arrays = [p.data for p in fresh.model.parameters()]
         load_checkpoint(ckpt, fresh)
-        for replica in fresh.replicas:
-            for p, data in zip(replica.parameters(), arrays, strict=True):
-                assert p.data is data
-        assert_same_state(
-            tr.replicas[0].state_dict(), fresh.replicas[2].state_dict()
-        )
-        assert fresh.batched_executor.step(
+        # Written in place: the optimizer's parameters see the load.
+        for p, data in zip(fresh.model.parameters(), arrays, strict=True):
+            assert p.data is data
+        assert_same_state(tr.model.state_dict(), fresh.model.state_dict())
+        assert fresh.rank_rng_state() == tr.rank_rng_state()
+        assert len(fresh.batched_executor.step(
             fresh.batcher.step_batches(0), sample_rngs=fresh._sample_rngs
-        ) is not None  # the load did not trip the storage tripwire
+        )) == 3
 
 
 class TestRngLimbEncoding:
@@ -357,7 +335,7 @@ class TestCheckpointV2:
             straight.train_step()
             fresh.train_step()
         assert_same_state(
-            straight.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+            straight.model.state_dict(), fresh.model.state_dict()
         )
 
     def test_per_replica_streams_saved_separately(self, tmp_path):
@@ -409,14 +387,14 @@ class TestCheckpointV2:
         np.savez(v1, **arrays)
 
         fresh = dropout_trainer()
-        before_streams = [r.rng_state() for r in fresh.replicas]
+        before_streams = fresh.rank_rng_state()
         assert load_checkpoint(v1, fresh) == 2
         assert fresh.global_step == 2
         assert_same_state(
-            tr.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+            tr.model.state_dict(), fresh.model.state_dict()
         )
         # v1 carries no streams: the trainer keeps its own.
-        assert [r.rng_state() for r in fresh.replicas] == before_streams
+        assert fresh.rank_rng_state() == before_streams
 
     def test_unsupported_version_rejected(self, tmp_path):
         tr = word_trainer()
@@ -441,9 +419,7 @@ class TestElasticLoad:
 
         survivor = dropout_trainer(world=2)
         assert load_checkpoint(ckpt, survivor, elastic=True) == 2
-        from repro.train import assert_replicas_synchronized
-
-        assert_replicas_synchronized(survivor.replicas, atol=0.0)
+        assert_same_state(tr.model.state_dict(), survivor.model.state_dict())
         # New rank r adopted saved replica r's streams.
         with np.load(ckpt) as data:
             from repro.train.checkpoint import _decode_rng_state
@@ -453,8 +429,11 @@ class TestElasticLoad:
                 for k in data.files
                 if k.startswith("rng/replica")
             }
-        for rank, replica in enumerate(survivor.replicas):
-            for mod_path, state in replica.rng_state().items():
+        streams = survivor.rank_rng_state()
+        assert len(streams) == 2
+        for rank, states in enumerate(streams):
+            assert states
+            for mod_path, state in states.items():
                 assert state == saved[f"rng/replica{rank}/{mod_path}"]
         survivor.train_step()  # the shrunken trainer keeps working
 
@@ -492,12 +471,12 @@ class TestRemovedClip:
 
         fresh = word_trainer(seed_offset=9)
         before = {
-            n: p.data.copy() for n, p in fresh.replicas[0].named_parameters()
+            n: p.data.copy() for n, p in fresh.model.named_parameters()
         }
         with pytest.raises(ValueError, match="optim/clip_norm"):
             load_checkpoint(clipped, fresh)
         assert fresh.global_step == 0
-        for n, p in fresh.replicas[0].named_parameters():
+        for n, p in fresh.model.named_parameters():
             np.testing.assert_array_equal(p.data, before[n], err_msg=n)
 
     def test_unclipped_checkpoint_loads_unchanged(self, tmp_path):
@@ -512,7 +491,7 @@ class TestRemovedClip:
         assert load_checkpoint(ckpt, fresh) == 2
         assert fresh.optimizer.lr == tr.optimizer.lr
         assert_same_state(
-            tr.replicas[0].state_dict(), fresh.replicas[0].state_dict()
+            tr.model.state_dict(), fresh.model.state_dict()
         )
 
 
@@ -554,8 +533,8 @@ def test_unreadable_checkpoint_is_a_format_error(tmp_path, damage):
     save_checkpoint(tmp_path / "c.npz", word_trainer(momentum=0.9))
     damage(tmp_path / "c.npz")
     fresh = word_trainer(seed_offset=9, momentum=0.9)
-    before = [p.data.copy() for p in fresh.replicas[0].parameters()]
+    before = [p.data.copy() for p in fresh.model.parameters()]
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "c.npz", fresh)
-    for p, old in zip(fresh.replicas[0].parameters(), before):
+    for p, old in zip(fresh.model.parameters(), before):
         np.testing.assert_array_equal(p.data, old)

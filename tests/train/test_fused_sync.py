@@ -106,17 +106,42 @@ def fold(arrays, codec):
     return codec.decode(wire_sum, arrays[0].dtype)
 
 
-def exchange_reference(params, codec):
-    """One unique exchange, unpacked: the replicas' locally reduced
+def exchange_reference(grads, codec):
+    """One unique exchange, unpacked: the ranks' locally reduced
     grads aligned to the global type set, folded alone and averaged."""
-    local = [concat_token_grads(p).coalesce() for p in params]
+    local = [g.coalesce() for g in grads]
     index = np.unique(np.concatenate([g.indices for g in local]))
     matrices = np.zeros(
         (len(local), index.size, local[0].dim), local[0].values.dtype
     )
     for k, g in enumerate(local):
         matrices[k, np.searchsorted(index, g.indices)] = g.values
-    return index, fold(list(matrices), codec) / len(params)
+    return index, fold(list(matrices), codec) / len(grads)
+
+
+def rank_rows(params):
+    """One parameter's pre-sync ``(dense rows, token grads)`` over the
+    ranks, read without taking them: the one model's rank rows, or each
+    module's ordinary gradients as one row."""
+    dense, tokens = [], []
+    for p in params:
+        stacks = [g for g in p.stacked_grads if isinstance(g, SparseGrad)]
+        if stacks:  # each rank's tokens, joined in arrival order
+            tokens += [
+                SparseGrad(np.concatenate(ids), np.concatenate(vals))
+                for ids, vals in zip(
+                    zip(*(s.indices for s in stacks)),
+                    zip(*(s.values for s in stacks)),
+                )
+            ]
+        for rows in p.stacked_grads:
+            if not isinstance(rows, SparseGrad):
+                dense += list(rows)
+        if p.grad is not None:
+            dense.append(p.grad)
+        if p.sparse_grads:
+            tokens.append(concat_token_grads(p))
+    return dense, tokens
 
 
 def per_exchange_reference(sync, substitute):
@@ -133,20 +158,20 @@ def per_exchange_reference(sync, substitute):
 
     def wrapped(replicas):
         named = [dict(r.named_parameters()) for r in replicas]
+        params = named[0]
         dense, sparse = {}, {}
-        for name in named[0]:
-            params = [d[name] for d in named]
-            if params[0].grad is not None:
-                grads = [p.grad for p in params]
-                dense[name] = fold(grads, codec) / len(params)
-            if any(p.sparse_grads for p in params):
-                sparse[name] = exchange_reference(params, codec)
+        for name in params:
+            grads, tokens = rank_rows([d[name] for d in named])
+            if grads:
+                dense[name] = fold(grads, codec) / len(grads)
+            if tokens:
+                sparse[name] = exchange_reference(tokens, codec)
         inner(replicas)
         for name, ref in dense.items():
-            assert bits(named[0][name].grad) == bits(ref), name
+            assert bits(params[name].grad) == bits(ref), name
             checked.append(name)
         for name, (index, values) in sparse.items():
-            (got,) = named[0][name].sparse_grads
+            (got,) = params[name].sparse_grads
             assert np.array_equal(got.indices, index), name
             assert bits(got.values) == bits(values), name
             checked.append(f"{name}:values")
@@ -203,8 +228,8 @@ def test_fused_runs_equal_the_per_tensor_reference(model, switch):
         assert any(":values+" in t for t in allreduce_tags(fused)), switch
     assert fused_losses == reference_losses
     for (name, p), (_, q) in zip(
-        fused.replicas[0].named_parameters(),
-        reference.replicas[0].named_parameters(),
+        fused.model.named_parameters(),
+        reference.model.named_parameters(),
     ):
         assert bits(p.data) == bits(q.data), name
 
@@ -233,9 +258,10 @@ def test_tied_parameter_brings_a_dense_member_and_a_value_matrix(
     ride one allreduce with the next run — on a hybrid mesh, one per
     data ring, each ring's members cut at its own offsets.  Every
     member lands the bits of its lone reduction, and the step's peak
-    stays the unpacked one.  On the flat world ``p1``'s 40-row table is
-    cheaper than its gather, so it folds: the packed step sends no
-    gather, and its peak is below the unpacked gather schedule's."""
+    stays the unpacked one.  ``p1``'s table — 40 rows flat, a ring's
+    10-row shard on the mesh — is cheaper than its gather, so it folds:
+    the packed step sends no gather, and its peak is below the unpacked
+    gather schedule's (on the mesh, its dense runs set the peak)."""
     replicas, world = 4, 4 if mesh is None else 16
     prefix = "" if mesh is None else "data:"
     landed = {}
@@ -258,17 +284,14 @@ def test_tied_parameter_brings_a_dense_member_and_a_value_matrix(
             bits(models[0].p1.sparse_grads[0].values),
         )
     tags, peak, dense, values = landed[True]
-    folded = mesh is None
-    assert tags == ["p1:indices"] * (not folded) + [
-        "p0:dense", "p1:dense+p1:values+p2:dense"
-    ]
+    assert tags == ["p0:dense", "p1:dense+p1:values+p2:dense"]
     assert landed[False][0] == [
         "p1:indices", "p0:dense", "p1:dense", "p1:values", "p2:dense",
     ]
     assert (dense, values) == landed[False][2:]
-    if folded:
+    if mesh is None:
         assert peak < landed[False][1]
-    else:
+    else:  # the dense runs' scratch, not the gather's, is the mesh's peak
         assert peak == landed[False][1]
 
 
@@ -379,6 +402,6 @@ def test_dense_sim_time_is_one_ring_over_the_run_bytes():
     trainer.train_step()
     (run,) = [e for e in trainer.comm.ledger.events if e.tag.endswith(":dense")]
     members = run.tag[: -len(":dense")].split("+")
-    params = dict(trainer.replicas[0].named_parameters())
+    params = dict(trainer.model.named_parameters())
     nbytes = sum(params[name].nbytes for name in members)
     assert run.time_s == ring_allreduce_time(WORLD, nbytes, trainer.comm.link)

@@ -102,7 +102,7 @@ class TestDynamicScaling:
             np.testing.assert_array_equal(after[n].data, data, err_msg=n)
         # Gradients were cleared for the next step.
         assert all(
-            p.grad is None and not p.sparse_grads
+            p.grad is None and not p.sparse_grads and not p.stacked_grads
             for r in tr.replicas
             for p in r.parameters()
         )
@@ -122,19 +122,26 @@ class TestDynamicScaling:
 
 
 def poison_before_sync(trainer, poison):
-    """Call ``poison(step, replicas)`` on the per-rank gradients of every
-    step (from 0), just before they enter the sync."""
+    """Call ``poison(step, blocks)`` on the dense ``(ranks, ...)`` rank
+    rows of every step (from 0), just before they enter the sync."""
     sync = trainer.synchronizer.sync_replicas
 
     def poisoned(replicas):
-        poison(trainer.global_step, replicas)
+        (model,) = replicas
+        blocks = [
+            rows
+            for p in model.parameters()
+            for rows in p.stacked_grads
+            if isinstance(rows, np.ndarray)
+        ]
+        poison(trainer.global_step, blocks)
         sync(replicas)
 
     trainer.synchronizer.sync_replicas = poisoned
 
 
 def params_of(trainer) -> dict:
-    return {n: p.data.copy() for n, p in trainer.replicas[0].named_parameters()}
+    return {n: p.data.copy() for n, p in trainer.model.named_parameters()}
 
 
 class TestFp16WireOverflow:
@@ -145,11 +152,9 @@ class TestFp16WireOverflow:
         51,200 fits FP16, their sum does not."""
         tr = word_trainer(8, wire_codec="fp16", batched=False)
 
-        def dense_100(step, replicas):
-            for replica in replicas:
-                for p in replica.parameters():
-                    if p.grad is not None:
-                        p.grad[...] = 100.0
+        def dense_100(step, blocks):
+            for rows in blocks:
+                rows[...] = 100.0
 
         poison_before_sync(tr, dense_100)
         before = params_of(tr)
@@ -157,7 +162,7 @@ class TestFp16WireOverflow:
             tr.train_step()
         msg = str(exc.value)
         first = next(
-            n for n, p in tr.replicas[0].named_parameters() if p.grad is not None
+            n for n, p in tr.model.named_parameters() if p.grad is not None
         )
         assert f"gradient {first!r}" in msg
         assert "world 8" in msg and "F=512" in msg
@@ -193,12 +198,9 @@ class TestFp16WireOverflow:
             CORPUS.valid, cfg,
         )
 
-        def one_large(step, replicas):
+        def one_large(step, blocks):
             if step == 1:  # rank 3's first dense grad, on the second step
-                grad = next(
-                    p.grad for p in replicas[3].parameters() if p.grad is not None
-                )
-                grad.flat[0] = 1e6  # x F = 2 leaves the FP16 range
+                blocks[0][3].flat[0] = 1e6  # x F = 2 leaves the FP16 range
 
         poison_before_sync(tr, one_large)
         tr.train_step()

@@ -71,14 +71,15 @@ class TestTrivialMeshEquivalence:
     def test_mesh_run_keeps_replica_count(self):
         tr = word_trainer(mesh="data=G")
         assert tr.data_parallel == 4
-        assert len(tr.replicas) == 4
+        assert len(tr.rank_streams) == 4
+        assert tr.batched_executor.width == 4
 
 
 class TestHybridMesh:
     def test_replicas_stay_synchronized(self):
         tr = word_trainer(world=8, mesh="pipe=2,tensor=2,data=")
         assert tr.data_parallel == 2
-        assert len(tr.replicas) == 2
+        assert tr.batched_executor.width == 2
         for _ in range(4):
             loss = tr.train_step()
             assert np.isfinite(loss)

@@ -15,6 +15,8 @@ from repro.train.config import (
 )
 from repro.train.word_lm import WordLanguageModel
 
+from ..helpers import model_step
+
 WORD_CFG = WordLMConfig(
     vocab_size=50, embedding_dim=8, hidden_dim=12, projection_dim=8, num_samples=10
 )
@@ -63,7 +65,7 @@ class TestConfigs:
 class TestWordLM:
     def test_step_returns_finite_loss_and_grads(self):
         m = word_model()
-        loss = m.step(batch(50), np.random.default_rng(1))
+        loss = model_step(m, batch(50), np.random.default_rng(1))
         assert np.isfinite(loss) and loss > 0
         # Every parameter received a gradient of some kind.
         for name, p in m.named_parameters():
@@ -72,7 +74,7 @@ class TestWordLM:
 
     def test_embedding_grads_are_sparse(self):
         m = word_model()
-        m.step(batch(50), np.random.default_rng(1))
+        model_step(m, batch(50), np.random.default_rng(1))
         assert m.embedding.weight.grad is None
         assert m.embedding.weight.sparse_grads
         assert m.loss_layer.weight.grad is None
@@ -91,12 +93,12 @@ class TestWordLM:
         m = word_model()
         opt = SGD(list(m.parameters()), lr=0.5)
         b = batch(50, shape=(4, 6))
-        first = m.step(b, np.random.default_rng(0))
+        first = model_step(m, b, np.random.default_rng(0))
         opt.step()
         for i in range(30):
-            m.step(b, np.random.default_rng(i + 1))
+            model_step(m, b, np.random.default_rng(i + 1))
             opt.step()
-        last = m.step(b, np.random.default_rng(99))
+        last = model_step(m, b, np.random.default_rng(99))
         m.zero_grad()
         assert last < first
 
@@ -113,12 +115,12 @@ class TestWordLM:
 class TestCharLM:
     def test_step_returns_finite_loss(self):
         m = char_model()
-        loss = m.step(batch(20))
+        loss = model_step(m, batch(20))
         assert np.isfinite(loss) and loss > 0
 
     def test_full_softmax_grads_are_dense(self):
         m = char_model()
-        m.step(batch(20))
+        model_step(m, batch(20))
         assert m.loss_layer.weight.grad is not None
         assert not m.loss_layer.weight.sparse_grads
         # Input embedding still sparse.
@@ -138,20 +140,20 @@ class TestCharLM:
         m = char_model()
         opt = Adam(list(m.parameters()), lr=3e-3)
         b = batch(20, shape=(4, 6))
-        first = m.step(b)
+        first = model_step(m, b)
         opt.step()
         for _ in range(40):
-            m.step(b)
+            model_step(m, b)
             opt.step()
-        last = m.step(b)
+        last = model_step(m, b)
         m.zero_grad()
         assert last < first
 
     def test_loss_scale_flows_to_grads(self):
         m1, m2 = char_model(3), char_model(3)
         b = batch(20)
-        m1.step(b, loss_scale=1.0)
-        m2.step(b, loss_scale=128.0)
+        model_step(m1, b, loss_scale=1.0)
+        model_step(m2, b, loss_scale=128.0)
         np.testing.assert_allclose(
             m2.rhn.r.grad, 128.0 * m1.rhn.r.grad, rtol=1e-9
         )

@@ -1,12 +1,14 @@
 """One update is G identical updates, and costs one parameter set.
 
-What ``DistributedTrainer``'s one parameter set and one optimizer stand
-for — G models with G optimizers — is written out in
+What ``DistributedTrainer``'s one model and one optimizer stand for — G
+models with G optimizers — is written out in
 :mod:`tests.conformance.reference`; the named cells below (every
-optimizer, both rank-execution paths) must match it.
+optimizer, both stack widths) must match it.
 
-The second half pins what the sharing buys: host parameter memory that
-does not grow with the world size.
+The second half pins what the one model buys: host parameter memory and
+``Parameter`` objects that do not grow with the world size, and a model
+factory called once — or once per data rank for a model whose module
+streams are per rank.
 """
 
 import gc
@@ -15,6 +17,7 @@ import tracemalloc
 import pytest
 
 from repro.data import BatchSpec
+from repro.nn import Parameter
 from repro.optim import SGD, Adam
 from repro.train import (
     DistributedTrainer,
@@ -24,7 +27,7 @@ from repro.train import (
 )
 
 from ..conformance.cells import HYBRID, conform
-from ..conformance.reference import CORPUS
+from ..conformance.reference import CORPUS, MODELS
 
 #: name -> the model and optimizer of the cell.
 WORKLOADS = {
@@ -78,7 +81,7 @@ def traced_build(world, optimizer):
         trainer.train_step()
         gc.collect()
         live = tracemalloc.get_traced_memory()[0] - baseline
-        return trainer.replicas[0].parameter_bytes(), live, built_peak
+        return trainer.model.parameter_bytes(), live, built_peak
     finally:
         tracemalloc.stop()
 
@@ -89,12 +92,49 @@ def traced_build(world, optimizer):
     ids=["sgd", "adam"],
 )
 def test_host_parameter_memory_does_not_grow_with_the_world(optimizer):
-    """G=8 against G=32.  An added rank costs its module objects, streams
-    and gradient slots — under a tenth of a parameter set, where it used
-    to cost a whole one (three with Adam's moments) — and construction
-    holds replica 0 plus the replica being built, never G of them."""
+    """G=8 against G=32.  An added rank costs its rank state and its
+    rows of the pre-sync gradients — under a tenth of a parameter set,
+    where a replica used to cost a whole one (three with Adam's
+    moments) — and construction holds the model plus at most the one
+    rank build under way, never G of them."""
     traced_build(2, optimizer)  # process-wide caches fill outside the count
     model_bytes, live_8, peak_8 = traced_build(8, optimizer)
     _, live_32, peak_32 = traced_build(32, optimizer)
     assert (live_32 - live_8) / 24 < 0.10 * model_bytes, (live_8, live_32)
     assert peak_32 - peak_8 < 0.5 * model_bytes, (peak_8, peak_32)
+    # The construction contract, on flat G = 1 and G = 4 and a hybrid
+    # mesh of two data ranks: the word LM (no module streams) is built
+    # once; the char LM once per data rank, for its dropout streams; the
+    # host ``Parameter`` objects are one model's at every world size.
+    for name, per_rank in (("word", False), ("char", True)):
+        for world, mesh in ((1, None), (4, None), (8, "pipe=2,tensor=2,data=2")):
+            builds, parameters, trainer = counted_build(name, world, mesh)
+            ranks = trainer.data_parallel if per_rank else 1
+            assert builds == list(range(ranks)), (name, world)
+            assert parameters == len(list(trainer.model.parameters()))
+
+
+def live_parameters() -> int:
+    gc.collect()
+    return sum(isinstance(o, Parameter) for o in gc.get_objects())
+
+
+def counted_build(name, world, mesh):
+    """``(ranks the factory built, Parameter objects the trainer keeps
+    alive, trainer)``: a conformance model on ``world`` ranks."""
+    builds = []
+
+    def factory(rng, rank):
+        builds.append(rank)
+        return MODELS[name](rng, rank)
+
+    before = live_parameters()
+    trainer = DistributedTrainer(
+        factory, lambda params, lr: SGD(params, lr), CORPUS.train,
+        CORPUS.valid,
+        TrainConfig(
+            world_size=world, batch=BatchSpec(2, 6), base_lr=0.2, mesh=mesh
+        ),
+    )
+    trainer.train_step()
+    return builds, live_parameters() - before, trainer

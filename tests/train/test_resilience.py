@@ -213,9 +213,9 @@ class TestElasticShrink:
 
     @pytest.mark.parametrize("factory", [word_factory, char_factory])
     def test_shrunken_world_binds_one_parameter_set(self, tmp_path, factory):
-        """The rebuilt trainer restores from the checkpoint in place:
-        the survivors still bind replica 0's arrays (and so still take
-        the batched fast path) after the world changed under them."""
+        """The rebuilt trainer restores from the checkpoint in place,
+        into its one model, and runs every survivor's row in one stacked
+        call after the world changed under it."""
         plan = FaultPlan(
             [FaultEvent(FaultKind.RANK_LOSS, collective_index=5, rank=1)]
         )
@@ -225,14 +225,15 @@ class TestElasticShrink:
         )
         first = runner.trainer
         trainer = runner.run(6)
-        assert trainer is not first and len(trainer.replicas) == 3
-        base = list(trainer.replicas[0].parameters())
-        for replica in trainer.replicas[1:]:
-            for p, shared in zip(replica.parameters(), base, strict=True):
-                assert p.data is shared.data
+        assert trainer is not first and trainer.data_parallel == 3
+        assert trainer.batched_executor.width == 3
+        arrays = [p.data for p in trainer.model.parameters()]
+        assert trainer.optimizer.params == list(trainer.model.parameters())
         calls = count_calls(trainer.batched_executor, "step")
-        trainer.train_step()  # a rebound replica would be refused here
+        trainer.train_step()
         assert len(calls) == 1
+        for p, data in zip(trainer.model.parameters(), arrays, strict=True):
+            assert p.data is data  # updated in place
 
     def test_world_of_one_cannot_shrink(self, tmp_path):
         plan = FaultPlan(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import BatchSpec
 from repro.data.batching import Batch
+from repro.nn import BatchedExecutor
 from repro.optim import SGD
 from repro.train import (
     CharLanguageModel,
@@ -17,7 +18,8 @@ from repro.train import (
 )
 
 from ..conformance.cells import conform
-from ..conformance.reference import CORPUS, VOCAB, WORD_CFG
+from ..conformance.reference import CORPUS, VOCAB, WORD_CFG, rank_carry
+from ..helpers import model_step
 
 CHAR_CFG = CharLMConfig(
     vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, depth=2, dropout=0.0
@@ -31,55 +33,75 @@ def batch(shape=(2, 5), seed=0):
     )
 
 
+def carrying(model, rngs=None):
+    """A one-rank executor over ``model`` (its carry is the rank's)."""
+    return BatchedExecutor(model, rngs, 1)
+
+
+def run(ex, b, seed):
+    return ex.step([b], lambda: [np.random.default_rng(seed)])[0]
+
+
 class TestStatefulModels:
+    """The carried BPTT state lives in the executor, one row per rank."""
+
     def test_word_lm_carries_state(self):
         m = WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=True)
-        m.step(batch(), np.random.default_rng(1))
-        assert m._state is not None
-        m.reset_state()
-        assert m._state is None
+        ex = carrying(m)
+        run(ex, batch(), 1)
+        h, c = rank_carry(ex, 0)
+        assert h.shape == c.shape == (2, WORD_CFG.hidden_dim)
 
     def test_stateless_by_default(self):
         m = WordLanguageModel(WORD_CFG, np.random.default_rng(0))
-        m.step(batch(), np.random.default_rng(1))
-        assert m._state is None
+        ex = carrying(m)
+        run(ex, batch(), 1)
+        assert ex.carry is None and rank_carry(ex, 0) == ()
 
     def test_state_changes_next_step_loss(self):
-        a = WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=True)
-        b = WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=False)
-        rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+        a = carrying(
+            WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=True)
+        )
+        b = carrying(
+            WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=False)
+        )
         # First step identical; second differs because `a` carries state.
-        la1 = a.step(batch(seed=1), rngs[0])
-        lb1 = b.step(batch(seed=1), rngs[1])
-        assert la1 == lb1
-        a.zero_grad(), b.zero_grad()
-        rngs = [np.random.default_rng(6), np.random.default_rng(6)]
-        la2 = a.step(batch(seed=2), rngs[0])
-        lb2 = b.step(batch(seed=2), rngs[1])
-        assert la2 != lb2
+        assert run(a, batch(seed=1), 5) == run(b, batch(seed=1), 5)
+        a.model.zero_grad(), b.model.zero_grad()
+        assert run(a, batch(seed=2), 6) != run(b, batch(seed=2), 6)
 
     def test_batch_shape_change_resets_carry(self):
         m = WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=True)
-        m.step(batch(shape=(2, 5)), np.random.default_rng(1))
-        # No crash when the sequence count changes.
-        m.step(batch(shape=(3, 5), seed=2), np.random.default_rng(2))
+        ex = carrying(m)
+        run(ex, batch(shape=(2, 5)), 1)
+        # The carry is dropped, not broadcast, when the sequence count
+        # changes: the step equals a fresh one.
+        fresh = carrying(
+            WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=True)
+        )
+        m.zero_grad()
+        assert run(ex, batch(shape=(3, 5), seed=2), 2) == run(
+            fresh, batch(shape=(3, 5), seed=2), 2
+        )
+        assert rank_carry(ex, 0)[0].shape == (3, WORD_CFG.hidden_dim)
 
     def test_eval_does_not_touch_state(self):
         m = WordLanguageModel(WORD_CFG, np.random.default_rng(0), stateful=True)
-        m.step(batch(), np.random.default_rng(1))
-        state = m._state
+        ex = carrying(m)
+        run(ex, batch(), 1)
+        state = ex.carry
         m.eval_nll([batch(seed=3)])
-        assert m._state is state
+        assert ex.carry is state
 
     def test_char_lm_state_carry(self):
         m = CharLanguageModel(
             CHAR_CFG, np.random.default_rng(0),
             dropout_rng=np.random.default_rng(1), stateful=True,
         )
-        m.step(batch())
-        assert m._state is not None
-        m.reset_state()
-        assert m._state is None
+        ex = carrying(m, [m.step_rng])
+        ex.step([batch()])
+        (state,) = rank_carry(ex, 0)
+        assert state.shape == (2, CHAR_CFG.hidden_dim)
 
     def test_stateful_distributed_training_stays_synchronized(self):
         conform(world_size=3, steps=5)  # a conformance cell: stateful LMs
@@ -91,12 +113,20 @@ class TestStatefulModels:
             lambda params, lr: SGD(params, lr),
             CORPUS.train, CORPUS.valid, cfg,
         )
+        ex = trainer.batched_executor
+        fresh = []
+        step = ex.step
+
+        def recorded(*args, **kwargs):
+            fresh.append(ex.carry is None)
+            return step(*args, **kwargs)
+
+        ex.step = recorded
         trainer.train_step()
-        assert trainer.replicas[0]._state is not None
+        trainer.train_step()
         trainer.train_epoch(max_steps=1, evals_per_epoch=1)  # resets first
-        # After the reset + 1 step, state exists again; the reset itself
-        # is observable through the epoch hook having run without error.
-        assert trainer.replicas[0]._state is not None
+        assert fresh == [True, False, True]
+        assert len(rank_carry(ex, 1)) == 2
 
 
 class TestGeneration:
@@ -175,7 +205,7 @@ class TestGeneration:
             window = stream[start : start + 41]
             b = Batch(inputs=window[:-1].reshape(2, 20),
                       targets=window[1:].reshape(2, 20))
-            model.step(b)
+            model_step(model, b)
             opt.step()
         probs = next_token_distribution(model, CORPUS.valid[:10])
         assert probs[:5].sum() > probs[-5:].sum()

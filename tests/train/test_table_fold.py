@@ -18,10 +18,13 @@ from hypothesis import strategies as st
 
 from repro.cluster import Communicator, allreduce_arrays, hybrid_mesh
 from repro.core import unique
-from repro.core.embedding_sync import concat_token_grads
+from repro.core.embedding_sync import GradientSynchronizer
+from repro.core.mesh_exchange import shard_sparse
+from repro.core.sparse_exchange import UniqueExchange
 from repro.core.unique import iunique_exchange, unique_exchange
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
-from repro.nn import SparseGrad
+from repro.nn import Module, Parameter, SparseGrad
+from repro.nn.batched import rank_grads
 from repro.optim import SGD, Adam
 from repro.train import (
     CharLanguageModel,
@@ -69,24 +72,20 @@ def written_out_sync(comm):
     ``unique_exchange``, both averaged — one object per parameter."""
 
     def sync(replicas):
-        named = [dict(r.named_parameters()) for r in replicas]
-        world = len(replicas)
-        for name in named[0]:
-            params = [d[name] for d in named]
-            if params[0].grad is not None:
-                grad = allreduce_arrays([p.grad for p in params])[0] / world
-                for p in params:
-                    p.grad = grad
-            if any(p.sparse_grads for p in params):
+        (model,) = replicas  # the trainer's one model, holding rank rows
+        for name, p in model.named_parameters():
+            block, tokens = rank_grads(p)
+            if block is not None:
+                p.grad = allreduce_arrays(list(block))[0] / len(block)
+            if tokens is not None:
                 with comm.timeline.scope(name):
-                    result = unique_exchange(
-                        comm, [concat_token_grads(p) for p in params], tag=name
-                    )
-                grad = SparseGrad(
-                    result.global_indices, result.reduced_values / world
-                ).mark_coalesced()
-                for p in params:
-                    p.sparse_grads = [grad]
+                    result = unique_exchange(comm, tokens, tag=name)
+                p.sparse_grads = [
+                    SparseGrad(
+                        result.global_indices,
+                        result.reduced_values / len(tokens),
+                    ).mark_coalesced()
+                ]
 
     return sync
 
@@ -126,8 +125,8 @@ def test_folded_trainer_equals_the_written_out_unique_exchange(model, cfg):
     assert "allgather" in {e.op for e in reference.comm.ledger.events}
     assert got == want
     for (name, p), (_, q) in zip(
-        folded.replicas[0].named_parameters(),
-        reference.replicas[0].named_parameters(),
+        folded.model.named_parameters(),
+        reference.model.named_parameters(),
     ):
         assert p.data.tobytes() == q.data.tobytes(), name
     assert_same_state(
@@ -169,6 +168,12 @@ def test_folded_exchange_returns_unique_exchanges_bits(
             8, mesh=hybrid_mesh("pipe=2,tensor=1,data=4", 8)
         ).axis("data")
 
+    if layout == "mesh":
+        # Four data ranks' token rows, cut to each ring's row range as
+        # the synchronizer cuts them (duplicates kept).
+        grads = shard_sparse(
+            grads[:4], comm().groups, rows, coalesce=False
+        )
     pending = iunique_exchange(comm(), grads, num_rows=rows)
     gather = pending.gather
     assume(gather.table_wins)
@@ -182,6 +187,59 @@ def test_folded_exchange_returns_unique_exchanges_bits(
         assert a.reduced_values.shape == b.reduced_values.shape
         assert a.reduced_values.tobytes() == b.reduced_values.tobytes()
         assert a.local_unique_counts == b.local_unique_counts
+
+
+class Embedded(Module):
+    """One data rank's 40 x 1 embedding and 200 token-level grads."""
+
+    def __init__(self, rank):
+        super().__init__()
+        rng = np.random.default_rng(rank)
+        self.emb = Parameter(np.zeros((40, 1)))
+        self.emb.sparse_grads = [
+            SparseGrad(rng.integers(0, 40, 200), rng.standard_normal((200, 1)))
+        ]
+
+
+def test_a_mesh_ring_sizes_its_table_at_its_shard(monkeypatch):
+    """On ``pipe=2,tensor=2,data=4`` each data ring holds 10 of the 40
+    rows: its 10-row table wins where the whole 40-row one loses to the
+    ring's index gather, so the step folds — one collective fewer than
+    the gather schedule — and lands the gather schedule's bits."""
+    mesh = "pipe=2,tensor=2,data=4"
+
+    def synced():
+        comm = Communicator(16, mesh=hybrid_mesh(mesh, 16))
+        models = [Embedded(r) for r in range(4)]
+        GradientSynchronizer(comm, UniqueExchange()).sync_replicas(models)
+        (grad,) = models[0].emb.sparse_grads
+        return comm, grad
+
+    data = Communicator(16, mesh=hybrid_mesh(mesh, 16)).axis("data")
+    vectors = shard_sparse(
+        [m.emb.sparse_grads[0] for m in map(Embedded, range(4))],
+        data.groups, 40,
+    )
+
+    def wins(rows):
+        return all(
+            unique.dense_table_wins(
+                4, rows, 1, 8, [vectors[r].indices.nbytes for r in ranks]
+            )
+            for ranks in data.groups
+        )
+
+    assert wins(10) and not wins(40)
+    comm, folded = synced()
+    gather_path(monkeypatch)
+    gathered_comm, gathered = synced()
+    assert [e.op for e in comm.ledger.events] == ["allreduce"]
+    assert [e.op for e in gathered_comm.ledger.events] == [
+        "allgather", "allreduce",
+    ]
+    assert folded.indices.tobytes() == gathered.indices.tobytes()
+    assert folded.values.dtype == gathered.values.dtype
+    assert folded.values.tobytes() == gathered.values.tobytes()
 
 
 def test_word_flat_shape_keeps_its_gather(monkeypatch):

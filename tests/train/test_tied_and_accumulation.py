@@ -17,6 +17,7 @@ from repro.train import (
 )
 
 from ..conformance.cells import conform
+from ..helpers import model_step
 
 VOCAB = 60
 TIED_CFG = WordLMConfig(
@@ -76,7 +77,7 @@ class TestTiedEmbeddings:
         """One step must leave sparse grads from the input lookup AND
         the sampled-softmax output on the single shared matrix."""
         m = WordLanguageModel(TIED_CFG, np.random.default_rng(0))
-        m.step(batch(), np.random.default_rng(1))
+        model_step(m, batch(), np.random.default_rng(1))
         # Input path: one contribution; output path: two (targets +
         # candidates) -> at least three sparse entries on the tied param.
         assert len(m.embedding.weight.sparse_grads) >= 3
@@ -159,15 +160,15 @@ class TestGradientAccumulation:
             targets=np.concatenate([b1.targets, b2.targets]),
         )
         # A: accumulate two micro-steps, then halve (mean of means).
-        model_a.step(b1)
-        model_a.step(b2)
+        model_step(model_a, b1)
+        model_step(model_a, b2)
         for p in model_a.parameters():
             if p.grad is not None:
                 p.grad *= 0.5
             for s in p.sparse_grads:
                 s.values *= 0.5
         # B: one merged step.
-        model_b.step(merged)
+        model_step(model_b, merged)
         for (n, pa), (_, pb) in zip(
             model_a.named_parameters(), model_b.named_parameters()
         ):

@@ -10,6 +10,7 @@ from repro.core.seeding import SeedStrategy
 from repro.data import BatchSpec
 from repro.optim import SGD
 from repro.train import (
+    CharLanguageModel,
     DistributedTrainer,
     TrainConfig,
     WordLanguageModel,
@@ -18,7 +19,7 @@ from repro.train import (
 )
 
 from ..conformance.cells import conform
-from ..conformance.reference import CORPUS, WORD_CFG, word_trainer
+from ..conformance.reference import CHAR_CFG, CORPUS, WORD_CFG, word_trainer
 
 
 class TestReplicaConsistency:
@@ -70,25 +71,32 @@ class TestReplicaConsistency:
         assert max_replica_divergence(pair) > 0.0
 
     def test_shared_world_is_compared_by_identity(self):
-        """A trainer's replicas bind replica 0's arrays: zero divergence
-        without reading them — so a rebound array is what diverges."""
+        """Arrays bound to rank 0's are equal without being read — a NaN
+        there is no divergence — so a rebound array is what diverges.  A
+        trainer's replica list is its one model."""
         tr = word_trainer(world=3)
-        for name, p in tr.replicas[2].named_parameters():
-            assert p.data is dict(tr.replicas[0].named_parameters())[name].data
-        tr.replicas[0].embedding.weight.data[0, 0] = np.nan  # all see it
+        assert tr.replicas == [tr.model]
         assert max_replica_divergence(tr.replicas) == 0.0
-        weight = tr.replicas[1].embedding.weight
+        pair = self.unshared_pair()
+        for (_, p), (_, q) in zip(
+            pair[0].named_parameters(), pair[1].named_parameters()
+        ):
+            q.data = p.data
+        pair[0].embedding.weight.data[0, 0] = np.nan  # both see it
+        assert max_replica_divergence(pair) == 0.0
+        weight = pair[1].embedding.weight
         weight.data = weight.data.copy()
         weight.data[0, 0] = 1.0
-        assert max_replica_divergence(tr.replicas) == np.inf
+        assert max_replica_divergence(pair) == np.inf
 
     def test_unequal_factory_is_a_typed_error(self):
-        """Replicas must start equal; a factory that seeds the weights
-        off ``rank`` used to train G different models silently."""
+        """Ranks must start equal: a per-rank build (made for a model
+        with module streams) that seeds its weights off ``rank`` used to
+        train G different models silently."""
         with pytest.raises(ValueError, match="embedding.weight.*start equal"):
             DistributedTrainer(
-                lambda rng, rank: WordLanguageModel(
-                    WORD_CFG, np.random.default_rng(rank)
+                lambda rng, rank: CharLanguageModel(
+                    CHAR_CFG, np.random.default_rng(rank)
                 ),
                 lambda params, lr: SGD(params, lr),
                 CORPUS.train,

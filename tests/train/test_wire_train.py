@@ -145,7 +145,10 @@ class TestFusedReduceTraining:
         for p in params:
             p.grad = np.ones(8, np.float32)
         with pytest.raises(ValueError, match="summable"):
-            gs._issue_dense({"w": params}, tag="dense")
+            gs._issue_dense(
+                {"w": (params, np.stack([p.grad for p in params]))},
+                tag="dense",
+            )
 
     def test_fused_reduce_composes_with_mesh(self):
         """The fused ring runs per data subgroup: the reference's weights,
