@@ -104,7 +104,7 @@ bench-smoke:
 		benchmarks/bench_ablation_hierarchical.py \
 		benchmarks/bench_ablation_bucketing.py --benchmark-only
 
-# Wire-compression smoke: measured byte-reduction + pipeline-model +
+# Wire-compression smoke: measured byte-reduction +
 # bit-exactness gates of the codec stack (see docs/COMPRESSION.md).
 bench-wire:
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
@@ -142,7 +142,7 @@ dead-code:
 	$(DEAD) -m repro.cli zipf --tokens 20000 > /dev/null
 	$(DEAD) -m repro.cli train --gpus 2 --steps 3 --corpus-tokens 6000 > /dev/null
 	$(DEAD) -m repro.cli train --model char --gpus 2 --steps 3 --corpus-tokens 40000 --fp16 --overlap > /dev/null
-	$(DEAD) -m repro.cli train --gpus 8 --steps 3 --corpus-tokens 6000 --mesh pipe=2,tensor=2,data=2 --wire-codec fp16+entropy --wire-chunk-bytes 4096 --fused-reduce --sanitize --telemetry-dir $(DEAD_DIR)/tel > /dev/null
+	$(DEAD) -m repro.cli train --gpus 8 --steps 3 --corpus-tokens 6000 --mesh pipe=2,tensor=2,data=2 --wire-codec fp16+entropy --fused-reduce --sanitize --telemetry-dir $(DEAD_DIR)/tel > /dev/null
 	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --resilient --baseline --wire-codec auto --seed-strategy zipf_freq > /dev/null
 	$(DEAD) -m repro.cli train --model char --gpus 4 --steps 4 --corpus-tokens 40000 --resilient > /dev/null
 	$(DEAD) -m repro.cli train --gpus 4 --steps 4 --corpus-tokens 6000 --fault-plan $(DEAD_DIR)/plan.json --telemetry-dir $(DEAD_DIR)/tel-chaos > /dev/null

@@ -1,4 +1,4 @@
-"""Wire compression on the unique-index ALLGATHER: measured bytes + pipeline.
+"""Wire compression on the unique-index ALLGATHER: measured bytes.
 
 The uniqueness exchange (paper §III-A) ships every rank's sorted unique
 word indices to every other rank — Θ(G·K) int64 traffic that §III-C's
@@ -10,11 +10,7 @@ frame codecs of :mod:`repro.core.wire` actually remove from that wire:
    G=128 and per-rank batch sizes; the reported factor is *measured*
    from the cost ledger (logical bytes / encoded wire bytes), not
    estimated.  Gate: >= 4x at G=128 with the paper's 32x20 batch.
-2. **Pipelined-time model gate** — the analytic chunked makespan of
-   :func:`repro.perf.pipelined_transfer_time` vs the same schedule
-   executed on a real Timeline, within 5% everywhere (the same
-   regression guard style as ``bench_ablation_overlap``).
-3. **Bit-exactness** — a real mini word-LM training run under
+2. **Bit-exactness** — a real mini word-LM training run under
    ``wire_codec="delta"`` finishes with weights identical bit-for-bit
    to the uncompressed run.
 
@@ -27,7 +23,6 @@ import os
 import numpy as np
 
 from repro.cluster import Communicator
-from repro.cluster.interconnect import LinkSpec
 from repro.core.compression import Fp16Codec
 from repro.core.wire import (
     DeltaBitpackCodec,
@@ -41,9 +36,7 @@ from repro.perf import (
     CodecThroughput,
     calibrate_codec_throughput,
     fused_reduce_time,
-    pipelined_transfer_time,
     timeline_fused_reduce,
-    timeline_pipelined_transfer,
     uniform_fused_plan,
 )
 from repro.perf.hardware import PAPER_PLATFORM
@@ -117,39 +110,6 @@ def byte_sweep():
     return rows, paper_factor, paper_entropy_factor
 
 
-LINK = LinkSpec(bandwidth=16e9, latency=5e-6)
-TP = CodecThroughput(encode_bps=50e9, decode_bps=80e9)
-
-PIPE_SWEEP = [
-    # (logical bytes per rank, chunk bytes, world)
-    (256 << 10, None, 8),
-    (256 << 10, 32 << 10, 8),
-    (4 << 20, 256 << 10, 8),
-    (4 << 20, 256 << 10, 32),
-    (64 << 20, 4 << 20, 32),
-]
-
-
-def pipeline_gate():
-    rows = []
-    worst_rel = 0.0
-    for logical, chunk, world in PIPE_SWEEP:
-        analytic = pipelined_transfer_time(
-            logical, world, LINK, TP, chunk_bytes=chunk, encoded_ratio=4.0
-        )
-        scheduled = timeline_pipelined_transfer(
-            logical, world, LINK, TP, chunk_bytes=chunk, encoded_ratio=4.0
-        )
-        rel = abs(scheduled - analytic) / analytic
-        worst_rel = max(worst_rel, rel)
-        rows.append(
-            [f"{logical >> 10} KiB", "-" if chunk is None else f"{chunk >> 10} KiB",
-             world, f"{analytic * 1e3:.3f}", f"{scheduled * 1e3:.3f}",
-             f"{rel:.2e}"]
-        )
-    return rows, worst_rel
-
-
 TRAIN_VOCAB = 120
 TRAIN_MODEL = WordLMConfig(
     vocab_size=TRAIN_VOCAB, embedding_dim=8, hidden_dim=10, projection_dim=8,
@@ -191,18 +151,13 @@ def bit_exact_check() -> tuple[bool, float]:
 
 def run_all():
     sweep_rows, paper_factor, paper_entropy = byte_sweep()
-    pipe_rows, worst_rel = pipeline_gate()
     exact, train_factor = bit_exact_check()
-    return (
-        sweep_rows, paper_factor, paper_entropy, pipe_rows, worst_rel,
-        exact, train_factor,
-    )
+    return sweep_rows, paper_factor, paper_entropy, exact, train_factor
 
 
 def test_wire_compression(benchmark, report, bench_metrics):
     (
-        sweep_rows, paper_factor, paper_entropy, pipe_rows, worst_rel,
-        exact, train_factor,
+        sweep_rows, paper_factor, paper_entropy, exact, train_factor,
     ) = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     factor_gauge = bench_metrics.gauge(
@@ -212,10 +167,6 @@ def test_wire_compression(benchmark, report, bench_metrics):
     factor_gauge.set(paper_factor, setting="paper_g128")
     factor_gauge.set(paper_entropy, setting="paper_g128_entropy")
     factor_gauge.set(train_factor, setting="training")
-    bench_metrics.gauge(
-        "repro_bench_pipeline_rel_err",
-        "Worst analytic-vs-timeline relative error",
-    ).set(worst_rel)
     bench_metrics.gauge(
         "repro_bench_bit_exact", "1 when delta training matched baseline"
     ).set(int(exact))
@@ -232,29 +183,19 @@ def test_wire_compression(benchmark, report, bench_metrics):
         title="Unique-index ALLGATHER wire reduction (1B-Word Zipf, "
         f"vocab {VOCAB:,}; measured from the cost ledger)",
     )
-    pipe = format_table(
-        ["logical/rank", "chunk", "GPUs", "analytic ms", "timeline ms",
-         "rel err"],
-        pipe_rows,
-        title="Chunked encode/transmit pipeline: analytic model vs "
-        "executed Timeline schedule",
-    )
     trailer = (
         f"G=128 paper-batch measured reduction: {paper_factor:.2f}x "
         "(gate: >= 4x)\n"
         f"G=128 paper-batch entropy-codec reduction: {paper_entropy:.2f}x "
         "(gate: > delta)\n"
-        f"analytic-vs-timeline worst relative error: {worst_rel:.2e} "
-        "(gate: < 5%)\n"
         f"delta-codec training bit-exact vs uncompressed: {exact} "
         f"(measured index compression during training: {train_factor:.2f}x)"
     )
-    report("wire_compression", f"{sweep}\n\n{pipe}\n\n{trailer}")
+    report("wire_compression", f"{sweep}\n\n{trailer}")
 
     # The ISSUE's acceptance gates.
     assert paper_factor is not None and paper_factor >= 4.0
     assert paper_entropy is not None and paper_entropy > paper_factor
-    assert worst_rel < 0.05
     assert exact
     assert train_factor > 1.0
 

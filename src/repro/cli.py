@@ -62,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "message from the crossover cost model, 'none' is "
                          "the explicit uncompressed baseline; slots combine "
                          "as 'fp16+entropy', 'fp16:1024', 'delta:128'")
-    p_train.add_argument("--wire-chunk-bytes", type=int, default=None,
-                         metavar="N",
-                         help="chunk the compressed index gather into N-byte "
-                         "pieces so encode of chunk i+1 overlaps transmit "
-                         "of chunk i (requires --wire-codec)")
     p_train.add_argument("--fused-reduce", action="store_true",
                          help="run dense gradient allreduces as fused "
                          "compress-reduce rings: the value codec is applied "
@@ -92,9 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "--resilient and --fault-plan")
     p_train.add_argument("--overlap", action=argparse.BooleanOptionalAction,
                          default=False,
-                         help="issue gradient collectives layer-by-layer "
-                         "during backward instead of in one blocking sync "
-                         "(numerics are bit-identical either way)")
+                         help="record backward compute slice by slice, each "
+                         "pack of gradients issued once its slices are "
+                         "recorded; it changes the step only where compute "
+                         "is charged (numerics are bit-identical either "
+                         "way)")
     p_train.add_argument("--resilient", action="store_true",
                          help="run under the supervised recovery loop "
                          "(ResilientRunner): transient faults are retried "
@@ -340,7 +337,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             seed_strategy=SeedStrategy(args.seed_strategy),
             overlap=args.overlap,
             wire_codec=_wire_spec(args),
-            wire_chunk_bytes=args.wire_chunk_bytes,
             fused_reduce=args.fused_reduce,
             mesh=args.mesh,
         )

@@ -29,34 +29,37 @@ a ``(1, 1, G)`` mesh and a ``pipe x tensor x data`` mesh execute the
 same code, and wire codecs, the fused ring and the sanitizer compose
 with all three.
 
-One loop, two schedules.  Each maximal run of consecutive dense-only
-parameters is one allreduce payload (§V-B: latency per run, not per
-tensor), and so is each unique exchange's step-6 value matrix.
-Blocking (``overlap=False``) is "issue one, drain one", in two stages:
-**one gather stage**, then **one reduce stage**.  The unique exchanges'
-raw index gathers go first, packed into as few allgathers as the step's
-largest scratch allows (see :func:`_pack_gathers` and
+One schedule.  Each maximal run of consecutive dense-only parameters is
+one allreduce payload (§V-B: latency per run, not per tensor), and so
+is each unique exchange's step-6 value matrix.  Every collective is
+issued as soon as its inputs exist, and each is drained before the next
+is issued, so one collective is in flight at a time.
+**Index gathers go first.**  They need only ids (§III-A), so every
+unique exchange's step 3 goes before any backward slice: the raw index
+gathers packed into as few allgathers as the step's largest scratch
+allows (see :func:`_pack_gathers` and
 :func:`~repro.core.unique.igather_indices`), each paying the ring's
-``(G-1)α`` latency once; then the step's allreduce payloads go packed,
-in registration order, into as few allreduces as the step's own largest
-scratch allows (see :func:`_pack`), each paying ``2(G-1)α`` once.
+``(G-1)α`` latency once, and an encoded gather alone.
 Step 3 buys nothing when the vocabulary is small against the batch: if
 every raw gather of the step is dearer than its embedding's dense table
 (:func:`~repro.core.unique.dense_table_wins`), and the tables pack into
 no more allreduces than empty value matrices would, the step *folds*
-(:func:`_fold`) — no gather stage, each exchange's table (its rows plus
-a presence column) riding the reduce stage as its value payload, the
-same bits landing.
-``overlap=True`` is "issue all, then drain": parameters are walked in
-reverse registration order (the order backward produces gradients),
-every collective whose payload exists is issued first — dense runs
-interleaved with the sparse exchanges' index gathers — and only then
-are the waits drained, each value matrix being issued alone as its
-gather drains, so collectives queue up on the comm stream while later
-parameters are still being issued.  Packing would hold a dense run back
-until a gather drained, so the overlapped schedule issues each payload
-alone.  Numerics are identical either way — every member of a pack is
-folded alone — only the simulated timeline differs.
+(:func:`_fold`) — no gather, each exchange's table (its rows plus a
+presence column) riding the reduce packs as its value payload, the
+same bits landing.  That decision needs only sizes, so it is made here
+too.
+**Reduce packs follow.**  The step's allreduce payloads go packed, in
+registration order, into as few allreduces as the step's own largest
+scratch allows (see :func:`_pack`), each paying ``2(G-1)α`` once.  A
+pack is issued once the backward slice of every member has been
+recorded; the allgather baseline's collectives go at their parameter's
+slice.  Backward produces gradients last layer first, so slices are
+recorded in reverse registration order, the way DDP fills its buckets
+(arXiv 2006.15704).  With no slices (no ``on_issue`` hook) every input
+exists at once: the step is one gather stage, then one reduce stage,
+each collective drained before the next is built.  Numerics never
+depend on the timing — every member of a pack is folded alone — only
+the simulated timeline does.
 """
 
 from __future__ import annotations
@@ -244,17 +247,14 @@ class GradientSynchronizer:
         one message) covers the dense allreduces; the sparse strategies
         carry their own reference to the same policy for index and value
         traffic.
-    overlap:
-        Use the issue-all-then-drain schedule in :meth:`sync_replicas`
-        (see module docstring).  Off by default: the blocking schedule
-        is the bit-exact reference, including its ledger event order.
     on_issue:
-        Optional hook ``f(param_name)`` called as the overlapped schedule
-        reaches each parameter, before any collective it starts or ends.
-        The trainer uses it to record that parameter's slice of backward
-        compute on the timeline — the "backward produces this layer's
-        gradient, then its run is issued" interleaving.  Ignored on the
-        blocking schedule.
+        Optional hook ``f(param_name)`` that records the parameter's
+        slice of backward compute on the timeline.  It is called once
+        per parameter that syncs, last layer first, after the step's
+        index gathers and before any collective that carries the
+        parameter's gradient: the "backward produces this layer's
+        gradient, then its pack is issued" interleaving.  Without it
+        the step is not sliced, and every gradient exists at once.
     fused_reduce:
         Route dense allreduces through the fused compress-reduce ring
         (:func:`~repro.core.wire.fused.icompressed_allreduce`): the
@@ -270,7 +270,6 @@ class GradientSynchronizer:
         self,
         comm: Communicator,
         strategy: ExchangeStrategy | None = None,
-        overlap: bool = False,
         on_issue: Callable[[str], None] | None = None,
         wire: WirePolicy | None = None,
         fused_reduce: bool = False,
@@ -278,30 +277,8 @@ class GradientSynchronizer:
         self.comm = comm
         self.strategy = strategy if strategy is not None else AllGatherExchange()
         self.wire = wire
-        self.overlap = overlap
         self.on_issue = on_issue
         self.fused_reduce = fused_reduce
-
-    def _issue_dense(self, run: dict[str, _Rows], tag: str) -> Callable[[], None]:
-        """Issue one dense run's allreduce alone; return its finisher."""
-        return self._issue([self._dense(run, tag, tag)])
-
-    def _issue_sparse(
-        self, targets: list[Parameter], grads: list[SparseGrad], tag: str
-    ) -> Callable[[], None]:
-        """Start one sparse exchange; return the finisher that applies it.
-
-        The finisher issues the exchange's value allreduce (if it has
-        one) alone, as soon as the index gather has drained.
-        """
-        stage, _ = self._exchange(targets, grads, tag)
-
-        def finish() -> None:
-            values = stage()
-            if values is not None:
-                self._issue([values])()
-
-        return finish
 
     def _dense(self, run: dict[str, _Rows], tag: str, scope: str) -> _Allreduce:
         """The allreduce payload of one dense run, ready to issue.
@@ -429,9 +406,6 @@ class GradientSynchronizer:
                 arrays,
                 codec=head.codec,
                 tag=head.tag,
-                chunk_bytes=(
-                    self.wire.chunk_bytes if self.wire is not None else None
-                ),
                 stacked=stacked[0] or None,
             )
             return lambda: head.finish(handle.wait())
@@ -494,15 +468,14 @@ class GradientSynchronizer:
         targets: list[Parameter],
         grads: list[SparseGrad],
         tag: str,
-        own_gather: bool = False,
     ) -> tuple[Callable[[], _Allreduce | None], IndexGather | None]:
         """Start one sparse exchange; return its stager and its gather.
 
         The stager finishes everything before the exchange's value
         allreduce and returns that allreduce's payload, or — for a
         strategy that ends on no allreduce — completes the exchange,
-        applies it and returns None.  With ``own_gather`` a raw index
-        gather is left unissued and returned, to be issued (see
+        applies it and returns None.  A raw index gather is left
+        unissued and returned, to be issued (see
         :func:`~repro.core.unique.igather_indices`) before the stager
         runs; otherwise the gather is None.  ``grads`` are the data
         ranks' token-level gradients, in rank order.
@@ -516,7 +489,7 @@ class GradientSynchronizer:
                 coalesce=self.strategy.reduces_locally,
             ),
             tag=tag,
-            num_rows=num_rows if own_gather else None,
+            num_rows=num_rows,
         )
 
         def stage() -> _Allreduce | None:
@@ -601,10 +574,10 @@ class GradientSynchronizer:
         can hit both paths for one parameter.
 
         Each maximal run of consecutive dense-only parameters of one
-        dtype, in walk order, is **one** allreduce payload, tagged and
-        scoped with its members' names joined by ``+`` in registration
-        order.  A parameter with a sparse exchange ends the run; its own
-        dense grad (a tied embedding's) is a run of one.  The unique
+        dtype, in registration order, is **one** allreduce payload,
+        tagged and scoped with its members' names joined by ``+``.  A
+        parameter with a sparse exchange ends the run; its own dense
+        grad (a tied embedding's) is a run of one.  The unique
         exchange's value matrices are a payload too (tag
         ``"{name}:values"``), staged once the exchange's index gather
         has drained.
@@ -614,32 +587,24 @@ class GradientSynchronizer:
         unscales the result does so once (through any one module), and
         independent optimizers may each read it.
 
-        Blocking, the step is **one gather stage, then one reduce
-        stage**.  The walk runs every exchange's local steps (1-2) under
-        its parameter's scope; then the unique exchanges' raw index
-        gathers go packed next-fit, in registration order, into as few
-        allgathers as :func:`_pack_gathers` allows — tagged with the
-        members' tags and scoped with their names, each joined by ``+``
-        — each issued and drained before the next.  Each exchange then
-        stages its value payload, and the step's allreduce payloads go
-        packed in registration order, next-fit, into as few allreduces
-        as :func:`_pack` allows, each issued and drained before the
-        next.  An encoded index gather, and the allgather baseline's
-        collectives, are issued and drained alone during the walk.
-        When every raw gather's table wins and the tables take no more
-        packs than empty matrices would (:func:`_fold`), the gathers
-        are folded instead of issued: there is no gather stage, and
-        each exchange stages its dense table with a presence column as
-        its ``"{name}:values"`` payload.
-
-        With ``overlap=True`` parameters are walked in *reverse*
-        registration order and each allreduce is issued alone as soon
-        as its payload exists, so dense runs and the sparse exchanges'
-        index gathers queue up back-to-back the way an eager DDP-style
-        hook would issue them;
-        finishers then drain in the same order, each value allreduce
-        (which depends on the gathered indices) being issued during the
-        drain under the owning parameter's scope.
+        The step is one schedule, and one collective is in flight at a
+        time: each is drained just before the next is issued, the last
+        at the end.  The walk, in registration order, runs every
+        exchange's local steps (1-2) under its parameter's scope and
+        starts each unique exchange — an encoded index gather is issued
+        and drained there, a raw one kept.  Then, before the first
+        backward slice, the raw gathers either fold (:func:`_fold`: no
+        gather, each exchange staging its dense table with a presence
+        column as its ``"{name}:values"`` payload) or go packed
+        next-fit, in registration order, into as few allgathers as
+        :func:`_pack_gathers` allows, tagged with the members' tags and
+        scoped with their names, each joined by ``+``.  Then, at each
+        parameter's backward slice (``on_issue``, last layer first), the
+        allgather baseline's exchange of that parameter runs, and every
+        pack of :func:`_pack` whose members' slices have all been
+        recorded is issued, in registration order.  Without slices
+        there is one such point, after the gather stage: every baseline
+        exchange, then every pack.
         """
         ring = self.comm.axis("data").ring_size
         if len(replicas) not in (1, ring):
@@ -651,31 +616,30 @@ class GradientSynchronizer:
         if any(list(d) != names for d in named[1:]):
             raise ValueError("replicas are not structurally identical")
         scope = self.comm.timeline.scope
-        deferred: list[tuple[str, Callable[[], None]]] = []
-        # Blocking: the one reduce stage, in walk order — payloads, and
-        # the stagers of exchanges whose gather rides the gather stage.
+        order: list[str] = []  # the parameters that sync, in walk order
+        # The reduce stage, in registration order — payloads, and the
+        # stagers of exchanges whose gather rides the gather stage —
+        # each with the walk index of the member sliced last.
         payloads: list[_Allreduce | Callable[[], _Allreduce | None]] = []
+        gates: list[int] = []
         gathers: list[tuple[str, IndexGather]] = []  # the one gather stage
+        # The baseline ships ids and values together: it waits for its
+        # parameter's slice.
+        baseline: list[tuple[int, str, list[Parameter], list]] = []
         run: dict[str, _Rows] = {}
 
         def flush() -> None:
             if run:
-                # Laid out and named in registration order on either
-                # schedule, so both bill the same scopes.
-                members = dict(reversed(run.items()) if self.overlap else run)
-                label = "+".join(members)
-                scope_name = label.replace("/", "-")
-                if self.overlap:
-                    with scope(scope_name):
-                        finish = self._issue_dense(members, f"{label}:dense")
-                    deferred.append((scope_name, finish))
-                else:
-                    payloads.append(
-                        self._dense(members, f"{label}:dense", scope_name)
+                label = "+".join(run)
+                payloads.append(
+                    self._dense(
+                        dict(run), f"{label}:dense", label.replace("/", "-")
                     )
+                )
+                gates.append(order.index(next(iter(run))))
                 run.clear()
 
-        for name in reversed(names) if self.overlap else names:
+        for name in names:
             targets = [d[name] for d in named]
             dense, sparse = self._rank_rows(name, targets, ring)
             if dense is None and sparse is None:
@@ -684,27 +648,40 @@ class GradientSynchronizer:
                 run and next(iter(run.values()))[0][0].dtype != targets[0].dtype
             ):
                 flush()
-            if self.overlap and self.on_issue is not None:
-                self.on_issue(name)
+            order.append(name)
             if dense is not None:
                 run[name] = (targets, dense)
-            if sparse is not None:
-                flush()  # a tied parameter's dense grad: a run of one
-                scope_name = name.replace("/", "-")
-                with scope(scope_name):
-                    if self.overlap:
-                        finish = self._issue_sparse(targets, sparse, name)
-                        deferred.append((scope_name, finish))
-                    else:
-                        stage, gather = self._exchange(
-                            targets, sparse, name, own_gather=True
-                        )
-                        if gather is not None:
-                            gathers.append((scope_name, gather))
-                            payloads.append(stage)
-                        elif (values := stage()) is not None:
-                            payloads.append(values)
+            if sparse is None:
+                continue
+            flush()  # a tied parameter's dense grad: a run of one
+            if isinstance(self.strategy, AllGatherExchange):
+                baseline.append((len(order) - 1, name, targets, sparse))
+                continue
+            scope_name = name.replace("/", "-")
+            with scope(scope_name):
+                stage, gather = self._exchange(targets, sparse, name)
+                if gather is not None:
+                    gathers.append((scope_name, gather))
+                    payloads.append(stage)
+                else:  # an encoded gather: issued and drained
+                    payloads.append(stage())
+            gates.append(len(order) - 1)
         flush()
+        sliced = self.on_issue is not None
+
+        def point(index: int) -> int:
+            """The slice after which the gradient of ``order[index]``
+            exists: last layer first; without slices, all at once."""
+            return len(order) - 1 - index if sliced else 0
+
+        # The one collective in flight: its finisher, drained (and
+        # dropped) before the next collective is issued.
+        inflight: list[Callable[[], object]] = []
+
+        def settle() -> None:
+            while inflight:
+                inflight.pop()()
+
         if gathers and all(g.table_wins for _, g in gathers):
             payloads, gathers = _fold(payloads, gathers)
         if gathers:
@@ -716,24 +693,43 @@ class GradientSynchronizer:
                 + [g.scratch_bytes for _, g in gathers]
             )
             for pack in _pack_gathers(gathers, cap):
+                settle()
                 with scope("+".join(s for s, _ in pack)):
                     members = [g for _, g in pack]
                     igather_indices(
                         self.comm.axis("data"), members, [s for s, _ in pack]
                     )
-                    members[0].uniques()  # drains it: step 4 for all
-            # A unique exchange always stages a value payload.
-            payloads = [
-                p if isinstance(p, _Allreduce) else p() for p in payloads
-            ]
-        # Popped as they go, so each pack's pre-sync grads and matrices
-        # are freed before the next pack's are built.
-        packs = _pack(payloads)
-        payloads.clear()
-        while packs:
-            pack = packs.pop(0)
-            with scope("+".join(p.scope for p in pack)):
-                self._issue(pack)()
-        for scope_name, finish in deferred:
-            with scope(scope_name):
-                finish()
+                inflight.append(members[0].uniques)  # step 4 for all
+        # The reduce packs, by the slice they wait for.
+        packs: dict[int, list[list[_Allreduce]]] | None = None
+        for now in range(len(order) if sliced else 1):
+            if sliced:
+                self.on_issue(order[-1 - now])
+            for index, name, targets, sparse in baseline:
+                if point(index) == now:
+                    settle()
+                    with scope(name.replace("/", "-")):
+                        stage, _ = self._exchange(targets, sparse, name)
+                        stage()
+            if packs is None:
+                settle()
+                # A unique exchange always stages a value payload.
+                payloads = [
+                    p if isinstance(p, _Allreduce) else p() for p in payloads
+                ]
+                packs, first = {}, 0
+                for pack in _pack(payloads):
+                    last = first + len(pack)
+                    packs.setdefault(point(min(gates[first:last])), []).append(
+                        pack
+                    )
+                    first = last
+                # Each pack's pre-sync grads and matrices go with it.
+                payloads.clear()
+            due = packs.pop(now, [])
+            while due:
+                pack = due.pop(0)
+                settle()
+                with scope("+".join(p.scope for p in pack)):
+                    inflight.append(self._issue(pack))
+        settle()

@@ -25,11 +25,12 @@ each data subgroup of a ``comm.axis("data")`` view — and return, per
 flat rank, that rank's ring's sum (one shared object per ring).
 
 Each strategy also exposes :meth:`ExchangeStrategy.iexchange`, the
-non-blocking form used by the overlapped synchronizer: it *issues* every
-collective whose payload is already known and returns a
+non-blocking form the gradient synchronizer drives: it *issues* every
+collective whose payload is already known (or, for the unique exchange,
+hands its raw index gather to the caller) and returns a
 :class:`PendingSparseExchange` whose ``wait()`` finishes the rest.
-``exchange`` is always ``iexchange(...).wait()``, so blocking and
-overlapped runs stay bit-identical.
+``exchange`` is always ``iexchange(...).wait()``, so however a caller
+schedules the pieces, the bits are the same.
 """
 
 from __future__ import annotations
@@ -187,7 +188,6 @@ class AllGatherExchange(ExchangeStrategy):
                 index_vectors,
                 index_codec,
                 tag=f"{tag}:indices",
-                chunk_bytes=wire.chunk_bytes,
             )
         else:
             idx_handle = comm.iallgather(index_vectors, tag=f"{tag}:indices")

@@ -310,8 +310,8 @@ class PendingUniqueExchange:
     gather, *issues* the step-3 index ALLGATHER before returning — so
     the index traffic rides the comm stream while the caller does other
     work (e.g. issuing dense gradient buckets).  A caller that owns the
-    gather (the gradient synchronizer's blocking schedule: one gather
-    stage, then one reduce stage) takes :attr:`gather` and issues it
+    gather (the gradient synchronizer, whose index gathers all go
+    before its reduce packs) takes :attr:`gather` and issues it
     with the step's other exchanges' as one allgather
     (:func:`igather_indices`).  :meth:`stage` then
     completes the allgather and runs the purely-local step 4, returning
@@ -573,8 +573,8 @@ def iunique_exchange(
     pending exchange's :attr:`~PendingUniqueExchange.gather`, for the
     caller to issue through :func:`igather_indices` — alone or packed
     with other exchanges' — before it stages the values.  The gradient
-    synchronizer's blocking step is so one gather stage, then one
-    reduce stage.  When the values carry no codec and the dense table
+    synchronizer so issues one gather stage before any reduce pack.
+    When the values carry no codec and the dense table
     is no dearer than the gather on every ring (:func:`dense_table_wins`)
     the gather's ``table_wins`` is set, and the caller may fold it
     instead of issuing it.
@@ -615,7 +615,6 @@ def iunique_exchange(
             [np.sort(v) for v in index_vectors],
             index_codec,
             tag=gather.tag,
-            chunk_bytes=wire.chunk_bytes,
         )
         gather.scratch_bytes = handle.scratch_bytes
         _land(comm, [gather], handle, [0])

@@ -11,12 +11,12 @@ into a table of codecs with distinct roles:
   compression crossover inequality;
 * :mod:`~repro.core.wire.adaptive` — per-message codec selection from
   size, dtype, and a sampled compressibility estimate;
-* :mod:`~repro.core.wire.transfer` — the chunked encoded allgather that
-  pipelines encode/transmit/decode on the two-stream timeline;
+* :mod:`~repro.core.wire.transfer` — the encoded allgather, its encode
+  and decode charged on the two-stream timeline;
 * :mod:`~repro.core.wire.fused` — the fused compress-reduce collective
   (compressed ring allreduce, summed in the wire domain);
 * :mod:`~repro.core.wire.policy` — the :class:`WirePolicy` object the
-  trainer/CLI hand down (``--wire-codec``, ``--wire-chunk-bytes``).
+  trainer/CLI hand down (``--wire-codec``).
 
 See ``docs/COMPRESSION.md`` for the codec zoo and the cost model.
 """

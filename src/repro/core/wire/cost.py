@@ -127,14 +127,13 @@ def compressed_transfer_seconds(
     link: LinkSpec,
     throughput: CodecThroughput,
 ) -> float:
-    """Serial (unpipelined) time of one encoded ring allgather.
+    """Time of one encoded ring allgather.
 
     Every rank encodes its own ``logical_bytes`` contribution, the ring
     moves the encoded frames, and every rank decodes the full gathered
-    ``world * logical_bytes``.  The chunked pipelined schedule of
-    :func:`repro.perf.codec_model.pipelined_transfer_time` beats this;
-    the serial figure is the cheap upper bound the adaptive selector's
-    crossover test uses.  Memoized — pure in its (hashable) arguments,
+    ``world * logical_bytes`` — the schedule
+    :func:`repro.core.wire.transfer.iencoded_allgather` executes, and
+    the figure the adaptive selector's crossover test uses.  Memoized — pure in its (hashable) arguments,
     and the selector re-evaluates the same key for every bucket.
     """
     return (

@@ -1,4 +1,4 @@
-"""Wire policy: what to compress, with which codec, in which chunks.
+"""Wire policy: what to compress, and with which codec.
 
 :class:`WirePolicy` is the single object configuration layers hand to
 the exchange strategies and the gradient synchronizer.  It separates
@@ -46,7 +46,7 @@ _INDEX_SPECS = {"delta", "entropy"}
 
 @dataclass(frozen=True)
 class WirePolicy:
-    """Codec/chunking policy for one training run's wire traffic.
+    """Codec policy for one training run's wire traffic.
 
     Attributes
     ----------
@@ -55,9 +55,6 @@ class WirePolicy:
     selector:
         Adaptive per-message selector consulted when the corresponding
         fixed codec is None.
-    chunk_bytes:
-        Chunk size (logical bytes per rank) for the pipelined index
-        gather; None disables chunking.
 
     Encode/decode time is charged to the simulated compute streams at
     the codec's throughput.
@@ -66,16 +63,9 @@ class WirePolicy:
     value_codec: WireCodec | None = None
     index_codec: WireCodec | None = None
     selector: AdaptiveCodecSelector | None = None
-    chunk_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.chunk_bytes is not None and self.chunk_bytes <= 0:
-            raise ValueError("chunk_bytes must be positive")
 
     @classmethod
-    def from_spec(
-        cls, spec: str, chunk_bytes: int | None = None
-    ) -> "WirePolicy":
+    def from_spec(cls, spec: str) -> "WirePolicy":
         """Build a policy from a ``--wire-codec`` spec string."""
         parts = [p.strip() for p in spec.split("+") if p.strip()]
         if not parts:
@@ -92,7 +82,7 @@ class WirePolicy:
                 )
             selector = AdaptiveCodecSelector()
         if parts == ["none"]:
-            return cls(chunk_bytes=chunk_bytes)
+            return cls()
         value: WireCodec | None = None
         index: WireCodec | None = None
         for part in parts:
@@ -110,12 +100,7 @@ class WirePolicy:
                     f"unknown wire-codec {part!r}; expected none, auto, or "
                     f"'+'-joined names from: {', '.join(available_codecs())}"
                 )
-        return cls(
-            value_codec=value,
-            index_codec=index,
-            selector=selector,
-            chunk_bytes=chunk_bytes,
-        )
+        return cls(value_codec=value, index_codec=index, selector=selector)
 
     @property
     def is_inert(self) -> bool:
@@ -124,7 +109,6 @@ class WirePolicy:
             self.value_codec is None
             and self.index_codec is None
             and self.selector is None
-            and self.chunk_bytes is None
         )
 
     @property

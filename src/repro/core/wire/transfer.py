@@ -1,27 +1,16 @@
-"""Chunked, pipelined, codec-encoded index allgather.
+"""Codec-encoded index allgather.
 
-This is the piece that turns compression from a serialized prologue
-into an overlappable stage of the transfer.  A large index vector is
-split into chunks; for each chunk, every rank's encode cost is recorded
-on its *compute* stream and then the chunk's frames are issued as one
-allgather on the *comm* stream.  The PR-2 :class:`Timeline` contention
-rules do the rest: chunk ``i+1``'s encode runs while chunk ``i`` is on
-the wire (a collective starts no earlier than its issuers' compute
-clocks, and the shared link serializes chunks in issue order), so the
-schedule realizes ``encode(i+1) ∥ transmit(i)`` without any special
-machinery.  At :meth:`PendingEncodedGather.wait`, each chunk is
-completed and its decode cost recorded — decode of chunk ``i`` likewise
-overlaps transmit of chunks ``> i``.
+Every rank's encode cost is recorded on its *compute* stream, then the
+ranks' frames are issued as one allgather on the *comm* stream; at
+:meth:`PendingEncodedGather.wait` the gather is completed and its
+decode cost recorded.  The ledger charges the encoded frame sizes, with
+the logical (pre-codec) bytes riding along as the payload.
 
-The analytic model of this schedule lives in
-:func:`repro.perf.codec_model.pipelined_transfer_time`; the overlap
-benchmark gates the two against each other.
-
-Because every rank contributes exactly one self-delimiting frame per
-chunk, the gathered buffer decodes into per-rank, per-chunk parts that
-reassemble to each rank's original vector **in order** — the helper is
-safe for order-sensitive consumers (the baseline allgather pairs index
-order with value rows), not just for ``np.unique``.
+Each rank contributes exactly one self-delimiting frame, so the
+gathered buffer decodes into per-rank parts that reassemble to each
+rank's original vector **in order** — the helper is safe for
+order-sensitive consumers (the baseline allgather pairs index order
+with value rows), not just for ``np.unique``.
 """
 
 from __future__ import annotations
@@ -50,17 +39,17 @@ def wire_instruments(metrics, codec_name: str):
     return {
         "encode_s": metrics.histogram(
             "repro_wire_encode_seconds",
-            "Per-rank codec encode seconds, by chunk",
+            "Per-rank codec encode seconds, per encode",
             labelnames=("codec",),
         ),
         "decode_s": metrics.histogram(
             "repro_wire_decode_seconds",
-            "Per-rank codec decode seconds, by chunk",
+            "Per-rank codec decode seconds, per decode",
             labelnames=("codec",),
         ),
         "transfer_s": metrics.histogram(
             "repro_wire_transfer_seconds",
-            "On-wire seconds of each encoded chunk collective",
+            "On-wire seconds of each encoded collective",
             labelnames=("codec",),
         ),
         "encode_bytes": metrics.counter(
@@ -83,28 +72,27 @@ def wire_instruments(metrics, codec_name: str):
 
 
 class PendingEncodedGather:
-    """An in-flight chunked encoded allgather.
+    """An in-flight encoded allgather.
 
     Produced by :func:`iencoded_allgather`; :meth:`wait` completes the
-    chunk collectives in issue order, charges decode compute, and
-    returns the same thing a raw ``iallgather(...).wait()`` would: for
-    every member of a ring, that ring's one read-only member-order
-    concatenation of its decoded vectors, original element order.
-    Idempotent.
+    collective, charges decode compute, and returns the same thing a
+    raw ``iallgather(...).wait()`` would: for every member of a ring,
+    that ring's one read-only member-order concatenation of its decoded
+    vectors, original element order.  Idempotent.
     """
 
     def __init__(
         self,
         comm,
-        handles: list,
-        chunk_sizes: list[list[int]],
+        handle,
+        sizes: list[int],
         dtype: np.dtype,
         throughput: CodecThroughput,
         instruments: dict | None = None,
     ):
         self._comm = comm
-        self._handles = handles
-        self._chunk_sizes = chunk_sizes
+        self._handle = handle
+        self._sizes = sizes
         self._dtype = np.dtype(dtype)
         self._throughput = throughput
         self._instruments = instruments
@@ -112,45 +100,31 @@ class PendingEncodedGather:
 
     @property
     def scratch_bytes(self) -> int:
-        """The largest per-rank scratch one chunk gather charges."""
-        return max(h.scratch_bytes for h in self._handles)
+        """The per-rank scratch the gather charges."""
+        return self._handle.scratch_bytes
 
     def wait(self) -> list[np.ndarray]:
-        """Complete all chunk gathers; return allgather-shaped results."""
+        """Complete the gather; return allgather-shaped results."""
         if self._result is not None:
             return self._result
         comm = self._comm
         world = comm.world_size
         ins = self._instruments
-        chunk_bufs = []
-        for handle, sizes in zip(self._handles, self._chunk_sizes):
-            chunk_bufs.append(handle.wait())
-            # Rings decode concurrently; the fullest one sets the cost.
-            decoded_bytes = self._dtype.itemsize * max(
-                sum(sizes[r] for r in ranks) for ranks in comm.groups
-            )
-            decode_s = self._throughput.decode_seconds(decoded_bytes)
-            for rank in range(world):
-                comm.timeline.record_compute(
-                    rank, decode_s, name="codec:decode"
-                )
-                if ins is not None:
-                    ins["decode_s"].observe(decode_s, **ins["labels"])
-                    ins["decode_bytes"].inc(decoded_bytes, **ins["labels"])
+        sizes = self._sizes
+        bufs = self._handle.wait()
+        # Rings decode concurrently; the fullest one sets the cost.
+        decoded_bytes = self._dtype.itemsize * max(
+            sum(sizes[r] for r in ranks) for ranks in comm.groups
+        )
+        decode_s = self._throughput.decode_seconds(decoded_bytes)
+        for rank in range(world):
+            comm.timeline.record_compute(rank, decode_s, name="codec:decode")
+            if ins is not None:
+                ins["decode_s"].observe(decode_s, **ins["labels"])
+                ins["decode_bytes"].inc(decoded_bytes, **ins["labels"])
 
         def assemble(members, ring: int) -> list[np.ndarray]:
-            # A raw allgather hands every receiving rank the rank-order
-            # concatenation; reassemble the chunk-interleaved wire order
-            # back into that contract so callers can swap the two freely.
-            per_member: list[list[np.ndarray]] = [[] for _ in members]
-            for bufs, sizes in zip(chunk_bufs, self._chunk_sizes):
-                decoded = decode_frames(bufs[members[0]], self._dtype)
-                bounds = np.cumsum([sizes[r] for r in members])[:-1]
-                for parts, part in zip(per_member, np.split(decoded, bounds)):
-                    parts.append(part)
-            full = np.concatenate(
-                [np.concatenate(parts) for parts in per_member]
-            )
+            full = decode_frames(bufs[members[0]], self._dtype)
             full.flags.writeable = False
             return [full] * len(members)
 
@@ -163,10 +137,9 @@ def iencoded_allgather(
     arrays: Sequence[np.ndarray],
     codec,
     tag: str = "",
-    chunk_bytes: int | None = None,
     throughput: CodecThroughput | None = None,
 ) -> PendingEncodedGather:
-    """Issue a chunked, codec-encoded allgather of per-rank index vectors.
+    """Issue a codec-encoded allgather of per-rank index vectors.
 
     Parameters
     ----------
@@ -183,11 +156,7 @@ def iencoded_allgather(
         A frame codec (``decode`` must handle frame concatenation —
         any :class:`~repro.core.wire.codecs.LosslessIntCodec`).
     tag:
-        Ledger tag for the chunk collectives.
-    chunk_bytes:
-        Split each rank's vector into chunks of at most this many
-        *logical* bytes, pipelining encode/transmit/decode (see module
-        docstring).  None sends one chunk (no pipelining).
+        Ledger tag for the collective.
     throughput:
         Codec throughput used to charge encode/decode compute; defaults
         to the :data:`~repro.core.wire.cost.DEFAULT_CODEC_THROUGHPUTS`
@@ -200,47 +169,23 @@ def iencoded_allgather(
         )
     dtype = arrays[0].dtype
     itemsize = dtype.itemsize
-    max_len = max(a.size for a in arrays)
-    if chunk_bytes is not None:
-        if chunk_bytes <= 0:
-            raise ValueError("chunk_bytes must be positive")
-        elems = max(1, chunk_bytes // itemsize)
-    else:
-        elems = max(1, max_len)
-    n_chunks = max(1, -(-max_len // elems))
+    sizes = [int(a.size) for a in arrays]
     tp = throughput if throughput is not None else codec_throughput(codec.name)
-
     ins = wire_instruments(getattr(comm, "metrics", None), codec.name)
-    handles = []
-    chunk_sizes: list[list[int]] = []
     with comm.timeline.scope(f"wire-{codec.name}"):
-        for c in range(n_chunks):
-            lo, hi = c * elems, (c + 1) * elems
-            chunks = [a[lo:hi] for a in arrays]
-            sizes = [int(ch.size) for ch in chunks]
-            for rank, ch in enumerate(chunks):
-                encode_s = tp.encode_seconds(ch.size * itemsize)
-                comm.timeline.record_compute(
-                    rank, encode_s, name="codec:encode"
-                )
-                if ins is not None:
-                    ins["encode_s"].observe(encode_s, **ins["labels"])
-                    ins["encode_bytes"].inc(
-                        ch.size * itemsize, **ins["labels"]
-                    )
-            frames = codec.encode_many(chunks)
-            handle = comm.iallgather(
-                frames,
-                tag=f"{tag}[{c}]" if n_chunks > 1 else tag,
-                payload_bytes=max(sizes) * itemsize,
-            )
+        for rank, a in enumerate(arrays):
+            encode_s = tp.encode_seconds(a.size * itemsize)
+            comm.timeline.record_compute(rank, encode_s, name="codec:encode")
             if ins is not None:
-                ins["frame_bytes"].inc(
-                    sum(len(f) for f in frames), **ins["labels"]
-                )
-                ins["transfer_s"].observe(
-                    handle.ticket.end - handle.ticket.start, **ins["labels"]
-                )
-            handles.append(handle)
-            chunk_sizes.append(sizes)
-    return PendingEncodedGather(comm, handles, chunk_sizes, dtype, tp, ins)
+                ins["encode_s"].observe(encode_s, **ins["labels"])
+                ins["encode_bytes"].inc(a.size * itemsize, **ins["labels"])
+        frames = codec.encode_many(list(arrays))
+        handle = comm.iallgather(
+            frames, tag=tag, payload_bytes=max(sizes) * itemsize
+        )
+        if ins is not None:
+            ins["frame_bytes"].inc(sum(len(f) for f in frames), **ins["labels"])
+            ins["transfer_s"].observe(
+                handle.ticket.end - handle.ticket.start, **ins["labels"]
+            )
+    return PendingEncodedGather(comm, handle, sizes, dtype, tp, ins)

@@ -6,9 +6,7 @@ from .codec_model import (
     CodecThroughput,
     calibrate_codec_throughput,
     fused_reduce_time,
-    pipelined_transfer_time,
     timeline_fused_reduce,
-    timeline_pipelined_transfer,
     uniform_fused_plan,
 )
 from .checkpoint_overhead import (
@@ -54,9 +52,7 @@ __all__ = [
     "CodecThroughput",
     "calibrate_codec_throughput",
     "fused_reduce_time",
-    "pipelined_transfer_time",
     "timeline_fused_reduce",
-    "timeline_pipelined_transfer",
     "uniform_fused_plan",
     "checkpoint_cost_seconds",
     "young_interval",

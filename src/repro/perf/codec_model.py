@@ -1,4 +1,4 @@
-"""Throughput calibration and pipelined-time models for wire codecs.
+"""Throughput calibration and time models for wire codecs.
 
 Companion to :mod:`repro.core.wire.cost`, which holds the primitive
 crossover inequality the adaptive selector needs *below* the exchange
@@ -8,44 +8,22 @@ layer.  This module adds the perf-layer pieces:
   encode/decode bytes-per-second on this host (the deterministic
   :data:`~repro.core.wire.cost.DEFAULT_CODEC_THROUGHPUTS` model the
   simulated accelerator instead, and are what simulated timelines use);
-* :func:`pipelined_transfer_time` — the **analytic makespan** of the
-  chunked schedule :func:`repro.core.wire.transfer.iencoded_allgather`
-  actually executes, derived from the Timeline contention rules;
-* :func:`timeline_pipelined_transfer` — the same schedule *executed* on
-  a fresh :class:`~repro.cluster.timeline.Timeline`, as the overlap
-  module does for bucketed allreduce.  The benches gate the two against
-  each other within 5%, the same regression guard style as
-  ``bench_ablation_overlap``;
-* :func:`fused_reduce_time` / :func:`timeline_fused_reduce` — the same
+* :func:`fused_reduce_time` / :func:`timeline_fused_reduce` — the
   analytic-vs-executed pair for the **fused compressed reductions** of
   :mod:`repro.core.wire.fused`, driven by a shared
   :class:`~repro.core.wire.fused.FusedReducePlan` so all three views
   (live collective, closed recurrence, Timeline replay) agree on every
   hop byte count; :func:`uniform_fused_plan` builds such plans from
   uniform byte arithmetic when no real payload exists (bench sweeps).
-
-Pipelined schedule (n chunks, per-chunk encode ``e``, transfer ``t``,
-decode ``d``)::
-
-    compute:  e0 e1 e2 ...            d0 d1 d2 ...
-    comm:        [t0]  [t1]  [t2] ...
-
-Chunk ``i+1`` encodes while chunk ``i`` is on the wire; decode drains
-after each completion.  For uniform transmit-bound chunks (``t >= e``)
-the makespan closes to ``e + t + max((n-1)*max(e, t) + d, n*d)``; the
-implementation runs the exact recurrence so ragged last chunks and
-encode-bound regimes are handled too.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
 
-from ..cluster.collectives import ring_allgather_time
 from ..cluster.interconnect import LinkSpec
 from ..cluster.timeline import Timeline
 from ..core.wire.cost import CodecThroughput
@@ -55,9 +33,7 @@ __all__ = [
     "CodecThroughput",
     "calibrate_codec_throughput",
     "fused_reduce_time",
-    "pipelined_transfer_time",
     "timeline_fused_reduce",
-    "timeline_pipelined_transfer",
     "uniform_fused_plan",
 ]
 
@@ -123,174 +99,6 @@ def calibrate_codec_throughput(
         gauge.set(result.encode_bps, codec=codec.name, direction="encode")
         gauge.set(result.decode_bps, codec=codec.name, direction="decode")
     return result
-
-
-def _chunk_plan(
-    logical_bytes: int,
-    chunk_bytes: int | None,
-    encoded_ratio: float,
-    encoded_chunk_bytes: Sequence[int] | None,
-) -> tuple[list[int], list[int]]:
-    """Split a contribution into (logical, encoded) per-chunk byte lists."""
-    if logical_bytes <= 0:
-        raise ValueError("logical_bytes must be positive")
-    if encoded_ratio <= 0:
-        raise ValueError("encoded_ratio must be positive")
-    if chunk_bytes is None or chunk_bytes >= logical_bytes:
-        logical = [logical_bytes]
-    else:
-        if chunk_bytes <= 0:
-            raise ValueError("chunk_bytes must be positive")
-        logical = [chunk_bytes] * (logical_bytes // chunk_bytes)
-        if logical_bytes % chunk_bytes:
-            logical.append(logical_bytes % chunk_bytes)
-    if encoded_chunk_bytes is not None:
-        encoded = [int(b) for b in encoded_chunk_bytes]
-        if len(encoded) != len(logical):
-            raise ValueError(
-                f"encoded_chunk_bytes has {len(encoded)} entries for "
-                f"{len(logical)} chunks"
-            )
-    else:
-        encoded = [max(1, round(b / encoded_ratio)) for b in logical]
-    return logical, encoded
-
-
-def pipelined_transfer_time(
-    logical_bytes: int,
-    world: int,
-    link: LinkSpec,
-    throughput: CodecThroughput,
-    chunk_bytes: int | None = None,
-    encoded_ratio: float = 1.0,
-    encoded_chunk_bytes: Sequence[int] | None = None,
-) -> float:
-    """Analytic makespan of the chunked encode/transmit/decode pipeline.
-
-    Replays, in closed arithmetic, exactly the schedule
-    :func:`repro.core.wire.transfer.iencoded_allgather` puts on the
-    Timeline: every rank encodes chunk ``c`` on its compute stream, the
-    chunk's allgather starts no earlier than that compute position and
-    no earlier than the link frees (chunks serialize in issue order),
-    and at wait each chunk is completed then decoded.  Ranks are
-    uniform, so one rank's clocks stand for all.
-
-    Parameters
-    ----------
-    logical_bytes:
-        Per-rank pre-codec contribution.
-    chunk_bytes:
-        Pipeline granularity; None (or >= ``logical_bytes``) degenerates
-        to the serial schedule for a single chunk
-        (:func:`repro.core.wire.cost.compressed_transfer_seconds`).
-    encoded_ratio:
-        Compression factor ``logical / encoded`` (>= 1 when the codec
-        shrinks), applied per chunk when ``encoded_chunk_bytes`` is not
-        given.
-    encoded_chunk_bytes:
-        Exact per-chunk encoded sizes (e.g. measured frame sizes), for
-        validating against a data-dependent run.
-
-    Notes
-    -----
-    Calls without ``encoded_chunk_bytes`` (the common, fully-hashable
-    key) are memoized; a data-dependent per-chunk size list bypasses the
-    cache since sequences are unhashable and rarely repeat anyway.
-    """
-    if encoded_chunk_bytes is None:
-        return _pipelined_transfer_time_cached(
-            logical_bytes, world, link, throughput, chunk_bytes, encoded_ratio
-        )
-    return _pipelined_transfer_time_impl(
-        logical_bytes, world, link, throughput, chunk_bytes, encoded_ratio,
-        encoded_chunk_bytes,
-    )
-
-
-@lru_cache(maxsize=4096)
-def _pipelined_transfer_time_cached(
-    logical_bytes: int,
-    world: int,
-    link: LinkSpec,
-    throughput: CodecThroughput,
-    chunk_bytes: int | None,
-    encoded_ratio: float,
-) -> float:
-    return _pipelined_transfer_time_impl(
-        logical_bytes, world, link, throughput, chunk_bytes, encoded_ratio, None
-    )
-
-
-def _pipelined_transfer_time_impl(
-    logical_bytes: int,
-    world: int,
-    link: LinkSpec,
-    throughput: CodecThroughput,
-    chunk_bytes: int | None,
-    encoded_ratio: float,
-    encoded_chunk_bytes: Sequence[int] | None,
-) -> float:
-    logical, encoded = _chunk_plan(
-        logical_bytes, chunk_bytes, encoded_ratio, encoded_chunk_bytes
-    )
-    compute = 0.0  # the (uniform) per-rank compute clock
-    link_free = 0.0
-    ends: list[float] = []
-    for lb, eb in zip(logical, encoded):
-        compute += throughput.encode_seconds(lb)
-        start = max(compute, link_free)
-        link_free = start + ring_allgather_time(world, eb, link)
-        ends.append(link_free)
-    for lb, end in zip(logical, ends):
-        compute = max(compute, end)  # wait() on the chunk's ticket
-        compute += throughput.decode_seconds(world * lb)
-    return compute
-
-
-def timeline_pipelined_transfer(
-    logical_bytes: int,
-    world: int,
-    link: LinkSpec,
-    throughput: CodecThroughput,
-    chunk_bytes: int | None = None,
-    encoded_ratio: float = 1.0,
-    encoded_chunk_bytes: Sequence[int] | None = None,
-    timeline: Timeline | None = None,
-) -> float:
-    """Measure the pipelined transfer by *executing* its schedule.
-
-    Plays the same issue-all-then-drain chunk schedule as
-    :func:`repro.core.wire.transfer.iencoded_allgather` onto a real
-    :class:`~repro.cluster.timeline.Timeline` and returns the measured
-    makespan.  For an unscaled timeline this equals
-    :func:`pipelined_transfer_time` exactly — the cross-check the
-    wire-compression bench gates at 5%, mirroring
-    :func:`repro.perf.overlap.timeline_overlapped_time`.
-    """
-    logical, encoded = _chunk_plan(
-        logical_bytes, chunk_bytes, encoded_ratio, encoded_chunk_bytes
-    )
-    if timeline is None:
-        timeline = Timeline(world)
-    elif timeline.world_size != world:
-        raise ValueError("timeline world size != world")
-    start = timeline.mark()
-    tickets = []
-    for c, (lb, eb) in enumerate(zip(logical, encoded)):
-        timeline.record_compute_all(
-            throughput.encode_seconds(lb), name="codec:encode"
-        )
-        tickets.append(
-            timeline.schedule_collective(
-                ring_allgather_time(world, eb, link), name=f"chunk{c}"
-            )
-        )
-    for lb, ticket in zip(logical, tickets):
-        timeline.complete(ticket)
-        timeline.record_compute_all(
-            throughput.decode_seconds(world * lb), name="codec:decode"
-        )
-    return timeline.elapsed_since(start)
 
 
 def uniform_fused_plan(

@@ -120,11 +120,14 @@ class TrainConfig:
     init_seed, data_seed:
         Model-init and sampling seeds (replicas share ``init_seed``).
     overlap:
-        Drive gradient sync on the overlapped (issue-all-then-drain)
-        schedule: backward compute is recorded layer-by-layer on the
-        simulated timeline with each layer's collective issued as its
-        gradient is produced.  Numerics are bit-identical to the
-        blocking schedule — only the simulated step time changes.
+        Record backward compute slice by slice on the simulated
+        timeline, one slice per synced parameter, last layer first.
+        The sync has one schedule, which issues each collective once
+        its inputs exist: with slices a pack goes as soon as its
+        members' slices are recorded.  It needs
+        ``compute_seconds_per_step`` and ``pipe == 1``; otherwise
+        nothing is sliced and the step is unchanged.  Numerics are
+        bit-identical either way — only the simulated step time changes.
     compute_seconds_per_step:
         Simulated forward+backward compute time per rank per micro-step,
         recorded on the communicator's timeline so overlap can actually
@@ -140,9 +143,6 @@ class TrainConfig:
         codec the index gather.  ``None`` (default) builds no policy at
         all — the pre-wire behaviour, bit-and-ledger-identical to the
         seed.
-    wire_chunk_bytes:
-        Chunk granularity for the pipelined index gather (logical bytes
-        per rank); requires ``wire_codec``.
     fused_reduce:
         Run dense gradient allreduces as fused compress-reduce rings
         (:func:`repro.core.wire.fused.icompressed_allreduce`): the
@@ -164,7 +164,7 @@ class TrainConfig:
         switch (``wire_codec``, ``overlap``, ``fused_reduce``,
         sanitizing) composes with any mesh; with
         ``pipe > 1`` the 1F1B schedule has already placed the step's
-        compute, so ``overlap`` then only changes the issue order.
+        compute, so ``overlap`` then changes nothing.
     batched:
         The rank execution's stack width, decided once at trainer
         construction.  One program runs every data rank over the one
@@ -190,7 +190,6 @@ class TrainConfig:
     overlap: bool = False
     compute_seconds_per_step: float | None = None
     wire_codec: str | None = None
-    wire_chunk_bytes: int | None = None
     fused_reduce: bool = False
     mesh: str | None = None
     batched: bool = True
@@ -219,21 +218,13 @@ class TrainConfig:
             )
         if isinstance(self.loss_scale, (int, float)) and self.loss_scale < 1:
             raise ConfigError("static loss_scale must be >= 1")
-        if self.wire_chunk_bytes is not None:
-            if self.wire_chunk_bytes <= 0:
-                raise ConfigError("wire_chunk_bytes must be positive")
-            if self.wire_codec is None:
-                raise ConfigError("wire_chunk_bytes requires wire_codec")
         if self.wire_codec is not None:
             # Validate the spec eagerly: a typo should fail at config
             # construction, not three epochs into a run.
             from ..core.compression import FP16_MAX
             from ..core.wire.policy import WirePolicy
 
-            policy = WirePolicy.from_spec(
-                self.wire_codec, self.wire_chunk_bytes
-            )
-            wire_scale = policy.fp16_scale
+            wire_scale = WirePolicy.from_spec(self.wire_codec).fp16_scale
             # A dynamic scale backs off at run time; a static one cannot.
             if (
                 isinstance(self.loss_scale, (int, float))

@@ -20,12 +20,14 @@ When the config sets ``compute_seconds_per_step``, each step also
 records compute on the communicator's per-rank timeline, so simulated
 iteration time reflects compute *and* communication.  With
 ``overlap=False`` the whole forward+backward is recorded before the
-(blocking) sync — serial compute-then-comm.  With ``overlap=True`` the
-trainer drives layer-by-layer backward-with-issue: forward (and the
-non-overlappable head of backward) is recorded up front, then each
-parameter's slice of backward compute is recorded immediately before
-its collective is issued, so communication hides behind the rest of
-backward exactly as DDP-style gradient hooks achieve on real hardware.
+sync — serial compute-then-comm.  With ``overlap=True`` backward is
+recorded slice by slice: forward (and the non-overlappable head of
+backward) up front, then each parameter's slice of backward compute
+through the synchronizer's ``on_issue`` hook, last layer first, after
+the step's index gathers and before the packs that carry its gradient.
+Communication then hides behind the rest of backward, as DDP-style
+gradient hooks achieve on real hardware.  The sync schedule is the
+same either way; only whether its inputs exist at once differs.
 """
 
 from __future__ import annotations
@@ -218,9 +220,7 @@ class DistributedTrainer:
         self.replicas = [self.model]
         wire = None
         if config.wire_codec is not None:
-            wire = WirePolicy.from_spec(
-                config.wire_codec, config.wire_chunk_bytes
-            )
+            wire = WirePolicy.from_spec(config.wire_codec)
             if any(isinstance(h, Sanitizer) for h in self.comm.hooks):
                 wire = wire.sanitized()  # a sanitized run checks its codecs too
             if wire.is_inert:
@@ -231,9 +231,9 @@ class DistributedTrainer:
             if config.use_unique
             else AllGatherExchange(wire=wire)
         )
-        # Backward slices are recorded per parameter only when the step's
-        # compute is placed by the flat schedule (a 1F1B pipeline has
-        # already placed all of it — see _record_step_compute).
+        # The backward-slice hook is the one thing that slices a step:
+        # only when compute is charged and placed here (a 1F1B pipeline
+        # has already placed all of it — see _record_step_compute).
         slice_backward = (
             config.overlap
             and config.compute_seconds_per_step is not None
@@ -247,7 +247,6 @@ class DistributedTrainer:
             self.comm,
             strategy=strategy,
             wire=wire,
-            overlap=config.overlap,
             on_issue=(lambda name: hook()(name)) if slice_backward else None,
             fused_reduce=config.fused_reduce,
         )
@@ -367,9 +366,9 @@ class DistributedTrainer:
         """Timeline hook: one parameter's backward compute, every rank.
 
         Installed as the synchronizer's ``on_issue`` hook when overlap
-        and compute accounting are both enabled, so each layer's
-        gradient "costs" compute before the collective carrying it (its
-        dense run, or its sparse exchange) is issued.
+        and compute accounting are both enabled (and ``pipe == 1``), so
+        each layer's gradient "costs" compute before any collective
+        carrying it (its pack, or its baseline exchange) is issued.
         """
         self.comm.timeline.record_compute_all(
             self._backward_slice_s, name=f"bwd:{name}"
@@ -378,18 +377,18 @@ class DistributedTrainer:
     def _record_step_compute(self) -> None:
         """Place this step's compute on the timeline (pre-sync part).
 
-        Blocking schedule: the whole forward+backward lands before the
-        sync.  Overlapped schedule: forward lands here; backward is
-        divided evenly among the parameters that will sync and recorded
-        slice-by-slice by :meth:`_record_backward_slice` as their
-        collectives are issued.  On a mesh with ``pipe > 1`` the step is
-        instead placed as a GPipe-style 1F1B
+        Without ``overlap`` the whole forward+backward lands before the
+        sync.  With it, forward lands here; backward is divided evenly
+        among the parameters that will sync and recorded slice by slice
+        by :meth:`_record_backward_slice` as the sync reaches them.  On
+        a mesh with ``pipe > 1`` the step is instead placed as a
+        GPipe-style 1F1B
         :class:`~repro.cluster.pipeline.PipelineSchedule`: each stage works
         ``1/p`` of the model per micro-batch, accumulation steps are the
         micro-batches, and activation sends are charged on the pipe
         axis.  That schedule has already placed all of the step's
-        compute, so with ``overlap=True`` no per-parameter backward
-        slices are recorded — overlap then only changes the issue order.
+        compute, so no per-parameter backward slices are recorded and
+        ``overlap`` changes nothing: the sync is the unsliced step.
         """
         compute_s = self.config.compute_seconds_per_step
         if compute_s is None:

@@ -34,7 +34,7 @@ from repro.train import DistributedTrainer, ResilientRunner, TrainConfig
 from ..helpers import assert_same_state
 from .reference import (
     BATCH,
-    CORPUS,
+    CORPORA,
     MODELS,
     OPTIMIZERS,
     carried,
@@ -49,12 +49,11 @@ HYBRID = "pipe=2,tensor=2,data=G/4"
 #: Every switch and the values the lattice draws; the first value of
 #: each is a named cell's default.
 FACTORS = {
-    "model": ("word", "tied", "char"),
+    "model": ("word", "tied", "char", "smallchar"),
     "optimizer": ("sgd", "momentum", "adam"),
     "batched": (True, False),
     "mesh": (None, "data=G", HYBRID),
     "wire_codec": (None, "delta", "entropy", "auto", "fp16+entropy", "fp16+auto"),
-    "wire_chunk_bytes": (None, 64),
     "overlap": (False, True),
     "fused_reduce": (False, True),
     "use_unique": (True, False),
@@ -68,7 +67,7 @@ FACTORS = {
 _RUN_FACTORS = ("model", "optimizer", "observer", "faults")
 #: What the reference leaves out: every scheduling or transport switch.
 _SWITCHES_OFF = dict(
-    mesh=None, wire_codec=None, wire_chunk_bytes=None, overlap=False,
+    mesh=None, wire_codec=None, overlap=False,
     fused_reduce=False, batched=False, compute_seconds_per_step=None,
 )
 
@@ -112,7 +111,8 @@ def _run(cell: dict, cfg: TrainConfig, steps: int, plan: FaultPlan | None):
     def factory(cfg, comm):
         trainer = DistributedTrainer(
             MODELS[cell["model"]], OPTIMIZERS[cell["optimizer"]][0],
-            CORPUS.train, CORPUS.valid, cfg, comm=comm,
+            CORPORA[cell["model"]].train, CORPORA[cell["model"]].valid, cfg,
+            comm=comm,
         )
         step = trainer.train_step
 

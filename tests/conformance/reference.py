@@ -48,12 +48,30 @@ CHAR_CFG = CharLMConfig(
     vocab_size=VOCAB, embedding_dim=6, hidden_dim=8, depth=2, dropout=0.2
 )
 
+#: A vocabulary small against the batch: at G = 8 the dense table is
+#: cheaper than the index gather, so a flat step folds the gather away.
+SMALL_CHAR_CFG = CharLMConfig(
+    vocab_size=6, embedding_dim=2, hidden_dim=2, depth=1, dropout=0.2
+)
+
+
+def _char(cfg: CharLMConfig):
+    return lambda rng, rank: CharLanguageModel(
+        cfg, rng, dropout_rng=np.random.default_rng(rank), stateful=True
+    )
+
+
 #: name -> ``f(init_rng, rank)``: stateful models, so BPTT state carries.
 MODELS = {
     "word": lambda rng, rank: WordLanguageModel(WORD_CFG, rng, stateful=True),
     "tied": lambda rng, rank: WordLanguageModel(TIED_CFG, rng, stateful=True),
-    "char": lambda rng, rank: CharLanguageModel(
-        CHAR_CFG, rng, dropout_rng=np.random.default_rng(rank), stateful=True
+    "char": _char(CHAR_CFG),
+    "smallchar": _char(SMALL_CHAR_CFG),
+}
+#: name -> the corpus its model trains on.
+CORPORA = dict.fromkeys(MODELS, CORPUS) | {
+    "smallchar": make_corpus(
+        ONE_BILLION_WORD.scaled(SMALL_CHAR_CFG.vocab_size), 6000, seed=0
     ),
 }
 #: name -> (``f(params, lr)``, base lr).
@@ -126,7 +144,7 @@ class MaterialisedRanks:
         #: Each rank's carried BPTT state (None: start fresh).
         self.carry = [None] * ranks
         self.batcher = ShardedBatcher(
-            CORPUS.train, cfg.batch, ranks, shuffle_seed=cfg.shuffle_seed
+            CORPORA[model].train, cfg.batch, ranks, shuffle_seed=cfg.shuffle_seed
         )
         self.seeds = assign_seeds(cfg.seed_strategy, ranks, base_seed=cfg.data_seed)
         exchange = UniqueExchange() if cfg.use_unique else AllGatherExchange()

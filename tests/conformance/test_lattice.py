@@ -15,19 +15,18 @@ import itertools
 
 import pytest
 
+from repro.core import embedding_sync
 from repro.core.seeding import SeedStrategy
 from repro.errors import ConfigError
 from repro.train import TrainConfig
 
+from . import cells
 from .cells import FACTORS, HYBRID, conform, in_ledger_class, lossy
 from .reference import BATCH
 
 #: Value pairs ``TrainConfig`` refuses, as ``(factor, value, factor,
 #: value)``; the generator builds no cell holding one.
 FORBIDDEN = {
-    # A chunk size shapes the codec's index gather: it needs a codec.
-    ("wire_codec", None, "wire_chunk_bytes", 64),
-} | {
     # The FP16 wire's own F = 512 would carry a static loss scale past
     # FP16 (a dynamic one backs off instead).
     ("wire_codec", spec, "loss_scale", 256.0)
@@ -98,7 +97,7 @@ def all_pairs(factors: dict) -> list[dict]:
 
 EVERYTHING = dict(
     model="tied", optimizer="momentum", batched=True, mesh=HYBRID,
-    wire_codec="fp16+entropy", wire_chunk_bytes=64, overlap=True,
+    wire_codec="fp16+entropy", overlap=True,
     fused_reduce=True, use_unique=True, seed_strategy=SeedStrategy.ZIPF_FREQ,
     accumulation_steps=2, loss_scale=None, observer="sanitize",
     faults="transient",
@@ -115,7 +114,7 @@ _WORDS = {
     "fused_reduce": {False: "unfused", True: "fused"},
     "use_unique": {True: "unique", False: "allgather"},
 }
-_NUMBERS = ("wire_chunk_bytes", "accumulation_steps", "loss_scale")
+_NUMBERS = ("accumulation_steps", "loss_scale")
 
 
 def cell_id(cell: dict) -> str:
@@ -145,6 +144,47 @@ def test_every_pair_of_factor_values_is_in_some_cell():
     assert any(in_ledger_class(c) for c in CELLS)
     assert any(lossy(c) for c in CELLS)
     assert sum(c["faults"] == "transient" for c in CELLS) >= 3
+
+
+#: Cells whose dense table wins over its index gather (the small char
+#: model on a raw wire): flat, sliced (``overlap`` with compute charged)
+#: and on the hybrid mesh.  At G = 8 a hybrid data ring has 2 ranks, and
+#: a mesh gathers locally reduced ids — at most its shard's rows per
+#: rank — so ``rows x (D + 1)`` table words never cost less on the wire;
+#: the hybrid cell runs at G = 32, rings of 8, on one node as the
+#: reference does.
+FOLDED = {
+    "flat": dict(model="smallchar"),
+    "sliced": dict(model="smallchar", overlap=True),
+    "hybrid": dict(
+        model="smallchar", mesh=HYBRID, world_size=32, gpus_per_node=32
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_the_fold_runs_in_flat_sliced_and_hybrid_cells(name, monkeypatch):
+    """Counted on the trained side only: the reference folds too."""
+    folded, training = [], []
+    run, fold = cells._run, embedding_sync._fold
+
+    def counting_run(*args):
+        training.append(True)
+        try:
+            return run(*args)
+        finally:
+            training.pop()
+
+    def counting_fold(*args):
+        payloads, gathers = fold(*args)
+        if training:
+            folded.append(not gathers)
+        return payloads, gathers
+
+    monkeypatch.setattr(cells, "_run", counting_run)
+    monkeypatch.setattr(embedding_sync, "_fold", counting_fold)
+    conform(**FOLDED[name])
+    assert sum(folded) >= 1
 
 
 @pytest.mark.parametrize("pair", sorted(FORBIDDEN, key=repr), ids=repr)

@@ -49,11 +49,12 @@ class Toy(Module):
             setattr(self, f"p{i}", p)
 
 
-def dense_runs(kinds, world=2, overlap=False):
+def dense_runs(kinds, world=2, sliced=False):
     """The member lists of the dense records one sync of ``kinds`` makes."""
     c = comm(world)
     replicas = [Toy(kinds, np.random.default_rng(r)) for r in range(world)]
-    GradientSynchronizer(c, overlap=overlap).sync_replicas(replicas)
+    on_issue = (lambda name: None) if sliced else None
+    GradientSynchronizer(c, on_issue=on_issue).sync_replicas(replicas)
     return [
         e.tag[: -len(":dense")].split("+")
         for e in c.ledger.events
@@ -66,9 +67,9 @@ class TestPlanBuckets:
         assert dense_runs("ddsdd") == [["p0", "p1"], ["p3", "p4"]]
 
     def test_order_preserved(self):
-        for overlap in (False, True):
-            # Either schedule lays a run out in registration order.
-            runs = dense_runs("dddsd-d", overlap=overlap)
+        for sliced in (False, True):
+            # Sliced or not, a run is laid out in registration order.
+            runs = dense_runs("dddsd-d", sliced=sliced)
             assert sorted(runs) == [["p0", "p1", "p2"], ["p4", "p6"]]
 
     def test_empty_input(self):

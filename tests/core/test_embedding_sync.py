@@ -134,7 +134,7 @@ class TestSyncReplicas:
         )
 
     def test_overlap_numerics_identical_to_blocking(self):
-        """overlap=True changes scheduling only — grads stay bit-exact."""
+        """Slicing backward changes scheduling only — grads stay bit-exact."""
         world = 3
         r_block = make_replicas(world)
         r_over = make_replicas(world)
@@ -147,7 +147,7 @@ class TestSyncReplicas:
             c_block, strategy=UniqueExchange()
         ).sync_replicas(r_block)
         GradientSynchronizer(
-            c_over, strategy=UniqueExchange(), overlap=True
+            c_over, strategy=UniqueExchange(), on_issue=lambda name: None
         ).sync_replicas(r_over)
         for mb, mo in zip(r_block, r_over):
             np.testing.assert_array_equal(
@@ -160,7 +160,7 @@ class TestSyncReplicas:
         assert c_over.ledger.bytes_by_op() == c_block.ledger.bytes_by_op()
 
     def test_overlap_preserves_ledger_scope_attribution(self):
-        """Deferred finish stages must still bill their parameter scope."""
+        """Packs issued at their slice still bill their parameter scope."""
         world = 2
         r_block = make_replicas(world)
         r_over = make_replicas(world)
@@ -170,21 +170,23 @@ class TestSyncReplicas:
         c_block = Communicator(world, track_memory=False)
         c_over = Communicator(world, track_memory=False)
         GradientSynchronizer(c_block).sync_replicas(r_block)
-        GradientSynchronizer(c_over, overlap=True).sync_replicas(r_over)
+        GradientSynchronizer(
+            c_over, on_issue=lambda name: None
+        ).sync_replicas(r_over)
         assert c_over.ledger.bytes_by_scope() == c_block.ledger.bytes_by_scope()
 
     def test_overlap_issues_in_reverse_parameter_order(self):
-        """Backward produces grads last-layer-first; the overlapped path
-        issues in that order, reported via the on_issue hook."""
+        """Backward produces grads last-layer-first; the sliced step
+        records the slices in that order, through the on_issue hook."""
         world = 2
         replicas = make_replicas(world)
         for r in range(world):
             run_backward(replicas[r], np.array([[0, 1]]), seed=r)
         issued = []
         comm = Communicator(world, track_memory=False)
-        GradientSynchronizer(
-            comm, overlap=True, on_issue=issued.append
-        ).sync_replicas(replicas)
+        GradientSynchronizer(comm, on_issue=issued.append).sync_replicas(
+            replicas
+        )
         names = [n for n, _ in replicas[0].named_parameters()]
         synced = [
             n

@@ -12,6 +12,7 @@ from repro.core.mesh_exchange import (
     unshard_dense,
     unshard_sparse,
 )
+from repro.core.unique import igather_indices
 from repro.nn.parameter import Parameter, SparseGrad
 
 
@@ -37,9 +38,8 @@ def sync_dense(comm, grads, tag="w"):
     params = [Parameter(np.zeros_like(g)) for g in grads]
     for p, g in zip(params, grads):
         p.grad = g.copy()
-    GradientSynchronizer(comm, UniqueExchange())._issue_dense(
-        {"w": (params, np.stack(grads))}, tag
-    )()
+    sync = GradientSynchronizer(comm, UniqueExchange())
+    sync._issue([sync._dense({"w": (params, np.stack(grads))}, tag, tag)])()
     return [p.grad for p in params]
 
 
@@ -48,9 +48,10 @@ def sync_sparse(comm, grads, vocab, tag="emb"):
     params = [Parameter(np.zeros((vocab, g.dim))) for g in grads]
     for p, g in zip(params, grads):
         p.sparse_grads = [g]
-    GradientSynchronizer(comm, UniqueExchange())._issue_sparse(
-        params, grads, tag
-    )()
+    sync = GradientSynchronizer(comm, UniqueExchange())
+    stage, gather = sync._exchange(params, grads, tag)
+    igather_indices(comm.axis("data"), [gather])
+    sync._issue([stage()])()
     return [p.sparse_grads[0] for p in params]
 
 

@@ -2,7 +2,7 @@
 
 Covers the lossless frame codecs, the codec-table/spec layer, the
 adaptive selector, the WirePolicy configuration
-object, and the chunked encoded allgather — including the central
+object, and the encoded allgather — including the central
 contract: swapping ``iencoded_allgather`` for a raw ``iallgather``
 never changes a single decoded bit, only the wire bytes charged.
 """
@@ -221,11 +221,6 @@ class TestWirePolicy:
         with pytest.raises(ValueError, match="empty"):
             WirePolicy.from_spec("+")
 
-    def test_chunk_bytes_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            WirePolicy.from_spec("delta", chunk_bytes=0)
-        assert WirePolicy.from_spec("delta", chunk_bytes=512).chunk_bytes == 512
-
     def test_fixed_slot_wins_over_selector(self):
         fixed = EntropyCodec()
         p = WirePolicy(index_codec=fixed, selector=AdaptiveCodecSelector())
@@ -250,14 +245,12 @@ class TestEncodedAllgather:
             for r in range(world)
         ]
 
-    @pytest.mark.parametrize("chunk_bytes", [None, 1024, 100])
-    def test_matches_raw_allgather_bit_for_bit(self, chunk_bytes):
+    def test_matches_raw_allgather_bit_for_bit(self):
         world = 4
         vecs = self._vectors(world)
         raw = comm(world).iallgather(vecs, tag="idx").wait()
         enc = iencoded_allgather(
-            comm(world), vecs, DeltaBitpackCodec(), tag="idx",
-            chunk_bytes=chunk_bytes,
+            comm(world), vecs, DeltaBitpackCodec(), tag="idx"
         ).wait()
         assert len(enc) == len(raw) == world
         for r, e in zip(raw, enc):
@@ -295,27 +288,24 @@ class TestEncodedAllgather:
                 comm(4), self._vectors(2), DeltaBitpackCodec()
             )
 
-    def test_one_transfer_observation_per_chunk_collective(self):
+    def test_one_transfer_observation_per_encoded_collective(self):
         from repro.telemetry import MetricsRegistry
 
         c = comm(4)
         c.metrics = MetricsRegistry()
         iencoded_allgather(
-            c, self._vectors(4), DeltaBitpackCodec(), tag="idx",
-            chunk_bytes=1024,
+            c, self._vectors(4), DeltaBitpackCodec(), tag="idx"
         ).wait()
-        chunks = [r for r in c.timeline.collectives if r.tag.startswith("idx[")]
-        assert len(chunks) > 1
+        (record,) = c.timeline.collectives
+        assert record.tag == "idx"
         transfer = c.metrics.get("repro_wire_transfer_seconds")
         observed = transfer.value(codec="delta")
-        assert observed.count == len(chunks)
-        assert observed.sum == sum(r.end - r.start for r in chunks)
+        assert observed.count == 1
+        assert observed.sum == record.end - record.start
 
-    def test_chunking_charges_codec_compute_on_the_timeline(self):
+    def test_encoding_charges_codec_compute_on_the_timeline(self):
         c = comm(2)
-        iencoded_allgather(
-            c, self._vectors(2), DeltaBitpackCodec(), chunk_bytes=1024
-        ).wait()
+        iencoded_allgather(c, self._vectors(2), DeltaBitpackCodec()).wait()
         assert c.timeline.busy_time(0, "compute") > 0.0
 
 
@@ -339,7 +329,7 @@ class TestExchangeWithWirePolicy:
         grads = _grads(4)
         base = strategy_cls().exchange(comm(4), grads)
         wired = strategy_cls(
-            wire=WirePolicy.from_spec(spec, chunk_bytes=1024)
+            wire=WirePolicy.from_spec(spec)
         ).exchange(comm(4), grads)
         for b, w in zip(base, wired):
             np.testing.assert_array_equal(b.indices, w.indices)

@@ -1,7 +1,7 @@
 """Tests for the perf-layer codec model (repro.perf.codec_model).
 
-The central gate: the analytic pipelined makespan must equal the
-makespan measured by executing the same chunk schedule on a real
+The central gate: the fused ring's analytic makespan must equal the
+makespan measured by executing the same hop schedule on a real
 Timeline — the Timeline's contention rules are the model, so any
 divergence is a modeling bug, not noise.
 """
@@ -22,107 +22,13 @@ from repro.perf import (
     CodecThroughput,
     calibrate_codec_throughput,
     fused_reduce_time,
-    pipelined_transfer_time,
     timeline_fused_reduce,
-    timeline_pipelined_transfer,
     uniform_fused_plan,
 )
 from repro.telemetry import MetricsRegistry
 
 LINK = LinkSpec(bandwidth=16e9, latency=5e-6)
 TP = CodecThroughput(encode_bps=50e9, decode_bps=80e9)
-
-
-class TestAnalyticMatchesTimeline:
-    @pytest.mark.parametrize("total", [64 << 10, 1 << 20, 100 << 20])
-    @pytest.mark.parametrize("chunk", [None, 64 << 10, 4 << 20])
-    @pytest.mark.parametrize("world", [2, 8, 32])
-    def test_exact_agreement(self, total, chunk, world):
-        kwargs = dict(
-            logical_bytes=total, world=world, link=LINK, throughput=TP,
-            chunk_bytes=chunk, encoded_ratio=4.0,
-        )
-        analytic = pipelined_transfer_time(**kwargs)
-        measured = timeline_pipelined_transfer(**kwargs)
-        assert analytic == pytest.approx(measured, rel=1e-12)
-
-    def test_measured_frame_sizes_agree_too(self):
-        """Data-dependent encoded sizes: feed real frame sizes back in."""
-        rng = np.random.default_rng(0)
-        vecs = np.sort(rng.choice(1_000_000, 65_536, replace=False)).astype(
-            np.int64
-        )
-        chunk_elems = (64 << 10) // 8
-        codec = DeltaBitpackCodec()
-        encoded = [
-            int(codec.encode(vecs[i:i + chunk_elems]).nbytes)
-            for i in range(0, vecs.size, chunk_elems)
-        ]
-        kwargs = dict(
-            logical_bytes=vecs.nbytes, world=8, link=LINK, throughput=TP,
-            chunk_bytes=64 << 10, encoded_chunk_bytes=encoded,
-        )
-        analytic = pipelined_transfer_time(**kwargs)
-        measured = timeline_pipelined_transfer(**kwargs)
-        assert analytic == pytest.approx(measured, rel=1e-12)
-
-
-class TestPipelineShape:
-    def test_single_chunk_degenerates_to_serial(self):
-        total = 1 << 20
-        serial = compressed_transfer_seconds(total, total // 4, 8, LINK, TP)
-        piped = pipelined_transfer_time(
-            total, 8, LINK, TP, chunk_bytes=None, encoded_ratio=4.0
-        )
-        assert piped == pytest.approx(serial, rel=1e-12)
-
-    def test_bandwidth_bound_chunking_wins(self):
-        """Where pipelining exists to win: big transfer, fat chunks."""
-        total = 100 << 20
-        serial = pipelined_transfer_time(
-            total, 32, LINK, TP, chunk_bytes=None, encoded_ratio=4.0
-        )
-        piped = pipelined_transfer_time(
-            total, 32, LINK, TP, chunk_bytes=4 << 20, encoded_ratio=4.0
-        )
-        assert piped < serial
-
-    def test_latency_bound_overchunking_loses(self):
-        """Each extra chunk pays (world-1) link latencies: over-chunking
-        a small transfer is correctly *slower* than one chunk."""
-        total = 256 << 10
-        one = pipelined_transfer_time(
-            total, 16, LINK, TP, chunk_bytes=None, encoded_ratio=4.0
-        )
-        many = pipelined_transfer_time(
-            total, 16, LINK, TP, chunk_bytes=4 << 10, encoded_ratio=4.0
-        )
-        assert many > one
-
-    def test_ragged_last_chunk_handled(self):
-        t = pipelined_transfer_time(
-            (1 << 20) + 12345, 4, LINK, TP, chunk_bytes=256 << 10
-        )
-        assert t > 0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="logical_bytes"):
-            pipelined_transfer_time(0, 4, LINK, TP)
-        with pytest.raises(ValueError, match="chunk_bytes"):
-            pipelined_transfer_time(1 << 20, 4, LINK, TP, chunk_bytes=-1)
-        with pytest.raises(ValueError, match="encoded_ratio"):
-            pipelined_transfer_time(1 << 20, 4, LINK, TP, encoded_ratio=0)
-        with pytest.raises(ValueError, match="entries"):
-            pipelined_transfer_time(
-                1 << 20, 4, LINK, TP, chunk_bytes=256 << 10,
-                encoded_chunk_bytes=[1, 2],
-            )
-        with pytest.raises(ValueError, match="world size"):
-            from repro.cluster.timeline import Timeline
-
-            timeline_pipelined_transfer(
-                1 << 20, 4, LINK, TP, timeline=Timeline(8)
-            )
 
 
 class TestCalibration:

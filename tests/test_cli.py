@@ -203,7 +203,6 @@ class TestWireCodecFlags:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["train"])
         assert args.wire_codec is None
-        assert args.wire_chunk_bytes is None
 
     def test_spec_choices(self):
         """The parser carries no codec list of its own: any string is a
@@ -264,17 +263,6 @@ class TestWireCodecFlags:
             out.split("index compression:")[1].split("x")[0].strip()
         )
         assert factor > 1.0
-
-    def test_train_with_chunked_auto(self, capsys):
-        rc = main(
-            [
-                "train", "--model", "word", "--gpus", "2", "--steps", "4",
-                "--vocab", "80", "--corpus-tokens", "5000",
-                "--wire-codec", "auto", "--wire-chunk-bytes", "2048",
-            ]
-        )
-        assert rc == 0
-        assert "index compression:" in capsys.readouterr().out
 
 
 class TestTelemetry:
@@ -491,12 +479,6 @@ class TestTrainMesh:
         rc = main(["train", "--gpus", "2", "--steps", "0"])
         assert rc == 2
         assert "--steps" in capsys.readouterr().err
-
-    def test_wire_chunk_without_codec_rejected(self, capsys):
-        rc = main(["train", "--gpus", "2", "--steps", "2",
-                   "--wire-chunk-bytes", "4096"])
-        assert rc == 2
-        assert "requires wire_codec" in capsys.readouterr().err
 
 
 class TestServeBench:

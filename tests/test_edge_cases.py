@@ -18,6 +18,7 @@ from repro.core import (
     WirePolicy,
     unique_exchange,
 )
+from repro.core.unique import igather_indices
 from repro.nn import Embedding, SparseGrad
 from repro.nn.parameter import Parameter
 
@@ -147,9 +148,11 @@ class TestSynchronizerEdges:
                 )
             params.append(p)
         sync = GradientSynchronizer(comm(2), strategy=UniqueExchange())
-        sync._issue_sparse(
+        stage, gather = sync._exchange(
             params, [p.sparse_grads[0] for p in params], "t"
-        )()
+        )
+        igather_indices(sync.comm, [gather])
+        sync._issue([stage()])()
         merged = params[1].merged_sparse_grad()
         np.testing.assert_allclose(merged.to_dense(6)[1], [0.5, 0.5])
 

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import (
-    CollectiveHook,
     Communicator,
     allreduce_arrays,
     parse_mesh_spec,
@@ -342,37 +341,6 @@ def test_allreduces_per_blocking_step(model, batch, tags, monkeypatch):
     assert ledger.total_wire_bytes_per_rank <= base.total_wire_bytes_per_rank
     if len(want) < len(allreduce_tags(alone)):
         assert ledger.total_time_s < base.total_time_s
-
-
-class AllreducePayload(CollectiveHook):
-    """Counts allreduces and sums their per-rank payload bytes."""
-
-    def __init__(self):
-        self.calls = self.nbytes = 0
-
-    def pre_issue(self, comm, op, tag, arrays):
-        if op == "allreduce":
-            self.calls += 1
-            self.nbytes += arrays[0].nbytes
-
-
-@pytest.mark.parametrize("model", sorted(MODELS))
-def test_overlap_issues_each_payload_alone(model, monkeypatch):
-    """Where blocking packs, overlap issues at least as many allreduces
-    and moves the same logical payload bytes (blocking keeps its
-    gathers here: overlap never folds a table)."""
-    gathered(monkeypatch)
-    counted = {}
-    for overlap in (False, True):
-        trainer = make_trainer(model, {"overlap": overlap}, PACKED)
-        hook = AllreducePayload()
-        trainer.comm.hooks.append(hook)
-        for _ in range(STEPS):
-            trainer.train_step()
-        counted[overlap] = hook
-    assert counted[False].calls == STEPS  # one packed allreduce a step
-    assert counted[True].calls >= counted[False].calls
-    assert counted[True].nbytes == counted[False].nbytes
 
 
 def test_sanitized_cli_run_packs_cleanly(capsys):

@@ -184,8 +184,8 @@ def test_small_dense_runs_leave_the_gathers_alone(layout, monkeypatch):
 
 
 #: The ledger tags of one step where the gather stage packs nothing:
-#: tied embeddings (one exchange), the allgather baseline and the
-#: overlapped schedule, as before the gather stage existed.
+#: tied embeddings (one exchange) and the allgather baseline, as before
+#: the gather stage existed.
 UNPACKED = {
     "tied": (
         dict(model_cfg=TIED_CFG),
@@ -202,15 +202,6 @@ UNPACKED = {
          "allgather loss_layer.weight:values",
          "allreduce lstm.w_x+lstm.w_h+lstm.bias+projection.weight"
          "+projection.bias:dense"],
-    ),
-    "overlap": (
-        dict(overlap=True),
-        ["allgather loss_layer.weight:indices",
-         "allreduce lstm.w_x+lstm.w_h+lstm.bias+projection.weight"
-         "+projection.bias:dense",
-         "allgather embedding.weight:indices",
-         "allreduce loss_layer.weight:values",
-         "allreduce embedding.weight:values"],
     ),
 }
 

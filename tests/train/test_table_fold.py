@@ -272,11 +272,10 @@ def test_word_flat_shape_keeps_its_gather(monkeypatch):
     "cfg",
     [
         {"wire_codec": "fp16"},
-        {"overlap": True},
         {"use_unique": False},
         {"wire_codec": "delta"},
     ],
-    ids=["fp16", "overlap", "baseline", "index-codec"],
+    ids=["fp16", "baseline", "index-codec"],
 )
 def test_out_of_scope_schedules_keep_their_ledger(cfg, monkeypatch):
     """At a shape where the plain schedule folds, these keep the ledger
@@ -292,6 +291,24 @@ def _stepped(**cfg):
     for _ in range(2):
         trainer.train_step()
     return trainer
+
+
+def test_a_sliced_char_step_folds_and_hides_its_dense_ring():
+    """Sliced backward decides the fold before the first slice, as the
+    unsliced step does: the table rides one allreduce, the fused dense
+    ring goes at its slice, hidden behind the embedding's, and the step
+    moves the same bytes in less time."""
+    cfg = dict(fused_reduce=True, compute_seconds_per_step=1e-3)
+    blocking = _stepped(**cfg)
+    sliced = _stepped(overlap=True, **cfg)
+    ops = [e.op for e in sliced.comm.ledger.events]
+    assert "allgather" not in ops
+    assert ops.count("allreduce") == 2  # the table, once a step
+    assert sliced.comm.timeline.makespan < blocking.comm.timeline.makespan
+    assert (
+        sliced.comm.ledger.total_wire_bytes_per_rank
+        == blocking.comm.ledger.total_wire_bytes_per_rank
+    )
 
 
 def test_folded_peak_and_cost_stay_under_the_gather_schedule(monkeypatch):

@@ -27,18 +27,6 @@ class TestConfigValidation:
                 wire_codec="gzip",
             )
 
-    def test_chunk_bytes_requires_codec(self):
-        with pytest.raises(ValueError, match="requires wire_codec"):
-            TrainConfig(
-                world_size=2, batch=BatchSpec(2, 6), base_lr=0.1,
-                wire_chunk_bytes=4096,
-            )
-        with pytest.raises(ValueError, match="positive"):
-            TrainConfig(
-                world_size=2, batch=BatchSpec(2, 6), base_lr=0.1,
-                wire_codec="delta", wire_chunk_bytes=0,
-            )
-
     def test_valid_specs_accepted(self):
         for spec in ("none", "auto", "fp16", "delta", "entropy", "fp16+delta"):
             TrainConfig(
@@ -53,10 +41,9 @@ class TestWireTrainerThreading:
         assert t.wire is None
 
     def test_delta_spec_builds_index_codec(self):
-        t = word_trainer(2, wire_codec="delta", wire_chunk_bytes=2048)
+        t = word_trainer(2, wire_codec="delta")
         assert t.wire is not None
         assert t.wire.index_codec is not None
-        assert t.wire.chunk_bytes == 2048
 
     def test_sanitized_policy(self):
         """The sanitizer on the funnel is what makes the policy's codecs
@@ -68,11 +55,9 @@ class TestWireTrainerThreading:
 
 
 class TestBitExactTraining:
-    @pytest.mark.parametrize(
-        "spec,chunk", [("delta", None), ("delta", 512), ("entropy", None)]
-    )
-    def test_lossless_codec_training_is_bit_exact(self, spec, chunk):
-        conform(wire_codec=spec, wire_chunk_bytes=chunk, world_size=4, steps=6)
+    @pytest.mark.parametrize("spec", ["delta", "entropy"])
+    def test_lossless_codec_training_is_bit_exact(self, spec):
+        conform(wire_codec=spec, world_size=4, steps=6)
 
     def test_delta_codec_shrinks_wire_and_reports_factor(self):
         base = word_trainer(4)
@@ -145,10 +130,12 @@ class TestFusedReduceTraining:
         for p in params:
             p.grad = np.ones(8, np.float32)
         with pytest.raises(ValueError, match="summable"):
-            gs._issue_dense(
-                {"w": (params, np.stack([p.grad for p in params]))},
-                tag="dense",
-            )
+            gs._issue([
+                gs._dense(
+                    {"w": (params, np.stack([p.grad for p in params]))},
+                    "dense", "dense",
+                )
+            ])
 
     def test_fused_reduce_composes_with_mesh(self):
         """The fused ring runs per data subgroup: the reference's weights,
