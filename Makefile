@@ -94,9 +94,10 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Fast overlap/straggler ablations with their timeline-vs-analytic
-# acceptance gates, plus the hierarchical (three ledger events == the
-# analytic model) and bucketing (latency/cast batching) ablations —
-# cheap enough to run on every CI push.
+# acceptance gates, plus the hierarchical (an executed allreduce is
+# charged min(ring, two-level) at the ring's bytes) and bucketing
+# (latency/cast batching) ablations — cheap enough to run on every CI
+# push.
 bench-smoke:
 	PYTHONPATH=src REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
 		benchmarks/bench_ablation_overlap.py \

@@ -1,80 +1,152 @@
-"""Ablation: flat ring vs hierarchical (two-level) allreduce.
+"""Ablation: flat ring vs two-level (hierarchical) ring.
 
-The paper's implementation uses flat CUDA-aware-MPI rings (Table II);
-NCCL-style hierarchical collectives exploit the PCIe/Infiniband tier gap
-instead.  This bench quantifies, on the paper's exact fabric, how much
-of the dense-gradient allreduce time (the char LM's 852 MB per step)
-hierarchy would recover — and verifies the small-message regime where it
-loses.
+The paper's implementation uses flat CUDA-aware-MPI rings (Table II), and
+``PerfModel``'s Tables III-V keep them.  The communicator funnel charges
+every allreduce, allgather and reduce-scatter the cheaper of the flat
+ring and the NCCL-style two-level ring (PCIe inside a node, FDR IB among
+the nodes' peers).  This bench quantifies, on the paper's exact fabric,
+how much of the char LM's 852 MB dense-gradient allreduce the two-level
+ring recovers, finds from the numbers where the flat ring still wins,
+and checks that an allreduce executed through the funnel is charged
+exactly ``min(ring, two-level)`` with the ring's wire bytes.
 """
 
 import numpy as np
 
-from repro.cluster import Communicator, ring_allreduce_time
-from repro.cluster.hierarchical import (
-    hierarchical_allreduce,
-    hierarchical_allreduce_time,
+from repro.cluster import Communicator, Interconnect, ring_allreduce_time
+from repro.cluster.collectives import (
+    RING,
+    TWO_LEVEL,
+    allreduce_wire_bytes,
+    two_level_time,
 )
 from repro.cluster.interconnect import PAPER_CLUSTER_FABRIC
 from repro.report import format_table
 
+FABRIC = PAPER_CLUSTER_FABRIC
+LOCAL = FABRIC.gpus_per_node
 CHAR_LM_GRAD_BYTES = 213_000_000 * 4  # the char LM's dense gradient
+WORLDS = (16, 32, 64, 512)
+SIZES = (1 << 10, 32 << 10, 256 << 10, 4 << 20)
+
+
+def flat_and_two_level(world, nbytes):
+    """Flat-ring and two-level allreduce seconds at ``world`` ranks."""
+    flat = ring_allreduce_time(world, nbytes, FABRIC.ring_link(world))
+    two = two_level_time("allreduce", LOCAL, world // LOCAL, nbytes, FABRIC)
+    return flat, two
+
+
+def crossover_bytes(world):
+    """Smallest message at which the two-level ring is strictly cheaper
+    (0 when it wins at every size).  Both costs are affine in the
+    message size up to the shard's rounding, so the search is binary."""
+    lo, hi = 0, CHAR_LM_GRAD_BYTES
+    flat, two = flat_and_two_level(world, lo)
+    if two < flat:
+        return 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        flat, two = flat_and_two_level(world, mid)
+        lo, hi = (lo, mid) if two < flat else (mid, hi)
+    return hi
 
 
 def model_sweep():
     rows = []
     for world in (8, 16, 32, 64, 192):
-        link = PAPER_CLUSTER_FABRIC.ring_link(world)
-        flat = ring_allreduce_time(world, CHAR_LM_GRAD_BYTES, link)
-        hier = hierarchical_allreduce_time(
-            world, CHAR_LM_GRAD_BYTES, PAPER_CLUSTER_FABRIC
-        )
-        rows.append(
-            [world, f"{flat * 1e3:.0f}", f"{hier * 1e3:.0f}",
-             f"{flat / hier:.2f}x" if world > 8 else "1.00x (single node)"]
-        )
+        if world <= LOCAL:
+            flat = ring_allreduce_time(
+                world, CHAR_LM_GRAD_BYTES, FABRIC.intra_node
+            )
+            rows.append([world, f"{flat * 1e3:.0f}", f"{flat * 1e3:.0f}",
+                         "1.00x (single node)"])
+            continue
+        flat, two = flat_and_two_level(world, CHAR_LM_GRAD_BYTES)
+        rows.append([world, f"{flat * 1e3:.0f}", f"{two * 1e3:.0f}",
+                     f"{flat / two:.2f}x"])
     return rows
+
+
+def crossover_rows():
+    rows = []
+    for world in WORLDS:
+        cells = []
+        for nbytes in SIZES:
+            flat, two = flat_and_two_level(world, nbytes)
+            winner = "two-level" if two < flat else "ring"
+            cells.append(f"{flat * 1e6:.1f} / {two * 1e6:.1f} {winner}")
+        cross = crossover_bytes(world)
+        rows.append([world, world // LOCAL, *cells,
+                     "always" if cross == 0 else f">= {cross / 1e3:.1f} KB"])
+    return rows
+
+
+def executed_allreduce(world, count):
+    """One float32 allreduce through the funnel on the paper fabric,
+    against one rank per node (every ring flat): its one event."""
+    rng = np.random.default_rng(0)
+    arrays = [
+        rng.standard_normal(count).astype(np.float32) for _ in range(world)
+    ]
+    c = Communicator(world, track_memory=False)
+    flat = Communicator(
+        world, fabric=Interconnect(gpus_per_node=1), track_memory=False
+    )
+    np.testing.assert_array_equal(
+        c.allreduce(arrays)[0], flat.allreduce(arrays)[0]
+    )
+    (event,) = c.ledger.events
+    return event, arrays[0].nbytes
 
 
 def test_ablation_hierarchical(benchmark, report):
     rows = benchmark.pedantic(model_sweep, rounds=1, iterations=1)
     table = format_table(
-        ["GPUs", "flat ring (ms)", "hierarchical (ms)", "speedup"],
+        ["GPUs", "flat ring (ms)", "two-level (ms)", "speedup"],
         rows,
         title="Dense 852 MB gradient allreduce on the paper's fabric "
         "(PCIe 32 GB/s intra-node, FDR IB 15 GB/s inter-node)",
     )
-
-    # Functional spot-check at 16 ranks.
-    world = 16
-    rng = np.random.default_rng(0)
-    arrays = [rng.standard_normal(4096).astype(np.float32) for _ in range(world)]
-    c = Communicator(world, track_memory=False)
-    out = hierarchical_allreduce(c, arrays)
-    # Different reduction order than a flat sum: fp32-roundoff tolerance.
-    np.testing.assert_allclose(out[0], sum(arrays), rtol=1e-3, atol=1e-5)
-    # The three per-axis ledger events *are* the analytic model.
-    assert [e.op for e in c.ledger.events] == [
-        "reduce_scatter", "allreduce", "allgather"
-    ]
-    assert sum(e.time_s for e in c.ledger.events) == (
-        hierarchical_allreduce_time(
-            world, arrays[0].nbytes, PAPER_CLUSTER_FABRIC
-        )
+    crossover = format_table(
+        ["GPUs", "nodes"]
+        + [f"{n >> 10} KiB flat / two-level (us)" for n in SIZES]
+        + ["two-level wins"],
+        crossover_rows(),
+        title="Allreduce crossover: the funnel charges the cheaper column",
     )
 
-    small = hierarchical_allreduce_time(64, 1024, PAPER_CLUSTER_FABRIC)
-    small_flat = ring_allreduce_time(
-        64, 1024, PAPER_CLUSTER_FABRIC.ring_link(64)
-    )
-    footer = (
-        f"\nSmall-message check (1 KB at 64 GPUs): flat "
-        f"{small_flat * 1e6:.0f} us vs hierarchical {small * 1e6:.0f} us — "
-        "extra phases lose when latency dominates."
-    )
-    report("ablation_hierarchical", table + footer)
+    # The funnel charges min(ring, two-level) and the ring's bytes: a
+    # 16 KiB message keeps the ring over 2 nodes and goes two-level
+    # over 8.
+    for world, schedule in ((16, RING), (64, TWO_LEVEL)):
+        event, nbytes = executed_allreduce(world, 4096)
+        flat, two = flat_and_two_level(world, nbytes)
+        assert event.time_s == min(flat, two)
+        assert event.schedule == schedule
+        assert event.wire_bytes_per_rank == allreduce_wire_bytes(world, nbytes)
 
-    # Hierarchy must win for the large multi-node messages.
+    small = {world: flat_and_two_level(world, 1 << 10) for world in WORLDS}
+    losing = [w for w, (flat, two) in small.items() if two >= flat]
+    footer = "\nSmall-message check (1 KiB): " + "; ".join(
+        f"G={w} flat {flat * 1e6:.0f} us vs two-level {two * 1e6:.0f} us"
+        for w, (flat, two) in small.items()
+    ) + (
+        " — the two-level ring wins at every G here."
+        if not losing else
+        f" — the two-level ring loses only at G = "
+        f"{', '.join(map(str, losing))}, where the group spans "
+        f"{', '.join(str(w // LOCAL) for w in losing)} nodes: its extra "
+        f"PCIe hops ({FABRIC.intra_node.latency * 1e6:.1f} us each) cost "
+        f"more than the IB hops ({FABRIC.inter_node.latency * 1e6:.1f} us "
+        "each) they save."
+    )
+    report("ablation_hierarchical", table + "\n" + crossover + footer)
+
+    # The two-level ring must win for the large multi-node messages.
     for row in rows:
         if row[0] in (16, 32, 64, 192):
             assert float(row[1]) > float(row[2])
+    # ... and the ring must keep small messages where the group spans
+    # two nodes (the regime the funnel's min() exists for).
+    assert losing == [16]

@@ -407,7 +407,7 @@ def _run_flat(args: argparse.Namespace, cfg, make_trainer, session) -> int:
           f"{f' | wire: {args.wire_codec}' if args.wire_codec else ''}"
           f"{' | fused-reduce' if args.fused_reduce else ''}"
           f"{f' | mesh: {args.mesh}' if args.mesh else ''}"
-          f"{' | overlapped' if args.overlap else ''}"
+          f"{' | overlapped' if trainer.synchronizer.on_issue else ''}"
           f"{' | sanitized' if args.sanitize else ''}")
     print(f"initial val ppl: {perplexity(trainer.evaluate()):.2f}")
     for step in range(args.steps):
@@ -775,9 +775,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     same-track overlaps), and verifies that the run totals in the JSON
     export equal the totals recomputed from the trace parts' collective
     records **exactly** — any drift between the two is a telemetry bug,
-    not measurement noise.
+    not measurement noise.  Prints the comm seconds split by the
+    schedule that priced each collective.
     """
     import json
+    from collections import Counter
 
     from repro.telemetry import (
         TraceValidationError,
@@ -809,6 +811,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"merged trace: {summary['events']} events on "
           f"{summary['tracks']} tracks ({len(summary['pids'])} pids, "
           f"generations {summary['generations']}) -> {out}")
+    seconds: Counter = Counter()
+    for part in parts:
+        for e in part.collectives:
+            seconds[e.schedule or "explicit"] += e.time_s
+    print("comm time by schedule: " + (", ".join(
+        f"{name} {s:.6f}s" for name, s in sorted(seconds.items())
+    ) or "none"))
 
     json_file = directory / "metrics.json"
     if not json_file.exists():

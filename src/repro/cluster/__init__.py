@@ -7,6 +7,7 @@ ledger — the substrate on which the paper's distributed training runs.
 
 from .collectives import (
     FusedRun,
+    collective_time,
     allgather_arrays,
     allgather_wire_bytes,
     allreduce_arrays,
@@ -30,7 +31,6 @@ from .failures import (
     degrade_fabric,
     inject_straggler,
 )
-from .hierarchical import hierarchical_allreduce, hierarchical_allreduce_time
 from .mesh import (
     HYBRID_AXES,
     DeviceMesh,
@@ -88,8 +88,6 @@ __all__ = [
     "FaultReplay",
     "degrade_fabric",
     "inject_straggler",
-    "hierarchical_allreduce",
-    "hierarchical_allreduce_time",
     "DeviceMesh",
     "HYBRID_AXES",
     "hybrid_mesh",
@@ -117,6 +115,7 @@ __all__ = [
     "allreduce_wire_bytes",
     "allgather_wire_bytes",
     "reduce_scatter_wire_bytes",
+    "collective_time",
     "ring_allreduce_time",
     "ring_allgather_time",
     "ring_reduce_scatter_time",

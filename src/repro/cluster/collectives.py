@@ -32,6 +32,15 @@ allreduce          ``2 (G-1)/G * n / beta  +  2 (G-1) alpha``
 reduce-scatter     ``(G-1)/G * n / beta  +  (G-1) alpha``
 allgather          ``(G-1) * n / beta  +  (G-1) alpha``
 =================  =====================================================
+
+A ring holding ``L > 1`` ranks on each of ``M > 1`` nodes may instead
+run **two-level** (:func:`two_level_time`, the NCCL/Horovod schedule):
+allreduce ``RS(L, n) + AR(M, n/L) + AG(L, n/L)``, reduce-scatter
+``RS(L, n) + RS(M, n/L)``, allgather ``AG(L, k) + AG(M, L k)`` — the
+``L`` phases on the intra-node link, the ``M`` ring among peers of one
+local index on the inter-node link.  Each rank sends exactly the ring's
+bytes (``(L-1)/L + 2(M-1)/(ML) + (L-1)/L = 2(G-1)/G`` of an allreduce's
+``n``), so only time moves; :func:`collective_time` charges the cheaper.
 """
 
 from __future__ import annotations
@@ -42,10 +51,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interconnect import LinkSpec
+from .interconnect import Interconnect, LinkSpec
 
 __all__ = [
     "FusedRun",
+    "RING",
+    "RING_COST",
+    "TWO_LEVEL",
+    "collective_time",
+    "two_level_time",
     "allreduce_arrays",
     "allgather_arrays",
     "reduce_scatter_arrays",
@@ -403,3 +417,58 @@ def recursive_doubling_allreduce_time(
         return 0.0
     rounds = math.ceil(math.log2(world))
     return rounds * (link.latency + nbytes / link.bandwidth)
+
+
+#: Schedule names :func:`collective_time` returns (and the timeline records).
+RING = "ring"
+TWO_LEVEL = "two_level"
+
+#: op -> (wire bytes per rank, the same under either schedule; ring time).
+RING_COST = {
+    "allreduce": (allreduce_wire_bytes, ring_allreduce_time),
+    "allgather": (allgather_wire_bytes, ring_allgather_time),
+    "reduce_scatter": (reduce_scatter_wire_bytes, ring_reduce_scatter_time),
+}
+
+
+@lru_cache(maxsize=4096)
+def two_level_time(
+    op: str, local: int, nodes: int, nbytes: int, fabric: Interconnect
+) -> float:
+    """The two-level ring's phases (module docstring) summed in order;
+    a shard of an ``nbytes`` not divisible by ``local`` rounds up."""
+    intra, inter = fabric.intra_node, fabric.inter_node
+    if op == "allgather":
+        return ring_allgather_time(local, nbytes, intra) + ring_allgather_time(
+            nodes, local * nbytes, inter
+        )
+    shard = -(-nbytes // local)
+    head = ring_reduce_scatter_time(local, nbytes, intra)
+    if op == "reduce_scatter":
+        return head + ring_reduce_scatter_time(nodes, shard, inter)
+    return (
+        head
+        + ring_allreduce_time(nodes, shard, inter)
+        + ring_allgather_time(local, shard, intra)
+    )
+
+
+@lru_cache(maxsize=4096)
+def collective_time(
+    op: str,
+    world: int,
+    nbytes: int,
+    link: LinkSpec,
+    fabric: Interconnect | None = None,
+    local: int = 1,
+) -> tuple[float, str]:
+    """``(seconds, schedule)``: the flat ring on ``link`` or, when each
+    ring holds ``local`` = L > 1 ranks on each of ``world / L > 1``
+    nodes of ``fabric``, the two-level ring if strictly cheaper.  The
+    communicator's one cost function (``nbytes`` as for the ring)."""
+    ring = RING_COST[op][1](world, nbytes, link)
+    nodes = world // local
+    if fabric is None or local <= 1 or nodes <= 1:
+        return ring, RING
+    two = two_level_time(op, local, nodes, nbytes, fabric)
+    return (two, TWO_LEVEL) if two < ring else (ring, RING)

@@ -50,10 +50,15 @@ axis: same timeline, devices, pending set and hooks, but its
 collectives reduce independently inside each subgroup of the axis.  The
 per-rank list is always indexed by *flat* rank; disjoint subgroups run
 concurrently on disjoint links, so one collective is **one** timeline
-record costed on the largest subgroup's ring
-over the axis link, tagged ``axis:tag``.  An axis that spans the whole
-world *is* the communicator itself — which is why flat data-parallel
-training and a ``(1, 1, G)`` mesh are the same code path, byte for byte.
+record costed on the largest subgroup's message, tagged ``axis:tag``.
+An axis that spans the whole world *is* the communicator itself — which
+is why flat data-parallel training and a ``(1, 1, G)`` mesh are the
+same code path, byte for byte.
+
+Each record is charged the ring's wire bytes and the cheaper of the flat
+ring on the axis link and the two-level ring
+(:func:`~repro.cluster.collectives.collective_time`), and names it
+(``CollectiveRecord.schedule``); the numerics are the one fold either way.
 
 Observers attach through one ordered hook protocol
 (:class:`CollectiveHook`): ``pre_issue`` before anything is touched
@@ -72,6 +77,7 @@ The API mirrors mpi4py's buffer-object conventions (`Allreduce`,
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
@@ -167,21 +173,25 @@ class WorkHandle:
         return self._results
 
 
-#: op -> (wire bytes per rank, alpha-beta ring time) cost models.
-_RING_COST = {
-    "allreduce": (coll.allreduce_wire_bytes, coll.ring_allreduce_time),
-    "allgather": (coll.allgather_wire_bytes, coll.ring_allgather_time),
-    "reduce_scatter": (
-        coll.reduce_scatter_wire_bytes, coll.ring_reduce_scatter_time,
-    ),
-}
+def _ring_shape(groups: Sequence[tuple[int, ...]], fabric: Interconnect):
+    """``(link, L)`` of a ring set: the inter-node link as soon as any
+    ring spans nodes, and the ranks every ring holds on each of its
+    nodes (1 when some node holds a different number)."""
+    counts: set[int] = set()
+    spans = False
+    for ranks in groups:
+        per_node = Counter(map(fabric.node_of, ranks))
+        spans |= len(per_node) > 1
+        counts.update(per_node.values())
+    link = fabric.inter_node if spans else fabric.intra_node
+    return link, counts.pop() if len(counts) == 1 else 1
 
 
 @lru_cache(maxsize=1024)
 def _axis_rings(mesh: DeviceMesh, axis: str, fabric: Interconnect):
-    """``(rank tuples, link)`` of one mesh axis — immutable, so memoized."""
+    """``(rank tuples, link, L)`` of one mesh axis — memoized."""
     groups = tuple(g.ranks for g in mesh.groups(axis))
-    return groups, mesh.axis_link(axis, fabric)
+    return (groups, *_ring_shape(groups, fabric))
 
 
 class Communicator:
@@ -243,7 +253,9 @@ class Communicator:
         self.axis_name: str | None = None
         self.groups: tuple[tuple[int, ...], ...] = (tuple(range(world_size)),)
         self.ring_size = world_size
-        self.link = fabric.ring_link(world_size)
+        #: The rings' binding link and their ranks per node (1 when
+        #: uneven): :meth:`collective_time`'s ring shape.
+        self.link, self.local = _ring_shape(self.groups, fabric)
         #: Ordered :class:`CollectiveHook` observers (shared with views).
         self.hooks: list[CollectiveHook] = []
         self._pending: set[WorkHandle] = set()
@@ -279,7 +291,7 @@ class Communicator:
         An axis spanning the whole world is this communicator itself.
         """
         root = self._root
-        groups, link = _axis_rings(root.mesh, name, root.fabric)
+        groups, link, local = _axis_rings(root.mesh, name, root.fabric)
         if len(groups) == 1:
             return root
         view = copy.copy(root)
@@ -288,6 +300,7 @@ class Communicator:
         view.groups = groups
         view.ring_size = len(groups[0])
         view.link = link
+        view.local = local
         return view
 
     @property
@@ -346,26 +359,36 @@ class Communicator:
     ) -> WorkHandle:
         """Issue one ring collective of ``nbytes`` messages (hooks ran).
 
-        Numerics run per ring; the single event is costed by the op's
-        wire-byte and ring-time models over this communicator's ring
-        size and link.  ``payload_bytes`` (pre-codec message size) is
-        converted the same way for measured-compression reporting.
+        Numerics run per ring; the single event is charged the ring's
+        wire bytes and the time of the cheaper schedule
+        (:meth:`collective_time`).  ``payload_bytes`` (pre-codec message
+        size) is converted the same way for measured-compression
+        reporting.
         """
         n = self.ring_size
-        wire_bytes, ring_time = _RING_COST[op]
+        wire_bytes = coll.RING_COST[op][0]
+        time_s, schedule = self.collective_time(op, nbytes)
         return self._issue(
             op=op,
             results=self.by_group(arrays, numerics),
             scratch_bytes=scratch_bytes,
             scratch_tag=f"{op}-recv:{tag}",
             wire_bytes_per_rank=wire_bytes(n, nbytes),
-            time_s=ring_time(n, nbytes, self.link),
+            time_s=time_s,
+            schedule=schedule,
             tag=tag,
             payload_bytes_per_rank=(
                 None if payload_bytes is None else wire_bytes(n, payload_bytes)
             ),
             payload=arrays,
             members=members,
+        )
+
+    def collective_time(self, op: str, nbytes: int) -> tuple[float, str]:
+        """``(seconds, schedule)`` the funnel charges ``op`` on these
+        rings (:func:`~repro.cluster.collectives.collective_time`)."""
+        return coll.collective_time(
+            op, self.ring_size, nbytes, self.link, self.fabric, self.local
         )
 
     def _issue(
@@ -377,6 +400,7 @@ class Communicator:
         wire_bytes_per_rank: int,
         time_s: float,
         tag: str,
+        schedule: str = "",
         payload_bytes_per_rank: int | None = None,
         payload: Sequence[np.ndarray] | None = None,
         members: Sequence[tuple[str, int]] | None = None,
@@ -385,7 +409,8 @@ class Communicator:
 
         ``payload`` is the caller's per-rank array list, forwarded (not
         copied) to the ``post_issue`` hooks so a sanitizer can hash the
-        in-flight buffers.
+        in-flight buffers.  ``schedule`` names the schedule that set
+        ``time_s`` (empty for an explicitly-costed step).
         """
         if self.axis_name is not None:
             tag = f"{self.axis_name}:{tag}"
@@ -399,6 +424,7 @@ class Communicator:
             wire_bytes_per_rank=wire_bytes_per_rank,
             payload_bytes_per_rank=payload_bytes_per_rank,
             members=members,
+            schedule=schedule,
         )
         handle = WorkHandle(self, results, scratch_bytes, charged, ticket)
         self._pending.add(handle)

@@ -5,11 +5,11 @@ The paper's cluster (Table II) has two communication tiers:
 * **intra-node**: 8 GPUs per node on PCIe at 32 GB/s bidirectional;
 * **inter-node**: Infiniband FDR at 15 GB/s bidirectional.
 
-Ring-based collectives are bottlenecked by the *slowest link on the
-ring*, so once a job spans more than one node the effective per-step
-bandwidth is the Infiniband share.  This module captures exactly that:
-a topology (ranks → nodes) plus per-tier link speeds, exposing the
-effective bandwidth/latency a collective over a given rank set sees.
+A flat ring is bottlenecked by the *slowest link on the ring*, so once
+a job spans more than one node its bandwidth is the Infiniband share;
+a two-level ring keeps most hops on PCIe.  This module holds the
+topology (ranks → nodes) and the per-tier link speeds both are priced
+on (:func:`~repro.cluster.collectives.collective_time`).
 
 All bandwidths are *unidirectional* bytes/s as seen by one direction of
 a ring; the bidirectional figures from Table II are halved on
@@ -99,9 +99,6 @@ class Interconnect:
             raise ValueError("world_size must be positive")
         return -(-world_size // self.gpus_per_node)  # ceil division
 
-    def spans_nodes(self, world_size: int) -> bool:
-        return self.num_nodes(world_size) > 1
-
     def ring_link(self, world_size: int) -> LinkSpec:
         """The binding link for a ring over ``world_size`` ranks.
 
@@ -110,7 +107,7 @@ class Interconnect:
         by the slower inter-node hop (every chunk must traverse it).
         For a single-node job the ring stays on the intra-node fabric.
         """
-        if self.spans_nodes(world_size):
+        if self.num_nodes(world_size) > 1:
             return self.inter_node
         return self.intra_node
 

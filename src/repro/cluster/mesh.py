@@ -21,9 +21,8 @@ gives the simulated cluster the same substrate:
 
 Cost model: disjoint subgroups of one axis run concurrently on
 disjoint links (the Megatron placement assumption), so one per-axis
-collective is a single timeline event whose duration is the ring time
-of the *largest* subgroup message over the axis link — intra-node when
-every subgroup of the axis fits in a node, inter-node otherwise.
+collective is a single timeline event costed on the *largest* subgroup
+message (the communicator derives the axis link and schedule).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from functools import lru_cache
 from itertools import product
 
 from ..errors import ConfigError
-from .interconnect import Interconnect, LinkSpec
 from .process_group import ProcessGroup
 
 __all__ = [
@@ -273,20 +271,6 @@ class DeviceMesh:
                 ranks.append(self.rank_at(coords))
             out.append(ProcessGroup(parent_world=self.size, ranks=tuple(ranks)))
         return tuple(out)
-
-    def axis_link(self, axis: str, fabric: Interconnect) -> LinkSpec:
-        """The link an ``axis`` ring runs on, from the fabric topology.
-
-        Intra-node when every subgroup of the axis stays within one
-        node of ``fabric``; inter-node as soon as any subgroup spans a
-        node boundary — the conservative choice a topology-aware
-        placement would also make.
-        """
-        for g in self.groups(axis):
-            nodes = {fabric.node_of(r) for r in g.ranks}
-            if len(nodes) > 1:
-                return fabric.inter_node
-        return fabric.intra_node
 
     def __str__(self) -> str:
         return f"DeviceMesh({self.describe()})"

@@ -117,6 +117,8 @@ class CollectiveRecord(NamedTuple):
     :meth:`Timeline.complete` takes.  ``time_s`` is the caller's cost as
     given (``end - start`` may round differently).  Payload bytes are
     ``-1`` when not recorded; ``ranks`` is ``None`` for all ranks.
+    ``schedule`` names what priced ``time_s`` (``"ring"``,
+    ``"two_level"``; empty for explicitly-costed steps).
     """
 
     op: str
@@ -129,6 +131,7 @@ class CollectiveRecord(NamedTuple):
     start: float
     end: float
     ranks: tuple[int, ...] | None
+    schedule: str = ""
 
     @property
     def name(self) -> str:
@@ -262,6 +265,7 @@ class Timeline:
         wire_bytes_per_rank: int = 0,
         payload_bytes_per_rank: int | None = None,
         members: Sequence[tuple[str, int]] | None = None,
+        schedule: str = "",
     ) -> CollectiveRecord:
         """Place one collective of ``duration`` seconds on the comm streams.
 
@@ -274,7 +278,8 @@ class Timeline:
 
         ``name`` is the tag; the communicator also passes ``op`` and the
         byte counts (a bare call, as the ``perf`` replays make, records
-        an op-less collective).  Nothing is touched until all is valid.
+        an op-less collective), and the ``schedule`` that priced it.
+        Nothing is touched until all is valid.
 
         ``members`` marks a packed collective: ``(label, nbytes)`` per
         payload it carries, ``label`` the scope the payload would have
@@ -341,6 +346,7 @@ class Timeline:
             start,
             end,
             participants,
+            schedule,
         )
         self._journal.append(record)
         self._events_cache = None
@@ -532,10 +538,10 @@ def events_to_chrome(
     One ``pid`` per rank, one ``tid`` per stream, so the two-stream
     structure renders as paired tracks in ``chrome://tracing``.  A
     :class:`CollectiveRecord` renders as one comm block per participant
-    whose ``args`` carry its op, scope and wire bytes.  Module-level so
-    the merged exporter in :mod:`repro.telemetry.spans` can render
-    records deserialised from a trace-parts file without reconstructing
-    a live :class:`Timeline`.
+    whose ``args`` carry its op, schedule, scope and wire bytes.
+    Module-level so the merged exporter in :mod:`repro.telemetry.spans`
+    can render records deserialised from a trace-parts file without
+    reconstructing a live :class:`Timeline`.
     """
     trace = []
     for e in events:
@@ -545,6 +551,7 @@ def events_to_chrome(
             args: dict = {
                 "stream": stream,
                 "op": e.op,
+                "schedule": e.schedule,
                 "scope": e.scope,
                 "wire_bytes_per_rank": e.wire_bytes_per_rank,
             }

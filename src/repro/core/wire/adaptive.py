@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster.collectives import ring_allgather_time
-from ...cluster.interconnect import LinkSpec
 from ..compression import Fp16Codec, WireCodec
 from .codecs import DeltaBitpackCodec, EntropyCodec
 from .cost import (
@@ -82,12 +80,10 @@ class AdaptiveCodecSelector:
             return None
         if a.nbytes < _MIN_BYTES:
             return None
-        ring, link = comm.ring_size, comm.link
         tp = codec_throughput("fp16", self.throughputs)
-        encoded = a.nbytes // 2
-        if compressed_transfer_seconds(
-            a.nbytes, encoded, ring, link, tp
-        ) < _raw_seconds(a.nbytes, ring, link):
+        if _encoded_seconds(a.nbytes, a.nbytes // 2, comm, tp) < (
+            comm.collective_time("allgather", a.nbytes)[0]
+        ):
             return _FP16
         return None
 
@@ -107,19 +103,19 @@ class AdaptiveCodecSelector:
         if a.nbytes < _MIN_BYTES:
             return None
         probe = np.sort(a) if sorted_payload else a
-        ring, link = comm.ring_size, comm.link
-        raw_s = _raw_seconds(a.nbytes, ring, link)
         best: WireCodec | None = None
-        best_s = raw_s
+        best_s = comm.collective_time("allgather", a.nbytes)[0]
         for codec in _INDEX_CANDIDATES:
             est = codec.estimate_nbytes(probe)
             tp = codec_throughput(codec.name, self.throughputs)
-            t = compressed_transfer_seconds(a.nbytes, est, ring, link, tp)
+            t = _encoded_seconds(a.nbytes, est, comm, tp)
             if t < best_s:
                 best, best_s = codec, t
         return best
 
 
-def _raw_seconds(nbytes: int, world: int, link: LinkSpec) -> float:
-    """Ring-allgather seconds for an unencoded contribution."""
-    return ring_allgather_time(world, nbytes, link)
+def _encoded_seconds(nbytes: int, encoded: int, comm, tp) -> float:
+    """:func:`compressed_transfer_seconds` on ``comm``'s rings."""
+    return compressed_transfer_seconds(
+        nbytes, encoded, comm.ring_size, comm.link, tp, comm.fabric, comm.local
+    )

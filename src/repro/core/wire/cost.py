@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ...cluster.collectives import ring_allgather_time
-from ...cluster.interconnect import LinkSpec
+from ...cluster.collectives import collective_time
+from ...cluster.interconnect import Interconnect, LinkSpec
 
 __all__ = [
     "CodecThroughput",
@@ -126,18 +126,25 @@ def compressed_transfer_seconds(
     world: int,
     link: LinkSpec,
     throughput: CodecThroughput,
+    fabric: Interconnect | None = None,
+    local: int = 1,
 ) -> float:
-    """Time of one encoded ring allgather.
+    """Time of one encoded allgather.
 
-    Every rank encodes its own ``logical_bytes`` contribution, the ring
-    moves the encoded frames, and every rank decodes the full gathered
-    ``world * logical_bytes`` — the schedule
+    Every rank encodes its own ``logical_bytes`` contribution, the
+    funnel moves the encoded frames (priced by its
+    :func:`~repro.cluster.collectives.collective_time`), and every rank
+    decodes the full gathered ``world * logical_bytes`` — the schedule
     :func:`repro.core.wire.transfer.iencoded_allgather` executes, and
-    the figure the adaptive selector's crossover test uses.  Memoized — pure in its (hashable) arguments,
-    and the selector re-evaluates the same key for every bucket.
+    the figure the adaptive selector's crossover test uses.  Memoized —
+    pure in its (hashable) arguments, and the selector re-evaluates the
+    same key for every bucket.
     """
+    transfer_s, _ = collective_time(
+        "allgather", world, encoded_bytes, link, fabric, local
+    )
     return (
         throughput.encode_seconds(logical_bytes)
-        + ring_allgather_time(world, encoded_bytes, link)
+        + transfer_s
         + throughput.decode_seconds(world * logical_bytes)
     )

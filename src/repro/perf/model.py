@@ -222,6 +222,8 @@ class PerfModel:
     def iteration_cost(self, world: int, tech: TechniqueSet) -> IterationCost:
         self._check_world(world)
         w = self.w
+        # The paper's flat MPI rings on the binding link, on purpose: the
+        # communicator's two-level schedule is this repo's, not Table II's.
         link = self.platform.fabric.ring_link(world)
         val_bytes = _VAL_BYTES // 2 if tech.compression else _VAL_BYTES
         d = w.embedding_dim

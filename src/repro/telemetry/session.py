@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+from collections import Counter
 from typing import List, Optional
 
 from .exporters import to_json
@@ -200,24 +201,26 @@ class TelemetrySession:
         parts = self.parts()
         totals = run_totals_from_parts(parts)
         reg = self.registry
-        by_op: dict = {}
+        calls_by, wire_by = Counter(), Counter()
         for part in parts:
             for e in part.collectives:
-                calls, wire = by_op.get(e.op, (0, 0))
-                by_op[e.op] = (calls + 1, wire + e.wire_bytes_per_rank)
+                calls_by[e.op, e.schedule] += 1
+                wire_by[e.op] += e.wire_bytes_per_rank
         calls_total = reg.counter(
-            "repro_collectives_total", "Collectives issued, by op",
-            labelnames=("op",),
+            "repro_collectives_total", "Collectives issued, by op and schedule",
+            labelnames=("op", "schedule"),
         )
         wire_total = reg.counter(
             "repro_collective_wire_bytes_total",
             "Per-rank wire bytes issued, by op",
             labelnames=("op",),
         )
-        for op, (calls, wire) in by_op.items():
-            # Raise each counter to its record total: finalize stays
-            # idempotent.
-            calls_total.inc(calls - calls_total.value(op=op), op=op)
+        # Raise each counter to its record total: finalize stays
+        # idempotent.
+        for (op, schedule), calls in calls_by.items():
+            labels = dict(op=op, schedule=schedule)
+            calls_total.inc(calls - calls_total.value(**labels), **labels)
+        for op, wire in wire_by.items():
             wire_total.inc(wire - wire_total.value(op=op), op=op)
         reg.gauge(
             "repro_run_wire_bytes_per_rank",

@@ -16,9 +16,10 @@ wire bytes in their ``args``, and generations are laid out end-to-end
 in time (offset by the cumulative span of earlier generations) so the
 merged view reads as one continuous run.
 
-Traces can round-trip through JSON ("trace parts", format version 2:
-one row per compute event and one per collective) so ``repro.cli
-trace`` can re-merge and validate a run recorded by an earlier process.
+Traces can round-trip through JSON ("trace parts", format version 3:
+one row per compute event and one per collective, the collective's
+schedule last) so ``repro.cli trace`` can re-merge and validate a run
+recorded by an earlier process.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ COMM_TID = 1
 _TID_NAMES = {COMPUTE_TID: "compute", COMM_TID: "comm"}
 
 #: Format version of a trace-parts file; any other version is refused.
-_PARTS_VERSION = 2
+_PARTS_VERSION = 3
 
 
 class TraceValidationError(ReproError, RuntimeError):
@@ -115,7 +116,8 @@ def parts_to_json(parts: Sequence[GenerationPart]) -> dict:
                     [e.rank, e.name, e.start, e.end] for e in p.compute_events
                 ],
                 "collectives": [
-                    [*e[:-1], None if e.ranks is None else list(e.ranks)]
+                    [*e[:-2], None if e.ranks is None else list(e.ranks),
+                     e.schedule]
                     for e in p.collectives
                 ],
             }
@@ -163,7 +165,7 @@ def _interval(start, end) -> tuple[float, float]:
 
 
 def _generation(g: dict) -> GenerationPart:
-    """One generation of a version-2 file, every field checked: ranks
+    """One generation of a version-3 file, every field checked: ranks
     inside the generation's world, finite ordered times, typed counts."""
     world = _count(g["world_size"], 1, _MAX_WORLD + 1)
     compute = [
@@ -176,7 +178,8 @@ def _generation(g: dict) -> GenerationPart:
     for row in g["collectives"]:
         if not isinstance(row, list) or len(row) != len(CollectiveRecord._fields):
             raise ValueError(f"not a {len(CollectiveRecord._fields)}-field row")
-        op, tag, scope, ring, wire, payload, time_s, start, end, ranks = row
+        (op, tag, scope, ring, wire, payload, time_s, start, end, ranks,
+         schedule) = row
         if ranks is not None:
             if not isinstance(ranks, list):
                 raise ValueError(f"ranks must be a list, got {ranks!r}")
@@ -185,7 +188,7 @@ def _generation(g: dict) -> GenerationPart:
             CollectiveRecord(
                 _text(op), _text(tag), _text(scope), _count(ring, 1, world + 1),
                 _count(wire, 0), _count(payload, -1), _seconds(time_s),
-                *_interval(start, end), ranks,
+                *_interval(start, end), ranks, _text(schedule),
             )
         )
     return GenerationPart(
@@ -202,9 +205,10 @@ def parts_from_json(obj) -> List[GenerationPart]:
     Raises :class:`~repro.errors.FormatError` — naming the problem — for
     text that is not JSON, a file of another format version (version 1
     held one row per rank per collective and a second, ledger copy of
-    every collective), missing keys, or a value the run could not have
-    written: a rank outside its generation's world, a world size below 1,
-    a non-finite or reversed time, a count that is not an integer.
+    every collective; version 2 rows had no schedule), missing keys, or
+    a value the run could not have written: a rank outside its
+    generation's world, a world size below 1, a non-finite or reversed
+    time, a count that is not an integer.
     """
     try:
         if isinstance(obj, str):

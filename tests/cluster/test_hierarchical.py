@@ -1,63 +1,114 @@
-"""Tests for the hierarchical two-level allreduce."""
+"""Tests for the funnel's two-level (hierarchical) schedule.
+
+Every plain allreduce, allgather and reduce-scatter is charged the
+cheaper of the flat ring and the two-level ring
+(:func:`repro.cluster.collectives.collective_time`): where each ring
+holds the same ``L > 1`` ranks on each of ``M > 1`` nodes, an intra-node
+phase, a ring among the ``M`` peers with one local index and (allreduce)
+a second intra-node phase.  Both schedules move the ring's wire bytes
+and the numerics are the one rank-order fold, so only time may differ.
+``Interconnect(gpus_per_node=1)`` places one rank per node — ``L = 1``
+for every ring — and is the flat-ring reference throughout.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import Sanitizer
-from repro.cluster import Communicator
-from repro.cluster.hierarchical import (
-    hierarchical_allreduce,
-    hierarchical_allreduce_time,
-)
-from repro.cluster.interconnect import Interconnect, PAPER_CLUSTER_FABRIC
+from repro.cluster import Communicator, hybrid_mesh
 from repro.cluster.collectives import (
+    RING,
+    TWO_LEVEL,
+    collective_time,
     ring_allgather_time,
     ring_allreduce_time,
     ring_reduce_scatter_time,
 )
+from repro.cluster.interconnect import Interconnect, PAPER_CLUSTER_FABRIC
+from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
+from repro.optim import SGD
+from repro.train import (
+    DistributedTrainer,
+    TrainConfig,
+    WordLanguageModel,
+    WordLMConfig,
+)
 
 FABRIC4 = Interconnect(gpus_per_node=4)
+#: One rank per node: every ring is flat (L = 1) on the same links.
+FLAT = Interconnect(gpus_per_node=1)
+
+RING_TIME = {
+    "allreduce": ring_allreduce_time,
+    "allgather": ring_allgather_time,
+    "reduce_scatter": ring_reduce_scatter_time,
+}
 
 
 def comm(world, fabric=FABRIC4):
     return Communicator(world, fabric=fabric, track_memory=False)
 
 
+def two_level_phases(op, local, nodes, nbytes, fabric):
+    """The two-level schedule's phases, summed in order, written out."""
+    intra, inter = fabric.intra_node, fabric.inter_node
+    shard = -(-nbytes // local)
+    if op == "allreduce":
+        return (
+            ring_reduce_scatter_time(local, nbytes, intra)
+            + ring_allreduce_time(nodes, shard, inter)
+            + ring_allgather_time(local, shard, intra)
+        )
+    if op == "allgather":
+        return (
+            ring_allgather_time(local, nbytes, intra)
+            + ring_allgather_time(nodes, local * nbytes, inter)
+        )
+    return (
+        ring_reduce_scatter_time(local, nbytes, intra)
+        + ring_reduce_scatter_time(nodes, shard, inter)
+    )
+
+
 class TestSemantics:
     def test_matches_flat_allreduce(self):
-        world = 8  # 2 nodes of 4
+        world = 16  # 4 nodes of 4: a small message takes the two-level ring
         rng = np.random.default_rng(0)
         arrays = [rng.standard_normal((8, 3)) for _ in range(world)]
-        out = hierarchical_allreduce(comm(world), arrays)
-        expected = sum(arrays)
-        for o in out:
-            np.testing.assert_allclose(o, expected, rtol=1e-12)
+        c = comm(world)
+        out = c.allreduce(arrays)
+        assert c.ledger.events[-1].schedule == TWO_LEVEL
+        flat = comm(world, FLAT).allreduce(arrays)
+        np.testing.assert_array_equal(out[0], flat[0])
+        np.testing.assert_allclose(out[0], sum(arrays), rtol=1e-12)
 
     def test_single_node_falls_back_to_flat(self):
         world = 4
         c = comm(world)
-        arrays = [np.ones(4) for _ in range(world)]
-        out = hierarchical_allreduce(c, arrays)
+        out = c.allreduce([np.ones(4) for _ in range(world)])
         np.testing.assert_allclose(out[0], 4.0)
-        assert c.ledger.events[-1].op == "allreduce"
+        (event,) = c.ledger.events
+        assert event.schedule == RING
+        assert event.time_s == ring_allreduce_time(4, 32, FABRIC4.intra_node)
 
     def test_multi_node_records_hierarchical_op(self):
-        """Three plain per-axis events, tagged by the axis they ran on."""
-        world = 8
+        """One plain event, under the caller's tag, naming its schedule."""
+        world = 16
         c = comm(world)
-        hierarchical_allreduce(c, [np.ones(8) for _ in range(world)], tag="g")
-        assert [(e.op, e.tag) for e in c.ledger.events] == [
-            ("reduce_scatter", "local:g"),
-            ("allreduce", "node:g"),
-            ("allgather", "local:g"),
-        ]
+        c.allreduce([np.ones(8) for _ in range(world)], tag="g")
+        (event,) = c.ledger.events
+        assert (event.op, event.tag, event.schedule) == (
+            "allreduce", "g", TWO_LEVEL
+        )
+        assert event.time_s == two_level_phases("allreduce", 4, 4, 64, FABRIC4)
+        assert event.time_s < ring_allreduce_time(16, 64, FABRIC4.inter_node)
         assert c.mesh.axis_names == ("data",)  # caller's mesh untouched
 
     def test_shape_preserved(self):
-        world = 8
+        world = 16
         arrays = [np.ones((4, 2, 3)) for _ in range(world)]
-        out = hierarchical_allreduce(comm(world), arrays)
+        out = comm(world).allreduce(arrays)
         assert out[0].shape == (4, 2, 3)
 
     @given(
@@ -67,97 +118,211 @@ class TestSemantics:
     )
     @settings(max_examples=25)
     def test_property_equals_sum(self, nodes, rows_per_gpu, seed):
-        local = 4
-        world = nodes * local
+        world = nodes * 4
         rng = np.random.default_rng(seed)
         arrays = [
-            rng.standard_normal((rows_per_gpu * local, 2)) for _ in range(world)
+            rng.standard_normal((rows_per_gpu * 4, 2)) for _ in range(world)
         ]
-        out = hierarchical_allreduce(comm(world), arrays)
+        out = comm(world).allreduce(arrays)
+        np.testing.assert_array_equal(
+            out[0], comm(world, FLAT).allreduce(arrays)[0]
+        )
         np.testing.assert_allclose(out[0], sum(arrays), rtol=1e-9)
 
     def test_indivisible_leading_dim_rejected(self):
+        """A reduce-scatter's shard constraint holds on either schedule."""
         world = 8
-        with pytest.raises(ValueError):
-            hierarchical_allreduce(comm(world), [np.ones(6)] * world)
+        with pytest.raises(ValueError, match="not divisible"):
+            comm(world).reduce_scatter([np.ones(6)] * world)
 
     def test_partial_node_rejected(self):
-        with pytest.raises(ValueError):
-            hierarchical_allreduce(comm(6), [np.ones(4)] * 6)
+        """6 ranks on nodes of 4 hold 4 + 2: the two-level schedule needs
+        even nodes, so the collective is charged exactly the ring."""
+        c = comm(6)
+        assert c.local == 1
+        c.allreduce([np.ones(4)] * 6)
+        (event,) = c.ledger.events
+        assert event.schedule == RING
+        assert event.time_s == ring_allreduce_time(6, 32, FABRIC4.inter_node)
 
     def test_rank_count_checked(self):
         with pytest.raises(ValueError):
-            hierarchical_allreduce(comm(8), [np.ones(4)] * 7)
+            comm(8).allreduce([np.ones(4)] * 7)
 
 
 class TestCostModel:
     def test_beats_flat_ring_across_nodes(self):
-        """The whole point: the slow tier only carries 1/L of the bytes."""
+        """The slow tier carries 1/L of the bytes in M - 1 hops."""
         nbytes = 100 * 1024 * 1024
         fabric = PAPER_CLUSTER_FABRIC
         for world in (16, 32, 64):
-            flat = ring_allreduce_time(world, nbytes, fabric.ring_link(world))
-            hier = hierarchical_allreduce_time(world, nbytes, fabric)
-            assert hier < flat
+            link = fabric.ring_link(world)
+            for op, ring_time in RING_TIME.items():
+                time_s, schedule = collective_time(
+                    op, world, nbytes, link, fabric, 8
+                )
+                assert schedule == TWO_LEVEL
+                assert time_s < ring_time(world, nbytes, link)
 
     def test_single_node_identical_to_flat(self):
         nbytes = 10**6
         fabric = PAPER_CLUSTER_FABRIC
-        assert hierarchical_allreduce_time(
-            8, nbytes, fabric
-        ) == ring_allreduce_time(8, nbytes, fabric.intra_node)
+        assert collective_time(
+            "allreduce", 8, nbytes, fabric.intra_node, fabric, 8
+        ) == (ring_allreduce_time(8, nbytes, fabric.intra_node), RING)
 
     def test_same_volume_better_placement(self):
-        """Hierarchy moves the *same* total bytes per rank as a flat ring
-        — the win is that only 1/L of them cross the slow tier, which
-        shows up as time, not volume."""
+        """Two-level moves the *same* bytes per rank as the flat ring —
+        the win is that only 1/L of them cross the slow tier, which shows
+        up as time, not volume.  (Where a group spans only two nodes a
+        small message keeps the ring: a PCIe hop costs 5 us against an
+        IB hop's 1.5 us, and the funnel never charges more than the
+        ring.)"""
         world = 16
-        c_flat = Communicator(world, track_memory=False)
-        c_hier = Communicator(world, track_memory=False)
-        # Bandwidth-bound message: for tiny (latency-bound) messages the
-        # extra phases make hierarchy *slower*, which is expected.
+        c_flat = comm(world, FLAT)
+        c_two = comm(world, PAPER_CLUSTER_FABRIC)
         arrays = [np.ones(1 << 20, np.float32) for _ in range(world)]
-        c_flat.allreduce([a.copy() for a in arrays])
-        hierarchical_allreduce(c_hier, [a.copy() for a in arrays])
+        flat = c_flat.allreduce(arrays)
+        two = c_two.allreduce(arrays)
+        np.testing.assert_array_equal(flat[0], two[0])
         assert (
-            c_hier.ledger.total_wire_bytes_per_rank
+            c_two.ledger.total_wire_bytes_per_rank
             == c_flat.ledger.total_wire_bytes_per_rank
         )
-        assert c_hier.ledger.total_time_s < c_flat.ledger.total_time_s
+        assert c_two.ledger.events[0].schedule == TWO_LEVEL
+        assert c_two.ledger.total_time_s < c_flat.ledger.total_time_s
 
     @pytest.mark.parametrize("world", [16, 64])
     def test_phase_events_sum_to_the_model_exactly(self, world):
-        """The funnel's three events *are* the analytic model: same
-        terms, same order, on the same links — and every observer on
-        the communicator sees each phase."""
+        """The one event is charged min(ring, the three phases summed in
+        order on their links) — a 12 KiB message keeps the ring over two
+        nodes and goes two-level over eight — and every observer on the
+        communicator sees it once."""
         fabric = PAPER_CLUSTER_FABRIC
         c = Communicator(world, track_memory=False)
         san = Sanitizer(c)
         arrays = [np.ones((1 << 10, 3), np.float32) for _ in range(world)]
         with c.timeline.scope("sync"):
-            out = hierarchical_allreduce(c, arrays)
+            out = c.allreduce(arrays)
         np.testing.assert_array_equal(out[world - 1], world * arrays[0])
 
-        scatter, reduce, gather = c.ledger.events
+        (event,) = c.ledger.events
         nbytes = arrays[0].nbytes
         local, nodes = fabric.gpus_per_node, world // fabric.gpus_per_node
-        assert scatter.time_s + reduce.time_s + gather.time_s == (
-            hierarchical_allreduce_time(world, nbytes, fabric)
-        )
-        assert scatter.time_s == ring_reduce_scatter_time(
-            local, nbytes, fabric.intra_node
-        )
-        assert reduce.time_s == ring_allreduce_time(
-            nodes, nbytes // local, fabric.inter_node
-        )
-        assert gather.time_s == ring_allgather_time(
-            local, nbytes // local, fabric.intra_node
-        )
+        ring = ring_allreduce_time(world, nbytes, fabric.inter_node)
+        phases = two_level_phases("allreduce", local, nodes, nbytes, fabric)
+        assert event.time_s == min(ring, phases)
+        assert event.schedule == (TWO_LEVEL if phases < ring else RING)
+        assert event.schedule == {16: RING, 64: TWO_LEVEL}[world]
+        assert event.wire_bytes_per_rank == 2 * (world - 1) * nbytes // world
         assert c.timeline.makespan == c.ledger.total_time_s
 
-        assert san.collectives_checked == 3
+        assert san.collectives_checked == 1
         san.finish()
 
     def test_invalid_world(self):
         with pytest.raises(ValueError):
-            hierarchical_allreduce_time(0, 100, PAPER_CLUSTER_FABRIC)
+            collective_time(
+                "allreduce", 0, 100, PAPER_CLUSTER_FABRIC.inter_node,
+                PAPER_CLUSTER_FABRIC, 8,
+            )
+
+
+class TestChargedSchedule:
+    @given(
+        op=st.sampled_from(sorted(RING_TIME)),
+        local=st.integers(1, 8),
+        nodes=st.integers(1, 64),
+        per_rank=st.integers(0, 40_000),
+        uneven=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_never_above_the_ring_and_the_same_bytes(
+        self, op, local, nodes, per_rank, uneven
+    ):
+        """Over op, L, M and n (0 and n not divisible by L included): the
+        charged time is at most the ring's, the wire bytes are the
+        ring's, and a one-node, L = 1 or uneven ring is charged exactly
+        the ring."""
+        world = local * nodes - (1 if uneven and local * nodes > 2 else 0)
+        fabric = Interconnect(gpus_per_node=local)
+        if op == "reduce_scatter":
+            per_rank -= per_rank % world  # the shard constraint
+        arrays = [np.zeros(per_rank, np.uint8) for _ in range(world)]
+        charged, flat = comm(world, fabric), comm(world, FLAT)
+        for c in (charged, flat):
+            getattr(c, op)(arrays)
+        (event,), (flat_event,) = charged.ledger.events, flat.ledger.events
+        assert flat_event.schedule == RING
+        assert event.wire_bytes_per_rank == flat_event.wire_bytes_per_rank
+        ring_s = RING_TIME[op](world, per_rank, fabric.ring_link(world))
+        assert event.time_s <= ring_s
+        if nodes == 1 or local == 1 or world != local * nodes:
+            assert (event.time_s, event.schedule) == (ring_s, RING)
+        else:
+            assert event.time_s == min(
+                ring_s, two_level_phases(op, local, nodes, per_rank, fabric)
+            )
+
+    def test_a_mesh_axis_flips_with_message_size(self):
+        """``pipe=2,tensor=2,data=16``: each data ring holds 8 ranks on
+        each of 2 nodes.  Its 28 us of extra latency is repaid past
+        ~226 KB, where the two-level ring's smaller IB share wins."""
+        c = Communicator(64, track_memory=False)
+        c.mesh = hybrid_mesh("pipe=2,tensor=2,data=16", 64)
+        data = c.axis("data")
+        assert (data.ring_size, data.local) == (16, 8)
+        assert c.axis("tensor").local == 1  # a tensor pair spans 2 nodes
+        picks = {
+            n: data.collective_time("allreduce", n)[1]
+            for n in (1 << 10, 220_000, 232_000, 1 << 20)
+        }
+        assert picks == {
+            1 << 10: RING, 220_000: RING, 232_000: TWO_LEVEL,
+            1 << 20: TWO_LEVEL,
+        }
+        rows = [np.ones(232_000 // 8) for _ in range(64)]
+        data.allreduce(rows, tag="g")
+        (event,) = c.ledger.events
+        assert (event.tag, event.schedule) == ("data:g", TWO_LEVEL)
+        assert event.time_s == two_level_phases(
+            "allreduce", 8, 2, 232_000, PAPER_CLUSTER_FABRIC
+        )
+
+
+WORD = WordLMConfig(
+    vocab_size=60, embedding_dim=4, hidden_dim=6, projection_dim=4,
+    num_samples=8,
+)
+CORPUS = make_corpus(ONE_BILLION_WORD.scaled(60), 6000, seed=0)
+
+
+def word_trainer(fabric):
+    config = TrainConfig(world_size=64, batch=BatchSpec(1, 4), base_lr=0.3)
+    return DistributedTrainer(
+        lambda rng, rank: WordLanguageModel(WORD, rng),
+        lambda params, lr: SGD(params, lr),
+        CORPUS.train, CORPUS.valid, config,
+        comm=Communicator(64, fabric=fabric),
+    )
+
+
+def test_a_flat_word_lm_trains_the_same_in_less_simulated_time():
+    """A flat G = 64 word LM on the paper fabric (8 nodes of 8) against
+    one rank per node: the same collectives, bytes, peak and losses, bit
+    for bit, and a strictly shorter schedule."""
+    paper, flat = word_trainer(PAPER_CLUSTER_FABRIC), word_trainer(FLAT)
+    losses = [(paper.train_step(), flat.train_step()) for _ in range(3)]
+    assert all(a == b for a, b in losses)
+
+    def events(trainer):
+        return [
+            (e.op, e.tag, e.scope, e.wire_bytes_per_rank)
+            for e in trainer.comm.ledger.events
+        ]
+
+    assert events(paper) == events(flat)
+    assert paper.comm.peak_bytes_per_rank == flat.comm.peak_bytes_per_rank
+    assert {e.schedule for e in flat.comm.ledger.events} == {RING}
+    assert TWO_LEVEL in {e.schedule for e in paper.comm.ledger.events}
+    assert paper.comm.timeline.makespan < flat.comm.timeline.makespan

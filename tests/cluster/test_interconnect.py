@@ -54,12 +54,12 @@ class TestTopology:
     def test_single_node_ring_uses_intra_link(self):
         fab = PAPER_CLUSTER_FABRIC
         assert fab.ring_link(8) is fab.intra_node
-        assert not fab.spans_nodes(8)
+        assert fab.num_nodes(8) == 1
 
     def test_multi_node_ring_bound_by_inter_link(self):
         fab = PAPER_CLUSTER_FABRIC
         assert fab.ring_link(16) is fab.inter_node
-        assert fab.spans_nodes(16)
+        assert fab.num_nodes(16) == 2
 
     def test_invalid_inputs(self):
         fab = Interconnect(gpus_per_node=4)

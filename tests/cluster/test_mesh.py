@@ -111,8 +111,9 @@ class TestDeviceMesh:
     def test_axis_link_intra_vs_inter_node(self):
         fabric = Interconnect(gpus_per_node=4)
         m = DeviceMesh(("node", "local"), (2, 4))
-        assert m.axis_link("local", fabric) is fabric.intra_node
-        assert m.axis_link("node", fabric) is fabric.inter_node
+        c = Communicator(8, fabric=fabric, mesh=m)
+        assert c.axis("local").link is fabric.intra_node
+        assert c.axis("node").link is fabric.inter_node
 
 
 class TestSpecParsing:

@@ -25,6 +25,7 @@ from repro.core.wire import (
     make_codec,
 )
 from repro.core.wire.codecs import FRAME_HEADER_BYTES
+from repro.core.wire.cost import compressed_transfer_seconds
 from repro.errors import ConfigError
 from repro.nn.parameter import SparseGrad
 
@@ -186,6 +187,35 @@ class TestAdaptiveSelector:
         vals = [np.ones(65_536, np.float32)] * 4
         picked = sel.select_value(vals, comm(4))
         assert isinstance(picked, Fp16Codec)
+
+    def test_predicted_transfer_is_the_ledgers_event_time(self):
+        """At G = 32 on the paper fabric (4 nodes of 8) the encoded
+        gather is charged the two-level ring, and the selector prices
+        it with the funnel's own cost function, not a flat ring."""
+        world = 32
+        c = comm(world)
+        vec = np.sort(
+            np.random.default_rng(0).choice(100_000, 1024, replace=False)
+        ).astype(np.int64)
+        codec = DeltaBitpackCodec()
+        tp = DEFAULT_CODEC_THROUGHPUTS[codec.name]
+        encoded = codec.estimate_nbytes(vec)
+        assert encoded == codec.encode(vec).size  # exact at this size
+        predicted = compressed_transfer_seconds(
+            vec.nbytes, encoded, world, c.link, tp, c.fabric, c.local
+        )
+        iencoded_allgather(c, [vec] * world, codec, throughput=tp).wait()
+        (event,) = c.ledger.events
+        assert event.schedule == "two_level"
+        assert predicted == (
+            tp.encode_seconds(vec.nbytes)
+            + event.time_s
+            + tp.decode_seconds(world * vec.nbytes)
+        )
+        flat = compressed_transfer_seconds(
+            vec.nbytes, encoded, world, c.link, tp
+        )
+        assert predicted < flat
 
     def test_float16_and_integer_values_stay_raw(self):
         sel = AdaptiveCodecSelector()

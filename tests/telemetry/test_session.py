@@ -97,12 +97,16 @@ class TestTrainerIntegration:
         session.finalize()  # idempotent: the counters are record totals
         reg = session.registry
         ledger = trainer.comm.ledger
-        by_op = {}
+        calls_by, wire_by = {}, {}
         for e in ledger.events:
-            calls, wire = by_op.get(e.op, (0, 0))
-            by_op[e.op] = (calls + 1, wire + e.wire_bytes_per_rank)
-        for op, (calls, wire) in by_op.items():
-            assert reg.get("repro_collectives_total").value(op=op) == calls
+            key = (e.op, e.schedule)
+            calls_by[key] = calls_by.get(key, 0) + 1
+            wire_by[e.op] = wire_by.get(e.op, 0) + e.wire_bytes_per_rank
+        for (op, schedule), calls in calls_by.items():
+            assert reg.get("repro_collectives_total").value(
+                op=op, schedule=schedule
+            ) == calls
+        for op, wire in wire_by.items():
             assert reg.get(
                 "repro_collective_wire_bytes_total"
             ).value(op=op) == wire

@@ -34,7 +34,7 @@ def two_generation_parts():
         ],
         collectives=[
             CollectiveRecord("allreduce", "grads", "sync", 3, 100, -1, 1.0,
-                             3.0, 4.0, None),
+                             3.0, 4.0, None, "two_level"),
         ],
         label="gen0",
     )
@@ -131,12 +131,13 @@ class TestPartsJsonRoundTrip:
         assert parts[1].label == "gen1"
         assert parts == two_generation_parts()
         assert parts[0].collectives[0].tag == "grads"
+        assert parts[0].collectives[0].schedule == "two_level"
         assert parts[1].collectives[0].ranks == (0, 1)
 
     def test_other_versions_are_refused_by_name(self):
         blob = parts_to_json(two_generation_parts())
-        assert blob["version"] == 2
-        for version in (1, 3, None):
+        assert blob["version"] == 3
+        for version in (1, 2, None):
             blob["version"] = version
             with pytest.raises(ValueError, match=f"version {version!r}"):
                 parts_from_json(blob)

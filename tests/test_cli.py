@@ -97,7 +97,9 @@ class TestCommands:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "overlapped" in out
+        # The CLI charges no compute, so no backward is sliced: the
+        # banner does not claim an overlap the step does not have.
+        assert "overlapped" not in out
 
 
 class TestResilientTraining:
@@ -307,6 +309,12 @@ class TestTelemetry:
         assert rc == 0
         assert "merged trace:" in out
         assert "generations [0]" in out
+        # Two ranks sit on one node: every collective is priced a ring.
+        (split,) = [
+            line for line in out.splitlines()
+            if line.startswith("comm time by schedule: ")
+        ]
+        assert "ring " in split and "two_level" not in split
         assert "exports: metrics.json (" in out
         assert "ledger totals agree exactly" in out
         assert (tele / "trace.json").exists()
@@ -346,16 +354,16 @@ class TestTelemetry:
             "not json {",
             "[]",
             '{"generations": []}',
-            '{"version": 3, "generations": []}',
+            '{"version": 4, "generations": []}',
             '{"version": 1, "generations": [{"world_size": 2}]}',
-            '{"version": 2}',
-            '{"version": 2, "generations": [{"world_size": 2}]}',
-            '{"version": 2, "generations": [{"world_size": 2, '
+            '{"version": 3}',
+            '{"version": 3, "generations": [{"world_size": 2}]}',
+            '{"version": 3, "generations": [{"world_size": 2, '
             '"compute_events": [[0, "x"]], "collectives": []}]}',
-            '{"version": 2, "generations": [{"world_size": 2, '
+            '{"version": 3, "generations": [{"world_size": 2, '
             '"compute_events": [], "collectives": [["allreduce", "t", "s", '
-            '2, 8, 8, 0.1, 0.0, 0.1, [0, 2]]]}]}',
-            '{"version": 2, "generations": [{"world_size": 0, '
+            '2, 8, 8, 0.1, 0.0, 0.1, [0, 2], "ring"]]}]}',
+            '{"version": 3, "generations": [{"world_size": 0, '
             '"compute_events": [], "collectives": []}]}',
         ],
         ids=[
@@ -431,7 +439,7 @@ class TestTrainMesh:
     def test_mesh_composes_with_overlap_and_sanitize(self, capsys):
         rc = main(self.BASE + ["--mesh", "tensor=2,data=2", "--overlap"])
         assert rc == 0
-        assert "overlapped" in capsys.readouterr().out
+        assert "overlapped" not in capsys.readouterr().out  # nothing sliced
         rc = main(self.BASE + ["--mesh", "tensor=2,data=2", "--sanitize"])
         assert rc == 0
         assert "0 violations" in capsys.readouterr().out
