@@ -4,11 +4,11 @@ The paper's implementation uses flat CUDA-aware-MPI rings (Table II), and
 ``PerfModel``'s Tables III-V keep them.  The communicator funnel charges
 every allreduce, allgather and reduce-scatter the cheaper of the flat
 ring and the NCCL-style two-level ring (PCIe inside a node, FDR IB among
-the nodes' peers).  This bench quantifies, on the paper's exact fabric,
-how much of the char LM's 852 MB dense-gradient allreduce the two-level
-ring recovers, finds from the numbers where the flat ring still wins,
-and checks that an allreduce executed through the funnel is charged
-exactly ``min(ring, two-level)`` with the ring's wire bytes.
+the nodes' peers, whose peer rings share the node's one IB link).  This
+bench prices the char LM's 852 MB dense-gradient allreduce both ways on
+the paper's exact fabric, finds from the numbers where each schedule
+wins, and checks that an allreduce executed through the funnel is
+charged exactly ``min(ring, two-level)`` with the ring's wire bytes.
 """
 
 import numpy as np
@@ -37,19 +37,23 @@ def flat_and_two_level(world, nbytes):
     return flat, two
 
 
-def crossover_bytes(world):
-    """Smallest message at which the two-level ring is strictly cheaper
-    (0 when it wins at every size).  Both costs are affine in the
-    message size up to the shard's rounding, so the search is binary."""
+def crossover(world):
+    """Where the two-level ring is strictly cheaper: ``"always"``,
+    ``"never"`` or the message size past which the winner flips.  Both
+    costs are affine in the message size up to the shard's rounding, so
+    there is at most one flip and the search is binary."""
+    def wins(nbytes):
+        flat, two = flat_and_two_level(world, nbytes)
+        return two < flat
+
     lo, hi = 0, CHAR_LM_GRAD_BYTES
-    flat, two = flat_and_two_level(world, lo)
-    if two < flat:
-        return 0
+    small = wins(lo)
+    if wins(hi) == small:
+        return "always" if small else "never"
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        flat, two = flat_and_two_level(world, mid)
-        lo, hi = (lo, mid) if two < flat else (mid, hi)
-    return hi
+        lo, hi = (mid, hi) if wins(mid) == small else (lo, mid)
+    return f"{'below' if small else 'from'} {hi / 1e3:.1f} KB"
 
 
 def model_sweep():
@@ -60,11 +64,11 @@ def model_sweep():
                 world, CHAR_LM_GRAD_BYTES, FABRIC.intra_node
             )
             rows.append([world, f"{flat * 1e3:.0f}", f"{flat * 1e3:.0f}",
-                         "1.00x (single node)"])
+                         "ring (single node)"])
             continue
         flat, two = flat_and_two_level(world, CHAR_LM_GRAD_BYTES)
-        rows.append([world, f"{flat * 1e3:.0f}", f"{two * 1e3:.0f}",
-                     f"{flat / two:.2f}x"])
+        winner = f"two-level {flat / two:.2f}x" if two < flat else "ring"
+        rows.append([world, f"{flat * 1e3:.0f}", f"{two * 1e3:.0f}", winner])
     return rows
 
 
@@ -76,9 +80,7 @@ def crossover_rows():
             flat, two = flat_and_two_level(world, nbytes)
             winner = "two-level" if two < flat else "ring"
             cells.append(f"{flat * 1e6:.1f} / {two * 1e6:.1f} {winner}")
-        cross = crossover_bytes(world)
-        rows.append([world, world // LOCAL, *cells,
-                     "always" if cross == 0 else f">= {cross / 1e3:.1f} KB"])
+        rows.append([world, world // LOCAL, *cells, crossover(world)])
     return rows
 
 
@@ -103,12 +105,12 @@ def executed_allreduce(world, count):
 def test_ablation_hierarchical(benchmark, report):
     rows = benchmark.pedantic(model_sweep, rounds=1, iterations=1)
     table = format_table(
-        ["GPUs", "flat ring (ms)", "two-level (ms)", "speedup"],
+        ["GPUs", "flat ring (ms)", "two-level (ms)", "charged"],
         rows,
         title="Dense 852 MB gradient allreduce on the paper's fabric "
         "(PCIe 32 GB/s intra-node, FDR IB 15 GB/s inter-node)",
     )
-    crossover = format_table(
+    crossover_table = format_table(
         ["GPUs", "nodes"]
         + [f"{n >> 10} KiB flat / two-level (us)" for n in SIZES]
         + ["two-level wins"],
@@ -128,6 +130,9 @@ def test_ablation_hierarchical(benchmark, report):
 
     small = {world: flat_and_two_level(world, 1 << 10) for world in WORLDS}
     losing = [w for w, (flat, two) in small.items() if two >= flat]
+    large_wins = [
+        row[0] for row in rows if row[3].startswith("two-level")
+    ]
     footer = "\nSmall-message check (1 KiB): " + "; ".join(
         f"G={w} flat {flat * 1e6:.0f} us vs two-level {two * 1e6:.0f} us"
         for w, (flat, two) in small.items()
@@ -140,13 +145,19 @@ def test_ablation_hierarchical(benchmark, report):
         f"PCIe hops ({FABRIC.intra_node.latency * 1e6:.1f} us each) cost "
         f"more than the IB hops ({FABRIC.inter_node.latency * 1e6:.1f} us "
         "each) they save."
+    ) + (
+        "\nLarge-message check (852 MB): the two-level ring wins only at "
+        f"G = {', '.join(map(str, large_wins))}. A node's {LOCAL} peer "
+        "rings share its one IB link, so the bytes crossing it fall only "
+        "from 2(G-1)/G to 2(M-1)/M of the message, and that saving repays "
+        "the two PCIe phases (2(L-1)/L of it) only where M = 2."
     )
-    report("ablation_hierarchical", table + "\n" + crossover + footer)
+    report(
+        "ablation_hierarchical", table + "\n" + crossover_table + footer
+    )
 
-    # The two-level ring must win for the large multi-node messages.
-    for row in rows:
-        if row[0] in (16, 32, 64, 192):
-            assert float(row[1]) > float(row[2])
-    # ... and the ring must keep small messages where the group spans
-    # two nodes (the regime the funnel's min() exists for).
+    # Small messages go two-level once the group spans more than two
+    # nodes (the hop count), and stay on the ring over two ...
     assert losing == [16]
+    # ... while a large one goes two-level only over two nodes.
+    assert large_wins == [16]

@@ -35,12 +35,14 @@ allgather          ``(G-1) * n / beta  +  (G-1) alpha``
 
 A ring holding ``L > 1`` ranks on each of ``M > 1`` nodes may instead
 run **two-level** (:func:`two_level_time`, the NCCL/Horovod schedule):
-allreduce ``RS(L, n) + AR(M, n/L) + AG(L, n/L)``, reduce-scatter
-``RS(L, n) + RS(M, n/L)``, allgather ``AG(L, k) + AG(M, L k)`` — the
-``L`` phases on the intra-node link, the ``M`` ring among peers of one
-local index on the inter-node link.  Each rank sends exactly the ring's
-bytes (``(L-1)/L + 2(M-1)/(ML) + (L-1)/L = 2(G-1)/G`` of an allreduce's
-``n``), so only time moves; :func:`collective_time` charges the cheaper.
+reduce-scatter ``RS(L, n) + RS(M, n/L)``, allgather ``AG(M, k) +
+AG(L, M k)`` (its transpose) and allreduce ``RS(L, n) + AR(M, n/L) +
+AG(L, n/L)`` — the ``L`` phases on the intra-node link, the ``M`` ring
+among peers of one local index at ``beta / L`` (a node's ``L`` peer
+rings share its one inter-node link: the schedule saves hops, not
+bandwidth).  Each rank sends exactly the ring's bytes (``(L-1)/L +
+2(M-1)/(ML) + (L-1)/L = 2(G-1)/G`` of an allreduce's ``n``), so only
+time moves; :func:`collective_time` charges the cheaper.
 """
 
 from __future__ import annotations
@@ -437,10 +439,11 @@ def two_level_time(
 ) -> float:
     """The two-level ring's phases (module docstring) summed in order;
     a shard of an ``nbytes`` not divisible by ``local`` rounds up."""
-    intra, inter = fabric.intra_node, fabric.inter_node
+    intra, link = fabric.intra_node, fabric.inter_node
+    inter = LinkSpec(link.bandwidth / local, link.latency)  # L peer rings
     if op == "allgather":
-        return ring_allgather_time(local, nbytes, intra) + ring_allgather_time(
-            nodes, local * nbytes, inter
+        return ring_allgather_time(nodes, nbytes, inter) + ring_allgather_time(
+            local, nodes * nbytes, intra
         )
     shard = -(-nbytes // local)
     head = ring_reduce_scatter_time(local, nbytes, intra)
@@ -459,8 +462,8 @@ def collective_time(
     world: int,
     nbytes: int,
     link: LinkSpec,
-    fabric: Interconnect | None = None,
-    local: int = 1,
+    fabric: Interconnect,
+    local: int,
 ) -> tuple[float, str]:
     """``(seconds, schedule)``: the flat ring on ``link`` or, when each
     ring holds ``local`` = L > 1 ranks on each of ``world / L > 1``
@@ -468,7 +471,7 @@ def collective_time(
     communicator's one cost function (``nbytes`` as for the ring)."""
     ring = RING_COST[op][1](world, nbytes, link)
     nodes = world // local
-    if fabric is None or local <= 1 or nodes <= 1:
+    if local <= 1 or nodes <= 1:
         return ring, RING
     two = two_level_time(op, local, nodes, nbytes, fabric)
     return (two, TWO_LEVEL) if two < ring else (ring, RING)

@@ -81,9 +81,10 @@ class AdaptiveCodecSelector:
         if a.nbytes < _MIN_BYTES:
             return None
         tp = codec_throughput("fp16", self.throughputs)
-        if _encoded_seconds(a.nbytes, a.nbytes // 2, comm, tp) < (
-            comm.collective_time("allgather", a.nbytes)[0]
-        ):
+        encoded_s = compressed_transfer_seconds(
+            a.nbytes, _gather_seconds(a.nbytes // 2, comm), comm.ring_size, tp
+        )
+        if encoded_s < _gather_seconds(a.nbytes, comm):
             return _FP16
         return None
 
@@ -104,18 +105,18 @@ class AdaptiveCodecSelector:
             return None
         probe = np.sort(a) if sorted_payload else a
         best: WireCodec | None = None
-        best_s = comm.collective_time("allgather", a.nbytes)[0]
+        best_s = _gather_seconds(a.nbytes, comm)
         for codec in _INDEX_CANDIDATES:
             est = codec.estimate_nbytes(probe)
             tp = codec_throughput(codec.name, self.throughputs)
-            t = _encoded_seconds(a.nbytes, est, comm, tp)
+            t = compressed_transfer_seconds(
+                a.nbytes, _gather_seconds(est, comm), comm.ring_size, tp
+            )
             if t < best_s:
                 best, best_s = codec, t
         return best
 
 
-def _encoded_seconds(nbytes: int, encoded: int, comm, tp) -> float:
-    """:func:`compressed_transfer_seconds` on ``comm``'s rings."""
-    return compressed_transfer_seconds(
-        nbytes, encoded, comm.ring_size, comm.link, tp, comm.fabric, comm.local
-    )
+def _gather_seconds(nbytes: int, comm) -> float:
+    """The funnel's seconds for a gather of ``nbytes`` on ``comm``'s rings."""
+    return comm.collective_time("allgather", nbytes)[0]

@@ -27,10 +27,6 @@ holds the primitive pieces shared by the selector (which must live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-from ...cluster.collectives import collective_time
-from ...cluster.interconnect import Interconnect, LinkSpec
 
 __all__ = [
     "CodecThroughput",
@@ -119,30 +115,22 @@ def codec_throughput(
         return slowest_throughput(table)
 
 
-@lru_cache(maxsize=4096)
 def compressed_transfer_seconds(
     logical_bytes: int,
-    encoded_bytes: int,
+    transfer_s: float,
     world: int,
-    link: LinkSpec,
     throughput: CodecThroughput,
-    fabric: Interconnect | None = None,
-    local: int = 1,
 ) -> float:
     """Time of one encoded allgather.
 
     Every rank encodes its own ``logical_bytes`` contribution, the
-    funnel moves the encoded frames (priced by its
-    :func:`~repro.cluster.collectives.collective_time`), and every rank
-    decodes the full gathered ``world * logical_bytes`` — the schedule
+    funnel moves the encoded frames in ``transfer_s`` (its
+    :meth:`~repro.cluster.Communicator.collective_time` of the encoded
+    size), and every rank decodes the full gathered ``world *
+    logical_bytes`` — the schedule
     :func:`repro.core.wire.transfer.iencoded_allgather` executes, and
-    the figure the adaptive selector's crossover test uses.  Memoized —
-    pure in its (hashable) arguments, and the selector re-evaluates the
-    same key for every bucket.
+    the figure the adaptive selector's crossover test uses.
     """
-    transfer_s, _ = collective_time(
-        "allgather", world, encoded_bytes, link, fabric, local
-    )
     return (
         throughput.encode_seconds(logical_bytes)
         + transfer_s

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from ..cluster.collectives import RING, TWO_LEVEL
 from ..cluster.timeline import (
     COMPUTE_STREAM,
     CollectiveRecord,
@@ -166,7 +167,8 @@ def _interval(start, end) -> tuple[float, float]:
 
 def _generation(g: dict) -> GenerationPart:
     """One generation of a version-3 file, every field checked: ranks
-    inside the generation's world, finite ordered times, typed counts."""
+    inside the generation's world, finite ordered times, typed counts,
+    a known schedule."""
     world = _count(g["world_size"], 1, _MAX_WORLD + 1)
     compute = [
         TimelineEvent(
@@ -180,6 +182,8 @@ def _generation(g: dict) -> GenerationPart:
             raise ValueError(f"not a {len(CollectiveRecord._fields)}-field row")
         (op, tag, scope, ring, wire, payload, time_s, start, end, ranks,
          schedule) = row
+        if schedule not in ("", RING, TWO_LEVEL):  # "": explicitly costed
+            raise ValueError(f"unknown schedule {schedule!r}")
         if ranks is not None:
             if not isinstance(ranks, list):
                 raise ValueError(f"ranks must be a list, got {ranks!r}")
@@ -188,7 +192,7 @@ def _generation(g: dict) -> GenerationPart:
             CollectiveRecord(
                 _text(op), _text(tag), _text(scope), _count(ring, 1, world + 1),
                 _count(wire, 0), _count(payload, -1), _seconds(time_s),
-                *_interval(start, end), ranks, _text(schedule),
+                *_interval(start, end), ranks, schedule,
             )
         )
     return GenerationPart(
@@ -208,7 +212,7 @@ def parts_from_json(obj) -> List[GenerationPart]:
     every collective; version 2 rows had no schedule), missing keys, or
     a value the run could not have written: a rank outside its
     generation's world, a world size below 1, a non-finite or reversed
-    time, a count that is not an integer.
+    time, a count that is not an integer, an unknown schedule.
     """
     try:
         if isinstance(obj, str):

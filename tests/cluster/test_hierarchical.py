@@ -3,10 +3,11 @@
 Every plain allreduce, allgather and reduce-scatter is charged the
 cheaper of the flat ring and the two-level ring
 (:func:`repro.cluster.collectives.collective_time`): where each ring
-holds the same ``L > 1`` ranks on each of ``M > 1`` nodes, an intra-node
-phase, a ring among the ``M`` peers with one local index and (allreduce)
-a second intra-node phase.  Both schedules move the ring's wire bytes
-and the numerics are the one rank-order fold, so only time may differ.
+holds the same ``L > 1`` ranks on each of ``M > 1`` nodes, intra-node
+phases around a ring among the ``M`` peers with one local index, whose
+``L`` peer rings share their node's inter-node link.  Both schedules
+move the ring's wire bytes and the numerics are the one rank-order
+fold, so only time may differ.
 ``Interconnect(gpus_per_node=1)`` places one rank per node — ``L = 1``
 for every ring — and is the flat-ring reference throughout.
 """
@@ -25,7 +26,11 @@ from repro.cluster.collectives import (
     ring_allreduce_time,
     ring_reduce_scatter_time,
 )
-from repro.cluster.interconnect import Interconnect, PAPER_CLUSTER_FABRIC
+from repro.cluster.interconnect import (
+    Interconnect,
+    LinkSpec,
+    PAPER_CLUSTER_FABRIC,
+)
 from repro.data import BatchSpec, ONE_BILLION_WORD, make_corpus
 from repro.optim import SGD
 from repro.train import (
@@ -51,8 +56,12 @@ def comm(world, fabric=FABRIC4):
 
 
 def two_level_phases(op, local, nodes, nbytes, fabric):
-    """The two-level schedule's phases, summed in order, written out."""
-    intra, inter = fabric.intra_node, fabric.inter_node
+    """The two-level schedule's phases, summed in order, written out: the
+    node's ``local`` peer rings share its one inter-node link."""
+    intra = fabric.intra_node
+    inter = LinkSpec(
+        fabric.inter_node.bandwidth / local, fabric.inter_node.latency
+    )
     shard = -(-nbytes // local)
     if op == "allreduce":
         return (
@@ -62,8 +71,8 @@ def two_level_phases(op, local, nodes, nbytes, fabric):
         )
     if op == "allgather":
         return (
-            ring_allgather_time(local, nbytes, intra)
-            + ring_allgather_time(nodes, local * nbytes, inter)
+            ring_allgather_time(nodes, nbytes, inter)
+            + ring_allgather_time(local, nodes * nbytes, intra)
         )
     return (
         ring_reduce_scatter_time(local, nbytes, intra)
@@ -152,17 +161,23 @@ class TestSemantics:
 
 class TestCostModel:
     def test_beats_flat_ring_across_nodes(self):
-        """The slow tier carries 1/L of the bytes in M - 1 hops."""
-        nbytes = 100 * 1024 * 1024
+        """Where inter-node hops dominate the two-level ring wins (M - 1
+        IB hops instead of G - 1); for a large message at M >= 4 the
+        ring is kept: the node's peer rings share its one IB link, so
+        the two-level ring saves no IB bandwidth and adds PCIe phases."""
         fabric = PAPER_CLUSTER_FABRIC
-        for world in (16, 32, 64):
+        for world in (32, 64, 512):
             link = fabric.ring_link(world)
             for op, ring_time in RING_TIME.items():
                 time_s, schedule = collective_time(
-                    op, world, nbytes, link, fabric, 8
+                    op, world, 1 << 10, link, fabric, 8
                 )
                 assert schedule == TWO_LEVEL
-                assert time_s < ring_time(world, nbytes, link)
+                assert time_s < ring_time(world, 1 << 10, link)
+                big = 100 * 1024 * 1024
+                assert collective_time(op, world, big, link, fabric, 8) == (
+                    ring_time(world, big, link), RING
+                )
 
     def test_single_node_identical_to_flat(self):
         nbytes = 10**6
@@ -173,15 +188,14 @@ class TestCostModel:
 
     def test_same_volume_better_placement(self):
         """Two-level moves the *same* bytes per rank as the flat ring —
-        the win is that only 1/L of them cross the slow tier, which shows
-        up as time, not volume.  (Where a group spans only two nodes a
-        small message keeps the ring: a PCIe hop costs 5 us against an
-        IB hop's 1.5 us, and the funnel never charges more than the
-        ring.)"""
-        world = 16
+        the win is fewer hops on the slow tier, which shows up as time,
+        not volume.  (A group spanning 16 ranks, two nodes, keeps the
+        ring below ~3.8 MB: its PCIe hops cost 5 us against an IB hop's
+        1.5 us, and the funnel never charges more than the ring.)"""
+        world = 32
         c_flat = comm(world, FLAT)
         c_two = comm(world, PAPER_CLUSTER_FABRIC)
-        arrays = [np.ones(1 << 20, np.float32) for _ in range(world)]
+        arrays = [np.ones(1 << 12, np.float32) for _ in range(world)]
         flat = c_flat.allreduce(arrays)
         two = c_two.allreduce(arrays)
         np.testing.assert_array_equal(flat[0], two[0])
@@ -267,7 +281,10 @@ class TestChargedSchedule:
     def test_a_mesh_axis_flips_with_message_size(self):
         """``pipe=2,tensor=2,data=16``: each data ring holds 8 ranks on
         each of 2 nodes.  Its 28 us of extra latency is repaid past
-        ~226 KB, where the two-level ring's smaller IB share wins."""
+        ~3.84 MB, where the two-level ring's bandwidth terms win: n over
+        IB (8 peer rings of n/8 share it) and 2 * 7n/8 over PCIe, against
+        2 * 15/16 n over IB."""
+        fabric = PAPER_CLUSTER_FABRIC
         c = Communicator(64, track_memory=False)
         c.mesh = hybrid_mesh("pipe=2,tensor=2,data=16", 64)
         data = c.axis("data")
@@ -275,18 +292,21 @@ class TestChargedSchedule:
         assert c.axis("tensor").local == 1  # a tensor pair spans 2 nodes
         picks = {
             n: data.collective_time("allreduce", n)[1]
-            for n in (1 << 10, 220_000, 232_000, 1 << 20)
+            for n in (1 << 10, 3_800_000, 3_900_000, 1 << 24)
         }
         assert picks == {
-            1 << 10: RING, 220_000: RING, 232_000: TWO_LEVEL,
-            1 << 20: TWO_LEVEL,
+            1 << 10: RING, 3_800_000: RING, 3_900_000: TWO_LEVEL,
+            1 << 24: TWO_LEVEL,
         }
-        rows = [np.ones(232_000 // 8) for _ in range(64)]
+        assert data.collective_time("allreduce", 3_900_000)[0] == (
+            two_level_phases("allreduce", 8, 2, 3_900_000, fabric)
+        )
+        rows = [np.ones(128) for _ in range(64)]
         data.allreduce(rows, tag="g")
         (event,) = c.ledger.events
-        assert (event.tag, event.schedule) == ("data:g", TWO_LEVEL)
-        assert event.time_s == two_level_phases(
-            "allreduce", 8, 2, 232_000, PAPER_CLUSTER_FABRIC
+        assert (event.tag, event.schedule) == ("data:g", RING)
+        assert event.time_s == ring_allreduce_time(
+            16, 1 << 10, fabric.inter_node
         )
 
 

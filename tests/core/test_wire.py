@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Communicator
+from repro.cluster.collectives import ring_allgather_time
 from repro.core.compression import Fp16Codec, IdentityCodec
 from repro.core.sparse_exchange import AllGatherExchange, UniqueExchange
 from repro.core.wire import (
@@ -202,7 +203,7 @@ class TestAdaptiveSelector:
         encoded = codec.estimate_nbytes(vec)
         assert encoded == codec.encode(vec).size  # exact at this size
         predicted = compressed_transfer_seconds(
-            vec.nbytes, encoded, world, c.link, tp, c.fabric, c.local
+            vec.nbytes, c.collective_time("allgather", encoded)[0], world, tp
         )
         iencoded_allgather(c, [vec] * world, codec, throughput=tp).wait()
         (event,) = c.ledger.events
@@ -213,7 +214,7 @@ class TestAdaptiveSelector:
             + tp.decode_seconds(world * vec.nbytes)
         )
         flat = compressed_transfer_seconds(
-            vec.nbytes, encoded, world, c.link, tp
+            vec.nbytes, ring_allgather_time(world, encoded, c.link), world, tp
         )
         assert predicted < flat
 

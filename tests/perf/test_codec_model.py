@@ -9,6 +9,7 @@ divergence is a modeling bug, not noise.
 import numpy as np
 import pytest
 
+from repro.cluster.collectives import ring_allgather_time
 from repro.cluster.interconnect import LinkSpec
 from repro.core.compression import Fp16Codec
 from repro.core.wire.codecs import DeltaBitpackCodec
@@ -106,20 +107,25 @@ class TestMemoizationSafety:
         slow = CodecThroughput(encode_bps=1e9, decode_bps=1e9)
         fast = CodecThroughput(encode_bps=100e9, decode_bps=100e9)
         nbytes = 1 << 20
-        before = compressed_transfer_seconds(nbytes, nbytes // 4, 8, LINK, slow)
-        after = compressed_transfer_seconds(nbytes, nbytes // 4, 8, LINK, fast)
+        wire_s = ring_allgather_time(8, nbytes // 4, LINK)
+        before = compressed_transfer_seconds(nbytes, wire_s, 8, slow)
+        after = compressed_transfer_seconds(nbytes, wire_s, 8, fast)
         assert after < before
         # Equal-by-value keys still hit the cache deterministically.
         again = compressed_transfer_seconds(
-            nbytes, nbytes // 4, 8, LINK, CodecThroughput(1e9, 1e9)
+            nbytes, wire_s, 8, CodecThroughput(1e9, 1e9)
         )
         assert again == before
 
     def test_new_link_spec_is_a_new_cache_key(self):
         nbytes = 1 << 20
         fat = LinkSpec(bandwidth=100e9, latency=1e-6)
-        t_thin = compressed_transfer_seconds(nbytes, nbytes // 4, 8, LINK, TP)
-        t_fat = compressed_transfer_seconds(nbytes, nbytes // 4, 8, fat, TP)
+        t_thin = compressed_transfer_seconds(
+            nbytes, ring_allgather_time(8, nbytes // 4, LINK), 8, TP
+        )
+        t_fat = compressed_transfer_seconds(
+            nbytes, ring_allgather_time(8, nbytes // 4, fat), 8, TP
+        )
         assert t_fat < t_thin
 
 

@@ -365,11 +365,14 @@ class TestTelemetry:
             '2, 8, 8, 0.1, 0.0, 0.1, [0, 2], "ring"]]}]}',
             '{"version": 3, "generations": [{"world_size": 0, '
             '"compute_events": [], "collectives": []}]}',
+            '{"version": 3, "generations": [{"world_size": 2, '
+            '"compute_events": [], "collectives": [["allreduce", "t", "s", '
+            '2, 8, 8, 0.1, 0.0, 0.1, [0, 1], "bogus"]]}]}',
         ],
         ids=[
             "not-json", "not-an-object", "no-version", "unknown-version",
             "version-1", "no-generations", "missing-keys", "short-row",
-            "rank-outside-world", "world-size-zero",
+            "rank-outside-world", "world-size-zero", "unknown-schedule",
         ],
     )
     def test_trace_bad_parts_file_exits_2(self, capsys, tmp_path, text):

@@ -106,15 +106,21 @@ FORMAT_ERRORS = {
     "plan-unknown-event-key": event(when=3),
     "parts-not-json": lambda: parts_from_json("{"),
     "parts-version": lambda: parts_from_json({"version": 1}),
-    "parts-missing-keys": lambda: parts_from_json({"version": 2, "generations": [{}]}),
+    "parts-missing-keys": lambda: parts_from_json({"version": 3, "generations": [{}]}),
     "parts-rank-outside-world": lambda: parts_from_json({
-        "version": 2, "generations": [{"world_size": 2, "collectives": [],
+        "version": 3, "generations": [{"world_size": 2, "collectives": [],
                                        "compute_events": [[2, "x", 0, 1]]}],
     }),
     "parts-world-size-zero": lambda: parts_from_json({
-        "version": 2, "generations": [
+        "version": 3, "generations": [
             {"world_size": 0, "compute_events": [], "collectives": []}
         ],
+    }),
+    "parts-unknown-schedule": lambda: parts_from_json({
+        "version": 3, "generations": [{"world_size": 2, "compute_events": [],
+                                       "collectives": [[
+            "allreduce", "t", "s", 2, 8, 8, 0.1, 0.0, 0.1, [0, 1], "bogus",
+        ]]}],
     }),
 }
 
