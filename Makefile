@@ -128,8 +128,8 @@ bench-serve:
 # serve-bench also replay a fault plan written into $(DEAD_DIR)), the
 # five e2e workloads and every bench in fast mode, one process each
 # because the profile hook never sees child processes.  The benches run
-# with --benchmark-disable: a timed run pauses the hook; they still
-# rewrite benchmarks/results/ as the other fast-mode targets do.  The
+# with --benchmark-disable: a timed run pauses the hook; like every
+# fast-mode target they write benchmarks/results/fast/ (git-ignored).  The
 # target fails when more than DEAD_CEILING functions are never entered:
 # lower the ceiling whenever the count goes down, never raise it.
 DEAD_CEILING = 57

@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Where a ``REPRO_BENCH_FAST=1`` (smoke) run writes its figures instead:
+#: a git-ignored directory, so a smoke run never overwrites the committed
+#: full-size result files.
+FAST_RESULTS_DIR = RESULTS_DIR / "fast"
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    out = FAST_RESULTS_DIR if os.environ.get("REPRO_BENCH_FAST") else RESULTS_DIR
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 @pytest.fixture
 def report(results_dir):
-    """Print a report block and persist it under benchmarks/results/."""
+    """Print a report block and persist it under :func:`results_dir`."""
 
     def _report(name: str, text: str) -> None:
         print(f"\n{text}\n")

@@ -7,14 +7,17 @@ opt-in :class:`~repro.cluster.communicator.CollectiveHook` on a
 validates every collective — blocking, ``i*``, per-axis, explicitly
 scheduled — before it executes:
 
-* **rank-count agreement** — the per-rank list must carry exactly one
-  array per rank;
+* **rank-count agreement** — a per-rank list must carry exactly one
+  array per rank, and an allreduce's per-ring payload
+  (:class:`~repro.cluster.collectives.FusedRun`) one rank block per
+  ring, each block one row per member rank;
 * **shape agreement** — allreduce/reduce_scatter payloads must
   be shape-identical across the ranks of a ring (an allgatherv may be
   ragged in its leading dim only; on an axis view each subgroup is
   checked on its own, since shards of different subgroups legitimately
-  differ).  On a real cluster a mismatch deadlocks or corrupts; here it
-  would silently skew Tables III-V;
+  differ; the rows of a rank block agree by construction).  On a real
+  cluster a mismatch deadlocks or corrupts; here it would silently skew
+  Tables III-V;
 * **dtype agreement** — mixed dtypes within a ring mean at least one
   rank fell off the FP16/FP32 discipline of §III-C;
 * **payload hygiene** — NaN/Inf in any payload but an FP16 one, whose
@@ -33,13 +36,14 @@ The async engine adds two failure modes of its own, covered here:
 * **in-flight mutation** — every payload buffer is hashed when its
   collective is issued and re-hashed at its first ``wait()``; a write in
   between raises :class:`InFlightMutationError`.  Buffers longer than two
-  :data:`SAMPLE_BYTES` windows are hashed on their head and tail only,
-  and a fused run member by member.
+  :data:`SAMPLE_BYTES` windows are hashed on their head and tail only;
+  a rank of a per-ring payload is its row of every member block.
 
 Cross-rank issue-order divergence — the bug that deadlocks a real
 cluster — cannot happen here: one funnel call carries every rank's
 payload, and the communicator refuses a per-rank list that is not
-``world_size`` long, so no rank can issue a collective the others skip.
+``world_size`` long (or a payload without one row per rank), so no rank
+can issue a collective the others skip.
 
 Every violation raises a :class:`SanitizerError` subclass whose message
 names the op, the offending rank(s), and a concrete counterexample.
@@ -58,7 +62,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..cluster.collectives import FusedRun
+from ..cluster.collectives import FusedRun, is_payload
 from ..cluster.communicator import CollectiveHook, Communicator
 from ..core.compression import WireCodec
 from ..errors import ReproError
@@ -213,32 +217,21 @@ class Sanitizer(CollectiveHook):
     def pre_issue(self, comm, op: str, tag: str, arrays) -> None:
         """Validate one collective before it touches any state."""
         if arrays is not None:
-            world = comm.world_size
-            if len(arrays) != world:
+            payload = is_payload(arrays)
+            want = len(comm.groups) if payload else comm.world_size
+            if len(arrays) != want:
                 raise CollectiveMismatchError(
-                    f"{op}[tag={tag!r}]: got {len(arrays)} per-rank arrays "
-                    f"for a {world}-rank communicator — on a real cluster "
-                    f"{abs(len(arrays) - world)} rank(s) would hang in this "
+                    f"{op}[tag={tag!r}]: got {len(arrays)} "
+                    f"{'ring payloads' if payload else 'per-rank arrays'} "
+                    f"for {want} — on a real cluster "
+                    f"{abs(len(arrays) - want)} rank(s) would hang in this "
                     "collective"
                 )
-            for ranks in comm.groups:
-                head = arrays[ranks[0]]
-                if not isinstance(head, FusedRun):
+            for i, ranks in enumerate(comm.groups):
+                if payload:
+                    self._validate_run(op, tag, arrays[i], ranks)
+                else:
                     self._validate_ring(op, tag, arrays, ranks)
-                    continue
-                # A fused run is checked member by member, by name.
-                if any(
-                    not isinstance(arrays[r], FusedRun)
-                    or arrays[r].keys() != head.keys()
-                    for r in ranks
-                ):
-                    raise CollectiveMismatchError(
-                        f"{op}[tag={tag!r}]: ranks {list(ranks)} bring "
-                        "fused runs of different members"
-                    )
-                for name in head:
-                    member = {r: arrays[r][name] for r in ranks}
-                    self._validate_ring(op, f"{tag}[{name}]", member, ranks)
         if comm.timeline.current_scope == "":
             raise SanitizerError(
                 f"{op}[tag={tag!r}] issued outside any ledger scope: wrap "
@@ -248,21 +241,57 @@ class Sanitizer(CollectiveHook):
         self.collectives_checked += 1
 
     def post_issue(self, comm, handle, arrays) -> None:
-        """Hash every payload buffer the issued collective captured."""
-        if arrays is not None:
-            self._inflight[id(handle)] = [
-                (rank, a, _digest(a)) for rank, a in enumerate(arrays)
+        """Hash every rank's payload buffers the issued collective captured."""
+        if arrays is None:
+            return
+        if is_payload(arrays):  # a ring's rank m brings row m of each block
+            buffers = [
+                (rank, [m[row] for m in run.values()])
+                for run, ranks in zip(arrays, comm.groups)
+                for row, rank in enumerate(ranks)
             ]
+        else:
+            buffers = [(rank, [a]) for rank, a in enumerate(arrays)]
+        self._inflight[id(handle)] = [
+            (rank, bufs, _digest(bufs)) for rank, bufs in buffers
+        ]
 
     def on_wait(self, handle) -> None:
         """Re-hash the handle's payload buffers; a change is a race."""
-        for rank, array, digest in self._inflight.pop(id(handle), ()):
-            if _digest(array) != digest:
+        for rank, buffers, digest in self._inflight.pop(id(handle), ()):
+            if _digest(buffers) != digest:
                 raise InFlightMutationError(
                     f"rank {rank}'s buffer for `{handle.op}` "
                     f"(tag={handle.tag!r}) was mutated between issue and "
                     "wait(): the in-flight transfer may read either value "
                     "— wait() before writing, or stage into a copy"
+                )
+
+    def _validate_run(
+        self, op: str, tag: str, run: FusedRun, ranks: Sequence[int]
+    ) -> None:
+        """One ring's payload: every member one row per member rank and,
+        but FP16, finite — a bad row names its rank."""
+        for name, block in run.items():
+            label = f"{op}[tag={tag!r}][{name}]"
+            if not isinstance(block, np.ndarray) or block.ndim == 0 or (
+                len(block) != len(ranks)
+            ):
+                raise CollectiveMismatchError(
+                    f"{label}: shape {np.shape(block)} is not one row for "
+                    f"each of the ranks {list(ranks)} — the reduction is "
+                    "undefined"
+                )
+            if block.dtype == np.float16:
+                continue  # the FP16 wire's overflow, as for a per-rank list
+            bad = ~np.isfinite(block.reshape(len(ranks), -1))
+            rows = np.flatnonzero(bad.any(axis=1))
+            if rows.size:
+                where = np.flatnonzero(bad[rows[0]])
+                raise CollectiveMismatchError(
+                    f"{label}: rank {ranks[rows[0]]} payload contains "
+                    f"{where.size} non-finite value(s): "
+                    f"{_describe(block[rows[0]], where)}"
                 )
 
     def _validate_ring(
@@ -351,18 +380,19 @@ class Sanitizer(CollectiveHook):
         self.comm.timeline.assert_balanced()
 
 
-def _digest(array: np.ndarray | FusedRun, crc: int = 0) -> int:
-    """CRC of a buffer's head and tail windows (all of a short one)."""
-    if isinstance(array, FusedRun):  # member by member, one chain
-        for member in array.values():
-            crc = _digest(member, crc)
-        return crc
-    flat = np.ascontiguousarray(array).reshape(-1)
-    if flat.nbytes > 2 * SAMPLE_BYTES:
-        k = max(1, SAMPLE_BYTES // flat.itemsize)
-        # Chain head and tail through one CRC — no concatenation copy.
-        return zlib.crc32(flat[-k:], zlib.crc32(flat[:k], crc))
-    return zlib.crc32(flat, crc)
+def _digest(buffers: Sequence[np.ndarray]) -> int:
+    """CRC of each buffer's head and tail windows (all of a short one),
+    chained in order."""
+    crc = 0
+    for array in buffers:
+        flat = np.ascontiguousarray(array).reshape(-1)
+        if flat.nbytes > 2 * SAMPLE_BYTES:
+            k = max(1, SAMPLE_BYTES // flat.itemsize)
+            # Chain head and tail through one CRC — no concatenation copy.
+            crc = zlib.crc32(flat[-k:], zlib.crc32(flat[:k], crc))
+        else:
+            crc = zlib.crc32(flat, crc)
+    return crc
 
 
 class SanitizedWireCodec(WireCodec):

@@ -48,7 +48,7 @@ time moves; :func:`collective_time` charges the cheaper.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -63,6 +63,9 @@ __all__ = [
     "collective_time",
     "two_level_time",
     "allreduce_arrays",
+    "check_ranks",
+    "is_payload",
+    "ring_payloads",
     "allgather_arrays",
     "reduce_scatter_arrays",
     "ring_allreduce_time",
@@ -120,11 +123,24 @@ def _restricted_fold_min_skipped(dtype: np.dtype) -> int:
 
 
 class FusedRun(dict):
-    """One rank's payload of a fused allreduce: named members of one dtype.
+    """One ring's allreduce payload: named ``(ring, ...)`` member blocks.
 
-    Reduced as the flat concatenation of its members (``size`` and
-    ``nbytes`` are that message's) without ever building it.
+    Row ``m`` of every block is the ring's ``m``-th member rank's
+    contribution, and all members share one dtype.  The ring receives
+    the flat concatenation of every member's rank-order sum, never built
+    as a ``(ring, size)`` staging copy; ``size`` and ``nbytes`` are one
+    rank's share of that message.
+
+    ``held`` may map a member name to its row sets: member rank ``m``'s
+    block row is ``+0`` outside its leading-axis rows ``held[name][m]``
+    (sorted, unique) — the unique exchange's zero-padded value
+    matrices — so the fold may skip those ``x + (+0)`` steps (see
+    :func:`_restricted_fold`).
     """
+
+    def __init__(self, members=(), held=None, **named):
+        super().__init__(members, **named)
+        self.held: dict[str, Sequence[np.ndarray]] = dict(held or {})
 
     @property
     def dtype(self) -> np.dtype:
@@ -137,115 +153,138 @@ class FusedRun(dict):
         return dtypes.pop()
 
     @property
+    def ring(self) -> int:
+        """The member ranks: every block's leading length."""
+        rings = {len(m) for m in self.values()}
+        if len(rings) != 1:
+            raise ValueError(
+                "a fused run needs at least one member, all of one leading "
+                f"length; got {sorted(rings)}"
+            )
+        return rings.pop()
+
+    @property
     def size(self) -> int:
-        return sum(m.size for m in self.values())
+        return sum(m.size for m in self.values()) // self.ring
 
     @property
     def nbytes(self) -> int:
-        return sum(m.nbytes for m in self.values())
+        return sum(m.nbytes for m in self.values()) // self.ring
+
+    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "FusedRun":
+        """This run with ``fn`` applied to every block (row sets kept)."""
+        return FusedRun(((n, fn(m)) for n, m in self.items()), held=self.held)
+
+
+def is_payload(arrays: Sequence) -> bool:
+    """Whether ``arrays`` is one :class:`FusedRun` per ring rather than a
+    per-flat-rank list of arrays."""
+    return len(arrays) > 0 and isinstance(arrays[0], FusedRun)
+
+
+def check_ranks(
+    op: str, arrays: Sequence, groups: Sequence[Sequence[int]]
+) -> None:
+    """Raise unless ``arrays`` is one array per flat rank, or one
+    :class:`FusedRun` per ring with one row per member rank."""
+    if not is_payload(arrays):
+        world = sum(map(len, groups))
+        if len(arrays) != world:
+            raise ValueError(
+                f"{op}: got {len(arrays)} per-rank arrays for a "
+                f"{world}-rank communicator"
+            )
+    elif [run.ring for run in arrays] != [len(g) for g in groups]:
+        raise ValueError(
+            f"{op}: got payloads of {[run.ring for run in arrays]} ranks "
+            f"for rings of {[len(g) for g in groups]}"
+        )
+
+
+def ring_payloads(
+    arrays: Sequence, groups: Sequence[Sequence[int]]
+) -> list[FusedRun]:
+    """``arrays`` (checked) as one :class:`FusedRun` per ring: itself, or
+    a per-flat-rank list stacked once per ring into the member ``""``."""
+    check_ranks("allreduce", arrays, groups)
+    if is_payload(arrays):
+        return list(arrays)
+    rings = []
+    for ranks in groups:
+        sub = [arrays[r] for r in ranks]
+        _check_uniform(sub, "allreduce")
+        rings.append(FusedRun({"": np.stack(sub)}))
+    return rings
 
 
 def allreduce_arrays(
-    arrays: Sequence[np.ndarray] | Sequence[FusedRun],
-    stacked: np.ndarray | dict[str, np.ndarray] | None = None,
-    rows: Sequence[np.ndarray] | dict[str, Sequence[np.ndarray]] | None = None,
+    arrays: FusedRun | Sequence[np.ndarray],
 ) -> list[np.ndarray]:
-    """Sum-allreduce: every rank receives the elementwise sum of all inputs.
+    """Sum-allreduce of one ring: every member rank receives the sum.
+
+    ``arrays`` is the ring's :class:`FusedRun` payload, whose members
+    are each folded alone into their slice of one flat sum, or the
+    ring's per-rank arrays, folded as the rows of one block (stacked
+    once, where ``np.add.reduce`` needs it) into a sum of their shape.
 
     The reduction is performed in rank order, which is deterministic —
     matching NCCL's behaviour of a fixed reduction order along the ring.
     The sum is identical on every rank, so every rank receives the *same*
     array object, read-only (``writeable=False``): a caller that writes
     to it fails loudly instead of corrupting the other ranks' results.
-
-    ``stacked`` lets a caller that already holds the per-rank inputs as
-    rows of one contiguous ``(world, ...)`` block (the batched executor's
-    gradient blocks, the unique exchange's scatter matrix) skip the
-    ``np.stack`` of ``world`` views — the dominant Python-side cost of a
-    large-G allreduce.  The caller asserts ``arrays[r] is stacked[r]``
-    row-for-row; reduction bits are identical either way because
-    ``np.stack(arrays)`` would reproduce exactly this block.
-
-    ``rows`` (with ``stacked``) is the further assertion that member
-    ``m`` is ``+0`` everywhere outside its leading-axis rows
-    ``rows[m]`` (sorted, unique) — the zero-padded matrices of the
-    unique exchange.  The same rank-order fold may then skip the
-    ``x + (+0)`` steps; the result is bit-identical (see
-    :func:`_restricted_fold`), only cheaper on sparse blocks.
-
-    When every rank brings a :class:`FusedRun`, each member is folded
-    alone into its slice of one flat result — bit-identical to reducing
-    the members one by one — and ``stacked`` and ``rows`` map member
-    names to that member's block and row sets.
     """
-    if arrays and isinstance(arrays[0], FusedRun):
-        return _shared(
-            _fold_run(arrays, stacked or {}, rows or {}), len(arrays)
-        )
+    if isinstance(arrays, FusedRun):
+        return _shared(_fold_run(arrays), arrays.ring)
     _check_uniform(arrays, "allreduce")
+    return _shared(_fold(arrays), len(arrays))
+
+
+def _fold(
+    block: np.ndarray | Sequence[np.ndarray],
+    held: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The rank-order sum of ``block``'s rows, in their dtype.
+
+    ``np.add.reduce`` over the leading axis accumulates element-wise in
+    row order — the sequential fold, for strided column views too, but
+    for the sign of an all ``-0.0`` sum (numpy may seed the fold with
+    ``+0``) — except where a row holds one element: the reduction axis
+    is then the inner loop and numpy sums it pairwise, so that case (and
+    a ring of two) keeps the explicit fold.  ``held`` (see
+    :class:`FusedRun`) selects :func:`_restricted_fold` once it skips
+    enough padding.
+    """
+    ranks = len(block)
+    if held is not None and len(held) != ranks:
+        raise ValueError(f"allreduce: {len(held)} row sets for {ranks} ranks")
     # A float16 sum may overflow to inf (and inf - inf is nan), as a
     # real FP16 ring's does; the trainer's post-sync finiteness check
     # reports it, not numpy.
-    quiet = (
-        dict(over="ignore", invalid="ignore")
-        if arrays[0].dtype == np.float16 else {}
-    )
+    dtype = block[0].dtype
+    quiet = dict(over="ignore", invalid="ignore") if dtype == np.float16 else {}
     with np.errstate(**quiet):
-        # Accumulate in the input dtype to mirror on-wire reduction
-        # precision.  np.add.reduce over a stacked leading axis
-        # accumulates element-wise in index order — bit-identical to the
-        # sequential rank-order fold — except for size-1 arrays, where
-        # the reduction axis is contiguous and numpy switches to pairwise
-        # summation; keep the explicit fold for that case.
-        if len(arrays) > 2 and arrays[0].size > 1:
-            if stacked is None:
-                stacked = np.stack(arrays)
-            elif stacked.shape != (len(arrays),) + arrays[0].shape:
-                raise ValueError(
-                    f"allreduce: stacked block shape {stacked.shape} does not "
-                    f"match {len(arrays)} ranks of {arrays[0].shape}"
-                )
-            if rows is not None and len(rows) != len(arrays):
-                raise ValueError(
-                    f"allreduce: {len(rows)} row sets for {len(arrays)} ranks"
-                )
-            if rows is not None and (
-                (stacked.shape[1] - sum(r.size for r in rows) / len(rows))
-                * stacked[0, 0].size
-            ) >= _restricted_fold_min_skipped(stacked.dtype):
-                total = _restricted_fold(stacked, rows)
-            else:
-                total = np.add.reduce(stacked, axis=0)
-        else:
-            total = arrays[0].copy()
-            for arr in arrays[1:]:
-                total += arr
-    return _shared(total, len(arrays))
+        if ranks > 2 and block[0].size > 1:
+            if held is not None and (
+                (block.shape[1] - sum(r.size for r in held) / ranks)
+                * block[0, 0].size
+            ) >= _restricted_fold_min_skipped(dtype):
+                return _restricted_fold(block, held)
+            return np.add.reduce(block, axis=0)
+        total = np.array(block[0])
+        for row in block[1:]:
+            total += row
+        return total
 
 
-def _fold_run(
-    runs: Sequence[FusedRun],
-    blocks: dict[str, np.ndarray],
-    rows: dict[str, Sequence[np.ndarray]],
-) -> np.ndarray:
-    """Every member's rank-order sum, in its slice of one flat array.
-
-    Each member is folded alone, from its own block and row sets when
-    the caller has them — never from a ``(ranks, size)`` staging copy.
-    """
-    head = runs[0]
-    total = np.empty(head.size, head.dtype)
-    if any(run.keys() != head.keys() for run in runs):
-        raise ValueError(f"allreduce: every rank must bring members {list(head)}")
+def _fold_run(run: FusedRun) -> np.ndarray:
+    """Every member's rank-order sum, in its slice of one flat array."""
+    dtype = run.dtype
+    total = np.empty(run.size, dtype)
     offset = 0
-    for name, member in head.items():
-        summed = allreduce_arrays(
-            [run[name] for run in runs],
-            stacked=blocks.get(name),
-            rows=rows.get(name),
-        )[0]
-        total[offset : offset + member.size] = summed.ravel()
-        offset += member.size
+    for name, block in run.items():
+        size = block[0].size
+        total[offset : offset + size] = _fold(block, run.held.get(name)).ravel()
+        offset += size
     return total
 
 

@@ -47,8 +47,11 @@ plain ``Communicator(G)`` is the one-axis ``data=G`` world) and every
 collective is defined once, parameterised by the **group set it rings
 over**.  :meth:`Communicator.axis` returns a view bound to one mesh
 axis: same timeline, devices, pending set and hooks, but its
-collectives reduce independently inside each subgroup of the axis.  The
-per-rank list is always indexed by *flat* rank; disjoint subgroups run
+collectives reduce independently inside each subgroup of the axis.  A
+per-rank list is always indexed by *flat* rank, and an allreduce's
+per-ring payload (one :class:`~repro.cluster.collectives.FusedRun` of
+rank blocks per subgroup) follows the view's group order; disjoint
+subgroups run
 concurrently on disjoint links, so one collective is **one** timeline
 record costed on the largest subgroup's message, tagged ``axis:tag``.
 An axis that spans the whole world *is* the communicator itself — which
@@ -111,8 +114,10 @@ class CollectiveHook:
     def pre_issue(self, comm, op: str, tag: str, arrays) -> None:
         """Before any state is touched; raising aborts the collective.
 
-        ``arrays`` is the caller's per-rank payload list (None for
-        payload-free steps such as transfers and fused ring hops).
+        ``arrays`` is the caller's payload as given — a per-flat-rank
+        list, or an allreduce's one
+        :class:`~repro.cluster.collectives.FusedRun` per ring — or None
+        for payload-free steps such as transfers and fused ring hops.
         """
 
     def post_issue(self, comm, handle: "WorkHandle", arrays) -> None:
@@ -328,30 +333,29 @@ class Communicator:
         return out
 
     def _pre_issue(self, op: str, tag: str, arrays) -> None:
-        """Run the pre-issue hooks, then check the per-rank list length."""
+        """Run the pre-issue hooks, then check the payload's rank count."""
         for hook in self.hooks:
             hook.pre_issue(self, op, tag, arrays)
-        if arrays is not None and len(arrays) != self.world_size:
-            raise ValueError(
-                f"{op}: got {len(arrays)} per-rank arrays for a "
-                f"{self.world_size}-rank communicator"
-            )
+        if arrays is not None:
+            coll.check_ranks(op, arrays, self.groups)
 
-    def _ring_bytes(self, arrays: Sequence[np.ndarray]) -> int:
-        """Message size of the largest ring (its first rank's array).
+    def _ring_bytes(self, arrays: Sequence) -> int:
+        """Message size of the largest ring (one of its ranks' share).
 
         Reduce-family payloads are uniform within a ring but may differ
         across rings (each model shard has its own shape); rings run
         concurrently, so the largest one sets the cost.
         """
+        if coll.is_payload(arrays):
+            return max(run.nbytes for run in arrays)
         return max(int(arrays[ranks[0]].nbytes) for ranks in self.groups)
 
     def _ring_collective(
         self,
         op: str,
-        arrays: Sequence[np.ndarray],
+        arrays: Sequence,
         tag: str,
-        numerics: Callable[[list, int], Sequence],
+        results: list,
         nbytes: int,
         scratch_bytes: int,
         payload_bytes: int | None = None,
@@ -359,8 +363,8 @@ class Communicator:
     ) -> WorkHandle:
         """Issue one ring collective of ``nbytes`` messages (hooks ran).
 
-        Numerics run per ring; the single event is charged the ring's
-        wire bytes and the time of the cheaper schedule
+        ``results`` are its numerics, per flat rank; the single event is
+        charged the ring's wire bytes and the time of the cheaper schedule
         (:meth:`collective_time`).  ``payload_bytes`` (pre-codec message
         size) is converted the same way for measured-compression
         reporting.
@@ -370,7 +374,7 @@ class Communicator:
         time_s, schedule = self.collective_time(op, nbytes)
         return self._issue(
             op=op,
-            results=self.by_group(arrays, numerics),
+            results=results,
             scratch_bytes=scratch_bytes,
             scratch_tag=f"{op}-recv:{tag}",
             wire_bytes_per_rank=wire_bytes(n, nbytes),
@@ -402,14 +406,14 @@ class Communicator:
         tag: str,
         schedule: str = "",
         payload_bytes_per_rank: int | None = None,
-        payload: Sequence[np.ndarray] | None = None,
+        payload: Sequence | None = None,
         members: Sequence[tuple[str, int]] | None = None,
     ) -> WorkHandle:
         """Common issue path: charge scratch, record, enqueue.
 
-        ``payload`` is the caller's per-rank array list, forwarded (not
-        copied) to the ``post_issue`` hooks so a sanitizer can hash the
-        in-flight buffers.  ``schedule`` names the schedule that set
+        ``payload`` is the caller's (see :meth:`CollectiveHook.pre_issue`),
+        forwarded (not copied) to the ``post_issue`` hooks so a sanitizer
+        can hash the in-flight buffers.  ``schedule`` names the schedule that set
         ``time_s`` (empty for an explicitly-costed step).
         """
         if self.axis_name is not None:
@@ -438,14 +442,21 @@ class Communicator:
 
     def iallreduce(
         self,
-        arrays: Sequence[np.ndarray],
+        arrays: Sequence,
         tag: str = "",
         payload_bytes: int | None = None,
-        stacked: Sequence | None = None,
-        rows: Sequence | None = None,
         members: Sequence[tuple[str, int]] | None = None,
     ) -> WorkHandle:
         """Non-blocking sum-allreduce; ring algorithm cost model.
+
+        ``arrays`` is the payload: one
+        :class:`~repro.cluster.collectives.FusedRun` per ring, in
+        :attr:`groups` order, whose ``(ring, ...)`` member blocks hold
+        the ring's member ranks as rows — each ring then receives its
+        flat sum — or a per-flat-rank list of arrays, stacked once per
+        ring, whose sums keep the arrays' shape.  Every rank of a ring
+        receives that ring's one read-only sum (see the module
+        docstring).
 
         Scratch: one extra buffer of the message size per rank (the ring
         works in-place on shards, needing only a receive shard; we charge
@@ -456,43 +467,23 @@ class Communicator:
         payload size: codec layers pass it so the ledger can report the
         measured compression factor alongside the encoded wire bytes.
 
-        Every rank of a ring receives that ring's one read-only sum (see
-        the module docstring).
-
-        ``stacked`` is the caller's assertion that each ring's arrays
-        are, in member order, the rows of one ``(ring, ...)`` block —
-        letting the reduction skip restacking the views.  Pass one block
-        per ring, in :attr:`groups` order.  Bits, accounting and results
-        are identical to the unstacked call.
-
-        ``rows`` rides with ``stacked``, in the same per-ring form: for
-        each member, the sorted unique leading-axis rows outside which
-        its array is ``+0`` (the unique exchange's zero-padded
-        matrices), so the fold can skip them — see
-        :func:`~repro.cluster.collectives.allreduce_arrays`.  Hooks and
-        accounting still see the full per-rank arrays.
-
-        Ranks may bring :class:`~repro.cluster.collectives.FusedRun`
-        payloads: one record per run, whose ring receives its flat sum.
-        Each ring's ``stacked`` and ``rows`` entries are then dicts from
-        member names to that member's block and row sets.
-
         ``members`` marks a packed message: ``(label, nbytes)`` per
         payload, crediting its wire bytes to each payload's own scope
         (see :meth:`~repro.cluster.timeline.Timeline.schedule_collective`).
         """
         self._pre_issue("allreduce", tag, arrays)
-
-        def reduce(sub: list, ring: int) -> list:
-            return coll.allreduce_arrays(
-                sub,
-                stacked=None if stacked is None else stacked[ring],
-                rows=None if rows is None else rows[ring],
+        if coll.is_payload(arrays):
+            results = self.by_group(
+                range(self.world_size),
+                lambda _, ring: coll.allreduce_arrays(arrays[ring]),
             )
-
+        else:
+            results = self.by_group(
+                arrays, lambda sub, _: coll.allreduce_arrays(sub)
+            )
         nbytes = self._ring_bytes(arrays)
         return self._ring_collective(
-            "allreduce", arrays, tag, reduce, nbytes, nbytes, payload_bytes,
+            "allreduce", arrays, tag, results, nbytes, nbytes, payload_bytes,
             members,
         )
 
@@ -521,7 +512,7 @@ class Communicator:
             "allgather",
             arrays,
             tag,
-            lambda sub, _: coll.allgather_arrays(sub),
+            self.by_group(arrays, lambda sub, _: coll.allgather_arrays(sub)),
             max(contrib),
             max(sum(contrib[r] for r in ranks) for ranks in self.groups),
             payload_bytes,
@@ -538,7 +529,9 @@ class Communicator:
             "reduce_scatter",
             arrays,
             tag,
-            lambda sub, _: coll.reduce_scatter_arrays(sub),
+            self.by_group(
+                arrays, lambda sub, _: coll.reduce_scatter_arrays(sub)
+            ),
             nbytes,
             nbytes // self.ring_size,
         )
@@ -554,7 +547,7 @@ class Communicator:
         scratch_tag: str = "",
         tag: str = "",
         payload_bytes_per_rank: int | None = None,
-        payload: Sequence[np.ndarray] | None = None,
+        payload: Sequence | None = None,
     ) -> WorkHandle:
         """Issue one explicitly-costed collective step.
 

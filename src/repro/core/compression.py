@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.collectives import FusedRun
 from ..errors import ReproError
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "WireCodec",
     "IdentityCodec",
     "Fp16Codec",
-    "encode_stacked",
 ]
 
 #: Largest finite FP16 value; anything larger encodes as ``inf``.
@@ -161,27 +159,3 @@ class Fp16Codec(WireCodec):
         """Everything leaves as FP16."""
         return np.dtype(np.float16)
 
-
-def encode_stacked(
-    codec: WireCodec,
-    arrays: Sequence[np.ndarray] | Sequence[FusedRun],
-    stacked: dict[str, np.ndarray] | None,
-) -> tuple[list, dict[str, np.ndarray] | None]:
-    """Every rank's value encode, as ``(per-rank payloads, their blocks)``.
-
-    Value codecs are elementwise, so a fused-run member the caller holds
-    as the rows of one ``(world, ...)`` block (``stacked`` maps names to
-    blocks, as for :func:`~repro.cluster.collectives.allreduce_arrays`)
-    is encoded in one call: the per-rank encodes, already stacked for
-    the reduction.  Everything else is the per-rank loop.
-    """
-    if not isinstance(arrays[0], FusedRun):
-        return codec.encode_many(arrays), None
-    blocks = {n: codec.encode(b) for n, b in (stacked or {}).items()}
-    return [
-        FusedRun(
-            (n, blocks[n][r] if n in blocks else codec.encode(a))
-            for n, a in run.items()
-        )
-        for r, run in enumerate(arrays)
-    ], blocks or None

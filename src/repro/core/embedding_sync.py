@@ -74,7 +74,7 @@ from ..cluster.communicator import Communicator
 from ..nn.batched import rank_grads
 from ..nn.module import Module
 from ..nn.parameter import Parameter, SparseGrad
-from .compression import WireCodec, encode_stacked
+from .compression import WireCodec
 from .mesh_exchange import (
     shard_dense,
     shard_sparse,
@@ -118,11 +118,10 @@ _Rows = tuple[list[Parameter], np.ndarray]
 class _Allreduce:
     """One allreduce payload of a sync step, as it would go alone.
 
-    ``build()`` returns ``(arrays, stacked, rows)``: one
-    :class:`~repro.cluster.collectives.FusedRun` per flat rank (in the
-    wire dtype ``dtype`` unless the fused ring encodes it) and, per
-    ring, the member blocks and row sets the fold may use.  A value
-    matrix is built only then, so a step holds the matrices of the
+    ``build()`` returns the payload: one
+    :class:`~repro.cluster.collectives.FusedRun` of rank blocks per
+    ring (in the wire dtype ``dtype`` unless the fused ring encodes it).
+    A value matrix is built only then, so a step holds the matrices of the
     allreduce it is sending, not all of them.  ``ring_bytes`` and
     ``logical_bytes`` are each ring's per-rank message as sent and
     before the value codec.  ``values`` marks a unique exchange's value
@@ -135,7 +134,7 @@ class _Allreduce:
 
     scope: str
     tag: str
-    build: Callable[[], tuple[list[FusedRun], list[dict], list[dict]]]
+    build: Callable[[], list[FusedRun]]
     dtype: np.dtype
     codec: WireCodec | None
     values: bool
@@ -284,50 +283,48 @@ class GradientSynchronizer:
         """The allreduce payload of one dense run, ready to issue.
 
         ``run`` maps member names to their landing parameters and their
-        ``(d, ...)`` rank blocks; row ``r`` of every block travels as
-        rank ``r``'s :class:`~repro.cluster.collectives.FusedRun`,
-        folded member by member into one flat sum straight from the
-        blocks — nothing is staged.  The averaged gradient lands as
-        **one array object per member** on every landing parameter: the
-        ranks of a synchronous step hold equal gradients, so there is
-        one result and whoever applies it reads it once.
+        ``(d, ...)`` rank blocks; the blocks travel as they are, as the
+        one ring's :class:`~repro.cluster.collectives.FusedRun` (on a
+        mesh, each shard group's column views of them), folded member
+        by member into one flat sum — nothing is staged.  The averaged
+        gradient lands as **one array object per member** on every
+        landing parameter: the ranks of a synchronous step hold equal
+        gradients, so there is one result and whoever applies it reads
+        it once.
         """
         data = self.comm.axis("data")
-        blocks = {name: block for name, (_, block) in run.items()}
-        runs = [FusedRun(zip(blocks, row)) for row in zip(*blocks.values())]
-        layout = [(m.shape, m.size) for m in runs[0].values()]
-        dtype = runs[0].dtype
-        arrays = shard_dense(runs, data.groups)
-        stacked = blocks if arrays is runs else None
+        blocks = FusedRun((name, block) for name, (_, block) in run.items())
+        layout = [(b.shape[1:], b[0].size) for b in blocks.values()]
+        dtype = blocks.dtype
+        payload = shard_dense(blocks, data.groups)
         codec = (
             None
             if self.wire is None
-            else self.wire.resolve_value_codec(arrays, data)
+            else self.wire.resolve_value_codec(payload, data)
         )
-        logical = tuple(arrays[ranks[0]].nbytes for ranks in data.groups)
+        logical = tuple(ring.nbytes for ring in payload)
         fused = self.fused_reduce
         if codec is not None and not fused:  # the fused ring encodes
-            arrays, stacked = encode_stacked(codec, arrays, stacked)
-        sizes = tuple(arrays[ranks[0]].nbytes for ranks in data.groups)
+            payload = [ring.map(codec.encode) for ring in payload]
+        sizes = tuple(ring.nbytes for ring in payload)
 
         def finish(sums: list[np.ndarray]) -> None:
             # Each shard group's one shared result is read once.
             reduced = unshard_dense(sums, data.groups)
             if codec is not None and not fused:  # the fused ring decodes
                 reduced = codec.decode(reduced, dtype)
-            flat, offset = reduced / len(runs), 0
+            flat, offset = reduced / data.ring_size, 0
             for (targets, _), (shape, size) in zip(run.values(), layout):
                 grad = flat[offset : offset + size].reshape(shape)
                 offset += size
                 for p in targets:
                     p.grad = grad
 
-        rings = len(data.groups)
         return _Allreduce(
             scope=scope,
             tag=tag,
-            build=lambda: (arrays, [stacked or {}] * rings, [{}] * rings),
-            dtype=arrays[0].dtype,
+            build=lambda: payload,
+            dtype=payload[0].dtype,
             codec=codec,
             values=False,
             ring_bytes=sizes,
@@ -342,40 +339,19 @@ class GradientSynchronizer:
     ) -> _Allreduce:
         """The allreduce payload of one exchange's staged value matrices.
 
-        Each rank brings its aligned matrix as the one member
+        Each ring brings its aligned block as the one member
         ``"{name}:values"`` — apart from a tied parameter's dense member
-        of the same name — with its ring's block and row sets, so the
-        fold restacks nothing and skips the zero padding.
+        of the same name — with its row sets, so the fold skips the
+        zero padding.
         """
-        data = self.comm.axis("data")
-        key = staged.tag
-        shapes: list[tuple[int, ...]] = []
-
-        def build() -> tuple[list[FusedRun], list[dict], list[dict]]:
-            arrays, blocks, rows = staged.align()
-            shapes.extend(b.shape[1:] for b in blocks)
-            return (
-                [FusedRun({key: a}) for a in arrays],
-                [{key: b} for b in blocks],
-                [{key: r} for r in rows],
-            )
 
         def finish(sums: list[np.ndarray]) -> None:
-            self._apply_sparse(
-                targets,
-                staged.complete(
-                    data.by_group(
-                        sums,
-                        lambda ring, i: [ring[0].reshape(shapes[i])]
-                        * len(ring),
-                    )
-                ),
-            )
+            self._apply_sparse(targets, staged.complete(sums))
 
         return _Allreduce(
             scope=scope,
-            tag=key,
-            build=build,
+            tag=staged.tag,
+            build=staged.align,
             dtype=staged.dtype,
             codec=staged.codec,
             values=True,
@@ -390,42 +366,29 @@ class GradientSynchronizer:
         """Issue one allreduce of ``pack``'s payloads; return its finisher.
 
         A lone payload keeps its own tag; a pack is tagged with its
-        members' tags joined by ``+``.  Ranks bring the members of every
-        payload as one :class:`~repro.cluster.collectives.FusedRun`, each
-        ring's blocks and row sets as dicts; every member is folded
-        alone, so a packed payload's sum is its lone sum, bit for bit.
+        members' tags joined by ``+``.  Each ring brings the members of
+        every payload as one :class:`~repro.cluster.collectives.FusedRun`;
+        every member is folded alone, so a packed payload's sum is its
+        lone sum, bit for bit.
         """
         data = self.comm.axis("data")
         groups = data.groups
         head = pack[0]
         parts = [p.build() for p in pack]
         if head.fused:  # the fused ring carries one dense run
-            (arrays, stacked, _), = parts
             handle = icompressed_allreduce(
-                data,
-                arrays,
-                codec=head.codec,
-                tag=head.tag,
-                stacked=stacked[0] or None,
+                data, parts[0], codec=head.codec, tag=head.tag
             )
             return lambda: head.finish(handle.wait())
-        if len(pack) == 1:
-            (arrays, stacked, rows), = parts
-        else:
-            arrays = [
-                FusedRun(kv for run in runs for kv in run.items())
-                for runs in zip(*(a for a, _, _ in parts))
-            ]
-            stacked = [
-                {k: v for _, s, _ in parts for k, v in s[i].items()}
-                for i in range(len(groups))
-            ]
-            rows = [
-                {k: v for _, _, r in parts for k, v in r[i].items()}
-                for i in range(len(groups))
-            ]
+        payload = parts[0] if len(pack) == 1 else [
+            FusedRun(
+                (kv for run in runs for kv in run.items()),
+                held={k: v for run in runs for k, v in run.held.items()},
+            )
+            for runs in zip(*parts)
+        ]
         handle = data.iallreduce(
-            arrays,
+            payload,
             tag="+".join(p.tag for p in pack),
             payload_bytes=(
                 None
@@ -435,8 +398,6 @@ class GradientSynchronizer:
                     for i in range(len(groups))
                 )
             ),
-            stacked=stacked,
-            rows=rows,
             members=(
                 None
                 if len(pack) == 1
@@ -446,7 +407,7 @@ class GradientSynchronizer:
 
         # Each payload's size in each ring; the built matrices are not
         # kept past the issue.
-        sizes = [[a[ranks[0]].size for ranks in groups] for a, _, _ in parts]
+        sizes = [[run.size for run in part] for part in parts]
 
         def finish() -> None:
             sums = handle.wait()

@@ -7,20 +7,21 @@ every model rank carries one shard of each gradient, and only the ``d``
 ranks sharing a shard index reduce with each other.  The collectives
 and the exchange strategies themselves are axis-agnostic — they run on
 ``comm.axis("data")`` exactly as they run on a flat communicator — so
-all that is mesh-specific is this module: how one replica's gradient is
-cut into per-rank shards before the data-axis collective, and how the
+all that is mesh-specific is this module: how the data ranks' gradients
+are cut into shards before the data-axis collective, and how the
 per-shard results are reassembled (once) afterwards.
 
 ``groups`` is always the data-axis view's ``groups``: ``S`` rank tuples
 of ``d`` members each, group index = shard index, member index = data
 coordinate.  With ``S == 1`` (flat training, or a ``(1, 1, G)`` mesh)
-every function is the identity on its input.
+nothing is cut: a dense run is the one ring's payload as it stands.
 
 **Bit-exactness** (regression-pinned by the composition table): a run
-of dense gradients is cut into ``S`` contiguous pieces of its flat
-concatenation, each data subgroup reduces its piece in the same rank
-order a flat allreduce uses, and ``concat(array_split(x)) == x`` holds
-exactly.  A sparse gradient is
+of dense ``(d, ...)`` rank blocks is cut into ``S`` contiguous pieces
+of a rank's flat concatenation, each shard group's payload being column
+views ``block.reshape(d, -1)[:, lo:hi]``; each data subgroup folds its
+piece's rows in the same rank order a flat allreduce uses, and
+``concat(array_split(x)) == x`` holds exactly.  A sparse gradient is
 cut by contiguous vocabulary row ranges; ranges ascend, so concatenating
 the per-range unique exchanges yields the globally sorted unique rows,
 and cutting a coalesced gradient by row range commutes with coalescing.
@@ -56,23 +57,26 @@ def _check_replicas(grads: list, groups: Groups) -> None:
         )
 
 
-def shard_dense(grads: list[FusedRun], groups: Groups) -> list[FusedRun]:
-    """Per-flat-rank pieces of ``d`` replica runs (index = data coord):
-    ``np.array_split``'s cuts, as runs of member views (none is copied)."""
+def shard_dense(run: FusedRun, groups: Groups) -> list[FusedRun]:
+    """Each shard group's payload of a run of ``(d, ...)`` rank blocks
+    (row = data coordinate): ``np.array_split``'s cuts of a rank's flat
+    run, as column views of the blocks (none is copied)."""
     if len(groups) == 1:
-        return grads
-    _check_replicas(grads, groups)
-    base, extra = divmod(grads[0].size, len(groups))
+        return [run]
+    d = len(groups[0])
+    if run.ring != d:
+        raise ValueError(f"{run.ring} replica gradients for a data axis of {d}")
+    base, extra = divmod(run.size, len(groups))
     cuts = [s * base + min(s, extra) for s in range(len(groups) + 1)]
-    out: list[FusedRun] = [None] * (len(groups) * len(grads))  # type: ignore[list-item]
-    for k, run in enumerate(grads):
-        starts = np.cumsum([0] + [m.size for m in run.values()])
-        for s, ranks in enumerate(groups):
-            out[ranks[k]] = FusedRun(
-                (n, m.ravel()[max(cuts[s] - at, 0) : max(cuts[s + 1] - at, 0)])
-                for (n, m), at in zip(run.items(), starts)
-            )
-    return out
+    widths = [m[0].size for m in run.values()]
+    starts = np.cumsum([0] + widths)
+    return [
+        FusedRun(
+            (n, m.reshape(d, width)[:, max(lo - at, 0) : max(hi - at, 0)])
+            for (n, m), width, at in zip(run.items(), widths, starts)
+        )
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 def unshard_dense(results: Sequence[np.ndarray], groups: Groups) -> np.ndarray:

@@ -46,7 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.collectives import allgather_wire_bytes, allreduce_wire_bytes
+from ..cluster.collectives import (
+    FusedRun,
+    allgather_wire_bytes,
+    allreduce_wire_bytes,
+)
 from ..cluster.communicator import Communicator
 from ..nn.parameter import SparseGrad
 from .compression import WireCodec
@@ -148,16 +152,17 @@ def dense_table_wins(
 class StagedValues:
     """Step 6's payload: one exchange's value matrices, sized but unbuilt.
 
-    ``align()`` runs step 5 and returns ``(arrays, blocks, rows)``:
-    ``arrays[r]`` is flat rank ``r``'s Ug x D matrix in the wire dtype
-    ``dtype``, a view of its ring's ``(ring, Ug, D)`` block ``blocks[i]``
-    (rings in ``comm.groups`` order) that is ``+0`` outside the rows
-    ``rows[i][m]`` of its member index ``m``.  A folded exchange's
+    ``align()`` runs step 5 and returns the allreduce payload: per ring
+    (in ``comm.groups`` order) one
+    :class:`~repro.cluster.collectives.FusedRun` whose one member
+    ``tag`` is the ring's ``(ring, Ug, D)`` block in the wire dtype
+    ``dtype`` — row ``m`` the Ug x D matrix of member rank ``m``, ``+0``
+    outside the rows its ``held`` row sets name.  A folded exchange's
     matrix is instead its ring's dense ``rows x (D + 1)`` table, the
     last column counting the ranks that hold each row.  Whoever
     allreduces them (alone, or packed with other payloads of the step)
-    hands the per-rank sums to :attr:`complete`, which decodes them and
-    returns the exchange's results.  The matrices are built on demand, so a
+    hands the per-rank flat sums to :attr:`complete`, which decodes
+    them and returns the exchange's results.  The matrices are built on demand, so a
     caller packing several allreduces holds only the ones it is
     about to send.
 
@@ -173,7 +178,7 @@ class StagedValues:
     ring_bytes: tuple[int, ...]
     logical_bytes: tuple[int, ...]
     gather_scratch: int
-    align: Callable[[], tuple[list, list, list]]
+    align: Callable[[], list[FusedRun]]
     complete: Callable[[Sequence[np.ndarray]], list]
 
 
@@ -384,17 +389,18 @@ class PendingUniqueExchange:
         )
         wire = np.dtype(dtype) if codec is None else codec.wire_dtype(dtype)
 
-        def align() -> tuple[list, list, list]:
-            blocks: list[np.ndarray] = []
-            held: list[list[np.ndarray]] = []
+        tag = f"{self._tag}:values"
 
-            def scatter(local: list[SparseGrad], ring: int) -> list:
+        def align() -> list[FusedRun]:
+            payload = []
+            for ring, ranks in enumerate(comm.groups):
                 # Step 5: local scatter Ĵ -> Î positions, zero-filling
                 # missing rows.  All members' scatters run as one
                 # vectorized assignment into a stacked (ring, Ug, D)
                 # block: per-rank indices are unique, so the fancy
                 # assignment writes each (rank, row) cell at most once —
                 # value-identical to the per-rank loop.
+                local = [self._local[r] for r in ranks]
                 global_indices = uniques[ring]
                 counts = [g.indices.size for g in local]
                 cat_idx = np.concatenate([g.indices for g in local])
@@ -414,20 +420,16 @@ class PendingUniqueExchange:
                     # bit for bit, the per-rank encode of each
                     # zero-padded Ug x D matrix.
                     cat_val = codec.encode(cat_val)
-                stacked = np.zeros(
+                block = np.zeros(
                     (len(local), int(global_indices.size), dim), dtype=wire
                 )
-                stacked[np.repeat(np.arange(len(local)), counts), pos] = (
-                    cat_val
-                )
-                blocks.append(stacked)
-                held.append(np.split(pos, np.cumsum(counts)[:-1]))
-                return list(stacked)
-
-            return comm.by_group(self._local, scatter), blocks, held
+                block[np.repeat(np.arange(len(local)), counts), pos] = cat_val
+                held = np.split(pos, np.cumsum(counts)[:-1])
+                payload.append(FusedRun({tag: block}, held={tag: held}))
+            return payload
 
         def result(ring_reduced: list[np.ndarray], ring: int):
-            values = ring_reduced[0]
+            values = ring_reduced[0].reshape(-1, dim)
             if codec is not None:
                 values = codec.decode(values, dtype)
             members = comm.groups[ring]
@@ -445,7 +447,7 @@ class PendingUniqueExchange:
             return self._result
 
         return StagedValues(
-            tag=f"{self._tag}:values",
+            tag=tag,
             codec=codec,
             dtype=wire,
             ring_bytes=tuple(u.size * dim * wire.itemsize for u in uniques),
@@ -466,15 +468,16 @@ class PendingUniqueExchange:
         dim = self._local[0].dim
         dtype = np.dtype(self._local[0].values.dtype)
 
-        def align() -> tuple[list, list, list]:
-            blocks: list[np.ndarray] = []
-            held: list[list[np.ndarray]] = []
+        tag = f"{self._tag}:values"
 
-            def scatter(local: list[SparseGrad], ring: int) -> list:
+        def align() -> list[FusedRun]:
+            payload = []
+            for ring, ranks in enumerate(comm.groups):
                 # Step 5 against the ring's whole row range: each rank's
                 # sorted unique Ĵ are its populated rows, so its values
                 # land as they would in the Ug x D matrix, and its
                 # presence column is 1 there.
+                local = [self._local[r] for r in ranks]
                 cut = cuts[ring]
                 counts = [g.indices.size for g in local]
                 member = np.repeat(np.arange(len(local)), counts)
@@ -487,14 +490,12 @@ class PendingUniqueExchange:
                         [g.values for g in local]
                     )
                 table[member, cat_idx, dim] = 1
-                blocks.append(table)
-                held.append([g.indices - cut for g in local])
-                return list(table)
-
-            return comm.by_group(self._local, scatter), blocks, held
+                held = [g.indices - cut for g in local]
+                payload.append(FusedRun({tag: table}, held={tag: held}))
+            return payload
 
         def result(ring_reduced: list[np.ndarray], ring: int):
-            table = ring_reduced[0]
+            table = ring_reduced[0].reshape(-1, dim + 1)
             present = np.flatnonzero(table[:, dim]).astype(np.int64)
             members = comm.groups[ring]
             one = UniqueExchangeResult(
@@ -515,7 +516,7 @@ class PendingUniqueExchange:
             for lo, hi in zip(cuts, cuts[1:])
         )
         return StagedValues(
-            tag=f"{self._tag}:values",
+            tag=tag,
             codec=None,
             dtype=dtype,
             ring_bytes=nbytes,
@@ -535,19 +536,15 @@ class PendingUniqueExchange:
         if self._result is not None:
             return self._result
         staged = self.stage()
-        arrays, blocks, rows = staged.align()
         # Step 6: allreduce the aligned Ug x D matrices in the wire
-        # dtype.  They are views of the blocks, populated only where
-        # ``rows`` says, so the reduction neither restacks them nor
-        # folds their padding.
+        # dtype, each ring's as its one block, populated only where its
+        # row sets say, so the fold skips the padding.
         reduced = self._comm.iallreduce(
-            arrays,
+            staged.align(),
             tag=staged.tag,
             payload_bytes=(
                 None if staged.codec is None else max(staged.logical_bytes)
             ),
-            stacked=blocks,
-            rows=rows,
         ).wait()
         return staged.complete(reduced)
 

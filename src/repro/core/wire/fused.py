@@ -40,7 +40,7 @@ a ``comm.axis("data")`` view every data subgroup reduces its own
 payload (numerics per ring), while the hop plan — and therefore every
 ledger event and timeline ticket — is built once, from the ring with
 the largest message, over the view's ring size and link.  The first
-hop carries the caller's per-rank payload to the funnel's hooks, so
+hop carries the caller's payload to the funnel's hooks, so
 fault plans and the sanitizer see fused traffic like any other
 collective.
 
@@ -56,8 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cluster.collectives import allreduce_arrays
-from ..compression import encode_stacked
+from ...cluster.collectives import allreduce_arrays, is_payload, ring_payloads
 from .cost import CodecThroughput, codec_throughput
 from .transfer import wire_instruments
 
@@ -238,55 +237,47 @@ class PendingFusedReduce:
 
 def icompressed_allreduce(
     comm,
-    arrays: Sequence[np.ndarray],
+    arrays: Sequence,
     codec=None,
     tag: str = "",
     chunk_bytes: int | None = None,
     throughput: CodecThroughput | None = None,
-    stacked: dict[str, np.ndarray] | None = None,
 ) -> PendingFusedReduce:
     """Compressed ring allreduce: fused reduce-scatter + allgather.
 
-    ``wait()`` returns the decoded sum of each ring, one read-only
-    object for all its members, as :meth:`Communicator.iallreduce`
-    does.  With a summable codec the numerics equal the
-    unfused encode → allreduce → decode path bit for bit; with
+    ``arrays`` is :meth:`Communicator.iallreduce`'s payload — one
+    :class:`~repro.cluster.collectives.FusedRun` of rank blocks per
+    ring, or a per-flat-rank list — and ``wait()`` returns the decoded
+    sum of each ring, one read-only object for all its members, as
+    ``iallreduce`` does.  With a summable codec the numerics equal the
+    unfused encode → allreduce → decode path bit for bit (value codecs
+    are elementwise, so encoding a block is the per-rank encode); with
     ``codec=None`` they equal the plain rank-order fold bit for bit.  A
     codec that is not summable raises ``ValueError`` before anything is
-    issued.  Ranks may bring :class:`~repro.cluster.collectives.FusedRun`
-    payloads, whose ``stacked`` member blocks (one-ring communicators
-    only, as for :meth:`Communicator.iallreduce`) a summable codec
-    encodes in one call each, the fold then skipping a restack.
+    issued.
     """
-    if len(arrays) != comm.world_size:
-        raise ValueError(
-            f"got {len(arrays)} per-rank arrays for a "
-            f"{comm.world_size}-rank communicator"
-        )
+    rings = ring_payloads(arrays, comm.groups)
+    # A per-rank list's sums keep its arrays' shape.
+    shape = None if is_payload(arrays) else arrays[0].shape
     world, ring = comm.world_size, comm.ring_size
     # Rings run concurrently: cost the one with the largest message.
-    lead = [
-        arrays[r]
-        for r in max(comm.groups, key=lambda ranks: arrays[ranks[0]].nbytes)
-    ]
-    dtype = lead[0].dtype
-    plan = plan_fused_reduce(lead, codec, chunk_bytes=chunk_bytes)
-    if stacked is not None and len(comm.groups) > 1:
-        raise ValueError("stacked= describes the one ring of a flat reduce")
-    wire_arrays = arrays
+    lead = max(rings, key=lambda run: run.nbytes)
+    dtype = lead.dtype
+    plan = plan_fused_reduce([lead] * ring, codec, chunk_bytes=chunk_bytes)
     if codec is not None:
-        wire_arrays, stacked = encode_stacked(codec, arrays, stacked)
+        rings = [run.map(codec.encode) for run in rings]
 
     # ---- numerics (eager, rank-order fold per ring — see module docstring)
-    def reduce(sub: list[np.ndarray], _: int) -> list[np.ndarray]:
-        summed = allreduce_arrays(sub, stacked=stacked)
-        if codec is None:
-            return summed
-        decoded = codec.decode(summed[0], dtype)
-        decoded.flags.writeable = False
-        return [decoded] * len(sub)
+    def reduce(_, i: int) -> list[np.ndarray]:
+        summed = allreduce_arrays(rings[i])[0]
+        if codec is not None:
+            summed = codec.decode(summed, dtype)
+        if shape is not None:
+            summed = summed.reshape(shape)
+        summed.flags.writeable = False
+        return [summed] * ring
 
-    results = comm.by_group(wire_arrays, reduce)
+    results = comm.by_group(range(world), reduce)
 
     name = codec.name if codec is not None else "raw"
     tp = (

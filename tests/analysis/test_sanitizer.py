@@ -66,8 +66,9 @@ class TestCollectiveAgreement:
     def test_mismatched_dtypes_reported(self):
         comm, _ = make()
         bad = [np.zeros(3, np.float32), np.zeros(3, np.float64)]
-        with pytest.raises(CollectiveMismatchError, match="dtype mismatch"):
+        with pytest.raises(CollectiveMismatchError, match="dtype mismatch") as exc:
             comm.allreduce(bad)
+        assert "rank 1: float64" in str(exc.value)
 
     def test_wrong_rank_count_reported(self):
         comm, _ = make(world=4)
@@ -81,6 +82,25 @@ class TestCollectiveAgreement:
         with pytest.raises(CollectiveMismatchError) as exc:
             comm.allreduce(arrays, tag="t")
         assert "rank 1" in str(exc.value) and "[3]" in str(exc.value)
+
+    def test_nan_row_of_a_rank_block_reported_with_rank_and_index(self):
+        """A ring payload's bad row names the flat rank it belongs to."""
+        from repro.cluster import hybrid_mesh
+
+        comm = Communicator(
+            4, track_memory=False, mesh=hybrid_mesh("tensor=2,data=2", 4)
+        )
+        Sanitizer(comm)
+        data = comm.axis("data")
+        payload = [FusedRun(w=np.ones((2, 5), np.float32)) for _ in range(2)]
+        payload[1]["w"][1, 3] = np.inf
+        with comm.timeline.scope("sync"):
+            with pytest.raises(CollectiveMismatchError) as exc:
+                data.allreduce(payload, tag="dense")
+        msg = str(exc.value)
+        assert f"rank {data.groups[1][1]} " in msg and "[3]=inf" in msg
+        assert "[w]" in msg and "non-finite" in msg
+        assert comm.ledger.events == []
 
     def test_allgatherv_ragged_leading_dim_allowed(self):
         comm, _ = make()
@@ -311,11 +331,12 @@ class TestInFlightMutation:
             handle.wait()
 
     def test_fused_run_member_write_is_caught(self):
+        """A write into one rank's row of a payload block names that rank."""
         comm, _ = make()
-        runs = [FusedRun(a=np.ones(4), b=np.ones(3)) for _ in range(2)]
+        run = FusedRun(a=np.ones((2, 4)), b=np.ones((2, 3)))
         with comm.timeline.scope("sync"):
-            handle = comm.iallreduce(runs, tag="a+b:dense")
-        runs[1]["b"][2] += 1.0
+            handle = comm.iallreduce([run], tag="a+b:dense")
+        run["b"][1, 2] += 1.0
         with pytest.raises(InFlightMutationError, match="rank 1"):
             handle.wait()
 

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.cluster import collectives as coll
 from repro.cluster.collectives import (
+    FusedRun,
     allgather_arrays,
     allgather_wire_bytes,
     allreduce_arrays,
@@ -85,9 +86,25 @@ def random_rows(world, ug, k, seed=0):
     return [np.sort(rng.choice(ug, size=k, replace=False)) for _ in range(world)]
 
 
+def sequential(rows):
+    """The per-rank sequential fold: rank 0's copy, then each rank added."""
+    total = np.array(rows[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows[1:]:
+            total += row
+    return total
+
+
+def payload_sum(block, held=None):
+    """``block``'s sum as a one-member ring payload, in its row shape."""
+    run = FusedRun(v=block, held=None if held is None else {"v": held})
+    return allreduce_arrays(run)[0].reshape(block.shape[1:])
+
+
 class TestRestrictedFold:
-    """``allreduce_arrays(stacked=, rows=)`` is the dense rank-order fold,
-    bit for bit, whichever of the two folds the block's shape selects."""
+    """A ring payload's member block, with or without its row sets, is
+    the rank-order fold of its rows, bit for bit, whichever of the two
+    folds the block's shape selects."""
 
     # (world, Ug, dim, K): skipped elements per member on both sides of
     # RESTRICTED_FOLD_MIN_SKIPPED (dense: 736 / 30,720; restricted:
@@ -104,7 +121,7 @@ class TestRestrictedFold:
             coll, "_restricted_fold",
             lambda *a: calls.append(1) or real(*a),
         )
-        got = allreduce_arrays(list(block), stacked=block, rows=rows)[0]
+        got = payload_sum(block, rows)
         return got, bool(calls), np.add.reduce(block, axis=0)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32])
@@ -182,7 +199,67 @@ class TestRestrictedFold:
     def test_row_sets_must_match_the_ranks(self):
         block, rows = sparse_block(4, 600, 64, random_rows(4, 600, 40), np.float32)
         with pytest.raises(ValueError, match="row sets"):
-            allreduce_arrays(list(block), stacked=block, rows=rows[:3])
+            payload_sum(block, rows[:3])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ring=st.integers(1, 6),
+        dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+        width=st.integers(0, 12),
+        cuts=st.lists(st.integers(0, 12), max_size=4),
+        ug=st.integers(1, 8),
+        dim=st.integers(1, 3),
+        restricted=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_payload_equals_the_sequential_fold(
+        self, seed, ring, dtype, width, cuts, ug, dim, restricted
+    ):
+        """One payload per case: a flat ring's blocks, column views of a
+        ``(ring, width)`` block whose pieces hold 0, 1 or more elements
+        (the mesh cut), and a zero-padded block with its row sets (the
+        restricted fold forced) — each member equal to the sequential
+        fold of its rows and to the per-rank list's fold.  Values are
+        never ``-0.0``, whose all-``-0.0`` sum numpy's seeded
+        ``add.reduce`` leaves ``+0.0``."""
+        rng = np.random.default_rng(seed)
+
+        def values(shape):
+            signs = rng.choice([-1.0, 1.0], size=shape)
+            return (signs * rng.uniform(0.5, 2.0, shape)).astype(dtype)
+
+        wide = values((ring, width))
+        bounds = sorted({0, width, *(c for c in cuts if c <= width)})
+        pieces = {
+            f"col{lo}": wide[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])
+        }
+        pieces["empty"] = wide[:, :0]
+        held = random_rows(ring, ug, rng.integers(0, ug + 1), seed=seed)
+        padded = np.zeros((ring, ug, dim), dtype)
+        for m, rows in enumerate(held):
+            padded[m, rows] = values((len(rows), dim))
+        run = FusedRun(
+            flat=values((ring, 3, 2)),
+            one=values((ring, 1)),
+            **pieces,
+            padded=padded,
+            held={"padded": held},
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            if restricted:
+                mp.setattr(coll, "RESTRICTED_FOLD_MIN_SKIPPED", 0)
+                mp.setattr(coll, "RESTRICTED_FOLD_MIN_SKIPPED_FP16", 0)
+            got = allreduce_arrays(run)[0]
+        assert got.dtype == dtype and got.size == run.size
+        want = np.concatenate(
+            [sequential(block).ravel() for block in run.values()]
+        )
+        assert got.tobytes() == want.tobytes()
+        lists = np.concatenate([
+            allreduce_arrays([np.ascontiguousarray(r) for r in block])[0].ravel()
+            for block in run.values()
+        ])
+        assert got.tobytes() == lists.tobytes()
 
 
 class TestAllgatherSemantics:

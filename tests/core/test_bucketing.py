@@ -3,7 +3,8 @@
 There is no bucket-size budget.  The synchronizer cuts its walk into
 maximal runs of consecutive dense-only parameters (a parameter with a
 sparse exchange ends a run) and reduces each run as one collective whose
-ranks bring :class:`~repro.cluster.collectives.FusedRun` payloads.
+payload is one :class:`~repro.cluster.collectives.FusedRun` of rank
+blocks per ring.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.cluster import (
     allreduce_arrays,
     ring_allreduce_time,
 )
-from repro.core.compression import Fp16Codec, encode_stacked
+from repro.core.compression import Fp16Codec
 from repro.core.embedding_sync import GradientSynchronizer
 from repro.nn import Module, Parameter, SparseGrad
 
@@ -116,22 +117,20 @@ class TestPlanBuckets:
             GradientSynchronizer(comm(3)).sync_replicas(replicas)
 
 
-def make_runs(world, shapes, seed=0, dtype=np.float64):
+def make_run(world, shapes, seed=0, dtype=np.float64):
+    """One ring's payload: a ``(world, *shape)`` block per member."""
     rng = np.random.default_rng(seed)
-    return [
-        FusedRun(
-            (f"t{i}", rng.standard_normal(s).astype(dtype))
-            for i, s in enumerate(shapes)
-        )
-        for _ in range(world)
-    ]
+    return FusedRun(
+        (f"t{i}", rng.standard_normal((world, *s)).astype(dtype))
+        for i, s in enumerate(shapes)
+    )
 
 
-def per_tensor(runs):
-    """The per-tensor reference: each member folded alone, concatenated."""
+def per_tensor(run):
+    """The per-tensor reference: each member's rows folded alone as a
+    per-rank list, concatenated."""
     return np.concatenate([
-        allreduce_arrays([run[name] for run in runs])[0].ravel()
-        for name in runs[0]
+        allreduce_arrays(list(block))[0].ravel() for block in run.values()
     ])
 
 
@@ -139,38 +138,44 @@ class TestBucketedAllreduce:
     def test_matches_per_tensor_allreduce(self):
         # Size-1 members, odd sizes, and both fold regimes (2 and 3 ranks).
         for world in (2, 3, 5):
-            runs = make_runs(world, [(4,), (2, 3), (5,), (1, 1)], seed=world)
-            runs[0]["t1"][0, 0] = -0.0
-            out = comm(world).allreduce(runs)
+            run = make_run(world, [(4,), (2, 3), (5,), (1, 1)], seed=world)
+            run["t1"][0, 0, 0] = -0.0
+            out = comm(world).allreduce([run])
             assert all(o is out[0] for o in out)
             assert not out[0].flags.writeable
-            assert out[0].tobytes() == per_tensor(runs).tobytes()
+            assert out[0].tobytes() == per_tensor(run).tobytes()
 
     def test_stacked_blocks_fold_like_the_rows(self):
+        """A payload's blocks, column views among them, fold exactly as
+        their rows handed over one per rank."""
         world = 4
-        blocks = {
-            "a": np.random.default_rng(0).standard_normal((world, 3, 2)),
-            "b": np.random.default_rng(1).standard_normal((world, 7)),
-        }
-        runs = [FusedRun((n, b[r]) for n, b in blocks.items()) for r in range(world)]
-        out = comm(world).allreduce(runs)  # no hint: members are stacked
-        hinted = comm(world).iallreduce(runs, stacked=[blocks]).wait()
-        assert hinted[0].tobytes() == out[0].tobytes() == per_tensor(runs).tobytes()
+        wide = np.random.default_rng(2).standard_normal((world, 9))
+        run = FusedRun(
+            a=np.random.default_rng(0).standard_normal((world, 3, 2)),
+            b=np.random.default_rng(1).standard_normal((world, 7)),
+            c=wide[:, 2:6],
+        )
+        out = comm(world).allreduce([run])
+        rows = np.concatenate([
+            comm(world).allreduce(list(block))[0].ravel()
+            for block in run.values()
+        ])
+        assert out[0].tobytes() == rows.tobytes() == per_tensor(run).tobytes()
 
     def test_fewer_collectives_than_tensors(self):
         c = comm(2)
-        c.allreduce(make_runs(2, [(8,)] * 10))
+        c.allreduce([make_run(2, [(8,)] * 10)])
         assert len(c.ledger.events) == 1
 
     def test_latency_amortized(self):
         """One run pays the 2 (G-1) latency hops once, not per tensor."""
         world = 8
-        runs = make_runs(world, [(16,)] * 20)
+        run = make_run(world, [(16,)] * 20)
         c_fused = comm(world)
-        c_fused.allreduce(runs, tag="run")
+        c_fused.allreduce([run], tag="run")
         c_per_tensor = comm(world)
-        for name in runs[0]:
-            c_per_tensor.allreduce([run[name] for run in runs])
+        for block in run.values():
+            c_per_tensor.allreduce(list(block))
         assert c_fused.ledger.total_time_s < c_per_tensor.ledger.total_time_s
         (event,) = c_fused.ledger.events
         assert event.time_s == ring_allreduce_time(
@@ -178,16 +183,20 @@ class TestBucketedAllreduce:
         )
 
     def test_codec_applied_per_bucket(self):
-        """The FP16 codec encodes every member; the run sums in FP16."""
+        """The FP16 codec encodes every member block; the run sums in
+        FP16, bit for bit as the per-rank encodes."""
         world = 2
-        runs = make_runs(world, [(64,), (64,)], dtype=np.float32)
+        run = make_run(world, [(64,), (64,)], dtype=np.float32)
         codec = Fp16Codec(512.0)
-        wire, _ = encode_stacked(codec, runs, None)
-        assert all(m.dtype == np.float16 for run in wire for m in run.values())
+        wire = run.map(codec.encode)
+        assert all(m.dtype == np.float16 for m in wire.values())
+        for name, block in run.items():
+            rows = np.stack([codec.encode(row) for row in block])
+            assert wire[name].tobytes() == rows.tobytes()
         c = comm(world)
-        out = codec.decode(c.allreduce(wire)[0], np.float32)
+        out = codec.decode(c.allreduce([wire])[0], np.float32)
         np.testing.assert_allclose(
-            out[:64], runs[0]["t0"] + runs[1]["t0"], atol=5e-3
+            out[:64], run["t0"][0] + run["t0"][1], atol=5e-3
         )
         # Wire bytes halved relative to fp32.
         assert c.ledger.events[0].wire_bytes_per_rank < 2 * 64 * 4
@@ -195,49 +204,48 @@ class TestBucketedAllreduce:
     def test_empty_tensor_list(self):
         c = comm(2)
         with pytest.raises(ValueError, match="at least one member"):
-            c.allreduce([FusedRun(), FusedRun()])
+            c.allreduce([FusedRun()])
         assert c.ledger.events == []
 
     def test_structure_validation(self):
         world = 2
-        with pytest.raises(ValueError):
-            comm(world).allreduce(make_runs(1, [(3,)]))  # wrong rank count
-        with pytest.raises(ValueError, match="rank 1 has shape"):
+        with pytest.raises(ValueError, match=r"payloads of \[1\] ranks"):
+            comm(world).allreduce([make_run(1, [(3,)])])  # wrong ring size
+        with pytest.raises(ValueError, match=r"payloads of \[2, 2\] ranks"):
+            comm(world).allreduce([make_run(2, [(3,)])] * 2)  # two rings
+        with pytest.raises(ValueError, match="leading length"):
             comm(world).allreduce(
-                [FusedRun(a=np.ones(3)), FusedRun(a=np.ones(4))]
-            )
-        with pytest.raises(ValueError, match="members"):
-            comm(world).allreduce(
-                [FusedRun(a=np.ones(3)), FusedRun(a=np.ones(3), b=np.ones(3))]
+                [FusedRun(a=np.ones((2, 3)), b=np.ones((3, 3)))]
             )
         with pytest.raises(ValueError, match="float32"):
             comm(world).allreduce(
-                [FusedRun(a=np.ones(3), b=np.ones(2, np.float32))] * 2
+                [FusedRun(a=np.ones((2, 3)), b=np.ones((2, 2), np.float32))]
             )
 
 
 class TestHooksSeeMembers:
     def test_sanitizer_names_the_member_holding_a_nan(self):
         world = 3
-        runs = make_runs(world, [(4,), (2, 2), (3,)])
-        runs[1]["t1"][1, 0] = np.nan
+        run = make_run(world, [(4,), (2, 2), (3,)])
+        run["t1"][1, 1, 0] = np.nan
         c = comm(world)
         Sanitizer(c)
         with pytest.raises(CollectiveMismatchError) as err:
-            c.allreduce(runs, tag="t0+t1+t2:dense")
+            c.allreduce([run], tag="t0+t1+t2:dense")
         assert "[t1]" in str(err.value) and "rank 1" in str(err.value)
         assert "non-finite" in str(err.value)
         assert c.ledger.events == []
 
     def test_sanitizer_rejects_mismatched_members(self):
+        """A member block without one row per rank of the ring."""
         c = comm(2)
         Sanitizer(c)
-        with pytest.raises(CollectiveMismatchError, match="members"):
-            c.allreduce([FusedRun(a=np.ones(2)), FusedRun(b=np.ones(2))])
+        with pytest.raises(CollectiveMismatchError, match=r"\(3, 2\)"):
+            c.allreduce([FusedRun(a=np.ones((2, 2)), b=np.ones((3, 2)))])
 
     def test_fault_replay_counts_a_run_once(self):
         from repro.cluster import ChaosCommunicator
 
         c = ChaosCommunicator(2, track_memory=False)
-        c.allreduce(make_runs(2, [(4,)] * 6))
+        c.allreduce([make_run(2, [(4,)] * 6)])
         assert c.replay.collectives_issued == 1

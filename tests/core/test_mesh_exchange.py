@@ -60,24 +60,24 @@ class TestLayout:
         groups = mesh_comm("pipe=2,tensor=2,data=2", 8).axis("data").groups
         assert len(groups) == 4 and all(len(g) == 2 for g in groups)
         rng = np.random.default_rng(0)
-        grads = [
-            FusedRun(a=rng.standard_normal((3, 5)), b=rng.standard_normal(2))
-            for _ in range(2)
-        ]
-        pieces = shard_dense(grads, groups)
-        assert len(pieces) == 8
-        # Rank groups[s][k] carries shard s of replica k — views of the
-        # run's members, cut as one flat vector; reassembling a replica's
-        # own pieces gives its flat run back exactly.
-        for k, grad in enumerate(grads):
+        run = FusedRun(
+            a=rng.standard_normal((2, 3, 5)), b=rng.standard_normal((2, 2))
+        )
+        pieces = shard_dense(run, groups)
+        assert len(pieces) == 4
+        # Shard group s carries shard s of every replica as its payload —
+        # column views of the run's blocks, row k = data coordinate k,
+        # cut as one flat vector; reassembling a replica's own rows
+        # gives its flat run back exactly.
+        for k in range(2):
             own = [None] * 8
-            for ranks in groups:
-                piece = pieces[ranks[k]]
+            for ranks, piece in zip(groups, pieces):
+                assert piece.ring == 2
                 assert all(m.base is not None for m in piece.values())
-                own[ranks[0]] = np.concatenate(list(piece.values()))
+                own[ranks[0]] = np.concatenate([m[k] for m in piece.values()])
             np.testing.assert_array_equal(
                 unshard_dense(own, groups),
-                np.concatenate([grad["a"].ravel(), grad["b"]]),
+                np.concatenate([run["a"][k].ravel(), run["b"][k]]),
             )
 
     def test_sparse_shards_are_coalesced_row_ranges(self):
