@@ -261,7 +261,9 @@ def _fold(
     # real FP16 ring's does; the trainer's post-sync finiteness check
     # reports it, not numpy.
     dtype = block[0].dtype
-    quiet = dict(over="ignore", invalid="ignore") if dtype == np.float16 else {}
+    quiet = (
+        dict(over="ignore", invalid="ignore") if dtype == np.float16 else {}
+    )
     with np.errstate(**quiet):
         if ranks > 2 and block[0].size > 1:
             if held is not None and (
@@ -283,7 +285,8 @@ def _fold_run(run: FusedRun) -> np.ndarray:
     offset = 0
     for name, block in run.items():
         size = block[0].size
-        total[offset : offset + size] = _fold(block, run.held.get(name)).ravel()
+        summed = _fold(block, run.held.get(name))
+        total[offset : offset + size] = summed.ravel()
         offset += size
     return total
 

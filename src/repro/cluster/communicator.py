@@ -413,8 +413,8 @@ class Communicator:
 
         ``payload`` is the caller's (see :meth:`CollectiveHook.pre_issue`),
         forwarded (not copied) to the ``post_issue`` hooks so a sanitizer
-        can hash the in-flight buffers.  ``schedule`` names the schedule that set
-        ``time_s`` (empty for an explicitly-costed step).
+        can hash the in-flight buffers.  ``schedule`` names the schedule
+        that set ``time_s`` (empty for an explicitly-costed step).
         """
         if self.axis_name is not None:
             tag = f"{self.axis_name}:{tag}"

@@ -65,7 +65,9 @@ def shard_dense(run: FusedRun, groups: Groups) -> list[FusedRun]:
         return [run]
     d = len(groups[0])
     if run.ring != d:
-        raise ValueError(f"{run.ring} replica gradients for a data axis of {d}")
+        raise ValueError(
+            f"{run.ring} replica gradients for a data axis of {d}"
+        )
     base, extra = divmod(run.size, len(groups))
     cuts = [s * base + min(s, extra) for s in range(len(groups) + 1)]
     widths = [m[0].size for m in run.values()]

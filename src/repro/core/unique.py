@@ -162,9 +162,9 @@ class StagedValues:
     last column counting the ranks that hold each row.  Whoever
     allreduces them (alone, or packed with other payloads of the step)
     hands the per-rank flat sums to :attr:`complete`, which decodes
-    them and returns the exchange's results.  The matrices are built on demand, so a
-    caller packing several allreduces holds only the ones it is
-    about to send.
+    them and returns the exchange's results.  The matrices are built on
+    demand, so a caller packing several allreduces holds only the ones
+    it is about to send.
 
     ``ring_bytes`` and ``logical_bytes`` are each ring's per-rank matrix
     size as sent and before the value codec; ``gather_scratch`` is the
