@@ -1,14 +1,16 @@
-"""Ablation: flat ring vs two-level (hierarchical) ring.
+"""Ablation: flat ring vs two-level (hierarchical) schedule.
 
 The paper's implementation uses flat CUDA-aware-MPI rings (Table II), and
 ``PerfModel``'s Tables III-V keep them.  The communicator funnel charges
 every allreduce, allgather and reduce-scatter the cheaper of the flat
-ring and the NCCL-style two-level ring (PCIe inside a node, FDR IB among
-the nodes' peers, whose peer rings share the node's one IB link).  This
-bench prices the char LM's 852 MB dense-gradient allreduce both ways on
-the paper's exact fabric, finds from the numbers where each schedule
-wins, and checks that an allreduce executed through the funnel is
-charged exactly ``min(ring, two-level)`` with the ring's wire bytes.
+ring and the NCCL-style two-level schedule: rings on PCIe inside a node
+and, among the nodes' peers (whose peer groups share the node's one IB
+link), recursive halving/doubling where the node count M is a power of
+two and a ring otherwise.  This bench prices the char LM's 852 MB
+dense-gradient allreduce both ways on the paper's exact fabric, finds
+from the numbers where each schedule wins, and checks that an allreduce
+executed through the funnel is charged exactly ``min(ring, two-level)``
+with the ring's wire bytes.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.report import format_table
 FABRIC = PAPER_CLUSTER_FABRIC
 LOCAL = FABRIC.gpus_per_node
 CHAR_LM_GRAD_BYTES = 213_000_000 * 4  # the char LM's dense gradient
-WORLDS = (16, 32, 64, 512)
+WORLDS = (16, 32, 64, 128, 192, 512)
 SIZES = (1 << 10, 32 << 10, 256 << 10, 4 << 20)
 
 
@@ -38,7 +40,7 @@ def flat_and_two_level(world, nbytes):
 
 
 def crossover(world):
-    """Where the two-level ring is strictly cheaper: ``"always"``,
+    """Where the two-level schedule is strictly cheaper: ``"always"``,
     ``"never"`` or the message size past which the winner flips.  Both
     costs are affine in the message size up to the shard's rounding, so
     there is at most one flip and the search is binary."""
@@ -72,6 +74,11 @@ def model_sweep():
     return rows
 
 
+def peer_phase(nodes):
+    """How the two-level schedule crosses ``nodes`` nodes."""
+    return "ring" if nodes & (nodes - 1) else "halving/doubling"
+
+
 def crossover_rows():
     rows = []
     for world in WORLDS:
@@ -80,7 +87,10 @@ def crossover_rows():
             flat, two = flat_and_two_level(world, nbytes)
             winner = "two-level" if two < flat else "ring"
             cells.append(f"{flat * 1e6:.1f} / {two * 1e6:.1f} {winner}")
-        rows.append([world, world // LOCAL, *cells, crossover(world)])
+        nodes = world // LOCAL
+        rows.append(
+            [world, nodes, peer_phase(nodes), *cells, crossover(world)]
+        )
     return rows
 
 
@@ -111,7 +121,7 @@ def test_ablation_hierarchical(benchmark, report):
         "(PCIe 32 GB/s intra-node, FDR IB 15 GB/s inter-node)",
     )
     crossover_table = format_table(
-        ["GPUs", "nodes"]
+        ["GPUs", "nodes", "inter-node phase"]
         + [f"{n >> 10} KiB flat / two-level (us)" for n in SIZES]
         + ["two-level wins"],
         crossover_rows(),
@@ -120,8 +130,8 @@ def test_ablation_hierarchical(benchmark, report):
 
     # The funnel charges min(ring, two-level) and the ring's bytes: a
     # 16 KiB message keeps the ring over 2 nodes and goes two-level
-    # over 8.
-    for world, schedule in ((16, RING), (64, TWO_LEVEL)):
+    # over 6 (a ring among the peers) and 8 (halving/doubling).
+    for world, schedule in ((16, RING), (48, TWO_LEVEL), (64, TWO_LEVEL)):
         event, nbytes = executed_allreduce(world, 4096)
         flat, two = flat_and_two_level(world, nbytes)
         assert event.time_s == min(flat, two)
@@ -133,24 +143,32 @@ def test_ablation_hierarchical(benchmark, report):
     large_wins = [
         row[0] for row in rows if row[3].startswith("two-level")
     ]
+    phases = {str(w): peer_phase(w // LOCAL) for w in WORLDS}
+    halving = [w for w, phase in phases.items() if phase != "ring"]
+    ringed = [w for w, phase in phases.items() if phase == "ring"]
     footer = "\nSmall-message check (1 KiB): " + "; ".join(
         f"G={w} flat {flat * 1e6:.0f} us vs two-level {two * 1e6:.0f} us"
         for w, (flat, two) in small.items()
     ) + (
-        " — the two-level ring wins at every G here."
+        " — the two-level schedule wins at every G here."
         if not losing else
-        f" — the two-level ring loses only at G = "
+        f" — the two-level schedule loses only at G = "
         f"{', '.join(map(str, losing))}, where the group spans "
         f"{', '.join(str(w // LOCAL) for w in losing)} nodes: its extra "
         f"PCIe hops ({FABRIC.intra_node.latency * 1e6:.1f} us each) cost "
         f"more than the IB hops ({FABRIC.inter_node.latency * 1e6:.1f} us "
         "each) they save."
     ) + (
-        "\nLarge-message check (852 MB): the two-level ring wins only at "
-        f"G = {', '.join(map(str, large_wins))}. A node's {LOCAL} peer "
-        "rings share its one IB link, so the bytes crossing it fall only "
+        "\nLarge-message check (852 MB): the two-level schedule wins only "
+        f"at G = {', '.join(map(str, large_wins))}. A node's {LOCAL} peer "
+        "groups share its one IB link, so the bytes crossing it fall only "
         "from 2(G-1)/G to 2(M-1)/M of the message, and that saving repays "
         "the two PCIe phases (2(L-1)/L of it) only where M = 2."
+    ) + (
+        "\nInter-node phase: recursive halving/doubling where M is a "
+        f"power of two (log2 M IB hops per pass: G = {', '.join(halving)}), "
+        f"a ring otherwise (M - 1: G = {', '.join(ringed)}); both send "
+        "the ring's bytes, and at M = 2 they coincide."
     )
     report(
         "ablation_hierarchical", table + "\n" + crossover_table + footer

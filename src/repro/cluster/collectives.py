@@ -25,24 +25,33 @@ key on every collective — so they are all memoized with ``lru_cache``.
 Invalid inputs still raise on every call (``lru_cache`` does not cache
 exceptions).
 
-=================  =====================================================
-Collective         Ring cost (time)
-=================  =====================================================
-allreduce          ``2 (G-1)/G * n / beta  +  2 (G-1) alpha``
-reduce-scatter     ``(G-1)/G * n / beta  +  (G-1) alpha``
-allgather          ``(G-1) * n / beta  +  (G-1) alpha``
-=================  =====================================================
+=================  ==========================================  ============
+Collective         Ring cost (time)                            H/D hops
+=================  ==========================================  ============
+allreduce          ``2 (G-1)/G * n / beta  +  2 (G-1) alpha``  ``2 log2 G``
+reduce-scatter     ``(G-1)/G * n / beta  +  (G-1) alpha``      ``log2 G``
+allgather          ``(G-1) * n / beta  +  (G-1) alpha``        ``log2 G``
+=================  ==========================================  ============
+
+Recursive halving/doubling (H/D, ``G`` a power of two) moves the ring's
+bytes at the ring's bandwidth terms in the hops of the last column; it
+prices only the two-level schedule's inter-node phase below.
 
 A ring holding ``L > 1`` ranks on each of ``M > 1`` nodes may instead
 run **two-level** (:func:`two_level_time`, the NCCL/Horovod schedule):
 reduce-scatter ``RS(L, n) + RS(M, n/L)``, allgather ``AG(M, k) +
 AG(L, M k)`` (its transpose) and allreduce ``RS(L, n) + AR(M, n/L) +
-AG(L, n/L)`` — the ``L`` phases on the intra-node link, the ``M`` ring
-among peers of one local index at ``beta / L`` (a node's ``L`` peer
-rings share its one inter-node link: the schedule saves hops, not
-bandwidth).  Each rank sends exactly the ring's bytes (``(L-1)/L +
-2(M-1)/(ML) + (L-1)/L = 2(G-1)/G`` of an allreduce's ``n``), so only
-time moves; :func:`collective_time` charges the cheaper.
+AG(L, n/L)``.  The ``L`` phases are rings on the intra-node link: the
+model has no PCIe topology, and a ring is contention-free on any switch
+tree.  The ``M`` phase runs among the peers of one local index at
+``beta / L`` (a node's ``L`` peer groups share its one inter-node link:
+the schedule saves hops, not bandwidth), as MPICH's recursive
+halving/doubling (Thakur, Rabenseifner & Gropp 2005) where ``M`` is a
+power of two and as a ring otherwise (:func:`_peer_time`).  Each rank
+sends exactly the ring's bytes (``(L-1)/L + 2(M-1)/(ML) + (L-1)/L =
+2(G-1)/G`` of an allreduce's ``n``), so only time moves;
+:func:`collective_time` charges the cheaper of the flat ring and the
+two-level schedule.
 """
 
 from __future__ import annotations
@@ -245,12 +254,12 @@ def _fold(
 ) -> np.ndarray:
     """The rank-order sum of ``block``'s rows, in their dtype.
 
-    ``np.add.reduce`` over the leading axis accumulates element-wise in
-    row order — the sequential fold, for strided column views too, but
-    for the sign of an all ``-0.0`` sum (numpy may seed the fold with
-    ``+0``) — except where a row holds one element: the reduction axis
-    is then the inner loop and numpy sums it pairwise, so that case (and
-    a ring of two) keeps the explicit fold.  ``held`` (see
+    ``np.add.reduce`` over the leading axis, seeded with ``-0.0`` (the
+    one ``x`` with ``-0.0 + x == x`` for every ``x``), accumulates
+    element-wise in row order — the sequential fold, for strided column
+    views too — except where a row holds one element: the reduction
+    axis is then the inner loop and numpy sums it pairwise, so that case
+    (and a ring of two) keeps the explicit fold.  ``held`` (see
     :class:`FusedRun`) selects :func:`_restricted_fold` once it skips
     enough padding.
     """
@@ -271,7 +280,7 @@ def _fold(
                 * block[0, 0].size
             ) >= _restricted_fold_min_skipped(dtype):
                 return _restricted_fold(block, held)
-            return np.add.reduce(block, axis=0)
+            return np.add.reduce(block, axis=0, initial=-0.0)
         total = np.array(block[0])
         for row in block[1:]:
             total += row
@@ -302,10 +311,9 @@ def _restricted_fold(
     skipping those steps can only leave a ``-0.0`` where the dense fold
     ends on ``+0.0`` — and only on rows some member skipped, where one
     ``+ 0`` pass at the end restores exactly the dense result.  Member 0
-    enters through ``np.add.reduce`` itself: numpy seeds that fold with
-    the first addend or with ``+0`` by version, which differ on ``-0.0``.
+    enters as an exact copy, as the ``-0.0``-seeded dense fold takes it.
     """
-    total = np.add.reduce(stacked[:1], axis=0)
+    total = np.array(stacked[0])
     for member in range(1, len(rows)):
         held = rows[member]
         total[held] += stacked[member, held]
@@ -475,25 +483,44 @@ RING_COST = {
 }
 
 
+def _peer_time(op: str, nodes: int, nbytes: int, link: LinkSpec) -> float:
+    """The two-level schedule's inter-node phase among ``nodes`` peers:
+    recursive halving (reduce-scatter) and doubling (allgather) where
+    ``nodes`` is a power of two — ``log2 M`` rounds per pass, each
+    rank sending the ring's bytes — and the ring otherwise.  The terms
+    are the ring's with ``log2 M`` for ``M - 1``, so ``M = 2`` is the
+    ring bit for bit."""
+    if nodes & (nodes - 1):
+        return RING_COST[op][1](nodes, nbytes, link)
+    rounds = nodes.bit_length() - 1
+    passes = 2 if op == "allreduce" else 1
+    if op == "allgather":
+        bw_term = (nodes - 1) * nbytes / link.bandwidth
+    else:
+        bw_term = passes * (nodes - 1) / nodes * nbytes / link.bandwidth
+    return bw_term + passes * rounds * link.latency
+
+
 @lru_cache(maxsize=4096)
 def two_level_time(
     op: str, local: int, nodes: int, nbytes: int, fabric: Interconnect
 ) -> float:
-    """The two-level ring's phases (module docstring) summed in order;
-    a shard of an ``nbytes`` not divisible by ``local`` rounds up."""
+    """The two-level schedule's phases (module docstring) summed in
+    order: intra-node rings around the :func:`_peer_time` phase; a shard
+    of an ``nbytes`` not divisible by ``local`` rounds up."""
     intra, link = fabric.intra_node, fabric.inter_node
-    inter = LinkSpec(link.bandwidth / local, link.latency)  # L peer rings
+    inter = LinkSpec(link.bandwidth / local, link.latency)  # L peer groups
     if op == "allgather":
-        return ring_allgather_time(nodes, nbytes, inter) + ring_allgather_time(
+        return _peer_time(op, nodes, nbytes, inter) + ring_allgather_time(
             local, nodes * nbytes, intra
         )
     shard = -(-nbytes // local)
     head = ring_reduce_scatter_time(local, nbytes, intra)
     if op == "reduce_scatter":
-        return head + ring_reduce_scatter_time(nodes, shard, inter)
+        return head + _peer_time(op, nodes, shard, inter)
     return (
         head
-        + ring_allreduce_time(nodes, shard, inter)
+        + _peer_time(op, nodes, shard, inter)
         + ring_allgather_time(local, shard, intra)
     )
 
@@ -509,8 +536,10 @@ def collective_time(
 ) -> tuple[float, str]:
     """``(seconds, schedule)``: the flat ring on ``link`` or, when each
     ring holds ``local`` = L > 1 ranks on each of ``world / L > 1``
-    nodes of ``fabric``, the two-level ring if strictly cheaper.  The
-    communicator's one cost function (``nbytes`` as for the ring)."""
+    nodes of ``fabric``, the two-level schedule (:func:`two_level_time`:
+    its inter-node phase halving/doubling where M is a power of two) if
+    strictly cheaper.  The communicator's one cost function (``nbytes``
+    as for the ring)."""
     ring = RING_COST[op][1](world, nbytes, link)
     nodes = world // local
     if local <= 1 or nodes <= 1:

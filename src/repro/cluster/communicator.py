@@ -59,8 +59,10 @@ is why flat data-parallel training and a ``(1, 1, G)`` mesh are the
 same code path, byte for byte.
 
 Each record is charged the ring's wire bytes and the cheaper of the flat
-ring on the axis link and the two-level ring
-(:func:`~repro.cluster.collectives.collective_time`), and names it
+ring on the axis link and the two-level schedule — intra-node rings
+around an inter-node recursive halving/doubling among the node peers
+(a ring when their count is not a power of two;
+:func:`~repro.cluster.collectives.collective_time`) — and names it
 (``CollectiveRecord.schedule``); the numerics are the one fold either way.
 
 Observers attach through one ordered hook protocol

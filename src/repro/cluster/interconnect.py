@@ -7,9 +7,11 @@ The paper's cluster (Table II) has two communication tiers:
 
 A flat ring is bottlenecked by the *slowest link on the ring*, so once
 a job spans more than one node its bandwidth is the Infiniband share;
-a two-level ring keeps most hops on PCIe, but its peer rings share the
-node's one Infiniband link (``Interconnect.inter_node``), so it saves
-inter-node hops rather than inter-node bandwidth.  This module holds the
+a two-level schedule keeps most hops on PCIe and crosses nodes in
+``log2 M`` recursive halving/doubling rounds (``M`` a power of two;
+else a ring), but its peer groups share the node's one Infiniband link
+(``Interconnect.inter_node``), so it saves inter-node hops rather than
+inter-node bandwidth.  This module holds the
 topology (ranks → nodes) and the per-tier link speeds both are priced
 on (:func:`~repro.cluster.collectives.collective_time`).
 
@@ -77,7 +79,7 @@ class Interconnect:
         Link between GPUs on the same node (PCIe / NVLink).
     inter_node:
         A node's one link to the other nodes (Infiniband / Ethernet);
-        the peer rings of a two-level schedule share it.
+        the peer groups of a two-level schedule share it.
     gpus_per_node:
         Number of ranks co-located per node; the paper uses 8.
     """

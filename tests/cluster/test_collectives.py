@@ -114,7 +114,7 @@ class TestRestrictedFold:
 
     @staticmethod
     def both_folds(block, rows, monkeypatch):
-        """(result, whether the restricted fold ran, dense reference)."""
+        """(result, whether the restricted fold ran, sequential fold)."""
         calls = []
         real = coll._restricted_fold
         monkeypatch.setattr(
@@ -122,7 +122,7 @@ class TestRestrictedFold:
             lambda *a: calls.append(1) or real(*a),
         )
         got = payload_sum(block, rows)
-        return got, bool(calls), np.add.reduce(block, axis=0)
+        return got, bool(calls), sequential(block)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32])
     @pytest.mark.parametrize("shape", SHAPES)
@@ -160,8 +160,8 @@ class TestRestrictedFold:
         self, dtype, monkeypatch
     ):
         """``x + (+0) == x`` except for ``-0.0``: a skipped step may not
-        leave a ``-0.0`` behind.  Only a row every member holds may keep
-        one, and whether it does is numpy's seeding of ``add.reduce``."""
+        leave a ``-0.0`` behind.  A row every member holds as ``-0.0``
+        keeps it, as the sequential fold does."""
         world, ug, dim = 4, 700, 64
         held = random_rows(world, ug, 30, seed=1)
         all_row, one_row, some_row, no_row = 3, 11, 17, 23
@@ -172,7 +172,7 @@ class TestRestrictedFold:
         held[0] = sorted(set(held[0]) | {some_row})
         held[2] = sorted(set(held[2]) | {some_row})
         block, rows = sparse_block(world, ug, dim, held, dtype)
-        block[:, all_row] = -0.0       # every member: as numpy seeds it
+        block[:, all_row] = -0.0       # every member: stays -0.0
         block[2, one_row] = -0.0       # one member: -0.0 + (+0) = +0.0
         block[0, some_row] = -0.0      # members 0 and 2 with a skipped
         block[2, some_row] = -0.0      # member between: +0.0 as well
@@ -181,6 +181,7 @@ class TestRestrictedFold:
         assert got.tobytes() == want.tobytes()
         for row in (one_row, some_row, no_row):
             assert not np.signbit(got[row]).any() and not got[row].any()
+        assert np.signbit(got[all_row]).all() and not got[all_row].any()
 
     def test_saturation_and_an_empty_member(self, monkeypatch):
         world, ug, dim = 4, 600, 64
@@ -219,14 +220,17 @@ class TestRestrictedFold:
         ``(ring, width)`` block whose pieces hold 0, 1 or more elements
         (the mesh cut), and a zero-padded block with its row sets (the
         restricted fold forced) — each member equal to the sequential
-        fold of its rows and to the per-rank list's fold.  Values are
-        never ``-0.0``, whose all-``-0.0`` sum numpy's seeded
-        ``add.reduce`` leaves ``+0.0``."""
+        fold of its rows and to the per-rank list's fold.  A quarter of
+        the values are ``-0.0`` or ``+0.0``, and one column of ``flat``
+        is ``-0.0`` throughout: it must sum to ``-0.0`` on every ring
+        size."""
         rng = np.random.default_rng(seed)
 
         def values(shape):
             signs = rng.choice([-1.0, 1.0], size=shape)
-            return (signs * rng.uniform(0.5, 2.0, shape)).astype(dtype)
+            magnitude = rng.uniform(0.5, 2.0, shape)
+            magnitude[rng.random(shape) < 0.25] = 0.0
+            return (signs * magnitude).astype(dtype)
 
         wide = values((ring, width))
         bounds = sorted({0, width, *(c for c in cuts if c <= width)})
@@ -238,8 +242,10 @@ class TestRestrictedFold:
         padded = np.zeros((ring, ug, dim), dtype)
         for m, rows in enumerate(held):
             padded[m, rows] = values((len(rows), dim))
+        flat = values((ring, 3, 2))
+        flat[:, 0] = -0.0
         run = FusedRun(
-            flat=values((ring, 3, 2)),
+            flat=flat,
             one=values((ring, 1)),
             **pieces,
             padded=padded,
@@ -255,6 +261,7 @@ class TestRestrictedFold:
             [sequential(block).ravel() for block in run.values()]
         )
         assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[:2]).all() and not got[:2].any()
         lists = np.concatenate([
             allreduce_arrays([np.ascontiguousarray(r) for r in block])[0].ravel()
             for block in run.values()

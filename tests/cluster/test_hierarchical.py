@@ -1,13 +1,15 @@
 """Tests for the funnel's two-level (hierarchical) schedule.
 
 Every plain allreduce, allgather and reduce-scatter is charged the
-cheaper of the flat ring and the two-level ring
+cheaper of the flat ring and the two-level schedule
 (:func:`repro.cluster.collectives.collective_time`): where each ring
 holds the same ``L > 1`` ranks on each of ``M > 1`` nodes, intra-node
-phases around a ring among the ``M`` peers with one local index, whose
-``L`` peer rings share their node's inter-node link.  Both schedules
-move the ring's wire bytes and the numerics are the one rank-order
-fold, so only time may differ.
+rings around a phase among the ``M`` peers with one local index, whose
+``L`` peer groups share their node's inter-node link.  That peer phase
+is recursive halving/doubling (``log2 M`` hops per pass) where ``M`` is
+a power of two and a ring otherwise.  Both schedules move the ring's
+wire bytes and the numerics are the one rank-order fold, so only time
+may differ.
 ``Interconnect(gpus_per_node=1)`` places one rank per node — ``L = 1``
 for every ring — and is the flat-ring reference throughout.
 """
@@ -20,11 +22,13 @@ from repro.analysis import Sanitizer
 from repro.cluster import Communicator, hybrid_mesh
 from repro.cluster.collectives import (
     RING,
+    RING_COST,
     TWO_LEVEL,
     collective_time,
     ring_allgather_time,
     ring_allreduce_time,
     ring_reduce_scatter_time,
+    two_level_time,
 )
 from repro.cluster.interconnect import (
     Interconnect,
@@ -55,34 +59,51 @@ def comm(world, fabric=FABRIC4):
     return Communicator(world, fabric=fabric, track_memory=False)
 
 
-def two_level_phases(op, local, nodes, nbytes, fabric):
+def peer_phase(op, nodes, nbytes, link, halving_doubling=True):
+    """The inter-node phase written out: the ring's bandwidth terms, and
+    ``log2 M`` hops per pass where ``M`` is a power of two (recursive
+    halving for a reduce-scatter, doubling for an allgather, both for an
+    allreduce) or the ring's ``M - 1`` otherwise."""
+    power_of_two = nodes & (nodes - 1) == 0
+    hops = nodes.bit_length() - 1
+    if not (halving_doubling and power_of_two):
+        hops = nodes - 1
+    if op == "allreduce":
+        return 2 * (nodes - 1) / nodes * nbytes / link.bandwidth + (
+            2 * hops * link.latency
+        )
+    if op == "allgather":
+        return (nodes - 1) * nbytes / link.bandwidth + hops * link.latency
+    return (nodes - 1) / nodes * nbytes / link.bandwidth + hops * link.latency
+
+
+def two_level_phases(op, local, nodes, nbytes, fabric, halving_doubling=True):
     """The two-level schedule's phases, summed in order, written out: the
-    node's ``local`` peer rings share its one inter-node link."""
+    node's ``local`` peer groups share its one inter-node link.  With
+    ``halving_doubling=False`` the peer phase is the ring's."""
     intra = fabric.intra_node
     inter = LinkSpec(
         fabric.inter_node.bandwidth / local, fabric.inter_node.latency
     )
     shard = -(-nbytes // local)
+
+    def peer(n):
+        return peer_phase(op, nodes, n, inter, halving_doubling)
+
     if op == "allreduce":
         return (
             ring_reduce_scatter_time(local, nbytes, intra)
-            + ring_allreduce_time(nodes, shard, inter)
+            + peer(shard)
             + ring_allgather_time(local, shard, intra)
         )
     if op == "allgather":
-        return (
-            ring_allgather_time(nodes, nbytes, inter)
-            + ring_allgather_time(local, nodes * nbytes, intra)
-        )
-    return (
-        ring_reduce_scatter_time(local, nbytes, intra)
-        + ring_reduce_scatter_time(nodes, shard, inter)
-    )
+        return peer(nbytes) + ring_allgather_time(local, nodes * nbytes, intra)
+    return ring_reduce_scatter_time(local, nbytes, intra) + peer(shard)
 
 
 class TestSemantics:
     def test_matches_flat_allreduce(self):
-        world = 16  # 4 nodes of 4: a small message takes the two-level ring
+        world = 16  # 4 nodes of 4: a small message goes two-level
         rng = np.random.default_rng(0)
         arrays = [rng.standard_normal((8, 3)) for _ in range(world)]
         c = comm(world)
@@ -161,10 +182,11 @@ class TestSemantics:
 
 class TestCostModel:
     def test_beats_flat_ring_across_nodes(self):
-        """Where inter-node hops dominate the two-level ring wins (M - 1
-        IB hops instead of G - 1); for a large message at M >= 4 the
-        ring is kept: the node's peer rings share its one IB link, so
-        the two-level ring saves no IB bandwidth and adds PCIe phases."""
+        """Where inter-node hops dominate the two-level schedule wins
+        (log2 M IB hops per pass instead of G - 1); for a large message
+        at M >= 4 the ring is kept: the node's peer groups share its one
+        IB link, so the two-level schedule saves no IB bandwidth and
+        adds PCIe phases."""
         fabric = PAPER_CLUSTER_FABRIC
         for world in (32, 64, 512):
             link = fabric.ring_link(world)
@@ -178,6 +200,34 @@ class TestCostModel:
                 assert collective_time(op, world, big, link, fabric, 8) == (
                     ring_time(world, big, link), RING
                 )
+
+    def test_halving_doubling_moves_the_crossover(self):
+        """An allreduce goes two-level below the size where the ring's
+        bandwidth terms repay its extra hops.  Fewer inter-node hops
+        move that size up: G = 64 (M = 8) from 1.22 MB with a ring among
+        the peers to 1.37 MB, G = 512 (M = 64) from 12.05 MB to 13.67 MB.
+        G = 48 (M = 6) keeps the ring among its peers and its 0.79 MB."""
+        fabric = PAPER_CLUSTER_FABRIC
+        for world, sizes in {
+            48: (790_000, 800_000),
+            64: (1_370_000, 1_375_000),
+            512: (13_600_000, 13_700_000),
+        }.items():
+            link = fabric.ring_link(world)
+            picks = [
+                collective_time("allreduce", world, n, link, fabric, 8)[1]
+                for n in sizes
+            ]
+            assert picks == [TWO_LEVEL, RING]
+        ring_peer = two_level_phases(
+            "allreduce", 8, 8, 1_300_000, fabric, halving_doubling=False
+        )
+        assert ring_peer > ring_allreduce_time(
+            64, 1_300_000, fabric.inter_node
+        )
+        assert collective_time(
+            "allreduce", 64, 1_300_000, fabric.inter_node, fabric, 8
+        )[1] == TWO_LEVEL
 
     def test_single_node_identical_to_flat(self):
         nbytes = 10**6
@@ -277,6 +327,88 @@ class TestChargedSchedule:
             assert event.time_s == min(
                 ring_s, two_level_phases(op, local, nodes, per_rank, fabric)
             )
+
+    @given(
+        op=st.sampled_from(sorted(RING_TIME)),
+        local=st.sampled_from([2, 4, 8]),
+        nodes=st.integers(2, 9),
+        per_rank=st.integers(0, 60_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_halving_doubling_peer_phase(self, op, local, nodes, per_rank):
+        """Over op, L and M: the two-level schedule is its written-out
+        phases, never above the same schedule with a ring among the
+        peers, and equal to it at M = 2 and at every M that is not a
+        power of two; elsewhere it saves ``M - 1 - log2 M`` IB hops per
+        pass.  An executed collective is charged min(ring, phases) and
+        sends the ring's wire bytes."""
+        fabric = Interconnect(gpus_per_node=local)
+        world = local * nodes
+        if op == "reduce_scatter":
+            per_rank -= per_rank % world
+        two = two_level_time(op, local, nodes, per_rank, fabric)
+        ring_peer = two_level_phases(
+            op, local, nodes, per_rank, fabric, halving_doubling=False
+        )
+        assert two == two_level_phases(op, local, nodes, per_rank, fabric)
+        assert two <= ring_peer
+        if nodes == 2 or nodes & (nodes - 1):
+            assert two == ring_peer
+        else:
+            passes = 2 if op == "allreduce" else 1
+            saved = passes * (nodes - 1 - (nodes.bit_length() - 1))
+            assert ring_peer - two == pytest.approx(
+                saved * fabric.inter_node.latency, rel=1e-6
+            )
+        c = comm(world, fabric)
+        getattr(c, op)([np.zeros(per_rank, np.uint8)] * world)
+        (event,) = c.ledger.events
+        ring_s = RING_TIME[op](world, per_rank, fabric.inter_node)
+        assert event.time_s == min(ring_s, two)
+        assert event.wire_bytes_per_rank == RING_COST[op][0](world, per_rank)
+
+    @pytest.mark.parametrize("world", [4, 16, 48, 64, 512])
+    @pytest.mark.parametrize("op", sorted(RING_TIME))
+    def test_executed_collectives_charge_the_written_out_phases(
+        self, op, world
+    ):
+        """12 KiB per rank on the paper fabric: one node (G = 4) and two
+        (G = 16) keep the ring; G = 48 (M = 6, a ring among the peers),
+        64 and 512 (M = 8, 64: halving/doubling) go two-level, charged
+        exactly their phases.  Every rank gets the values of one
+        rank-order fold (or concatenation), as on one rank per node."""
+        fabric = PAPER_CLUSTER_FABRIC
+        rng = np.random.default_rng(world)
+        arrays = [
+            rng.standard_normal(3072).astype(np.float32) for _ in range(world)
+        ]
+        c = Communicator(world, track_memory=False)
+        out = getattr(c, op)(arrays)
+        (event,) = c.ledger.events
+        nbytes, local = arrays[0].nbytes, fabric.gpus_per_node
+        if world <= 2 * local:
+            want = RING_TIME[op](world, nbytes, fabric.ring_link(world)), RING
+        else:
+            want = two_level_phases(
+                op, local, world // local, nbytes, fabric
+            ), TWO_LEVEL
+        assert (event.time_s, event.schedule) == want
+        assert event.wire_bytes_per_rank == RING_COST[op][0](world, nbytes)
+
+        flat = getattr(comm(world, FLAT), op)(arrays)
+        for got, ref in zip(out, flat):
+            assert got.tobytes() == ref.tobytes()
+        if op == "allgather":
+            assert out[-1].tobytes() == np.concatenate(arrays).tobytes()
+            return
+        total = np.array(arrays[0])
+        for row in arrays[1:]:
+            total += row
+        if op == "allreduce":
+            assert out[0].tobytes() == total.tobytes()
+        else:
+            shard = 3072 // world
+            assert out[-1].tobytes() == total[-shard:].tobytes()
 
     def test_a_mesh_axis_flips_with_message_size(self):
         """``pipe=2,tensor=2,data=16``: each data ring holds 8 ranks on
